@@ -420,7 +420,7 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
                     v.push(bad_spe("dma-legality", e.seq, *spe, n_spes));
                 }
             }
-            EventKind::DegreeDecision { degree, waiting, n_spes: dn, window, window_fill } => {
+            EventKind::DegreeDecision { degree, waiting, n_spes: dn, window, window_fill, .. } => {
                 check_degree_decision(
                     log, e.seq, *degree, *waiting, *dn, *window, *window_fill, v,
                 );

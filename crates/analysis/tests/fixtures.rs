@@ -207,6 +207,7 @@ fn degree_decision_outside_mgps_is_flagged() {
         at_ns: 95,
         kind: EventKind::DegreeDecision {
             degree: 2,
+            u: 0,
             waiting: 1,
             n_spes: 8,
             window: 8,

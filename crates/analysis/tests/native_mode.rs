@@ -6,7 +6,7 @@
 
 use cellsim::event::{EventKind, EventRecord, RunLog, SchedulerTag, SwitchReason};
 use mgps_analysis::{check_run, check_run_with, check_trace_sanity, CheckMode};
-use mgps_runtime::tracing::{TraceEventKind, Tracer};
+use mgps_runtime::tracing::Tracer;
 
 /// A native-shaped log: no quantum, no global loop size (tasks carry
 /// their own on chunk events).
@@ -137,7 +137,7 @@ fn native_mode_still_catches_genuine_violations() {
     // A degree decision under a non-MGPS scheduler.
     let log = native_log(vec![(
         10,
-        EventKind::DegreeDecision { degree: 2, waiting: 1, n_spes: 4, window: 4, window_fill: 1 },
+        EventKind::DegreeDecision { degree: 2, u: 0, waiting: 1, n_spes: 4, window: 4, window_fill: 1 },
     )]);
     let report = check_run_with(&log, CheckMode::Native);
     assert!(report.violations.iter().any(|v| v.rule == "mgps-degree"), "{}", report.render());
@@ -148,7 +148,7 @@ fn trace_sanity_passes_a_clean_trace() {
     let tracer = Tracer::new(16);
     let handle = tracer.handle();
     for i in 0..10u64 {
-        handle.record(TraceEventKind::Offload { proc: 0, task: i });
+        handle.record(EventKind::Offload { proc: 0, task: i });
     }
     let report = check_trace_sanity(&tracer.drain());
     assert!(report.is_clean(), "{}", report.render());
@@ -164,7 +164,7 @@ fn trace_sanity_surfaces_ring_overflow() {
     let tracer = Tracer::new(4);
     let handle = tracer.handle();
     for i in 0..10u64 {
-        handle.record(TraceEventKind::Offload { proc: 0, task: i });
+        handle.record(EventKind::Offload { proc: 0, task: i });
     }
     let log = tracer.drain();
     assert_eq!(log.total_events(), 4);

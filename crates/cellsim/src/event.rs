@@ -8,389 +8,16 @@
 //! statically verifies; it serializes to JSON (via `minijson`) so runs can
 //! be archived and diffed, and its serialized form is the input to the
 //! deterministic-replay digest.
+//!
+//! The vocabulary itself — [`EventKind`] with its JSON tags, field order
+//! and omitted-when-zero marks — is declared once, in
+//! [`mgps_runtime::events`], and shared with the native runtime's trace
+//! rings. This module expands that same table into the JSON
+//! encoder/decoder, so the codec cannot drift from the enum.
 
 use minijson::Value;
 
-/// Why a process lost its PPE context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwitchReason {
-    /// Voluntary yield at an off-load point (EDTLP-family schedulers).
-    Offload,
-    /// Involuntary quantum-expiry rotation (Linux-like scheduler).
-    Quantum,
-}
-
-impl SwitchReason {
-    fn as_str(self) -> &'static str {
-        match self {
-            SwitchReason::Offload => "offload",
-            SwitchReason::Quantum => "quantum",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<SwitchReason> {
-        match s {
-            "offload" => Some(SwitchReason::Offload),
-            "quantum" => Some(SwitchReason::Quantum),
-            _ => None,
-        }
-    }
-}
-
-/// Which of an SPU's three hardware mailboxes an operation touched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MailboxKind {
-    /// PPE → SPU command mailbox (4 entries).
-    Inbound,
-    /// SPU → PPE data mailbox (1 entry).
-    Outbound,
-    /// SPU → PPE interrupting mailbox (1 entry).
-    OutboundInterrupt,
-}
-
-impl MailboxKind {
-    /// The hardware capacity of this mailbox kind (§4).
-    pub fn capacity(self) -> usize {
-        match self {
-            MailboxKind::Inbound => 4,
-            MailboxKind::Outbound | MailboxKind::OutboundInterrupt => 1,
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            MailboxKind::Inbound => "inbound",
-            MailboxKind::Outbound => "outbound",
-            MailboxKind::OutboundInterrupt => "outbound_interrupt",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<MailboxKind> {
-        match s {
-            "inbound" => Some(MailboxKind::Inbound),
-            "outbound" => Some(MailboxKind::Outbound),
-            "outbound_interrupt" => Some(MailboxKind::OutboundInterrupt),
-            _ => None,
-        }
-    }
-}
-
-/// One recorded action of the machine model.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// Process `proc` requested an off-load of `task`.
-    Offload {
-        /// Requesting worker process.
-        proc: usize,
-        /// Task identifier (monotonic per run).
-        task: u64,
-    },
-    /// Process `proc` lost its PPE context.
-    CtxSwitch {
-        /// The descheduled process.
-        proc: usize,
-        /// Why the context was lost.
-        reason: SwitchReason,
-        /// How long the context was held, ns.
-        held_ns: u64,
-    },
-    /// `task` began executing for `proc` on `team` (work-shared when
-    /// `degree > 1`).
-    TaskStart {
-        /// Owning worker process.
-        proc: usize,
-        /// Task identifier.
-        task: u64,
-        /// Loop-level parallelism degree in force at grant time.
-        degree: usize,
-        /// The SPEs granted (team\[0\] is the lead).
-        team: Vec<usize>,
-    },
-    /// `task` finished on `team`.
-    TaskEnd {
-        /// Owning worker process.
-        proc: usize,
-        /// Task identifier.
-        task: u64,
-        /// The SPEs released.
-        team: Vec<usize>,
-    },
-    /// A DMA list was issued from `spe`.
-    Dma {
-        /// Issuing SPE.
-        spe: usize,
-        /// Per-element transfer sizes, bytes.
-        element_bytes: Vec<usize>,
-        /// Local-store base address.
-        local_addr: usize,
-        /// Main-memory base address.
-        main_addr: usize,
-    },
-    /// A message was written into a mailbox.
-    MailboxWrite {
-        /// The SPU whose mailbox was written.
-        spe: usize,
-        /// Which mailbox.
-        mailbox: MailboxKind,
-        /// Occupancy after the write.
-        occupancy: usize,
-    },
-    /// A message was read from a mailbox.
-    MailboxRead {
-        /// The SPU whose mailbox was read.
-        spe: usize,
-        /// Which mailbox.
-        mailbox: MailboxKind,
-        /// Occupancy after the read.
-        occupancy: usize,
-    },
-    /// Local-store buffer space reserved on `spe`.
-    LsAlloc {
-        /// The SPE.
-        spe: usize,
-        /// Bytes reserved.
-        bytes: usize,
-        /// Total bytes in use after the reservation.
-        in_use: usize,
-    },
-    /// Local-store buffer space released on `spe`.
-    LsFree {
-        /// The SPE.
-        spe: usize,
-        /// Bytes released.
-        bytes: usize,
-        /// Total bytes in use after the release.
-        in_use: usize,
-    },
-    /// One work-sharing chunk of `task`'s parallel loop was assigned.
-    Chunk {
-        /// The work-shared task.
-        task: u64,
-        /// Total loop iterations of the task.
-        loop_iters: usize,
-        /// First iteration of this chunk.
-        start: usize,
-        /// Iterations in this chunk.
-        len: usize,
-        /// The SPE executing the chunk.
-        worker: usize,
-    },
-    /// `spe` reloaded its resident code image before starting a task (the
-    /// granularity term `t_code`).
-    CodeReload {
-        /// The reloading SPE.
-        spe: usize,
-        /// Stall paid for the reload, ns.
-        stall_ns: u64,
-    },
-    /// A DMA transfer to `spe` finished (the granularity term `t_comm`).
-    DmaComplete {
-        /// The receiving SPE.
-        spe: usize,
-        /// Bytes moved.
-        bytes: usize,
-        /// End-to-end transfer latency, ns.
-        latency_ns: u64,
-    },
-    /// The MGPS policy issued a degree decision at a window boundary.
-    DegreeDecision {
-        /// The new loop degree (1 = LLP off).
-        degree: usize,
-        /// Tasks waiting for off-load at the decision (the paper's `T`).
-        waiting: usize,
-        /// SPEs on the machine.
-        n_spes: usize,
-        /// Configured utilization-window length.
-        window: usize,
-        /// Off-loads currently held in the window sample.
-        window_fill: usize,
-    },
-    /// The online health detector (`mgps-obs`) raised an alarm while the
-    /// run was live. Informational: the checker verifies its shape but it
-    /// places no scheduling constraint; reports surface it prominently.
-    Health {
-        /// Stable alarm slug (`utilization_collapse`, `stall_spike`,
-        /// `ring_drop`, `quarantine_storm`).
-        alarm: String,
-        /// `warning` or `critical`.
-        severity: String,
-        /// Human-readable explanation of what tripped.
-        detail: String,
-    },
-    /// The fault plane sabotaged off-load attempt `attempt` of `task`,
-    /// which had been assigned to lead SPE `spe`. The attempt produces no
-    /// `TaskStart`; the watchdog reclaims the team and recovery decides
-    /// between a retry, the PPE fallback, or (lethal plans only) a lost
-    /// task the checker must flag.
-    FaultInjected {
-        /// Team-lead SPE of the sabotaged assignment.
-        spe: usize,
-        /// The faulted task.
-        task: u64,
-        /// Stable fault-kind slug (`spe_stall`, `spe_crash`, `dma_error`,
-        /// `mailbox_drop`).
-        fault: String,
-        /// Off-load attempt number (0 = original off-load).
-        attempt: u64,
-    },
-    /// Recovery re-queued faulted `task` for off-load attempt `attempt`
-    /// after waiting the declared exponential backoff. Not an `Offload`:
-    /// the task keeps its identity and its single completion obligation.
-    OffloadRetry {
-        /// The retried task.
-        task: u64,
-        /// The new attempt number (≥ 1, strictly increasing per task).
-        attempt: u64,
-        /// Backoff waited before this retry, ns (must match the policy
-        /// declared in the log header).
-        backoff_ns: u64,
-    },
-    /// `spe` exceeded the policy's consecutive-fault threshold and was
-    /// removed from scheduling (no team may include it until readmitted).
-    SpeQuarantined {
-        /// The quarantined SPE.
-        spe: usize,
-        /// Consecutive faults that tripped the threshold.
-        faults: u64,
-    },
-    /// A re-admission probe returned quarantined `spe` to scheduling.
-    SpeReadmitted {
-        /// The readmitted SPE.
-        spe: usize,
-    },
-    /// Terminal degradation: `task` ran to completion on the PPE fallback
-    /// copy. This is the task's completion record — a fallen-back task
-    /// has no `TaskStart`/`TaskEnd`.
-    PpeFallback {
-        /// Owning worker process.
-        proc: usize,
-        /// The task completed on the PPE.
-        task: u64,
-        /// Off-load attempts consumed before falling back.
-        attempts: u64,
-    },
-    /// A serve-plane job was admitted to the bounded request queue. Jobs
-    /// lift the granularity decomposition one level up: one job spans one
-    /// or more off-loads, and its `JobCompleted` terms partition its wall
-    /// time the way `t_ppe`/`t_wait`/`t_spe`/`t_comm` partition one
-    /// off-load.
-    JobSubmitted {
-        /// Seeded job id (unique per run).
-        job: u64,
-        /// Submitting tenant.
-        tenant: usize,
-        /// Taxa in the phylo job spec.
-        taxa: usize,
-        /// Alignment sites in the spec.
-        sites: usize,
-        /// Bootstrap replicates in the spec.
-        bootstraps: usize,
-        /// Relative completion deadline, ns since admission (0 = none;
-        /// serialized only when set, so deadline-free logs keep their
-        /// pre-deadline byte form).
-        deadline_ns: u64,
-        /// Queue occupancy after the admission (this job included).
-        queue_depth: usize,
-        /// Configured admission-queue bound.
-        queue_cap: usize,
-    },
-    /// A worker dequeued admitted job `job` and began executing it.
-    /// Within a tenant, starts must follow submission (FIFO) order.
-    JobStarted {
-        /// The job.
-        job: u64,
-        /// Its tenant.
-        tenant: usize,
-        /// Zero-based execution attempt (0 = first start; restarts after
-        /// a `JobRetried` carry that retry's number). Serialized only when
-        /// nonzero, so retry-free logs keep their pre-retry byte form.
-        attempt: u64,
-    },
-    /// An admitted job was dropped at dispatch because its declared
-    /// deadline expired while it waited in queue. Terminal: a shed job is
-    /// never started, retried, or completed. Never silent — every expired
-    /// job leaves exactly this record.
-    JobShed {
-        /// The shed job.
-        job: u64,
-        /// Its tenant.
-        tenant: usize,
-        /// The deadline it missed, ns since its admission stamp.
-        deadline_ns: u64,
-    },
-    /// A job whose execution attempt died on an unrecoverable off-load
-    /// fault was re-queued (back of its tenant's queue) for the attempt
-    /// number recorded here, after the declared deterministic backoff.
-    /// Not a new submission: the job keeps its identity, its admission
-    /// stamp, and its single completion obligation.
-    JobRetried {
-        /// The retried job.
-        job: u64,
-        /// Its tenant.
-        tenant: usize,
-        /// One-based retry number (the next `JobStarted` carries it).
-        attempt: u64,
-        /// Backoff waited before the re-queue, ns (must match the policy
-        /// declared in the log header).
-        backoff_ns: u64,
-    },
-    /// Terminal quarantine: `job` exhausted its retry budget and was
-    /// removed from the queue as poison instead of wedging it. A poisoned
-    /// job has no `JobCompleted`.
-    JobPoisoned {
-        /// The quarantined job.
-        job: u64,
-        /// Its tenant.
-        tenant: usize,
-        /// Total execution attempts consumed before giving up.
-        attempts: u64,
-    },
-    /// Job `job` finished. The four terms partition its wall time
-    /// exactly: their sum equals this event's timestamp minus the job's
-    /// `JobSubmitted` timestamp.
-    JobCompleted {
-        /// The job.
-        job: u64,
-        /// Its tenant.
-        tenant: usize,
-        /// Admission-queue wait, ns.
-        t_queue_ns: u64,
-        /// Dequeue-to-kernel setup (argument marshalling), ns.
-        t_dispatch_ns: u64,
-        /// Off-loaded kernel execution, ns.
-        t_kernel_ns: u64,
-        /// Result reduction on the PPE, ns.
-        t_reduce_ns: u64,
-    },
-    /// A submission was refused — queue at capacity, or the serve plane
-    /// was draining after a shutdown signal. A rejected job has no
-    /// `JobSubmitted` record: submission means admission.
-    JobRejected {
-        /// The refused job's (seeded) id.
-        job: u64,
-        /// Its tenant.
-        tenant: usize,
-        /// Queue occupancy at refusal time.
-        queue_depth: usize,
-        /// Configured admission-queue bound.
-        queue_cap: usize,
-    },
-    /// The granularity controller ruled on where a kernel invocation runs
-    /// (the §5.2 inequality `t_spe + t_code + 2·t_comm < t_ppe`).
-    /// Informational, like [`EventKind::Health`]: the checker verifies its
-    /// shape but it places no scheduling constraint.
-    GranularityVerdict {
-        /// Kernel slug (`newview`, `makenewz`, `evaluate`).
-        kernel: String,
-        /// Whether the invocation was granted an SPE off-load.
-        offload: bool,
-        /// Whether the kernel is throttled after this verdict.
-        throttled: bool,
-        /// Whether the off-load was a periodic re-probe of a throttled
-        /// kernel (implies `offload`).
-        reprobe: bool,
-    },
-}
+pub use mgps_runtime::events::{EventKind, MailboxKind, SwitchReason};
 
 /// An [`EventKind`] stamped with its emission order and simulated time.
 #[derive(Debug, Clone, PartialEq)]
@@ -481,448 +108,154 @@ pub struct RunLog {
     pub events: Vec<EventRecord>,
 }
 
-fn usize_field(v: &Value, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .map(|n| n as usize)
-        .ok_or_else(|| format!("missing integer field '{key}'"))
+/// The JSON form of one field type of the event table or the log header.
+trait Field: Sized {
+    fn encode(&self) -> Value;
+    /// `None` when `v` is not a well-formed value of this type.
+    fn decode(v: &Value) -> Option<Self>;
 }
 
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing integer field '{key}'"))
+impl Field for u64 {
+    fn encode(&self) -> Value {
+        (*self).into()
+    }
+    fn decode(v: &Value) -> Option<u64> {
+        v.as_u64()
+    }
 }
 
-fn bool_field(v: &Value, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| format!("missing boolean field '{key}'"))
+impl Field for usize {
+    fn encode(&self) -> Value {
+        (*self).into()
+    }
+    fn decode(v: &Value) -> Option<usize> {
+        v.as_u64().and_then(|n| usize::try_from(n).ok())
+    }
 }
 
-fn str_field<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing string field '{key}'"))
+impl Field for bool {
+    fn encode(&self) -> Value {
+        (*self).into()
+    }
+    fn decode(v: &Value) -> Option<bool> {
+        v.as_bool()
+    }
 }
 
-fn usize_list(v: &Value, key: &str) -> Result<Vec<usize>, String> {
-    v.get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("missing array field '{key}'"))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| format!("non-integer element in '{key}'"))
-        })
-        .collect()
+impl Field for String {
+    fn encode(&self) -> Value {
+        self.as_str().into()
+    }
+    fn decode(v: &Value) -> Option<String> {
+        v.as_str().map(str::to_string)
+    }
 }
 
-impl EventKind {
-    fn to_value(&self) -> Value {
-        match self {
-            EventKind::Offload { proc, task } => Value::object(vec![
-                ("type", "offload".into()),
-                ("proc", (*proc).into()),
-                ("task", (*task).into()),
-            ]),
-            EventKind::CtxSwitch {
-                proc,
-                reason,
-                held_ns,
-            } => Value::object(vec![
-                ("type", "ctx_switch".into()),
-                ("proc", (*proc).into()),
-                ("reason", reason.as_str().into()),
-                ("held_ns", (*held_ns).into()),
-            ]),
-            EventKind::TaskStart {
-                proc,
-                task,
-                degree,
-                team,
-            } => Value::object(vec![
-                ("type", "task_start".into()),
-                ("proc", (*proc).into()),
-                ("task", (*task).into()),
-                ("degree", (*degree).into()),
-                ("team", Value::array(team.clone())),
-            ]),
-            EventKind::TaskEnd { proc, task, team } => Value::object(vec![
-                ("type", "task_end".into()),
-                ("proc", (*proc).into()),
-                ("task", (*task).into()),
-                ("team", Value::array(team.clone())),
-            ]),
-            EventKind::Dma {
-                spe,
-                element_bytes,
-                local_addr,
-                main_addr,
-            } => Value::object(vec![
-                ("type", "dma".into()),
-                ("spe", (*spe).into()),
-                ("element_bytes", Value::array(element_bytes.clone())),
-                ("local_addr", (*local_addr).into()),
-                ("main_addr", (*main_addr).into()),
-            ]),
-            EventKind::MailboxWrite {
-                spe,
-                mailbox,
-                occupancy,
-            } => Value::object(vec![
-                ("type", "mailbox_write".into()),
-                ("spe", (*spe).into()),
-                ("mailbox", mailbox.as_str().into()),
-                ("occupancy", (*occupancy).into()),
-            ]),
-            EventKind::MailboxRead {
-                spe,
-                mailbox,
-                occupancy,
-            } => Value::object(vec![
-                ("type", "mailbox_read".into()),
-                ("spe", (*spe).into()),
-                ("mailbox", mailbox.as_str().into()),
-                ("occupancy", (*occupancy).into()),
-            ]),
-            EventKind::LsAlloc { spe, bytes, in_use } => Value::object(vec![
-                ("type", "ls_alloc".into()),
-                ("spe", (*spe).into()),
-                ("bytes", (*bytes).into()),
-                ("in_use", (*in_use).into()),
-            ]),
-            EventKind::LsFree { spe, bytes, in_use } => Value::object(vec![
-                ("type", "ls_free".into()),
-                ("spe", (*spe).into()),
-                ("bytes", (*bytes).into()),
-                ("in_use", (*in_use).into()),
-            ]),
-            EventKind::Chunk {
-                task,
-                loop_iters,
-                start,
-                len,
-                worker,
-            } => Value::object(vec![
-                ("type", "chunk".into()),
-                ("task", (*task).into()),
-                ("loop_iters", (*loop_iters).into()),
-                ("start", (*start).into()),
-                ("len", (*len).into()),
-                ("worker", (*worker).into()),
-            ]),
-            EventKind::CodeReload { spe, stall_ns } => Value::object(vec![
-                ("type", "code_reload".into()),
-                ("spe", (*spe).into()),
-                ("stall_ns", (*stall_ns).into()),
-            ]),
-            EventKind::DmaComplete {
-                spe,
-                bytes,
-                latency_ns,
-            } => Value::object(vec![
-                ("type", "dma_complete".into()),
-                ("spe", (*spe).into()),
-                ("bytes", (*bytes).into()),
-                ("latency_ns", (*latency_ns).into()),
-            ]),
-            EventKind::DegreeDecision {
-                degree,
-                waiting,
-                n_spes,
-                window,
-                window_fill,
-            } => Value::object(vec![
-                ("type", "degree_decision".into()),
-                ("degree", (*degree).into()),
-                ("waiting", (*waiting).into()),
-                ("n_spes", (*n_spes).into()),
-                ("window", (*window).into()),
-                ("window_fill", (*window_fill).into()),
-            ]),
-            EventKind::Health { alarm, severity, detail } => Value::object(vec![
-                ("type", "health".into()),
-                ("alarm", alarm.clone().into()),
-                ("severity", severity.clone().into()),
-                ("detail", detail.clone().into()),
-            ]),
-            EventKind::FaultInjected { spe, task, fault, attempt } => Value::object(vec![
-                ("type", "fault_injected".into()),
-                ("spe", (*spe).into()),
-                ("task", (*task).into()),
-                ("fault", fault.clone().into()),
-                ("attempt", (*attempt).into()),
-            ]),
-            EventKind::OffloadRetry { task, attempt, backoff_ns } => Value::object(vec![
-                ("type", "offload_retry".into()),
-                ("task", (*task).into()),
-                ("attempt", (*attempt).into()),
-                ("backoff_ns", (*backoff_ns).into()),
-            ]),
-            EventKind::SpeQuarantined { spe, faults } => Value::object(vec![
-                ("type", "spe_quarantined".into()),
-                ("spe", (*spe).into()),
-                ("faults", (*faults).into()),
-            ]),
-            EventKind::SpeReadmitted { spe } => Value::object(vec![
-                ("type", "spe_readmitted".into()),
-                ("spe", (*spe).into()),
-            ]),
-            EventKind::PpeFallback { proc, task, attempts } => Value::object(vec![
-                ("type", "ppe_fallback".into()),
-                ("proc", (*proc).into()),
-                ("task", (*task).into()),
-                ("attempts", (*attempts).into()),
-            ]),
-            EventKind::GranularityVerdict { kernel, offload, throttled, reprobe } => {
-                Value::object(vec![
-                    ("type", "granularity_verdict".into()),
-                    ("kernel", kernel.clone().into()),
-                    ("offload", (*offload).into()),
-                    ("throttled", (*throttled).into()),
-                    ("reprobe", (*reprobe).into()),
-                ])
-            }
-            EventKind::JobSubmitted {
-                job,
-                tenant,
-                taxa,
-                sites,
-                bootstraps,
-                deadline_ns,
-                queue_depth,
-                queue_cap,
-            } => {
-                let mut members: Vec<(&str, Value)> = vec![
-                    ("type", "job_submitted".into()),
-                    ("job", (*job).into()),
-                    ("tenant", (*tenant).into()),
-                    ("taxa", (*taxa).into()),
-                    ("sites", (*sites).into()),
-                    ("bootstraps", (*bootstraps).into()),
-                ];
-                if *deadline_ns != 0 {
-                    members.push(("deadline_ns", (*deadline_ns).into()));
-                }
-                members.push(("queue_depth", (*queue_depth).into()));
-                members.push(("queue_cap", (*queue_cap).into()));
-                Value::object(members)
-            }
-            EventKind::JobStarted { job, tenant, attempt } => {
-                let mut members: Vec<(&str, Value)> = vec![
-                    ("type", "job_started".into()),
-                    ("job", (*job).into()),
-                    ("tenant", (*tenant).into()),
-                ];
-                if *attempt != 0 {
-                    members.push(("attempt", (*attempt).into()));
-                }
-                Value::object(members)
-            }
-            EventKind::JobShed { job, tenant, deadline_ns } => Value::object(vec![
-                ("type", "job_shed".into()),
-                ("job", (*job).into()),
-                ("tenant", (*tenant).into()),
-                ("deadline_ns", (*deadline_ns).into()),
-            ]),
-            EventKind::JobRetried { job, tenant, attempt, backoff_ns } => Value::object(vec![
-                ("type", "job_retried".into()),
-                ("job", (*job).into()),
-                ("tenant", (*tenant).into()),
-                ("attempt", (*attempt).into()),
-                ("backoff_ns", (*backoff_ns).into()),
-            ]),
-            EventKind::JobPoisoned { job, tenant, attempts } => Value::object(vec![
-                ("type", "job_poisoned".into()),
-                ("job", (*job).into()),
-                ("tenant", (*tenant).into()),
-                ("attempts", (*attempts).into()),
-            ]),
-            EventKind::JobCompleted {
-                job,
-                tenant,
-                t_queue_ns,
-                t_dispatch_ns,
-                t_kernel_ns,
-                t_reduce_ns,
-            } => Value::object(vec![
-                ("type", "job_completed".into()),
-                ("job", (*job).into()),
-                ("tenant", (*tenant).into()),
-                ("t_queue_ns", (*t_queue_ns).into()),
-                ("t_dispatch_ns", (*t_dispatch_ns).into()),
-                ("t_kernel_ns", (*t_kernel_ns).into()),
-                ("t_reduce_ns", (*t_reduce_ns).into()),
-            ]),
-            EventKind::JobRejected { job, tenant, queue_depth, queue_cap } => {
-                Value::object(vec![
-                    ("type", "job_rejected".into()),
-                    ("job", (*job).into()),
-                    ("tenant", (*tenant).into()),
-                    ("queue_depth", (*queue_depth).into()),
-                    ("queue_cap", (*queue_cap).into()),
-                ])
-            }
+impl Field for SwitchReason {
+    fn encode(&self) -> Value {
+        self.as_str().into()
+    }
+    fn decode(v: &Value) -> Option<SwitchReason> {
+        v.as_str().and_then(SwitchReason::from_slug)
+    }
+}
+
+impl Field for MailboxKind {
+    fn encode(&self) -> Value {
+        self.as_str().into()
+    }
+    fn decode(v: &Value) -> Option<MailboxKind> {
+        v.as_str().and_then(MailboxKind::from_slug)
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn encode(&self) -> Value {
+        Value::Array(self.iter().map(T::encode).collect())
+    }
+    fn decode(v: &Value) -> Option<Vec<T>> {
+        v.as_array()?.iter().map(T::decode).collect()
+    }
+}
+
+/// `None` is `null`; with a `Some(None)` default an absent key is too.
+impl<T: Field> Field for Option<T> {
+    fn encode(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::encode)
+    }
+    fn decode(v: &Value) -> Option<Option<T>> {
+        match v {
+            Value::Null => Some(None),
+            other => T::decode(other).map(Some),
         }
     }
+}
 
-    fn from_value(v: &Value) -> Result<EventKind, String> {
-        let kind = match str_field(v, "type")? {
-            "offload" => EventKind::Offload {
-                proc: usize_field(v, "proc")?,
-                task: u64_field(v, "task")?,
-            },
-            "ctx_switch" => EventKind::CtxSwitch {
-                proc: usize_field(v, "proc")?,
-                reason: SwitchReason::from_str(str_field(v, "reason")?)
-                    .ok_or("bad switch reason")?,
-                held_ns: u64_field(v, "held_ns")?,
-            },
-            "task_start" => EventKind::TaskStart {
-                proc: usize_field(v, "proc")?,
-                task: u64_field(v, "task")?,
-                degree: usize_field(v, "degree")?,
-                team: usize_list(v, "team")?,
-            },
-            "task_end" => EventKind::TaskEnd {
-                proc: usize_field(v, "proc")?,
-                task: u64_field(v, "task")?,
-                team: usize_list(v, "team")?,
-            },
-            "dma" => EventKind::Dma {
-                spe: usize_field(v, "spe")?,
-                element_bytes: usize_list(v, "element_bytes")?,
-                local_addr: usize_field(v, "local_addr")?,
-                main_addr: usize_field(v, "main_addr")?,
-            },
-            "mailbox_write" => EventKind::MailboxWrite {
-                spe: usize_field(v, "spe")?,
-                mailbox: MailboxKind::from_str(str_field(v, "mailbox")?)
-                    .ok_or("bad mailbox kind")?,
-                occupancy: usize_field(v, "occupancy")?,
-            },
-            "mailbox_read" => EventKind::MailboxRead {
-                spe: usize_field(v, "spe")?,
-                mailbox: MailboxKind::from_str(str_field(v, "mailbox")?)
-                    .ok_or("bad mailbox kind")?,
-                occupancy: usize_field(v, "occupancy")?,
-            },
-            "ls_alloc" => EventKind::LsAlloc {
-                spe: usize_field(v, "spe")?,
-                bytes: usize_field(v, "bytes")?,
-                in_use: usize_field(v, "in_use")?,
-            },
-            "ls_free" => EventKind::LsFree {
-                spe: usize_field(v, "spe")?,
-                bytes: usize_field(v, "bytes")?,
-                in_use: usize_field(v, "in_use")?,
-            },
-            "chunk" => EventKind::Chunk {
-                task: u64_field(v, "task")?,
-                loop_iters: usize_field(v, "loop_iters")?,
-                start: usize_field(v, "start")?,
-                len: usize_field(v, "len")?,
-                worker: usize_field(v, "worker")?,
-            },
-            "code_reload" => EventKind::CodeReload {
-                spe: usize_field(v, "spe")?,
-                stall_ns: u64_field(v, "stall_ns")?,
-            },
-            "dma_complete" => EventKind::DmaComplete {
-                spe: usize_field(v, "spe")?,
-                bytes: usize_field(v, "bytes")?,
-                latency_ns: u64_field(v, "latency_ns")?,
-            },
-            "degree_decision" => EventKind::DegreeDecision {
-                degree: usize_field(v, "degree")?,
-                waiting: usize_field(v, "waiting")?,
-                n_spes: usize_field(v, "n_spes")?,
-                window: usize_field(v, "window")?,
-                window_fill: usize_field(v, "window_fill")?,
-            },
-            "health" => EventKind::Health {
-                alarm: str_field(v, "alarm")?.to_string(),
-                severity: str_field(v, "severity")?.to_string(),
-                detail: str_field(v, "detail")?.to_string(),
-            },
-            "fault_injected" => EventKind::FaultInjected {
-                spe: usize_field(v, "spe")?,
-                task: u64_field(v, "task")?,
-                fault: str_field(v, "fault")?.to_string(),
-                attempt: u64_field(v, "attempt")?,
-            },
-            "offload_retry" => EventKind::OffloadRetry {
-                task: u64_field(v, "task")?,
-                attempt: u64_field(v, "attempt")?,
-                backoff_ns: u64_field(v, "backoff_ns")?,
-            },
-            "spe_quarantined" => EventKind::SpeQuarantined {
-                spe: usize_field(v, "spe")?,
-                faults: u64_field(v, "faults")?,
-            },
-            "spe_readmitted" => EventKind::SpeReadmitted { spe: usize_field(v, "spe")? },
-            "ppe_fallback" => EventKind::PpeFallback {
-                proc: usize_field(v, "proc")?,
-                task: u64_field(v, "task")?,
-                attempts: u64_field(v, "attempts")?,
-            },
-            "granularity_verdict" => EventKind::GranularityVerdict {
-                kernel: str_field(v, "kernel")?.to_string(),
-                offload: bool_field(v, "offload")?,
-                throttled: bool_field(v, "throttled")?,
-                reprobe: bool_field(v, "reprobe")?,
-            },
-            "job_submitted" => EventKind::JobSubmitted {
-                job: u64_field(v, "job")?,
-                tenant: usize_field(v, "tenant")?,
-                taxa: usize_field(v, "taxa")?,
-                sites: usize_field(v, "sites")?,
-                bootstraps: usize_field(v, "bootstraps")?,
-                deadline_ns: v.get("deadline_ns").and_then(Value::as_u64).unwrap_or(0),
-                queue_depth: usize_field(v, "queue_depth")?,
-                queue_cap: usize_field(v, "queue_cap")?,
-            },
-            "job_started" => EventKind::JobStarted {
-                job: u64_field(v, "job")?,
-                tenant: usize_field(v, "tenant")?,
-                attempt: v.get("attempt").and_then(Value::as_u64).unwrap_or(0),
-            },
-            "job_shed" => EventKind::JobShed {
-                job: u64_field(v, "job")?,
-                tenant: usize_field(v, "tenant")?,
-                deadline_ns: u64_field(v, "deadline_ns")?,
-            },
-            "job_retried" => EventKind::JobRetried {
-                job: u64_field(v, "job")?,
-                tenant: usize_field(v, "tenant")?,
-                attempt: u64_field(v, "attempt")?,
-                backoff_ns: u64_field(v, "backoff_ns")?,
-            },
-            "job_poisoned" => EventKind::JobPoisoned {
-                job: u64_field(v, "job")?,
-                tenant: usize_field(v, "tenant")?,
-                attempts: u64_field(v, "attempts")?,
-            },
-            "job_completed" => EventKind::JobCompleted {
-                job: u64_field(v, "job")?,
-                tenant: usize_field(v, "tenant")?,
-                t_queue_ns: u64_field(v, "t_queue_ns")?,
-                t_dispatch_ns: u64_field(v, "t_dispatch_ns")?,
-                t_kernel_ns: u64_field(v, "t_kernel_ns")?,
-                t_reduce_ns: u64_field(v, "t_reduce_ns")?,
-            },
-            "job_rejected" => EventKind::JobRejected {
-                job: u64_field(v, "job")?,
-                tenant: usize_field(v, "tenant")?,
-                queue_depth: usize_field(v, "queue_depth")?,
-                queue_cap: usize_field(v, "queue_cap")?,
-            },
-            other => return Err(format!("unknown event type '{other}'")),
-        };
-        Ok(kind)
+/// Read member `key` of object `v`: an absent key takes `default` (an
+/// error when the field has none), a present but mistyped one is always
+/// an error — it never silently decays to the default.
+fn field<T: Field>(v: &Value, key: &str, default: Option<T>) -> Result<T, String> {
+    match v.get(key) {
+        Some(x) => T::decode(x).ok_or_else(|| format!("mistyped field '{key}'")),
+        None => default.ok_or_else(|| format!("missing field '{key}'")),
     }
+}
+
+/// Expands the event table into the JSON codec of [`EventKind`].
+macro_rules! event_codec {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:literal @ $rank:literal {
+                    $( $(#[$fmeta:meta])* $field:ident : $ty:ty $(= $default:literal)? ),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        /// Append `kind`'s fields to `out` in table order, skipping
+        /// omitted-when-zero fields that are zero.
+        fn push_fields(kind: &$name, out: &mut Vec<(String, Value)>) {
+            match kind {
+                $( $name::$variant { $($field),* } => {
+                    out.reserve_exact(0 $(+ event_codec!(@one $field))*);
+                    $( if event_codec!(@keep $field $($default)?) {
+                        out.push((stringify!($field).to_string(), $field.encode()));
+                    } )*
+                } )*
+            }
+        }
+
+        /// Decode the event carried by object `v` (its `type` tag plus
+        /// that variant's fields; other members are ignored).
+        fn kind_from_value(v: &Value) -> Result<$name, String> {
+            match v.get("type").and_then(Value::as_str) {
+                $( Some($tag) => Ok($name::$variant {
+                    $( $field: field(v, stringify!($field), event_codec!(@default $($default)?))? ),*
+                }), )*
+                Some(other) => Err(format!("unknown event type '{other}'")),
+                None => Err("missing or mistyped field 'type'".to_string()),
+            }
+        }
+    };
+    (@one $field:ident) => { 1 };
+    (@keep $field:ident) => { true };
+    (@keep $field:ident $default:literal) => { *$field != $default };
+    (@default) => { None };
+    (@default $default:literal) => { Some($default) };
+}
+
+mgps_runtime::event_table!(event_codec);
+
+/// One compact NDJSON line for a live event stream: `type`, `at_ns`, then
+/// the event's fields exactly as the [`RunLog`] schema writes them, so a
+/// stream consumer and a log consumer parse the same vocabulary.
+pub fn json_line(at_ns: u64, kind: &EventKind) -> String {
+    let mut members =
+        vec![("type".to_string(), kind.tag().into()), ("at_ns".to_string(), at_ns.into())];
+    push_fields(kind, &mut members);
+    Value::Object(members).to_json()
 }
 
 impl RunLog {
@@ -935,10 +268,9 @@ impl RunLog {
                 let mut members = vec![
                     ("seq".to_string(), e.seq.into()),
                     ("at_ns".to_string(), e.at_ns.into()),
+                    ("type".to_string(), e.kind.tag().into()),
                 ];
-                if let Value::Object(kind_members) = e.kind.to_value() {
-                    members.extend(kind_members);
-                }
+                push_fields(&e.kind, &mut members);
                 Value::Object(members)
             })
             .collect::<Vec<_>>();
@@ -949,17 +281,11 @@ impl RunLog {
             ("seed", self.seed.into()),
             ("local_store_bytes", self.local_store_bytes.into()),
             ("loop_iters", self.loop_iters.into()),
-            (
-                "mgps_window",
-                self.mgps_window.map_or(Value::Null, Into::into),
-            ),
-            (
-                "fault_policy",
-                self.fault_policy.clone().map_or(Value::Null, Into::into),
-            ),
+            ("mgps_window", self.mgps_window.encode()),
+            ("fault_policy", self.fault_policy.encode()),
         ];
         if let Some(weights) = &self.tenant_weights {
-            members.push(("tenant_weights", Value::array(weights.clone())));
+            members.push(("tenant_weights", weights.encode()));
         }
         members.push(("events", Value::Array(events)));
         Value::object(members)
@@ -970,35 +296,30 @@ impl RunLog {
     /// # Errors
     /// A description of the first missing or mistyped field.
     pub fn from_value(v: &Value) -> Result<RunLog, String> {
-        let mut events = Vec::new();
-        for e in v
+        let events = v
             .get("events")
             .and_then(Value::as_array)
-            .ok_or("missing array field 'events'")?
-        {
-            events.push(EventRecord {
-                seq: u64_field(e, "seq")?,
-                at_ns: u64_field(e, "at_ns")?,
-                kind: EventKind::from_value(e)?,
-            });
-        }
+            .ok_or("missing or mistyped field 'events'")?
+            .iter()
+            .map(|e| {
+                Ok(EventRecord {
+                    seq: field(e, "seq", None)?,
+                    at_ns: field(e, "at_ns", None)?,
+                    kind: kind_from_value(e)?,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(RunLog {
-            scheduler: SchedulerTag::from_string(str_field(v, "scheduler")?)
+            scheduler: SchedulerTag::from_string(&field::<String>(v, "scheduler", None)?)
                 .ok_or("bad scheduler tag")?,
-            n_spes: usize_field(v, "n_spes")?,
-            quantum_ns: u64_field(v, "quantum_ns")?,
-            seed: u64_field(v, "seed")?,
-            local_store_bytes: usize_field(v, "local_store_bytes")?,
-            loop_iters: usize_field(v, "loop_iters")?,
-            mgps_window: v.get("mgps_window").and_then(Value::as_u64).map(|n| n as usize),
-            fault_policy: v
-                .get("fault_policy")
-                .and_then(Value::as_str)
-                .map(str::to_string),
-            tenant_weights: v
-                .get("tenant_weights")
-                .and_then(Value::as_array)
-                .map(|a| a.iter().filter_map(Value::as_u64).collect()),
+            n_spes: field(v, "n_spes", None)?,
+            quantum_ns: field(v, "quantum_ns", None)?,
+            seed: field(v, "seed", None)?,
+            local_store_bytes: field(v, "local_store_bytes", None)?,
+            loop_iters: field(v, "loop_iters", None)?,
+            mgps_window: field(v, "mgps_window", Some(None))?,
+            fault_policy: field(v, "fault_policy", Some(None))?,
+            tenant_weights: field(v, "tenant_weights", Some(None))?,
             events,
         })
     }
@@ -1007,6 +328,245 @@ impl RunLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Largest integer the JSON number model round-trips exactly.
+    const MAX_JSON_INT: u64 = 1 << 53;
+
+    /// A generated value of one field type of the event table.
+    trait Arb {
+        fn arb(rng: &mut TestRng) -> Self;
+    }
+
+    impl Arb for u64 {
+        fn arb(rng: &mut TestRng) -> u64 {
+            // Zero often (the omitted-when-zero path), small often, and
+            // the whole exactly representable range otherwise.
+            match rng.below(4) {
+                0 => 0,
+                1 => rng.below(16),
+                _ => rng.below(MAX_JSON_INT + 1),
+            }
+        }
+    }
+
+    impl Arb for usize {
+        fn arb(rng: &mut TestRng) -> usize {
+            u64::arb(rng) as usize
+        }
+    }
+
+    impl Arb for bool {
+        fn arb(rng: &mut TestRng) -> bool {
+            rng.below(2) == 1
+        }
+    }
+
+    impl Arb for String {
+        fn arb(rng: &mut TestRng) -> String {
+            const ALPHABET: [char; 12] =
+                ['a', 'Z', '_', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', 'π', '🦀'];
+            (0..rng.below(8)).map(|_| ALPHABET[rng.below(12) as usize]).collect()
+        }
+    }
+
+    impl Arb for SwitchReason {
+        fn arb(rng: &mut TestRng) -> SwitchReason {
+            [SwitchReason::Offload, SwitchReason::Quantum][rng.below(2) as usize]
+        }
+    }
+
+    impl Arb for MailboxKind {
+        fn arb(rng: &mut TestRng) -> MailboxKind {
+            [MailboxKind::Inbound, MailboxKind::Outbound, MailboxKind::OutboundInterrupt]
+                [rng.below(3) as usize]
+        }
+    }
+
+    impl Arb for SchedulerTag {
+        fn arb(rng: &mut TestRng) -> SchedulerTag {
+            match rng.below(4) {
+                0 => SchedulerTag::Edtlp,
+                1 => SchedulerTag::Linux,
+                2 => SchedulerTag::StaticHybrid(usize::arb(rng)),
+                _ => SchedulerTag::Mgps,
+            }
+        }
+    }
+
+    impl<T: Arb> Arb for Vec<T> {
+        fn arb(rng: &mut TestRng) -> Vec<T> {
+            (0..rng.below(4)).map(|_| T::arb(rng)).collect()
+        }
+    }
+
+    impl<T: Arb> Arb for Option<T> {
+        fn arb(rng: &mut TestRng) -> Option<T> {
+            (rng.below(2) == 1).then(|| T::arb(rng))
+        }
+    }
+
+    /// A strategy from a plain generator function.
+    struct Gen<T>(fn(&mut TestRng) -> T);
+
+    impl<T> Strategy for Gen<T> {
+        type Value = T;
+        fn generate(&self, rng: &mut TestRng) -> T {
+            (self.0)(rng)
+        }
+    }
+
+    /// Expands the event table into one strategy per variant.
+    macro_rules! event_strategies {
+        (
+            $(#[$meta:meta])*
+            pub enum $name:ident {
+                $(
+                    $(#[$vmeta:meta])*
+                    $variant:ident = $tag:literal @ $rank:literal {
+                        $( $(#[$fmeta:meta])* $field:ident : $ty:ty $(= $default:literal)? ),* $(,)?
+                    }
+                ),* $(,)?
+            }
+        ) => {
+            /// One strategy per table row, in declaration order.
+            fn variant_strategies() -> Vec<Gen<$name>> {
+                vec![ $( Gen(|rng| $name::$variant { $( $field: <$ty as Arb>::arb(rng) ),* }) ),* ]
+            }
+        };
+    }
+
+    mgps_runtime::event_table!(event_strategies);
+
+    /// A log with an arbitrary header and one to three events of *every*
+    /// variant, so each case covers the whole vocabulary.
+    fn arb_log(rng: &mut TestRng) -> RunLog {
+        let mut events = Vec::new();
+        for strategy in variant_strategies() {
+            for _ in 0..=rng.below(3) {
+                events.push(EventRecord {
+                    seq: events.len() as u64,
+                    at_ns: u64::arb(rng),
+                    kind: strategy.generate(rng),
+                });
+            }
+        }
+        RunLog {
+            scheduler: Arb::arb(rng),
+            n_spes: Arb::arb(rng),
+            quantum_ns: Arb::arb(rng),
+            seed: Arb::arb(rng),
+            local_store_bytes: Arb::arb(rng),
+            loop_iters: Arb::arb(rng),
+            mgps_window: Arb::arb(rng),
+            fault_policy: Arb::arb(rng),
+            tenant_weights: Arb::arb(rng),
+            events,
+        }
+    }
+
+    /// An arbitrary JSON tree, at most `depth` containers deep.
+    fn arb_value(rng: &mut TestRng, depth: u32) -> Value {
+        match rng.below(if depth == 0 { 5 } else { 7 }) {
+            0 => Value::Null,
+            1 => Value::Bool(bool::arb(rng)),
+            2 => Value::Number(u64::arb(rng) as f64),
+            3 => Value::Number((rng.unit_f64() - 0.5) * 1e6),
+            4 => Value::String(String::arb(rng)),
+            5 => Value::Array((0..rng.below(4)).map(|_| arb_value(rng, depth - 1)).collect()),
+            _ => Value::Object(
+                (0..rng.below(4)).map(|_| (arb_key(rng), arb_value(rng, depth - 1))).collect(),
+            ),
+        }
+    }
+
+    /// Mostly keys the decoder actually looks up, so arbitrary trees get
+    /// past the first `get`.
+    fn arb_key(rng: &mut TestRng) -> String {
+        const KEYS: [&str; 8] =
+            ["events", "type", "seq", "at_ns", "scheduler", "team", "attempt", "tenant_weights"];
+        KEYS.get(rng.below(9) as usize).map_or_else(|| String::arb(rng), |k| k.to_string())
+    }
+
+    /// Replace the node reached by a random walk from `v` with an
+    /// arbitrary tree.
+    fn mutate(v: &mut Value, rng: &mut TestRng) {
+        match v {
+            Value::Array(items) if !items.is_empty() && rng.below(8) != 0 => {
+                let i = rng.below(items.len() as u64) as usize;
+                mutate(&mut items[i], rng);
+            }
+            Value::Object(members) if !members.is_empty() && rng.below(8) != 0 => {
+                let i = rng.below(members.len() as u64) as usize;
+                mutate(&mut members[i].1, rng);
+            }
+            node => *node = arb_value(rng, 2),
+        }
+    }
+
+    proptest! {
+        /// Decode inverts encode over the whole vocabulary, through both
+        /// text forms, and re-encoding is byte-stable; a stream line
+        /// carries the same fields under the same keys, led by `type` and
+        /// `at_ns`.
+        #[test]
+        fn json_round_trips_the_whole_vocabulary(log in Gen(arb_log)) {
+            let parse = |text: &str| minijson::parse(text).map_err(|e| TestCaseError::fail(e.to_string()));
+            let value = log.to_value();
+            prop_assert_eq!(RunLog::from_value(&value), Ok(log.clone()));
+            for text in [value.to_json(), value.to_json_pretty()] {
+                let back = RunLog::from_value(&parse(&text)?).map_err(TestCaseError::fail)?;
+                prop_assert_eq!(&back, &log);
+                prop_assert_eq!(back.to_value().to_json(), value.to_json());
+            }
+            for e in &log.events {
+                let line = json_line(e.at_ns, &e.kind);
+                let head = format!(r#"{{"type":"{}","at_ns":{},"#, e.kind.tag(), e.at_ns);
+                prop_assert!(line.starts_with(&head), "{line}");
+                prop_assert_eq!(kind_from_value(&parse(&line)?), Ok(e.kind.clone()));
+            }
+        }
+
+        /// Arbitrary JSON trees are refused, never a panic.
+        #[test]
+        fn arbitrary_trees_are_rejected(tree in Gen(|rng| arb_value(rng, 3))) {
+            prop_assert!(RunLog::from_value(&tree).is_err());
+        }
+
+        /// One corrupted node in a valid log is refused or decodes to a
+        /// log that re-encodes to itself — never a panic.
+        #[test]
+        fn corrupted_logs_never_panic(
+            value in Gen(|rng| {
+                let mut value = arb_log(rng).to_value();
+                mutate(&mut value, rng);
+                value
+            }),
+        ) {
+            if let Ok(back) = RunLog::from_value(&value) {
+                prop_assert_eq!(RunLog::from_value(&back.to_value()), Ok(back));
+            }
+        }
+
+        /// Arbitrary bytes through `parse` + `from_value`: an error, never
+        /// a panic.
+        #[test]
+        fn arbitrary_bytes_are_rejected(
+            bytes in prop::collection::vec(0u8..=255, 0..64),
+            splice_at in 0usize..64,
+        ) {
+            // Raw noise, and the same noise spliced into a valid document
+            // so the parser is deep inside a log when it hits it.
+            let noise = String::from_utf8_lossy(&bytes).into_owned();
+            let mut doc = sample_log().to_value().to_json();
+            doc.insert_str(splice_at % doc.len(), &noise); // the sample is ASCII
+            for text in [noise, doc] {
+                if let Ok(v) = minijson::parse(&text) {
+                    let _ = RunLog::from_value(&v);
+                }
+            }
+        }
+    }
 
     fn sample_log() -> RunLog {
         RunLog {
@@ -1020,56 +580,32 @@ mod tests {
             fault_policy: None,
             tenant_weights: None,
             events: vec![
-                EventRecord {
-                    seq: 0,
-                    at_ns: 10,
-                    kind: EventKind::Offload { proc: 0, task: 0 },
-                },
+                EventRecord { seq: 0, at_ns: 10, kind: EventKind::Offload { proc: 0, task: 0 } },
                 EventRecord {
                     seq: 1,
                     at_ns: 10,
-                    kind: EventKind::CtxSwitch {
-                        proc: 0,
-                        reason: SwitchReason::Offload,
-                        held_ns: 10,
+                    kind: EventKind::JobSubmitted {
+                        job: 1,
+                        tenant: 0,
+                        taxa: 16,
+                        sites: 256,
+                        bootstraps: 1,
+                        deadline_ns: 0,
+                        queue_depth: 1,
+                        queue_cap: 8,
                     },
                 },
                 EventRecord {
                     seq: 2,
-                    at_ns: 25,
-                    kind: EventKind::TaskStart {
-                        proc: 0,
-                        task: 0,
-                        degree: 2,
-                        team: vec![0, 1],
-                    },
+                    at_ns: 11,
+                    kind: EventKind::JobStarted { job: 1, tenant: 0, attempt: 0 },
                 },
                 EventRecord {
                     seq: 3,
-                    at_ns: 25,
-                    kind: EventKind::Dma {
-                        spe: 0,
-                        element_bytes: vec![12 * 1024, 128],
-                        local_addr: 0,
-                        main_addr: 4096,
-                    },
-                },
-                EventRecord {
-                    seq: 4,
-                    at_ns: 25,
-                    kind: EventKind::Chunk {
-                        task: 0,
-                        loop_iters: 228,
-                        start: 0,
-                        len: 114,
-                        worker: 0,
-                    },
-                },
-                EventRecord {
-                    seq: 5,
-                    at_ns: 99,
+                    at_ns: 12,
                     kind: EventKind::DegreeDecision {
                         degree: 4,
+                        u: 0,
                         waiting: 2,
                         n_spes: 8,
                         window: 8,
@@ -1081,239 +617,69 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_every_event_type() {
-        let mut log = sample_log();
-        log.events.extend([
-            EventRecord {
-                seq: 6,
-                at_ns: 100,
-                kind: EventKind::TaskEnd {
-                    proc: 0,
-                    task: 0,
-                    team: vec![0, 1],
-                },
-            },
-            EventRecord {
-                seq: 7,
-                at_ns: 100,
-                kind: EventKind::MailboxWrite {
-                    spe: 0,
-                    mailbox: MailboxKind::OutboundInterrupt,
-                    occupancy: 1,
-                },
-            },
-            EventRecord {
-                seq: 8,
-                at_ns: 100,
-                kind: EventKind::MailboxRead {
-                    spe: 0,
-                    mailbox: MailboxKind::OutboundInterrupt,
-                    occupancy: 0,
-                },
-            },
-            EventRecord {
-                seq: 9,
-                at_ns: 100,
-                kind: EventKind::LsAlloc {
-                    spe: 1,
-                    bytes: 4096,
-                    in_use: 4096,
-                },
-            },
-            EventRecord {
-                seq: 10,
-                at_ns: 101,
-                kind: EventKind::LsFree {
-                    spe: 1,
-                    bytes: 4096,
-                    in_use: 0,
-                },
-            },
-            EventRecord {
-                seq: 11,
-                at_ns: 102,
-                kind: EventKind::CodeReload {
-                    spe: 2,
-                    stall_ns: 250_000,
-                },
-            },
-            EventRecord {
-                seq: 12,
-                at_ns: 103,
-                kind: EventKind::DmaComplete {
-                    spe: 2,
-                    bytes: 12 * 1024,
-                    latency_ns: 1_337,
-                },
-            },
-            EventRecord {
-                seq: 13,
-                at_ns: 104,
-                kind: EventKind::Health {
-                    alarm: "utilization_collapse".to_string(),
-                    severity: "warning".to_string(),
-                    detail: "U<=1 with degree 1 for 3 windows".to_string(),
-                },
-            },
-            EventRecord {
-                seq: 14,
-                at_ns: 105,
-                kind: EventKind::FaultInjected {
-                    spe: 3,
-                    task: 7,
-                    fault: "spe_stall".to_string(),
-                    attempt: 0,
-                },
-            },
-            EventRecord {
-                seq: 15,
-                at_ns: 106,
-                kind: EventKind::OffloadRetry { task: 7, attempt: 1, backoff_ns: 50_500 },
-            },
-            EventRecord {
-                seq: 16,
-                at_ns: 107,
-                kind: EventKind::SpeQuarantined { spe: 3, faults: 3 },
-            },
-            EventRecord {
-                seq: 17,
-                at_ns: 108,
-                kind: EventKind::SpeReadmitted { spe: 3 },
-            },
-            EventRecord {
-                seq: 18,
-                at_ns: 109,
-                kind: EventKind::PpeFallback { proc: 0, task: 7, attempts: 4 },
-            },
-            EventRecord {
-                seq: 19,
-                at_ns: 110,
-                kind: EventKind::GranularityVerdict {
-                    kernel: "makenewz".to_string(),
-                    offload: false,
-                    throttled: true,
-                    reprobe: false,
-                },
-            },
-            EventRecord {
-                seq: 20,
-                at_ns: 111,
-                kind: EventKind::JobSubmitted {
-                    job: 0xfeed,
-                    tenant: 1,
-                    taxa: 16,
-                    sites: 256,
-                    bootstraps: 2,
-                    deadline_ns: 5_000_000,
-                    queue_depth: 3,
-                    queue_cap: 8,
-                },
-            },
-            EventRecord {
-                seq: 21,
-                at_ns: 112,
-                kind: EventKind::JobStarted { job: 0xfeed, tenant: 1, attempt: 0 },
-            },
-            EventRecord {
-                seq: 22,
-                at_ns: 113,
-                kind: EventKind::JobRetried {
-                    job: 0xfeed,
-                    tenant: 1,
-                    attempt: 1,
-                    backoff_ns: 1_000,
-                },
-            },
-            EventRecord {
-                seq: 23,
-                at_ns: 114,
-                kind: EventKind::JobStarted { job: 0xfeed, tenant: 1, attempt: 1 },
-            },
-            EventRecord {
-                seq: 24,
-                at_ns: 115,
-                kind: EventKind::JobCompleted {
-                    job: 0xfeed,
-                    tenant: 1,
-                    t_queue_ns: 2,
-                    t_dispatch_ns: 0,
-                    t_kernel_ns: 2,
-                    t_reduce_ns: 0,
-                },
-            },
-            EventRecord {
-                seq: 25,
-                at_ns: 115,
-                kind: EventKind::JobRejected {
-                    job: 0xbead,
-                    tenant: 0,
-                    queue_depth: 8,
-                    queue_cap: 8,
-                },
-            },
-            EventRecord {
-                seq: 26,
-                at_ns: 116,
-                kind: EventKind::JobShed {
-                    job: 0xdead,
-                    tenant: 2,
-                    deadline_ns: 1_000_000,
-                },
-            },
-            EventRecord {
-                seq: 27,
-                at_ns: 117,
-                kind: EventKind::JobPoisoned { job: 0xcafe, tenant: 0, attempts: 3 },
-            },
-        ]);
-        log.fault_policy = Some("seed=1,stall=0.05,retries=3".to_string());
-        log.tenant_weights = Some(vec![3, 1, 2]);
-        let text = log.to_value().to_json_pretty();
-        let back = RunLog::from_value(&minijson::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, log);
-    }
-
-    #[test]
-    fn default_valued_job_fields_are_omitted_from_json() {
-        // Byte-identity contract: a run with no deadlines, no retries, and
-        // equal weights must serialize exactly as it did before those
-        // features existed, so the optional keys may not appear at all.
-        let mut log = sample_log();
-        log.events = vec![
-            EventRecord {
-                seq: 0,
-                at_ns: 1,
-                kind: EventKind::JobSubmitted {
-                    job: 1,
-                    tenant: 0,
-                    taxa: 16,
-                    sites: 256,
-                    bootstraps: 1,
-                    deadline_ns: 0,
-                    queue_depth: 1,
-                    queue_cap: 8,
-                },
-            },
-            EventRecord {
-                seq: 1,
-                at_ns: 2,
-                kind: EventKind::JobStarted { job: 1, tenant: 0, attempt: 0 },
-            },
-        ];
-        let text = log.to_value().to_json_pretty();
-        assert!(!text.contains("deadline_ns"), "zero deadline must not serialize");
-        assert!(!text.contains("attempt"), "attempt 0 must not serialize");
-        assert!(!text.contains("tenant_weights"), "equal weights must not serialize");
-        let back = RunLog::from_value(&minijson::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, log, "omitted fields read back as their defaults");
-    }
-
-    #[test]
-    fn absent_fault_policy_reads_back_as_none() {
+    fn default_valued_fields_are_omitted_from_json() {
+        // Byte-identity contract: a run with no deadlines, no retries,
+        // equal weights and simulator-side (replayed) `U` must serialize
+        // exactly as it did before those fields existed, so the optional
+        // keys may not appear at all.
         let log = sample_log();
         let text = log.to_value().to_json_pretty();
+        for key in ["deadline_ns", "attempt", "tenant_weights", "\"u\""] {
+            assert!(!text.contains(key), "default-valued {key} must not serialize");
+        }
         let back = RunLog::from_value(&minijson::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, log, "omitted fields read back as their defaults");
         assert_eq!(back.fault_policy, None);
+    }
+
+    #[test]
+    fn stream_lines_keep_their_key_order() {
+        // `/events` consumers (the benchmark's `job_completed` follower
+        // among them) read these bytes: `type`, `at_ns`, then the fields
+        // in table order.
+        let completed = EventKind::JobCompleted {
+            job: 7,
+            tenant: 2,
+            t_queue_ns: 1,
+            t_dispatch_ns: 2,
+            t_kernel_ns: 3,
+            t_reduce_ns: 4,
+        };
+        assert_eq!(
+            json_line(51, &completed),
+            r#"{"type":"job_completed","at_ns":51,"job":7,"tenant":2,"t_queue_ns":1,"t_dispatch_ns":2,"t_kernel_ns":3,"t_reduce_ns":4}"#
+        );
+    }
+
+    /// Decode `text` after splicing `member` in right behind `anchor`.
+    fn decode_with(text: &str, anchor: &str, member: &str) -> Result<RunLog, String> {
+        assert!(text.contains(anchor), "{anchor} not in {text}");
+        let text = text.replace(anchor, &format!("{anchor},{member}"));
+        RunLog::from_value(&minijson::parse(&text).map_err(|e| e.to_string())?)
+    }
+
+    #[test]
+    fn a_mistyped_optional_field_is_an_error_not_its_default() {
+        // Both used to decode as 0.
+        let text = sample_log().to_value().to_json();
+        let soon = decode_with(&text, r#""type":"job_submitted""#, r#""deadline_ns":"soon""#);
+        assert!(soon.unwrap_err().contains("deadline_ns"));
+        let negative = decode_with(&text, r#""type":"job_started""#, r#""attempt":-1"#);
+        assert!(negative.unwrap_err().contains("attempt"));
+        // Present and well-typed still decodes.
+        let set = decode_with(&text, r#""type":"job_started""#, r#""attempt":3"#).unwrap();
+        assert_eq!(set.events[2].kind, EventKind::JobStarted { job: 1, tenant: 0, attempt: 3 });
+    }
+
+    #[test]
+    fn a_mistyped_tenant_weight_is_an_error_not_a_shorter_list() {
+        // `[1,"x",3]` used to decode as `[1,3]`: the checker's
+        // tenant-fairness rule would then replay tenant 1 at weight 3.
+        let text = sample_log().to_value().to_json();
+        let mixed = decode_with(&text, r#""seed":42"#, r#""tenant_weights":[1,"x",3]"#);
+        assert!(mixed.unwrap_err().contains("tenant_weights"));
+        let clean = decode_with(&text, r#""seed":42"#, r#""tenant_weights":[1,2,3]"#).unwrap();
+        assert_eq!(clean.tenant_weights, Some(vec![1, 2, 3]));
     }
 
     #[test]
@@ -1327,12 +693,5 @@ mod tests {
             assert_eq!(SchedulerTag::from_string(&tag.as_string()), Some(tag));
         }
         assert_eq!(SchedulerTag::from_string("nope"), None);
-    }
-
-    #[test]
-    fn mailbox_capacities_match_hardware() {
-        assert_eq!(MailboxKind::Inbound.capacity(), 4);
-        assert_eq!(MailboxKind::Outbound.capacity(), 1);
-        assert_eq!(MailboxKind::OutboundInterrupt.capacity(), 1);
     }
 }

@@ -1129,6 +1129,8 @@ fn mgps_departure(m: &mut CellMachine, p: usize, now_ns: u64) {
             now_ns,
             EventKind::DegreeDecision {
                 degree: new_degree,
+                // Replayable from the off-load history (`mgps_obs::decisions`).
+                u: 0,
                 waiting,
                 n_spes,
                 window,

@@ -1,24 +1,28 @@
 //! Event-vocabulary coverage: every `EventKind` variant must be alive on
 //! all four surfaces of the observability pipeline.
 //!
-//! The vocabulary is parsed from the `EventKind` enum in
-//! `crates/cellsim/src/event.rs`. For each variant the analysis then
-//! requires a non-test `EventKind::<Variant>` reference in each surface:
+//! The vocabulary is parsed from the event table in
+//! `crates/mgps-runtime/src/events.rs`, whose input is written as
+//! `pub enum EventKind { … }` precisely so this token parser reads it like
+//! any enum. For each variant the analysis then requires a non-test
+//! `EventKind::<Variant>` reference in each surface:
 //!
 //! | column   | surface                                              |
 //! |----------|------------------------------------------------------|
-//! | sim      | `crates/cellsim/src` (minus `event.rs` itself) plus  |
-//! |          | `crates/obs/src/live.rs` — the health detector is    |
-//! |          | the designated emitter of `Health` on both engines   |
-//! | native   | `crates/obs/src/native.rs` (the trace mapping) plus  |
-//! |          | `src/serve.rs` and `crates/obs/src/live.rs` (the     |
-//! |          | live plane that embeds `Health` on native runs)      |
+//! | sim      | `crates/cellsim/src`, plus the two emitters shared   |
+//! |          | by both engines: `crates/obs/src/live.rs` (the       |
+//! |          | health detector emits `Health`) and `src/serve.rs`   |
+//! |          | (job events — there is no simulated job plane)       |
+//! | native   | the recording sites: `crates/mgps-runtime/src/native`|
+//! |          | (the engine's rings), `src/serve.rs` (the job plane) |
+//! |          | and `crates/obs/src/live.rs` (`Health`)              |
 //! | checker  | `crates/analysis/src`                                |
 //! | obs      | `crates/obs/src` minus `native.rs` (folds/exports)   |
 //!
-//! A hole means an event class that can be recorded but silently bypasses
-//! part of the pipeline — exactly how a new variant added for a future
-//! roadmap item would otherwise dodge the checker.
+//! A hole means an event class that can be declared but is never recorded
+//! by an engine, or is recorded but silently bypasses part of the pipeline
+//! — exactly how a new variant added for a future roadmap item would
+//! otherwise dodge the checker.
 
 use crate::lexer::find_seq;
 use crate::{Finding, SourceFile};
@@ -62,7 +66,9 @@ impl CoverageMatrix {
 }
 
 /// Parse the variant names of `pub enum EventKind { … }` from the lexed
-/// event module, in declaration order.
+/// event table, in declaration order. Table decorations after a variant
+/// name (`= "tag" @ rank`) and on fields (`= 0`) are skipped like any other
+/// non-name token.
 pub fn parse_variants(event_file: &SourceFile) -> Vec<String> {
     let toks = &event_file.lexed.toks;
     let Some(start) = find_seq(toks, &["enum", "EventKind", "{"]).first().copied() else {
@@ -220,17 +226,25 @@ mod tests {
     }
 
     #[test]
-    fn variants_parse_in_order_with_fields_and_attrs() {
+    fn variants_parse_from_the_event_table_form() {
+        // The table decorates each row with docs, attributes, a tag, a rank
+        // and field defaults, and the macro that consumes it spells
+        // `enum $name`, which must not be mistaken for the declaration.
         let f = file(
-            "event.rs",
-            "pub enum EventKind {\n\
-                 Offload { proc: usize, task: u64 },\n\
-                 #[allow(dead_code)]\n\
-                 Plain,\n\
-                 Dma { spe: usize, element_bytes: Vec<usize> },\n\
-             }\n",
+            "events.rs",
+            "macro_rules! define { (pub enum $name:ident { $($v:ident),* }) => { pub enum $name { $($v),* } } }\n\
+             macro_rules! event_table { ($cb:path) => { $cb! {\n\
+                 /// The vocabulary.\n\
+                 pub enum EventKind {\n\
+                     /// An off-load.\n\
+                     Offload = \"offload\" @ 4 { proc: usize, task: u64 },\n\
+                     #[allow(dead_code)]\n\
+                     JobStarted = \"job_started\" @ 2 { job: u64, attempt: u64 = 0 },\n\
+                     Dma = \"dma\" @ 11 { spe: usize, element_bytes: Vec<usize>, },\n\
+                 }\n\
+             } } }\n",
         );
-        assert_eq!(parse_variants(&f), vec!["Offload", "Plain", "Dma"]);
+        assert_eq!(parse_variants(&f), vec!["Offload", "JobStarted", "Dma"]);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //!    checker, or obs-export paths.
 //! 5. `rng-discipline` — no entropy-seeded RNG constructors anywhere.
 //! 6. `lock-order` — the runtime's lock-acquisition graph is acyclic.
-//! 7. `event-coverage` — every `EventKind` variant is alive on all four
-//!    pipeline surfaces (sim emit, native emit, checker arm, obs fold).
+//! 7. `event-coverage` — every `EventKind` variant of the event table is
+//!    alive on all four pipeline surfaces (sim emit, native recording
+//!    site, checker arm, obs fold).
 //! 8. `panic-path` — no `unwrap`/`expect`/`panic!` in the fault-recovery
-//!    ladder or serve request handlers.
+//!    ladder, the `RunLog` decoder or serve request handlers.
 //!
 //! A line can opt out with a trailing
 //! `// xtask-allow: <rule> — <justification>` marker. The justification
@@ -449,33 +450,33 @@ pub fn audit(root: &Path) -> Report {
 
     // Event-vocabulary coverage.
     let cov_meta = rules::meta("event-coverage").expect("catalog has event-coverage");
-    let event_rel = "crates/cellsim/src/event.rs";
+    let event_rel = "crates/mgps-runtime/src/events.rs";
     cache.load(event_rel);
     let variants =
         cache.get(event_rel).map(coverage::parse_variants).unwrap_or_default();
     let surface_files: [Vec<String>; 4] = [
-        // sim emit: the machine, plus the health detector (the designated
-        // Health emitter on both engines).
+        // sim emit: the machine, plus the two emitters that serve both
+        // engines — the health detector (`Health`) and the serve plane's
+        // job queue (job events; there is no simulated job plane).
         {
-            let mut v: Vec<String> = cache
-                .files_under("crates/cellsim/src")
-                .into_iter()
-                .filter(|r| r != event_rel)
-                .collect();
+            let mut v = cache.files_under("crates/cellsim/src");
+            v.push("crates/obs/src/live.rs".into());
+            v.push("src/serve.rs".into());
+            v
+        },
+        // native emit: the recording sites themselves — the runtime's
+        // engine, the serve plane's job queue, and the health detector
+        // (serve's `merge_health_events` embeds its `Health` records).
+        {
+            let mut v = cache.files_under("crates/mgps-runtime/src/native");
+            v.push("src/serve.rs".into());
             v.push("crates/obs/src/live.rs".into());
             v
         },
-        // native emit: the trace→RunLog mapping, the serve plane, and the
-        // health detector (serve's `merge_health_events` embeds the
-        // detector's `Health` records into native RunLogs).
-        vec![
-            "crates/obs/src/native.rs".into(),
-            "src/serve.rs".into(),
-            "crates/obs/src/live.rs".into(),
-        ],
         // checker arms.
         cache.files_under("crates/analysis/src"),
-        // obs folds/exports (everything but the native mapping).
+        // obs folds/exports (everything but the ring merge, which is
+        // vocabulary-blind).
         cache
             .files_under("crates/obs/src")
             .into_iter()

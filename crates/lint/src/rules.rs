@@ -13,8 +13,9 @@
 //!   serialized report or a replay digest must iterate a `BTreeMap` (or
 //!   sort first). Lookups (`get`/`insert`/`entry`/…) are fine.
 //! * **`panic-path`** — `unwrap`/`expect`/`panic!` in the fault-recovery
-//!   ladder and the serve-mode request path, where a panic turns graceful
-//!   degradation into an outage. `#[cfg(test)]` regions are exempt.
+//!   ladder, the `RunLog` decoder and the serve-mode request path, where a
+//!   panic turns graceful degradation (or a malformed log) into an outage.
+//!   `#[cfg(test)]` regions are exempt.
 
 use crate::lexer::{find_seq, Tok, TokKind};
 use crate::{Finding, SourceFile};
@@ -87,9 +88,9 @@ pub const CATALOG: &[RuleMeta] = &[
     },
     RuleMeta {
         name: "event-coverage",
-        roots: &["crates/cellsim/src/event.rs"],
-        why: "every EventKind variant must be emitted by the sim machine and the native \
-              tracing path, matched by a checker arm, and consumed by an obs fold — a hole \
+        roots: &["crates/mgps-runtime/src/events.rs"],
+        why: "every EventKind variant must be emitted by the sim machine and recorded at a \
+              native site, matched by a checker arm, and consumed by an obs fold — a hole \
               means an event class the audit pipeline silently ignores",
         exemption_budget: 0,
         skips_tests: true,
@@ -99,10 +100,12 @@ pub const CATALOG: &[RuleMeta] = &[
         roots: &[
             "crates/mgps-runtime/src/faults.rs",
             "crates/mgps-runtime/src/native/adaptive.rs",
+            "crates/cellsim/src/event.rs",
             "src/serve.rs",
         ],
-        why: "unwrap/expect/panic! in the fault-recovery ladder or a serve request handler \
-              converts graceful degradation into an outage",
+        why: "unwrap/expect/panic! in the fault-recovery ladder, the RunLog decoder or a \
+              serve request handler converts graceful degradation (or a malformed log) into \
+              an outage",
         exemption_budget: 1,
         skips_tests: true,
     },

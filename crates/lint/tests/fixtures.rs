@@ -34,7 +34,7 @@ const CORPUS: &[(&str, &str, &str)] = &[
     ("unordered-iter", "crates/analysis/src/checker.rs", "unordered_iter.rs"),
     ("rng-discipline", "src/sim.rs", "rng_discipline.rs"),
     ("lock-order", "crates/mgps-runtime/src/state.rs", "lock_order_cycle.rs"),
-    ("event-coverage", "crates/cellsim/src/event.rs", "event_coverage.rs"),
+    ("event-coverage", "crates/mgps-runtime/src/events.rs", "event_coverage.rs"),
     ("panic-path", "src/serve.rs", "panic_path.rs"),
 ];
 
@@ -105,7 +105,7 @@ fn the_json_report_keeps_its_schema() {
         "schema",
         &[
             ("crates/cellsim/src/machine.rs", "wall_clock.rs"),
-            ("crates/cellsim/src/event.rs", "event_coverage.rs"),
+            ("crates/mgps-runtime/src/events.rs", "event_coverage.rs"),
             ("crates/mgps-runtime/src/state.rs", "lock_order_cycle.rs"),
         ],
     );

@@ -9,6 +9,8 @@
 //!
 //! The crate is split along the paper's own seam:
 //!
+//! * [`events`] — the one event vocabulary both engines record, declared
+//!   once as a table (enum, JSON tags, same-instant ranks).
 //! * [`policy`] — the *decision procedures*, pure and engine-agnostic:
 //!   the EDTLP/Linux-like PPE run-queue disciplines, the off-load
 //!   granularity test, static hybrid configuration, loop chunking with
@@ -48,6 +50,7 @@
 
 #![warn(missing_docs)]
 
+pub mod events;
 pub mod faults;
 pub mod metrics;
 pub mod native;
@@ -59,4 +62,6 @@ pub use metrics::{
     AtomicMetrics, Counter, HistKind, MetricsSink, MetricsSinkExt, MetricsSnapshot, NopMetrics,
     Snapshot, SnapshotDelta, SnapshotSource,
 };
+// The second name for `EventKind` here is the frozen benchmark harness's
+// (see `tracing`); nothing in-tree uses it.
 pub use tracing::{TraceEvent, TraceEventKind, TraceHandle, TraceLog, Tracer, ThreadTrace};

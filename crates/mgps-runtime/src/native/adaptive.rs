@@ -19,9 +19,10 @@ use super::sync::Mutex;
 use super::gate::{GateMode, PpeGate, PpeToken};
 use super::pool::{OffloadError, SpePool, SpeStats};
 use super::team::{LoopBody, LoopSite, TeamRunner, TraceTask};
+use crate::events::EventKind;
 use crate::faults::FaultPlan;
 use crate::metrics::{Counter, HistKind, MetricsSink, MetricsSinkExt, NopMetrics};
-use crate::tracing::{TraceEventKind, TraceHandle, Tracer};
+use crate::tracing::{TraceHandle, Tracer};
 use crate::policy::granularity::{GranularityController, GranularityDecision};
 use crate::policy::hybrid::SchedulerKind;
 use crate::policy::mgps::{Directive, MgpsConfig, MgpsScheduler};
@@ -338,7 +339,7 @@ impl MgpsRuntime {
         };
         self.metrics.incr(Counter::FaultsInjected);
         if let Some(t) = trace {
-            t.record(TraceEventKind::FaultInjected {
+            t.record(EventKind::FaultInjected {
                 spe: lead,
                 task: task.0,
                 fault: kind.name().to_string(),
@@ -358,7 +359,7 @@ impl MgpsRuntime {
             st.benched_at[lead] = Some(st.ticks);
             self.metrics.incr(Counter::SpeQuarantines);
             if let Some(t) = trace {
-                t.record(TraceEventKind::SpeQuarantined {
+                t.record(EventKind::SpeQuarantined {
                     spe: lead,
                     faults: u64::from(st.consec[lead]),
                 });
@@ -371,7 +372,7 @@ impl MgpsRuntime {
             let backoff_ns = plan.backoff_ns(task.0, next);
             self.metrics.incr(Counter::OffloadRetries);
             if let Some(t) = trace {
-                t.record(TraceEventKind::OffloadRetry {
+                t.record(EventKind::OffloadRetry {
                     task: task.0,
                     attempt: u64::from(next),
                     backoff_ns,
@@ -411,7 +412,7 @@ impl MgpsRuntime {
             st.consec[spe] = policy.quarantine_k.saturating_sub(1);
             self.metrics.incr(Counter::SpeReadmissions);
             if let Some(t) = trace {
-                t.record(TraceEventKind::SpeReadmitted { spe });
+                t.record(EventKind::SpeReadmitted { spe });
             }
         }
     }
@@ -443,7 +444,7 @@ impl MgpsRuntime {
                     Directive::DeactivateLlp => 1,
                 };
                 if let Some(t) = trace {
-                    t.record(TraceEventKind::DegreeDecision {
+                    t.record(EventKind::DegreeDecision {
                         degree,
                         u: s.last_u(),
                         waiting,
@@ -507,7 +508,7 @@ impl ProcessCtx<'_> {
         rt.record_offload(task, started_ns);
         rt.metrics.incr(Counter::Offloads);
         if let Some(t) = &self.trace {
-            t.record(TraceEventKind::Offload { proc: self.proc, task: task.0 });
+            t.record(EventKind::Offload { proc: self.proc, task: task.0 });
         }
         rt.inflight.fetch_add(1, Ordering::Relaxed);
         let degree = rt.current_degree();
@@ -540,7 +541,7 @@ impl ProcessCtx<'_> {
         rt.record_offload(task, started_ns);
         rt.metrics.incr(Counter::Offloads);
         if let Some(t) = &self.trace {
-            t.record(TraceEventKind::Offload { proc: self.proc, task: task.0 });
+            t.record(EventKind::Offload { proc: self.proc, task: task.0 });
         }
         rt.inflight.fetch_add(1, Ordering::Relaxed);
         let proc = self.proc;
@@ -577,7 +578,7 @@ impl ProcessCtx<'_> {
                     let out = body.run_chunk(0..body.len(), scratch);
                     rt.metrics.incr(Counter::PpeFallbacks);
                     if let Some(t) = &self.trace {
-                        t.record(TraceEventKind::PpeFallback { proc, task: task.0, attempts });
+                        t.record(EventKind::PpeFallback { proc, task: task.0, attempts });
                     }
                     break Ok(out);
                 }
@@ -650,7 +651,7 @@ impl ProcessCtx<'_> {
                     rt.metrics.incr(Counter::KernelReprobes);
                 }
                 if let Some(t) = &self.trace {
-                    t.record(TraceEventKind::GranularityVerdict {
+                    t.record(EventKind::GranularityVerdict {
                         kernel: kind.name().to_string(),
                         offload: true,
                         throttled: now_throttled,
@@ -665,7 +666,7 @@ impl ProcessCtx<'_> {
             GranularityDecision::RunOnPpe => {
                 rt.metrics.incr(Counter::KernelThrottles);
                 if let Some(t) = &self.trace {
-                    t.record(TraceEventKind::GranularityVerdict {
+                    t.record(EventKind::GranularityVerdict {
                         kernel: kind.name().to_string(),
                         offload: false,
                         throttled: true,
@@ -971,11 +972,11 @@ mod tests {
         let kinds: Vec<_> = log.threads.iter().flat_map(|t| &t.events).map(|e| &e.kind).collect();
         assert!(kinds.iter().any(|k| matches!(
             k,
-            TraceEventKind::FaultInjected { task: 0, attempt: 0, .. }
+            EventKind::FaultInjected { task: 0, attempt: 0, .. }
         )));
         assert!(kinds.iter().any(|k| matches!(
             k,
-            TraceEventKind::OffloadRetry { task: 0, attempt: 1, .. }
+            EventKind::OffloadRetry { task: 0, attempt: 1, .. }
         )));
     }
 
@@ -1086,21 +1087,21 @@ mod tests {
         }
         let log = tracer.drain();
         assert_eq!(log.dropped_events(), 0);
-        let count = |pred: fn(&TraceEventKind) -> bool| -> usize {
+        let count = |pred: fn(&EventKind) -> bool| -> usize {
             log.threads.iter().flat_map(|t| &t.events).filter(|e| pred(&e.kind)).count()
         };
-        assert_eq!(count(|k| matches!(k, TraceEventKind::Offload { .. })), 16);
-        assert_eq!(count(|k| matches!(k, TraceEventKind::TaskStart { .. })), 16);
-        assert_eq!(count(|k| matches!(k, TraceEventKind::TaskEnd { .. })), 16);
+        assert_eq!(count(|k| matches!(k, EventKind::Offload { .. })), 16);
+        assert_eq!(count(|k| matches!(k, EventKind::TaskStart { .. })), 16);
+        assert_eq!(count(|k| matches!(k, EventKind::TaskEnd { .. })), 16);
         assert_eq!(
-            count(|k| matches!(k, TraceEventKind::CtxSwitch { .. })) as u64,
+            count(|k| matches!(k, EventKind::CtxSwitch { .. })) as u64,
             rt.context_switches()
         );
         assert!(
-            count(|k| matches!(k, TraceEventKind::DegreeDecision { .. })) >= 1,
+            count(|k| matches!(k, EventKind::DegreeDecision { .. })) >= 1,
             "MGPS should have evaluated at least one window"
         );
-        assert!(count(|k| matches!(k, TraceEventKind::Chunk { .. })) >= 16);
+        assert!(count(|k| matches!(k, EventKind::Chunk { .. })) >= 16);
         // Every ring is internally monotone.
         for t in &log.threads {
             for w in t.events.windows(2) {

@@ -20,8 +20,9 @@ use super::sync::COMMAND_QUEUE_DEPTH;
 
 use super::context::SpeContext;
 use super::pool::{OffloadError, SpePool};
+use crate::events::EventKind;
 use crate::policy::chunk::partition;
-use crate::tracing::{TraceEventKind, TraceHandle};
+use crate::tracing::TraceHandle;
 
 /// Identifies a traced chain invocation: each stage becomes one task in the
 /// drained trace, numbered `base_task + stage_index`, owned by `proc`.
@@ -116,7 +117,7 @@ impl ChainRunner {
 
         if let Some(t) = &trace {
             for si in 0..stages.len() {
-                t.handle.record(TraceEventKind::Offload {
+                t.handle.record(EventKind::Offload {
                     proc: t.proc,
                     task: t.base_task + si as u64,
                 });
@@ -135,7 +136,7 @@ impl ChainRunner {
                         let n = s.len();
                         let task = ids.map(|(proc, base)| (proc, base + si as u64));
                         if let (Some((proc, task)), Some(h)) = (task, ctx.trace()) {
-                            h.record(TraceEventKind::TaskStart {
+                            h.record(EventKind::TaskStart {
                                 proc,
                                 task,
                                 degree: 1,
@@ -145,7 +146,7 @@ impl ChainRunner {
                         carry = s.run_chunk(carry, 0..n, ctx);
                         if let (Some((proc, task)), Some(h)) = (task, ctx.trace()) {
                             if n > 0 {
-                                h.record(TraceEventKind::Chunk {
+                                h.record(EventKind::Chunk {
                                     task,
                                     loop_iters: n,
                                     start: 0,
@@ -153,7 +154,7 @@ impl ChainRunner {
                                     worker: ctx.id.0,
                                 });
                             }
-                            h.record(TraceEventKind::TaskEnd {
+                            h.record(EventKind::TaskEnd {
                                 proc,
                                 task,
                                 team: vec![ctx.id.0],
@@ -194,7 +195,7 @@ impl ChainRunner {
                                 let out = stages[stage].run_chunk(carry, range.clone(), ctx);
                                 if let (Some((_, base)), Some(h)) = (ids, ctx.trace()) {
                                     if !range.is_empty() {
-                                        h.record(TraceEventKind::Chunk {
+                                        h.record(EventKind::Chunk {
                                             task: base + stage as u64,
                                             loop_iters: stages[stage].len(),
                                             start: range.start,
@@ -237,7 +238,7 @@ impl ChainRunner {
                     });
                     if let (Some((proc, base)), Some(team)) = (ids, stage_team.clone()) {
                         if let Some(h) = ctx.trace() {
-                            h.record(TraceEventKind::TaskStart {
+                            h.record(EventKind::TaskStart {
                                 proc,
                                 task: base + si as u64,
                                 degree: team.len(),
@@ -265,7 +266,7 @@ impl ChainRunner {
                     let mut acc = stage.run_chunk(carry, chunks[0].clone(), ctx);
                     if let (Some((_, base)), Some(h)) = (ids, ctx.trace()) {
                         if !chunks[0].is_empty() {
-                            h.record(TraceEventKind::Chunk {
+                            h.record(EventKind::Chunk {
                                 task: base + si as u64,
                                 loop_iters: stage.len(),
                                 start: chunks[0].start,
@@ -287,7 +288,7 @@ impl ChainRunner {
                     carry = acc;
                     if let (Some((proc, base)), Some(team)) = (ids, stage_team) {
                         if let Some(h) = ctx.trace() {
-                            h.record(TraceEventKind::TaskEnd {
+                            h.record(EventKind::TaskEnd {
                                 proc,
                                 task: base + si as u64,
                                 team,

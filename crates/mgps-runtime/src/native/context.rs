@@ -10,8 +10,9 @@
 
 use std::time::Duration;
 
+use crate::events::EventKind;
 use crate::policy::SpeId;
-use crate::tracing::{TraceEventKind, TraceHandle};
+use crate::tracing::TraceHandle;
 
 /// Identifies a code image (one compiled SPE module). The paper ships the
 /// three ML kernels as a single module with two variants: plain and
@@ -173,7 +174,7 @@ impl SpeContext {
         self.code_reloads += 1;
         if let Some(t) = &self.trace {
             // Timestamp = stall start, matching the simulator's convention.
-            t.record(TraceEventKind::CodeReload {
+            t.record(EventKind::CodeReload {
                 spe: self.id.0,
                 stall_ns: self.code_load_cost.as_nanos() as u64,
             });

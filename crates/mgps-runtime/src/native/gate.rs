@@ -32,8 +32,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::sync::{AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
+use crate::events::{EventKind, SwitchReason};
 use crate::metrics::{Counter, HistKind, MetricsSink, MetricsSinkExt, NopMetrics};
-use crate::tracing::{TraceEventKind, TraceHandle};
+use crate::tracing::TraceHandle;
 
 /// How a process treats its PPE context while an off-loaded task runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,7 +240,11 @@ impl PpeToken<'_> {
                     spin_for(self.gate.switch_cost);
                 }
                 if let Some((t, proc)) = trace {
-                    t.record(TraceEventKind::CtxSwitch { proc, held_ns });
+                    t.record(EventKind::CtxSwitch {
+                        proc,
+                        reason: SwitchReason::Offload,
+                        held_ns,
+                    });
                 }
                 out
             }

@@ -19,9 +19,10 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use super::sync::{Condvar, Mutex, COMMAND_QUEUE_DEPTH};
 
 use super::context::{ImageId, SpeContext};
+use crate::events::{EventKind, MailboxKind};
 use crate::metrics::{Counter, MetricsSink, MetricsSinkExt, NopMetrics};
 use crate::policy::SpeId;
-use crate::tracing::{TraceEventKind, TraceHandle, TraceMailbox, Tracer};
+use crate::tracing::{TraceHandle, Tracer};
 
 /// A unit of work executed on a virtual SPE.
 pub type Job = Box<dyn FnOnce(&mut SpeContext) + Send>;
@@ -475,14 +476,14 @@ fn worker_loop(
             // on the SPE's own ring, so the per-SPE occupancy replay the
             // checker runs (0 → 1 → 0) is consistent by construction.
             if let Some(h) = ctx.trace() {
-                h.record(TraceEventKind::MailboxWrite {
+                h.record(EventKind::MailboxWrite {
                     spe: id.0,
-                    mailbox: TraceMailbox::Inbound,
+                    mailbox: MailboxKind::Inbound,
                     occupancy: 1,
                 });
-                h.record(TraceEventKind::MailboxRead {
+                h.record(EventKind::MailboxRead {
                     spe: id.0,
-                    mailbox: TraceMailbox::Inbound,
+                    mailbox: MailboxKind::Inbound,
                     occupancy: 0,
                 });
             }
@@ -494,12 +495,12 @@ fn worker_loop(
             let scratch = ctx.local_store.used();
             if scratch > 0 {
                 if let Some(h) = ctx.trace() {
-                    h.record(TraceEventKind::LsAlloc {
+                    h.record(EventKind::LsAlloc {
                         spe: id.0,
                         bytes: scratch,
                         in_use: scratch,
                     });
-                    h.record(TraceEventKind::LsFree { spe: id.0, bytes: scratch, in_use: 0 });
+                    h.record(EventKind::LsFree { spe: id.0, bytes: scratch, in_use: 0 });
                 }
             }
             shared.completed.fetch_add(1, Ordering::Relaxed);

@@ -19,9 +19,10 @@ use super::sync::Mutex;
 
 use super::context::SpeContext;
 use super::pool::{OffloadError, SpePool};
+use crate::events::EventKind;
 use crate::policy::balance::{LoadBalancer, LoopObservation};
 use crate::policy::chunk::partition;
-use crate::tracing::{TraceEventKind, TraceHandle};
+use crate::tracing::TraceHandle;
 
 /// Notional size of a worker's loop-argument DMA fetch, bytes. Real Cell
 /// code fetches a control block + argument arrays; 2 KB (16-byte aligned,
@@ -195,7 +196,7 @@ impl TeamRunner {
                 .pool
                 .offload(move |ctx| {
                     if let (Some((proc, task)), Some(h)) = (ids, ctx.trace()) {
-                        h.record(TraceEventKind::TaskStart {
+                        h.record(EventKind::TaskStart {
                             proc,
                             task,
                             degree: 1,
@@ -205,7 +206,7 @@ impl TeamRunner {
                     let out = b.run_chunk(0..n, ctx);
                     if let (Some((proc, task)), Some(h)) = (ids, ctx.trace()) {
                         if n > 0 {
-                            h.record(TraceEventKind::Chunk {
+                            h.record(EventKind::Chunk {
                                 task,
                                 loop_iters: n,
                                 start: 0,
@@ -213,7 +214,7 @@ impl TeamRunner {
                                 worker: ctx.id.0,
                             });
                         }
-                        h.record(TraceEventKind::TaskEnd { proc, task, team: vec![ctx.id.0] });
+                        h.record(EventKind::TaskEnd { proc, task, team: vec![ctx.id.0] });
                     }
                     out
                 })
@@ -234,7 +235,7 @@ impl TeamRunner {
 
         let team_ids: Vec<usize> = team.iter().map(|s| s.0).collect();
         if let Some(t) = &trace {
-            t.handle.record(TraceEventKind::TaskStart {
+            t.handle.record(EventKind::TaskStart {
                 proc: t.proc,
                 task: t.task,
                 degree,
@@ -264,7 +265,7 @@ impl TeamRunner {
                             // single-element list transfer into the start of
                             // the data region.
                             if staged {
-                                h.record(TraceEventKind::Dma {
+                                h.record(EventKind::Dma {
                                     spe: ctx.id.0,
                                     element_bytes: vec![ARG_FETCH_BYTES],
                                     local_addr: 0,
@@ -273,7 +274,7 @@ impl TeamRunner {
                             }
                             // Timestamp = transfer start; the latency is the
                             // span length (mirrors the simulator's DMA span).
-                            h.record(TraceEventKind::DmaComplete {
+                            h.record(EventKind::DmaComplete {
                                 spe: ctx.id.0,
                                 bytes: ARG_FETCH_BYTES,
                                 latency_ns: startup.as_nanos() as u64,
@@ -284,7 +285,7 @@ impl TeamRunner {
                     let res = b.run_chunk(range.clone(), ctx);
                     if let (Some(task), Some(h)) = (task_id, ctx.trace()) {
                         if !range.is_empty() {
-                            h.record(TraceEventKind::Chunk {
+                            h.record(EventKind::Chunk {
                                 task,
                                 loop_iters: total_iters,
                                 start: range.start,
@@ -310,7 +311,7 @@ impl TeamRunner {
                 let acc0 = b.run_chunk(master_range.clone(), ctx);
                 if let (Some(task), Some(h)) = (task_id, ctx.trace()) {
                     if !master_range.is_empty() {
-                        h.record(TraceEventKind::Chunk {
+                        h.record(EventKind::Chunk {
                             task,
                             loop_iters: total_iters,
                             start: master_range.start,
@@ -350,7 +351,7 @@ impl TeamRunner {
         };
         if let Some(t) = &trace {
             t.handle
-                .record(TraceEventKind::TaskEnd { proc: t.proc, task: t.task, team: team_ids });
+                .record(EventKind::TaskEnd { proc: t.proc, task: t.task, team: team_ids });
         }
 
         let all_done = Instant::now();

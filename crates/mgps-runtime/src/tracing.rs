@@ -25,10 +25,12 @@
 //!
 //! Draining ([`Tracer::drain`]) snapshots every ring: published slots are
 //! immutable once written (the writer only appends, releasing the new
-//! length), so a concurrent drain sees a consistent prefix. The snapshot is
-//! converted to a simulator-vocabulary `RunLog` by `mgps-obs`, after which
-//! the checker, the phase/timeline folds, and the Chrome-trace exporter all
-//! work on native runs unchanged.
+//! length), so a concurrent drain sees a consistent prefix. Rings hold
+//! [`crate::events::EventKind`] — the one vocabulary the simulator also
+//! records — so `mgps_obs::runlog_from_trace` only merges the rings, sorts
+//! stably by `(at_ns, rank)` and numbers the result; the checker, the
+//! phase/timeline folds, and the Chrome-trace exporter then work on native
+//! runs unchanged.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -59,298 +61,11 @@ impl TraceClock {
     }
 }
 
-/// The event vocabulary the native engine records — a plain-data mirror of
-/// the simulator's `cellsim::event::EventKind` (the runtime crate sits
-/// *below* `cellsim`, so the mapping into a `RunLog` lives in `mgps-obs`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEventKind {
-    /// A worker process requested an off-load.
-    Offload {
-        /// Requesting process.
-        proc: usize,
-        /// Task id assigned to the request.
-        task: u64,
-    },
-    /// A voluntary PPE context switch (yield on off-load, EDTLP style).
-    CtxSwitch {
-        /// The yielding process.
-        proc: usize,
-        /// How long the context was held before the yield, ns.
-        held_ns: u64,
-    },
-    /// An off-loaded task began executing on its team.
-    TaskStart {
-        /// Owning process.
-        proc: usize,
-        /// The task.
-        task: u64,
-        /// Loop degree (team size).
-        degree: usize,
-        /// The SPEs running it (master first).
-        team: Vec<usize>,
-    },
-    /// An off-loaded task finished (reduction merged, result delivered).
-    TaskEnd {
-        /// Owning process.
-        proc: usize,
-        /// The task.
-        task: u64,
-        /// The team that ran it.
-        team: Vec<usize>,
-    },
-    /// One team member completed its loop chunk.
-    Chunk {
-        /// The owning task.
-        task: u64,
-        /// The task's total loop iterations (the tiling target).
-        loop_iters: usize,
-        /// First iteration of this chunk.
-        start: usize,
-        /// Iterations in this chunk.
-        len: usize,
-        /// The SPE that ran it.
-        worker: usize,
-    },
-    /// An SPE paid a code-image reload stall.
-    CodeReload {
-        /// The reloading SPE.
-        spe: usize,
-        /// Stall length, ns.
-        stall_ns: u64,
-    },
-    /// A modeled DMA transfer (worker argument fetch) completed.
-    DmaComplete {
-        /// The fetching SPE.
-        spe: usize,
-        /// Bytes moved.
-        bytes: usize,
-        /// Transfer latency, ns (the event timestamp is the *start*).
-        latency_ns: u64,
-    },
-    /// The MGPS controller evaluated a utilization window.
-    DegreeDecision {
-        /// Degree granted for subsequent off-loads (1 = LLP off).
-        degree: usize,
-        /// The utilization sample `U` the decision was based on (tasks
-        /// off-loaded during the departing task's execution window). The
-        /// simulator vocabulary omits this (it is replayable from the
-        /// off-load history); the native runtime records it so live
-        /// consumers do not have to replay rings.
-        u: usize,
-        /// Tasks waiting for off-load at the decision (the paper's `T`).
-        waiting: usize,
-        /// SPEs on the machine.
-        n_spes: usize,
-        /// Configured window length.
-        window: usize,
-        /// Off-loads held in the window sample.
-        window_fill: usize,
-    },
-    /// An armed chaos plan killed an off-load attempt.
-    FaultInjected {
-        /// Lead SPE of the doomed attempt.
-        spe: usize,
-        /// The faulted task.
-        task: u64,
-        /// Fault kind slug (`mgps_runtime::faults::FaultKind::name`).
-        fault: String,
-        /// Zero-based attempt index that faulted.
-        attempt: u64,
-    },
-    /// A faulted off-load was re-queued after backoff.
-    OffloadRetry {
-        /// The retried task.
-        task: u64,
-        /// One-based retry number.
-        attempt: u64,
-        /// Backoff delay applied before the retry, ns.
-        backoff_ns: u64,
-    },
-    /// An SPE was benched after `k` consecutive faults.
-    SpeQuarantined {
-        /// The benched SPE.
-        spe: usize,
-        /// Consecutive faults that triggered the bench.
-        faults: u64,
-    },
-    /// A quarantined SPE passed a re-admission probe.
-    SpeReadmitted {
-        /// The returning SPE.
-        spe: usize,
-    },
-    /// A task exhausted its retries and ran the scalar PPE fallback.
-    PpeFallback {
-        /// Owning process.
-        proc: usize,
-        /// The degraded task.
-        task: u64,
-        /// Total SPE attempts made before giving up.
-        attempts: u64,
-    },
-    /// A DMA transfer was issued (list transfer: one entry per element).
-    Dma {
-        /// The issuing SPE.
-        spe: usize,
-        /// Element sizes of the (list) transfer, bytes.
-        element_bytes: Vec<usize>,
-        /// Local-store offset of the transfer.
-        local_addr: usize,
-        /// Main-memory address (modeled; 0 on the native engine).
-        main_addr: usize,
-    },
-    /// A value was posted to an SPE mailbox.
-    MailboxWrite {
-        /// The SPE whose mailbox was written.
-        spe: usize,
-        /// Which of the three architected mailboxes.
-        mailbox: TraceMailbox,
-        /// Mailbox occupancy after the write.
-        occupancy: usize,
-    },
-    /// A value was drained from an SPE mailbox.
-    MailboxRead {
-        /// The SPE whose mailbox was read.
-        spe: usize,
-        /// Which of the three architected mailboxes.
-        mailbox: TraceMailbox,
-        /// Mailbox occupancy after the read.
-        occupancy: usize,
-    },
-    /// Local-store bytes were reserved on an SPE.
-    LsAlloc {
-        /// The allocating SPE.
-        spe: usize,
-        /// Bytes reserved.
-        bytes: usize,
-        /// Local-store bytes in use after the reservation.
-        in_use: usize,
-    },
-    /// Local-store bytes were released on an SPE.
-    LsFree {
-        /// The releasing SPE.
-        spe: usize,
-        /// Bytes released.
-        bytes: usize,
-        /// Local-store bytes in use after the release.
-        in_use: usize,
-    },
-    /// A serve-plane job was admitted to the bounded request queue.
-    JobSubmitted {
-        /// Seeded job id.
-        job: u64,
-        /// Submitting tenant.
-        tenant: usize,
-        /// Taxa in the phylo job spec.
-        taxa: usize,
-        /// Alignment sites in the spec.
-        sites: usize,
-        /// Bootstrap replicates in the spec.
-        bootstraps: usize,
-        /// Relative completion deadline, ns since admission (0 = none).
-        deadline_ns: u64,
-        /// Queue occupancy after the admission (this job included).
-        queue_depth: usize,
-        /// Configured admission-queue bound.
-        queue_cap: usize,
-    },
-    /// A worker dequeued an admitted job and began executing it.
-    JobStarted {
-        /// The job.
-        job: u64,
-        /// Its tenant.
-        tenant: usize,
-        /// Zero-based execution attempt (0 = first start, >0 = restarts
-        /// after `JobRetried`).
-        attempt: u64,
-    },
-    /// An admitted job was dropped at dispatch time because its declared
-    /// deadline expired while it waited in queue.
-    JobShed {
-        /// The shed job.
-        job: u64,
-        /// Its tenant.
-        tenant: usize,
-        /// The deadline it missed, ns since admission.
-        deadline_ns: u64,
-    },
-    /// A job whose execution hit an unrecoverable off-load fault was
-    /// re-queued for another attempt after a deterministic backoff.
-    JobRetried {
-        /// The retried job.
-        job: u64,
-        /// Its tenant.
-        tenant: usize,
-        /// One-based retry number (the next start carries this attempt).
-        attempt: u64,
-        /// Backoff delay applied before the re-queue, ns.
-        backoff_ns: u64,
-    },
-    /// A job exhausted its retry budget and was quarantined as poison
-    /// instead of blocking the queue.
-    JobPoisoned {
-        /// The quarantined job.
-        job: u64,
-        /// Its tenant.
-        tenant: usize,
-        /// Total execution attempts made before giving up.
-        attempts: u64,
-    },
-    /// A job finished. The four terms partition its wall time exactly:
-    /// `t_queue + t_dispatch + t_kernel + t_reduce` equals the span from
-    /// its `JobSubmitted` stamp to this event's stamp.
-    JobCompleted {
-        /// The job.
-        job: u64,
-        /// Its tenant.
-        tenant: usize,
-        /// Admission-queue wait, ns.
-        t_queue_ns: u64,
-        /// Dequeue-to-kernel setup (argument marshalling), ns.
-        t_dispatch_ns: u64,
-        /// Off-loaded kernel execution, ns.
-        t_kernel_ns: u64,
-        /// Result reduction on the PPE, ns.
-        t_reduce_ns: u64,
-    },
-    /// A submission was refused — queue at capacity, or the serve plane
-    /// is draining after a shutdown signal.
-    JobRejected {
-        /// The refused job's (seeded) id.
-        job: u64,
-        /// Its tenant.
-        tenant: usize,
-        /// Queue occupancy at refusal time.
-        queue_depth: usize,
-        /// Configured admission-queue bound.
-        queue_cap: usize,
-    },
-    /// The granularity controller ruled on where a kernel invocation runs
-    /// (the §5.2 inequality: off-load only when
-    /// `t_spe + t_code + 2·t_comm < t_ppe`).
-    GranularityVerdict {
-        /// Kernel slug (`mgps_runtime::policy::KernelKind::name`).
-        kernel: String,
-        /// Whether the invocation was granted an SPE off-load.
-        offload: bool,
-        /// Whether the kernel is throttled after this verdict.
-        throttled: bool,
-        /// Whether this off-load was a periodic re-probe of a throttled
-        /// kernel (implies `offload`).
-        reprobe: bool,
-    },
-}
-
-/// The three architected SPE mailboxes — a plain-data mirror of the
-/// simulator's `MailboxKind` (same reasoning as [`TraceEventKind`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceMailbox {
-    /// PPE → SPE, four deep.
-    Inbound,
-    /// SPE → PPE, one deep.
-    Outbound,
-    /// SPE → PPE interrupting, one deep.
-    OutboundInterrupt,
-}
+use crate::events::EventKind;
+// The old name, kept only for `benchmark/src/boot.rs`: the frozen harness
+// matches `Offload { task, .. }` / `TaskStart { task, .. }` through it.
+// In-tree code says `EventKind`.
+pub use crate::events::EventKind as TraceEventKind;
 
 /// One recorded event: a timestamp from the tracer's clock plus payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -358,8 +73,12 @@ pub struct TraceEvent {
     /// When it happened (ns since the tracer's epoch).
     pub at_ns: u64,
     /// What happened.
-    pub kind: TraceEventKind,
+    pub kind: EventKind,
 }
+
+// Ring memory is `capacity × size_of::<TraceEvent>()` per recording
+// thread; a vocabulary change must not silently grow every slot.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 80);
 
 /// A single-writer event ring. Slots below the published length are
 /// write-once; the writer only appends, so concurrent readers see a
@@ -438,7 +157,7 @@ impl std::fmt::Debug for TraceHandle {
 impl TraceHandle {
     /// Record `kind` now. Never blocks; once the ring is full the event is
     /// dropped and counted instead.
-    pub fn record(&self, kind: TraceEventKind) {
+    pub fn record(&self, kind: EventKind) {
         self.ring.push(TraceEvent { at_ns: self.clock.now_ns(), kind });
     }
 
@@ -448,7 +167,7 @@ impl TraceHandle {
     /// their order is the FIFO order, and `JobCompleted` is stamped at the
     /// instant its partition terms telescope to, keeping the partition
     /// exact. `at_ns` must not precede earlier events in this ring.
-    pub fn record_at(&self, at_ns: u64, kind: TraceEventKind) {
+    pub fn record_at(&self, at_ns: u64, kind: EventKind) {
         self.ring.push(TraceEvent { at_ns, kind });
     }
 
@@ -552,7 +271,7 @@ mod tests {
         let tracer = Tracer::new(64);
         let h = tracer.handle();
         for task in 0..10u64 {
-            h.record(TraceEventKind::Offload { proc: 0, task });
+            h.record(EventKind::Offload { proc: 0, task });
         }
         let log = tracer.drain();
         assert_eq!(log.threads.len(), 1);
@@ -563,7 +282,7 @@ mod tests {
             assert!(w[0].at_ns <= w[1].at_ns, "per-ring timestamps must be monotone");
         }
         for (i, e) in t.events.iter().enumerate() {
-            assert_eq!(e.kind, TraceEventKind::Offload { proc: 0, task: i as u64 });
+            assert_eq!(e.kind, EventKind::Offload { proc: 0, task: i as u64 });
         }
     }
 
@@ -572,12 +291,12 @@ mod tests {
         let tracer = Tracer::new(4);
         let h = tracer.handle();
         for task in 0..9u64 {
-            h.record(TraceEventKind::Offload { proc: 1, task });
+            h.record(EventKind::Offload { proc: 1, task });
         }
         let t = &tracer.drain().threads[0];
         assert_eq!(t.events.len(), 4, "ring keeps its first `capacity` events");
         assert_eq!(t.dropped, 5, "the overflow is counted, not silently absorbed");
-        assert_eq!(t.events[3].kind, TraceEventKind::Offload { proc: 1, task: 3 });
+        assert_eq!(t.events[3].kind, EventKind::Offload { proc: 1, task: 3 });
         assert_eq!(tracer.drain().dropped_events(), 5);
     }
 
@@ -586,9 +305,9 @@ mod tests {
         let tracer = Tracer::new(16);
         let a = tracer.handle();
         let b = tracer.handle();
-        a.record(TraceEventKind::CodeReload { spe: 0, stall_ns: 10 });
-        b.record(TraceEventKind::CodeReload { spe: 1, stall_ns: 20 });
-        b.record(TraceEventKind::CodeReload { spe: 1, stall_ns: 30 });
+        a.record(EventKind::CodeReload { spe: 0, stall_ns: 10 });
+        b.record(EventKind::CodeReload { spe: 1, stall_ns: 20 });
+        b.record(EventKind::CodeReload { spe: 1, stall_ns: 30 });
         let log = tracer.drain();
         assert_eq!(log.threads[0].events.len(), 1);
         assert_eq!(log.threads[1].events.len(), 2);
@@ -603,7 +322,7 @@ mod tests {
                 let h = tracer.handle();
                 scope.spawn(move || {
                     for task in 0..256u64 {
-                        h.record(TraceEventKind::Offload { proc: p, task });
+                        h.record(EventKind::Offload { proc: p, task });
                     }
                 });
             }
@@ -624,10 +343,10 @@ mod tests {
     fn payloads_with_allocations_survive_snapshot_and_drop() {
         let tracer = Tracer::new(8);
         let h = tracer.handle();
-        h.record(TraceEventKind::TaskStart { proc: 0, task: 7, degree: 2, team: vec![3, 5] });
+        h.record(EventKind::TaskStart { proc: 0, task: 7, degree: 2, team: vec![3, 5] });
         let log = tracer.drain();
         match &log.threads[0].events[0].kind {
-            TraceEventKind::TaskStart { team, .. } => assert_eq!(team, &[3, 5]),
+            EventKind::TaskStart { team, .. } => assert_eq!(team, &[3, 5]),
             other => panic!("unexpected event {other:?}"),
         }
         drop(log);

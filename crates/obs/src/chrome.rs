@@ -270,6 +270,7 @@ mod tests {
                 120,
                 EventKind::DegreeDecision {
                     degree: 2,
+                    u: 0,
                     waiting: 1,
                     n_spes: 2,
                     window: 1,

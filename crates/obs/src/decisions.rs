@@ -75,7 +75,7 @@ pub fn decisions(log: &RunLog) -> Vec<DecisionRecord> {
                     .count();
                 pending = Some((*task, u));
             }
-            EventKind::DegreeDecision { degree, waiting, n_spes, window, window_fill } => {
+            EventKind::DegreeDecision { degree, waiting, n_spes, window, window_fill, .. } => {
                 let (task, u) = pending.take().unwrap_or((0, 0));
                 out.push(DecisionRecord {
                     at_ns: e.at_ns,
@@ -119,7 +119,7 @@ mod tests {
     }
 
     fn decision(degree: usize, waiting: usize, fill: usize) -> EventKind {
-        EventKind::DegreeDecision { degree, waiting, n_spes: 8, window: 2, window_fill: fill }
+        EventKind::DegreeDecision { degree, u: 0, waiting, n_spes: 8, window: 2, window_fill: fill }
     }
 
     #[test]

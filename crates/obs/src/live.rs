@@ -33,7 +33,7 @@
 use std::fmt::Write as _;
 
 use crate::jobs::{quantile_from_log2_buckets, JOB_QUANTILES};
-use cellsim::event::{EventKind, EventRecord, RunLog};
+use cellsim::event::{json_line, EventKind, EventRecord, RunLog};
 use mgps_runtime::metrics::{
     Counter, HistKind, MetricsSnapshot, SnapshotDelta, HIST_BUCKETS,
 };
@@ -163,117 +163,17 @@ pub struct HealthEvent {
 impl HealthEvent {
     /// One NDJSON line for the `/events` stream.
     pub fn to_json_line(&self) -> String {
-        Value::object(vec![
-            ("type", "health".into()),
-            ("at_ns", self.at_ns.into()),
-            ("alarm", self.kind.slug().into()),
-            ("severity", self.kind.severity().into()),
-            ("detail", self.detail.clone().into()),
-        ])
-        .to_json()
+        json_line(self.at_ns, &self.to_kind())
     }
 
     /// The [`RunLog`] vocabulary for this alarm.
-    pub fn to_event_kind(&self) -> EventKind {
+    pub fn to_kind(&self) -> EventKind {
         EventKind::Health {
             alarm: self.kind.slug().to_string(),
             severity: self.kind.severity().to_string(),
             detail: self.detail.clone(),
         }
     }
-}
-
-/// One NDJSON line for a job lifecycle event on the `/events` stream;
-/// `None` for event kinds outside the job lifecycle. The `type` tags
-/// match the [`RunLog`] JSON schema so a stream consumer and a log
-/// consumer parse the same vocabulary.
-pub fn job_event_json_line(at_ns: u64, kind: &EventKind) -> Option<String> {
-    let v = match kind {
-        EventKind::JobSubmitted {
-            job,
-            tenant,
-            taxa,
-            sites,
-            bootstraps,
-            deadline_ns,
-            queue_depth,
-            queue_cap,
-        } => {
-            let mut members = vec![
-                ("type", "job_submitted".into()),
-                ("at_ns", at_ns.into()),
-                ("job", (*job).into()),
-                ("tenant", (*tenant).into()),
-                ("taxa", (*taxa).into()),
-                ("sites", (*sites).into()),
-                ("bootstraps", (*bootstraps).into()),
-            ];
-            // Mirror the RunLog schema: default-valued fields stay off
-            // the wire so deadline-free streams look exactly as before.
-            if *deadline_ns != 0 {
-                members.push(("deadline_ns", (*deadline_ns).into()));
-            }
-            members.push(("queue_depth", (*queue_depth).into()));
-            members.push(("queue_cap", (*queue_cap).into()));
-            Value::object(members)
-        }
-        EventKind::JobStarted { job, tenant, attempt } => {
-            let mut members = vec![
-                ("type", "job_started".into()),
-                ("at_ns", at_ns.into()),
-                ("job", (*job).into()),
-                ("tenant", (*tenant).into()),
-            ];
-            if *attempt != 0 {
-                members.push(("attempt", (*attempt).into()));
-            }
-            Value::object(members)
-        }
-        EventKind::JobCompleted { job, tenant, t_queue_ns, t_dispatch_ns, t_kernel_ns, t_reduce_ns } => {
-            Value::object(vec![
-                ("type", "job_completed".into()),
-                ("at_ns", at_ns.into()),
-                ("job", (*job).into()),
-                ("tenant", (*tenant).into()),
-                ("t_queue_ns", (*t_queue_ns).into()),
-                ("t_dispatch_ns", (*t_dispatch_ns).into()),
-                ("t_kernel_ns", (*t_kernel_ns).into()),
-                ("t_reduce_ns", (*t_reduce_ns).into()),
-            ])
-        }
-        EventKind::JobRejected { job, tenant, queue_depth, queue_cap } => Value::object(vec![
-            ("type", "job_rejected".into()),
-            ("at_ns", at_ns.into()),
-            ("job", (*job).into()),
-            ("tenant", (*tenant).into()),
-            ("queue_depth", (*queue_depth).into()),
-            ("queue_cap", (*queue_cap).into()),
-        ]),
-        EventKind::JobShed { job, tenant, deadline_ns } => Value::object(vec![
-            ("type", "job_shed".into()),
-            ("at_ns", at_ns.into()),
-            ("job", (*job).into()),
-            ("tenant", (*tenant).into()),
-            ("deadline_ns", (*deadline_ns).into()),
-        ]),
-        EventKind::JobRetried { job, tenant, attempt, backoff_ns } => Value::object(vec![
-            ("type", "job_retried".into()),
-            ("at_ns", at_ns.into()),
-            ("job", (*job).into()),
-            ("tenant", (*tenant).into()),
-            ("attempt", (*attempt).into()),
-            ("backoff_ns", (*backoff_ns).into()),
-        ]),
-        EventKind::JobPoisoned { job, tenant, attempts } => Value::object(vec![
-            ("type", "job_poisoned".into()),
-            ("at_ns", at_ns.into()),
-            ("job", (*job).into()),
-            ("tenant", (*tenant).into()),
-            ("attempts", (*attempts).into()),
-        ]),
-        _ => return None,
-    };
-    Some(v.to_json())
 }
 
 /// Thresholds for the online detector.
@@ -612,7 +512,7 @@ pub fn merge_health_events(log: &mut RunLog, events: &[HealthEvent]) {
         return;
     }
     for e in events {
-        log.events.push(EventRecord { seq: 0, at_ns: e.at_ns, kind: e.to_event_kind() });
+        log.events.push(EventRecord { seq: 0, at_ns: e.at_ns, kind: e.to_kind() });
     }
     log.events.sort_by_key(|e| e.at_ns);
     for (i, e) in log.events.iter_mut().enumerate() {
@@ -1181,7 +1081,7 @@ mod tests {
         let fired = det.observe_delta(20, &delta_with_quarantines(2, 4), 0);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, AlarmKind::QuarantineStorm);
-        assert_eq!(fired[0].to_event_kind(), EventKind::Health {
+        assert_eq!(fired[0].to_kind(), EventKind::Health {
             alarm: "quarantine_storm".to_string(),
             severity: "warning".to_string(),
             detail: fired[0].detail.clone(),
@@ -1202,7 +1102,7 @@ mod tests {
         let fired = det.observe_delta(2, &delta_with_stalls(2, 0), 17);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, AlarmKind::RingDrop);
-        assert_eq!(fired[0].to_event_kind(), EventKind::Health {
+        assert_eq!(fired[0].to_kind(), EventKind::Health {
             alarm: "ring_drop".to_string(),
             severity: "critical".to_string(),
             detail: fired[0].detail.clone(),
@@ -1236,7 +1136,7 @@ mod tests {
         let fired = det.observe_delta(30, &delta_with_jobs(3, 16, over), 0);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, AlarmKind::LatencySloBurn);
-        assert_eq!(fired[0].to_event_kind(), EventKind::Health {
+        assert_eq!(fired[0].to_kind(), EventKind::Health {
             alarm: "latency_slo_burn".to_string(),
             severity: "warning".to_string(),
             detail: fired[0].detail.clone(),
@@ -1285,84 +1185,6 @@ mod tests {
         assert!(det.observe_delta(200, &delta_with_jobs(20, 16, 16_000_000), 0).is_empty());
         assert!(det.observe_delta(210, &delta_with_jobs(21, 16, 16_000_000), 0).is_empty());
         assert_eq!(det.observe_delta(220, &delta_with_jobs(22, 16, 16_000_000), 0).len(), 1);
-    }
-
-    #[test]
-    fn job_event_json_lines_cover_the_lifecycle() {
-        let submitted = EventKind::JobSubmitted {
-            job: 7,
-            tenant: 2,
-            taxa: 16,
-            sites: 256,
-            bootstraps: 3,
-            deadline_ns: 0,
-            queue_depth: 1,
-            queue_cap: 8,
-        };
-        let line = job_event_json_line(40, &submitted).expect("job event renders");
-        assert!(!line.contains('\n'));
-        assert!(!line.contains("deadline_ns"), "deadline-free submissions omit the field");
-        let v = minijson::parse(&line).unwrap();
-        assert_eq!(v.get("type").and_then(|s| s.as_str()), Some("job_submitted"));
-        assert_eq!(v.get("at_ns").and_then(|n| n.as_u64()), Some(40));
-        assert_eq!(v.get("queue_cap").and_then(|n| n.as_u64()), Some(8));
-
-        let with_deadline = EventKind::JobSubmitted {
-            job: 7,
-            tenant: 2,
-            taxa: 16,
-            sites: 256,
-            bootstraps: 3,
-            deadline_ns: 5_000_000,
-            queue_depth: 1,
-            queue_cap: 8,
-        };
-        let v = minijson::parse(&job_event_json_line(40, &with_deadline).unwrap()).unwrap();
-        assert_eq!(v.get("deadline_ns").and_then(|n| n.as_u64()), Some(5_000_000));
-
-        let started = EventKind::JobStarted { job: 7, tenant: 2, attempt: 0 };
-        let line = job_event_json_line(41, &started).unwrap();
-        assert!(!line.contains("attempt"), "first attempts omit the field");
-        let v = minijson::parse(&line).unwrap();
-        assert_eq!(v.get("type").and_then(|s| s.as_str()), Some("job_started"));
-
-        let restarted = EventKind::JobStarted { job: 7, tenant: 2, attempt: 1 };
-        let v = minijson::parse(&job_event_json_line(45, &restarted).unwrap()).unwrap();
-        assert_eq!(v.get("attempt").and_then(|n| n.as_u64()), Some(1));
-
-        let retried = EventKind::JobRetried { job: 7, tenant: 2, attempt: 1, backoff_ns: 4_000 };
-        let v = minijson::parse(&job_event_json_line(44, &retried).unwrap()).unwrap();
-        assert_eq!(v.get("type").and_then(|s| s.as_str()), Some("job_retried"));
-        assert_eq!(v.get("backoff_ns").and_then(|n| n.as_u64()), Some(4_000));
-
-        let shed = EventKind::JobShed { job: 8, tenant: 1, deadline_ns: 1_000 };
-        let v = minijson::parse(&job_event_json_line(46, &shed).unwrap()).unwrap();
-        assert_eq!(v.get("type").and_then(|s| s.as_str()), Some("job_shed"));
-        assert_eq!(v.get("deadline_ns").and_then(|n| n.as_u64()), Some(1_000));
-
-        let poisoned = EventKind::JobPoisoned { job: 9, tenant: 0, attempts: 3 };
-        let v = minijson::parse(&job_event_json_line(47, &poisoned).unwrap()).unwrap();
-        assert_eq!(v.get("type").and_then(|s| s.as_str()), Some("job_poisoned"));
-        assert_eq!(v.get("attempts").and_then(|n| n.as_u64()), Some(3));
-
-        let completed = EventKind::JobCompleted {
-            job: 7,
-            tenant: 2,
-            t_queue_ns: 1,
-            t_dispatch_ns: 2,
-            t_kernel_ns: 3,
-            t_reduce_ns: 4,
-        };
-        let v = minijson::parse(&job_event_json_line(51, &completed).unwrap()).unwrap();
-        assert_eq!(v.get("type").and_then(|s| s.as_str()), Some("job_completed"));
-        assert_eq!(v.get("t_kernel_ns").and_then(|n| n.as_u64()), Some(3));
-
-        let rejected = EventKind::JobRejected { job: 9, tenant: 0, queue_depth: 8, queue_cap: 8 };
-        let v = minijson::parse(&job_event_json_line(60, &rejected).unwrap()).unwrap();
-        assert_eq!(v.get("type").and_then(|s| s.as_str()), Some("job_rejected"));
-
-        // Non-job events render nothing on the job stream.
-        assert!(job_event_json_line(1, &EventKind::Offload { proc: 0, task: 0 }).is_none());
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Drain native span traces into the simulator's [`RunLog`] vocabulary.
+//! Drain native span traces into a [`RunLog`].
 //!
 //! The native runtime records per-thread rings of
-//! [`mgps_runtime::tracing::TraceEvent`]s — a plain-data mirror of
-//! [`cellsim::event::EventKind`] stamped by one shared monotonic clock.
+//! [`mgps_runtime::tracing::TraceEvent`]s: the simulator's own
+//! [`EventKind`] vocabulary (there is only one — see
+//! [`mgps_runtime::events`]) stamped by one shared monotonic clock.
 //! [`runlog_from_trace`] merges those rings into a single [`RunLog`], after
 //! which the entire observability stack works on native runs unchanged:
 //! the `mgps-analysis` checker (in its native mode), [`crate::timeline`],
@@ -15,15 +16,15 @@
 //! they are comparable (one clock) but ties are possible, and the checker's
 //! lifecycle rules care about same-instant precedence (a task must start
 //! before it ends, an off-load precedes its task). The merge therefore
-//! sorts *stably* by `(at_ns, kind_rank)` where the rank encodes causal
-//! precedence: job admission/rejection/start < off-load < fault ladder <
-//! mailbox write < mailbox read < task start < code reload / DMA / LS
-//! alloc < chunk < LS free < task end < job completion < context switch <
-//! degree decision.
+//! sorts *stably* by `(at_ns, rank)`, where [`EventKind::rank`] is the
+//! causal-precedence column of the event table.
+//!
+//! [`EventKind`]: cellsim::event::EventKind
+//! [`EventKind::rank`]: cellsim::event::EventKind::rank
 
-use cellsim::event::{EventKind, EventRecord, MailboxKind, RunLog, SchedulerTag, SwitchReason};
+use cellsim::event::{EventRecord, RunLog, SchedulerTag};
 use mgps_runtime::native::LOCAL_STORE_BYTES;
-use mgps_runtime::tracing::{TraceEventKind, TraceLog, TraceMailbox};
+use mgps_runtime::tracing::{TraceEvent, TraceLog};
 
 /// Run-level metadata the rings do not carry (the trace records *what
 /// happened*; which scheduler and machine shape produced it is the
@@ -46,172 +47,18 @@ pub struct NativeRunMeta {
     pub tenant_weights: Option<Vec<u64>>,
 }
 
-fn kind_rank(kind: &TraceEventKind) -> u8 {
-    match kind {
-        // A job is admitted (or refused) before anything it causes; a
-        // same-instant start follows its submission but precedes the
-        // verdicts and off-loads of the work it dispatches.
-        TraceEventKind::JobSubmitted { .. } => 0,
-        TraceEventKind::JobRejected { .. } => 1,
-        TraceEventKind::JobStarted { .. } => 2,
-        // The controller rules on where a kernel runs *before* any
-        // same-instant off-load request it grants.
-        TraceEventKind::GranularityVerdict { .. } => 3,
-        TraceEventKind::Offload { .. } => 4,
-        // A fault precedes the quarantine it causes, which precedes the
-        // retry it forces; all precede any same-instant grant.
-        TraceEventKind::FaultInjected { .. } => 5,
-        TraceEventKind::SpeQuarantined { .. } | TraceEventKind::SpeReadmitted { .. } => 6,
-        TraceEventKind::OffloadRetry { .. } => 7,
-        // The start signal (inbound mailbox post + drain) precedes the
-        // task it starts; a write precedes its same-instant read.
-        TraceEventKind::MailboxWrite { .. } => 8,
-        TraceEventKind::MailboxRead { .. } => 9,
-        TraceEventKind::TaskStart { .. } => 10,
-        TraceEventKind::CodeReload { .. }
-        | TraceEventKind::Dma { .. }
-        | TraceEventKind::DmaComplete { .. }
-        | TraceEventKind::LsAlloc { .. } => 11,
-        TraceEventKind::Chunk { .. } => 12,
-        // Scratch is released at task teardown: after the chunks, before
-        // (or with) the task end.
-        TraceEventKind::LsFree { .. } => 13,
-        TraceEventKind::TaskEnd { .. } | TraceEventKind::PpeFallback { .. } => 14,
-        // A job resolves (completion, shed, retry re-queue, poison
-        // quarantine) only after its last task event; the dispatcher's
-        // strictly increasing lock stamps keep these from genuinely tying
-        // with each other.
-        TraceEventKind::JobCompleted { .. }
-        | TraceEventKind::JobShed { .. }
-        | TraceEventKind::JobRetried { .. }
-        | TraceEventKind::JobPoisoned { .. } => 15,
-        TraceEventKind::CtxSwitch { .. } => 16,
-        TraceEventKind::DegreeDecision { .. } => 17,
-    }
-}
-
-fn to_mailbox_kind(mailbox: TraceMailbox) -> MailboxKind {
-    match mailbox {
-        TraceMailbox::Inbound => MailboxKind::Inbound,
-        TraceMailbox::Outbound => MailboxKind::Outbound,
-        TraceMailbox::OutboundInterrupt => MailboxKind::OutboundInterrupt,
-    }
-}
-
-fn to_event_kind(kind: &TraceEventKind) -> EventKind {
-    match kind.clone() {
-        TraceEventKind::Offload { proc, task } => EventKind::Offload { proc, task },
-        TraceEventKind::CtxSwitch { proc, held_ns } => EventKind::CtxSwitch {
-            // The native gate only records *voluntary* yields at off-load
-            // points; quantum rotation is the OS scheduler's business.
-            proc,
-            reason: SwitchReason::Offload,
-            held_ns,
-        },
-        TraceEventKind::TaskStart { proc, task, degree, team } => {
-            EventKind::TaskStart { proc, task, degree, team }
-        }
-        TraceEventKind::TaskEnd { proc, task, team } => EventKind::TaskEnd { proc, task, team },
-        TraceEventKind::Chunk { task, loop_iters, start, len, worker } => {
-            EventKind::Chunk { task, loop_iters, start, len, worker }
-        }
-        TraceEventKind::CodeReload { spe, stall_ns } => EventKind::CodeReload { spe, stall_ns },
-        TraceEventKind::DmaComplete { spe, bytes, latency_ns } => {
-            EventKind::DmaComplete { spe, bytes, latency_ns }
-        }
-        TraceEventKind::DegreeDecision { degree, waiting, n_spes, window, window_fill, u: _ } => {
-            // The simulator vocabulary replays `U` from the off-load
-            // history (`crate::decisions`), so the trace's sample is
-            // dropped rather than duplicated into the log schema.
-            EventKind::DegreeDecision { degree, waiting, n_spes, window, window_fill }
-        }
-        TraceEventKind::FaultInjected { spe, task, fault, attempt } => {
-            EventKind::FaultInjected { spe, task, fault, attempt }
-        }
-        TraceEventKind::OffloadRetry { task, attempt, backoff_ns } => {
-            EventKind::OffloadRetry { task, attempt, backoff_ns }
-        }
-        TraceEventKind::SpeQuarantined { spe, faults } => EventKind::SpeQuarantined { spe, faults },
-        TraceEventKind::SpeReadmitted { spe } => EventKind::SpeReadmitted { spe },
-        TraceEventKind::PpeFallback { proc, task, attempts } => {
-            EventKind::PpeFallback { proc, task, attempts }
-        }
-        TraceEventKind::Dma { spe, element_bytes, local_addr, main_addr } => {
-            EventKind::Dma { spe, element_bytes, local_addr, main_addr }
-        }
-        TraceEventKind::MailboxWrite { spe, mailbox, occupancy } => {
-            EventKind::MailboxWrite { spe, mailbox: to_mailbox_kind(mailbox), occupancy }
-        }
-        TraceEventKind::MailboxRead { spe, mailbox, occupancy } => {
-            EventKind::MailboxRead { spe, mailbox: to_mailbox_kind(mailbox), occupancy }
-        }
-        TraceEventKind::LsAlloc { spe, bytes, in_use } => EventKind::LsAlloc { spe, bytes, in_use },
-        TraceEventKind::LsFree { spe, bytes, in_use } => EventKind::LsFree { spe, bytes, in_use },
-        TraceEventKind::GranularityVerdict { kernel, offload, throttled, reprobe } => {
-            EventKind::GranularityVerdict { kernel, offload, throttled, reprobe }
-        }
-        TraceEventKind::JobSubmitted {
-            job,
-            tenant,
-            taxa,
-            sites,
-            bootstraps,
-            deadline_ns,
-            queue_depth,
-            queue_cap,
-        } => EventKind::JobSubmitted {
-            job,
-            tenant,
-            taxa,
-            sites,
-            bootstraps,
-            deadline_ns,
-            queue_depth,
-            queue_cap,
-        },
-        TraceEventKind::JobStarted { job, tenant, attempt } => {
-            EventKind::JobStarted { job, tenant, attempt }
-        }
-        TraceEventKind::JobShed { job, tenant, deadline_ns } => {
-            EventKind::JobShed { job, tenant, deadline_ns }
-        }
-        TraceEventKind::JobRetried { job, tenant, attempt, backoff_ns } => {
-            EventKind::JobRetried { job, tenant, attempt, backoff_ns }
-        }
-        TraceEventKind::JobPoisoned { job, tenant, attempts } => {
-            EventKind::JobPoisoned { job, tenant, attempts }
-        }
-        TraceEventKind::JobCompleted {
-            job,
-            tenant,
-            t_queue_ns,
-            t_dispatch_ns,
-            t_kernel_ns,
-            t_reduce_ns,
-        } => EventKind::JobCompleted { job, tenant, t_queue_ns, t_dispatch_ns, t_kernel_ns, t_reduce_ns },
-        TraceEventKind::JobRejected { job, tenant, queue_depth, queue_cap } => {
-            EventKind::JobRejected { job, tenant, queue_depth, queue_cap }
-        }
-    }
-}
-
 /// Merge a drained native trace into a [`RunLog`].
 ///
 /// `quantum_ns` is 0 (no simulated quantum) and `loop_iters` is 0: native
 /// tasks carry their own iteration counts on their chunk events, which is
 /// what the checker's native mode verifies coverage against.
 pub fn runlog_from_trace(trace: &TraceLog, meta: NativeRunMeta) -> RunLog {
-    let mut merged: Vec<(u64, u8, EventKind)> = trace
-        .threads
-        .iter()
-        .flat_map(|t| &t.events)
-        .map(|e| (e.at_ns, kind_rank(&e.kind), to_event_kind(&e.kind)))
-        .collect();
-    merged.sort_by_key(|e| (e.0, e.1));
+    let mut merged: Vec<&TraceEvent> = trace.threads.iter().flat_map(|t| &t.events).collect();
+    merged.sort_by_key(|e| (e.at_ns, e.kind.rank()));
     let events = merged
         .into_iter()
         .enumerate()
-        .map(|(i, (at_ns, _, kind))| EventRecord { seq: i as u64, at_ns, kind })
+        .map(|(i, e)| EventRecord { seq: i as u64, at_ns: e.at_ns, kind: e.kind.clone() })
         .collect();
     RunLog {
         scheduler: meta.scheduler,
@@ -234,47 +81,20 @@ pub fn runlog_from_trace(trace: &TraceLog, meta: NativeRunMeta) -> RunLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cellsim::event::EventKind;
     use mgps_runtime::tracing::Tracer;
 
     #[test]
     fn merge_orders_ties_by_causal_rank() {
         let tracer = Tracer::new(16);
-        let ppe = tracer.handle();
-        let spe = tracer.handle();
-        // Record in "wrong" ring order; equal timestamps are impossible to
-        // force through the real clock, so build the log by hand instead.
-        ppe.record(TraceEventKind::Offload { proc: 0, task: 0 });
-        spe.record(TraceEventKind::TaskStart { proc: 0, task: 0, degree: 1, team: vec![2] });
-        spe.record(TraceEventKind::TaskEnd { proc: 0, task: 0, team: vec![2] });
-        let mut log = tracer.drain();
-        // Flatten every timestamp to the same instant: the rank must still
-        // order offload < start < end.
-        for t in &mut log.threads {
-            for e in &mut t.events {
-                e.at_ns = 100;
-            }
-        }
-        let run = runlog_from_trace(
-            &log,
-            NativeRunMeta { scheduler: SchedulerTag::Edtlp, n_spes: 4, seed: 0, fault_policy: None, tenant_weights: None },
-        );
-        assert_eq!(run.events.len(), 3);
-        assert!(matches!(run.events[0].kind, EventKind::Offload { .. }));
-        assert!(matches!(run.events[1].kind, EventKind::TaskStart { .. }));
-        assert!(matches!(run.events[2].kind, EventKind::TaskEnd { .. }));
-        assert_eq!(run.events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn job_lifecycle_ranks_bracket_the_task_events() {
-        let tracer = Tracer::new(16);
         let worker = tracer.handle();
         let admit = tracer.handle();
-        // Recorded in deliberately scrambled ring order; once every stamp
-        // is flattened, the ranks alone must restore submission < start <
-        // off-load < task start < task end < completion.
-        worker.record(TraceEventKind::TaskEnd { proc: 0, task: 0, team: vec![0] });
-        worker.record(TraceEventKind::JobCompleted {
+        // Recorded in deliberately scrambled ring order (equal timestamps
+        // cannot be forced through the real clock, so every stamp is
+        // flattened afterwards); the ranks alone must restore submission <
+        // start < off-load < task start < task end < completion.
+        worker.record(EventKind::TaskEnd { proc: 0, task: 0, team: vec![0] });
+        worker.record(EventKind::JobCompleted {
             job: 9,
             tenant: 0,
             t_queue_ns: 0,
@@ -282,7 +102,7 @@ mod tests {
             t_kernel_ns: 0,
             t_reduce_ns: 0,
         });
-        admit.record(TraceEventKind::JobSubmitted {
+        admit.record(EventKind::JobSubmitted {
             job: 9,
             tenant: 0,
             taxa: 4,
@@ -292,9 +112,9 @@ mod tests {
             queue_depth: 1,
             queue_cap: 4,
         });
-        worker.record(TraceEventKind::JobStarted { job: 9, tenant: 0, attempt: 0 });
-        worker.record(TraceEventKind::Offload { proc: 0, task: 0 });
-        worker.record(TraceEventKind::TaskStart { proc: 0, task: 0, degree: 1, team: vec![0] });
+        worker.record(EventKind::JobStarted { job: 9, tenant: 0, attempt: 0 });
+        worker.record(EventKind::Offload { proc: 0, task: 0 });
+        worker.record(EventKind::TaskStart { proc: 0, task: 0, degree: 1, team: vec![0] });
         let mut log = tracer.drain();
         for t in &mut log.threads {
             for e in &mut t.events {
@@ -312,6 +132,7 @@ mod tests {
         assert!(matches!(kinds[3], EventKind::TaskStart { .. }));
         assert!(matches!(kinds[4], EventKind::TaskEnd { .. }));
         assert!(matches!(kinds[5], EventKind::JobCompleted { .. }));
+        assert_eq!(run.events.iter().map(|e| e.seq).collect::<Vec<_>>(), [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

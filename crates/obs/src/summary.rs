@@ -330,6 +330,7 @@ mod tests {
                 120,
                 EventKind::DegreeDecision {
                     degree: 8,
+                    u: 0,
                     waiting: 1,
                     n_spes: 2,
                     window: 1,
@@ -414,6 +415,7 @@ mod tests {
                 at_ns: 200 + i as u64,
                 kind: EventKind::DegreeDecision {
                     degree,
+                    u: 0,
                     waiting: 1,
                     n_spes: 2,
                     window: 1,

@@ -49,6 +49,7 @@ fn starved_gate_fixture(low_windows: usize) -> RunLog {
             at_ns: (i as u64 + 1) * 1_000_000,
             kind: EventKind::DegreeDecision {
                 degree: 1,
+                u: 0,
                 waiting: 8,
                 n_spes: 8,
                 window: 8,

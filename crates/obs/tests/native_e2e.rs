@@ -18,7 +18,7 @@ use mgps_runtime::native::{
     LoopBody, LoopSite, MgpsRuntime, RuntimeConfig, SpeContext, SpePool, TeamRunner, TraceTask,
 };
 use mgps_runtime::policy::SchedulerKind;
-use mgps_runtime::{Counter, NopMetrics, TraceEventKind, TraceLog, Tracer};
+use mgps_runtime::{Counter, NopMetrics, TraceLog, Tracer};
 
 /// A loop body with controllable per-iteration work.
 struct Spin {
@@ -190,7 +190,7 @@ fn llp_team_run_phases_include_the_reduction_span() {
     let handle = tracer.handle();
     let body = Arc::new(Spin { n: 63, spin: Duration::from_micros(30) });
     let degree = 4;
-    handle.record(TraceEventKind::Offload { proc: 0, task: 0 });
+    handle.record(EventKind::Offload { proc: 0, task: 0 });
     let trace_task = TraceTask { handle: &handle, proc: 0, task: 0 };
     let sum = runner
         .parallel_reduce_traced(LoopSite(7), degree, body, Some(trace_task))

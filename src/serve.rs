@@ -84,12 +84,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cellsim::event::{EventKind, SchedulerTag};
+use cellsim::event::{json_line, EventKind, SchedulerTag};
 use mgps_analysis::{check_run_with, check_trace_sanity, CheckMode};
 use mgps_obs::{
-    health_json, job_event_json_line, merge_health_events, prometheus_text,
-    quantile_from_log2_buckets, runlog_from_trace, HealthConfig, HealthDetector, HealthEvent,
-    LiveDecision, LiveStatus, NativeRunMeta,
+    health_json, merge_health_events, prometheus_text, quantile_from_log2_buckets,
+    runlog_from_trace, HealthConfig, HealthDetector, HealthEvent, LiveDecision, LiveStatus,
+    NativeRunMeta,
 };
 use mgps_runtime::metrics::{hist_bucket, HistKind, MetricsSink, HIST_BUCKETS};
 use mgps_runtime::native::{
@@ -98,7 +98,7 @@ use mgps_runtime::native::{
 use mgps_runtime::FaultPlan;
 use mgps_runtime::policy::{KernelKind, SchedulerKind};
 use mgps_runtime::tracing::TraceHandle;
-use mgps_runtime::{AtomicMetrics, SnapshotSource, TraceEventKind, Tracer};
+use mgps_runtime::{AtomicMetrics, SnapshotSource, Tracer};
 use minijson::Value;
 
 /// Construction parameters for service mode.
@@ -359,6 +359,14 @@ struct TenantStats {
     dispatched: u64,
 }
 
+/// Record one job-plane event on `ring` at stamp `at_ns` and return its
+/// `/events` line, so the ring and the journal carry one value built once.
+fn record_job(ring: &TraceHandle, at_ns: u64, kind: EventKind) -> String {
+    let line = json_line(at_ns, &kind);
+    ring.record_at(at_ns, kind);
+    line
+}
+
 /// The admission plane plus everything whose order must equal lock
 /// order: the id stream, the last stamp handed out, and the trace ring
 /// that records admission decisions. All `JobSubmitted` / `JobStarted` /
@@ -474,14 +482,8 @@ impl JobQueue {
                 self.depth -= 1;
                 self.stats.entry(tenant).or_default().shed += 1;
                 let at = self.stamp(now_ns);
-                self.admit.record_at(
-                    at,
-                    TraceEventKind::JobShed { job: job.job, tenant, deadline_ns: deadline },
-                );
                 let shed = EventKind::JobShed { job: job.job, tenant, deadline_ns: deadline };
-                if let Some(line) = job_event_json_line(at, &shed) {
-                    journal.push(line);
-                }
+                journal.push(record_job(&self.admit, at, shed));
             }
             let Some(job) = self.tenants.get_mut(&tenant).and_then(VecDeque::pop_front) else {
                 // Shed dry: leave the ring and forfeit the deficit.
@@ -578,10 +580,9 @@ impl Shared {
                     // This attempt's queue wait ends here; accumulate it
                     // so the final partition telescopes over retries.
                     job.acc_queue_ns += at.saturating_sub(job.enqueued_ns);
-                    q.admit.record_at(
-                        at,
-                        TraceEventKind::JobStarted { job: job.job, tenant, attempt: job.attempt },
-                    );
+                    let started =
+                        EventKind::JobStarted { job: job.job, tenant, attempt: job.attempt };
+                    lines.push(record_job(&q.admit, at, started));
                     Popped::Job(job, at)
                 }
                 None if self.draining.load(Ordering::SeqCst) => Popped::Drained,
@@ -619,16 +620,10 @@ impl Shared {
             let line = {
                 let mut q = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
                 let at = q.stamp(self.tracer.now_ns());
-                q.admit.record_at(
-                    at,
-                    TraceEventKind::JobPoisoned { job: job.job, tenant, attempts: next_attempt },
-                );
                 let kind = EventKind::JobPoisoned { job: job.job, tenant, attempts: next_attempt };
-                job_event_json_line(at, &kind)
+                record_job(&q.admit, at, kind)
             };
-            if let Some(line) = line {
-                self.journal_push(line);
-            }
+            self.journal_push(line);
             self.leave_flight(tenant);
             return;
         }
@@ -639,18 +634,9 @@ impl Shared {
         let line = {
             let mut q = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
             let at = q.stamp(self.tracer.now_ns());
-            q.admit.record_at(
-                at,
-                TraceEventKind::JobRetried {
-                    job: job.job,
-                    tenant,
-                    attempt: next_attempt,
-                    backoff_ns,
-                },
-            );
             let kind =
                 EventKind::JobRetried { job: job.job, tenant, attempt: next_attempt, backoff_ns };
-            let journal_line = job_event_json_line(at, &kind);
+            let journal_line = record_job(&q.admit, at, kind);
             job.attempt = next_attempt;
             // The next queue wait starts at the failure instant, so the
             // backoff sleep is accounted as queue time.
@@ -660,9 +646,7 @@ impl Shared {
             q.activate(tenant);
             journal_line
         };
-        if let Some(line) = line {
-            self.journal_push(line);
-        }
+        self.journal_push(line);
         // Leave flight only after the job is safely requeued: the drain
         // waiter must never see "empty queue, zero in flight" while a
         // retry is in hand.
@@ -765,14 +749,6 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
                     }
                     match shared.pop_job() {
                         Popped::Job(mut job, started_ns) => {
-                            let started = EventKind::JobStarted {
-                                job: job.job,
-                                tenant: job.spec.tenant,
-                                attempt: job.attempt,
-                            };
-                            if let Some(line) = job_event_json_line(started_ns, &started) {
-                                shared.journal_push(line);
-                            }
                             match execute_job(
                                 &mut ctx, &job, started_ns, &done, &mut last_done_ns,
                                 &metrics, &shared,
@@ -1106,20 +1082,6 @@ fn execute_job(
     let t_dispatch_ns = job.acc_dispatch_ns + (dispatch_end - started_ns);
     let t_kernel_ns = job.acc_kernel_ns + (kernel_end - dispatch_end);
     let t_reduce_ns = completed_ns - kernel_end;
-    done.record_at(
-        completed_ns,
-        TraceEventKind::JobCompleted {
-            job: job.job,
-            tenant: spec.tenant,
-            t_queue_ns,
-            t_dispatch_ns,
-            t_kernel_ns,
-            t_reduce_ns,
-        },
-    );
-    metrics.observe(HistKind::JobQueueNs, t_queue_ns);
-    metrics.observe(HistKind::JobServiceNs, completed_ns - started_ns);
-    metrics.observe(HistKind::JobTotalNs, completed_ns - job.submitted_ns);
     let completed = EventKind::JobCompleted {
         job: job.job,
         tenant: spec.tenant,
@@ -1128,9 +1090,11 @@ fn execute_job(
         t_kernel_ns,
         t_reduce_ns,
     };
-    if let Some(line) = job_event_json_line(completed_ns, &completed) {
-        shared.journal_push(line);
-    }
+    let line = record_job(done, completed_ns, completed);
+    metrics.observe(HistKind::JobQueueNs, t_queue_ns);
+    metrics.observe(HistKind::JobServiceNs, completed_ns - started_ns);
+    metrics.observe(HistKind::JobTotalNs, completed_ns - job.submitted_ns);
+    shared.journal_push(line);
     // Fold this service time into the Retry-After estimate (integer
     // EWMA, alpha = 1/8; first sample seeds it).
     let service = completed_ns - started_ns;
@@ -1172,7 +1136,7 @@ fn telemetry_tick(
     }
     for (ring, cursor) in trace.threads.iter().zip(cursors.iter_mut()) {
         for ev in &ring.events[*cursor..] {
-            if let TraceEventKind::DegreeDecision { degree, waiting, n_spes, window, window_fill, u } =
+            if let EventKind::DegreeDecision { degree, waiting, n_spes, window, window_fill, u } =
                 ev.kind
             {
                 let d = LiveDecision {
@@ -1373,19 +1337,13 @@ fn handle_job_post(stream: &mut TcpStream, shared: &Shared, body: &str) {
             let job = q.next_id();
             let (depth, cap) = (q.depth, q.cap);
             q.stats.entry(spec.tenant).or_default().rejected += 1;
-            q.admit.record_at(
-                at,
-                TraceEventKind::JobRejected { job, tenant: spec.tenant, queue_depth: depth, queue_cap: cap },
-            );
             let rejected = EventKind::JobRejected {
                 job,
                 tenant: spec.tenant,
                 queue_depth: depth,
                 queue_cap: cap,
             };
-            if let Some(line) = job_event_json_line(at, &rejected) {
-                shared.journal_push(line);
-            }
+            shared.journal_push(record_job(&q.admit, at, rejected));
             Verdict::Full { job, depth, cap, retry_after: shared.retry_after_s(depth) }
         } else {
             let at = q.stamp(shared.tracer.now_ns());
@@ -1404,19 +1362,6 @@ fn handle_job_post(stream: &mut TcpStream, shared: &Shared, body: &str) {
             q.activate(spec.tenant);
             q.stats.entry(spec.tenant).or_default().admitted += 1;
             let (depth, cap) = (q.depth, q.cap);
-            q.admit.record_at(
-                at,
-                TraceEventKind::JobSubmitted {
-                    job,
-                    tenant: spec.tenant,
-                    taxa: spec.taxa,
-                    sites: spec.sites,
-                    bootstraps: spec.bootstraps,
-                    deadline_ns: spec.deadline_ns,
-                    queue_depth: depth,
-                    queue_cap: cap,
-                },
-            );
             let submitted = EventKind::JobSubmitted {
                 job,
                 tenant: spec.tenant,
@@ -1427,9 +1372,7 @@ fn handle_job_post(stream: &mut TcpStream, shared: &Shared, body: &str) {
                 queue_depth: depth,
                 queue_cap: cap,
             };
-            if let Some(line) = job_event_json_line(at, &submitted) {
-                shared.journal_push(line);
-            }
+            shared.journal_push(record_job(&q.admit, at, submitted));
             Verdict::Admitted { job, depth, cap }
         }
     };
