@@ -2,11 +2,14 @@
 //! work-sharing, PPE-gate switching, and pure policy decision throughput.
 
 use std::ops::Range;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mgps_runtime::native::{LoopBody, LoopSite, SpeContext, SpePool, TeamRunner};
+use mgps_runtime::native::{
+    LoopBody, LoopSite, MgpsRuntime, RuntimeConfig, SpeContext, SpePool, TeamRunner,
+};
+use mgps_runtime::policy::hybrid::SchedulerKind;
 use mgps_runtime::policy::chunk::partition;
 use mgps_runtime::policy::mgps::{MgpsConfig, MgpsScheduler};
 use mgps_runtime::policy::types::TaskId;
@@ -36,6 +39,37 @@ fn micro(c: &mut Criterion) {
     g.bench_function("offload_round_trip", |b| {
         b.iter(|| pool.offload(|_| 42u64).wait().unwrap())
     });
+
+    // Two worker processes off-loading at once, wall per off-load. The
+    // single-caller probe above pays one cross-CPU wake-up each way whatever
+    // the pool does; this one is where SPE placement shows: each process
+    // keeps meeting the same SPE thread, or keeps waking a parked one.
+    let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
+    g.bench_function("offload_round_trip_two_processes", |b| {
+        b.iter_custom(|iters| {
+            // Long enough bursts that thread start-up is not what is timed;
+            // scaled back to the `iters` asked for.
+            let each = (iters / 2).max(2_000);
+            let start_line = Barrier::new(3);
+            let elapsed = std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        let mut ctx = rt.enter_process();
+                        let body = Arc::new(Sum(8));
+                        start_line.wait();
+                        for _ in 0..each {
+                            ctx.offload_loop(LoopSite(2), Arc::clone(&body)).unwrap();
+                        }
+                    });
+                }
+                start_line.wait();
+                Instant::now()
+            })
+            .elapsed();
+            elapsed.mul_f64(iters as f64 / (2 * each) as f64)
+        })
+    });
+    drop(rt);
 
     let runner = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
     for degree in [1usize, 2, 4, 8] {

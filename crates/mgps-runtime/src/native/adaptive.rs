@@ -27,6 +27,7 @@ use crate::policy::granularity::{GranularityController, GranularityDecision};
 use crate::policy::hybrid::SchedulerKind;
 use crate::policy::mgps::{Directive, MgpsConfig, MgpsScheduler};
 use crate::policy::types::{KernelKind, TaskId};
+use crate::policy::SpeId;
 
 /// Construction parameters for a native runtime.
 #[derive(Debug, Clone, Copy)]
@@ -283,7 +284,14 @@ impl MgpsRuntime {
     pub fn enter_process(&self) -> ProcessCtx<'_> {
         let proc = self.next_proc.fetch_add(1, Ordering::Relaxed);
         let trace = self.tracer.as_ref().map(|t| t.handle());
-        ProcessCtx { token: self.gate.enter(), rt: self, ppe_scratch: None, proc, trace }
+        ProcessCtx {
+            token: self.gate.enter(),
+            rt: self,
+            ppe_scratch: None,
+            proc,
+            trace,
+            last_spe: None,
+        }
     }
 
     /// Tear down, returning per-SPE statistics.
@@ -478,6 +486,9 @@ pub struct ProcessCtx<'rt> {
     /// This process's tracing ring (off-load / context-switch / MGPS
     /// decision records), if the runtime was built with a tracer.
     trace: Option<TraceHandle>,
+    /// The SPE that ran this process's last single-SPE off-load; the pool
+    /// hands it back while it is idle (see `SpePool::offload_near`).
+    last_spe: Option<SpeId>,
 }
 
 impl ProcessCtx<'_> {
@@ -514,9 +525,10 @@ impl ProcessCtx<'_> {
         let degree = rt.current_degree();
         let proc = self.proc;
         let trace = self.trace.as_ref();
+        let near = &mut self.last_spe;
         let result = self.token.offload_traced(trace.map(|t| (t, proc)), || {
             let tt = trace.map(|handle| TraceTask { handle, proc, task: task.0 });
-            rt.runner.parallel_reduce_traced(site, degree, body, tt)
+            rt.runner.parallel_reduce_near(site, degree, body, tt, near).map(|(acc, _)| acc)
         });
         rt.inflight.fetch_sub(1, Ordering::Relaxed);
         rt.metrics.observe(HistKind::TaskDurNs, rt.ns().saturating_sub(started_ns));
@@ -552,8 +564,11 @@ impl ProcessCtx<'_> {
                 FaultRound::Run { lead, degree } => {
                     let tt = trace.map(|handle| TraceTask { handle, proc, task: task.0 });
                     let attempt_body = Arc::clone(&body);
+                    let near = &mut self.last_spe;
                     let r = self.token.offload_traced(trace.map(|t| (t, proc)), || {
-                        rt.runner.parallel_reduce_traced(site, degree, attempt_body, tt)
+                        rt.runner
+                            .parallel_reduce_near(site, degree, attempt_body, tt, near)
+                            .map(|(acc, _)| acc)
                     });
                     rt.fault_success(lead, trace);
                     break r;
@@ -925,19 +940,109 @@ mod tests {
             Arc::<AtomicMetrics>::clone(&metrics),
         );
         run_workers(&rt, 4, 8, 100);
-        let switches = rt.context_switches();
-        // SPE-side accounting (task completions, durations) lands *after*
-        // the result is delivered to the waiting PPE thread, so exact
-        // totals are only guaranteed once shutdown has joined the SPE
-        // workers. Live scrapes are eventually consistent by design; the
-        // contract asserted here is the final post-join totals.
-        rt.shutdown();
+        // SPE-side accounting lands *before* a result is delivered to the
+        // waiting PPE thread, so the totals are exact as soon as the
+        // workers have their results — no shutdown/join needed.
         assert_eq!(metrics.get(Counter::Offloads), 32);
         assert_eq!(metrics.get(Counter::TasksCompleted), 32);
-        assert_eq!(metrics.get(Counter::CtxSwitchOffload), switches);
+        assert_eq!(rt.idle_spes(), 8);
+        assert_eq!(metrics.get(Counter::CtxSwitchOffload), rt.context_switches());
         assert!(metrics.get(Counter::CtxSwitchOffload) >= 32);
         let snap = metrics.snapshot();
         assert_eq!(snap.hist_count(HistKind::TaskDurNs), 32);
+    }
+
+    /// Reports the SPE each invocation ran on; with `meet`, blocks until
+    /// both processes' invocations are running (so on two different SPEs).
+    struct WhichSpe {
+        meet: Option<Arc<std::sync::Barrier>>,
+    }
+
+    impl LoopBody for WhichSpe {
+        type Acc = usize;
+        fn len(&self) -> usize {
+            1
+        }
+        fn identity(&self) -> usize {
+            usize::MAX
+        }
+        fn run_chunk(&self, _range: Range<usize>, ctx: &mut SpeContext) -> usize {
+            if let Some(barrier) = &self.meet {
+                barrier.wait();
+            }
+            ctx.id.0
+        }
+        fn merge(&self, a: usize, b: usize) -> usize {
+            a.min(b)
+        }
+    }
+
+    #[test]
+    fn consecutive_offloads_of_one_process_run_on_one_spe() {
+        let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
+        let mut ctx = rt.enter_process();
+        // Make SPE 5 the last one used, from deep in the idle stack.
+        ctx.last_spe = Some(SpeId(5));
+        for _ in 0..50 {
+            let spe = ctx.offload_loop(LoopSite(1), Arc::new(WhichSpe { meet: None })).unwrap();
+            assert_eq!(spe, 5);
+        }
+        // A second process starts without a preference: the LIFO top.
+        let mut other = rt.enter_process();
+        let first = other.offload_loop(LoopSite(1), Arc::new(WhichSpe { meet: None })).unwrap();
+        assert_eq!(first, 5, "SPE 5 was the last to go idle");
+        assert_eq!(other.last_spe, Some(SpeId(5)));
+    }
+
+    #[test]
+    fn two_processes_each_settle_on_their_own_spe() {
+        let tracer = Tracer::with_default_capacity();
+        let rt = MgpsRuntime::with_observability(
+            RuntimeConfig::cell(SchedulerKind::Edtlp),
+            Arc::new(NopMetrics),
+            Some(Arc::clone(&tracer)),
+        );
+        const WARM: usize = 1;
+        const STEADY: usize = 200;
+        let meet = Arc::new(std::sync::Barrier::new(2));
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let (rt, meet) = (&rt, Arc::clone(&meet));
+                scope.spawn(move || {
+                    let mut ctx = rt.enter_process();
+                    // Warm-up: both kernels in flight at once, hence on
+                    // two SPEs, whatever the processes preferred before.
+                    for _ in 0..WARM {
+                        let body = Arc::new(WhichSpe { meet: Some(Arc::clone(&meet)) });
+                        ctx.offload_loop(LoopSite(1), body).unwrap();
+                    }
+                    for _ in 0..STEADY {
+                        ctx.offload_loop(LoopSite(1), Arc::new(WhichSpe { meet: None })).unwrap();
+                    }
+                });
+            }
+        });
+        // Each process's SPE is idle again whenever that process off-loads
+        // (completion after idle) and the other never asks for it, so from
+        // the warm-up on every TaskStart of a process names one SPE.
+        let log = tracer.drain();
+        let mut teams: [Vec<Vec<usize>>; 2] = Default::default();
+        let mut events: Vec<_> = log.threads.iter().flat_map(|t| &t.events).collect();
+        events.sort_by_key(|e| e.at_ns);
+        for e in events {
+            if let EventKind::TaskStart { proc, team, .. } = &e.kind {
+                teams[*proc].push(team.clone());
+            }
+        }
+        for (proc, seen) in teams.iter().enumerate() {
+            assert_eq!(seen.len(), WARM + STEADY);
+            let steady = &seen[WARM - 1..];
+            assert!(
+                steady.iter().all(|team| team == &steady[0]),
+                "process {proc} moved between SPEs: {steady:?}"
+            );
+        }
+        assert_ne!(teams[0][WARM], teams[1][WARM], "one SPE each");
     }
 
     #[test]

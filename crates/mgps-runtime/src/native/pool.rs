@@ -7,6 +7,31 @@
 //! available"). Teams for work-shared loops are *reserved* — removed from
 //! the idle set atomically — and addressed directly, mirroring how a master
 //! SPE signals its workers without going through the PPE.
+//!
+//! # Completion after idle, and the completion cell
+//!
+//! An off-load's result travels through a one-shot `Completion` cell
+//! shared by the job, the worker and the [`OffloadHandle`] — one `Arc`, no
+//! channel. The job only *parks* its return value there. The worker then
+//! books the completion (`completed`, metrics, the panic count), returns
+//! its SPE to the idle set (or takes the next queued job), and only after
+//! that *publishes* the cell and wakes the waiter. So "`wait()` returned"
+//! implies "that SPE is idle again and accounted for", and a contained
+//! panic is an `Err` published the same way. The order is also what makes
+//! dispatch cheap: the woken process usually runs at once on the waker's
+//! CPU, and were the SPE still on its way back to the idle set the
+//! process's next off-load would find it busy and have to wake a parked
+//! one — a halted-CPU wake-up costing several times the kernel it ships.
+//!
+//! # Process→SPE affinity
+//!
+//! `SpePool::offload_near` takes the SPE that ran the caller's previous
+//! task and hands it back when it is idle, falling back to the LIFO pop
+//! otherwise: it never waits for the preferred SPE, and a quarantined one
+//! is never idle. With the rule above, a process that off-loads one task
+//! at a time keeps talking to one SPE thread, the locality-aware placement
+//! the paper lists as future work (§6). [`SpePool::offload`] keeps the
+//! plain LIFO placement.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,8 +52,15 @@ use crate::tracing::{TraceHandle, Tracer};
 /// A unit of work executed on a virtual SPE.
 pub type Job = Box<dyn FnOnce(&mut SpeContext) + Send>;
 
+/// A job and, for off-loads that return a value, the cell the worker
+/// publishes once the SPE is idle again.
+struct Task {
+    job: Job,
+    done: Option<Arc<dyn Publish>>,
+}
+
 enum WorkerMsg {
-    Run(Job),
+    Run(Task),
     Shutdown,
 }
 
@@ -56,37 +88,125 @@ impl std::fmt::Display for OffloadError {
 
 impl std::error::Error for OffloadError {}
 
+/// Where an off-load's result is in its one-shot life.
+enum Slot<T> {
+    /// The job has not returned.
+    Running,
+    /// What the job returned, parked until the worker publishes it.
+    Returned(T),
+    /// Published: the result, or the contained panic.
+    Done(Result<T, OffloadError>),
+    /// The handle has taken the published result.
+    Taken,
+}
+
+impl<T> Slot<T> {
+    fn take_done(&mut self) -> Option<Result<T, OffloadError>> {
+        match std::mem::replace(self, Slot::Taken) {
+            Slot::Done(outcome) => Some(outcome),
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+}
+
+struct Cell<T> {
+    slot: Slot<T>,
+    /// The handle is blocked in `wait`. A publisher that finds it unset
+    /// skips the condvar (a futex call even with nobody there); set and
+    /// read under the cell's lock, so the wake-up cannot be lost.
+    parked: bool,
+}
+
+/// The one-shot completion cell of an off-load (see the module doc).
+struct Completion<T> {
+    cell: Mutex<Cell<T>>,
+    ready: Condvar,
+}
+
+/// The worker's type-erased view of a [`Completion`].
+trait Publish: Send + Sync {
+    /// Make the parked result — or, if the job `panicked` or never ran,
+    /// [`OffloadError::TaskPanicked`] — visible to the handle and wake it.
+    fn publish(&self, panicked: bool);
+}
+
+impl<T> Completion<T> {
+    fn new() -> Completion<T> {
+        Completion {
+            cell: Mutex::new(Cell { slot: Slot::Running, parked: false }),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Called by the job with its return value.
+    fn park(&self, value: T) {
+        self.cell.lock().slot = Slot::Returned(value);
+    }
+}
+
+impl<T: Send> Publish for Completion<T> {
+    fn publish(&self, panicked: bool) {
+        let mut cell = self.cell.lock();
+        let outcome = match std::mem::replace(&mut cell.slot, Slot::Taken) {
+            Slot::Returned(value) if !panicked => Ok(value),
+            _ => Err(OffloadError::TaskPanicked),
+        };
+        cell.slot = Slot::Done(outcome);
+        let parked = cell.parked;
+        // Unlock first: the woken handle re-takes this lock.
+        drop(cell);
+        if parked {
+            self.ready.notify_one();
+        }
+    }
+}
+
 /// Completion handle for an off-loaded task.
-#[derive(Debug)]
 pub struct OffloadHandle<T> {
-    rx: Receiver<T>,
+    done: Arc<Completion<T>>,
+}
+
+impl<T> std::fmt::Debug for OffloadHandle<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("OffloadHandle { .. }")
+    }
 }
 
 impl<T> OffloadHandle<T> {
-    /// Block until the task finishes.
+    /// Block until the task finishes. When this returns, the SPE that ran
+    /// the task is idle again (or already running the next queued job) and
+    /// the pool's counters include the task.
     ///
     /// # Errors
     /// [`OffloadError::TaskPanicked`] if the job panicked.
     pub fn wait(self) -> Result<T, OffloadError> {
-        self.rx.recv().map_err(|_| OffloadError::TaskPanicked)
+        let mut cell = self.done.cell.lock();
+        loop {
+            if let Some(outcome) = cell.slot.take_done() {
+                return outcome;
+            }
+            cell.parked = true;
+            self.done.ready.wait(&mut cell);
+            cell.parked = false;
+        }
     }
 
-    /// Non-blocking poll; `None` while the task is still running.
+    /// Non-blocking poll; `None` while the task is still running, and
+    /// again once a poll has returned the result (it is handed out once).
     ///
     /// # Errors
     /// [`OffloadError::TaskPanicked`] if the job panicked.
     pub fn try_wait(&self) -> Result<Option<T>, OffloadError> {
-        match self.rx.try_recv() {
-            Ok(v) => Ok(Some(v)),
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(OffloadError::TaskPanicked),
-        }
+        self.done.cell.lock().slot.take_done().transpose()
     }
 }
 
 struct PoolState {
     idle: Vec<SpeId>,
-    pending: std::collections::VecDeque<Job>,
+    pending: std::collections::VecDeque<Task>,
     /// Last code image resident on each SPE (None before any image load).
     /// Maintained by the workers; used for affinity placement — the
     /// memory-aware scheduling the paper lists as future work (§6).
@@ -96,6 +216,22 @@ struct PoolState {
     /// team that started after its quarantine); it sits out — neither idle
     /// nor busy — until re-admitted.
     quarantined: Vec<bool>,
+    /// Threads blocked in [`SpePool::reserve`]. They register and wait
+    /// under this lock, and whoever grows `idle` reads the count under it
+    /// too: either the waiter sees the new idle SPE before it sleeps, or
+    /// the count is already nonzero and it is notified. With no team
+    /// forming — every single-SPE off-load — returning an SPE to the idle
+    /// set skips the condvar, a futex call even with no one waiting.
+    reserve_waiters: usize,
+}
+
+impl PoolState {
+    /// Return `spe` to the idle set. True when a [`SpePool::reserve`]
+    /// waiter is registered: notify `idle_changed` after unlocking.
+    fn go_idle(&mut self, spe: SpeId) -> bool {
+        self.idle.push(spe);
+        self.reserve_waiters > 0
+    }
 }
 
 struct Shared {
@@ -176,6 +312,7 @@ impl SpePool {
                 pending: std::collections::VecDeque::new(),
                 resident: vec![None; n_spes],
                 quarantined: vec![false; n_spes],
+                reserve_waiters: 0,
             }),
             idle_changed: Condvar::new(),
             panics: AtomicU64::new(0),
@@ -270,14 +407,16 @@ impl SpePool {
         }
         st.quarantined[spe] = false;
         match st.pending.pop_front() {
-            Some(job) => {
+            Some(task) => {
                 drop(st);
-                self.direct[spe].send(WorkerMsg::Run(job)).expect("virtual SPE thread hung up");
+                self.send(SpeId(spe), task);
             }
             None => {
-                st.idle.push(SpeId(spe));
+                let wake = st.go_idle(SpeId(spe));
                 drop(st);
-                self.shared.idle_changed.notify_all();
+                if wake {
+                    self.shared.idle_changed.notify_all();
+                }
             }
         }
         true
@@ -311,13 +450,25 @@ impl SpePool {
         T: Send + 'static,
         F: FnOnce(&mut SpeContext) -> T + Send + 'static,
     {
-        let (tx, rx) = bounded(1);
-        let job: Job = Box::new(move |ctx| {
-            let out = f(ctx);
-            let _ = tx.send(out);
+        self.offload_near(None, f)
+    }
+
+    /// [`Self::offload`], preferring SPE `near` — the one that ran the
+    /// caller's previous task — when it is idle. Any other idle SPE (LIFO)
+    /// is taken otherwise: the preferred one is never waited for.
+    pub(crate) fn offload_near<T, F>(&self, near: Option<SpeId>, f: F) -> OffloadHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce(&mut SpeContext) -> T + Send + 'static,
+    {
+        let (task, handle) = completing(f);
+        self.dispatch(task, |st| {
+            match near.and_then(|spe| st.idle.iter().rposition(|s| *s == spe)) {
+                Some(pos) => Some(st.idle.remove(pos)),
+                None => st.idle.pop(),
+            }
         });
-        self.submit(job);
-        OffloadHandle { rx }
+        handle
     }
 
     /// Off-load a kernel whose code image is `image` (`code_bytes` long),
@@ -334,63 +485,56 @@ impl SpePool {
         T: Send + 'static,
         F: FnOnce(&mut SpeContext) -> T + Send + 'static,
     {
-        let (tx, rx) = bounded(1);
-        let job: Job = Box::new(move |ctx| {
+        let (task, handle) = completing(move |ctx| {
             ctx.ensure_image(image, code_bytes)
                 .expect("kernel image exceeds local store");
-            let out = f(ctx);
-            let _ = tx.send(out);
+            f(ctx)
         });
-        let target = {
-            let mut st = self.shared.state.lock();
+        self.dispatch(task, |st| {
             if st.idle.is_empty() {
-                st.pending.push_back(job);
-                self.shared.metrics.incr(Counter::OffloadQueueStalls);
-                None
-            } else {
-                // Three-tier placement: a warm SPE hosting this image,
-                // else a cold SPE with no image (no eviction), else evict
-                // the least-recently-idled warm-for-someone-else SPE.
-                let pos = st
-                    .idle
-                    .iter()
-                    .rposition(|s| st.resident[s.0] == Some(image))
-                    .or_else(|| st.idle.iter().rposition(|s| st.resident[s.0].is_none()))
-                    .unwrap_or(st.idle.len() - 1);
-                let spe = st.idle.remove(pos);
-                if st.resident[spe.0] == Some(image) {
-                    self.shared.affinity_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.shared.affinity_misses.fetch_add(1, Ordering::Relaxed);
-                    st.resident[spe.0] = Some(image);
-                }
-                Some((spe, job))
+                return None;
             }
-        };
-        if let Some((spe, job)) = target {
-            self.direct[spe.0]
-                .send(WorkerMsg::Run(job))
-                .expect("virtual SPE thread hung up");
-        }
-        OffloadHandle { rx }
+            // Three-tier placement: a warm SPE hosting this image, else a
+            // cold SPE with no image (no eviction), else evict the
+            // least-recently-idled warm-for-someone-else SPE.
+            let pos = st
+                .idle
+                .iter()
+                .rposition(|s| st.resident[s.0] == Some(image))
+                .or_else(|| st.idle.iter().rposition(|s| st.resident[s.0].is_none()))
+                .unwrap_or(st.idle.len() - 1);
+            let spe = st.idle.remove(pos);
+            if st.resident[spe.0] == Some(image) {
+                self.shared.affinity_hits.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.shared.affinity_misses.fetch_add(1, Ordering::Relaxed);
+                st.resident[spe.0] = Some(image);
+            }
+            Some(spe)
+        });
+        handle
     }
 
-    /// Submit a raw job (used by the team layer).
-    pub(crate) fn submit(&self, job: Job) {
-        let target = {
-            let mut st = self.shared.state.lock();
-            match st.idle.pop() {
-                Some(spe) => Some(spe),
-                None => {
-                    st.pending.push_back(job);
-                    self.shared.metrics.incr(Counter::OffloadQueueStalls);
-                    return;
-                }
+    /// Hand `task` to the idle SPE `pick` removes from the idle set, or
+    /// queue it FIFO when `pick` finds none.
+    fn dispatch(&self, task: Task, pick: impl FnOnce(&mut PoolState) -> Option<SpeId>) {
+        let mut st = self.shared.state.lock();
+        match pick(&mut st) {
+            Some(spe) => {
+                drop(st);
+                self.send(spe, task);
             }
-        };
-        let spe = target.expect("target chosen above");
+            None => {
+                st.pending.push_back(task);
+                drop(st);
+                self.shared.metrics.incr(Counter::OffloadQueueStalls);
+            }
+        }
+    }
+
+    fn send(&self, spe: SpeId, task: Task) {
         self.direct[spe.0]
-            .send(WorkerMsg::Run(job))
+            .send(WorkerMsg::Run(task))
             .expect("virtual SPE thread hung up");
     }
 
@@ -409,15 +553,15 @@ impl SpePool {
                 let team = st.idle.split_off(at);
                 return team;
             }
+            st.reserve_waiters += 1;
             self.shared.idle_changed.wait(&mut st);
+            st.reserve_waiters -= 1;
         }
     }
 
     /// Send a job directly to a reserved SPE.
     pub(crate) fn run_on(&self, spe: SpeId, job: Job) {
-        self.direct[spe.0]
-            .send(WorkerMsg::Run(job))
-            .expect("virtual SPE thread hung up");
+        self.send(spe, Task { job, done: None });
     }
 
     /// Final statistics, consuming the pool (joins all workers).
@@ -437,8 +581,29 @@ impl SpePool {
                 }
             }
         }
+        // Off-loads still queued (possible only while every SPE that could
+        // take them is quarantined) will never run: fail their handles
+        // rather than leave a waiter blocked forever.
+        let abandoned = std::mem::take(&mut self.shared.state.lock().pending);
+        for done in abandoned.into_iter().filter_map(|task| task.done) {
+            done.publish(true);
+        }
         stats
     }
+}
+
+/// Wrap `f` as a task whose return value reaches the returned handle
+/// through a fresh completion cell.
+fn completing<T, F>(f: F) -> (Task, OffloadHandle<T>)
+where
+    T: Send + 'static,
+    F: FnOnce(&mut SpeContext) -> T + Send + 'static,
+{
+    let done = Arc::new(Completion::new());
+    let cell = Arc::clone(&done);
+    let job: Job = Box::new(move |ctx| cell.park(f(ctx)));
+    let publish: Arc<dyn Publish> = done.clone();
+    (Task { job, done: Some(publish) }, OffloadHandle { done })
 }
 
 impl Drop for SpePool {
@@ -466,8 +631,8 @@ fn worker_loop(
             Ok(m) => m,
             Err(_) => break,
         };
-        let mut job = match msg {
-            WorkerMsg::Run(j) => j,
+        let mut task = match msg {
+            WorkerMsg::Run(t) => t,
             WorkerMsg::Shutdown => break,
         };
         loop {
@@ -488,6 +653,7 @@ fn worker_loop(
                 });
             }
             ctx.begin_task();
+            let Task { job, done } = task;
             let result = catch_unwind(AssertUnwindSafe(|| job(&mut ctx)));
             // Account the job's local-store scratch as an alloc/free pair:
             // the data region is bump-allocated during the job and released
@@ -517,17 +683,21 @@ fn worker_loop(
             // quarantined SPE never reaches this point: only idle SPEs can
             // be benched, and a benched SPE is fed again only by readmit.)
             let mut st = shared.state.lock();
-            match st.pending.pop_front() {
-                Some(next) => {
-                    drop(st);
-                    job = next;
-                }
-                None => {
-                    st.idle.push(id);
-                    drop(st);
-                    shared.idle_changed.notify_all();
-                    break;
-                }
+            let next = st.pending.pop_front();
+            let wake_reservers = next.is_none() && st.go_idle(id);
+            drop(st);
+            if wake_reservers {
+                shared.idle_changed.notify_all();
+            }
+            // Completion after idle: only now may the waiter learn of the
+            // result (see the module doc). The counters above are Relaxed;
+            // the cell's lock orders them before the waiter's return.
+            if let Some(done) = done {
+                done.publish(result.is_err());
+            }
+            match next {
+                Some(t) => task = t,
+                None => break,
             }
         }
     }
@@ -539,10 +709,259 @@ fn worker_loop(
     }
 }
 
+/// The retired completion path — a one-slot channel per off-load, the
+/// reply sent from *inside* the job — kept as a differential oracle: the
+/// tests drive the same scripts through it and through the completion
+/// cell and demand identical results and counters.
+#[cfg(test)]
+mod classic {
+    use super::*;
+
+    pub struct ClassicHandle<T> {
+        rx: Receiver<T>,
+    }
+
+    impl<T> ClassicHandle<T> {
+        pub fn wait(self) -> Result<T, OffloadError> {
+            self.rx.recv().map_err(|_| OffloadError::TaskPanicked)
+        }
+
+        pub fn try_wait(&self) -> Result<Option<T>, OffloadError> {
+            match self.rx.try_recv() {
+                Ok(v) => Ok(Some(v)),
+                Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
+                Err(crossbeam::channel::TryRecvError::Disconnected) => {
+                    Err(OffloadError::TaskPanicked)
+                }
+            }
+        }
+    }
+
+    pub fn offload<T, F>(pool: &SpePool, f: F) -> ClassicHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce(&mut SpeContext) -> T + Send + 'static,
+    {
+        let (tx, rx) = bounded(1);
+        let job: Job = Box::new(move |ctx| {
+            let out = f(ctx);
+            let _ = tx.send(out);
+        });
+        pool.dispatch(Task { job, done: None }, |st| st.idle.pop());
+        ClassicHandle { rx }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// A job that blocks its SPE until the returned gate is opened.
+    fn gated<T: Send + 'static>(
+        value: T,
+    ) -> (impl FnOnce(&mut SpeContext) -> T + Send + 'static, impl FnOnce()) {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g = Arc::clone(&gate);
+        let job = move |_: &mut SpeContext| {
+            let (lock, cv) = &*g;
+            let mut open = lock.lock();
+            while !*open {
+                cv.wait(&mut open);
+            }
+            value
+        };
+        let open = move || {
+            let (lock, cv) = &*gate;
+            *lock.lock() = true;
+            cv.notify_all();
+        };
+        (job, open)
+    }
+
+    /// Spin on a handle's `try_wait` until it yields the outcome.
+    fn poll<T>(
+        mut try_wait: impl FnMut() -> Result<Option<T>, OffloadError>,
+    ) -> Result<T, OffloadError> {
+        loop {
+            match try_wait() {
+                Ok(Some(v)) => return Ok(v),
+                Ok(None) => std::thread::yield_now(),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    #[test]
+    fn wait_returns_after_the_spe_is_idle_and_accounted() {
+        let pool = SpePool::new(3, Duration::ZERO);
+        for i in 1..=100u64 {
+            assert_eq!(pool.offload(move |_| i).wait(), Ok(i));
+            assert_eq!((pool.idle_count(), pool.completed()), (3, i), "after off-load {i}");
+        }
+        // try_wait is the same hand-over: once it yields the result, the
+        // books are done.
+        let h = pool.offload(|_| 7);
+        let got = poll(|| h.try_wait());
+        assert_eq!((got, pool.idle_count(), pool.completed()), (Ok(7), 3, 101));
+        assert_eq!(h.try_wait(), Ok(None), "the result is handed out once");
+    }
+
+    #[test]
+    fn queued_offloads_publish_in_order_with_the_books_done() {
+        // One SPE, so every off-load but the first queues; the worker takes
+        // the next job *before* publishing the previous result.
+        let pool = SpePool::new(1, Duration::ZERO);
+        let (job, open) = gated(0u64);
+        let first = pool.offload(job);
+        let rest: Vec<_> = (1..6u64).map(|i| pool.offload(move |_| i)).collect();
+        open();
+        assert_eq!(first.wait(), Ok(0));
+        assert!(pool.completed() >= 1);
+        for (i, h) in rest.into_iter().enumerate() {
+            assert_eq!(h.wait(), Ok(i as u64 + 1));
+            assert!(pool.completed() >= i as u64 + 2);
+        }
+        assert_eq!((pool.idle_count(), pool.completed()), (1, 6));
+    }
+
+    #[test]
+    fn preferred_spe_is_handed_back_while_idle() {
+        let pool = SpePool::new(4, Duration::ZERO);
+        // Without a preference — or with one that names no SPE — the LIFO
+        // pop: SPE 0, which goes back on top and is popped again.
+        assert_eq!(pool.offload(|ctx| ctx.id).wait(), Ok(SpeId(0)));
+        assert_eq!(pool.offload_near(None, |ctx| ctx.id).wait(), Ok(SpeId(0)));
+        assert_eq!(pool.offload_near(Some(SpeId(9)), |ctx| ctx.id).wait(), Ok(SpeId(0)));
+        // A preference is honoured from anywhere in the idle stack.
+        for spe in [SpeId(2), SpeId(2), SpeId(3), SpeId(2), SpeId(1)] {
+            assert_eq!(pool.offload_near(Some(spe), |ctx| ctx.id).wait(), Ok(spe));
+        }
+        assert_eq!(pool.idle_count(), 4);
+    }
+
+    #[test]
+    fn busy_or_quarantined_preferred_spe_falls_back_without_blocking() {
+        let pool = SpePool::new(3, Duration::ZERO);
+        let (job, open) = gated(());
+        let busy = pool.offload_near(Some(SpeId(1)), job);
+        // SPE 1 is held by the gated job: these must complete elsewhere
+        // while it still is.
+        for _ in 0..5 {
+            let spe = pool.offload_near(Some(SpeId(1)), |ctx| ctx.id).wait().unwrap();
+            assert_ne!(spe, SpeId(1));
+        }
+        assert_eq!(busy.try_wait(), Ok(None));
+        open();
+        busy.wait().unwrap();
+
+        assert!(pool.quarantine(1));
+        for _ in 0..5 {
+            let spe = pool.offload_near(Some(SpeId(1)), |ctx| ctx.id).wait().unwrap();
+            assert_ne!(spe, SpeId(1), "a benched SPE is never picked");
+        }
+        assert!(pool.readmit(1));
+        assert_eq!(pool.offload_near(Some(SpeId(1)), |ctx| ctx.id).wait(), Ok(SpeId(1)));
+    }
+
+    #[test]
+    fn offloads_abandoned_at_shutdown_fail_their_handles() {
+        let pool = SpePool::new(1, Duration::ZERO);
+        assert!(pool.quarantine(0));
+        let h = pool.offload(|_| 1);
+        assert_eq!(pool.pending_len(), 1);
+        drop(pool);
+        assert_eq!(h.wait(), Err(OffloadError::TaskPanicked));
+    }
+
+    /// What one scripted off-load does and how its handle is consumed.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Wait(u64),
+        Poll(u64),
+        PanicWait,
+        PanicPoll,
+        /// Off-load, then drop the handle unread.
+        Forget(u64),
+    }
+
+    fn body(step: Step) -> impl FnOnce(&mut SpeContext) -> u64 + Send + 'static {
+        move |ctx| {
+            ctx.local_store.alloc(256).unwrap();
+            match step {
+                Step::Wait(v) | Step::Poll(v) | Step::Forget(v) => v * 3,
+                Step::PanicWait | Step::PanicPoll => panic!("scripted failure"),
+            }
+        }
+    }
+
+    #[test]
+    fn completion_cell_matches_the_channel_oracle_on_scripted_runs() {
+        // The differential satellite: the same seeded script of off-loads
+        // through the retired reply-inside-the-job channel and through the
+        // completion cell. Results, per-SPE totals and pool counters must
+        // be identical; only *when* they become visible may differ (the
+        // oracle has to be given time to settle, the cell must not).
+        let seed = 0x5EEDu64;
+        let script: Vec<Step> = (0..200u64)
+            .map(|i| {
+                let x = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(i.wrapping_mul(1442695040888963407));
+                match (x >> 33) % 8 {
+                    0 => Step::PanicWait,
+                    1 => Step::PanicPoll,
+                    2 => Step::Forget(i),
+                    3 | 4 => Step::Poll(i),
+                    _ => Step::Wait(i),
+                }
+            })
+            .collect();
+
+        let panics_in = |steps: &[Step]| {
+            steps.iter().filter(|s| matches!(s, Step::PanicWait | Step::PanicPoll)).count() as u64
+        };
+
+        let cell_pool = SpePool::new(2, Duration::ZERO);
+        let mut cell_results = Vec::new();
+        for (i, &step) in script.iter().enumerate() {
+            let h = cell_pool.offload(body(step));
+            match step {
+                Step::Wait(_) | Step::PanicWait => cell_results.push(h.wait()),
+                Step::Poll(_) | Step::PanicPoll => cell_results.push(poll(|| h.try_wait())),
+                Step::Forget(_) => drop(h),
+            }
+            // Exact at every step: a panicking step is always waited for.
+            assert_eq!(cell_pool.panics(), panics_in(&script[..=i]));
+        }
+
+        let classic_pool = SpePool::new(2, Duration::ZERO);
+        let mut classic_results = Vec::new();
+        for &step in &script {
+            let h = classic::offload(&classic_pool, body(step));
+            match step {
+                Step::Wait(_) | Step::PanicWait => classic_results.push(h.wait()),
+                Step::Poll(_) | Step::PanicPoll => classic_results.push(poll(|| h.try_wait())),
+                Step::Forget(_) => drop(h),
+            }
+        }
+
+        assert_eq!(cell_results, classic_results);
+        // Shutdown joins the workers, which settles the oracle's counters.
+        let counters = |pool: SpePool| {
+            let shared = Arc::clone(&pool.shared);
+            let stats = pool.shutdown();
+            (
+                shared.completed.load(Ordering::Relaxed),
+                shared.panics.load(Ordering::Relaxed),
+                stats.iter().map(|s| s.tasks_run).sum::<u64>(),
+                stats.iter().map(|s| s.local_store_high_water).max(),
+            )
+        };
+        let want = (script.len() as u64, panics_in(&script), script.len() as u64, Some(256));
+        assert_eq!(counters(cell_pool), want);
+        assert_eq!(counters(classic_pool), want);
+    }
 
     #[test]
     fn offload_runs_and_returns_value() {
@@ -618,12 +1037,9 @@ mod tests {
         let pool = SpePool::new(1, Duration::ZERO);
         let h = pool.offload::<(), _>(|_| panic!("injected failure"));
         assert_eq!(h.wait(), Err(OffloadError::TaskPanicked));
-        // The disconnect is observable mid-unwind, before the worker books
-        // the panic; wait for the counter rather than racing it.
-        while pool.panics() == 0 {
-            std::thread::yield_now();
-        }
+        // Published after the books are done: no waiting for the counter.
         assert_eq!(pool.panics(), 1);
+        assert_eq!((pool.completed(), pool.idle_count()), (1, 1));
         // The same (only) SPE still serves work.
         let h2 = pool.offload(|_| "alive");
         assert_eq!(h2.wait().unwrap(), "alive");
@@ -632,30 +1048,11 @@ mod tests {
     #[test]
     fn try_wait_polls_without_blocking() {
         let pool = SpePool::new(1, Duration::ZERO);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        let h = pool.offload(move |_| {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock();
-            while !*open {
-                cv.wait(&mut open);
-            }
-            99
-        });
+        let (job, open) = gated(99);
+        let h = pool.offload(job);
         assert_eq!(h.try_wait().unwrap(), None);
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        // Spin until done.
-        loop {
-            if let Some(v) = h.try_wait().unwrap() {
-                assert_eq!(v, 99);
-                break;
-            }
-            std::thread::yield_now();
-        }
+        open();
+        assert_eq!(poll(|| h.try_wait()), Ok(99));
     }
 
     #[test]
@@ -763,21 +1160,10 @@ mod tests {
     #[test]
     fn busy_spes_cannot_be_quarantined() {
         let pool = SpePool::new(1, Duration::ZERO);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        let h = pool.offload(move |_| {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock();
-            while !*open {
-                cv.wait(&mut open);
-            }
-        });
+        let (job, open) = gated(());
+        let h = pool.offload(job);
         assert!(!pool.quarantine(0), "a busy SPE must not be benched");
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
+        open();
         h.wait().unwrap();
         assert_eq!(pool.healthy_count(), 1);
     }

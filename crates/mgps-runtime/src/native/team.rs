@@ -15,13 +15,14 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::bounded;
 
-use super::sync::Mutex;
+use super::sync::{AtomicU64, Mutex, Ordering};
 
 use super::context::SpeContext;
 use super::pool::{OffloadError, SpePool};
 use crate::events::EventKind;
 use crate::policy::balance::{LoadBalancer, LoopObservation};
 use crate::policy::chunk::partition;
+use crate::policy::SpeId;
 use crate::tracing::TraceHandle;
 
 /// Notional size of a worker's loop-argument DMA fetch, bytes. Real Cell
@@ -99,7 +100,7 @@ pub struct TeamRunner {
     /// Simulated worker startup latency (the DMA fetch of loop arguments
     /// in `fetch_data()`); zero disables the stall.
     worker_startup: Duration,
-    invocations: Mutex<u64>,
+    invocations: AtomicU64,
 }
 
 impl TeamRunner {
@@ -109,7 +110,7 @@ impl TeamRunner {
             pool,
             balancers: Mutex::new(HashMap::new()),
             worker_startup,
-            invocations: Mutex::new(0),
+            invocations: AtomicU64::new(0),
         }
     }
 
@@ -120,7 +121,7 @@ impl TeamRunner {
 
     /// Number of team invocations executed.
     pub fn invocations(&self) -> u64 {
-        *self.invocations.lock()
+        self.invocations.load(Ordering::Relaxed)
     }
 
     /// The current master bias for `site` (0.0 before any invocation).
@@ -173,7 +174,7 @@ impl TeamRunner {
         self.parallel_reduce_timed_traced(site, degree, body, None)
     }
 
-    /// The traced-and-timed kernel under all `parallel_reduce*` variants.
+    /// As [`Self::parallel_reduce_traced`], also returning invocation timing.
     pub fn parallel_reduce_timed_traced<B: LoopBody>(
         &self,
         site: LoopSite,
@@ -181,9 +182,24 @@ impl TeamRunner {
         body: Arc<B>,
         trace: Option<TraceTask<'_>>,
     ) -> Result<(B::Acc, TeamTiming), OffloadError> {
+        self.parallel_reduce_near(site, degree, body, trace, &mut None)
+    }
+
+    /// The kernel under all `parallel_reduce*` variants. `near` is the
+    /// caller's SPE affinity for single-SPE off-loads: the SPE that ran its
+    /// previous one is preferred (see `SpePool::offload_near`) and the one
+    /// that ran this one is written back. Teams neither read nor write it.
+    pub(crate) fn parallel_reduce_near<B: LoopBody>(
+        &self,
+        site: LoopSite,
+        degree: usize,
+        body: Arc<B>,
+        trace: Option<TraceTask<'_>>,
+        near: &mut Option<SpeId>,
+    ) -> Result<(B::Acc, TeamTiming), OffloadError> {
         assert!(degree >= 1, "loop degree must be at least 1");
         let degree = degree.min(self.pool.n_spes()).min(body.len().max(1));
-        *self.invocations.lock() += 1;
+        self.invocations.fetch_add(1, Ordering::Relaxed);
 
         if degree == 1 {
             let b = Arc::clone(&body);
@@ -192,9 +208,9 @@ impl TeamRunner {
             // inside the job, where the context (and its ring) is known.
             let ids = trace.as_ref().map(|t| (t.proc, t.task));
             let started = Instant::now();
-            let acc = self
+            let (acc, spe) = self
                 .pool
-                .offload(move |ctx| {
+                .offload_near(*near, move |ctx| {
                     if let (Some((proc, task)), Some(h)) = (ids, ctx.trace()) {
                         h.record(EventKind::TaskStart {
                             proc,
@@ -216,9 +232,10 @@ impl TeamRunner {
                         }
                         h.record(EventKind::TaskEnd { proc, task, team: vec![ctx.id.0] });
                     }
-                    out
+                    (out, ctx.id)
                 })
                 .wait()?;
+            *near = Some(spe);
             let timing = TeamTiming {
                 loop_ns: started.elapsed().as_nanos() as u64,
                 ..TeamTiming::default()

@@ -21,11 +21,11 @@ use std::collections::HashMap;
 
 use super::types::KernelKind;
 
-/// Measurements below this many SPE samples never throttle: a single
+/// No verdict before this many samples of *each* version: a single
 /// wall-clock sample on a multiprogrammed host can be inflated arbitrarily
-/// by preemption, and a throttled function is only re-probed every
-/// `retry_period` requests, so one bad sample must not be able to park a
-/// profitable kernel on the PPE.
+/// by preemption. An inflated SPE sample must not park a profitable kernel
+/// on the PPE, and an inflated PPE sample must not make every call of a
+/// fine-grained kernel pay an off-load.
 pub const MIN_SPE_SAMPLES: u64 = 3;
 
 /// Measured timing profile of one off-loadable function.
@@ -56,13 +56,16 @@ impl FunctionTimings {
 /// Per-function decision state for dynamic granularity control.
 ///
 /// The first request for a function is always off-loaded (optimism); after
-/// both sides have been measured, the test decides. A throttled function is
-/// retried periodically so a change in workload (e.g. a longer alignment)
-/// can re-enable off-loading.
+/// both sides have been measured, the test decides. Whichever way it went,
+/// the version the verdict keeps the function away from is re-measured
+/// periodically, so a change in workload (e.g. a longer alignment) — or a
+/// verdict reached on inflated samples — is corrected.
 #[derive(Debug)]
 pub struct GranularityController {
     profiles: HashMap<KernelKind, Profile>,
-    /// Re-probe a throttled function every `retry_period` requests.
+    /// Every `retry_period` requests, a function's request goes to the
+    /// version its verdict disfavours: the SPE for a throttled function,
+    /// the PPE copy for an off-loaded one.
     retry_period: u64,
 }
 
@@ -102,9 +105,9 @@ pub enum GranularityDecision {
 }
 
 impl GranularityController {
-    /// A controller that re-probes throttled functions every `retry_period`
-    /// requests (the paper re-probes when the runtime system changes its
-    /// parallelization strategy; a periodic probe subsumes that).
+    /// A controller that re-probes the version its verdict disfavours every
+    /// `retry_period` requests (the paper re-probes when the runtime system
+    /// changes its parallelization strategy; a periodic probe subsumes that).
     pub fn new(retry_period: u64) -> Self {
         assert!(retry_period > 0, "retry period must be positive");
         GranularityController { profiles: HashMap::new(), retry_period }
@@ -144,25 +147,27 @@ impl GranularityController {
         if p.spe_samples < MIN_SPE_SAMPLES {
             return GranularityDecision::Offload;
         }
-        // The test needs t_ppe too: probe the PPE fallback version once
-        // (the dual PPE/SPE copies of every off-loadable function exist
-        // precisely to allow this, §5.2).
-        if p.ppe_samples == 0 {
+        // The test needs t_ppe too: probe the PPE fallback version (the
+        // dual PPE/SPE copies of every off-loadable function exist
+        // precisely to allow this, §5.2), as often as the SPE one and for
+        // the same reason.
+        if p.ppe_samples < MIN_SPE_SAMPLES {
             return GranularityDecision::RunOnPpe;
         }
 
         let profitable = p.timings().offload_profitable(code_resident);
-        if profitable {
-            p.throttled = false;
+        p.throttled = !profitable;
+        // Periodic re-probe of the other version, so a workload change can
+        // be noticed. Both estimators are minima, so a clean probe repairs
+        // a verdict reached on inflated samples within one period — in
+        // off-load mode too, where the PPE copy would otherwise never be
+        // timed again.
+        let probe = p.requests.is_multiple_of(retry);
+        let offload = if probe { !profitable } else { profitable };
+        if offload {
             GranularityDecision::Offload
         } else {
-            p.throttled = true;
-            // Periodic re-probe so a workload change can be noticed.
-            if p.requests.is_multiple_of(retry) {
-                GranularityDecision::Offload
-            } else {
-                GranularityDecision::RunOnPpe
-            }
+            GranularityDecision::RunOnPpe
         }
     }
 
@@ -210,17 +215,79 @@ mod tests {
 
     #[test]
     fn warmup_requests_probe_the_ppe_fallback_once() {
+        // "Once": one warm-up round of MIN_SPE_SAMPLES probes, not one probe.
         let mut c = GranularityController::new(64);
         // Optimistic off-loads until MIN_SPE_SAMPLES measurements exist.
         for _ in 0..MIN_SPE_SAMPLES {
             assert_eq!(c.decide(KernelKind::Evaluate, false), GranularityDecision::Offload);
             c.record_spe(KernelKind::Evaluate, 5_000);
         }
-        // One PPE probe so t_ppe becomes known...
-        assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::RunOnPpe);
-        c.record_ppe(KernelKind::Evaluate, 50_000);
+        // As many PPE probes, so t_ppe is known as well as t_spe is...
+        for _ in 0..MIN_SPE_SAMPLES {
+            assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::RunOnPpe);
+            assert!(!c.is_throttled(KernelKind::Evaluate), "a probe is not a verdict");
+            c.record_ppe(KernelKind::Evaluate, 50_000);
+        }
         // ... after which the (profitable) kernel off-loads again.
         assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::Offload);
+    }
+
+    /// A controller whose warm-up of `kind` is over: MIN_SPE_SAMPLES samples
+    /// of each version, through the same calls the runtime makes.
+    fn warmed_up(
+        retry: u64,
+        kind: KernelKind,
+        spe_ns: [u64; 3],
+        ppe_ns: [u64; 3],
+    ) -> GranularityController {
+        let mut c = GranularityController::new(retry);
+        for ns in spe_ns {
+            assert_eq!(c.decide(kind, true), GranularityDecision::Offload);
+            c.record_spe(kind, ns);
+        }
+        for ns in ppe_ns {
+            assert_eq!(c.decide(kind, true), GranularityDecision::RunOnPpe);
+            c.record_ppe(kind, ns);
+        }
+        c
+    }
+
+    #[test]
+    fn one_inflated_ppe_sample_cannot_lock_a_kernel_into_offload_mode() {
+        // A ~20 µs off-load around a ~3 µs kernel. The first PPE probe is
+        // preempted; the later ones are clean, and the minimum decides.
+        let kind = KernelKind::NewView;
+        let mut c = warmed_up(64, kind, [20_000; 3], [9_000_000, 3_000, 3_100]);
+        assert_eq!(c.decide(kind, true), GranularityDecision::RunOnPpe);
+        assert!(c.is_throttled(kind));
+    }
+
+    #[test]
+    fn inflated_ppe_warmup_is_corrected_within_one_retry_period() {
+        // Every warm-up PPE probe is inflated, so the kernel tests
+        // "profitable" and off-loads — but no longer for the life of the
+        // runtime: within one period the PPE copy is probed again, and one
+        // clean sample throttles the kernel.
+        let kind = KernelKind::NewView;
+        let retry = 16;
+        let mut c = warmed_up(retry, kind, [20_000; 3], [9_000_000; 3]);
+        let mut offloads = 0;
+        for _ in 0..retry {
+            match c.decide(kind, true) {
+                GranularityDecision::Offload => {
+                    c.record_spe(kind, 20_000);
+                    offloads += 1;
+                }
+                GranularityDecision::RunOnPpe => {
+                    c.record_ppe(kind, 3_000); // the host is quiet this time
+                    break;
+                }
+            }
+            assert!(!c.is_throttled(kind));
+        }
+        assert!((1..retry).contains(&offloads), "off-load mode, then a PPE re-probe");
+        assert_eq!(c.decide(kind, true), GranularityDecision::RunOnPpe);
+        assert!(c.is_throttled(kind));
     }
 
     #[test]
@@ -230,8 +297,8 @@ mod tests {
         // SPE is slower than PPE for this one.
         for _ in 0..MIN_SPE_SAMPLES {
             c.record_spe(KernelKind::Evaluate, 50_000);
+            c.record_ppe(KernelKind::Evaluate, 20_000);
         }
-        c.record_ppe(KernelKind::Evaluate, 20_000);
         assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::RunOnPpe);
         assert!(c.is_throttled(KernelKind::Evaluate));
     }
@@ -244,7 +311,9 @@ mod tests {
         c.record_spe(KernelKind::Evaluate, 9_000_000); // preempted outlier
         c.record_spe(KernelKind::Evaluate, 40_000);
         c.record_spe(KernelKind::Evaluate, 45_000);
-        c.record_ppe(KernelKind::Evaluate, 120_000);
+        for _ in 0..MIN_SPE_SAMPLES {
+            c.record_ppe(KernelKind::Evaluate, 120_000);
+        }
         assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::Offload);
         assert!(!c.is_throttled(KernelKind::Evaluate));
     }
@@ -255,8 +324,8 @@ mod tests {
         c.set_costs(KernelKind::NewView, 0, 1_000);
         for _ in 0..MIN_SPE_SAMPLES {
             c.record_spe(KernelKind::NewView, 96_000);
+            c.record_ppe(KernelKind::NewView, 300_000);
         }
-        c.record_ppe(KernelKind::NewView, 300_000);
         for _ in 0..10 {
             assert_eq!(c.decide(KernelKind::NewView, true), GranularityDecision::Offload);
         }
@@ -269,8 +338,8 @@ mod tests {
         c.set_costs(KernelKind::Evaluate, 0, 10_000);
         for _ in 0..MIN_SPE_SAMPLES {
             c.record_spe(KernelKind::Evaluate, 50_000);
+            c.record_ppe(KernelKind::Evaluate, 20_000);
         }
-        c.record_ppe(KernelKind::Evaluate, 20_000);
         let mut offloads = 0;
         for _ in 0..8 {
             if c.decide(KernelKind::Evaluate, true) == GranularityDecision::Offload {
@@ -294,8 +363,10 @@ mod tests {
             assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::Offload);
             c.record_spe(KernelKind::Evaluate, 5_000_000); // storm-inflated
         }
-        assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::RunOnPpe);
-        c.record_ppe(KernelKind::Evaluate, 120_000);
+        for _ in 0..MIN_SPE_SAMPLES {
+            assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::RunOnPpe);
+            c.record_ppe(KernelKind::Evaluate, 120_000);
+        }
         // Verdict on the corrupt profile: throttled, as it must be — the
         // controller cannot distinguish a storm from a genuinely slow SPE.
         assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::RunOnPpe);

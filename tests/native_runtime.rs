@@ -160,3 +160,55 @@ fn runtime_shutdown_accounts_every_kernel() {
         "every off-load must appear in exactly one SPE's task count"
     );
 }
+
+#[test]
+fn a_returned_offload_has_left_its_spe_idle_and_counted() {
+    use multigrain::mgps_runtime::metrics::{AtomicMetrics, Counter};
+    use std::ops::Range;
+
+    /// Reports the SPE it ran on; panics when asked to.
+    struct Probe {
+        bomb: bool,
+    }
+    impl LoopBody for Probe {
+        type Acc = usize;
+        fn len(&self) -> usize {
+            1
+        }
+        fn identity(&self) -> usize {
+            usize::MAX
+        }
+        fn run_chunk(&self, _r: Range<usize>, ctx: &mut SpeContext) -> usize {
+            assert!(!self.bomb, "injected kernel failure");
+            ctx.id.0
+        }
+        fn merge(&self, a: usize, b: usize) -> usize {
+            a.min(b)
+        }
+    }
+
+    let metrics = Arc::new(AtomicMetrics::new());
+    let rt = MgpsRuntime::with_metrics(
+        RuntimeConfig::cell(SchedulerKind::Edtlp),
+        Arc::<AtomicMetrics>::clone(&metrics),
+    );
+    let mut ctx = rt.enter_process();
+    let mut spes = std::collections::BTreeSet::new();
+    for n in 1..=100u64 {
+        // One in ten kernels panics; its `Err` is published like a result.
+        let bomb = n % 10 == 0;
+        match ctx.offload_loop(LoopSite(1), Arc::new(Probe { bomb })) {
+            Ok(spe) => {
+                assert!(!bomb);
+                spes.insert(spe);
+            }
+            Err(e) => assert_eq!((e, bomb), (OffloadError::TaskPanicked, true)),
+        }
+        // By the time the off-load returns, the books are done: nothing
+        // here waits, yields or retries.
+        assert_eq!(rt.idle_spes(), 8, "after off-load {n}");
+        assert_eq!(metrics.get(Counter::TasksCompleted), n);
+    }
+    // And the process kept getting the SPE it used last.
+    assert_eq!(spes.len(), 1, "one process, one SPE: {spes:?}");
+}
