@@ -31,6 +31,31 @@ impl LoopBody for Sum {
     }
 }
 
+/// Wall time of `iters` off-loads issued by two worker processes of `rt`
+/// at once, at whatever loop degree `rt` runs.
+fn two_process_wall(rt: &MgpsRuntime, iters: u64) -> Duration {
+    // Long enough bursts that thread start-up is not what is timed; scaled
+    // back to the `iters` asked for.
+    let each = (iters / 2).max(2_000);
+    let start_line = Barrier::new(3);
+    let elapsed = std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let mut ctx = rt.enter_process();
+                let body = Arc::new(Sum(8));
+                start_line.wait();
+                for _ in 0..each {
+                    ctx.offload_loop(LoopSite(2), Arc::clone(&body)).unwrap();
+                }
+            });
+        }
+        start_line.wait();
+        Instant::now()
+    })
+    .elapsed();
+    elapsed.mul_f64(iters as f64 / (2 * each) as f64)
+}
+
 fn micro(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro");
     g.sample_size(20);
@@ -46,28 +71,24 @@ fn micro(c: &mut Criterion) {
     // keeps meeting the same SPE thread, or keeps waking a parked one.
     let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
     g.bench_function("offload_round_trip_two_processes", |b| {
-        b.iter_custom(|iters| {
-            // Long enough bursts that thread start-up is not what is timed;
-            // scaled back to the `iters` asked for.
-            let each = (iters / 2).max(2_000);
-            let start_line = Barrier::new(3);
-            let elapsed = std::thread::scope(|scope| {
-                for _ in 0..2 {
-                    scope.spawn(|| {
-                        let mut ctx = rt.enter_process();
-                        let body = Arc::new(Sum(8));
-                        start_line.wait();
-                        for _ in 0..each {
-                            ctx.offload_loop(LoopSite(2), Arc::clone(&body)).unwrap();
-                        }
-                    });
-                }
-                start_line.wait();
-                Instant::now()
-            })
-            .elapsed();
-            elapsed.mul_f64(iters as f64 / (2 * each) as f64)
-        })
+        b.iter_custom(|iters| two_process_wall(&rt, iters))
+    });
+    drop(rt);
+
+    // The same two shapes for a four-way work-shared loop, through the
+    // whole runtime (gate, team reservation, the off-loading thread as the
+    // team's master): one caller, then two callers whose teams share the
+    // eight SPEs.
+    let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::StaticHybrid {
+        spes_per_loop: 4,
+    }));
+    g.bench_function("team_round_trip_d4", |b| {
+        let mut ctx = rt.enter_process();
+        let body = Arc::new(Sum(8));
+        b.iter(|| ctx.offload_loop(LoopSite(3), Arc::clone(&body)).unwrap())
+    });
+    g.bench_function("team_round_trip_d4_two_processes", |b| {
+        b.iter_custom(|iters| two_process_wall(&rt, iters))
     });
     drop(rt);
 

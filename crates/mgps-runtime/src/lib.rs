@@ -17,7 +17,7 @@
 //!   adaptive master bias, and the MGPS utilization-history controller.
 //! * [`native`] — a real host-thread execution engine driven by those
 //!   policies: a virtual-SPE pool with bounded local stores, work-sharing
-//!   teams with `Pass`-style result messages, and PPE-context admission
+//!   teams mastered by the off-loading thread, and PPE-context admission
 //!   control.
 //!
 //! The companion `cellsim` crate drives the same [`policy`] types over a

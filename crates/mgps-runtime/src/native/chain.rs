@@ -9,7 +9,9 @@
 //! once; workers stay resident, receiving per-stage `(stage, carry, range)`
 //! messages from the master and answering with partial results; the master
 //! merges each stage's partials into the carry value fed to the next
-//! stage. Only the final carry returns to the calling (PPE-side) thread.
+//! stage. As in [`super::team`], the calling thread is the master: it
+//! drives the reserved master SPE's context itself (`SpePool::run_here`)
+//! and leaves with the final carry.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -213,100 +215,97 @@ impl ChainRunner {
             );
         }
 
-        // The master: drives all stages, merging partials into the carry.
-        let (res_tx, res_rx) = bounded(1);
-        let stages_m = stages.clone();
+        // The master — this thread, on the reserved master SPE's context —
+        // drives all stages, merging partials into the carry. The closure
+        // owns the channels, so the workers are released when it ends, by
+        // a panic included.
         let n_workers = workers.len();
         let worker_spes: Vec<usize> = workers.iter().map(|s| s.0).collect();
-        self.pool.run_on(
-            master,
-            Box::new(move |ctx: &mut SpeContext| {
-                let mut carry = init;
-                let mut failed = false;
-                'chain: for (si, stage) in stages_m.iter().enumerate() {
-                    let chunks = partition(stage.len(), n_workers + 1, 0.0);
-                    // The stage's effective team: master plus every worker
-                    // with a nonempty chunk (empty chunks are not sent).
-                    let stage_team = ids.map(|_| {
-                        let mut t = vec![ctx.id.0];
-                        for (w, range) in chunks[1..].iter().enumerate() {
-                            if !range.is_empty() {
-                                t.push(worker_spes[w]);
-                            }
-                        }
-                        t
-                    });
-                    if let (Some((proc, base)), Some(team)) = (ids, stage_team.clone()) {
-                        if let Some(h) = ctx.trace() {
-                            h.record(EventKind::TaskStart {
-                                proc,
-                                task: base + si as u64,
-                                degree: team.len(),
-                                team,
-                            });
+        self.pool.run_here(master, move |ctx| {
+            let mut carry = init;
+            let mut failed = false;
+            'chain: for (si, stage) in stages.iter().enumerate() {
+                let chunks = partition(stage.len(), n_workers + 1, 0.0);
+                // The stage's effective team: master plus every worker
+                // with a nonempty chunk (empty chunks are not sent).
+                let stage_team = ids.map(|_| {
+                    let mut t = vec![ctx.id.0];
+                    for (w, range) in chunks[1..].iter().enumerate() {
+                        if !range.is_empty() {
+                            t.push(worker_spes[w]);
                         }
                     }
-                    // Empty chunks are never dispatched: short stages run
-                    // on fewer members without burdening stage authors
-                    // with empty-range handling.
-                    let mut dispatched = Vec::new();
-                    for (w, range) in chunks[1..].iter().cloned().enumerate() {
-                        if range.is_empty() {
-                            continue;
-                        }
-                        if cmd_txs[w]
-                            .send(WorkerMsg::Run { stage: si, carry, range })
-                            .is_err()
-                        {
+                    t
+                });
+                if let (Some((proc, base)), Some(team)) = (ids, stage_team.clone()) {
+                    if let Some(h) = ctx.trace() {
+                        h.record(EventKind::TaskStart {
+                            proc,
+                            task: base + si as u64,
+                            degree: team.len(),
+                            team,
+                        });
+                    }
+                }
+                // Empty chunks are never dispatched: short stages run
+                // on fewer members without burdening stage authors
+                // with empty-range handling.
+                let mut dispatched = Vec::new();
+                for (w, range) in chunks[1..].iter().cloned().enumerate() {
+                    if range.is_empty() {
+                        continue;
+                    }
+                    if cmd_txs[w]
+                        .send(WorkerMsg::Run { stage: si, carry, range })
+                        .is_err()
+                    {
+                        failed = true;
+                        break 'chain;
+                    }
+                    dispatched.push(w);
+                }
+                let mut acc = stage.run_chunk(carry, chunks[0].clone(), ctx);
+                if let (Some((_, base)), Some(h)) = (ids, ctx.trace()) {
+                    if !chunks[0].is_empty() {
+                        h.record(EventKind::Chunk {
+                            task: base + si as u64,
+                            loop_iters: stage.len(),
+                            start: chunks[0].start,
+                            len: chunks[0].len(),
+                            worker: ctx.id.0,
+                        });
+                    }
+                }
+                for &w in &dispatched {
+                    match pass_rxs[w].recv() {
+                        Ok(p) => acc = stage.merge(acc, p),
+                        Err(_) => {
+                            // That worker panicked; its channel closed.
                             failed = true;
                             break 'chain;
                         }
-                        dispatched.push(w);
-                    }
-                    let mut acc = stage.run_chunk(carry, chunks[0].clone(), ctx);
-                    if let (Some((_, base)), Some(h)) = (ids, ctx.trace()) {
-                        if !chunks[0].is_empty() {
-                            h.record(EventKind::Chunk {
-                                task: base + si as u64,
-                                loop_iters: stage.len(),
-                                start: chunks[0].start,
-                                len: chunks[0].len(),
-                                worker: ctx.id.0,
-                            });
-                        }
-                    }
-                    for &w in &dispatched {
-                        match pass_rxs[w].recv() {
-                            Ok(p) => acc = stage.merge(acc, p),
-                            Err(_) => {
-                                // That worker panicked; its channel closed.
-                                failed = true;
-                                break 'chain;
-                            }
-                        }
-                    }
-                    carry = acc;
-                    if let (Some((proc, base)), Some(team)) = (ids, stage_team) {
-                        if let Some(h) = ctx.trace() {
-                            h.record(EventKind::TaskEnd {
-                                proc,
-                                task: base + si as u64,
-                                team,
-                            });
-                        }
                     }
                 }
-                for tx in &cmd_txs {
-                    let _ = tx.send(WorkerMsg::Done);
+                carry = acc;
+                if let (Some((proc, base)), Some(team)) = (ids, stage_team) {
+                    if let Some(h) = ctx.trace() {
+                        h.record(EventKind::TaskEnd {
+                            proc,
+                            task: base + si as u64,
+                            team,
+                        });
+                    }
                 }
-                let _ = res_tx.send(if failed { Err(()) } else { Ok(carry) });
-            }),
-        );
-
-        match res_rx.recv() {
-            Ok(Ok(v)) => Ok(v),
-            Ok(Err(())) | Err(_) => Err(OffloadError::TaskPanicked),
-        }
+            }
+            for tx in &cmd_txs {
+                let _ = tx.send(WorkerMsg::Done);
+            }
+            if failed {
+                Err(OffloadError::TaskPanicked)
+            } else {
+                Ok(carry)
+            }
+        })?
     }
 }
 

@@ -48,7 +48,10 @@ impl std::error::Error for LocalStoreExhausted {}
 /// Reset between off-loaded tasks, like the paper's stack/heap region.
 #[derive(Debug)]
 pub struct LocalStore {
+    /// Backing memory, grown on demand up to `capacity`: a context that
+    /// never stages anything never touches a quarter megabyte.
     buf: Vec<u8>,
+    capacity: usize,
     used: usize,
     code_bytes: usize,
     high_water: usize,
@@ -57,12 +60,12 @@ pub struct LocalStore {
 impl LocalStore {
     /// A local store of `capacity` bytes.
     pub fn new(capacity: usize) -> LocalStore {
-        LocalStore { buf: vec![0u8; capacity], used: 0, code_bytes: 0, high_water: 0 }
+        LocalStore { buf: Vec::new(), capacity, used: 0, code_bytes: 0, high_water: 0 }
     }
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.capacity
     }
 
     /// Bytes reserved for the resident code image.
@@ -107,6 +110,9 @@ impl LocalStore {
         let start = self.code_bytes + self.used;
         self.used += len;
         self.track();
+        if self.buf.len() < start + len {
+            self.buf.resize(start + len, 0);
+        }
         let slice = &mut self.buf[start..start + len];
         slice.fill(0);
         Ok(slice)

@@ -4,8 +4,8 @@
 //! * [`context`] — per-SPE state: bounded local store, resident code image;
 //! * [`pool`] — the virtual-SPE pool with immediate/FIFO off-load dispatch
 //!   and panic containment;
-//! * [`team`] — loop work-sharing with `Pass`-style worker→master results
-//!   and adaptive master bias;
+//! * [`team`] — loop work-sharing: the off-loading thread as the team's
+//!   master, claimable chunks, and adaptive master bias;
 //! * [`gate`] — PPE-context admission control (yield-on-offload vs
 //!   hold-during-offload);
 //! * [`adaptive`] — [`adaptive::MgpsRuntime`], tying pool, teams, gate, and

@@ -23,6 +23,17 @@
 //! process's next off-load would find it busy and have to wake a parked
 //! one — a halted-CPU wake-up costing several times the kernel it ships.
 //!
+//! # Lent contexts
+//!
+//! An SPE's [`SpeContext`] is not its thread's private state: it sits in a
+//! per-SPE slot that the SPE's current *owner* locks for the length of one
+//! job. Normally the owner is the SPE's thread. The thread that reserved a
+//! team is the owner of its master SPE: `SpePool::run_here` runs the job on
+//! the caller's thread against that SPE's context — same mailbox events,
+//! local-store accounting, counters and panic containment (`run_job` is
+//! the one copy of that protocol) — so a team's master costs no thread
+//! wake-up and no reply hand-over, and the SPE's thread stays parked.
+//!
 //! # Process→SPE affinity
 //!
 //! `SpePool::offload_near` takes the SPE that ran the caller's previous
@@ -47,7 +58,7 @@ use super::context::{ImageId, SpeContext};
 use crate::events::{EventKind, MailboxKind};
 use crate::metrics::{Counter, MetricsSink, MetricsSinkExt, NopMetrics};
 use crate::policy::SpeId;
-use crate::tracing::{TraceHandle, Tracer};
+use crate::tracing::Tracer;
 
 /// A unit of work executed on a virtual SPE.
 pub type Job = Box<dyn FnOnce(&mut SpeContext) + Send>;
@@ -234,8 +245,20 @@ impl PoolState {
     }
 }
 
+/// One virtual SPE's execution state. It lives in [`Shared`] rather than
+/// on the SPE thread's stack so that whoever currently *owns* the SPE —
+/// its thread, or the thread that reserved it ([`SpePool::run_here`]) —
+/// can drive it. Only the owner ever locks the slot, so the lock is never
+/// contended; it is there to hand the context from one owner to the next.
+struct SpeSlot {
+    ctx: SpeContext,
+    /// Code reloads already reported to the metrics sink.
+    reloads_seen: u64,
+}
+
 struct Shared {
     state: Mutex<PoolState>,
+    spes: Vec<Mutex<SpeSlot>>,
     idle_changed: Condvar,
     panics: AtomicU64,
     completed: AtomicU64,
@@ -306,6 +329,15 @@ impl SpePool {
         tracer: Option<&Tracer>,
     ) -> SpePool {
         assert!(n_spes > 0, "a pool needs at least one SPE");
+        let spes = (0..n_spes)
+            .map(|i| {
+                let mut ctx = SpeContext::new(SpeId(i), code_load_cost);
+                if let Some(t) = tracer {
+                    ctx.set_trace(t.handle());
+                }
+                Mutex::new(SpeSlot { ctx, reloads_seen: 0 })
+            })
+            .collect();
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
                 idle: (0..n_spes).rev().map(SpeId).collect(),
@@ -314,6 +346,7 @@ impl SpePool {
                 quarantined: vec![false; n_spes],
                 reserve_waiters: 0,
             }),
+            spes,
             idle_changed: Condvar::new(),
             panics: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -328,10 +361,9 @@ impl SpePool {
             // one shutdown per SPE (jobs only go to idle or reserved SPEs).
             let (tx, rx) = bounded::<WorkerMsg>(COMMAND_QUEUE_DEPTH);
             let shared_cl = Arc::clone(&shared);
-            let trace = tracer.map(|t| t.handle());
             let handle = std::thread::Builder::new()
                 .name(format!("vspe-{i}"))
-                .spawn(move || worker_loop(SpeId(i), rx, shared_cl, code_load_cost, trace))
+                .spawn(move || worker_loop(SpeId(i), rx, shared_cl))
                 .expect("spawn virtual SPE thread");
             direct.push(tx.clone());
             workers.push(Worker { tx, handle: Some(handle) });
@@ -564,6 +596,27 @@ impl SpePool {
         self.send(spe, Task { job, done: None });
     }
 
+    /// Run `job` on the calling thread as reserved SPE `spe`: the caller
+    /// drives that SPE's context itself instead of waking its thread, and
+    /// gets the job's value back without a hand-over. Everything an SPE
+    /// thread does around a job happens here too (see `run_job`), a panic
+    /// is contained the same way, and the SPE is idle again — or has been
+    /// handed the next queued off-load — when this returns.
+    ///
+    /// # Errors
+    /// [`OffloadError::TaskPanicked`] if the job panicked.
+    pub(crate) fn run_here<R>(
+        &self,
+        spe: SpeId,
+        job: impl FnOnce(&mut SpeContext) -> R,
+    ) -> Result<R, OffloadError> {
+        let outcome = run_job(&self.shared, &mut self.shared.spes[spe.0].lock(), job);
+        if let Some(task) = self.shared.retire(spe) {
+            self.send(spe, task);
+        }
+        outcome
+    }
+
     /// Final statistics, consuming the pool (joins all workers).
     pub fn shutdown(mut self) -> Vec<SpeStats> {
         self.shutdown_inner()
@@ -614,86 +667,92 @@ impl Drop for SpePool {
     }
 }
 
-fn worker_loop(
-    id: SpeId,
-    rx: Receiver<WorkerMsg>,
-    shared: Arc<Shared>,
-    code_load_cost: Duration,
-    trace: Option<TraceHandle>,
-) -> SpeStats {
-    let mut ctx = SpeContext::new(id, code_load_cost);
-    if let Some(t) = trace {
-        ctx.set_trace(t);
+impl Shared {
+    /// `spe` has finished a job: hand back the next queued off-load for it
+    /// to run, or return it to the idle set. (A quarantined SPE never gets
+    /// here: only idle SPEs can be benched, and a benched SPE is fed again
+    /// only by readmit.)
+    fn retire(&self, spe: SpeId) -> Option<Task> {
+        let mut st = self.state.lock();
+        let next = st.pending.pop_front();
+        let wake_reservers = next.is_none() && st.go_idle(spe);
+        drop(st);
+        if wake_reservers {
+            self.idle_changed.notify_all();
+        }
+        next
     }
-    let mut reloads_seen = 0u64;
-    loop {
-        let msg = match rx.recv() {
-            Ok(m) => m,
-            Err(_) => break,
-        };
-        let mut task = match msg {
-            WorkerMsg::Run(t) => t,
-            WorkerMsg::Shutdown => break,
-        };
+}
+
+/// Run one job on `slot`'s SPE and book it: the per-job protocol, the same
+/// whether the SPE's own thread or [`SpePool::run_here`]'s caller drives
+/// the context. A panic in `job` is contained, counted and returned as
+/// [`OffloadError::TaskPanicked`].
+fn run_job<R>(
+    shared: &Shared,
+    slot: &mut SpeSlot,
+    job: impl FnOnce(&mut SpeContext) -> R,
+) -> Result<R, OffloadError> {
+    let SpeSlot { ctx, reloads_seen } = slot;
+    let id = ctx.id;
+    // Model the start signal: the PPE posts the job into this SPE's
+    // inbound mailbox and the SPE drains it. Recorded back-to-back on the
+    // SPE's own ring, so the per-SPE occupancy replay the checker runs
+    // (0 → 1 → 0) is consistent by construction.
+    if let Some(h) = ctx.trace() {
+        h.record(EventKind::MailboxWrite {
+            spe: id.0,
+            mailbox: MailboxKind::Inbound,
+            occupancy: 1,
+        });
+        h.record(EventKind::MailboxRead {
+            spe: id.0,
+            mailbox: MailboxKind::Inbound,
+            occupancy: 0,
+        });
+    }
+    ctx.begin_task();
+    let result = catch_unwind(AssertUnwindSafe(|| job(ctx)));
+    // Account the job's local-store scratch as an alloc/free pair: the
+    // data region is bump-allocated during the job and released at task
+    // teardown (`begin_task` resets it lazily).
+    let scratch = ctx.local_store.used();
+    if scratch > 0 {
+        if let Some(h) = ctx.trace() {
+            h.record(EventKind::LsAlloc {
+                spe: id.0,
+                bytes: scratch,
+                in_use: scratch,
+            });
+            h.record(EventKind::LsFree { spe: id.0, bytes: scratch, in_use: 0 });
+        }
+    }
+    shared.completed.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.incr(Counter::TasksCompleted);
+    let reloads_now = ctx.code_reloads();
+    if reloads_now > *reloads_seen {
+        shared.metrics.add(Counter::CodeReloads, reloads_now - *reloads_seen);
+        *reloads_seen = reloads_now;
+    }
+    result.map_err(|_| {
+        shared.panics.fetch_add(1, Ordering::Relaxed);
+        OffloadError::TaskPanicked
+    })
+}
+
+fn worker_loop(id: SpeId, rx: Receiver<WorkerMsg>, shared: Arc<Shared>) -> SpeStats {
+    while let Ok(WorkerMsg::Run(mut task)) = rx.recv() {
         loop {
-            // Model the start signal: the PPE posts the job into this SPE's
-            // inbound mailbox and the SPE drains it. Recorded back-to-back
-            // on the SPE's own ring, so the per-SPE occupancy replay the
-            // checker runs (0 → 1 → 0) is consistent by construction.
-            if let Some(h) = ctx.trace() {
-                h.record(EventKind::MailboxWrite {
-                    spe: id.0,
-                    mailbox: MailboxKind::Inbound,
-                    occupancy: 1,
-                });
-                h.record(EventKind::MailboxRead {
-                    spe: id.0,
-                    mailbox: MailboxKind::Inbound,
-                    occupancy: 0,
-                });
-            }
-            ctx.begin_task();
             let Task { job, done } = task;
-            let result = catch_unwind(AssertUnwindSafe(|| job(&mut ctx)));
-            // Account the job's local-store scratch as an alloc/free pair:
-            // the data region is bump-allocated during the job and released
-            // at task teardown (`begin_task` resets it lazily).
-            let scratch = ctx.local_store.used();
-            if scratch > 0 {
-                if let Some(h) = ctx.trace() {
-                    h.record(EventKind::LsAlloc {
-                        spe: id.0,
-                        bytes: scratch,
-                        in_use: scratch,
-                    });
-                    h.record(EventKind::LsFree { spe: id.0, bytes: scratch, in_use: 0 });
-                }
-            }
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.incr(Counter::TasksCompleted);
-            let reloads_now = ctx.code_reloads();
-            if reloads_now > reloads_seen {
-                shared.metrics.add(Counter::CodeReloads, reloads_now - reloads_seen);
-                reloads_seen = reloads_now;
-            }
-            if result.is_err() {
-                shared.panics.fetch_add(1, Ordering::Relaxed);
-            }
-            // Pull more work if any is queued; otherwise go idle. (A
-            // quarantined SPE never reaches this point: only idle SPEs can
-            // be benched, and a benched SPE is fed again only by readmit.)
-            let mut st = shared.state.lock();
-            let next = st.pending.pop_front();
-            let wake_reservers = next.is_none() && st.go_idle(id);
-            drop(st);
-            if wake_reservers {
-                shared.idle_changed.notify_all();
-            }
+            // The slot is unlocked again before the SPE can go idle: its
+            // next owner may be a `run_here` caller on another thread.
+            let panicked = run_job(&shared, &mut shared.spes[id.0].lock(), job).is_err();
+            let next = shared.retire(id);
             // Completion after idle: only now may the waiter learn of the
             // result (see the module doc). The counters above are Relaxed;
             // the cell's lock orders them before the waiter's return.
             if let Some(done) = done {
-                done.publish(result.is_err());
+                done.publish(panicked);
             }
             match next {
                 Some(t) => task = t,
@@ -701,11 +760,12 @@ fn worker_loop(
             }
         }
     }
+    let slot = shared.spes[id.0].lock();
     SpeStats {
         id,
-        tasks_run: ctx.tasks_run(),
-        code_reloads: ctx.code_reloads(),
-        local_store_high_water: ctx.local_store.high_water(),
+        tasks_run: slot.ctx.tasks_run(),
+        code_reloads: slot.ctx.code_reloads(),
+        local_store_high_water: slot.ctx.local_store.high_water(),
     }
 }
 
@@ -1071,6 +1131,41 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(counter.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn run_here_drives_a_reserved_spe_like_its_own_thread() {
+        let pool = SpePool::new(2, Duration::ZERO);
+        let here = std::thread::current().id();
+        let spe = pool.reserve(1)[0];
+        let got = pool.run_here(spe, |ctx| {
+            ctx.local_store.alloc(512).unwrap();
+            (ctx.id, std::thread::current().id())
+        });
+        assert_eq!(got, Ok((spe, here)));
+        // Booked and idle again by the time it returns.
+        assert_eq!((pool.completed(), pool.idle_count()), (1, 2));
+
+        // A panic is contained on the calling thread, the SPE survives.
+        let spe = pool.reserve(1)[0];
+        let got = pool.run_here(spe, |_| -> u32 { panic!("injected failure") });
+        assert_eq!(got, Err(OffloadError::TaskPanicked));
+        assert_eq!((pool.completed(), pool.panics(), pool.idle_count()), (2, 1, 2));
+
+        // An off-load queued meanwhile is handed to the SPE's own thread.
+        let team = pool.reserve(2);
+        let queued = pool.offload(|ctx| (ctx.id, std::thread::current().id()));
+        assert_eq!(pool.pending_len(), 1);
+        pool.run_here(team[0], |_| ()).unwrap();
+        let (ran_on, thread) = queued.wait().unwrap();
+        assert_eq!(ran_on, team[0]);
+        assert_ne!(thread, here);
+        pool.run_here(team[1], |_| ()).unwrap();
+        assert_eq!(pool.idle_count(), 2);
+
+        let stats = pool.shutdown();
+        assert_eq!(stats.iter().map(|s| s.tasks_run).sum::<u64>(), 5);
+        assert_eq!(stats.iter().map(|s| s.local_store_high_water).max(), Some(512));
     }
 
     #[test]

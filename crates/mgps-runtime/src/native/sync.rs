@@ -27,13 +27,14 @@ pub use parking_lot::{Condvar, Mutex, MutexGuard};
 pub use self::loom_shim::{Condvar, Mutex, MutexGuard};
 
 /// Atomics, routed through loom when model-checking. The sharded PPE gate
-/// builds its per-context slot words from these so the same code is
-/// exercised by the loom models and the real runtime.
+/// builds its per-context slot words, and the team layer its chunk claim
+/// flags and countdown, from these so the same code is exercised by the
+/// loom models and the real runtime.
 #[cfg(not(loom))]
-pub use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(loom)]
-pub use loom::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+pub use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(loom)]
 mod loom_shim {

@@ -2,20 +2,33 @@
 //!
 //! One off-loaded function containing a parallel loop executes on a *team*:
 //! a master SPE plus `degree - 1` workers. The master signals the workers,
-//! runs its own (bias-enlarged) chunk, then accumulates each worker's
-//! partial result — delivered master-to-master over a `Pass`-style
-//! message, not through shared memory — and merges them into the final
-//! value. Idle periods are timed on every invocation and fed to a per-site
-//! [`LoadBalancer`] that tunes the master's head-start compensation.
+//! runs its own (bias-enlarged) chunk, and merges every chunk's partial
+//! result into the final value. Idle periods are timed on every invocation
+//! and fed to a per-site [`LoadBalancer`] that tunes the master's
+//! head-start compensation.
+//!
+//! # The off-loading thread is the master
+//!
+//! The thread that calls `parallel_reduce` reserves the team and then *is*
+//! its master: it drives the master SPE's context itself
+//! (`SpePool::run_here`) rather than waking a fourth thread to do so and
+//! waiting for that thread's reply. The loop is described once, in one
+//! shared `Round`: the chunk ranges, a claim flag and a result slot per
+//! chunk, and a countdown of unfinished chunks. Each woken worker claims
+//! its own chunk, or returns at once if it is gone; the master runs chunk
+//! 0 and then every chunk nobody has claimed yet, in index order — so a
+//! worker that wakes late costs its own wake-up, not the loop's latency,
+//! which is how the paper's master absorbs worker start-up (§5.3). The
+//! master parks only while chunks claimed by workers are unfinished, and
+//! the last finisher wakes it only if it did park. Partials are merged in
+//! chunk order, so a loop's result does not depend on who finished first.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::bounded;
-
-use super::sync::{AtomicU64, Mutex, Ordering};
+use super::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 
 use super::context::SpeContext;
 use super::pool::{OffloadError, SpePool};
@@ -68,12 +81,192 @@ pub trait LoopBody: Send + Sync + 'static {
     fn merge(&self, a: Self::Acc, b: Self::Acc) -> Self::Acc;
 }
 
-/// The worker→master completion message, mirroring the paper's `Pass`
-/// structure: the partial result (`res`), plus the completion-notification
-/// role of `sig` (the channel itself) and a timestamp for idle accounting.
-struct Pass<A> {
-    res: A,
-    finished: Instant,
+/// One chunk of a [`Round`].
+struct Chunk<A> {
+    range: Range<usize>,
+    /// Set by whoever takes the chunk, the worker it was cut for or the
+    /// master. Publishes nothing: exactly-once needs only the swap's
+    /// atomicity, so `Relaxed`.
+    claimed: AtomicBool,
+    /// Where a worker leaves its partial and the instant it finished. Still
+    /// empty once the chunk is counted down: the worker panicked.
+    partial: Mutex<Option<(A, Instant)>>,
+}
+
+/// One team invocation: what the master and its workers share.
+struct Round<B: LoopBody> {
+    body: Arc<B>,
+    total_iters: usize,
+    chunks: Vec<Chunk<B::Acc>>,
+    /// Chunks not finished yet. Workers count their chunk down after
+    /// storing its partial (`AcqRel`); the master takes off what it ran and
+    /// reads the rest with `Acquire`, so at zero every stored partial is
+    /// visible to it.
+    unfinished: AtomicUsize,
+    /// The master is blocked in [`Round::wait_for_workers`]. Whoever counts
+    /// the last chunk down reads this under the lock and skips the condvar
+    /// when unset; the master sets it and re-reads `unfinished` under the
+    /// same lock, so the wake-up cannot be lost.
+    parked: Mutex<bool>,
+    all_done: Condvar,
+    /// The traced task the chunks belong to, if the invocation is traced.
+    task: Option<u64>,
+}
+
+/// Counts a worker's claimed chunk down when dropped — on unwind too, so a
+/// panicking chunk cannot leave the master parked.
+struct CountDown<'a, B: LoopBody>(&'a Round<B>);
+
+impl<B: LoopBody> Drop for CountDown<'_, B> {
+    fn drop(&mut self) {
+        let round = self.0;
+        if round.unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let parked = *round.parked.lock();
+            if parked {
+                round.all_done.notify_one();
+            }
+        }
+    }
+}
+
+impl<B: LoopBody> Round<B> {
+    fn new(body: Arc<B>, ranges: Vec<Range<usize>>, task: Option<u64>) -> Round<B> {
+        Round {
+            total_iters: body.len(),
+            body,
+            unfinished: AtomicUsize::new(ranges.len()),
+            chunks: ranges
+                .into_iter()
+                .map(|range| Chunk {
+                    range,
+                    claimed: AtomicBool::new(false),
+                    partial: Mutex::new(None),
+                })
+                .collect(),
+            parked: Mutex::new(false),
+            all_done: Condvar::new(),
+            task,
+        }
+    }
+
+    /// Take chunk `i`; false if someone already has.
+    fn claim(&self, i: usize) -> bool {
+        !self.chunks[i].claimed.swap(true, Ordering::Relaxed)
+    }
+
+    /// Run chunk `i` on `ctx`'s SPE, which the `Chunk` event then names.
+    fn run(&self, i: usize, ctx: &mut SpeContext) -> B::Acc {
+        let range = self.chunks[i].range.clone();
+        let acc = self.body.run_chunk(range.clone(), ctx);
+        if let (Some(task), Some(h)) = (self.task, ctx.trace()) {
+            if !range.is_empty() {
+                h.record(EventKind::Chunk {
+                    task,
+                    loop_iters: self.total_iters,
+                    start: range.start,
+                    len: range.len(),
+                    worker: ctx.id.0,
+                });
+            }
+        }
+        acc
+    }
+
+    /// Worker `i`'s job: its own chunk, unless the master got there first.
+    fn worker_share(&self, i: usize, startup: Duration, ctx: &mut SpeContext) {
+        if !self.claim(i) {
+            return;
+        }
+        let _counted = CountDown(self);
+        // fetch_data(): workers stage the argument block through local
+        // store and pay the fetch latency before their first iteration.
+        if !startup.is_zero() {
+            let staged = ctx.local_store.alloc(ARG_FETCH_BYTES).is_ok();
+            if let (Some(_), Some(h)) = (self.task, ctx.trace()) {
+                // The issue event models the argument fetch as a
+                // single-element list transfer into the start of the data
+                // region.
+                if staged {
+                    h.record(EventKind::Dma {
+                        spe: ctx.id.0,
+                        element_bytes: vec![ARG_FETCH_BYTES],
+                        local_addr: 0,
+                        main_addr: 0,
+                    });
+                }
+                // Timestamp = transfer start; the latency is the span
+                // length (mirrors the simulator's DMA span).
+                h.record(EventKind::DmaComplete {
+                    spe: ctx.id.0,
+                    bytes: ARG_FETCH_BYTES,
+                    latency_ns: startup.as_nanos() as u64,
+                });
+            }
+            spin_for(startup);
+        }
+        let acc = self.run(i, ctx);
+        *self.chunks[i].partial.lock() = Some((acc, Instant::now()));
+    }
+
+    /// The master's job: chunk 0, then every chunk still unclaimed, in
+    /// index order; their partials go to `taken[i]`. Returns chunk 0's
+    /// partial and the instant the master ran out of chunks to run.
+    fn master_share(
+        &self,
+        taken: &mut [Option<B::Acc>],
+        ctx: &mut SpeContext,
+    ) -> (B::Acc, Instant) {
+        let first = self.run(0, ctx);
+        for (i, slot) in taken.iter_mut().enumerate().skip(1) {
+            if self.claim(i) {
+                // A chunk finds the data region as empty as it would have
+                // on its own SPE.
+                ctx.local_store.reset();
+                *slot = Some(self.run(i, ctx));
+            }
+        }
+        (first, Instant::now())
+    }
+
+    /// Block until the chunks the master did not run — it ran `ran` — are
+    /// finished. Does not touch the lock when they already are.
+    fn wait_for_workers(&self, ran: usize) {
+        if self.unfinished.fetch_sub(ran, Ordering::AcqRel) == ran {
+            return;
+        }
+        let mut parked = self.parked.lock();
+        while self.unfinished.load(Ordering::Acquire) > 0 {
+            *parked = true;
+            self.all_done.wait(&mut parked);
+        }
+    }
+
+    /// Merge the partials in chunk order, once every chunk is finished.
+    /// Also returns when each worker-run chunk finished.
+    ///
+    /// # Errors
+    /// [`OffloadError::TaskPanicked`] if a worker's chunk left no partial.
+    fn merge(
+        &self,
+        first: B::Acc,
+        taken: Vec<Option<B::Acc>>,
+    ) -> Result<(B::Acc, Vec<Instant>), OffloadError> {
+        let mut acc = first;
+        let mut worker_finishes = Vec::new();
+        for (chunk, mine) in self.chunks.iter().zip(taken).skip(1) {
+            let partial = match mine {
+                Some(partial) => partial,
+                None => {
+                    let (partial, finished) =
+                        chunk.partial.lock().take().ok_or(OffloadError::TaskPanicked)?;
+                    worker_finishes.push(finished);
+                    partial
+                }
+            };
+            acc = self.body.merge(acc, partial);
+        }
+        Ok((acc, worker_finishes))
+    }
 }
 
 /// Identifies one parallel-loop site in the program, so adaptive tuning
@@ -132,9 +325,10 @@ impl TeamRunner {
     /// Run `body` work-shared across `degree` SPEs and return the reduced
     /// result. `degree == 1` degrades to a plain single-SPE off-load.
     ///
-    /// Blocks the calling thread until the loop completes (the caller is a
-    /// worker process whose PPE context handling is the
-    /// [`super::gate::PpeGate`]'s concern, not ours).
+    /// Blocks the calling thread until the loop completes; at `degree > 1`
+    /// it is the team's master and runs chunks itself (see the module
+    /// doc). The caller is a worker process whose PPE context handling is
+    /// the [`super::gate::PpeGate`]'s concern, not ours.
     ///
     /// # Errors
     /// Propagates [`OffloadError::TaskPanicked`] if any team member
@@ -151,8 +345,9 @@ impl TeamRunner {
 
     /// As [`Self::parallel_reduce`], recording task/chunk/DMA spans for the
     /// off-load identified by `trace` (see [`crate::tracing`]). Task start
-    /// and end land on the caller's ring; each team member records its own
-    /// chunk (and argument-fetch DMA) on its SPE ring.
+    /// and end land on the caller's ring; a chunk (and a worker's
+    /// argument-fetch DMA) lands on the ring of the SPE whose context ran
+    /// it — the master SPE's for every chunk the master ran.
     pub fn parallel_reduce_traced<B: LoopBody>(
         &self,
         site: LoopSite,
@@ -243,136 +438,52 @@ impl TeamRunner {
             return Ok((acc, timing));
         }
 
-        let bias = self.bias(site);
-        let total_iters = body.len();
-        let chunks = partition(total_iters, degree, bias);
+        let chunks = partition(body.len(), degree, self.bias(site));
         let team = self.pool.reserve(degree);
-        let master = team[0];
-        let workers = &team[1..];
-
-        let team_ids: Vec<usize> = team.iter().map(|s| s.0).collect();
+        let team_ids = || team.iter().map(|s| s.0).collect::<Vec<usize>>();
         if let Some(t) = &trace {
             t.handle.record(EventKind::TaskStart {
                 proc: t.proc,
                 task: t.task,
                 degree,
-                team: team_ids.clone(),
+                team: team_ids(),
             });
         }
-        let task_id = trace.as_ref().map(|t| t.task);
 
         let started = Instant::now();
-        let (pass_tx, pass_rx) = bounded::<Result<Pass<B::Acc>, ()>>(workers.len());
-
-        // "master sends signal to worker n": dispatch each worker its chunk.
-        for (w, range) in workers.iter().zip(chunks[1..].iter().cloned()) {
-            let b = Arc::clone(&body);
-            let tx = pass_tx.clone();
+        let round = Arc::new(Round::new(body, chunks, trace.as_ref().map(|t| t.task)));
+        // "master sends signal to worker n": wake each worker for its chunk.
+        for (i, w) in team.iter().enumerate().skip(1) {
+            let round = Arc::clone(&round);
             let startup = self.worker_startup;
             self.pool.run_on(
                 *w,
-                Box::new(move |ctx: &mut SpeContext| {
-                    // fetch_data(): workers stage the argument block through
-                    // local store and pay the fetch latency before their
-                    // first iteration.
-                    if !startup.is_zero() {
-                        let staged = ctx.local_store.alloc(ARG_FETCH_BYTES).is_ok();
-                        if let (Some(_), Some(h)) = (task_id, ctx.trace()) {
-                            // The issue event models the argument fetch as a
-                            // single-element list transfer into the start of
-                            // the data region.
-                            if staged {
-                                h.record(EventKind::Dma {
-                                    spe: ctx.id.0,
-                                    element_bytes: vec![ARG_FETCH_BYTES],
-                                    local_addr: 0,
-                                    main_addr: 0,
-                                });
-                            }
-                            // Timestamp = transfer start; the latency is the
-                            // span length (mirrors the simulator's DMA span).
-                            h.record(EventKind::DmaComplete {
-                                spe: ctx.id.0,
-                                bytes: ARG_FETCH_BYTES,
-                                latency_ns: startup.as_nanos() as u64,
-                            });
-                        }
-                        spin_for(startup);
-                    }
-                    let res = b.run_chunk(range.clone(), ctx);
-                    if let (Some(task), Some(h)) = (task_id, ctx.trace()) {
-                        if !range.is_empty() {
-                            h.record(EventKind::Chunk {
-                                task,
-                                loop_iters: total_iters,
-                                start: range.start,
-                                len: range.len(),
-                                worker: ctx.id.0,
-                            });
-                        }
-                    }
-                    let _ = tx.send(Ok(Pass { res, finished: Instant::now() }));
-                }),
+                Box::new(move |ctx: &mut SpeContext| round.worker_share(i, startup, ctx)),
             );
         }
-        drop(pass_tx);
-
-        // Master chunk + reduction, dispatched to the reserved master SPE.
-        let (res_tx, res_rx) = bounded(1);
-        let b = Arc::clone(&body);
-        let master_range = chunks[0].clone();
-        let n_workers = workers.len();
-        self.pool.run_on(
-            master,
-            Box::new(move |ctx: &mut SpeContext| {
-                let acc0 = b.run_chunk(master_range.clone(), ctx);
-                if let (Some(task), Some(h)) = (task_id, ctx.trace()) {
-                    if !master_range.is_empty() {
-                        h.record(EventKind::Chunk {
-                            task,
-                            loop_iters: total_iters,
-                            start: master_range.start,
-                            len: master_range.len(),
-                            worker: ctx.id.0,
-                        });
-                    }
-                }
-                let mut acc = acc0;
-                let master_finished = Instant::now();
-                let mut worker_finishes = Vec::with_capacity(n_workers);
-                let mut failed = false;
-                for _ in 0..n_workers {
-                    match pass_rx.recv() {
-                        Ok(Ok(pass)) => {
-                            acc = b.merge(acc, pass.res);
-                            worker_finishes.push(pass.finished);
-                        }
-                        // A worker panicked: its sender was dropped inside
-                        // the containment machinery; surface the failure.
-                        Ok(Err(())) | Err(_) => {
-                            failed = true;
-                            break;
-                        }
-                    }
-                }
-                let msg =
-                    if failed { Err(()) } else { Ok((acc, master_finished, worker_finishes)) };
-                let _ = res_tx.send(msg);
-            }),
-        );
-        // The calling worker-process thread — the PPE side — blocks here,
-        // exactly like an MPI process waiting on its off-loaded function.
-        let (acc, master_finished, worker_finishes) = match res_rx.recv() {
-            Ok(Ok(v)) => v,
-            Ok(Err(())) | Err(_) => return Err(OffloadError::TaskPanicked),
-        };
+        // This thread — the worker process that off-loaded the loop — is
+        // the master, on the reserved master SPE's context.
+        let mut taken: Vec<Option<B::Acc>> = (0..degree).map(|_| None).collect();
+        let (first, master_finished) =
+            self.pool.run_here(team[0], |ctx| round.master_share(&mut taken, ctx))?;
+        round.wait_for_workers(1 + taken.iter().flatten().count());
+        let (acc, worker_finishes) = round.merge(first, taken)?;
         if let Some(t) = &trace {
             t.handle
-                .record(EventKind::TaskEnd { proc: t.proc, task: t.task, team: team_ids });
+                .record(EventKind::TaskEnd { proc: t.proc, task: t.task, team: team_ids() });
         }
+        Ok((acc, self.observe(site, started, master_finished, &worker_finishes)))
+    }
 
-        let all_done = Instant::now();
-        let timing = compute_timing(started, master_finished, &worker_finishes, all_done);
+    /// Time a finished team invocation and feed `site`'s balancer.
+    fn observe(
+        &self,
+        site: LoopSite,
+        started: Instant,
+        master_finished: Instant,
+        worker_finishes: &[Instant],
+    ) -> TeamTiming {
+        let timing = compute_timing(started, master_finished, worker_finishes, Instant::now());
         self.balancers
             .lock()
             .entry(site)
@@ -382,7 +493,7 @@ impl TeamRunner {
                 mean_worker_idle_ns: timing.mean_worker_idle_ns,
                 loop_ns: timing.loop_ns,
             });
-        Ok((acc, timing))
+        timing
     }
 }
 
@@ -421,14 +532,87 @@ fn spin_for(d: Duration) {
     }
 }
 
+/// The retired team path — the master's share shipped to the reserved
+/// master SPE's thread, workers answering over a `Pass` channel, the result
+/// handed back over a reply channel — kept as a differential oracle: the
+/// tests drive one script through it and through the claimable-chunk
+/// `Round` and demand identical results and counters.
+#[cfg(test)]
+mod classic {
+    use super::*;
+    use crossbeam::channel::bounded;
+
+    /// The worker→master completion message, mirroring the paper's `Pass`
+    /// structure: the partial result plus a timestamp for idle accounting.
+    struct Pass<A> {
+        res: A,
+        finished: Instant,
+    }
+
+    pub fn parallel_reduce<B: LoopBody>(
+        runner: &TeamRunner,
+        site: LoopSite,
+        degree: usize,
+        body: Arc<B>,
+    ) -> Result<B::Acc, OffloadError> {
+        let clamped = degree.min(runner.pool.n_spes()).min(body.len().max(1));
+        if clamped == 1 {
+            return runner.parallel_reduce(site, degree, body);
+        }
+        let degree = clamped;
+        runner.invocations.fetch_add(1, Ordering::Relaxed);
+        let chunks = partition(body.len(), degree, runner.bias(site));
+        let team = runner.pool.reserve(degree);
+        let started = Instant::now();
+        let (pass_tx, pass_rx) = bounded::<Pass<B::Acc>>(degree - 1);
+        for (w, range) in team[1..].iter().zip(chunks[1..].iter().cloned()) {
+            let b = Arc::clone(&body);
+            let tx = pass_tx.clone();
+            runner.pool.run_on(
+                *w,
+                Box::new(move |ctx: &mut SpeContext| {
+                    let res = b.run_chunk(range, ctx);
+                    let _ = tx.send(Pass { res, finished: Instant::now() });
+                }),
+            );
+        }
+        drop(pass_tx);
+
+        let (res_tx, res_rx) = bounded(1);
+        let b = Arc::clone(&body);
+        let master_range = chunks[0].clone();
+        runner.pool.run_on(
+            team[0],
+            Box::new(move |ctx: &mut SpeContext| {
+                let mut acc = b.run_chunk(master_range, ctx);
+                let master_finished = Instant::now();
+                let mut worker_finishes = Vec::new();
+                // A panicked worker dropped its sender: fewer passes arrive.
+                for pass in pass_rx.iter() {
+                    acc = b.merge(acc, pass.res);
+                    worker_finishes.push(pass.finished);
+                }
+                let _ = res_tx.send((acc, master_finished, worker_finishes));
+            }),
+        );
+        let (acc, master_finished, worker_finishes) =
+            res_rx.recv().map_err(|_| OffloadError::TaskPanicked)?;
+        if worker_finishes.len() < degree - 1 {
+            return Err(OffloadError::TaskPanicked);
+        }
+        runner.observe(site, started, master_finished, &worker_finishes);
+        Ok(acc)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::native::gate::{GateMode, PpeGate};
 
     /// Sum of f(i) over 0..n — the shape of the paper's `evaluate()` loop.
     struct SumLoop {
         n: usize,
-        per_iter_spin: Duration,
     }
 
     impl LoopBody for SumLoop {
@@ -440,14 +624,7 @@ mod tests {
             0.0
         }
         fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> f64 {
-            let mut s = 0.0;
-            for i in range {
-                if !self.per_iter_spin.is_zero() {
-                    spin_for(self.per_iter_spin);
-                }
-                s += (i as f64).sqrt();
-            }
-            s
+            range.map(|i| (i as f64).sqrt()).sum()
         }
         fn merge(&self, a: f64, b: f64) -> f64 {
             a + b
@@ -458,22 +635,33 @@ mod tests {
         (0..n).map(|i| (i as f64).sqrt()).sum()
     }
 
+    fn runner(n_spes: usize) -> (Arc<SpePool>, TeamRunner) {
+        let pool = Arc::new(SpePool::new(n_spes, Duration::ZERO));
+        let tr = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
+        (pool, tr)
+    }
+
+    /// Worker jobs book themselves after their chunk is counted down, so a
+    /// returned team invocation may still have workers on their way back.
+    fn settle(pool: &SpePool) {
+        while pool.idle_count() < pool.n_spes() {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn degree_one_matches_sequential() {
-        let pool = Arc::new(SpePool::new(4, Duration::ZERO));
-        let tr = TeamRunner::new(pool, Duration::ZERO);
-        let body = Arc::new(SumLoop { n: 228, per_iter_spin: Duration::ZERO });
-        let acc = tr.parallel_reduce(LoopSite(1), 1, body).unwrap();
+        let (_pool, tr) = runner(4);
+        let acc = tr.parallel_reduce(LoopSite(1), 1, Arc::new(SumLoop { n: 228 })).unwrap();
         assert!((acc - expected_sum(228)).abs() < 1e-9);
     }
 
     #[test]
     fn all_degrees_produce_the_same_reduction() {
-        let pool = Arc::new(SpePool::new(8, Duration::ZERO));
-        let tr = TeamRunner::new(pool, Duration::ZERO);
+        let (_pool, tr) = runner(8);
         let want = expected_sum(228);
         for degree in 1..=8 {
-            let body = Arc::new(SumLoop { n: 228, per_iter_spin: Duration::ZERO });
+            let body = Arc::new(SumLoop { n: 228 });
             let acc = tr.parallel_reduce(LoopSite(2), degree, body).unwrap();
             assert!(
                 (acc - want).abs() < 1e-9,
@@ -484,60 +672,98 @@ mod tests {
 
     #[test]
     fn degree_is_clamped_to_loop_length() {
-        let pool = Arc::new(SpePool::new(8, Duration::ZERO));
-        let tr = TeamRunner::new(pool, Duration::ZERO);
-        let body = Arc::new(SumLoop { n: 3, per_iter_spin: Duration::ZERO });
-        let acc = tr.parallel_reduce(LoopSite(3), 8, body).unwrap();
+        let (_pool, tr) = runner(8);
+        let acc = tr.parallel_reduce(LoopSite(3), 8, Arc::new(SumLoop { n: 3 })).unwrap();
         assert!((acc - expected_sum(3)).abs() < 1e-12);
     }
 
     #[test]
     fn empty_loop_returns_identity() {
-        let pool = Arc::new(SpePool::new(2, Duration::ZERO));
-        let tr = TeamRunner::new(pool, Duration::ZERO);
-        let body = Arc::new(SumLoop { n: 0, per_iter_spin: Duration::ZERO });
-        let acc = tr.parallel_reduce(LoopSite(4), 4, body).unwrap();
+        let (_pool, tr) = runner(2);
+        let acc = tr.parallel_reduce(LoopSite(4), 4, Arc::new(SumLoop { n: 0 })).unwrap();
         assert_eq!(acc, 0.0);
     }
 
     #[test]
     fn spes_return_to_pool_after_team_work() {
-        let pool = Arc::new(SpePool::new(4, Duration::ZERO));
-        let tr = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
-        for _ in 0..5 {
-            let body = Arc::new(SumLoop { n: 64, per_iter_spin: Duration::ZERO });
-            tr.parallel_reduce(LoopSite(5), 4, body).unwrap();
+        let (pool, tr) = runner(4);
+        for i in 1..=5 {
+            tr.parallel_reduce(LoopSite(5), 4, Arc::new(SumLoop { n: 64 })).unwrap();
+            settle(&pool);
+            // One job per team member, whoever ran the chunks.
+            assert_eq!(pool.completed(), 4 * i);
         }
-        while pool.idle_count() < 4 {
-            std::thread::yield_now();
+    }
+
+    /// The list of chunk starts, concatenated on merge: the reduction order
+    /// made visible.
+    struct ChunkStarts {
+        n: usize,
+    }
+
+    impl LoopBody for ChunkStarts {
+        type Acc = Vec<usize>;
+        fn len(&self) -> usize {
+            self.n
         }
-        assert_eq!(pool.idle_count(), 4);
+        fn identity(&self) -> Vec<usize> {
+            Vec::new()
+        }
+        fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> Vec<usize> {
+            vec![range.start]
+        }
+        fn merge(&self, mut a: Vec<usize>, b: Vec<usize>) -> Vec<usize> {
+            a.extend(b);
+            a
+        }
+    }
+
+    #[test]
+    fn partials_merge_in_chunk_order() {
+        let (_pool, tr) = runner(8);
+        for invocation in 0..200 {
+            let degree = 2 + invocation % 7;
+            let body = Arc::new(ChunkStarts { n: 96 });
+            let starts = tr.parallel_reduce(LoopSite(6), degree, body).unwrap();
+            assert_eq!(starts.len(), degree);
+            assert!(
+                starts.windows(2).all(|w| w[0] < w[1]),
+                "invocation {invocation}, degree {degree}: merged out of chunk order: {starts:?}"
+            );
+        }
+    }
+
+    /// Panics in the chunk that holds iteration `bomb`.
+    #[derive(Clone, Copy)]
+    struct Bomb {
+        n: usize,
+        bomb: Option<usize>,
+    }
+
+    impl LoopBody for Bomb {
+        type Acc = u64;
+        fn len(&self) -> usize {
+            self.n
+        }
+        fn identity(&self) -> u64 {
+            0
+        }
+        fn run_chunk(&self, range: Range<usize>, ctx: &mut SpeContext) -> u64 {
+            ctx.local_store.alloc(128).unwrap();
+            if self.bomb.is_some_and(|b| range.contains(&b)) {
+                panic!("failure injection");
+            }
+            range.map(|i| (i as u64 + 1) * (i as u64 + 1)).sum()
+        }
+        fn merge(&self, a: u64, b: u64) -> u64 {
+            a + b
+        }
     }
 
     #[test]
     fn worker_panic_propagates_as_error() {
-        struct PanicLoop;
-        impl LoopBody for PanicLoop {
-            type Acc = u32;
-            fn len(&self) -> usize {
-                16
-            }
-            fn identity(&self) -> u32 {
-                0
-            }
-            fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> u32 {
-                if range.start > 0 {
-                    panic!("worker failure injection");
-                }
-                1
-            }
-            fn merge(&self, a: u32, b: u32) -> u32 {
-                a + b
-            }
-        }
-        let pool = Arc::new(SpePool::new(4, Duration::ZERO));
-        let tr = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
-        let err = tr.parallel_reduce(LoopSite(6), 4, Arc::new(PanicLoop));
+        let (pool, tr) = runner(4);
+        let err = tr.parallel_reduce(LoopSite(6), 4, Arc::new(Bomb { n: 16, bomb: Some(15) }));
         assert_eq!(err.unwrap_err(), OffloadError::TaskPanicked);
         // Pool remains serviceable.
         let h = pool.offload(|_| 5);
@@ -545,27 +771,217 @@ mod tests {
     }
 
     #[test]
-    fn repeated_invocations_tune_master_bias_under_startup_latency() {
-        // Wall-clock sensitive (worker startup vs per-iteration spin), so
-        // preemption from concurrently running tests can wash one attempt
-        // out; the property is that *some* fresh runner converges quickly.
-        let mut last_bias = 0.0;
-        for _attempt in 0..3 {
-            let pool = Arc::new(SpePool::new(4, Duration::ZERO));
-            // 200 µs worker startup over a ~2 ms loop: the balancer should
-            // give the master extra iterations.
-            let tr = TeamRunner::new(pool, Duration::from_micros(200));
-            let site = LoopSite(7);
-            for _ in 0..12 {
-                let body = Arc::new(SumLoop { n: 400, per_iter_spin: Duration::from_micros(5) });
-                tr.parallel_reduce(site, 4, body).unwrap();
-            }
-            assert_eq!(tr.invocations(), 12);
-            last_bias = tr.bias(site);
-            if last_bias > 0.0 {
-                return;
-            }
+    fn master_share_panic_is_contained_on_the_calling_thread() {
+        let (pool, tr) = runner(4);
+        let gate = PpeGate::new(1, GateMode::YieldOnOffload, Duration::ZERO);
+        let mut token = gate.enter();
+        // Iteration 0 is in chunk 0, which only ever runs on this thread.
+        let body = Arc::new(Bomb { n: 16, bomb: Some(0) });
+        let got = token.offload(|| tr.parallel_reduce(LoopSite(7), 4, body));
+        assert_eq!(got, Err(OffloadError::TaskPanicked));
+        // Booked by `run_here` before it returned, like on an SPE thread.
+        assert_eq!(pool.panics(), 1);
+        assert!(token.holds_context(), "the PPE context came back");
+        settle(&pool);
+        assert_eq!((pool.completed(), pool.panics()), (4, 1));
+        let body = Arc::new(SumLoop { n: 64 });
+        let sum = token.offload(|| tr.parallel_reduce(LoopSite(7), 4, body));
+        assert!((sum.unwrap() - expected_sum(64)).abs() < 1e-9);
+    }
+
+    /// Forces the schedule in which every worker runs its own chunk and
+    /// finishes after the master: chunk 0 returns only once every worker
+    /// chunk has started, and a worker chunk returns — or panics — only
+    /// once the master SPE is idle again, which `run_here` makes it after
+    /// the master's share (and its `master_finished` stamp) is done.
+    struct MasterFirst {
+        pool: Arc<SpePool>,
+        degree: usize,
+        started: AtomicUsize,
+        workers_panic: bool,
+    }
+
+    impl LoopBody for MasterFirst {
+        type Acc = u32;
+        fn len(&self) -> usize {
+            self.degree
         }
-        panic!("bias should grow under worker startup latency, got {last_bias}");
+        fn identity(&self) -> u32 {
+            0
+        }
+        fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> u32 {
+            if range.start == 0 {
+                while self.started.load(Ordering::SeqCst) < self.degree - 1 {
+                    std::thread::yield_now();
+                }
+            } else {
+                self.started.fetch_add(1, Ordering::SeqCst);
+                // The whole pool is the team, so an idle SPE is the master's.
+                while self.pool.idle_count() == 0 {
+                    std::thread::yield_now();
+                }
+                if self.workers_panic {
+                    panic!("worker failure injection");
+                }
+            }
+            1
+        }
+        fn merge(&self, a: u32, b: u32) -> u32 {
+            a + b
+        }
+    }
+
+    fn master_first(pool: &Arc<SpePool>, workers_panic: bool) -> Arc<MasterFirst> {
+        Arc::new(MasterFirst {
+            pool: Arc::clone(pool),
+            degree: pool.n_spes(),
+            started: AtomicUsize::new(0),
+            workers_panic,
+        })
+    }
+
+    #[test]
+    fn worker_panic_cannot_strand_the_master() {
+        // Every worker panics while the master is parking or parked; the
+        // drop guard must count each chunk down and the last one wake it.
+        let (pool, tr) = runner(4);
+        for round in 1..=50 {
+            let got = tr.parallel_reduce(LoopSite(8), 4, master_first(&pool, true));
+            assert_eq!(got, Err(OffloadError::TaskPanicked));
+            settle(&pool);
+            assert_eq!((pool.panics(), pool.completed()), (3 * round, 4 * round));
+        }
+        assert_eq!(tr.parallel_reduce(LoopSite(8), 4, master_first(&pool, false)), Ok(4));
+    }
+
+    #[test]
+    fn balancer_is_fed_the_master_idle_time_when_workers_finish_last() {
+        let (pool, tr) = runner(4);
+        let site = LoopSite(9);
+        let (acc, t) = tr.parallel_reduce_timed(site, 4, master_first(&pool, false)).unwrap();
+        assert_eq!(acc, 4);
+        // Every worker stamped its finish after the master's.
+        assert!(t.master_idle_ns > 0);
+        assert!(t.mean_worker_idle_ns < t.master_idle_ns);
+        assert!(t.master_idle_ns <= t.loop_ns);
+        // What the runner returned is what the balancer saw.
+        let mut fed = LoadBalancer::new(0.8, 2.0);
+        fed.observe(LoopObservation {
+            master_idle_ns: t.master_idle_ns,
+            mean_worker_idle_ns: t.mean_worker_idle_ns,
+            loop_ns: t.loop_ns,
+        });
+        assert_eq!(tr.bias(site), fed.bias());
+        assert!(tr.bias(site) > 0.0, "an idle master is given a larger share");
+    }
+
+    #[test]
+    fn timing_follows_the_finish_stamps() {
+        let started = Instant::now();
+        let at = |us| started + Duration::from_micros(us);
+        let t = compute_timing(started, at(10), &[at(5), at(30), at(20)], at(40));
+        assert_eq!(t.loop_ns, 40_000);
+        assert_eq!(t.master_idle_ns, 20_000, "slowest worker minus master");
+        assert_eq!(t.mean_worker_idle_ns, (25_000 + 10_000) / 3);
+        // The master finished last: it never idled, the workers did.
+        let t = compute_timing(started, at(30), &[at(10), at(20)], at(30));
+        assert_eq!((t.master_idle_ns, t.mean_worker_idle_ns), (0, 15_000));
+    }
+
+    #[test]
+    fn a_master_that_ran_every_chunk_reports_no_idle_time() {
+        let round = Round::new(Arc::new(SumLoop { n: 64 }), partition(64, 4, 0.0), None);
+        let ctx = |spe| SpeContext::new(SpeId(spe), Duration::ZERO);
+        let started = Instant::now();
+        let mut taken: Vec<Option<f64>> = vec![None; 4];
+        let (first, master_finished) = round.master_share(&mut taken, &mut ctx(0));
+        assert_eq!(taken.iter().flatten().count(), 3);
+        // The workers wake late, find their chunks gone and return at
+        // once, without counting anything down.
+        for i in 1..4 {
+            round.worker_share(i, Duration::from_micros(50), &mut ctx(i));
+        }
+        assert_eq!(round.unfinished.load(Ordering::SeqCst), 4);
+        round.wait_for_workers(4);
+        assert_eq!(round.unfinished.load(Ordering::SeqCst), 0);
+        let (acc, worker_finishes) = round.merge(first, taken).unwrap();
+        assert!((acc - expected_sum(64)).abs() < 1e-9);
+        assert!(worker_finishes.is_empty(), "no chunk was worker-run");
+        let t = compute_timing(started, master_finished, &worker_finishes, Instant::now());
+        assert_eq!((t.master_idle_ns, t.mean_worker_idle_ns), (0, 0));
+    }
+
+    #[test]
+    fn workers_that_got_there_first_keep_their_chunks() {
+        let round = Round::new(Arc::new(SumLoop { n: 64 }), partition(64, 4, 0.0), None);
+        let ctx = |spe| SpeContext::new(SpeId(spe), Duration::ZERO);
+        round.worker_share(1, Duration::ZERO, &mut ctx(1));
+        round.worker_share(3, Duration::ZERO, &mut ctx(3));
+        let mut taken: Vec<Option<f64>> = vec![None; 4];
+        let (first, master_finished) = round.master_share(&mut taken, &mut ctx(0));
+        assert!(taken[1].is_none() && taken[2].is_some() && taken[3].is_none());
+        round.wait_for_workers(2);
+        let (acc, worker_finishes) = round.merge(first, taken).unwrap();
+        assert!((acc - expected_sum(64)).abs() < 1e-9);
+        assert_eq!(worker_finishes.len(), 2);
+        assert!(worker_finishes.iter().all(|w| *w <= master_finished));
+    }
+
+    #[test]
+    fn claimable_chunks_match_the_channel_oracle_on_scripted_runs() {
+        // The differential satellite: one seeded script of loops — degrees
+        // 1–8, empty and short loops, a panicking chunk in some — through
+        // the retired Pass-channel team and through the claimable-chunk
+        // Round. Results and pool counters must be identical.
+        let seed = 0x7EA4u64;
+        let script: Vec<(usize, Bomb)> = (0..200u64)
+            .map(|i| {
+                let x = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(i.wrapping_mul(1442695040888963407));
+                let degree = 1 + (x >> 33) as usize % 8;
+                let n = [0, 1, 3, 17, 64, 228][(x >> 40) as usize % 6];
+                let bomb = ((x >> 48) % 4 == 0 && n > 0).then(|| (x >> 52) as usize % n);
+                (degree, Bomb { n, bomb })
+            })
+            .collect();
+        let want: Vec<Result<u64, OffloadError>> = script
+            .iter()
+            .map(|(_, b)| match b.bomb {
+                Some(_) => Err(OffloadError::TaskPanicked),
+                None => Ok((1..=b.n as u64).map(|i| i * i).sum()),
+            })
+            .collect();
+        let panics = want.iter().filter(|r| r.is_err()).count() as u64;
+        assert!(panics > 20 && want.contains(&Ok(0)), "the script covers its cases");
+
+        type Reduce = fn(&TeamRunner, LoopSite, usize, Arc<Bomb>) -> Result<u64, OffloadError>;
+        let drive = |reduce: Reduce| {
+            let (pool, tr) = runner(8);
+            let mut jobs = 0;
+            let results: Vec<_> = script
+                .iter()
+                .map(|(degree, b)| {
+                    // One job per team member, and the clamp makes the team.
+                    jobs += (*degree).min(b.n.max(1)) as u64;
+                    let got = reduce(&tr, LoopSite(10), *degree, Arc::new(*b));
+                    settle(&pool);
+                    got
+                })
+                .collect();
+            assert_eq!(tr.invocations(), script.len() as u64);
+            drop(tr);
+            let counters = (pool.completed(), pool.panics());
+            let stats = Arc::try_unwrap(pool).ok().expect("the runner is gone").shutdown();
+            let tasks_run: u64 = stats.iter().map(|s| s.tasks_run).sum();
+            let high_water = stats.iter().map(|s| s.local_store_high_water).max();
+            assert_eq!((counters.0, tasks_run, high_water), (jobs, jobs, Some(128)));
+            (results, counters)
+        };
+        let round = drive(|tr, site, degree, body| tr.parallel_reduce(site, degree, body));
+        let oracle = drive(classic::parallel_reduce);
+        assert_eq!(round.0, want);
+        assert_eq!(round, oracle);
+        assert_eq!(round.1 .1, panics);
     }
 }

@@ -13,8 +13,11 @@
 //!
 //! * the PPE gate never admits more holders than it has hardware contexts,
 //!   and yield-on-offload really does hand the context to a waiter;
-//! * the team's `Pass`-style rendezvous merges every worker partial exactly
-//!   once before `parallel_reduce` returns (the team barrier);
+//! * a team's chunks are each claimed and run exactly once, by the worker
+//!   they were cut for or by the master, and every partial is merged
+//!   before `parallel_reduce` returns (the team barrier); the last
+//!   finisher's countdown never loses the parked master's wake-up, a
+//!   panicking worker's included;
 //! * the chain runner carries each stage's reduction into the next with the
 //!   same exactly-once delivery over its per-worker command channels;
 //! * the off-load completion cell never loses a wake-up and hands a result
@@ -168,6 +171,133 @@ fn team_barrier_merges_every_partial_exactly_once() {
         // master must have waited on every worker's Pass (the barrier).
         assert_eq!(acc, (1..=12).sum::<u64>());
         assert_eq!(body.chunks.load(Ordering::SeqCst), 3);
+    });
+}
+
+/// Counts every iteration it is handed, and stalls chunks that run off the
+/// calling thread — the workers' — so that the master's claims and its park
+/// race them in both orders. `worker_bomb` makes those chunks panic instead
+/// of returning.
+struct RacedLoop {
+    master: std::thread::ThreadId,
+    runs: Vec<AtomicUsize>,
+    worker_bomb: bool,
+    worker_panics: AtomicUsize,
+}
+
+impl RacedLoop {
+    fn new(len: usize, worker_bomb: bool) -> Arc<RacedLoop> {
+        Arc::new(RacedLoop {
+            master: std::thread::current().id(),
+            runs: (0..len).map(|_| AtomicUsize::new(0)).collect(),
+            worker_bomb,
+            worker_panics: AtomicUsize::new(0),
+        })
+    }
+
+    fn sum(&self) -> u64 {
+        (1..=self.runs.len() as u64).sum()
+    }
+
+    fn assert_every_iteration_ran_once(&self) {
+        let runs: Vec<usize> = self.runs.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+        assert!(runs.iter().all(|&r| r == 1), "iterations run {runs:?} times");
+    }
+}
+
+impl LoopBody for RacedLoop {
+    type Acc = u64;
+
+    fn len(&self) -> usize {
+        self.runs.len()
+    }
+
+    fn identity(&self) -> u64 {
+        0
+    }
+
+    fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> u64 {
+        if std::thread::current().id() != self.master {
+            loom::thread::yield_now();
+            if self.worker_bomb {
+                self.worker_panics.fetch_add(1, Ordering::SeqCst);
+                panic!("injected failure");
+            }
+        }
+        for i in range.clone() {
+            self.runs[i].fetch_add(1, Ordering::SeqCst);
+        }
+        range.map(|i| i as u64 + 1).sum()
+    }
+
+    fn merge(&self, a: u64, b: u64) -> u64 {
+        a + b
+    }
+}
+
+/// Worker jobs book themselves after their chunk is counted down.
+fn settle(pool: &SpePool) {
+    while pool.idle_count() < pool.n_spes() {
+        loom::thread::yield_now();
+    }
+}
+
+#[test]
+fn chunk_claim_is_exactly_once_under_a_racing_master_and_worker() {
+    loom::model(|| {
+        // Degree 2: the master, done with chunk 0, goes for chunk 1 while
+        // the woken worker does. Whoever loses must leave it alone.
+        let pool = Arc::new(SpePool::new(2, Duration::ZERO));
+        let team = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
+        for _ in 0..4 {
+            let body = RacedLoop::new(6, false);
+            let acc = team.parallel_reduce(LoopSite(2), 2, Arc::clone(&body));
+            assert_eq!(acc, Ok(body.sum()));
+            body.assert_every_iteration_ran_once();
+        }
+        settle(&pool);
+        assert_eq!(pool.completed(), 8, "one job per team member, whoever ran the chunks");
+    });
+}
+
+#[test]
+fn last_countdown_racing_the_masters_park_loses_no_wakeup() {
+    loom::model(|| {
+        // Three stalled workers count down around the instant the master
+        // parks: a lost wake-up hangs the model.
+        let pool = Arc::new(SpePool::new(4, Duration::ZERO));
+        let team = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
+        for _ in 0..4 {
+            let body = RacedLoop::new(8, false);
+            let acc = team.parallel_reduce(LoopSite(3), 4, Arc::clone(&body));
+            assert_eq!(acc, Ok(body.sum()));
+            body.assert_every_iteration_ran_once();
+        }
+    });
+}
+
+#[test]
+fn panicking_worker_racing_the_park_still_releases_the_master() {
+    loom::model(|| {
+        let pool = Arc::new(SpePool::new(3, Duration::ZERO));
+        let team = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
+        let mut panics = 0;
+        for _ in 0..4 {
+            let body = RacedLoop::new(6, true);
+            let acc = team.parallel_reduce(LoopSite(4), 3, Arc::clone(&body));
+            // A chunk the master got to first ran fine; one a worker ran
+            // blew up, and the invocation with it.
+            let blown = body.worker_panics.load(Ordering::SeqCst);
+            if blown == 0 {
+                assert_eq!(acc, Ok(body.sum()));
+                body.assert_every_iteration_ran_once();
+            } else {
+                assert_eq!(acc, Err(OffloadError::TaskPanicked));
+            }
+            panics += blown as u64;
+        }
+        settle(&pool);
+        assert_eq!((pool.panics(), pool.completed()), (panics, 12));
     });
 }
 

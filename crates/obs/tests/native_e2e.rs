@@ -215,16 +215,102 @@ fn llp_team_run_phases_include_the_reduction_span() {
     assert_eq!(ph.t_spe_ns, ph.end_ns - ph.start_ns);
     assert!(ph.t_spe_ns >= 15 * 30_000, "span covers the master chunk");
     // Worker argument fetches are team DMA with the configured startup
-    // latency: three workers at 20 us each.
-    assert_eq!(ph.t_comm_ns, 3 * 20_000);
+    // latency, 20 us for each chunk a worker ran. The master — the first
+    // team member — fetches nothing, and it takes over the chunk of any
+    // worker that has not woken by the time its own is done.
+    let chunks = chunks_of(&log, 0);
+    let master = team_of(&log, 0)[0];
+    let worker_run = chunks.iter().filter(|(_, _, worker)| *worker != master).count();
+    assert!(worker_run <= 3);
+    assert_eq!(ph.t_comm_ns, worker_run as u64 * 20_000);
     // The chunks recorded tile the 63-iteration loop across the team.
-    let chunk_iters: usize = log
-        .events
+    assert_eq!(chunks.iter().map(|(_, len, _)| len).sum::<usize>(), 63);
+}
+
+/// `(start, len, worker)` of every chunk recorded for `task`.
+fn chunks_of(log: &RunLog, task: u64) -> Vec<(usize, usize, usize)> {
+    log.events
         .iter()
         .filter_map(|e| match &e.kind {
-            EventKind::Chunk { task: 0, len, .. } => Some(*len),
+            EventKind::Chunk { task: t, start, len, worker, .. } if *t == task => {
+                Some((*start, *len, *worker))
+            }
             _ => None,
         })
-        .sum();
-    assert_eq!(chunk_iters, 63);
+        .collect()
+}
+
+/// The team `task` started on.
+fn team_of(log: &RunLog, task: u64) -> Vec<usize> {
+    log.events
+        .iter()
+        .find_map(|e| match &e.kind {
+            EventKind::TaskStart { task: t, team, .. } if *t == task => Some(team.clone()),
+            _ => None,
+        })
+        .expect("the task started")
+}
+
+#[test]
+fn team_runs_stay_checker_clean_whoever_runs_the_chunks() {
+    // Chunks this short are over before a woken worker arrives, so the
+    // master — the calling thread, on the master SPE's context — takes
+    // most of them; which ones is up to the host scheduler. Whatever it
+    // decides, every invocation's chunks must tile its loop on SPEs of its
+    // team, and the log must pass the native checker.
+    const INVOCATIONS: u64 = 50;
+    for degree in [2usize, 4, 8] {
+        let tracer = Tracer::with_default_capacity();
+        let pool = Arc::new(SpePool::with_observability(
+            8,
+            Duration::ZERO,
+            Arc::new(NopMetrics),
+            Some(&*tracer),
+        ));
+        let runner = TeamRunner::new(Arc::clone(&pool), Duration::from_micros(5));
+        let handle = tracer.handle();
+        for task in 0..INVOCATIONS {
+            handle.record(EventKind::Offload { proc: 0, task });
+            let body = Arc::new(Spin { n: 64, spin: Duration::ZERO });
+            let trace_task = TraceTask { handle: &handle, proc: 0, task };
+            let sum = runner
+                .parallel_reduce_traced(LoopSite(8), degree, body, Some(trace_task))
+                .expect("team run succeeds");
+            assert_eq!(sum, (0..64).sum::<usize>() as f64);
+        }
+        // Worker jobs record on their rings until they are back in the pool.
+        while pool.idle_count() < 8 {
+            std::thread::yield_now();
+        }
+
+        let trace = tracer.drain();
+        let sanity = check_trace_sanity(&trace);
+        assert!(sanity.is_clean(), "{}", sanity.render());
+        let meta = NativeRunMeta {
+            scheduler: SchedulerTag::Edtlp,
+            n_spes: 8,
+            seed: 0,
+            fault_policy: None,
+            tenant_weights: None,
+        };
+        let log = runlog_from_trace(&trace, meta);
+        let report = check_run_with(&log, CheckMode::Native);
+        assert!(report.is_clean(), "degree {degree}: {}", report.render());
+
+        let mut taken_over = 0;
+        for task in 0..INVOCATIONS {
+            let team = team_of(&log, task);
+            let chunks = chunks_of(&log, task);
+            assert_eq!((team.len(), chunks.len()), (degree, degree));
+            for (start, _, worker) in chunks {
+                assert!(team.contains(&worker));
+                if start == 0 {
+                    assert_eq!(worker, team[0], "chunk 0 is the master's");
+                } else if worker == team[0] {
+                    taken_over += 1;
+                }
+            }
+        }
+        assert!(taken_over > 0, "degree {degree}: the master never took over a chunk");
+    }
 }

@@ -95,15 +95,27 @@ fn offloaded_engine_identical_under_every_loop_degree() {
     let want = LikelihoodEngine::new(&Jc69, &data).log_likelihood(&tree);
 
     for degree in [1, 2, 3, 5, 8] {
-        let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::StaticHybrid {
-            spes_per_loop: degree,
-        }));
-        let mut ctx = rt.enter_process();
-        let mut engine = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
-        let got = engine.log_likelihood(&tree);
+        // Twice, on fresh runtimes: partials are merged in chunk order, so
+        // who finished first must not show in the last bit.
+        let lnl = [(); 2].map(|()| {
+            let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::StaticHybrid {
+                spes_per_loop: degree,
+            }));
+            let mut ctx = rt.enter_process();
+            let mut engine = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
+            engine.log_likelihood(&tree)
+        });
         assert!(
-            (got - want).abs() < 1e-9,
-            "degree {degree}: {got} vs {want}"
+            (lnl[0] - want).abs() < 1e-9,
+            "degree {degree}: {} vs {want}",
+            lnl[0]
+        );
+        assert_eq!(
+            lnl[0].to_bits(),
+            lnl[1].to_bits(),
+            "degree {degree}: {} then {}",
+            lnl[0],
+            lnl[1]
         );
     }
 }
