@@ -4,7 +4,7 @@
 //! digests, byte-identical unarmed chaos runs, and a 16-rule runtime
 //! checker all assume nothing in the tree leaks nondeterminism. This
 //! crate is the static half of that guarantee — a small Rust lexer
-//! ([`lexer`]) plus eight rules that *prove* the discipline rather than
+//! ([`lexer`]) plus nine rules that *prove* the discipline rather than
 //! sampling it:
 //!
 //! 1. `wall-clock` — no host clocks in simulation code.
@@ -19,6 +19,8 @@
 //!    site, checker arm, obs fold).
 //! 8. `panic-path` — no `unwrap`/`expect`/`panic!` in the fault-recovery
 //!    ladder, the `RunLog` decoder or serve request handlers.
+//! 9. `request-sleep` — no `thread::sleep` in the serve plane beyond the
+//!    named survivors; a request waits for an event, never for a timer.
 //!
 //! A line can opt out with a trailing
 //! `// xtask-allow: <rule> — <justification>` marker. The justification
@@ -419,7 +421,7 @@ pub fn audit(root: &Path) -> Report {
     for m in CATALOG {
         match m.name {
             "wall-clock" | "unbounded-channel" | "trace-clock" | "rng-discipline"
-            | "panic-path" => {
+            | "panic-path" | "request-sleep" => {
                 for rel in &scope[m.name] {
                     if let Some(f) = cache.get(rel) {
                         raw.extend(rules::run_needle_rule(m, f));

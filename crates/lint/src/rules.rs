@@ -16,6 +16,10 @@
 //!   ladder, the `RunLog` decoder and the serve-mode request path, where a
 //!   panic turns graceful degradation (or a malformed log) into an outage.
 //!   `#[cfg(test)]` regions are exempt.
+//! * **`request-sleep`** — `thread::sleep` in the serve plane, where a
+//!   sleep on the accept, worker-idle, `/events` or drain path puts a
+//!   timer between a request and the event it waits for. The sleeps that
+//!   are not waits carry a justified exemption each.
 
 use crate::lexer::{find_seq, Tok, TokKind};
 use crate::{Finding, SourceFile};
@@ -109,6 +113,14 @@ pub const CATALOG: &[RuleMeta] = &[
         exemption_budget: 1,
         skips_tests: true,
     },
+    RuleMeta {
+        name: "request-sleep",
+        roots: &["src/serve.rs"],
+        why: "a thread::sleep in the serve plane makes a request wait for a timer instead of \
+              the event it approximates; a sleep that is not a wait carries a named exemption",
+        exemption_budget: 5,
+        skips_tests: true,
+    },
 ];
 
 /// Look up a rule's metadata by name.
@@ -126,11 +138,13 @@ fn needles(rule: &str) -> &'static [&'static [&'static str]] {
     const RNG: &[&[&str]] = &[&["thread_rng"], &["from_entropy"]];
     const PANICS: &[&[&str]] =
         &[&[".", "unwrap", "("], &[".", "expect", "("], &["panic", "!"], &["unreachable", "!"]];
+    const SLEEPS: &[&[&str]] = &[&["thread", "::", "sleep"]];
     match rule {
         "wall-clock" | "trace-clock" => CLOCKS,
         "unbounded-channel" => CHANNELS,
         "rng-discipline" => RNG,
         "panic-path" => PANICS,
+        "request-sleep" => SLEEPS,
         _ => &[],
     }
 }
@@ -352,6 +366,17 @@ mod tests {
         let f = file("e.rs", src);
         let hits = run_needle_rule(meta("panic-path").unwrap(), &f);
         assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].line, 1);
+    }
+
+    #[test]
+    fn request_sleep_flags_sleeps_but_not_timed_waits() {
+        let src = "fn idle() { std::thread::sleep(POLL); }\n\
+                   fn wait(cv: &Condvar, g: Guard) { let _ = cv.wait_timeout(g, POLL); }\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { std::thread::sleep(POLL); }\n}\n";
+        let f = file("g.rs", src);
+        let hits = run_needle_rule(meta("request-sleep").unwrap(), &f);
+        assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].line, 1);
     }
 

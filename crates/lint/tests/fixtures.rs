@@ -36,6 +36,7 @@ const CORPUS: &[(&str, &str, &str)] = &[
     ("lock-order", "crates/mgps-runtime/src/state.rs", "lock_order_cycle.rs"),
     ("event-coverage", "crates/mgps-runtime/src/events.rs", "event_coverage.rs"),
     ("panic-path", "src/serve.rs", "panic_path.rs"),
+    ("request-sleep", "src/serve.rs", "request_sleep.rs"),
 ];
 
 #[test]

@@ -499,6 +499,13 @@ impl ProcessCtx<'_> {
         f()
     }
 
+    /// Block in `f` — a wait for work to arrive, not for an off-load to
+    /// finish — *outside* the PPE gate, so an idle process never keeps a
+    /// context from one that has work (see [`PpeToken::block_outside`]).
+    pub fn block_outside<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        self.token.block_outside(f)
+    }
+
     /// Off-load a kernel whose parallel loop is `body`, blocking until it
     /// completes. The runtime picks the loop degree (1 = run whole on one
     /// SPE) and applies the PPE-context discipline while waiting.

@@ -224,16 +224,8 @@ impl PpeToken<'_> {
         match self.gate.mode {
             GateMode::HoldDuringOffload => f(),
             GateMode::YieldOnOffload => {
-                self.observe_hold();
                 let held_ns = elapsed_ns(self.held_since);
-                self.gate.release_slot(self.slot);
-                self.held = false;
-                let out = f();
-                // Re-acquire: a voluntary context switch back in (possibly
-                // onto a different hardware context).
-                self.slot = self.gate.acquire_slot();
-                self.held = true;
-                self.held_since = Instant::now();
+                let out = self.block_outside(f);
                 self.gate.switches.fetch_add(1, Ordering::Relaxed);
                 self.gate.metrics.incr(Counter::CtxSwitchOffload);
                 if !self.gate.switch_cost.is_zero() {
@@ -249,6 +241,23 @@ impl PpeToken<'_> {
                 out
             }
         }
+    }
+
+    /// Run `f` — a wait for anything that is *not* an off-load in flight,
+    /// such as an empty work queue — outside the gate, whatever the mode:
+    /// a process blocked in the OS occupies no hardware context under
+    /// either discipline. The context is released for the duration and
+    /// re-acquired (possibly a different one) before returning. Not an
+    /// off-load switch: `switches` and the switch cost are untouched.
+    pub fn block_outside<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        self.observe_hold();
+        self.gate.release_slot(self.slot);
+        self.held = false;
+        let out = f();
+        self.slot = self.gate.acquire_slot();
+        self.held = true;
+        self.held_since = Instant::now();
+        out
     }
 
     fn observe_hold(&self) {
@@ -408,6 +417,26 @@ mod tests {
         drop(t);
         waiter.join().unwrap();
         assert_eq!(entered.load(std::sync::atomic::Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn blocking_outside_frees_the_context_in_either_mode() {
+        for mode in [GateMode::YieldOnOffload, GateMode::HoldDuringOffload] {
+            let gate = Arc::new(PpeGate::new(1, mode, Duration::ZERO));
+            let (entered_tx, entered_rx) = std::sync::mpsc::sync_channel(1);
+
+            let mut t = gate.enter();
+            let g = Arc::clone(&gate);
+            let waiter = std::thread::spawn(move || {
+                let _t = g.enter();
+                entered_tx.send(()).unwrap();
+            });
+            // Returns only once the waiter got the sole context.
+            t.block_outside(|| entered_rx.recv().unwrap());
+            assert!(t.holds_context());
+            waiter.join().unwrap();
+            assert_eq!(gate.switches(), 0, "an idle wait is not an off-load switch");
+        }
     }
 
     #[test]

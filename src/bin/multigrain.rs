@@ -187,10 +187,10 @@ USAGE:
                        and sweep every table/figure regenerator through the checker)
   multigrain audit    [--root PATH] [--json on|off] [--out FILE]
                       (static determinism & concurrency audit of the source
-                       tree: lexes every crate and runs the eight-rule
+                       tree: lexes every crate and runs the nine-rule
                        catalog — wall-clock, unbounded-channel, trace-clock,
                        unordered-iter, rng-discipline, lock-order,
-                       event-coverage, panic-path; exit 4 on any FORBIDDEN
+                       event-coverage, panic-path, request-sleep; exit 4 on any FORBIDDEN
                        finding, exemption-budget breach, coverage hole, or
                        lock-order cycle)
   multigrain serve    [--port N] [--workers N] [--tasks N] [--seed N] [--poll-ms N]

@@ -80,8 +80,8 @@ use std::io::{BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use cellsim::event::{json_line, EventKind, SchedulerTag};
@@ -400,6 +400,13 @@ struct JobQueue {
     id: Lcg,
     issued: u64,
     last_ns: u64,
+    /// Jobs popped from the queue but neither terminal nor requeued yet.
+    in_flight: usize,
+    /// Drain requested: `POST /jobs` refuses with `503`, workers run the
+    /// queue dry, and only then does `stop` flip. A field of the queue so
+    /// that it can only change under the queue lock: an empty queue seen
+    /// alongside it is empty for good.
+    draining: bool,
 }
 
 impl JobQueue {
@@ -438,6 +445,11 @@ impl JobQueue {
     fn effective_cap(&self, tenant: usize) -> usize {
         let span = (self.cap - self.watermark) as u64;
         self.watermark + ((span * self.weight(tenant)) / self.max_weight) as usize
+    }
+
+    /// Nothing queued and nothing in flight: what the drain waits for.
+    fn quiescent(&self) -> bool {
+        self.depth == 0 && self.in_flight == 0
     }
 
     /// Queued depth of one tenant.
@@ -508,17 +520,41 @@ impl JobQueue {
     }
 }
 
-/// State shared between the telemetry thread and the HTTP handlers.
+/// State shared between the workers, the telemetry thread and the HTTP
+/// handlers.
+///
+/// # Wake graph
+///
+/// Nothing here waits for a timer; every wait names the event that ends
+/// it, and every such event happens under the lock the waiter holds:
+///
+/// * an **idle worker** waits on `work` (outside the PPE gate) while
+///   `depth == 0 && !draining && !stop`. [`Shared::admit`] and the requeue
+///   in [`Shared::retry_or_poison`] raise `depth` under `jobs` and
+///   `notify_one`; the drain flip and the stop flip
+///   ([`Shared::drain_then_stop`]) happen under `jobs` and `notify_all`.
+/// * the **drain waiter** waits on `quiet` until `depth == 0 &&
+///   in_flight == 0`. [`Shared::leave_flight`] lowers `in_flight` and
+///   [`Shared::pop_job`] lowers `depth` (a pop can shed expired jobs and
+///   start none), both under `jobs`, and each notifies when that leaves
+///   both at zero during a drain ([`Shared::tell_drain`]).
+/// * the **telemetry thread** waits on `quiet` for one period at a time,
+///   cut short by the stop flip.
+/// * an **`/events` tail** waits on `journal_grew` until the journal is
+///   longer than what it has sent; every append notifies under `journal`,
+///   and so does the stop flip.
+/// * the **acceptor** blocks in `accept`; `serve` wakes it after the stop
+///   flip with one loopback connection to its own listener.
 struct Shared {
-    /// Shutdown requested (signal, timer, or fatal error).
+    /// Shutdown requested. Stored only under the `jobs` lock (it is part
+    /// of the idle-worker predicate); read anywhere.
     stop: AtomicBool,
-    /// Drain requested: `POST /jobs` refuses with `503`, workers run
-    /// the queue dry, and only then does `stop` flip.
-    draining: AtomicBool,
-    /// Jobs popped from the queue but not yet completed.
-    jobs_in_flight: AtomicUsize,
     /// The admission queue; see [`JobQueue`] for the stamping contract.
     jobs: Mutex<JobQueue>,
+    /// Paired with `jobs`: work arrived, or no more ever will.
+    work: Condvar,
+    /// Paired with `jobs`: the drain ran dry, or the service stopped.
+    quiet: Condvar,
     /// The run's sanctioned clock, for admission stamps.
     tracer: Arc<Tracer>,
     /// The last published scrape material; handlers render from this and
@@ -527,6 +563,8 @@ struct Shared {
     /// NDJSON journal of decisions, job lifecycle, and health events,
     /// append-only.
     journal: Mutex<Vec<String>>,
+    /// Paired with `journal`: it grew, or the service stopped.
+    journal_grew: Condvar,
     /// Every health event, for the final RunLog merge.
     health: Mutex<Vec<HealthEvent>>,
     /// The armed fault plan (unarmed default when `--faults` is absent);
@@ -545,20 +583,136 @@ enum Popped {
     Job(PendingJob, u64),
     /// Queue empty, service still accepting: more work may yet arrive.
     Idle,
-    /// Queue empty *and* the drain flag was set, both observed under the
-    /// queue lock. Because admissions check the flag under that same lock
-    /// (and the flag itself flips under it), an empty queue seen alongside
-    /// the flag is empty for good: the worker may exit.
+    /// Queue empty *and* the drain flag set, both observed under the
+    /// queue lock. Admission checks the flag under that same lock, so an
+    /// empty queue seen alongside the flag is empty for good: the worker
+    /// may exit.
     Drained,
 }
 
+/// The outcome of one admission decision, for the HTTP layer to render.
+enum Verdict {
+    Admitted { job: u64, depth: usize, cap: usize },
+    Full { job: u64, depth: usize, cap: usize, retry_after: u64 },
+    Draining,
+}
+
 impl Shared {
+    fn new(cfg: &ServeConfig, tracer: &Arc<Tracer>) -> Shared {
+        let cap = cfg.job_queue.max(1);
+        Shared {
+            stop: AtomicBool::new(false),
+            jobs: Mutex::new(JobQueue {
+                tenants: BTreeMap::new(),
+                active: VecDeque::new(),
+                deficit: BTreeMap::new(),
+                max_weight: cfg.tenant_weights.iter().copied().max().unwrap_or(1).max(1),
+                weights: cfg.tenant_weights.clone(),
+                depth: 0,
+                cap,
+                tenant_cap: cfg.tenant_queue.unwrap_or(cap).max(1),
+                watermark: cfg.shed_watermark.unwrap_or(cap).min(cap),
+                stats: BTreeMap::new(),
+                admit: tracer.handle(),
+                id: Lcg(cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1),
+                issued: 0,
+                last_ns: 0,
+                in_flight: 0,
+                draining: false,
+            }),
+            work: Condvar::new(),
+            quiet: Condvar::new(),
+            tracer: Arc::clone(tracer),
+            status: Mutex::new(None),
+            journal: Mutex::new(Vec::new()),
+            journal_grew: Condvar::new(),
+            health: Mutex::new(Vec::new()),
+            faults: cfg.faults.unwrap_or_default(),
+            workers: cfg.workers.max(1),
+            service_ewma_ns: std::sync::atomic::AtomicU64::new(0),
+        }
+    }
+
     fn stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
 
+    /// Append to the journal and wake every `/events` tail.
+    fn journal_extend(&self, lines: Vec<String>) {
+        if lines.is_empty() {
+            return;
+        }
+        self.journal.lock().unwrap_or_else(|e| e.into_inner()).extend(lines);
+        self.journal_grew.notify_all();
+    }
+
     fn journal_push(&self, line: String) {
-        self.journal.lock().unwrap_or_else(|e| e.into_inner()).push(line);
+        self.journal_extend(vec![line]);
+    }
+
+    /// Decide one `POST /jobs`: admit, refuse (over this tenant's cap), or
+    /// refuse (draining), stamping the decision under the queue lock — see
+    /// [`JobQueue`]. The cap a tenant is judged against shrinks with its
+    /// weight once total depth crosses the shedding watermark, so the
+    /// lowest-weight tenants are turned away first under pressure. An
+    /// admission wakes one idle worker.
+    fn admit(&self, spec: JobSpec) -> Verdict {
+        let verdict = {
+            let mut q = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+            if q.draining {
+                // Draining refusals record nothing: the final log describes
+                // the run's admitted work, and a drain admits none.
+                Verdict::Draining
+            } else if q.depth >= q.effective_cap(spec.tenant)
+                || q.tenant_depth(spec.tenant) >= q.tenant_cap
+            {
+                let at = q.stamp(self.tracer.now_ns());
+                let job = q.next_id();
+                let (depth, cap) = (q.depth, q.cap);
+                q.stats.entry(spec.tenant).or_default().rejected += 1;
+                let rejected = EventKind::JobRejected {
+                    job,
+                    tenant: spec.tenant,
+                    queue_depth: depth,
+                    queue_cap: cap,
+                };
+                self.journal_push(record_job(&q.admit, at, rejected));
+                Verdict::Full { job, depth, cap, retry_after: self.retry_after_s(depth) }
+            } else {
+                let at = q.stamp(self.tracer.now_ns());
+                let job = q.next_id();
+                q.tenants.entry(spec.tenant).or_default().push_back(PendingJob {
+                    job,
+                    spec,
+                    submitted_ns: at,
+                    attempt: 0,
+                    enqueued_ns: at,
+                    acc_queue_ns: 0,
+                    acc_dispatch_ns: 0,
+                    acc_kernel_ns: 0,
+                });
+                q.depth += 1;
+                q.activate(spec.tenant);
+                q.stats.entry(spec.tenant).or_default().admitted += 1;
+                let (depth, cap) = (q.depth, q.cap);
+                let submitted = EventKind::JobSubmitted {
+                    job,
+                    tenant: spec.tenant,
+                    taxa: spec.taxa,
+                    sites: spec.sites,
+                    bootstraps: spec.bootstraps,
+                    deadline_ns: spec.deadline_ns,
+                    queue_depth: depth,
+                    queue_cap: cap,
+                };
+                self.journal_push(record_job(&q.admit, at, submitted));
+                Verdict::Admitted { job, depth, cap }
+            }
+        };
+        if matches!(verdict, Verdict::Admitted { .. }) {
+            self.work.notify_one();
+        }
+        verdict
     }
 
     /// Pop the next admitted job under the DRR discipline, stamping
@@ -572,7 +726,7 @@ impl Shared {
             let mut q = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
             match q.drr_pop(self.tracer.now_ns(), &mut lines) {
                 Some((mut job, at)) => {
-                    self.jobs_in_flight.fetch_add(1, Ordering::SeqCst);
+                    q.in_flight += 1;
                     let tenant = job.spec.tenant;
                     let st = q.stats.entry(tenant).or_default();
                     st.inflight += 1;
@@ -585,25 +739,86 @@ impl Shared {
                     lines.push(record_job(&q.admit, at, started));
                     Popped::Job(job, at)
                 }
-                None if self.draining.load(Ordering::SeqCst) => Popped::Drained,
-                None => Popped::Idle,
+                None => {
+                    // Shedding may have emptied the queue with no job to
+                    // start, and so no `leave_flight` to follow.
+                    self.tell_drain(&q);
+                    if q.draining {
+                        Popped::Drained
+                    } else {
+                        Popped::Idle
+                    }
+                }
             }
         };
-        for line in lines {
-            self.journal_push(line);
-        }
+        self.journal_extend(lines);
         popped
     }
 
-    /// Drop one job from flight accounting (its terminal record is
-    /// already stamped, or — for a retry — it is back in the queue).
-    fn leave_flight(&self, tenant: usize) {
-        {
-            let mut q = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            let st = q.stats.entry(tenant).or_default();
-            st.inflight = st.inflight.saturating_sub(1);
+    /// Block until the queue has a job or never will again. The caller
+    /// must be outside the PPE gate ([`ProcessCtx::block_outside`]): a
+    /// process that sleeps on a context keeps it from one with work.
+    fn wait_for_work(&self) {
+        let mut q = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        while q.depth == 0 && !q.draining && !self.stopped() {
+            q = self.work.wait(q).unwrap_or_else(|e| e.into_inner());
         }
-        self.jobs_in_flight.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Drop one job from flight accounting (its terminal record is
+    /// already stamped, or — for a retry — it is back in the queue), and
+    /// tell the drain waiter if that was the last thing it waited for.
+    fn leave_flight(&self, tenant: usize) {
+        let mut q = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        let st = q.stats.entry(tenant).or_default();
+        st.inflight = st.inflight.saturating_sub(1);
+        q.in_flight = q.in_flight.saturating_sub(1);
+        self.tell_drain(&q);
+    }
+
+    /// Wake the drain waiter if the queue, whose lock the caller holds,
+    /// just ran dry under a drain. Everything that lowers `depth` or
+    /// `in_flight` ends with this.
+    fn tell_drain(&self, q: &JobQueue) {
+        if q.draining && q.quiescent() {
+            self.quiet.notify_all();
+        }
+    }
+
+    /// The two-phase shutdown. Flip the drain flag (admission checks it
+    /// under this same lock, so once it is set no job can ever enter the
+    /// queue, which is what lets a worker treat "empty + draining" as
+    /// final), wait until every admitted job is terminal, then flip
+    /// `stop` — still under the queue lock, as every term of the
+    /// idle-worker predicate must be — and wake everything that waits on
+    /// it: workers, the telemetry thread, and the `/events` tails.
+    fn drain_then_stop(&self) {
+        let mut q = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        q.draining = true;
+        self.work.notify_all();
+        while !q.quiescent() {
+            q = self.quiet.wait(q).unwrap_or_else(|e| e.into_inner());
+        }
+        self.stop.store(true, Ordering::SeqCst);
+        self.work.notify_all();
+        self.quiet.notify_all();
+        drop(q);
+        // A tail checks `stopped()` under the journal lock before it
+        // waits, so notifying under that lock cannot slip past it.
+        let _journal = self.journal.lock().unwrap_or_else(|e| e.into_inner());
+        self.journal_grew.notify_all();
+    }
+
+    /// Sleep one telemetry period, or until `stop` flips if that comes
+    /// first; says whether the service has stopped.
+    fn wait_period(&self, period: Duration) -> bool {
+        let q = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        drop(
+            self.quiet
+                .wait_timeout_while(q, period, |_| !self.stopped())
+                .unwrap_or_else(|e| e.into_inner()),
+        );
+        self.stopped()
     }
 
     /// An execution attempt died on an unrecovered off-load fault at
@@ -630,6 +845,7 @@ impl Shared {
         // Deterministic, bounded, seeded: the checker recomputes this
         // exact value from the log's fault spec and flags any drift.
         let backoff_ns = self.faults.backoff_ns(job.job, next_attempt as u32);
+        // xtask-allow: request-sleep — the declared retry back-off (fault plane only); the checker's job-retry rule pins its value
         std::thread::sleep(Duration::from_nanos(backoff_ns));
         let line = {
             let mut q = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
@@ -646,6 +862,7 @@ impl Shared {
             q.activate(tenant);
             journal_line
         };
+        self.work.notify_one();
         self.journal_push(line);
         // Leave flight only after the job is safely requeued: the drain
         // waiter must never see "empty queue, zero in flight" while a
@@ -669,9 +886,6 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
 
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))
         .map_err(|e| ServeError::Io(format!("bind 127.0.0.1:{}: {e}", cfg.port)))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ServeError::Io(format!("set_nonblocking: {e}")))?;
     let addr = listener.local_addr().map_err(|e| ServeError::Io(format!("local_addr: {e}")))?;
     println!("multigrain serve: listening on http://{addr}");
     std::io::stdout().flush().ok();
@@ -689,47 +903,17 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
         Some(Arc::clone(&tracer)),
     );
 
-    let cap = cfg.job_queue.max(1);
-    let shared = Arc::new(Shared {
-        stop: AtomicBool::new(false),
-        draining: AtomicBool::new(false),
-        jobs_in_flight: AtomicUsize::new(0),
-        jobs: Mutex::new(JobQueue {
-            tenants: BTreeMap::new(),
-            active: VecDeque::new(),
-            deficit: BTreeMap::new(),
-            max_weight: cfg.tenant_weights.iter().copied().max().unwrap_or(1).max(1),
-            weights: cfg.tenant_weights.clone(),
-            depth: 0,
-            cap,
-            tenant_cap: cfg.tenant_queue.unwrap_or(cap).max(1),
-            watermark: cfg.shed_watermark.unwrap_or(cap).min(cap),
-            stats: BTreeMap::new(),
-            admit: tracer.handle(),
-            id: Lcg(cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1),
-            issued: 0,
-            last_ns: 0,
-        }),
-        tracer: Arc::clone(&tracer),
-        status: Mutex::new(None),
-        journal: Mutex::new(Vec::new()),
-        health: Mutex::new(Vec::new()),
-        faults: cfg.faults.unwrap_or_default(),
-        workers: cfg.workers.max(1),
-        service_ewma_ns: std::sync::atomic::AtomicU64::new(0),
-    });
+    let shared = Arc::new(Shared::new(cfg, &tracer));
 
     std::thread::scope(|s| {
         // Workload + jobs, one pool: each worker is one "process" that
         // interleaves the ambient seeded off-load stream with admitted
-        // jobs, and jobs outrank the ambient work. One pool matters for
-        // liveness: the PPE gate has only `contexts` slots and a holder
-        // yields its slot only *during* an off-load, so a thread that
-        // slept on an empty job queue while pinning a context would
-        // starve every other process. Here every context holder runs
-        // this same loop, so any queued job is served by whichever
-        // holder polls next — nobody who needs a slot waits on a
-        // sleeper who will never produce one.
+        // jobs, and jobs outrank the ambient work. A process holds a PPE
+        // context only while it has something to run on it: it yields the
+        // context for each off-load, and with nothing left to do it waits
+        // for work *outside* the gate — so however many workers there are
+        // per context, the one whose off-load just finished always gets
+        // its context back.
         for w in 0..cfg.workers.max(1) {
             let shared = Arc::clone(&shared);
             let rt = &rt;
@@ -744,9 +928,6 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
                 let done = tracer.handle();
                 let mut last_done_ns = 0u64;
                 loop {
-                    if shared.stopped() {
-                        break;
-                    }
                     match shared.pop_job() {
                         Popped::Job(mut job, started_ns) => {
                             match execute_job(
@@ -784,16 +965,19 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
                         // keeps task parallelism (the paper's U) genuinely
                         // variable.
                         ctx.ppe_compute(|| {
+                            // xtask-allow: request-sleep — the ambient workload's seeded PPE think time, not a wait for anything
                             std::thread::sleep(Duration::from_micros(200 + lcg.next() % 800))
                         });
                     } else {
-                        std::thread::sleep(Duration::from_millis(2));
+                        ctx.block_outside(|| shared.wait_for_work());
                     }
                 }
             });
         }
 
-        // Telemetry: the only thread that drains snapshots and rings.
+        // Telemetry: the only thread that drains snapshots and rings. The
+        // first tick runs here, before the acceptor exists, so no request
+        // is ever served without a published status.
         {
             let shared = Arc::clone(&shared);
             let rt = &rt;
@@ -801,46 +985,44 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
             let mut source = SnapshotSource::new(Arc::clone(&metrics));
             let mut detector = HealthDetector::new(HealthConfig::for_spes(n_spes));
             let poll = Duration::from_millis(cfg.poll_ms.max(1));
-            s.spawn(move || {
-                // Per-ring cursors: rings are append-only until capacity
-                // and registration order is stable, so `events[cursor..]`
-                // is exactly what arrived since the previous tick.
-                let mut cursors: Vec<usize> = Vec::new();
-                let mut starve: BTreeMap<usize, (usize, u64)> = BTreeMap::new();
-                loop {
-                    let last = shared.stopped();
-                    telemetry_tick(
-                        &shared, rt, &tracer, &mut source, &mut detector, &mut cursors,
-                        &mut starve,
-                    );
-                    if last {
-                        break;
-                    }
-                    let mut slept = Duration::ZERO;
-                    while slept < poll && !shared.stopped() {
-                        let step = poll.min(Duration::from_millis(10));
-                        std::thread::sleep(step);
-                        slept += step;
-                    }
+            // Per-ring cursors: rings are append-only until capacity
+            // and registration order is stable, so `events[cursor..]`
+            // is exactly what arrived since the previous tick.
+            let mut cursors: Vec<usize> = Vec::new();
+            let mut starve: BTreeMap<usize, (usize, u64)> = BTreeMap::new();
+            let mut tick = move |shared: &Shared| {
+                telemetry_tick(
+                    shared, rt, &tracer, &mut source, &mut detector, &mut cursors, &mut starve,
+                );
+            };
+            tick(&shared);
+            s.spawn(move || loop {
+                // A tick that starts after the stop flip has seen it all.
+                let last = shared.wait_period(poll);
+                tick(&shared);
+                if last {
+                    break;
                 }
             });
         }
 
-        // HTTP acceptor: non-blocking so it can notice shutdown.
+        // HTTP acceptor: blocks in `accept`. After the stop flip the
+        // lifetime thread below connects once to wake it; whatever it
+        // accepted then — that connection or a client's — gets no handler.
         {
             let shared = Arc::clone(&shared);
-            s.spawn(move || {
-                while !shared.stopped() {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let shared = Arc::clone(&shared);
-                            s.spawn(move || handle_connection(stream, &shared));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            s.spawn(move || loop {
+                let conn = listener.accept();
+                if shared.stopped() {
+                    break;
+                }
+                match conn {
+                    Ok((stream, _)) => {
+                        let shared = Arc::clone(&shared);
+                        s.spawn(move || handle_connection(stream, &shared));
                     }
+                    // xtask-allow: request-sleep — back-off on a failing accept (fd exhaustion), so a persistent error cannot spin
+                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
             });
         }
@@ -860,25 +1042,12 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
                     break;
                 }
             }
+            // xtask-allow: request-sleep — a signal handler may only flip an atomic, so SIGINT and the --for-ms clock are polled; no request waits on this
             std::thread::sleep(Duration::from_millis(20));
         }
-        {
-            // Flip the drain flag while holding the jobs lock: admission
-            // checks the flag under this same lock, so once it is
-            // released no new job can ever enter the queue — which is
-            // what lets a worker treat "empty + draining" (observed
-            // under the lock) as final.
-            let _q = shared.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            shared.draining.store(true, Ordering::SeqCst);
-        }
-        loop {
-            let queue_empty = shared.jobs.lock().unwrap_or_else(|e| e.into_inner()).depth == 0;
-            if queue_empty && shared.jobs_in_flight.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        shared.stop.store(true, Ordering::SeqCst);
+        shared.drain_then_stop();
+        // Wake the acceptor. A refused connection means it already left.
+        let _ = TcpStream::connect(addr);
     });
 
     // Workers, telemetry, and handlers have joined; tear the pool down so
@@ -1212,60 +1381,146 @@ fn telemetry_tick(
         tenant_jobs,
     };
 
-    if !lines.is_empty() {
-        shared.journal.lock().unwrap_or_else(|e| e.into_inner()).extend(lines);
-    }
+    shared.journal_extend(lines);
     if !fired.is_empty() {
         shared.health.lock().unwrap_or_else(|e| e.into_inner()).extend(fired);
     }
     *shared.status.lock().unwrap_or_else(|e| e.into_inner()) = Some(status);
 }
 
+/// Size of the per-connection request buffer: a request's head and body
+/// must fit in it together.
+const REQUEST_BUF: usize = 4096;
+
+/// How long one `read` waits for a client that has gone quiet.
+const READ_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// An HTTP status code with its reason phrase, as the status line spells it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Status(&'static str);
+
+impl Status {
+    const BAD_REQUEST: Status = Status("400 Bad Request");
+    const TIMEOUT: Status = Status("408 Request Timeout");
+    const BODY_TOO_LARGE: Status = Status("413 Content Too Large");
+    const HEAD_TOO_LARGE: Status = Status("431 Request Header Fields Too Large");
+}
+
+/// A parsed request head.
+#[derive(Debug, PartialEq, Eq)]
+struct Request {
+    method: String,
+    path: String,
+    /// Where the body lies in the request buffer: `Content-Length` bytes
+    /// after the blank line, never past [`REQUEST_BUF`].
+    body: Range<usize>,
+}
+
+/// Offset of the blank line that ends a request head, if it has arrived.
+fn blank_line(buf: &[u8]) -> Option<usize> {
+    buf.windows(4).position(|w| w == b"\r\n\r\n")
+}
+
+/// Parse what has been read of one request (everything up to the blank
+/// line at least, unless the peer never sent one). Pure and total: any
+/// byte string yields a [`Request`] or the 4xx that says what is wrong
+/// with it. Only the request line and `Content-Length` are interpreted.
+fn parse_request(buf: &[u8]) -> Result<Request, Status> {
+    let Some(head_len) = blank_line(buf) else {
+        // No blank line in a full buffer: the head is too long. In a
+        // short one: the peer stopped sending mid-head.
+        let full = buf.len() >= REQUEST_BUF;
+        return Err(if full { Status::HEAD_TOO_LARGE } else { Status::BAD_REQUEST });
+    };
+    let head = std::str::from_utf8(&buf[..head_len]).map_err(|_| Status::BAD_REQUEST)?;
+    let mut lines = head.split("\r\n");
+    let mut first = lines.next().unwrap_or("").split(' ');
+    let (Some(method), Some(path), Some(version), None) =
+        (first.next(), first.next(), first.next(), first.next())
+    else {
+        return Err(Status::BAD_REQUEST);
+    };
+    if method.is_empty() || path.is_empty() || !version.starts_with("HTTP/") {
+        return Err(Status::BAD_REQUEST);
+    }
+    let mut content_length = 0usize;
+    for line in lines {
+        let Some((k, v)) = line.split_once(':') else { continue };
+        if k.eq_ignore_ascii_case("content-length") {
+            content_length = v.trim().parse().map_err(|_| Status::BAD_REQUEST)?;
+        }
+    }
+    let start = head_len + 4;
+    let end = start
+        .checked_add(content_length)
+        .filter(|&end| end <= REQUEST_BUF)
+        .ok_or(Status::BODY_TOO_LARGE)?;
+    Ok(Request { method: method.to_string(), path: path.to_string(), body: start..end })
+}
+
+/// One `read`, with its failures sorted: a read timeout is the client's
+/// fault and gets `408`; any other error means the peer is gone and there
+/// is nobody to answer (`None`).
+fn read_more(stream: &mut TcpStream, dst: &mut [u8]) -> Result<usize, Option<Status>> {
+    use std::io::ErrorKind::{TimedOut, WouldBlock};
+    stream
+        .read(dst)
+        .map_err(|e| matches!(e.kind(), TimedOut | WouldBlock).then_some(Status::TIMEOUT))
+}
+
+/// Read one request into `buf`: the head up to the blank line, then the
+/// body `Content-Length` announces.
+fn read_request(
+    stream: &mut TcpStream,
+    buf: &mut [u8; REQUEST_BUF],
+) -> Result<Request, Option<Status>> {
+    let mut len = 0;
+    while len < buf.len() && blank_line(&buf[..len]).is_none() {
+        match read_more(stream, &mut buf[len..])? {
+            0 => break,
+            n => len += n,
+        }
+    }
+    let request = parse_request(&buf[..len]).map_err(Some)?;
+    while len < request.body.end {
+        match read_more(stream, &mut buf[len..request.body.end])? {
+            // The peer closed short of its own Content-Length.
+            0 => return Err(Some(Status::BAD_REQUEST)),
+            n => len += n,
+        }
+    }
+    Ok(request)
+}
+
 /// Serve one HTTP connection. Request parsing is deliberately minimal:
 /// the first line's method and path decide everything; only `POST /jobs`
-/// reads a body (sized by `Content-Length`, capped at the buffer).
+/// uses the body. A request that cannot be read is answered with the 4xx
+/// that says why, not hung up on.
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    stream.set_read_timeout(Some(Duration::from_millis(500))).ok();
-    let mut buf = [0u8; 4096];
-    let mut len = 0;
-    let mut header_end = None;
-    while len < buf.len() {
-        if let Some(he) = buf[..len].windows(4).position(|w| w == b"\r\n\r\n") {
-            header_end = Some(he + 4);
-            break;
+    stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
+    let mut buf = [0u8; REQUEST_BUF];
+    let request = match read_request(&mut stream, &mut buf) {
+        Ok(request) => request,
+        Err(Some(status)) => {
+            respond(&mut stream, status.0, "text/plain", "request not understood\n");
+            // Whatever else the client sent is still unread, and closing
+            // on unread input resets the connection, which can take the
+            // answer with it: finish sending, then read the rest off —
+            // for one more read timeout at most, however slowly it drips,
+            // and not past shutdown (the scope joins this thread).
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            let until = std::time::Instant::now() + READ_TIMEOUT;
+            while std::time::Instant::now() < until
+                && !shared.stopped()
+                && matches!(stream.read(&mut buf), Ok(n) if n > 0)
+            {}
+            return;
         }
-        match stream.read(&mut buf[len..]) {
-            Ok(0) => break,
-            Ok(n) => len += n,
-            Err(_) => return,
-        }
-    }
-    let Some(header_end) = header_end else { return };
-    let head = String::from_utf8_lossy(&buf[..header_end]).into_owned();
-    let mut first = head.lines().next().unwrap_or("").split_whitespace();
-    let method = first.next().unwrap_or("").to_string();
-    let path = first.next().unwrap_or("").to_string();
+        Err(None) => return,
+    };
+    let body = String::from_utf8_lossy(&buf[request.body.clone()]);
 
-    // Pull the body in for POST: whatever Content-Length promises, capped
-    // at the request buffer.
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| {
-            let (k, v) = l.split_once(':')?;
-            k.eq_ignore_ascii_case("content-length").then(|| v.trim().parse().ok())?
-        })
-        .unwrap_or(0);
-    let want = (header_end + content_length).min(buf.len());
-    while len < want {
-        match stream.read(&mut buf[len..want]) {
-            Ok(0) => break,
-            Ok(n) => len += n,
-            Err(_) => break,
-        }
-    }
-    let body = String::from_utf8_lossy(&buf[header_end..len.min(want)]).into_owned();
-
-    match (method.as_str(), path.as_str()) {
+    match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/metrics") => {
             let status = shared.status.lock().unwrap_or_else(|e| e.into_inner()).clone();
             match status {
@@ -1311,72 +1566,12 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// `POST /jobs`: admit, refuse (over this tenant's cap), or refuse
-/// (draining). All trace stamping happens under the queue lock — see
-/// [`JobQueue`]. A refusal carries a computed `Retry-After` (the queue's
-/// estimated drain time), and the cap a tenant is judged against shrinks
-/// with its weight once total depth crosses the shedding watermark —
-/// lowest-weight tenants are turned away first under pressure.
+/// `POST /jobs`: put the parsed spec to [`Shared::admit`] and render the
+/// verdict. A refusal carries a computed `Retry-After` (the queue's
+/// estimated drain time).
 fn handle_job_post(stream: &mut TcpStream, shared: &Shared, body: &str) {
     let spec = JobSpec::parse(body);
-    enum Verdict {
-        Admitted { job: u64, depth: usize, cap: usize },
-        Full { job: u64, depth: usize, cap: usize, retry_after: u64 },
-        Draining,
-    }
-    let verdict = {
-        let mut q = shared.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        if shared.draining.load(Ordering::SeqCst) {
-            // Draining refusals record nothing: the final log describes
-            // the run's admitted work, and a drain admits none.
-            Verdict::Draining
-        } else if q.depth >= q.effective_cap(spec.tenant)
-            || q.tenant_depth(spec.tenant) >= q.tenant_cap
-        {
-            let at = q.stamp(shared.tracer.now_ns());
-            let job = q.next_id();
-            let (depth, cap) = (q.depth, q.cap);
-            q.stats.entry(spec.tenant).or_default().rejected += 1;
-            let rejected = EventKind::JobRejected {
-                job,
-                tenant: spec.tenant,
-                queue_depth: depth,
-                queue_cap: cap,
-            };
-            shared.journal_push(record_job(&q.admit, at, rejected));
-            Verdict::Full { job, depth, cap, retry_after: shared.retry_after_s(depth) }
-        } else {
-            let at = q.stamp(shared.tracer.now_ns());
-            let job = q.next_id();
-            q.tenants.entry(spec.tenant).or_default().push_back(PendingJob {
-                job,
-                spec,
-                submitted_ns: at,
-                attempt: 0,
-                enqueued_ns: at,
-                acc_queue_ns: 0,
-                acc_dispatch_ns: 0,
-                acc_kernel_ns: 0,
-            });
-            q.depth += 1;
-            q.activate(spec.tenant);
-            q.stats.entry(spec.tenant).or_default().admitted += 1;
-            let (depth, cap) = (q.depth, q.cap);
-            let submitted = EventKind::JobSubmitted {
-                job,
-                tenant: spec.tenant,
-                taxa: spec.taxa,
-                sites: spec.sites,
-                bootstraps: spec.bootstraps,
-                deadline_ns: spec.deadline_ns,
-                queue_depth: depth,
-                queue_cap: cap,
-            };
-            shared.journal_push(record_job(&q.admit, at, submitted));
-            Verdict::Admitted { job, depth, cap }
-        }
-    };
-    match verdict {
+    match shared.admit(spec) {
         Verdict::Admitted { job, depth, cap } => {
             let mut body = Value::object(vec![
                 ("status", "admitted".into()),
@@ -1457,12 +1652,22 @@ fn stream_events(stream: TcpStream, shared: &Shared) {
     if w.write_all(header.as_bytes()).is_err() {
         return;
     }
+    if w.flush().is_err() {
+        return;
+    }
     let mut sent = 0usize;
     loop {
         let backlog: Vec<String> = {
-            let journal = shared.journal.lock().unwrap_or_else(|e| e.into_inner());
+            let mut journal = shared.journal.lock().unwrap_or_else(|e| e.into_inner());
+            while journal.len() <= sent && !shared.stopped() {
+                journal = shared.journal_grew.wait(journal).unwrap_or_else(|e| e.into_inner());
+            }
             journal[sent.min(journal.len())..].to_vec()
         };
+        if backlog.is_empty() {
+            // Stopped, and everything the journal ever held is sent.
+            return;
+        }
         for line in &backlog {
             if w.write_all(line.as_bytes()).is_err()
                 || w.write_all(b"\n").is_err()
@@ -1472,13 +1677,6 @@ fn stream_events(stream: TcpStream, shared: &Shared) {
             }
         }
         sent += backlog.len();
-        if w.flush().is_err() {
-            return;
-        }
-        if shared.stopped() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(50));
     }
 }
 
@@ -1549,6 +1747,7 @@ pub fn run_top(cfg: &TopConfig) -> Result<(), String> {
         if cfg.frames != 0 && frame >= cfg.frames {
             return Ok(());
         }
+        // xtask-allow: request-sleep — the `top` client's refresh interval; nothing in the service waits on it
         std::thread::sleep(Duration::from_millis(cfg.interval_ms.max(50)));
     }
 }
@@ -1761,6 +1960,261 @@ fn frame_text(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A parse outcome is a request whose body lies inside the buffer, or
+    /// a client error.
+    fn well_formed(buf: &[u8], parsed: Result<Request, Status>) -> Result<(), String> {
+        match parsed {
+            Ok(r) if r.body.start <= r.body.end
+                && r.body.start <= buf.len()
+                && r.body.end <= REQUEST_BUF
+                && !r.method.is_empty()
+                && !r.path.is_empty() => Ok(()),
+            Ok(r) => Err(format!("ill-formed request {r:?}")),
+            Err(Status(line)) if line.starts_with('4') => Ok(()),
+            Err(Status(line)) => Err(format!("not a client error: {line}")),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_parse_to_a_request_or_a_4xx(
+            bytes in prop::collection::vec(0u8..=255, 0..=REQUEST_BUF),
+        ) {
+            let parsed = parse_request(&bytes);
+            prop_assert!(well_formed(&bytes, parsed).is_ok());
+        }
+
+        /// A valid request, then damaged: an arbitrary `Content-Length`,
+        /// one byte overwritten, the tail cut off. Reaches the branches
+        /// random bytes almost never do.
+        #[test]
+        fn damaged_requests_parse_to_a_request_or_a_4xx(
+            verb in 0usize..4,
+            content_length in 0u64..10_000,
+            hit_at in 0usize..200,
+            hit_with in 0u8..=255,
+            keep in 0usize..200,
+        ) {
+            let verb = ["GET", "POST", "", "get it"][verb];
+            let mut bytes = format!(
+                "{verb} /jobs HTTP/1.1\r\nHost: h\r\nContent-Length: {content_length}\r\n\r\ntaxa=8"
+            )
+            .into_bytes();
+            if let Some(b) = bytes.get_mut(hit_at) {
+                *b = hit_with;
+            }
+            bytes.truncate(keep);
+            let parsed = parse_request(&bytes);
+            prop_assert!(well_formed(&bytes, parsed).is_ok());
+        }
+    }
+
+    #[test]
+    fn parse_request_names_what_is_wrong() {
+        let post = b"POST /jobs HTTP/1.1\r\nHost: h\r\ncontent-length: 6\r\n\r\ntaxa=8";
+        let head = post.len() - 6;
+        assert_eq!(
+            parse_request(post),
+            Ok(Request { method: "POST".into(), path: "/jobs".into(), body: head..head + 6 })
+        );
+        // The body need not have arrived yet for the head to parse.
+        assert_eq!(parse_request(&post[..head]).map(|r| r.body), Ok(head..head + 6));
+        assert_eq!(parse_request(b"GET /health HTTP/1.1\r\n\r\n").map(|r| r.body), Ok(24..24));
+
+        assert_eq!(parse_request(&[b'a'; REQUEST_BUF]), Err(Status::HEAD_TOO_LARGE));
+        assert_eq!(parse_request(b"GET /health HTTP/1.1\r\nHost"), Err(Status::BAD_REQUEST));
+        assert_eq!(
+            parse_request(b"POST /jobs HTTP/1.1\r\nContent-Length: 5000\r\n\r\n"),
+            Err(Status::BODY_TOO_LARGE)
+        );
+        assert_eq!(
+            parse_request(b"POST /jobs HTTP/1.1\r\nContent-Length: 99999999999999999999\r\n\r\n"),
+            Err(Status::BAD_REQUEST)
+        );
+        for line in ["", "GET", "GET /health", "GET /health FTP/1", "GET  /health HTTP/1.1", "a b c d"] {
+            let raw = format!("{line}\r\n\r\n");
+            assert_eq!(parse_request(raw.as_bytes()), Err(Status::BAD_REQUEST), "{line:?}");
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The wake contract, stressed: the serve worker loop minus the
+    // runtime, many rounds over real threads. Nothing here sleeps to
+    // "let a thread get there"; a lost wake-up shows as a worker that
+    // never exits, which the watchdog turns into a failure.
+    // -----------------------------------------------------------------
+
+    fn test_shared(job_queue: usize, faults: Option<&str>) -> Shared {
+        let cfg = ServeConfig {
+            job_queue,
+            faults: faults.map(|spec| FaultPlan::parse(spec).expect("fault spec")),
+            ..ServeConfig::default()
+        };
+        Shared::new(&cfg, &Tracer::new(cfg.ring_capacity))
+    }
+
+    /// Run `scenario` on its own thread and fail, rather than hang, if it
+    /// is not done within `limit`.
+    fn within(limit: Duration, scenario: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            scenario();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(limit) {
+            Ok(()) => runner.join().expect("scenario thread"),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("a waiter was never woken: scenario still running after {limit:?}")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().expect_err("scenario panicked"))
+            }
+        }
+    }
+
+    /// `(job, attempt)` of every pop, in pop order.
+    type Ran = Mutex<Vec<(u64, u64)>>;
+
+    /// What a serve worker does, with "run the job" replaced by a record:
+    /// pop; on a job, finish it (or, for `fault_first`, fail its first
+    /// attempt into the retry ladder); idle on `work`; exit when drained.
+    fn worker(shared: &Shared, ran: &Ran, fault_first: bool) {
+        loop {
+            match shared.pop_job() {
+                Popped::Job(job, started_ns) => {
+                    ran.lock().unwrap().push((job.job, job.attempt));
+                    if fault_first && job.attempt == 0 {
+                        shared.retry_or_poison(job, started_ns);
+                    } else {
+                        shared.leave_flight(job.spec.tenant);
+                    }
+                }
+                Popped::Drained => return,
+                Popped::Idle => shared.wait_for_work(),
+            }
+        }
+    }
+
+    fn admit_one(shared: &Shared, tenant: usize) -> Option<u64> {
+        admit_spec(shared, JobSpec { tenant, ..JobSpec::parse("") })
+    }
+
+    fn admit_spec(shared: &Shared, spec: JobSpec) -> Option<u64> {
+        match shared.admit(spec) {
+            Verdict::Admitted { job, .. } => Some(job),
+            Verdict::Full { .. } => panic!("the test queue is sized to hold every job"),
+            Verdict::Draining => None,
+        }
+    }
+
+    #[test]
+    fn admissions_racing_idle_workers_are_each_popped_exactly_once() {
+        within(Duration::from_secs(30), || {
+            for round in 0..300usize {
+                let (workers, admitters, per_admitter) = (1 + round % 4, 1 + round % 3, 8);
+                let shared = test_shared(admitters * per_admitter, None);
+                let ran = Ran::default();
+                let mut admitted = std::thread::scope(|s| {
+                    for _ in 0..workers {
+                        s.spawn(|| worker(&shared, &ran, false));
+                    }
+                    let handles: Vec<_> = (0..admitters)
+                        .map(|a| {
+                            let shared = &shared;
+                            s.spawn(move || {
+                                let mut mine = Vec::new();
+                                for _ in 0..per_admitter {
+                                    mine.extend(admit_one(shared, a));
+                                    // Odd rounds wait for the queue to run
+                                    // dry, so the next admission finds the
+                                    // workers idle (or about to be) again.
+                                    while round % 2 == 1
+                                        && shared.jobs.lock().unwrap().depth > 0
+                                    {
+                                        std::thread::yield_now();
+                                    }
+                                }
+                                mine
+                            })
+                        })
+                        .collect();
+                    let admitted: Vec<u64> =
+                        handles.into_iter().flat_map(|h| h.join().expect("admitter")).collect();
+                    // Returns only once every admitted job is terminal; the
+                    // scope then joins the workers, i.e. every one exited.
+                    shared.drain_then_stop();
+                    admitted
+                });
+                let mut popped: Vec<u64> = ran.lock().unwrap().iter().map(|&(j, _)| j).collect();
+                popped.sort_unstable();
+                admitted.sort_unstable();
+                assert_eq!(popped, admitted, "round {round}: every admitted job popped once");
+                assert!(admit_one(&shared, 0).is_none(), "a stopped service admits nothing");
+            }
+        });
+    }
+
+    #[test]
+    fn a_drain_flip_racing_retry_requeues_strands_no_job_and_no_worker() {
+        within(Duration::from_secs(30), || {
+            for round in 0..300usize {
+                let (workers, jobs) = (1 + round % 4, 1 + round % 5);
+                let shared = test_shared(jobs, Some("seed=3,jobr=1,backoff=1000"));
+                let ran = Ran::default();
+                let admitted: Vec<u64> = std::thread::scope(|s| {
+                    for _ in 0..workers {
+                        s.spawn(|| worker(&shared, &ran, true));
+                    }
+                    let admitted = (0..jobs).filter_map(|t| admit_one(&shared, t % 2)).collect();
+                    // The flip lands while first attempts are failing into
+                    // requeues and idle workers are being woken for them.
+                    shared.drain_then_stop();
+                    let q = shared.jobs.lock().unwrap();
+                    assert_eq!((q.depth, q.in_flight), (0, 0), "round {round}: stop before dry");
+                    admitted
+                });
+                let mut popped = ran.lock().unwrap().clone();
+                popped.sort_unstable();
+                let mut expected: Vec<(u64, u64)> =
+                    admitted.iter().flat_map(|&j| [(j, 0), (j, 1)]).collect();
+                expected.sort_unstable();
+                assert_eq!(popped, expected, "round {round}: each attempt popped exactly once");
+            }
+        });
+    }
+
+    #[test]
+    fn a_drain_whose_last_queued_jobs_are_shed_not_run_still_ends() {
+        within(Duration::from_secs(30), || {
+            for round in 0..300usize {
+                let (workers, expired) = (1 + round % 3, 1 + round % 4);
+                let shared = test_shared(1 + expired, None);
+                let ran = Ran::default();
+                // One job to run, and behind it jobs whose deadline has
+                // passed by the time a worker reaches them: the pop that
+                // sheds them starts nothing, so no `leave_flight` follows
+                // it, and it alone can tell the drain the queue is dry.
+                let live = admit_one(&shared, 0).expect("not draining yet");
+                for _ in 0..expired {
+                    admit_spec(&shared, JobSpec { deadline_ns: 1, ..JobSpec::parse("") });
+                }
+                // Workers start only now, so the drain flip is (nearly
+                // always) in place before the shedding pop.
+                std::thread::scope(|s| {
+                    for _ in 0..workers {
+                        s.spawn(|| worker(&shared, &ran, false));
+                    }
+                    shared.drain_then_stop();
+                });
+                let shed = shared.jobs.lock().unwrap().stats[&0].shed as usize;
+                let ran = ran.lock().unwrap();
+                assert!(ran.contains(&(live, 0)), "round {round}: the live job never ran");
+                assert_eq!(ran.len() + shed, 1 + expired, "round {round}: run or shed, once");
+            }
+        });
+    }
 
     #[test]
     fn top_frame_survives_a_zero_duration_scrape() {

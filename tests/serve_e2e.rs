@@ -110,6 +110,54 @@ fn events_line_matching(
     None
 }
 
+/// One long-lived `/events` connection, read line by line. Unlike
+/// [`events_line_matching`] it does not reconnect (and so does not replay
+/// the backlog): once caught up, a line can only reach it by the tail
+/// being woken for it.
+struct EventsTail(BufReader<std::net::TcpStream>);
+
+impl EventsTail {
+    fn open(addr: &str) -> EventsTail {
+        use std::io::Write;
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect /events");
+        // A line that never comes fails the test instead of hanging it.
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream
+            .write_all(format!("GET /events HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes())
+            .expect("send request");
+        EventsTail(BufReader::new(stream))
+    }
+
+    /// Block until a line matching `pred` arrives.
+    fn next_matching(&mut self, what: &str, pred: impl Fn(&str) -> bool) -> String {
+        loop {
+            let mut line = String::new();
+            match self.0.read_line(&mut line) {
+                Ok(n) if n > 0 => {}
+                other => panic!("/events ended or stalled waiting for {what}: {other:?}"),
+            }
+            if pred(&line) {
+                return line;
+            }
+        }
+    }
+}
+
+/// The `"job"` field of a JSON object (an admission answer, an event line).
+fn job_id(json: &str) -> u64 {
+    minijson::parse(json)
+        .ok()
+        .and_then(|v| v.get("job").and_then(minijson::Value::as_u64))
+        .unwrap_or_else(|| panic!("no job id in {json}"))
+}
+
+/// `POST /jobs` with `body`; the admitted job's id.
+fn submit(addr: &str, body: &str) -> u64 {
+    let (status, head, payload) = raw_request(addr, "POST", "/jobs", body);
+    assert_eq!(status, 202, "{head} {payload}");
+    job_id(&payload)
+}
+
 /// Retry a scrape until the telemetry thread has published a status.
 fn scrape(addr: &str, path: &str) -> String {
     let start = Instant::now();
@@ -314,7 +362,15 @@ fn an_armed_mid_kernel_fault_retries_the_job_to_exactly_one_completion() {
         "--out",
         log_path.to_str().unwrap(),
     ]);
-    scrape(&addr, "/health");
+    // Jobs outrank the ambient work, so the pin lands on the job's kernel
+    // only once the ambient off-load (TaskId 0) is behind the worker.
+    let start = Instant::now();
+    while !parse_prometheus(&scrape(&addr, "/metrics")).expect("metrics parse").iter().any(|f| {
+        f.name == "multigrain_offloads_total" && f.samples.iter().any(|s| s.value >= 1.0)
+    }) {
+        assert!(start.elapsed() < Duration::from_secs(10), "the ambient off-load never ran");
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
     let (status, head, payload) =
         raw_request(&addr, "POST", "/jobs", "taxa=8&sites=64&bootstraps=1&tenant=0");
@@ -438,6 +494,119 @@ fn known_paths_answer_405_with_an_allow_header_per_verb() {
 
     let code = wait_with_timeout(&mut child, Duration::from_secs(30));
     assert_eq!(code, 0);
+}
+
+#[test]
+fn more_workers_than_ppe_contexts_strand_no_job() {
+    // Four processes on the PPE's two contexts. An idle process that kept
+    // its context while it waited would keep it from the one whose
+    // off-load just finished, and that one's job would hang until the
+    // drain released the idlers: every job must complete while the
+    // service is still up.
+    let (mut child, addr) =
+        spawn_serve(&["--workers", "4", "--tasks", "1", "--job-queue", "32"]);
+    let mut tail = EventsTail::open(&addr);
+    let mut pending: std::collections::BTreeSet<u64> =
+        (0..30).map(|_| submit(&addr, "taxa=8&sites=256&bootstraps=2")).collect();
+    while !pending.is_empty() {
+        let line = tail.next_matching(&format!("{} more completion(s)", pending.len()), |l| {
+            l.contains("\"type\":\"job_completed\"")
+        });
+        let done = job_id(&line);
+        assert!(pending.remove(&done), "job {done} completed twice or was never admitted");
+    }
+
+    unsafe {
+        libc_kill(child.id() as i32, 2);
+    }
+    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+}
+
+#[test]
+fn a_completion_reaches_an_open_events_tail_before_the_next_job_is_sent() {
+    let (mut child, addr) = spawn_serve(&["--tasks", "1"]);
+    let mut tail = EventsTail::open(&addr);
+    // One job at a time: after the first, the tail has nothing left to
+    // replay and is parked when the job is sent, so each completion line
+    // gets here only if appending it to the journal wakes the tail.
+    for _ in 0..20 {
+        let job = submit(&addr, "taxa=8&sites=64&bootstraps=1");
+        let id = format!("\"job\":{job},");
+        tail.next_matching(&format!("job {job} to complete"), |l| {
+            l.contains("\"type\":\"job_completed\"") && l.contains(&id)
+        });
+    }
+    unsafe {
+        libc_kill(child.id() as i32, 2);
+    }
+    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+}
+
+#[test]
+fn an_idle_service_nobody_connected_to_still_stops() {
+    // The acceptor blocks in `accept`; with no client ever connecting,
+    // only the service's own shutdown wake gets it out.
+    let (mut timed, _) = spawn_serve(&["--tasks", "1", "--for-ms", "200"]);
+    assert_eq!(wait_with_timeout(&mut timed, Duration::from_secs(20)), 0, "--for-ms expiry");
+
+    let (mut interrupted, _) = spawn_serve(&["--tasks", "1"]);
+    unsafe {
+        libc_kill(interrupted.id() as i32, 2);
+    }
+    assert_eq!(wait_with_timeout(&mut interrupted, Duration::from_secs(20)), 0, "SIGINT");
+}
+
+#[test]
+fn a_drain_whose_backlog_is_shed_rather_than_run_still_exits() {
+    // One worker, busy with a heavy job when the interrupt lands; behind
+    // it, jobs whose 1 ms deadline is long gone by the time the worker
+    // looks again. That last look starts nothing — it only sheds — and
+    // the drain has to hear that the queue is empty from it.
+    let (mut child, addr) = spawn_serve(&["--workers", "1", "--tasks", "1"]);
+    submit(&addr, "taxa=256&sites=8192&bootstraps=16");
+    for _ in 0..3 {
+        submit(&addr, "taxa=8&sites=16&bootstraps=1&deadline_ms=1");
+    }
+    unsafe {
+        libc_kill(child.id() as i32, 2);
+    }
+    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+}
+
+#[test]
+fn unreadable_requests_are_answered_not_hung_up_on() {
+    use std::io::{Read, Write};
+    let (mut child, addr) = spawn_serve(&["--tasks", "1"]);
+    // Send `bytes`, stop sending (but keep the read side open), and
+    // return the status code of whatever comes back.
+    let answer = |bytes: &[u8]| -> u16 {
+        let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(bytes).expect("send");
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("an answer, not a reset");
+        raw.strip_prefix("HTTP/1.1 ")
+            .and_then(|r| r.get(..3))
+            .and_then(|c| c.parse().ok())
+            .unwrap_or_else(|| panic!("no status line in {raw:?}"))
+    };
+    // A head that fills the request buffer and never ends.
+    assert_eq!(answer(format!("GET /{} HTTP/1.1\r\n", "x".repeat(5000)).as_bytes()), 431);
+    // A head that stops mid-way: the read times out.
+    assert_eq!(answer(b"GET /health HTTP/1.1\r\nHost: h\r\n"), 408);
+    // A body the buffer cannot hold.
+    assert_eq!(answer(b"POST /jobs HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"), 413);
+    // A body that never arrives in full.
+    assert_eq!(answer(b"POST /jobs HTTP/1.1\r\nContent-Length: 30\r\n\r\ntaxa=8"), 408);
+    // Not a request line.
+    assert_eq!(answer(b"hello\r\n\r\n"), 400);
+    // And the service is none the worse for it.
+    submit(&addr, "taxa=8&sites=64&bootstraps=1");
+
+    unsafe {
+        libc_kill(child.id() as i32, 2);
+    }
+    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
 }
 
 #[test]

@@ -3,9 +3,9 @@
 //!
 //! The engine lexes the workspace (comments and string literals can no
 //! longer produce hits, `tests/` and `benches/` trees are covered) and
-//! runs the eight-rule catalog: wall-clock, unbounded-channel,
+//! runs the nine-rule catalog: wall-clock, unbounded-channel,
 //! trace-clock, unordered-iter, rng-discipline, lock-order,
-//! event-coverage, and panic-path. Exemptions require a justified
+//! event-coverage, panic-path, and request-sleep. Exemptions require a justified
 //! `// xtask-allow: <rule> — <why>` marker and are bounded per rule by an
 //! exemption budget; CI fails when either discipline slips.
 //!
