@@ -1,13 +1,7 @@
 //! The real likelihood kernels at the paper's 42_SC problem size:
 //! `newview`, `evaluate`, and `makenewz` over 42 taxa x 1167 sites.
-//!
-//! The `lanes_42sc` group pits the two kernel paths against each other in
-//! the same binary via the explicit `_with::<K>` entry points, so the
-//! scalar/SIMD speedup is measured without rebuilding — the `simd-kernels`
-//! feature only changes which path the *default* entry points dispatch to.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use phylo::lanes::{KernelPath, Scalar, Simd4};
 use phylo::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -33,46 +27,5 @@ fn kernels(c: &mut Criterion) {
     g.finish();
 }
 
-fn lane_for<K: KernelPath>(
-    g: &mut criterion::BenchmarkGroup<'_>,
-    engine: &LikelihoodEngine<'_, Jc69>,
-    cu: &Clv,
-    cv: &Clv,
-    n: usize,
-) {
-    let mut arena = ClvArena::new();
-    g.bench_function(format!("newview/{}", K::NAME), |bch| {
-        let mut out = arena.take(n);
-        bch.iter(|| {
-            engine.newview_range_into_with::<K>(cu, 0.1, cv, 0.2, 0..n, &mut out);
-        });
-        arena.put(out);
-    });
-    g.bench_function(format!("evaluate/{}", K::NAME), |bch| {
-        bch.iter(|| engine.evaluate_range_with::<K>(cu, cv, 0.1, 0..n))
-    });
-    g.bench_function(format!("derivatives/{}", K::NAME), |bch| {
-        bch.iter(|| engine.lnl_derivatives_range_with::<K>(cu, cv, 0.05, 0..n))
-    });
-}
-
-fn lanes(c: &mut Criterion) {
-    let aln = Alignment::synthetic_42_sc(&Jc69, 42);
-    let data = PatternAlignment::compress(&aln);
-    let engine = LikelihoodEngine::new(&Jc69, &data);
-    let mut rng = SmallRng::seed_from_u64(1);
-    let tree = Tree::random(42, 0.1, &mut rng);
-    let e0 = phylo::tree::EdgeId(0);
-    let (a, b) = tree.endpoints(e0);
-    let cu = engine.clv_toward(&tree, a, b);
-    let cv = engine.clv_toward(&tree, b, a);
-    let n = data.n_patterns();
-
-    let mut g = c.benchmark_group("lanes_42sc");
-    lane_for::<Scalar>(&mut g, &engine, &cu, &cv, n);
-    lane_for::<Simd4>(&mut g, &engine, &cu, &cv, n);
-    g.finish();
-}
-
-criterion_group!(benches, kernels, lanes);
+criterion_group!(benches, kernels);
 criterion_main!(benches);

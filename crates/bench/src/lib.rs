@@ -1,24 +1,10 @@
-//! Shared helpers for the Criterion benchmarks.
-//!
-//! Each bench target regenerates (a sampled version of) one table or
-//! figure; the statistical heavy lifting for the paper-facing numbers is
-//! done by the `experiments` binaries — these benches measure the cost of
-//! the regeneration itself and guard against performance regressions in
-//! the simulator, the runtime, and the likelihood kernels.
+//! Shared helpers for the Criterion benchmarks and their smoke tests:
+//! controlled-work off-load loops on the native runtime, with one plane
+//! (tracing, the fault plane, snapshot scraping) switched on or off, so
+//! the difference is that plane's overhead — the quantity the DESIGN
+//! budgets bound.
 
-use cellsim::machine::{run, RunReport, SimConfig};
 use mgps_runtime::policy::SchedulerKind;
-
-pub mod compare;
-
-/// Workload reduction used by the benches: coarse, so each simulation run
-/// is a few milliseconds.
-pub const BENCH_SCALE: usize = 5_000;
-
-/// One simulated run at bench scale.
-pub fn sim(scheduler: SchedulerKind, n_bootstraps: usize) -> RunReport {
-    run(SimConfig::cell_42sc(scheduler, n_bootstraps, BENCH_SCALE))
-}
 
 /// A spin-loop body for the native-runtime overhead benches: `n`
 /// iterations of a busy-wait, so the work per off-load is controlled and
@@ -95,10 +81,10 @@ pub fn native_offload_wall(
 /// reaches).
 ///
 /// Unarmed, the entire fault plane is one `Option::is_some` check at the
-/// top of `offload_loop` — the quantity the DESIGN budget bounds at < 1 %
-/// and the bench regression gate tracks across commits. Armed-but-quiet
-/// additionally pays one mutex'd fault-round decision per off-load, which
-/// is the marginal bookkeeping cost chaos runs accept.
+/// top of `offload_loop` — the quantity the DESIGN budget bounds at
+/// < 1 %. Armed-but-quiet additionally pays one mutex'd fault-round
+/// decision per off-load, which is the marginal bookkeeping cost chaos
+/// runs accept.
 ///
 /// [`FaultPlan`]: mgps_runtime::faults::FaultPlan
 pub fn fault_offload_wall(

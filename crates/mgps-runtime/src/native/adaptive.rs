@@ -820,30 +820,87 @@ mod tests {
         );
     }
 
+    fn yield_until(done: impl Fn() -> bool) {
+        while !done() {
+            std::thread::yield_now();
+        }
+    }
+
+    /// One task of a round in which eight tasks are in flight on eight
+    /// SPEs, in a forced order. `phase` is `2·round − 1` once the leader's
+    /// task runs (the followers off-load only then, so all their off-loads
+    /// fall inside the leader's execution window) and `2·round` once the
+    /// leader has seen the pool without an idle SPE, which releases the
+    /// followers' tasks. The leader's task ends only when every follower
+    /// has returned from its off-load, so the leader's departure is the
+    /// round's eighth completion — the one MGPS evaluates, with U = 8.
+    struct Saturating {
+        pool: Arc<SpePool>,
+        phase: Arc<AtomicUsize>,
+        returned: Arc<AtomicUsize>,
+        round: usize,
+        leader: bool,
+    }
+
+    impl LoopBody for Saturating {
+        type Acc = ();
+        fn len(&self) -> usize {
+            1
+        }
+        fn identity(&self) {}
+        fn run_chunk(&self, _range: Range<usize>, _ctx: &mut SpeContext) {
+            if self.leader {
+                self.phase.store(2 * self.round - 1, Ordering::SeqCst);
+                yield_until(|| self.pool.idle_count() == 0);
+                self.phase.store(2 * self.round, Ordering::SeqCst);
+                yield_until(|| self.returned.load(Ordering::SeqCst) == 7 * self.round);
+            } else {
+                yield_until(|| self.phase.load(Ordering::SeqCst) >= 2 * self.round);
+            }
+        }
+        fn merge(&self, _a: (), _b: ()) {}
+    }
+
     #[test]
     fn mgps_stays_tlp_under_high_task_parallelism() {
+        const ROUNDS: usize = 16;
         let mut cfg = RuntimeConfig::cell(SchedulerKind::Mgps);
         cfg.switch_cost = Duration::ZERO;
         let rt = MgpsRuntime::new(cfg);
-        // 8 workers saturate the SPEs with task parallelism. Tasks must be
-        // long enough (~1 ms) that offloads from the other workers land
-        // inside each departing task's execution window, making U ≈ 8.
+        let phase = Arc::new(AtomicUsize::new(0));
+        let returned = Arc::new(AtomicUsize::new(0));
+        // 8 workers saturate the SPEs with task parallelism: every window
+        // of 8 completions closes on a task whose execution overlapped the
+        // other seven off-loads, so U = 8 at every evaluation.
         std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let rt = &rt;
+            for worker in 0..8 {
+                let (rt, phase, returned) = (&rt, &phase, &returned);
                 scope.spawn(move || {
+                    let leader = worker == 0;
                     let mut ctx = rt.enter_process();
-                    for _ in 0..16 {
-                        let body = Arc::new(SpinSum { n: 100, spin: Duration::from_micros(10) });
+                    for round in 1..=ROUNDS {
+                        if !leader {
+                            // Wait for the leader's task outside the gate:
+                            // the leader needs a PPE context to off-load.
+                            ctx.block_outside(|| {
+                                yield_until(|| phase.load(Ordering::SeqCst) >= 2 * round - 1)
+                            });
+                        }
+                        let body = Arc::new(Saturating {
+                            pool: Arc::clone(&rt.pool),
+                            phase: Arc::clone(phase),
+                            returned: Arc::clone(returned),
+                            round,
+                            leader,
+                        });
                         ctx.offload_loop(LoopSite(3), body).unwrap();
+                        if !leader {
+                            returned.fetch_add(1, Ordering::SeqCst);
+                        }
                     }
                 });
             }
         });
-        // At the drain-out tail, TLP vanishes and MGPS may legitimately
-        // flip to LLP for the last stragglers; what must hold is that the
-        // *steady state* stayed EDTLP: nearly all evaluation windows
-        // deactivated (or never activated) LLP.
         let (evals, acts, _deacts) = rt.mgps_stats().expect("adaptive runtime");
         assert!(evals >= 8, "expected >= 8 windows, got {evals}");
         assert!(

@@ -29,7 +29,6 @@ pub mod analysis;
 pub mod bootstrap;
 pub mod dna;
 pub mod io;
-pub mod lanes;
 pub mod likelihood;
 pub mod linalg;
 pub mod mixture;
@@ -47,7 +46,6 @@ pub mod prelude {
     pub use crate::bootstrap::{bootstrap_replicate, bootstrap_weights, support_values};
     pub use crate::dna::{StateMask, STATES};
     pub use crate::io::{parse_newick, NewickError};
-    pub use crate::lanes::{KernelPath, Scalar, Simd4};
     pub use crate::likelihood::{Clv, ClvArena, LikelihoodEngine};
     pub use crate::mixture::{estimate_alpha, GammaEngine};
 pub use crate::model::{Gtr, Jc69, Matrix, ScaledModel, SubstModel, K80};

@@ -23,10 +23,7 @@ use std::ops::Range;
 
 use crate::alignment::PatternAlignment;
 use crate::dna::STATES;
-use crate::lanes::{DefaultPath, KernelPath};
-use crate::model::SubstModel;
-#[cfg(test)]
-use crate::model::Matrix;
+use crate::model::{Matrix, SubstModel};
 use crate::tree::{EdgeId, Tree};
 
 /// Likelihood values below this threshold trigger rescaling (RAxML's
@@ -206,12 +203,28 @@ impl ClvArena {
     }
 }
 
-/// View a pattern slice as the fixed-width lane array the kernel paths
-/// operate on.
+/// View a pattern slice as the fixed-width array [`matvec`] operates on.
 #[inline(always)]
 fn four(s: &[f64]) -> &[f64; 4] {
     const { assert!(STATES == 4) };
     s.try_into().expect("pattern slice is 4 wide")
+}
+
+/// `[Σ_y m[x][y]·v[y]; x in 0..4]`: the one operation all three kernels
+/// spend their time in. Row-major accumulation, one output state at a
+/// time — this floating-point order is frozen; the benchmark's `lnl_sum`
+/// anchors and the replay digests depend on it.
+#[inline(always)]
+fn matvec(m: &Matrix, v: &[f64; 4]) -> [f64; 4] {
+    let mut out = [0.0; 4];
+    for x in 0..4 {
+        let mut s = 0.0;
+        for y in 0..4 {
+            s += m[x][y] * v[y];
+        }
+        out[x] = s;
+    }
+    out
 }
 
 /// The likelihood engine: a substitution model bound to a pattern-compressed
@@ -312,25 +325,10 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         range: Range<usize>,
         out: &mut Clv,
     ) {
-        self.newview_range_with::<DefaultPath>(left, t_left, right, t_right, range, out);
-    }
-
-    /// [`Self::newview_range`] through an explicit kernel path (the
-    /// feature-matrix tests and benches pin [`crate::lanes::Scalar`] vs
-    /// [`crate::lanes::Simd4`] against each other here).
-    pub fn newview_range_with<K: KernelPath>(
-        &self,
-        left: &Clv,
-        t_left: f64,
-        right: &Clv,
-        t_right: f64,
-        range: Range<usize>,
-        out: &mut Clv,
-    ) {
         let n = self.data.n_patterns();
         assert_eq!(out.n_patterns(), n, "output CLV size mismatch");
         let (head, tail) = (range.start * STATES, range.end * STATES);
-        self.newview_body::<K>(
+        self.newview_body(
             left,
             t_left,
             right,
@@ -357,28 +355,15 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         range: Range<usize>,
         out: &mut Clv,
     ) {
-        self.newview_range_into_with::<DefaultPath>(left, t_left, right, t_right, range, out);
-    }
-
-    /// [`Self::newview_range_into`] through an explicit kernel path.
-    pub fn newview_range_into_with<K: KernelPath>(
-        &self,
-        left: &Clv,
-        t_left: f64,
-        right: &Clv,
-        t_right: f64,
-        range: Range<usize>,
-        out: &mut Clv,
-    ) {
         assert_eq!(out.n_patterns(), range.len(), "chunk output CLV size mismatch");
         let Clv { vals, scale } = out;
-        self.newview_body::<K>(left, t_left, right, t_right, range, vals, scale);
+        self.newview_body(left, t_left, right, t_right, range, vals, scale);
     }
 
-    /// The one generic chunk body both kernel paths share: patterns
-    /// `range` of the pruning step, written to range-sized slices.
+    /// The one chunk body: patterns `range` of the pruning step, written
+    /// to range-sized slices.
     #[allow(clippy::too_many_arguments)] // the pruning step's full operand list
-    fn newview_body<K: KernelPath>(
+    fn newview_body(
         &self,
         left: &Clv,
         t_left: f64,
@@ -394,13 +379,13 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         assert!(range.end <= n, "chunk range {range:?} outside {n} patterns");
         assert_eq!(out_vals.len(), range.len() * STATES, "chunk vals size mismatch");
         assert_eq!(out_scale.len(), range.len(), "chunk scale size mismatch");
-        let pl = K::prepare(&self.model.prob_matrix(t_left));
-        let pr = K::prepare(&self.model.prob_matrix(t_right));
+        let pl = self.model.prob_matrix(t_left);
+        let pr = self.model.prob_matrix(t_right);
         for (j, i) in range.enumerate() {
             let l = four(left.pattern(i));
             let r = four(right.pattern(i));
-            let suml = K::matvec(&pl, l);
-            let sumr = K::matvec(&pr, r);
+            let suml = matvec(&pl, l);
+            let sumr = matvec(&pr, r);
             let o = &mut out_vals[j * STATES..(j + 1) * STATES];
             let mut min_ok = false;
             for x in 0..STATES {
@@ -440,25 +425,14 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// pattern space reproduces [`Self::evaluate`] exactly (modulo FP
     /// reassociation) — this is the loop the paper parallelizes first.
     pub fn evaluate_range(&self, u: &Clv, v: &Clv, t: f64, range: Range<usize>) -> f64 {
-        self.evaluate_range_with::<DefaultPath>(u, v, t, range)
-    }
-
-    /// [`Self::evaluate_range`] through an explicit kernel path.
-    pub fn evaluate_range_with<K: KernelPath>(
-        &self,
-        u: &Clv,
-        v: &Clv,
-        t: f64,
-        range: Range<usize>,
-    ) -> f64 {
-        let p = K::prepare(&self.model.prob_matrix(t));
+        let p = self.model.prob_matrix(t);
         let pi = self.model.base_freqs();
         let ln_min = log_scale();
         let w = self.data.weights();
         let mut sum = 0.0;
         for i in range {
             let lu = four(u.pattern(i));
-            let inner = K::matvec(&p, four(v.pattern(i)));
+            let inner = matvec(&p, four(v.pattern(i)));
             let mut term = 0.0;
             for x in 0..STATES {
                 term += pi[x] * lu[x] * inner[x];
@@ -476,12 +450,12 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// Mixture models combine these across rate categories before taking
     /// logs.
     pub fn site_terms(&self, u: &Clv, v: &Clv, t: f64) -> Vec<(f64, u32)> {
-        let p = DefaultPath::prepare(&self.model.prob_matrix(t));
+        let p = self.model.prob_matrix(t);
         let pi = self.model.base_freqs();
         let mut out = Vec::with_capacity(self.data.n_patterns());
         for i in 0..self.data.n_patterns() {
             let lu = four(u.pattern(i));
-            let inner = DefaultPath::matvec(&p, four(v.pattern(i)));
+            let inner = matvec(&p, four(v.pattern(i)));
             let mut term = 0.0;
             for x in 0..STATES {
                 term += pi[x] * lu[x] * inner[x];
@@ -506,20 +480,9 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         t: f64,
         range: Range<usize>,
     ) -> (f64, f64) {
-        self.lnl_derivatives_range_with::<DefaultPath>(u, v, t, range)
-    }
-
-    /// [`Self::lnl_derivatives_range`] through an explicit kernel path.
-    pub fn lnl_derivatives_range_with<K: KernelPath>(
-        &self,
-        u: &Clv,
-        v: &Clv,
-        t: f64,
-        range: Range<usize>,
-    ) -> (f64, f64) {
-        let p = K::prepare(&self.model.prob_matrix(t));
-        let d1m = K::prepare(&self.model.d1_matrix(t));
-        let d2m = K::prepare(&self.model.d2_matrix(t));
+        let p = self.model.prob_matrix(t);
+        let d1m = self.model.d1_matrix(t);
+        let d2m = self.model.d2_matrix(t);
         let pi = self.model.base_freqs();
         let w = self.data.weights();
         let mut d1 = 0.0;
@@ -527,9 +490,9 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         for i in range {
             let lu = four(u.pattern(i));
             let lv = four(v.pattern(i));
-            let s = K::matvec(&p, lv);
-            let ds = K::matvec(&d1m, lv);
-            let dds = K::matvec(&d2m, lv);
+            let s = matvec(&p, lv);
+            let ds = matvec(&d1m, lv);
+            let dds = matvec(&d2m, lv);
             let (mut l, mut dl, mut ddl) = (0.0, 0.0, 0.0);
             for x in 0..STATES {
                 let f = pi[x] * lu[x];
@@ -831,6 +794,26 @@ mod tests {
         // And it must agree when started from a very different point.
         let t_opt2 = engine.makenewz(&cu, &cv, 1.5);
         assert!((t_opt - t_opt2).abs() < 1e-4, "{t_opt} vs {t_opt2}");
+    }
+
+    /// The kernels' floating-point operation order is frozen: every
+    /// `lnl_sum` anchor and replay digest downstream depends on it. A
+    /// kernel that reassociates a sum moves these bits before it moves
+    /// anything a tolerance would catch.
+    #[test]
+    fn kernel_float_order_is_pinned_to_the_bit() {
+        let aln = Alignment::synthetic_42_sc(&Jc69, 42);
+        let data = PatternAlignment::compress(&aln);
+        let engine = LikelihoodEngine::new(&Jc69, &data);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let tree = Tree::random(42, 0.1, &mut rng);
+        let lnl = engine.log_likelihood(&tree);
+        assert_eq!(lnl, f64::from_bits(0xc0f0_88e4_b16b_d613), "log_likelihood");
+        let (a, b) = tree.endpoints(EdgeId(0));
+        let cu = engine.clv_toward(&tree, a, b);
+        let cv = engine.clv_toward(&tree, b, a);
+        let t = engine.makenewz(&cu, &cv, 0.05);
+        assert_eq!(t, f64::from_bits(0x3fde_87ff_b722_e0c4), "makenewz");
     }
 
     #[test]

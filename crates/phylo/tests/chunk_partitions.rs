@@ -1,17 +1,12 @@
-//! Chunked/whole kernel equivalence and the scalar/SIMD feature matrix.
+//! Chunked/whole kernel equivalence.
 //!
 //! The work-sharing teams split the pattern space into arbitrary chunks,
 //! so any partition of `0..n` must reproduce the whole-range kernels —
 //! for `newview` bit-identically (values *and* scaling exponents: the
 //! scale-carry at chunk boundaries is the historical bug class), for the
 //! `evaluate`/derivative sums up to FP reassociation of the partial sums.
-//!
-//! The same harness pins the two kernel paths ([`Scalar`] and [`Simd4`])
-//! against each other: they are required to agree to ≤1 ulp per site term
-//! and produce identical scaling counts, and in fact agree exactly.
 
 use phylo::alignment::{Alignment, PatternAlignment};
-use phylo::lanes::{Scalar, Simd4};
 use phylo::likelihood::{Clv, ClvArena, LikelihoodEngine};
 use phylo::model::Jc69;
 use proptest::prelude::*;
@@ -63,16 +58,6 @@ fn partition(n: usize, cuts: &[f64]) -> Vec<usize> {
     bounds
 }
 
-/// Distance in units-in-the-last-place between two finite doubles.
-fn ulp_diff(a: f64, b: f64) -> u64 {
-    // Map to a monotone integer line (sign-magnitude -> offset binary).
-    fn ordered(x: f64) -> i64 {
-        let b = x.to_bits() as i64;
-        if b < 0 { i64::MIN ^ b } else { b }
-    }
-    ordered(a).abs_diff(ordered(b))
-}
-
 proptest! {
     /// Any partition of the pattern space, spliced back together,
     /// reproduces the whole-range `newview` bit-for-bit — values and
@@ -104,20 +89,10 @@ proptest! {
             arena.put(piece);
         }
         prop_assert_eq!(&whole, &assembled);
-
-        // And chunk by chunk, the two kernel paths agree exactly.
-        for w in bounds.windows(2) {
-            let mut a = arena.take(w[1] - w[0]);
-            let mut b = arena.take(w[1] - w[0]);
-            engine.newview_range_into_with::<Scalar>(&left, tl, &right, tr, w[0]..w[1], &mut a);
-            engine.newview_range_into_with::<Simd4>(&left, tl, &right, tr, w[0]..w[1], &mut b);
-            prop_assert_eq!(&a, &b, "scalar/simd divergence in chunk {}..{}", w[0], w[1]);
-        }
     }
 
     /// Partial `evaluate`/derivative sums over any partition reproduce the
-    /// whole-range sums (up to reassociation of the partials), and the two
-    /// kernel paths agree to ≤1 ulp per site term — in practice exactly.
+    /// whole-range sums (up to reassociation of the partials).
     #[test]
     fn evaluate_and_derivatives_over_any_partition_sum_to_whole(
         seed in 0u64..u64::MAX,
@@ -147,42 +122,7 @@ proptest! {
         prop_assert!((sum - whole).abs() < tol, "evaluate: {sum} vs {whole}");
         prop_assert!((d1 - wd1).abs() < 1e-9 * (1.0 + wd1.abs()), "d1: {d1} vs {wd1}");
         prop_assert!((d2 - wd2).abs() < 1e-9 * (1.0 + wd2.abs()), "d2: {d2} vs {wd2}");
-
-        // Per-site terms across the paths: ≤1 ulp apart (exact today).
-        for i in 0..n {
-            let a = engine.evaluate_range_with::<Scalar>(&u, &v, t, i..i + 1);
-            let b = engine.evaluate_range_with::<Simd4>(&u, &v, t, i..i + 1);
-            prop_assert!(ulp_diff(a, b) <= 1, "site {i}: {a} vs {b}");
-        }
-        let (s1, s2) = engine.lnl_derivatives_range_with::<Scalar>(&u, &v, t, 0..n);
-        let (v1, v2) = engine.lnl_derivatives_range_with::<Simd4>(&u, &v, t, 0..n);
-        prop_assert!(ulp_diff(s1, v1) <= 1 && ulp_diff(s2, v2) <= 1);
     }
-}
-
-/// The two paths make identical rescaling decisions on a workload that
-/// actually rescales (deep caterpillar), and the engine's default path —
-/// whichever the `simd-kernels` feature selects — matches both.
-#[test]
-fn kernel_paths_produce_identical_scaling_counts() {
-    let aln = Alignment::synthetic(48, 24, &Jc69, 0.5, 9);
-    let data = PatternAlignment::compress(&aln);
-    let engine = LikelihoodEngine::new(&Jc69, &data);
-    let mut rng = SmallRng::seed_from_u64(17);
-    let n = data.n_patterns();
-    let left = random_clv(n, &mut rng);
-    let right = random_clv(n, &mut rng);
-
-    let mut a = engine.empty_clv();
-    let mut b = engine.empty_clv();
-    engine.newview_range_with::<Scalar>(&left, 0.7, &right, 1.3, 0..n, &mut a);
-    engine.newview_range_with::<Simd4>(&left, 0.7, &right, 1.3, 0..n, &mut b);
-    assert!(a.total_scalings() > 0, "workload must rescale for this test to bite");
-    assert_eq!(a.total_scalings(), b.total_scalings());
-    assert_eq!(a, b, "paths diverged beyond scaling counts");
-
-    let default = engine.newview(&left, 0.7, &right, 1.3);
-    assert_eq!(default, a, "engine default path disagrees with the explicit paths");
 }
 
 /// Off-by-one chunk boundary regression: a splice ending exactly at

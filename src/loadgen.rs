@@ -100,12 +100,12 @@ impl LoadgenConfig {
     }
 }
 
-/// The seeded linear congruential generator shared across the workspace
+/// The seeded linear congruential generator `loadgen` and `serve` share
 /// (same multiplier/increment as the simulator's streams).
-struct Lcg(u64);
+pub(crate) struct Lcg(pub(crate) u64);
 
 impl Lcg {
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         self.0 >> 33
     }

@@ -101,6 +101,8 @@ use mgps_runtime::tracing::TraceHandle;
 use mgps_runtime::{AtomicMetrics, SnapshotSource, Tracer};
 use minijson::Value;
 
+use crate::loadgen::Lcg;
+
 /// Construction parameters for service mode.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -202,16 +204,6 @@ impl ServeError {
         match self {
             ServeError::Io(m) | ServeError::Other(m) => m,
         }
-    }
-}
-
-/// A deterministic splitmix-style stream for workload shaping.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.0 >> 33
     }
 }
 
@@ -343,7 +335,7 @@ struct PendingJob {
     acc_kernel_ns: u64,
 }
 
-///// Cumulative per-tenant admission accounting: the `/metrics`
+/// Cumulative per-tenant admission accounting: the `/metrics`
 /// `multigrain_tenant_jobs` gauges and the starvation detector's
 /// dispatch progress signal both read from here.
 #[derive(Debug, Default, Clone, Copy)]
