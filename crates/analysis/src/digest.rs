@@ -8,24 +8,29 @@
 //! [`SimConfig`]: cellsim::machine::SimConfig
 
 use cellsim::event::RunLog;
+use minijson::Sink;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over arbitrary bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+/// A running FNV-1a 64 state; the bytes put into it are never stored.
+struct Fnv1a(u64);
+
+impl Sink for Fnv1a {
+    fn put(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
     }
-    h
 }
 
-/// A 64-bit digest of the run's full event log (canonical JSON form).
+/// A 64-bit digest of the run's full event log: FNV-1a over the bytes of
+/// its canonical JSON form (`log.to_value().to_json()`), hashed as the log
+/// streams them — neither the tree nor the text is ever built.
 /// Equal seeds and configurations must produce equal digests.
 pub fn trace_digest(log: &RunLog) -> u64 {
-    fnv1a(log.to_value().to_json().as_bytes())
+    log.write_json(Fnv1a(FNV_OFFSET)).0
 }
 
 /// [`trace_digest`] rendered as fixed-width hex (for reports and logs).
@@ -36,6 +41,14 @@ pub fn digest_hex(log: &RunLog) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cellsim::machine::SimConfig;
+    use mgps_runtime::policy::SchedulerKind;
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a(FNV_OFFSET);
+        h.put(bytes);
+        h.0
+    }
 
     #[test]
     fn fnv_matches_reference_vectors() {
@@ -43,6 +56,15 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn the_streamed_digest_is_the_hash_of_the_tree_rendered_text() {
+        let mut sim = SimConfig::cell_42sc(SchedulerKind::Mgps, 2, 2_000);
+        sim.record_events = true;
+        let log = cellsim::machine::run(sim).run_log.expect("record_events was set");
+        assert!(!log.events.is_empty());
+        assert_eq!(trace_digest(&log), fnv1a(log.to_value().to_json().as_bytes()));
     }
 
     #[test]

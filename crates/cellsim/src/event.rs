@@ -13,9 +13,13 @@
 //! and omitted-when-zero marks — is declared once, in
 //! [`mgps_runtime::events`], and shared with the native runtime's trace
 //! rings. This module expands that same table into the JSON
-//! encoder/decoder, so the codec cannot drift from the enum.
+//! encoder/decoder, so the codec cannot drift from the enum. The encoder
+//! is one walk over a log's members with two sinks: a `minijson::Value`
+//! tree ([`RunLog::to_value`]) and streamed text ([`RunLog::to_json`],
+//! [`RunLog::write_json`], [`json_line`]) — the same bytes, without the
+//! tree, for the digest and for writing a log out.
 
-use minijson::Value;
+use minijson::{Sink, Value, Writer};
 
 pub use mgps_runtime::events::{EventKind, MailboxKind, SwitchReason};
 
@@ -108,16 +112,24 @@ pub struct RunLog {
     pub events: Vec<EventRecord>,
 }
 
-/// The JSON form of one field type of the event table or the log header.
-trait Field: Sized {
+/// The JSON form of one field type of the event table or the log header:
+/// as a tree node, as streamed text (the two agree byte for byte), and
+/// back from a tree node.
+trait Field {
     fn encode(&self) -> Value;
+    fn stream<S: Sink>(&self, w: &mut Writer<S>);
     /// `None` when `v` is not a well-formed value of this type.
-    fn decode(v: &Value) -> Option<Self>;
+    fn decode(v: &Value) -> Option<Self>
+    where
+        Self: Sized;
 }
 
 impl Field for u64 {
     fn encode(&self) -> Value {
         (*self).into()
+    }
+    fn stream<S: Sink>(&self, w: &mut Writer<S>) {
+        w.u64(*self);
     }
     fn decode(v: &Value) -> Option<u64> {
         v.as_u64()
@@ -128,6 +140,9 @@ impl Field for usize {
     fn encode(&self) -> Value {
         (*self).into()
     }
+    fn stream<S: Sink>(&self, w: &mut Writer<S>) {
+        w.u64(*self as u64);
+    }
     fn decode(v: &Value) -> Option<usize> {
         v.as_u64().and_then(|n| usize::try_from(n).ok())
     }
@@ -137,14 +152,30 @@ impl Field for bool {
     fn encode(&self) -> Value {
         (*self).into()
     }
+    fn stream<S: Sink>(&self, w: &mut Writer<S>) {
+        w.bool(*self);
+    }
     fn decode(v: &Value) -> Option<bool> {
         v.as_bool()
     }
 }
 
+/// Encode-only: event tags and slugs are `&'static str`.
+impl Field for str {
+    fn encode(&self) -> Value {
+        self.into()
+    }
+    fn stream<S: Sink>(&self, w: &mut Writer<S>) {
+        w.str(self);
+    }
+}
+
 impl Field for String {
     fn encode(&self) -> Value {
-        self.as_str().into()
+        self.as_str().encode()
+    }
+    fn stream<S: Sink>(&self, w: &mut Writer<S>) {
+        w.str(self);
     }
     fn decode(v: &Value) -> Option<String> {
         v.as_str().map(str::to_string)
@@ -153,7 +184,10 @@ impl Field for String {
 
 impl Field for SwitchReason {
     fn encode(&self) -> Value {
-        self.as_str().into()
+        self.as_str().encode()
+    }
+    fn stream<S: Sink>(&self, w: &mut Writer<S>) {
+        w.str(self.as_str());
     }
     fn decode(v: &Value) -> Option<SwitchReason> {
         v.as_str().and_then(SwitchReason::from_slug)
@@ -162,7 +196,10 @@ impl Field for SwitchReason {
 
 impl Field for MailboxKind {
     fn encode(&self) -> Value {
-        self.as_str().into()
+        self.as_str().encode()
+    }
+    fn stream<S: Sink>(&self, w: &mut Writer<S>) {
+        w.str(self.as_str());
     }
     fn decode(v: &Value) -> Option<MailboxKind> {
         v.as_str().and_then(MailboxKind::from_slug)
@@ -172,6 +209,13 @@ impl Field for MailboxKind {
 impl<T: Field> Field for Vec<T> {
     fn encode(&self) -> Value {
         Value::Array(self.iter().map(T::encode).collect())
+    }
+    fn stream<S: Sink>(&self, w: &mut Writer<S>) {
+        w.begin_array();
+        for item in self {
+            item.stream(w);
+        }
+        w.end_array();
     }
     fn decode(v: &Value) -> Option<Vec<T>> {
         v.as_array()?.iter().map(T::decode).collect()
@@ -183,11 +227,42 @@ impl<T: Field> Field for Option<T> {
     fn encode(&self) -> Value {
         self.as_ref().map_or(Value::Null, T::encode)
     }
+    fn stream<S: Sink>(&self, w: &mut Writer<S>) {
+        match self {
+            Some(x) => x.stream(w),
+            None => w.null(),
+        }
+    }
     fn decode(v: &Value) -> Option<Option<T>> {
         match v {
             Value::Null => Some(None),
             other => T::decode(other).map(Some),
         }
+    }
+}
+
+/// Takes the members of one JSON object in order. Every walk below is
+/// written once against this and feeds either form of the log: the
+/// `(String, Value)` member list of a tree node, or the streamed writer.
+trait Members {
+    /// `more` members are about to arrive.
+    fn reserve(&mut self, _more: usize) {}
+    fn member<T: Field + ?Sized>(&mut self, key: &'static str, value: &T);
+}
+
+impl Members for Vec<(String, Value)> {
+    fn reserve(&mut self, more: usize) {
+        self.reserve_exact(more);
+    }
+    fn member<T: Field + ?Sized>(&mut self, key: &'static str, value: &T) {
+        self.push((key.to_string(), value.encode()));
+    }
+}
+
+impl<S: Sink> Members for Writer<S> {
+    fn member<T: Field + ?Sized>(&mut self, key: &'static str, value: &T) {
+        self.key(key);
+        value.stream(self);
     }
 }
 
@@ -214,14 +289,14 @@ macro_rules! event_codec {
             ),* $(,)?
         }
     ) => {
-        /// Append `kind`'s fields to `out` in table order, skipping
+        /// Hand `kind`'s fields to `out` in table order, skipping
         /// omitted-when-zero fields that are zero.
-        fn push_fields(kind: &$name, out: &mut Vec<(String, Value)>) {
+        fn walk_fields(kind: &$name, out: &mut impl Members) {
             match kind {
                 $( $name::$variant { $($field),* } => {
-                    out.reserve_exact(0 $(+ event_codec!(@one $field))*);
+                    out.reserve(0 $(+ event_codec!(@one $field))*);
                     $( if event_codec!(@keep $field $($default)?) {
-                        out.push((stringify!($field).to_string(), $field.encode()));
+                        out.member(stringify!($field), $field);
                     } )*
                 } )*
             }
@@ -248,47 +323,96 @@ macro_rules! event_codec {
 
 mgps_runtime::event_table!(event_codec);
 
-/// One compact NDJSON line for a live event stream: `type`, `at_ns`, then
-/// the event's fields exactly as the [`RunLog`] schema writes them, so a
-/// stream consumer and a log consumer parse the same vocabulary.
-pub fn json_line(at_ns: u64, kind: &EventKind) -> String {
-    let mut members =
-        vec![("type".to_string(), kind.tag().into()), ("at_ns".to_string(), at_ns.into())];
-    push_fields(kind, &mut members);
-    Value::Object(members).to_json()
+/// The members of one live-stream line: `type`, `at_ns`, then the
+/// event's fields exactly as the [`RunLog`] schema writes them.
+fn line_members(at_ns: u64, kind: &EventKind, out: &mut impl Members) {
+    out.member("type", kind.tag());
+    out.member("at_ns", &at_ns);
+    walk_fields(kind, out);
 }
 
+/// One compact NDJSON line for a live event stream, so a stream consumer
+/// and a log consumer parse the same vocabulary.
+pub fn json_line(at_ns: u64, kind: &EventKind) -> String {
+    let mut w = Writer::with_capacity(160);
+    w.begin_object();
+    line_members(at_ns, kind, &mut w);
+    w.end_object();
+    w.into_string()
+}
+
+/// Streamed bytes per event to reserve for: simulator logs run 90–100.
+const BYTES_PER_EVENT: usize = 104;
+
 impl RunLog {
+    /// The header members, up to but not including `events`.
+    fn header_members(&self, out: &mut impl Members) {
+        out.member("scheduler", &self.scheduler.as_string());
+        out.member("n_spes", &self.n_spes);
+        out.member("quantum_ns", &self.quantum_ns);
+        out.member("seed", &self.seed);
+        out.member("local_store_bytes", &self.local_store_bytes);
+        out.member("loop_iters", &self.loop_iters);
+        out.member("mgps_window", &self.mgps_window);
+        out.member("fault_policy", &self.fault_policy);
+        if let Some(weights) = &self.tenant_weights {
+            out.member("tenant_weights", weights);
+        }
+    }
+
+    /// The members of one entry of `events`.
+    fn event_members(e: &EventRecord, out: &mut impl Members) {
+        out.member("seq", &e.seq);
+        out.member("at_ns", &e.at_ns);
+        out.member("type", e.kind.tag());
+        walk_fields(&e.kind, out);
+    }
+
     /// Serialize to a JSON value tree.
     pub fn to_value(&self) -> Value {
         let events = self
             .events
             .iter()
             .map(|e| {
-                let mut members = vec![
-                    ("seq".to_string(), e.seq.into()),
-                    ("at_ns".to_string(), e.at_ns.into()),
-                    ("type".to_string(), e.kind.tag().into()),
-                ];
-                push_fields(&e.kind, &mut members);
+                let mut members = Vec::with_capacity(3);
+                Self::event_members(e, &mut members);
                 Value::Object(members)
             })
             .collect::<Vec<_>>();
-        let mut members: Vec<(&str, Value)> = vec![
-            ("scheduler", self.scheduler.as_string().into()),
-            ("n_spes", self.n_spes.into()),
-            ("quantum_ns", self.quantum_ns.into()),
-            ("seed", self.seed.into()),
-            ("local_store_bytes", self.local_store_bytes.into()),
-            ("loop_iters", self.loop_iters.into()),
-            ("mgps_window", self.mgps_window.encode()),
-            ("fault_policy", self.fault_policy.encode()),
-        ];
-        if let Some(weights) = &self.tenant_weights {
-            members.push(("tenant_weights", weights.encode()));
+        let mut members = Vec::with_capacity(10);
+        self.header_members(&mut members);
+        members.push(("events".to_string(), Value::Array(events)));
+        Value::Object(members)
+    }
+
+    /// Write the compact JSON form: the bytes of
+    /// `self.to_value().to_json()`, without the tree.
+    fn stream<S: Sink>(&self, w: &mut Writer<S>) {
+        w.begin_object();
+        self.header_members(w);
+        w.key("events");
+        w.begin_array();
+        for e in &self.events {
+            w.begin_object();
+            Self::event_members(e, w);
+            w.end_object();
         }
-        members.push(("events", Value::Array(events)));
-        Value::object(members)
+        w.end_array();
+        w.end_object();
+    }
+
+    /// Stream the compact JSON form into `sink` and hand it back.
+    pub fn write_json<S: Sink>(&self, sink: S) -> S {
+        let mut w = Writer::new(sink);
+        self.stream(&mut w);
+        w.into_sink()
+    }
+
+    /// The compact JSON form as a string.
+    pub fn to_json(&self) -> String {
+        let mut w = Writer::with_capacity(256 + self.events.len() * BYTES_PER_EVENT);
+        self.stream(&mut w);
+        w.into_string()
     }
 
     /// Rebuild a log from [`Self::to_value`] output.
@@ -527,6 +651,18 @@ mod tests {
             }
         }
 
+        /// The streamed encoders emit the tree's bytes: the whole log
+        /// into a string and into a bare sink, and every stream line.
+        #[test]
+        fn streamed_bytes_equal_the_tree_rendered_bytes(log in Gen(arb_log)) {
+            let tree = log.to_value().to_json();
+            prop_assert_eq!(&log.to_json(), &tree);
+            prop_assert_eq!(log.write_json(Vec::new()), tree.into_bytes());
+            for e in &log.events {
+                prop_assert_eq!(json_line(e.at_ns, &e.kind), tree_line(e.at_ns, &e.kind));
+            }
+        }
+
         /// Arbitrary JSON trees are refused, never a panic.
         #[test]
         fn arbitrary_trees_are_rejected(tree in Gen(|rng| arb_value(rng, 3))) {
@@ -566,6 +702,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`json_line`] the long way round: the same members as a tree node.
+    fn tree_line(at_ns: u64, kind: &EventKind) -> String {
+        let mut members = Vec::new();
+        line_members(at_ns, kind, &mut members);
+        Value::Object(members).to_json()
+    }
+
+    #[test]
+    fn streamed_bytes_equal_the_tree_at_the_edges_of_the_number_and_string_forms() {
+        // From 2^53 up an integer takes the tree's `f64` form, digits and
+        // all; every escape class appears in a header string and in an
+        // event string.
+        let nasty = "q\"b\\n\nc\u{1}t\tr\rπ🦀".to_string();
+        for big in [MAX_JSON_INT - 1, MAX_JSON_INT, MAX_JSON_INT + 1, u64::MAX - 5, u64::MAX] {
+            let mut log = sample_log();
+            log.seed = big;
+            log.quantum_ns = big;
+            log.n_spes = big as usize;
+            log.fault_policy = Some(nasty.clone());
+            log.tenant_weights = Some(vec![0, big]);
+            for kind in [
+                EventKind::OffloadRetry { task: big, attempt: 1, backoff_ns: big },
+                EventKind::TaskStart { proc: 0, task: 1, degree: 2, team: vec![big as usize, 0] },
+                EventKind::Health {
+                    alarm: nasty.clone(),
+                    severity: String::new(),
+                    detail: "plain".into(),
+                },
+            ] {
+                log.events.push(EventRecord { seq: big, at_ns: big, kind });
+            }
+            assert_eq!(log.to_json(), log.to_value().to_json(), "{big}");
+            for e in &log.events {
+                assert_eq!(json_line(e.at_ns, &e.kind), tree_line(e.at_ns, &e.kind), "{big}");
+            }
+        }
+        let mut empty = sample_log();
+        empty.events.clear();
+        assert_eq!(empty.to_json(), empty.to_value().to_json());
+        assert!(empty.to_json().ends_with(r#""events":[]}"#));
+        empty.seed = u64::MAX - 5;
+        assert!(empty.to_json().contains(r#""seed":18446744073709552000,"#));
     }
 
     fn sample_log() -> RunLog {

@@ -141,38 +141,29 @@ impl CriticalPath {
     /// Extract the critical path of `log`. Empty runs (no completed task)
     /// yield the default value.
     pub fn from_log(log: &RunLog) -> CriticalPath {
-        let recs = fold_tasks(log);
+        CriticalPath::walk(&fold_tasks(log))
+    }
+
+    /// The walk over folded tasks. Each predecessor is the last unvisited
+    /// entry of a sorted index below a binary-searched bound, so the walk
+    /// is O(n log n) in the task count however long the path is.
+    fn walk(recs: &[TaskRec]) -> CriticalPath {
         let mut cp = CriticalPath::default();
-        let Some(start) = recs.iter().max_by_key(|r| (r.end_ns, r.task)) else {
+        let mut by_end = EndIndex::new(recs, |_| 0);
+        let mut by_proc_end = EndIndex::new(recs, |r| r.proc);
+        let mut visited: HashSet<u64> = HashSet::new();
+        let Some(mut cur) = by_end.last_unvisited(&visited, (0, u64::MAX)) else {
             return cp;
         };
-        cp.makespan_ns = start.end_ns;
-        let mut cur = start;
-        let mut visited: HashSet<u64> = HashSet::new();
+        cp.makespan_ns = cur.end_ns;
         loop {
             visited.insert(cur.task);
-            let exec = cur.end_ns - cur.start_ns;
-            let code = cur.t_code_ns.min(exec);
-            let comm = cur.t_comm_ns.min(exec - code);
-            cp.blame.t_code_ns += code;
-            cp.blame.t_comm_ns += comm;
-            cp.blame.t_spe_ns += exec - code - comm;
-            cp.steps.push(CritStep {
-                task: cur.task,
-                proc: cur.proc,
-                start_ns: cur.start_ns,
-                end_ns: cur.end_ns,
-            });
+            cp.enter(cur);
             // 1. Resource predecessor: a task still running after our
             //    off-load, whose completion let us start.
-            if let Some(p) = recs
-                .iter()
-                .filter(|t| {
-                    !visited.contains(&t.task)
-                        && t.end_ns <= cur.start_ns
-                        && t.end_ns > cur.offload_ns
-                })
-                .max_by_key(|t| (t.end_ns, t.task))
+            if let Some(p) = by_end
+                .last_unvisited(&visited, (0, cur.start_ns))
+                .filter(|p| p.end_ns > cur.offload_ns)
             {
                 cp.blame.t_wait_ns += cur.start_ns - p.end_ns;
                 cur = p;
@@ -181,14 +172,9 @@ impl CriticalPath {
             cp.blame.t_wait_ns += cur.start_ns - cur.offload_ns;
             // 2. Spawn predecessor: our process's previous task, whose end
             //    started the PPE section that led to our off-load.
-            if let Some(q) = recs
-                .iter()
-                .filter(|t| {
-                    !visited.contains(&t.task)
-                        && t.proc == cur.proc
-                        && t.end_ns <= cur.offload_ns
-                })
-                .max_by_key(|t| (t.end_ns, t.task))
+            if let Some(q) = by_proc_end
+                .last_unvisited(&visited, (cur.proc, cur.offload_ns))
+                .filter(|q| q.proc == cur.proc)
             {
                 cp.blame.t_ppe_ns += cur.offload_ns - q.end_ns;
                 cur = q;
@@ -200,6 +186,22 @@ impl CriticalPath {
         }
         cp.steps.reverse();
         cp
+    }
+
+    /// Put `cur` on the path and blame its execution interval.
+    fn enter(&mut self, cur: &TaskRec) {
+        let exec = cur.end_ns - cur.start_ns;
+        let code = cur.t_code_ns.min(exec);
+        let comm = cur.t_comm_ns.min(exec - code);
+        self.blame.t_code_ns += code;
+        self.blame.t_comm_ns += comm;
+        self.blame.t_spe_ns += exec - code - comm;
+        self.steps.push(CritStep {
+            task: cur.task,
+            proc: cur.proc,
+            start_ns: cur.start_ns,
+            end_ns: cur.end_ns,
+        });
     }
 
     /// The phase with the largest blame (first in [`Phase::ALL`] order on
@@ -339,6 +341,59 @@ struct TaskRec {
     t_comm_ns: u64,
 }
 
+/// The folded tasks in ascending `(group, end_ns, task)` order, for
+/// "latest-ending unvisited task of this group at or before `t`" queries.
+/// The walk only ever marks tasks visited, so positions found visited are
+/// linked past once and never scanned again.
+struct EndIndex<'a> {
+    recs: &'a [TaskRec],
+    /// `(group, end_ns)` then the record's index, sorted; records arrive
+    /// in task order and the sort is stable, so ties on the key stay in
+    /// task order and the last of a run is the highest task id.
+    order: Vec<((usize, u64), usize)>,
+    /// `below[hi]` ≤ `hi`, and every entry of `order[below[hi]..hi]` is
+    /// visited.
+    below: Vec<usize>,
+}
+
+impl<'a> EndIndex<'a> {
+    fn new(recs: &'a [TaskRec], group: impl Fn(&TaskRec) -> usize) -> EndIndex<'a> {
+        let mut order: Vec<_> =
+            recs.iter().enumerate().map(|(i, r)| ((group(r), r.end_ns), i)).collect();
+        order.sort_by_key(|&(key, _)| key);
+        EndIndex { recs, below: (0..=order.len()).collect(), order }
+    }
+
+    /// The unvisited record with the greatest `(group, end_ns, task)` whose
+    /// `(group, end_ns)` is at most `bound` — possibly of a lower group,
+    /// which the caller rules out.
+    fn last_unvisited(
+        &mut self,
+        visited: &HashSet<u64>,
+        bound: (usize, u64),
+    ) -> Option<&'a TaskRec> {
+        let from = self.order.partition_point(|&(key, _)| key <= bound);
+        let mut hi = from;
+        let found = loop {
+            if self.below[hi] < hi {
+                hi = self.below[hi];
+            } else if hi == 0 {
+                break None;
+            } else if visited.contains(&self.recs[self.order[hi - 1].1].task) {
+                self.below[hi] = hi - 1;
+            } else {
+                break Some(&self.recs[self.order[hi - 1].1]);
+            }
+        };
+        // Compress: everything stepped over is visited down to `hi`.
+        let mut at = from;
+        while at > hi {
+            at = std::mem::replace(&mut self.below[at], hi);
+        }
+        found
+    }
+}
+
 /// Fold completed tasks out of `log`, sorted by task id (off-load order).
 /// Attribution mirrors [`crate::phases`]: reload stalls at the grant
 /// instant cost the task one stall (the team reloads in parallel, so the
@@ -416,10 +471,128 @@ fn fold_tasks(log: &RunLog) -> Vec<TaskRec> {
     done
 }
 
+/// The rescanning walk [`CriticalPath::walk`] replaced — every step
+/// filters every task, O(steps × tasks) — kept as the oracle the indexed
+/// walk is held to.
+#[cfg(test)]
+mod classic {
+    use super::*;
+
+    pub(super) fn walk(recs: &[TaskRec]) -> CriticalPath {
+        let mut cp = CriticalPath::default();
+        let Some(start) = recs.iter().max_by_key(|r| (r.end_ns, r.task)) else {
+            return cp;
+        };
+        cp.makespan_ns = start.end_ns;
+        let mut cur = start;
+        let mut visited: HashSet<u64> = HashSet::new();
+        loop {
+            visited.insert(cur.task);
+            let exec = cur.end_ns - cur.start_ns;
+            let code = cur.t_code_ns.min(exec);
+            let comm = cur.t_comm_ns.min(exec - code);
+            cp.blame.t_code_ns += code;
+            cp.blame.t_comm_ns += comm;
+            cp.blame.t_spe_ns += exec - code - comm;
+            cp.steps.push(CritStep {
+                task: cur.task,
+                proc: cur.proc,
+                start_ns: cur.start_ns,
+                end_ns: cur.end_ns,
+            });
+            if let Some(p) = recs
+                .iter()
+                .filter(|t| {
+                    !visited.contains(&t.task)
+                        && t.end_ns <= cur.start_ns
+                        && t.end_ns > cur.offload_ns
+                })
+                .max_by_key(|t| (t.end_ns, t.task))
+            {
+                cp.blame.t_wait_ns += cur.start_ns - p.end_ns;
+                cur = p;
+                continue;
+            }
+            cp.blame.t_wait_ns += cur.start_ns - cur.offload_ns;
+            if let Some(q) = recs
+                .iter()
+                .filter(|t| {
+                    !visited.contains(&t.task)
+                        && t.proc == cur.proc
+                        && t.end_ns <= cur.offload_ns
+                })
+                .max_by_key(|t| (t.end_ns, t.task))
+            {
+                cp.blame.t_ppe_ns += cur.offload_ns - q.end_ns;
+                cur = q;
+                continue;
+            }
+            cp.blame.t_ppe_ns += cur.offload_ns;
+            break;
+        }
+        cp.steps.reverse();
+        cp
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cellsim::event::{EventRecord, SchedulerTag};
+    use proptest::prelude::*;
+
+    /// Task sets built to collide: a handful of processes and instants, so
+    /// equal `end_ns` across and within processes, zero-length tasks,
+    /// `offload_ns == start_ns` and `end_ns == offload_ns` of a later task
+    /// are the common case. A repeated task id (a log the checker would
+    /// refuse, but the walk must still agree on) turns up now and then.
+    struct TieHeavyTasks;
+
+    impl Strategy for TieHeavyTasks {
+        type Value = Vec<TaskRec>;
+        fn generate(&self, rng: &mut TestRng) -> Vec<TaskRec> {
+            let n = rng.below(40);
+            let instants = 1 + rng.below(12);
+            let mut recs: Vec<TaskRec> = (0..n)
+                .map(|i| {
+                    let mut at = [rng.below(instants), rng.below(instants), rng.below(instants)];
+                    at.sort_unstable();
+                    let exec = at[2] - at[1];
+                    TaskRec {
+                        task: if rng.below(16) == 0 { rng.below(n) } else { i },
+                        proc: rng.below(3) as usize,
+                        offload_ns: at[0],
+                        start_ns: at[1],
+                        end_ns: at[2],
+                        degree: 1 + rng.below(4) as usize,
+                        t_code_ns: rng.below(exec + 2),
+                        t_comm_ns: rng.below(exec + 2),
+                    }
+                })
+                .collect();
+            recs.sort_by_key(|r| r.task); // as `fold_tasks` hands them over
+            recs
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn the_indexed_walk_equals_the_rescanning_one_under_ties(recs in TieHeavyTasks) {
+            let cp = CriticalPath::walk(&recs);
+            prop_assert_eq!(&cp, &classic::walk(&recs));
+            prop_assert_eq!(cp.blame.total(), cp.makespan_ns);
+        }
+    }
+
+    #[test]
+    fn the_indexed_walk_equals_the_rescanning_one_on_benchmark_and_faulted_runs() {
+        for log in crate::testlogs::oracle_logs() {
+            let recs = fold_tasks(log);
+            let cp = CriticalPath::walk(&recs);
+            assert!(cp.steps.len() > 1, "{} seed {}: a path to compare", log.scheduler, log.seed);
+            assert_eq!(cp, classic::walk(&recs), "{} seed {}", log.scheduler, log.seed);
+        }
+    }
 
     fn log_with(events: Vec<(u64, EventKind)>) -> RunLog {
         RunLog {

@@ -40,6 +40,8 @@ pub mod native;
 pub mod phases;
 pub mod report;
 pub mod summary;
+#[cfg(test)]
+mod testlogs;
 pub mod timeline;
 
 pub use atlas::{

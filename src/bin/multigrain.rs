@@ -279,6 +279,22 @@ fn get<T: std::str::FromStr>(opts: &Opts, key: &str, default: T) -> Result<T, Cl
     }
 }
 
+/// Parse `--seed`. A seed is written into run logs and reports as a JSON
+/// number, which holds integers exactly only up to 2^53: a larger one
+/// would be rounded on the way out (`RunLog::from_value` then refuses the
+/// file, and two such seeds share one digest header), so it is refused
+/// here, at the door.
+fn seed(opts: &Opts, default: u64) -> Result<u64, CliError> {
+    const MAX: u64 = 1 << 53;
+    let v = get(opts, "seed", default)?;
+    if v > MAX {
+        return Err(CliError::usage(format!(
+            "--seed: {v} is above 2^53 ({MAX}), the largest seed a run log records exactly"
+        )));
+    }
+    Ok(v)
+}
+
 /// Parse `--key` as a count that must be at least 1, with a clean error
 /// naming what the value sizes (mirrors the `--bootstraps 0` diagnostics).
 fn positive(opts: &Opts, key: &str, default: usize, what: &str) -> Result<usize, CliError> {
@@ -440,7 +456,7 @@ fn trace(opts: &Opts) -> Result<(), CliError> {
     }
     let cells = positive(opts, "cells", 1, "the blade needs at least 1 Cell processor")?;
     let scale = positive(opts, "scale", 500, "the workload scale must be at least 1")?;
-    let seed = get(opts, "seed", 0x5eedu64)?;
+    let seed = seed(opts, 0x5eedu64)?;
     let check = match opts.get("check").map(String::as_str).unwrap_or("on") {
         "on" => true,
         "off" => false,
@@ -519,7 +535,7 @@ fn profile(opts: &Opts) -> Result<(), CliError> {
     }
     let cells = positive(opts, "cells", 1, "the blade needs at least 1 Cell processor")?;
     let scale = positive(opts, "scale", 500, "the workload scale must be at least 1")?;
-    let seed = get(opts, "seed", 0x5eedu64)?;
+    let seed = seed(opts, 0x5eedu64)?;
 
     let mut cfg = machines::blade_config(cells, scheduler, bootstraps, scale);
     cfg.seed = seed;
@@ -599,7 +615,7 @@ fn atlas_cmd(opts: &Opts) -> Result<(), CliError> {
     let grid = GridSpec::preset(grid_name).ok_or_else(|| {
         CliError::usage(format!("--grid: unknown preset {grid_name:?} (mini|default)"))
     })?;
-    let seed = get(opts, "seed", 0x5eedu64)?;
+    let seed = seed(opts, 0x5eedu64)?;
     let scale = positive(opts, "scale", 4_000, "the workload scale must be at least 1")?;
     let bootstraps = positive(opts, "bootstraps", 2, "each cell needs at least 1 bootstrap")?;
     let shard = match opts.get("shard") {
@@ -699,7 +715,7 @@ fn analyze(opts: &Opts) -> Result<(), CliError> {
     if bootstraps == 0 {
         return Err(CliError::usage("--bootstraps: the analyzed runs need at least 1 bootstrap"));
     }
-    let seed = get(opts, "seed", 0x5eedu64)?;
+    let seed = seed(opts, 0x5eedu64)?;
     let with_experiments = match opts.get("experiments").map(String::as_str).unwrap_or("on") {
         "on" => true,
         "off" => false,
@@ -798,7 +814,7 @@ fn chaos(opts: &Opts) -> Result<(), CliError> {
         return Err(CliError::usage("--bootstraps: the chaos runs need at least 1 bootstrap"));
     }
     let scale = positive(opts, "scale", 2_000, "the workload scale must be at least 1")?;
-    let seed = get(opts, "seed", 0x5eedu64)?;
+    let seed = seed(opts, 0x5eedu64)?;
 
     let schedulers: Vec<SchedulerKind> =
         match opts.get("scheduler").map(String::as_str).unwrap_or("all") {
@@ -920,7 +936,7 @@ fn serve_cmd(opts: &Opts) -> Result<(), CliError> {
             defaults.tasks_per_worker,
             "each worker needs at least 1 off-load",
         )?,
-        seed: get(opts, "seed", defaults.seed)?,
+        seed: seed(opts, defaults.seed)?,
         poll_ms: positive(opts, "poll-ms", defaults.poll_ms as usize, "the telemetry cadence must be at least 1 ms")?
             as u64,
         ring_capacity: positive(
@@ -1005,7 +1021,7 @@ fn loadgen_cmd(opts: &Opts) -> Result<(), CliError> {
             d.duration_ms as usize,
             "the load test needs at least 1 ms of traffic",
         )? as u64,
-        seed: get(opts, "seed", d.seed)?,
+        seed: seed(opts, d.seed)?,
         tenants: positive(opts, "tenants", d.tenants, "the traffic needs at least 1 tenant")?,
         workers: positive(opts, "workers", d.workers, "the model needs at least 1 server")?,
         queue_cap: positive(
@@ -1104,7 +1120,7 @@ fn top_cmd(opts: &Opts) -> Result<(), CliError> {
 }
 
 fn infer(opts: &Opts) -> Result<(), CliError> {
-    let seed = get(opts, "seed", 42u64)?;
+    let seed = seed(opts, 42u64)?;
     let bootstraps = get(opts, "bootstraps", 0usize)?;
     let workers = positive(opts, "workers", 4, "the runtime needs at least 1 worker process")?;
     let aln = load_alignment(opts)?;
@@ -1168,7 +1184,7 @@ fn infer_protein(opts: &Opts) -> Result<(), CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| CliError::io(format!("{path}: {e}")))?;
     let data = ProteinData::from_fasta(&text).map_err(|e| format!("{path}: {e}"))?;
-    let seed = get(opts, "seed", 42u64)?;
+    let seed = seed(opts, 42u64)?;
     println!(
         "protein alignment: {} taxa x {} sites ({} patterns)",
         data.n_taxa(),
@@ -1226,7 +1242,7 @@ fn predict(opts: &Opts) -> Result<(), CliError> {
 fn demo(opts: &Opts) -> Result<(), CliError> {
     let taxa = get(opts, "taxa", 16usize)?;
     let sites = get(opts, "sites", 400usize)?;
-    let seed = get(opts, "seed", 7u64)?;
+    let seed = seed(opts, 7u64)?;
     let aln = Alignment::synthetic(taxa, sites, &Jc69, 0.08, seed);
     match opts.get("format").map(String::as_str).unwrap_or("fasta") {
         "fasta" => print!("{}", aln.to_fasta()),

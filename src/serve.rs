@@ -1072,7 +1072,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
     let report = check_run_with(&log, CheckMode::Native);
 
     if let Some(path) = &cfg.out {
-        std::fs::write(path, log.to_value().to_json())
+        std::fs::write(path, log.to_json())
             .map_err(|e| ServeError::Io(format!("write {}: {e}", path.display())))?;
         println!("multigrain serve: wrote run log to {}", path.display());
     }

@@ -198,6 +198,29 @@ fn usage_errors_exit_with_code_2() {
 }
 
 #[test]
+fn a_seed_a_run_log_cannot_record_exactly_is_a_usage_error() {
+    // A log stores its seed as a JSON number: above 2^53 it would be
+    // written rounded and `RunLog::from_value` would refuse the file.
+    // Every command takes `--seed` through the one helper that says so.
+    let too_big = (1u64 << 53) + 1;
+    for command in ["trace", "profile", "chaos", "analyze", "atlas", "serve", "loadgen", "demo"] {
+        for seed in [too_big, u64::MAX - 5] {
+            let (_, stderr, code) = run_cli_code(&[command, "--seed", &seed.to_string()]);
+            assert_eq!(code, 2, "{command} --seed {seed} should be usage (2): {stderr}");
+            assert!(stderr.contains("--seed") && stderr.contains("2^53"), "{command}: {stderr}");
+        }
+    }
+    // The bound itself still round-trips, so it is still a seed.
+    let out = std::env::temp_dir().join(format!("multigrain-seed-{}.json", std::process::id()));
+    let (_, stderr, code) = run_cli_code(&[
+        "trace", "--bootstraps", "2", "--scale", "4000", "--seed", &(1u64 << 53).to_string(),
+        "--out", out.to_str().unwrap(),
+    ]);
+    let _ = std::fs::remove_file(&out);
+    assert_eq!(code, 0, "2^53 is the largest exact seed: {stderr}");
+}
+
+#[test]
 fn io_errors_exit_with_code_3() {
     // A path under a non-directory cannot be created or written.
     let (_, stderr, code) = run_cli_code(&[
