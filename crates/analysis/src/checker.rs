@@ -67,7 +67,6 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use cellsim::event::{EventKind, MailboxKind, RunLog, SchedulerTag, SwitchReason};
-use des::trace::TraceRecord;
 use mgps_runtime::faults::{FaultKind, FaultPlan};
 use mgps_runtime::tracing::TraceLog;
 
@@ -1359,30 +1358,6 @@ pub fn check_trace_sanity(trace: &TraceLog) -> CheckReport {
         }
     }
     report
-}
-
-/// Verify causal order of a `des` trace: monotone timestamps, and (the FIFO
-/// tie-break) records at equal times keep their emission order — which the
-/// serialized form encodes positionally, so a sorted-by-time replay must
-/// reproduce the original sequence.
-pub fn check_trace(records: &[TraceRecord]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (i, w) in records.windows(2).enumerate() {
-        if w[1].at < w[0].at {
-            out.push(Violation {
-                rule: "causal-time",
-                seq: Some((i + 1) as u64),
-                message: format!(
-                    "trace record '{}' at {} ns precedes '{}' at {} ns",
-                    w[1].label,
-                    w[1].at.as_nanos(),
-                    w[0].label,
-                    w[0].at.as_nanos()
-                ),
-            });
-        }
-    }
-    out
 }
 
 fn initial_degree(tag: SchedulerTag) -> usize {

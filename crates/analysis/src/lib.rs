@@ -13,6 +13,6 @@ pub mod checker;
 pub mod digest;
 
 pub use checker::{
-    check_run, check_run_with, check_trace, check_trace_sanity, CheckMode, CheckReport, Violation,
+    check_run, check_run_with, check_trace_sanity, CheckMode, CheckReport, Violation,
 };
 pub use digest::{digest_hex, trace_digest};

@@ -44,6 +44,22 @@ impl mgps_runtime::native::LoopBody for SpinBody {
     }
 }
 
+/// Best-of-`attempts` wall times of `run(false)` and `run(true)`, in that
+/// order. The two sides alternate attempt by attempt, so a host that
+/// changes speed between attempts slows both minima's candidates rather
+/// than one side's whole block; best-of discards the slowed attempts.
+pub fn interleaved_best(
+    attempts: usize,
+    mut run: impl FnMut(bool) -> std::time::Duration,
+) -> (std::time::Duration, std::time::Duration) {
+    let mut best = (std::time::Duration::MAX, std::time::Duration::MAX);
+    for _ in 0..attempts {
+        best.0 = best.0.min(run(false));
+        best.1 = best.1.min(run(true));
+    }
+    best
+}
+
 /// Wall time of `offloads` sequential EDTLP off-loads on the native
 /// runtime, each spinning for roughly `work`. With `with_tracing` every
 /// span lands on a per-thread ring ([`mgps_runtime::Tracer`]); without,

@@ -11,26 +11,19 @@
 
 use std::time::Duration;
 
-use bench::fault_offload_wall;
+use bench::{fault_offload_wall, interleaved_best};
 
 #[test]
 fn quiet_fault_plane_stays_within_the_overhead_budget() {
     const OFFLOADS: usize = 48;
     const WORK: Duration = Duration::from_micros(50);
-    const ATTEMPTS: usize = 3;
+    const ATTEMPTS: usize = 5;
 
     // Warm up both paths (thread spawns, lazy allocations).
     fault_offload_wall(false, 8, WORK);
     fault_offload_wall(true, 8, WORK);
 
-    let best = |armed: bool| {
-        (0..ATTEMPTS)
-            .map(|_| fault_offload_wall(armed, OFFLOADS, WORK))
-            .min()
-            .expect("at least one attempt")
-    };
-    let unarmed = best(false);
-    let armed = best(true);
+    let (unarmed, armed) = interleaved_best(ATTEMPTS, |on| fault_offload_wall(on, OFFLOADS, WORK));
 
     let ratio = armed.as_secs_f64() / unarmed.as_secs_f64();
     assert!(

@@ -10,26 +10,19 @@
 
 use std::time::Duration;
 
-use bench::snapshot_scrape_wall;
+use bench::{interleaved_best, snapshot_scrape_wall};
 
 #[test]
 fn concurrent_snapshot_drains_stay_within_the_overhead_budget() {
     const OFFLOADS: usize = 48;
     const WORK: Duration = Duration::from_micros(50);
-    const ATTEMPTS: usize = 3;
+    const ATTEMPTS: usize = 5;
 
     // Warm up both paths (thread spawns, lazy allocations).
     snapshot_scrape_wall(false, 8, WORK);
     snapshot_scrape_wall(true, 8, WORK);
 
-    let best = |scraped: bool| {
-        (0..ATTEMPTS)
-            .map(|_| snapshot_scrape_wall(scraped, OFFLOADS, WORK))
-            .min()
-            .expect("at least one attempt")
-    };
-    let nop = best(false);
-    let scraped = best(true);
+    let (nop, scraped) = interleaved_best(ATTEMPTS, |on| snapshot_scrape_wall(on, OFFLOADS, WORK));
 
     let ratio = scraped.as_secs_f64() / nop.as_secs_f64();
     assert!(

@@ -9,26 +9,19 @@
 
 use std::time::Duration;
 
-use bench::native_offload_wall;
+use bench::{interleaved_best, native_offload_wall};
 
 #[test]
 fn ring_tracing_stays_within_the_overhead_budget() {
     const OFFLOADS: usize = 48;
     const WORK: Duration = Duration::from_micros(50);
-    const ATTEMPTS: usize = 3;
+    const ATTEMPTS: usize = 5;
 
     // Warm up both paths (thread spawns, lazy allocations).
     native_offload_wall(false, 8, WORK);
     native_offload_wall(true, 8, WORK);
 
-    let best = |with_tracing: bool| {
-        (0..ATTEMPTS)
-            .map(|_| native_offload_wall(with_tracing, OFFLOADS, WORK))
-            .min()
-            .expect("at least one attempt")
-    };
-    let nop = best(false);
-    let traced = best(true);
+    let (nop, traced) = interleaved_best(ATTEMPTS, |on| native_offload_wall(on, OFFLOADS, WORK));
 
     let ratio = traced.as_secs_f64() / nop.as_secs_f64();
     assert!(

@@ -8,10 +8,7 @@
 //!   cancellation, and bounded-horizon runs;
 //! * [`resource`] — counted resources and wait queues with explicit,
 //!   borrow-checker-friendly waiter hand-off;
-//! * [`stats`] — time-weighted averages, busy/utilization trackers, online
-//!   moments and histograms;
-//! * [`trace`] — bounded execution traces used for debugging and for
-//!   bit-determinism tests.
+//! * [`stats`] — the busy/utilization tracker.
 //!
 //! Determinism is a design requirement, not an accident: two events
 //! scheduled for the same instant always fire in scheduling order, so every
@@ -36,14 +33,12 @@ pub mod resource;
 pub mod sim;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 /// Convenient glob import for model code.
 pub mod prelude {
     pub use crate::calendar::CalendarQueue;
     pub use crate::resource::{Resource, WaitQueue};
     pub use crate::sim::{EventFn, EventId, Sim};
-    pub use crate::stats::{BusyTracker, Histogram, OnlineStats, TimeWeighted};
+    pub use crate::stats::BusyTracker;
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{Trace, TraceRecord};
 }

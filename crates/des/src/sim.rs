@@ -11,7 +11,6 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceRecord};
 
 /// Identifies a scheduled event so it can be cancelled before it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,7 +52,6 @@ pub struct Sim<M> {
     cancelled: HashSet<EventId>,
     executed: u64,
     model: M,
-    trace: Trace,
 }
 
 impl<M> Sim<M> {
@@ -66,15 +64,7 @@ impl<M> Sim<M> {
             cancelled: HashSet::new(),
             executed: 0,
             model,
-            trace: Trace::disabled(),
         }
-    }
-
-    /// Enable tracing with the given capacity (older records are dropped
-    /// once the capacity is reached).
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace = Trace::with_capacity(capacity);
-        self
     }
 
     /// The current simulated time.
@@ -119,19 +109,6 @@ impl<M> Sim<M> {
     /// Consume the simulator, returning the model.
     pub fn into_model(self) -> M {
         self.model
-    }
-
-    /// Append a record to the trace (no-op when tracing is disabled).
-    pub fn trace(&mut self, label: impl FnOnce() -> String) {
-        if self.trace.is_enabled() {
-            let now = self.now;
-            self.trace.push(TraceRecord { at: now, label: label() });
-        }
-    }
-
-    /// The trace collected so far.
-    pub fn trace_records(&self) -> &[TraceRecord] {
-        self.trace.records()
     }
 
     /// Schedule `body` to fire at absolute time `at`.
@@ -387,16 +364,6 @@ mod tests {
         sim.run();
         assert_eq!(*count.borrow(), 5);
         assert_eq!(sim.now(), SimTime(40_000_000));
-    }
-
-    #[test]
-    fn trace_records_when_enabled() {
-        let mut sim = Sim::new(Log::default()).with_trace(16);
-        sim.schedule_at(SimTime(3), |s| s.trace(|| "hello".to_string()));
-        sim.run();
-        assert_eq!(sim.trace_records().len(), 1);
-        assert_eq!(sim.trace_records()[0].at, SimTime(3));
-        assert_eq!(sim.trace_records()[0].label, "hello");
     }
 
     #[test]

@@ -1,78 +1,7 @@
-//! Measurement helpers for models: time-weighted averages (utilization),
-//! online mean/variance, and fixed-bin histograms.
+//! Measurement helpers for models: the busy/idle tracker behind SPE
+//! utilization.
 
 use crate::time::{SimDuration, SimTime};
-
-/// Tracks a piecewise-constant value over simulated time and reports its
-/// time-weighted average — the canonical way to measure utilization or
-/// queue length in a discrete-event model.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: SimTime,
-    weighted_sum: f64, // integral of value dt, in value·ns
-    start: SimTime,
-    min: f64,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `now` with an initial value.
-    pub fn new(now: SimTime, initial: f64) -> TimeWeighted {
-        TimeWeighted {
-            value: initial,
-            last_change: now,
-            weighted_sum: 0.0,
-            start: now,
-            min: initial,
-            max: initial,
-        }
-    }
-
-    /// Record that the value changed to `value` at time `now`.
-    ///
-    /// `now` must be monotonically non-decreasing across calls.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        let dt = now.since(self.last_change).as_nanos() as f64;
-        self.weighted_sum += self.value * dt;
-        self.value = value;
-        self.last_change = now;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Adjust the value by `delta` at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
-    /// The current value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Minimum value observed.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum value observed.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Time-weighted mean over `[start, now]`. Returns the current value if
-    /// no time has elapsed.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let total = now.since(self.start).as_nanos() as f64;
-        if total == 0.0 {
-            return self.value;
-        }
-        let tail = now.since(self.last_change).as_nanos() as f64;
-        (self.weighted_sum + self.value * tail) / total
-    }
-}
 
 /// Accumulates the total time a binary condition (busy/idle) held, yielding
 /// a utilization fraction.
@@ -131,158 +60,9 @@ impl BusyTracker {
     }
 }
 
-/// Online mean and variance (Welford's algorithm) over f64 samples.
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> OnlineStats {
-        OnlineStats { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Add one sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (+inf when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample (-inf when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-/// A histogram with uniform-width bins over `[lo, hi)`; samples outside the
-/// range land in saturating under/overflow bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// A histogram of `nbins` uniform bins covering `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `nbins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Histogram {
-        assert!(nbins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram { lo, hi, bins: vec![0; nbins], underflow: 0, overflow: 0 }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            let idx = ((frac * self.bins.len() as f64) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count of samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of samples at or above the range end.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_weighted_mean_integrates_steps() {
-        let mut tw = TimeWeighted::new(SimTime(0), 0.0);
-        tw.set(SimTime(10), 1.0); // 0 for 10ns
-        tw.set(SimTime(30), 3.0); // 1 for 20ns
-        // now 3 for 10ns more
-        let mean = tw.mean(SimTime(40));
-        // (0*10 + 1*20 + 3*10) / 40 = 50/40
-        assert!((mean - 1.25).abs() < 1e-12);
-        assert_eq!(tw.min(), 0.0);
-        assert_eq!(tw.max(), 3.0);
-    }
-
-    #[test]
-    fn time_weighted_add_is_relative() {
-        let mut tw = TimeWeighted::new(SimTime(0), 2.0);
-        tw.add(SimTime(5), 3.0);
-        assert_eq!(tw.value(), 5.0);
-        tw.add(SimTime(10), -4.0);
-        assert_eq!(tw.value(), 1.0);
-    }
-
-    #[test]
-    fn time_weighted_mean_with_zero_elapsed_is_current_value() {
-        let tw = TimeWeighted::new(SimTime(7), 42.0);
-        assert_eq!(tw.mean(SimTime(7)), 42.0);
-    }
 
     #[test]
     fn busy_tracker_accumulates_intervals() {
@@ -303,45 +83,5 @@ mod tests {
         b.set_idle(SimTime(30));
         b.set_idle(SimTime(40));
         assert_eq!(b.busy_time(SimTime(40)), SimDuration(20));
-    }
-
-    #[test]
-    fn online_stats_match_closed_form() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // population variance is 4 => sample variance = 32/7
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_online_stats_are_benign() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn histogram_bins_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.0, 1.9, 2.0, 9.99, -0.1, 10.0, 55.0] {
-            h.record(x);
-        }
-        assert_eq!(h.bins(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_rejects_zero_bins() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 }

@@ -110,7 +110,7 @@ pub const CATALOG: &[RuleMeta] = &[
         why: "unwrap/expect/panic! in the fault-recovery ladder, the RunLog decoder or a \
               serve request handler converts graceful degradation (or a malformed log) into \
               an outage",
-        exemption_budget: 1,
+        exemption_budget: 0,
         skips_tests: true,
     },
     RuleMeta {

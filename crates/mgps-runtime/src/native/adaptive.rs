@@ -46,7 +46,8 @@ pub struct RuntimeConfig {
     pub worker_startup: Duration,
     /// Enable §5.2 dynamic granularity control (PPE fallback for kernels
     /// that fail the off-load profitability test). Re-probe period in
-    /// requests; `None` disables [`ProcessCtx::offload_kernel`].
+    /// requests; `None` makes [`ProcessCtx::offload_adaptive`] a plain
+    /// [`ProcessCtx::offload_loop`].
     pub granularity_retry: Option<u64>,
     /// Seeded chaos plan (inert by default). When armed, off-load attempts
     /// can be killed deterministically; the runtime recovers by bounded
@@ -322,16 +323,14 @@ impl MgpsRuntime {
     /// simulated clock to stall against, so a stall and a crash both
     /// surface as an immediately-failed attempt; the watchdog-deadline
     /// derivation is exercised by the simulator, which owns virtual time.
-    fn fault_round(&self, task: TaskId, attempt: u32, trace: Option<&TraceHandle>) -> FaultRound {
+    fn fault_round(
+        &self,
+        fault_state: &Mutex<FaultState>,
+        task: TaskId,
+        attempt: u32,
+        trace: Option<&TraceHandle>,
+    ) -> FaultRound {
         let plan = &self.config.faults;
-        let Some(fault_state) = self.fault_state.as_ref() else {
-            // Armed plan without state should be unreachable (state is
-            // built whenever the plan arms); degrade to an unfaulted run
-            // rather than bringing the recovery ladder down with a panic.
-            let lead = task.0 as usize % self.config.n_spes.max(1);
-            let degree = self.current_degree().max(1);
-            return FaultRound::Run { lead, degree };
-        };
         let mut st = fault_state.lock();
         let healthy: Vec<usize> =
             (0..st.benched_at.len()).filter(|&s| st.benched_at[s].is_none()).collect();
@@ -393,10 +392,12 @@ impl MgpsRuntime {
     }
 
     /// Book a successful off-load attempt with the fault plane.
-    fn fault_success(&self, lead: usize, trace: Option<&TraceHandle>) {
-        let Some(fault_state) = self.fault_state.as_ref() else {
-            return; // nothing to book against — see fault_round
-        };
+    fn fault_success(
+        &self,
+        fault_state: &Mutex<FaultState>,
+        lead: usize,
+        trace: Option<&TraceHandle>,
+    ) {
         let mut st = fault_state.lock();
         st.ticks += 1;
         st.consec[lead] = 0;
@@ -510,17 +511,21 @@ impl ProcessCtx<'_> {
     /// completes. The runtime picks the loop degree (1 = run whole on one
     /// SPE) and applies the PPE-context discipline while waiting.
     ///
+    /// With a fault plan armed, every attempt is put to the plan first:
+    /// faulted attempts retry with the declared backoff, and exhausted
+    /// tasks run the kernel's PPE copy on this thread. Unarmed, the first
+    /// attempt is the only one.
+    ///
     /// # Errors
-    /// Propagates [`OffloadError::TaskPanicked`] if the kernel panicked.
+    /// Propagates [`OffloadError::TaskPanicked`] if the kernel panicked,
+    /// and surfaces [`OffloadError::Unrecovered`] if an armed plan exhausts
+    /// a task's retries and its policy forbids the PPE fallback.
     pub fn offload_loop<B: LoopBody>(
         &mut self,
         site: LoopSite,
         body: Arc<B>,
     ) -> Result<B::Acc, OffloadError> {
         let rt = self.rt;
-        if rt.fault_state.is_some() {
-            return self.offload_loop_armed(site, body);
-        }
         let task = TaskId(rt.next_task.fetch_add(1, Ordering::Relaxed));
         let started_ns = rt.ns();
         rt.record_offload(task, started_ns);
@@ -529,80 +534,38 @@ impl ProcessCtx<'_> {
             t.record(EventKind::Offload { proc: self.proc, task: task.0 });
         }
         rt.inflight.fetch_add(1, Ordering::Relaxed);
-        let degree = rt.current_degree();
-        let proc = self.proc;
-        let trace = self.trace.as_ref();
-        let near = &mut self.last_spe;
-        let result = self.token.offload_traced(trace.map(|t| (t, proc)), || {
-            let tt = trace.map(|handle| TraceTask { handle, proc, task: task.0 });
-            rt.runner.parallel_reduce_near(site, degree, body, tt, near).map(|(acc, _)| acc)
-        });
-        rt.inflight.fetch_sub(1, Ordering::Relaxed);
-        rt.metrics.observe(HistKind::TaskDurNs, rt.ns().saturating_sub(started_ns));
-        rt.record_departure(task, started_ns, trace);
-        result
-    }
-
-    /// [`Self::offload_loop`] with the fault plane armed: every attempt is
-    /// put to the plan first; faulted attempts retry with the declared
-    /// backoff, and exhausted tasks run the kernel's PPE copy on this
-    /// thread (or surface [`OffloadError::Unrecovered`] if the policy
-    /// forbids the fallback).
-    fn offload_loop_armed<B: LoopBody>(
-        &mut self,
-        site: LoopSite,
-        body: Arc<B>,
-    ) -> Result<B::Acc, OffloadError> {
-        let rt = self.rt;
-        let plan = rt.config.faults;
-        let task = TaskId(rt.next_task.fetch_add(1, Ordering::Relaxed));
-        let started_ns = rt.ns();
-        rt.record_offload(task, started_ns);
-        rt.metrics.incr(Counter::Offloads);
-        if let Some(t) = &self.trace {
-            t.record(EventKind::Offload { proc: self.proc, task: task.0 });
-        }
-        rt.inflight.fetch_add(1, Ordering::Relaxed);
-        let proc = self.proc;
-        let mut attempt: u32 = 0;
-        let result = loop {
-            let trace = self.trace.as_ref();
-            match rt.fault_round(task, attempt, trace) {
-                FaultRound::Run { lead, degree } => {
-                    let tt = trace.map(|handle| TraceTask { handle, proc, task: task.0 });
-                    let attempt_body = Arc::clone(&body);
-                    let near = &mut self.last_spe;
-                    let r = self.token.offload_traced(trace.map(|t| (t, proc)), || {
-                        rt.runner
-                            .parallel_reduce_near(site, degree, attempt_body, tt, near)
-                            .map(|(acc, _)| acc)
-                    });
-                    rt.fault_success(lead, trace);
-                    break r;
-                }
-                FaultRound::Retry { backoff_ns } => {
-                    attempt += 1;
-                    std::thread::sleep(Duration::from_nanos(backoff_ns));
-                }
-                FaultRound::Exhausted { attempts } => {
-                    if !plan.policy.ppe_fallback {
-                        break Err(OffloadError::Unrecovered);
+        let result = match &rt.fault_state {
+            None => self.run_on_spes(site, rt.current_degree(), body, task),
+            Some(fault_state) => {
+                let mut attempt: u32 = 0;
+                loop {
+                    match rt.fault_round(fault_state, task, attempt, self.trace.as_ref()) {
+                        FaultRound::Run { lead, degree } => {
+                            let r = self.run_on_spes(site, degree, body, task);
+                            rt.fault_success(fault_state, lead, self.trace.as_ref());
+                            break r;
+                        }
+                        FaultRound::Retry { backoff_ns } => {
+                            attempt += 1;
+                            std::thread::sleep(Duration::from_nanos(backoff_ns));
+                        }
+                        FaultRound::Exhausted { attempts } => {
+                            if !rt.config.faults.policy.ppe_fallback {
+                                break Err(OffloadError::Unrecovered);
+                            }
+                            // Terminal degradation: the kernel's PPE copy.
+                            let out = body.run_chunk(0..body.len(), self.ppe_context());
+                            rt.metrics.incr(Counter::PpeFallbacks);
+                            if let Some(t) = &self.trace {
+                                t.record(EventKind::PpeFallback {
+                                    proc: self.proc,
+                                    task: task.0,
+                                    attempts,
+                                });
+                            }
+                            break Ok(out);
+                        }
                     }
-                    // Terminal degradation: the kernel's PPE copy, on the
-                    // calling thread, while it holds its context (the
-                    // sentinel SPE id routes dual-version kernels).
-                    let scratch = self.ppe_scratch.get_or_insert_with(|| {
-                        Box::new(super::context::SpeContext::new(
-                            crate::policy::SpeId(usize::MAX),
-                            Duration::ZERO,
-                        ))
-                    });
-                    let out = body.run_chunk(0..body.len(), scratch);
-                    rt.metrics.incr(Counter::PpeFallbacks);
-                    if let Some(t) = &self.trace {
-                        t.record(EventKind::PpeFallback { proc, task: task.0, attempts });
-                    }
-                    break Ok(out);
                 }
             }
         };
@@ -612,53 +575,58 @@ impl ProcessCtx<'_> {
         result
     }
 
-    /// [`Self::offload_kernel`] when the runtime has granularity control,
-    /// [`Self::offload_loop`] otherwise — so a host application can apply
-    /// the §5.2 profitability test wherever the runtime is configured for
-    /// it without committing to either API at the call site.
+    /// One attempt of `task` on the SPEs at loop degree `degree`, yielding
+    /// or holding the PPE context as the gate's mode dictates.
+    fn run_on_spes<B: LoopBody>(
+        &mut self,
+        site: LoopSite,
+        degree: usize,
+        body: Arc<B>,
+        task: TaskId,
+    ) -> Result<B::Acc, OffloadError> {
+        let rt = self.rt;
+        let proc = self.proc;
+        let trace = self.trace.as_ref();
+        let near = &mut self.last_spe;
+        self.token.offload_traced(trace.map(|t| (t, proc)), || {
+            let tt = trace.map(|handle| TraceTask { handle, proc, task: task.0 });
+            rt.runner.parallel_reduce_near(site, degree, body, tt, near).map(|(acc, _)| acc)
+        })
+    }
+
+    /// The context a kernel's PPE copy runs in: on the calling thread,
+    /// while it holds its PPE context (no SPE, no team). The sentinel SPE
+    /// id lets kernels with distinct PPE/SPE code paths pick theirs.
+    fn ppe_context(&mut self) -> &mut super::context::SpeContext {
+        self.ppe_scratch.get_or_insert_with(|| {
+            Box::new(super::context::SpeContext::new(
+                crate::policy::SpeId(usize::MAX),
+                Duration::ZERO,
+            ))
+        })
+    }
+
+    /// Off-load a kernel of the named `kind` under dynamic granularity
+    /// control (§5.2), where the runtime was built with
+    /// [`RuntimeConfig::with_granularity_control`]: it optimistically
+    /// off-loads, measures both the SPE and the PPE versions, and throttles
+    /// kernels that fail the test `t_spe + t_code + 2·t_comm < t_ppe` back
+    /// to the PPE — where they run on the calling thread while it holds its
+    /// context, exactly like the paper's PPE fallback copies of each
+    /// function. Without granularity control this is [`Self::offload_loop`].
     ///
     /// # Errors
-    /// Propagates [`OffloadError::TaskPanicked`] if the kernel panicked.
+    /// As [`Self::offload_loop`].
     pub fn offload_adaptive<B: LoopBody>(
         &mut self,
         site: LoopSite,
         kind: KernelKind,
         body: Arc<B>,
     ) -> Result<B::Acc, OffloadError> {
-        if self.rt.granularity.is_some() {
-            self.offload_kernel(site, kind, body)
-        } else {
-            self.offload_loop(site, body)
-        }
-    }
-
-    /// Off-load a kernel of the named `kind` under dynamic granularity
-    /// control (§5.2): the runtime optimistically off-loads, measures both
-    /// the SPE and the PPE versions, and throttles kernels that fail the
-    /// test `t_spe + t_code + 2·t_comm < t_ppe` back to the PPE — where
-    /// they run on the calling thread while it holds its context, exactly
-    /// like the paper's PPE fallback copies of each function.
-    ///
-    /// Requires the runtime to have been built with
-    /// [`RuntimeConfig::with_granularity_control`].
-    ///
-    /// # Errors
-    /// Propagates [`OffloadError::TaskPanicked`] if the kernel panicked.
-    ///
-    /// # Panics
-    /// Panics if granularity control is not enabled.
-    pub fn offload_kernel<B: LoopBody>(
-        &mut self,
-        site: LoopSite,
-        kind: KernelKind,
-        body: Arc<B>,
-    ) -> Result<B::Acc, OffloadError> {
         let rt = self.rt;
-        let controller = rt
-            .granularity
-            .as_ref()
-            // xtask-allow: panic-path — documented `# Panics` API precondition, pinned by a should_panic test
-            .expect("granularity control not enabled on this runtime");
+        let Some(controller) = rt.granularity.as_ref() else {
+            return self.offload_loop(site, body);
+        };
         let (decision, was_throttled, now_throttled) = {
             let mut c = controller.lock();
             let was = c.is_throttled(kind);
@@ -695,15 +663,7 @@ impl ProcessCtx<'_> {
                         reprobe: false,
                     });
                 }
-                // The PPE version: run on the calling thread, holding the
-                // context (no SPE, no team). The sentinel SPE id lets
-                // kernels with distinct PPE/SPE code paths pick theirs.
-                let scratch = self.ppe_scratch.get_or_insert_with(|| {
-                    Box::new(super::context::SpeContext::new(
-                        crate::policy::SpeId(usize::MAX),
-                        Duration::ZERO,
-                    ))
-                });
+                let scratch = self.ppe_context();
                 let start = Instant::now();
                 let out = body.run_chunk(0..body.len(), scratch);
                 controller.lock().record_ppe(kind, start.elapsed().as_nanos() as u64);
@@ -919,7 +879,7 @@ mod tests {
         let mut ctx = rt.enter_process();
         for _ in 0..64 {
             let body = Arc::new(SpinSum { n: 1, spin: Duration::ZERO });
-            let v = ctx.offload_kernel(LoopSite(9), KernelKind::Evaluate, body).unwrap();
+            let v = ctx.offload_adaptive(LoopSite(9), KernelKind::Evaluate, body).unwrap();
             assert_eq!(v, 0.0);
         }
         assert!(
@@ -967,22 +927,13 @@ mod tests {
             // ~0.5 ms on the SPE vs ~1.5 ms on the PPE: far above the
             // off-load overhead, so the test must keep it off-loaded.
             let body = Arc::new(DualVersion { n: 100, spin: Duration::from_micros(5) });
-            let v = ctx.offload_kernel(LoopSite(10), KernelKind::NewView, body).unwrap();
+            let v = ctx.offload_adaptive(LoopSite(10), KernelKind::NewView, body).unwrap();
             assert_eq!(v, 100);
         }
         assert!(
             !rt.is_throttled(KernelKind::NewView),
             "kernels whose SPE version wins must stay off-loaded"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "granularity control not enabled")]
-    fn offload_kernel_requires_opt_in() {
-        let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
-        let mut ctx = rt.enter_process();
-        let body = Arc::new(SpinSum { n: 1, spin: Duration::ZERO });
-        let _ = ctx.offload_kernel(LoopSite(11), KernelKind::Evaluate, body);
     }
 
     #[test]

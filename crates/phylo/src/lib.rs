@@ -37,6 +37,7 @@ pub mod protein;
 pub mod search;
 pub mod special;
 pub mod spr;
+pub mod traversal;
 pub mod tree;
 
 /// Convenient glob import.

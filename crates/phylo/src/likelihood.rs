@@ -24,6 +24,7 @@ use std::ops::Range;
 use crate::alignment::PatternAlignment;
 use crate::dna::STATES;
 use crate::model::{Matrix, SubstModel};
+use crate::traversal::{self, Kernels};
 use crate::tree::{EdgeId, Tree};
 
 /// Likelihood values below this threshold trigger rescaling (RAxML's
@@ -51,9 +52,8 @@ pub fn clamp_branch(t: f64) -> f64 {
 }
 
 /// One damped Newton step on a branch length given the log-likelihood
-/// derivatives at `t`. Returns `(next_t, converged)`. Shared by the direct
-/// and the off-loaded `makenewz` implementations so they agree bit-for-bit.
-pub fn newton_branch_step(t: f64, d1: f64, d2: f64) -> (f64, bool) {
+/// derivatives at `t`. Returns `(next_t, converged)`.
+fn newton_branch_step(t: f64, d1: f64, d2: f64) -> (f64, bool) {
     let step = if d2 < 0.0 {
         -d1 / d2
     } else {
@@ -66,6 +66,69 @@ pub fn newton_branch_step(t: f64, d1: f64, d2: f64) -> (f64, bool) {
     let next = clamp_branch(t + step);
     let converged = (next - t).abs() < NEWTON_EPS;
     (next, converged)
+}
+
+/// Newton–Raphson branch-length optimization (`makenewz`): damped Newton
+/// steps from `t0` on the derivatives `derivs(t) = (d1, d2)` until the step
+/// converges (at most [`NEWTON_MAX_ITERS`]). The direct engine sums the
+/// derivatives in place, the off-loading engine work-shares each sum; both
+/// iterate here, so they agree bit-for-bit.
+pub fn newton_branch_length(t0: f64, mut derivs: impl FnMut(f64) -> (f64, f64)) -> f64 {
+    let mut t = clamp_branch(t0);
+    for _ in 0..NEWTON_MAX_ITERS {
+        let (d1, d2) = derivs(t);
+        let (next, converged) = newton_branch_step(t, d1, d2);
+        t = next;
+        if converged {
+            break;
+        }
+    }
+    t
+}
+
+/// Golden-section maximization of `f` over `[lo, hi]`: at most `max_iters`
+/// bracket shrinks, stopping early once `narrow(lo, hi)` holds. Returns the
+/// midpoint of the final bracket.
+pub(crate) fn golden_section_max(
+    mut lo: f64,
+    mut hi: f64,
+    max_iters: usize,
+    narrow: impl Fn(f64, f64) -> bool,
+    mut f: impl FnMut(f64) -> f64,
+) -> f64 {
+    const INVPHI: f64 = 0.618_033_988_749_894_9;
+    let mut x1 = hi - INVPHI * (hi - lo);
+    let mut x2 = lo + INVPHI * (hi - lo);
+    let mut f1 = f(x1);
+    let mut f2 = f(x2);
+    for _ in 0..max_iters {
+        if narrow(lo, hi) {
+            break;
+        }
+        if f1 < f2 {
+            lo = x1;
+            x1 = x2;
+            f1 = f2;
+            x2 = lo + INVPHI * (hi - lo);
+            f2 = f(x2);
+        } else {
+            hi = x2;
+            x2 = x1;
+            f2 = f1;
+            x1 = hi - INVPHI * (hi - lo);
+            f1 = f(x1);
+        }
+    }
+    0.5 * (lo + hi)
+}
+
+/// Derivative-free branch-length optimization: the golden-section maximum
+/// of `lnl_at` over the legal interval, bracketed from the current length
+/// `t0` (the engines without analytic derivatives use this where the DNA
+/// engine uses Newton steps).
+pub(crate) fn golden_section_branch(t0: f64, lnl_at: impl FnMut(f64) -> f64) -> f64 {
+    let hi = MAX_BRANCH.min((t0 * 32.0).max(1.0));
+    golden_section_max(Tree::MIN_BRANCH, hi, 64, |lo, hi| (hi - lo) < 1e-7 * hi.max(1e-3), lnl_at)
 }
 
 /// A conditional likelihood vector for every site pattern, plus per-pattern
@@ -514,81 +577,53 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// in `[MIN_BRANCH, MAX_BRANCH]` maximizing the log-likelihood of the
     /// edge between `u` and `v`, starting from `t0`.
     pub fn makenewz(&self, u: &Clv, v: &Clv, t0: f64) -> f64 {
-        let mut t = clamp_branch(t0);
-        for _ in 0..NEWTON_MAX_ITERS {
-            let (d1, d2) = self.lnl_derivatives(u, v, t);
-            let (next, converged) = newton_branch_step(t, d1, d2);
-            t = next;
-            if converged {
-                break;
-            }
-        }
-        t
+        newton_branch_length(t0, |t| self.lnl_derivatives(u, v, t))
     }
 
     /// Directional CLV of `node` seen from `parent` (the full Felsenstein
     /// recursion; tips are indicator CLVs).
     pub fn clv_toward(&self, tree: &Tree, node: usize, parent: usize) -> Clv {
-        if tree.is_tip(node) {
-            return self.tip_clv(node);
-        }
-        let mut children = tree
-            .neighbors(node)
-            .iter()
-            .filter(|&&(n, _)| n != parent)
-            .copied()
-            .collect::<Vec<_>>();
-        assert_eq!(children.len(), 2, "internal nodes have exactly two children seen from a parent");
-        // Deterministic order for reproducible FP results.
-        children.sort_by_key(|&(n, _)| n);
-        let (c1, e1) = children[0];
-        let (c2, e2) = children[1];
-        let l1 = self.clv_toward(tree, c1, node);
-        let l2 = self.clv_toward(tree, c2, node);
-        self.newview(&l1, tree.length(e1), &l2, tree.length(e2))
+        traversal::clv_toward(&mut &*self, tree, node, parent)
     }
 
     /// The log-likelihood of `tree`, evaluated at `edge`.
     pub fn log_likelihood_at(&self, tree: &Tree, edge: EdgeId) -> f64 {
-        let (a, b) = tree.endpoints(edge);
-        let cu = self.clv_toward(tree, a, b);
-        let cv = self.clv_toward(tree, b, a);
-        self.evaluate(&cu, &cv, tree.length(edge))
+        traversal::score_at(&mut &*self, tree, edge)
     }
 
     /// The log-likelihood of `tree` (evaluated at edge 0; by likelihood
     /// invariance any edge gives the same value).
     pub fn log_likelihood(&self, tree: &Tree) -> f64 {
-        self.log_likelihood_at(tree, EdgeId(0))
-    }
-
-    /// One full pass of branch-length optimization: `makenewz` on every
-    /// edge in id order. Returns the log-likelihood after the pass.
-    pub fn optimize_branches_pass(&self, tree: &mut Tree) -> f64 {
-        for e in tree.edge_ids().collect::<Vec<_>>() {
-            let (a, b) = tree.endpoints(e);
-            let cu = self.clv_toward(tree, a, b);
-            let cv = self.clv_toward(tree, b, a);
-            let t = self.makenewz(&cu, &cv, tree.length(e));
-            tree.set_length(e, t);
-        }
-        self.log_likelihood(tree)
+        traversal::score(&mut &*self, tree)
     }
 
     /// Optimize branch lengths until the log-likelihood improves by less
     /// than `epsilon` between passes (at most `max_passes`). Returns the
     /// final log-likelihood.
     pub fn optimize_branches(&self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64 {
-        let mut last = f64::NEG_INFINITY;
-        let mut lnl = self.log_likelihood(tree);
-        for _ in 0..max_passes {
-            if (lnl - last).abs() < epsilon {
-                break;
-            }
-            last = lnl;
-            lnl = self.optimize_branches_pass(tree);
-        }
-        lnl
+        traversal::optimize_branches(&mut &*self, tree, max_passes, epsilon)
+    }
+}
+
+/// The direct engine's kernels, run on the calling thread. It keeps no
+/// state, so a shared borrow is the provider.
+impl<M: SubstModel> Kernels for &LikelihoodEngine<'_, M> {
+    type Clv = Clv;
+
+    fn tip(&mut self, taxon: usize) -> Clv {
+        self.tip_clv(taxon)
+    }
+
+    fn newview(&mut self, left: Clv, t_left: f64, right: Clv, t_right: f64) -> Clv {
+        LikelihoodEngine::newview(self, &left, t_left, &right, t_right)
+    }
+
+    fn evaluate(&mut self, u: Clv, v: Clv, t: f64) -> f64 {
+        LikelihoodEngine::evaluate(self, &u, &v, t)
+    }
+
+    fn optimize_edge(&mut self, u: Clv, v: Clv, t0: f64) -> f64 {
+        self.makenewz(&u, &v, t0)
     }
 }
 
@@ -826,7 +861,7 @@ mod tests {
         let before = engine.log_likelihood(&tree);
         let mut prev = before;
         for _ in 0..4 {
-            let lnl = engine.optimize_branches_pass(&mut tree);
+            let lnl = engine.optimize_branches(&mut tree, 1, 0.0);
             assert!(lnl >= prev - 1e-6, "pass regressed: {lnl} < {prev}");
             prev = lnl;
         }
@@ -841,7 +876,7 @@ mod tests {
         let mut tree = Tree::random(4, 0.3, &mut rng);
         let lnl = engine.optimize_branches(&mut tree, 50, 1e-8);
         // One more pass should change almost nothing.
-        let lnl2 = engine.optimize_branches_pass(&mut tree);
+        let lnl2 = engine.optimize_branches(&mut tree, 1, 0.0);
         assert!((lnl2 - lnl).abs() < 1e-4);
     }
 

@@ -17,11 +17,13 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the math in dense kernels
 
 use crate::alignment::PatternAlignment;
-use crate::likelihood::{clamp_branch, log_scale, Clv, LikelihoodEngine, MAX_BRANCH};
+use crate::likelihood::{
+    golden_section_branch, golden_section_max, log_scale, Clv, LikelihoodEngine,
+};
 use crate::model::{ScaledModel, SubstModel};
-use crate::search::ScoringEngine;
 use crate::special::discrete_gamma_rates;
-use crate::tree::{EdgeId, Tree};
+use crate::traversal::{self, Kernels};
+use crate::tree::Tree;
 
 /// The Γ-mixture likelihood engine.
 pub struct GammaEngine<'a, M: SubstModel> {
@@ -51,13 +53,18 @@ impl<'a, M: SubstModel> GammaEngine<'a, M> {
         self.alpha
     }
 
-    /// Per-category directional CLVs for the evaluation edge `(a ← b)`.
-    fn category_clvs(&self, tree: &Tree, node: usize, parent: usize) -> Vec<Clv> {
+    /// One value per category, computed by the single-rate engine whose
+    /// branch lengths are all scaled by that category's rate.
+    fn per_category<T>(
+        &self,
+        f: impl Fn(usize, &LikelihoodEngine<'_, ScaledModel<&M>>) -> T,
+    ) -> Vec<T> {
         self.rates
             .iter()
-            .map(|&r| {
-                let sm = ScaledModel { inner: self.model, rate: r };
-                LikelihoodEngine::new(&sm, self.data).clv_toward(tree, node, parent)
+            .enumerate()
+            .map(|(c, &rate)| {
+                let sm = ScaledModel { inner: self.model, rate };
+                f(c, &LikelihoodEngine::new(&sm, self.data))
             })
             .collect()
     }
@@ -70,12 +77,7 @@ impl<'a, M: SubstModel> GammaEngine<'a, M> {
         let ln_min = log_scale();
 
         // Per-category per-site (term, exp) pairs.
-        let mut terms: Vec<Vec<(f64, u32)>> = Vec::with_capacity(k);
-        for (c, &r) in self.rates.iter().enumerate() {
-            let sm = ScaledModel { inner: self.model, rate: r };
-            let eng = LikelihoodEngine::new(&sm, self.data);
-            terms.push(eng.site_terms(&us[c], &vs[c], t));
-        }
+        let terms = self.per_category(|c, eng| eng.site_terms(&us[c], &vs[c], t));
 
         let mut lnl = 0.0;
         for i in 0..n {
@@ -100,56 +102,31 @@ impl<'a, M: SubstModel> GammaEngine<'a, M> {
 
     /// Mixture log-likelihood of `tree`.
     pub fn log_likelihood(&self, tree: &Tree) -> f64 {
-        let e = EdgeId(0);
-        let (a, b) = tree.endpoints(e);
-        let us = self.category_clvs(tree, a, b);
-        let vs = self.category_clvs(tree, b, a);
-        self.edge_lnl(&us, &vs, tree.length(e))
+        traversal::score(&mut &*self, tree)
+    }
+}
+
+/// The mixture's kernels: one [`Clv`] per rate category, each pruned by
+/// that category's single-rate engine.
+impl<M: SubstModel> Kernels for &GammaEngine<'_, M> {
+    type Clv = Vec<Clv>;
+
+    fn tip(&mut self, taxon: usize) -> Vec<Clv> {
+        self.per_category(|_, eng| eng.tip_clv(taxon))
     }
 
-    /// Golden-section maximization of the mixture likelihood over one
-    /// branch length (derivative-free; the mixture's analytic derivatives
-    /// buy little at 4 categories).
-    fn optimize_edge(&self, us: &[Clv], vs: &[Clv], t0: f64) -> f64 {
-        const INVPHI: f64 = 0.618_033_988_749_894_9;
-        let mut lo = Tree::MIN_BRANCH;
-        let mut hi = MAX_BRANCH.min((t0 * 32.0).max(1.0));
-        let mut x1 = hi - INVPHI * (hi - lo);
-        let mut x2 = lo + INVPHI * (hi - lo);
-        let mut f1 = self.edge_lnl(us, vs, x1);
-        let mut f2 = self.edge_lnl(us, vs, x2);
-        for _ in 0..64 {
-            if (hi - lo) < 1e-7 * hi.max(1e-3) {
-                break;
-            }
-            if f1 < f2 {
-                lo = x1;
-                x1 = x2;
-                f1 = f2;
-                x2 = lo + INVPHI * (hi - lo);
-                f2 = self.edge_lnl(us, vs, x2);
-            } else {
-                hi = x2;
-                x2 = x1;
-                f2 = f1;
-                x1 = hi - INVPHI * (hi - lo);
-                f1 = self.edge_lnl(us, vs, x1);
-            }
-        }
-        clamp_branch(0.5 * (lo + hi))
+    fn newview(&mut self, left: Vec<Clv>, t_left: f64, right: Vec<Clv>, t_right: f64) -> Vec<Clv> {
+        self.per_category(|c, eng| eng.newview(&left[c], t_left, &right[c], t_right))
     }
 
-    /// One branch-length optimization pass over every edge; returns the
-    /// resulting mixture log-likelihood.
-    pub fn optimize_branches_pass(&self, tree: &mut Tree) -> f64 {
-        for e in tree.edge_ids().collect::<Vec<_>>() {
-            let (a, b) = tree.endpoints(e);
-            let us = self.category_clvs(tree, a, b);
-            let vs = self.category_clvs(tree, b, a);
-            let t = self.optimize_edge(&us, &vs, tree.length(e));
-            tree.set_length(e, t);
-        }
-        self.log_likelihood(tree)
+    fn evaluate(&mut self, us: Vec<Clv>, vs: Vec<Clv>, t: f64) -> f64 {
+        self.edge_lnl(&us, &vs, t)
+    }
+
+    /// Golden section: the mixture's analytic derivatives buy little at 4
+    /// categories.
+    fn optimize_edge(&mut self, us: Vec<Clv>, vs: Vec<Clv>, t0: f64) -> f64 {
+        golden_section_branch(t0, |t| self.edge_lnl(&us, &vs, t))
     }
 }
 
@@ -168,53 +145,12 @@ pub fn estimate_alpha<M: SubstModel>(
     hi: f64,
 ) -> (f64, f64) {
     assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
-    const INVPHI: f64 = 0.618_033_988_749_894_9;
     let f = |alpha: f64| GammaEngine::new(model, data, alpha, categories).log_likelihood(tree);
     // Search in log-alpha space.
-    let (mut a, mut b) = (lo.ln(), hi.ln());
-    let mut x1 = b - INVPHI * (b - a);
-    let mut x2 = a + INVPHI * (b - a);
-    let mut f1 = f(x1.exp());
-    let mut f2 = f(x2.exp());
-    for _ in 0..40 {
-        if (b - a) < 1e-4 {
-            break;
-        }
-        if f1 < f2 {
-            a = x1;
-            x1 = x2;
-            f1 = f2;
-            x2 = a + INVPHI * (b - a);
-            f2 = f(x2.exp());
-        } else {
-            b = x2;
-            x2 = x1;
-            f2 = f1;
-            x1 = b - INVPHI * (b - a);
-            f1 = f(x1.exp());
-        }
-    }
-    let alpha = (0.5 * (a + b)).exp();
+    let ln_alpha =
+        golden_section_max(lo.ln(), hi.ln(), 40, |a, b| (b - a) < 1e-4, |x| f(x.exp()));
+    let alpha = ln_alpha.exp();
     (alpha, f(alpha))
-}
-
-impl<M: SubstModel> ScoringEngine for GammaEngine<'_, M> {
-    fn score(&mut self, tree: &Tree) -> f64 {
-        self.log_likelihood(tree)
-    }
-
-    fn optimize_branches(&mut self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64 {
-        let mut last = f64::NEG_INFINITY;
-        let mut lnl = self.log_likelihood(tree);
-        for _ in 0..max_passes {
-            if (lnl - last).abs() < epsilon {
-                break;
-            }
-            last = lnl;
-            lnl = self.optimize_branches_pass(tree);
-        }
-        lnl
-    }
 }
 
 #[cfg(test)]
@@ -222,6 +158,8 @@ mod tests {
     use super::*;
     use crate::alignment::Alignment;
     use crate::model::{Gtr, Jc69};
+    use crate::search::ScoringEngine;
+    use crate::tree::EdgeId;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -239,6 +177,9 @@ mod tests {
         let a = gamma.log_likelihood(&tree);
         let b = plain.log_likelihood(&tree);
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        // Pinned against the per-category walk this engine had before the
+        // shared traversal: the refactor must not move a bit.
+        assert_eq!(a.to_bits(), 0xc087_b0bc_2e31_f742);
     }
 
     #[test]
@@ -294,6 +235,7 @@ mod tests {
             .map(|(&l, &w)| w as f64 * l.ln())
             .sum();
         assert!((got - want).abs() < 1e-10, "{got} vs manual {want}");
+        assert_eq!(got.to_bits(), 0xc035_8750_c64c_9728);
     }
 
     #[test]
@@ -325,6 +267,7 @@ mod tests {
 
         let mut gamma = GammaEngine::new(&Jc69, &d, 0.4, 4);
         let lnl_gamma = ScoringEngine::optimize_branches(&mut gamma, &mut tree, 3, 1e-4);
+        assert_eq!(lnl_gamma.to_bits(), 0xc098_8dd9_c812_5309);
         let plain = LikelihoodEngine::new(&Jc69, &d);
         let lnl_plain = plain.optimize_branches(&mut plain_tree, 3, 1e-4);
         assert!(
@@ -361,6 +304,24 @@ mod tests {
         let after = ScoringEngine::optimize_branches(&mut engine, &mut tree, 3, 1e-4);
         assert!(after >= before - 1e-9, "optimization regressed: {after} < {before}");
         assert!(after.is_finite());
+        // The golden-section pass, pinned to the bit like the scores above.
+        assert_eq!(before.to_bits(), 0xc078_57dc_ab8f_bfc9);
+        assert_eq!(after.to_bits(), 0xc075_1706_f0a5_d544);
+        let lengths: Vec<u64> = tree.edge_ids().map(|e| tree.length(e).to_bits()).collect();
+        assert_eq!(
+            lengths,
+            [
+                0x3f9a_8cfa_1344_2a38,
+                0x3f97_649f_655e_8e29,
+                0x3fb0_2c43_fa2c_153a,
+                0x3faa_7f23_1599_bb70,
+                0x3f94_3383_adf4_d532,
+                0x3fd5_db14_3544_4674,
+                0x3eb0_c72a_c49b_f23e,
+                0x3fb2_a8f7_ca54_3554,
+                0x3eb0_c72a_c49b_f23e,
+            ]
+        );
     }
 
     #[test]

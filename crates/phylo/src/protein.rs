@@ -11,9 +11,9 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math in dense kernels
 
-use crate::likelihood::{SCALE_MULTIPLIER, SCALE_THRESHOLD};
-use crate::search::ScoringEngine;
-use crate::tree::{EdgeId, Tree};
+use crate::likelihood::{golden_section_branch, SCALE_MULTIPLIER, SCALE_THRESHOLD};
+use crate::traversal::{self, Kernels};
+use crate::tree::Tree;
 
 /// Number of amino-acid states.
 pub const AA_STATES: usize = 20;
@@ -287,27 +287,9 @@ impl<'a> ProteinEngine<'a> {
         out
     }
 
-    fn clv_toward(&self, tree: &Tree, node: usize, parent: usize) -> AaClv {
-        if tree.is_tip(node) {
-            return self.tip_clv(node);
-        }
-        let mut children: Vec<_> =
-            tree.neighbors(node).iter().filter(|&&(n, _)| n != parent).copied().collect();
-        children.sort_by_key(|&(n, _)| n);
-        let (c1, e1) = children[0];
-        let (c2, e2) = children[1];
-        let l = self.clv_toward(tree, c1, node);
-        let r = self.clv_toward(tree, c2, node);
-        self.newview(&l, tree.length(e1), &r, tree.length(e2))
-    }
-
     /// Log-likelihood of `tree` under the Poisson model.
     pub fn log_likelihood(&self, tree: &Tree) -> f64 {
-        let e = EdgeId(0);
-        let (a, b) = tree.endpoints(e);
-        let u = self.clv_toward(tree, a, b);
-        let v = self.clv_toward(tree, b, a);
-        self.evaluate(&u, &v, tree.length(e))
+        traversal::score(&mut &*self, tree)
     }
 
     fn evaluate(&self, u: &AaClv, v: &AaClv, t: f64) -> f64 {
@@ -330,60 +312,26 @@ impl<'a> ProteinEngine<'a> {
         }
         lnl
     }
-
-    /// Golden-section optimization of one branch (derivative-free).
-    fn optimize_edge(&self, u: &AaClv, v: &AaClv, t0: f64) -> f64 {
-        const INVPHI: f64 = 0.618_033_988_749_894_9;
-        let (mut lo, mut hi) = (Tree::MIN_BRANCH, 10.0f64.min((t0 * 32.0).max(1.0)));
-        let mut x1 = hi - INVPHI * (hi - lo);
-        let mut x2 = lo + INVPHI * (hi - lo);
-        let mut f1 = self.evaluate(u, v, x1);
-        let mut f2 = self.evaluate(u, v, x2);
-        for _ in 0..64 {
-            if (hi - lo) < 1e-7 * hi.max(1e-3) {
-                break;
-            }
-            if f1 < f2 {
-                lo = x1;
-                x1 = x2;
-                f1 = f2;
-                x2 = lo + INVPHI * (hi - lo);
-                f2 = self.evaluate(u, v, x2);
-            } else {
-                hi = x2;
-                x2 = x1;
-                f2 = f1;
-                x1 = hi - INVPHI * (hi - lo);
-                f1 = self.evaluate(u, v, x1);
-            }
-        }
-        0.5 * (lo + hi)
-    }
 }
 
-impl ScoringEngine for ProteinEngine<'_> {
-    fn score(&mut self, tree: &Tree) -> f64 {
-        self.log_likelihood(tree)
+impl Kernels for &ProteinEngine<'_> {
+    type Clv = AaClv;
+
+    fn tip(&mut self, taxon: usize) -> AaClv {
+        self.tip_clv(taxon)
     }
 
-    fn optimize_branches(&mut self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64 {
-        let mut last = f64::NEG_INFINITY;
-        let mut lnl = self.log_likelihood(tree);
-        for _ in 0..max_passes {
-            if (lnl - last).abs() < epsilon {
-                break;
-            }
-            last = lnl;
-            for e in tree.edge_ids().collect::<Vec<_>>() {
-                let (a, b) = tree.endpoints(e);
-                let u = self.clv_toward(tree, a, b);
-                let v = self.clv_toward(tree, b, a);
-                let t = self.optimize_edge(&u, &v, tree.length(e));
-                tree.set_length(e, t);
-            }
-            lnl = self.log_likelihood(tree);
-        }
-        lnl
+    fn newview(&mut self, left: AaClv, t_left: f64, right: AaClv, t_right: f64) -> AaClv {
+        ProteinEngine::newview(self, &left, t_left, &right, t_right)
+    }
+
+    fn evaluate(&mut self, u: AaClv, v: AaClv, t: f64) -> f64 {
+        ProteinEngine::evaluate(self, &u, &v, t)
+    }
+
+    /// Golden section (derivative-free).
+    fn optimize_edge(&mut self, u: AaClv, v: AaClv, t0: f64) -> f64 {
+        golden_section_branch(t0, |t| ProteinEngine::evaluate(self, &u, &v, t))
     }
 }
 
@@ -509,6 +457,9 @@ mod tests {
             brute += d.weights()[pat] as f64 * site.ln();
         }
         assert!((fast - brute).abs() < 1e-8, "pruning {fast} vs brute {brute}");
+        // Pinned against the walk this engine had before the shared
+        // traversal: the refactor must not move a bit.
+        assert_eq!(fast.to_bits(), 0xc04b_ac00_25ab_f3ac);
     }
 
     #[test]
@@ -519,10 +470,7 @@ mod tests {
         let engine = ProteinEngine::new(PoissonAa, &d);
         let base = engine.log_likelihood(&tree);
         for e in tree.edge_ids() {
-            let (a, b) = tree.endpoints(e);
-            let u = engine.clv_toward(&tree, a, b);
-            let v = engine.clv_toward(&tree, b, a);
-            let lnl = engine.evaluate(&u, &v, tree.length(e));
+            let lnl = traversal::score_at(&mut &engine, &tree, e);
             assert!((lnl - base).abs() < 1e-8, "edge {e:?}");
         }
     }
@@ -542,6 +490,21 @@ mod tests {
         let cfg = crate::search::SearchConfig::default();
         let r = crate::search::hill_climb_with(&mut engine, d.n_taxa(), &cfg, 3);
         r.tree.validate().unwrap();
+        // The search (golden-section passes included), pinned likewise.
+        assert_eq!(r.lnl.to_bits(), 0xc064_6464_0593_cbac);
+        let lengths: Vec<u64> = r.tree.edge_ids().map(|e| r.tree.length(e).to_bits()).collect();
+        assert_eq!(
+            lengths,
+            [
+                0x3eb0_c72a_c49b_f23e,
+                0x3eb0_c72a_c49b_f23e,
+                0x3eb0_c72a_c49b_f23e,
+                0x3fe2_994d_7a7d_7e67,
+                0x3eb0_c72a_c49b_f23e,
+                0x4023_ffff_f2d7_f02f,
+                0x3fc0_77a3_2acd_72ce,
+            ]
+        );
         // (a,b) must form a clade.
         let found = r.tree.bipartitions().iter().any(|side| {
             let members: Vec<usize> =

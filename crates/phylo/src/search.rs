@@ -13,6 +13,7 @@ use rand::SeedableRng;
 use crate::alignment::PatternAlignment;
 use crate::likelihood::LikelihoodEngine;
 use crate::model::SubstModel;
+use crate::traversal::{self, Kernels};
 use crate::tree::Tree;
 
 /// Anything that can score trees and optimize their branch lengths.
@@ -28,12 +29,17 @@ pub trait ScoringEngine {
     fn optimize_branches(&mut self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64;
 }
 
-impl<M: SubstModel> ScoringEngine for LikelihoodEngine<'_, M> {
+/// Every engine whose shared borrow is a [`Kernels`] provider — the direct
+/// DNA, Γ-mixture and protein engines — scores through the one traversal.
+impl<E> ScoringEngine for E
+where
+    for<'e> &'e E: Kernels,
+{
     fn score(&mut self, tree: &Tree) -> f64 {
-        self.log_likelihood(tree)
+        traversal::score(&mut &*self, tree)
     }
     fn optimize_branches(&mut self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64 {
-        LikelihoodEngine::optimize_branches(self, tree, max_passes, epsilon)
+        traversal::optimize_branches(&mut &*self, tree, max_passes, epsilon)
     }
 }
 
@@ -102,60 +108,19 @@ pub fn hill_climb_with(
     cfg: &SearchConfig,
     seed: u64,
 ) -> SearchResult {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut best: Option<SearchResult> = None;
-    for _ in 0..cfg.restarts.max(1) {
-        let r = climb_once(engine, n_taxa, cfg, &mut rng);
-        if best.as_ref().is_none_or(|b| r.lnl > b.lnl) {
-            best = Some(r);
-        }
-    }
-    best.expect("at least one restart runs")
-}
-
-/// One greedy NNI climb from a fresh random tree drawn from `rng`.
-fn climb_once(
-    engine: &mut impl ScoringEngine,
-    n_taxa: usize,
-    cfg: &SearchConfig,
-    rng: &mut SmallRng,
-) -> SearchResult {
-    let mut tree = Tree::random(n_taxa, cfg.initial_branch, rng);
-    let mut lnl = engine.optimize_branches(&mut tree, cfg.branch_passes, cfg.epsilon);
-    let mut accepted = 0usize;
-    let mut rounds = 0usize;
-
-    for _ in 0..cfg.max_rounds {
-        rounds += 1;
+    climb(engine, n_taxa, cfg, seed, |c| {
         let mut improved = false;
-        for edge in tree.internal_edges() {
+        for edge in c.tree.internal_edges() {
             for variant in 0..2u8 {
-                // Rejection must restore branch lengths too: candidate
-                // evaluation re-optimizes every branch, and undoing only
-                // the topology would leave the tree in a mongrel state.
-                let saved_lengths: Vec<f64> = tree.edge_ids().map(|e| tree.length(e)).collect();
-                let mv = tree.nni(edge, variant);
-                let candidate = engine.optimize_branches(&mut tree, cfg.branch_passes, cfg.epsilon);
-                if candidate > lnl + cfg.epsilon {
-                    lnl = candidate;
-                    accepted += 1;
+                if c.try_move(|t| t.nni(edge, variant), Tree::undo_nni) {
                     improved = true;
                     // Keep the move; continue from the new topology.
                     break;
                 }
-                tree.undo_nni(mv);
-                for (e, len) in tree.edge_ids().zip(saved_lengths) {
-                    tree.set_length(e, len);
-                }
             }
         }
-        if !improved {
-            break;
-        }
-    }
-    // Final tightening.
-    lnl = engine.optimize_branches(&mut tree, cfg.branch_passes * 2, cfg.epsilon / 10.0);
-    SearchResult { tree, lnl, accepted_moves: accepted, rounds }
+        improved
+    })
 }
 
 /// SPR-based hill climbing: like [`hill_climb_with`] but rearranging with
@@ -168,63 +133,96 @@ pub fn spr_hill_climb_with(
     radius: usize,
     seed: u64,
 ) -> SearchResult {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut best: Option<SearchResult> = None;
-    for _ in 0..cfg.restarts.max(1) {
-        let r = spr_climb_once(engine, n_taxa, cfg, radius, &mut rng);
-        if best.as_ref().is_none_or(|b| r.lnl > b.lnl) {
-            best = Some(r);
-        }
-    }
-    best.expect("at least one restart runs")
-}
-
-/// One greedy SPR climb from a fresh random tree drawn from `rng`.
-fn spr_climb_once(
-    engine: &mut impl ScoringEngine,
-    n_taxa: usize,
-    cfg: &SearchConfig,
-    radius: usize,
-    rng: &mut SmallRng,
-) -> SearchResult {
-    let mut tree = Tree::random(n_taxa, cfg.initial_branch, rng);
-    let mut lnl = engine.optimize_branches(&mut tree, cfg.branch_passes, cfg.epsilon);
-    let mut accepted = 0usize;
-    let mut rounds = 0usize;
-
-    for _ in 0..cfg.max_rounds {
-        rounds += 1;
+    climb(engine, n_taxa, cfg, seed, |c| {
         let mut improved = false;
-        'prune: for prune in tree.edge_ids().collect::<Vec<_>>() {
-            let (pa, pb) = tree.endpoints(prune);
+        'prune: for prune in c.tree.edge_ids().collect::<Vec<_>>() {
+            let (pa, pb) = c.tree.endpoints(prune);
             for root in [pa, pb] {
-                let targets = tree.spr_targets(prune, root, radius);
-                for target in targets {
-                    let saved: Vec<f64> = tree.edge_ids().map(|e| tree.length(e)).collect();
-                    let mv = tree.spr(prune, root, target);
-                    let candidate =
-                        engine.optimize_branches(&mut tree, cfg.branch_passes, cfg.epsilon);
-                    if candidate > lnl + cfg.epsilon {
-                        lnl = candidate;
-                        accepted += 1;
+                for target in c.tree.spr_targets(prune, root, radius) {
+                    if c.try_move(|t| t.spr(prune, root, target), Tree::undo_spr) {
                         improved = true;
                         // Keep the move; this prune edge's neighborhood
                         // changed, so move on to the next one.
                         continue 'prune;
                     }
-                    tree.undo_spr(mv);
-                    for (e, len) in tree.edge_ids().zip(saved) {
-                        tree.set_length(e, len);
-                    }
                 }
             }
         }
-        if !improved {
-            break;
+        improved
+    })
+}
+
+/// One greedy climb in progress: the current tree, its score, and the
+/// engine that judges candidate moves.
+struct Climb<'a, E> {
+    engine: &'a mut E,
+    cfg: &'a SearchConfig,
+    tree: Tree,
+    lnl: f64,
+    accepted: usize,
+}
+
+impl<E: ScoringEngine> Climb<'_, E> {
+    /// Apply a move, re-optimize every branch, and keep the move if the
+    /// score improved by more than `epsilon`; otherwise undo it. Returns
+    /// whether it was kept.
+    fn try_move<U>(
+        &mut self,
+        apply: impl FnOnce(&mut Tree) -> U,
+        undo: impl FnOnce(&mut Tree, U),
+    ) -> bool {
+        // Rejection must restore branch lengths too: candidate
+        // evaluation re-optimizes every branch, and undoing only
+        // the topology would leave the tree in a mongrel state.
+        let saved_lengths: Vec<f64> = self.tree.edge_ids().map(|e| self.tree.length(e)).collect();
+        let mv = apply(&mut self.tree);
+        let candidate =
+            self.engine.optimize_branches(&mut self.tree, self.cfg.branch_passes, self.cfg.epsilon);
+        if candidate > self.lnl + self.cfg.epsilon {
+            self.lnl = candidate;
+            self.accepted += 1;
+            return true;
+        }
+        undo(&mut self.tree, mv);
+        for (e, len) in self.tree.edge_ids().zip(saved_lengths) {
+            self.tree.set_length(e, len);
+        }
+        false
+    }
+}
+
+/// The climb skeleton both move sets share: `cfg.restarts` greedy climbs
+/// from fresh random trees, each alternating branch optimization with
+/// `sweep` — one pass over the move set's candidates, returning whether
+/// any was kept — until a sweep keeps nothing; the best climb wins.
+fn climb<E: ScoringEngine>(
+    engine: &mut E,
+    n_taxa: usize,
+    cfg: &SearchConfig,
+    seed: u64,
+    sweep: impl Fn(&mut Climb<'_, E>) -> bool,
+) -> SearchResult {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut best: Option<SearchResult> = None;
+    for _ in 0..cfg.restarts.max(1) {
+        let mut tree = Tree::random(n_taxa, cfg.initial_branch, &mut rng);
+        let lnl = engine.optimize_branches(&mut tree, cfg.branch_passes, cfg.epsilon);
+        let mut c = Climb { engine: &mut *engine, cfg, tree, lnl, accepted: 0 };
+        let mut rounds = 0usize;
+        for _ in 0..cfg.max_rounds {
+            rounds += 1;
+            if !sweep(&mut c) {
+                break;
+            }
+        }
+        // Final tightening.
+        let Climb { mut tree, accepted, .. } = c;
+        let lnl = engine.optimize_branches(&mut tree, cfg.branch_passes * 2, cfg.epsilon / 10.0);
+        if best.as_ref().is_none_or(|b| lnl > b.lnl) {
+            best = Some(SearchResult { tree, lnl, accepted_moves: accepted, rounds });
         }
     }
-    lnl = engine.optimize_branches(&mut tree, cfg.branch_passes * 2, cfg.epsilon / 10.0);
-    SearchResult { tree, lnl, accepted_moves: accepted, rounds }
+    best.expect("at least one restart runs")
 }
 
 /// SPR hill climbing with the default (direct) likelihood engine.

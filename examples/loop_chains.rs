@@ -127,10 +127,10 @@ fn main() {
     for _ in 0..48 {
         // Coarse kernel: ~600 us of work.
         let coarse = Arc::new(Spin { iters: 60, per_iter: Duration::from_micros(10) });
-        ctx.offload_kernel(LoopSite(1), KernelKind::NewView, coarse).unwrap();
+        ctx.offload_adaptive(LoopSite(1), KernelKind::NewView, coarse).unwrap();
         // Ultra-fine kernel: sub-microsecond.
         let fine = Arc::new(Spin { iters: 1, per_iter: Duration::ZERO });
-        ctx.offload_kernel(LoopSite(2), KernelKind::Evaluate, fine).unwrap();
+        ctx.offload_adaptive(LoopSite(2), KernelKind::Evaluate, fine).unwrap();
     }
     println!(
         "  newview  (coarse, SPE code 3x faster)  throttled to PPE? {}",

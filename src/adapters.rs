@@ -22,11 +22,10 @@ use std::sync::{Arc, Mutex};
 use mgps_runtime::native::{LoopBody, LoopSite, OffloadError, ProcessCtx, SpeContext};
 use mgps_runtime::policy::KernelKind;
 use phylo::alignment::PatternAlignment;
-use phylo::likelihood::{
-    clamp_branch, newton_branch_step, Clv, ClvArena, LikelihoodEngine, NEWTON_MAX_ITERS,
-};
+use phylo::likelihood::{newton_branch_length, Clv, ClvArena, LikelihoodEngine};
 use phylo::model::SubstModel;
 use phylo::search::ScoringEngine;
+use phylo::traversal::{self, Kernels};
 use phylo::tree::Tree;
 
 /// Loop-site id of the `evaluate()` loop.
@@ -213,8 +212,26 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
         r.expect("off-loaded likelihood kernel panicked")
     }
 
-    /// Off-loaded `newview`: the parent CLV of two children.
-    pub fn newview(&mut self, left: Arc<Clv>, t_left: f64, right: Arc<Clv>, t_right: f64) -> Clv {
+    /// Off-loaded log-likelihood of `tree`.
+    pub fn log_likelihood(&mut self, tree: &Tree) -> f64 {
+        traversal::score(self, tree)
+    }
+}
+
+/// The three kernels as off-loads (one per `newview`, one per `evaluate`,
+/// one per Newton iteration of `makenewz` — exactly RAxML's call pattern),
+/// over arena-recycled CLVs: a kernel's operands go back to the arena as
+/// soon as it has consumed them.
+impl<M: SubstModel + Clone + 'static> Kernels for OffloadedEngine<'_, '_, M> {
+    type Clv = Arc<Clv>;
+
+    fn tip(&mut self, taxon: usize) -> Arc<Clv> {
+        let mut clv = self.arena.lock().unwrap().take(self.data.n_patterns());
+        LikelihoodEngine::new(&self.model, &self.data).tip_clv_into(taxon, &mut clv);
+        Arc::new(clv)
+    }
+
+    fn newview(&mut self, left: Arc<Clv>, t_left: f64, right: Arc<Clv>, t_right: f64) -> Arc<Clv> {
         self.offloads += 1;
         let n = self.data.n_patterns();
         let body = Arc::new(NewviewBody {
@@ -252,11 +269,10 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
         // when nothing else (tests, the evaluate edge) still holds them.
         self.reclaim(left);
         self.reclaim(right);
-        out
+        Arc::new(out)
     }
 
-    /// Off-loaded `evaluate`: the log-likelihood at an edge.
-    pub fn evaluate(&mut self, u: Arc<Clv>, v: Arc<Clv>, t: f64) -> f64 {
+    fn evaluate(&mut self, u: Arc<Clv>, v: Arc<Clv>, t: f64) -> f64 {
         self.offloads += 1;
         let body = Arc::new(EvaluateBody {
             model: self.model.clone(),
@@ -277,71 +293,21 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
 
     /// Off-loaded `makenewz`: Newton–Raphson branch-length optimization
     /// with the derivative loop work-shared per iteration.
-    pub fn makenewz(&mut self, u: &Arc<Clv>, v: &Arc<Clv>, t0: f64) -> f64 {
-        let mut t = clamp_branch(t0);
-        for _ in 0..NEWTON_MAX_ITERS {
+    fn optimize_edge(&mut self, u: Arc<Clv>, v: Arc<Clv>, t0: f64) -> f64 {
+        let t = newton_branch_length(t0, |t| {
             self.offloads += 1;
             let body = Arc::new(DerivBody {
                 model: self.model.clone(),
                 data: Arc::clone(&self.data),
-                u: Arc::clone(u),
-                v: Arc::clone(v),
+                u: Arc::clone(&u),
+                v: Arc::clone(&v),
                 t,
             });
-            let (d1, d2) = Self::unwrap_offload(self.ctx.offload_adaptive(
-                SITE_DERIV,
-                KernelKind::MakeNewz,
-                body,
-            ));
-            let (next, converged) = newton_branch_step(t, d1, d2);
-            t = next;
-            if converged {
-                break;
-            }
-        }
+            Self::unwrap_offload(self.ctx.offload_adaptive(SITE_DERIV, KernelKind::MakeNewz, body))
+        });
+        self.reclaim(u);
+        self.reclaim(v);
         t
-    }
-
-    /// Directional CLV of `node` seen from `parent`, built bottom-up from
-    /// off-loaded `newview` calls (one off-load per internal node, exactly
-    /// RAxML's call pattern).
-    pub fn clv_toward(&mut self, tree: &Tree, node: usize, parent: usize) -> Arc<Clv> {
-        if tree.is_tip(node) {
-            let mut clv = self.arena.lock().unwrap().take(self.data.n_patterns());
-            LikelihoodEngine::new(&self.model, &self.data).tip_clv_into(node, &mut clv);
-            return Arc::new(clv);
-        }
-        let mut children: Vec<_> =
-            tree.neighbors(node).iter().filter(|&&(n, _)| n != parent).copied().collect();
-        children.sort_by_key(|&(n, _)| n);
-        let (c1, e1) = children[0];
-        let (c2, e2) = children[1];
-        let l1 = self.clv_toward(tree, c1, node);
-        let l2 = self.clv_toward(tree, c2, node);
-        Arc::new(self.newview(l1, tree.length(e1), l2, tree.length(e2)))
-    }
-
-    /// Off-loaded log-likelihood of `tree`.
-    pub fn log_likelihood(&mut self, tree: &Tree) -> f64 {
-        let e = phylo::tree::EdgeId(0);
-        let (a, b) = tree.endpoints(e);
-        let cu = self.clv_toward(tree, a, b);
-        let cv = self.clv_toward(tree, b, a);
-        self.evaluate(cu, cv, tree.length(e))
-    }
-
-    /// One off-loaded branch-length optimization pass over every edge.
-    pub fn optimize_branches_pass(&mut self, tree: &mut Tree) -> f64 {
-        for e in tree.edge_ids().collect::<Vec<_>>() {
-            let (a, b) = tree.endpoints(e);
-            let cu = self.clv_toward(tree, a, b);
-            let cv = self.clv_toward(tree, b, a);
-            let t = self.makenewz(&cu, &cv, tree.length(e));
-            tree.set_length(e, t);
-            self.reclaim(cu);
-            self.reclaim(cv);
-        }
-        self.log_likelihood(tree)
     }
 }
 
@@ -351,16 +317,7 @@ impl<M: SubstModel + Clone + 'static> ScoringEngine for OffloadedEngine<'_, '_, 
     }
 
     fn optimize_branches(&mut self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64 {
-        let mut last = f64::NEG_INFINITY;
-        let mut lnl = self.log_likelihood(tree);
-        for _ in 0..max_passes {
-            if (lnl - last).abs() < epsilon {
-                break;
-            }
-            last = lnl;
-            lnl = self.optimize_branches_pass(tree);
-        }
-        lnl
+        traversal::optimize_branches(self, tree, max_passes, epsilon)
     }
 }
 

@@ -132,6 +132,65 @@ fn demo_then_infer_round_trip() {
     assert!(stdout.contains("best tree lnL"));
     assert!(stdout.contains("taxon000"), "Newick output expected: {stdout}");
 
+    // What every search/model variant printed before the engines shared
+    // one traversal and one climb skeleton: lnL, accepted moves, tree.
+    const NNI_TREE: &str = "(taxon000:0.042382,((taxon002:0.005816,taxon003:0.119149):0.032400,\
+        (taxon004:0.107325,taxon005:0.000001):0.082823):0.185099,taxon001:0.207603);";
+    let variants: [(&[&str], &[&str]); 5] = [
+        (
+            &["--model", "jc", "--search", "nni"],
+            &["best tree lnL      -340.6198", "NNI/SPR accepted   4", NNI_TREE],
+        ),
+        (
+            &["--model", "gtr"],
+            &[
+                "best tree lnL      -352.2541",
+                "NNI/SPR accepted   7",
+                "(taxon000:0.031765,((taxon002:0.000001,taxon003:0.125398):0.039175,\
+                 (taxon004:0.111474,taxon005:0.000001):0.084551):0.205675,taxon001:0.226116);",
+            ],
+        ),
+        (
+            &["--search", "spr"],
+            &[
+                "best tree lnL      -340.6198",
+                "NNI/SPR accepted   2",
+                "(taxon000:0.042399,((taxon003:0.119089,taxon002:0.005956):0.032324,\
+                 (taxon004:0.107325,taxon005:0.000001):0.082792):0.185130,taxon001:0.207589);",
+            ],
+        ),
+        (
+            &["--gamma", "0.5"],
+            &[
+                "NNI/SPR accepted   4",
+                "+G alpha           0.5000",
+                "+G lnL             -346.0088",
+                NNI_TREE,
+            ],
+        ),
+        (
+            &["--gamma", "estimate"],
+            &[
+                "NNI/SPR accepted   4",
+                "+G alpha           7.7645",
+                "+G lnL             -340.5448",
+                NNI_TREE,
+            ],
+        ),
+    ];
+    for (flags, expected) in variants {
+        let mut args = vec!["infer", "--input", fasta.to_str().unwrap(), "--seed", "1"];
+        args.extend_from_slice(flags);
+        let (stdout, stderr, ok) = run_cli(&args);
+        assert!(ok, "{flags:?}: stderr: {stderr}");
+        for line in expected {
+            assert!(
+                stdout.lines().any(|l| l == *line),
+                "{flags:?}: no line {line:?} in\n{stdout}"
+            );
+        }
+    }
+
     let (stdout, stderr, ok) =
         run_cli(&["predict", "--input", fasta.to_str().unwrap(), "--scale", "5000"]);
     assert!(ok, "stderr: {stderr}");
@@ -154,7 +213,11 @@ fn infer_protein_runs() {
     let (stdout, stderr, ok) = run_cli(&["infer-protein", "--input", fasta.to_str().unwrap()]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("protein alignment: 4 taxa"));
-    assert!(stdout.contains("best tree lnL"));
+    assert!(stdout.contains("best tree lnL      -83.8809"), "{stdout}");
+    assert!(
+        stdout.contains("(a:0.000001,(c:0.000001,d:0.000001):10.000000,b:0.000001);"),
+        "{stdout}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

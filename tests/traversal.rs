@@ -1,0 +1,167 @@
+//! Pins on the one tree traversal (`phylo::traversal`) every likelihood
+//! engine runs through: the kernel census the benchmark anchors as
+//! `kernel_calls`, and the agreement of the off-loading engine with the
+//! direct one, to the bit where the arithmetic is the same.
+
+use std::sync::Arc;
+
+use multigrain::prelude::*;
+use phylo::likelihood::{newton_branch_length, NEWTON_MAX_ITERS};
+use phylo::traversal::{self, Kernels};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+fn data(n_taxa: usize) -> Arc<PatternAlignment> {
+    Arc::new(PatternAlignment::compress(&Alignment::synthetic(n_taxa, 120, &Jc69, 0.1, 11)))
+}
+
+/// The direct kernels with a counter on each: what the shared walk asks of
+/// a provider, kernel by kernel. `derivs` counts Newton iterations, the
+/// unit the off-loading engine counts `makenewz` in.
+struct Counting<'e> {
+    inner: &'e LikelihoodEngine<'e, Jc69>,
+    tips: u64,
+    newviews: u64,
+    evaluates: u64,
+    derivs: u64,
+}
+
+impl Kernels for Counting<'_> {
+    type Clv = Clv;
+
+    fn tip(&mut self, taxon: usize) -> Clv {
+        self.tips += 1;
+        self.inner.tip_clv(taxon)
+    }
+
+    fn newview(&mut self, left: Clv, t_left: f64, right: Clv, t_right: f64) -> Clv {
+        self.newviews += 1;
+        self.inner.newview(&left, t_left, &right, t_right)
+    }
+
+    fn evaluate(&mut self, u: Clv, v: Clv, t: f64) -> f64 {
+        self.evaluates += 1;
+        self.inner.evaluate(&u, &v, t)
+    }
+
+    fn optimize_edge(&mut self, u: Clv, v: Clv, t0: f64) -> f64 {
+        newton_branch_length(t0, |t| {
+            self.derivs += 1;
+            self.inner.lnl_derivatives(&u, &v, t)
+        })
+    }
+}
+
+#[test]
+fn the_walk_calls_the_kernels_the_anchored_number_of_times() {
+    for n in [4u64, 8, 12] {
+        let data = data(n as usize);
+        let direct = LikelihoodEngine::new(&Jc69, &data);
+        let mut rng = SmallRng::seed_from_u64(5);
+        let tree = Tree::random(n as usize, 0.3, &mut rng);
+
+        // A score: one newview per internal node, one evaluate.
+        let mut k = Counting { inner: &direct, tips: 0, newviews: 0, evaluates: 0, derivs: 0 };
+        let lnl = traversal::score(&mut k, &tree);
+        assert_eq!(lnl.to_bits(), direct.log_likelihood(&tree).to_bits(), "n={n}");
+        assert_eq!((k.tips, k.newviews, k.evaluates, k.derivs), (n, n - 2, 1, 0), "n={n}");
+
+        // One pass (epsilon 0 never converges early): a score, then every
+        // one of the 2n-3 edges rebuilds its pair and runs Newton, then a
+        // score again.
+        let mut k = Counting { inner: &direct, tips: 0, newviews: 0, evaluates: 0, derivs: 0 };
+        let mut walked = tree.clone();
+        let lnl = traversal::optimize_branches(&mut k, &mut walked, 1, 0.0);
+        let edges = 2 * n - 3;
+        assert_eq!(k.newviews, edges * (n - 2) + 2 * (n - 2), "n={n}");
+        assert_eq!(k.evaluates, 2, "n={n}");
+        assert!((edges..=edges * NEWTON_MAX_ITERS as u64).contains(&k.derivs), "n={n}");
+
+        // The direct engine is that walk, and the off-loading engine counts
+        // exactly those kernels as its off-loads.
+        let mut optimized = tree.clone();
+        assert_eq!(direct.optimize_branches(&mut optimized, 1, 0.0).to_bits(), lnl.to_bits());
+        let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
+        let mut ctx = rt.enter_process();
+        let mut off = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
+        let mut offloaded = tree.clone();
+        ScoringEngine::optimize_branches(&mut off, &mut offloaded, 1, 0.0);
+        assert_eq!(off.offloads(), k.newviews + k.evaluates + k.derivs, "n={n}");
+    }
+}
+
+#[test]
+fn an_internal_node_without_exactly_two_children_is_refused_by_every_engine() {
+    // A three-taxon star seen from outside: walking *into* the centre from
+    // a non-neighbour leaves it three children.
+    let data = data(3);
+    let tree = Tree::random(3, 0.1, &mut SmallRng::seed_from_u64(1));
+    let centre = 3;
+    let outside = usize::MAX;
+    let refused = |f: &mut dyn FnMut()| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    };
+    let direct = LikelihoodEngine::new(&Jc69, &data);
+    assert!(refused(&mut || drop(direct.clv_toward(&tree, centre, outside))));
+    let gamma = GammaEngine::new(&Jc69, &data, 0.5, 4);
+    assert!(refused(&mut || drop(traversal::clv_toward(&mut &gamma, &tree, centre, outside))));
+    let aa = ProteinData::from_strings(&[("a", "AR"), ("b", "AR"), ("c", "AK")]).unwrap();
+    let protein = ProteinEngine::new(PoissonAa, &aa);
+    assert!(refused(&mut || drop(traversal::clv_toward(&mut &protein, &tree, centre, outside))));
+    let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
+    let mut ctx = rt.enter_process();
+    let mut off = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
+    assert!(refused(&mut || drop(traversal::clv_toward(&mut off, &tree, centre, outside))));
+}
+
+#[test]
+fn the_offloaded_engine_agrees_with_the_direct_one() {
+    let data = data(8);
+    let direct = LikelihoodEngine::new(&Jc69, &data);
+    let mut rng = SmallRng::seed_from_u64(9);
+    let tree = Tree::random(8, 0.3, &mut rng);
+    let want_score = direct.log_likelihood(&tree);
+    let mut want_tree = tree.clone();
+    let want_lnl = direct.optimize_branches(&mut want_tree, 3, 1e-6);
+
+    for sched in [
+        SchedulerKind::Edtlp,
+        SchedulerKind::StaticHybrid { spes_per_loop: 4 },
+        SchedulerKind::Mgps,
+    ] {
+        let rt = MgpsRuntime::new(RuntimeConfig::cell(sched));
+        let mut ctx = rt.enter_process();
+        let mut off = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
+        let score = off.log_likelihood(&tree);
+        let mut got_tree = tree.clone();
+        let lnl = ScoringEngine::optimize_branches(&mut off, &mut got_tree, 3, 1e-6);
+
+        if sched == SchedulerKind::Edtlp {
+            // Degree 1: each kernel is the direct kernel run elsewhere, so
+            // nothing may differ — not the score, not one branch length.
+            assert_eq!(score.to_bits(), want_score.to_bits(), "{sched:?}");
+            assert_eq!(lnl.to_bits(), want_lnl.to_bits(), "{sched:?}");
+            for e in tree.edge_ids() {
+                assert_eq!(
+                    got_tree.length(e).to_bits(),
+                    want_tree.length(e).to_bits(),
+                    "{sched:?}: branch {e:?}"
+                );
+            }
+        } else {
+            // Degree > 1 (fixed at 4, or whatever MGPS settles on): the
+            // `evaluate` and derivative sums are per-chunk partials merged
+            // in chunk order — deterministic, but a different association
+            // of the same additions than the direct engine's single pass,
+            // so the last bits may differ and a tolerance stays.
+            assert!((score - want_score).abs() < 1e-9, "{sched:?}: {score} vs {want_score}");
+            assert!((lnl - want_lnl).abs() < 1e-6, "{sched:?}: {lnl} vs {want_lnl}");
+            for e in tree.edge_ids() {
+                assert!(
+                    (got_tree.length(e) - want_tree.length(e)).abs() < 1e-6,
+                    "{sched:?}: branch {e:?}"
+                );
+            }
+        }
+    }
+}
