@@ -614,6 +614,9 @@ impl ProcessCtx<'_> {
     /// to the PPE — where they run on the calling thread while it holds its
     /// context, exactly like the paper's PPE fallback copies of each
     /// function. Without granularity control this is [`Self::offload_loop`].
+    /// The test is applied to what is shipped: `kind` names the whole
+    /// request (for a likelihood traversal, the kernel it ends in), and
+    /// both timings cover all of `body`.
     ///
     /// # Errors
     /// As [`Self::offload_loop`].

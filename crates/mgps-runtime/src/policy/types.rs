@@ -41,6 +41,12 @@ impl fmt::Display for TaskId {
 /// The three dominant RAxML kernels the paper off-loads (§5.1). The engine
 /// maps these to cost profiles (simulation) or real likelihood code
 /// (native execution).
+///
+/// Natively a request is a traversal, named for the kernel it ends in:
+/// `Evaluate` is "orient the tree, then evaluate", `MakeNewz` is "[orient,
+/// then] one Newton step" — what those two functions are in RAxML, whose
+/// `newview` calls nest inside them and never cross the PPE↔SPE boundary
+/// on their own. Only the simulator's workloads request a bare `NewView`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// `newview()`: post-order conditional likelihood update (76.8 % of

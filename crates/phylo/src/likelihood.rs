@@ -15,7 +15,9 @@
 //! All three iterate over *site patterns* with per-pattern weights and no
 //! loop-carried dependencies — the loop-level parallelism the runtime
 //! work-shares across SPEs. `evaluate_range` / `newview_range` expose the
-//! chunked forms used by the work-sharing teams.
+//! chunked forms used by the work-sharing teams; their CLV operands may be
+//! full-width or the chunk's own pieces, so a chunk can run a whole
+//! traversal on its pattern range without a full-width CLV existing.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math in dense kernels
 
@@ -205,12 +207,12 @@ impl Clv {
 
 /// A free list of CLV storage for the native hot path.
 ///
-/// Chunked `newview` producers and the splice targets that reassemble
-/// their pieces used to allocate (and zero) `vec![0.0; n * STATES]` per
-/// call; at one off-load per internal node per tree evaluation that is
-/// thousands of short-lived multi-kilobyte allocations per optimization
-/// pass. An arena is owned per worker (never shared across processes) and
-/// recycles the `vals`/`scale` pairs across passes instead.
+/// A chunk of an off-loaded traversal computes every CLV of the walk on
+/// its own pattern range, one range-sized piece per tree node, and only an
+/// edge's two end CLVs are ever reassembled full-width. Allocating (and
+/// zeroing) each of those would be thousands of short-lived allocations
+/// per optimization pass; an arena is owned per worker (never shared
+/// across processes) and recycles the `vals`/`scale` pairs instead.
 ///
 /// Buffers handed out by [`ClvArena::take`] have **unspecified contents**
 /// — callers overwrite every pattern they claim (range kernels write their
@@ -290,6 +292,31 @@ fn matvec(m: &Matrix, v: &[f64; 4]) -> [f64; 4] {
     out
 }
 
+/// A kernel's view of a CLV operand over the chunk `range` it runs on: the
+/// operand's values and scaling exponents for exactly those patterns. The
+/// storage may be a full-width CLV (of `n` patterns, holding pattern 0
+/// onward) or a chunk-local piece (holding exactly `range`); either way
+/// the kernel gets the same range-sized slices, so the per-pattern
+/// arithmetic and the summation order cannot depend on which one a chunk
+/// was handed.
+///
+/// # Panics
+/// Panics unless `clv` is full-width or holds exactly `range`.
+fn window<'c>(clv: &'c Clv, n: usize, range: &Range<usize>, what: &str) -> (&'c [f64], &'c [u32]) {
+    let base = if clv.n_patterns() == n {
+        0
+    } else {
+        assert_eq!(
+            clv.n_patterns(),
+            range.len(),
+            "{what} CLV holds neither all {n} patterns nor the chunk {range:?}",
+        );
+        range.start
+    };
+    let (lo, hi) = (range.start - base, range.end - base);
+    (&clv.vals[lo * STATES..hi * STATES], &clv.scale[lo..hi])
+}
+
 /// The likelihood engine: a substitution model bound to a pattern-compressed
 /// alignment.
 pub struct LikelihoodEngine<'a, M: SubstModel> {
@@ -326,10 +353,20 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     pub fn tip_clv_into(&self, taxon: usize, out: &mut Clv) {
         let n = self.data.n_patterns();
         assert_eq!(out.n_patterns(), n, "tip CLV size mismatch");
-        for p in 0..n {
-            out.vals[p * STATES..(p + 1) * STATES]
+        self.tip_clv_range_into(taxon, 0..n, out);
+    }
+
+    /// Fill the range-sized piece `out` (any contents) with patterns
+    /// `range` of the tip CLV of `taxon`.
+    ///
+    /// # Panics
+    /// Panics if `out` is not sized for `range`.
+    pub fn tip_clv_range_into(&self, taxon: usize, range: Range<usize>, out: &mut Clv) {
+        assert_eq!(out.n_patterns(), range.len(), "tip piece size mismatch");
+        for (j, p) in range.enumerate() {
+            out.vals[j * STATES..(j + 1) * STATES]
                 .copy_from_slice(&self.data.mask(taxon, p).tip_clv());
-            out.scale[p] = 0;
+            out.scale[j] = 0;
         }
     }
 
@@ -402,10 +439,10 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         );
     }
 
-    /// Compute patterns `range` of a `newview` directly into range-sized
-    /// output slices (`out_vals.len() == STATES * range.len()`,
-    /// `out_scale.len() == range.len()`), skipping the full-width buffer
-    /// entirely — the form chunk producers use.
+    /// Compute patterns `range` of a `newview` directly into the
+    /// range-sized piece `out`, skipping the full-width buffer entirely —
+    /// the form chunk producers use. Each child is a full-width CLV or the
+    /// chunk's own piece of it (holding exactly `range`).
     ///
     /// # Panics
     /// Panics if CLV or output sizes disagree with the alignment/range.
@@ -437,16 +474,16 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         out_scale: &mut [u32],
     ) {
         let n = self.data.n_patterns();
-        assert_eq!(left.n_patterns(), n, "left CLV size mismatch");
-        assert_eq!(right.n_patterns(), n, "right CLV size mismatch");
         assert!(range.end <= n, "chunk range {range:?} outside {n} patterns");
         assert_eq!(out_vals.len(), range.len() * STATES, "chunk vals size mismatch");
         assert_eq!(out_scale.len(), range.len(), "chunk scale size mismatch");
+        let (lv, ls) = window(left, n, &range, "left");
+        let (rv, rs) = window(right, n, &range, "right");
         let pl = self.model.prob_matrix(t_left);
         let pr = self.model.prob_matrix(t_right);
-        for (j, i) in range.enumerate() {
-            let l = four(left.pattern(i));
-            let r = four(right.pattern(i));
+        for j in 0..range.len() {
+            let l = four(&lv[j * STATES..(j + 1) * STATES]);
+            let r = four(&rv[j * STATES..(j + 1) * STATES]);
             let suml = matvec(&pl, l);
             let sumr = matvec(&pr, r);
             let o = &mut out_vals[j * STATES..(j + 1) * STATES];
@@ -458,7 +495,7 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
                     min_ok = true;
                 }
             }
-            let mut scale = left.scale[i] + right.scale[i];
+            let mut scale = ls[j] + rs[j];
             if !min_ok {
                 for x in 0..STATES {
                     o[x] *= SCALE_MULTIPLIER;
@@ -487,23 +524,27 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// sum over `range`. Summing chunk results over a partition of the
     /// pattern space reproduces [`Self::evaluate`] exactly (modulo FP
     /// reassociation) — this is the loop the paper parallelizes first.
+    /// `u` and `v` are each a full-width CLV or the chunk's own piece of
+    /// it (holding exactly `range`).
     pub fn evaluate_range(&self, u: &Clv, v: &Clv, t: f64, range: Range<usize>) -> f64 {
+        let n = self.data.n_patterns();
+        let (uv, us) = window(u, n, &range, "u");
+        let (vv, vs) = window(v, n, &range, "v");
         let p = self.model.prob_matrix(t);
         let pi = self.model.base_freqs();
         let ln_min = log_scale();
-        let w = self.data.weights();
+        let w = &self.data.weights()[range];
         let mut sum = 0.0;
-        for i in range {
-            let lu = four(u.pattern(i));
-            let inner = matvec(&p, four(v.pattern(i)));
+        for j in 0..w.len() {
+            let lu = four(&uv[j * STATES..(j + 1) * STATES]);
+            let inner = matvec(&p, four(&vv[j * STATES..(j + 1) * STATES]));
             let mut term = 0.0;
             for x in 0..STATES {
                 term += pi[x] * lu[x] * inner[x];
             }
             // term = log(term) + exp * log(minlikelihood); sum += w * term
-            let ln = term.max(f64::MIN_POSITIVE).ln()
-                + (u.scale[i] + v.scale[i]) as f64 * ln_min;
-            sum += w[i] as f64 * ln;
+            let ln = term.max(f64::MIN_POSITIVE).ln() + (us[j] + vs[j]) as f64 * ln_min;
+            sum += w[j] as f64 * ln;
         }
         sum
     }
@@ -535,7 +576,9 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     }
 
     /// Chunked derivative sums over `range` (the off-loadable inner loop of
-    /// `makenewz`); partial `(d1, d2)` pairs add across a partition.
+    /// `makenewz`); partial `(d1, d2)` pairs add across a partition. `u`
+    /// and `v` are each a full-width CLV or the chunk's own piece of it
+    /// (holding exactly `range`).
     pub fn lnl_derivatives_range(
         &self,
         u: &Clv,
@@ -543,16 +586,19 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         t: f64,
         range: Range<usize>,
     ) -> (f64, f64) {
+        let n = self.data.n_patterns();
+        let (uv, _) = window(u, n, &range, "u");
+        let (vv, _) = window(v, n, &range, "v");
         let p = self.model.prob_matrix(t);
         let d1m = self.model.d1_matrix(t);
         let d2m = self.model.d2_matrix(t);
         let pi = self.model.base_freqs();
-        let w = self.data.weights();
+        let w = &self.data.weights()[range];
         let mut d1 = 0.0;
         let mut d2 = 0.0;
-        for i in range {
-            let lu = four(u.pattern(i));
-            let lv = four(v.pattern(i));
+        for j in 0..w.len() {
+            let lu = four(&uv[j * STATES..(j + 1) * STATES]);
+            let lv = four(&vv[j * STATES..(j + 1) * STATES]);
             let s = matvec(&p, lv);
             let ds = matvec(&d1m, lv);
             let dds = matvec(&d2m, lv);
@@ -566,7 +612,7 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
             // Scaling factors multiply l, dl, ddl identically, so the
             // ratios below are scale-free.
             let l = l.max(f64::MIN_POSITIVE);
-            let wi = w[i] as f64;
+            let wi = w[j] as f64;
             d1 += wi * dl / l;
             d2 += wi * (ddl * l - dl * dl) / (l * l);
         }
@@ -644,6 +690,14 @@ mod tests {
         ])
         .unwrap();
         PatternAlignment::compress(&a)
+    }
+
+    #[test]
+    fn the_arena_drops_what_would_take_it_past_its_cap() {
+        let mut arena = ClvArena::new();
+        let held: Vec<Clv> = (0..ClvArena::MAX_FREE + 8).map(|_| arena.take(3)).collect();
+        held.into_iter().for_each(|clv| arena.put(clv));
+        assert_eq!(arena.free.len(), ClvArena::MAX_FREE);
     }
 
     /// Brute-force likelihood: sum over all internal-state assignments.

@@ -1,25 +1,26 @@
 //! Adapters feeding the `phylo` likelihood kernels through the multigrain
 //! runtime — the workspace's equivalent of RAxML's off-loaded SPE module.
 //!
-//! Three [`LoopBody`] implementations correspond to the three off-loaded
-//! functions of §5.1, each iterating over alignment site patterns:
+//! The paper ships `newview`, `evaluate` and `makenewz` as **one** SPE
+//! module so that the `newview` calls nested inside the other two never
+//! cross the PPE↔SPE boundary (§5.1). Here that is [`TraversalBody`], the
+//! one [`LoopBody`] of this module: a post-order plan of tip and `newview`
+//! ops ending in a terminal — the Figure-3 `evaluate` sum or one Newton
+//! step's derivative sums — which every chunk runs whole on its own range
+//! of site patterns, so one off-load carries a traversal, not a kernel
+//! call.
 //!
-//! * [`EvaluateBody`] — the paper's Figure 3 loop: weighted log-likelihood
-//!   terms with a global sum reduction;
-//! * [`NewviewBody`] — Felsenstein pruning, producing CLV chunks that are
-//!   spliced back together (the "commit modified data" of Figure 4);
-//! * [`DerivBody`] — the `makenewz` derivative sums.
-//!
-//! [`OffloadedEngine`] assembles them into a
+//! [`OffloadedEngine`] records that plan from the one tree walk
+//! (`phylo::traversal`) and ships it when the terminal arrives. It is a
 //! [`phylo::search::ScoringEngine`], so the *same* hill-climbing search
-//! that runs directly on the host can run with every kernel off-loaded to
-//! virtual SPEs and work-shared at whatever loop degree the scheduler
+//! that runs directly on the host can run with every traversal off-loaded
+//! to virtual SPEs and work-shared at whatever loop degree the scheduler
 //! (EDTLP / static hybrid / MGPS) currently dictates.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use mgps_runtime::native::{LoopBody, LoopSite, OffloadError, ProcessCtx, SpeContext};
+use mgps_runtime::native::{LoopBody, LoopSite, ProcessCtx, SpeContext};
 use mgps_runtime::policy::KernelKind;
 use phylo::alignment::PatternAlignment;
 use phylo::likelihood::{newton_branch_length, Clv, ClvArena, LikelihoodEngine};
@@ -28,149 +29,259 @@ use phylo::search::ScoringEngine;
 use phylo::traversal::{self, Kernels};
 use phylo::tree::Tree;
 
-/// Loop-site id of the `evaluate()` loop.
+/// Loop-site id of traversals ending in `evaluate()`.
 pub const SITE_EVALUATE: LoopSite = LoopSite(1);
-/// Loop-site id of the `newview()` loop.
-pub const SITE_NEWVIEW: LoopSite = LoopSite(2);
-/// Loop-site id of the `makenewz()` derivative loop.
+/// Loop-site id of traversals ending in a `makenewz()` Newton step.
 pub const SITE_DERIV: LoopSite = LoopSite(3);
 
-/// The paper's Figure-3 loop as an off-loadable work-sharing body.
-pub struct EvaluateBody<M> {
+/// One step of a traversal plan. A plan is in post-order: an op's operands
+/// are indices of earlier ops, and each op is the operand of at most one
+/// later op or of the terminal.
+#[derive(Debug, Clone)]
+pub enum TraversalOp {
+    /// The tip CLV of `taxon`.
+    Tip {
+        /// Taxon index in the alignment.
+        taxon: usize,
+    },
+    /// Felsenstein pruning of two earlier ops across their branches.
+    Newview {
+        /// Index of the left child's op.
+        left: usize,
+        /// Left branch length.
+        t_left: f64,
+        /// Index of the right child's op.
+        right: usize,
+        /// Right branch length.
+        t_right: f64,
+    },
+    /// A full-width CLV computed by an earlier off-load.
+    Given(Arc<Clv>),
+}
+
+/// What a chunk holds for one op while the ops above it run.
+enum Held<'a> {
+    /// A range-sized piece from the chunk's stash.
+    Piece(Clv),
+    /// A full-width CLV the plan was given.
+    Given(&'a Clv),
+}
+
+impl Held<'_> {
+    fn clv(&self) -> &Clv {
+        match self {
+            Held::Piece(clv) => clv,
+            Held::Given(clv) => clv,
+        }
+    }
+}
+
+/// A chunk's working set of range-sized pieces: taken from the shared
+/// arena under one lock when the chunk starts, recycled locally as the
+/// walk retires child pieces, handed back under one lock when it ends.
+struct Stash<'a> {
+    arena: &'a Mutex<ClvArena>,
+    free: Vec<Clv>,
+}
+
+impl Stash<'_> {
+    fn take(&mut self) -> Clv {
+        self.free.pop().expect("the stash was filled with every piece the walk holds at once")
+    }
+
+    fn retire(&mut self, held: Held<'_>) {
+        if let Held::Piece(clv) = held {
+            self.free.push(clv);
+        }
+    }
+}
+
+impl Drop for Stash<'_> {
+    fn drop(&mut self) {
+        if self.free.is_empty() {
+            return;
+        }
+        // Not `lock`: a panicking chunk must not abort in its unwind.
+        if let Ok(mut arena) = self.arena.lock() {
+            self.free.drain(..).for_each(|clv| arena.put(clv));
+        }
+    }
+}
+
+fn lock(arena: &Mutex<ClvArena>) -> std::sync::MutexGuard<'_, ClvArena> {
+    arena.lock().expect("no thread panics while holding the CLV arena")
+}
+
+/// What one chunk of a [`TraversalBody`] returns: the terminal's partial
+/// sums over its range — `(lnL, 0)` of an `evaluate`, `(d1, d2)` of a
+/// Newton step — and, from a Newton step whose edge CLVs the chunk
+/// computed itself, `(first pattern, [piece of u, piece of v])`, so the
+/// later steps on that edge need no traversal.
+type Partial = ((f64, f64), Vec<(usize, [Clv; 2])>);
+
+/// A tree traversal as an off-loadable work-sharing body: the tip and
+/// `newview` ops that orient the tree toward an edge, then the terminal at
+/// that edge. Alignment columns are independent across the whole walk, so
+/// a chunk runs *every* op on its own pattern range, into range-sized
+/// pieces, and only the terminal's sums are reduced across chunks.
+///
+/// Pieces come from a shared [`ClvArena`] rather than fresh allocations,
+/// and a child piece is recycled as soon as its parent exists, so a chunk
+/// holds about a tree depth of them, not one per node. The arena holds
+/// *host-heap* buffers — the simulated local-store staging accounted by
+/// `LsAlloc`/`LsFree` trace events is untouched, so those events stay
+/// truthful.
+pub struct TraversalBody<M> {
     /// Substitution model (cheap to copy; JC69/K80 are parameter structs).
     pub model: M,
     /// Pattern-compressed alignment.
     pub data: Arc<PatternAlignment>,
-    /// CLV at one end of the evaluation edge.
-    pub u: Arc<Clv>,
-    /// CLV at the other end.
-    pub v: Arc<Clv>,
-    /// Branch length of the evaluation edge.
+    /// The plan, in post-order. Ops the terminal's operands do not reach
+    /// are never run.
+    pub ops: Vec<TraversalOp>,
+    /// Index of the op at one end of the terminal's edge.
+    pub u: usize,
+    /// Index of the op at the other end.
+    pub v: usize,
+    /// The terminal: [`KernelKind::Evaluate`] is the paper's Figure-3 sum,
+    /// [`KernelKind::MakeNewz`] the derivative sums of one Newton step. It
+    /// is also the kind the off-load is requested as (§5.2's test is
+    /// applied to what is shipped).
+    pub terminal: KernelKind,
+    /// Length of the terminal's edge.
     pub t: f64,
-}
-
-impl<M: SubstModel + Clone + 'static> LoopBody for EvaluateBody<M> {
-    type Acc = f64;
-
-    fn len(&self) -> usize {
-        self.data.n_patterns()
-    }
-
-    fn identity(&self) -> f64 {
-        0.0
-    }
-
-    fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> f64 {
-        LikelihoodEngine::new(&self.model, &self.data).evaluate_range(&self.u, &self.v, self.t, range)
-    }
-
-    fn merge(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
-}
-
-/// Felsenstein pruning (`newview`) as an off-loadable body. Each chunk
-/// yields `(start_pattern, clv_piece)`; the merge concatenates pieces and
-/// the caller splices them into a full CLV.
-///
-/// Chunk output buffers come from a shared [`ClvArena`] rather than fresh
-/// allocations: a worker takes a piece under a brief lock, computes into it
-/// lock-free, and the engine returns the piece after splicing. The arena
-/// holds *host-heap* buffers — the simulated local-store staging accounted
-/// by `LsAlloc`/`LsFree` trace events is untouched, so those events stay
-/// truthful.
-pub struct NewviewBody<M> {
-    /// Substitution model.
-    pub model: M,
-    /// Pattern-compressed alignment.
-    pub data: Arc<PatternAlignment>,
-    /// Left child CLV.
-    pub left: Arc<Clv>,
-    /// Left branch length.
-    pub t_left: f64,
-    /// Right child CLV.
-    pub right: Arc<Clv>,
-    /// Right branch length.
-    pub t_right: f64,
-    /// Recycled chunk-output storage, shared with the owning engine.
+    /// Recycled piece storage, shared with the owning engine.
     pub arena: Arc<Mutex<ClvArena>>,
 }
 
-impl<M: SubstModel + Clone + 'static> LoopBody for NewviewBody<M> {
-    type Acc = Vec<(usize, Clv)>;
-
-    fn len(&self) -> usize {
-        self.data.n_patterns()
-    }
-
-    fn identity(&self) -> Self::Acc {
-        Vec::new()
-    }
-
-    fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> Self::Acc {
-        if range.is_empty() {
-            return Vec::new();
+impl<M: SubstModel> TraversalBody<M> {
+    /// Most pieces a chunk holds at once while computing op `slot`. It is
+    /// left holding one of them, or none for a CLV the plan is given.
+    fn live(&self, slot: usize) -> usize {
+        match &self.ops[slot] {
+            TraversalOp::Given(_) => 0,
+            TraversalOp::Tip { .. } => 1,
+            TraversalOp::Newview { left, right, .. } => {
+                let (l, r) = (self.live(*left), self.live(*right));
+                // The left piece is held while the right subtree runs,
+                // then both while the parent is computed.
+                l.max(l.min(1) + r).max(l.min(1) + r.min(1) + 1)
+            }
         }
-        let mut piece = self.arena.lock().unwrap().take(range.len());
-        LikelihoodEngine::new(&self.model, &self.data).newview_range_into(
-            &self.left,
-            self.t_left,
-            &self.right,
-            self.t_right,
-            range.clone(),
-            &mut piece,
-        );
-        vec![(range.start, piece)]
     }
 
-    fn merge(&self, mut a: Self::Acc, mut b: Self::Acc) -> Self::Acc {
-        a.append(&mut b);
-        a
+    /// The CLV of op `slot` over `range`: the ops under it, children first.
+    fn clv_of<'a>(
+        &'a self,
+        engine: &LikelihoodEngine<'_, M>,
+        slot: usize,
+        range: &Range<usize>,
+        stash: &mut Stash<'_>,
+    ) -> Held<'a> {
+        match &self.ops[slot] {
+            TraversalOp::Given(clv) => Held::Given(clv),
+            TraversalOp::Tip { taxon } => {
+                let mut piece = stash.take();
+                engine.tip_clv_range_into(*taxon, range.clone(), &mut piece);
+                Held::Piece(piece)
+            }
+            TraversalOp::Newview { left, t_left, right, t_right } => {
+                let l = self.clv_of(engine, *left, range, stash);
+                let r = self.clv_of(engine, *right, range, stash);
+                let mut piece = stash.take();
+                engine.newview_range_into(
+                    l.clv(),
+                    *t_left,
+                    r.clv(),
+                    *t_right,
+                    range.clone(),
+                    &mut piece,
+                );
+                stash.retire(l);
+                stash.retire(r);
+                Held::Piece(piece)
+            }
+        }
     }
 }
 
-/// The `makenewz` derivative loop: partial `(d lnL/dt, d² lnL/dt²)` sums.
-pub struct DerivBody<M> {
-    /// Substitution model.
-    pub model: M,
-    /// Pattern-compressed alignment.
-    pub data: Arc<PatternAlignment>,
-    /// CLV at one end of the branch being optimized.
-    pub u: Arc<Clv>,
-    /// CLV at the other end.
-    pub v: Arc<Clv>,
-    /// Current branch length.
-    pub t: f64,
-}
-
-impl<M: SubstModel + Clone + 'static> LoopBody for DerivBody<M> {
-    type Acc = (f64, f64);
+impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
+    type Acc = Partial;
 
     fn len(&self) -> usize {
         self.data.n_patterns()
     }
 
-    fn identity(&self) -> (f64, f64) {
-        (0.0, 0.0)
+    fn identity(&self) -> Partial {
+        ((0.0, 0.0), Vec::new())
     }
 
-    fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> (f64, f64) {
-        LikelihoodEngine::new(&self.model, &self.data).lnl_derivatives_range(&self.u, &self.v, self.t, range)
+    fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> Partial {
+        if range.is_empty() {
+            return self.identity();
+        }
+        let engine = LikelihoodEngine::new(&self.model, &self.data);
+        // Every piece the walk will hold at once, under one lock; `u`'s is
+        // held while `v`'s subtree runs.
+        let (u, v) = (self.live(self.u), self.live(self.v));
+        let mut stash = Stash { arena: &self.arena, free: Vec::new() };
+        if u + v > 0 {
+            let mut arena = lock(&self.arena);
+            stash.free.extend((0..u.max(u.min(1) + v)).map(|_| arena.take(range.len())));
+        }
+        let u = self.clv_of(&engine, self.u, &range, &mut stash);
+        let v = self.clv_of(&engine, self.v, &range, &mut stash);
+        match self.terminal {
+            KernelKind::Evaluate => {
+                let lnl = engine.evaluate_range(u.clv(), v.clv(), self.t, range);
+                stash.retire(u);
+                stash.retire(v);
+                ((lnl, 0.0), Vec::new())
+            }
+            KernelKind::MakeNewz => {
+                let sums = engine.lnl_derivatives_range(u.clv(), v.clv(), self.t, range.clone());
+                match (u, v) {
+                    (Held::Piece(u), Held::Piece(v)) => (sums, vec![(range.start, [u, v])]),
+                    (u, v) => {
+                        stash.retire(u);
+                        stash.retire(v);
+                        (sums, Vec::new())
+                    }
+                }
+            }
+            KernelKind::NewView => panic!("a traversal ends in an evaluate or a Newton step"),
+        }
     }
 
-    fn merge(&self, a: (f64, f64), b: (f64, f64)) -> (f64, f64) {
-        (a.0 + b.0, a.1 + b.1)
+    fn merge(&self, (a, mut pieces): Partial, (b, mut more): Partial) -> Partial {
+        pieces.append(&mut more);
+        ((a.0 + b.0, a.1 + b.1), pieces)
     }
 }
 
-/// A [`ScoringEngine`] that off-loads every likelihood kernel through a
+/// The off-loading engine's handle on a CLV it has recorded but not yet
+/// computed: one op of the plan under construction.
+#[derive(Debug)]
+pub struct ClvSlot {
+    /// Ops recorded by this engine before this one, over all its plans.
+    id: u64,
+    /// `newview` ops at or under this one.
+    newviews: u64,
+}
+
+/// A [`ScoringEngine`] that off-loads the likelihood kernels through a
 /// worker process's [`ProcessCtx`] — the Rust analogue of an MPI process
 /// whose `newview`/`evaluate`/`makenewz` run on SPEs.
 pub struct OffloadedEngine<'a, 'rt, M> {
     ctx: &'a mut ProcessCtx<'rt>,
     model: M,
     data: Arc<PatternAlignment>,
+    /// The plan being recorded; taken (so emptied) by each terminal.
+    plan: Vec<TraversalOp>,
+    /// Ops recorded into plans already taken: the id of `plan[0]`.
+    retired: u64,
     offloads: u64,
+    shipped: u64,
     /// Per-worker-process CLV recycler. Shared (briefly) with chunk bodies
     /// so piece buffers taken on SPE threads flow back after splicing.
     arena: Arc<Mutex<ClvArena>>,
@@ -183,130 +294,165 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
             ctx,
             model,
             data,
+            plan: Vec::new(),
+            retired: 0,
             offloads: 0,
+            shipped: 0,
             arena: Arc::new(Mutex::new(ClvArena::new())),
         }
     }
 
-    /// Kernels off-loaded so far.
+    /// Kernel invocations so far — every `newview`, `evaluate` and Newton
+    /// step the search needed, however they were packaged. The same search
+    /// gives the same count under every scheduler.
     pub fn offloads(&self) -> u64 {
         self.offloads
+    }
+
+    /// Off-loads requested of the runtime so far: one per `evaluate` and
+    /// one per Newton step, each carrying the `newview`s that orient the
+    /// tree for it.
+    pub fn shipped(&self) -> u64 {
+        self.shipped
     }
 
     /// `(hits, misses)` of the CLV arena: how many buffer requests were
     /// served from recycled storage vs fresh allocation.
     pub fn arena_stats(&self) -> (u64, u64) {
-        self.arena.lock().unwrap().stats()
-    }
-
-    /// Return a CLV to the arena if this was the last reference to it.
-    /// Opportunistic: a still-shared CLV is simply dropped by its other
-    /// holders later.
-    fn reclaim(&self, clv: Arc<Clv>) {
-        if let Some(clv) = Arc::into_inner(clv) {
-            self.arena.lock().unwrap().put(clv);
-        }
-    }
-
-    fn unwrap_offload<T>(r: Result<T, OffloadError>) -> T {
-        r.expect("off-loaded likelihood kernel panicked")
+        lock(&self.arena).stats()
     }
 
     /// Off-loaded log-likelihood of `tree`.
     pub fn log_likelihood(&mut self, tree: &Tree) -> f64 {
         traversal::score(self, tree)
     }
+
+    fn record(&mut self, op: TraversalOp, newviews: u64) -> ClvSlot {
+        self.plan.push(op);
+        ClvSlot { id: self.retired + self.plan.len() as u64 - 1, newviews }
+    }
+
+    /// Where `slot`'s op sits in the plan being recorded.
+    ///
+    /// # Panics
+    /// Panics if `slot` was recorded before the last terminal: its plan is
+    /// gone.
+    fn index_of(&self, slot: &ClvSlot) -> usize {
+        slot.id
+            .checked_sub(self.retired)
+            .map(|i| i as usize)
+            .filter(|&i| i < self.plan.len())
+            .expect("CLV handle outlived the traversal it was recorded in")
+    }
+
+    /// The one off-load: ship the plan with `terminal` at the edge of
+    /// length `t` between `u` and `v`, and start the next plan empty — a
+    /// handle dropped unconsumed neither runs nor rides along again.
+    fn ship(&mut self, terminal: KernelKind, u: ClvSlot, v: ClvSlot, t: f64) -> Partial {
+        let site = match terminal {
+            KernelKind::Evaluate => SITE_EVALUATE,
+            _ => SITE_DERIV,
+        };
+        let body = Arc::new(TraversalBody {
+            model: self.model.clone(),
+            data: Arc::clone(&self.data),
+            u: self.index_of(&u),
+            v: self.index_of(&v),
+            terminal,
+            t,
+            arena: Arc::clone(&self.arena),
+            ops: std::mem::take(&mut self.plan),
+        });
+        self.retired += body.ops.len() as u64;
+        self.offloads += u.newviews + v.newviews + 1;
+        self.shipped += 1;
+        self.ctx
+            .offload_adaptive(site, terminal, body)
+            .expect("off-loaded likelihood traversal failed")
+    }
+
+    /// The two end CLVs of an edge from the pieces its chunks computed. A
+    /// single piece covering every pattern *is* the CLV; otherwise the
+    /// pieces are spliced, once, and recycled.
+    fn assemble(&self, mut pieces: Vec<(usize, [Clv; 2])>) -> [Arc<Clv>; 2] {
+        let n = self.data.n_patterns();
+        if pieces.len() == 1 && pieces[0].1[0].n_patterns() == n {
+            let (_, whole) = pieces.pop().expect("one piece");
+            return whole.map(Arc::new);
+        }
+        pieces.sort_by_key(|&(start, _)| start);
+        let mut arena = lock(&self.arena);
+        // The splice targets come from the arena with unspecified
+        // contents, so the pieces must tile 0..n exactly — no gap may
+        // survive.
+        let mut ends = [arena.take(n), arena.take(n)];
+        let mut covered = 0;
+        for (start, piece) in pieces {
+            assert_eq!(
+                start, covered,
+                "edge CLV pieces leave a gap at pattern {covered} (next piece starts at {start})"
+            );
+            covered += piece[0].n_patterns();
+            for (end, part) in ends.iter_mut().zip(piece) {
+                end.splice(start, &part);
+                arena.put(part);
+            }
+        }
+        assert_eq!(covered, n, "edge CLV pieces cover {covered} of {n} patterns");
+        ends.map(Arc::new)
+    }
 }
 
-/// The three kernels as off-loads (one per `newview`, one per `evaluate`,
-/// one per Newton iteration of `makenewz` — exactly RAxML's call pattern),
-/// over arena-recycled CLVs: a kernel's operands go back to the arena as
-/// soon as it has consumed them.
+/// The three kernels, recorded rather than run: `tip` and `newview` append
+/// to the plan — so the plan is `traversal::clv_toward`'s own recursion,
+/// written down — and the `evaluate` or first Newton step that consumes an
+/// edge's pair ships it as one off-load.
 impl<M: SubstModel + Clone + 'static> Kernels for OffloadedEngine<'_, '_, M> {
-    type Clv = Arc<Clv>;
+    type Clv = ClvSlot;
 
-    fn tip(&mut self, taxon: usize) -> Arc<Clv> {
-        let mut clv = self.arena.lock().unwrap().take(self.data.n_patterns());
-        LikelihoodEngine::new(&self.model, &self.data).tip_clv_into(taxon, &mut clv);
-        Arc::new(clv)
+    fn tip(&mut self, taxon: usize) -> ClvSlot {
+        self.record(TraversalOp::Tip { taxon }, 0)
     }
 
-    fn newview(&mut self, left: Arc<Clv>, t_left: f64, right: Arc<Clv>, t_right: f64) -> Arc<Clv> {
-        self.offloads += 1;
-        let n = self.data.n_patterns();
-        let body = Arc::new(NewviewBody {
-            model: self.model.clone(),
-            data: Arc::clone(&self.data),
-            left: Arc::clone(&left),
+    fn newview(&mut self, left: ClvSlot, t_left: f64, right: ClvSlot, t_right: f64) -> ClvSlot {
+        let op = TraversalOp::Newview {
+            left: self.index_of(&left),
             t_left,
-            right: Arc::clone(&right),
+            right: self.index_of(&right),
             t_right,
-            arena: Arc::clone(&self.arena),
-        });
-        let mut pieces =
-            Self::unwrap_offload(self.ctx.offload_adaptive(SITE_NEWVIEW, KernelKind::NewView, body));
-        pieces.sort_by_key(|&(start, _)| start);
-        // The splice target comes from the arena with unspecified contents,
-        // so the pieces must tile 0..n exactly — no gap may survive.
-        let mut out = self.arena.lock().unwrap().take(n);
-        let mut covered = 0;
-        for (start, piece) in &pieces {
-            assert_eq!(
-                *start,
-                covered,
-                "newview pieces leave a gap at pattern {covered} (next piece starts at {start})"
-            );
-            out.splice(*start, piece);
-            covered += piece.n_patterns();
-        }
-        assert_eq!(covered, n, "newview pieces cover {covered} of {n} patterns");
-        let mut arena = self.arena.lock().unwrap();
-        for (_, piece) in pieces {
-            arena.put(piece);
-        }
-        drop(arena);
-        // The children were consumed by this newview; recycle their storage
-        // when nothing else (tests, the evaluate edge) still holds them.
-        self.reclaim(left);
-        self.reclaim(right);
-        Arc::new(out)
+        };
+        self.record(op, left.newviews + right.newviews + 1)
     }
 
-    fn evaluate(&mut self, u: Arc<Clv>, v: Arc<Clv>, t: f64) -> f64 {
-        self.offloads += 1;
-        let body = Arc::new(EvaluateBody {
-            model: self.model.clone(),
-            data: Arc::clone(&self.data),
-            u: Arc::clone(&u),
-            v: Arc::clone(&v),
-            t,
-        });
-        let lnl = Self::unwrap_offload(self.ctx.offload_adaptive(
-            SITE_EVALUATE,
-            KernelKind::Evaluate,
-            body,
-        ));
-        self.reclaim(u);
-        self.reclaim(v);
+    fn evaluate(&mut self, u: ClvSlot, v: ClvSlot, t: f64) -> f64 {
+        let ((lnl, _), _) = self.ship(KernelKind::Evaluate, u, v, t);
         lnl
     }
 
-    /// Off-loaded `makenewz`: Newton–Raphson branch-length optimization
-    /// with the derivative loop work-shared per iteration.
-    fn optimize_edge(&mut self, u: Arc<Clv>, v: Arc<Clv>, t0: f64) -> f64 {
+    /// Off-loaded `makenewz`: Newton–Raphson branch-length optimization,
+    /// one off-load per iteration. The first carries the traversal and
+    /// brings the edge's two CLVs back; the rest carry only those.
+    fn optimize_edge(&mut self, u: ClvSlot, v: ClvSlot, t0: f64) -> f64 {
+        let mut traversal = Some((u, v));
+        let mut ends: Option<[Arc<Clv>; 2]> = None;
         let t = newton_branch_length(t0, |t| {
-            self.offloads += 1;
-            let body = Arc::new(DerivBody {
-                model: self.model.clone(),
-                data: Arc::clone(&self.data),
-                u: Arc::clone(&u),
-                v: Arc::clone(&v),
-                t,
+            let (u, v) = traversal.take().unwrap_or_else(|| {
+                let [cu, cv] = ends.as_ref().expect("the first step assembled the edge CLVs");
+                let given = |clv: &Arc<Clv>| TraversalOp::Given(Arc::clone(clv));
+                (self.record(given(cu), 0), self.record(given(cv), 0))
             });
-            Self::unwrap_offload(self.ctx.offload_adaptive(SITE_DERIV, KernelKind::MakeNewz, body))
+            let (sums, pieces) = self.ship(KernelKind::MakeNewz, u, v, t);
+            if !pieces.is_empty() {
+                ends = Some(self.assemble(pieces));
+            }
+            sums
         });
-        self.reclaim(u);
-        self.reclaim(v);
+        // Recycle the edge CLVs; a body an SPE has not dropped yet may
+        // still share one, which is then simply freed.
+        let mut arena = lock(&self.arena);
+        for clv in ends.into_iter().flatten().filter_map(Arc::into_inner) {
+            arena.put(clv);
+        }
         t
     }
 }

@@ -38,8 +38,9 @@
 //! let mut proc0 = rt.enter_process();
 //! let mut engine = OffloadedEngine::new(&mut proc0, Jc69, Arc::clone(&data));
 //!
-//! // Every likelihood kernel of this search off-loads to virtual SPEs,
-//! // work-shared at whatever degree MGPS currently dictates.
+//! // Every `evaluate` and Newton step of this search off-loads to virtual
+//! // SPEs with the `newview`s that orient the tree for it, work-shared at
+//! // whatever degree MGPS currently dictates.
 //! let result = hill_climb_with(&mut engine, data.n_taxa(), &SearchConfig::default(), 1);
 //! assert!(result.lnl.is_finite());
 //! ```
@@ -52,7 +53,7 @@ pub mod loadgen;
 pub mod parallel;
 pub mod serve;
 
-pub use adapters::{DerivBody, EvaluateBody, NewviewBody, OffloadedEngine};
+pub use adapters::{OffloadedEngine, TraversalBody};
 pub use bridge::workload_for;
 pub use parallel::{AnalysisStats, ParallelAnalysis};
 
@@ -68,7 +69,7 @@ pub use phylo;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use crate::adapters::{EvaluateBody, NewviewBody, OffloadedEngine};
+    pub use crate::adapters::{OffloadedEngine, TraversalBody};
     pub use crate::parallel::{AnalysisStats, ParallelAnalysis};
     pub use cellsim::machine::{run as run_simulation, RunReport, SimConfig};
     pub use cellsim::params::CellParams;

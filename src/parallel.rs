@@ -31,12 +31,13 @@ pub struct ParallelAnalysis {
 impl ParallelAnalysis {
     /// A Cell-shaped analysis under `scheduler` with `workers` processes.
     ///
-    /// Dynamic granularity control (§5.2) is enabled: each kernel is
-    /// optimistically off-loaded and measured, and kernels that fail the
+    /// Dynamic granularity control (§5.2) is enabled: each kind of
+    /// request (a traversal ending in `evaluate`, or in a Newton step) is
+    /// optimistically off-loaded and measured, and kinds that fail the
     /// `t_spe + t_code + 2·t_comm < t_ppe` profitability test fall back to
     /// their PPE copies until a periodic re-probe. On hosts where a
-    /// kernel's chunk time is smaller than the off-load signalling cost,
-    /// this is where most of the end-to-end time goes.
+    /// traversal's chunk time is smaller than the off-load signalling
+    /// cost, this is where most of the end-to-end time goes.
     pub fn cell(scheduler: SchedulerKind, workers: usize) -> ParallelAnalysis {
         ParallelAnalysis {
             runtime: RuntimeConfig::cell(scheduler).with_granularity_control(64),
@@ -46,7 +47,7 @@ impl ParallelAnalysis {
     }
 
     /// Run `n_bootstraps` bootstrap searches, distributed over the worker
-    /// processes, every likelihood kernel off-loaded through the runtime.
+    /// processes, every likelihood traversal off-loaded through the runtime.
     /// Returns the results in bootstrap order plus the runtime's final
     /// statistics.
     pub fn run_bootstraps<M: SubstModel + Clone + 'static>(

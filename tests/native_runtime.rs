@@ -153,24 +153,26 @@ fn worker_panic_does_not_poison_the_runtime() {
 }
 
 #[test]
-fn runtime_shutdown_accounts_every_kernel() {
+fn every_shipped_offload_lands_in_exactly_one_spes_count() {
     let data = data();
     let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
-    let offloads = {
+    let (shipped, kernels) = {
         let mut ctx = rt.enter_process();
         let mut engine = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
         use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(2);
-        let tree = Tree::random(data.n_taxa(), 0.1, &mut rng);
-        let _ = engine.log_likelihood(&tree);
-        engine.offloads()
+        let mut tree = Tree::random(data.n_taxa(), 0.1, &mut rng);
+        let _ = ScoringEngine::optimize_branches(&mut engine, &mut tree, 1, 0.0);
+        (engine.shipped(), engine.offloads())
     };
     let stats = rt.shutdown();
     let total: u64 = stats.iter().map(|s| s.tasks_run).sum();
     assert_eq!(
-        total, offloads,
+        total, shipped,
         "every off-load must appear in exactly one SPE's task count"
     );
+    // An off-load is a traversal: the `newview`s rode inside it.
+    assert!(kernels > shipped, "{kernels} kernels in {shipped} off-loads");
 }
 
 #[test]

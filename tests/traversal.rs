@@ -78,7 +78,8 @@ fn the_walk_calls_the_kernels_the_anchored_number_of_times() {
         assert!((edges..=edges * NEWTON_MAX_ITERS as u64).contains(&k.derivs), "n={n}");
 
         // The direct engine is that walk, and the off-loading engine counts
-        // exactly those kernels as its off-loads.
+        // exactly those kernels — while shipping only the evaluates and the
+        // Newton steps, each with its orienting newviews inside.
         let mut optimized = tree.clone();
         assert_eq!(direct.optimize_branches(&mut optimized, 1, 0.0).to_bits(), lnl.to_bits());
         let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
@@ -87,6 +88,7 @@ fn the_walk_calls_the_kernels_the_anchored_number_of_times() {
         let mut offloaded = tree.clone();
         ScoringEngine::optimize_branches(&mut off, &mut offloaded, 1, 0.0);
         assert_eq!(off.offloads(), k.newviews + k.evaluates + k.derivs, "n={n}");
+        assert_eq!(off.shipped(), k.evaluates + k.derivs, "n={n}");
     }
 }
 
@@ -111,7 +113,38 @@ fn an_internal_node_without_exactly_two_children_is_refused_by_every_engine() {
     let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
     let mut ctx = rt.enter_process();
     let mut off = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
-    assert!(refused(&mut || drop(traversal::clv_toward(&mut off, &tree, centre, outside))));
+    assert!(refused(&mut || {
+        traversal::clv_toward(&mut off, &tree, centre, outside);
+    }));
+}
+
+#[test]
+fn a_clv_recorded_and_never_consumed_neither_runs_nor_rides_along() {
+    let data = data(8);
+    let direct = LikelihoodEngine::new(&Jc69, &data);
+    let tree = Tree::random(8, 0.3, &mut SmallRng::seed_from_u64(9));
+    let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
+    let mut ctx = rt.enter_process();
+    let mut off = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
+
+    // A bare walk records ops and hands back a handle; nothing runs.
+    let (a, b) = tree.endpoints(phylo::tree::EdgeId(0));
+    let stale = traversal::clv_toward(&mut off, &tree, a, b);
+    assert_eq!((off.offloads(), off.shipped()), (0, 0));
+
+    // The next score ships its own ops only: n - 2 newviews, one evaluate.
+    for pass in 1..=2 {
+        let lnl = off.log_likelihood(&tree);
+        assert_eq!(lnl.to_bits(), direct.log_likelihood(&tree).to_bits());
+        assert_eq!((off.offloads(), off.shipped()), (pass * 7, pass), "pass {pass}");
+    }
+
+    // And the handle is dead: its plan went with the first terminal.
+    let fresh = traversal::clv_toward(&mut off, &tree, b, a);
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        off.evaluate(stale, fresh, 0.1)
+    }));
+    assert!(refused.is_err(), "a handle from an earlier plan must be refused");
 }
 
 #[test]

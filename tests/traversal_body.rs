@@ -1,0 +1,201 @@
+//! The fused chunk: a [`TraversalBody`] runs a whole traversal on one
+//! pattern range. Whatever way `0..n` is cut into ranges, the pieces must
+//! be the direct engine's CLVs to the bit (values *and* scale counts — the
+//! scale carry at chunk boundaries is the historical bug class), and the
+//! terminal's sums the direct kernels' up to re-association of the partials.
+
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use multigrain::adapters::TraversalOp;
+use multigrain::mgps_runtime::policy::SpeId;
+use multigrain::prelude::*;
+use phylo::likelihood::ClvArena;
+use phylo::traversal::{self, Kernels};
+use phylo::tree::EdgeId;
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// The walk written down as a plan: what `OffloadedEngine` records, from
+/// the same `traversal::clv_toward`, with op indices for handles.
+struct Plan(Vec<TraversalOp>);
+
+impl Kernels for Plan {
+    type Clv = usize;
+
+    fn tip(&mut self, taxon: usize) -> usize {
+        self.0.push(TraversalOp::Tip { taxon });
+        self.0.len() - 1
+    }
+
+    fn newview(&mut self, left: usize, t_left: f64, right: usize, t_right: f64) -> usize {
+        self.0.push(TraversalOp::Newview { left, t_left, right, t_right });
+        self.0.len() - 1
+    }
+
+    fn evaluate(&mut self, _: usize, _: usize, _: f64) -> f64 {
+        unreachable!("the plan stops at the edge")
+    }
+
+    fn optimize_edge(&mut self, _: usize, _: usize, _: f64) -> f64 {
+        unreachable!("the plan stops at the edge")
+    }
+}
+
+/// The body that orients `tree` toward `edge` and runs `terminal` there.
+fn body_at(
+    data: &Arc<PatternAlignment>,
+    tree: &Tree,
+    edge: EdgeId,
+    terminal: KernelKind,
+    arena: &Arc<Mutex<ClvArena>>,
+) -> TraversalBody<Jc69> {
+    let (a, b) = tree.endpoints(edge);
+    let mut plan = Plan(Vec::new());
+    let u = traversal::clv_toward(&mut plan, tree, a, b);
+    let v = traversal::clv_toward(&mut plan, tree, b, a);
+    TraversalBody {
+        model: Jc69,
+        data: Arc::clone(data),
+        ops: plan.0,
+        u,
+        v,
+        terminal,
+        t: tree.length(edge),
+        arena: Arc::clone(arena),
+    }
+}
+
+/// Run `body` over `ranges` as a team would and merge in chunk order.
+fn run(
+    body: &TraversalBody<Jc69>,
+    ranges: &[Range<usize>],
+) -> <TraversalBody<Jc69> as LoopBody>::Acc {
+    let mut ctx = SpeContext::new(SpeId(usize::MAX), Duration::ZERO);
+    ranges
+        .iter()
+        .map(|r| body.run_chunk(r.clone(), &mut ctx))
+        .reduce(|a, b| body.merge(a, b))
+        .expect("at least one range")
+}
+
+/// Fractional cut points as a partition of `0..n` into `cuts.len() + 1`
+/// ranges; equal cuts leave empty ranges in, as a short loop leaves a team.
+fn partition(n: usize, cuts: &[f64]) -> Vec<Range<usize>> {
+    let mut bounds: Vec<usize> = cuts.iter().map(|f| (f * n as f64) as usize).collect();
+    bounds.extend([0, n]);
+    bounds.sort_unstable();
+    bounds.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
+fn bits(clv: &Clv) -> (Vec<u64>, &[u32]) {
+    let (vals, scale) = clv.as_raw();
+    (vals.iter().map(|v| v.to_bits()).collect(), scale)
+}
+
+proptest! {
+    #[test]
+    fn a_traversal_over_any_partition_is_the_direct_engines(
+        seed in 0u64..u64::MAX,
+        taxa in 4usize..=12,
+        sites in 8usize..160,
+        cuts in prop::collection::vec(0.0f64..1.0, 0..8),
+    ) {
+        let aln = Alignment::synthetic(taxa, sites, &Jc69, 0.3, seed ^ 0xA5A5);
+        let data = Arc::new(PatternAlignment::compress(&aln));
+        let n = data.n_patterns();
+        let direct = LikelihoodEngine::new(&Jc69, &data);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let tree = Tree::random(taxa, 0.3, &mut rng);
+        let edge = EdgeId(rng.gen_range(0..tree.n_edges()));
+        let (a, b) = tree.endpoints(edge);
+        let (cu, cv) = (direct.clv_toward(&tree, a, b), direct.clv_toward(&tree, b, a));
+        let t = tree.length(edge);
+        let want_lnl = direct.evaluate(&cu, &cv, t);
+        let (want_d1, want_d2) = direct.lnl_derivatives(&cu, &cv, t);
+        let arena = Arc::new(Mutex::new(ClvArena::new()));
+        let ranges = partition(n, &cuts);
+
+        // A Newton step hands back each chunk's pieces of the edge CLVs:
+        // they tile 0..n in chunk order and are the direct CLVs to the bit.
+        let newton = body_at(&data, &tree, edge, KernelKind::MakeNewz, &arena);
+        let ((d1, d2), pieces) = run(&newton, &ranges);
+        let (mut got_u, mut got_v) = (direct.empty_clv(), direct.empty_clv());
+        let mut covered = 0;
+        for (start, [pu, pv]) in &pieces {
+            prop_assert_eq!(*start, covered, "gap or overlap in {:?}", &ranges);
+            prop_assert_eq!(pu.n_patterns(), pv.n_patterns());
+            got_u.splice(*start, pu);
+            got_v.splice(*start, pv);
+            covered += pu.n_patterns();
+        }
+        prop_assert_eq!(covered, n);
+        prop_assert_eq!(pieces.len(), ranges.iter().filter(|r| !r.is_empty()).count());
+        prop_assert_eq!(bits(&got_u), bits(&cu));
+        prop_assert_eq!(bits(&got_v), bits(&cv));
+        prop_assert!((d1 - want_d1).abs() < 1e-9 * (1.0 + want_d1.abs()), "d1: {d1} vs {want_d1}");
+        prop_assert!((d2 - want_d2).abs() < 1e-9 * (1.0 + want_d2.abs()), "d2: {d2} vs {want_d2}");
+
+        // An evaluate keeps nothing and sums to the direct lnL.
+        let evaluate = body_at(&data, &tree, edge, KernelKind::Evaluate, &arena);
+        let ((lnl, zero), kept) = run(&evaluate, &ranges);
+        prop_assert!(kept.is_empty() && zero == 0.0);
+        prop_assert!((lnl - want_lnl).abs() < 1e-9 * (1.0 + want_lnl.abs()), "{lnl} vs {want_lnl}");
+
+        // One range is the direct kernel run elsewhere: the same bits.
+        let ((lnl, _), _) = run(&evaluate, &partition(n, &[]));
+        prop_assert_eq!(lnl.to_bits(), want_lnl.to_bits());
+        let ((d1, d2), whole) = run(&newton, &partition(n, &[]));
+        prop_assert_eq!((d1.to_bits(), d2.to_bits()), (want_d1.to_bits(), want_d2.to_bits()));
+        prop_assert_eq!(whole.len(), 1);
+
+        // The later Newton steps are given the edge CLVs: no pieces come
+        // back, the sums are the same additions.
+        let given = TraversalBody {
+            ops: vec![TraversalOp::Given(Arc::new(cu)), TraversalOp::Given(Arc::new(cv))],
+            u: 0,
+            v: 1,
+            ..body_at(&data, &tree, edge, KernelKind::MakeNewz, &arena)
+        };
+        let ((g1, g2), none) = run(&given, &partition(n, &[]));
+        prop_assert!(none.is_empty());
+        prop_assert_eq!((g1.to_bits(), g2.to_bits()), (want_d1.to_bits(), want_d2.to_bits()));
+    }
+}
+
+/// A chunk holds about a tree depth of pieces, not one per node: at 40 taxa
+/// (78 CLVs per edge pair) everything a traversal takes fits back on the
+/// free list, so the second traversal allocates nothing.
+#[test]
+fn the_arena_stays_bounded_and_warm_at_forty_taxa() {
+    const TAXA: usize = 40;
+    let aln = Alignment::synthetic(TAXA, 200, &Jc69, 0.2, 3);
+    let data = Arc::new(PatternAlignment::compress(&aln));
+    let n = data.n_patterns();
+    let tree = Tree::random(TAXA, 0.2, &mut SmallRng::seed_from_u64(40));
+    let arena = Arc::new(Mutex::new(ClvArena::new()));
+    let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
+    let mut ctx = rt.enter_process();
+    let mut off = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
+    let mut optimized = tree.clone();
+
+    let mut misses_after_first = None;
+    for pass in 0..3 {
+        // By hand over four ranges, on an arena this test can see …
+        for edge in tree.edge_ids() {
+            let body = body_at(&data, &tree, edge, KernelKind::MakeNewz, &arena);
+            let (_, pieces) = run(&body, &partition(n, &[0.25, 0.5, 0.75]));
+            let mut arena = arena.lock().unwrap();
+            for (_, piece) in pieces {
+                piece.into_iter().for_each(|clv| arena.put(clv));
+            }
+        }
+        // … and through the engine, whose arena reports its misses.
+        ScoringEngine::optimize_branches(&mut off, &mut optimized, 1, 0.0);
+        let misses = (arena.lock().unwrap().stats().1, off.arena_stats().1);
+        let first = *misses_after_first.get_or_insert(misses);
+        assert_eq!(misses, first, "pass {pass}: the arena is still allocating");
+    }
+}

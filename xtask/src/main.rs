@@ -1,5 +1,6 @@
 //! `cargo xtask lint` — thin driver over the `mgps-lint` static analysis
-//! engine (see `crates/lint`).
+//! engine (see `crates/lint`) — and `cargo xtask ledger`, the writer of
+//! the root `BENCH_<n>.json` perf ledgers (see [`ledger`]).
 //!
 //! The engine lexes the workspace (comments and string literals can no
 //! longer produce hits, `tests/` and `benches/` trees are covered) and
@@ -15,7 +16,11 @@
 //! cargo xtask lint              # human-readable report
 //! cargo xtask lint --json       # machine-readable report on stdout
 //! cargo xtask lint --json --out lint-report.json
+//! cargo xtask ledger            # trajectory of the committed ledgers
+//! cargo xtask ledger --pr N --parent <set.json>… --change <set.json>…
 //! ```
+
+mod ledger;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -30,13 +35,22 @@ fn repo_root() -> PathBuf {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(task) = args.first() else {
-        eprintln!("usage: cargo xtask lint [--json] [--out <file>]");
-        return ExitCode::FAILURE;
-    };
-    if task != "lint" {
-        eprintln!("usage: cargo xtask lint [--json] [--out <file>]");
-        return ExitCode::FAILURE;
+    let usage = format!("usage: cargo xtask lint [--json] [--out <file>]\n{}", ledger::USAGE);
+    match args.first().map(String::as_str) {
+        Some("lint") => {}
+        Some("ledger") => {
+            return match ledger::run(&repo_root(), &args[1..]) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(why) => {
+                    eprintln!("xtask ledger: {why}");
+                    ExitCode::FAILURE
+                }
+            };
+        }
+        _ => {
+            eprintln!("{usage}");
+            return ExitCode::FAILURE;
+        }
     }
     let json = args.iter().any(|a| a == "--json");
     let out_path = args
