@@ -18,7 +18,7 @@ use super::sync::Mutex;
 
 use super::gate::{GateMode, PpeGate, PpeToken};
 use super::pool::{OffloadError, SpePool, SpeStats};
-use super::team::{LoopBody, LoopSite, TeamRunner, TraceTask};
+use super::team::{run_whole, LoopBody, LoopSite, TeamRunner, TraceTask};
 use crate::events::EventKind;
 use crate::faults::FaultPlan;
 use crate::metrics::{Counter, HistKind, MetricsSink, MetricsSinkExt, NopMetrics};
@@ -509,7 +509,9 @@ impl ProcessCtx<'_> {
 
     /// Off-load a kernel whose parallel loop is `body`, blocking until it
     /// completes. The runtime picks the loop degree (1 = run whole on one
-    /// SPE) and applies the PPE-context discipline while waiting.
+    /// SPE) and applies the PPE-context discipline while waiting. A body
+    /// that runs more than one round ([`LoopBody::again`]) is still one
+    /// off-load: one task, one context yield, one departure.
     ///
     /// With a fault plan armed, every attempt is put to the plan first:
     /// faulted attempts retry with the declared backoff, and exhausted
@@ -554,7 +556,7 @@ impl ProcessCtx<'_> {
                                 break Err(OffloadError::Unrecovered);
                             }
                             // Terminal degradation: the kernel's PPE copy.
-                            let out = body.run_chunk(0..body.len(), self.ppe_context());
+                            let out = run_whole(&*body, self.ppe_context());
                             rt.metrics.incr(Counter::PpeFallbacks);
                             if let Some(t) = &self.trace {
                                 t.record(EventKind::PpeFallback {
@@ -616,7 +618,8 @@ impl ProcessCtx<'_> {
     /// function. Without granularity control this is [`Self::offload_loop`].
     /// The test is applied to what is shipped: `kind` names the whole
     /// request (for a likelihood traversal, the kernel it ends in), and
-    /// both timings cover all of `body`.
+    /// both timings cover all of `body` — every round of it, if it runs
+    /// more than one ([`LoopBody::again`]).
     ///
     /// # Errors
     /// As [`Self::offload_loop`].
@@ -668,7 +671,7 @@ impl ProcessCtx<'_> {
                 }
                 let scratch = self.ppe_context();
                 let start = Instant::now();
-                let out = body.run_chunk(0..body.len(), scratch);
+                let out = run_whole(&*body, scratch);
                 controller.lock().record_ppe(kind, start.elapsed().as_nanos() as u64);
                 Ok(out)
             }
@@ -1124,6 +1127,63 @@ mod tests {
         let body = Arc::new(SpinSum { n: 10, spin: Duration::ZERO });
         assert_eq!(ctx.offload_loop(LoopSite(1), body).unwrap(), expected(10));
         assert_eq!(metrics.get(Counter::PpeFallbacks), 1);
+    }
+
+    #[test]
+    fn both_ppe_copies_run_every_round_of_a_multi_round_loop() {
+        use super::super::team::relay::Relay;
+        // The throttled copy: loops this small go to the PPE for good.
+        let cfg = RuntimeConfig::cell(SchedulerKind::Edtlp).with_granularity_control(10_000);
+        let rt = MgpsRuntime::new(cfg);
+        let mut ctx = rt.enter_process();
+        let mut on_ppe = 0;
+        for rounds in (1..=4).cycle().take(64) {
+            let body = Arc::new(Relay::new(3, rounds));
+            let got = ctx.offload_adaptive(LoopSite(9), KernelKind::MakeNewz, Arc::clone(&body));
+            assert_eq!(got, Ok(body.sequential()), "{rounds} rounds");
+            let ppe_chunks = body.ppe_chunks.load(Ordering::Relaxed);
+            assert!(ppe_chunks == 0 || ppe_chunks == rounds, "one whole chunk per round");
+            on_ppe += usize::from(ppe_chunks > 0);
+        }
+        assert!(rt.is_throttled(KernelKind::MakeNewz) && on_ppe > 32, "{on_ppe} of 64 on the PPE");
+
+        // The fault plane's copy: task 0 exhausts its one attempt.
+        let plan = FaultPlan::parse("seed=2,pin=dma@0,retries=0,backoff=1000").unwrap();
+        let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp).with_faults(plan));
+        let mut ctx = rt.enter_process();
+        for fell_back in [true, false] {
+            let body = Arc::new(Relay::new(16, 3));
+            assert_eq!(ctx.offload_loop(LoopSite(1), Arc::clone(&body)), Ok(body.sequential()));
+            assert_eq!(body.ppe_chunks.load(Ordering::Relaxed), if fell_back { 3 } else { 0 });
+        }
+    }
+
+    #[test]
+    fn a_multi_round_loop_is_one_offload_to_every_counter() {
+        use super::super::team::relay::Relay;
+        use crate::metrics::AtomicMetrics;
+        for (scheduler, jobs) in [
+            (SchedulerKind::Edtlp, 1),
+            // The first round's team and the one held for the rest.
+            (SchedulerKind::StaticHybrid { spes_per_loop: 4 }, 8),
+        ] {
+            let metrics = Arc::new(AtomicMetrics::new());
+            let rt = MgpsRuntime::with_metrics(
+                RuntimeConfig::cell(scheduler),
+                Arc::<AtomicMetrics>::clone(&metrics),
+            );
+            let mut ctx = rt.enter_process();
+            for n in 1..=20 {
+                let body = Arc::new(Relay::new(64, 4));
+                assert_eq!(ctx.offload_loop(LoopSite(1), Arc::clone(&body)), Ok(body.sequential()));
+                assert_eq!(metrics.get(Counter::Offloads), n);
+                assert_eq!(rt.context_switches(), n, "one yield per off-load");
+            }
+            drop(ctx);
+            assert_eq!(metrics.snapshot().hist_count(HistKind::TaskDurNs), 20);
+            let tasks_run: u64 = rt.shutdown().iter().map(|s| s.tasks_run).sum();
+            assert_eq!(tasks_run, 20 * jobs, "{scheduler:?}");
+        }
     }
 
     #[test]

@@ -22,8 +22,25 @@
 //! master parks only while chunks claimed by workers are unfinished, and
 //! the last finisher wakes it only if it did park. Partials are merged in
 //! chunk order, so a loop's result does not depend on who finished first.
+//!
+//! # More than one round
+//!
+//! A loop whose next pass consumes this pass's reduction — §5.3's reason
+//! for the `Pass` structure — says so through [`LoopBody::again`]: asked
+//! once per round with the merged value, `true` runs every chunk again
+//! over the same ranges, inside the same off-load. The first round is the
+//! path above, untouched, so a one-round loop pays nothing for the
+//! question. A body that answers `true` is then given a team that *stays*:
+//! reserved once, the master SPE lent to the calling thread and the
+//! workers inside one job each until the body has had enough, each parked
+//! between rounds on the `Round`'s gate and woken by the master re-opening
+//! the claims and the countdown. On one SPE, and in a kernel's PPE copy,
+//! the rounds are a plain loop inside the one job. A task's trace carries
+//! one `Chunk` per chunk — the first round's, on the team `TaskStart`
+//! names — however many rounds ran.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,14 +96,54 @@ pub trait LoopBody: Send + Sync + 'static {
 
     /// Merge two partial accumulators.
     fn merge(&self, a: Self::Acc, b: Self::Acc) -> Self::Acc;
+
+    /// Whether the loop runs again. Asked once per round, with the round's
+    /// partials merged in chunk order, by the thread that merged them;
+    /// every chunk of the round has returned and none of the next has
+    /// started. `true` drops `merged` and runs every chunk again over the
+    /// same ranges within the same off-load (whatever the next round needs
+    /// of this one, the body keeps); `false` makes `merged`, as this call
+    /// leaves it, the loop's result. The default is one round.
+    fn again(&self, _merged: &mut Self::Acc) -> bool {
+        false
+    }
+}
+
+/// The one place a body's rounds are driven from: run `round` — told how
+/// many came before it — ask the body, and repeat until it says stop. A
+/// later round finds `ctx`'s data region as empty as the first did.
+fn rounds<B: LoopBody, E>(
+    body: &B,
+    ctx: &mut SpeContext,
+    mut round: impl FnMut(usize, &mut SpeContext) -> Result<B::Acc, E>,
+) -> Result<B::Acc, E> {
+    let mut before = 0;
+    loop {
+        let mut merged = round(before, ctx)?;
+        if !body.again(&mut merged) {
+            return Ok(merged);
+        }
+        ctx.local_store.reset();
+        before += 1;
+    }
+}
+
+/// Every round of `body` as one chunk on `ctx`: a single-SPE off-load from
+/// inside its job, or a kernel's PPE copy.
+pub(super) fn run_whole<B: LoopBody>(body: &B, ctx: &mut SpeContext) -> B::Acc {
+    let n = body.len();
+    let Ok(acc) = rounds(body, ctx, |_, ctx| Ok::<_, Infallible>(body.run_chunk(0..n, ctx)));
+    acc
 }
 
 /// One chunk of a [`Round`].
 struct Chunk<A> {
     range: Range<usize>,
     /// Set by whoever takes the chunk, the worker it was cut for or the
-    /// master. Publishes nothing: exactly-once needs only the swap's
-    /// atomicity, so `Relaxed`.
+    /// master; cleared by the master when it re-opens the round. Exactly-
+    /// once needs only the swap's atomicity; the swap is `Acquire` against
+    /// the clearing `Release` so that a claim in a later round sees what
+    /// the round before it left (the body's state, the countdown).
     claimed: AtomicBool,
     /// Where a worker leaves its partial and the instant it finished. Still
     /// empty once the chunk is counted down: the worker panicked.
@@ -103,14 +160,31 @@ struct Round<B: LoopBody> {
     /// reads the rest with `Acquire`, so at zero every stored partial is
     /// visible to it.
     unfinished: AtomicUsize,
+    gate: Mutex<Gate>,
+    all_done: Condvar,
+    /// Where a held team's workers wait between rounds.
+    reopened: Condvar,
+    /// The traced task the chunks belong to, if the invocation is traced.
+    task: Option<u64>,
+    /// `Chunk` events are still to be recorded: in the first round only,
+    /// so a task's trace tiles its loop once.
+    announce: AtomicBool,
+}
+
+/// Who is parked on a [`Round`], and which round it is in.
+struct Gate {
     /// The master is blocked in [`Round::wait_for_workers`]. Whoever counts
     /// the last chunk down reads this under the lock and skips the condvar
     /// when unset; the master sets it and re-reads `unfinished` under the
     /// same lock, so the wake-up cannot be lost.
-    parked: Mutex<bool>,
-    all_done: Condvar,
-    /// The traced task the chunks belong to, if the invocation is traced.
-    task: Option<u64>,
+    master_parked: bool,
+    /// Rounds re-opened so far ([`Round::reopen`]).
+    round: usize,
+    /// No round follows ([`Round::close`]).
+    closed: bool,
+    /// Held workers blocked in [`Round::await_round`]; re-opening and
+    /// closing skip the condvar when there are none.
+    waiting: usize,
 }
 
 /// Counts a worker's claimed chunk down when dropped — on unwind too, so a
@@ -121,7 +195,7 @@ impl<B: LoopBody> Drop for CountDown<'_, B> {
     fn drop(&mut self) {
         let round = self.0;
         if round.unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let parked = *round.parked.lock();
+            let parked = round.gate.lock().master_parked;
             if parked {
                 round.all_done.notify_one();
             }
@@ -143,15 +217,17 @@ impl<B: LoopBody> Round<B> {
                     partial: Mutex::new(None),
                 })
                 .collect(),
-            parked: Mutex::new(false),
+            gate: Mutex::new(Gate { master_parked: false, round: 0, closed: false, waiting: 0 }),
             all_done: Condvar::new(),
+            reopened: Condvar::new(),
             task,
+            announce: AtomicBool::new(true),
         }
     }
 
     /// Take chunk `i`; false if someone already has.
     fn claim(&self, i: usize) -> bool {
-        !self.chunks[i].claimed.swap(true, Ordering::Relaxed)
+        !self.chunks[i].claimed.swap(true, Ordering::Acquire)
     }
 
     /// Run chunk `i` on `ctx`'s SPE, which the `Chunk` event then names.
@@ -159,7 +235,7 @@ impl<B: LoopBody> Round<B> {
         let range = self.chunks[i].range.clone();
         let acc = self.body.run_chunk(range.clone(), ctx);
         if let (Some(task), Some(h)) = (self.task, ctx.trace()) {
-            if !range.is_empty() {
+            if !range.is_empty() && self.announce.load(Ordering::Relaxed) {
                 h.record(EventKind::Chunk {
                     task,
                     loop_iters: self.total_iters,
@@ -234,10 +310,10 @@ impl<B: LoopBody> Round<B> {
         if self.unfinished.fetch_sub(ran, Ordering::AcqRel) == ran {
             return;
         }
-        let mut parked = self.parked.lock();
+        let mut gate = self.gate.lock();
         while self.unfinished.load(Ordering::Acquire) > 0 {
-            *parked = true;
-            self.all_done.wait(&mut parked);
+            gate.master_parked = true;
+            self.all_done.wait(&mut gate);
         }
     }
 
@@ -266,6 +342,75 @@ impl<B: LoopBody> Round<B> {
             acc = self.body.merge(acc, partial);
         }
         Ok((acc, worker_finishes))
+    }
+
+    /// Make every chunk claimable again: the master's, between a merged
+    /// round and the next — every claim of the last round has been counted
+    /// down, so nobody is inside a chunk. Returns the round now open.
+    ///
+    /// The countdown is restored before the claims are cleared, and those
+    /// before the round number moves: a worker that claims the moment it
+    /// can finds the countdown ready for it, and one woken by the number
+    /// finds its chunk free.
+    fn reopen(&self) -> usize {
+        self.announce.store(false, Ordering::Relaxed);
+        self.unfinished.store(self.chunks.len(), Ordering::Relaxed);
+        for chunk in &self.chunks {
+            chunk.claimed.store(false, Ordering::Release);
+        }
+        let mut gate = self.gate.lock();
+        gate.master_parked = false;
+        gate.round += 1;
+        let (round, wake) = (gate.round, gate.waiting > 0);
+        drop(gate);
+        if wake {
+            self.reopened.notify_all();
+        }
+        round
+    }
+
+    /// No round follows: held workers leave.
+    fn close(&self) {
+        let mut gate = self.gate.lock();
+        gate.closed = true;
+        let wake = gate.waiting > 0;
+        drop(gate);
+        if wake {
+            self.reopened.notify_all();
+        }
+    }
+
+    /// Block until a round after `seen` is open and return it, or `None`
+    /// once the team is closed.
+    fn await_round(&self, seen: usize) -> Option<usize> {
+        let mut gate = self.gate.lock();
+        while gate.round == seen && !gate.closed {
+            gate.waiting += 1;
+            self.reopened.wait(&mut gate);
+            gate.waiting -= 1;
+        }
+        (!gate.closed).then_some(gate.round)
+    }
+
+    /// Held worker `i`'s job, started in round `round`: its share of every
+    /// round from there on, parked in between, until the team is closed.
+    /// The argument fetch is paid once, like any job's.
+    fn worker_rounds(
+        &self,
+        i: usize,
+        mut round: usize,
+        mut startup: Duration,
+        ctx: &mut SpeContext,
+    ) {
+        loop {
+            self.worker_share(i, startup, ctx);
+            match self.await_round(round) {
+                Some(next) => round = next,
+                None => return,
+            }
+            startup = Duration::ZERO;
+            ctx.local_store.reset();
+        }
     }
 }
 
@@ -414,7 +559,7 @@ impl TeamRunner {
                             team: vec![ctx.id.0],
                         });
                     }
-                    let out = b.run_chunk(0..n, ctx);
+                    let out = run_whole(&*b, ctx);
                     if let (Some((proc, task)), Some(h)) = (ids, ctx.trace()) {
                         if n > 0 {
                             h.record(EventKind::Chunk {
@@ -453,26 +598,67 @@ impl TeamRunner {
         let started = Instant::now();
         let round = Arc::new(Round::new(body, chunks, trace.as_ref().map(|t| t.task)));
         // "master sends signal to worker n": wake each worker for its chunk.
-        for (i, w) in team.iter().enumerate().skip(1) {
-            let round = Arc::clone(&round);
-            let startup = self.worker_startup;
-            self.pool.run_on(
-                *w,
-                Box::new(move |ctx: &mut SpeContext| round.worker_share(i, startup, ctx)),
-            );
-        }
+        self.wake(&team, &round, None);
         // This thread — the worker process that off-loaded the loop — is
         // the master, on the reserved master SPE's context.
         let mut taken: Vec<Option<B::Acc>> = (0..degree).map(|_| None).collect();
         let (first, master_finished) =
             self.pool.run_here(team[0], |ctx| round.master_share(&mut taken, ctx))?;
         round.wait_for_workers(1 + taken.iter().flatten().count());
-        let (acc, worker_finishes) = round.merge(first, taken)?;
+        let (mut acc, worker_finishes) = round.merge(first, taken)?;
+        // The balancer is fed the first round: the tiling it biases is
+        // fixed for the invocation.
+        let mut timing = self.observe(site, started, master_finished, &worker_finishes);
+        if round.body.again(&mut acc) {
+            acc = self.held_rounds(&round)?;
+            timing.loop_ns = started.elapsed().as_nanos() as u64;
+        }
         if let Some(t) = &trace {
             t.handle
                 .record(EventKind::TaskEnd { proc: t.proc, task: t.task, team: team_ids() });
         }
-        Ok((acc, self.observe(site, started, master_finished, &worker_finishes)))
+        Ok((acc, timing))
+    }
+
+    /// Wake `team`'s workers, each for its own chunk of `round`: of the one
+    /// round open now, or (`held`: that round's number) of every round
+    /// until the team is closed.
+    fn wake<B: LoopBody>(&self, team: &[SpeId], round: &Arc<Round<B>>, held: Option<usize>) {
+        for (i, w) in team.iter().enumerate().skip(1) {
+            let round = Arc::clone(round);
+            let startup = self.worker_startup;
+            self.pool.run_on(
+                *w,
+                Box::new(move |ctx: &mut SpeContext| match held {
+                    None => round.worker_share(i, startup, ctx),
+                    Some(opened) => round.worker_rounds(i, opened, startup, ctx),
+                }),
+            );
+        }
+    }
+
+    /// The rounds after the first of a body that asked for them, on a team
+    /// that stays (see the module doc): the chunks of `round`, again, until
+    /// the body says stop. Returns the last round's merged value.
+    fn held_rounds<B: LoopBody>(&self, round: &Arc<Round<B>>) -> Result<B::Acc, OffloadError> {
+        let degree = round.chunks.len();
+        let team = self.pool.reserve(degree);
+        self.wake(&team, round, Some(round.reopen()));
+        let last = self.pool.run_here(team[0], |ctx| {
+            rounds(&*round.body, ctx, |before, ctx| {
+                if before > 0 {
+                    round.reopen();
+                }
+                let mut taken: Vec<Option<B::Acc>> = (0..degree).map(|_| None).collect();
+                let (first, _) = round.master_share(&mut taken, ctx);
+                round.wait_for_workers(1 + taken.iter().flatten().count());
+                round.merge(first, taken).map(|(acc, _)| acc)
+            })
+        });
+        // Whatever happened on this thread, the workers must not wait for
+        // a round that will not come.
+        round.close();
+        last?
     }
 
     /// Time a finished team invocation and feed `site`'s balancer.
@@ -605,8 +791,80 @@ mod classic {
     }
 }
 
+/// A loop that consumes the previous loop's reduction, for the tests of the
+/// multi-round path here and in `adaptive`: round *k* sums `i + carry` over
+/// the iterations, `carry` being round *k − 1*'s merged sum folded small.
+#[cfg(test)]
+pub(super) mod relay {
+    use super::*;
+
+    pub struct Relay {
+        n: usize,
+        rounds: usize,
+        carry: AtomicU64,
+        asked: AtomicUsize,
+        /// Chunks run on the PPE copy's sentinel context.
+        pub ppe_chunks: AtomicUsize,
+        /// Panic in the chunk of round `.0` (from 0) holding iteration `.1`.
+        pub bomb: Option<(usize, usize)>,
+    }
+
+    impl Relay {
+        pub fn new(n: usize, rounds: usize) -> Relay {
+            Relay {
+                n,
+                rounds,
+                carry: AtomicU64::new(0),
+                asked: AtomicUsize::new(0),
+                ppe_chunks: AtomicUsize::new(0),
+                bomb: None,
+            }
+        }
+
+        /// What the loop returns, computed as the sequential fold it is.
+        pub fn sequential(&self) -> u64 {
+            let mut sum = 0;
+            for _ in 0..self.rounds {
+                sum = (0..self.n as u64).map(|i| i + sum % 97).sum();
+            }
+            sum
+        }
+    }
+
+    impl LoopBody for Relay {
+        type Acc = u64;
+        fn len(&self) -> usize {
+            self.n
+        }
+        fn identity(&self) -> u64 {
+            0
+        }
+        fn run_chunk(&self, range: Range<usize>, ctx: &mut SpeContext) -> u64 {
+            // Relaxed on purpose: the runtime orders `again` before every
+            // chunk of the next round, whoever runs it.
+            let round = self.asked.load(Ordering::Relaxed);
+            if self.bomb.is_some_and(|(r, i)| r == round && range.contains(&i)) {
+                panic!("failure injection in round {round}");
+            }
+            if ctx.id.0 == usize::MAX {
+                self.ppe_chunks.fetch_add(1, Ordering::Relaxed);
+            }
+            let carry = self.carry.load(Ordering::Relaxed);
+            range.map(|i| i as u64 + carry).sum()
+        }
+        fn merge(&self, a: u64, b: u64) -> u64 {
+            a + b
+        }
+        fn again(&self, merged: &mut u64) -> bool {
+            self.carry.store(*merged % 97, Ordering::Relaxed);
+            self.asked.fetch_add(1, Ordering::Relaxed) + 1 < self.rounds
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::relay::Relay;
     use super::*;
     use crate::native::gate::{GateMode, PpeGate};
 
@@ -925,6 +1183,88 @@ mod tests {
         assert!((acc - expected_sum(64)).abs() < 1e-9);
         assert_eq!(worker_finishes.len(), 2);
         assert!(worker_finishes.iter().all(|w| *w <= master_finished));
+    }
+
+    #[test]
+    fn a_multi_round_loop_is_its_sequential_fold_at_every_degree() {
+        let (pool, tr) = runner(8);
+        for invocation in 0..100 {
+            for degree in [1, 2, 4, 8] {
+                for (n, rounds) in [(228, 1 + invocation % 5), (3, 4), (0, 3)] {
+                    let body = Arc::new(Relay::new(n, rounds));
+                    let got = tr.parallel_reduce(LoopSite(11), degree, Arc::clone(&body));
+                    let want = Ok(body.sequential());
+                    assert_eq!(got, want, "degree {degree}, n {n}, {rounds} rounds");
+                }
+            }
+        }
+        settle(&pool);
+        assert_eq!(pool.panics(), 0);
+    }
+
+    #[test]
+    fn a_team_is_formed_once_for_all_the_later_rounds() {
+        let (pool, tr) = runner(4);
+        for (rounds, jobs) in [(1, 4), (2, 8), (5, 8)] {
+            let before = pool.completed();
+            let body = Arc::new(Relay::new(64, rounds));
+            let got = tr.parallel_reduce(LoopSite(12), 4, Arc::clone(&body));
+            assert_eq!(got, Ok(body.sequential()));
+            settle(&pool);
+            // One job per member of the first round's team, and one per
+            // member of the team held for every round after it.
+            assert_eq!(pool.completed() - before, jobs, "{rounds} rounds");
+        }
+        assert_eq!(tr.invocations(), 3);
+    }
+
+    #[test]
+    fn a_panic_in_a_later_round_fails_the_task_and_strands_nobody() {
+        let (pool, tr) = runner(4);
+        let mut tasks = 0;
+        for _ in 0..50 {
+            // Round two's chunk 0 is the master's; its last chunk is a held
+            // worker's, or the master's if it got there first.
+            for (degree, iter) in [(1, 7), (4, 0), (4, 15)] {
+                let mut body = Relay::new(16, 3);
+                body.bomb = Some((1, iter));
+                let got = tr.parallel_reduce(LoopSite(13), degree, Arc::new(body));
+                let want = Err(OffloadError::TaskPanicked);
+                assert_eq!(got, want, "degree {degree}, iteration {iter}");
+                tasks += 1;
+                // Every SPE comes back: no held worker is left waiting for
+                // a round that will not come.
+                settle(&pool);
+                assert_eq!(pool.panics(), tasks);
+            }
+        }
+        let body = Arc::new(Relay::new(64, 3));
+        assert_eq!(tr.parallel_reduce(LoopSite(13), 4, Arc::clone(&body)), Ok(body.sequential()));
+        assert_eq!(pool.offload(|_| 5).wait(), Ok(5));
+    }
+
+    #[test]
+    fn a_reopened_round_hands_every_chunk_out_once_more() {
+        let round = Round::new(Arc::new(SumLoop { n: 64 }), partition(64, 4, 0.0), None);
+        let ctx = |spe| SpeContext::new(SpeId(spe), Duration::ZERO);
+        for opened in 0..3 {
+            assert_eq!(round.unfinished.load(Ordering::SeqCst), 4);
+            round.worker_share(2, Duration::ZERO, &mut ctx(2));
+            // A second wake-up for a chunk of this round finds it gone.
+            round.worker_share(2, Duration::ZERO, &mut ctx(2));
+            let mut taken: Vec<Option<f64>> = vec![None; 4];
+            let (first, _) = round.master_share(&mut taken, &mut ctx(0));
+            assert!(taken[1].is_some() && taken[2].is_none() && taken[3].is_some());
+            round.wait_for_workers(3);
+            let (acc, worker_finishes) = round.merge(first, taken).unwrap();
+            assert!((acc - expected_sum(64)).abs() < 1e-9);
+            assert_eq!(worker_finishes.len(), 1);
+            assert_eq!(round.reopen(), opened + 1);
+            // A worker that saw the last round is let into this one.
+            assert_eq!(round.await_round(opened), Some(opened + 1));
+        }
+        round.close();
+        assert_eq!(round.await_round(3), None);
     }
 
     #[test]

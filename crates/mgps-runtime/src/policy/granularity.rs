@@ -55,11 +55,12 @@ impl FunctionTimings {
 
 /// Per-function decision state for dynamic granularity control.
 ///
-/// A function's requests need not all be the same size (natively a
-/// `makenewz` request carries the orienting `newview`s on an edge's first
-/// Newton step and only the derivative sums on the rest). Both estimators
-/// are minima, so the test compares the function's cheapest shape on the
-/// SPE with its cheapest shape on the PPE — like with like.
+/// A function's requests need not all take the same time (natively a
+/// `makenewz` request orients the tree and then takes as many Newton steps
+/// as the edge needs). Both estimators are minima, so the test compares
+/// the function's cheapest request on the SPE with its cheapest on the PPE
+/// — an edge that converged in one step with an edge that did: like with
+/// like.
 ///
 /// The first request for a function is always off-loaded (optimism); after
 /// both sides have been measured, the test decides. Whichever way it went,

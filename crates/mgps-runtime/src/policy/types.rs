@@ -43,10 +43,11 @@ impl fmt::Display for TaskId {
 /// (native execution).
 ///
 /// Natively a request is a traversal, named for the kernel it ends in:
-/// `Evaluate` is "orient the tree, then evaluate", `MakeNewz` is "[orient,
-/// then] one Newton step" — what those two functions are in RAxML, whose
-/// `newview` calls nest inside them and never cross the PPE↔SPE boundary
-/// on their own. Only the simulator's workloads request a bare `NewView`.
+/// `Evaluate` is "orient the tree, then evaluate", `MakeNewz` is "orient,
+/// then Newton steps until the edge's length converges" — what those two
+/// functions are in RAxML, whose `newview` calls nest inside them and
+/// never cross the PPE↔SPE boundary on their own. Only the simulator's
+/// workloads request a bare `NewView`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// `newview()`: post-order conditional likelihood update (76.8 % of

@@ -18,6 +18,10 @@
 //!   before `parallel_reduce` returns (the team barrier); the last
 //!   finisher's countdown never loses the parked master's wake-up, a
 //!   panicking worker's included;
+//! * a loop that runs more than one round runs every iteration exactly once
+//!   *per round*, each round seeing what the one before it published, when
+//!   a held worker is still on its way out of a round as the master opens
+//!   the next, and the closing of the team never leaves a worker parked;
 //! * the chain runner carries each stage's reduction into the next with the
 //!   same exactly-once delivery over its per-worker command channels;
 //! * the off-load completion cell never loses a wake-up and hands a result
@@ -298,6 +302,79 @@ fn panicking_worker_racing_the_park_still_releases_the_master() {
         }
         settle(&pool);
         assert_eq!((pool.panics(), pool.completed()), (panics, 12));
+    });
+}
+
+/// Two rounds: the second adds the first's merged sum to every iteration,
+/// so its own sum certifies that each chunk of round two ran after — and
+/// saw — round one's verdict, exactly once. Chunks off the calling thread
+/// stall, so a held worker leaves a round late in some schedules.
+struct TwoRounds {
+    master: std::thread::ThreadId,
+    carry: AtomicUsize,
+    asked: AtomicUsize,
+    runs: Vec<AtomicUsize>,
+}
+
+impl LoopBody for TwoRounds {
+    type Acc = u64;
+
+    fn len(&self) -> usize {
+        self.runs.len()
+    }
+
+    fn identity(&self) -> u64 {
+        0
+    }
+
+    fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> u64 {
+        if std::thread::current().id() != self.master {
+            loom::thread::yield_now();
+        }
+        for i in range.clone() {
+            self.runs[i].fetch_add(1, Ordering::SeqCst);
+        }
+        // Relaxed: the runtime's hand-over is what orders this after `again`.
+        let carry = self.carry.load(Ordering::Relaxed) as u64;
+        range.map(|i| i as u64 + 1 + carry).sum()
+    }
+
+    fn merge(&self, a: u64, b: u64) -> u64 {
+        a + b
+    }
+
+    fn again(&self, merged: &mut u64) -> bool {
+        self.carry.store(*merged as usize, Ordering::Relaxed);
+        self.asked.fetch_add(1, Ordering::Relaxed) == 0
+    }
+}
+
+#[test]
+fn a_worker_late_out_of_one_round_cannot_disturb_the_next() {
+    loom::model(|| {
+        // Degree 2, twice over: the master opens the held round — countdown
+        // restored, claims cleared, round number moved — while the worker
+        // may still be leaving the one before, be parked, or not have
+        // started. The third SPE lets the held team form while the first
+        // round's worker has yet to wake: it then claims in a later round.
+        let pool = Arc::new(SpePool::new(3, Duration::ZERO));
+        let team = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
+        for _ in 0..2 {
+            let body = Arc::new(TwoRounds {
+                master: std::thread::current().id(),
+                carry: AtomicUsize::new(0),
+                asked: AtomicUsize::new(0),
+                runs: (0..4).map(|_| AtomicUsize::new(0)).collect(),
+            });
+            let acc = team.parallel_reduce(LoopSite(6), 2, Arc::clone(&body));
+            // Round one sums 1..=4; round two adds that 10 to each of four.
+            assert_eq!(acc, Ok(10 + 4 * 10));
+            let runs: Vec<usize> = body.runs.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+            assert!(runs.iter().all(|&r| r == 2), "iterations run {runs:?} times in two rounds");
+        }
+        // Closing the team released the held worker: every SPE is back.
+        settle(&pool);
+        assert_eq!(pool.completed(), 8, "a first team and a held one, two members each, twice");
     });
 }
 

@@ -314,3 +314,89 @@ fn team_runs_stay_checker_clean_whoever_runs_the_chunks() {
         assert!(taken_over > 0, "degree {degree}: the master never took over a chunk");
     }
 }
+
+/// [`Spin`] over again: round *k*'s sum is scaled by `k + 1`, so the value
+/// that comes back names the round that produced it.
+struct Rounds {
+    n: usize,
+    rounds: usize,
+    asked: std::sync::atomic::AtomicUsize,
+}
+
+impl LoopBody for Rounds {
+    type Acc = f64;
+    fn len(&self) -> usize {
+        self.n
+    }
+    fn identity(&self) -> f64 {
+        0.0
+    }
+    fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> f64 {
+        let round = self.asked.load(std::sync::atomic::Ordering::Relaxed) + 1;
+        range.map(|i| (i * round) as f64).sum()
+    }
+    fn merge(&self, a: f64, b: f64) -> f64 {
+        a + b
+    }
+    fn again(&self, _merged: &mut f64) -> bool {
+        self.asked.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1 < self.rounds
+    }
+}
+
+#[test]
+fn a_three_round_task_is_one_task_whose_chunks_tile_its_loop_once() {
+    const INVOCATIONS: u64 = 50;
+    for degree in [1usize, 4] {
+        let tracer = Tracer::with_default_capacity();
+        let pool = Arc::new(SpePool::with_observability(
+            8,
+            Duration::ZERO,
+            Arc::new(NopMetrics),
+            Some(&*tracer),
+        ));
+        let runner = TeamRunner::new(Arc::clone(&pool), Duration::from_micros(5));
+        let handle = tracer.handle();
+        for task in 0..INVOCATIONS {
+            handle.record(EventKind::Offload { proc: 0, task });
+            let body = Arc::new(Rounds { n: 64, rounds: 3, asked: Default::default() });
+            let trace_task = TraceTask { handle: &handle, proc: 0, task };
+            let sum = runner
+                .parallel_reduce_traced(LoopSite(9), degree, body, Some(trace_task))
+                .expect("team run succeeds");
+            assert_eq!(sum, 3.0 * (0..64).sum::<usize>() as f64, "the third round's sum");
+        }
+        while pool.idle_count() < 8 {
+            std::thread::yield_now();
+        }
+
+        let trace = tracer.drain();
+        let sanity = check_trace_sanity(&trace);
+        assert!(sanity.is_clean(), "{}", sanity.render());
+        let meta = NativeRunMeta {
+            scheduler: SchedulerTag::Edtlp,
+            n_spes: 8,
+            seed: 0,
+            fault_policy: None,
+            tenant_weights: None,
+        };
+        let log = runlog_from_trace(&trace, meta);
+        let report = check_run_with(&log, CheckMode::Native);
+        assert!(report.is_clean(), "degree {degree}: {}", report.render());
+        assert_eq!(report.tasks_checked as u64, INVOCATIONS);
+
+        // Three rounds ran, and the log shows each chunk once: the first
+        // round's, on the team the task started on.
+        let of_kind = |pred: fn(&EventKind) -> bool| {
+            log.events.iter().filter(|e| pred(&e.kind)).count() as u64
+        };
+        assert_eq!(of_kind(|k| matches!(k, EventKind::TaskStart { .. })), INVOCATIONS);
+        assert_eq!(of_kind(|k| matches!(k, EventKind::TaskEnd { .. })), INVOCATIONS);
+        assert_eq!(of_kind(|k| matches!(k, EventKind::Chunk { .. })), INVOCATIONS * degree as u64);
+        for task in 0..INVOCATIONS {
+            let (team, chunks) = (team_of(&log, task), chunks_of(&log, task));
+            assert_eq!((team.len(), chunks.len()), (degree, degree));
+            assert_eq!(chunks.iter().map(|(_, len, _)| len).sum::<usize>(), 64);
+            assert!(chunks.iter().all(|(_, _, worker)| team.contains(worker)));
+        }
+    }
+}

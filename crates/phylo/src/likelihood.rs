@@ -53,39 +53,69 @@ pub fn clamp_branch(t: f64) -> f64 {
     t.clamp(Tree::MIN_BRANCH, MAX_BRANCH)
 }
 
-/// One damped Newton step on a branch length given the log-likelihood
-/// derivatives at `t`. Returns `(next_t, converged)`.
-fn newton_branch_step(t: f64, d1: f64, d2: f64) -> (f64, bool) {
-    let step = if d2 < 0.0 {
-        -d1 / d2
-    } else {
-        // Non-concave region: move along the gradient with a small fixed
-        // fraction of the current length.
-        0.25 * t * d1.signum()
-    };
-    // Damp huge steps; Newton far from the optimum can overshoot.
-    let step = step.clamp(-0.5 * t.max(0.01), 2.0 * t.max(0.01));
-    let next = clamp_branch(t + step);
-    let converged = (next - t).abs() < NEWTON_EPS;
-    (next, converged)
+/// The Newton–Raphson iteration of `makenewz` on one branch length, as a
+/// state: the damped step, the convergence test and the
+/// [`NEWTON_MAX_ITERS`] cap live here and nowhere else. Whoever can sum the
+/// log-likelihood derivatives drives it — [`newton_branch_length`] in a
+/// plain loop, an off-loaded traversal from round to round of its task —
+/// so all of them stop at the same length after the same number of steps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Newton {
+    t: f64,
+    steps: usize,
 }
 
-/// Newton–Raphson branch-length optimization (`makenewz`): damped Newton
-/// steps from `t0` on the derivatives `derivs(t) = (d1, d2)` until the step
-/// converges (at most [`NEWTON_MAX_ITERS`]). The direct engine sums the
-/// derivatives in place, the off-loading engine work-shares each sum; both
-/// iterate here, so they agree bit-for-bit.
+impl Newton {
+    /// Start from `t0`, clamped to the legal interval.
+    pub fn new(t0: f64) -> Newton {
+        Newton { t: clamp_branch(t0), steps: 0 }
+    }
+
+    /// The length the next derivatives are wanted at; once [`Self::feed`]
+    /// has returned `None`, the optimized length.
+    pub fn t(&self) -> f64 {
+        self.t
+    }
+
+    /// Derivative pairs fed so far.
+    pub fn steps(&self) -> usize {
+        self.steps
+    }
+
+    /// One damped Newton step on the derivatives `(d1, d2)` at
+    /// [`Self::t`]. `Some(next)` asks for the derivatives at `next`; `None`
+    /// means the step converged or the cap is reached.
+    pub fn feed(&mut self, d1: f64, d2: f64) -> Option<f64> {
+        let t = self.t;
+        let step = if d2 < 0.0 {
+            -d1 / d2
+        } else {
+            // Non-concave region: move along the gradient with a small fixed
+            // fraction of the current length.
+            0.25 * t * d1.signum()
+        };
+        // Damp huge steps; Newton far from the optimum can overshoot.
+        let step = step.clamp(-0.5 * t.max(0.01), 2.0 * t.max(0.01));
+        self.t = clamp_branch(t + step);
+        self.steps += 1;
+        let converged = (self.t - t).abs() < NEWTON_EPS;
+        (!converged && self.steps < NEWTON_MAX_ITERS).then_some(self.t)
+    }
+}
+
+/// Newton–Raphson branch-length optimization (`makenewz`): [`Newton`] steps
+/// from `t0` on the derivatives `derivs(t) = (d1, d2)` until it stops. The
+/// direct engine sums the derivatives in place, the off-loading engine
+/// work-shares each sum inside one task; both iterate the same state, so
+/// they agree bit-for-bit.
 pub fn newton_branch_length(t0: f64, mut derivs: impl FnMut(f64) -> (f64, f64)) -> f64 {
-    let mut t = clamp_branch(t0);
-    for _ in 0..NEWTON_MAX_ITERS {
-        let (d1, d2) = derivs(t);
-        let (next, converged) = newton_branch_step(t, d1, d2);
-        t = next;
-        if converged {
-            break;
+    let mut newton = Newton::new(t0);
+    loop {
+        let (d1, d2) = derivs(newton.t());
+        if newton.feed(d1, d2).is_none() {
+            return newton.t();
         }
     }
-    t
 }
 
 /// Golden-section maximization of `f` over `[lo, hi]`: at most `max_iters`
@@ -179,26 +209,6 @@ impl Clv {
         (&self.vals, &self.scale)
     }
 
-    /// Overwrite patterns `[start, start + part.n_patterns())` with `part`,
-    /// splicing `vals` and `scale` together so the two can never disagree.
-    ///
-    /// # Panics
-    /// Panics — naming the offending range — if the splice falls outside
-    /// this CLV. The bound is checked with overflow-safe arithmetic so a
-    /// pathological `start` near `usize::MAX` is rejected here rather than
-    /// surfacing as an unrelated slice panic.
-    pub fn splice(&mut self, start: usize, part: &Clv) {
-        let n = part.n_patterns();
-        let end = start.saturating_add(n);
-        assert!(
-            end <= self.n_patterns(),
-            "splice range {start}..{end} outside CLV of {} patterns",
-            self.n_patterns(),
-        );
-        self.vals[start * STATES..(start + n) * STATES].copy_from_slice(&part.vals);
-        self.scale[start..start + n].copy_from_slice(&part.scale);
-    }
-
     /// Tear a CLV back into raw storage (for recycling via [`ClvArena`]).
     pub fn into_raw(self) -> (Vec<f64>, Vec<u32>) {
         (self.vals, self.scale)
@@ -208,16 +218,15 @@ impl Clv {
 /// A free list of CLV storage for the native hot path.
 ///
 /// A chunk of an off-loaded traversal computes every CLV of the walk on
-/// its own pattern range, one range-sized piece per tree node, and only an
-/// edge's two end CLVs are ever reassembled full-width. Allocating (and
-/// zeroing) each of those would be thousands of short-lived allocations
-/// per optimization pass; an arena is owned per worker (never shared
-/// across processes) and recycles the `vals`/`scale` pairs instead.
+/// its own pattern range, one range-sized piece per tree node; no
+/// full-width CLV is ever assembled from them. Allocating (and zeroing)
+/// each piece would be thousands of short-lived allocations per
+/// optimization pass; an arena is owned per worker (never shared across
+/// processes) and recycles the `vals`/`scale` pairs instead.
 ///
 /// Buffers handed out by [`ClvArena::take`] have **unspecified contents**
 /// — callers overwrite every pattern they claim (range kernels write their
-/// whole range; splice targets are covered by a full partition), so zeroing
-/// would be pure overhead.
+/// whole range), so zeroing would be pure overhead.
 #[derive(Debug, Default)]
 pub struct ClvArena {
     free: Vec<(Vec<f64>, Vec<u32>)>,
@@ -265,6 +274,13 @@ impl ClvArena {
     /// `(reuse hits, allocation misses)` since construction (diagnostic).
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
+    }
+}
+
+impl Extend<Clv> for ClvArena {
+    /// [`ClvArena::put`] each CLV.
+    fn extend<I: IntoIterator<Item = Clv>>(&mut self, clvs: I) {
+        clvs.into_iter().for_each(|clv| self.put(clv));
     }
 }
 
@@ -380,7 +396,7 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     }
 
     /// A newly computed CLV covering only `range` (an off-loadable chunk;
-    /// splice the pieces with [`Clv::splice`] / [`Clv::from_raw`]).
+    /// a later kernel reads the piece over the same `range`).
     pub fn newview_chunk(
         &self,
         left: &Clv,

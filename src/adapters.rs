@@ -2,13 +2,13 @@
 //! runtime — the workspace's equivalent of RAxML's off-loaded SPE module.
 //!
 //! The paper ships `newview`, `evaluate` and `makenewz` as **one** SPE
-//! module so that the `newview` calls nested inside the other two never
-//! cross the PPE↔SPE boundary (§5.1). Here that is [`TraversalBody`], the
-//! one [`LoopBody`] of this module: a post-order plan of tip and `newview`
-//! ops ending in a terminal — the Figure-3 `evaluate` sum or one Newton
-//! step's derivative sums — which every chunk runs whole on its own range
-//! of site patterns, so one off-load carries a traversal, not a kernel
-//! call.
+//! module so that nothing nested inside the other two crosses the PPE↔SPE
+//! boundary (§5.1). Here that is [`TraversalBody`], the one [`LoopBody`] of
+//! this module: a post-order plan of tip and `newview` ops ending in a
+//! terminal — the Figure-3 `evaluate` sum, or the whole Newton iteration of
+//! `makenewz` — which every chunk runs on its own range of site patterns,
+//! so one off-load carries a traversal and everything done at its edge,
+//! not a kernel call.
 //!
 //! [`OffloadedEngine`] records that plan from the one tree walk
 //! (`phylo::traversal`) and ships it when the terminal arrives. It is a
@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use mgps_runtime::native::{LoopBody, LoopSite, ProcessCtx, SpeContext};
 use mgps_runtime::policy::KernelKind;
 use phylo::alignment::PatternAlignment;
-use phylo::likelihood::{newton_branch_length, Clv, ClvArena, LikelihoodEngine};
+use phylo::likelihood::{Clv, ClvArena, LikelihoodEngine, Newton};
 use phylo::model::SubstModel;
 use phylo::search::ScoringEngine;
 use phylo::traversal::{self, Kernels};
@@ -31,7 +31,7 @@ use phylo::tree::Tree;
 
 /// Loop-site id of traversals ending in `evaluate()`.
 pub const SITE_EVALUATE: LoopSite = LoopSite(1);
-/// Loop-site id of traversals ending in a `makenewz()` Newton step.
+/// Loop-site id of traversals ending in `makenewz()`.
 pub const SITE_DERIV: LoopSite = LoopSite(3);
 
 /// One step of a traversal plan. A plan is in post-order: an op's operands
@@ -55,25 +55,6 @@ pub enum TraversalOp {
         /// Right branch length.
         t_right: f64,
     },
-    /// A full-width CLV computed by an earlier off-load.
-    Given(Arc<Clv>),
-}
-
-/// What a chunk holds for one op while the ops above it run.
-enum Held<'a> {
-    /// A range-sized piece from the chunk's stash.
-    Piece(Clv),
-    /// A full-width CLV the plan was given.
-    Given(&'a Clv),
-}
-
-impl Held<'_> {
-    fn clv(&self) -> &Clv {
-        match self {
-            Held::Piece(clv) => clv,
-            Held::Given(clv) => clv,
-        }
-    }
 }
 
 /// A chunk's working set of range-sized pieces: taken from the shared
@@ -88,12 +69,6 @@ impl Stash<'_> {
     fn take(&mut self) -> Clv {
         self.free.pop().expect("the stash was filled with every piece the walk holds at once")
     }
-
-    fn retire(&mut self, held: Held<'_>) {
-        if let Held::Piece(clv) = held {
-            self.free.push(clv);
-        }
-    }
 }
 
 impl Drop for Stash<'_> {
@@ -103,27 +78,61 @@ impl Drop for Stash<'_> {
         }
         // Not `lock`: a panicking chunk must not abort in its unwind.
         if let Ok(mut arena) = self.arena.lock() {
-            self.free.drain(..).for_each(|clv| arena.put(clv));
+            arena.extend(self.free.drain(..));
         }
     }
 }
 
-fn lock(arena: &Mutex<ClvArena>) -> std::sync::MutexGuard<'_, ClvArena> {
-    arena.lock().expect("no thread panics while holding the CLV arena")
+fn lock<T>(shared: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    shared.lock().expect("no thread panics while holding an adapter lock")
 }
 
-/// What one chunk of a [`TraversalBody`] returns: the terminal's partial
-/// sums over its range — `(lnL, 0)` of an `evaluate`, `(d1, d2)` of a
-/// Newton step — and, from a Newton step whose edge CLVs the chunk
-/// computed itself, `(first pattern, [piece of u, piece of v])`, so the
-/// later steps on that edge need no traversal.
-type Partial = ((f64, f64), Vec<(usize, [Clv; 2])>);
+/// What one chunk of a [`TraversalBody`] returns, and — merged — what the
+/// off-load does.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Partial {
+    /// The terminal's sums over the chunk's range: `(lnL, 0)` of an
+    /// `evaluate`, `(d1, d2)` of one Newton round at the current length.
+    pub sums: (f64, f64),
+    /// Where the Newton iteration of a `MakeNewz` traversal stopped, as
+    /// `(length, steps)`: set on the merged value of its last round.
+    pub stopped: Option<(f64, u64)>,
+}
+
+/// What a `MakeNewz` traversal keeps from one round of its task to the
+/// next: the Newton iteration on the edge, and each chunk's two pieces of
+/// the edge CLVs, keyed by the chunk's first pattern — whichever thread
+/// runs that chunk next round finds them, and no chunk orients the tree
+/// twice.
+#[derive(Debug, Default)]
+pub struct EdgeLoop {
+    newton: Option<Newton>,
+    pieces: Vec<(usize, [Clv; 2])>,
+}
+
+impl EdgeLoop {
+    /// The pieces kept so far, as `(first pattern, [piece of u, piece of
+    /// v])` in no particular order; none once the iteration has stopped.
+    pub fn pieces(&self) -> &[(usize, [Clv; 2])] {
+        &self.pieces
+    }
+
+    /// The iteration, started from `t0` by whoever asks first.
+    fn newton(&mut self, t0: f64) -> &mut Newton {
+        self.newton.get_or_insert_with(|| Newton::new(t0))
+    }
+}
 
 /// A tree traversal as an off-loadable work-sharing body: the tip and
 /// `newview` ops that orient the tree toward an edge, then the terminal at
 /// that edge. Alignment columns are independent across the whole walk, so
 /// a chunk runs *every* op on its own pattern range, into range-sized
 /// pieces, and only the terminal's sums are reduced across chunks.
+///
+/// With a [`KernelKind::MakeNewz`] terminal the body runs one round per
+/// Newton step ([`LoopBody::again`]): the first orients the tree and sums
+/// the derivatives at the starting length, each later one only sums them
+/// at the length the step before it chose, over the pieces the chunks kept.
 ///
 /// Pieces come from a shared [`ClvArena`] rather than fresh allocations,
 /// and a child piece is recycled as soon as its parent exists, so a chunk
@@ -144,64 +153,76 @@ pub struct TraversalBody<M> {
     /// Index of the op at the other end.
     pub v: usize,
     /// The terminal: [`KernelKind::Evaluate`] is the paper's Figure-3 sum,
-    /// [`KernelKind::MakeNewz`] the derivative sums of one Newton step. It
-    /// is also the kind the off-load is requested as (§5.2's test is
+    /// [`KernelKind::MakeNewz`] the Newton iteration on the edge's length.
+    /// It is also the kind the off-load is requested as (§5.2's test is
     /// applied to what is shipped).
     pub terminal: KernelKind,
-    /// Length of the terminal's edge.
+    /// Length of the terminal's edge; where `MakeNewz` starts from.
     pub t: f64,
     /// Recycled piece storage, shared with the owning engine.
     pub arena: Arc<Mutex<ClvArena>>,
+    /// The `MakeNewz` state between rounds; starts out empty.
+    pub edge: Mutex<EdgeLoop>,
 }
 
 impl<M: SubstModel> TraversalBody<M> {
-    /// Most pieces a chunk holds at once while computing op `slot`. It is
-    /// left holding one of them, or none for a CLV the plan is given.
+    /// Most pieces a chunk holds at once while computing op `slot`; it is
+    /// left holding one of them.
     fn live(&self, slot: usize) -> usize {
         match &self.ops[slot] {
-            TraversalOp::Given(_) => 0,
             TraversalOp::Tip { .. } => 1,
             TraversalOp::Newview { left, right, .. } => {
-                let (l, r) = (self.live(*left), self.live(*right));
                 // The left piece is held while the right subtree runs,
                 // then both while the parent is computed.
-                l.max(l.min(1) + r).max(l.min(1) + r.min(1) + 1)
+                self.live(*left).max(1 + self.live(*right)).max(3)
             }
         }
     }
 
     /// The CLV of op `slot` over `range`: the ops under it, children first.
-    fn clv_of<'a>(
-        &'a self,
+    fn clv_of(
+        &self,
         engine: &LikelihoodEngine<'_, M>,
         slot: usize,
         range: &Range<usize>,
         stash: &mut Stash<'_>,
-    ) -> Held<'a> {
+    ) -> Clv {
         match &self.ops[slot] {
-            TraversalOp::Given(clv) => Held::Given(clv),
             TraversalOp::Tip { taxon } => {
                 let mut piece = stash.take();
                 engine.tip_clv_range_into(*taxon, range.clone(), &mut piece);
-                Held::Piece(piece)
+                piece
             }
             TraversalOp::Newview { left, t_left, right, t_right } => {
                 let l = self.clv_of(engine, *left, range, stash);
                 let r = self.clv_of(engine, *right, range, stash);
                 let mut piece = stash.take();
-                engine.newview_range_into(
-                    l.clv(),
-                    *t_left,
-                    r.clv(),
-                    *t_right,
-                    range.clone(),
-                    &mut piece,
-                );
-                stash.retire(l);
-                stash.retire(r);
-                Held::Piece(piece)
+                engine.newview_range_into(&l, *t_left, &r, *t_right, range.clone(), &mut piece);
+                stash.free.extend([l, r]);
+                piece
             }
         }
+    }
+
+    /// The chunk's pieces of the edge's two end CLVs — the tree oriented
+    /// toward the edge on `range` — and the stash they came from, which
+    /// takes them back when the caller is done with them.
+    fn orient(
+        &self,
+        engine: &LikelihoodEngine<'_, M>,
+        range: &Range<usize>,
+    ) -> ([Clv; 2], Stash<'_>) {
+        // Every piece the walk will hold at once, under one lock; `u`'s is
+        // held while `v`'s subtree runs.
+        let most = self.live(self.u).max(1 + self.live(self.v));
+        let mut stash = Stash { arena: &self.arena, free: Vec::with_capacity(most) };
+        {
+            let mut arena = lock(&self.arena);
+            stash.free.extend((0..most).map(|_| arena.take(range.len())));
+        }
+        let u = self.clv_of(engine, self.u, range, &mut stash);
+        let v = self.clv_of(engine, self.v, range, &mut stash);
+        ([u, v], stash)
     }
 }
 
@@ -213,7 +234,7 @@ impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
     }
 
     fn identity(&self) -> Partial {
-        ((0.0, 0.0), Vec::new())
+        Partial::default()
     }
 
     fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> Partial {
@@ -221,41 +242,49 @@ impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
             return self.identity();
         }
         let engine = LikelihoodEngine::new(&self.model, &self.data);
-        // Every piece the walk will hold at once, under one lock; `u`'s is
-        // held while `v`'s subtree runs.
-        let (u, v) = (self.live(self.u), self.live(self.v));
-        let mut stash = Stash { arena: &self.arena, free: Vec::new() };
-        if u + v > 0 {
-            let mut arena = lock(&self.arena);
-            stash.free.extend((0..u.max(u.min(1) + v)).map(|_| arena.take(range.len())));
-        }
-        let u = self.clv_of(&engine, self.u, &range, &mut stash);
-        let v = self.clv_of(&engine, self.v, &range, &mut stash);
-        match self.terminal {
+        let sums = match self.terminal {
             KernelKind::Evaluate => {
-                let lnl = engine.evaluate_range(u.clv(), v.clv(), self.t, range);
-                stash.retire(u);
-                stash.retire(v);
-                ((lnl, 0.0), Vec::new())
+                let ([u, v], mut stash) = self.orient(&engine, &range);
+                let lnl = engine.evaluate_range(&u, &v, self.t, range);
+                stash.free.extend([u, v]);
+                (lnl, 0.0)
             }
             KernelKind::MakeNewz => {
-                let sums = engine.lnl_derivatives_range(u.clv(), v.clv(), self.t, range.clone());
-                match (u, v) {
-                    (Held::Piece(u), Held::Piece(v)) => (sums, vec![(range.start, [u, v])]),
-                    (u, v) => {
-                        stash.retire(u);
-                        stash.retire(v);
-                        (sums, Vec::new())
-                    }
-                }
+                let (t, kept) = {
+                    let mut edge = lock(&self.edge);
+                    let at = edge.pieces.iter().position(|&(start, _)| start == range.start);
+                    (edge.newton(self.t).t(), at.map(|at| edge.pieces.swap_remove(at).1))
+                };
+                let [u, v] = kept.unwrap_or_else(|| self.orient(&engine, &range).0);
+                let sums = engine.lnl_derivatives_range(&u, &v, t, range.clone());
+                lock(&self.edge).pieces.push((range.start, [u, v]));
+                sums
             }
-            KernelKind::NewView => panic!("a traversal ends in an evaluate or a Newton step"),
-        }
+            KernelKind::NewView => panic!("a traversal ends in an evaluate or a makenewz"),
+        };
+        Partial { sums, stopped: None }
     }
 
-    fn merge(&self, (a, mut pieces): Partial, (b, mut more): Partial) -> Partial {
-        pieces.append(&mut more);
-        ((a.0 + b.0, a.1 + b.1), pieces)
+    fn merge(&self, a: Partial, b: Partial) -> Partial {
+        Partial { sums: (a.sums.0 + b.sums.0, a.sums.1 + b.sums.1), stopped: None }
+    }
+
+    /// One Newton step on the round's derivative sums: another round at the
+    /// length it chose, or — the iteration has stopped — the answer into
+    /// `merged` and every kept piece back to the arena.
+    fn again(&self, merged: &mut Partial) -> bool {
+        if self.terminal != KernelKind::MakeNewz {
+            return false;
+        }
+        let mut edge = lock(&self.edge);
+        let (d1, d2) = merged.sums;
+        let newton = edge.newton(self.t);
+        if newton.feed(d1, d2).is_some() {
+            return true;
+        }
+        merged.stopped = Some((newton.t(), newton.steps() as u64));
+        lock(&self.arena).extend(edge.pieces.drain(..).flat_map(|(_, pieces)| pieces));
+        false
     }
 }
 
@@ -282,8 +311,9 @@ pub struct OffloadedEngine<'a, 'rt, M> {
     retired: u64,
     offloads: u64,
     shipped: u64,
-    /// Per-worker-process CLV recycler. Shared (briefly) with chunk bodies
-    /// so piece buffers taken on SPE threads flow back after splicing.
+    /// Per-worker-process CLV recycler, shared with the chunk bodies: piece
+    /// buffers taken on SPE threads flow back when their chunk, or their
+    /// edge's Newton iteration, is done.
     arena: Arc<Mutex<ClvArena>>,
 }
 
@@ -310,8 +340,8 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
     }
 
     /// Off-loads requested of the runtime so far: one per `evaluate` and
-    /// one per Newton step, each carrying the `newview`s that orient the
-    /// tree for it.
+    /// one per optimized edge, each carrying the `newview`s that orient the
+    /// tree for it and, for an edge, every Newton step taken on it.
     pub fn shipped(&self) -> u64 {
         self.shipped
     }
@@ -347,7 +377,8 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
 
     /// The one off-load: ship the plan with `terminal` at the edge of
     /// length `t` between `u` and `v`, and start the next plan empty — a
-    /// handle dropped unconsumed neither runs nor rides along again.
+    /// handle dropped unconsumed neither runs nor rides along again. The
+    /// `newview`s are counted here, the terminal's kernels by the caller.
     fn ship(&mut self, terminal: KernelKind, u: ClvSlot, v: ClvSlot, t: f64) -> Partial {
         let site = match terminal {
             KernelKind::Evaluate => SITE_EVALUATE,
@@ -362,51 +393,21 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
             t,
             arena: Arc::clone(&self.arena),
             ops: std::mem::take(&mut self.plan),
+            edge: Mutex::default(),
         });
         self.retired += body.ops.len() as u64;
-        self.offloads += u.newviews + v.newviews + 1;
+        self.offloads += u.newviews + v.newviews;
         self.shipped += 1;
         self.ctx
             .offload_adaptive(site, terminal, body)
             .expect("off-loaded likelihood traversal failed")
     }
-
-    /// The two end CLVs of an edge from the pieces its chunks computed. A
-    /// single piece covering every pattern *is* the CLV; otherwise the
-    /// pieces are spliced, once, and recycled.
-    fn assemble(&self, mut pieces: Vec<(usize, [Clv; 2])>) -> [Arc<Clv>; 2] {
-        let n = self.data.n_patterns();
-        if pieces.len() == 1 && pieces[0].1[0].n_patterns() == n {
-            let (_, whole) = pieces.pop().expect("one piece");
-            return whole.map(Arc::new);
-        }
-        pieces.sort_by_key(|&(start, _)| start);
-        let mut arena = lock(&self.arena);
-        // The splice targets come from the arena with unspecified
-        // contents, so the pieces must tile 0..n exactly — no gap may
-        // survive.
-        let mut ends = [arena.take(n), arena.take(n)];
-        let mut covered = 0;
-        for (start, piece) in pieces {
-            assert_eq!(
-                start, covered,
-                "edge CLV pieces leave a gap at pattern {covered} (next piece starts at {start})"
-            );
-            covered += piece[0].n_patterns();
-            for (end, part) in ends.iter_mut().zip(piece) {
-                end.splice(start, &part);
-                arena.put(part);
-            }
-        }
-        assert_eq!(covered, n, "edge CLV pieces cover {covered} of {n} patterns");
-        ends.map(Arc::new)
-    }
 }
 
 /// The three kernels, recorded rather than run: `tip` and `newview` append
 /// to the plan — so the plan is `traversal::clv_toward`'s own recursion,
-/// written down — and the `evaluate` or first Newton step that consumes an
-/// edge's pair ships it as one off-load.
+/// written down — and the `evaluate` or `makenewz` that consumes an edge's
+/// pair ships it as one off-load.
 impl<M: SubstModel + Clone + 'static> Kernels for OffloadedEngine<'_, '_, M> {
     type Clv = ClvSlot;
 
@@ -425,34 +426,18 @@ impl<M: SubstModel + Clone + 'static> Kernels for OffloadedEngine<'_, '_, M> {
     }
 
     fn evaluate(&mut self, u: ClvSlot, v: ClvSlot, t: f64) -> f64 {
-        let ((lnl, _), _) = self.ship(KernelKind::Evaluate, u, v, t);
-        lnl
+        self.offloads += 1;
+        self.ship(KernelKind::Evaluate, u, v, t).sums.0
     }
 
-    /// Off-loaded `makenewz`: Newton–Raphson branch-length optimization,
-    /// one off-load per iteration. The first carries the traversal and
-    /// brings the edge's two CLVs back; the rest carry only those.
+    /// Off-loaded `makenewz`: the traversal and the whole Newton–Raphson
+    /// iteration on the edge, one off-load.
     fn optimize_edge(&mut self, u: ClvSlot, v: ClvSlot, t0: f64) -> f64 {
-        let mut traversal = Some((u, v));
-        let mut ends: Option<[Arc<Clv>; 2]> = None;
-        let t = newton_branch_length(t0, |t| {
-            let (u, v) = traversal.take().unwrap_or_else(|| {
-                let [cu, cv] = ends.as_ref().expect("the first step assembled the edge CLVs");
-                let given = |clv: &Arc<Clv>| TraversalOp::Given(Arc::clone(clv));
-                (self.record(given(cu), 0), self.record(given(cv), 0))
-            });
-            let (sums, pieces) = self.ship(KernelKind::MakeNewz, u, v, t);
-            if !pieces.is_empty() {
-                ends = Some(self.assemble(pieces));
-            }
-            sums
-        });
-        // Recycle the edge CLVs; a body an SPE has not dropped yet may
-        // still share one, which is then simply freed.
-        let mut arena = lock(&self.arena);
-        for clv in ends.into_iter().flatten().filter_map(Arc::into_inner) {
-            arena.put(clv);
-        }
+        let (t, steps) = self
+            .ship(KernelKind::MakeNewz, u, v, t0)
+            .stopped
+            .expect("a makenewz traversal returns where its Newton iteration stopped");
+        self.offloads += steps;
         t
     }
 }
@@ -552,13 +537,38 @@ mod tests {
             assert!((got - want).abs() < 1e-9, "pass {pass}: {got} vs direct {want}");
         }
         let (hits, misses) = eng.arena_stats();
-        // Warm passes are served from recycled storage: every tip CLV,
-        // splice target, and chunk piece after the first traversal should
-        // be an arena hit, not a fresh allocation.
+        // Warm passes are served from recycled storage: every chunk piece
+        // after the first traversal should be an arena hit, not a fresh
+        // allocation.
         assert!(
             hits > misses,
             "arena barely recycling: {hits} hits vs {misses} misses"
         );
+    }
+
+    #[test]
+    fn an_optimized_edge_leaves_no_piece_out_of_the_arena() {
+        // Degree 4: a chunk's edge pieces stay in the body from one Newton
+        // round to the next, for whichever team member runs the chunk then,
+        // and all go back when the iteration stops. Were they dropped
+        // instead, every edge would allocate its eight (four chunks, two
+        // ends) afresh; recycled, allocations stop once the arena holds the
+        // few sizes the balancer's tilings ask for.
+        let data = data();
+        let mut tree = Tree::random(8, 0.3, &mut SmallRng::seed_from_u64(9));
+        let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::StaticHybrid {
+            spes_per_loop: 4,
+        }));
+        let mut ctx = rt.enter_process();
+        let mut eng = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
+        for _ in 0..6 {
+            ScoringEngine::optimize_branches(&mut eng, &mut tree, 1, 0.0);
+        }
+        let edges = 6 * tree.n_edges() as u64;
+        assert!(eng.shipped() >= edges && eng.offloads() > 4 * edges);
+        let (hits, misses) = eng.arena_stats();
+        assert!(misses < 2 * edges, "{misses} allocations over {edges} edges: pieces are leaking");
+        assert!(hits > 10 * misses, "{hits} hits vs {misses} misses");
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl ParallelAnalysis {
     /// A Cell-shaped analysis under `scheduler` with `workers` processes.
     ///
     /// Dynamic granularity control (§5.2) is enabled: each kind of
-    /// request (a traversal ending in `evaluate`, or in a Newton step) is
+    /// request (a traversal ending in `evaluate`, or in `makenewz`) is
     /// optimistically off-loaded and measured, and kinds that fail the
     /// `t_spe + t_code + 2·t_comm < t_ppe` profitability test fall back to
     /// their PPE copies until a periodic re-probe. On hosts where a

@@ -17,13 +17,21 @@ fn data(n_taxa: usize) -> Arc<PatternAlignment> {
 
 /// The direct kernels with a counter on each: what the shared walk asks of
 /// a provider, kernel by kernel. `derivs` counts Newton iterations, the
-/// unit the off-loading engine counts `makenewz` in.
+/// unit the off-loading engine counts `makenewz` in; `edges` the
+/// `makenewz` calls, the unit it ships them in.
 struct Counting<'e> {
     inner: &'e LikelihoodEngine<'e, Jc69>,
     tips: u64,
     newviews: u64,
     evaluates: u64,
+    edges: u64,
     derivs: u64,
+}
+
+impl<'e> Counting<'e> {
+    fn new(inner: &'e LikelihoodEngine<'e, Jc69>) -> Self {
+        Counting { inner, tips: 0, newviews: 0, evaluates: 0, edges: 0, derivs: 0 }
+    }
 }
 
 impl Kernels for Counting<'_> {
@@ -45,6 +53,7 @@ impl Kernels for Counting<'_> {
     }
 
     fn optimize_edge(&mut self, u: Clv, v: Clv, t0: f64) -> f64 {
+        self.edges += 1;
         newton_branch_length(t0, |t| {
             self.derivs += 1;
             self.inner.lnl_derivatives(&u, &v, t)
@@ -61,7 +70,7 @@ fn the_walk_calls_the_kernels_the_anchored_number_of_times() {
         let tree = Tree::random(n as usize, 0.3, &mut rng);
 
         // A score: one newview per internal node, one evaluate.
-        let mut k = Counting { inner: &direct, tips: 0, newviews: 0, evaluates: 0, derivs: 0 };
+        let mut k = Counting::new(&direct);
         let lnl = traversal::score(&mut k, &tree);
         assert_eq!(lnl.to_bits(), direct.log_likelihood(&tree).to_bits(), "n={n}");
         assert_eq!((k.tips, k.newviews, k.evaluates, k.derivs), (n, n - 2, 1, 0), "n={n}");
@@ -69,17 +78,18 @@ fn the_walk_calls_the_kernels_the_anchored_number_of_times() {
         // One pass (epsilon 0 never converges early): a score, then every
         // one of the 2n-3 edges rebuilds its pair and runs Newton, then a
         // score again.
-        let mut k = Counting { inner: &direct, tips: 0, newviews: 0, evaluates: 0, derivs: 0 };
+        let mut k = Counting::new(&direct);
         let mut walked = tree.clone();
         let lnl = traversal::optimize_branches(&mut k, &mut walked, 1, 0.0);
         let edges = 2 * n - 3;
         assert_eq!(k.newviews, edges * (n - 2) + 2 * (n - 2), "n={n}");
-        assert_eq!(k.evaluates, 2, "n={n}");
+        assert_eq!((k.evaluates, k.edges), (2, edges), "n={n}");
         assert!((edges..=edges * NEWTON_MAX_ITERS as u64).contains(&k.derivs), "n={n}");
 
         // The direct engine is that walk, and the off-loading engine counts
         // exactly those kernels — while shipping only the evaluates and the
-        // Newton steps, each with its orienting newviews inside.
+        // optimized edges, each with its orienting newviews and, for an
+        // edge, all of its Newton steps inside.
         let mut optimized = tree.clone();
         assert_eq!(direct.optimize_branches(&mut optimized, 1, 0.0).to_bits(), lnl.to_bits());
         let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
@@ -88,8 +98,43 @@ fn the_walk_calls_the_kernels_the_anchored_number_of_times() {
         let mut offloaded = tree.clone();
         ScoringEngine::optimize_branches(&mut off, &mut offloaded, 1, 0.0);
         assert_eq!(off.offloads(), k.newviews + k.evaluates + k.derivs, "n={n}");
-        assert_eq!(off.shipped(), k.evaluates + k.derivs, "n={n}");
+        assert_eq!(off.shipped(), k.evaluates + k.edges, "n={n}");
     }
+}
+
+/// The search's view of [`Counting`].
+impl ScoringEngine for Counting<'_> {
+    fn score(&mut self, tree: &Tree) -> f64 {
+        traversal::score(self, tree)
+    }
+
+    fn optimize_branches(&mut self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64 {
+        traversal::optimize_branches(self, tree, max_passes, epsilon)
+    }
+}
+
+#[test]
+fn a_default_search_ships_a_seventh_of_its_kernels() {
+    // The benchmark's shape: 6 taxa, 120 sites, the default search.
+    let data = Arc::new(PatternAlignment::compress(&Alignment::synthetic(6, 120, &Jc69, 0.1, 11)));
+    let direct = LikelihoodEngine::new(&Jc69, &data);
+    let cfg = phylo::search::SearchConfig::default();
+    let mut k = Counting::new(&direct);
+    let want = phylo::search::hill_climb_with(&mut k, 6, &cfg, 7);
+
+    let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
+    let mut ctx = rt.enter_process();
+    let mut off = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
+    let got = phylo::search::hill_climb_with(&mut off, 6, &cfg, 7);
+    assert_eq!(got.lnl.to_bits(), want.lnl.to_bits());
+    assert_eq!(off.offloads(), k.newviews + k.evaluates + k.derivs);
+    assert_eq!(off.shipped(), k.evaluates + k.edges);
+    assert!(
+        off.shipped() as f64 <= 0.15 * off.offloads() as f64,
+        "{} off-loads for {} kernels",
+        off.shipped(),
+        off.offloads()
+    );
 }
 
 #[test]

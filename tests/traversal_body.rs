@@ -1,17 +1,20 @@
 //! The fused chunk: a [`TraversalBody`] runs a whole traversal on one
-//! pattern range. Whatever way `0..n` is cut into ranges, the pieces must
-//! be the direct engine's CLVs to the bit (values *and* scale counts — the
-//! scale carry at chunk boundaries is the historical bug class), and the
-//! terminal's sums the direct kernels' up to re-association of the partials.
+//! pattern range — and, at a `makenewz` edge, the whole Newton iteration,
+//! one round per step. Whatever way `0..n` is cut into ranges, the pieces
+//! must be the direct engine's CLVs to the bit (values *and* scale counts —
+//! the scale carry at chunk boundaries is the historical bug class), the
+//! terminal's sums the direct kernels' up to re-association of the
+//! partials, and the optimized length the direct `makenewz`'s after the
+//! same number of steps.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use multigrain::adapters::TraversalOp;
+use multigrain::adapters::{Partial, TraversalOp};
 use multigrain::mgps_runtime::policy::SpeId;
 use multigrain::prelude::*;
-use phylo::likelihood::ClvArena;
+use phylo::likelihood::{newton_branch_length, ClvArena};
 use phylo::traversal::{self, Kernels};
 use phylo::tree::EdgeId;
 use proptest::prelude::*;
@@ -65,20 +68,31 @@ fn body_at(
         terminal,
         t: tree.length(edge),
         arena: Arc::clone(arena),
+        edge: Mutex::default(),
     }
 }
 
-/// Run `body` over `ranges` as a team would and merge in chunk order.
-fn run(
-    body: &TraversalBody<Jc69>,
-    ranges: &[Range<usize>],
-) -> <TraversalBody<Jc69> as LoopBody>::Acc {
+/// One round of `body` over `ranges` as a team runs it: every chunk,
+/// partials merged in chunk order.
+fn round(body: &TraversalBody<Jc69>, ranges: &[Range<usize>]) -> Partial {
     let mut ctx = SpeContext::new(SpeId(usize::MAX), Duration::ZERO);
     ranges
         .iter()
         .map(|r| body.run_chunk(r.clone(), &mut ctx))
         .reduce(|a, b| body.merge(a, b))
         .expect("at least one range")
+}
+
+/// Every round of `body` over `ranges`, given the first one's value.
+fn finish(body: &TraversalBody<Jc69>, ranges: &[Range<usize>], mut merged: Partial) -> Partial {
+    while body.again(&mut merged) {
+        merged = round(body, ranges);
+    }
+    merged
+}
+
+fn run(body: &TraversalBody<Jc69>, ranges: &[Range<usize>]) -> Partial {
+    finish(body, ranges, round(body, ranges))
 }
 
 /// Fractional cut points as a partition of `0..n` into `cuts.len() + 1`
@@ -118,50 +132,66 @@ proptest! {
         let arena = Arc::new(Mutex::new(ClvArena::new()));
         let ranges = partition(n, &cuts);
 
-        // A Newton step hands back each chunk's pieces of the edge CLVs:
-        // they tile 0..n in chunk order and are the direct CLVs to the bit.
+        // The direct `makenewz`, with its steps counted.
+        let mut want_steps = 0;
+        let want_t = newton_branch_length(t, |t| {
+            want_steps += 1;
+            direct.lnl_derivatives(&cu, &cv, t)
+        });
+
+        // Round one of a `makenewz` sums the derivatives at the starting
+        // length and keeps each chunk's pieces of the edge CLVs: they tile
+        // 0..n and are the direct CLVs to the bit.
         let newton = body_at(&data, &tree, edge, KernelKind::MakeNewz, &arena);
-        let ((d1, d2), pieces) = run(&newton, &ranges);
-        let (mut got_u, mut got_v) = (direct.empty_clv(), direct.empty_clv());
-        let mut covered = 0;
-        for (start, [pu, pv]) in &pieces {
-            prop_assert_eq!(*start, covered, "gap or overlap in {:?}", &ranges);
-            prop_assert_eq!(pu.n_patterns(), pv.n_patterns());
-            got_u.splice(*start, pu);
-            got_v.splice(*start, pv);
-            covered += pu.n_patterns();
-        }
-        prop_assert_eq!(covered, n);
-        prop_assert_eq!(pieces.len(), ranges.iter().filter(|r| !r.is_empty()).count());
-        prop_assert_eq!(bits(&got_u), bits(&cu));
-        prop_assert_eq!(bits(&got_v), bits(&cv));
+        let first = round(&newton, &ranges);
+        let (d1, d2) = first.sums;
         prop_assert!((d1 - want_d1).abs() < 1e-9 * (1.0 + want_d1.abs()), "d1: {d1} vs {want_d1}");
         prop_assert!((d2 - want_d2).abs() < 1e-9 * (1.0 + want_d2.abs()), "d2: {d2} vs {want_d2}");
+        {
+            let kept = newton.edge.lock().unwrap();
+            let mut pieces: Vec<_> = kept.pieces().iter().collect();
+            pieces.sort_by_key(|(start, _)| *start);
+            prop_assert_eq!(pieces.len(), ranges.iter().filter(|r| !r.is_empty()).count());
+            let mut got = [(Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
+            for (start, ends) in pieces {
+                prop_assert_eq!(*start, got[0].1.len(), "gap or overlap in {:?}", &ranges);
+                for (piece, (vals, scale)) in ends.iter().zip(&mut got) {
+                    vals.extend(bits(piece).0);
+                    scale.extend_from_slice(bits(piece).1);
+                }
+            }
+            let [got_u, got_v] = got;
+            prop_assert_eq!((got_u.0, &got_u.1[..]), bits(&cu));
+            prop_assert_eq!((got_v.0, &got_v.1[..]), bits(&cv));
+        }
+
+        // The later rounds re-use those pieces, and the loop stops where the
+        // direct one does, after as many steps, with every piece recycled.
+        let (got_t, steps) = finish(&newton, &ranges, first).stopped.expect("the loop has stopped");
+        prop_assert!((got_t - want_t).abs() < 1e-9, "t: {got_t} vs {want_t}");
+        prop_assert_eq!(steps, want_steps);
+        prop_assert!(newton.edge.lock().unwrap().pieces().is_empty());
 
         // An evaluate keeps nothing and sums to the direct lnL.
         let evaluate = body_at(&data, &tree, edge, KernelKind::Evaluate, &arena);
-        let ((lnl, zero), kept) = run(&evaluate, &ranges);
-        prop_assert!(kept.is_empty() && zero == 0.0);
+        let Partial { sums: (lnl, zero), stopped } = run(&evaluate, &ranges);
+        prop_assert!(stopped.is_none() && zero == 0.0);
+        prop_assert!(evaluate.edge.lock().unwrap().pieces().is_empty());
         prop_assert!((lnl - want_lnl).abs() < 1e-9 * (1.0 + want_lnl.abs()), "{lnl} vs {want_lnl}");
 
-        // One range is the direct kernel run elsewhere: the same bits.
-        let ((lnl, _), _) = run(&evaluate, &partition(n, &[]));
+        // One range is the direct kernel run elsewhere: the same bits, from
+        // the first sums to the optimized length.
+        let whole = partition(n, &[]);
+        let (lnl, _) = run(&evaluate, &whole).sums;
         prop_assert_eq!(lnl.to_bits(), want_lnl.to_bits());
-        let ((d1, d2), whole) = run(&newton, &partition(n, &[]));
-        prop_assert_eq!((d1.to_bits(), d2.to_bits()), (want_d1.to_bits(), want_d2.to_bits()));
-        prop_assert_eq!(whole.len(), 1);
-
-        // The later Newton steps are given the edge CLVs: no pieces come
-        // back, the sums are the same additions.
-        let given = TraversalBody {
-            ops: vec![TraversalOp::Given(Arc::new(cu)), TraversalOp::Given(Arc::new(cv))],
-            u: 0,
-            v: 1,
-            ..body_at(&data, &tree, edge, KernelKind::MakeNewz, &arena)
-        };
-        let ((g1, g2), none) = run(&given, &partition(n, &[]));
-        prop_assert!(none.is_empty());
-        prop_assert_eq!((g1.to_bits(), g2.to_bits()), (want_d1.to_bits(), want_d2.to_bits()));
+        let newton = body_at(&data, &tree, edge, KernelKind::MakeNewz, &arena);
+        let first = round(&newton, &whole);
+        prop_assert_eq!(
+            (first.sums.0.to_bits(), first.sums.1.to_bits()),
+            (want_d1.to_bits(), want_d2.to_bits())
+        );
+        let (got_t, steps) = finish(&newton, &whole, first).stopped.expect("the loop has stopped");
+        prop_assert_eq!((got_t.to_bits(), steps), (want_t.to_bits(), want_steps));
     }
 }
 
@@ -186,11 +216,8 @@ fn the_arena_stays_bounded_and_warm_at_forty_taxa() {
         // By hand over four ranges, on an arena this test can see …
         for edge in tree.edge_ids() {
             let body = body_at(&data, &tree, edge, KernelKind::MakeNewz, &arena);
-            let (_, pieces) = run(&body, &partition(n, &[0.25, 0.5, 0.75]));
-            let mut arena = arena.lock().unwrap();
-            for (_, piece) in pieces {
-                piece.into_iter().for_each(|clv| arena.put(clv));
-            }
+            // … whose last round hands every kept piece back.
+            assert!(run(&body, &partition(n, &[0.25, 0.5, 0.75])).stopped.is_some());
         }
         // … and through the engine, whose arena reports its misses.
         ScoringEngine::optimize_branches(&mut off, &mut optimized, 1, 0.0);
