@@ -13,12 +13,12 @@
 //!   once as a table (enum, JSON tags, same-instant ranks).
 //! * [`policy`] — the *decision procedures*, pure and engine-agnostic:
 //!   the EDTLP/Linux-like PPE run-queue disciplines, the off-load
-//!   granularity test, static hybrid configuration, loop chunking with
+//!   granularity test, the scheduler taxonomy, loop chunking with
 //!   adaptive master bias, and the MGPS utilization-history controller.
 //! * [`native`] — a real host-thread execution engine driven by those
 //!   policies: a virtual-SPE pool with bounded local stores, work-sharing
-//!   teams mastered by the off-loading thread, and PPE-context admission
-//!   control.
+//!   teams mastered by the off-loading thread and held across dependent
+//!   loops, and PPE-context admission control.
 //!
 //! The companion `cellsim` crate drives the same [`policy`] types over a
 //! discrete-event model of the Cell processor to regenerate the paper's

@@ -235,11 +235,6 @@ impl MgpsRuntime {
         self.gate.switches()
     }
 
-    /// Tasks currently off-loaded or queued for off-load.
-    pub fn tasks_in_flight(&self) -> usize {
-        self.inflight.load(Ordering::Relaxed)
-    }
-
     /// Instantaneous per-SPE busy flags, indexed by SPE id (a gauge for
     /// live telemetry; see [`SpePool::busy_map`]).
     pub fn spe_busy(&self) -> Vec<bool> {
@@ -1070,7 +1065,7 @@ mod tests {
     fn inflight_counter_returns_to_zero() {
         let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
         run_workers(&rt, 3, 5, 16);
-        assert_eq!(rt.tasks_in_flight(), 0);
+        assert_eq!(rt.inflight.load(Ordering::Relaxed), 0);
     }
 
     #[test]

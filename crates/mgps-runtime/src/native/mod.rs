@@ -5,7 +5,8 @@
 //! * [`pool`] — the virtual-SPE pool with immediate/FIFO off-load dispatch
 //!   and panic containment;
 //! * [`team`] — loop work-sharing: the off-loading thread as the team's
-//!   master, claimable chunks, and adaptive master bias;
+//!   master, claimable chunks, adaptive master bias, and a team held across
+//!   dependent loops ([`team::LoopBody::again`], §5.3's chain);
 //! * [`gate`] — PPE-context admission control (yield-on-offload vs
 //!   hold-during-offload);
 //! * [`adaptive`] — [`adaptive::MgpsRuntime`], tying pool, teams, gate, and
@@ -14,7 +15,6 @@
 //!   switchable to `loom` for model checking (`RUSTFLAGS="--cfg loom"`).
 
 pub mod adaptive;
-pub mod chain;
 pub mod context;
 pub mod gate;
 pub mod pool;
@@ -22,8 +22,7 @@ pub mod sync;
 pub mod team;
 
 pub use adaptive::{MgpsRuntime, ProcessCtx, RuntimeConfig};
-pub use chain::{ChainRunner, ChainTrace, ChainedLoop};
 pub use context::{ImageId, LocalStore, LocalStoreExhausted, SpeContext, LOCAL_STORE_BYTES};
 pub use gate::{GateMode, PpeGate, PpeToken};
 pub use pool::{OffloadError, OffloadHandle, SpePool, SpeStats};
-pub use team::{LoopBody, LoopSite, TeamRunner, TeamTiming, TraceTask, ARG_FETCH_BYTES};
+pub use team::{LoopBody, LoopSite, TeamRunner, TraceTask, ARG_FETCH_BYTES};

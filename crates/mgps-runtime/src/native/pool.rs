@@ -54,7 +54,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 
 use super::sync::{Condvar, Mutex, COMMAND_QUEUE_DEPTH};
 
-use super::context::{ImageId, SpeContext};
+use super::context::SpeContext;
 use crate::events::{EventKind, MailboxKind};
 use crate::metrics::{Counter, MetricsSink, MetricsSinkExt, NopMetrics};
 use crate::policy::SpeId;
@@ -218,10 +218,6 @@ impl<T> OffloadHandle<T> {
 struct PoolState {
     idle: Vec<SpeId>,
     pending: std::collections::VecDeque<Task>,
-    /// Last code image resident on each SPE (None before any image load).
-    /// Maintained by the workers; used for affinity placement — the
-    /// memory-aware scheduling the paper lists as future work (§6).
-    resident: Vec<Option<ImageId>>,
     /// SPEs benched by the fault plane. Only an *idle* SPE can be benched
     /// (so a quarantined SPE is never mid-job and can never appear in a
     /// team that started after its quarantine); it sits out — neither idle
@@ -262,8 +258,6 @@ struct Shared {
     idle_changed: Condvar,
     panics: AtomicU64,
     completed: AtomicU64,
-    affinity_hits: AtomicU64,
-    affinity_misses: AtomicU64,
     metrics: Arc<dyn MetricsSink>,
 }
 
@@ -342,7 +336,6 @@ impl SpePool {
             state: Mutex::new(PoolState {
                 idle: (0..n_spes).rev().map(SpeId).collect(),
                 pending: std::collections::VecDeque::new(),
-                resident: vec![None; n_spes],
                 quarantined: vec![false; n_spes],
                 reserve_waiters: 0,
             }),
@@ -350,8 +343,6 @@ impl SpePool {
             idle_changed: Condvar::new(),
             panics: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            affinity_hits: AtomicU64::new(0),
-            affinity_misses: AtomicU64::new(0),
             metrics,
         });
         let mut workers = Vec::with_capacity(n_spes);
@@ -464,16 +455,6 @@ impl SpePool {
         self.shared.panics.load(Ordering::Relaxed)
     }
 
-    /// Image-affinity placements that found a warm SPE.
-    pub fn affinity_hits(&self) -> u64 {
-        self.shared.affinity_hits.load(Ordering::Relaxed)
-    }
-
-    /// Image-affinity placements that had to take a cold SPE.
-    pub fn affinity_misses(&self) -> u64 {
-        self.shared.affinity_misses.load(Ordering::Relaxed)
-    }
-
     /// Off-load `f` to the first available SPE, returning a completion
     /// handle. Dispatch is immediate if an SPE is idle, FIFO-queued
     /// otherwise.
@@ -499,50 +480,6 @@ impl SpePool {
                 Some(pos) => Some(st.idle.remove(pos)),
                 None => st.idle.pop(),
             }
-        });
-        handle
-    }
-
-    /// Off-load a kernel whose code image is `image` (`code_bytes` long),
-    /// preferring an idle SPE that already hosts that image — the paper's
-    /// §6 future work: memory-aware scheduling that avoids code reloads.
-    /// The image is ensured resident before `f` runs.
-    pub fn offload_with_image<T, F>(
-        &self,
-        image: ImageId,
-        code_bytes: usize,
-        f: F,
-    ) -> OffloadHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut SpeContext) -> T + Send + 'static,
-    {
-        let (task, handle) = completing(move |ctx| {
-            ctx.ensure_image(image, code_bytes)
-                .expect("kernel image exceeds local store");
-            f(ctx)
-        });
-        self.dispatch(task, |st| {
-            if st.idle.is_empty() {
-                return None;
-            }
-            // Three-tier placement: a warm SPE hosting this image, else a
-            // cold SPE with no image (no eviction), else evict the
-            // least-recently-idled warm-for-someone-else SPE.
-            let pos = st
-                .idle
-                .iter()
-                .rposition(|s| st.resident[s.0] == Some(image))
-                .or_else(|| st.idle.iter().rposition(|s| st.resident[s.0].is_none()))
-                .unwrap_or(st.idle.len() - 1);
-            let spe = st.idle.remove(pos);
-            if st.resident[spe.0] == Some(image) {
-                self.shared.affinity_hits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.shared.affinity_misses.fetch_add(1, Ordering::Relaxed);
-                st.resident[spe.0] = Some(image);
-            }
-            Some(spe)
         });
         handle
     }
@@ -1184,46 +1121,6 @@ mod tests {
         let total: u64 = stats.iter().map(|s| s.tasks_run).sum();
         assert_eq!(total, 10);
         assert!(stats.iter().any(|s| s.local_store_high_water >= 2048));
-    }
-
-    #[test]
-    fn image_affinity_placement_avoids_reloads() {
-        use crate::native::context::ImageId;
-        let pool = SpePool::new(4, Duration::ZERO);
-        // Interleave two images; after warm-up, placements should hit warm
-        // SPEs and reloads should stay near the distinct (SPE, image)
-        // pairs rather than the job count.
-        for round in 0..24 {
-            let image = ImageId(round % 2);
-            pool.offload_with_image(image, 64 * 1024, |ctx| ctx.resident_image())
-                .wait()
-                .unwrap();
-        }
-        assert!(
-            pool.affinity_hits() >= 16,
-            "expected mostly warm placements, hits={} misses={}",
-            pool.affinity_hits(),
-            pool.affinity_misses()
-        );
-        let stats = pool.shutdown();
-        let reloads: u64 = stats.iter().map(|s| s.code_reloads).sum();
-        assert!(
-            reloads <= 8,
-            "affinity should cap reloads at distinct (SPE,image) pairs, got {reloads}"
-        );
-    }
-
-    #[test]
-    fn offload_with_image_loads_the_image() {
-        use crate::native::context::ImageId;
-        let pool = SpePool::new(2, Duration::ZERO);
-        let got = pool
-            .offload_with_image(ImageId(9), 1024, |ctx| {
-                (ctx.resident_image(), ctx.local_store.code_bytes())
-            })
-            .wait()
-            .unwrap();
-        assert_eq!(got, (Some(ImageId(9)), 1024));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Compiled normally these are exactly the `parking_lot` primitives. Under
 //! `RUSTFLAGS="--cfg loom"` they become wrappers over `loom::sync`, so the
-//! gate/pool/team/chain machinery can be model-checked: loom intercepts
-//! every lock acquisition and explores interleavings the OS scheduler may
-//! never produce. The wrappers keep parking_lot's API shape (non-poisoning
+//! gate/pool/team machinery can be model-checked: loom intercepts every
+//! lock acquisition and explores interleavings the OS scheduler may never
+//! produce. The wrappers keep parking_lot's API shape (non-poisoning
 //! `lock()`, `Condvar::wait(&mut guard)`), so the runtime code is identical
 //! under both compilations.
 //!

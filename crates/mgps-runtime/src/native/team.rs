@@ -38,6 +38,11 @@
 //! the rounds are a plain loop inside the one job. A task's trace carries
 //! one `Chunk` per chunk — the first round's, on the team `TaskStart`
 //! names — however many rounds ran.
+//!
+//! This is the runtime's one way to keep a team across dependent loops. A
+//! chain whose loops differ keeps its stage in the body and advances it in
+//! `again`; a stage shorter than the body's `len` clips the range it is
+//! handed (`examples/loop_chains.rs`).
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -419,9 +424,9 @@ impl<B: LoopBody> Round<B> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LoopSite(pub u64);
 
-/// Timing of one team invocation (for tests and instrumentation).
+/// Timing of one team invocation: what its site's balancer is fed.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TeamTiming {
+pub(crate) struct TeamTiming {
     /// Wall time of the whole invocation, ns.
     pub loop_ns: u64,
     /// Master idle time waiting for the slowest worker, ns.
@@ -484,8 +489,7 @@ impl TeamRunner {
         degree: usize,
         body: Arc<B>,
     ) -> Result<B::Acc, OffloadError> {
-        let (acc, _t) = self.parallel_reduce_timed(site, degree, body)?;
-        Ok(acc)
+        self.parallel_reduce_traced(site, degree, body, None)
     }
 
     /// As [`Self::parallel_reduce`], recording task/chunk/DMA spans for the
@@ -500,35 +504,14 @@ impl TeamRunner {
         body: Arc<B>,
         trace: Option<TraceTask<'_>>,
     ) -> Result<B::Acc, OffloadError> {
-        let (acc, _t) = self.parallel_reduce_timed_traced(site, degree, body, trace)?;
-        Ok(acc)
+        self.parallel_reduce_near(site, degree, body, trace, &mut None).map(|(acc, _)| acc)
     }
 
-    /// As [`Self::parallel_reduce`], also returning invocation timing.
-    pub fn parallel_reduce_timed<B: LoopBody>(
-        &self,
-        site: LoopSite,
-        degree: usize,
-        body: Arc<B>,
-    ) -> Result<(B::Acc, TeamTiming), OffloadError> {
-        self.parallel_reduce_timed_traced(site, degree, body, None)
-    }
-
-    /// As [`Self::parallel_reduce_traced`], also returning invocation timing.
-    pub fn parallel_reduce_timed_traced<B: LoopBody>(
-        &self,
-        site: LoopSite,
-        degree: usize,
-        body: Arc<B>,
-        trace: Option<TraceTask<'_>>,
-    ) -> Result<(B::Acc, TeamTiming), OffloadError> {
-        self.parallel_reduce_near(site, degree, body, trace, &mut None)
-    }
-
-    /// The kernel under all `parallel_reduce*` variants. `near` is the
-    /// caller's SPE affinity for single-SPE off-loads: the SPE that ran its
-    /// previous one is preferred (see `SpePool::offload_near`) and the one
-    /// that ran this one is written back. Teams neither read nor write it.
+    /// The loop under both entry points above, also returning the
+    /// invocation's timing. `near` is the caller's SPE affinity for
+    /// single-SPE off-loads: the SPE that ran its previous one is preferred
+    /// (see `SpePool::offload_near`) and the one that ran this one is
+    /// written back. Teams neither read nor write it.
     pub(crate) fn parallel_reduce_near<B: LoopBody>(
         &self,
         site: LoopSite,
@@ -1116,7 +1099,8 @@ mod tests {
     fn balancer_is_fed_the_master_idle_time_when_workers_finish_last() {
         let (pool, tr) = runner(4);
         let site = LoopSite(9);
-        let (acc, t) = tr.parallel_reduce_timed(site, 4, master_first(&pool, false)).unwrap();
+        let body = master_first(&pool, false);
+        let (acc, t) = tr.parallel_reduce_near(site, 4, body, None, &mut None).unwrap();
         assert_eq!(acc, 4);
         // Every worker stamped its finish after the master's.
         assert!(t.master_idle_ns > 0);
@@ -1187,19 +1171,24 @@ mod tests {
 
     #[test]
     fn a_multi_round_loop_is_its_sequential_fold_at_every_degree() {
-        let (pool, tr) = runner(8);
-        for invocation in 0..100 {
-            for degree in [1, 2, 4, 8] {
-                for (n, rounds) in [(228, 1 + invocation % 5), (3, 4), (0, 3)] {
-                    let body = Arc::new(Relay::new(n, rounds));
-                    let got = tr.parallel_reduce(LoopSite(11), degree, Arc::clone(&body));
-                    let want = Ok(body.sequential());
-                    assert_eq!(got, want, "degree {degree}, n {n}, {rounds} rounds");
+        for (n_spes, degrees) in [(8, [1, 2, 4, 8]), (6, [1, 2, 3, 6])] {
+            let (pool, tr) = runner(n_spes);
+            for invocation in 0..100 {
+                let varied = 1 + invocation % 5;
+                for degree in degrees {
+                    for (n, rounds) in
+                        [(228, varied), (3, 4), (0, 3), (1, 3), (7, 3), (13, 5), (100, 2)]
+                    {
+                        let body = Arc::new(Relay::new(n, rounds));
+                        let got = tr.parallel_reduce(LoopSite(11), degree, Arc::clone(&body));
+                        let want = Ok(body.sequential());
+                        assert_eq!(got, want, "degree {degree}, n {n}, {rounds} rounds");
+                    }
                 }
             }
+            settle(&pool);
+            assert_eq!(pool.panics(), 0);
         }
-        settle(&pool);
-        assert_eq!(pool.panics(), 0);
     }
 
     #[test]

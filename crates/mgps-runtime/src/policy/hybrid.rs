@@ -8,58 +8,6 @@
 //! it lacks dynamicity and assumes prior knowledge of the workload — but it
 //! brackets MGPS from the static side in Figures 7–9.
 
-use super::types::{LoopDegree, SpeId};
-
-/// Configuration of the static EDTLP-LLP hybrid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticHybrid {
-    /// Total SPEs on the machine.
-    pub n_spes: usize,
-    /// SPEs statically dedicated to each parallel loop (2 or 4 in the
-    /// paper).
-    pub spes_per_loop: usize,
-}
-
-impl StaticHybrid {
-    /// A hybrid over `n_spes` SPEs with `spes_per_loop`-way loop teams.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= spes_per_loop <= n_spes` and `spes_per_loop`
-    /// divides `n_spes` (teams must tile the chip).
-    pub fn new(n_spes: usize, spes_per_loop: usize) -> StaticHybrid {
-        assert!(n_spes > 0, "need at least one SPE");
-        assert!(
-            (1..=n_spes).contains(&spes_per_loop),
-            "spes_per_loop {spes_per_loop} out of range 1..={n_spes}"
-        );
-        assert!(
-            n_spes.is_multiple_of(spes_per_loop),
-            "teams of {spes_per_loop} must tile {n_spes} SPEs"
-        );
-        StaticHybrid { n_spes, spes_per_loop }
-    }
-
-    /// Maximum concurrently off-loaded tasks.
-    pub fn max_concurrent_tasks(&self) -> usize {
-        self.n_spes / self.spes_per_loop
-    }
-
-    /// The loop degree every task receives.
-    pub fn loop_degree(&self) -> LoopDegree {
-        LoopDegree(self.spes_per_loop)
-    }
-
-    /// The SPE members of team `team` (0-based).
-    ///
-    /// # Panics
-    /// Panics if `team >= max_concurrent_tasks()`.
-    pub fn team_members(&self, team: usize) -> Vec<SpeId> {
-        assert!(team < self.max_concurrent_tasks(), "team {team} out of range");
-        let base = team * self.spes_per_loop;
-        (base..base + self.spes_per_loop).map(SpeId).collect()
-    }
-}
-
 /// The four scheduling schemes the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
@@ -99,44 +47,6 @@ impl SchedulerKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hybrid_team_arithmetic() {
-        let h = StaticHybrid::new(8, 2);
-        assert_eq!(h.max_concurrent_tasks(), 4);
-        assert_eq!(h.loop_degree(), LoopDegree(2));
-        assert_eq!(h.team_members(0), vec![SpeId(0), SpeId(1)]);
-        assert_eq!(h.team_members(3), vec![SpeId(6), SpeId(7)]);
-
-        let h4 = StaticHybrid::new(8, 4);
-        assert_eq!(h4.max_concurrent_tasks(), 2);
-        assert_eq!(h4.team_members(1), vec![SpeId(4), SpeId(5), SpeId(6), SpeId(7)]);
-    }
-
-    #[test]
-    fn teams_partition_the_chip() {
-        let h = StaticHybrid::new(8, 4);
-        let mut seen = std::collections::HashSet::new();
-        for t in 0..h.max_concurrent_tasks() {
-            for spe in h.team_members(t) {
-                assert!(seen.insert(spe), "SPE assigned to two teams");
-            }
-        }
-        assert_eq!(seen.len(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "must tile")]
-    fn non_tiling_teams_rejected() {
-        let _ = StaticHybrid::new(8, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn team_index_bounds_checked() {
-        let h = StaticHybrid::new(8, 4);
-        let _ = h.team_members(2);
-    }
 
     #[test]
     fn labels_match_paper_legends() {

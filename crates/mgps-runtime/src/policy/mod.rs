@@ -17,7 +17,7 @@ pub mod types;
 pub use balance::{LoadBalancer, LoopObservation};
 pub use chunk::partition;
 pub use granularity::{FunctionTimings, GranularityController, GranularityDecision};
-pub use hybrid::{SchedulerKind, StaticHybrid};
+pub use hybrid::SchedulerKind;
 pub use mgps::{Directive, MgpsConfig, MgpsScheduler};
 pub use ppe::{PpePolicyKind, PpeScheduler};
 pub use types::{KernelKind, LoopDegree, OffloadDecision, ProcId, SpeId, TaskId};

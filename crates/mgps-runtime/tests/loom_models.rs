@@ -22,8 +22,6 @@
 //!   *per round*, each round seeing what the one before it published, when
 //!   a held worker is still on its way out of a round as the master opens
 //!   the next, and the closing of the team never leaves a worker parked;
-//! * the chain runner carries each stage's reduction into the next with the
-//!   same exactly-once delivery over its per-worker command channels;
 //! * the off-load completion cell never loses a wake-up and hands a result
 //!   (or a contained panic) out exactly once, after the SPE is idle again
 //!   and counted — whether the handle blocks, polls, or is dropped first.
@@ -35,8 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mgps_runtime::native::{
-    ChainRunner, ChainedLoop, GateMode, LoopBody, LoopSite, OffloadError, PpeGate, SpeContext,
-    SpePool, TeamRunner,
+    GateMode, LoopBody, LoopSite, OffloadError, PpeGate, SpeContext, SpePool, TeamRunner,
 };
 
 #[test]
@@ -375,50 +372,6 @@ fn a_worker_late_out_of_one_round_cannot_disturb_the_next() {
         // Closing the team released the held worker: every SPE is back.
         settle(&pool);
         assert_eq!(pool.completed(), 8, "a first team and a held one, two members each, twice");
-    });
-}
-
-/// `carry + sum(range)` per worker, additive merge: each stage's result is
-/// `degree * carry + sum(0..len)`, so the final value certifies that every
-/// stage saw the previous stage's full reduction — exactly once each.
-struct CarrySum {
-    len: usize,
-}
-
-impl ChainedLoop for CarrySum {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn identity(&self) -> f64 {
-        0.0
-    }
-
-    fn run_chunk(&self, carry: f64, range: Range<usize>, _ctx: &mut SpeContext) -> f64 {
-        carry + range.map(|i| i as f64).sum::<f64>()
-    }
-
-    fn merge(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
-}
-
-#[test]
-fn chained_rendezvous_carries_each_stage_exactly_once() {
-    loom::model(|| {
-        let pool = Arc::new(SpePool::new(2, Duration::ZERO));
-        let runner = ChainRunner::new(Arc::clone(&pool));
-        let stages: Vec<Arc<dyn ChainedLoop>> =
-            vec![Arc::new(CarrySum { len: 8 }), Arc::new(CarrySum { len: 6 })];
-
-        let got = runner.chained_reduce(2, stages, 1.0).expect("no panics in the chain");
-
-        let degree = 2.0;
-        let sum8: f64 = (0..8).map(|i| i as f64).sum();
-        let sum6: f64 = (0..6).map(|i| i as f64).sum();
-        let stage1 = degree * 1.0 + sum8;
-        let stage2 = degree * stage1 + sum6;
-        assert_eq!(got, stage2);
     });
 }
 

@@ -7,7 +7,7 @@
 //! [`runlog_from_trace`] merges those rings into a single [`RunLog`], after
 //! which the entire observability stack works on native runs unchanged:
 //! the `mgps-analysis` checker (in its native mode), [`crate::timeline`],
-//! [`crate::phases`], [`crate::decisions`], [`crate::chrome_trace`], and
+//! [`crate::phases`], [`mod@crate::decisions`], [`crate::chrome_trace`], and
 //! the critical-path engine.
 //!
 //! ## Merge order

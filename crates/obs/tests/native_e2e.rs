@@ -55,7 +55,6 @@ fn traced_mgps_run() -> (TraceLog, usize) {
     let tracer = Tracer::with_default_capacity();
     let mut cfg = RuntimeConfig::cell(SchedulerKind::Mgps);
     cfg.switch_cost = Duration::ZERO;
-    cfg.code_load_cost = Duration::from_micros(30);
     cfg.worker_startup = Duration::from_micros(5);
     let n_spes = cfg.n_spes;
     let rt =

@@ -2,8 +2,9 @@
 //! dynamic granularity control (§5.2).
 //!
 //! Part 1 runs a three-stage numerical pipeline where each parallel loop
-//! consumes the previous loop's reduction — the team is formed once and
-//! its workers stay resident across stages, exactly like the paper's
+//! consumes the previous loop's reduction, as one `LoopBody` whose `again`
+//! moves to the next stage: the whole chain is one off-load, and from the
+//! second stage on the team stays on its SPEs between loops — the paper's
 //! SPE-to-SPE dependence-driven execution.
 //!
 //! Part 2 off-loads a mix of coarse and ultra-fine kernels under the
@@ -15,81 +16,92 @@
 //! ```
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use multigrain::prelude::*;
-use multigrain::mgps_runtime::native::{ChainRunner, ChainedLoop, SpePool};
 
-/// Stage 1: mean of sqrt(i) — produces the normalization constant.
-struct RootMean(usize);
-impl ChainedLoop for RootMean {
-    fn len(&self) -> usize {
-        self.0
-    }
-    fn identity(&self) -> f64 {
-        0.0
-    }
-    fn run_chunk(&self, _carry: f64, range: Range<usize>, _ctx: &mut SpeContext) -> f64 {
-        range.map(|i| (i as f64).sqrt()).sum::<f64>() / self.0 as f64
-    }
-    fn merge(&self, a: f64, b: f64) -> f64 {
-        a + b
+/// Iterations of each stage.
+const STAGE_LENS: [usize; 3] = [400_000, 200_000, 1];
+
+/// One stage over `range`, given the previous stage's reduction:
+/// 0. mean of sqrt(i) — produces the normalization constant;
+/// 1. sum of exp(-i/carry) — consumes it;
+/// 2. log of the carry — a cheap one-iteration finish.
+fn stage_chunk(stage: usize, carry: f64, range: Range<usize>) -> f64 {
+    match stage {
+        0 => range.map(|i| (i as f64).sqrt()).sum::<f64>() / STAGE_LENS[0] as f64,
+        1 => range.map(|i| (-(i as f64) / carry).exp()).sum(),
+        _ => range.map(|_| carry.ln()).sum(),
     }
 }
 
-/// Stage 2: sum of exp(-i/carry) — consumes stage 1's constant.
-struct Decay(usize);
-impl ChainedLoop for Decay {
-    fn len(&self) -> usize {
-        self.0
-    }
-    fn identity(&self) -> f64 {
-        0.0
-    }
-    fn run_chunk(&self, carry: f64, range: Range<usize>, _ctx: &mut SpeContext) -> f64 {
-        range.map(|i| (-(i as f64) / carry).exp()).sum()
-    }
-    fn merge(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
+/// The chain as one loop. The runtime hands every round the ranges it cut
+/// for the longest stage; a shorter stage clips them. `again` runs between
+/// rounds on the master, before any chunk of the next one starts, which is
+/// all the ordering the two fields need.
+struct Pipeline {
+    stage: AtomicUsize,
+    carry: AtomicU64,
 }
 
-/// Stage 3: log of the carry, replicated — a cheap final reduction.
-struct Finish;
-impl ChainedLoop for Finish {
+impl LoopBody for Pipeline {
+    type Acc = f64;
     fn len(&self) -> usize {
-        1
+        STAGE_LENS[0]
     }
     fn identity(&self) -> f64 {
         0.0
     }
-    fn run_chunk(&self, carry: f64, _range: Range<usize>, _ctx: &mut SpeContext) -> f64 {
-        carry.ln()
+    fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> f64 {
+        let stage = self.stage.load(Ordering::Relaxed);
+        let carry = f64::from_bits(self.carry.load(Ordering::Relaxed));
+        let n = STAGE_LENS[stage];
+        stage_chunk(stage, carry, range.start.min(n)..range.end.min(n))
     }
     fn merge(&self, a: f64, b: f64) -> f64 {
         a + b
+    }
+    fn again(&self, merged: &mut f64) -> bool {
+        self.carry.store(merged.to_bits(), Ordering::Relaxed);
+        self.stage.fetch_add(1, Ordering::Relaxed) + 1 < STAGE_LENS.len()
     }
 }
 
 fn main() {
-    println!("Part 1: dependence-driven loop chain across a resident SPE team\n");
+    println!("Part 1: dependence-driven loop chain on a team that stays\n");
+    let sequential = STAGE_LENS
+        .iter()
+        .enumerate()
+        .fold(0.0, |carry, (stage, &n)| stage_chunk(stage, carry, 0..n));
     let pool = Arc::new(SpePool::new(8, Duration::ZERO));
-    let runner = ChainRunner::new(Arc::clone(&pool));
-    let stages: Vec<Arc<dyn ChainedLoop>> =
-        vec![Arc::new(RootMean(400_000)), Arc::new(Decay(200_000)), Arc::new(Finish)];
+    let runner = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
 
     for degree in [1usize, 2, 4, 8] {
         let before = pool.completed();
         let start = Instant::now();
-        let value = runner.chained_reduce(degree, stages.clone(), 0.0).expect("chain ok");
+        let body = Arc::new(Pipeline { stage: AtomicUsize::new(0), carry: AtomicU64::new(0) });
+        let value = runner.parallel_reduce(LoopSite(0), degree, body).expect("chain ok");
+        let elapsed = start.elapsed();
+        // A worker books its job after its last chunk is counted.
+        while pool.idle_count() < pool.n_spes() {
+            std::thread::yield_now();
+        }
         let jobs = pool.completed() - before;
+        assert!(
+            (value - sequential).abs() < 1e-9,
+            "degree {degree}: {value} vs sequential {sequential}"
+        );
         println!(
-            "  degree {degree}: value {value:.6}, {jobs} SPE jobs for 3 stages, {:?}",
-            start.elapsed()
+            "  degree {degree}: value {value:.6}, {jobs} SPE jobs for {} stages, {elapsed:?}",
+            STAGE_LENS.len()
         );
     }
-    println!("  (note: `degree` jobs per chain, not degree x stages — workers stay resident)\n");
+    println!(
+        "  (note: one job on one SPE; on a team, `degree` jobs for the first stage and\n   \
+         `degree` for the team held through every later one — not degree x stages)\n"
+    );
 
     println!("Part 2: dynamic granularity control (Section 5.2)\n");
     /// A kernel with distinct PPE and SPE code versions, like RAxML's

@@ -1,6 +1,5 @@
 //! Property tests over the extended model layer: GTR spectral matrices,
-//! discrete-Γ rates, Newick round trips, SPR round trips at scale, and
-//! dependence-driven chains.
+//! discrete-Γ rates, Newick round trips, and SPR round trips at scale.
 
 use proptest::prelude::*;
 
@@ -153,57 +152,6 @@ proptest! {
         }
         prop_assert!(mix <= upper + 1e-9, "mixture {} above per-site max bound {}", mix, upper);
         prop_assert!(mix >= lower - 1e-9, "mixture {} below per-site min bound {}", mix, lower);
-    }
-}
-
-#[test]
-fn chained_reduce_matches_sequential_for_random_stage_sets() {
-    use mgps_runtime::native::{ChainRunner, ChainedLoop, SpeContext, SpePool};
-    use std::ops::Range;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    struct Poly {
-        n: usize,
-        coef: f64,
-    }
-    impl ChainedLoop for Poly {
-        fn len(&self) -> usize {
-            self.n
-        }
-        fn identity(&self) -> f64 {
-            0.0
-        }
-        fn run_chunk(&self, carry: f64, range: Range<usize>, _ctx: &mut SpeContext) -> f64 {
-            range.map(|i| self.coef * (i as f64 + carry / self.n as f64)).sum()
-        }
-        fn merge(&self, a: f64, b: f64) -> f64 {
-            a + b
-        }
-    }
-
-    let pool = Arc::new(SpePool::new(6, Duration::ZERO));
-    let runner = ChainRunner::new(pool);
-    // A deterministic battery of stage shapes (proptest's runner does not
-    // compose well with persistent thread pools, so enumerate instead).
-    for lens in [vec![1], vec![7, 1, 13], vec![100, 3], vec![5, 5, 5, 5, 5], vec![228, 57, 31]] {
-        let stages: Vec<Arc<dyn ChainedLoop>> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| Arc::new(Poly { n, coef: 0.5 + i as f64 * 0.25 }) as Arc<dyn ChainedLoop>)
-            .collect();
-        let mut ctx = SpeContext::new(mgps_runtime::policy::SpeId(0), Duration::ZERO);
-        let mut want = 1.0;
-        for s in &stages {
-            want = s.run_chunk(want, 0..s.len(), &mut ctx);
-        }
-        for degree in [1, 2, 3, 6] {
-            let got = runner.chained_reduce(degree, stages.clone(), 1.0).unwrap();
-            assert!(
-                (got - want).abs() < 1e-9,
-                "lens {lens:?} degree {degree}: {got} vs {want}"
-            );
-        }
     }
 }
 
