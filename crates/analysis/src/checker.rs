@@ -52,9 +52,9 @@
 //! | `fault-policy` | a `fault_policy` header, when present, parses back into a legal fault plan |
 //! | `fault-recovery` | fault/retry/fallback events appear only under a declared plan; retries are sequential with the declared backoff and bounded by `max_retries`; every faulted (or, when armed, merely off-loaded) task is resolved exactly once — retried to completion, fallen back, or flagged lost — never duplicated; each `JobRetried`/`JobPoisoned` absorbs one unresolved task (the kernel off-load whose unrecovered death it answered) |
 //! | `quarantine` | quarantine intervals per SPE are exclusive (enter once, leave once, in order), entry requires `k` consecutive faults, and no quarantined SPE is granted work |
-//! | `job-lifecycle` | serve-plane jobs are admitted once (rejected ids never admitted), starts follow admission order within a tenant (FIFO), recorded queue depths match the replayed occupancy (admissions + retries − starts − sheds) and never exceed the declared bound, every admitted job reaches a terminal, and a completion's four terms partition its admission-to-completion span exactly — accumulated across attempts |
+//! | `job-lifecycle` | serve-plane jobs are admitted once (rejected ids never admitted), starts follow admission order within a tenant (FIFO), recorded queue depths match the replayed [`Drr`]'s length (admissions + retries − starts − sheds) and never exceed the declared bound, every admitted job reaches a terminal, and a completion's four terms partition its admission-to-completion span exactly — accumulated across attempts |
 //! | `job-retry` | every admitted job reaches *exactly one* terminal (`JobCompleted`/`JobShed`/`JobPoisoned`); attempt numbers are dense per job (each `JobStarted` carries the last retry's attempt, each `JobRetried` increments by one, bounded by the declared `jobr` budget); retry backoffs equal the declared plan's recomputed `backoff_ns`; retries/poisonings require an armed fault plan and an in-flight job; a shed job was queued with a declared deadline that had genuinely expired; a poisoning records exactly `job_retries + 1` attempts |
-//! | `tenant-fairness` | when the header declares `tenant_weights`, dispatch order replays exactly under deficit round-robin: each `JobStarted` pops the front of the head active tenant's queue, deficits refill from weights and rotate on exhaustion, sheds consume no deficit |
+//! | `tenant-fairness` | when the header declares `tenant_weights`, dispatch order replays exactly under deficit round-robin: each `JobStarted` is the front of the ring head's line, each `JobShed` the front of its tenant's line — replayed with the serve plane's own queue type, [`Drr`], not a copy of it |
 //!
 //! Three relaxations apply when a fault plan is armed (`fault_policy`
 //! header present): `fifo-order` is skipped (watchdog retries legally
@@ -64,10 +64,11 @@
 //! recorded depth may exceed the declared bound (job retries re-enter the
 //! queue past the admission gate).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 use cellsim::event::{EventKind, MailboxKind, RunLog, SchedulerTag, SwitchReason};
 use mgps_runtime::faults::{FaultKind, FaultPlan};
+use mgps_runtime::policy::Drr;
 use mgps_runtime::tracing::TraceLog;
 
 /// What produced the log under check, selecting which invariants apply
@@ -216,14 +217,19 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
     let mut task_retry_next: HashMap<u64, u64> = HashMap::new(); // task -> expected attempt
     let mut in_quarantine: Vec<bool> = vec![false; n_spes];
 
-    // Job-plane replay state: admission is one bounded queue whose
-    // occupancy (submitted, not yet started) the checker recomputes, plus
-    // a per-tenant FIFO of pending job ids.
+    // Job-plane replay state. The admission queue is the serve plane's own
+    // policy type replayed over job ids: its length is the occupancy, its
+    // lines the within-tenant FIFO, its ring the order `tenant-fairness`
+    // holds starts and sheds to — under a `tenant_weights` header only, as
+    // old logs and equal-weight runs (which omit it) dispatch global FIFO.
     let mut jobs: BTreeMap<u64, JobState> = BTreeMap::new();
     let mut rejected_jobs: BTreeMap<u64, u64> = BTreeMap::new(); // job -> seq
-    let mut tenant_fifo: HashMap<usize, VecDeque<u64>> = HashMap::new();
-    let mut job_queue_occ: usize = 0;
+    let mut queue: Drr<u64> = Drr::new(log.tenant_weights.clone().unwrap_or_default());
     let mut job_queue_cap: Option<usize> = None;
+    let weighted = log.tenant_weights.is_some();
+    let mut fairness: Vec<Violation> = Vec::new();
+    // `JobRetried`/`JobPoisoned` records: each absorbs one lost task.
+    let mut absorbed = 0usize;
 
     for (i, e) in log.events.iter().enumerate() {
         // causal-time: dense sequence numbers, monotone timestamps. Ties are
@@ -710,15 +716,15 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
                         message: format!("job {job} admitted twice"),
                     });
                 } else {
-                    job_queue_occ += 1;
-                    tenant_fifo.entry(*tenant).or_default().push_back(*job);
+                    queue.push(*tenant, *job);
                 }
-                if *queue_depth != job_queue_occ {
+                if *queue_depth != queue.len() {
                     v.push(Violation {
                         rule: "job-lifecycle",
                         seq: Some(e.seq),
                         message: format!(
-                            "job {job} admission records queue depth {queue_depth}; the admissions and starts sum to {job_queue_occ}"
+                            "job {job} admission records queue depth {queue_depth}; the admissions and starts sum to {}",
+                            queue.len()
                         ),
                     });
                 }
@@ -756,7 +762,6 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
                         } else {
                             state.started = true;
                             state.in_flight = true;
-                            job_queue_occ = job_queue_occ.saturating_sub(1);
                         }
                         if *attempt != state.attempt {
                             v.push(Violation {
@@ -780,22 +785,35 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
                         }
                     }
                 }
-                let fifo = tenant_fifo.entry(*tenant).or_default();
-                match fifo.front() {
-                    Some(&front) if front == *job => {
-                        fifo.pop_front();
-                    }
-                    Some(&front) => {
-                        v.push(Violation {
-                            rule: "job-lifecycle",
-                            seq: Some(e.seq),
-                            message: format!(
-                                "job {job} started before job {front} of the same tenant (admission is FIFO within a tenant)"
+                // An empty line means never admitted: flagged above.
+                if let Some(&front) = queue.front(*tenant).filter(|&front| front != job) {
+                    v.push(Violation {
+                        rule: "job-lifecycle",
+                        seq: Some(e.seq),
+                        message: format!(
+                            "job {job} started before job {front} of the same tenant (admission is FIFO within a tenant)"
+                        ),
+                    });
+                }
+                let selected = queue.head().map(|t| (t, queue.front(t).copied()));
+                if selected == Some((*tenant, Some(*job))) {
+                    queue.pop();
+                } else {
+                    if weighted {
+                        let message = match selected {
+                            None => format!(
+                                "job {job} of tenant {tenant} dispatched with no queued work in the replay"
                             ),
-                        });
-                        fifo.retain(|j| j != job);
+                            Some((t, expected)) => format!(
+                                "job {job} of tenant {tenant} dispatched, but deficit round-robin over the declared weights selects job {} of tenant {t}",
+                                expected.map_or_else(|| "<none>".to_string(), |j| j.to_string()),
+                            ),
+                        };
+                        fairness.push(Violation { rule: "tenant-fairness", seq: Some(e.seq), message });
                     }
-                    None => {} // never admitted; already flagged above
+                    // Resync: drop the job that actually ran, so one bad
+                    // dispatch does not cascade into a violation per event.
+                    queue.remove(*tenant, job);
                 }
             }
             EventKind::JobCompleted {
@@ -870,12 +888,13 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
                         message: format!("job {job} rejected twice"),
                     });
                 }
-                if *queue_depth != job_queue_occ {
+                if *queue_depth != queue.len() {
                     v.push(Violation {
                         rule: "job-lifecycle",
                         seq: Some(e.seq),
                         message: format!(
-                            "job {job} rejection records queue depth {queue_depth}; the admissions and starts sum to {job_queue_occ}"
+                            "job {job} rejection records queue depth {queue_depth}; the admissions and starts sum to {}",
+                            queue.len()
                         ),
                     });
                 }
@@ -919,7 +938,6 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
                             });
                         }
                         state.terminal = Some("shed");
-                        job_queue_occ = job_queue_occ.saturating_sub(1);
                         if state.tenant != *tenant {
                             v.push(Violation {
                                 rule: "job-lifecycle",
@@ -951,7 +969,21 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
                         }
                     }
                 }
-                tenant_fifo.entry(*tenant).or_default().retain(|j| j != job);
+                // Deadline sheds happen at the front of a line.
+                if queue.front(*tenant) == Some(job) {
+                    queue.shed_front(*tenant);
+                } else {
+                    if weighted {
+                        fairness.push(Violation {
+                            rule: "tenant-fairness",
+                            seq: Some(e.seq),
+                            message: format!(
+                                "job {job} of tenant {tenant} shed out of queue order (deadline sheds happen at the head)"
+                            ),
+                        });
+                    }
+                    queue.remove(*tenant, job);
+                }
             }
             EventKind::JobRetried { job, tenant, attempt, backoff_ns } => {
                 if !armed {
@@ -999,7 +1031,6 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
                         }
                         state.attempt = *attempt;
                         state.in_flight = false;
-                        job_queue_occ += 1;
                         if let Some(p) = &plan {
                             if *attempt > u64::from(p.policy.job_retries) {
                                 v.push(Violation {
@@ -1024,9 +1055,11 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
                         }
                     }
                 }
-                tenant_fifo.entry(*tenant).or_default().push_back(*job);
+                queue.push(*tenant, *job);
+                absorbed += 1;
             }
             EventKind::JobPoisoned { job, tenant, attempts } => {
+                absorbed += 1;
                 if !armed {
                     v.push(Violation {
                         rule: "job-retry",
@@ -1117,13 +1150,8 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
         }
     }
 
-    // tenant-fairness: a log whose header declares DRR weights must
-    // dispatch exactly as deficit round-robin replays. Old logs (and
-    // equal-weight runs, which omit the header) are exempt — their global
-    // FIFO legally interleaves tenants differently.
-    if let Some(weights) = &log.tenant_weights {
-        check_tenant_fairness(log, weights, &mut report.violations);
-    }
+    // tenant-fairness findings follow the job balance in the report.
+    report.violations.extend(fairness);
 
     // Whole-log properties: every started task ended, and its chunks tile
     // the iteration space exactly once across its team.
@@ -1145,13 +1173,6 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
     // Exception: each job-plane `JobRetried`/`JobPoisoned` record absorbs
     // exactly one unresolved task — the kernel off-load whose unrecovered
     // death it answered. Only losses beyond that budget are violations.
-    let mut absorbed = log
-        .events
-        .iter()
-        .filter(|e| {
-            matches!(e.kind, EventKind::JobRetried { .. } | EventKind::JobPoisoned { .. })
-        })
-        .count();
     for task in task_faults.keys() {
         let ended = tasks.get(task).is_some_and(|t| t.ended);
         let fell_back = task_fallback.contains_key(task);
@@ -1208,118 +1229,6 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
         }
     }
     report
-}
-
-/// Replay the serve plane's deficit-round-robin dispatcher as a pure
-/// function of event order and assert every `JobStarted` agrees with it.
-///
-/// All admission-plane stamps are taken under one lock and are strictly
-/// increasing, so the merged log's event order *is* dispatcher order: the
-/// replay needs no clock reasoning. The discipline mirrored here —
-/// refill-from-weight when the head tenant's deficit is spent, one job
-/// per deficit unit, rotate on exhaustion with work left, deactivate and
-/// forfeit on empty, sheds consume no deficit — is the serve
-/// implementation's, re-derived independently from the declared weights.
-fn check_tenant_fairness(log: &RunLog, weights: &[u64], v: &mut Vec<Violation>) {
-    let weight = |t: usize| weights.get(t).copied().unwrap_or(1).max(1);
-    let mut queues: BTreeMap<usize, VecDeque<u64>> = BTreeMap::new();
-    let mut active: VecDeque<usize> = VecDeque::new();
-    let mut deficit: BTreeMap<usize, u64> = BTreeMap::new();
-    for e in &log.events {
-        match &e.kind {
-            EventKind::JobSubmitted { job, tenant, .. }
-            | EventKind::JobRetried { job, tenant, .. } => {
-                queues.entry(*tenant).or_default().push_back(*job);
-                if !active.contains(tenant) {
-                    active.push_back(*tenant);
-                }
-            }
-            EventKind::JobShed { job, tenant, .. } => {
-                let q = queues.entry(*tenant).or_default();
-                match q.front() {
-                    Some(&front) if front == *job => {
-                        q.pop_front();
-                    }
-                    _ => {
-                        v.push(Violation {
-                            rule: "tenant-fairness",
-                            seq: Some(e.seq),
-                            message: format!(
-                                "job {job} of tenant {tenant} shed out of queue order (deadline sheds happen at the head)"
-                            ),
-                        });
-                        q.retain(|j| j != job);
-                    }
-                }
-                if q.is_empty() {
-                    active.retain(|t| t != tenant);
-                    deficit.insert(*tenant, 0);
-                }
-            }
-            EventKind::JobStarted { job, tenant, .. } => {
-                // Walk the activation ring exactly as the dispatcher
-                // does: skip (and deactivate) drained head tenants,
-                // refill a spent head deficit from its weight.
-                let selected = loop {
-                    let Some(&t) = active.front() else { break None };
-                    if queues.get(&t).is_none_or(VecDeque::is_empty) {
-                        active.pop_front();
-                        deficit.insert(t, 0);
-                        continue;
-                    }
-                    if deficit.get(&t).copied().unwrap_or(0) == 0 {
-                        deficit.insert(t, weight(t));
-                    }
-                    break Some(t);
-                };
-                let Some(t) = selected else {
-                    v.push(Violation {
-                        rule: "tenant-fairness",
-                        seq: Some(e.seq),
-                        message: format!(
-                            "job {job} of tenant {tenant} dispatched with no queued work in the replay"
-                        ),
-                    });
-                    continue;
-                };
-                let expected = queues.get(&t).and_then(|q| q.front().copied());
-                if t != *tenant || expected != Some(*job) {
-                    v.push(Violation {
-                        rule: "tenant-fairness",
-                        seq: Some(e.seq),
-                        message: format!(
-                            "job {job} of tenant {tenant} dispatched, but deficit round-robin over the declared weights selects job {} of tenant {t}",
-                            expected.map_or_else(|| "<none>".to_string(), |j| j.to_string()),
-                        ),
-                    });
-                    // Resync: drop the job that actually ran so one bad
-                    // dispatch does not cascade into a violation per event.
-                    if let Some(q) = queues.get_mut(tenant) {
-                        q.retain(|j| j != job);
-                        if q.is_empty() {
-                            active.retain(|x| x != tenant);
-                            deficit.insert(*tenant, 0);
-                        }
-                    }
-                    continue;
-                }
-                let q = queues.get_mut(&t).expect("selected tenant has a queue");
-                q.pop_front();
-                let d = deficit.entry(t).or_insert(1);
-                *d = d.saturating_sub(1);
-                let exhausted = *d == 0;
-                if q.is_empty() {
-                    active.pop_front();
-                    deficit.insert(t, 0);
-                } else if exhausted {
-                    if let Some(head) = active.pop_front() {
-                        active.push_back(head);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Sanity-check a drained native trace *before* the merge: within each

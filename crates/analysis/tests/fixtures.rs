@@ -556,3 +556,144 @@ fn lethal_plan_trips_the_checker() {
         report.render()
     );
 }
+
+/// [`minimal_log`] under DRR `weights` plus a job-plane `tail`.
+fn job_story(weights: Vec<u64>, tail: Vec<(u64, EventKind)>) -> RunLog {
+    let mut log = minimal_log();
+    log.tenant_weights = Some(weights);
+    append(&mut log, tail);
+    log
+}
+
+fn expiring(job: u64, tenant: usize, queue_depth: usize) -> EventKind {
+    EventKind::JobSubmitted {
+        job,
+        tenant,
+        taxa: 8,
+        sites: 64,
+        bootstraps: 1,
+        deadline_ns: 5,
+        queue_depth,
+        queue_cap: 8,
+    }
+}
+
+fn started(job: u64, tenant: usize, attempt: u64) -> EventKind {
+    EventKind::JobStarted { job, tenant, attempt }
+}
+
+/// A completion at `at` whose one term spans the whole time since `since`.
+fn completed(at: u64, since: u64, job: u64, tenant: usize) -> (u64, EventKind) {
+    let kind = EventKind::JobCompleted {
+        job,
+        tenant,
+        t_queue_ns: at - since,
+        t_dispatch_ns: 0,
+        t_kernel_ns: 0,
+        t_reduce_ns: 0,
+    };
+    (at, kind)
+}
+
+#[test]
+fn a_deadline_shed_at_the_ring_head_consumes_no_deficit() {
+    // Weights 2:1. Tenant 0's expired front is shed, then its two units go
+    // to 61 and 62 — had the shed spent one, 70 would have come between.
+    let log = job_story(
+        vec![2, 1],
+        vec![
+            (100, expiring(60, 0, 1)),
+            (101, submitted(61, 0, 2)),
+            (102, submitted(62, 0, 3)),
+            (103, submitted(70, 1, 4)),
+            (110, EventKind::JobShed { job: 60, tenant: 0, deadline_ns: 5 }),
+            (111, started(61, 0, 0)),
+            (112, started(62, 0, 0)),
+            (113, started(70, 1, 0)),
+            completed(200, 101, 61, 0),
+            completed(201, 102, 62, 0),
+            completed(202, 103, 70, 1),
+        ],
+    );
+    let report = check_run(&log);
+    assert!(report.is_clean(), "{}", report.render());
+}
+
+#[test]
+fn a_shed_out_of_queue_order_trips_exactly_the_tenant_fairness_rule() {
+    // 61's deadline has genuinely expired, but 60 is ahead of it.
+    let log = job_story(
+        vec![2, 1],
+        vec![
+            (100, submitted(60, 0, 1)),
+            (101, expiring(61, 0, 2)),
+            (102, submitted(70, 1, 3)),
+            (110, EventKind::JobShed { job: 61, tenant: 0, deadline_ns: 5 }),
+            (111, started(60, 0, 0)),
+            (112, started(70, 1, 0)),
+            completed(200, 100, 60, 0),
+            completed(201, 102, 70, 1),
+        ],
+    );
+    assert_eq!(rules_of(&log), vec!["tenant-fairness"]);
+    assert!(check_run(&log).violations[0].message.contains("shed out of queue order"));
+}
+
+#[test]
+fn a_retried_job_rejoins_the_back_of_its_tenants_line() {
+    // Weights 2:1: 60 fails its first attempt and requeues behind 61, so
+    // tenant 0's second unit goes to 61, then 70, then 60's second try.
+    let plan = fault_plan();
+    let backoff_ns = plan.backoff_ns(60, 1);
+    let mut log = job_story(
+        vec![2, 1],
+        vec![
+            (100, submitted(60, 0, 1)),
+            (101, submitted(61, 0, 2)),
+            (102, submitted(70, 1, 3)),
+            (110, started(60, 0, 0)),
+            (120, EventKind::JobRetried { job: 60, tenant: 0, attempt: 1, backoff_ns }),
+            (121, started(61, 0, 0)),
+            (122, started(70, 1, 0)),
+            (123, started(60, 0, 1)),
+            completed(200, 101, 61, 0),
+            completed(201, 102, 70, 1),
+            completed(202, 100, 60, 0),
+        ],
+    );
+    log.fault_policy = Some(plan.to_spec());
+    let report = check_run(&log);
+    assert!(report.is_clean(), "{}", report.render());
+}
+
+#[test]
+fn each_corrupted_job_story_trips_its_lifecycle_rule() {
+    // The defects `mgps_obs::fold_jobs` used to refuse, now judged by the
+    // checker alone: an inexact span partition, lifecycle events with no
+    // admission record, and a completion after the job was shed.
+    let story = |tail: Vec<(u64, EventKind)>| {
+        let mut log = minimal_log();
+        append(&mut log, tail);
+        rules_of(&log)
+    };
+    let mut inexact = completed(200, 100, 60, 0);
+    if let EventKind::JobCompleted { t_reduce_ns, .. } = &mut inexact.1 {
+        *t_reduce_ns += 1;
+    }
+    let cases = [
+        (vec![(100, submitted(60, 0, 1)), (110, started(60, 0, 0)), inexact], vec!["job-lifecycle"]),
+        (vec![(110, started(60, 0, 0))], vec!["job-lifecycle"]),
+        (vec![completed(200, 100, 60, 0)], vec!["job-lifecycle"]),
+        (
+            vec![
+                (100, expiring(60, 0, 1)),
+                (110, EventKind::JobShed { job: 60, tenant: 0, deadline_ns: 5 }),
+                completed(200, 100, 60, 0),
+            ],
+            vec!["job-lifecycle", "job-retry"],
+        ),
+    ];
+    for (i, (tail, rules)) in cases.into_iter().enumerate() {
+        assert_eq!(story(tail), rules, "case {i}");
+    }
+}

@@ -7,9 +7,9 @@
 //! * [`params`] — blade topology and the paper's measured constants
 //!   (3.2 GHz, 2 SMT PPE contexts, 8 SPEs, 1.5 µs context switch, 10 ms
 //!   Linux quantum, 256 KB local stores, 117 KB kernel module);
-//! * [`dma`] / [`mfc`] / [`eib`] — MFC transfer legality (16 KB cap,
-//!   1/2/4/8/16n sizes, 128-bit alignment, 2,048-element lists), per-SPE
-//!   queue depth, and aggregate-bandwidth bus contention;
+//! * [`dma`] / [`eib`] — MFC transfer legality (16 KB cap, 1/2/4/8/16n
+//!   sizes, 128-bit alignment, 2,048-element lists) and aggregate-bandwidth
+//!   bus contention;
 //! * [`spe`] — per-SPE busy accounting and code-image residency;
 //! * [`workload`] — the RAxML `42_SC` workload calibrated to §5.1–5.3
 //!   (96 µs tasks, 11 µs PPE gaps, 228-iteration loops, naive/optimized/
@@ -34,7 +34,6 @@ pub mod eib;
 pub mod event;
 pub mod machine;
 pub mod mailbox;
-pub mod mfc;
 pub mod params;
 pub mod spe;
 pub mod workload;

@@ -55,8 +55,6 @@ pub struct DmaParams {
     pub eib_bandwidth: f64,
     /// Maximum outstanding EIB requests ("more than 100").
     pub max_outstanding: usize,
-    /// MFC queue depth per SPE (16 entries).
-    pub mfc_queue_depth: usize,
 }
 
 impl Default for DmaParams {
@@ -69,7 +67,6 @@ impl Default for DmaParams {
             spe_bandwidth: 25.6e9,
             eib_bandwidth: 204.8e9,
             max_outstanding: 128,
-            mfc_queue_depth: 16,
         }
     }
 }

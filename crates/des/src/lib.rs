@@ -6,8 +6,6 @@
 //! * [`time`] — integer-nanosecond simulated clock types;
 //! * [`sim`] — the event loop: a future-event list with FIFO tie-breaking,
 //!   cancellation, and bounded-horizon runs;
-//! * [`resource`] — counted resources and wait queues with explicit,
-//!   borrow-checker-friendly waiter hand-off;
 //! * [`stats`] — the busy/utilization tracker.
 //!
 //! Determinism is a design requirement, not an accident: two events
@@ -28,16 +26,12 @@
 
 #![warn(missing_docs)]
 
-pub mod calendar;
-pub mod resource;
 pub mod sim;
 pub mod stats;
 pub mod time;
 
 /// Convenient glob import for model code.
 pub mod prelude {
-    pub use crate::calendar::CalendarQueue;
-    pub use crate::resource::{Resource, WaitQueue};
     pub use crate::sim::{EventFn, EventId, Sim};
     pub use crate::stats::BusyTracker;
     pub use crate::time::{SimDuration, SimTime};

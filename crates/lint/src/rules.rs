@@ -67,6 +67,7 @@ pub const CATALOG: &[RuleMeta] = &[
             "crates/analysis/src",
             "crates/obs/src",
             "crates/cellsim/src/event.rs",
+            "crates/mgps-runtime/src/policy/drr.rs",
             "src/serve.rs",
         ],
         why: "HashMap/HashSet iteration order is randomized; digest, checker, and obs-export \

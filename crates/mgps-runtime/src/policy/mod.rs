@@ -8,6 +8,7 @@
 
 pub mod balance;
 pub mod chunk;
+pub mod drr;
 pub mod granularity;
 pub mod hybrid;
 pub mod mgps;
@@ -16,6 +17,7 @@ pub mod types;
 
 pub use balance::{LoadBalancer, LoopObservation};
 pub use chunk::partition;
+pub use drr::Drr;
 pub use granularity::{FunctionTimings, GranularityController, GranularityDecision};
 pub use hybrid::SchedulerKind;
 pub use mgps::{Directive, MgpsConfig, MgpsScheduler};

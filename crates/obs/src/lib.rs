@@ -52,7 +52,7 @@ pub use chrome::chrome_trace;
 pub use critpath::{what_if, CritStep, CriticalPath, Phase, PhaseBlame, WhatIf, WhatIfOutcome};
 pub use decisions::{decisions, DecisionRecord};
 pub use htmlkit::Page;
-pub use jobs::{fold_jobs, quantile_from_log2_buckets, JobBreakdown, JobsReport, JOB_QUANTILES};
+pub use jobs::{quantile_from_log2_buckets, JOB_QUANTILES};
 pub use live::{
     health_json, merge_health_events, parse_prometheus, prometheus_text,
     replay_health, validate_families, AlarmKind, HealthConfig, HealthDetector, HealthEvent,

@@ -9,12 +9,13 @@
 //! transfers surface as longer `dma_latency_ns` observations instead) —
 //! are *absent*, not zero: the summary carries a [`RunSource`] tag and
 //! [`ObsSummary::counter`] returns `None` for them on simulated runs, so
-//! reports render "n/a" rather than a falsely confident 0.
+//! reports render "n/a" rather than a falsely confident 0. A serve log's
+//! job events fold into the per-tenant job states `/metrics` exports.
 //!
 //! [`RunLog`]: cellsim::event::RunLog
 //! [`MetricsSink`]: mgps_runtime::MetricsSink
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use cellsim::event::{EventKind, RunLog, SwitchReason};
 use mgps_runtime::{Counter, HistKind, MetricsSnapshot};
@@ -64,6 +65,9 @@ pub struct ObsSummary {
     /// Health alarms recorded in the log as `(alarm, severity, detail)`,
     /// in event order (live runs only; see [`crate::live`]).
     pub health: Vec<(String, String, String)>,
+    /// Serve-plane jobs per tenant, `[admitted, rejected, shed,
+    /// in flight]` — the `multigrain_tenant_jobs` states (serve runs only).
+    pub tenant_jobs: BTreeMap<usize, [u64; 4]>,
     /// Counters and histograms in the schema shared with the native engine.
     pub metrics: MetricsSnapshot,
 }
@@ -85,7 +89,12 @@ impl ObsSummary {
         let mut start_at: HashMap<u64, u64> = HashMap::new();
         let mut degree = 1usize;
         let mut health = Vec::new();
+        let mut tenant_jobs: BTreeMap<usize, [u64; 4]> = BTreeMap::new();
         for e in &log.events {
+            if let Some((tenant, state, enters)) = tenant_job_state(&e.kind) {
+                let n = &mut tenant_jobs.entry(tenant).or_default()[state];
+                *n = if enters { *n + 1 } else { n.saturating_sub(1) };
+            }
             match &e.kind {
                 EventKind::Offload { task, .. } => {
                     m.bump(Counter::Offloads, 1);
@@ -153,6 +162,7 @@ impl ObsSummary {
             phase_totals: phases.totals(),
             decisions,
             health,
+            tenant_jobs,
             metrics: m,
         }
     }
@@ -206,7 +216,7 @@ impl ObsSummary {
                 ])
             })
             .collect::<Vec<_>>();
-        Value::object(vec![
+        let mut fields = vec![
             ("scheduler", self.scheduler.as_str().into()),
             ("seed", self.seed.into()),
             ("n_spes", self.n_spes.into()),
@@ -241,7 +251,20 @@ impl ObsSummary {
             ),
             ("counters", Value::Object(counters)),
             ("histograms", Value::Object(hists)),
-        ])
+        ];
+        if !self.tenant_jobs.is_empty() {
+            let tenants = self.tenant_jobs.iter().map(|(&t, &[a, r, s, f])| {
+                Value::object(vec![
+                    ("tenant", t.into()),
+                    ("admitted", a.into()),
+                    ("rejected", r.into()),
+                    ("shed", s.into()),
+                    ("inflight", f.into()),
+                ])
+            });
+            fields.push(("tenant_jobs", Value::Array(tenants.collect())));
+        }
+        Value::object(fields)
     }
 
     /// A human-readable multi-line rendering (deterministic).
@@ -271,6 +294,11 @@ impl ObsSummary {
                 None => s.push_str(&format!("  {}: n/a (not observable in simulation)\n", c.name())),
             }
         }
+        for (t, [a, r, sh, f]) in &self.tenant_jobs {
+            s.push_str(&format!(
+                "tenant {t} jobs: admitted {a} rejected {r} shed {sh} inflight {f}\n"
+            ));
+        }
         if !self.health.is_empty() {
             s.push_str(&format!("health alarms ({}):\n", self.health.len()));
             for (alarm, severity, detail) in &self.health {
@@ -298,6 +326,23 @@ impl ObsSummary {
         }
         s
     }
+}
+
+/// The `multigrain_tenant_jobs` state (`[admitted, rejected, shed, in
+/// flight]` index) a job event moves for its tenant, and whether the job
+/// enters it or — a retried, poisoned or completed job leaving flight —
+/// leaves it.
+fn tenant_job_state(kind: &EventKind) -> Option<(usize, usize, bool)> {
+    Some(match kind {
+        EventKind::JobSubmitted { tenant, .. } => (*tenant, 0, true),
+        EventKind::JobRejected { tenant, .. } => (*tenant, 1, true),
+        EventKind::JobShed { tenant, .. } => (*tenant, 2, true),
+        EventKind::JobStarted { tenant, .. } => (*tenant, 3, true),
+        EventKind::JobRetried { tenant, .. }
+        | EventKind::JobPoisoned { tenant, .. }
+        | EventKind::JobCompleted { tenant, .. } => (*tenant, 3, false),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -446,6 +491,50 @@ mod tests {
         assert_eq!(native.counter(Counter::MailboxStalls), Some(0));
         assert!(native.to_value().to_json().contains("\"mailbox_stalls\":0"));
         assert!(!native.render_text().contains("n/a"));
+    }
+
+    #[test]
+    fn job_events_fold_into_the_tenant_job_states() {
+        let mut log = small_log();
+        let submitted = |job, tenant| EventKind::JobSubmitted {
+            job,
+            tenant,
+            taxa: 8,
+            sites: 64,
+            bootstraps: 1,
+            deadline_ns: 0,
+            queue_depth: 1,
+            queue_cap: 4,
+        };
+        for kind in [
+            submitted(1, 0),
+            submitted(2, 1),
+            EventKind::JobRejected { job: 3, tenant: 1, queue_depth: 2, queue_cap: 2 },
+            EventKind::JobStarted { job: 1, tenant: 0, attempt: 0 },
+            EventKind::JobRetried { job: 1, tenant: 0, attempt: 1, backoff_ns: 5 },
+            EventKind::JobShed { job: 2, tenant: 1, deadline_ns: 20 },
+            EventKind::JobStarted { job: 1, tenant: 0, attempt: 1 },
+        ] {
+            log.events.push(EventRecord { seq: log.events.len() as u64, at_ns: 200, kind });
+        }
+        let s = ObsSummary::from_log_with_source(&log, RunSource::Native);
+        assert_eq!(s.tenant_jobs, BTreeMap::from([(0, [1, 0, 0, 1]), (1, [1, 1, 1, 0])]));
+        let kind = EventKind::JobCompleted {
+            job: 1,
+            tenant: 0,
+            t_queue_ns: 70,
+            t_dispatch_ns: 0,
+            t_kernel_ns: 0,
+            t_reduce_ns: 0,
+        };
+        log.events.push(EventRecord { seq: log.events.len() as u64, at_ns: 270, kind });
+        let s = ObsSummary::from_log_with_source(&log, RunSource::Native);
+        assert_eq!(s.tenant_jobs[&0], [1, 0, 0, 0], "a completion leaves flight");
+        let json = s.to_value().to_json();
+        assert!(json.contains(r#"{"tenant":1,"admitted":1,"rejected":1,"shed":1,"inflight":0}"#));
+        assert!(s.render_text().contains("tenant 0 jobs: admitted 1 rejected 0 shed 0 inflight 0"));
+        // A run with no job plane renders none of it.
+        assert!(!ObsSummary::from_log(&small_log()).to_value().to_json().contains("tenant_jobs"));
     }
 
     #[test]

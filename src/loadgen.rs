@@ -8,9 +8,13 @@
 //! quantiles interesting without unbounded outliers.
 //!
 //! One invocation evaluates the same seeded traffic at five rate
-//! multipliers (0.25×/0.5×/1×/2×/4×) through a deterministic W-server
-//! bounded-admission-queue model — the same FIFO/queue-cap semantics the
-//! serve plane enforces on `POST /jobs` — and writes two artifacts:
+//! multipliers (0.25×/0.5×/1×/2×/4×) through a deterministic model of W
+//! servers draining one global FIFO queue, bounded at `queue_cap` — serve's
+//! global cap (`--job-queue`) at its default, with no per-tenant cap or
+//! shedding watermark — and writes two artifacts. The model approximates
+//! serve; it is not serve's dispatcher, which has been deficit round-robin
+//! over per-tenant lines since commit 8887983
+//! ([`mgps_runtime::policy::Drr`]). The artifacts:
 //!
 //! * the `mgps-loadtest/v1` JSON document, and
 //! * a self-contained HTML report (per-tenant latency CDFs, a
@@ -72,10 +76,12 @@ pub struct LoadgenConfig {
     pub workers: usize,
     /// Admission-queue bound — matches `serve --job-queue`.
     pub queue_cap: usize,
-    /// Per-tenant DRR weights — matches `serve --tenant-weights`. Empty
-    /// means equal weights. The fairness verdict normalizes each tenant's
-    /// admitted share by its weight, so a 4:1 split serving tenant 0 four
-    /// jobs for every one of tenant 1 scores as perfectly fair.
+    /// Per-tenant weights, as `serve --tenant-weights` takes them; empty
+    /// means equal. They only normalize the fairness verdict — each
+    /// tenant's admitted share is divided by its weight, so a 4:1 split
+    /// serving tenant 0 four jobs for every one of tenant 1 scores as
+    /// perfectly fair. The global-FIFO model dispatches the same way
+    /// whatever they are.
     pub tenant_weights: Vec<u64>,
 }
 

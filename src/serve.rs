@@ -28,9 +28,10 @@
 //! # Surviving overload
 //!
 //! Dispatch is *deficit round-robin* over per-tenant queues
-//! (`--tenant-weights`): each active tenant in turn gets a deficit
-//! refill equal to its weight and dispatches one job per deficit unit,
-//! so a tenant's long-run dispatch share tracks its weight and no
+//! (`--tenant-weights`), held in one [`Drr`] — the pure policy type the
+//! checker replays from the log: each active tenant in turn gets a
+//! deficit refill equal to its weight and dispatches one job per deficit
+//! unit, so a tenant's long-run dispatch share tracks its weight and no
 //! nonempty tenant waits forever (the `tenant-starvation` alarm fires
 //! if one does). Above the load-shedding watermark
 //! (`--shed-watermark`), lighter tenants see a proportionally smaller
@@ -75,7 +76,7 @@
 //!
 //! [`EventKind::Health`]: cellsim::event::EventKind::Health
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
@@ -96,7 +97,7 @@ use mgps_runtime::native::{
     LoopBody, LoopSite, MgpsRuntime, OffloadError, ProcessCtx, RuntimeConfig, SpeContext,
 };
 use mgps_runtime::FaultPlan;
-use mgps_runtime::policy::{KernelKind, SchedulerKind};
+use mgps_runtime::policy::{Drr, KernelKind, SchedulerKind};
 use mgps_runtime::tracing::TraceHandle;
 use mgps_runtime::{AtomicMetrics, SnapshotSource, Tracer};
 use minijson::Value;
@@ -335,6 +336,14 @@ struct PendingJob {
     acc_kernel_ns: u64,
 }
 
+impl PendingJob {
+    /// The job declared a deadline and it has passed by `now_ns`.
+    fn expired(&self, now_ns: u64) -> bool {
+        let deadline = self.spec.deadline_ns;
+        deadline != 0 && now_ns >= self.submitted_ns.saturating_add(deadline)
+    }
+}
+
 /// Cumulative per-tenant admission accounting: the `/metrics`
 /// `multigrain_tenant_jobs` gauges and the starvation detector's
 /// dispatch progress signal both read from here.
@@ -364,29 +373,13 @@ fn record_job(ring: &TraceHandle, at_ns: u64, kind: EventKind) -> String {
 /// that records admission decisions. All `JobSubmitted` / `JobStarted` /
 /// `JobRejected` / `JobShed` / `JobRetried` / `JobPoisoned` stamps are
 /// taken while holding this lock and are strictly increasing, so the
-/// merged log's order *is* scheduler order and the checker's
-/// occupancy/FIFO/deficit-round-robin replay is exact.
+/// merged log's order *is* scheduler order and the checker's replay of
+/// the same [`Drr`] is exact.
 struct JobQueue {
-    /// Per-tenant FIFO queues; a tenant's entry may be empty (tenants
-    /// are never forgotten once seen, their stats persist).
-    tenants: BTreeMap<usize, VecDeque<PendingJob>>,
-    /// Tenants with queued jobs, in activation order — the DRR ring.
-    active: VecDeque<usize>,
-    /// Remaining deficit per tenant. Nonzero only while a tenant sits
-    /// at the ring's head: deactivation forfeits the remainder.
-    deficit: BTreeMap<usize, u64>,
-    /// Dispatch weights, indexed by tenant (1 beyond the end).
-    weights: Vec<u64>,
-    /// Total queued jobs across all tenants.
-    depth: usize,
-    cap: usize,
-    /// Per-tenant queue-depth cap.
-    tenant_cap: usize,
-    /// Total depth at which weight-scaled shedding begins; `== cap`
-    /// means shedding is off and every tenant sees the full cap.
-    watermark: usize,
-    /// Largest configured weight (≥ 1), the shedding scale's top end.
-    max_weight: u64,
+    /// The deficit-round-robin queue: per-tenant lines, the activation
+    /// ring, deficits, weights, and the weighted admission bound.
+    drr: Drr<PendingJob>,
+    /// Per-tenant accounting; tenants are never forgotten once seen.
     stats: BTreeMap<usize, TenantStats>,
     admit: TraceHandle,
     id: Lcg,
@@ -417,98 +410,30 @@ impl JobQueue {
         id
     }
 
-    fn weight(&self, tenant: usize) -> u64 {
-        self.weights.get(tenant).copied().unwrap_or(1).max(1)
-    }
-
-    /// Mark a tenant as having queued work, preserving activation order.
-    fn activate(&mut self, tenant: usize) {
-        if !self.active.contains(&tenant) {
-            self.active.push_back(tenant);
-        }
-    }
-
-    /// This tenant's admission cap under the shedding watermark: the
-    /// full cap at the maximum weight, linearly less for lighter
-    /// tenants — so once total depth crosses the watermark, the
-    /// lowest-weight tenants are refused first. With the watermark at
-    /// the cap (the default) every tenant sees the full cap and
-    /// admission behaves exactly as the pre-fair-share FIFO did.
-    fn effective_cap(&self, tenant: usize) -> usize {
-        let span = (self.cap - self.watermark) as u64;
-        self.watermark + ((span * self.weight(tenant)) / self.max_weight) as usize
-    }
-
     /// Nothing queued and nothing in flight: what the drain waits for.
     fn quiescent(&self) -> bool {
-        self.depth == 0 && self.in_flight == 0
+        self.drr.is_empty() && self.in_flight == 0
     }
 
-    /// Queued depth of one tenant.
-    fn tenant_depth(&self, tenant: usize) -> usize {
-        self.tenants.get(&tenant).map_or(0, VecDeque::len)
-    }
-
-    /// Pop the next job under deficit round-robin, shedding
-    /// expired-deadline jobs (with `JobShed` records and journal lines)
-    /// as they surface at the ring head. Returns the job and its
-    /// `JobStarted` stamp; the caller records the start.
-    ///
-    /// The ring discipline — refill an exhausted head deficit from the
-    /// weight, one job per deficit unit, rotate on exhaustion,
-    /// deactivate-and-forfeit on empty — is replayed verbatim by the
-    /// checker's `tenant-fairness` rule, so any drift between this loop
-    /// and the replay is a caught defect, not a silent one.
+    /// Pop the next job under deficit round-robin, first shedding the
+    /// expired jobs at the head's front (with `JobShed` records and
+    /// journal lines). Returns the job and its `JobStarted` stamp; the
+    /// caller records the start.
     fn drr_pop(&mut self, now_ns: u64, journal: &mut Vec<String>) -> Option<(PendingJob, u64)> {
-        loop {
-            let tenant = *self.active.front()?;
-            if self.deficit.get(&tenant).copied().unwrap_or(0) == 0 {
-                let w = self.weight(tenant);
-                self.deficit.insert(tenant, w);
-            }
-            // Shed every expired job at this tenant's front before
-            // dispatching: sheds consume no deficit.
-            loop {
-                let expired = self.tenants.get(&tenant).and_then(VecDeque::front).is_some_and(
-                    |front| {
-                        let deadline = front.spec.deadline_ns;
-                        deadline != 0 && now_ns >= front.submitted_ns.saturating_add(deadline)
-                    },
-                );
-                if !expired {
-                    break;
-                }
-                let Some(job) = self.tenants.get_mut(&tenant).and_then(VecDeque::pop_front)
-                else {
-                    break;
-                };
-                let deadline = job.spec.deadline_ns;
-                self.depth -= 1;
-                self.stats.entry(tenant).or_default().shed += 1;
+        while let Some(tenant) = self.drr.head() {
+            if !self.drr.front(tenant).is_some_and(|job| job.expired(now_ns)) {
+                let (_, job) = self.drr.pop()?;
                 let at = self.stamp(now_ns);
-                let shed = EventKind::JobShed { job: job.job, tenant, deadline_ns: deadline };
-                journal.push(record_job(&self.admit, at, shed));
+                return Some((job, at));
             }
-            let Some(job) = self.tenants.get_mut(&tenant).and_then(VecDeque::pop_front) else {
-                // Shed dry: leave the ring and forfeit the deficit.
-                self.active.pop_front();
-                self.deficit.insert(tenant, 0);
-                continue;
-            };
-            self.depth -= 1;
-            let d = self.deficit.entry(tenant).or_insert(1);
-            *d -= 1;
-            let exhausted = *d == 0;
-            if self.tenant_depth(tenant) == 0 {
-                self.active.pop_front();
-                self.deficit.insert(tenant, 0);
-            } else if exhausted {
-                // Quantum spent with work left: head goes to the back.
-                self.active.rotate_left(1);
-            }
+            let Some(job) = self.drr.shed_front(tenant) else { break };
+            self.stats.entry(tenant).or_default().shed += 1;
             let at = self.stamp(now_ns);
-            return Some((job, at));
+            let shed =
+                EventKind::JobShed { job: job.job, tenant, deadline_ns: job.spec.deadline_ns };
+            journal.push(record_job(&self.admit, at, shed));
         }
+        None
     }
 }
 
@@ -520,15 +445,15 @@ impl JobQueue {
 /// Nothing here waits for a timer; every wait names the event that ends
 /// it, and every such event happens under the lock the waiter holds:
 ///
-/// * an **idle worker** waits on `work` (outside the PPE gate) while
-///   `depth == 0 && !draining && !stop`. [`Shared::admit`] and the requeue
-///   in [`Shared::retry_or_poison`] raise `depth` under `jobs` and
+/// * an **idle worker** waits on `work` (outside the PPE gate) while the
+///   queue is empty, `!draining` and `!stop`. [`Shared::admit`] and the
+///   requeue in [`Shared::retry_or_poison`] push under `jobs` and
 ///   `notify_one`; the drain flip and the stop flip
 ///   ([`Shared::drain_then_stop`]) happen under `jobs` and `notify_all`.
-/// * the **drain waiter** waits on `quiet` until `depth == 0 &&
-///   in_flight == 0`. [`Shared::leave_flight`] lowers `in_flight` and
-///   [`Shared::pop_job`] lowers `depth` (a pop can shed expired jobs and
-///   start none), both under `jobs`, and each notifies when that leaves
+/// * the **drain waiter** waits on `quiet` until the queue is empty and
+///   `in_flight == 0`. [`Shared::leave_flight`] lowers `in_flight` and
+///   [`Shared::pop_job`] empties the queue (a pop can shed expired jobs
+///   and start none), both under `jobs`, and each notifies when that leaves
 ///   both at zero during a drain ([`Shared::tell_drain`]).
 /// * the **telemetry thread** waits on `quiet` for one period at a time,
 ///   cut short by the stop flip.
@@ -591,19 +516,14 @@ enum Verdict {
 
 impl Shared {
     fn new(cfg: &ServeConfig, tracer: &Arc<Tracer>) -> Shared {
-        let cap = cfg.job_queue.max(1);
         Shared {
             stop: AtomicBool::new(false),
             jobs: Mutex::new(JobQueue {
-                tenants: BTreeMap::new(),
-                active: VecDeque::new(),
-                deficit: BTreeMap::new(),
-                max_weight: cfg.tenant_weights.iter().copied().max().unwrap_or(1).max(1),
-                weights: cfg.tenant_weights.clone(),
-                depth: 0,
-                cap,
-                tenant_cap: cfg.tenant_queue.unwrap_or(cap).max(1),
-                watermark: cfg.shed_watermark.unwrap_or(cap).min(cap),
+                drr: Drr::new(cfg.tenant_weights.clone()).bounded(
+                    cfg.job_queue,
+                    cfg.shed_watermark,
+                    cfg.tenant_queue,
+                ),
                 stats: BTreeMap::new(),
                 admit: tracer.handle(),
                 id: Lcg(cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1),
@@ -644,9 +564,9 @@ impl Shared {
 
     /// Decide one `POST /jobs`: admit, refuse (over this tenant's cap), or
     /// refuse (draining), stamping the decision under the queue lock — see
-    /// [`JobQueue`]. The cap a tenant is judged against shrinks with its
-    /// weight once total depth crosses the shedding watermark, so the
-    /// lowest-weight tenants are turned away first under pressure. An
+    /// [`JobQueue`]. The bound is [`Drr::admits`]: a tenant's cap shrinks
+    /// with its weight once the queue crosses the shedding watermark, so
+    /// the lowest-weight tenants are turned away first under pressure. An
     /// admission wakes one idle worker.
     fn admit(&self, spec: JobSpec) -> Verdict {
         let verdict = {
@@ -655,12 +575,10 @@ impl Shared {
                 // Draining refusals record nothing: the final log describes
                 // the run's admitted work, and a drain admits none.
                 Verdict::Draining
-            } else if q.depth >= q.effective_cap(spec.tenant)
-                || q.tenant_depth(spec.tenant) >= q.tenant_cap
-            {
+            } else if !q.drr.admits(spec.tenant) {
                 let at = q.stamp(self.tracer.now_ns());
                 let job = q.next_id();
-                let (depth, cap) = (q.depth, q.cap);
+                let (depth, cap) = (q.drr.len(), q.drr.cap());
                 q.stats.entry(spec.tenant).or_default().rejected += 1;
                 let rejected = EventKind::JobRejected {
                     job,
@@ -673,7 +591,7 @@ impl Shared {
             } else {
                 let at = q.stamp(self.tracer.now_ns());
                 let job = q.next_id();
-                q.tenants.entry(spec.tenant).or_default().push_back(PendingJob {
+                q.drr.push(spec.tenant, PendingJob {
                     job,
                     spec,
                     submitted_ns: at,
@@ -683,10 +601,8 @@ impl Shared {
                     acc_dispatch_ns: 0,
                     acc_kernel_ns: 0,
                 });
-                q.depth += 1;
-                q.activate(spec.tenant);
                 q.stats.entry(spec.tenant).or_default().admitted += 1;
-                let (depth, cap) = (q.depth, q.cap);
+                let (depth, cap) = (q.drr.len(), q.drr.cap());
                 let submitted = EventKind::JobSubmitted {
                     job,
                     tenant: spec.tenant,
@@ -752,7 +668,7 @@ impl Shared {
     /// process that sleeps on a context keeps it from one with work.
     fn wait_for_work(&self) {
         let mut q = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        while q.depth == 0 && !q.draining && !self.stopped() {
+        while q.drr.is_empty() && !q.draining && !self.stopped() {
             q = self.work.wait(q).unwrap_or_else(|e| e.into_inner());
         }
     }
@@ -769,8 +685,8 @@ impl Shared {
     }
 
     /// Wake the drain waiter if the queue, whose lock the caller holds,
-    /// just ran dry under a drain. Everything that lowers `depth` or
-    /// `in_flight` ends with this.
+    /// just ran dry under a drain. Everything that empties the queue or
+    /// lowers `in_flight` ends with this.
     fn tell_drain(&self, q: &JobQueue) {
         if q.draining && q.quiescent() {
             self.quiet.notify_all();
@@ -849,9 +765,7 @@ impl Shared {
             // The next queue wait starts at the failure instant, so the
             // backoff sleep is accounted as queue time.
             job.enqueued_ns = fail_ns;
-            q.tenants.entry(tenant).or_default().push_back(job);
-            q.depth += 1;
-            q.activate(tenant);
+            q.drr.push(tenant, job);
             journal_line
         };
         self.work.notify_one();
@@ -1337,11 +1251,7 @@ fn telemetry_tick(
             .collect();
         let mut starved: Vec<usize> = Vec::new();
         let mut next: BTreeMap<usize, (usize, u64)> = BTreeMap::new();
-        for (&t, queue) in &q.tenants {
-            let depth = queue.len();
-            if depth == 0 {
-                continue;
-            }
+        for (t, depth) in q.drr.tenant_lens() {
             let dispatched = q.stats.get(&t).map(|st| st.dispatched).unwrap_or(0);
             if let Some(&(prev_depth, prev_dispatched)) = starve.get(&t) {
                 if prev_depth > 0 && prev_dispatched == dispatched {
@@ -2123,7 +2033,7 @@ mod tests {
                                     // dry, so the next admission finds the
                                     // workers idle (or about to be) again.
                                     while round % 2 == 1
-                                        && shared.jobs.lock().unwrap().depth > 0
+                                        && !shared.jobs.lock().unwrap().drr.is_empty()
                                     {
                                         std::thread::yield_now();
                                     }
@@ -2164,7 +2074,7 @@ mod tests {
                     // requeues and idle workers are being woken for them.
                     shared.drain_then_stop();
                     let q = shared.jobs.lock().unwrap();
-                    assert_eq!((q.depth, q.in_flight), (0, 0), "round {round}: stop before dry");
+                    assert_eq!((q.drr.len(), q.in_flight), (0, 0), "round {round}: stop before dry");
                     admitted
                 });
                 let mut popped = ran.lock().unwrap().clone();
@@ -2206,6 +2116,39 @@ mod tests {
                 assert_eq!(ran.len() + shed, 1 + expired, "round {round}: run or shed, once");
             }
         });
+    }
+
+    #[test]
+    fn pop_job_dispatches_in_drr_order_and_journals_a_head_shed_before_the_next_start() {
+        let cfg = ServeConfig { job_queue: 16, tenant_weights: vec![3, 1], ..ServeConfig::default() };
+        let shared = Shared::new(&cfg, &Tracer::new(cfg.ring_capacity));
+        // Tenant 0's first job expires at once; the rest carry no deadline.
+        let expired = admit_spec(&shared, JobSpec { deadline_ns: 1, ..JobSpec::parse("") })
+            .expect("not draining");
+        let zero: Vec<u64> = (0..4).filter_map(|_| admit_one(&shared, 0)).collect();
+        let one: Vec<u64> = (0..3).filter_map(|_| admit_one(&shared, 1)).collect();
+        let mut popped = Vec::new();
+        while let Popped::Job(job, _) = shared.pop_job() {
+            popped.push(job.job);
+            shared.leave_flight(job.spec.tenant);
+        }
+        // Weights 3:1 — three of tenant 0, one of tenant 1, tenant 0's
+        // last, then tenant 1 alone; the shed consumed no deficit.
+        let want = [zero[0], zero[1], zero[2], one[0], zero[3], one[1], one[2]];
+        assert_eq!(popped, want);
+        let q = shared.jobs.lock().unwrap();
+        assert_eq!((q.stats[&0].shed, q.stats[&0].dispatched, q.stats[&1].dispatched), (1, 4, 3));
+        assert!(q.quiescent());
+        drop(q);
+        let journal = shared.journal.lock().unwrap();
+        let shed = journal.iter().position(|l| l.contains("\"job_shed\""));
+        let first_start = journal.iter().position(|l| l.contains("\"job_started\""));
+        assert!(shed < first_start, "the shed is journaled before the next start");
+        assert!(journal[shed.unwrap()].contains(&format!("\"job\":{expired},")));
+        let started: Vec<&String> = journal.iter().filter(|l| l.contains("\"job_started\"")).collect();
+        for (line, job) in started.iter().zip(want) {
+            assert!(line.contains(&format!("\"job\":{job},")), "{line}");
+        }
     }
 
     #[test]

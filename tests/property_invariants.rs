@@ -208,49 +208,3 @@ proptest! {
         prop_assert_eq!(tree.bipartitions(), before);
     }
 }
-
-proptest! {
-    /// The calendar queue pops in exactly (time, insertion) order for any
-    /// interleaving of pushes and pops — equivalent to a sorted reference.
-    #[test]
-    fn calendar_queue_equals_reference(
-        ops in prop::collection::vec((0u64..100_000, prop::bool::weighted(0.35)), 1..400),
-    ) {
-        use std::collections::BTreeMap;
-        let mut q: des::calendar::CalendarQueue<u64> = des::calendar::CalendarQueue::new(64);
-        let mut reference: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-        let mut seq = 0u64;
-        let mut floor = 0u64; // times already popped; pushes must not precede
-        for (t, is_pop) in ops {
-            if is_pop {
-                let got = q.pop();
-                let want = reference.pop_first();
-                match (got, want) {
-                    (None, None) => {}
-                    (Some((at, v)), Some(((wt, _), wv))) => {
-                        prop_assert_eq!(at.as_nanos(), wt);
-                        prop_assert_eq!(v, wv);
-                        floor = wt;
-                    }
-                    other => prop_assert!(false, "mismatch: {:?}", other),
-                }
-            } else {
-                let t = floor + t; // keep pushes at/after the popped floor
-                q.push(SimTime(t), seq);
-                reference.insert((t, seq), seq);
-                seq += 1;
-            }
-        }
-        // Drain both.
-        loop {
-            match (q.pop(), reference.pop_first()) {
-                (None, None) => break,
-                (Some((at, v)), Some(((wt, _), wv))) => {
-                    prop_assert_eq!(at.as_nanos(), wt);
-                    prop_assert_eq!(v, wv);
-                }
-                other => prop_assert!(false, "drain mismatch: {:?}", other),
-            }
-        }
-    }
-}
