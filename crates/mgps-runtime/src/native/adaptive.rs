@@ -587,7 +587,7 @@ impl ProcessCtx<'_> {
         let near = &mut self.last_spe;
         self.token.offload_traced(trace.map(|t| (t, proc)), || {
             let tt = trace.map(|handle| TraceTask { handle, proc, task: task.0 });
-            rt.runner.parallel_reduce_near(site, degree, body, tt, near).map(|(acc, _)| acc)
+            rt.runner.parallel_reduce_near(site, degree, body, tt, near)
         })
     }
 
@@ -1157,16 +1157,20 @@ mod tests {
     fn a_multi_round_loop_is_one_offload_to_every_counter() {
         use super::super::team::relay::Relay;
         use crate::metrics::AtomicMetrics;
-        for (scheduler, jobs) in [
-            (SchedulerKind::Edtlp, 1),
+        let four_way = SchedulerKind::StaticHybrid { spes_per_loop: 4 };
+        for (scheduler, wake, jobs) in [
+            (SchedulerKind::Edtlp, None, 1),
             // The first round's team and the one held for the rest.
-            (SchedulerKind::StaticHybrid { spes_per_loop: 4 }, 8),
+            (four_way, Some(true), 8),
+            // The master alone, every round.
+            (four_way, Some(false), 1),
         ] {
             let metrics = Arc::new(AtomicMetrics::new());
             let rt = MgpsRuntime::with_metrics(
                 RuntimeConfig::cell(scheduler),
                 Arc::<AtomicMetrics>::clone(&metrics),
             );
+            rt.runner.pin(wake);
             let mut ctx = rt.enter_process();
             for n in 1..=20 {
                 let body = Arc::new(Relay::new(64, 4));
@@ -1177,7 +1181,7 @@ mod tests {
             drop(ctx);
             assert_eq!(metrics.snapshot().hist_count(HistKind::TaskDurNs), 20);
             let tasks_run: u64 = rt.shutdown().iter().map(|s| s.tasks_run).sum();
-            assert_eq!(tasks_run, 20 * jobs, "{scheduler:?}");
+            assert_eq!(tasks_run, 20 * jobs, "{scheduler:?}, woken: {wake:?}");
         }
     }
 

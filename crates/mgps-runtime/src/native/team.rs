@@ -23,6 +23,18 @@
 //! the last finisher wakes it only if it did park. Partials are merged in
 //! chunk order, so a loop's result does not depend on who finished first.
 //!
+//! # Waking the team only when it pays
+//!
+//! Before it reserves anything, a loop site asks its balancer whether
+//! waking workers pays ([`LoadBalancer::wake`]: §5.2's test one level down,
+//! the team's cheapest invocation against the master's cheapest alone). If
+//! it does not, the invocation reserves the master SPE only, wakes nobody,
+//! and the master runs every chunk of the same tiling — the `Round` above
+//! with no worker in it, merged in the same chunk order, so the result has
+//! the same bits either way — and every round of a body that asks for
+//! more. The trace names the SPEs reserved: `TaskStart`'s team is the
+//! master alone, and every `Chunk` names it.
+//!
 //! # More than one round
 //!
 //! A loop whose next pass consumes this pass's reduction — §5.3's reason
@@ -55,7 +67,7 @@ use super::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 use super::context::SpeContext;
 use super::pool::{OffloadError, SpePool};
 use crate::events::EventKind;
-use crate::policy::balance::{LoadBalancer, LoopObservation};
+use crate::policy::balance::{LoadBalancer, LoopCost, LoopObservation};
 use crate::policy::chunk::partition;
 use crate::policy::SpeId;
 use crate::tracing::TraceHandle;
@@ -291,13 +303,16 @@ impl<B: LoopBody> Round<B> {
 
     /// The master's job: chunk 0, then every chunk still unclaimed, in
     /// index order; their partials go to `taken[i]`. Returns chunk 0's
-    /// partial and the instant the master ran out of chunks to run.
+    /// partial, the time it took, ns, and the instant the master ran out
+    /// of chunks to run.
     fn master_share(
         &self,
         taken: &mut [Option<B::Acc>],
         ctx: &mut SpeContext,
-    ) -> (B::Acc, Instant) {
+    ) -> (B::Acc, u64, Instant) {
+        let started = Instant::now();
         let first = self.run(0, ctx);
+        let chunk0_ns = started.elapsed().as_nanos() as u64;
         for (i, slot) in taken.iter_mut().enumerate().skip(1) {
             if self.claim(i) {
                 // A chunk finds the data region as empty as it would have
@@ -306,7 +321,7 @@ impl<B: LoopBody> Round<B> {
                 *slot = Some(self.run(i, ctx));
             }
         }
-        (first, Instant::now())
+        (first, chunk0_ns, Instant::now())
     }
 
     /// Block until the chunks the master did not run — it ran `ran` — are
@@ -424,19 +439,8 @@ impl<B: LoopBody> Round<B> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LoopSite(pub u64);
 
-/// Timing of one team invocation: what its site's balancer is fed.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct TeamTiming {
-    /// Wall time of the whole invocation, ns.
-    pub loop_ns: u64,
-    /// Master idle time waiting for the slowest worker, ns.
-    pub master_idle_ns: u64,
-    /// Mean worker idle time relative to the slowest finisher, ns.
-    pub mean_worker_idle_ns: u64,
-}
-
-/// Executes work-shared loops on a pool, with per-site adaptive master
-/// bias.
+/// Executes work-shared loops on a pool, with a per-site wake verdict and
+/// adaptive master bias.
 pub struct TeamRunner {
     pool: Arc<SpePool>,
     balancers: Mutex<HashMap<LoopSite, LoadBalancer>>,
@@ -444,6 +448,9 @@ pub struct TeamRunner {
     /// in `fetch_data()`); zero disables the stall.
     worker_startup: Duration,
     invocations: AtomicU64,
+    /// Overrides every site's wake verdict while set ([`Self::pin`]).
+    #[cfg(any(test, loom))]
+    pinned: Mutex<Option<bool>>,
 }
 
 impl TeamRunner {
@@ -454,7 +461,18 @@ impl TeamRunner {
             balancers: Mutex::new(HashMap::new()),
             worker_startup,
             invocations: AtomicU64::new(0),
+            #[cfg(any(test, loom))]
+            pinned: Mutex::new(None),
         }
+    }
+
+    /// Test hook: from now on every loop site wakes its team (`Some(true)`)
+    /// or runs every chunk on its master (`Some(false)`), whatever its
+    /// measurements say; `None` hands the verdict back to them. For the
+    /// tests whose schedule or job count needs one or the other.
+    #[cfg(any(test, loom))]
+    pub fn pin(&self, wake: Option<bool>) {
+        *self.pinned.lock() = wake;
     }
 
     /// The underlying pool.
@@ -476,9 +494,10 @@ impl TeamRunner {
     /// result. `degree == 1` degrades to a plain single-SPE off-load.
     ///
     /// Blocks the calling thread until the loop completes; at `degree > 1`
-    /// it is the team's master and runs chunks itself (see the module
-    /// doc). The caller is a worker process whose PPE context handling is
-    /// the [`super::gate::PpeGate`]'s concern, not ours.
+    /// it is the team's master and runs chunks itself — all of them when
+    /// `site`'s measurements say waking workers does not pay (see the
+    /// module doc). The caller is a worker process whose PPE context
+    /// handling is the [`super::gate::PpeGate`]'s concern, not ours.
     ///
     /// # Errors
     /// Propagates [`OffloadError::TaskPanicked`] if any team member
@@ -504,14 +523,13 @@ impl TeamRunner {
         body: Arc<B>,
         trace: Option<TraceTask<'_>>,
     ) -> Result<B::Acc, OffloadError> {
-        self.parallel_reduce_near(site, degree, body, trace, &mut None).map(|(acc, _)| acc)
+        self.parallel_reduce_near(site, degree, body, trace, &mut None)
     }
 
-    /// The loop under both entry points above, also returning the
-    /// invocation's timing. `near` is the caller's SPE affinity for
-    /// single-SPE off-loads: the SPE that ran its previous one is preferred
-    /// (see `SpePool::offload_near`) and the one that ran this one is
-    /// written back. Teams neither read nor write it.
+    /// The loop under both entry points above. `near` is the caller's SPE
+    /// affinity for single-SPE off-loads: the SPE that ran its previous one
+    /// is preferred (see `SpePool::offload_near`) and the one that ran this
+    /// one is written back. Teams neither read nor write it.
     pub(crate) fn parallel_reduce_near<B: LoopBody>(
         &self,
         site: LoopSite,
@@ -519,7 +537,7 @@ impl TeamRunner {
         body: Arc<B>,
         trace: Option<TraceTask<'_>>,
         near: &mut Option<SpeId>,
-    ) -> Result<(B::Acc, TeamTiming), OffloadError> {
+    ) -> Result<B::Acc, OffloadError> {
         assert!(degree >= 1, "loop degree must be at least 1");
         let degree = degree.min(self.pool.n_spes()).min(body.len().max(1));
         self.invocations.fetch_add(1, Ordering::Relaxed);
@@ -530,7 +548,6 @@ impl TeamRunner {
             // The pool picks the SPE, so the span events are recorded from
             // inside the job, where the context (and its ring) is known.
             let ids = trace.as_ref().map(|t| (t.proc, t.task));
-            let started = Instant::now();
             let (acc, spe) = self
                 .pool
                 .offload_near(*near, move |ctx| {
@@ -559,48 +576,80 @@ impl TeamRunner {
                 })
                 .wait()?;
             *near = Some(spe);
-            let timing = TeamTiming {
-                loop_ns: started.elapsed().as_nanos() as u64,
-                ..TeamTiming::default()
-            };
-            return Ok((acc, timing));
+            return Ok(acc);
         }
 
-        let chunks = partition(body.len(), degree, self.bias(site));
-        let team = self.pool.reserve(degree);
+        // The tiling is the site's whoever runs it, so the chunk-order merge
+        // gives the same bits either way.
+        let (wake, bias) = self.verdict(site);
+        let chunks = partition(body.len(), degree, bias);
+        let team = self.pool.reserve(if wake { degree } else { 1 });
         let team_ids = || team.iter().map(|s| s.0).collect::<Vec<usize>>();
         if let Some(t) = &trace {
             t.handle.record(EventKind::TaskStart {
                 proc: t.proc,
                 task: t.task,
-                degree,
+                degree: team.len(),
                 team: team_ids(),
             });
         }
 
         let started = Instant::now();
         let round = Arc::new(Round::new(body, chunks, trace.as_ref().map(|t| t.task)));
-        // "master sends signal to worker n": wake each worker for its chunk.
-        self.wake(&team, &round, None);
         // This thread — the worker process that off-loaded the loop — is
         // the master, on the reserved master SPE's context.
-        let mut taken: Vec<Option<B::Acc>> = (0..degree).map(|_| None).collect();
-        let (first, master_finished) =
-            self.pool.run_here(team[0], |ctx| round.master_share(&mut taken, ctx))?;
-        round.wait_for_workers(1 + taken.iter().flatten().count());
-        let (mut acc, worker_finishes) = round.merge(first, taken)?;
-        // The balancer is fed the first round: the tiling it biases is
-        // fixed for the invocation.
-        let mut timing = self.observe(site, started, master_finished, &worker_finishes);
-        if round.body.again(&mut acc) {
-            acc = self.held_rounds(&round)?;
-            timing.loop_ns = started.elapsed().as_nanos() as u64;
-        }
+        let acc = if wake {
+            self.woken(site, &team, &round, started)?
+        } else {
+            let (acc, _) = self.drive(team[0], &round)?;
+            let loop_ns = started.elapsed().as_nanos() as u64;
+            self.balancer(site, |b| b.record(LoopCost::Solo { loop_ns }));
+            acc
+        };
         if let Some(t) = &trace {
             t.handle
                 .record(EventKind::TaskEnd { proc: t.proc, task: t.task, team: team_ids() });
         }
-        Ok((acc, timing))
+        Ok(acc)
+    }
+
+    /// An invocation on a woken `team`, the master on `team[0]`: the first
+    /// round with a worker woken for each chunk, then any later ones on a
+    /// team that stays. Feeds `site`'s balancer the first round's idle
+    /// times — the tiling it biases is fixed for the invocation — and what
+    /// the whole invocation cost.
+    fn woken<B: LoopBody>(
+        &self,
+        site: LoopSite,
+        team: &[SpeId],
+        round: &Arc<Round<B>>,
+        started: Instant,
+    ) -> Result<B::Acc, OffloadError> {
+        // "master sends signal to worker n": wake each worker for its chunk.
+        self.wake(team, round, None);
+        let mut taken: Vec<Option<B::Acc>> = (0..team.len()).map(|_| None).collect();
+        let (first, mut chunk0_ns, master_finished) =
+            self.pool.run_here(team[0], |ctx| round.master_share(&mut taken, ctx))?;
+        round.wait_for_workers(1 + taken.iter().flatten().count());
+        let (mut acc, worker_finishes) = round.merge(first, taken)?;
+        let first_round =
+            compute_timing(started, master_finished, &worker_finishes, Instant::now());
+        if round.body.again(&mut acc) {
+            let (last, later_chunk0_ns) = self.held_rounds(round)?;
+            acc = last;
+            chunk0_ns += later_chunk0_ns;
+        }
+        let loop_ns = started.elapsed().as_nanos() as u64;
+        self.balancer(site, |b| {
+            b.observe(first_round);
+            b.record(LoopCost::Team {
+                loop_ns,
+                chunk0_ns,
+                chunk0_iters: round.chunks[0].range.len(),
+                total_iters: round.total_iters,
+            });
+        });
+        Ok(acc)
     }
 
     /// Wake `team`'s workers, each for its own chunk of `round`: of the one
@@ -622,56 +671,70 @@ impl TeamRunner {
 
     /// The rounds after the first of a body that asked for them, on a team
     /// that stays (see the module doc): the chunks of `round`, again, until
-    /// the body says stop. Returns the last round's merged value.
-    fn held_rounds<B: LoopBody>(&self, round: &Arc<Round<B>>) -> Result<B::Acc, OffloadError> {
-        let degree = round.chunks.len();
-        let team = self.pool.reserve(degree);
+    /// the body says stop. Returns the last round's merged value and the
+    /// master's time in chunk 0 over these rounds, ns.
+    fn held_rounds<B: LoopBody>(
+        &self,
+        round: &Arc<Round<B>>,
+    ) -> Result<(B::Acc, u64), OffloadError> {
+        let team = self.pool.reserve(round.chunks.len());
         self.wake(&team, round, Some(round.reopen()));
-        let last = self.pool.run_here(team[0], |ctx| {
+        let last = self.drive(team[0], round);
+        // Whatever happened on this thread, the workers must not wait for
+        // a round that will not come.
+        round.close();
+        last
+    }
+
+    /// The master's side of `round`, open now, and of every round after it
+    /// until the body says stop, on reserved SPE `master`: each round every
+    /// chunk no worker has claimed, then the merge in chunk order. With no
+    /// worker woken that is every chunk. Returns the last round's merged
+    /// value and the master's time in chunk 0 over the rounds, ns.
+    fn drive<B: LoopBody>(
+        &self,
+        master: SpeId,
+        round: &Round<B>,
+    ) -> Result<(B::Acc, u64), OffloadError> {
+        let degree = round.chunks.len();
+        let mut chunk0_ns = 0;
+        let last = self.pool.run_here(master, |ctx| {
             rounds(&*round.body, ctx, |before, ctx| {
                 if before > 0 {
                     round.reopen();
                 }
                 let mut taken: Vec<Option<B::Acc>> = (0..degree).map(|_| None).collect();
-                let (first, _) = round.master_share(&mut taken, ctx);
+                let (first, chunk0, _) = round.master_share(&mut taken, ctx);
+                chunk0_ns += chunk0;
                 round.wait_for_workers(1 + taken.iter().flatten().count());
                 round.merge(first, taken).map(|(acc, _)| acc)
             })
-        });
-        // Whatever happened on this thread, the workers must not wait for
-        // a round that will not come.
-        round.close();
-        last?
+        })?;
+        Ok((last?, chunk0_ns))
     }
 
-    /// Time a finished team invocation and feed `site`'s balancer.
-    fn observe(
-        &self,
-        site: LoopSite,
-        started: Instant,
-        master_finished: Instant,
-        worker_finishes: &[Instant],
-    ) -> TeamTiming {
-        let timing = compute_timing(started, master_finished, worker_finishes, Instant::now());
-        self.balancers
-            .lock()
-            .entry(site)
-            .or_insert_with(|| LoadBalancer::new(0.8, 2.0))
-            .observe(LoopObservation {
-                master_idle_ns: timing.master_idle_ns,
-                mean_worker_idle_ns: timing.mean_worker_idle_ns,
-                loop_ns: timing.loop_ns,
-            });
-        timing
+    /// `site`'s wake verdict for the next invocation, and its master bias.
+    fn verdict(&self, site: LoopSite) -> (bool, f64) {
+        let (wake, bias) = self.balancer(site, |b| (b.wake(), b.bias()));
+        #[cfg(any(test, loom))]
+        let wake = self.pinned.lock().unwrap_or(wake);
+        (wake, bias)
+    }
+
+    /// Apply `f` to `site`'s balancer, creating it on first use.
+    fn balancer<R>(&self, site: LoopSite, f: impl FnOnce(&mut LoadBalancer) -> R) -> R {
+        f(self.balancers.lock().entry(site).or_insert_with(|| LoadBalancer::new(0.8, 2.0)))
     }
 }
 
+/// A team round's idle times, from its start, the master's and workers'
+/// finishes, and the instant every partial was merged.
 fn compute_timing(
     started: Instant,
     master_finished: Instant,
     worker_finishes: &[Instant],
     all_done: Instant,
-) -> TeamTiming {
+) -> LoopObservation {
     let loop_ns = all_done.duration_since(started).as_nanos() as u64;
     let slowest = worker_finishes
         .iter()
@@ -689,7 +752,7 @@ fn compute_timing(
             .sum();
         (total / worker_finishes.len() as u128) as u64
     };
-    TeamTiming { loop_ns, master_idle_ns, mean_worker_idle_ns }
+    LoopObservation { master_idle_ns, mean_worker_idle_ns, loop_ns }
 }
 
 /// Busy-wait for `d` (models an SPE stall; sleeping would deschedule the
@@ -769,7 +832,8 @@ mod classic {
         if worker_finishes.len() < degree - 1 {
             return Err(OffloadError::TaskPanicked);
         }
-        runner.observe(site, started, master_finished, &worker_finishes);
+        let t = compute_timing(started, master_finished, &worker_finishes, Instant::now());
+        runner.balancer(site, |b| b.observe(t));
         Ok(acc)
     }
 }
@@ -882,6 +946,22 @@ mod tests {
         (pool, tr)
     }
 
+    /// [`runner`] with every site's wake verdict pinned to `wake`.
+    fn pinned(n_spes: usize, wake: bool) -> (Arc<SpePool>, TeamRunner) {
+        let (pool, tr) = runner(n_spes);
+        tr.pin(Some(wake));
+        (pool, tr)
+    }
+
+    /// Pool jobs one invocation at `degree` books: one per member woken.
+    fn jobs(degree: usize, wake: bool) -> u64 {
+        if wake {
+            degree as u64
+        } else {
+            1
+        }
+    }
+
     /// Worker jobs book themselves after their chunk is counted down, so a
     /// returned team invocation may still have workers on their way back.
     fn settle(pool: &SpePool) {
@@ -927,13 +1007,56 @@ mod tests {
 
     #[test]
     fn spes_return_to_pool_after_team_work() {
-        let (pool, tr) = runner(4);
-        for i in 1..=5 {
-            tr.parallel_reduce(LoopSite(5), 4, Arc::new(SumLoop { n: 64 })).unwrap();
-            settle(&pool);
-            // One job per team member, whoever ran the chunks.
-            assert_eq!(pool.completed(), 4 * i);
+        for wake in [true, false] {
+            let (pool, tr) = pinned(4, wake);
+            for i in 1..=5 {
+                tr.parallel_reduce(LoopSite(5), 4, Arc::new(SumLoop { n: 64 })).unwrap();
+                settle(&pool);
+                // One job per member woken, whoever ran the chunks.
+                assert_eq!(pool.completed(), jobs(4, wake) * i);
+            }
         }
+    }
+
+    #[test]
+    fn the_verdict_does_not_show_in_the_bits() {
+        // The same tiling merged in the same order, whoever ran the chunks:
+        // a float reduction has one value whether the team was woken or not.
+        for n in [5, 64, 228, 1001] {
+            for degree in [2, 3, 4, 8] {
+                let [woken, solo] = [true, false].map(|wake| {
+                    let (_pool, tr) = pinned(8, wake);
+                    let body = Arc::new(SumLoop { n });
+                    tr.parallel_reduce(LoopSite(14), degree, body).unwrap().to_bits()
+                });
+                assert_eq!(woken, solo, "{n} iterations at degree {degree}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_site_whose_team_does_not_pay_stops_waking_it() {
+        // Empty-bodied chunks: waking a worker costs more than the whole
+        // loop, so once both costs are measured the master runs alone —
+        // one job per invocation — but for one team probe a period.
+        use crate::policy::granularity::{MIN_SPE_SAMPLES, TEAM_PROBE_PERIOD};
+        let (pool, tr) = runner(4);
+        let woke: Vec<bool> = (0..2 * TEAM_PROBE_PERIOD)
+            .map(|_| {
+                let before = pool.completed();
+                tr.parallel_reduce(LoopSite(15), 4, Arc::new(SumLoop { n: 8 })).unwrap();
+                settle(&pool);
+                pool.completed() - before == 4
+            })
+            .collect();
+        let settled = MIN_SPE_SAMPLES as usize;
+        assert!(woke[..settled].iter().all(|&w| w), "optimistic until measured");
+        // Invocation numbers, from 1, of the wakes after that.
+        let probes: Vec<u64> = (settled..woke.len())
+            .filter(|&i| woke[i])
+            .map(|i| i as u64 + 1)
+            .collect();
+        assert_eq!(probes, [TEAM_PROBE_PERIOD, 2 * TEAM_PROBE_PERIOD]);
     }
 
     /// The list of chunk starts, concatenated on merge: the reduction order
@@ -1013,21 +1136,23 @@ mod tests {
 
     #[test]
     fn master_share_panic_is_contained_on_the_calling_thread() {
-        let (pool, tr) = runner(4);
-        let gate = PpeGate::new(1, GateMode::YieldOnOffload, Duration::ZERO);
-        let mut token = gate.enter();
-        // Iteration 0 is in chunk 0, which only ever runs on this thread.
-        let body = Arc::new(Bomb { n: 16, bomb: Some(0) });
-        let got = token.offload(|| tr.parallel_reduce(LoopSite(7), 4, body));
-        assert_eq!(got, Err(OffloadError::TaskPanicked));
-        // Booked by `run_here` before it returned, like on an SPE thread.
-        assert_eq!(pool.panics(), 1);
-        assert!(token.holds_context(), "the PPE context came back");
-        settle(&pool);
-        assert_eq!((pool.completed(), pool.panics()), (4, 1));
-        let body = Arc::new(SumLoop { n: 64 });
-        let sum = token.offload(|| tr.parallel_reduce(LoopSite(7), 4, body));
-        assert!((sum.unwrap() - expected_sum(64)).abs() < 1e-9);
+        for wake in [true, false] {
+            let (pool, tr) = pinned(4, wake);
+            let gate = PpeGate::new(1, GateMode::YieldOnOffload, Duration::ZERO);
+            let mut token = gate.enter();
+            // Iteration 0 is in chunk 0, which only ever runs on this thread.
+            let body = Arc::new(Bomb { n: 16, bomb: Some(0) });
+            let got = token.offload(|| tr.parallel_reduce(LoopSite(7), 4, body));
+            assert_eq!(got, Err(OffloadError::TaskPanicked));
+            // Booked by `run_here` before it returned, like on an SPE thread.
+            assert_eq!(pool.panics(), 1);
+            assert!(token.holds_context(), "the PPE context came back");
+            settle(&pool);
+            assert_eq!((pool.completed(), pool.panics()), (jobs(4, wake), 1));
+            let body = Arc::new(SumLoop { n: 64 });
+            let sum = token.offload(|| tr.parallel_reduce(LoopSite(7), 4, body));
+            assert!((sum.unwrap() - expected_sum(64)).abs() < 1e-9);
+        }
     }
 
     /// Forces the schedule in which every worker runs its own chunk and
@@ -1085,7 +1210,9 @@ mod tests {
     fn worker_panic_cannot_strand_the_master() {
         // Every worker panics while the master is parking or parked; the
         // drop guard must count each chunk down and the last one wake it.
-        let (pool, tr) = runner(4);
+        // (The schedule needs its workers: a master alone would spin in
+        // chunk 0 for ever.)
+        let (pool, tr) = pinned(4, true);
         for round in 1..=50 {
             let got = tr.parallel_reduce(LoopSite(8), 4, master_first(&pool, true));
             assert_eq!(got, Err(OffloadError::TaskPanicked));
@@ -1097,23 +1224,12 @@ mod tests {
 
     #[test]
     fn balancer_is_fed_the_master_idle_time_when_workers_finish_last() {
-        let (pool, tr) = runner(4);
+        let (pool, tr) = pinned(4, true);
         let site = LoopSite(9);
-        let body = master_first(&pool, false);
-        let (acc, t) = tr.parallel_reduce_near(site, 4, body, None, &mut None).unwrap();
-        assert_eq!(acc, 4);
-        // Every worker stamped its finish after the master's.
-        assert!(t.master_idle_ns > 0);
-        assert!(t.mean_worker_idle_ns < t.master_idle_ns);
-        assert!(t.master_idle_ns <= t.loop_ns);
-        // What the runner returned is what the balancer saw.
-        let mut fed = LoadBalancer::new(0.8, 2.0);
-        fed.observe(LoopObservation {
-            master_idle_ns: t.master_idle_ns,
-            mean_worker_idle_ns: t.mean_worker_idle_ns,
-            loop_ns: t.loop_ns,
-        });
-        assert_eq!(tr.bias(site), fed.bias());
+        assert_eq!(tr.parallel_reduce(site, 4, master_first(&pool, false)), Ok(4));
+        // Every worker stamped its finish after the master's: the one
+        // observation is a master that idled more than its workers did.
+        assert_eq!(tr.balancers.lock()[&site].invocations(), 1);
         assert!(tr.bias(site) > 0.0, "an idle master is given a larger share");
     }
 
@@ -1136,7 +1252,7 @@ mod tests {
         let ctx = |spe| SpeContext::new(SpeId(spe), Duration::ZERO);
         let started = Instant::now();
         let mut taken: Vec<Option<f64>> = vec![None; 4];
-        let (first, master_finished) = round.master_share(&mut taken, &mut ctx(0));
+        let (first, _, master_finished) = round.master_share(&mut taken, &mut ctx(0));
         assert_eq!(taken.iter().flatten().count(), 3);
         // The workers wake late, find their chunks gone and return at
         // once, without counting anything down.
@@ -1160,7 +1276,7 @@ mod tests {
         round.worker_share(1, Duration::ZERO, &mut ctx(1));
         round.worker_share(3, Duration::ZERO, &mut ctx(3));
         let mut taken: Vec<Option<f64>> = vec![None; 4];
-        let (first, master_finished) = round.master_share(&mut taken, &mut ctx(0));
+        let (first, _, master_finished) = round.master_share(&mut taken, &mut ctx(0));
         assert!(taken[1].is_none() && taken[2].is_some() && taken[3].is_none());
         round.wait_for_workers(2);
         let (acc, worker_finishes) = round.merge(first, taken).unwrap();
@@ -1171,8 +1287,10 @@ mod tests {
 
     #[test]
     fn a_multi_round_loop_is_its_sequential_fold_at_every_degree() {
-        for (n_spes, degrees) in [(8, [1, 2, 4, 8]), (6, [1, 2, 3, 6])] {
-            let (pool, tr) = runner(n_spes);
+        for (n_spes, degrees, wake) in
+            [(8, [1, 2, 4, 8], true), (6, [1, 2, 3, 6], true), (8, [1, 2, 4, 8], false)]
+        {
+            let (pool, tr) = pinned(n_spes, wake);
             for invocation in 0..100 {
                 let varied = 1 + invocation % 5;
                 for degree in degrees {
@@ -1193,43 +1311,50 @@ mod tests {
 
     #[test]
     fn a_team_is_formed_once_for_all_the_later_rounds() {
-        let (pool, tr) = runner(4);
-        for (rounds, jobs) in [(1, 4), (2, 8), (5, 8)] {
-            let before = pool.completed();
-            let body = Arc::new(Relay::new(64, rounds));
-            let got = tr.parallel_reduce(LoopSite(12), 4, Arc::clone(&body));
-            assert_eq!(got, Ok(body.sequential()));
-            settle(&pool);
-            // One job per member of the first round's team, and one per
-            // member of the team held for every round after it.
-            assert_eq!(pool.completed() - before, jobs, "{rounds} rounds");
+        for wake in [true, false] {
+            let (pool, tr) = pinned(4, wake);
+            for (rounds, teams) in [(1, 1), (2, 2), (5, 2)] {
+                let before = pool.completed();
+                let body = Arc::new(Relay::new(64, rounds));
+                let got = tr.parallel_reduce(LoopSite(12), 4, Arc::clone(&body));
+                assert_eq!(got, Ok(body.sequential()));
+                settle(&pool);
+                // One job per member woken for the first round, and one per
+                // member of the team held for every round after it; with
+                // nobody woken, one job on the master for every round.
+                let want = if wake { teams * 4 } else { 1 };
+                assert_eq!(pool.completed() - before, want, "{rounds} rounds");
+            }
+            assert_eq!(tr.invocations(), 3);
         }
-        assert_eq!(tr.invocations(), 3);
     }
 
     #[test]
     fn a_panic_in_a_later_round_fails_the_task_and_strands_nobody() {
-        let (pool, tr) = runner(4);
-        let mut tasks = 0;
-        for _ in 0..50 {
-            // Round two's chunk 0 is the master's; its last chunk is a held
-            // worker's, or the master's if it got there first.
-            for (degree, iter) in [(1, 7), (4, 0), (4, 15)] {
-                let mut body = Relay::new(16, 3);
-                body.bomb = Some((1, iter));
-                let got = tr.parallel_reduce(LoopSite(13), degree, Arc::new(body));
-                let want = Err(OffloadError::TaskPanicked);
-                assert_eq!(got, want, "degree {degree}, iteration {iter}");
-                tasks += 1;
-                // Every SPE comes back: no held worker is left waiting for
-                // a round that will not come.
-                settle(&pool);
-                assert_eq!(pool.panics(), tasks);
+        for wake in [true, false] {
+            let (pool, tr) = pinned(4, wake);
+            let mut tasks = 0;
+            for _ in 0..50 {
+                // Round two's chunk 0 is the master's; its last chunk is a
+                // held worker's, or the master's if it got there first.
+                for (degree, iter) in [(1, 7), (4, 0), (4, 15)] {
+                    let mut body = Relay::new(16, 3);
+                    body.bomb = Some((1, iter));
+                    let got = tr.parallel_reduce(LoopSite(13), degree, Arc::new(body));
+                    let want = Err(OffloadError::TaskPanicked);
+                    assert_eq!(got, want, "degree {degree}, iteration {iter}");
+                    tasks += 1;
+                    // Every SPE comes back: no held worker is left waiting
+                    // for a round that will not come.
+                    settle(&pool);
+                    assert_eq!(pool.panics(), tasks);
+                }
             }
+            let body = Arc::new(Relay::new(64, 3));
+            let got = tr.parallel_reduce(LoopSite(13), 4, Arc::clone(&body));
+            assert_eq!(got, Ok(body.sequential()));
+            assert_eq!(pool.offload(|_| 5).wait(), Ok(5));
         }
-        let body = Arc::new(Relay::new(64, 3));
-        assert_eq!(tr.parallel_reduce(LoopSite(13), 4, Arc::clone(&body)), Ok(body.sequential()));
-        assert_eq!(pool.offload(|_| 5).wait(), Ok(5));
     }
 
     #[test]
@@ -1242,7 +1367,7 @@ mod tests {
             // A second wake-up for a chunk of this round finds it gone.
             round.worker_share(2, Duration::ZERO, &mut ctx(2));
             let mut taken: Vec<Option<f64>> = vec![None; 4];
-            let (first, _) = round.master_share(&mut taken, &mut ctx(0));
+            let (first, _, _) = round.master_share(&mut taken, &mut ctx(0));
             assert!(taken[1].is_some() && taken[2].is_none() && taken[3].is_some());
             round.wait_for_workers(3);
             let (acc, worker_finishes) = round.merge(first, taken).unwrap();
@@ -1261,7 +1386,8 @@ mod tests {
         // The differential satellite: one seeded script of loops — degrees
         // 1–8, empty and short loops, a panicking chunk in some — through
         // the retired Pass-channel team and through the claimable-chunk
-        // Round. Results and pool counters must be identical.
+        // Round. Results and pool counters must be identical — and with
+        // nobody woken, the results and panics too.
         let seed = 0x7EA4u64;
         let script: Vec<(usize, Bomb)> = (0..200u64)
             .map(|i| {
@@ -1285,14 +1411,14 @@ mod tests {
         assert!(panics > 20 && want.contains(&Ok(0)), "the script covers its cases");
 
         type Reduce = fn(&TeamRunner, LoopSite, usize, Arc<Bomb>) -> Result<u64, OffloadError>;
-        let drive = |reduce: Reduce| {
-            let (pool, tr) = runner(8);
-            let mut jobs = 0;
+        let drive = |reduce: Reduce, wake: bool| {
+            let (pool, tr) = pinned(8, wake);
+            let mut booked = 0;
             let results: Vec<_> = script
                 .iter()
                 .map(|(degree, b)| {
-                    // One job per team member, and the clamp makes the team.
-                    jobs += (*degree).min(b.n.max(1)) as u64;
+                    // One job per member woken, and the clamp makes the team.
+                    booked += jobs((*degree).min(b.n.max(1)), wake);
                     let got = reduce(&tr, LoopSite(10), *degree, Arc::new(*b));
                     settle(&pool);
                     got
@@ -1304,13 +1430,17 @@ mod tests {
             let stats = Arc::try_unwrap(pool).ok().expect("the runner is gone").shutdown();
             let tasks_run: u64 = stats.iter().map(|s| s.tasks_run).sum();
             let high_water = stats.iter().map(|s| s.local_store_high_water).max();
-            assert_eq!((counters.0, tasks_run, high_water), (jobs, jobs, Some(128)));
+            assert_eq!((counters.0, tasks_run, high_water), (booked, booked, Some(128)));
             (results, counters)
         };
-        let round = drive(|tr, site, degree, body| tr.parallel_reduce(site, degree, body));
-        let oracle = drive(classic::parallel_reduce);
+        let reduce: Reduce = |tr, site, degree, body| tr.parallel_reduce(site, degree, body);
+        let round = drive(reduce, true);
+        // The oracle wakes every member whatever the pin says.
+        let oracle = drive(classic::parallel_reduce, true);
         assert_eq!(round.0, want);
         assert_eq!(round, oracle);
         assert_eq!(round.1 .1, panics);
+        let (solo, (_, solo_panics)) = drive(reduce, false);
+        assert_eq!((solo, solo_panics), (want, panics));
     }
 }

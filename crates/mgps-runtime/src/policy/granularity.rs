@@ -21,12 +21,20 @@ use std::collections::HashMap;
 
 use super::types::KernelKind;
 
-/// No verdict before this many samples of *each* version: a single
-/// wall-clock sample on a multiprogrammed host can be inflated arbitrarily
-/// by preemption. An inflated SPE sample must not park a profitable kernel
-/// on the PPE, and an inflated PPE sample must not make every call of a
-/// fine-grained kernel pay an off-load.
+/// No verdict before this many samples of *each* version — a kernel's SPE
+/// and PPE copies here, a loop site's woken team and its master alone in
+/// [`super::balance::LoadBalancer::wake`]: a single wall-clock sample on a
+/// multiprogrammed host can be inflated arbitrarily by preemption. An
+/// inflated SPE sample must not park a profitable kernel on the PPE, and
+/// an inflated PPE sample must not make every call of a fine-grained
+/// kernel pay an off-load.
 pub const MIN_SPE_SAMPLES: u64 = 3;
+
+/// While a loop site's master is favoured to run every chunk alone, one of
+/// this many invocations wakes the team anyway, so the team's time is
+/// re-measured — the same periodic re-probe, one level down
+/// ([`super::balance::LoadBalancer::wake`]).
+pub const TEAM_PROBE_PERIOD: u64 = 64;
 
 /// Measured timing profile of one off-loadable function.
 #[derive(Debug, Clone, Copy, Default)]

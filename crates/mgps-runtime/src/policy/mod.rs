@@ -15,7 +15,7 @@ pub mod mgps;
 pub mod ppe;
 pub mod types;
 
-pub use balance::{LoadBalancer, LoopObservation};
+pub use balance::{LoadBalancer, LoopCost, LoopObservation};
 pub use chunk::partition;
 pub use drr::Drr;
 pub use granularity::{FunctionTimings, GranularityController, GranularityDecision};

@@ -21,7 +21,9 @@
 //! * a loop that runs more than one round runs every iteration exactly once
 //!   *per round*, each round seeing what the one before it published, when
 //!   a held worker is still on its way out of a round as the master opens
-//!   the next, and the closing of the team never leaves a worker parked;
+//!   the next, and the closing of the team never leaves a worker parked —
+//!   also when a site's wake verdict flips between invocations, from the
+//!   master alone to a woken team and back;
 //! * the off-load completion cell never loses a wake-up and hands a result
 //!   (or a contained panic) out exactly once, after the SPE is idle again
 //!   and counted — whether the handle blocks, polls, or is dropped first.
@@ -250,6 +252,7 @@ fn chunk_claim_is_exactly_once_under_a_racing_master_and_worker() {
         // the woken worker does. Whoever loses must leave it alone.
         let pool = Arc::new(SpePool::new(2, Duration::ZERO));
         let team = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
+        team.pin(Some(true));
         for _ in 0..4 {
             let body = RacedLoop::new(6, false);
             let acc = team.parallel_reduce(LoopSite(2), 2, Arc::clone(&body));
@@ -268,6 +271,7 @@ fn last_countdown_racing_the_masters_park_loses_no_wakeup() {
         // parks: a lost wake-up hangs the model.
         let pool = Arc::new(SpePool::new(4, Duration::ZERO));
         let team = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
+        team.pin(Some(true));
         for _ in 0..4 {
             let body = RacedLoop::new(8, false);
             let acc = team.parallel_reduce(LoopSite(3), 4, Arc::clone(&body));
@@ -282,6 +286,7 @@ fn panicking_worker_racing_the_park_still_releases_the_master() {
     loom::model(|| {
         let pool = Arc::new(SpePool::new(3, Duration::ZERO));
         let team = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
+        team.pin(Some(true));
         let mut panics = 0;
         for _ in 0..4 {
             let body = RacedLoop::new(6, true);
@@ -346,6 +351,24 @@ impl LoopBody for TwoRounds {
     }
 }
 
+impl TwoRounds {
+    /// One two-round invocation of four iterations at degree 2 on `site`,
+    /// checked: the right sum, every iteration run once per round.
+    fn run_on(team: &TeamRunner, site: LoopSite) {
+        let body = Arc::new(TwoRounds {
+            master: std::thread::current().id(),
+            carry: AtomicUsize::new(0),
+            asked: AtomicUsize::new(0),
+            runs: (0..4).map(|_| AtomicUsize::new(0)).collect(),
+        });
+        let acc = team.parallel_reduce(site, 2, Arc::clone(&body));
+        // Round one sums 1..=4; round two adds that 10 to each of four.
+        assert_eq!(acc, Ok(10 + 4 * 10));
+        let runs: Vec<usize> = body.runs.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+        assert!(runs.iter().all(|&r| r == 2), "iterations run {runs:?} times in two rounds");
+    }
+}
+
 #[test]
 fn a_worker_late_out_of_one_round_cannot_disturb_the_next() {
     loom::model(|| {
@@ -356,22 +379,33 @@ fn a_worker_late_out_of_one_round_cannot_disturb_the_next() {
         // round's worker has yet to wake: it then claims in a later round.
         let pool = Arc::new(SpePool::new(3, Duration::ZERO));
         let team = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
+        team.pin(Some(true));
         for _ in 0..2 {
-            let body = Arc::new(TwoRounds {
-                master: std::thread::current().id(),
-                carry: AtomicUsize::new(0),
-                asked: AtomicUsize::new(0),
-                runs: (0..4).map(|_| AtomicUsize::new(0)).collect(),
-            });
-            let acc = team.parallel_reduce(LoopSite(6), 2, Arc::clone(&body));
-            // Round one sums 1..=4; round two adds that 10 to each of four.
-            assert_eq!(acc, Ok(10 + 4 * 10));
-            let runs: Vec<usize> = body.runs.iter().map(|r| r.load(Ordering::SeqCst)).collect();
-            assert!(runs.iter().all(|&r| r == 2), "iterations run {runs:?} times in two rounds");
+            TwoRounds::run_on(&team, LoopSite(6));
         }
         // Closing the team released the held worker: every SPE is back.
         settle(&pool);
         assert_eq!(pool.completed(), 8, "a first team and a held one, two members each, twice");
+    });
+}
+
+#[test]
+fn a_site_that_flips_to_waking_strands_no_worker() {
+    loom::model(|| {
+        // One site, its verdict flipped between invocations: the master
+        // alone for both rounds, then a woken team held into the second
+        // round, then the master alone again while that team's workers
+        // may still be on their way out. Nothing settles in between.
+        let pool = Arc::new(SpePool::new(3, Duration::ZERO));
+        let team = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
+        for wake in [false, true, false] {
+            team.pin(Some(wake));
+            TwoRounds::run_on(&team, LoopSite(7));
+        }
+        settle(&pool);
+        // One job on the master for each solo invocation; two members for
+        // the woken round and two for the held one.
+        assert_eq!(pool.completed(), 1 + 4 + 1);
     });
 }
 

@@ -12,6 +12,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use multigrain::adapters::{Partial, TraversalOp};
+use multigrain::mgps_runtime::policy::granularity::{MIN_SPE_SAMPLES, TEAM_PROBE_PERIOD};
 use multigrain::mgps_runtime::policy::SpeId;
 use multigrain::prelude::*;
 use phylo::likelihood::{newton_branch_length, ClvArena};
@@ -192,6 +193,76 @@ proptest! {
         );
         let (got_t, steps) = finish(&newton, &whole, first).stopped.expect("the loop has stopped");
         prop_assert_eq!((got_t.to_bits(), steps), (want_t.to_bits(), want_steps));
+    }
+}
+
+/// A loop whose every chunk but the first blocks for a millisecond: a team
+/// woken for it always loses to its chunk 0 scaled to the whole loop.
+struct Lopsided;
+
+impl LoopBody for Lopsided {
+    type Acc = ();
+    fn len(&self) -> usize {
+        4
+    }
+    fn identity(&self) {}
+    fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) {
+        if range.start > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    fn merge(&self, _: (), _: ()) {}
+}
+
+/// Invocations of `body()` on a four-way loop site whose measurements
+/// favour its master: the master alone each time, until the site's
+/// periodic probe wakes the team. The site's master bias does not move in
+/// between, so every invocation cuts the same tiling. Returns each result
+/// and whether the team was woken for it.
+fn until_the_team_probe(body: impl Fn() -> TraversalBody<Jc69>) -> Vec<(Partial, bool)> {
+    let pool = Arc::new(SpePool::new(4, Duration::ZERO));
+    let runner = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
+    let settle = || {
+        while pool.idle_count() < pool.n_spes() {
+            std::thread::yield_now();
+        }
+    };
+    for _ in 0..MIN_SPE_SAMPLES {
+        runner.parallel_reduce(LoopSite(1), 4, Arc::new(Lopsided)).unwrap();
+    }
+    let mut seen: Vec<(Partial, bool)> = Vec::new();
+    while seen.last().is_none_or(|&(_, woken)| !woken) {
+        assert!(seen.len() < TEAM_PROBE_PERIOD as usize, "no team probe in a period");
+        settle();
+        let before = pool.completed();
+        let got = runner.parallel_reduce(LoopSite(1), 4, Arc::new(body())).unwrap();
+        settle();
+        // The master alone books one job; a woken team one per member.
+        seen.push((got, pool.completed() - before > 1));
+    }
+    seen
+}
+
+/// The bits of a traversal's result.
+fn result_bits(p: &Partial) -> (u64, u64, Option<(u64, u64)>) {
+    (p.sums.0.to_bits(), p.sums.1.to_bits(), p.stopped.map(|(t, steps)| (t.to_bits(), steps)))
+}
+
+#[test]
+fn the_master_alone_and_its_woken_team_return_the_same_bits() {
+    let aln = Alignment::synthetic(10, 300, &Jc69, 0.3, 11);
+    let data = Arc::new(PatternAlignment::compress(&aln));
+    let tree = Tree::random(10, 0.3, &mut SmallRng::seed_from_u64(11));
+    let arena = Arc::new(Mutex::new(ClvArena::new()));
+    for terminal in [KernelKind::Evaluate, KernelKind::MakeNewz] {
+        let seen = until_the_team_probe(|| body_at(&data, &tree, EdgeId(3), terminal, &arena));
+        assert!(seen.len() > 1 && !seen[0].1, "{terminal:?}: the master ran alone first");
+        let want = result_bits(&seen[0].0);
+        for (got, woken) in &seen {
+            assert_eq!(result_bits(got), want, "{terminal:?}, woken: {woken}");
+        }
+        let newton = terminal == KernelKind::MakeNewz;
+        assert_eq!(seen[0].0.stopped.is_some(), newton, "{terminal:?}");
     }
 }
 
