@@ -65,10 +65,9 @@ fn micro(c: &mut Criterion) {
         b.iter(|| pool.offload(|_| 42u64).wait().unwrap())
     });
 
-    // Two worker processes off-loading at once, wall per off-load. The
-    // single-caller probe above pays one cross-CPU wake-up each way whatever
-    // the pool does; this one is where SPE placement shows: each process
-    // keeps meeting the same SPE thread, or keeps waking a parked one.
+    // Two worker processes off-loading at once, wall per off-load: each
+    // reserves an SPE and runs on it itself, so what shows here beyond the
+    // single-caller probe above is the two sharing the pool's lock.
     let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
     g.bench_function("offload_round_trip_two_processes", |b| {
         b.iter_custom(|iters| two_process_wall(&rt, iters))

@@ -179,15 +179,19 @@ pub fn snapshot_scrape_wall_at(
             let mut source = SnapshotSource::new(Arc::clone(m));
             let done = Arc::clone(&done);
             Some(std::thread::spawn(move || {
+                // Drain before the first look at `done`: a run that ends
+                // before this thread is first scheduled still gets one.
                 let mut drains = 0u64;
-                while !done.load(Ordering::Relaxed) {
+                loop {
                     std::hint::black_box(source.delta());
                     drains += 1;
+                    if done.load(Ordering::Relaxed) {
+                        return drains;
+                    }
                     if gap > 0 {
                         std::thread::sleep(Duration::from_nanos(gap));
                     }
                 }
-                drains
             }))
         }
         _ => None,

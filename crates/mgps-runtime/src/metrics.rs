@@ -62,7 +62,7 @@ pub enum Counter {
     MailboxReads,
     /// Writes that found the mailbox full and stalled.
     MailboxStalls,
-    /// Off-loads that queued because no SPE was idle.
+    /// SPE reservations that had to wait because too few SPEs were idle.
     OffloadQueueStalls,
     /// MGPS evaluation points reached.
     MgpsEvaluations,

@@ -85,9 +85,8 @@ impl RuntimeConfig {
 }
 
 enum DegreePolicy {
-    /// Static degree; the value is kept for introspection/debugging.
-    #[allow(dead_code)]
-    Fixed(usize),
+    /// The configured degree, for good.
+    Fixed,
     Adaptive(Mutex<MgpsScheduler>),
 }
 
@@ -163,14 +162,14 @@ impl MgpsRuntime {
         ));
         let runner = TeamRunner::new(Arc::clone(&pool), config.worker_startup);
         let (gate_mode, degree_policy, initial_degree) = match config.scheduler {
-            SchedulerKind::Edtlp => (GateMode::YieldOnOffload, DegreePolicy::Fixed(1), 1),
-            SchedulerKind::LinuxLike => (GateMode::HoldDuringOffload, DegreePolicy::Fixed(1), 1),
+            SchedulerKind::Edtlp => (GateMode::YieldOnOffload, DegreePolicy::Fixed, 1),
+            SchedulerKind::LinuxLike => (GateMode::HoldDuringOffload, DegreePolicy::Fixed, 1),
             SchedulerKind::StaticHybrid { spes_per_loop } => {
                 assert!(
                     spes_per_loop >= 1 && spes_per_loop <= config.n_spes,
                     "spes_per_loop out of range"
                 );
-                (GateMode::YieldOnOffload, DegreePolicy::Fixed(spes_per_loop), spes_per_loop)
+                (GateMode::YieldOnOffload, DegreePolicy::Fixed, spes_per_loop)
             }
             SchedulerKind::Mgps => (
                 GateMode::YieldOnOffload,
@@ -252,9 +251,10 @@ impl MgpsRuntime {
         self.pool.healthy_count()
     }
 
-    /// Off-loads queued in the pool waiting for an SPE.
+    /// Off-loads waiting for an SPE: callers blocked in the pool's
+    /// reservation while every SPE is busy.
     pub fn pending_offloads(&self) -> usize {
-        self.pool.pending_len()
+        self.pool.reserve_waiters()
     }
 
     /// Total nanoseconds worker processes have spent waiting for a PPE
@@ -271,7 +271,7 @@ impl MgpsRuntime {
                 let s = sched.lock();
                 Some((s.evaluations(), s.activations(), s.deactivations()))
             }
-            DegreePolicy::Fixed(_) => None,
+            DegreePolicy::Fixed => None,
         }
     }
 
@@ -286,7 +286,6 @@ impl MgpsRuntime {
             ppe_scratch: None,
             proc,
             trace,
-            last_spe: None,
         }
     }
 
@@ -482,9 +481,6 @@ pub struct ProcessCtx<'rt> {
     /// This process's tracing ring (off-load / context-switch / MGPS
     /// decision records), if the runtime was built with a tracer.
     trace: Option<TraceHandle>,
-    /// The SPE that ran this process's last single-SPE off-load; the pool
-    /// hands it back while it is idle (see `SpePool::offload_near`).
-    last_spe: Option<SpeId>,
 }
 
 impl ProcessCtx<'_> {
@@ -584,10 +580,9 @@ impl ProcessCtx<'_> {
         let rt = self.rt;
         let proc = self.proc;
         let trace = self.trace.as_ref();
-        let near = &mut self.last_spe;
         self.token.offload_traced(trace.map(|t| (t, proc)), || {
             let tt = trace.map(|handle| TraceTask { handle, proc, task: task.0 });
-            rt.runner.parallel_reduce_near(site, degree, body, tt, near)
+            rt.runner.parallel_reduce_traced(site, degree, body, tt)
         })
     }
 
@@ -596,10 +591,7 @@ impl ProcessCtx<'_> {
     /// id lets kernels with distinct PPE/SPE code paths pick theirs.
     fn ppe_context(&mut self) -> &mut super::context::SpeContext {
         self.ppe_scratch.get_or_insert_with(|| {
-            Box::new(super::context::SpeContext::new(
-                crate::policy::SpeId(usize::MAX),
-                Duration::ZERO,
-            ))
+            Box::new(super::context::SpeContext::new(SpeId(usize::MAX), Duration::ZERO))
         })
     }
 
@@ -614,7 +606,9 @@ impl ProcessCtx<'_> {
     /// The test is applied to what is shipped: `kind` names the whole
     /// request (for a likelihood traversal, the kernel it ends in), and
     /// both timings cover all of `body` — every round of it, if it runs
-    /// more than one ([`LoopBody::again`]).
+    /// more than one ([`LoopBody::again`]). `t_spe` is the wall time of the
+    /// whole off-load, so it already holds what `t_code` and `t_comm` model
+    /// (see [`crate::policy::granularity`]).
     ///
     /// # Errors
     /// As [`Self::offload_loop`].
@@ -631,7 +625,7 @@ impl ProcessCtx<'_> {
         let (decision, was_throttled, now_throttled) = {
             let mut c = controller.lock();
             let was = c.is_throttled(kind);
-            let d = c.decide(kind, true);
+            let d = c.decide(kind);
             (d, was, c.is_throttled(kind))
         };
         match decision {
@@ -968,97 +962,77 @@ mod tests {
         assert_eq!(snap.hist_count(HistKind::TaskDurNs), 32);
     }
 
-    /// Reports the SPE each invocation ran on; with `meet`, blocks until
-    /// both processes' invocations are running (so on two different SPEs).
-    struct WhichSpe {
-        meet: Option<Arc<std::sync::Barrier>>,
-    }
+    /// Reports the SPE its one chunk ran on and the thread that ran it.
+    struct WhereRun;
 
-    impl LoopBody for WhichSpe {
-        type Acc = usize;
+    impl LoopBody for WhereRun {
+        type Acc = Option<(usize, std::thread::ThreadId)>;
         fn len(&self) -> usize {
             1
         }
-        fn identity(&self) -> usize {
-            usize::MAX
+        fn identity(&self) -> Self::Acc {
+            None
         }
-        fn run_chunk(&self, _range: Range<usize>, ctx: &mut SpeContext) -> usize {
-            if let Some(barrier) = &self.meet {
-                barrier.wait();
-            }
-            ctx.id.0
+        fn run_chunk(&self, _range: Range<usize>, ctx: &mut SpeContext) -> Self::Acc {
+            Some((ctx.id.0, std::thread::current().id()))
         }
-        fn merge(&self, a: usize, b: usize) -> usize {
-            a.min(b)
+        fn merge(&self, a: Self::Acc, b: Self::Acc) -> Self::Acc {
+            a.or(b)
         }
     }
 
     #[test]
-    fn consecutive_offloads_of_one_process_run_on_one_spe() {
-        let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
-        let mut ctx = rt.enter_process();
-        // Make SPE 5 the last one used, from deep in the idle stack.
-        ctx.last_spe = Some(SpeId(5));
-        for _ in 0..50 {
-            let spe = ctx.offload_loop(LoopSite(1), Arc::new(WhichSpe { meet: None })).unwrap();
-            assert_eq!(spe, 5);
-        }
-        // A second process starts without a preference: the LIFO top.
-        let mut other = rt.enter_process();
-        let first = other.offload_loop(LoopSite(1), Arc::new(WhichSpe { meet: None })).unwrap();
-        assert_eq!(first, 5, "SPE 5 was the last to go idle");
-        assert_eq!(other.last_spe, Some(SpeId(5)));
-    }
-
-    #[test]
-    fn two_processes_each_settle_on_their_own_spe() {
+    fn a_single_spe_offload_is_a_team_of_one_its_caller_drives() {
+        use crate::metrics::AtomicMetrics;
+        const TASKS: u64 = 20;
         let tracer = Tracer::with_default_capacity();
+        let metrics = Arc::new(AtomicMetrics::new());
         let rt = MgpsRuntime::with_observability(
             RuntimeConfig::cell(SchedulerKind::Edtlp),
-            Arc::new(NopMetrics),
+            Arc::<AtomicMetrics>::clone(&metrics),
             Some(Arc::clone(&tracer)),
         );
-        const WARM: usize = 1;
-        const STEADY: usize = 200;
-        let meet = Arc::new(std::sync::Barrier::new(2));
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let (rt, meet) = (&rt, Arc::clone(&meet));
-                scope.spawn(move || {
-                    let mut ctx = rt.enter_process();
-                    // Warm-up: both kernels in flight at once, hence on
-                    // two SPEs, whatever the processes preferred before.
-                    for _ in 0..WARM {
-                        let body = Arc::new(WhichSpe { meet: Some(Arc::clone(&meet)) });
-                        ctx.offload_loop(LoopSite(1), body).unwrap();
-                    }
-                    for _ in 0..STEADY {
-                        ctx.offload_loop(LoopSite(1), Arc::new(WhichSpe { meet: None })).unwrap();
-                    }
-                });
-            }
-        });
-        // Each process's SPE is idle again whenever that process off-loads
-        // (completion after idle) and the other never asks for it, so from
-        // the warm-up on every TaskStart of a process names one SPE.
+        let here = std::thread::current().id();
+        let mut ctx = rt.enter_process();
+        let mut ran_on = Vec::new();
+        for n in 1..=TASKS {
+            let got = ctx.offload_loop(LoopSite(1), Arc::new(WhereRun)).unwrap();
+            let (spe, thread) = got.expect("the chunk ran");
+            assert_eq!(thread, here, "off-load {n}: the chunk ran on another thread");
+            // Idle and counted by the time the off-load returns.
+            assert_eq!(rt.idle_spes(), 8, "after off-load {n}");
+            assert_eq!(metrics.get(Counter::TasksCompleted), n);
+            ran_on.push(spe);
+        }
+        drop(ctx);
+        // The solo shape: task start and end on the caller's ring, naming
+        // the one SPE reserved; the chunk on that SPE's ring (the SPEs'
+        // rings are the first registered), naming it too.
         let log = tracer.drain();
-        let mut teams: [Vec<Vec<usize>>; 2] = Default::default();
-        let mut events: Vec<_> = log.threads.iter().flat_map(|t| &t.events).collect();
-        events.sort_by_key(|e| e.at_ns);
-        for e in events {
-            if let EventKind::TaskStart { proc, team, .. } = &e.kind {
-                teams[*proc].push(team.clone());
+        let mut seen = vec![(None, None, None); TASKS as usize];
+        for (ring, thread) in log.threads.iter().enumerate() {
+            for e in &thread.events {
+                match &e.kind {
+                    EventKind::TaskStart { task, degree, team, .. } => {
+                        assert!(ring >= 8, "a task start on SPE {ring}'s ring");
+                        assert_eq!(*degree, 1);
+                        seen[*task as usize].0 = Some(team.clone());
+                    }
+                    EventKind::Chunk { task, worker, .. } => {
+                        assert_eq!(ring, *worker, "a chunk on another SPE's ring");
+                        seen[*task as usize].1 = Some(*worker);
+                    }
+                    EventKind::TaskEnd { task, team, .. } => {
+                        assert!(ring >= 8, "a task end on SPE {ring}'s ring");
+                        seen[*task as usize].2 = Some(team.clone());
+                    }
+                    _ => {}
+                }
             }
         }
-        for (proc, seen) in teams.iter().enumerate() {
-            assert_eq!(seen.len(), WARM + STEADY);
-            let steady = &seen[WARM - 1..];
-            assert!(
-                steady.iter().all(|team| team == &steady[0]),
-                "process {proc} moved between SPEs: {steady:?}"
-            );
+        for (task, (seen, spe)) in seen.into_iter().zip(ran_on).enumerate() {
+            assert_eq!(seen, (Some(vec![spe]), Some(spe), Some(vec![spe])), "task {task}");
         }
-        assert_ne!(teams[0][WARM], teams[1][WARM], "one SPE each");
     }
 
     #[test]

@@ -1,48 +1,33 @@
 //! The virtual-SPE pool: persistent worker threads standing in for the
 //! eight SPEs, with the off-load semantics of the paper's runtime.
 //!
-//! Off-loads are immediate when an SPE is idle and queue FIFO otherwise
-//! (the EDTLP scheduler "off-loads a task immediately upon request ... if
-//! no idle SPE is found, the scheduler waits until an SPE becomes
-//! available"). Teams for work-shared loops are *reserved* — removed from
-//! the idle set atomically — and addressed directly, mirroring how a master
-//! SPE signals its workers without going through the PPE.
+//! Every off-load begins with a *reservation*: `SpePool::reserve` takes
+//! idle SPEs out of the idle set atomically, and blocks while too few are
+//! idle (the EDTLP scheduler "off-loads a task immediately upon request ...
+//! if no idle SPE is found, the scheduler waits until an SPE becomes
+//! available"). The thread that reserved them then drives them in one of
+//! two ways, and only these:
 //!
-//! # Completion after idle, and the completion cell
+//! * it runs a job on a reserved SPE *itself* (`SpePool::run_here`), as a
+//!   team's master does and as a single-SPE off-load does — nothing
+//!   crosses a thread, and the SPE is idle and counted again when the job
+//!   returns;
+//! * it hands a job to a reserved SPE's own thread (`SpePool::run_on`), the
+//!   way a master signals its workers without going through the PPE.
 //!
-//! An off-load's result travels through a one-shot `Completion` cell
-//! shared by the job, the worker and the [`OffloadHandle`] — one `Arc`, no
-//! channel. The job only *parks* its return value there. The worker then
-//! books the completion (`completed`, metrics, the panic count), returns
-//! its SPE to the idle set (or takes the next queued job), and only after
-//! that *publishes* the cell and wakes the waiter. So "`wait()` returned"
-//! implies "that SPE is idle again and accounted for", and a contained
-//! panic is an `Err` published the same way. The order is also what makes
-//! dispatch cheap: the woken process usually runs at once on the waker's
-//! CPU, and were the SPE still on its way back to the idle set the
-//! process's next off-load would find it busy and have to wake a parked
-//! one — a halted-CPU wake-up costing several times the kernel it ships.
+//! So an SPE thread only ever runs woken team workers. [`SpePool::offload`]
+//! is the single-SPE case on its own: `reserve(1)`, then `run_here`.
 //!
 //! # Lent contexts
 //!
 //! An SPE's [`SpeContext`] is not its thread's private state: it sits in a
 //! per-SPE slot that the SPE's current *owner* locks for the length of one
-//! job. Normally the owner is the SPE's thread. The thread that reserved a
-//! team is the owner of its master SPE: `SpePool::run_here` runs the job on
-//! the caller's thread against that SPE's context — same mailbox events,
-//! local-store accounting, counters and panic containment (`run_job` is
-//! the one copy of that protocol) — so a team's master costs no thread
-//! wake-up and no reply hand-over, and the SPE's thread stays parked.
-//!
-//! # Process→SPE affinity
-//!
-//! `SpePool::offload_near` takes the SPE that ran the caller's previous
-//! task and hands it back when it is idle, falling back to the LIFO pop
-//! otherwise: it never waits for the preferred SPE, and a quarantined one
-//! is never idle. With the rule above, a process that off-loads one task
-//! at a time keeps talking to one SPE thread, the locality-aware placement
-//! the paper lists as future work (§6). [`SpePool::offload`] keeps the
-//! plain LIFO placement.
+//! job. The owner is the SPE's thread while it runs a woken worker's job,
+//! and the reserving thread while it runs one with `run_here` — same
+//! mailbox events, local-store accounting, counters and panic containment
+//! (`run_job` is the one copy of that protocol) — so the reserving thread
+//! pays no thread wake-up and no reply hand-over, and the SPE's thread
+//! stays parked.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,19 +48,12 @@ use crate::tracing::Tracer;
 /// A unit of work executed on a virtual SPE.
 pub type Job = Box<dyn FnOnce(&mut SpeContext) + Send>;
 
-/// A job and, for off-loads that return a value, the cell the worker
-/// publishes once the SPE is idle again.
-struct Task {
-    job: Job,
-    done: Option<Arc<dyn Publish>>,
-}
-
 enum WorkerMsg {
-    Run(Task),
+    Run(Job),
     Shutdown,
 }
 
-/// Why waiting on an [`OffloadHandle`] failed.
+/// Why an off-load failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OffloadError {
     /// The job panicked on the SPE; the panic was contained and the SPE
@@ -99,125 +77,25 @@ impl std::fmt::Display for OffloadError {
 
 impl std::error::Error for OffloadError {}
 
-/// Where an off-load's result is in its one-shot life.
-enum Slot<T> {
-    /// The job has not returned.
-    Running,
-    /// What the job returned, parked until the worker publishes it.
-    Returned(T),
-    /// Published: the result, or the contained panic.
-    Done(Result<T, OffloadError>),
-    /// The handle has taken the published result.
-    Taken,
-}
-
-impl<T> Slot<T> {
-    fn take_done(&mut self) -> Option<Result<T, OffloadError>> {
-        match std::mem::replace(self, Slot::Taken) {
-            Slot::Done(outcome) => Some(outcome),
-            other => {
-                *self = other;
-                None
-            }
-        }
-    }
-}
-
-struct Cell<T> {
-    slot: Slot<T>,
-    /// The handle is blocked in `wait`. A publisher that finds it unset
-    /// skips the condvar (a futex call even with nobody there); set and
-    /// read under the cell's lock, so the wake-up cannot be lost.
-    parked: bool,
-}
-
-/// The one-shot completion cell of an off-load (see the module doc).
-struct Completion<T> {
-    cell: Mutex<Cell<T>>,
-    ready: Condvar,
-}
-
-/// The worker's type-erased view of a [`Completion`].
-trait Publish: Send + Sync {
-    /// Make the parked result — or, if the job `panicked` or never ran,
-    /// [`OffloadError::TaskPanicked`] — visible to the handle and wake it.
-    fn publish(&self, panicked: bool);
-}
-
-impl<T> Completion<T> {
-    fn new() -> Completion<T> {
-        Completion {
-            cell: Mutex::new(Cell { slot: Slot::Running, parked: false }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Called by the job with its return value.
-    fn park(&self, value: T) {
-        self.cell.lock().slot = Slot::Returned(value);
-    }
-}
-
-impl<T: Send> Publish for Completion<T> {
-    fn publish(&self, panicked: bool) {
-        let mut cell = self.cell.lock();
-        let outcome = match std::mem::replace(&mut cell.slot, Slot::Taken) {
-            Slot::Returned(value) if !panicked => Ok(value),
-            _ => Err(OffloadError::TaskPanicked),
-        };
-        cell.slot = Slot::Done(outcome);
-        let parked = cell.parked;
-        // Unlock first: the woken handle re-takes this lock.
-        drop(cell);
-        if parked {
-            self.ready.notify_one();
-        }
-    }
-}
-
-/// Completion handle for an off-loaded task.
+/// The outcome of a finished [`SpePool::offload`].
+#[derive(Debug)]
 pub struct OffloadHandle<T> {
-    done: Arc<Completion<T>>,
-}
-
-impl<T> std::fmt::Debug for OffloadHandle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("OffloadHandle { .. }")
-    }
+    outcome: Result<T, OffloadError>,
 }
 
 impl<T> OffloadHandle<T> {
-    /// Block until the task finishes. When this returns, the SPE that ran
-    /// the task is idle again (or already running the next queued job) and
-    /// the pool's counters include the task.
+    /// The task's result. The task has run by the time the handle exists:
+    /// the SPE that ran it is idle again and the pool's counters include it.
     ///
     /// # Errors
     /// [`OffloadError::TaskPanicked`] if the job panicked.
     pub fn wait(self) -> Result<T, OffloadError> {
-        let mut cell = self.done.cell.lock();
-        loop {
-            if let Some(outcome) = cell.slot.take_done() {
-                return outcome;
-            }
-            cell.parked = true;
-            self.done.ready.wait(&mut cell);
-            cell.parked = false;
-        }
-    }
-
-    /// Non-blocking poll; `None` while the task is still running, and
-    /// again once a poll has returned the result (it is handed out once).
-    ///
-    /// # Errors
-    /// [`OffloadError::TaskPanicked`] if the job panicked.
-    pub fn try_wait(&self) -> Result<Option<T>, OffloadError> {
-        self.done.cell.lock().slot.take_done().transpose()
+        self.outcome
     }
 }
 
 struct PoolState {
     idle: Vec<SpeId>,
-    pending: std::collections::VecDeque<Task>,
     /// SPEs benched by the fault plane. Only an *idle* SPE can be benched
     /// (so a quarantined SPE is never mid-job and can never appear in a
     /// team that started after its quarantine); it sits out — neither idle
@@ -226,9 +104,9 @@ struct PoolState {
     /// Threads blocked in [`SpePool::reserve`]. They register and wait
     /// under this lock, and whoever grows `idle` reads the count under it
     /// too: either the waiter sees the new idle SPE before it sleeps, or
-    /// the count is already nonzero and it is notified. With no team
-    /// forming — every single-SPE off-load — returning an SPE to the idle
-    /// set skips the condvar, a futex call even with no one waiting.
+    /// the count is already nonzero and it is notified. With nobody
+    /// waiting, returning an SPE to the idle set skips the condvar, a futex
+    /// call even with no one there.
     reserve_waiters: usize,
 }
 
@@ -283,7 +161,6 @@ pub struct SpeStats {
 pub struct SpePool {
     workers: Vec<Worker>,
     shared: Arc<Shared>,
-    direct: Vec<Sender<WorkerMsg>>,
 }
 
 impl SpePool {
@@ -297,7 +174,7 @@ impl SpePool {
     }
 
     /// Like [`Self::new`], recording pool activity (completions, code
-    /// reloads, queue stalls) into `metrics`.
+    /// reloads, reservations that had to wait) into `metrics`.
     ///
     /// # Panics
     /// Panics if `n_spes == 0`.
@@ -335,7 +212,6 @@ impl SpePool {
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
                 idle: (0..n_spes).rev().map(SpeId).collect(),
-                pending: std::collections::VecDeque::new(),
                 quarantined: vec![false; n_spes],
                 reserve_waiters: 0,
             }),
@@ -345,21 +221,20 @@ impl SpePool {
             completed: AtomicU64::new(0),
             metrics,
         });
-        let mut workers = Vec::with_capacity(n_spes);
-        let mut direct = Vec::with_capacity(n_spes);
-        for i in 0..n_spes {
-            // Bounded: the dispatch protocol queues at most one job plus
-            // one shutdown per SPE (jobs only go to idle or reserved SPEs).
-            let (tx, rx) = bounded::<WorkerMsg>(COMMAND_QUEUE_DEPTH);
-            let shared_cl = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("vspe-{i}"))
-                .spawn(move || worker_loop(SpeId(i), rx, shared_cl))
-                .expect("spawn virtual SPE thread");
-            direct.push(tx.clone());
-            workers.push(Worker { tx, handle: Some(handle) });
-        }
-        SpePool { workers, shared, direct }
+        let workers = (0..n_spes)
+            .map(|i| {
+                // Bounded: an SPE thread is sent at most one job (only a
+                // reserved SPE is sent one) plus one shutdown.
+                let (tx, rx) = bounded::<WorkerMsg>(COMMAND_QUEUE_DEPTH);
+                let shared_cl = Arc::clone(&shared);
+                let handle = std::thread::Builder::new()
+                    .name(format!("vspe-{i}"))
+                    .spawn(move || worker_loop(SpeId(i), rx, shared_cl))
+                    .expect("spawn virtual SPE thread");
+                Worker { tx, handle: Some(handle) }
+            })
+            .collect();
+        SpePool { workers, shared }
     }
 
     /// Number of virtual SPEs.
@@ -372,9 +247,9 @@ impl SpePool {
         self.shared.state.lock().idle.len()
     }
 
-    /// Off-loads queued waiting for an SPE.
-    pub fn pending_len(&self) -> usize {
-        self.shared.state.lock().pending.len()
+    /// Callers blocked in `reserve`: off-loads waiting for an SPE.
+    pub(crate) fn reserve_waiters(&self) -> usize {
+        self.shared.state.lock().reserve_waiters
     }
 
     /// Instantaneous per-SPE busy flags (`true` = running a job), indexed
@@ -405,8 +280,8 @@ impl SpePool {
     /// Bench an idle SPE: it is removed from the idle set and receives no
     /// work until re-admitted. Returns `false` if the id is out of range,
     /// the SPE is already quarantined, or the SPE is not idle — benching a
-    /// busy SPE could race a team reservation that already claimed it, so
-    /// the fault plane retries at the SPE's next fault instead.
+    /// busy SPE could race a reservation that already claimed it, so the
+    /// fault plane retries at the SPE's next fault instead.
     pub fn quarantine(&self, spe: usize) -> bool {
         let mut st = self.shared.state.lock();
         if spe >= self.n_spes() || st.quarantined[spe] {
@@ -420,27 +295,19 @@ impl SpePool {
         true
     }
 
-    /// Return a quarantined SPE to service. If work is queued it is handed
-    /// to the returning SPE immediately; otherwise the SPE goes idle.
-    /// Returns `false` if the SPE was not quarantined.
+    /// Return a quarantined SPE to service: it goes idle, and a caller
+    /// blocked in `reserve` may take it. Returns `false` if the SPE
+    /// was not quarantined.
     pub fn readmit(&self, spe: usize) -> bool {
         let mut st = self.shared.state.lock();
         if spe >= self.n_spes() || !st.quarantined[spe] {
             return false;
         }
         st.quarantined[spe] = false;
-        match st.pending.pop_front() {
-            Some(task) => {
-                drop(st);
-                self.send(SpeId(spe), task);
-            }
-            None => {
-                let wake = st.go_idle(SpeId(spe));
-                drop(st);
-                if wake {
-                    self.shared.idle_changed.notify_all();
-                }
-            }
+        let wake = st.go_idle(SpeId(spe));
+        drop(st);
+        if wake {
+            self.shared.idle_changed.notify_all();
         }
         true
     }
@@ -455,90 +322,55 @@ impl SpePool {
         self.shared.panics.load(Ordering::Relaxed)
     }
 
-    /// Off-load `f` to the first available SPE, returning a completion
-    /// handle. Dispatch is immediate if an SPE is idle, FIFO-queued
-    /// otherwise.
+    /// Off-load `f` to one SPE and run it to completion: reserve an idle
+    /// SPE — waiting, if none is idle, until one is — and run `f` on the
+    /// calling thread as that SPE (`run_here`). The returned handle
+    /// holds the outcome; the SPE is idle again and counted.
     pub fn offload<T, F>(&self, f: F) -> OffloadHandle<T>
     where
-        T: Send + 'static,
-        F: FnOnce(&mut SpeContext) -> T + Send + 'static,
+        F: FnOnce(&mut SpeContext) -> T,
     {
-        self.offload_near(None, f)
+        let spe = self.reserve(1)[0];
+        OffloadHandle { outcome: self.run_here(spe, f) }
     }
 
-    /// [`Self::offload`], preferring SPE `near` — the one that ran the
-    /// caller's previous task — when it is idle. Any other idle SPE (LIFO)
-    /// is taken otherwise: the preferred one is never waited for.
-    pub(crate) fn offload_near<T, F>(&self, near: Option<SpeId>, f: F) -> OffloadHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut SpeContext) -> T + Send + 'static,
-    {
-        let (task, handle) = completing(f);
-        self.dispatch(task, |st| {
-            match near.and_then(|spe| st.idle.iter().rposition(|s| *s == spe)) {
-                Some(pos) => Some(st.idle.remove(pos)),
-                None => st.idle.pop(),
-            }
-        });
-        handle
-    }
-
-    /// Hand `task` to the idle SPE `pick` removes from the idle set, or
-    /// queue it FIFO when `pick` finds none.
-    fn dispatch(&self, task: Task, pick: impl FnOnce(&mut PoolState) -> Option<SpeId>) {
-        let mut st = self.shared.state.lock();
-        match pick(&mut st) {
-            Some(spe) => {
-                drop(st);
-                self.send(spe, task);
-            }
-            None => {
-                st.pending.push_back(task);
-                drop(st);
-                self.shared.metrics.incr(Counter::OffloadQueueStalls);
-            }
-        }
-    }
-
-    fn send(&self, spe: SpeId, task: Task) {
-        self.direct[spe.0]
-            .send(WorkerMsg::Run(task))
-            .expect("virtual SPE thread hung up");
-    }
-
-    /// Atomically reserve `k` idle SPEs, blocking until enough are idle.
-    /// The reserved SPEs receive work only via [`Self::run_on`] until they
-    /// finish it (each returns to the idle set after its job).
+    /// Atomically reserve `k` idle SPEs, blocking until enough are idle
+    /// (counted once as an [`Counter::OffloadQueueStalls`] when it has to
+    /// wait). A reserved SPE is driven only by the reserving thread —
+    /// [`Self::run_here`] or [`Self::run_on`] — and is idle again once its
+    /// job has run.
     ///
     /// # Panics
     /// Panics if `k` exceeds the pool size (this would deadlock).
     pub(crate) fn reserve(&self, k: usize) -> Vec<SpeId> {
         assert!(k <= self.n_spes(), "cannot reserve {k} of {} SPEs", self.n_spes());
         let mut st = self.shared.state.lock();
-        loop {
-            if st.idle.len() >= k {
-                let at = st.idle.len() - k;
-                let team = st.idle.split_off(at);
-                return team;
+        if st.idle.len() < k {
+            self.shared.metrics.incr(Counter::OffloadQueueStalls);
+            while st.idle.len() < k {
+                st.reserve_waiters += 1;
+                self.shared.idle_changed.wait(&mut st);
+                st.reserve_waiters -= 1;
             }
-            st.reserve_waiters += 1;
-            self.shared.idle_changed.wait(&mut st);
-            st.reserve_waiters -= 1;
         }
+        let at = st.idle.len() - k;
+        st.idle.split_off(at)
     }
 
-    /// Send a job directly to a reserved SPE.
+    /// Wake reserved SPE `spe`'s thread to run `job`.
     pub(crate) fn run_on(&self, spe: SpeId, job: Job) {
-        self.send(spe, Task { job, done: None });
+        self.workers[spe.0]
+            .tx
+            .send(WorkerMsg::Run(job))
+            .expect("virtual SPE thread hung up");
     }
 
     /// Run `job` on the calling thread as reserved SPE `spe`: the caller
     /// drives that SPE's context itself instead of waking its thread, and
     /// gets the job's value back without a hand-over. Everything an SPE
     /// thread does around a job happens here too (see `run_job`), a panic
-    /// is contained the same way, and the SPE is idle again — or has been
-    /// handed the next queued off-load — when this returns.
+    /// is contained the same way, and the SPE is idle again when this
+    /// returns.
     ///
     /// # Errors
     /// [`OffloadError::TaskPanicked`] if the job panicked.
@@ -548,9 +380,7 @@ impl SpePool {
         job: impl FnOnce(&mut SpeContext) -> R,
     ) -> Result<R, OffloadError> {
         let outcome = run_job(&self.shared, &mut self.shared.spes[spe.0].lock(), job);
-        if let Some(task) = self.shared.retire(spe) {
-            self.send(spe, task);
-        }
+        self.shared.retire(spe);
         outcome
     }
 
@@ -563,37 +393,12 @@ impl SpePool {
         for w in &self.workers {
             let _ = w.tx.send(WorkerMsg::Shutdown);
         }
-        let mut stats = Vec::with_capacity(self.workers.len());
-        for w in &mut self.workers {
-            if let Some(h) = w.handle.take() {
-                if let Ok(s) = h.join() {
-                    stats.push(s);
-                }
-            }
-        }
-        // Off-loads still queued (possible only while every SPE that could
-        // take them is quarantined) will never run: fail their handles
-        // rather than leave a waiter blocked forever.
-        let abandoned = std::mem::take(&mut self.shared.state.lock().pending);
-        for done in abandoned.into_iter().filter_map(|task| task.done) {
-            done.publish(true);
-        }
-        stats
+        self.workers
+            .iter_mut()
+            .filter_map(|w| w.handle.take())
+            .filter_map(|h| h.join().ok())
+            .collect()
     }
-}
-
-/// Wrap `f` as a task whose return value reaches the returned handle
-/// through a fresh completion cell.
-fn completing<T, F>(f: F) -> (Task, OffloadHandle<T>)
-where
-    T: Send + 'static,
-    F: FnOnce(&mut SpeContext) -> T + Send + 'static,
-{
-    let done = Arc::new(Completion::new());
-    let cell = Arc::clone(&done);
-    let job: Job = Box::new(move |ctx| cell.park(f(ctx)));
-    let publish: Arc<dyn Publish> = done.clone();
-    (Task { job, done: Some(publish) }, OffloadHandle { done })
 }
 
 impl Drop for SpePool {
@@ -605,19 +410,13 @@ impl Drop for SpePool {
 }
 
 impl Shared {
-    /// `spe` has finished a job: hand back the next queued off-load for it
-    /// to run, or return it to the idle set. (A quarantined SPE never gets
-    /// here: only idle SPEs can be benched, and a benched SPE is fed again
-    /// only by readmit.)
-    fn retire(&self, spe: SpeId) -> Option<Task> {
-        let mut st = self.state.lock();
-        let next = st.pending.pop_front();
-        let wake_reservers = next.is_none() && st.go_idle(spe);
-        drop(st);
+    /// `spe` has finished a job: return it to the idle set. (A quarantined
+    /// SPE never gets here: only idle SPEs can be benched.)
+    fn retire(&self, spe: SpeId) {
+        let wake_reservers = self.state.lock().go_idle(spe);
         if wake_reservers {
             self.idle_changed.notify_all();
         }
-        next
     }
 }
 
@@ -677,25 +476,15 @@ fn run_job<R>(
     })
 }
 
+/// An SPE thread: run each woken worker's job, then go idle. A panic is
+/// contained and booked by `run_job`; the job's team learns of it from
+/// its own countdown.
 fn worker_loop(id: SpeId, rx: Receiver<WorkerMsg>, shared: Arc<Shared>) -> SpeStats {
-    while let Ok(WorkerMsg::Run(mut task)) = rx.recv() {
-        loop {
-            let Task { job, done } = task;
-            // The slot is unlocked again before the SPE can go idle: its
-            // next owner may be a `run_here` caller on another thread.
-            let panicked = run_job(&shared, &mut shared.spes[id.0].lock(), job).is_err();
-            let next = shared.retire(id);
-            // Completion after idle: only now may the waiter learn of the
-            // result (see the module doc). The counters above are Relaxed;
-            // the cell's lock orders them before the waiter's return.
-            if let Some(done) = done {
-                done.publish(panicked);
-            }
-            match next {
-                Some(t) => task = t,
-                None => break,
-            }
-        }
+    while let Ok(WorkerMsg::Run(job)) = rx.recv() {
+        // The slot is unlocked again before the SPE can go idle: its next
+        // owner may be a `run_here` caller on another thread.
+        let _ = run_job(&shared, &mut shared.spes[id.0].lock(), job);
+        shared.retire(id);
     }
     let slot = shared.spes[id.0].lock();
     SpeStats {
@@ -706,258 +495,50 @@ fn worker_loop(id: SpeId, rx: Receiver<WorkerMsg>, shared: Arc<Shared>) -> SpeSt
     }
 }
 
-/// The retired completion path — a one-slot channel per off-load, the
-/// reply sent from *inside* the job — kept as a differential oracle: the
-/// tests drive the same scripts through it and through the completion
-/// cell and demand identical results and counters.
-#[cfg(test)]
-mod classic {
-    use super::*;
-
-    pub struct ClassicHandle<T> {
-        rx: Receiver<T>,
-    }
-
-    impl<T> ClassicHandle<T> {
-        pub fn wait(self) -> Result<T, OffloadError> {
-            self.rx.recv().map_err(|_| OffloadError::TaskPanicked)
-        }
-
-        pub fn try_wait(&self) -> Result<Option<T>, OffloadError> {
-            match self.rx.try_recv() {
-                Ok(v) => Ok(Some(v)),
-                Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    Err(OffloadError::TaskPanicked)
-                }
-            }
-        }
-    }
-
-    pub fn offload<T, F>(pool: &SpePool, f: F) -> ClassicHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut SpeContext) -> T + Send + 'static,
-    {
-        let (tx, rx) = bounded(1);
-        let job: Job = Box::new(move |ctx| {
-            let out = f(ctx);
-            let _ = tx.send(out);
-        });
-        pool.dispatch(Task { job, done: None }, |st| st.idle.pop());
-        ClassicHandle { rx }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::AtomicMetrics;
     use std::sync::atomic::AtomicUsize;
 
-    /// A job that blocks its SPE until the returned gate is opened.
-    fn gated<T: Send + 'static>(
-        value: T,
-    ) -> (impl FnOnce(&mut SpeContext) -> T + Send + 'static, impl FnOnce()) {
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        let job = move |_: &mut SpeContext| {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock();
-            while !*open {
-                cv.wait(&mut open);
-            }
-            value
-        };
-        let open = move || {
-            let (lock, cv) = &*gate;
-            *lock.lock() = true;
-            cv.notify_all();
-        };
-        (job, open)
-    }
-
-    /// Spin on a handle's `try_wait` until it yields the outcome.
-    fn poll<T>(
-        mut try_wait: impl FnMut() -> Result<Option<T>, OffloadError>,
-    ) -> Result<T, OffloadError> {
-        loop {
-            match try_wait() {
-                Ok(Some(v)) => return Ok(v),
-                Ok(None) => std::thread::yield_now(),
-                Err(e) => return Err(e),
-            }
+    /// Yield until `done` holds.
+    fn yield_until(done: impl Fn() -> bool) {
+        while !done() {
+            std::thread::yield_now();
         }
     }
 
     #[test]
-    fn wait_returns_after_the_spe_is_idle_and_accounted() {
+    fn offload_runs_on_the_caller_and_returns_with_the_spe_idle_and_counted() {
         let pool = SpePool::new(3, Duration::ZERO);
+        let here = std::thread::current().id();
         for i in 1..=100u64 {
-            assert_eq!(pool.offload(move |_| i).wait(), Ok(i));
+            let got = pool.offload(move |ctx| (i, ctx.id, std::thread::current().id())).wait();
+            // The LIFO pop: SPE 0, back on top of the idle stack every time.
+            assert_eq!(got, Ok((i, SpeId(0), here)));
             assert_eq!((pool.idle_count(), pool.completed()), (3, i), "after off-load {i}");
         }
-        // try_wait is the same hand-over: once it yields the result, the
-        // books are done.
-        let h = pool.offload(|_| 7);
-        let got = poll(|| h.try_wait());
-        assert_eq!((got, pool.idle_count(), pool.completed()), (Ok(7), 3, 101));
-        assert_eq!(h.try_wait(), Ok(None), "the result is handed out once");
     }
 
     #[test]
-    fn queued_offloads_publish_in_order_with_the_books_done() {
-        // One SPE, so every off-load but the first queues; the worker takes
-        // the next job *before* publishing the previous result.
-        let pool = SpePool::new(1, Duration::ZERO);
-        let (job, open) = gated(0u64);
-        let first = pool.offload(job);
-        let rest: Vec<_> = (1..6u64).map(|i| pool.offload(move |_| i)).collect();
-        open();
-        assert_eq!(first.wait(), Ok(0));
-        assert!(pool.completed() >= 1);
-        for (i, h) in rest.into_iter().enumerate() {
-            assert_eq!(h.wait(), Ok(i as u64 + 1));
-            assert!(pool.completed() >= i as u64 + 2);
-        }
-        assert_eq!((pool.idle_count(), pool.completed()), (1, 6));
-    }
-
-    #[test]
-    fn preferred_spe_is_handed_back_while_idle() {
-        let pool = SpePool::new(4, Duration::ZERO);
-        // Without a preference — or with one that names no SPE — the LIFO
-        // pop: SPE 0, which goes back on top and is popped again.
-        assert_eq!(pool.offload(|ctx| ctx.id).wait(), Ok(SpeId(0)));
-        assert_eq!(pool.offload_near(None, |ctx| ctx.id).wait(), Ok(SpeId(0)));
-        assert_eq!(pool.offload_near(Some(SpeId(9)), |ctx| ctx.id).wait(), Ok(SpeId(0)));
-        // A preference is honoured from anywhere in the idle stack.
-        for spe in [SpeId(2), SpeId(2), SpeId(3), SpeId(2), SpeId(1)] {
-            assert_eq!(pool.offload_near(Some(spe), |ctx| ctx.id).wait(), Ok(spe));
-        }
-        assert_eq!(pool.idle_count(), 4);
-    }
-
-    #[test]
-    fn busy_or_quarantined_preferred_spe_falls_back_without_blocking() {
-        let pool = SpePool::new(3, Duration::ZERO);
-        let (job, open) = gated(());
-        let busy = pool.offload_near(Some(SpeId(1)), job);
-        // SPE 1 is held by the gated job: these must complete elsewhere
-        // while it still is.
-        for _ in 0..5 {
-            let spe = pool.offload_near(Some(SpeId(1)), |ctx| ctx.id).wait().unwrap();
-            assert_ne!(spe, SpeId(1));
-        }
-        assert_eq!(busy.try_wait(), Ok(None));
-        open();
-        busy.wait().unwrap();
-
-        assert!(pool.quarantine(1));
-        for _ in 0..5 {
-            let spe = pool.offload_near(Some(SpeId(1)), |ctx| ctx.id).wait().unwrap();
-            assert_ne!(spe, SpeId(1), "a benched SPE is never picked");
-        }
-        assert!(pool.readmit(1));
-        assert_eq!(pool.offload_near(Some(SpeId(1)), |ctx| ctx.id).wait(), Ok(SpeId(1)));
-    }
-
-    #[test]
-    fn offloads_abandoned_at_shutdown_fail_their_handles() {
-        let pool = SpePool::new(1, Duration::ZERO);
-        assert!(pool.quarantine(0));
-        let h = pool.offload(|_| 1);
-        assert_eq!(pool.pending_len(), 1);
-        drop(pool);
-        assert_eq!(h.wait(), Err(OffloadError::TaskPanicked));
-    }
-
-    /// What one scripted off-load does and how its handle is consumed.
-    #[derive(Clone, Copy)]
-    enum Step {
-        Wait(u64),
-        Poll(u64),
-        PanicWait,
-        PanicPoll,
-        /// Off-load, then drop the handle unread.
-        Forget(u64),
-    }
-
-    fn body(step: Step) -> impl FnOnce(&mut SpeContext) -> u64 + Send + 'static {
-        move |ctx| {
-            ctx.local_store.alloc(256).unwrap();
-            match step {
-                Step::Wait(v) | Step::Poll(v) | Step::Forget(v) => v * 3,
-                Step::PanicWait | Step::PanicPoll => panic!("scripted failure"),
-            }
-        }
-    }
-
-    #[test]
-    fn completion_cell_matches_the_channel_oracle_on_scripted_runs() {
-        // The differential satellite: the same seeded script of off-loads
-        // through the retired reply-inside-the-job channel and through the
-        // completion cell. Results, per-SPE totals and pool counters must
-        // be identical; only *when* they become visible may differ (the
-        // oracle has to be given time to settle, the cell must not).
-        let seed = 0x5EEDu64;
-        let script: Vec<Step> = (0..200u64)
-            .map(|i| {
-                let x = seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(i.wrapping_mul(1442695040888963407));
-                match (x >> 33) % 8 {
-                    0 => Step::PanicWait,
-                    1 => Step::PanicPoll,
-                    2 => Step::Forget(i),
-                    3 | 4 => Step::Poll(i),
-                    _ => Step::Wait(i),
-                }
-            })
-            .collect();
-
-        let panics_in = |steps: &[Step]| {
-            steps.iter().filter(|s| matches!(s, Step::PanicWait | Step::PanicPoll)).count() as u64
-        };
-
-        let cell_pool = SpePool::new(2, Duration::ZERO);
-        let mut cell_results = Vec::new();
-        for (i, &step) in script.iter().enumerate() {
-            let h = cell_pool.offload(body(step));
-            match step {
-                Step::Wait(_) | Step::PanicWait => cell_results.push(h.wait()),
-                Step::Poll(_) | Step::PanicPoll => cell_results.push(poll(|| h.try_wait())),
-                Step::Forget(_) => drop(h),
-            }
-            // Exact at every step: a panicking step is always waited for.
-            assert_eq!(cell_pool.panics(), panics_in(&script[..=i]));
-        }
-
-        let classic_pool = SpePool::new(2, Duration::ZERO);
-        let mut classic_results = Vec::new();
-        for &step in &script {
-            let h = classic::offload(&classic_pool, body(step));
-            match step {
-                Step::Wait(_) | Step::PanicWait => classic_results.push(h.wait()),
-                Step::Poll(_) | Step::PanicPoll => classic_results.push(poll(|| h.try_wait())),
-                Step::Forget(_) => drop(h),
-            }
-        }
-
-        assert_eq!(cell_results, classic_results);
-        // Shutdown joins the workers, which settles the oracle's counters.
-        let counters = |pool: SpePool| {
-            let shared = Arc::clone(&pool.shared);
-            let stats = pool.shutdown();
-            (
-                shared.completed.load(Ordering::Relaxed),
-                shared.panics.load(Ordering::Relaxed),
-                stats.iter().map(|s| s.tasks_run).sum::<u64>(),
-                stats.iter().map(|s| s.local_store_high_water).max(),
-            )
-        };
-        let want = (script.len() as u64, panics_in(&script), script.len() as u64, Some(256));
-        assert_eq!(counters(cell_pool), want);
-        assert_eq!(counters(classic_pool), want);
+    fn offload_blocks_while_every_spe_is_reserved_and_proceeds_when_one_is_returned() {
+        let metrics = Arc::new(AtomicMetrics::new());
+        let pool = SpePool::with_metrics(2, Duration::ZERO, Arc::<AtomicMetrics>::clone(&metrics));
+        let team = pool.reserve(2);
+        assert_eq!(metrics.get(Counter::OffloadQueueStalls), 0, "that one did not wait");
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| pool.offload(|ctx| ctx.id).wait());
+            yield_until(|| pool.reserve_waiters() == 1);
+            assert_eq!((pool.idle_count(), pool.completed()), (0, 0));
+            assert_eq!(metrics.get(Counter::OffloadQueueStalls), 1);
+            // Returning one reserved SPE lets the waiting off-load run on it.
+            pool.run_here(team[1], |_| ()).unwrap();
+            assert_eq!(waiter.join().unwrap(), Ok(team[1]));
+        });
+        assert_eq!(pool.reserve_waiters(), 0);
+        pool.run_here(team[0], |_| ()).unwrap();
+        assert_eq!((pool.idle_count(), pool.completed()), (2, 3));
+        assert_eq!(metrics.get(Counter::OffloadQueueStalls), 1);
     }
 
     #[test]
@@ -980,43 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn excess_offloads_queue_fifo() {
-        let pool = SpePool::new(1, Duration::ZERO);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-
-        // First job blocks the only SPE until we open the gate.
-        let g = Arc::clone(&gate);
-        let o = Arc::clone(&order);
-        let h0 = pool.offload(move |_| {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock();
-            while !*open {
-                cv.wait(&mut open);
-            }
-            o.lock().push(0);
-        });
-        // These must queue and then run in submission order.
-        let hs: Vec<_> = (1..4)
-            .map(|i| {
-                let o = Arc::clone(&order);
-                pool.offload(move |_| o.lock().push(i))
-            })
-            .collect();
-        assert_eq!(pool.idle_count(), 0);
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        h0.wait().unwrap();
-        for h in hs {
-            h.wait().unwrap();
-        }
-        assert_eq!(*order.lock(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn jobs_observe_spe_context() {
         let pool = SpePool::new(3, Duration::ZERO);
         let h = pool.offload(|ctx| {
@@ -1034,22 +578,12 @@ mod tests {
         let pool = SpePool::new(1, Duration::ZERO);
         let h = pool.offload::<(), _>(|_| panic!("injected failure"));
         assert_eq!(h.wait(), Err(OffloadError::TaskPanicked));
-        // Published after the books are done: no waiting for the counter.
+        // Booked before the off-load returned.
         assert_eq!(pool.panics(), 1);
         assert_eq!((pool.completed(), pool.idle_count()), (1, 1));
         // The same (only) SPE still serves work.
         let h2 = pool.offload(|_| "alive");
         assert_eq!(h2.wait().unwrap(), "alive");
-    }
-
-    #[test]
-    fn try_wait_polls_without_blocking() {
-        let pool = SpePool::new(1, Duration::ZERO);
-        let (job, open) = gated(99);
-        let h = pool.offload(job);
-        assert_eq!(h.try_wait().unwrap(), None);
-        open();
-        assert_eq!(poll(|| h.try_wait()), Ok(99));
     }
 
     #[test]
@@ -1064,9 +598,7 @@ mod tests {
             let c = Arc::clone(&counter);
             pool.run_on(spe, Box::new(move |_| { c.fetch_add(1, Ordering::SeqCst); }));
         }
-        while pool.idle_count() < 4 {
-            std::thread::yield_now();
-        }
+        yield_until(|| pool.idle_count() == 4);
         assert_eq!(counter.load(Ordering::SeqCst), 3);
     }
 
@@ -1089,19 +621,8 @@ mod tests {
         assert_eq!(got, Err(OffloadError::TaskPanicked));
         assert_eq!((pool.completed(), pool.panics(), pool.idle_count()), (2, 1, 2));
 
-        // An off-load queued meanwhile is handed to the SPE's own thread.
-        let team = pool.reserve(2);
-        let queued = pool.offload(|ctx| (ctx.id, std::thread::current().id()));
-        assert_eq!(pool.pending_len(), 1);
-        pool.run_here(team[0], |_| ()).unwrap();
-        let (ran_on, thread) = queued.wait().unwrap();
-        assert_eq!(ran_on, team[0]);
-        assert_ne!(thread, here);
-        pool.run_here(team[1], |_| ()).unwrap();
-        assert_eq!(pool.idle_count(), 2);
-
         let stats = pool.shutdown();
-        assert_eq!(stats.iter().map(|s| s.tasks_run).sum::<u64>(), 5);
+        assert_eq!(stats.iter().map(|s| s.tasks_run).sum::<u64>(), 2);
         assert_eq!(stats.iter().map(|s| s.local_store_high_water).max(), Some(512));
     }
 
@@ -1152,25 +673,26 @@ mod tests {
     #[test]
     fn busy_spes_cannot_be_quarantined() {
         let pool = SpePool::new(1, Duration::ZERO);
-        let (job, open) = gated(());
-        let h = pool.offload(job);
-        assert!(!pool.quarantine(0), "a busy SPE must not be benched");
-        open();
-        h.wait().unwrap();
+        let spe = pool.reserve(1)[0];
+        assert!(!pool.quarantine(spe.0), "a busy SPE must not be benched");
+        pool.run_here(spe, |_| ()).unwrap();
         assert_eq!(pool.healthy_count(), 1);
+        assert!(pool.quarantine(spe.0), "an idle one may be");
     }
 
     #[test]
-    fn readmission_drains_the_pending_queue() {
+    fn readmission_releases_an_offload_waiting_for_an_spe() {
         let pool = SpePool::new(1, Duration::ZERO);
         assert!(pool.quarantine(0));
-        // With the only SPE benched, work queues rather than dispatching.
-        let h = pool.offload(|_| 77);
-        assert_eq!(h.try_wait().unwrap(), None);
-        assert_eq!(pool.pending_len(), 1);
-        // Re-admission hands the queued job straight to the returning SPE.
-        assert!(pool.readmit(0));
-        assert_eq!(h.wait().unwrap(), 77);
-        assert_eq!(pool.pending_len(), 0);
+        std::thread::scope(|scope| {
+            // With the only SPE benched, the off-load waits for one.
+            let waiter = scope.spawn(|| pool.offload(|_| 77).wait());
+            yield_until(|| pool.reserve_waiters() == 1);
+            assert_eq!(pool.completed(), 0);
+            // Re-admission makes it idle, and the waiter takes it.
+            assert!(pool.readmit(0));
+            assert_eq!(waiter.join().unwrap(), Ok(77));
+        });
+        assert_eq!((pool.reserve_waiters(), pool.idle_count()), (0, 1));
     }
 }

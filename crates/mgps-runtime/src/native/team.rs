@@ -11,17 +11,21 @@
 //!
 //! The thread that calls `parallel_reduce` reserves the team and then *is*
 //! its master: it drives the master SPE's context itself
-//! (`SpePool::run_here`) rather than waking a fourth thread to do so and
-//! waiting for that thread's reply. The loop is described once, in one
-//! shared `Round`: the chunk ranges, a claim flag and a result slot per
-//! chunk, and a countdown of unfinished chunks. Each woken worker claims
-//! its own chunk, or returns at once if it is gone; the master runs chunk
-//! 0 and then every chunk nobody has claimed yet, in index order — so a
-//! worker that wakes late costs its own wake-up, not the loop's latency,
-//! which is how the paper's master absorbs worker start-up (§5.3). The
-//! master parks only while chunks claimed by workers are unfinished, and
-//! the last finisher wakes it only if it did park. Partials are merged in
-//! chunk order, so a loop's result does not depend on who finished first.
+//! (`SpePool::run_here`) rather than waking another thread to do so and
+//! waiting for that thread's reply. This holds at every degree: a
+//! single-SPE off-load is a team of one, its master the off-loading thread
+//! running the loop's one chunk, with no verdict asked and no balancer fed
+//! — the pool has no other way to run an off-load. The loop is described
+//! once, in one shared `Round`: the chunk ranges, a claim flag and a
+//! result slot per chunk, and a countdown of unfinished chunks. Each woken
+//! worker claims its own chunk, or returns at once if it is gone; the
+//! master runs chunk 0 and then every chunk nobody has claimed yet, in
+//! index order — so a worker that wakes late costs its own wake-up, not
+//! the loop's latency, which is how the paper's master absorbs worker
+//! start-up (§5.3). The master parks only while chunks claimed by workers
+//! are unfinished, and the last finisher wakes it only if it did park.
+//! Partials are merged in chunk order, so a loop's result does not depend
+//! on who finished first.
 //!
 //! # Waking the team only when it pays
 //!
@@ -46,10 +50,10 @@
 //! reserved once, the master SPE lent to the calling thread and the
 //! workers inside one job each until the body has had enough, each parked
 //! between rounds on the `Round`'s gate and woken by the master re-opening
-//! the claims and the countdown. On one SPE, and in a kernel's PPE copy,
-//! the rounds are a plain loop inside the one job. A task's trace carries
-//! one `Chunk` per chunk — the first round's, on the team `TaskStart`
-//! names — however many rounds ran.
+//! the claims and the countdown. With nobody woken the master runs every
+//! round itself, and in a kernel's PPE copy the rounds are a plain loop. A
+//! task's trace carries one `Chunk` per chunk — the first round's, on the
+//! team `TaskStart` names — however many rounds ran.
 //!
 //! This is the runtime's one way to keep a team across dependent loops. A
 //! chain whose loops differ keeps its stage in the body and advances it in
@@ -145,8 +149,7 @@ fn rounds<B: LoopBody, E>(
     }
 }
 
-/// Every round of `body` as one chunk on `ctx`: a single-SPE off-load from
-/// inside its job, or a kernel's PPE copy.
+/// Every round of `body` as one chunk on `ctx`: a kernel's PPE copy.
 pub(super) fn run_whole<B: LoopBody>(body: &B, ctx: &mut SpeContext) -> B::Acc {
     let n = body.len();
     let Ok(acc) = rounds(body, ctx, |_, ctx| Ok::<_, Infallible>(body.run_chunk(0..n, ctx)));
@@ -491,13 +494,13 @@ impl TeamRunner {
     }
 
     /// Run `body` work-shared across `degree` SPEs and return the reduced
-    /// result. `degree == 1` degrades to a plain single-SPE off-load.
+    /// result.
     ///
-    /// Blocks the calling thread until the loop completes; at `degree > 1`
-    /// it is the team's master and runs chunks itself — all of them when
-    /// `site`'s measurements say waking workers does not pay (see the
-    /// module doc). The caller is a worker process whose PPE context
-    /// handling is the [`super::gate::PpeGate`]'s concern, not ours.
+    /// Blocks the calling thread until the loop completes. The caller is
+    /// the team's master and runs chunks itself — all of them at `degree
+    /// == 1`, and when `site`'s measurements say waking workers does not
+    /// pay (see the module doc). The caller is a worker process whose PPE
+    /// context handling is the [`super::gate::PpeGate`]'s concern, not ours.
     ///
     /// # Errors
     /// Propagates [`OffloadError::TaskPanicked`] if any team member
@@ -523,65 +526,14 @@ impl TeamRunner {
         body: Arc<B>,
         trace: Option<TraceTask<'_>>,
     ) -> Result<B::Acc, OffloadError> {
-        self.parallel_reduce_near(site, degree, body, trace, &mut None)
-    }
-
-    /// The loop under both entry points above. `near` is the caller's SPE
-    /// affinity for single-SPE off-loads: the SPE that ran its previous one
-    /// is preferred (see `SpePool::offload_near`) and the one that ran this
-    /// one is written back. Teams neither read nor write it.
-    pub(crate) fn parallel_reduce_near<B: LoopBody>(
-        &self,
-        site: LoopSite,
-        degree: usize,
-        body: Arc<B>,
-        trace: Option<TraceTask<'_>>,
-        near: &mut Option<SpeId>,
-    ) -> Result<B::Acc, OffloadError> {
         assert!(degree >= 1, "loop degree must be at least 1");
         let degree = degree.min(self.pool.n_spes()).min(body.len().max(1));
         self.invocations.fetch_add(1, Ordering::Relaxed);
 
-        if degree == 1 {
-            let b = Arc::clone(&body);
-            let n = body.len();
-            // The pool picks the SPE, so the span events are recorded from
-            // inside the job, where the context (and its ring) is known.
-            let ids = trace.as_ref().map(|t| (t.proc, t.task));
-            let (acc, spe) = self
-                .pool
-                .offload_near(*near, move |ctx| {
-                    if let (Some((proc, task)), Some(h)) = (ids, ctx.trace()) {
-                        h.record(EventKind::TaskStart {
-                            proc,
-                            task,
-                            degree: 1,
-                            team: vec![ctx.id.0],
-                        });
-                    }
-                    let out = run_whole(&*b, ctx);
-                    if let (Some((proc, task)), Some(h)) = (ids, ctx.trace()) {
-                        if n > 0 {
-                            h.record(EventKind::Chunk {
-                                task,
-                                loop_iters: n,
-                                start: 0,
-                                len: n,
-                                worker: ctx.id.0,
-                            });
-                        }
-                        h.record(EventKind::TaskEnd { proc, task, team: vec![ctx.id.0] });
-                    }
-                    (out, ctx.id)
-                })
-                .wait()?;
-            *near = Some(spe);
-            return Ok(acc);
-        }
-
-        // The tiling is the site's whoever runs it, so the chunk-order merge
-        // gives the same bits either way.
-        let (wake, bias) = self.verdict(site);
+        // One chunk has nobody to wake: no verdict to ask, none to feed.
+        // Otherwise the tiling is the site's whoever runs it, so the
+        // chunk-order merge gives the same bits either way.
+        let (wake, bias) = if degree > 1 { self.verdict(site) } else { (false, 0.0) };
         let chunks = partition(body.len(), degree, bias);
         let team = self.pool.reserve(if wake { degree } else { 1 });
         let team_ids = || team.iter().map(|s| s.0).collect::<Vec<usize>>();
@@ -602,8 +554,10 @@ impl TeamRunner {
             self.woken(site, &team, &round, started)?
         } else {
             let (acc, _) = self.drive(team[0], &round)?;
-            let loop_ns = started.elapsed().as_nanos() as u64;
-            self.balancer(site, |b| b.record(LoopCost::Solo { loop_ns }));
+            if degree > 1 {
+                let loop_ns = started.elapsed().as_nanos() as u64;
+                self.balancer(site, |b| b.record(LoopCost::Solo { loop_ns }));
+            }
             acc
         };
         if let Some(t) = &trace {

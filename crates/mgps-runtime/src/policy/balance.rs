@@ -29,7 +29,7 @@
 //! wakes the team once per [`TEAM_PROBE_PERIOD`] invocations to re-measure
 //! it.
 
-use super::granularity::{MIN_SPE_SAMPLES, TEAM_PROBE_PERIOD};
+use super::granularity::{Minimum, TEAM_PROBE_PERIOD};
 
 /// Per-loop-site adaptive bias tuner and wake verdict.
 ///
@@ -49,27 +49,6 @@ pub struct LoadBalancer {
     /// Wall time of the master running every chunk alone: measured, or
     /// scaled from its chunk 0 in an invocation that woke the team.
     solo: Minimum,
-}
-
-/// The minimum of a stream of wall-clock samples. Noise on a shared host
-/// only ever adds to a sample, so the minimum is the estimator.
-#[derive(Debug, Clone, Copy, Default)]
-struct Minimum {
-    samples: u64,
-    ns: u64,
-}
-
-impl Minimum {
-    fn add(&mut self, ns: u64) {
-        self.ns = if self.samples == 0 { ns } else { self.ns.min(ns) };
-        self.samples += 1;
-    }
-
-    /// The minimum, once there are enough samples that one preempted
-    /// sample cannot decide anything.
-    fn settled(self) -> Option<u64> {
-        (self.samples >= MIN_SPE_SAMPLES).then_some(self.ns)
-    }
 }
 
 /// What one invocation of a loop site cost, as the wake verdict reads it.
@@ -136,10 +115,10 @@ impl LoadBalancer {
     }
 
     /// Whether the next invocation wakes its team: optimistically until
-    /// [`MIN_SPE_SAMPLES`] of each cost are in, then while the team's
-    /// cheapest invocation beats the master's cheapest alone — and, while
-    /// it does not, once per [`TEAM_PROBE_PERIOD`] invocations, to
-    /// re-measure the team.
+    /// each cost's minimum is settled, then while the team's cheapest
+    /// invocation beats the master's cheapest alone — and, while it does
+    /// not, once per [`TEAM_PROBE_PERIOD`] invocations, to re-measure the
+    /// team.
     pub fn wake(&mut self) -> bool {
         self.requests += 1;
         match (self.team.settled(), self.solo.settled()) {
@@ -199,6 +178,7 @@ impl LoadBalancer {
 mod tests {
     use super::*;
     use crate::policy::chunk::partition;
+    use crate::policy::granularity::MIN_SPE_SAMPLES;
 
     #[test]
     fn bias_starts_even() {

@@ -12,6 +12,11 @@
 //! the PPE↔SPE signal latency (paid once to start the task and once to
 //! return the result).
 //!
+//! Natively the two extra terms have no separate measurement: the `t_spe`
+//! recorded is the wall time of the whole off-load, from the request to the
+//! result back on the PPE, so the hand-over both ways and any code reload
+//! are already in it. The test run is therefore `t_spe < t_ppe`.
+//!
 //! Task lengths are unknown a priori, so the scheduler *optimistically
 //! off-loads* any annotated task, measures it, and throttles off-loading of
 //! functions that fail the test — which requires keeping both PPE and SPE
@@ -36,28 +41,49 @@ pub const MIN_SPE_SAMPLES: u64 = 3;
 /// ([`super::balance::LoadBalancer::wake`]).
 pub const TEAM_PROBE_PERIOD: u64 = 64;
 
+/// The minimum of a stream of wall-clock samples, the one estimator every
+/// verdict here and in [`super::balance`] is taken on. Noise on a shared
+/// host only ever adds to a sample, so the minimum is the estimator of
+/// intrinsic cost.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct Minimum {
+    pub(super) samples: u64,
+    pub(super) ns: u64,
+}
+
+impl Minimum {
+    pub(super) fn add(&mut self, ns: u64) {
+        self.ns = if self.samples == 0 { ns } else { self.ns.min(ns) };
+        self.samples += 1;
+    }
+
+    /// The minimum, once there are enough samples ([`MIN_SPE_SAMPLES`])
+    /// that one preempted sample cannot decide anything.
+    pub(super) fn settled(self) -> Option<u64> {
+        (self.samples >= MIN_SPE_SAMPLES).then_some(self.ns)
+    }
+
+    /// The minimum so far, if there is a sample.
+    fn get(self) -> Option<u64> {
+        (self.samples > 0).then_some(self.ns)
+    }
+}
+
 /// Measured timing profile of one off-loadable function.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FunctionTimings {
-    /// Best (minimum) observed SPE execution time, ns.
+    /// Best (minimum) observed wall time of an off-load, ns.
     pub t_spe_ns: u64,
-    /// Code-shipping cost, ns (paid only on the first execution, or after a
-    /// code-image replacement).
-    pub t_code_ns: u64,
-    /// One-way PPE↔SPE signal latency, ns.
-    pub t_comm_ns: u64,
     /// Best (minimum) observed PPE execution time of the fallback version, ns.
     pub t_ppe_ns: u64,
 }
 
 impl FunctionTimings {
-    /// Evaluate the paper's granularity condition.
-    ///
-    /// `code_resident` is true when the function's image is already loaded
-    /// on the target SPE, making `t_code = 0`.
-    pub fn offload_profitable(&self, code_resident: bool) -> bool {
-        let t_code = if code_resident { 0 } else { self.t_code_ns };
-        self.t_spe_ns + t_code + 2 * self.t_comm_ns < self.t_ppe_ns
+    /// Evaluate the paper's granularity condition on native timings, where
+    /// `t_spe` already holds `t_code` and both `t_comm`s (see the module
+    /// doc).
+    pub fn offload_profitable(&self) -> bool {
+        self.t_spe_ns < self.t_ppe_ns
     }
 }
 
@@ -86,15 +112,8 @@ pub struct GranularityController {
 
 #[derive(Debug, Default)]
 struct Profile {
-    spe_samples: u64,
-    /// Minimum observed SPE time. Wall-clock noise on a multiprogrammed
-    /// host is strictly additive (preemption can only inflate a sample),
-    /// so the minimum is the robust estimator of intrinsic cost.
-    spe_min_ns: Option<u64>,
-    ppe_samples: u64,
-    ppe_min_ns: Option<u64>,
-    t_code_ns: u64,
-    t_comm_ns: u64,
+    spe: Minimum,
+    ppe: Minimum,
     requests: u64,
     throttled: bool,
 }
@@ -102,10 +121,8 @@ struct Profile {
 impl Profile {
     fn timings(&self) -> FunctionTimings {
         FunctionTimings {
-            t_spe_ns: self.spe_min_ns.unwrap_or(0),
-            t_code_ns: self.t_code_ns,
-            t_comm_ns: self.t_comm_ns,
-            t_ppe_ns: self.ppe_min_ns.unwrap_or(u64::MAX),
+            t_spe_ns: self.spe.get().unwrap_or(0),
+            t_ppe_ns: self.ppe.get().unwrap_or(u64::MAX),
         }
     }
 }
@@ -128,49 +145,36 @@ impl GranularityController {
         GranularityController { profiles: HashMap::new(), retry_period }
     }
 
-    /// Record the fixed communication and code-shipping costs for `kind`.
-    pub fn set_costs(&mut self, kind: KernelKind, t_code_ns: u64, t_comm_ns: u64) {
-        let p = self.profiles.entry(kind).or_default();
-        p.t_code_ns = t_code_ns;
-        p.t_comm_ns = t_comm_ns;
-    }
-
-    /// Record a completed SPE execution of `kind`.
+    /// Record a completed off-load of `kind`: its wall time, ns.
     pub fn record_spe(&mut self, kind: KernelKind, elapsed_ns: u64) {
-        let p = self.profiles.entry(kind).or_default();
-        p.spe_samples += 1;
-        p.spe_min_ns = Some(p.spe_min_ns.map_or(elapsed_ns, |m| m.min(elapsed_ns)));
+        self.profiles.entry(kind).or_default().spe.add(elapsed_ns);
     }
 
     /// Record a completed PPE (fallback) execution of `kind`.
     pub fn record_ppe(&mut self, kind: KernelKind, elapsed_ns: u64) {
-        let p = self.profiles.entry(kind).or_default();
-        p.ppe_samples += 1;
-        p.ppe_min_ns = Some(p.ppe_min_ns.map_or(elapsed_ns, |m| m.min(elapsed_ns)));
+        self.profiles.entry(kind).or_default().ppe.add(elapsed_ns);
     }
 
     /// Decide the fate of a new off-load request for `kind`.
-    ///
-    /// `code_resident`: the function's image is already on the target SPE.
-    pub fn decide(&mut self, kind: KernelKind, code_resident: bool) -> GranularityDecision {
+    pub fn decide(&mut self, kind: KernelKind) -> GranularityDecision {
         let retry = self.retry_period;
         let p = self.profiles.entry(kind).or_default();
         p.requests += 1;
 
         // Optimistic off-load until we have enough SPE measurements that a
         // single preemption-inflated sample cannot throttle the kernel.
-        if p.spe_samples < MIN_SPE_SAMPLES {
+        let Some(t_spe_ns) = p.spe.settled() else {
             return GranularityDecision::Offload;
-        }
+        };
         // The test needs t_ppe too: probe the PPE fallback version (the
         // dual PPE/SPE copies of every off-loadable function exist
         // precisely to allow this, §5.2), as often as the SPE one and for
         // the same reason.
-        if p.ppe_samples < MIN_SPE_SAMPLES {
+        let Some(t_ppe_ns) = p.ppe.settled() else {
             return GranularityDecision::RunOnPpe;
-        }
+        };
 
-        let profitable = p.timings().offload_profitable(code_resident);
+        let profitable = FunctionTimings { t_spe_ns, t_ppe_ns }.offload_profitable();
         p.throttled = !profitable;
         // Periodic re-probe of the other version, so a workload change can
         // be noticed. Both estimators are minima, so a clean probe repairs
@@ -203,29 +207,19 @@ mod tests {
 
     #[test]
     fn granularity_condition_matches_paper_formula() {
-        // t_spe + t_code + 2 t_comm < t_ppe
-        let t = FunctionTimings { t_spe_ns: 96_000, t_code_ns: 0, t_comm_ns: 1_000, t_ppe_ns: 120_000 };
-        assert!(t.offload_profitable(true));
-        let t2 = FunctionTimings { t_spe_ns: 96_000, t_code_ns: 0, t_comm_ns: 13_000, t_ppe_ns: 120_000 };
-        assert!(!t2.offload_profitable(true)); // 96 + 26 >= 120
-    }
-
-    #[test]
-    fn code_cost_only_counts_when_not_resident() {
-        let t = FunctionTimings {
-            t_spe_ns: 100_000,
-            t_code_ns: 50_000,
-            t_comm_ns: 1_000,
-            t_ppe_ns: 110_000,
-        };
-        assert!(!t.offload_profitable(false)); // 100+50+2 >= 110
-        assert!(t.offload_profitable(true)); // 100+0+2 < 110
+        // t_spe + t_code + 2 t_comm < t_ppe, with the off-load's measured
+        // wall time as t_spe: 96 µs of kernel plus 2 × 13 µs of signals
+        // loses to a 120 µs PPE copy, plus 2 × 1 µs wins.
+        let t = FunctionTimings { t_spe_ns: 96_000 + 2 * 1_000, t_ppe_ns: 120_000 };
+        assert!(t.offload_profitable());
+        let t2 = FunctionTimings { t_spe_ns: 96_000 + 2 * 13_000, t_ppe_ns: 120_000 };
+        assert!(!t2.offload_profitable());
     }
 
     #[test]
     fn first_request_is_optimistically_offloaded() {
         let mut c = GranularityController::new(64);
-        assert_eq!(c.decide(KernelKind::Evaluate, false), GranularityDecision::Offload);
+        assert_eq!(c.decide(KernelKind::Evaluate), GranularityDecision::Offload);
     }
 
     #[test]
@@ -234,17 +228,17 @@ mod tests {
         let mut c = GranularityController::new(64);
         // Optimistic off-loads until MIN_SPE_SAMPLES measurements exist.
         for _ in 0..MIN_SPE_SAMPLES {
-            assert_eq!(c.decide(KernelKind::Evaluate, false), GranularityDecision::Offload);
+            assert_eq!(c.decide(KernelKind::Evaluate), GranularityDecision::Offload);
             c.record_spe(KernelKind::Evaluate, 5_000);
         }
         // As many PPE probes, so t_ppe is known as well as t_spe is...
         for _ in 0..MIN_SPE_SAMPLES {
-            assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::RunOnPpe);
+            assert_eq!(c.decide(KernelKind::Evaluate), GranularityDecision::RunOnPpe);
             assert!(!c.is_throttled(KernelKind::Evaluate), "a probe is not a verdict");
             c.record_ppe(KernelKind::Evaluate, 50_000);
         }
         // ... after which the (profitable) kernel off-loads again.
-        assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::Offload);
+        assert_eq!(c.decide(KernelKind::Evaluate), GranularityDecision::Offload);
     }
 
     /// A controller whose warm-up of `kind` is over: MIN_SPE_SAMPLES samples
@@ -257,11 +251,11 @@ mod tests {
     ) -> GranularityController {
         let mut c = GranularityController::new(retry);
         for ns in spe_ns {
-            assert_eq!(c.decide(kind, true), GranularityDecision::Offload);
+            assert_eq!(c.decide(kind), GranularityDecision::Offload);
             c.record_spe(kind, ns);
         }
         for ns in ppe_ns {
-            assert_eq!(c.decide(kind, true), GranularityDecision::RunOnPpe);
+            assert_eq!(c.decide(kind), GranularityDecision::RunOnPpe);
             c.record_ppe(kind, ns);
         }
         c
@@ -273,7 +267,7 @@ mod tests {
         // preempted; the later ones are clean, and the minimum decides.
         let kind = KernelKind::NewView;
         let mut c = warmed_up(64, kind, [20_000; 3], [9_000_000, 3_000, 3_100]);
-        assert_eq!(c.decide(kind, true), GranularityDecision::RunOnPpe);
+        assert_eq!(c.decide(kind), GranularityDecision::RunOnPpe);
         assert!(c.is_throttled(kind));
     }
 
@@ -288,7 +282,7 @@ mod tests {
         let mut c = warmed_up(retry, kind, [20_000; 3], [9_000_000; 3]);
         let mut offloads = 0;
         for _ in 0..retry {
-            match c.decide(kind, true) {
+            match c.decide(kind) {
                 GranularityDecision::Offload => {
                     c.record_spe(kind, 20_000);
                     offloads += 1;
@@ -301,20 +295,19 @@ mod tests {
             assert!(!c.is_throttled(kind));
         }
         assert!((1..retry).contains(&offloads), "off-load mode, then a PPE re-probe");
-        assert_eq!(c.decide(kind, true), GranularityDecision::RunOnPpe);
+        assert_eq!(c.decide(kind), GranularityDecision::RunOnPpe);
         assert!(c.is_throttled(kind));
     }
 
     #[test]
     fn unprofitable_function_gets_throttled_after_measurement() {
         let mut c = GranularityController::new(1000);
-        c.set_costs(KernelKind::Evaluate, 0, 5_000);
         // SPE is slower than PPE for this one.
         for _ in 0..MIN_SPE_SAMPLES {
             c.record_spe(KernelKind::Evaluate, 50_000);
             c.record_ppe(KernelKind::Evaluate, 20_000);
         }
-        assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::RunOnPpe);
+        assert_eq!(c.decide(KernelKind::Evaluate), GranularityDecision::RunOnPpe);
         assert!(c.is_throttled(KernelKind::Evaluate));
     }
 
@@ -329,20 +322,19 @@ mod tests {
         for _ in 0..MIN_SPE_SAMPLES {
             c.record_ppe(KernelKind::Evaluate, 120_000);
         }
-        assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::Offload);
+        assert_eq!(c.decide(KernelKind::Evaluate), GranularityDecision::Offload);
         assert!(!c.is_throttled(KernelKind::Evaluate));
     }
 
     #[test]
     fn profitable_function_keeps_offloading() {
         let mut c = GranularityController::new(1000);
-        c.set_costs(KernelKind::NewView, 0, 1_000);
         for _ in 0..MIN_SPE_SAMPLES {
             c.record_spe(KernelKind::NewView, 96_000);
             c.record_ppe(KernelKind::NewView, 300_000);
         }
         for _ in 0..10 {
-            assert_eq!(c.decide(KernelKind::NewView, true), GranularityDecision::Offload);
+            assert_eq!(c.decide(KernelKind::NewView), GranularityDecision::Offload);
         }
         assert!(!c.is_throttled(KernelKind::NewView));
     }
@@ -350,14 +342,13 @@ mod tests {
     #[test]
     fn throttled_function_is_reprobed_periodically() {
         let mut c = GranularityController::new(4);
-        c.set_costs(KernelKind::Evaluate, 0, 10_000);
         for _ in 0..MIN_SPE_SAMPLES {
             c.record_spe(KernelKind::Evaluate, 50_000);
             c.record_ppe(KernelKind::Evaluate, 20_000);
         }
         let mut offloads = 0;
         for _ in 0..8 {
-            if c.decide(KernelKind::Evaluate, true) == GranularityDecision::Offload {
+            if c.decide(KernelKind::Evaluate) == GranularityDecision::Offload {
                 offloads += 1;
             }
         }
@@ -373,35 +364,34 @@ mod tests {
         // re-probe must observe one clean sample and the minimum estimator
         // must rehabilitate the kernel permanently.
         let mut c = GranularityController::new(4);
-        c.set_costs(KernelKind::Evaluate, 0, 1_000);
         for _ in 0..MIN_SPE_SAMPLES {
-            assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::Offload);
+            assert_eq!(c.decide(KernelKind::Evaluate), GranularityDecision::Offload);
             c.record_spe(KernelKind::Evaluate, 5_000_000); // storm-inflated
         }
         for _ in 0..MIN_SPE_SAMPLES {
-            assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::RunOnPpe);
+            assert_eq!(c.decide(KernelKind::Evaluate), GranularityDecision::RunOnPpe);
             c.record_ppe(KernelKind::Evaluate, 120_000);
         }
         // Verdict on the corrupt profile: throttled, as it must be — the
         // controller cannot distinguish a storm from a genuinely slow SPE.
-        assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::RunOnPpe);
+        assert_eq!(c.decide(KernelKind::Evaluate), GranularityDecision::RunOnPpe);
         assert!(c.is_throttled(KernelKind::Evaluate));
         // Storm ends. Drain decisions until the periodic probe off-loads;
         // its clean measurement must win the minimum and clear the throttle.
         let mut probed = false;
         for _ in 0..8 {
-            if c.decide(KernelKind::Evaluate, true) == GranularityDecision::Offload {
+            if c.decide(KernelKind::Evaluate) == GranularityDecision::Offload {
                 c.record_spe(KernelKind::Evaluate, 40_000); // healthy again
                 probed = true;
                 break;
             }
         }
         assert!(probed, "a throttled kernel must still be re-probed");
-        assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::Offload);
+        assert_eq!(c.decide(KernelKind::Evaluate), GranularityDecision::Offload);
         assert!(!c.is_throttled(KernelKind::Evaluate));
         // And no amount of later storm residue can undo the clean minimum.
         c.record_spe(KernelKind::Evaluate, 5_000_000);
-        assert_eq!(c.decide(KernelKind::Evaluate, true), GranularityDecision::Offload);
+        assert_eq!(c.decide(KernelKind::Evaluate), GranularityDecision::Offload);
     }
 
     #[test]

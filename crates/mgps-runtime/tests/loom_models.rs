@@ -24,9 +24,10 @@
 //!   the next, and the closing of the team never leaves a worker parked —
 //!   also when a site's wake verdict flips between invocations, from the
 //!   master alone to a woken team and back;
-//! * the off-load completion cell never loses a wake-up and hands a result
-//!   (or a contained panic) out exactly once, after the SPE is idle again
-//!   and counted — whether the handle blocks, polls, or is dropped first.
+//! * an off-load that finds every SPE reserved waits in the pool's
+//!   reservation and is woken when one goes idle — the return to the idle
+//!   set reads the waiter count under the lock the waiter registers under,
+//!   so no wake-up is lost — and returns with its SPE idle and counted.
 #![cfg(loom)]
 
 use std::ops::Range;
@@ -410,23 +411,25 @@ fn a_site_that_flips_to_waking_strands_no_worker() {
 }
 
 #[test]
-fn completion_publish_racing_wait_never_loses_the_wakeup() {
+fn a_reservation_waiting_for_the_only_spe_is_never_stranded() {
     loom::model(|| {
-        // The worker's publish races the handle's park in both orders: a
-        // lost wake-up hangs the model. Two callers, so publications also
-        // race each other's dispatch.
-        let pool = Arc::new(SpePool::new(2, Duration::ZERO));
+        // One SPE, two callers off-loading twice each: whoever finds it
+        // reserved waits in `reserve`, and the other's `go_idle` reads the
+        // waiter count in both orders around the registration. A lost
+        // wake-up hangs the model.
+        let pool = Arc::new(SpePool::new(1, Duration::ZERO));
         let callers: Vec<_> = (0..2u64)
             .map(|c| {
                 let pool = Arc::clone(&pool);
                 loom::thread::spawn(move || {
-                    for i in 0..3 {
-                        let h = pool.offload(move |_| {
-                            loom::thread::yield_now();
-                            c * 10 + i
-                        });
-                        loom::thread::yield_now();
-                        assert_eq!(h.wait(), Ok(c * 10 + i));
+                    for i in 0..2 {
+                        let got = pool
+                            .offload(move |_| {
+                                loom::thread::yield_now();
+                                c * 10 + i
+                            })
+                            .wait();
+                        assert_eq!(got, Ok(c * 10 + i));
                     }
                 })
             })
@@ -434,77 +437,7 @@ fn completion_publish_racing_wait_never_loses_the_wakeup() {
         for t in callers {
             t.join().unwrap();
         }
-        // Completion after idle: with every wait returned, nothing is
-        // still on its way back to the idle set or to the counters.
-        assert_eq!((pool.idle_count(), pool.completed()), (2, 6));
-    });
-}
-
-#[test]
-fn completion_publish_racing_try_wait_delivers_exactly_once() {
-    loom::model(|| {
-        let pool = SpePool::new(1, Duration::ZERO);
-        let h = pool.offload(|_| {
-            loom::thread::yield_now();
-            41u32 + 1
-        });
-        let mut seen = Vec::new();
-        while seen.is_empty() {
-            if let Some(v) = h.try_wait().expect("no panic in the job") {
-                seen.push(v);
-                // The poll that sees the result sees the books done.
-                assert_eq!((pool.idle_count(), pool.completed()), (1, 1));
-            }
-            loom::thread::yield_now();
-        }
-        for _ in 0..3 {
-            seen.extend(h.try_wait().expect("still no panic"));
-        }
-        assert_eq!(seen, [42]);
-    });
-}
-
-#[test]
-fn completion_publishes_a_panic_like_a_result() {
-    loom::model(|| {
-        let pool = SpePool::new(1, Duration::ZERO);
-        let blocked = pool.offload::<(), _>(|_| {
-            loom::thread::yield_now();
-            panic!("injected failure")
-        });
-        let polled = pool.offload::<(), _>(|_| panic!("injected failure"));
-        assert_eq!(blocked.wait(), Err(OffloadError::TaskPanicked));
-        assert!(pool.panics() >= 1, "booked before it was published");
-        loop {
-            match polled.try_wait() {
-                Ok(None) => loom::thread::yield_now(),
-                other => {
-                    assert_eq!(other, Err(OffloadError::TaskPanicked));
-                    break;
-                }
-            }
-        }
-        assert_eq!((pool.panics(), pool.completed(), pool.idle_count()), (2, 2, 1));
-        // The (only) SPE survived both.
-        assert_eq!(pool.offload(|_| 5).wait(), Ok(5));
-    });
-}
-
-#[test]
-fn completion_survives_a_handle_dropped_before_publication() {
-    loom::model(|| {
-        let pool = SpePool::new(1, Duration::ZERO);
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r = Arc::clone(&ran);
-        drop(pool.offload(move |_| {
-            loom::thread::yield_now();
-            r.fetch_add(1, Ordering::SeqCst)
-        }));
-        loom::thread::yield_now();
-        // Queued behind the orphan on the same SPE: when this one returns,
-        // the orphan ran, was published to nobody, and is counted.
-        assert_eq!(pool.offload(|_| 9).wait(), Ok(9));
-        assert_eq!(ran.load(Ordering::SeqCst), 1);
-        assert_eq!((pool.completed(), pool.idle_count()), (2, 1));
+        // Every off-load returned with its SPE idle and counted.
+        assert_eq!((pool.completed(), pool.idle_count()), (4, 1));
     });
 }

@@ -536,7 +536,7 @@ pub struct LiveStatus {
     pub healthy_spes: usize,
     /// LLP degree currently in force.
     pub degree: usize,
-    /// Off-loads queued waiting for an SPE.
+    /// Off-loads waiting for an SPE (callers blocked in a reservation).
     pub pending_offloads: usize,
     /// Accumulated PPE-gate contention, ns.
     pub gate_contention_ns: u64,

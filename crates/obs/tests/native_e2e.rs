@@ -172,6 +172,54 @@ fn armed_native_run_stays_checker_valid() {
     assert_eq!(report.tasks_checked, 16, "every admitted task completed exactly once");
 }
 
+/// An EDTLP run with more processes than SPEs: every task is a team of one
+/// its caller drives, and a caller that finds both SPEs reserved waits for
+/// one. Each task starts and ends naming the one SPE it reserved, its one
+/// chunk names that SPE too, and the log passes the native checker.
+#[test]
+fn edtlp_teams_of_one_stay_checker_valid_when_callers_wait_for_an_spe() {
+    const PROCS: u64 = 3;
+    const TASKS_EACH: u64 = 12;
+    let tracer = Tracer::with_default_capacity();
+    let mut cfg = RuntimeConfig::cell(SchedulerKind::Edtlp);
+    cfg.switch_cost = Duration::ZERO;
+    cfg.n_spes = 2;
+    cfg.ppe_contexts = PROCS as usize;
+    let rt =
+        MgpsRuntime::with_observability(cfg, Arc::new(NopMetrics), Some(Arc::clone(&tracer)));
+    std::thread::scope(|s| {
+        for _ in 0..PROCS {
+            s.spawn(|| {
+                let mut ctx = rt.enter_process();
+                for _ in 0..TASKS_EACH {
+                    let body = Arc::new(Spin { n: 16, spin: Duration::from_micros(5) });
+                    ctx.offload_loop(LoopSite(1), body).unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(rt.idle_spes(), 2);
+    let trace = tracer.drain();
+    let sanity = check_trace_sanity(&trace);
+    assert!(sanity.is_clean(), "{}", sanity.render());
+    let meta = NativeRunMeta {
+        scheduler: SchedulerTag::Edtlp,
+        n_spes: 2,
+        seed: 0,
+        fault_policy: None,
+        tenant_weights: None,
+    };
+    let log = runlog_from_trace(&trace, meta);
+    let report = check_run_with(&log, CheckMode::Native);
+    assert!(report.is_clean(), "{}", report.render());
+    assert_eq!(report.tasks_checked, (PROCS * TASKS_EACH) as usize);
+    for task in 0..PROCS * TASKS_EACH {
+        let team = team_of(&log, task);
+        assert_eq!(team.len(), 1, "task {task}: {team:?}");
+        assert_eq!(chunks_of(&log, task), [(0, 16, team[0])], "task {task}");
+    }
+}
+
 /// Golden structure of [`PhaseBreakdown`] over a native LLP team run:
 /// the master/worker reduction recorded by `parallel_reduce_traced`
 /// yields one off-load whose span covers dispatch through reduction,
