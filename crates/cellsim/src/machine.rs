@@ -81,9 +81,6 @@ pub struct SimConfig {
     /// `None` uses the paper's defaults for the machine's SPE count. Only
     /// meaningful with [`SchedulerKind::Mgps`].
     pub mgps_config: Option<MgpsConfig>,
-    /// Record a per-SPE task timeline (Figure 2-style traces). Costs
-    /// memory proportional to the task count; off by default.
-    pub record_timeline: bool,
     /// Record the structured [`RunLog`] consumed by `mgps-analysis`
     /// (task/DMA/mailbox/local-store/degree events). Costs memory
     /// proportional to the event count; off by default.
@@ -115,7 +112,6 @@ impl SimConfig {
             seed: 0x5eed,
             overheads: SchedOverheads::default(),
             mgps_config: None,
-            record_timeline: false,
             record_events: false,
             faults: FaultPlan::inert(),
             granularity_verdicts: false,
@@ -196,8 +192,6 @@ pub struct CellMachine {
     image_epoch: u64,
     eib: Eib,
     mailboxes: Vec<SpuMailboxes>,
-    /// (spe, proc, start, end) per executed task, when enabled.
-    timeline: Vec<TimelineEntry>,
     /// Structured event log, when enabled.
     events: Vec<EventRecord>,
     /// Local-store bytes reserved per SPE (input/output task buffers).
@@ -318,7 +312,6 @@ impl CellMachine {
             image_epoch: 1,
             eib: Eib::new(cfg.params.dma),
             mailboxes: (0..n_spes).map(|_| SpuMailboxes::default()).collect(),
-            timeline: Vec::new(),
             events: Vec::new(),
             ls_in_use: vec![0; n_spes],
             rng: SmallRng::seed_from_u64(cfg.seed),
@@ -401,19 +394,6 @@ impl CellMachine {
 
 }
 
-/// One task execution on one SPE (Figure 2-style trace data).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineEntry {
-    /// The SPE that executed (part of) the task.
-    pub spe: usize,
-    /// The worker process that owned the task.
-    pub proc: usize,
-    /// Task start time.
-    pub start: SimTime,
-    /// Task end time.
-    pub end: SimTime,
-}
-
 /// Fault-plane outcome counters for one run (all zero when no plan was
 /// armed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -463,8 +443,6 @@ pub struct RunReport {
     pub dma_fallbacks: u64,
     /// PPE↔SPE mailbox messages exchanged (starts + completions).
     pub mailbox_messages: u64,
-    /// Per-SPE task timeline (empty unless `record_timeline` was set).
-    pub timeline: Vec<TimelineEntry>,
     /// Structured event log (`None` unless `record_events` was set).
     pub run_log: Option<RunLog>,
     /// Completion time of each worker process (bootstrap), in process
@@ -525,7 +503,6 @@ pub fn run(cfg: SimConfig) -> RunReport {
             .iter()
             .map(|mb| mb.inbound.writes() + mb.outbound_interrupt.writes())
             .sum(),
-        timeline: m.timeline.clone(),
         run_log: if m.cfg.record_events {
             Some(RunLog {
                 scheduler: m.scheduler_tag(),
@@ -894,12 +871,6 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
             dur += m.cfg.params.code_load_cost;
         }
         m.procs[p].phase = Phase::OnSpe;
-        if m.cfg.record_timeline {
-            let start = now;
-            for &spe in &team {
-                m.timeline.push(TimelineEntry { spe, proc: p, start, end: start + dur });
-            }
-        }
         (Granted::Run { duration: dur, dma_latency }, team)
         }
     };
@@ -1465,29 +1436,6 @@ mod tests {
         // Doubling SPE task time doubles ~90% of the bootstrap.
         let ratio = slow / base;
         assert!((1.75..=1.95).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn timeline_records_every_task_without_spe_overlap() {
-        let mut c = cfg(SchedulerKind::Edtlp, 4);
-        c.record_timeline = true;
-        let r = run(c);
-        // One entry per (task, team member); EDTLP teams are singletons.
-        assert_eq!(r.timeline.len() as u64, r.tasks_completed);
-        // No SPE executes two tasks at once.
-        let mut per_spe: Vec<Vec<(u64, u64)>> = vec![Vec::new(); 8];
-        for e in &r.timeline {
-            per_spe[e.spe].push((e.start.as_nanos(), e.end.as_nanos()));
-        }
-        for (spe, mut spans) in per_spe.into_iter().enumerate() {
-            spans.sort();
-            for w in spans.windows(2) {
-                assert!(w[0].1 <= w[1].0, "SPE {spe}: overlapping tasks {w:?}");
-            }
-        }
-        // Timeline off by default.
-        let r2 = run(cfg(SchedulerKind::Edtlp, 2));
-        assert!(r2.timeline.is_empty());
     }
 
     #[test]

@@ -283,8 +283,10 @@ pub fn fig10b(scale: usize) -> Experiment {
 /// Figure 2: the scheduler-behaviour illustration, regenerated from real
 /// simulation traces. Renders an ASCII Gantt of SPE occupancy (one row per
 /// SPE, one column per time bucket, digits = worker process) under EDTLP
-/// vs the Linux baseline, for 8 workers.
+/// vs the Linux baseline, for 8 workers, from the task spans
+/// `mgps_obs::Timeline` folds out of each run's recorded log.
 pub fn fig2(scale: usize) -> Experiment {
+    use mgps_obs::Timeline;
     let mut e = Experiment::new(
         "fig2",
         "Scheduler behaviour traces: EDTLP vs Linux, 8 workers (Figure 2)",
@@ -292,14 +294,14 @@ pub fn fig2(scale: usize) -> Experiment {
     const WINDOW_US: u64 = 1_600;
     const BUCKET_US: u64 = 50;
     for sched in [SchedulerKind::Edtlp, SchedulerKind::LinuxLike] {
-        let mut cfg = SimConfig::cell_42sc(sched, 8, scale);
-        cfg.record_timeline = true;
+        let cfg = SimConfig::cell_42sc(sched, 8, scale);
         let r = run(cfg);
+        let log = r.run_log.as_ref().expect("checked_run records events");
         let buckets = (WINDOW_US / BUCKET_US) as usize;
         let mut rows = vec![vec!['.'; buckets]; cfg.params.n_spes()];
-        for t in &r.timeline {
-            let s_us = t.start.as_micros();
-            let e_us = t.end.as_micros();
+        for t in &Timeline::from_log(log).tasks {
+            let s_us = t.start_ns / 1_000;
+            let e_us = t.end_ns / 1_000;
             if s_us >= WINDOW_US {
                 continue;
             }
@@ -648,5 +650,30 @@ mod tests {
         );
         assert!(linux < 0.30, "Linux strands most SPEs: {linux:.2}");
         assert!(edtlp > 0.55, "EDTLP fills the chip: {edtlp:.2}");
+        // The Gantt rows, pinned bucket for bucket: a change to the span
+        // fold or to the painting shows here, not only in the fractions.
+        let rows: Vec<&str> =
+            e.notes.iter().map(String::as_str).filter(|n| n.starts_with("  SPE")).collect();
+        assert_eq!(
+            rows,
+            [
+                "  SPE0 [00666330044225533222774422200555]",
+                "  SPE1 [11177661177333117733322774422200]",
+                "  SPE2 [.2200442225566225566005566611777]",
+                "  SPE3 [.3331177330044466005566000556611]",
+                "  SPE4 [..444.556611777444.4443311773336]",
+                "  SPE5 [..555........000.111111..3334442]",
+                "  SPE6 [....222.........................]",
+                "  SPE7 [................................]",
+                "  SPE0 [00000000000000000000002222222222]",
+                "  SPE1 [11111111111111111111333333333333]",
+                "  SPE2 [................................]",
+                "  SPE3 [................................]",
+                "  SPE4 [................................]",
+                "  SPE5 [................................]",
+                "  SPE6 [................................]",
+                "  SPE7 [................................]",
+            ]
+        );
     }
 }

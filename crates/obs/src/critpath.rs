@@ -31,6 +31,10 @@
 //! deterministically toward the higher task id, so the path is a pure
 //! function of the log.
 //!
+//! The walk reads the one task record, [`PhaseBreakdown`]'s
+//! [`OffloadPhases`]: a task's code stall and DMA latency are priced there
+//! and nowhere else.
+//!
 //! ## What-if replay
 //!
 //! [`what_if`] replays the recorded per-process task chains through a
@@ -45,7 +49,9 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use cellsim::event::{EventKind, RunLog};
+use cellsim::event::RunLog;
+
+use crate::phases::{OffloadPhases, PhaseBreakdown};
 
 /// The five phases of the paper's granularity inequality, as blame
 /// categories for makespan accounting.
@@ -79,8 +85,10 @@ impl Phase {
     }
 }
 
-/// Nanoseconds of makespan blamed on each phase. The five fields sum to
-/// the makespan exactly (the walk partitions `[0, makespan]`).
+/// Nanoseconds per phase: a critical path's makespan blame, whose five
+/// fields sum to the makespan exactly (the walk partitions
+/// `[0, makespan]`), or a run's per-phase sums over every off-load
+/// ([`PhaseBreakdown::totals`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBlame {
     /// Blamed on PPE computation.
@@ -113,26 +121,13 @@ impl PhaseBlame {
     }
 }
 
-/// One task on the critical path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CritStep {
-    /// The task.
-    pub task: u64,
-    /// Its owning worker process.
-    pub proc: usize,
-    /// Execution start, ns.
-    pub start_ns: u64,
-    /// Execution end, ns.
-    pub end_ns: u64,
-}
-
 /// The critical path of one run with per-phase makespan blame.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CriticalPath {
     /// End of the last task, ns — the quantity the blame partitions.
     pub makespan_ns: u64,
     /// Tasks on the path, in execution order.
-    pub steps: Vec<CritStep>,
+    pub steps: Vec<OffloadPhases>,
     /// Which phase each nanosecond of the makespan waits on.
     pub blame: PhaseBlame,
 }
@@ -141,13 +136,13 @@ impl CriticalPath {
     /// Extract the critical path of `log`. Empty runs (no completed task)
     /// yield the default value.
     pub fn from_log(log: &RunLog) -> CriticalPath {
-        CriticalPath::walk(&fold_tasks(log))
+        CriticalPath::walk(&by_task(log))
     }
 
-    /// The walk over folded tasks. Each predecessor is the last unvisited
-    /// entry of a sorted index below a binary-searched bound, so the walk
-    /// is O(n log n) in the task count however long the path is.
-    fn walk(recs: &[TaskRec]) -> CriticalPath {
+    /// The walk over the run's off-loads. Each predecessor is the last
+    /// unvisited entry of a sorted index below a binary-searched bound, so
+    /// the walk is O(n log n) in the task count however long the path is.
+    fn walk(recs: &[OffloadPhases]) -> CriticalPath {
         let mut cp = CriticalPath::default();
         let mut by_end = EndIndex::new(recs, |_| 0);
         let mut by_proc_end = EndIndex::new(recs, |r| r.proc);
@@ -189,19 +184,12 @@ impl CriticalPath {
     }
 
     /// Put `cur` on the path and blame its execution interval.
-    fn enter(&mut self, cur: &TaskRec) {
-        let exec = cur.end_ns - cur.start_ns;
-        let code = cur.t_code_ns.min(exec);
-        let comm = cur.t_comm_ns.min(exec - code);
+    fn enter(&mut self, cur: &OffloadPhases) {
+        let (code, comm, spe) = exec_terms(cur);
         self.blame.t_code_ns += code;
         self.blame.t_comm_ns += comm;
-        self.blame.t_spe_ns += exec - code - comm;
-        self.steps.push(CritStep {
-            task: cur.task,
-            proc: cur.proc,
-            start_ns: cur.start_ns,
-            end_ns: cur.end_ns,
-        });
+        self.blame.t_spe_ns += spe;
+        self.steps.push(*cur);
     }
 
     /// The phase with the largest blame (first in [`Phase::ALL`] order on
@@ -250,7 +238,7 @@ pub struct WhatIfOutcome {
 /// Replay `log`'s task chains through a greedy list scheduler under
 /// `knobs` and predict the resulting makespan.
 pub fn what_if(log: &RunLog, knobs: WhatIf) -> WhatIfOutcome {
-    let recs = fold_tasks(log);
+    let recs = by_task(log);
     let baseline = recs.iter().map(|r| r.end_ns).max().unwrap_or(0);
     let n_spes = (log.n_spes + knobs.extra_spes).max(1);
 
@@ -258,7 +246,7 @@ pub fn what_if(log: &RunLog, knobs: WhatIf) -> WhatIfOutcome {
     // PPE gap preceding each task: gap_0 = offload_0, gap_i = offload_i −
     // end_{i−1}. The gaps are what the replay preserves; starts and ends
     // are recomputed.
-    let mut chains: BTreeMap<usize, Vec<(u64, &TaskRec)>> = BTreeMap::new();
+    let mut chains: BTreeMap<usize, Vec<(u64, &OffloadPhases)>> = BTreeMap::new();
     for r in &recs {
         let chain = chains.entry(r.proc).or_default();
         let prev_end = chain.last().map(|&(_, p)| p.end_ns).unwrap_or(0);
@@ -305,7 +293,7 @@ pub fn what_if(log: &RunLog, knobs: WhatIf) -> WhatIfOutcome {
     }
 }
 
-fn effective_degree(r: &TaskRec, n_spes: usize, knobs: WhatIf) -> usize {
+fn effective_degree(r: &OffloadPhases, n_spes: usize, knobs: WhatIf) -> usize {
     knobs
         .degree_override
         .unwrap_or(r.degree.max(1))
@@ -315,11 +303,8 @@ fn effective_degree(r: &TaskRec, n_spes: usize, knobs: WhatIf) -> usize {
 /// A task's execution time under the knobs: the code stall is fixed, DMA
 /// latency scales with bandwidth, and the compute remainder scales
 /// inversely with the LLP degree (ideal work-sharing).
-fn scaled_exec(r: &TaskRec, n_spes: usize, knobs: WhatIf) -> u64 {
-    let exec = r.end_ns - r.start_ns;
-    let code = r.t_code_ns.min(exec);
-    let comm = r.t_comm_ns.min(exec - code);
-    let spe = exec - code - comm;
+fn scaled_exec(r: &OffloadPhases, n_spes: usize, knobs: WhatIf) -> u64 {
+    let (code, comm, spe) = exec_terms(r);
     let d0 = r.degree.max(1);
     let d1 = effective_degree(r, n_spes, knobs);
     let spe_scaled = (spe as f64 * d0 as f64 / d1 as f64).round() as u64;
@@ -327,26 +312,30 @@ fn scaled_exec(r: &TaskRec, n_spes: usize, knobs: WhatIf) -> u64 {
     code + spe_scaled + comm_scaled
 }
 
-/// Per-task record recovered from the log: lifecycle timestamps plus the
-/// code/DMA costs attributable to the task's execution interval.
-#[derive(Debug)]
-struct TaskRec {
-    task: u64,
-    proc: usize,
-    offload_ns: u64,
-    start_ns: u64,
-    end_ns: u64,
-    degree: usize,
-    t_code_ns: u64,
-    t_comm_ns: u64,
+/// A task's execution interval split into its code stall, its DMA latency
+/// and the compute remainder, in that order of precedence: each term is
+/// capped by what the interval has left, so the three sum to the interval.
+fn exec_terms(r: &OffloadPhases) -> (u64, u64, u64) {
+    let exec = r.end_ns - r.start_ns;
+    let code = r.t_code_ns.min(exec);
+    let comm = r.t_comm_ns.min(exec - code);
+    (code, comm, exec - code - comm)
 }
 
-/// The folded tasks in ascending `(group, end_ns, task)` order, for
+/// The run's completed off-loads in task-id (off-load) order — the order
+/// [`EndIndex`] and the what-if chains rely on.
+fn by_task(log: &RunLog) -> Vec<OffloadPhases> {
+    let mut recs = PhaseBreakdown::from_log(log).offloads;
+    recs.sort_by_key(|r| r.task);
+    recs
+}
+
+/// The run's tasks in ascending `(group, end_ns, task)` order, for
 /// "latest-ending unvisited task of this group at or before `t`" queries.
 /// The walk only ever marks tasks visited, so positions found visited are
 /// linked past once and never scanned again.
 struct EndIndex<'a> {
-    recs: &'a [TaskRec],
+    recs: &'a [OffloadPhases],
     /// `(group, end_ns)` then the record's index, sorted; records arrive
     /// in task order and the sort is stable, so ties on the key stay in
     /// task order and the last of a run is the highest task id.
@@ -357,7 +346,7 @@ struct EndIndex<'a> {
 }
 
 impl<'a> EndIndex<'a> {
-    fn new(recs: &'a [TaskRec], group: impl Fn(&TaskRec) -> usize) -> EndIndex<'a> {
+    fn new(recs: &'a [OffloadPhases], group: impl Fn(&OffloadPhases) -> usize) -> EndIndex<'a> {
         let mut order: Vec<_> =
             recs.iter().enumerate().map(|(i, r)| ((group(r), r.end_ns), i)).collect();
         order.sort_by_key(|&(key, _)| key);
@@ -371,7 +360,7 @@ impl<'a> EndIndex<'a> {
         &mut self,
         visited: &HashSet<u64>,
         bound: (usize, u64),
-    ) -> Option<&'a TaskRec> {
+    ) -> Option<&'a OffloadPhases> {
         let from = self.order.partition_point(|&(key, _)| key <= bound);
         let mut hi = from;
         let found = loop {
@@ -394,83 +383,6 @@ impl<'a> EndIndex<'a> {
     }
 }
 
-/// Fold completed tasks out of `log`, sorted by task id (off-load order).
-/// Attribution mirrors [`crate::phases`]: reload stalls at the grant
-/// instant cost the task one stall (the team reloads in parallel, so the
-/// maximum), and DMA latency is charged to the task whose team member's
-/// MFC moved the data.
-fn fold_tasks(log: &RunLog) -> Vec<TaskRec> {
-    let mut done = Vec::new();
-    let mut open: HashMap<u64, TaskRec> = HashMap::new();
-    let mut offload_at: HashMap<u64, (usize, u64)> = HashMap::new();
-    let mut member_of: HashMap<usize, u64> = HashMap::new();
-    let mut reloads: Vec<(usize, u64, u64)> = Vec::new();
-    let mut teams: HashMap<u64, Vec<usize>> = HashMap::new();
-
-    for e in &log.events {
-        match &e.kind {
-            EventKind::Offload { proc, task } => {
-                offload_at.insert(*task, (*proc, e.at_ns));
-            }
-            EventKind::CodeReload { spe, stall_ns } => {
-                reloads.push((*spe, e.at_ns, *stall_ns));
-            }
-            EventKind::TaskStart { proc, task, degree, team } => {
-                let (_, offload_ns) =
-                    offload_at.get(task).copied().unwrap_or((*proc, e.at_ns));
-                let mut rec = TaskRec {
-                    task: *task,
-                    proc: *proc,
-                    offload_ns,
-                    start_ns: e.at_ns,
-                    end_ns: e.at_ns,
-                    degree: *degree,
-                    t_code_ns: 0,
-                    t_comm_ns: 0,
-                };
-                let mut claimed = 0u64;
-                reloads.retain(|&(spe, at, stall)| {
-                    if at == e.at_ns && team.contains(&spe) {
-                        claimed = claimed.max(stall);
-                        false
-                    } else {
-                        at == e.at_ns // older instants can never match
-                    }
-                });
-                rec.t_code_ns = claimed;
-                for &spe in team {
-                    member_of.insert(spe, *task);
-                }
-                teams.insert(*task, team.clone());
-                open.insert(*task, rec);
-            }
-            EventKind::DmaComplete { spe, latency_ns, .. } => {
-                if let Some(task) = member_of.get(spe) {
-                    if let Some(rec) = open.get_mut(task) {
-                        rec.t_comm_ns += latency_ns;
-                    }
-                }
-            }
-            EventKind::TaskEnd { task, .. } => {
-                if let Some(mut rec) = open.remove(task) {
-                    rec.end_ns = e.at_ns;
-                    if let Some(team) = teams.remove(task) {
-                        for spe in team {
-                            if member_of.get(&spe) == Some(task) {
-                                member_of.remove(&spe);
-                            }
-                        }
-                    }
-                    done.push(rec);
-                }
-            }
-            _ => {}
-        }
-    }
-    done.sort_by_key(|r| r.task);
-    done
-}
-
 /// The rescanning walk [`CriticalPath::walk`] replaced — every step
 /// filters every task, O(steps × tasks) — kept as the oracle the indexed
 /// walk is held to.
@@ -478,7 +390,7 @@ fn fold_tasks(log: &RunLog) -> Vec<TaskRec> {
 mod classic {
     use super::*;
 
-    pub(super) fn walk(recs: &[TaskRec]) -> CriticalPath {
+    pub(super) fn walk(recs: &[OffloadPhases]) -> CriticalPath {
         let mut cp = CriticalPath::default();
         let Some(start) = recs.iter().max_by_key(|r| (r.end_ns, r.task)) else {
             return cp;
@@ -488,18 +400,11 @@ mod classic {
         let mut visited: HashSet<u64> = HashSet::new();
         loop {
             visited.insert(cur.task);
-            let exec = cur.end_ns - cur.start_ns;
-            let code = cur.t_code_ns.min(exec);
-            let comm = cur.t_comm_ns.min(exec - code);
+            let (code, comm, spe) = exec_terms(cur);
             cp.blame.t_code_ns += code;
             cp.blame.t_comm_ns += comm;
-            cp.blame.t_spe_ns += exec - code - comm;
-            cp.steps.push(CritStep {
-                task: cur.task,
-                proc: cur.proc,
-                start_ns: cur.start_ns,
-                end_ns: cur.end_ns,
-            });
+            cp.blame.t_spe_ns += spe;
+            cp.steps.push(*cur);
             if let Some(p) = recs
                 .iter()
                 .filter(|t| {
@@ -538,7 +443,7 @@ mod classic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::event::{EventRecord, SchedulerTag};
+    use cellsim::event::{EventKind, EventRecord, SchedulerTag};
     use proptest::prelude::*;
 
     /// Task sets built to collide: a handful of processes and instants, so
@@ -549,16 +454,16 @@ mod tests {
     struct TieHeavyTasks;
 
     impl Strategy for TieHeavyTasks {
-        type Value = Vec<TaskRec>;
-        fn generate(&self, rng: &mut TestRng) -> Vec<TaskRec> {
+        type Value = Vec<OffloadPhases>;
+        fn generate(&self, rng: &mut TestRng) -> Vec<OffloadPhases> {
             let n = rng.below(40);
             let instants = 1 + rng.below(12);
-            let mut recs: Vec<TaskRec> = (0..n)
+            let mut recs: Vec<OffloadPhases> = (0..n)
                 .map(|i| {
                     let mut at = [rng.below(instants), rng.below(instants), rng.below(instants)];
                     at.sort_unstable();
                     let exec = at[2] - at[1];
-                    TaskRec {
+                    OffloadPhases {
                         task: if rng.below(16) == 0 { rng.below(n) } else { i },
                         proc: rng.below(3) as usize,
                         offload_ns: at[0],
@@ -567,10 +472,11 @@ mod tests {
                         degree: 1 + rng.below(4) as usize,
                         t_code_ns: rng.below(exec + 2),
                         t_comm_ns: rng.below(exec + 2),
+                        ..OffloadPhases::default()
                     }
                 })
                 .collect();
-            recs.sort_by_key(|r| r.task); // as `fold_tasks` hands them over
+            recs.sort_by_key(|r| r.task); // as `by_task` hands them over
             recs
         }
     }
@@ -587,7 +493,7 @@ mod tests {
     #[test]
     fn the_indexed_walk_equals_the_rescanning_one_on_benchmark_and_faulted_runs() {
         for log in crate::testlogs::oracle_logs() {
-            let recs = fold_tasks(log);
+            let recs = by_task(log);
             let cp = CriticalPath::walk(&recs);
             assert!(cp.steps.len() > 1, "{} seed {}: a path to compare", log.scheduler, log.seed);
             assert_eq!(cp, classic::walk(&recs), "{} seed {}", log.scheduler, log.seed);

@@ -49,7 +49,7 @@ pub use atlas::{
     VerdictCounts, ATLAS_SCHEMA,
 };
 pub use chrome::chrome_trace;
-pub use critpath::{what_if, CritStep, CriticalPath, Phase, PhaseBlame, WhatIf, WhatIfOutcome};
+pub use critpath::{what_if, CriticalPath, Phase, PhaseBlame, WhatIf, WhatIfOutcome};
 pub use decisions::{decisions, DecisionRecord};
 pub use htmlkit::Page;
 pub use jobs::{quantile_from_log2_buckets, JOB_QUANTILES};
@@ -59,7 +59,7 @@ pub use live::{
     LiveDecision, LiveStatus, PromFamily, PromSample,
 };
 pub use native::{runlog_from_trace, NativeRunMeta};
-pub use phases::{OffloadPhases, PhaseBreakdown, PhaseTotals};
+pub use phases::{OffloadPhases, PhaseBreakdown};
 pub use report::{folded_stacks, html_report};
 pub use summary::{ObsSummary, RunSource};
 pub use timeline::{DmaSpan, TaskSpan, Timeline, VerdictMark};

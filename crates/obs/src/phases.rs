@@ -20,7 +20,10 @@ use std::collections::HashMap;
 
 use cellsim::event::{EventKind, RunLog};
 
-/// The phase terms of one off-load.
+use crate::critpath::PhaseBlame;
+
+/// The phase terms of one off-load — the one task record every fold that
+/// prices an off-load reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OffloadPhases {
     /// The task.
@@ -44,21 +47,6 @@ pub struct OffloadPhases {
     /// Code reload stall, ns.
     pub t_code_ns: u64,
     /// DMA transfer latency, ns.
-    pub t_comm_ns: u64,
-}
-
-/// Sums of each phase over a whole run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseTotals {
-    /// Σ `t_ppe`, ns.
-    pub t_ppe_ns: u64,
-    /// Σ `t_wait`, ns.
-    pub t_wait_ns: u64,
-    /// Σ `t_spe`, ns.
-    pub t_spe_ns: u64,
-    /// Σ `t_code`, ns.
-    pub t_code_ns: u64,
-    /// Σ `t_comm`, ns.
     pub t_comm_ns: u64,
 }
 
@@ -147,8 +135,8 @@ impl PhaseBreakdown {
     }
 
     /// Sum every phase over the run.
-    pub fn totals(&self) -> PhaseTotals {
-        let mut t = PhaseTotals::default();
+    pub fn totals(&self) -> PhaseBlame {
+        let mut t = PhaseBlame::default();
         for ph in &self.offloads {
             t.t_ppe_ns += ph.t_ppe_ns;
             t.t_wait_ns += ph.t_wait_ns;

@@ -15,14 +15,15 @@
 //! [`RunLog`]: cellsim::event::RunLog
 //! [`MetricsSink`]: mgps_runtime::MetricsSink
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use cellsim::event::{EventKind, RunLog, SwitchReason};
 use mgps_runtime::{Counter, HistKind, MetricsSnapshot};
 use minijson::Value;
 
+use crate::critpath::PhaseBlame;
 use crate::decisions::{decisions, DecisionRecord};
-use crate::phases::{PhaseBreakdown, PhaseTotals};
+use crate::phases::PhaseBreakdown;
 use crate::timeline::Timeline;
 
 /// Where a run's log came from — which determines what its counters can
@@ -59,7 +60,7 @@ pub struct ObsSummary {
     /// Machine-mean SPE utilization.
     pub mean_utilization: f64,
     /// Granularity-phase sums over every completed off-load.
-    pub phase_totals: PhaseTotals,
+    pub phase_totals: PhaseBlame,
     /// MGPS window decisions, with `U` replayed.
     pub decisions: Vec<DecisionRecord>,
     /// Health alarms recorded in the log as `(alarm, severity, detail)`,
@@ -85,8 +86,10 @@ impl ObsSummary {
         let decisions = decisions(log);
 
         let mut m = MetricsSnapshot::default();
-        let mut offload_at: HashMap<u64, u64> = HashMap::new();
-        let mut start_at: HashMap<u64, u64> = HashMap::new();
+        for ph in &phases.offloads {
+            m.observe(HistKind::OffloadWaitNs, ph.t_wait_ns);
+            m.observe(HistKind::TaskDurNs, ph.t_spe_ns);
+        }
         let mut degree = 1usize;
         let mut health = Vec::new();
         let mut tenant_jobs: BTreeMap<usize, [u64; 4]> = BTreeMap::new();
@@ -96,10 +99,7 @@ impl ObsSummary {
                 *n = if enters { *n + 1 } else { n.saturating_sub(1) };
             }
             match &e.kind {
-                EventKind::Offload { task, .. } => {
-                    m.bump(Counter::Offloads, 1);
-                    offload_at.insert(*task, e.at_ns);
-                }
+                EventKind::Offload { .. } => m.bump(Counter::Offloads, 1),
                 EventKind::CtxSwitch { reason, held_ns, .. } => {
                     let c = match reason {
                         SwitchReason::Offload => Counter::CtxSwitchOffload,
@@ -108,18 +108,7 @@ impl ObsSummary {
                     m.bump(c, 1);
                     m.observe(HistKind::CtxHoldNs, *held_ns);
                 }
-                EventKind::TaskStart { task, .. } => {
-                    start_at.insert(*task, e.at_ns);
-                    if let Some(t0) = offload_at.remove(task) {
-                        m.observe(HistKind::OffloadWaitNs, e.at_ns.saturating_sub(t0));
-                    }
-                }
-                EventKind::TaskEnd { task, .. } => {
-                    m.bump(Counter::TasksCompleted, 1);
-                    if let Some(t0) = start_at.remove(task) {
-                        m.observe(HistKind::TaskDurNs, e.at_ns.saturating_sub(t0));
-                    }
-                }
+                EventKind::TaskEnd { .. } => m.bump(Counter::TasksCompleted, 1),
                 EventKind::CodeReload { .. } => m.bump(Counter::CodeReloads, 1),
                 EventKind::MailboxWrite { .. } => m.bump(Counter::MailboxWrites, 1),
                 EventKind::MailboxRead { .. } => m.bump(Counter::MailboxReads, 1),
@@ -139,6 +128,11 @@ impl ObsSummary {
                 EventKind::Health { alarm, severity, detail } => {
                     health.push((alarm.clone(), severity.clone(), detail.clone()));
                 }
+                EventKind::FaultInjected { .. } => m.bump(Counter::FaultsInjected, 1),
+                EventKind::OffloadRetry { .. } => m.bump(Counter::OffloadRetries, 1),
+                EventKind::PpeFallback { .. } => m.bump(Counter::PpeFallbacks, 1),
+                EventKind::SpeQuarantined { .. } => m.bump(Counter::SpeQuarantines, 1),
+                EventKind::SpeReadmitted { .. } => m.bump(Counter::SpeReadmissions, 1),
                 EventKind::GranularityVerdict { offload, reprobe, .. } => {
                     if !offload {
                         m.bump(Counter::KernelThrottles, 1);
@@ -446,6 +440,28 @@ mod tests {
         assert_eq!(s.metrics.get(Counter::KernelReprobes), 1);
         // A plain granted off-load bumps neither counter.
         assert_eq!(s.counter(Counter::KernelThrottles), Some(2), "observable in sim");
+    }
+
+    #[test]
+    fn fault_plane_events_fold_into_their_counters() {
+        let log = crate::testlogs::oracle_logs()
+            .iter()
+            .find(|l| l.fault_policy.is_some())
+            .expect("a faulted oracle run");
+        let s = ObsSummary::from_log(log);
+        let count = |is: fn(&EventKind) -> bool| {
+            log.events.iter().filter(|e| is(&e.kind)).count() as u64
+        };
+        for (c, n) in [
+            (Counter::FaultsInjected, count(|k| matches!(k, EventKind::FaultInjected { .. }))),
+            (Counter::OffloadRetries, count(|k| matches!(k, EventKind::OffloadRetry { .. }))),
+            (Counter::PpeFallbacks, count(|k| matches!(k, EventKind::PpeFallback { .. }))),
+            (Counter::SpeQuarantines, count(|k| matches!(k, EventKind::SpeQuarantined { .. }))),
+            (Counter::SpeReadmissions, count(|k| matches!(k, EventKind::SpeReadmitted { .. }))),
+        ] {
+            assert!(n > 0, "{c}: the faulted run records some");
+            assert_eq!(s.counter(c), Some(n), "{c}");
+        }
     }
 
     #[test]
