@@ -5,7 +5,9 @@
 //! refuses a byte of drift in the canonical log form. That check needs the
 //! harness built; this one recomputes the same digests from the same
 //! configurations, so a codec or writer change that moves a byte fails
-//! tier-1 first. The file is read, never written.
+//! tier-1 first. It also holds the unrecorded `sim_core` runs to their
+//! anchored task counts, context switches and makespans. The file is
+//! read, never written.
 //!
 //! Beside it, a scaling guard for the critical-path walk the same
 //! pipeline runs per log.
@@ -27,11 +29,15 @@ fn scheduler(name: &str) -> SchedulerKind {
     }
 }
 
-#[test]
-fn sim_verify_digests_match_the_benchmark_anchors() {
+fn anchors() -> minijson::Value {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/anchors.json");
     let text = std::fs::read_to_string(path).expect("benchmark/anchors.json is readable");
-    let anchors = minijson::parse(&text).expect("benchmark/anchors.json parses");
+    minijson::parse(&text).expect("benchmark/anchors.json parses")
+}
+
+#[test]
+fn sim_verify_digests_match_the_benchmark_anchors() {
+    let anchors = anchors();
     let full = anchors.get("full").and_then(minijson::Value::as_object).expect("a `full` section");
     let mut checked = 0;
     for (seed, workloads) in full {
@@ -46,6 +52,36 @@ fn sim_verify_digests_match_the_benchmark_anchors() {
             cfg.record_events = true;
             let log = run(cfg).run_log.expect("record_events was set");
             assert_eq!(digest_hex(&log), want, "{name}, seed {seed}: the canonical bytes moved");
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 4 * 5, "seeds 1/2/3/7919 × five schedulers");
+}
+
+/// The unrecorded path `sim_core` times: its anchored facts at the
+/// harness's tiny size, and the same facts from a recorded run of the same
+/// configuration, so recording cannot perturb the schedule.
+#[test]
+fn sim_core_facts_match_the_benchmark_anchors_recorded_or_not() {
+    let anchors = anchors();
+    let tiny = anchors.get("tiny").and_then(minijson::Value::as_object).expect("a `tiny` section");
+    let mut checked = 0;
+    for (seed, workloads) in tiny {
+        let seed: u64 = seed.parse().expect("seeds are integers");
+        let rows = workloads.get("sim_core").and_then(minijson::Value::as_array);
+        for row in rows.expect("a `sim_core` list per seed") {
+            let name = row.get("scheduler").and_then(minijson::Value::as_str).expect("a name");
+            let fact = |key: &str| row.get(key).and_then(minijson::Value::as_u64).expect("a count");
+            let want = (fact("tasks_completed"), fact("context_switches"), fact("makespan_ns"));
+            // The harness's `sim_core` configuration at tiny size.
+            let mut cfg = SimConfig::cell_42sc(scheduler(name), 8, 400);
+            cfg.seed = seed;
+            for record_events in [false, true] {
+                cfg.record_events = record_events;
+                let r = run(cfg);
+                let got = (r.tasks_completed, r.context_switches, r.makespan.as_nanos());
+                assert_eq!(got, want, "{name}, seed {seed}, recorded {record_events}");
+            }
             checked += 1;
         }
     }

@@ -157,6 +157,10 @@ struct ProcState {
     /// Off-load attempt counter for the task in flight: 0 for the original
     /// off-load, incremented per watchdog-driven retry.
     attempt: u32,
+    /// The SPE team of the grant in flight, lead first (valid from grant
+    /// until completion or watchdog reclaim). One buffer per process,
+    /// refilled by every grant, so events name only the process.
+    team: Vec<usize>,
     /// Off-load request timestamp of the task in flight.
     task_started_ns: u64,
     /// When this process last acquired a PPE context.
@@ -298,6 +302,7 @@ impl CellMachine {
                     phase: Phase::Ready,
                     current_task: 0,
                     attempt: 0,
+                    team: Vec::with_capacity(n_spes),
                     task_started_ns: 0,
                     ctx_acquired_ns: 0,
                     polluted: false,
@@ -465,7 +470,11 @@ pub fn run(cfg: SimConfig) -> RunReport {
     sim.schedule_at(SimTime::ZERO, start);
     sim.run();
     let now = sim.now();
-    let m = sim.model();
+    let mut m = sim.into_model();
+    // The log takes the model's buffer instead of a copy; shed its growth
+    // slack, or the caller holds up to twice the log for as long as it lives.
+    let mut events = std::mem::take(&mut m.events);
+    events.shrink_to_fit();
     let makespan_time = match m.finish {
         Some(t) => t,
         None => {
@@ -518,7 +527,7 @@ pub fn run(cfg: SimConfig) -> RunReport {
                     None
                 },
                 tenant_weights: None,
-                events: m.events.clone(),
+                events,
             })
         } else {
             None
@@ -555,7 +564,7 @@ fn admit_next_proc(sim: &mut S) {
     if dispatched.is_some() {
         let now = sim.now().as_nanos();
         sim.model_mut().procs[p].ctx_acquired_ns = now;
-        sim.schedule_now(move |sim| continue_proc(sim, p));
+        sim.schedule_in_with(SimDuration::ZERO, continue_proc, p);
     }
     // Queued processes are dispatched as contexts free up.
 }
@@ -601,7 +610,7 @@ fn continue_proc(sim: &mut S, p: usize) {
         gap
     };
     sim.model_mut().procs[p].phase = Phase::PpeWork;
-    sim.schedule_in(gap, move |sim| gap_done(sim, p));
+    sim.schedule_in_with(gap, gap_done, p);
 }
 
 /// `p` finished its PPE section and requests an off-load.
@@ -705,33 +714,31 @@ enum Granted {
 /// Start `p`'s task on a team of `degree` SPEs.
 fn grant_task(sim: &mut S, p: usize, degree: usize) {
     let now = sim.now();
-    let (granted, team) = {
+    let granted = {
         let m = sim.model_mut();
         let epoch = m.image_epoch;
-        let mut team = Vec::with_capacity(degree);
-        let mut reloaded = Vec::new();
-        for (i, spe) in m.spes.iter_mut().enumerate() {
-            if !spe.is_busy() && !m.quarantined[i] {
-                if spe.start_task(now, epoch) {
-                    reloaded.push(i);
-                }
-                team.push(i);
-                if team.len() == degree {
-                    break;
-                }
-            }
-        }
-        let reload = !reloaded.is_empty();
-        assert_eq!(team.len(), degree, "grant without enough idle healthy SPEs");
         let now_ns = now.as_nanos();
         // Team members reload in parallel; each pays the full stall, the
         // task-level delay is one code_load_cost (added below).
         let stall_ns = m.cfg.params.code_load_cost.as_nanos();
-        for &spe in &reloaded {
-            m.emit(now_ns, EventKind::CodeReload { spe, stall_ns });
+        let mut reload = false;
+        m.procs[p].team.clear();
+        for spe in 0..m.spes.len() {
+            if m.spes[spe].is_busy() || m.quarantined[spe] {
+                continue;
+            }
+            if m.spes[spe].start_task(now, epoch) {
+                reload = true;
+                m.emit(now_ns, EventKind::CodeReload { spe, stall_ns });
+            }
+            m.procs[p].team.push(spe);
+            if m.procs[p].team.len() == degree {
+                break;
+            }
         }
+        assert_eq!(m.procs[p].team.len(), degree, "grant without enough idle healthy SPEs");
         let task = m.procs[p].current_task;
-        let lead = team[0];
+        let lead = m.procs[p].team[0];
         // Draw the kernel timing up front — in the simulator the drawn
         // duration *is* the task's true duration, so its running minimum
         // is the engine's own timing history, which the watchdog deadline
@@ -756,19 +763,23 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
             // the watchdog must reclaim.
             m.fault_stats.injected += 1;
             m.consec_faults[lead] += 1;
-            m.emit(
-                now_ns,
-                EventKind::FaultInjected {
-                    spe: lead,
-                    task,
-                    fault: fault.name().to_string(),
-                    attempt: u64::from(attempt),
-                },
-            );
+            // The record names the fault as a `String`: build it only for a
+            // log, so an unrecorded faulted run allocates nothing per fault.
+            if m.cfg.record_events {
+                m.emit(
+                    now_ns,
+                    EventKind::FaultInjected {
+                        spe: lead,
+                        task,
+                        fault: fault.name().to_string(),
+                        attempt: u64::from(attempt),
+                    },
+                );
+            }
             m.procs[p].phase = Phase::OnSpe;
             let hint = m.min_task_ns.unwrap_or(drawn_ns);
             let watchdog = SimDuration::from_nanos(m.cfg.faults.watchdog_ns(hint));
-            (Granted::Faulted { watchdog }, team)
+            Granted::Faulted { watchdog }
         } else {
         let buffer_bytes = m.cfg.workload.input_bytes + m.cfg.workload.output_bytes;
         // PPE -> SPU start command through the lead SPE's inbound mailbox
@@ -791,7 +802,8 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
         if m.cfg.record_events {
             // Local-store reservations for the task's in/out buffers, on
             // every team member (each SPE working the loop holds copies).
-            for &spe in &team {
+            for i in 0..degree {
+                let spe = m.procs[p].team[i];
                 m.ls_in_use[spe] += buffer_bytes;
                 let in_use = m.ls_in_use[spe];
                 m.emit(now_ns, EventKind::LsAlloc { spe, bytes: buffer_bytes, in_use });
@@ -811,10 +823,8 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
                     main_addr,
                 },
             );
-            m.emit(
-                now_ns,
-                EventKind::TaskStart { proc: p, task, degree, team: team.clone() },
-            );
+            let team = m.procs[p].team.clone();
+            m.emit(now_ns, EventKind::TaskStart { proc: p, task, degree, team });
             let loop_iters = m.cfg.workload.loop_iters;
             for (i, r) in partition(loop_iters, degree, 0.0).into_iter().enumerate() {
                 m.emit(
@@ -824,7 +834,7 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
                         loop_iters,
                         start: r.start,
                         len: r.len(),
-                        worker: team[i],
+                        worker: m.procs[p].team[i],
                     },
                 );
             }
@@ -871,7 +881,7 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
             dur += m.cfg.params.code_load_cost;
         }
         m.procs[p].phase = Phase::OnSpe;
-        (Granted::Run { duration: dur, dma_latency }, team)
+        Granted::Run { duration: dur, dma_latency }
         }
     };
     match granted {
@@ -881,10 +891,10 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
             if let Some(lat) = dma_latency {
                 sim.schedule_in(lat, |sim| sim.model_mut().eib.end_transfer());
             }
-            sim.schedule_in(duration, move |sim| task_complete(sim, p, team.clone()));
+            sim.schedule_in_with(duration, task_complete, p);
         }
         Granted::Faulted { watchdog } => {
-            sim.schedule_in(watchdog, move |sim| watchdog_fire(sim, p, team.clone()));
+            sim.schedule_in_with(watchdog, watchdog_fire, p);
         }
     }
 }
@@ -893,15 +903,15 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
 /// wedged team, quarantine the lead if it crossed `k` consecutive faults,
 /// then retry (with declared backoff), fall back to the PPE, or — under a
 /// lethal policy — abandon the task.
-fn watchdog_fire(sim: &mut S, p: usize, team: Vec<usize>) {
+fn watchdog_fire(sim: &mut S, p: usize) {
     let now = sim.now();
     let now_ns = now.as_nanos();
     let (task, attempt) = {
         let m = sim.model_mut();
-        for &s in &team {
+        for &s in &m.procs[p].team {
             m.spes[s].finish_task(now);
         }
-        let lead = team[0];
+        let lead = m.procs[p].team[0];
         let pol = m.cfg.faults.policy;
         if !m.quarantined[lead] && m.consec_faults[lead] >= pol.quarantine_k {
             m.quarantined[lead] = true;
@@ -916,9 +926,7 @@ fn watchdog_fire(sim: &mut S, p: usize, team: Vec<usize>) {
     let pol = sim.model().cfg.faults.policy;
     if attempt < pol.max_retries {
         let backoff_ns = sim.model().cfg.faults.backoff_ns(task, attempt + 1);
-        sim.schedule_in(SimDuration::from_nanos(backoff_ns), move |sim| {
-            retry_offload(sim, p, backoff_ns)
-        });
+        sim.schedule_in_with(SimDuration::from_nanos(backoff_ns), retry_offload, p);
     } else if pol.ppe_fallback {
         ppe_fallback_start(sim, p);
     } else {
@@ -933,7 +941,7 @@ fn watchdog_fire(sim: &mut S, p: usize, team: Vec<usize>) {
 }
 
 /// `p` re-off-loads its faulted task after the declared backoff.
-fn retry_offload(sim: &mut S, p: usize, backoff_ns: u64) {
+fn retry_offload(sim: &mut S, p: usize) {
     let now_ns = sim.now().as_nanos();
     {
         let m = sim.model_mut();
@@ -941,9 +949,11 @@ fn retry_offload(sim: &mut S, p: usize, backoff_ns: u64) {
         m.fault_stats.retries += 1;
         m.procs[p].phase = Phase::WaitingSpe;
         let task = m.procs[p].current_task;
-        let attempt = u64::from(m.procs[p].attempt);
+        let attempt = m.procs[p].attempt;
+        // The backoff just waited, recomputed from the same coordinates.
+        let backoff_ns = m.cfg.faults.backoff_ns(task, attempt);
         m.request_queue.push_back(p);
-        m.emit(now_ns, EventKind::OffloadRetry { task, attempt, backoff_ns });
+        m.emit(now_ns, EventKind::OffloadRetry { task, attempt: u64::from(attempt), backoff_ns });
     }
     try_dispatch_queue(sim);
 }
@@ -963,7 +973,7 @@ fn ppe_fallback_start(sim: &mut S, p: usize) {
             .kernel_task_duration(kind, m.cfg.profile, 1, jitter, m.cfg.workload.heterogeneous_kernels)
             .mul_f64(PPE_FALLBACK_SLOWDOWN)
     };
-    sim.schedule_in(dur, move |sim| ppe_fallback_complete(sim, p));
+    sim.schedule_in_with(dur, ppe_fallback_complete, p);
 }
 
 /// `p`'s task finished on the PPE fallback path.
@@ -1016,19 +1026,20 @@ fn sync_mgps_healthy(m: &mut CellMachine) {
     }
 }
 
-/// `p`'s task finished on `team`.
-fn task_complete(sim: &mut S, p: usize, team: Vec<usize>) {
+/// `p`'s task finished on its team.
+fn task_complete(sim: &mut S, p: usize) {
     let now = sim.now();
     let now_ns = now.as_nanos();
     {
         let m = sim.model_mut();
-        for &s in &team {
+        for &s in &m.procs[p].team {
             m.spes[s].finish_task(now);
         }
         let task = m.procs[p].current_task;
         if m.cfg.record_events {
             let buffer_bytes = m.cfg.workload.input_bytes + m.cfg.workload.output_bytes;
-            for &spe in &team {
+            for i in 0..m.procs[p].team.len() {
+                let spe = m.procs[p].team[i];
                 m.ls_in_use[spe] -= buffer_bytes;
                 let in_use = m.ls_in_use[spe];
                 m.emit(now_ns, EventKind::LsFree { spe, bytes: buffer_bytes, in_use });
@@ -1036,7 +1047,7 @@ fn task_complete(sim: &mut S, p: usize, team: Vec<usize>) {
         }
         // SPU -> PPE completion interrupt; the PPE-side scheduler collects
         // it immediately (it is what wakes the EDTLP scheduler).
-        let lead = team[0];
+        let lead = m.procs[p].team[0];
         let posted = m.mailboxes[lead].signal_complete(m.tasks_completed as u32);
         debug_assert!(posted, "outbound-interrupt mailbox still occupied");
         let occ = m.mailboxes[lead].outbound_interrupt.len();
@@ -1059,12 +1070,15 @@ fn task_complete(sim: &mut S, p: usize, team: Vec<usize>) {
                 occupancy: occ,
             },
         );
-        m.emit(now_ns, EventKind::TaskEnd { proc: p, task, team: team.clone() });
+        if m.cfg.record_events {
+            let team = m.procs[p].team.clone();
+            m.emit(now_ns, EventKind::TaskEnd { proc: p, task, team });
+        }
         m.tasks_completed += 1;
         m.procs[p].remaining -= 1;
         // A clean completion clears the team's consecutive-fault counters
         // and advances the re-admission clock.
-        for &s in &team {
+        for &s in &m.procs[p].team {
             m.consec_faults[s] = 0;
         }
         mgps_departure(m, p, now_ns);
@@ -1141,7 +1155,7 @@ fn reacquire_ppe(sim: &mut S, p: usize) {
             let switch = sim.model().cfg.params.ctx_switch;
             let now_ns2 = sim.now().as_nanos();
             sim.model_mut().procs[p].ctx_acquired_ns = now_ns2;
-            sim.schedule_in(switch, move |sim| continue_proc(sim, p));
+            sim.schedule_in_with(switch, continue_proc, p);
         } else {
             sim.model_mut().procs[p].phase = Phase::Ready;
         }
@@ -1184,7 +1198,7 @@ fn maybe_rotate_linux(sim: &mut S, p: usize, ppe: usize) -> bool {
 fn dispatch(sim: &mut S, next: Option<ProcId>) {
     let Some(ProcId(q)) = next else { return };
     let switch = sim.model().cfg.params.ctx_switch;
-    sim.schedule_in(switch, move |sim| proc_dispatched(sim, q));
+    sim.schedule_in_with(switch, proc_dispatched, q);
 }
 
 /// `q` acquired a PPE context after a switch.

@@ -4,9 +4,13 @@
 //! It provides:
 //!
 //! * [`time`] — integer-nanosecond simulated clock types;
-//! * [`sim`] — the event loop: a future-event list with FIFO tie-breaking,
-//!   cancellation, and bounded-horizon runs;
+//! * [`sim`] — the event loop: a future-event list with FIFO tie-breaking
+//!   and cancellation;
 //! * [`stats`] — the busy/utilization tracker.
+//!
+//! An event is a function pointer plus at most one payload word, never a
+//! boxed closure: whatever else an event needs lives in the model, so
+//! scheduling and firing allocate nothing.
 //!
 //! Determinism is a design requirement, not an accident: two events
 //! scheduled for the same instant always fire in scheduling order, so every
@@ -32,7 +36,7 @@ pub mod time;
 
 /// Convenient glob import for model code.
 pub mod prelude {
-    pub use crate::sim::{EventFn, EventId, Sim};
+    pub use crate::sim::{EventId, Sim};
     pub use crate::stats::BusyTracker;
     pub use crate::time::{SimDuration, SimTime};
 }

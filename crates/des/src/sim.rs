@@ -1,11 +1,14 @@
 //! The simulation core: a clock plus a deterministic future-event list.
 //!
-//! [`Sim`] is generic over a user-supplied model type `M`. Events are
-//! `FnOnce(&mut Sim<M>)` closures; when an event fires it may inspect and
-//! mutate the model (via [`Sim::model_mut`]) and schedule further events.
-//! Two events scheduled for the same instant fire in the order they were
-//! scheduled (FIFO tie-breaking on a monotone sequence number), which makes
-//! every run bit-reproducible.
+//! [`Sim`] is generic over a user-supplied model type `M`. An event is
+//! plain data: a function pointer, either `fn(&mut Sim<M>)` or
+//! `fn(&mut Sim<M>, usize)` with one payload word, so scheduling is a heap
+//! push and firing is a call — nothing is boxed. State an event needs
+//! beyond its word lives in the model (via [`Sim::model_mut`]), which the
+//! event may inspect and mutate, scheduling further events. Two events
+//! scheduled for the same instant fire in the order they were scheduled
+//! (FIFO tie-breaking on a monotone sequence number), which makes every run
+//! bit-reproducible.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -16,13 +19,16 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
-/// A boxed event body.
-pub type EventFn<M> = Box<dyn FnOnce(&mut Sim<M>)>;
+/// What an event calls when it fires.
+enum Fire<M> {
+    Plain(fn(&mut Sim<M>)),
+    Word(fn(&mut Sim<M>, usize), usize),
+}
 
 struct Scheduled<M> {
     at: SimTime,
     id: EventId,
-    body: EventFn<M>,
+    fire: Fire<M>,
 }
 
 // Ordering for the max-heap: earliest time first, then lowest id (FIFO).
@@ -50,7 +56,6 @@ pub struct Sim<M> {
     next_id: u64,
     heap: BinaryHeap<Scheduled<M>>,
     cancelled: HashSet<EventId>,
-    executed: u64,
     model: M,
 }
 
@@ -62,7 +67,6 @@ impl<M> Sim<M> {
             next_id: 0,
             heap: BinaryHeap::new(),
             cancelled: HashSet::new(),
-            executed: 0,
             model,
         }
     }
@@ -71,27 +75,6 @@ impl<M> Sim<M> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events executed so far.
-    #[inline]
-    pub fn events_executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Number of events currently pending (including cancelled ones not yet
-    /// reaped).
-    #[inline]
-    pub fn events_pending(&self) -> usize {
-        self.heap.len().saturating_sub(self.cancelled.len())
-    }
-
-    /// Entries held by the internal future-event list, cancelled-but-unreaped
-    /// ones included. Exposed so tests can assert that heavy cancellation
-    /// does not grow the queue without bound.
-    #[inline]
-    pub fn queue_len(&self) -> usize {
-        self.heap.len()
     }
 
     /// Shared access to the model.
@@ -111,46 +94,69 @@ impl<M> Sim<M> {
         self.model
     }
 
-    /// Schedule `body` to fire at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past: events cannot rewrite history.
-    pub fn schedule_at(&mut self, at: SimTime, body: impl FnOnce(&mut Sim<M>) + 'static) -> EventId {
+    fn push(&mut self, at: SimTime, fire: Fire<M>) -> EventId {
         assert!(at >= self.now, "cannot schedule an event in the past ({at} < {})", self.now);
         let id = EventId(self.next_id);
         self.next_id += 1;
-        self.heap.push(Scheduled { at, id, body: Box::new(body) });
+        self.heap.push(Scheduled { at, id, fire });
         id
     }
 
-    /// Schedule `body` to fire `after` from now.
-    pub fn schedule_in(
+    /// Schedule `fire` to run at absolute time `at`.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past: events cannot rewrite history.
+    pub fn schedule_at(&mut self, at: SimTime, fire: fn(&mut Sim<M>)) -> EventId {
+        self.push(at, Fire::Plain(fire))
+    }
+
+    /// Schedule `fire(sim, word)` to run at absolute time `at`.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past.
+    pub fn schedule_at_with(
+        &mut self,
+        at: SimTime,
+        fire: fn(&mut Sim<M>, usize),
+        word: usize,
+    ) -> EventId {
+        self.push(at, Fire::Word(fire, word))
+    }
+
+    /// Schedule `fire` to run `after` from now.
+    pub fn schedule_in(&mut self, after: SimDuration, fire: fn(&mut Sim<M>)) -> EventId {
+        self.schedule_at(self.now + after, fire)
+    }
+
+    /// Schedule `fire(sim, word)` to run `after` from now.
+    pub fn schedule_in_with(
         &mut self,
         after: SimDuration,
-        body: impl FnOnce(&mut Sim<M>) + 'static,
+        fire: fn(&mut Sim<M>, usize),
+        word: usize,
     ) -> EventId {
-        let at = self.now + after;
-        self.schedule_at(at, body)
+        self.schedule_at_with(self.now + after, fire, word)
     }
 
-    /// Schedule `body` to fire at the current instant, after all events
+    /// Schedule `fire` to run at the current instant, after all events
     /// already scheduled for this instant.
-    pub fn schedule_now(&mut self, body: impl FnOnce(&mut Sim<M>) + 'static) -> EventId {
-        self.schedule_at(self.now, body)
+    pub fn schedule_now(&mut self, fire: fn(&mut Sim<M>)) -> EventId {
+        self.schedule_at(self.now, fire)
     }
 
-    /// Cancel a pending event. Returns `true` if the event had not yet fired
-    /// (and had not already been cancelled — though after a compaction pass
-    /// has reaped the event, a repeated cancel of the same id may report
-    /// `true` again).
+    /// Cancel an event so it never fires. Returns `false` for an id this
+    /// simulator never issued, and for one already cancelled and not yet
+    /// reaped. Otherwise it returns `true`, which does not mean the event
+    /// was pending: `cancel` cannot tell a fired event from a pending one,
+    /// so cancelling an id that already fired returns `true` and changes
+    /// nothing, and so does cancelling again an id a compaction pass has
+    /// reaped.
     pub fn cancel(&mut self, id: EventId) -> bool {
         if id.0 >= self.next_id {
             return false;
         }
-        // We cannot cheaply tell "already fired" from "pending" without a
-        // side table, so record the cancellation and let the pop path drop
-        // it. Inserting an id that already fired is harmless: it can never
-        // be popped again.
+        // Record the cancellation and let the pop path drop it. Inserting
+        // an id that already fired is harmless: it can never pop again.
         let fresh = self.cancelled.insert(id);
         // Lazy compaction: once cancellations outweigh half the queue, the
         // heap is mostly dead entries (or the cancelled set is mostly ids
@@ -175,13 +181,15 @@ impl<M> Sim<M> {
     /// list is empty.
     pub fn step(&mut self) -> bool {
         while let Some(ev) = self.heap.pop() {
-            if self.cancelled.remove(&ev.id) {
+            if !self.cancelled.is_empty() && self.cancelled.remove(&ev.id) {
                 continue;
             }
             debug_assert!(ev.at >= self.now);
             self.now = ev.at;
-            self.executed += 1;
-            (ev.body)(self);
+            match ev.fire {
+                Fire::Plain(fire) => fire(self),
+                Fire::Word(fire, word) => fire(self, word),
+            }
             return true;
         }
         false
@@ -190,40 +198,6 @@ impl<M> Sim<M> {
     /// Run until the future-event list is empty.
     pub fn run(&mut self) {
         while self.step() {}
-    }
-
-    /// Run until the clock would pass `deadline`; events at exactly
-    /// `deadline` are executed. The clock is left at
-    /// `min(deadline, time of last event)`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            // Peek past cancelled entries without executing.
-            let next_at = loop {
-                match self.heap.peek() {
-                    None => return,
-                    Some(ev) if self.cancelled.contains(&ev.id) => {
-                        let ev = self.heap.pop().expect("peeked entry vanished");
-                        self.cancelled.remove(&ev.id);
-                    }
-                    Some(ev) => break ev.at,
-                }
-            };
-            if next_at > deadline {
-                return;
-            }
-            self.step();
-        }
-    }
-
-    /// Run for a span of simulated time from now.
-    pub fn run_for(&mut self, span: SimDuration) {
-        let deadline = self.now + span;
-        self.run_until(deadline);
-        // If the event list drained early the clock lags; advance it so that
-        // back-to-back `run_for` calls cover contiguous windows.
-        if self.now < deadline {
-            self.now = deadline;
-        }
     }
 }
 
@@ -242,40 +216,39 @@ mod tests {
     #[derive(Default)]
     struct Log(Vec<(u64, &'static str)>);
 
+    fn push(s: &mut Sim<Log>, name: &'static str) {
+        let t = s.now().0;
+        s.model_mut().0.push((t, name));
+    }
+
     #[test]
     fn events_fire_in_time_order() {
         let mut sim = Sim::new(Log::default());
-        fn push(s: &mut Sim<Log>, name: &'static str) {
-            let t = s.now().0;
-            s.model_mut().0.push((t, name));
-        }
         sim.schedule_at(SimTime(30), |s| push(s, "c"));
         sim.schedule_at(SimTime(10), |s| push(s, "a"));
         sim.schedule_at(SimTime(20), |s| push(s, "b"));
         sim.run();
         assert_eq!(sim.model().0, vec![(10, "a"), (20, "b"), (30, "c")]);
-        assert_eq!(sim.events_executed(), 3);
     }
 
     #[test]
     fn same_time_events_fire_fifo() {
+        const NAMES: [&str; 4] = ["first", "second", "third", "fourth"];
         let mut sim = Sim::new(Log::default());
-        for (i, name) in ["first", "second", "third", "fourth"].iter().enumerate() {
-            let name: &'static str = name;
-            sim.schedule_at(SimTime(5), move |s| s.model_mut().0.push((i as u64, name)));
+        fn push_nth(s: &mut Sim<Log>, i: usize) {
+            s.model_mut().0.push((i as u64, NAMES[i]));
+        }
+        for i in 0..NAMES.len() {
+            sim.schedule_at_with(SimTime(5), push_nth, i);
         }
         sim.run();
         let names: Vec<_> = sim.model().0.iter().map(|&(_, n)| n).collect();
-        assert_eq!(names, vec!["first", "second", "third", "fourth"]);
+        assert_eq!(names, NAMES);
     }
 
     #[test]
     fn events_can_schedule_events() {
         let mut sim = Sim::new(Log::default());
-        fn push(s: &mut Sim<Log>, name: &'static str) {
-            let t = s.now().0;
-            s.model_mut().0.push((t, name));
-        }
         sim.schedule_at(SimTime(1), |s| {
             push(s, "outer");
             s.schedule_in(SimDuration(9), |s| push(s, "inner"));
@@ -287,10 +260,6 @@ mod tests {
     #[test]
     fn schedule_now_runs_after_events_already_due() {
         let mut sim = Sim::new(Log::default());
-        fn push(s: &mut Sim<Log>, name: &'static str) {
-            let t = s.now().0;
-            s.model_mut().0.push((t, name));
-        }
         sim.schedule_at(SimTime::ZERO, |s| {
             s.schedule_now(|s| push(s, "late"));
             push(s, "early");
@@ -316,27 +285,6 @@ mod tests {
     fn cancel_unknown_id_is_false() {
         let mut sim = Sim::new(Log::default());
         assert!(!sim.cancel(EventId(42)));
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline_inclusive() {
-        let mut sim = Sim::new(Log::default());
-        sim.schedule_at(SimTime(10), |s| s.model_mut().0.push((10, "in")));
-        sim.schedule_at(SimTime(11), |s| s.model_mut().0.push((11, "out")));
-        sim.run_until(SimTime(10));
-        assert_eq!(sim.model().0, vec![(10, "in")]);
-        assert_eq!(sim.events_pending(), 1);
-        sim.run();
-        assert_eq!(sim.model().0.len(), 2);
-    }
-
-    #[test]
-    fn run_for_advances_clock_even_when_idle() {
-        let mut sim = Sim::new(Log::default());
-        sim.run_for(SimDuration::from_micros(7));
-        assert_eq!(sim.now(), SimTime(7_000));
-        sim.run_for(SimDuration::from_micros(3));
-        assert_eq!(sim.now(), SimTime(10_000));
     }
 
     #[test]
@@ -379,13 +327,12 @@ mod tests {
                 panic!("cancelled event fired");
             });
             assert!(sim.cancel(id));
-            high_water = high_water.max(sim.queue_len());
+            high_water = high_water.max(sim.heap.len());
         }
         assert!(
             high_water <= 8,
             "queue grew to {high_water} entries under schedule/cancel churn"
         );
-        assert_eq!(sim.events_pending(), 1);
         sim.run();
         assert_eq!(sim.model().0, vec![(0, "keeper")]);
     }
@@ -397,10 +344,7 @@ mod tests {
         // passes run while keepers are in the heap.
         let mut decoys = Vec::new();
         for i in 0..50u64 {
-            sim.schedule_at(SimTime(10 + i), move |s| {
-                let t = s.now().0;
-                s.model_mut().0.push((t, "keep"));
-            });
+            sim.schedule_at(SimTime(10 + i), |s| push(s, "keep"));
             for j in 0..10u64 {
                 decoys.push(sim.schedule_at(SimTime(500 + i * 10 + j), |_| {
                     panic!("cancelled event fired");
@@ -413,16 +357,5 @@ mod tests {
         sim.run();
         let times: Vec<u64> = sim.model().0.iter().map(|&(t, _)| t).collect();
         assert_eq!(times, (10..60).collect::<Vec<_>>());
-        assert_eq!(sim.events_executed(), 50);
-    }
-
-    #[test]
-    fn cancelled_events_do_not_block_run_until() {
-        let mut sim = Sim::new(Log::default());
-        let id = sim.schedule_at(SimTime(5), |_| {});
-        sim.cancel(id);
-        sim.run_until(SimTime(100));
-        assert_eq!(sim.events_executed(), 0);
-        assert_eq!(sim.events_pending(), 0);
     }
 }

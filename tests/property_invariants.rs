@@ -110,10 +110,10 @@ proptest! {
     fn event_queue_ordering(times in prop::collection::vec(0u64..10_000, 1..100)) {
         let mut sim: Sim<Vec<(u64, usize)>> = Sim::new(Vec::new());
         for (idx, &t) in times.iter().enumerate() {
-            sim.schedule_at(SimTime(t), move |s| {
+            sim.schedule_at_with(SimTime(t), |s, idx| {
                 let now = s.now().0;
                 s.model_mut().push((now, idx));
-            });
+            }, idx);
         }
         sim.run();
         let fired = sim.model().clone();
