@@ -304,15 +304,16 @@ fn sample_branch(mean: f64, rng: &mut SmallRng) -> f64 {
 /// A site-pattern-compressed view of an alignment.
 ///
 /// Identical columns are merged; each pattern carries an integer weight.
-/// The likelihood kernels iterate over patterns, which is both what RAxML
-/// does and what makes bootstrap re-weighting (§3.1) a pure weight change.
+/// The likelihood kernels iterate over patterns, which is what RAxML does;
+/// a bootstrap replicate (§3.1) is the compressed alignment of its
+/// re-sampled columns, so patterns it did not draw are absent from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PatternAlignment {
     /// `patterns[taxon][pattern]` state masks.
     patterns: Vec<Vec<StateMask>>,
-    /// Multiplicity of each pattern in the original alignment.
+    /// Multiplicity of each pattern: how many columns it stands for.
     weights: Vec<u32>,
-    /// Original column → pattern index (needed for bootstrapping).
+    /// Column → pattern index (needed for bootstrapping).
     column_pattern: Vec<usize>,
     n_taxa: usize,
 }
@@ -352,7 +353,7 @@ impl PatternAlignment {
         self.weights.len()
     }
 
-    /// Number of original alignment columns.
+    /// Number of alignment columns.
     pub fn n_sites(&self) -> usize {
         self.column_pattern.len()
     }
@@ -368,19 +369,26 @@ impl PatternAlignment {
         self.patterns[taxon][pattern]
     }
 
-    /// Original column → pattern mapping.
+    /// Column → pattern mapping.
     pub fn column_pattern(&self) -> &[usize] {
         &self.column_pattern
     }
 
-    /// A replicate with the same patterns but different weights (used by
-    /// the bootstrapper).
+    /// The compressed alignment in which pattern `p` stands for
+    /// `weights[p]` columns (used by the bootstrapper). Patterns of weight
+    /// 0 are absent; the rest keep their relative order, each as
+    /// `weights[p]` consecutive columns of [`Self::column_pattern`].
     pub fn with_weights(&self, weights: Vec<u32>) -> PatternAlignment {
         assert_eq!(weights.len(), self.weights.len(), "weight vector length mismatch");
+        let kept: Vec<usize> = (0..weights.len()).filter(|&p| weights[p] > 0).collect();
+        let weights: Vec<u32> = kept.iter().map(|&p| weights[p]).collect();
+        let column_pattern =
+            weights.iter().enumerate().flat_map(|(i, &w)| std::iter::repeat_n(i, w as usize));
+        let patterns = self.patterns.iter().map(|col| kept.iter().map(|&p| col[p]).collect());
         PatternAlignment {
-            patterns: self.patterns.clone(),
+            patterns: patterns.collect(),
+            column_pattern: column_pattern.collect(),
             weights,
-            column_pattern: self.column_pattern.clone(),
             n_taxa: self.n_taxa,
         }
     }
@@ -560,6 +568,22 @@ mod tests {
         let q = p.with_weights(w.clone());
         assert_eq!(q.weights(), &w[..]);
         assert_eq!(q.n_patterns(), p.n_patterns());
+    }
+
+    #[test]
+    fn with_weights_drops_zero_weight_patterns_in_order() {
+        let p = PatternAlignment::compress(&toy());
+        assert_eq!(p.n_patterns(), 6);
+        let q = p.with_weights(vec![0, 3, 0, 1, 2, 0]);
+        assert_eq!(q.n_patterns(), 3);
+        assert_eq!(q.weights(), &[3, 1, 2]);
+        assert_eq!(q.column_pattern(), &[0, 0, 0, 1, 2, 2]);
+        assert_eq!(q.n_sites(), 6);
+        for (i, src) in [1, 3, 4].into_iter().enumerate() {
+            for t in 0..p.n_taxa() {
+                assert_eq!(q.mask(t, i), p.mask(t, src));
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! A bootstrap replicate re-samples alignment columns with replacement and
 //! re-runs the inference on the re-sampled data. With site-pattern
-//! compression this is a pure *weight change*: the patterns stay put and
-//! each pattern's weight becomes the number of times any of its columns was
-//! drawn. Replicate confidence values are the fraction of replicate trees
-//! containing each bipartition of the best-known tree.
+//! compression a replicate is the compressed alignment of its re-sampled
+//! columns: each pattern's weight becomes the number of times any of its
+//! columns was drawn, and the patterns it did not draw are absent, so no
+//! kernel walks a pattern whose term it would multiply by 0. Replicate
+//! confidence values are the fraction of replicate trees containing each
+//! bipartition of the best-known tree.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -27,7 +29,9 @@ pub fn bootstrap_weights(data: &PatternAlignment, seed: u64) -> Vec<u32> {
     weights
 }
 
-/// A bootstrap replicate: the same patterns with re-sampled weights.
+/// A bootstrap replicate: the compressed alignment of the re-sampled
+/// columns — the patterns drawn at least once, in their original order,
+/// weighted by [`bootstrap_weights`].
 pub fn bootstrap_replicate(data: &PatternAlignment, seed: u64) -> PatternAlignment {
     data.with_weights(bootstrap_weights(data, seed))
 }
@@ -78,15 +82,25 @@ mod tests {
     }
 
     #[test]
-    fn replicate_shares_patterns_with_original() {
+    fn a_replicate_keeps_exactly_the_patterns_it_drew() {
         let d = data();
-        let rep = bootstrap_replicate(&d, 9);
-        assert_eq!(rep.n_patterns(), d.n_patterns());
-        assert_eq!(rep.n_sites(), d.n_sites());
-        for t in 0..d.n_taxa() {
-            for p in 0..d.n_patterns() {
-                assert_eq!(rep.mask(t, p), d.mask(t, p));
+        for seed in [1, 9, 7919] {
+            let w = bootstrap_weights(&d, seed);
+            let rep = bootstrap_replicate(&d, seed);
+            let drawn: Vec<usize> = (0..d.n_patterns()).filter(|&p| w[p] > 0).collect();
+            assert!(drawn.len() < d.n_patterns(), "seed {seed}: nothing to drop");
+            assert_eq!(rep.n_patterns(), drawn.len());
+            for (i, &p) in drawn.iter().enumerate() {
+                for t in 0..d.n_taxa() {
+                    assert_eq!(rep.mask(t, i), d.mask(t, p), "seed {seed}");
+                }
             }
+            let kept: Vec<u32> = drawn.iter().map(|&p| w[p]).collect();
+            assert_eq!(rep.weights(), &kept[..]);
+            let total: u32 = rep.weights().iter().sum();
+            assert_eq!(total as usize, rep.n_sites());
+            assert_eq!(rep.n_sites(), d.n_sites());
+            assert!(rep.column_pattern().iter().all(|&i| i < rep.n_patterns()));
         }
     }
 

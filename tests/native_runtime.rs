@@ -121,6 +121,63 @@ fn offloaded_engine_identical_under_every_loop_degree() {
 }
 
 #[test]
+fn fewer_patterns_than_the_loop_degree() {
+    // Four patterns (a bootstrap replicate of them fewer still) under five
+    // and eight SPEs per loop: some chunks are empty ranges, and their CLV
+    // pieces share a first pattern.
+    let aln = Alignment::from_strings(&[
+        ("ta", "AAAACCCCGT"),
+        ("tb", "AAAACCCCGT"),
+        ("tc", "AAAACCCCGA"),
+        ("td", "AAAACCCCTA"),
+        ("te", "AAAACCCCTA"),
+    ])
+    .unwrap();
+    let full = PatternAlignment::compress(&aln);
+    let replicate = bootstrap_replicate(&full, 3);
+    assert_eq!(full.n_patterns(), 4);
+    assert!(replicate.n_patterns() < 4, "seed 3 drops a pattern");
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(21);
+    let tree0 = Tree::random(5, 0.2, &mut rng);
+
+    for data in [full, replicate].map(Arc::new) {
+        let direct = LikelihoodEngine::new(&Jc69, &data);
+        let want_lnl = direct.log_likelihood(&tree0);
+        let mut want_tree = tree0.clone();
+        let want_opt = direct.optimize_branches(&mut want_tree, 3, 1e-6);
+
+        for degree in [5, 8] {
+            let runs = [(); 2].map(|()| {
+                let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::StaticHybrid {
+                    spes_per_loop: degree,
+                }));
+                let mut ctx = rt.enter_process();
+                let mut engine = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
+                let lnl = engine.log_likelihood(&tree0);
+                let mut tree = tree0.clone();
+                let opt = ScoringEngine::optimize_branches(&mut engine, &mut tree, 3, 1e-6);
+                (lnl, opt, tree)
+            });
+            let n = data.n_patterns();
+            let (lnl, opt, tree) = &runs[0];
+            let at = format!("{n} patterns, degree {degree}");
+            assert!((lnl - want_lnl).abs() < 1e-9, "{at}: {lnl} vs {want_lnl}");
+            assert!((opt - want_opt).abs() < 1e-9, "{at}: {opt} vs {want_opt}");
+            for e in tree.edge_ids() {
+                assert!((tree.length(e) - want_tree.length(e)).abs() < 1e-9, "branch {e:?}");
+            }
+            let (lnl2, opt2, tree2) = &runs[1];
+            assert_eq!(lnl.to_bits(), lnl2.to_bits(), "{at}");
+            assert_eq!(opt.to_bits(), opt2.to_bits(), "{at}");
+            for e in tree.edge_ids() {
+                assert_eq!(tree.length(e).to_bits(), tree2.length(e).to_bits(), "branch {e:?}");
+            }
+        }
+    }
+}
+
+#[test]
 fn worker_panic_does_not_poison_the_runtime() {
     use std::ops::Range;
     struct Bomb;

@@ -138,6 +138,44 @@ proptest! {
         prop_assert_eq!(w.len(), data.n_patterns());
     }
 
+    /// A replicate without the patterns it did not draw scores exactly
+    /// like the original alignment under the replicate's weights: the
+    /// dropped patterns' terms were `0 · ln L`.
+    #[test]
+    fn bootstrap_compaction_preserves_the_likelihood(
+        seed in 0u64..1_000,
+        n_taxa in 4usize..8,
+        n_sites in 10usize..120,
+    ) {
+        let aln = Alignment::synthetic(n_taxa, n_sites, &Jc69, 0.1, seed);
+        let data = PatternAlignment::compress(&aln);
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0x5eed);
+        let tree = Tree::random(n_taxa, 0.1, &mut rng);
+        let got = LikelihoodEngine::new(&Jc69, &bootstrap_replicate(&data, seed))
+            .log_likelihood(&tree);
+
+        let w = bootstrap_weights(&data, seed);
+        let engine = LikelihoodEngine::new(&Jc69, &data);
+        let e = phylo::tree::EdgeId(0);
+        let (a, b) = tree.endpoints(e);
+        let (u, v) = (engine.clv_toward(&tree, a, b), engine.clv_toward(&tree, b, a));
+        let want: f64 = engine
+            .site_terms(&u, &v, tree.length(e))
+            .into_iter()
+            .zip(&w)
+            .map(|((term, exp), &w)| {
+                w as f64 * (term.ln() + exp as f64 * phylo::likelihood::log_scale())
+            })
+            .sum();
+        prop_assert!(
+            (got - want).abs() <= 1e-9 * want.abs(),
+            "replicate {} vs re-weighted original {}",
+            got,
+            want
+        );
+    }
+
     /// Site-pattern compression never changes the likelihood: an alignment
     /// with duplicated columns scores exactly like the weighted original.
     #[test]
