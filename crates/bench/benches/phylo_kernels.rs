@@ -1,5 +1,6 @@
 //! The real likelihood kernels at the paper's 42_SC problem size:
-//! `newview`, `evaluate`, and `makenewz` over 42 taxa x 1167 sites.
+//! `newview`, `evaluate`, and `makenewz` over 42 taxa x 1167 sites, with
+//! `makenewz` also split into its once-per-edge table and one Newton step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use phylo::prelude::*;
@@ -21,6 +22,12 @@ fn kernels(c: &mut Criterion) {
     g.bench_function("newview", |bch| bch.iter(|| engine.newview(&cu, 0.1, &cv, 0.2)));
     g.bench_function("evaluate", |bch| bch.iter(|| engine.evaluate(&cu, &cv, 0.1)));
     g.bench_function("makenewz", |bch| bch.iter(|| engine.makenewz(&cu, &cv, 0.05)));
+    g.bench_function("makenewz_edge_table", |bch| bch.iter(|| engine.edge_table(&cu, &cv)));
+    let table = engine.edge_table(&cu, &cv);
+    let all = 0..data.n_patterns();
+    g.bench_function("makenewz_step", |bch| {
+        bch.iter(|| engine.table_derivatives(&table, 0.05, all.clone()))
+    });
     g.bench_function("full_tree_log_likelihood", |bch| {
         bch.iter(|| engine.log_likelihood(&tree))
     });

@@ -1,9 +1,10 @@
 //! Nucleotide substitution models.
 //!
 //! A model supplies the transition-probability matrix `P(t)` over a branch
-//! of length `t` (expected substitutions per site), its first and second
-//! derivatives in `t` (needed by the Newton–Raphson branch-length optimizer
-//! `makenewz`), and the equilibrium base frequencies.
+//! of length `t` (expected substitutions per site), its [`Spectrum`] — the
+//! eigen-decomposition `P(t) = L · diag(exp(λ t)) · R` in which the
+//! Newton–Raphson branch-length optimizer `makenewz` takes its derivatives
+//! — and the equilibrium base frequencies.
 //!
 //! Two classic closed-form models are provided: Jukes–Cantor (JC69) and
 //! Kimura two-parameter (K80). Both are normalized so that branch lengths
@@ -17,16 +18,62 @@ use crate::linalg::{sym_eigen, SymEigen};
 /// A 4×4 matrix over nucleotide states.
 pub type Matrix = [[f64; STATES]; STATES];
 
+/// The eigen-decomposition of a reversible model's `P(t)`:
+/// `P(t)[x][y] = Σ_k left[x][k] · exp(λ_k t) · right[k][y]`. Only the
+/// factors `exp(λ_k t)` depend on `t`, so `makenewz` puts an edge's CLV
+/// pair into this basis once and each Newton step is a dot product per
+/// pattern.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spectrum {
+    /// The eigenvalues `λ` of the rate matrix (all ≤ 0).
+    pub eigenvalues: [f64; STATES],
+    /// `L`: the left factor, one eigenvector per column.
+    pub left: Matrix,
+    /// `R`: the right factor, one eigenvector per row.
+    pub right: Matrix,
+}
+
+impl Spectrum {
+    /// `L · diag(f) · R`: `P(t)` for `f = exp(λ t)`, `P′(t)` for
+    /// `f = λ·exp(λ t)`, `P″(t)` for `f = λ²·exp(λ t)`.
+    pub(crate) fn matrix(&self, f: [f64; STATES]) -> Matrix {
+        let mut out = [[0.0; STATES]; STATES];
+        for i in 0..STATES {
+            for j in 0..STATES {
+                let mut sum = 0.0;
+                for (k, &f) in f.iter().enumerate() {
+                    sum += self.left[i][k] * f * self.right[k][j];
+                }
+                out[i][j] = sum;
+            }
+        }
+        out
+    }
+
+    /// `exp(λ_k t)` for every eigenvalue.
+    pub(crate) fn exps(&self, t: f64) -> [f64; STATES] {
+        self.eigenvalues.map(|lam| (lam * t).exp())
+    }
+}
+
+/// The symmetric orthogonal Hadamard matrix: the eigenvectors of every
+/// K80-shaped rate matrix (columns: constant, purine/pyrimidine, and the
+/// two within-class contrasts).
+const HADAMARD: Matrix = [
+    [0.5, 0.5, 0.5, 0.5],
+    [0.5, -0.5, 0.5, -0.5],
+    [0.5, 0.5, -0.5, -0.5],
+    [0.5, -0.5, -0.5, 0.5],
+];
+
 /// A time-reversible nucleotide substitution model.
 pub trait SubstModel: Send + Sync {
     /// Transition probabilities `P(t)[x][y] = Pr(y at end | x at start)`.
     fn prob_matrix(&self, t: f64) -> Matrix;
 
-    /// Entry-wise `dP/dt`.
-    fn d1_matrix(&self, t: f64) -> Matrix;
-
-    /// Entry-wise `d²P/dt²`.
-    fn d2_matrix(&self, t: f64) -> Matrix;
+    /// The eigen-decomposition of `P(t)`; reconstructs [`Self::prob_matrix`]
+    /// up to rounding.
+    fn spectrum(&self) -> Spectrum;
 
     /// Equilibrium base frequencies π.
     fn base_freqs(&self) -> [f64; STATES];
@@ -36,11 +83,8 @@ impl<M: SubstModel + ?Sized> SubstModel for &M {
     fn prob_matrix(&self, t: f64) -> Matrix {
         (**self).prob_matrix(t)
     }
-    fn d1_matrix(&self, t: f64) -> Matrix {
-        (**self).d1_matrix(t)
-    }
-    fn d2_matrix(&self, t: f64) -> Matrix {
-        (**self).d2_matrix(t)
+    fn spectrum(&self) -> Spectrum {
+        (**self).spectrum()
     }
     fn base_freqs(&self) -> [f64; STATES] {
         (**self).base_freqs()
@@ -62,25 +106,11 @@ impl<M: SubstModel> SubstModel for ScaledModel<M> {
     fn prob_matrix(&self, t: f64) -> Matrix {
         self.inner.prob_matrix(self.rate * t)
     }
-    fn d1_matrix(&self, t: f64) -> Matrix {
-        // Chain rule: d/dt P(r·t) = r · P'(r·t).
-        let mut m = self.inner.d1_matrix(self.rate * t);
-        for row in m.iter_mut() {
-            for v in row.iter_mut() {
-                *v *= self.rate;
-            }
-        }
-        m
-    }
-    fn d2_matrix(&self, t: f64) -> Matrix {
-        let mut m = self.inner.d2_matrix(self.rate * t);
-        let r2 = self.rate * self.rate;
-        for row in m.iter_mut() {
-            for v in row.iter_mut() {
-                *v *= r2;
-            }
-        }
-        m
+    fn spectrum(&self) -> Spectrum {
+        // P(r·t) = L · diag(exp(r·λ t)) · R.
+        let mut spectrum = self.inner.spectrum();
+        spectrum.eigenvalues = spectrum.eigenvalues.map(|lam| self.rate * lam);
+        spectrum
     }
     fn base_freqs(&self) -> [f64; STATES] {
         self.inner.base_freqs()
@@ -100,19 +130,9 @@ impl SubstModel for Jc69 {
         fill(same, diff, diff)
     }
 
-    fn d1_matrix(&self, t: f64) -> Matrix {
-        let e = (-4.0 * t / 3.0).exp();
-        // d/dt of e is -4/3 e.
-        let same = -e;
-        let diff = e / 3.0;
-        fill(same, diff, diff)
-    }
-
-    fn d2_matrix(&self, t: f64) -> Matrix {
-        let e = (-4.0 * t / 3.0).exp();
-        let same = 4.0 / 3.0 * e;
-        let diff = -4.0 / 9.0 * e;
-        fill(same, diff, diff)
+    fn spectrum(&self) -> Spectrum {
+        let lam = -4.0 / 3.0;
+        Spectrum { eigenvalues: [0.0, lam, lam, lam], left: HADAMARD, right: HADAMARD }
     }
 
     fn base_freqs(&self) -> [f64; STATES] {
@@ -157,28 +177,16 @@ impl SubstModel for K80 {
         fill(same, transition, transversion)
     }
 
-    fn d1_matrix(&self, t: f64) -> Matrix {
+    fn spectrum(&self) -> Spectrum {
+        // The e2 term of `prob_matrix` is the purine/pyrimidine contrast,
+        // the e1 term the two within-class contrasts.
         let (alpha, beta) = self.rates();
-        let e2 = (-4.0 * beta * t).exp();
-        let e1 = (-2.0 * (alpha + beta) * t).exp();
-        let de2 = -4.0 * beta * e2;
-        let de1 = -2.0 * (alpha + beta) * e1;
-        let same = 0.25 * de2 + 0.5 * de1;
-        let transition = 0.25 * de2 - 0.5 * de1;
-        let transversion = -0.25 * de2;
-        fill(same, transition, transversion)
-    }
-
-    fn d2_matrix(&self, t: f64) -> Matrix {
-        let (alpha, beta) = self.rates();
-        let e2 = (-4.0 * beta * t).exp();
-        let e1 = (-2.0 * (alpha + beta) * t).exp();
-        let d2e2 = 16.0 * beta * beta * e2;
-        let d2e1 = 4.0 * (alpha + beta) * (alpha + beta) * e1;
-        let same = 0.25 * d2e2 + 0.5 * d2e1;
-        let transition = 0.25 * d2e2 - 0.5 * d2e1;
-        let transversion = -0.25 * d2e2;
-        fill(same, transition, transversion)
+        let within = -2.0 * (alpha + beta);
+        Spectrum {
+            eigenvalues: [0.0, -4.0 * beta, within, within],
+            left: HADAMARD,
+            right: HADAMARD,
+        }
     }
 
     fn base_freqs(&self) -> [f64; STATES] {
@@ -190,18 +198,15 @@ impl SubstModel for K80 {
 /// arbitrary equilibrium frequencies — the model RAxML actually runs.
 ///
 /// `P(t) = exp(Qt)` is computed by spectral decomposition of the
-/// similarity-transformed (symmetric) rate matrix, so `prob_matrix` and
-/// its derivatives are closed-form in the precomputed eigensystem.
+/// similarity-transformed (symmetric) rate matrix, so `prob_matrix` is
+/// closed-form in the precomputed [`Spectrum`].
 #[derive(Debug, Clone)]
 pub struct Gtr {
     rates: [f64; 6],
     freqs: [f64; STATES],
-    /// Eigenvalues of the normalized rate matrix.
-    eigenvalues: [f64; STATES],
-    /// `D^{-1/2} · U`: left spectral factor.
-    left: Matrix,
-    /// `Uᵀ · D^{1/2}`: right spectral factor.
-    right: Matrix,
+    /// The normalized rate matrix's eigenvalues, `D^{-1/2} · U` on the
+    /// left and `Uᵀ · D^{1/2}` on the right.
+    spectrum: Spectrum,
 }
 
 impl Gtr {
@@ -267,7 +272,7 @@ impl Gtr {
                 right[k][i] = vectors[i][k] * sq[i];
             }
         }
-        Gtr { rates, freqs, eigenvalues: values, left, right }
+        Gtr { rates, freqs, spectrum: Spectrum { eigenvalues: values, left, right } }
     }
 
     /// The canonical test instance with unequal rates and frequencies.
@@ -289,40 +294,15 @@ impl Gtr {
             [at, ct, gt, 0.0],
         ]
     }
-
-    /// `Σ_k left[i][k] · f(λ_k) · right[k][j]` for `f = exp`, `λ·exp`, or
-    /// `λ²·exp` scaled by `t`.
-    fn spectral(&self, t: f64, order: u32) -> Matrix {
-        let mut out = [[0.0; STATES]; STATES];
-        let mut factors = [0.0; STATES];
-        for (k, f) in factors.iter_mut().enumerate() {
-            let lam = self.eigenvalues[k];
-            *f = lam.powi(order as i32) * (lam * t).exp();
-        }
-        for i in 0..STATES {
-            for j in 0..STATES {
-                let mut sum = 0.0;
-                for (k, &f) in factors.iter().enumerate() {
-                    sum += self.left[i][k] * f * self.right[k][j];
-                }
-                out[i][j] = sum;
-            }
-        }
-        out
-    }
 }
 
 impl SubstModel for Gtr {
     fn prob_matrix(&self, t: f64) -> Matrix {
-        self.spectral(t, 0)
+        self.spectrum.matrix(self.spectrum.exps(t))
     }
 
-    fn d1_matrix(&self, t: f64) -> Matrix {
-        self.spectral(t, 1)
-    }
-
-    fn d2_matrix(&self, t: f64) -> Matrix {
-        self.spectral(t, 2)
+    fn spectrum(&self) -> Spectrum {
+        self.spectrum
     }
 
     fn base_freqs(&self) -> [f64; STATES] {
@@ -374,25 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn jc69_derivatives_match_finite_differences() {
-        let t = 0.2;
-        let h = 1e-6;
-        let p_plus = Jc69.prob_matrix(t + h);
-        let p_minus = Jc69.prob_matrix(t - h);
-        let d1 = Jc69.d1_matrix(t);
-        let d2 = Jc69.d2_matrix(t);
-        let p = Jc69.prob_matrix(t);
-        for x in 0..4 {
-            for y in 0..4 {
-                let fd1 = (p_plus[x][y] - p_minus[x][y]) / (2.0 * h);
-                let fd2 = (p_plus[x][y] - 2.0 * p[x][y] + p_minus[x][y]) / (h * h);
-                assert!((d1[x][y] - fd1).abs() < 1e-6, "d1[{x}][{y}]");
-                assert!((d2[x][y] - fd2).abs() < 1e-3, "d2[{x}][{y}]");
-            }
-        }
-    }
-
-    #[test]
     fn k80_reduces_to_jc69_at_kappa_one() {
         let k = K80::new(1.0);
         for &t in &[0.01, 0.1, 0.5, 2.0] {
@@ -418,26 +379,6 @@ mod tests {
         for x in 0..4 {
             for y in 0..4 {
                 assert!((p[x][y] - p[y][x]).abs() < 1e-15);
-            }
-        }
-    }
-
-    #[test]
-    fn k80_derivatives_match_finite_differences() {
-        let k = K80::new(2.5);
-        let t = 0.15;
-        let h = 1e-6;
-        let p_plus = k.prob_matrix(t + h);
-        let p_minus = k.prob_matrix(t - h);
-        let p = k.prob_matrix(t);
-        let d1 = k.d1_matrix(t);
-        let d2 = k.d2_matrix(t);
-        for x in 0..4 {
-            for y in 0..4 {
-                let fd1 = (p_plus[x][y] - p_minus[x][y]) / (2.0 * h);
-                let fd2 = (p_plus[x][y] - 2.0 * p[x][y] + p_minus[x][y]) / (h * h);
-                assert!((d1[x][y] - fd1).abs() < 1e-6);
-                assert!((d2[x][y] - fd2).abs() < 1e-3);
             }
         }
     }
@@ -525,26 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn gtr_derivatives_match_finite_differences() {
-        let g = Gtr::example();
-        let t = 0.25;
-        let h = 1e-6;
-        let p_plus = g.prob_matrix(t + h);
-        let p_minus = g.prob_matrix(t - h);
-        let p = g.prob_matrix(t);
-        let d1 = g.d1_matrix(t);
-        let d2 = g.d2_matrix(t);
-        for x in 0..4 {
-            for y in 0..4 {
-                let fd1 = (p_plus[x][y] - p_minus[x][y]) / (2.0 * h);
-                let fd2 = (p_plus[x][y] - 2.0 * p[x][y] + p_minus[x][y]) / (h * h);
-                assert!((d1[x][y] - fd1).abs() < 1e-6, "d1[{x}][{y}]: {} vs {}", d1[x][y], fd1);
-                assert!((d2[x][y] - fd2).abs() < 1e-3, "d2[{x}][{y}]");
-            }
-        }
-    }
-
-    #[test]
     fn gtr_probabilities_stay_in_unit_interval() {
         let g = Gtr::example();
         for &t in &[1e-6, 0.01, 0.1, 1.0, 10.0, 100.0] {
@@ -580,15 +501,12 @@ mod tests {
                 assert!((p[x][y] - want[x][y]).abs() < 1e-15);
             }
         }
-        // Derivatives match finite differences of the scaled model itself.
-        let h = 1e-7;
-        let d1 = m.d1_matrix(t);
-        let pp = m.prob_matrix(t + h);
-        let pm = m.prob_matrix(t - h);
+        // Its spectrum is the inner one's with every eigenvalue scaled.
+        let spectrum = m.spectrum();
+        let q = spectrum.matrix(spectrum.exps(t));
         for x in 0..4 {
             for y in 0..4 {
-                let fd = (pp[x][y] - pm[x][y]) / (2.0 * h);
-                assert!((d1[x][y] - fd).abs() < 1e-6, "[{x}][{y}]");
+                assert!((q[x][y] - want[x][y]).abs() < 1e-12, "[{x}][{y}]");
             }
         }
         // Rate 1 is the identity wrapper.

@@ -111,12 +111,19 @@ proptest! {
         let t = rng.gen_range(1e-4..2.0);
 
         let whole = engine.evaluate(&u, &v, t);
-        let (wd1, wd2) = engine.lnl_derivatives(&u, &v, t);
+        let table = engine.edge_table(&u, &v);
+        let (wd1, wd2) = engine.table_derivatives(&table, t, 0..n);
         let bounds = partition(n, &cuts);
         let (mut sum, mut d1, mut d2) = (0.0, 0.0, 0.0);
         for w in bounds.windows(2) {
-            sum += engine.evaluate_range(&u, &v, t, w[0]..w[1]);
-            let (a, b) = engine.lnl_derivatives_range(&u, &v, t, w[0]..w[1]);
+            let range = w[0]..w[1];
+            sum += engine.evaluate_range(&u, &v, t, range.clone());
+            // A chunk's own table piece is the whole table's rows.
+            let mut piece = ClvArena::new().take_table(range.len());
+            engine.edge_table_range(&u, &v, range.clone(), &mut piece);
+            prop_assert_eq!(piece.as_raw(), &table.as_raw()[w[0] * 4..w[1] * 4]);
+            let (a, b) = engine.table_derivatives(&piece, t, range.clone());
+            prop_assert_eq!((a, b), engine.table_derivatives(&table, t, range));
             d1 += a;
             d2 += b;
         }

@@ -6,9 +6,9 @@
 //! boundary (§5.1). Here that is [`TraversalBody`], the one [`LoopBody`] of
 //! this module: a post-order plan of tip and `newview` ops ending in a
 //! terminal — the Figure-3 `evaluate` sum, or the whole Newton iteration of
-//! `makenewz` — which every chunk runs on its own range of site patterns,
-//! so one off-load carries a traversal and everything done at its edge,
-//! not a kernel call.
+//! `makenewz` over the edge's [`EdgeTable`] — which every chunk runs on its
+//! own range of site patterns, so one off-load carries a traversal and
+//! everything done at its edge, not a kernel call.
 //!
 //! [`OffloadedEngine`] records that plan from the one tree walk
 //! (`phylo::traversal`) and ships it when the terminal arrives. It is a
@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use mgps_runtime::native::{LoopBody, LoopSite, ProcessCtx, SpeContext};
 use mgps_runtime::policy::KernelKind;
 use phylo::alignment::PatternAlignment;
-use phylo::likelihood::{Clv, ClvArena, LikelihoodEngine, Newton};
+use phylo::likelihood::{Clv, ClvArena, EdgeTable, LikelihoodEngine, Newton};
 use phylo::model::SubstModel;
 use phylo::search::ScoringEngine;
 use phylo::traversal::{self, Kernels};
@@ -100,21 +100,21 @@ pub struct Partial {
 }
 
 /// What a `MakeNewz` traversal keeps from one round of its task to the
-/// next: the Newton iteration on the edge, and each chunk's two pieces of
-/// the edge CLVs, keyed by the chunk's first pattern — whichever thread
-/// runs that chunk next round finds them, and no chunk orients the tree
-/// twice.
+/// next: the Newton iteration on the edge, and each chunk's piece of the
+/// edge's [`EdgeTable`], keyed by the chunk's first pattern — whichever
+/// thread runs that chunk next round finds it, and no chunk orients the
+/// tree twice.
 #[derive(Debug, Default)]
 pub struct EdgeLoop {
     newton: Option<Newton>,
-    pieces: Vec<(usize, [Clv; 2])>,
+    tables: Vec<(usize, EdgeTable)>,
 }
 
 impl EdgeLoop {
-    /// The pieces kept so far, as `(first pattern, [piece of u, piece of
-    /// v])` in no particular order; none once the iteration has stopped.
-    pub fn pieces(&self) -> &[(usize, [Clv; 2])] {
-        &self.pieces
+    /// The table pieces kept so far, as `(first pattern, piece)` in no
+    /// particular order; none once the iteration has stopped.
+    pub fn tables(&self) -> &[(usize, EdgeTable)] {
+        &self.tables
     }
 
     /// The iteration, started from `t0` by whoever asks first.
@@ -130,13 +130,17 @@ impl EdgeLoop {
 /// pieces, and only the terminal's sums are reduced across chunks.
 ///
 /// With a [`KernelKind::MakeNewz`] terminal the body runs one round per
-/// Newton step ([`LoopBody::again`]): the first orients the tree and sums
-/// the derivatives at the starting length, each later one only sums them
-/// at the length the step before it chose, over the pieces the chunks kept.
+/// Newton step ([`LoopBody::again`]): the first orients the tree, puts the
+/// chunk's two edge pieces into the eigen basis as its piece of the
+/// [`EdgeTable`] — handing both back to the arena at once — and sums the
+/// derivatives at the starting length; each later one only sums them at
+/// the length the step before it chose, over the table pieces the chunks
+/// kept.
 ///
-/// Pieces come from a shared [`ClvArena`] rather than fresh allocations,
-/// and a child piece is recycled as soon as its parent exists, so a chunk
-/// holds about a tree depth of them, not one per node. The arena holds
+/// Pieces and tables come from a shared [`ClvArena`] rather than fresh
+/// allocations, and a child piece is recycled as soon as its parent
+/// exists, so a chunk holds about a tree depth of them, not one per node,
+/// and a warm edge allocates nothing. The arena holds
 /// *host-heap* buffers — the simulated local-store staging accounted by
 /// `LsAlloc`/`LsFree` trace events is untouched, so those events stay
 /// truthful.
@@ -252,12 +256,18 @@ impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
             KernelKind::MakeNewz => {
                 let (t, kept) = {
                     let mut edge = lock(&self.edge);
-                    let at = edge.pieces.iter().position(|&(start, _)| start == range.start);
-                    (edge.newton(self.t).t(), at.map(|at| edge.pieces.swap_remove(at).1))
+                    let at = edge.tables.iter().position(|&(start, _)| start == range.start);
+                    (edge.newton(self.t).t(), at.map(|at| edge.tables.swap_remove(at).1))
                 };
-                let [u, v] = kept.unwrap_or_else(|| self.orient(&engine, &range).0);
-                let sums = engine.lnl_derivatives_range(&u, &v, t, range.clone());
-                lock(&self.edge).pieces.push((range.start, [u, v]));
+                let table = kept.unwrap_or_else(|| {
+                    let ([u, v], mut stash) = self.orient(&engine, &range);
+                    let mut table = lock(&self.arena).take_table(range.len());
+                    engine.edge_table_range(&u, &v, range.clone(), &mut table);
+                    stash.free.extend([u, v]);
+                    table
+                });
+                let sums = engine.table_derivatives(&table, t, range.clone());
+                lock(&self.edge).tables.push((range.start, table));
                 sums
             }
             KernelKind::NewView => panic!("a traversal ends in an evaluate or a makenewz"),
@@ -271,7 +281,7 @@ impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
 
     /// One Newton step on the round's derivative sums: another round at the
     /// length it chose, or — the iteration has stopped — the answer into
-    /// `merged` and every kept piece back to the arena.
+    /// `merged` and every kept table back to the arena.
     fn again(&self, merged: &mut Partial) -> bool {
         if self.terminal != KernelKind::MakeNewz {
             return false;
@@ -283,7 +293,7 @@ impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
             return true;
         }
         merged.stopped = Some((newton.t(), newton.steps() as u64));
-        lock(&self.arena).extend(edge.pieces.drain(..).flat_map(|(_, pieces)| pieces));
+        lock(&self.arena).extend(edge.tables.drain(..).map(|(_, table)| table));
         false
     }
 }
@@ -311,9 +321,9 @@ pub struct OffloadedEngine<'a, 'rt, M> {
     retired: u64,
     offloads: u64,
     shipped: u64,
-    /// Per-worker-process CLV recycler, shared with the chunk bodies: piece
-    /// buffers taken on SPE threads flow back when their chunk, or their
-    /// edge's Newton iteration, is done.
+    /// Per-worker-process CLV and edge-table recycler, shared with the
+    /// chunk bodies: pieces taken on SPE threads flow back when their chunk
+    /// is done, tables when their edge's Newton iteration is.
     arena: Arc<Mutex<ClvArena>>,
 }
 
@@ -454,9 +464,11 @@ impl<M: SubstModel + Clone + 'static> ScoringEngine for OffloadedEngine<'_, '_, 
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use mgps_runtime::native::{MgpsRuntime, RuntimeConfig};
-    use mgps_runtime::policy::SchedulerKind;
+    use mgps_runtime::policy::{SchedulerKind, SpeId};
     use phylo::alignment::Alignment;
     use phylo::model::Jc69;
     use rand::rngs::SmallRng;
@@ -548,13 +560,49 @@ mod tests {
 
     #[test]
     fn an_optimized_edge_leaves_no_piece_out_of_the_arena() {
-        // Degree 4: a chunk's edge pieces stay in the body from one Newton
-        // round to the next, for whichever team member runs the chunk then,
-        // and all go back when the iteration stops. Were they dropped
-        // instead, every edge would allocate its eight (four chunks, two
-        // ends) afresh; recycled, allocations stop once the arena holds the
-        // few sizes the balancer's tilings ask for.
+        // Round one by hand, over four chunks: each puts its two edge
+        // pieces into its table piece and hands both straight back, so
+        // between rounds the edge holds its tables and no CLV piece.
         let data = data();
+        let n = data.n_patterns();
+        let arena = Arc::new(Mutex::new(ClvArena::new()));
+        let body = TraversalBody {
+            model: Jc69,
+            data: Arc::clone(&data),
+            ops: vec![
+                TraversalOp::Tip { taxon: 0 },
+                TraversalOp::Tip { taxon: 1 },
+                TraversalOp::Tip { taxon: 2 },
+                TraversalOp::Newview { left: 1, t_left: 0.1, right: 2, t_right: 0.2 },
+            ],
+            u: 0,
+            v: 3,
+            terminal: KernelKind::MakeNewz,
+            t: 0.1,
+            arena: Arc::clone(&arena),
+            edge: Mutex::default(),
+        };
+        let mut spe = SpeContext::new(SpeId(usize::MAX), Duration::ZERO);
+        let mut round = || {
+            (0..4)
+                .map(|c| body.run_chunk(n * c / 4..n * (c + 1) / 4, &mut spe))
+                .reduce(|a, b| body.merge(a, b))
+                .expect("four chunks")
+        };
+        let mut merged = round();
+        assert_eq!(lock(&arena).outstanding(), (0, 4), "round one keeps four tables, no piece");
+        while body.again(&mut merged) {
+            merged = round();
+        }
+        assert!(merged.stopped.is_some());
+        assert_eq!(lock(&arena).outstanding(), (0, 0));
+
+        // Degree 4 through the engine: a chunk's table stays in the body
+        // from one Newton round to the next, for whichever team member runs
+        // the chunk then, and all go back when the iteration stops. Were
+        // they dropped instead, every edge would allocate its four afresh;
+        // recycled, allocations stop once the arena holds the few sizes the
+        // balancer's tilings ask for.
         let mut tree = Tree::random(8, 0.3, &mut SmallRng::seed_from_u64(9));
         let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::StaticHybrid {
             spes_per_loop: 4,
@@ -569,6 +617,7 @@ mod tests {
         let (hits, misses) = eng.arena_stats();
         assert!(misses < 2 * edges, "{misses} allocations over {edges} edges: pieces are leaking");
         assert!(hits > 10 * misses, "{hits} hits vs {misses} misses");
+        assert_eq!(lock(&eng.arena).outstanding(), (0, 0));
     }
 
     #[test]

@@ -54,9 +54,11 @@ impl Kernels for Counting<'_> {
 
     fn optimize_edge(&mut self, u: Clv, v: Clv, t0: f64) -> f64 {
         self.edges += 1;
+        let table = self.inner.edge_table(&u, &v);
+        let all = 0..self.inner.data().n_patterns();
         newton_branch_length(t0, |t| {
             self.derivs += 1;
-            self.inner.lnl_derivatives(&u, &v, t)
+            self.inner.table_derivatives(&table, t, all.clone())
         })
     }
 }

@@ -1,11 +1,12 @@
 //! The fused chunk: a [`TraversalBody`] runs a whole traversal on one
 //! pattern range — and, at a `makenewz` edge, the whole Newton iteration,
-//! one round per step. Whatever way `0..n` is cut into ranges, the pieces
-//! must be the direct engine's CLVs to the bit (values *and* scale counts —
-//! the scale carry at chunk boundaries is the historical bug class), the
-//! terminal's sums the direct kernels' up to re-association of the
-//! partials, and the optimized length the direct `makenewz`'s after the
-//! same number of steps.
+//! one round per step over the chunk's piece of the edge table. Whatever
+//! way `0..n` is cut into ranges, the table pieces must be the direct
+//! engine's edge table to the bit (built from pieces that are the direct
+//! CLVs to the bit, values *and* scale counts — the scale carry at chunk
+//! boundaries is the historical bug class), the terminal's sums the direct
+//! kernels' up to re-association of the partials, and the optimized length
+//! the direct `makenewz`'s after the same number of steps.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -15,7 +16,7 @@ use multigrain::adapters::{Partial, TraversalOp};
 use multigrain::mgps_runtime::policy::granularity::{MIN_SPE_SAMPLES, TEAM_PROBE_PERIOD};
 use multigrain::mgps_runtime::policy::SpeId;
 use multigrain::prelude::*;
-use phylo::likelihood::{newton_branch_length, ClvArena};
+use phylo::likelihood::{newton_branch_length, ClvArena, Newton};
 use phylo::traversal::{self, Kernels};
 use phylo::tree::EdgeId;
 use proptest::prelude::*;
@@ -105,9 +106,8 @@ fn partition(n: usize, cuts: &[f64]) -> Vec<Range<usize>> {
     bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-fn bits(clv: &Clv) -> (Vec<u64>, &[u32]) {
-    let (vals, scale) = clv.as_raw();
-    (vals.iter().map(|v| v.to_bits()).collect(), scale)
+fn bits(vals: &[f64]) -> Vec<u64> {
+    vals.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -129,7 +129,8 @@ proptest! {
         let (cu, cv) = (direct.clv_toward(&tree, a, b), direct.clv_toward(&tree, b, a));
         let t = tree.length(edge);
         let want_lnl = direct.evaluate(&cu, &cv, t);
-        let (want_d1, want_d2) = direct.lnl_derivatives(&cu, &cv, t);
+        let table = direct.edge_table(&cu, &cv);
+        let (want_d1, want_d2) = direct.table_derivatives(&table, t, 0..n);
         let arena = Arc::new(Mutex::new(ClvArena::new()));
         let ranges = partition(n, &cuts);
 
@@ -137,12 +138,13 @@ proptest! {
         let mut want_steps = 0;
         let want_t = newton_branch_length(t, |t| {
             want_steps += 1;
-            direct.lnl_derivatives(&cu, &cv, t)
+            direct.table_derivatives(&table, t, 0..n)
         });
 
         // Round one of a `makenewz` sums the derivatives at the starting
-        // length and keeps each chunk's pieces of the edge CLVs: they tile
-        // 0..n and are the direct CLVs to the bit.
+        // length and keeps each chunk's piece of the edge table, every CLV
+        // piece back in the arena: the tables tile 0..n and are the direct
+        // table to the bit.
         let newton = body_at(&data, &tree, edge, KernelKind::MakeNewz, &arena);
         let first = round(&newton, &ranges);
         let (d1, d2) = first.sums;
@@ -150,34 +152,32 @@ proptest! {
         prop_assert!((d2 - want_d2).abs() < 1e-9 * (1.0 + want_d2.abs()), "d2: {d2} vs {want_d2}");
         {
             let kept = newton.edge.lock().unwrap();
-            let mut pieces: Vec<_> = kept.pieces().iter().collect();
-            pieces.sort_by_key(|(start, _)| *start);
-            prop_assert_eq!(pieces.len(), ranges.iter().filter(|r| !r.is_empty()).count());
-            let mut got = [(Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
-            for (start, ends) in pieces {
-                prop_assert_eq!(*start, got[0].1.len(), "gap or overlap in {:?}", &ranges);
-                for (piece, (vals, scale)) in ends.iter().zip(&mut got) {
-                    vals.extend(bits(piece).0);
-                    scale.extend_from_slice(bits(piece).1);
-                }
+            let mut tables: Vec<_> = kept.tables().iter().collect();
+            tables.sort_by_key(|(start, _)| *start);
+            prop_assert_eq!(tables.len(), ranges.iter().filter(|r| !r.is_empty()).count());
+            let mut got = Vec::new();
+            for (start, piece) in tables {
+                prop_assert_eq!(*start * 4, got.len(), "gap or overlap in {:?}", &ranges);
+                got.extend(bits(piece.as_raw()));
             }
-            let [got_u, got_v] = got;
-            prop_assert_eq!((got_u.0, &got_u.1[..]), bits(&cu));
-            prop_assert_eq!((got_v.0, &got_v.1[..]), bits(&cv));
+            prop_assert_eq!(got, bits(table.as_raw()));
+            prop_assert_eq!(arena.lock().unwrap().outstanding(), (0, kept.tables().len() as u64));
         }
 
-        // The later rounds re-use those pieces, and the loop stops where the
-        // direct one does, after as many steps, with every piece recycled.
+        // The later rounds re-use those tables, and the loop stops where
+        // the direct one does, after as many steps, with every table
+        // recycled.
         let (got_t, steps) = finish(&newton, &ranges, first).stopped.expect("the loop has stopped");
         prop_assert!((got_t - want_t).abs() < 1e-9, "t: {got_t} vs {want_t}");
         prop_assert_eq!(steps, want_steps);
-        prop_assert!(newton.edge.lock().unwrap().pieces().is_empty());
+        prop_assert!(newton.edge.lock().unwrap().tables().is_empty());
+        prop_assert_eq!(arena.lock().unwrap().outstanding(), (0, 0));
 
         // An evaluate keeps nothing and sums to the direct lnL.
         let evaluate = body_at(&data, &tree, edge, KernelKind::Evaluate, &arena);
         let Partial { sums: (lnl, zero), stopped } = run(&evaluate, &ranges);
         prop_assert!(stopped.is_none() && zero == 0.0);
-        prop_assert!(evaluate.edge.lock().unwrap().pieces().is_empty());
+        prop_assert!(evaluate.edge.lock().unwrap().tables().is_empty());
         prop_assert!((lnl - want_lnl).abs() < 1e-9 * (1.0 + want_lnl.abs()), "{lnl} vs {want_lnl}");
 
         // One range is the direct kernel run elsewhere: the same bits, from
@@ -193,6 +193,44 @@ proptest! {
         );
         let (got_t, steps) = finish(&newton, &whole, first).stopped.expect("the loop has stopped");
         prop_assert_eq!((got_t.to_bits(), steps), (want_t.to_bits(), want_steps));
+    }
+}
+
+/// An edge the data say nothing about — the pendant edge of an all-gap
+/// taxon — has a table whose derivatives are exactly zero at every length,
+/// so Newton stops after one step where it started, directly and
+/// off-loaded, instead of lengthening the edge step after step.
+#[test]
+fn an_edge_the_data_say_nothing_about_stops_at_once() {
+    let aln = Alignment::from_strings(&[
+        ("a", "ACGTACGTAA"),
+        ("b", "ACGTACGTAC"),
+        ("c", "ACGTTCGTAG"),
+        ("d", "----------"),
+    ])
+    .unwrap();
+    let data = Arc::new(PatternAlignment::compress(&aln));
+    let n = data.n_patterns();
+    let tree = Tree::random(4, 0.2, &mut SmallRng::seed_from_u64(3));
+    let edge = tree.neighbors(3)[0].1;
+    let t0 = tree.length(edge);
+
+    let direct = LikelihoodEngine::new(&Jc69, &data);
+    let (a, b) = tree.endpoints(edge);
+    let (cu, cv) = (direct.clv_toward(&tree, a, b), direct.clv_toward(&tree, b, a));
+    let table = direct.edge_table(&cu, &cv);
+    let mut newton = Newton::new(t0);
+    for t in [t0, 1.0, 9.0] {
+        assert_eq!(direct.table_derivatives(&table, t, 0..n), (0.0, 0.0), "t = {t}");
+    }
+    assert_eq!(newton.feed(0.0, 0.0), None);
+    assert_eq!((newton.t(), newton.steps()), (t0, 1));
+    assert_eq!(direct.makenewz(&cu, &cv, t0), t0);
+
+    let arena = Arc::new(Mutex::new(ClvArena::new()));
+    for ranges in [partition(n, &[]), partition(n, &[0.5])] {
+        let body = body_at(&data, &tree, edge, KernelKind::MakeNewz, &arena);
+        assert_eq!(run(&body, &ranges).stopped, Some((t0, 1)), "{ranges:?}");
     }
 }
 
