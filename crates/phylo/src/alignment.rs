@@ -369,6 +369,11 @@ impl PatternAlignment {
         self.patterns[taxon][pattern]
     }
 
+    /// The masks of `taxon`, one per pattern.
+    pub(crate) fn masks(&self, taxon: usize) -> &[StateMask] {
+        &self.patterns[taxon]
+    }
+
     /// Column → pattern mapping.
     pub fn column_pattern(&self) -> &[usize] {
         &self.column_pattern

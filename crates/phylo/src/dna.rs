@@ -88,13 +88,7 @@ impl StateMask {
 
     /// The tip conditional-likelihood vector: 1.0 where allowed.
     pub fn tip_clv(self) -> [f64; STATES] {
-        let mut v = [0.0; STATES];
-        for (s, slot) in v.iter_mut().enumerate() {
-            if self.allows(s) {
-                *slot = 1.0;
-            }
-        }
-        v
+        std::array::from_fn(|s| f64::from(self.0 >> s & 1))
     }
 }
 

@@ -47,7 +47,7 @@ pub mod prelude {
     pub use crate::bootstrap::{bootstrap_replicate, bootstrap_weights, support_values};
     pub use crate::dna::{StateMask, STATES};
     pub use crate::io::{parse_newick, NewickError};
-    pub use crate::likelihood::{Clv, ClvArena, LikelihoodEngine};
+    pub use crate::likelihood::{Clv, ClvArena, LikelihoodEngine, Operand};
     pub use crate::mixture::{estimate_alpha, GammaEngine};
 pub use crate::model::{Gtr, Jc69, Matrix, ScaledModel, SubstModel, K80};
     pub use crate::protein::{AaMask, PoissonAa, ProteinData, ProteinEngine, AA_STATES};

@@ -17,18 +17,19 @@
 //!
 //! All three iterate over *site patterns* with per-pattern weights and no
 //! loop-carried dependencies — the loop-level parallelism the runtime
-//! work-shares across SPEs. `evaluate_range` / `newview_range` /
-//! `edge_table_range` / `table_derivatives` expose the chunked forms used
-//! by the work-sharing teams; their operands may be full-width or the
-//! chunk's own pieces, so a chunk can run a whole traversal on its pattern
-//! range without a full-width CLV existing.
+//! work-shares across SPEs. `newview_range_into` / `evaluate_range` /
+//! `edge_table_range` / `table_derivatives` are the chunked forms the teams
+//! run, and the only loops. An [`Operand`] is a tip by taxon — never a CLV:
+//! RAxML's tip/inner split, a 16-entry product table per call — or a CLV,
+//! full-width or the chunk's own piece, so a chunk can run a whole
+//! traversal on its pattern range without a full-width CLV existing.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math in dense kernels
 
 use std::ops::Range;
 
 use crate::alignment::PatternAlignment;
-use crate::dna::STATES;
+use crate::dna::{StateMask, STATES};
 use crate::model::{Matrix, Spectrum, SubstModel};
 use crate::traversal::{self, Kernels};
 use crate::tree::{EdgeId, Tree};
@@ -190,11 +191,6 @@ impl Clv {
     /// The 4-vector of `pattern`.
     pub fn pattern(&self, pattern: usize) -> &[f64] {
         &self.vals[pattern * STATES..(pattern + 1) * STATES]
-    }
-
-    /// The scaling exponent of `pattern`.
-    pub fn scale_of(&self, pattern: usize) -> u32 {
-        self.scale[pattern]
     }
 
     /// Total scaling events across all patterns (diagnostic).
@@ -398,16 +394,143 @@ fn first_held(held: usize, n: usize, range: &Range<usize>, what: &str) -> usize 
     range.start
 }
 
-/// A kernel's view of a CLV operand over the chunk `range` it runs on: the
-/// operand's values and scaling exponents for exactly those patterns. The
-/// storage may be a full-width CLV or a chunk-local piece ([`first_held`]);
-/// either way the kernel gets the same range-sized slices, so the
-/// per-pattern arithmetic and the summation order cannot depend on which
-/// one a chunk was handed.
-fn window<'c>(clv: &'c Clv, n: usize, range: &Range<usize>, what: &str) -> (&'c [f64], &'c [u32]) {
-    let base = first_held(clv.n_patterns(), n, range, what);
-    let (lo, hi) = (range.start - base, range.end - base);
-    (&clv.vals[lo * STATES..hi * STATES], &clv.scale[lo..hi])
+/// One operand of a kernel: a tip, read by taxon from the alignment and
+/// never materialized, or a CLV (full-width or the chunk's own piece) —
+/// `&Clv` where a kernel reads it, `Clv` where a traversal owns it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Operand<C> {
+    /// The tip of this taxon.
+    Tip(usize),
+    /// A computed CLV.
+    Clv(C),
+}
+
+impl Operand<Clv> {
+    /// The operand as a kernel reads it.
+    pub fn as_ref(&self) -> Operand<&Clv> {
+        match self {
+            Operand::Tip(taxon) => Operand::Tip(*taxon),
+            Operand::Clv(clv) => Operand::Clv(clv),
+        }
+    }
+}
+
+impl<'c> From<&'c Clv> for Operand<&'c Clv> {
+    fn from(clv: &'c Clv) -> Self {
+        Operand::Clv(clv)
+    }
+}
+
+/// One operand over a kernel's chunk, with the matrix `m` applied to it: a
+/// tip's masks and `m·x` for each tip vector `x` they name (the same
+/// [`matvec`] on the same inputs, so no bit moves), or a CLV's values and
+/// exponents for the chunk ([`first_held`]); kernels compile per pairing.
+#[derive(Default)]
+struct Side<'s> {
+    tip: bool,
+    masks: &'s [StateMask],
+    products: [[f64; STATES]; 16],
+    vals: &'s [f64],
+    scale: &'s [u32],
+    m: Matrix,
+}
+
+impl Side<'_> {
+    /// The chunk's `j`-th vector `x`.
+    #[inline(always)]
+    fn vector<const TIP: bool>(&self, j: usize) -> [f64; STATES] {
+        if TIP {
+            self.masks[j].tip_clv()
+        } else {
+            *four(&self.vals[j * STATES..(j + 1) * STATES])
+        }
+    }
+
+    /// `m·x` of the chunk's `j`-th vector.
+    #[inline(always)]
+    fn times<const TIP: bool>(&self, j: usize) -> [f64; STATES] {
+        if TIP {
+            self.products[usize::from(self.masks[j].0 & 0xF)]
+        } else {
+            matvec(&self.m, four(&self.vals[j * STATES..(j + 1) * STATES]))
+        }
+    }
+
+    /// The scaling exponent of the chunk's `j`-th pattern: 0 at a tip.
+    #[inline(always)]
+    fn scale<const TIP: bool>(&self, j: usize) -> u32 {
+        if TIP { 0 } else { self.scale[j] }
+    }
+}
+
+/// `$kernel(…)` instantiated for the tip/CLV pairing of the sides `$l`, `$r`.
+macro_rules! per_pairing {
+    ($l:expr, $r:expr, $kernel:ident($($arg:expr),*)) => {
+        match ($l.tip, $r.tip) {
+            (true, true) => $kernel::<true, true>($($arg),*),
+            (true, false) => $kernel::<true, false>($($arg),*),
+            (false, true) => $kernel::<false, true>($($arg),*),
+            (false, false) => $kernel::<false, false>($($arg),*),
+        }
+    };
+}
+
+/// Patterns of the pruning step: the parent's vectors and scaling
+/// exponents from the children's sides.
+fn prune<const L: bool, const R: bool>(l: &Side, r: &Side, vals: &mut [f64], scale: &mut [u32]) {
+    for j in 0..scale.len() {
+        let (suml, sumr) = (l.times::<L>(j), r.times::<R>(j));
+        let o = &mut vals[j * STATES..(j + 1) * STATES];
+        let mut min_ok = false;
+        for x in 0..STATES {
+            let v = suml[x] * sumr[x];
+            o[x] = v;
+            if v > SCALE_THRESHOLD {
+                min_ok = true;
+            }
+        }
+        scale[j] = l.scale::<L>(j) + r.scale::<R>(j);
+        if !min_ok {
+            for x in 0..STATES {
+                o[x] *= SCALE_MULTIPLIER;
+            }
+            scale[j] += 1;
+        }
+    }
+}
+
+/// The linear likelihood term of the chunk's `j`-th pattern at an edge:
+/// `u` read as is, `v` through `P(t)`.
+fn term<const U: bool, const V: bool>(u: &Side, v: &Side, pi: &[f64; STATES], j: usize) -> f64 {
+    let (lu, inner) = (u.vector::<U>(j), v.times::<V>(j));
+    let mut term = 0.0;
+    for x in 0..STATES {
+        term += pi[x] * lu[x] * inner[x];
+    }
+    term
+}
+
+/// The Figure-3 sum over a chunk of weights `w`.
+fn lnl_sum<const U: bool, const V: bool>(u: &Side, v: &Side, pi: &[f64; STATES], w: &[u32]) -> f64 {
+    let ln_min = log_scale();
+    let mut sum = 0.0;
+    for j in 0..w.len() {
+        let exp = u.scale::<U>(j) + v.scale::<V>(j);
+        // term = log(term) + exp * log(minlikelihood); sum += w * term
+        let ln = term::<U, V>(u, v, pi, j).max(f64::MIN_POSITIVE).ln() + exp as f64 * ln_min;
+        sum += w[j] as f64 * ln;
+    }
+    sum
+}
+
+/// Edge-table rows over a chunk: `u` through `(πL)ᵀ`, `v` through `R`.
+fn eigen_rows<const U: bool, const V: bool>(u: &Side, v: &Side, sums: &mut [f64]) {
+    for j in 0..sums.len() / STATES {
+        let (a, b) = (u.times::<U>(j), v.times::<V>(j));
+        for k in 0..STATES {
+            sums[j * STATES + k] = a[k] * b[k];
+        }
+    }
 }
 
 /// The likelihood engine: a substitution model bound to a pattern-compressed
@@ -428,182 +551,72 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         self.data
     }
 
-    /// The tip CLV of `taxon`: indicator vectors from its state masks.
+    /// The tip CLV of `taxon`; the kernels read an [`Operand::Tip`] instead.
     pub fn tip_clv(&self, taxon: usize) -> Clv {
-        let n = self.data.n_patterns();
-        let mut vals = Vec::with_capacity(n * STATES);
-        for p in 0..n {
-            vals.extend_from_slice(&self.data.mask(taxon, p).tip_clv());
-        }
-        Clv { vals, scale: vec![0; n] }
+        let masks = self.data.masks(taxon);
+        Clv { vals: masks.iter().flat_map(|m| m.tip_clv()).collect(), scale: vec![0; masks.len()] }
     }
 
-    /// Fill `out` (any contents) with the tip CLV of `taxon` — the
-    /// arena-recycling form of [`Self::tip_clv`].
-    ///
-    /// # Panics
-    /// Panics if `out` is not sized for this alignment.
-    pub fn tip_clv_into(&self, taxon: usize, out: &mut Clv) {
-        let n = self.data.n_patterns();
-        assert_eq!(out.n_patterns(), n, "tip CLV size mismatch");
-        self.tip_clv_range_into(taxon, 0..n, out);
-    }
-
-    /// Fill the range-sized piece `out` (any contents) with patterns
-    /// `range` of the tip CLV of `taxon`.
-    ///
-    /// # Panics
-    /// Panics if `out` is not sized for `range`.
-    pub fn tip_clv_range_into(&self, taxon: usize, range: Range<usize>, out: &mut Clv) {
-        assert_eq!(out.n_patterns(), range.len(), "tip piece size mismatch");
-        for (j, p) in range.enumerate() {
-            out.vals[j * STATES..(j + 1) * STATES]
-                .copy_from_slice(&self.data.mask(taxon, p).tip_clv());
-            out.scale[j] = 0;
+    /// `op` over the chunk `range`, under the matrix `m`.
+    fn side<'s>(&'s self, op: Operand<&'s Clv>, m: Matrix, range: &Range<usize>) -> Side<'s> {
+        assert!(range.end <= self.data.n_patterns(), "chunk range {range:?} outside the patterns");
+        let mut side = Side { m, ..Side::default() };
+        match op {
+            Operand::Tip(taxon) => {
+                side.tip = true;
+                side.masks = &self.data.masks(taxon)[range.clone()];
+                // Only the masks held: a short chunk has fewer than 16.
+                let mut held = side.masks.iter().fold(0u32, |held, x| held | 1 << (x.0 & 0xF));
+                while held != 0 {
+                    let b = held.trailing_zeros() as usize;
+                    held &= held - 1;
+                    side.products[b] = matvec(&m, &StateMask(b as u8).tip_clv());
+                }
+            }
+            Operand::Clv(clv) => {
+                let base = first_held(clv.n_patterns(), self.data.n_patterns(), range, "a CLV");
+                let (lo, hi) = (range.start - base, range.end - base);
+                side.vals = &clv.vals[lo * STATES..hi * STATES];
+                side.scale = &clv.scale[lo..hi];
+            }
         }
+        side
     }
 
     /// Felsenstein pruning step over all patterns: the parent CLV from two
     /// children across branches `t_left` and `t_right`.
     pub fn newview(&self, left: &Clv, t_left: f64, right: &Clv, t_right: f64) -> Clv {
+        self.newview_of(left.into(), t_left, right.into(), t_right)
+    }
+
+    /// [`Self::newview`] of any two operands.
+    fn newview_of(&self, left: Operand<&Clv>, t_l: f64, right: Operand<&Clv>, t_r: f64) -> Clv {
         let n = self.data.n_patterns();
         let mut out = Clv { vals: vec![0.0; n * STATES], scale: vec![0; n] };
-        self.newview_range(left, t_left, right, t_right, 0..n, &mut out);
+        self.newview_range_into(left, t_l, right, t_r, 0..n, &mut out);
         out
     }
 
-    /// A newly computed CLV covering only `range` (an off-loadable chunk;
-    /// a later kernel reads the piece over the same `range`).
-    pub fn newview_chunk(
-        &self,
-        left: &Clv,
-        t_left: f64,
-        right: &Clv,
-        t_right: f64,
-        range: Range<usize>,
-    ) -> Clv {
-        let mut out = Clv { vals: vec![0.0; range.len() * STATES], scale: vec![0; range.len()] };
-        self.newview_range_into(left, t_left, right, t_right, range, &mut out);
-        out
-    }
-
-    /// [`Self::newview_chunk`] drawing its output buffer from `arena` —
-    /// the allocation-free form the off-loaded hot path uses.
-    pub fn newview_chunk_in(
-        &self,
-        left: &Clv,
-        t_left: f64,
-        right: &Clv,
-        t_right: f64,
-        range: Range<usize>,
-        arena: &mut ClvArena,
-    ) -> Clv {
-        let mut out = arena.take(range.len());
-        self.newview_range_into(left, t_left, right, t_right, range, &mut out);
-        out
-    }
-
-    /// The chunked form of [`Self::newview`]: fill `out` for `range` only.
-    /// Chunks are independent, so a work-sharing team can split the pattern
-    /// space across SPEs.
-    ///
-    /// # Panics
-    /// Panics if CLV sizes disagree with the alignment.
-    pub fn newview_range(
-        &self,
-        left: &Clv,
-        t_left: f64,
-        right: &Clv,
-        t_right: f64,
-        range: Range<usize>,
-        out: &mut Clv,
-    ) {
-        let n = self.data.n_patterns();
-        assert_eq!(out.n_patterns(), n, "output CLV size mismatch");
-        let (head, tail) = (range.start * STATES, range.end * STATES);
-        self.newview_body(
-            left,
-            t_left,
-            right,
-            t_right,
-            range.clone(),
-            &mut out.vals[head..tail],
-            &mut out.scale[range],
-        );
-    }
-
-    /// Compute patterns `range` of a `newview` directly into the
-    /// range-sized piece `out`, skipping the full-width buffer entirely —
-    /// the form chunk producers use. Each child is a full-width CLV or the
-    /// chunk's own piece of it (holding exactly `range`).
+    /// The one pruning body: patterns `range` of a `newview` into the
+    /// range-sized CLV `out` (any contents). Each child is a tip, a
+    /// full-width CLV or the chunk's own piece of one (holding exactly
+    /// `range`); chunks are independent, so a team can split them.
     ///
     /// # Panics
     /// Panics if CLV or output sizes disagree with the alignment/range.
-    pub fn newview_range_into(
+    pub fn newview_range_into<'c>(
         &self,
-        left: &Clv,
+        left: impl Into<Operand<&'c Clv>>,
         t_left: f64,
-        right: &Clv,
+        right: impl Into<Operand<&'c Clv>>,
         t_right: f64,
         range: Range<usize>,
         out: &mut Clv,
     ) {
         assert_eq!(out.n_patterns(), range.len(), "chunk output CLV size mismatch");
-        let Clv { vals, scale } = out;
-        self.newview_body(left, t_left, right, t_right, range, vals, scale);
-    }
-
-    /// The one chunk body: patterns `range` of the pruning step, written
-    /// to range-sized slices.
-    #[allow(clippy::too_many_arguments)] // the pruning step's full operand list
-    fn newview_body(
-        &self,
-        left: &Clv,
-        t_left: f64,
-        right: &Clv,
-        t_right: f64,
-        range: Range<usize>,
-        out_vals: &mut [f64],
-        out_scale: &mut [u32],
-    ) {
-        let n = self.data.n_patterns();
-        assert!(range.end <= n, "chunk range {range:?} outside {n} patterns");
-        assert_eq!(out_vals.len(), range.len() * STATES, "chunk vals size mismatch");
-        assert_eq!(out_scale.len(), range.len(), "chunk scale size mismatch");
-        let (lv, ls) = window(left, n, &range, "left CLV");
-        let (rv, rs) = window(right, n, &range, "right CLV");
-        let pl = self.model.prob_matrix(t_left);
-        let pr = self.model.prob_matrix(t_right);
-        for j in 0..range.len() {
-            let l = four(&lv[j * STATES..(j + 1) * STATES]);
-            let r = four(&rv[j * STATES..(j + 1) * STATES]);
-            let suml = matvec(&pl, l);
-            let sumr = matvec(&pr, r);
-            let o = &mut out_vals[j * STATES..(j + 1) * STATES];
-            let mut min_ok = false;
-            for x in 0..STATES {
-                let v = suml[x] * sumr[x];
-                o[x] = v;
-                if v > SCALE_THRESHOLD {
-                    min_ok = true;
-                }
-            }
-            let mut scale = ls[j] + rs[j];
-            if !min_ok {
-                for x in 0..STATES {
-                    o[x] *= SCALE_MULTIPLIER;
-                }
-                scale += 1;
-            }
-            out_scale[j] = scale;
-        }
-    }
-
-    /// An all-zero CLV buffer sized for this alignment, for chunked
-    /// [`Self::newview_range`] filling.
-    pub fn empty_clv(&self) -> Clv {
-        let n = self.data.n_patterns();
-        Clv { vals: vec![0.0; n * STATES], scale: vec![0; n] }
+        let l = self.side(left.into(), self.model.prob_matrix(t_left), &range);
+        let r = self.side(right.into(), self.model.prob_matrix(t_right), &range);
+        per_pairing!(l, r, prune(&l, &r, &mut out.vals, &mut out.scale));
     }
 
     /// Log-likelihood of the tree state summarized by CLVs `u` and `v` at
@@ -617,29 +630,20 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// sum over `range`. Summing chunk results over a partition of the
     /// pattern space reproduces [`Self::evaluate`] exactly (modulo FP
     /// reassociation) — this is the loop the paper parallelizes first.
-    /// `u` and `v` are each a full-width CLV or the chunk's own piece of
-    /// it (holding exactly `range`).
-    pub fn evaluate_range(&self, u: &Clv, v: &Clv, t: f64, range: Range<usize>) -> f64 {
-        let n = self.data.n_patterns();
-        let (uv, us) = window(u, n, &range, "u CLV");
-        let (vv, vs) = window(v, n, &range, "v CLV");
-        let p = self.model.prob_matrix(t);
-        let pi = self.model.base_freqs();
-        let ln_min = log_scale();
-        let w = &self.data.weights()[range];
-        let mut sum = 0.0;
-        for j in 0..w.len() {
-            let lu = four(&uv[j * STATES..(j + 1) * STATES]);
-            let inner = matvec(&p, four(&vv[j * STATES..(j + 1) * STATES]));
-            let mut term = 0.0;
-            for x in 0..STATES {
-                term += pi[x] * lu[x] * inner[x];
-            }
-            // term = log(term) + exp * log(minlikelihood); sum += w * term
-            let ln = term.max(f64::MIN_POSITIVE).ln() + (us[j] + vs[j]) as f64 * ln_min;
-            sum += w[j] as f64 * ln;
-        }
-        sum
+    /// `u` and `v` are each a tip, a full-width CLV or the chunk's own
+    /// piece of one (holding exactly `range`).
+    pub fn evaluate_range<'c>(
+        &self,
+        u: impl Into<Operand<&'c Clv>>,
+        v: impl Into<Operand<&'c Clv>>,
+        t: f64,
+        range: Range<usize>,
+    ) -> f64 {
+        let (p, pi) = (self.model.prob_matrix(t), self.model.base_freqs());
+        let w = &self.data.weights()[range.clone()];
+        let u = self.side(u.into(), p, &range);
+        let v = self.side(v.into(), p, &range);
+        per_pairing!(u, v, lnl_sum(&u, &v, &pi, w))
     }
 
     /// Per-pattern *linear* likelihood terms at an edge: `(term, exp)`
@@ -647,24 +651,19 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// Mixture models combine these across rate categories before taking
     /// logs.
     pub fn site_terms(&self, u: &Clv, v: &Clv, t: f64) -> Vec<(f64, u32)> {
-        let p = self.model.prob_matrix(t);
+        let (p, all) = (self.model.prob_matrix(t), 0..self.data.n_patterns());
         let pi = self.model.base_freqs();
-        let mut out = Vec::with_capacity(self.data.n_patterns());
-        for i in 0..self.data.n_patterns() {
-            let lu = four(u.pattern(i));
-            let inner = matvec(&p, four(v.pattern(i)));
-            let mut term = 0.0;
-            for x in 0..STATES {
-                term += pi[x] * lu[x] * inner[x];
-            }
-            out.push((term, u.scale_of(i) + v.scale_of(i)));
-        }
-        out
+        let (u, v) = (self.side(u.into(), p, &all), self.side(v.into(), p, &all));
+        all.map(|j| (term::<false, false>(&u, &v, &pi, j), u.scale[j] + v.scale[j])).collect()
     }
 
     /// The [`EdgeTable`] of the edge between `u` and `v`, over all
     /// patterns.
-    pub fn edge_table(&self, u: &Clv, v: &Clv) -> EdgeTable {
+    pub fn edge_table<'c>(
+        &self,
+        u: impl Into<Operand<&'c Clv>>,
+        v: impl Into<Operand<&'c Clv>>,
+    ) -> EdgeTable {
         let n = self.data.n_patterns();
         let mut table = EdgeTable { sums: vec![0.0; n * STATES] };
         self.edge_table_range(u, v, 0..n, &mut table);
@@ -673,36 +672,29 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
 
     /// Fill the range-sized table `out` (any contents) with patterns
     /// `range` of the [`EdgeTable`] of the edge between `u` and `v` — the
-    /// chunked form of [`Self::edge_table`]. `u` and `v` are each a
-    /// full-width CLV or the chunk's own piece of it (holding exactly
+    /// chunked form of [`Self::edge_table`]. `u` and `v` are each a tip, a
+    /// full-width CLV or the chunk's own piece of one (holding exactly
     /// `range`). Scaling exponents are left out: they multiply a pattern's
     /// likelihood and its derivatives alike, so the ratios `makenewz` sums
     /// are free of them.
     ///
     /// # Panics
     /// Panics if CLV or table sizes disagree with the alignment/range.
-    pub fn edge_table_range(&self, u: &Clv, v: &Clv, range: Range<usize>, out: &mut EdgeTable) {
-        let n = self.data.n_patterns();
-        assert!(range.end <= n, "chunk range {range:?} outside {n} patterns");
+    pub fn edge_table_range<'c>(
+        &self,
+        u: impl Into<Operand<&'c Clv>>,
+        v: impl Into<Operand<&'c Clv>>,
+        range: Range<usize>,
+        out: &mut EdgeTable,
+    ) {
         assert_eq!(out.n_patterns(), range.len(), "edge table size mismatch");
-        let (uv, _) = window(u, n, &range, "u CLV");
-        let (vv, _) = window(v, n, &range, "v CLV");
         let Spectrum { left, right, .. } = self.model.spectrum();
         let pi = self.model.base_freqs();
         // `(πL)ᵀ`, so both halves of a pattern's sums are one `matvec`.
-        let mut pi_left = [[0.0; STATES]; STATES];
-        for k in 0..STATES {
-            for x in 0..STATES {
-                pi_left[k][x] = pi[x] * left[x][k];
-            }
-        }
-        for j in 0..range.len() {
-            let a = matvec(&pi_left, four(&uv[j * STATES..(j + 1) * STATES]));
-            let b = matvec(&right, four(&vv[j * STATES..(j + 1) * STATES]));
-            for k in 0..STATES {
-                out.sums[j * STATES + k] = a[k] * b[k];
-            }
-        }
+        let pi_left = std::array::from_fn(|k| std::array::from_fn(|x| pi[x] * left[x][k]));
+        let u = self.side(u.into(), pi_left, &range);
+        let v = self.side(v.into(), right, &range);
+        per_pairing!(u, v, eigen_rows(&u, &v, &mut out.sums));
     }
 
     /// First and second derivatives of the log-likelihood with respect to
@@ -743,15 +735,23 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// edge between `u` and `v`, starting from `t0` — one [`EdgeTable`],
     /// then [`Newton`] steps over it.
     pub fn makenewz(&self, u: &Clv, v: &Clv, t0: f64) -> f64 {
+        self.makenewz_of(u.into(), v.into(), t0)
+    }
+
+    /// [`Self::makenewz`] of any two operands.
+    fn makenewz_of(&self, u: Operand<&Clv>, v: Operand<&Clv>, t0: f64) -> f64 {
         let table = self.edge_table(u, v);
         let all = 0..self.data.n_patterns();
         newton_branch_length(t0, |t| self.table_derivatives(&table, t, all.clone()))
     }
 
     /// Directional CLV of `node` seen from `parent` (the full Felsenstein
-    /// recursion; tips are indicator CLVs).
+    /// recursion; a tip's is its indicator CLV, built only here).
     pub fn clv_toward(&self, tree: &Tree, node: usize, parent: usize) -> Clv {
-        traversal::clv_toward(&mut &*self, tree, node, parent)
+        match traversal::clv_toward(&mut &*self, tree, node, parent) {
+            Operand::Tip(taxon) => self.tip_clv(taxon),
+            Operand::Clv(clv) => clv,
+        }
     }
 
     /// The log-likelihood of `tree`, evaluated at `edge`.
@@ -773,25 +773,25 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     }
 }
 
-/// The direct engine's kernels, run on the calling thread. It keeps no
-/// state, so a shared borrow is the provider.
+/// The direct engine's kernels on the calling thread, over [`Operand`]s. It
+/// keeps no state, so a shared borrow is the provider.
 impl<M: SubstModel> Kernels for &LikelihoodEngine<'_, M> {
-    type Clv = Clv;
+    type Clv = Operand<Clv>;
 
-    fn tip(&mut self, taxon: usize) -> Clv {
-        self.tip_clv(taxon)
+    fn tip(&mut self, taxon: usize) -> Operand<Clv> {
+        Operand::Tip(taxon)
     }
 
-    fn newview(&mut self, left: Clv, t_left: f64, right: Clv, t_right: f64) -> Clv {
-        LikelihoodEngine::newview(self, &left, t_left, &right, t_right)
+    fn newview(&mut self, left: Self::Clv, t_l: f64, right: Self::Clv, t_r: f64) -> Self::Clv {
+        Operand::Clv(self.newview_of(left.as_ref(), t_l, right.as_ref(), t_r))
     }
 
-    fn evaluate(&mut self, u: Clv, v: Clv, t: f64) -> f64 {
-        LikelihoodEngine::evaluate(self, &u, &v, t)
+    fn evaluate(&mut self, u: Operand<Clv>, v: Operand<Clv>, t: f64) -> f64 {
+        self.evaluate_range(u.as_ref(), v.as_ref(), t, 0..self.data.n_patterns())
     }
 
-    fn optimize_edge(&mut self, u: Clv, v: Clv, t0: f64) -> f64 {
-        self.makenewz(&u, &v, t0)
+    fn optimize_edge(&mut self, u: Operand<Clv>, v: Operand<Clv>, t0: f64) -> f64 {
+        self.makenewz_of(u.as_ref(), v.as_ref(), t0)
     }
 }
 
@@ -804,16 +804,19 @@ mod classic {
     use super::*;
 
     /// `(d1, d2)` of the edge between `u` and `v` at `t`, over `range`.
-    pub fn lnl_derivatives_range<M: SubstModel>(
+    pub fn lnl_derivatives_range<'c, M: SubstModel>(
         engine: &LikelihoodEngine<'_, M>,
-        u: &Clv,
-        v: &Clv,
+        u: &'c Clv,
+        v: &'c Clv,
         t: f64,
         range: Range<usize>,
     ) -> (f64, f64) {
         let n = engine.data.n_patterns();
-        let (uv, _) = window(u, n, &range, "u CLV");
-        let (vv, _) = window(v, n, &range, "v CLV");
+        let window = |clv: &'c Clv| {
+            let base = first_held(clv.n_patterns(), n, &range, "CLV");
+            &clv.vals[(range.start - base) * STATES..(range.end - base) * STATES]
+        };
+        let (uv, vv) = (window(u), window(v));
         let spectrum = engine.model.spectrum();
         let lam = spectrum.eigenvalues;
         let e = spectrum.exps(t);
@@ -1000,14 +1003,18 @@ mod tests {
     fn newview_range_chunks_match_whole() {
         let data = toy();
         let engine = LikelihoodEngine::new(&Jc69, &data);
-        let l = engine.tip_clv(0);
-        let r = engine.tip_clv(1);
-        let whole = engine.newview(&l, 0.1, &r, 0.2);
-        let mut chunked = engine.empty_clv();
+        let whole = engine.newview(&engine.tip_clv(0), 0.1, &engine.tip_clv(1), 0.2);
         let n = data.n_patterns();
-        engine.newview_range(&l, 0.1, &r, 0.2, 0..n / 2, &mut chunked);
-        engine.newview_range(&l, 0.1, &r, 0.2, n / 2..n, &mut chunked);
-        assert_eq!(whole, chunked);
+        let (mut vals, mut scale) = (Vec::new(), Vec::new());
+        for range in [0..n / 2, n / 2..n] {
+            let mut piece = ClvArena::new().take(range.len());
+            let (l, r) = (Operand::Tip(0), Operand::Tip(1));
+            engine.newview_range_into(l, 0.1, r, 0.2, range, &mut piece);
+            let (v, s) = piece.as_raw();
+            vals.extend_from_slice(v);
+            scale.extend_from_slice(s);
+        }
+        assert_eq!(whole, Clv::from_raw(vals, scale));
     }
 
     #[test]

@@ -11,17 +11,23 @@
 
 use crate::tree::{EdgeId, Tree};
 
-/// The likelihood kernels of one engine, over its own CLV representation.
+/// The likelihood kernels of one engine, over its own operand
+/// representation.
 ///
-/// The kernels consume their CLV operands: a child CLV is dead once its
-/// parent exists, and an edge's pair is dead once the edge is scored or
-/// optimized — which is where an engine that recycles CLV storage takes it
-/// back. Methods take `&mut self` because an off-loading engine counts and
-/// dispatches; the direct engines implement the trait on a shared borrow.
+/// An operand is whatever the engine hands from one kernel to the next. A
+/// tip need not be a buffer: the DNA engines' operand is a tip by taxon or
+/// a computed CLV (`likelihood::Operand`), and their kernels read a tip
+/// straight from the alignment. The kernels consume their operands: a
+/// child is dead once its parent exists, and an edge's pair is dead once
+/// the edge is scored or optimized — which is where an engine that
+/// recycles CLV storage takes it back. Methods take `&mut self` because an
+/// off-loading engine counts and dispatches; the direct engines implement
+/// the trait on a shared borrow.
 pub trait Kernels {
-    /// A conditional likelihood vector as this engine stores it.
+    /// An operand as this engine hands it on: a tip or a conditional
+    /// likelihood vector.
     type Clv;
-    /// The tip CLV of `taxon`.
+    /// The operand standing for the tip of `taxon`.
     fn tip(&mut self, taxon: usize) -> Self::Clv;
     /// The parent CLV of two children across branches `t_left`, `t_right`.
     fn newview(&mut self, left: Self::Clv, t_left: f64, right: Self::Clv, t_right: f64)
@@ -34,7 +40,8 @@ pub trait Kernels {
 }
 
 /// Directional CLV of `node` seen from `parent`: the full Felsenstein
-/// recursion, one `newview` per internal node, tips as indicator CLVs.
+/// recursion, one `newview` per internal node, a tip as the engine's tip
+/// operand.
 ///
 /// # Panics
 /// Panics unless every internal node has exactly two children seen from

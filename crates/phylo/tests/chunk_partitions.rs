@@ -5,9 +5,11 @@
 //! for `newview` bit-identically (values *and* scaling exponents: the
 //! scale-carry at chunk boundaries is the historical bug class), for the
 //! `evaluate`/derivative sums up to FP reassociation of the partial sums.
+//! A child may be a tip operand, read from the alignment: its chunks are
+//! the materialized tip CLV's.
 
 use phylo::alignment::{Alignment, PatternAlignment};
-use phylo::likelihood::{Clv, ClvArena, LikelihoodEngine};
+use phylo::likelihood::{Clv, ClvArena, LikelihoodEngine, Operand};
 use phylo::model::Jc69;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -61,30 +63,44 @@ fn partition(n: usize, cuts: &[f64]) -> Vec<usize> {
 proptest! {
     /// Any partition of the pattern space, its pieces laid end to end,
     /// reproduces the whole-range `newview` bit-for-bit — values and
-    /// scaling exponents.
+    /// scaling exponents — whether each child is a CLV or a tip.
     #[test]
     fn newview_over_any_partition_is_bit_identical(
         seed in 0u64..u64::MAX,
         sites in 8usize..160,
         cuts in prop::collection::vec(0.0f64..1.0, 0..6),
+        pairing in 0u8..4,
     ) {
         let aln = Alignment::synthetic(4, sites, &Jc69, 0.3, seed ^ 0xA5A5);
         let data = PatternAlignment::compress(&aln);
         let engine = LikelihoodEngine::new(&Jc69, &data);
         let n = data.n_patterns();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let left = random_clv(n, &mut rng);
-        let right = random_clv(n, &mut rng);
+        let (left, right) = (random_clv(n, &mut rng), random_clv(n, &mut rng));
         let (tl, tr) = (rng.gen_range(1e-4..2.0), rng.gen_range(1e-4..2.0));
+        let tips = [engine.tip_clv(0), engine.tip_clv(1)];
+        let clvs = [&left, &right];
+        // Child `s` as an operand, and as the CLV it stands for.
+        let child = |s: usize| -> (Operand<&Clv>, &Clv) {
+            if pairing >> s & 1 == 1 {
+                (Operand::Tip(s), &tips[s])
+            } else {
+                (Operand::Clv(clvs[s]), clvs[s])
+            }
+        };
+        let ((l, whole_l), (r, whole_r)) = (child(0), child(1));
 
-        let whole = engine.newview(&left, tl, &right, tr);
-        prop_assert!(whole.total_scalings() > 0, "adversarial CLVs should force rescaling");
+        let whole = engine.newview(whole_l, tl, whole_r, tr);
+        if pairing == 0 {
+            prop_assert!(whole.total_scalings() > 0, "adversarial CLVs should force rescaling");
+        }
 
         let bounds = partition(n, &cuts);
         let mut arena = ClvArena::new();
         let (mut vals, mut scale) = (Vec::new(), Vec::new());
         for w in bounds.windows(2) {
-            let piece = engine.newview_chunk_in(&left, tl, &right, tr, w[0]..w[1], &mut arena);
+            let mut piece = arena.take(w[1] - w[0]);
+            engine.newview_range_into(l, tl, r, tr, w[0]..w[1], &mut piece);
             let (v, s) = piece.as_raw();
             vals.extend_from_slice(v);
             scale.extend_from_slice(s);
@@ -142,16 +158,19 @@ fn clv_arena_reuses_storage_without_changing_results() {
     let data = PatternAlignment::compress(&aln);
     let engine = LikelihoodEngine::new(&Jc69, &data);
     let n = data.n_patterns();
-    let (l, r) = (engine.tip_clv(0), engine.tip_clv(1));
+    let (l, r) = (Operand::Tip(0), Operand::Tip(1));
 
     let mut arena = ClvArena::new();
-    let fresh = engine.newview_chunk(&l, 0.1, &r, 0.2, 0..n);
+    let mut fresh = Clv::from_raw(vec![0.0; 4 * n], vec![0; n]);
+    engine.newview_range_into(l, 0.1, r, 0.2, 0..n, &mut fresh);
     for _ in 0..8 {
-        let piece = engine.newview_chunk_in(&l, 0.1, &r, 0.2, 0..n, &mut arena);
+        let mut piece = arena.take(n);
+        engine.newview_range_into(l, 0.1, r, 0.2, 0..n, &mut piece);
         assert_eq!(piece, fresh);
         arena.put(piece);
         // Differently-sized chunks reuse the same (larger) storage.
-        let half = engine.newview_chunk_in(&l, 0.1, &r, 0.2, 0..n / 2, &mut arena);
+        let mut half = arena.take(n / 2);
+        engine.newview_range_into(l, 0.1, r, 0.2, 0..n / 2, &mut half);
         assert_eq!(half.n_patterns(), n / 2);
         assert_eq!(half.pattern(0), fresh.pattern(0));
         arena.put(half);

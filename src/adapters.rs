@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use mgps_runtime::native::{LoopBody, LoopSite, ProcessCtx, SpeContext};
 use mgps_runtime::policy::KernelKind;
 use phylo::alignment::PatternAlignment;
-use phylo::likelihood::{Clv, ClvArena, EdgeTable, LikelihoodEngine, Newton};
+use phylo::likelihood::{Clv, ClvArena, EdgeTable, LikelihoodEngine, Newton, Operand};
 use phylo::model::SubstModel;
 use phylo::search::ScoringEngine;
 use phylo::traversal::{self, Kernels};
@@ -39,7 +39,8 @@ pub const SITE_DERIV: LoopSite = LoopSite(3);
 /// later op or of the terminal.
 #[derive(Debug, Clone)]
 pub enum TraversalOp {
-    /// The tip CLV of `taxon`.
+    /// The tip of `taxon`, read from the alignment by the kernels that
+    /// consume it; it takes no piece.
     Tip {
         /// Taxon index in the alignment.
         taxon: usize,
@@ -68,6 +69,15 @@ struct Stash<'a> {
 impl Stash<'_> {
     fn take(&mut self) -> Clv {
         self.free.pop().expect("the stash was filled with every piece the walk holds at once")
+    }
+
+    /// Take back whatever pieces `ops` hold.
+    fn recycle(&mut self, ops: [Operand<Clv>; 2]) {
+        for op in ops {
+            if let Operand::Clv(piece) = op {
+                self.free.push(piece);
+            }
+        }
     }
 }
 
@@ -131,19 +141,20 @@ impl EdgeLoop {
 ///
 /// With a [`KernelKind::MakeNewz`] terminal the body runs one round per
 /// Newton step ([`LoopBody::again`]): the first orients the tree, puts the
-/// chunk's two edge pieces into the eigen basis as its piece of the
-/// [`EdgeTable`] — handing both back to the arena at once — and sums the
+/// chunk's two edge operands into the eigen basis as its piece of the
+/// [`EdgeTable`] — handing their pieces back to the arena at once — and sums the
 /// derivatives at the starting length; each later one only sums them at
 /// the length the step before it chose, over the table pieces the chunks
 /// kept.
 ///
-/// Pieces and tables come from a shared [`ClvArena`] rather than fresh
-/// allocations, and a child piece is recycled as soon as its parent
-/// exists, so a chunk holds about a tree depth of them, not one per node,
-/// and a warm edge allocates nothing. The arena holds
-/// *host-heap* buffers — the simulated local-store staging accounted by
-/// `LsAlloc`/`LsFree` trace events is untouched, so those events stay
-/// truthful.
+/// A tip op takes no piece: the kernels read it from the alignment as an
+/// [`Operand::Tip`]. Pieces for `newview` ops and tables come from a
+/// shared [`ClvArena`] rather than fresh allocations, and a child piece is
+/// recycled as soon as its parent exists, so a chunk holds at most about a
+/// tree depth of them — two at a pendant edge of four taxa — and a warm
+/// edge allocates nothing. The arena holds *host-heap* buffers — the
+/// simulated local-store staging accounted by `LsAlloc`/`LsFree` trace
+/// events is untouched, so those events stay truthful.
 pub struct TraversalBody<M> {
     /// Substitution model (cheap to copy; JC69/K80 are parameter structs).
     pub model: M,
@@ -170,62 +181,62 @@ pub struct TraversalBody<M> {
 }
 
 impl<M: SubstModel> TraversalBody<M> {
-    /// Most pieces a chunk holds at once while computing op `slot`; it is
-    /// left holding one of them.
+    /// Most pieces a chunk holds at once while computing op `slot`: none
+    /// for a tip, and a `newview` is left holding one of them.
     fn live(&self, slot: usize) -> usize {
         match &self.ops[slot] {
-            TraversalOp::Tip { .. } => 1,
+            TraversalOp::Tip { .. } => 0,
             TraversalOp::Newview { left, right, .. } => {
-                // The left piece is held while the right subtree runs,
-                // then both while the parent is computed.
-                self.live(*left).max(1 + self.live(*right)).max(3)
+                let (l, r) = (self.live(*left), self.live(*right));
+                // The left piece, if any, is held while the right subtree
+                // runs, then both children's while the parent is computed.
+                l.max(l.min(1) + r).max(l.min(1) + r.min(1) + 1)
             }
         }
     }
 
-    /// The CLV of op `slot` over `range`: the ops under it, children first.
-    fn clv_of(
+    /// Op `slot` over `range` as a kernel operand: a tip as is, a `newview`
+    /// computed into a piece from the ops under it, children first.
+    fn operand_of(
         &self,
         engine: &LikelihoodEngine<'_, M>,
         slot: usize,
         range: &Range<usize>,
         stash: &mut Stash<'_>,
-    ) -> Clv {
+    ) -> Operand<Clv> {
         match &self.ops[slot] {
-            TraversalOp::Tip { taxon } => {
-                let mut piece = stash.take();
-                engine.tip_clv_range_into(*taxon, range.clone(), &mut piece);
-                piece
-            }
+            TraversalOp::Tip { taxon } => Operand::Tip(*taxon),
             TraversalOp::Newview { left, t_left, right, t_right } => {
-                let l = self.clv_of(engine, *left, range, stash);
-                let r = self.clv_of(engine, *right, range, stash);
+                let l = self.operand_of(engine, *left, range, stash);
+                let r = self.operand_of(engine, *right, range, stash);
                 let mut piece = stash.take();
-                engine.newview_range_into(&l, *t_left, &r, *t_right, range.clone(), &mut piece);
-                stash.free.extend([l, r]);
-                piece
+                let (l_at, r_at) = (l.as_ref(), r.as_ref());
+                engine.newview_range_into(l_at, *t_left, r_at, *t_right, range.clone(), &mut piece);
+                stash.recycle([l, r]);
+                Operand::Clv(piece)
             }
         }
     }
 
-    /// The chunk's pieces of the edge's two end CLVs — the tree oriented
-    /// toward the edge on `range` — and the stash they came from, which
-    /// takes them back when the caller is done with them.
+    /// The edge's two end operands on `range` — the tree oriented toward
+    /// the edge — and the stash their pieces came from, which takes them
+    /// back when the caller is done with them.
     fn orient(
         &self,
         engine: &LikelihoodEngine<'_, M>,
         range: &Range<usize>,
-    ) -> ([Clv; 2], Stash<'_>) {
-        // Every piece the walk will hold at once, under one lock; `u`'s is
-        // held while `v`'s subtree runs.
-        let most = self.live(self.u).max(1 + self.live(self.v));
+    ) -> ([Operand<Clv>; 2], Stash<'_>) {
+        // Every piece the walk will hold at once, under one lock; `u`'s, if
+        // any, is held while `v`'s subtree runs.
+        let at_u = self.live(self.u);
+        let most = at_u.max(at_u.min(1) + self.live(self.v));
         let mut stash = Stash { arena: &self.arena, free: Vec::with_capacity(most) };
         {
             let mut arena = lock(&self.arena);
             stash.free.extend((0..most).map(|_| arena.take(range.len())));
         }
-        let u = self.clv_of(engine, self.u, range, &mut stash);
-        let v = self.clv_of(engine, self.v, range, &mut stash);
+        let u = self.operand_of(engine, self.u, range, &mut stash);
+        let v = self.operand_of(engine, self.v, range, &mut stash);
         ([u, v], stash)
     }
 }
@@ -249,8 +260,8 @@ impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
         let sums = match self.terminal {
             KernelKind::Evaluate => {
                 let ([u, v], mut stash) = self.orient(&engine, &range);
-                let lnl = engine.evaluate_range(&u, &v, self.t, range);
-                stash.free.extend([u, v]);
+                let lnl = engine.evaluate_range(u.as_ref(), v.as_ref(), self.t, range);
+                stash.recycle([u, v]);
                 (lnl, 0.0)
             }
             KernelKind::MakeNewz => {
@@ -262,8 +273,8 @@ impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
                 let table = kept.unwrap_or_else(|| {
                     let ([u, v], mut stash) = self.orient(&engine, &range);
                     let mut table = lock(&self.arena).take_table(range.len());
-                    engine.edge_table_range(&u, &v, range.clone(), &mut table);
-                    stash.free.extend([u, v]);
+                    engine.edge_table_range(u.as_ref(), v.as_ref(), range.clone(), &mut table);
+                    stash.recycle([u, v]);
                     table
                 });
                 let sums = engine.table_derivatives(&table, t, range.clone());

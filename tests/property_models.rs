@@ -198,3 +198,106 @@ proptest! {
         }
     }
 }
+
+/// The models the kernel operand paths are checked under, by index.
+fn with_model<R>(which: usize, f: &mut dyn FnMut(&dyn SubstModel) -> R) -> R {
+    match which {
+        0 => f(&Jc69),
+        1 => f(&K80::new(2.5)),
+        2 => f(&Gtr::example()),
+        _ => f(&ScaledModel { inner: Gtr::example(), rate: 2.5 }),
+    }
+}
+
+/// `n` patterns of CLV with magnitudes on both sides of the rescaling
+/// threshold and nonzero incoming scale exponents.
+fn random_clv(n: usize, rng: &mut rand::rngs::SmallRng) -> Clv {
+    use rand::Rng;
+    let vals = (0..n * STATES)
+        .map(|_| if rng.gen_bool(0.3) { 1e-110 } else { 0.5 } * (0.5 + rng.gen::<f64>()))
+        .collect();
+    Clv::from_raw(vals, (0..n).map(|_| rng.gen_range(0..3)).collect())
+}
+
+/// Patterns `range` of `clv` as a chunk's own piece.
+fn piece_of(clv: &Clv, range: std::ops::Range<usize>) -> Clv {
+    let (vals, scale) = clv.as_raw();
+    Clv::from_raw(vals[range.start * STATES..range.end * STATES].to_vec(), scale[range].to_vec())
+}
+
+fn bits(vals: &[f64]) -> Vec<u64> {
+    vals.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    /// A tip operand is its materialized tip CLV to the bit: under every
+    /// model, for every tip/CLV pairing of the two sides, over every IUPAC
+    /// mask and the gap, on any chunk range with the CLV sides full-width
+    /// or the chunk's piece, `newview` (values and scaling exponents), the
+    /// edge table and `evaluate` read the same bits from `Operand::Tip` as
+    /// from `tip_clv` — the 16-entry product table is a memo of the same
+    /// `matvec`, not a different sum.
+    #[test]
+    fn a_tip_operand_is_its_materialized_clv_to_the_bit(
+        which in 0usize..4,
+        seed in 0u64..u64::MAX,
+        extra in 0usize..100,
+        pairing in 0u8..4,
+        pieces in 0u8..2,
+        cut in (0.0f64..1.0, 0.0f64..1.0),
+        t in (1e-4f64..2.0, 1e-4f64..2.0),
+    ) {
+        use rand::{Rng, SeedableRng};
+        const CODES: &[u8] = b"ACGTRYSWKMBDHVN-";
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        // Both taxa name every code at least once, then random columns.
+        let mut rows = [CODES.to_vec(), CODES.iter().rev().copied().collect()];
+        for row in &mut rows {
+            row.extend((0..extra).map(|_| CODES[rng.gen_range(0..CODES.len())]));
+        }
+        let rows = rows.map(|r| String::from_utf8(r).expect("IUPAC codes are ASCII"));
+        let aln = Alignment::from_strings(&[("x", &rows[0]), ("y", &rows[1])]).unwrap();
+        let data = PatternAlignment::compress(&aln);
+        let n = data.n_patterns();
+        let (lo, hi) = ((cut.0 * n as f64) as usize, (cut.1 * n as f64) as usize);
+        let range = lo.min(hi)..lo.max(hi);
+        let (cu, cv) = (random_clv(n, &mut rng), random_clv(n, &mut rng));
+        let pieces = if pieces == 1 {
+            [piece_of(&cu, range.clone()), piece_of(&cv, range.clone())]
+        } else {
+            [cu.clone(), cv.clone()]
+        };
+        with_model(which, &mut |model| -> Result<(), TestCaseError> {
+            let engine = LikelihoodEngine::new(&model, &data);
+            let tips = [engine.tip_clv(0), engine.tip_clv(1)];
+            // Side `s` as an operand, and as the CLV it stands for.
+            let side = |s: usize| -> (Operand<&Clv>, &Clv) {
+                if pairing >> s & 1 == 1 {
+                    (Operand::Tip(s), &tips[s])
+                } else {
+                    (Operand::Clv(&pieces[s]), &pieces[s])
+                }
+            };
+            let ((u, mu), (v, mv)) = (side(0), side(1));
+            let m = range.len();
+
+            let mut got = Clv::from_raw(vec![0.0; m * STATES], vec![0; m]);
+            let mut want = got.clone();
+            engine.newview_range_into(u, t.0, v, t.1, range.clone(), &mut got);
+            engine.newview_range_into(mu, t.0, mv, t.1, range.clone(), &mut want);
+            prop_assert_eq!(bits(got.as_raw().0), bits(want.as_raw().0), "model {}", which);
+            prop_assert_eq!(got.as_raw().1, want.as_raw().1, "model {}", which);
+
+            let mut got = ClvArena::new().take_table(m);
+            let mut want = ClvArena::new().take_table(m);
+            engine.edge_table_range(u, v, range.clone(), &mut got);
+            engine.edge_table_range(mu, mv, range.clone(), &mut want);
+            prop_assert_eq!(bits(got.as_raw()), bits(want.as_raw()), "model {}", which);
+
+            let got = engine.evaluate_range(u, v, t.0, range.clone());
+            let want = engine.evaluate_range(mu, mv, t.0, range.clone());
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "model {}: {} vs {}", which, got, want);
+            Ok(())
+        })?;
+    }
+}

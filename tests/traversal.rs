@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use multigrain::prelude::*;
-use phylo::likelihood::{newton_branch_length, NEWTON_MAX_ITERS};
+use phylo::likelihood::{newton_branch_length, Operand, NEWTON_MAX_ITERS};
 use phylo::traversal::{self, Kernels};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -34,27 +34,29 @@ impl<'e> Counting<'e> {
     }
 }
 
+/// Each kernel is the direct engine's own, on its operands: a tip is
+/// counted, never materialized.
 impl Kernels for Counting<'_> {
-    type Clv = Clv;
+    type Clv = Operand<Clv>;
 
-    fn tip(&mut self, taxon: usize) -> Clv {
+    fn tip(&mut self, taxon: usize) -> Operand<Clv> {
         self.tips += 1;
-        self.inner.tip_clv(taxon)
+        Kernels::tip(&mut self.inner, taxon)
     }
 
-    fn newview(&mut self, left: Clv, t_left: f64, right: Clv, t_right: f64) -> Clv {
+    fn newview(&mut self, left: Self::Clv, t_l: f64, right: Self::Clv, t_r: f64) -> Self::Clv {
         self.newviews += 1;
-        self.inner.newview(&left, t_left, &right, t_right)
+        Kernels::newview(&mut self.inner, left, t_l, right, t_r)
     }
 
-    fn evaluate(&mut self, u: Clv, v: Clv, t: f64) -> f64 {
+    fn evaluate(&mut self, u: Operand<Clv>, v: Operand<Clv>, t: f64) -> f64 {
         self.evaluates += 1;
-        self.inner.evaluate(&u, &v, t)
+        Kernels::evaluate(&mut self.inner, u, v, t)
     }
 
-    fn optimize_edge(&mut self, u: Clv, v: Clv, t0: f64) -> f64 {
+    fn optimize_edge(&mut self, u: Operand<Clv>, v: Operand<Clv>, t0: f64) -> f64 {
         self.edges += 1;
-        let table = self.inner.edge_table(&u, &v);
+        let table = self.inner.edge_table(u.as_ref(), v.as_ref());
         let all = 0..self.inner.data().n_patterns();
         newton_branch_length(t0, |t| {
             self.derivs += 1;

@@ -335,3 +335,25 @@ fn the_arena_stays_bounded_and_warm_at_forty_taxa() {
         assert_eq!(misses, first, "pass {pass}: the arena is still allocating");
     }
 }
+
+/// A tip takes no piece: at a 4-taxon pendant edge the far end is a
+/// `newview` of a tip and a cherry, so a chunk holds the cherry's piece and
+/// its parent's at once and never more — the arena hands out exactly two.
+/// (When every tip held a piece, the stash drew five.)
+#[test]
+fn a_pendant_edge_draws_exactly_the_walks_peak() {
+    let data = Arc::new(PatternAlignment::compress(&Alignment::synthetic(4, 60, &Jc69, 0.2, 4)));
+    let n = data.n_patterns();
+    let tree = Tree::random(4, 0.2, &mut SmallRng::seed_from_u64(4));
+    let edge = tree.neighbors(0)[0].1;
+    let arena = Arc::new(Mutex::new(ClvArena::new()));
+    let body = body_at(&data, &tree, edge, KernelKind::Evaluate, &arena);
+    let newviews = body.ops.iter().filter(|op| matches!(op, TraversalOp::Newview { .. })).count();
+    assert_eq!((body.ops.len(), newviews), (6, 2), "four tips and two newviews");
+    run(&body, &partition(n, &[]));
+    assert_eq!(arena.lock().unwrap().stats(), (0, 2));
+    assert_eq!(arena.lock().unwrap().outstanding(), (0, 0));
+    // The next chunk draws the same two from the free list.
+    run(&body, &partition(n, &[]));
+    assert_eq!(arena.lock().unwrap().stats(), (2, 2));
+}
