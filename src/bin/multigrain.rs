@@ -216,9 +216,9 @@ USAGE:
                       [--workers N] [--job-queue N] [--tenant-weights W,W,...]
                       [--url HOST:PORT] [--out FILE.json] [--html FILE.html]
                       (seeded open-loop load test of the serve plane: exponential
-                       interarrivals x bounded-Pareto job sizes through a
-                       W-server bounded-queue model at 0.25x/0.5x/1x/2x/4x the
-                       offered rate; writes a byte-deterministic mgps-loadtest/v1
+                       interarrivals x bounded-Pareto job sizes through W model
+                       servers on serve's own DRR job queue at 0.25x/0.5x/1x/2x/4x
+                       the offered rate; writes a byte-deterministic mgps-loadtest/v1
                        JSON and a self-contained HTML report (per-tenant latency
                        CDFs, throughput-vs-offered-load, queue-depth timeline,
                        per-job blame); --url additionally drives the same 1x
@@ -1003,11 +1003,12 @@ fn serve_cmd(opts: &Opts) -> Result<(), CliError> {
 /// `multigrain loadgen` — the seeded load-test harness for the serve plane.
 ///
 /// Runs the deterministic open-loop queueing model (exponential
-/// interarrivals × bounded-Pareto job sizes, W model servers behind a
-/// bounded admission queue) at five rate multipliers, writes the
-/// `mgps-loadtest/v1` JSON and the self-contained HTML report — both
-/// byte-deterministic for a given seed — and, with `--url`, replays the
-/// 1× arrival schedule as live `POST /jobs` traffic against a running
+/// interarrivals × bounded-Pareto job sizes, W model servers popping
+/// serve's own deficit-round-robin job queue, built from `--job-queue` and
+/// `--tenant-weights` as `serve` builds it) at five rate multipliers,
+/// writes the `mgps-loadtest/v1` JSON and the self-contained HTML report —
+/// both byte-deterministic for a given seed — and, with `--url`, replays
+/// the 1× arrival schedule as live `POST /jobs` traffic against a running
 /// `serve`.
 fn loadgen_cmd(opts: &Opts) -> Result<(), CliError> {
     use multigrain::loadgen::{drive, run_loadtest, LoadgenConfig};

@@ -8,13 +8,14 @@
 //! quantiles interesting without unbounded outliers.
 //!
 //! One invocation evaluates the same seeded traffic at five rate
-//! multipliers (0.25×/0.5×/1×/2×/4×) through a deterministic model of W
-//! servers draining one global FIFO queue, bounded at `queue_cap` — serve's
-//! global cap (`--job-queue`) at its default, with no per-tenant cap or
-//! shedding watermark — and writes two artifacts. The model approximates
-//! serve; it is not serve's dispatcher, which has been deficit round-robin
-//! over per-tenant lines since commit 8887983
-//! ([`mgps_runtime::policy::Drr`]). The artifacts:
+//! multipliers (0.25×/0.5×/1×/2×/4×) through a deterministic model of the
+//! serve plane's job queue and writes two artifacts. The model's queue *is*
+//! serve's: a [`Drr`] built exactly as serve builds it — dispatch weights
+//! `tenant_weights`, bound `queue_cap` (`--job-queue`), serve's default
+//! shedding watermark and per-tenant cap — with W servers popping it in
+//! the order they come free. An arrival is refused when [`Drr::admits`]
+//! says no, so admission, dispatch order and per-tenant shares follow
+//! serve's rules. The artifacts:
 //!
 //! * the `mgps-loadtest/v1` JSON document, and
 //! * a self-contained HTML report (per-tenant latency CDFs, a
@@ -33,12 +34,10 @@
 //! keeps the same invariant the checker enforces on real logs: the four
 //! terms partition the job's wall time exactly.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 
 use mgps_obs::htmlkit::{esc, Page};
+use mgps_runtime::policy::Drr;
 use minijson::Value;
 
 /// The rate multipliers every load test sweeps, in report order. The 1×
@@ -77,11 +76,9 @@ pub struct LoadgenConfig {
     /// Admission-queue bound — matches `serve --job-queue`.
     pub queue_cap: usize,
     /// Per-tenant weights, as `serve --tenant-weights` takes them; empty
-    /// means equal. They only normalize the fairness verdict — each
-    /// tenant's admitted share is divided by its weight, so a 4:1 split
-    /// serving tenant 0 four jobs for every one of tenant 1 scores as
-    /// perfectly fair. The global-FIFO model dispatches the same way
-    /// whatever they are.
+    /// means equal. They are the model queue's deficit-round-robin
+    /// dispatch shares, as in serve, and they normalize the fairness
+    /// verdict: each tenant's admitted share is divided by its weight.
     pub tenant_weights: Vec<u64>,
 }
 
@@ -166,7 +163,7 @@ pub fn offered_jobs(cfg: &LoadgenConfig, index: usize) -> Vec<OfferedJob> {
 /// One admitted job's modeled life, in the serve plane's vocabulary.
 /// The four granularity terms partition the wall time exactly:
 /// `t_queue + t_dispatch + t_kernel + t_reduce == wall_ns()`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelJob {
     /// Sequential job id within the run.
     pub job: u64,
@@ -194,18 +191,26 @@ impl ModelJob {
     pub fn completion_ns(&self) -> u64 {
         self.arrival_ns + self.wall_ns()
     }
-}
 
-/// Split a service demand into the three execution terms, exactly:
-/// 5% dispatch, 10% reduce, remainder kernel.
-fn split_service(service_ns: u64) -> (u64, u64, u64) {
-    let dispatch = service_ns / 20;
-    let reduce = service_ns / 10;
-    (dispatch, service_ns - dispatch - reduce, reduce)
+    /// Job `job` admitted from `o`, not yet started: its service demand
+    /// split exactly into 5% dispatch, 10% reduce, remainder kernel.
+    fn admitted(job: u64, o: &OfferedJob) -> ModelJob {
+        let t_dispatch_ns = o.service_ns / 20;
+        let t_reduce_ns = o.service_ns / 10;
+        ModelJob {
+            job,
+            tenant: o.tenant,
+            arrival_ns: o.arrival_ns,
+            t_queue_ns: 0,
+            t_dispatch_ns,
+            t_kernel_ns: o.service_ns - t_dispatch_ns - t_reduce_ns,
+            t_reduce_ns,
+        }
+    }
 }
 
 /// The outcome of the queueing model at one rate multiplier.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateRun {
     /// Rate multiplier this run modeled.
     pub multiplier: f64,
@@ -245,52 +250,51 @@ pub fn exact_quantile(sorted: &[u64], q: f64) -> Option<f64> {
     Some(sorted[lo] as f64 * (1.0 - frac) + sorted[hi] as f64 * frac)
 }
 
-/// Run the W-server bounded-queue FIFO model over one arrival schedule.
+/// Run serve's admission queue over one arrival schedule: W servers
+/// popping a [`Drr`] built as `serve` builds its job queue.
 fn simulate(cfg: &LoadgenConfig, index: usize) -> RateRun {
     let offered = offered_jobs(cfg, index);
+    let mut drr = Drr::new(cfg.tenant_weights.clone()).bounded(cfg.queue_cap, None, None);
     let mut free = vec![0u64; cfg.workers.max(1)];
-    // Start instants of admitted-but-not-yet-started jobs, FIFO. In a
-    // FIFO multi-server queue start instants are non-decreasing, so the
-    // occupancy at any arrival is a suffix of this deque.
-    let mut waiting: VecDeque<u64> = VecDeque::new();
-    let cap = cfg.queue_cap.max(1);
     let mut jobs = Vec::new();
     let mut rejected = 0usize;
     let mut max_depth = 0usize;
     for o in &offered {
-        while waiting.front().is_some_and(|&s| s <= o.arrival_ns) {
-            waiting.pop_front();
-        }
-        if waiting.len() >= cap {
+        drain(&mut drr, &mut free, &mut jobs, o.arrival_ns);
+        if !drr.admits(o.tenant) {
             rejected += 1;
             continue;
         }
-        // First idlest server; ties break on the lowest index, so the
-        // assignment is deterministic.
-        let (w, earliest) = free
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|&(i, f)| (f, i))
-            .unwrap_or((0, 0));
-        let start = o.arrival_ns.max(earliest);
-        free[w] = start + o.service_ns;
-        if start > o.arrival_ns {
-            waiting.push_back(start);
-            max_depth = max_depth.max(waiting.len());
-        }
-        let (t_dispatch_ns, t_kernel_ns, t_reduce_ns) = split_service(o.service_ns);
-        jobs.push(ModelJob {
-            job: jobs.len() as u64,
-            tenant: o.tenant,
-            arrival_ns: o.arrival_ns,
-            t_queue_ns: start - o.arrival_ns,
-            t_dispatch_ns,
-            t_kernel_ns,
-            t_reduce_ns,
-        });
+        drr.push(o.tenant, jobs.len());
+        jobs.push(ModelJob::admitted(jobs.len() as u64, o));
+        drain(&mut drr, &mut free, &mut jobs, o.arrival_ns);
+        max_depth = max_depth.max(drr.len());
     }
+    drain(&mut drr, &mut free, &mut jobs, u64::MAX);
+    rate_run(cfg, index, offered.len(), jobs, rejected, max_depth)
+}
 
+/// Servers take queued jobs in the order they come free, ties to the
+/// lowest index, until the queue empties or no server is free by `until`.
+/// A job starts when its server is free and it has arrived.
+fn drain(drr: &mut Drr<usize>, free: &mut [u64], jobs: &mut [ModelJob], until: u64) {
+    while let Some(w) = (0..free.len()).min_by_key(|&w| free[w]).filter(|&w| free[w] <= until) {
+        let Some((_, id)) = drr.pop() else { return };
+        let job = &mut jobs[id];
+        job.t_queue_ns = free[w].saturating_sub(job.arrival_ns);
+        free[w] = job.completion_ns();
+    }
+}
+
+/// Fold one run's admitted jobs into its [`RateRun`].
+fn rate_run(
+    cfg: &LoadgenConfig,
+    index: usize,
+    offered: usize,
+    jobs: Vec<ModelJob>,
+    rejected: usize,
+    max_depth: usize,
+) -> RateRun {
     let horizon_ns = cfg.duration_ms.saturating_mul(1_000_000);
     let completed_in_horizon =
         jobs.iter().filter(|j| j.completion_ns() <= horizon_ns).count();
@@ -298,7 +302,7 @@ fn simulate(cfg: &LoadgenConfig, index: usize) -> RateRun {
     walls.sort_unstable();
     RateRun {
         multiplier: MULTIPLIERS[index],
-        offered: offered.len(),
+        offered,
         admitted: jobs.len(),
         rejected,
         completed_in_horizon,
@@ -892,8 +896,11 @@ pub struct LiveSummary {
 /// Replay the 1× arrival schedule as live `POST /jobs` traffic against
 /// `url` (`HOST:PORT`). Pacing uses the host clock, so outcomes are
 /// timing-dependent — they report to stdout only and never feed the
-/// byte-deterministic artifacts.
+/// byte-deterministic artifacts. Each POST goes through
+/// [`crate::serve::http_request`], so a server that accepts and never
+/// answers fails that POST after the client timeout instead of hanging.
 pub fn drive(url: &str, cfg: &LoadgenConfig) -> Result<LiveSummary, String> {
+    let post_job = |body: &str| crate::serve::http_request(url, "POST", "/jobs", body);
     let schedule = offered_jobs(cfg, ONE_X);
     let start = std::time::Instant::now();
     let mut sum = LiveSummary::default();
@@ -908,9 +915,9 @@ pub fn drive(url: &str, cfg: &LoadgenConfig) -> Result<LiveSummary, String> {
         // serve plane's clamps.
         let sites = (o.service_ns / 4_000).clamp(16, 8192);
         let body = format!("taxa=8&sites={sites}&bootstraps=1&tenant={}", o.tenant);
-        match post_job(url, &body) {
-            Ok((202, _)) => sum.admitted += 1,
-            Ok((429, retry_after_s)) => {
+        match post_job(&body) {
+            Ok((202, _, _)) => sum.admitted += 1,
+            Ok((429, retry_after_s, _)) => {
                 // Honor the server's advice once, capped so one hot job
                 // cannot stall the whole open loop, with seeded jitter to
                 // decorrelate a burst of rejected arrivals.
@@ -919,13 +926,13 @@ pub fn drive(url: &str, cfg: &LoadgenConfig) -> Result<LiveSummary, String> {
                 let backoff_ms = advised_ms.min(25) + jitter.next() % (1 + index as u64 % 5);
                 std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
                 sum.retried += 1;
-                match post_job(url, &body) {
-                    Ok((202, _)) => sum.recovered += 1,
-                    Ok((429 | 503, _)) => {}
+                match post_job(&body) {
+                    Ok((202, _, _)) => sum.recovered += 1,
+                    Ok((429 | 503, _, _)) => {}
                     _ => sum.errors += 1,
                 }
             }
-            Ok((503, _)) => sum.draining += 1,
+            Ok((503, _, _)) => sum.draining += 1,
             _ => sum.errors += 1,
         }
     }
@@ -935,35 +942,58 @@ pub fn drive(url: &str, cfg: &LoadgenConfig) -> Result<LiveSummary, String> {
     Ok(sum)
 }
 
-/// One `POST /jobs` round-trip; returns the response status code and the
-/// `Retry-After` header in seconds when the server sent one.
-fn post_job(url: &str, body: &str) -> Result<(u16, Option<u64>), String> {
-    let mut stream = TcpStream::connect(url).map_err(|e| format!("{url}: {e}"))?;
-    let request = format!(
-        "POST /jobs HTTP/1.1\r\nHost: {url}\r\nContent-Type: application/x-www-form-urlencoded\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    stream.write_all(request.as_bytes()).map_err(|e| e.to_string())?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response).map_err(|e| e.to_string())?;
-    let status = response
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|rest| rest.get(..3))
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| format!("malformed response: {response:?}"))?;
-    let retry_after = response
-        .split("\r\n")
-        .take_while(|line| !line.is_empty())
-        .find_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            name.eq_ignore_ascii_case("retry-after").then(|| value.trim().parse().ok())?
-        });
-    Ok((status, retry_after))
+/// The pre-`Drr` model — W servers draining one global FIFO — kept as the
+/// differential oracle: with one tenant DRR is FIFO, so [`simulate`] must
+/// reproduce it exactly.
+#[cfg(test)]
+mod classic {
+    use std::collections::VecDeque;
+
+    use super::*;
+
+    pub fn simulate(cfg: &LoadgenConfig, index: usize) -> RateRun {
+        let offered = offered_jobs(cfg, index);
+        let mut free = vec![0u64; cfg.workers.max(1)];
+        // Start instants of admitted-but-not-yet-started jobs. In a FIFO
+        // multi-server queue start instants are non-decreasing, so the
+        // occupancy at any arrival is a suffix of this deque.
+        let mut waiting: VecDeque<u64> = VecDeque::new();
+        let cap = cfg.queue_cap.max(1);
+        let mut jobs = Vec::new();
+        let mut rejected = 0usize;
+        let mut max_depth = 0usize;
+        for o in &offered {
+            while waiting.front().is_some_and(|&s| s <= o.arrival_ns) {
+                waiting.pop_front();
+            }
+            if waiting.len() >= cap {
+                rejected += 1;
+                continue;
+            }
+            let (w, earliest) = free
+                .iter()
+                .copied()
+                .enumerate()
+                .min_by_key(|&(i, f)| (f, i))
+                .unwrap_or((0, 0));
+            let start = o.arrival_ns.max(earliest);
+            free[w] = start + o.service_ns;
+            if start > o.arrival_ns {
+                waiting.push_back(start);
+                max_depth = max_depth.max(waiting.len());
+            }
+            let mut job = ModelJob::admitted(jobs.len() as u64, o);
+            job.t_queue_ns = start - o.arrival_ns;
+            jobs.push(job);
+        }
+        rate_run(cfg, index, offered.len(), jobs, rejected, max_depth)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn small() -> LoadgenConfig {
@@ -1133,6 +1163,78 @@ mod tests {
         let mut it = offered.iter();
         for j in &modeled.jobs {
             assert!(it.any(|o| o.arrival_ns == j.arrival_ns && o.tenant == j.tenant));
+        }
+    }
+
+    /// Median wall time of `tenant`'s admitted jobs in `run`.
+    fn tenant_p50(run: &RateRun, tenant: usize) -> f64 {
+        let mut walls: Vec<u64> =
+            run.jobs.iter().filter(|j| j.tenant == tenant).map(ModelJob::wall_ns).collect();
+        walls.sort_unstable();
+        exact_quantile(&walls, 0.5).expect("tenant admitted jobs")
+    }
+
+    /// Under a global FIFO the two tenants' traffic is exchangeable, so
+    /// their medians sit within a few percent of each other. Serve's DRR
+    /// pops four weight-4 jobs per weight-1 job, so in the overloaded 4×
+    /// run the light tenant waits several times longer.
+    #[test]
+    fn tenant_weights_drive_dispatch() {
+        let cfg = LoadgenConfig {
+            duration_ms: 400,
+            tenants: 2,
+            tenant_weights: vec![4, 1],
+            ..LoadgenConfig::default()
+        };
+        let run = &run_loadtest(&cfg).curve[4];
+        let (heavy, light) = (tenant_p50(run, 0), tenant_p50(run, 1));
+        assert!(2.0 * heavy < light, "weight-4 p50 {heavy} ns vs weight-1 p50 {light} ns");
+    }
+
+    #[test]
+    fn drive_fails_on_a_silent_server_instead_of_hanging() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let cfg = LoadgenConfig { rate: 1.0, duration_ms: 1_000, seed: 2, ..small() };
+        assert_eq!(offered_jobs(&cfg, ONE_X).len(), 1, "the schedule should hold one POST");
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            // Accept the one POST and hold it unanswered until drive gives up.
+            s.spawn(move || {
+                let held = listener.accept();
+                finished.recv().ok();
+                drop(held);
+            });
+            let start = std::time::Instant::now();
+            let outcome = drive(&addr, &cfg);
+            let elapsed = start.elapsed();
+            done.send(()).unwrap();
+            assert!(outcome.is_err(), "{outcome:?}");
+            assert!(elapsed < std::time::Duration::from_secs(10), "{elapsed:?}");
+        });
+    }
+
+    proptest! {
+        /// With one tenant DRR is FIFO: every run of serve's queue equals
+        /// the global-FIFO oracle's, job for job.
+        #[test]
+        fn one_tenant_drr_matches_the_global_fifo_model(
+            seed in 0u64..=u64::MAX,
+            rate in 50.0f64..6_000.0,
+            workers in 1usize..=4,
+            queue_cap in 1usize..=16,
+            index in 0..MULTIPLIERS.len(),
+        ) {
+            let cfg = LoadgenConfig {
+                rate,
+                duration_ms: 200,
+                seed,
+                tenants: 1,
+                workers,
+                queue_cap,
+                tenant_weights: Vec::new(),
+            };
+            prop_assert_eq!(simulate(&cfg, index), classic::simulate(&cfg, index));
         }
     }
 }

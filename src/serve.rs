@@ -1599,23 +1599,51 @@ pub struct TopConfig {
     pub plain: bool,
 }
 
-/// Fetch `path` from `addr` over a one-shot HTTP/1.1 GET.
-pub fn http_get(addr: &str, path: &str) -> Result<String, String> {
+/// One-shot HTTP/1.1 exchange with `addr` (`host:port`, scheme optional):
+/// send `method path` with `body`, return the status code, the
+/// `Retry-After` header in seconds when the server sent one, and the
+/// response body. A server that accepts and never answers fails the read
+/// after 5 s.
+pub fn http_request(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> Result<(u16, Option<u64>, String), String> {
     let addr = addr.trim_start_matches("http://").trim_end_matches('/');
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
-    let req = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
+    let req = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len(),
+    );
     stream.write_all(req.as_bytes()).map_err(|e| format!("send: {e}"))?;
     let mut raw = String::new();
-    stream.read_to_string(&mut raw).map_err(|e| format!("read: {e}"))?;
-    let Some((head, body)) = raw.split_once("\r\n\r\n") else {
-        return Err("malformed HTTP response".to_string());
-    };
-    let status = head.lines().next().unwrap_or("");
-    if !status.contains("200") {
-        return Err(format!("{addr}{path}: {status}"));
+    stream.read_to_string(&mut raw).map_err(|e| format!("read {addr}{path}: {e}"))?;
+    let malformed = || format!("{addr}{path}: malformed HTTP response {raw:?}");
+    let (head, payload) = raw.split_once("\r\n\r\n").ok_or_else(malformed)?;
+    let mut lines = head.split("\r\n");
+    let status = lines
+        .next()
+        .and_then(|line| line.strip_prefix("HTTP/1.1 "))
+        .and_then(|rest| rest.get(..3))
+        .and_then(|code| code.parse().ok())
+        .ok_or_else(malformed)?;
+    let retry_after = lines.find_map(|line| {
+        let (name, value) = line.split_once(':')?;
+        name.eq_ignore_ascii_case("retry-after").then(|| value.trim().parse().ok())?
+    });
+    Ok((status, retry_after, payload.to_string()))
+}
+
+/// Fetch `path` from `addr` over a one-shot HTTP/1.1 GET; anything but a
+/// `200` is an error.
+pub fn http_get(addr: &str, path: &str) -> Result<String, String> {
+    match http_request(addr, "GET", path, "")? {
+        (200, _, body) => Ok(body),
+        (status, _, _) => Err(format!("{addr}{path}: HTTP {status}")),
     }
-    Ok(body.to_string())
 }
 
 /// Cross-frame accumulation for the `top` renderer: busy samples for the
