@@ -63,11 +63,17 @@
 //! count, which the decision stream cannot see), and a rejection's
 //! recorded depth may exceed the declared bound (job retries re-enter the
 //! queue past the admission gate).
+//!
+//! Names are not checked here. A verdict's kernel, an injected fault's
+//! kind and a health alarm's slug and severity are typed in the event
+//! table (`KernelKind`, `FaultKind`, `AlarmKind`, `Severity`), so
+//! [`RunLog::from_value`] refuses an unknown slug as a mistyped field and
+//! no log the checker can be handed holds one.
 
 use std::collections::{BTreeMap, HashMap};
 
 use cellsim::event::{EventKind, MailboxKind, RunLog, SchedulerTag, SwitchReason};
-use mgps_runtime::faults::{FaultKind, FaultPlan};
+use mgps_runtime::faults::FaultPlan;
 use mgps_runtime::policy::Drr;
 use mgps_runtime::tracing::TraceLog;
 
@@ -431,46 +437,13 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
                 );
                 expected_degree = *degree;
             }
-            EventKind::Health { alarm, severity, .. } => {
-                // Informational, but its vocabulary is closed: an unknown
-                // alarm or severity slug means a producer drifted from the
-                // schema.
-                const ALARMS: [&str; 6] = [
-                    "utilization_collapse",
-                    "stall_spike",
-                    "ring_drop",
-                    "quarantine_storm",
-                    "latency_slo_burn",
-                    "tenant_starvation",
-                ];
-                if !ALARMS.contains(&alarm.as_str()) {
-                    v.push(Violation {
-                        rule: "health-schema",
-                        seq: Some(e.seq),
-                        message: format!("unknown health alarm slug '{alarm}'"),
-                    });
-                }
-                if severity != "warning" && severity != "critical" {
-                    v.push(Violation {
-                        rule: "health-schema",
-                        seq: Some(e.seq),
-                        message: format!("unknown health severity '{severity}'"),
-                    });
-                }
-            }
+            // Informational, and its alarm and severity are closed
+            // vocabularies the decoder already enforces: nothing to check.
+            EventKind::Health { .. } => {}
             EventKind::GranularityVerdict { kernel, offload, throttled, reprobe } => {
-                // Informational, like Health, but with a closed kernel
-                // vocabulary and internally consistent flags: a re-probe is
-                // by definition a granted off-load, and a PPE verdict only
-                // happens to a throttled kernel.
-                const KERNELS: [&str; 3] = ["newview", "makenewz", "evaluate"];
-                if !KERNELS.contains(&kernel.as_str()) {
-                    v.push(Violation {
-                        rule: "granularity-schema",
-                        seq: Some(e.seq),
-                        message: format!("unknown kernel slug '{kernel}' in granularity verdict"),
-                    });
-                }
+                // Informational, but with internally consistent flags: a
+                // re-probe is by definition a granted off-load, and a PPE
+                // verdict only happens to a throttled kernel.
                 if *reprobe && !offload {
                     v.push(Violation {
                         rule: "granularity-schema",
@@ -490,7 +463,7 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
                     });
                 }
             }
-            EventKind::FaultInjected { spe, task, fault, attempt } => {
+            EventKind::FaultInjected { spe, task, attempt, .. } => {
                 if !armed {
                     v.push(Violation {
                         rule: "fault-recovery",
@@ -509,13 +482,6 @@ pub fn check_run_with(log: &RunLog, mode: CheckMode) -> CheckReport {
                         message: format!(
                             "fault on SPE {spe} while it is quarantined (must not be granted work)"
                         ),
-                    });
-                }
-                if FaultKind::from_name(fault).is_none() {
-                    v.push(Violation {
-                        rule: "fault-recovery",
-                        seq: Some(e.seq),
-                        message: format!("unknown fault kind slug '{fault}'"),
                     });
                 }
                 if !offloaded.contains_key(task) {

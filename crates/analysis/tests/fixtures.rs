@@ -2,7 +2,7 @@
 //! seeded corruptions must each trip exactly the invariant they break,
 //! and replay must be digest-deterministic in the seed.
 
-use cellsim::event::{EventKind, EventRecord, RunLog, SchedulerTag, SwitchReason};
+use cellsim::event::{EventKind, EventRecord, FaultKind, RunLog, SchedulerTag, SwitchReason};
 use cellsim::machine::{run, SimConfig};
 use mgps_analysis::{check_run, trace_digest};
 use mgps_runtime::faults::FaultPlan;
@@ -244,9 +244,9 @@ fn faulted_log() -> RunLog {
     log.fault_policy = Some(plan.to_spec());
     let tail = vec![
         (91, EventKind::Offload { proc: 1, task: 1 }),
-        (95, EventKind::FaultInjected { spe: 1, task: 1, fault: "spe_stall".into(), attempt: 0 }),
+        (95, EventKind::FaultInjected { spe: 1, task: 1, fault: FaultKind::SpeStall, attempt: 0 }),
         (100, EventKind::OffloadRetry { task: 1, attempt: 1, backoff_ns: plan.backoff_ns(1, 1) }),
-        (105, EventKind::FaultInjected { spe: 1, task: 1, fault: "spe_crash".into(), attempt: 1 }),
+        (105, EventKind::FaultInjected { spe: 1, task: 1, fault: FaultKind::SpeCrash, attempt: 1 }),
         (110, EventKind::PpeFallback { proc: 1, task: 1, attempts: 2 }),
     ];
     let base = log.events.len();

@@ -21,7 +21,9 @@
 
 use minijson::{Sink, Value, Writer};
 
-pub use mgps_runtime::events::{EventKind, MailboxKind, SwitchReason};
+pub use mgps_runtime::events::{
+    AlarmKind, EventKind, FaultKind, KernelKind, MailboxKind, Severity, SwitchReason,
+};
 
 /// An [`EventKind`] stamped with its emission order and simulated time.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,29 +184,32 @@ impl Field for String {
     }
 }
 
-impl Field for SwitchReason {
-    fn encode(&self) -> Value {
-        self.as_str().encode()
-    }
-    fn stream<S: Sink>(&self, w: &mut Writer<S>) {
-        w.str(self.as_str());
-    }
-    fn decode(v: &Value) -> Option<SwitchReason> {
-        v.as_str().and_then(SwitchReason::from_slug)
-    }
+/// Every slug enum of the vocabulary is its slug: one JSON string, and an
+/// unknown slug does not decode.
+macro_rules! slug_fields {
+    ($($slug:ty),*) => { $(
+        impl Field for $slug {
+            fn encode(&self) -> Value {
+                self.as_str().encode()
+            }
+            fn stream<S: Sink>(&self, w: &mut Writer<S>) {
+                w.str(self.as_str());
+            }
+            fn decode(v: &Value) -> Option<$slug> {
+                v.as_str().and_then(<$slug>::from_slug)
+            }
+        }
+
+        #[cfg(test)]
+        impl tests::Arb for $slug {
+            fn arb(rng: &mut proptest::prelude::TestRng) -> $slug {
+                <$slug>::ALL[rng.below(<$slug>::ALL.len() as u64) as usize]
+            }
+        }
+    )* };
 }
 
-impl Field for MailboxKind {
-    fn encode(&self) -> Value {
-        self.as_str().encode()
-    }
-    fn stream<S: Sink>(&self, w: &mut Writer<S>) {
-        w.str(self.as_str());
-    }
-    fn decode(v: &Value) -> Option<MailboxKind> {
-        v.as_str().and_then(MailboxKind::from_slug)
-    }
-}
+slug_fields!(SwitchReason, MailboxKind, KernelKind, FaultKind, AlarmKind, Severity);
 
 impl<T: Field> Field for Vec<T> {
     fn encode(&self) -> Value {
@@ -458,7 +463,7 @@ mod tests {
     const MAX_JSON_INT: u64 = 1 << 53;
 
     /// A generated value of one field type of the event table.
-    trait Arb {
+    pub(super) trait Arb {
         fn arb(rng: &mut TestRng) -> Self;
     }
 
@@ -491,19 +496,6 @@ mod tests {
             const ALPHABET: [char; 12] =
                 ['a', 'Z', '_', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', 'π', '🦀'];
             (0..rng.below(8)).map(|_| ALPHABET[rng.below(12) as usize]).collect()
-        }
-    }
-
-    impl Arb for SwitchReason {
-        fn arb(rng: &mut TestRng) -> SwitchReason {
-            [SwitchReason::Offload, SwitchReason::Quantum][rng.below(2) as usize]
-        }
-    }
-
-    impl Arb for MailboxKind {
-        fn arb(rng: &mut TestRng) -> MailboxKind {
-            [MailboxKind::Inbound, MailboxKind::Outbound, MailboxKind::OutboundInterrupt]
-                [rng.below(3) as usize]
         }
     }
 
@@ -728,9 +720,9 @@ mod tests {
                 EventKind::OffloadRetry { task: big, attempt: 1, backoff_ns: big },
                 EventKind::TaskStart { proc: 0, task: 1, degree: 2, team: vec![big as usize, 0] },
                 EventKind::Health {
-                    alarm: nasty.clone(),
-                    severity: String::new(),
-                    detail: "plain".into(),
+                    alarm: AlarmKind::RingDrop,
+                    severity: Severity::Critical,
+                    detail: nasty.clone(),
                 },
             ] {
                 log.events.push(EventRecord { seq: big, at_ns: big, kind });
@@ -860,6 +852,31 @@ mod tests {
         assert!(mixed.unwrap_err().contains("tenant_weights"));
         let clean = decode_with(&text, r#""seed":42"#, r#""tenant_weights":[1,2,3]"#).unwrap();
         assert_eq!(clean.tenant_weights, Some(vec![1, 2, 3]));
+    }
+
+    /// `sample_log` with three named-decision records appended, as text.
+    fn named_decisions(kernel: &str, fault: &str, alarm: &str, severity: &str) -> String {
+        let records = format!(
+            r#"{{"seq":4,"at_ns":13,"type":"granularity_verdict","kernel":"{kernel}","offload":true,"throttled":false,"reprobe":false}},{{"seq":5,"at_ns":14,"type":"fault_injected","spe":0,"task":0,"fault":"{fault}","attempt":0}},{{"seq":6,"at_ns":15,"type":"health","alarm":"{alarm}","severity":"{severity}","detail":"d"}}"#
+        );
+        sample_log().to_json().replacen("]}", &format!(",{records}]}}"), 1)
+    }
+
+    #[test]
+    fn an_unknown_name_is_refused_at_decode_as_a_mistyped_field() {
+        let decode = |text: &str| RunLog::from_value(&minijson::parse(text).unwrap());
+        let good = named_decisions("makenewz", "spe_stall", "ring_drop", "critical");
+        assert_eq!(decode(&good).unwrap().to_json(), good, "slugs re-encode byte for byte");
+        // A spec alias names no fault in a log: only `FaultPlan::parse`
+        // reads `stall`.
+        for (text, field) in [
+            (named_decisions("ppe_copy", "spe_stall", "ring_drop", "critical"), "kernel"),
+            (named_decisions("makenewz", "stall", "ring_drop", "critical"), "fault"),
+            (named_decisions("makenewz", "spe_stall", "ring_overflow", "critical"), "alarm"),
+            (named_decisions("makenewz", "spe_stall", "ring_drop", "fatal"), "severity"),
+        ] {
+            assert_eq!(decode(&text).unwrap_err(), format!("mistyped field '{field}'"));
+        }
     }
 
     #[test]

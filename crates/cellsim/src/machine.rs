@@ -763,19 +763,10 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
             // the watchdog must reclaim.
             m.fault_stats.injected += 1;
             m.consec_faults[lead] += 1;
-            // The record names the fault as a `String`: build it only for a
-            // log, so an unrecorded faulted run allocates nothing per fault.
-            if m.cfg.record_events {
-                m.emit(
-                    now_ns,
-                    EventKind::FaultInjected {
-                        spe: lead,
-                        task,
-                        fault: fault.name().to_string(),
-                        attempt: u64::from(attempt),
-                    },
-                );
-            }
+            m.emit(
+                now_ns,
+                EventKind::FaultInjected { spe: lead, task, fault, attempt: u64::from(attempt) },
+            );
             m.procs[p].phase = Phase::OnSpe;
             let hint = m.min_task_ns.unwrap_or(drawn_ns);
             let watchdog = SimDuration::from_nanos(m.cfg.faults.watchdog_ns(hint));
@@ -870,7 +861,7 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
             m.emit(
                 now_ns,
                 EventKind::GranularityVerdict {
-                    kernel: kind.name().to_string(),
+                    kernel: kind,
                     offload,
                     throttled: !offload,
                     reprobe: false,

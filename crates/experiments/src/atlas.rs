@@ -2,7 +2,7 @@
 //!
 //! [`sweep`] enumerates every cell of a [`GridSpec`] — the cross product
 //! of (task size × arrival rate × loop width × scheduler) — and runs each
-//! through [`checked_run`], so every number in the atlas comes from an
+//! through [`checked_run`](crate::checked_run), so every number in the atlas comes from an
 //! invariant-checked log. Per-cell seeds derive deterministically from
 //! the atlas seed and the cell index ([`cell_seed`]), so a shard of the
 //! grid runs exactly the cells — with exactly the seeds — the full sweep
@@ -22,7 +22,7 @@ use mgps_obs::CriticalPath;
 use mgps_runtime::faults::FaultPlan;
 use mgps_runtime::policy::SchedulerKind;
 
-use crate::checked::{checked_run, tally};
+use crate::checked::checked_run_counted;
 
 /// Parameters of one atlas sweep.
 #[derive(Debug, Clone)]
@@ -125,11 +125,7 @@ fn run_cell(cfg: &SweepConfig, point: PointCoords, slug: &str, index: usize) -> 
     sim.workload.ppe_gap = SimDuration::from_nanos(point.ppe_gap_ns);
     sim.workload.loop_iters = point.loop_iters;
 
-    // The checker folds its verdicts into the global tally; the length
-    // delta isolates this cell's violations.
-    let before = tally().violations.len();
-    let report = checked_run(sim);
-    let violations = tally().violations.len() - before;
+    let (report, violations) = checked_run_counted(sim);
 
     let mut cell = CellRecord {
         point,

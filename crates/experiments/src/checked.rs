@@ -31,7 +31,14 @@ static TALLY: Mutex<CheckTally> =
 ///
 /// Drop-in replacement for [`cellsim::machine::run`]; the returned report
 /// additionally carries the recorded `run_log`.
-pub fn checked_run(mut cfg: SimConfig) -> RunReport {
+pub fn checked_run(cfg: SimConfig) -> RunReport {
+    checked_run_counted(cfg).0
+}
+
+/// [`checked_run`], also returning how many violations this run added
+/// to the tally (a delta of the shared tally would count concurrent
+/// runs' violations too).
+pub(crate) fn checked_run_counted(mut cfg: SimConfig) -> (RunReport, usize) {
     cfg.record_events = true;
     let report = run(cfg);
     let log = report.run_log.as_ref().expect("record_events was set");
@@ -44,7 +51,7 @@ pub fn checked_run(mut cfg: SimConfig) -> RunReport {
         eprintln!("invariant violation: {line}");
         t.violations.push(line);
     }
-    report
+    (report, check.violations.len())
 }
 
 /// Snapshot the global tally.

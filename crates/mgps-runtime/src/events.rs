@@ -14,6 +14,12 @@
 //! its property-test strategies, and `mgps-lint` reads the table's
 //! variant list for its coverage matrix.
 //!
+//! A field that names something — a switch reason, a mailbox, a kernel,
+//! a fault kind, an alarm and its severity — holds the runtime's own
+//! `slug_enum!` type, never a `String`: the slug is spelled once, in
+//! that enum's declaration, and a log naming anything else does not
+//! decode. `Health.detail` is the table's only free text.
+//!
 //! ## Adding an event
 //!
 //! 1. add a row to the table below (name, tag, rank, documented fields);
@@ -41,17 +47,28 @@
 //! decision (17) an off-load triggers close the instant; health alarms
 //! (18) are commentary on everything before them.
 
-/// Declares a `Copy` enum of unit variants, each with a stable JSON slug.
+pub use crate::faults::FaultKind;
+pub use crate::policy::KernelKind;
+
+/// Declares a `Copy` enum of unit variants, each with a stable JSON slug:
+/// the one place a name in the event vocabulary is spelled. The enum gets
+/// `ALL` (declaration order), [`as_str`](SwitchReason::as_str),
+/// [`from_slug`](SwitchReason::from_slug) and a `Display` that writes the
+/// slug; `cellsim::event` gives every slug enum one JSON codec.
 macro_rules! slug_enum {
     (
         $(#[$meta:meta])*
         pub enum $name:ident { $( $(#[$vmeta:meta])* $variant:ident = $slug:literal ),* $(,)? }
     ) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         pub enum $name { $( $(#[$vmeta])* $variant ),* }
 
         impl $name {
+            /// Every value, in declaration order.
+            pub const ALL: [$name; 0 $( + $crate::events::slug_enum!(@one $variant) )*] =
+                [$( $name::$variant ),*];
+
             /// The stable slug this value serializes as.
             pub fn as_str(self) -> &'static str {
                 match self { $( $name::$variant => $slug ),* }
@@ -62,8 +79,16 @@ macro_rules! slug_enum {
                 match s { $( $slug => Some($name::$variant), )* _ => None }
             }
         }
+
+        impl std::fmt::Display for $name {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(self.as_str())
+            }
+        }
     };
+    (@one $variant:ident) => { 1 };
 }
+pub(crate) use slug_enum;
 
 slug_enum! {
     /// Why a process lost its PPE context.
@@ -86,6 +111,61 @@ slug_enum! {
         Outbound = "outbound",
         /// SPU → PPE interrupting mailbox (1 entry).
         OutboundInterrupt = "outbound_interrupt",
+    }
+}
+
+slug_enum! {
+    /// The closed set of alarms the online health detector (`mgps-obs`)
+    /// can raise, in rendering order.
+    pub enum AlarmKind {
+        /// `U` stayed at or below the MGPS threshold for `k` consecutive
+        /// windows while the LLP degree stayed throttled at 1: the machine
+        /// is underutilized and the controller cannot widen (the
+        /// starved-gate signature — many waiters, no concurrency).
+        UtilizationCollapse = "utilization_collapse",
+        /// Mailbox/off-load-queue stalls in one snapshot interval jumped
+        /// far above the rolling baseline.
+        StallSpike = "stall_spike",
+        /// A trace ring overflowed and dropped events: every downstream
+        /// fold of this run is now incomplete.
+        RingDrop = "ring_drop",
+        /// Several SPEs were quarantined within one snapshot interval: the
+        /// machine is shedding compute capacity faster than re-admission
+        /// can restore it (the fault plane's signature failure pattern).
+        QuarantineStorm = "quarantine_storm",
+        /// The serve plane's job p99 latency (estimated from the
+        /// `JobTotalNs` bucket deltas of one telemetry window) sat above
+        /// the SLO — and above the EWMA baseline by the spike factor once
+        /// a baseline exists — for `k` consecutive windows: the service is
+        /// burning its latency budget, not just seeing one slow job.
+        LatencySloBurn = "latency_slo_burn",
+        /// A tenant held queued jobs across `k` consecutive telemetry
+        /// windows without the dispatcher starting a single one of them:
+        /// the fair-share scheduler is not delivering this tenant's
+        /// configured weight (a misconfiguration or an overload so deep
+        /// even round-robin cannot reach the tenant).
+        TenantStarvation = "tenant_starvation",
+    }
+}
+
+slug_enum! {
+    /// How bad a health alarm is.
+    pub enum Severity {
+        /// A performance pathology.
+        Warning = "warning",
+        /// The record itself is damaged.
+        Critical = "critical",
+    }
+}
+
+impl AlarmKind {
+    /// Ring drops corrupt the record (critical); the others describe
+    /// performance pathologies (warning).
+    pub fn severity(self) -> Severity {
+        match self {
+            AlarmKind::RingDrop => Severity::Critical,
+            _ => Severity::Warning,
+        }
     }
 }
 
@@ -243,14 +323,13 @@ pub enum EventKind {
         window_fill: usize,
     },
     /// The online health detector (`mgps-obs`) raised an alarm while the run
-    /// was live. Informational: the checker verifies its shape but it places
-    /// no scheduling constraint; reports surface it prominently.
+    /// was live. Informational: it places no scheduling constraint; reports
+    /// surface it prominently.
     Health = "health" @ 18 {
-        /// Stable alarm slug (`utilization_collapse`, `stall_spike`,
-        /// `ring_drop`, `quarantine_storm`, …).
-        alarm: String,
-        /// `warning` or `critical`.
-        severity: String,
+        /// What fired.
+        alarm: AlarmKind,
+        /// How bad it is.
+        severity: Severity,
         /// Human-readable explanation of what tripped.
         detail: String,
     },
@@ -264,9 +343,8 @@ pub enum EventKind {
         spe: usize,
         /// The faulted task.
         task: u64,
-        /// Stable fault-kind slug (`spe_stall`, `spe_crash`, `dma_error`,
-        /// `mailbox_drop`).
-        fault: String,
+        /// What was injected.
+        fault: FaultKind,
         /// Off-load attempt number (0 = original off-load).
         attempt: u64,
     },
@@ -409,12 +487,12 @@ pub enum EventKind {
         queue_cap: usize,
     },
     /// The granularity controller ruled on where a kernel invocation runs (the
-    /// §5.2 inequality `t_spe + t_code + 2·t_comm < t_ppe`). Informational,
-    /// like `Health`: the checker verifies its shape but it places no
-    /// scheduling constraint.
+    /// §5.2 inequality `t_spe + t_code + 2·t_comm < t_ppe`). Informational:
+    /// the checker verifies its flags agree but it places no scheduling
+    /// constraint.
     GranularityVerdict = "granularity_verdict" @ 3 {
-        /// Kernel slug (`newview`, `makenewz`, `evaluate`).
-        kernel: String,
+        /// The kernel ruled on.
+        kernel: KernelKind,
         /// Whether the invocation was granted an SPE off-load.
         offload: bool,
         /// Whether the kernel is throttled after this verdict.

@@ -33,47 +33,28 @@ pub const MAX_PINS: usize = 8;
 /// Parts-per-million denominator for fault rates.
 pub const PPM: u64 = 1_000_000;
 
-/// The kinds of fault the plan can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FaultKind {
-    /// The lead SPE hangs: no progress until the watchdog fires.
-    SpeStall,
-    /// The lead SPE dies mid-assignment: the attempt is lost outright.
-    SpeCrash,
-    /// A transient DMA transfer error corrupts the argument fetch.
-    DmaError,
-    /// The start signal is dropped from the inbound mailbox.
-    MailboxDrop,
-}
-
-impl FaultKind {
-    /// Every kind, in injection-priority order (also the order rate
-    /// hashes are evaluated in, so the mapping spec → pattern is stable).
-    pub const ALL: [FaultKind; 4] =
-        [FaultKind::SpeStall, FaultKind::SpeCrash, FaultKind::DmaError, FaultKind::MailboxDrop];
-
-    /// Stable snake_case name used in RunLog events and fault specs.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::SpeStall => "spe_stall",
-            FaultKind::SpeCrash => "spe_crash",
-            FaultKind::DmaError => "dma_error",
-            FaultKind::MailboxDrop => "mailbox_drop",
-        }
-    }
-
-    /// Inverse of [`FaultKind::name`]; also accepts the short spec
-    /// aliases (`stall`, `crash`, `dma`, `mbox`).
-    pub fn from_name(s: &str) -> Option<FaultKind> {
-        match s {
-            "spe_stall" | "stall" => Some(FaultKind::SpeStall),
-            "spe_crash" | "crash" => Some(FaultKind::SpeCrash),
-            "dma_error" | "dma" => Some(FaultKind::DmaError),
-            "mailbox_drop" | "mbox" => Some(FaultKind::MailboxDrop),
-            _ => None,
-        }
+crate::events::slug_enum! {
+    /// The kinds of fault the plan can inject, declared in
+    /// injection-priority order (also the order rate hashes are evaluated
+    /// in, so the mapping spec → pattern is stable).
+    #[derive(PartialOrd, Ord)]
+    pub enum FaultKind {
+        /// The lead SPE hangs: no progress until the watchdog fires.
+        SpeStall = "spe_stall",
+        /// The lead SPE dies mid-assignment: the attempt is lost outright.
+        SpeCrash = "spe_crash",
+        /// A transient DMA transfer error corrupts the argument fetch.
+        DmaError = "dma_error",
+        /// The start signal is dropped from the inbound mailbox.
+        MailboxDrop = "mailbox_drop",
     }
 }
+
+/// The short name a fault spec gives each kind, in [`FaultKind::ALL`]
+/// order: its rate key (`stall=0.1`) and, beside the slug, a pin kind
+/// (`pin=crash@0`). Only a spec accepts these; a run log names a fault by
+/// its slug.
+const SPEC_NAMES: [&str; 4] = ["stall", "crash", "dma", "mbox"];
 
 /// How the runtime recovers from injected (or real) faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,12 +206,6 @@ impl FaultPlan {
         hint_ns.max(1).saturating_mul(self.policy.watchdog_factor.max(1))
     }
 
-    /// Index of `kind` in [`FaultKind::ALL`], or `None` if the table and
-    /// the enum ever drift apart.
-    fn kind_index(kind: FaultKind) -> Option<usize> {
-        FaultKind::ALL.iter().position(|k| *k == kind)
-    }
-
     /// Parse a fault spec: comma-separated `key=value` pairs.
     ///
     /// Keys: `seed=<u64>`, rates `stall=`/`crash=`/`dma=`/`mbox=`
@@ -247,30 +222,29 @@ impl FaultPlan {
         for pair in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, value) =
                 pair.split_once('=').ok_or_else(|| format!("expected key=value, got '{pair}'"))?;
+            if let Some(i) = SPEC_NAMES.iter().position(|n| *n == key) {
+                plan.rate_ppm[i] = parse_rate(key, value)?;
+                continue;
+            }
             match key {
                 "seed" => plan.seed = parse_num(key, value)?,
-                "stall" | "crash" | "dma" | "mbox" => {
-                    let kind = FaultKind::from_name(key)
-                        .ok_or_else(|| format!("unknown fault kind '{key}'"))?;
-                    let idx = Self::kind_index(kind)
-                        .ok_or_else(|| format!("fault kind '{key}' missing from ALL"))?;
-                    plan.rate_ppm[idx] = parse_rate(key, value)?;
-                }
                 "broken" => plan.broken_spes = parse_num(key, value)?,
                 "pin" => {
                     let (kname, task) = value
                         .split_once('@')
                         .ok_or_else(|| format!("pin wants <kind>@<task>, got '{value}'"))?;
-                    let kind = FaultKind::from_name(kname)
+                    let kind = FaultKind::from_slug(kname)
+                        .or_else(|| {
+                            let i = SPEC_NAMES.iter().position(|n| *n == kname)?;
+                            Some(FaultKind::ALL[i])
+                        })
                         .ok_or_else(|| format!("unknown fault kind '{kname}'"))?;
                     let i = plan.pin_len as usize;
                     if i >= MAX_PINS {
                         return Err(format!("too many pins (max {MAX_PINS})"));
                     }
                     plan.pin_task[i] = parse_num("pin task", task)?;
-                    plan.pin_kind[i] = Self::kind_index(kind)
-                        .ok_or_else(|| format!("fault kind '{kname}' missing from ALL"))?
-                        as u8;
+                    plan.pin_kind[i] = kind as u8;
                     plan.pin_len += 1;
                 }
                 "retries" => plan.policy.max_retries = parse_num(key, value)?,
@@ -300,15 +274,9 @@ impl FaultPlan {
     /// self-describing and the checker can rebuild the plan.
     pub fn to_spec(&self) -> String {
         let mut out = format!("seed={}", self.seed);
-        for (i, kind) in FaultKind::ALL.iter().enumerate() {
-            if self.rate_ppm[i] > 0 {
-                let short = match kind {
-                    FaultKind::SpeStall => "stall",
-                    FaultKind::SpeCrash => "crash",
-                    FaultKind::DmaError => "dma",
-                    FaultKind::MailboxDrop => "mbox",
-                };
-                out.push_str(&format!(",{short}={}", fmt_rate(self.rate_ppm[i])));
+        for (short, &ppm) in SPEC_NAMES.iter().zip(&self.rate_ppm) {
+            if ppm > 0 {
+                out.push_str(&format!(",{short}={}", fmt_rate(ppm)));
             }
         }
         if self.broken_spes > 0 {
@@ -316,7 +284,7 @@ impl FaultPlan {
         }
         for i in 0..self.pin_len as usize {
             let kind = FaultKind::ALL[self.pin_kind[i] as usize];
-            out.push_str(&format!(",pin={}@{}", kind.name(), self.pin_task[i]));
+            out.push_str(&format!(",pin={kind}@{}", self.pin_task[i]));
         }
         let p = &self.policy;
         out.push_str(&format!(

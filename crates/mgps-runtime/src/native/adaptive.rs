@@ -343,7 +343,7 @@ impl MgpsRuntime {
             t.record(EventKind::FaultInjected {
                 spe: lead,
                 task: task.0,
-                fault: kind.name().to_string(),
+                fault: kind,
                 attempt: u64::from(attempt),
             });
         }
@@ -637,7 +637,7 @@ impl ProcessCtx<'_> {
                 }
                 if let Some(t) = &self.trace {
                     t.record(EventKind::GranularityVerdict {
-                        kernel: kind.name().to_string(),
+                        kernel: kind,
                         offload: true,
                         throttled: now_throttled,
                         reprobe: was_throttled,
@@ -652,7 +652,7 @@ impl ProcessCtx<'_> {
                 rt.metrics.incr(Counter::KernelThrottles);
                 if let Some(t) = &self.trace {
                     t.record(EventKind::GranularityVerdict {
-                        kernel: kind.name().to_string(),
+                        kernel: kind,
                         offload: false,
                         throttled: true,
                         reprobe: false,

@@ -38,31 +38,32 @@ impl fmt::Display for TaskId {
     }
 }
 
-/// The three dominant RAxML kernels the paper off-loads (§5.1). The engine
-/// maps these to cost profiles (simulation) or real likelihood code
-/// (native execution).
-///
-/// Natively a request is a traversal, named for the kernel it ends in:
-/// `Evaluate` is "orient the tree, then evaluate", `MakeNewz` is "orient,
-/// then Newton steps until the edge's length converges" — what those two
-/// functions are in RAxML, whose `newview` calls nest inside them and
-/// never cross the PPE↔SPE boundary on their own. Only the simulator's
-/// workloads request a bare `NewView`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelKind {
-    /// `newview()`: post-order conditional likelihood update (76.8 % of
-    /// sequential runtime).
-    NewView,
-    /// `evaluate()`: log-likelihood at an edge (2.37 %).
-    Evaluate,
-    /// `makenewz()`: Newton–Raphson branch-length optimization (19.6 %).
-    MakeNewz,
+crate::events::slug_enum! {
+    /// The three dominant RAxML kernels the paper off-loads (§5.1). The engine
+    /// maps these to cost profiles (simulation) or real likelihood code
+    /// (native execution).
+    ///
+    /// Natively a request is a traversal, named for the kernel it ends in:
+    /// `Evaluate` is "orient the tree, then evaluate", `MakeNewz` is "orient,
+    /// then Newton steps until the edge's length converges" — what those two
+    /// functions are in RAxML, whose `newview` calls nest inside them and
+    /// never cross the PPE↔SPE boundary on their own. Only the simulator's
+    /// workloads request a bare `NewView`.
+    ///
+    /// Declared in the order the kernels dominate a bootstrap, which
+    /// `ALL` follows.
+    pub enum KernelKind {
+        /// `newview()`: post-order conditional likelihood update (76.8 % of
+        /// sequential runtime).
+        NewView = "newview",
+        /// `makenewz()`: Newton–Raphson branch-length optimization (19.6 %).
+        MakeNewz = "makenewz",
+        /// `evaluate()`: log-likelihood at an edge (2.37 %).
+        Evaluate = "evaluate",
+    }
 }
 
 impl KernelKind {
-    /// All kernels, in the order they dominate a bootstrap.
-    pub const ALL: [KernelKind; 3] = [KernelKind::NewView, KernelKind::MakeNewz, KernelKind::Evaluate];
-
     /// The paper's measured share of sequential execution time (gprof on
     /// Power, §5.1). These do not sum to 1.0; the remainder is
     /// non-offloadable PPE work.
@@ -72,21 +73,6 @@ impl KernelKind {
             KernelKind::Evaluate => 0.0237,
             KernelKind::MakeNewz => 0.196,
         }
-    }
-
-    /// Short lower-case name, as in the paper.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::NewView => "newview",
-            KernelKind::Evaluate => "evaluate",
-            KernelKind::MakeNewz => "makenewz",
-        }
-    }
-}
-
-impl fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 

@@ -118,9 +118,10 @@ impl ThreadRing {
         }
     }
 
-    fn snapshot(&self) -> ThreadTrace {
+    /// The published events from index `from` on, and the drop count.
+    fn snapshot(&self, from: usize) -> ThreadTrace {
         let n = self.len.load(Ordering::Acquire);
-        let events = (0..n)
+        let events = (from..n)
             // SAFETY: slots below the acquired len are initialized and
             // immutable (the writer never rewrites a published slot).
             .map(|i| unsafe { (*self.slots[i].get()).assume_init_ref() }.clone())
@@ -257,8 +258,28 @@ impl Tracer {
     /// ring contributes its published prefix); for a complete log, quiesce
     /// the traced runtime first.
     pub fn drain(&self) -> TraceLog {
+        self.drain_since(&mut Vec::new())
+    }
+
+    /// Snapshot what every ring published past `cursors` (one per ring,
+    /// in registration order; a ring registered since the last call
+    /// starts at 0) and advance each cursor past it. Each ring still
+    /// reports its total drop count, so [`TraceLog::dropped_events`] is
+    /// the run's, not the interval's. A live reader polling this copies
+    /// each event once, however long the run.
+    pub fn drain_since(&self, cursors: &mut Vec<usize>) -> TraceLog {
         let rings = self.rings.lock().expect("tracer registry poisoned");
-        TraceLog { threads: rings.iter().map(|r| r.snapshot()).collect() }
+        cursors.resize(rings.len(), 0);
+        let threads = rings
+            .iter()
+            .zip(cursors.iter_mut())
+            .map(|(ring, cursor)| {
+                let t = ring.snapshot(*cursor);
+                *cursor += t.events.len();
+                t
+            })
+            .collect();
+        TraceLog { threads }
     }
 }
 
@@ -298,6 +319,45 @@ mod tests {
         assert_eq!(t.dropped, 5, "the overflow is counted, not silently absorbed");
         assert_eq!(t.events[3].kind, EventKind::Offload { proc: 1, task: 3 });
         assert_eq!(tracer.drain().dropped_events(), 5);
+    }
+
+    #[test]
+    fn drain_since_returns_each_event_once_and_the_total_drops() {
+        let tracer = Tracer::new(4);
+        let a = tracer.handle();
+        let mut cursors = Vec::new();
+        a.record(EventKind::Offload { proc: 0, task: 0 });
+        a.record(EventKind::Offload { proc: 0, task: 1 });
+        let first = tracer.drain_since(&mut cursors);
+        assert_eq!(first.total_events(), 2);
+        assert_eq!(cursors, vec![2]);
+        assert_eq!(tracer.drain_since(&mut cursors).total_events(), 0, "nothing new");
+
+        // A ring registered later starts at its first event; a full ring
+        // reports every drop on every read.
+        let b = tracer.handle();
+        b.record(EventKind::Offload { proc: 1, task: 2 });
+        for task in 3..7 {
+            a.record(EventKind::Offload { proc: 0, task });
+        }
+        let next = tracer.drain_since(&mut cursors);
+        assert_eq!(cursors, vec![4, 1]);
+        let tasks = |t: &ThreadTrace| {
+            t.events
+                .iter()
+                .map(|e| match e.kind {
+                    EventKind::Offload { task, .. } => task,
+                    ref other => panic!("unexpected event {other:?}"),
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(tasks(&next.threads[0]), vec![3, 4]);
+        assert_eq!(tasks(&next.threads[1]), vec![2]);
+        assert_eq!(next.dropped_events(), 2);
+        assert_eq!(tracer.drain_since(&mut cursors).dropped_events(), 2);
+        let full = tracer.drain();
+        assert_eq!(tasks(&full.threads[0]), vec![0, 1, 3, 4], "a full drain starts at 0");
+        assert_eq!(full.dropped_events(), 2);
     }
 
     #[test]

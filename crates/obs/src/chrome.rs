@@ -167,7 +167,7 @@ pub fn chrome_trace(log: &RunLog) -> String {
     for e in &log.events {
         match &e.kind {
             EventKind::FaultInjected { spe, task, fault, attempt } => {
-                t.instant(&[Str("fault: "), Str(fault)], *spe as u64, e.at_ns, |t| {
+                t.instant(&[Str("fault: "), Str(fault.as_str())], *spe as u64, e.at_ns, |t| {
                     t.uint("task", *task);
                     t.uint("attempt", *attempt);
                 });
@@ -200,11 +200,11 @@ pub fn chrome_trace(log: &RunLog) -> String {
                     "ppe"
                 };
                 t.instant(
-                    &[Str("granularity: "), Str(kernel), Str(" -> "), Str(ruling)],
+                    &[Str("granularity: "), Str(kernel.as_str()), Str(" -> "), Str(ruling)],
                     mgps_tid,
                     e.at_ns,
                     |t| {
-                        t.string("kernel", kernel);
+                        t.string("kernel", kernel.as_str());
                         t.0.key("offload");
                         t.0.bool(*offload);
                         t.0.key("reprobe");
@@ -487,7 +487,7 @@ mod classic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::event::{EventRecord, SchedulerTag};
+    use cellsim::event::{EventRecord, FaultKind, KernelKind, SchedulerTag};
     use minijson::Value;
 
     fn small_log() -> RunLog {
@@ -573,7 +573,7 @@ mod tests {
             (
                 30,
                 EventKind::GranularityVerdict {
-                    kernel: "makenewz".into(),
+                    kernel: KernelKind::MakeNewz,
                     offload: false,
                     throttled: true,
                     reprobe: false,
@@ -582,7 +582,7 @@ mod tests {
             (
                 60,
                 EventKind::GranularityVerdict {
-                    kernel: "makenewz".into(),
+                    kernel: KernelKind::MakeNewz,
                     offload: true,
                     throttled: true,
                     reprobe: true,
@@ -649,7 +649,7 @@ mod tests {
                 EventKind::FaultInjected {
                     spe: 1,
                     task: 1,
-                    fault: "spe_stall".into(),
+                    fault: FaultKind::SpeStall,
                     attempt: 0,
                 },
             ),

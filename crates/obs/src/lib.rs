@@ -55,9 +55,10 @@ pub use htmlkit::Page;
 pub use jobs::{quantile_from_log2_buckets, JOB_QUANTILES};
 pub use live::{
     health_json, merge_health_events, parse_prometheus, prometheus_text,
-    replay_health, validate_families, AlarmKind, HealthConfig, HealthDetector, HealthEvent,
+    replay_health, validate_families, HealthConfig, HealthDetector, HealthEvent,
     LiveDecision, LiveStatus, PromFamily, PromSample,
 };
+pub use mgps_runtime::events::AlarmKind;
 pub use native::{runlog_from_trace, NativeRunMeta};
 pub use phases::{OffloadPhases, PhaseBreakdown};
 pub use report::{folded_stacks, html_report};

@@ -21,7 +21,7 @@
 //!   alarms as
 //!   structured [`HealthEvent`]s, which flow into the `/events` NDJSON
 //!   stream, the final [`RunLog`] (via [`merge_health_events`], as
-//!   [`EventKind::Health`] records the checker schema-validates), and the
+//!   [`EventKind::Health`] records whose alarm and severity are typed), and the
 //!   HTML report.
 //!
 //! Everything here is a pure function of its inputs — rendering the same
@@ -37,7 +37,7 @@ use cellsim::event::{json_line, EventKind, EventRecord, RunLog};
 use mgps_runtime::metrics::{
     Counter, HistKind, MetricsSnapshot, SnapshotDelta, HIST_BUCKETS,
 };
-use mgps_runtime::policy::KernelKind;
+use mgps_runtime::events::{AlarmKind, KernelKind};
 use minijson::Value;
 
 /// Exported metric-name prefix.
@@ -82,73 +82,6 @@ impl LiveDecision {
     }
 }
 
-/// The closed set of alarms the online detector can raise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AlarmKind {
-    /// `U` stayed at or below the MGPS threshold for `k` consecutive
-    /// windows while the LLP degree stayed throttled at 1: the machine is
-    /// underutilized and the controller cannot widen (the starved-gate
-    /// signature — many waiters, no concurrency).
-    UtilizationCollapse,
-    /// Mailbox/off-load-queue stalls in one snapshot interval jumped far
-    /// above the rolling baseline.
-    StallSpike,
-    /// A trace ring overflowed and dropped events: every downstream fold
-    /// of this run is now incomplete.
-    RingDrop,
-    /// Several SPEs were quarantined within one snapshot interval: the
-    /// machine is shedding compute capacity faster than re-admission can
-    /// restore it (the fault plane's signature failure pattern).
-    QuarantineStorm,
-    /// The serve plane's job p99 latency (estimated from the
-    /// [`HistKind::JobTotalNs`] bucket deltas of one telemetry window)
-    /// sat above the SLO — and above the EWMA baseline by the spike
-    /// factor once a baseline exists — for `k` consecutive windows: the
-    /// service is burning its latency budget, not just seeing one slow
-    /// job.
-    LatencySloBurn,
-    /// A tenant held queued jobs across `k` consecutive telemetry
-    /// windows without the dispatcher starting a single one of them:
-    /// the fair-share scheduler is not delivering this tenant's
-    /// configured weight (a misconfiguration or an overload so deep
-    /// even round-robin cannot reach the tenant).
-    TenantStarvation,
-}
-
-impl AlarmKind {
-    /// Every alarm kind, in rendering order.
-    pub const ALL: [AlarmKind; 6] = [
-        AlarmKind::UtilizationCollapse,
-        AlarmKind::StallSpike,
-        AlarmKind::RingDrop,
-        AlarmKind::QuarantineStorm,
-        AlarmKind::LatencySloBurn,
-        AlarmKind::TenantStarvation,
-    ];
-
-    /// Stable snake_case slug (the `alarm` field of
-    /// [`EventKind::Health`]; the checker rejects unknown slugs).
-    pub fn slug(self) -> &'static str {
-        match self {
-            AlarmKind::UtilizationCollapse => "utilization_collapse",
-            AlarmKind::StallSpike => "stall_spike",
-            AlarmKind::RingDrop => "ring_drop",
-            AlarmKind::QuarantineStorm => "quarantine_storm",
-            AlarmKind::LatencySloBurn => "latency_slo_burn",
-            AlarmKind::TenantStarvation => "tenant_starvation",
-        }
-    }
-
-    /// Alarm severity: ring drops corrupt the record (critical), the
-    /// others describe performance pathologies (warning).
-    pub fn severity(self) -> &'static str {
-        match self {
-            AlarmKind::RingDrop => "critical",
-            _ => "warning",
-        }
-    }
-}
-
 /// A structured health alarm raised by the [`HealthDetector`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthEvent {
@@ -169,8 +102,8 @@ impl HealthEvent {
     /// The [`RunLog`] vocabulary for this alarm.
     pub fn to_kind(&self) -> EventKind {
         EventKind::Health {
-            alarm: self.kind.slug().to_string(),
-            severity: self.kind.severity().to_string(),
+            alarm: self.kind,
+            severity: self.kind.severity(),
             detail: self.detail.clone(),
         }
     }
@@ -542,9 +475,8 @@ pub struct LiveStatus {
     pub gate_contention_ns: u64,
     /// Cumulative trace-ring drops.
     pub dropped_events: u64,
-    /// Kernel slugs the granularity controller currently keeps on the PPE
-    /// ([`KernelKind::name`] vocabulary; unknown slugs render nothing).
-    pub throttled_kernels: Vec<String>,
+    /// Kernels the granularity controller currently keeps on the PPE.
+    pub throttled_kernels: Vec<KernelKind>,
     /// Alarms currently latched by the health detector.
     pub active_alarms: Vec<AlarmKind>,
     /// Per-tenant job-plane gauges, ascending tenant id:
@@ -613,8 +545,8 @@ pub fn prometheus_text(status: &LiveStatus) -> String {
 
     let _ = writeln!(out, "# TYPE {PREFIX}_kernel_throttled gauge");
     for k in KernelKind::ALL {
-        let throttled = u8::from(status.throttled_kernels.iter().any(|s| s == k.name()));
-        let _ = writeln!(out, "{PREFIX}_kernel_throttled{{kernel=\"{}\"}} {throttled}", k.name());
+        let throttled = u8::from(status.throttled_kernels.contains(&k));
+        let _ = writeln!(out, "{PREFIX}_kernel_throttled{{kernel=\"{k}\"}} {throttled}");
     }
 
     // Job latency quantiles, interpolated from the log2 buckets of the
@@ -630,7 +562,7 @@ pub fn prometheus_text(status: &LiveStatus) -> String {
     let _ = writeln!(out, "# TYPE {PREFIX}_alarm_active gauge");
     for kind in AlarmKind::ALL {
         let active = u8::from(status.active_alarms.contains(&kind));
-        let _ = writeln!(out, "{PREFIX}_alarm_active{{alarm=\"{}\"}} {active}", kind.slug());
+        let _ = writeln!(out, "{PREFIX}_alarm_active{{alarm=\"{kind}\"}} {active}");
     }
 
     // Per-tenant job-plane gauges; the family exists only once a tenant
@@ -660,7 +592,7 @@ pub fn health_json(status: &LiveStatus) -> Value {
         (
             "alarms",
             Value::array(
-                status.active_alarms.iter().map(|k| Value::from(k.slug())).collect::<Vec<_>>(),
+                status.active_alarms.iter().map(|k| Value::from(k.as_str())).collect::<Vec<_>>(),
             ),
         ),
     ])
@@ -812,6 +744,7 @@ pub fn validate_families(families: &[PromFamily]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgps_runtime::events::Severity;
     use mgps_runtime::metrics::{AtomicMetrics, MetricsSink, MetricsSinkExt, SnapshotSource};
     use std::sync::Arc;
 
@@ -826,7 +759,7 @@ mod tests {
             pending_offloads: 1,
             gate_contention_ns: 42,
             dropped_events: 0,
-            throttled_kernels: vec!["makenewz".into()],
+            throttled_kernels: vec![KernelKind::MakeNewz],
             active_alarms: vec![AlarmKind::StallSpike],
             tenant_jobs: Vec::new(),
         }
@@ -1082,8 +1015,8 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, AlarmKind::QuarantineStorm);
         assert_eq!(fired[0].to_kind(), EventKind::Health {
-            alarm: "quarantine_storm".to_string(),
-            severity: "warning".to_string(),
+            alarm: AlarmKind::QuarantineStorm,
+            severity: Severity::Warning,
             detail: fired[0].detail.clone(),
         });
         // Latched while the storm continues...
@@ -1103,8 +1036,8 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, AlarmKind::RingDrop);
         assert_eq!(fired[0].to_kind(), EventKind::Health {
-            alarm: "ring_drop".to_string(),
-            severity: "critical".to_string(),
+            alarm: AlarmKind::RingDrop,
+            severity: Severity::Critical,
             detail: fired[0].detail.clone(),
         });
         assert!(det.observe_delta(3, &delta_with_stalls(3, 0), 17).is_empty());
@@ -1137,8 +1070,8 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, AlarmKind::LatencySloBurn);
         assert_eq!(fired[0].to_kind(), EventKind::Health {
-            alarm: "latency_slo_burn".to_string(),
-            severity: "warning".to_string(),
+            alarm: AlarmKind::LatencySloBurn,
+            severity: Severity::Warning,
             detail: fired[0].detail.clone(),
         });
         // Latched while the burn continues.
@@ -1196,7 +1129,7 @@ mod tests {
         // Third consecutive window confirms.
         let fired = det.observe_tenant_starvation(30, &[3]).expect("third window fires");
         assert_eq!(fired.kind, AlarmKind::TenantStarvation);
-        assert_eq!(fired.kind.severity(), "warning");
+        assert_eq!(fired.kind.severity(), Severity::Warning);
         assert!(fired.detail.contains("tenant(s) 3"), "{}", fired.detail);
         assert_eq!(det.active_alarms(), vec![AlarmKind::TenantStarvation]);
         // Latched while the starvation continues.

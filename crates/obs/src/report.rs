@@ -194,9 +194,7 @@ pub fn html_report(log: &RunLog, source: RunSource) -> String {
             page.table_row(
                 None,
                 &format!(
-                    "<td>{}</td><td>{}</td><td style=\"text-align:left\">{}</td>",
-                    esc(alarm),
-                    esc(severity),
+                    "<td>{alarm}</td><td>{severity}</td><td style=\"text-align:left\">{}</td>",
                     esc(detail)
                 ),
             );
@@ -209,7 +207,7 @@ pub fn html_report(log: &RunLog, source: RunSource) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::event::{EventKind, EventRecord, SchedulerTag};
+    use cellsim::event::{AlarmKind, EventKind, EventRecord, FaultKind, SchedulerTag, Severity};
 
     fn small_log() -> RunLog {
         let events = vec![
@@ -288,8 +286,8 @@ mod tests {
             seq,
             at_ns: 300,
             kind: EventKind::Health {
-                alarm: "utilization_collapse".to_string(),
-                severity: "warning".to_string(),
+                alarm: AlarmKind::UtilizationCollapse,
+                severity: Severity::Warning,
                 detail: "U=1 <= 4 with degree 1 for 3 consecutive windows".to_string(),
             },
         });
@@ -316,7 +314,7 @@ mod tests {
                 EventKind::FaultInjected {
                     spe: 0,
                     task: 0,
-                    fault: "spe_crash".into(),
+                    fault: FaultKind::SpeCrash,
                     attempt: 0,
                 },
             ),

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use cellsim::event::{EventKind, RunLog, SwitchReason};
+use cellsim::event::{AlarmKind, EventKind, RunLog, Severity, SwitchReason};
 use mgps_runtime::{Counter, HistKind, MetricsSnapshot};
 use minijson::Value;
 
@@ -65,7 +65,7 @@ pub struct ObsSummary {
     pub decisions: Vec<DecisionRecord>,
     /// Health alarms recorded in the log as `(alarm, severity, detail)`,
     /// in event order (live runs only; see [`crate::live`]).
-    pub health: Vec<(String, String, String)>,
+    pub health: Vec<(AlarmKind, Severity, String)>,
     /// Serve-plane jobs per tenant, `[admitted, rejected, shed,
     /// in flight]` — the `multigrain_tenant_jobs` states (serve runs only).
     pub tenant_jobs: BTreeMap<usize, [u64; 4]>,
@@ -126,7 +126,7 @@ impl ObsSummary {
                     degree = *d;
                 }
                 EventKind::Health { alarm, severity, detail } => {
-                    health.push((alarm.clone(), severity.clone(), detail.clone()));
+                    health.push((*alarm, *severity, detail.clone()));
                 }
                 EventKind::FaultInjected { .. } => m.bump(Counter::FaultsInjected, 1),
                 EventKind::OffloadRetry { .. } => m.bump(Counter::OffloadRetries, 1),
@@ -342,7 +342,7 @@ fn tenant_job_state(kind: &EventKind) -> Option<(usize, usize, bool)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::event::{EventRecord, MailboxKind, SchedulerTag};
+    use cellsim::event::{EventRecord, KernelKind, MailboxKind, SchedulerTag};
 
     fn small_log() -> RunLog {
         let events = vec![
@@ -428,7 +428,7 @@ mod tests {
                 seq: base + i as u64,
                 at_ns: 300 + i as u64,
                 kind: EventKind::GranularityVerdict {
-                    kernel: "newview".into(),
+                    kernel: KernelKind::NewView,
                     offload,
                     throttled: !offload,
                     reprobe,

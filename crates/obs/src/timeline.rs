@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use cellsim::event::{EventKind, RunLog};
+use cellsim::event::{EventKind, KernelKind, RunLog};
 
 /// One task occupancy interval on one SPE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,8 +53,8 @@ pub struct QuarantineSpan {
 pub struct VerdictMark {
     /// When the controller ruled, ns.
     pub at_ns: u64,
-    /// Kernel slug the verdict is about.
-    pub kernel: String,
+    /// The kernel the verdict is about.
+    pub kernel: KernelKind,
     /// Whether the invocation was granted an SPE off-load.
     pub offload: bool,
     /// Whether the off-load was a re-probe of a throttled kernel.
@@ -127,7 +127,7 @@ impl Timeline {
                 EventKind::GranularityVerdict { kernel, offload, reprobe, .. } => {
                     tl.verdicts.push(VerdictMark {
                         at_ns: e.at_ns,
-                        kernel: kernel.clone(),
+                        kernel: *kernel,
                         offload: *offload,
                         reprobe: *reprobe,
                     });
@@ -282,7 +282,7 @@ mod tests {
             (
                 5,
                 EventKind::GranularityVerdict {
-                    kernel: "evaluate".into(),
+                    kernel: KernelKind::Evaluate,
                     offload: false,
                     throttled: true,
                     reprobe: false,
@@ -291,7 +291,7 @@ mod tests {
             (
                 90,
                 EventKind::GranularityVerdict {
-                    kernel: "evaluate".into(),
+                    kernel: KernelKind::Evaluate,
                     offload: true,
                     throttled: true,
                     reprobe: true,
@@ -302,8 +302,8 @@ mod tests {
         assert_eq!(
             tl.verdicts,
             vec![
-                VerdictMark { at_ns: 5, kernel: "evaluate".into(), offload: false, reprobe: false },
-                VerdictMark { at_ns: 90, kernel: "evaluate".into(), offload: true, reprobe: true },
+                VerdictMark { at_ns: 5, kernel: KernelKind::Evaluate, offload: false, reprobe: false },
+                VerdictMark { at_ns: 90, kernel: KernelKind::Evaluate, offload: true, reprobe: true },
             ]
         );
         assert_eq!(tl.makespan_ns, 90, "verdicts advance the fold's clock");

@@ -27,7 +27,7 @@
 //! harness for that plane; `top` renders the feed as a terminal
 //! dashboard.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -113,25 +113,17 @@ fn main() -> ExitCode {
         }
     };
     let result = match cmd.as_str() {
-        "simulate" => simulate(&opts),
-        "trace" => trace(&opts),
-        "profile" => profile(&opts),
-        "atlas" => atlas_cmd(&opts),
-        "analyze" => analyze(&opts),
-        "audit" => audit_cmd(&opts),
-        "chaos" => chaos(&opts),
-        "serve" => serve_cmd(&opts),
-        "loadgen" => loadgen_cmd(&opts),
-        "top" => top_cmd(&opts),
-        "infer" => infer(&opts),
-        "infer-protein" => infer_protein(&opts),
-        "predict" => predict(&opts),
-        "demo" => demo(&opts),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(CliError::usage(format!("unknown command {other:?}"))),
+        name => match COMMANDS.iter().find(|(n, ..)| *n == name) {
+            None => Err(CliError::usage(format!("unknown command {name:?}"))),
+            Some((_, run, flags)) => match opts.keys().find(|k| !flags.contains(&k.as_str())) {
+                Some(flag) => Err(CliError::usage(format!("{name} does not take --{flag}"))),
+                None => run(&opts),
+            },
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -145,6 +137,45 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// A command: its name, what runs it, and every flag it reads. Any other
+/// flag is a usage error, not a silently ignored typo.
+type Command = (&'static str, fn(&Opts) -> Result<(), CliError>, &'static [&'static str]);
+
+const COMMANDS: [Command; 14] = [
+    ("simulate", simulate, &["scheduler", "bootstraps", "cells", "scale", "profile", "faults"]),
+    (
+        "trace",
+        trace,
+        &["scheduler", "bootstraps", "cells", "scale", "seed", "out", "check", "faults"],
+    ),
+    ("profile", profile, &["scheduler", "bootstraps", "cells", "scale", "seed", "out"]),
+    ("atlas", atlas_cmd, &["grid", "seed", "scale", "bootstraps", "shard", "out", "faults"]),
+    ("analyze", analyze, &["scale", "bootstraps", "seed", "experiments"]),
+    ("audit", audit_cmd, &["root", "json", "out"]),
+    ("chaos", chaos, &["scheduler", "bootstraps", "scale", "seed", "rates", "faults"]),
+    (
+        "serve",
+        serve_cmd,
+        &[
+            "port", "workers", "tasks", "seed", "poll-ms", "ring-capacity", "job-queue", "for-ms",
+            "out", "snapshot-out", "faults", "tenant-weights", "shed-watermark", "tenant-queue",
+        ],
+    ),
+    (
+        "loadgen",
+        loadgen_cmd,
+        &[
+            "rate", "duration", "seed", "tenants", "workers", "job-queue", "tenant-weights", "url",
+            "out", "html",
+        ],
+    ),
+    ("top", top_cmd, &["url", "frames", "interval-ms", "plain"]),
+    ("infer", infer, &["input", "model", "gamma", "search", "bootstraps", "workers", "seed"]),
+    ("infer-protein", infer_protein, &["input", "seed"]),
+    ("predict", predict, &["input", "bootstraps", "scale"]),
+    ("demo", demo, &["taxa", "sites", "seed", "format"]),
+];
 
 const USAGE: &str = "\
 multigrain — dynamic multigrain parallelization (PPoPP'07 reproduction)
@@ -254,10 +285,10 @@ EXIT CODES:
   4  checker: a schedule-invariant violation was detected
   5  unrecovered fault: an armed fault plan stranded at least one task";
 
-type Opts = HashMap<String, String>;
+type Opts = BTreeMap<String, String>;
 
 fn parse_opts(rest: &[String]) -> Result<Opts, CliError> {
-    let mut opts = HashMap::new();
+    let mut opts = BTreeMap::new();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let key = flag
@@ -1121,12 +1152,24 @@ fn top_cmd(opts: &Opts) -> Result<(), CliError> {
 }
 
 fn infer(opts: &Opts) -> Result<(), CliError> {
+    match opts.get("model").map(String::as_str).unwrap_or("jc") {
+        "jc" => infer_with(Jc69, opts),
+        "k80" => infer_with(K80::new(2.0), opts),
+        "gtr" => infer_with(Gtr::example(), opts),
+        other => Err(CliError::usage(format!(
+            "unknown model {other:?} (use `infer-protein` for AA data)"
+        ))),
+    }
+}
+
+/// `multigrain infer` under one substitution model: the search, the +Γ
+/// fit and the bootstrap replicates all use `model`.
+fn infer_with<M: SubstModel + Clone + 'static>(model: M, opts: &Opts) -> Result<(), CliError> {
     let seed = seed(opts, 42u64)?;
     let bootstraps = get(opts, "bootstraps", 0usize)?;
     let workers = positive(opts, "workers", 4, "the runtime needs at least 1 worker process")?;
     let aln = load_alignment(opts)?;
     let data = Arc::new(PatternAlignment::compress(&aln));
-    let search_kind = opts.get("search").map(String::as_str).unwrap_or("nni").to_string();
     let cfg = SearchConfig::default();
 
     println!(
@@ -1136,26 +1179,22 @@ fn infer(opts: &Opts) -> Result<(), CliError> {
         data.n_patterns()
     );
 
-    let model_name = opts.get("model").map(String::as_str).unwrap_or("jc").to_string();
-    // Model dispatch duplicates a little code because the engines are
-    // generic over the model type.
-    let result = match model_name.as_str() {
-        "jc" => run_search(&Jc69, &data, &cfg, &search_kind, seed)?,
-        "k80" => run_search(&K80::new(2.0), &data, &cfg, &search_kind, seed)?,
-        "gtr" => run_search(&Gtr::example(), &data, &cfg, &search_kind, seed)?,
-        other => return Err(CliError::usage(format!("unknown model {other:?} (use `infer-protein` for AA data)"))),
+    let result = match opts.get("search").map(String::as_str).unwrap_or("nni") {
+        "nni" => hill_climb(&model, &data, &cfg, seed),
+        "spr" => spr_hill_climb(&model, &data, &cfg, 3, seed),
+        other => return Err(CliError::usage(format!("unknown search {other:?}"))),
     };
     println!("best tree lnL      {:.4}", result.lnl);
     println!("NNI/SPR accepted   {}", result.accepted_moves);
 
     if let Some(gamma) = opts.get("gamma") {
         let (alpha, lnl_g) = if gamma == "estimate" {
-            estimate_alpha(&Jc69, &data, &result.tree, 4, 0.05, 50.0)
+            estimate_alpha(&model, &data, &result.tree, 4, 0.05, 50.0)
         } else {
             let a: f64 = gamma
                 .parse()
                 .map_err(|_| CliError::usage(format!("--gamma: bad value {gamma:?}")))?;
-            let eng = GammaEngine::new(&Jc69, &data, a, 4);
+            let eng = GammaEngine::new(&model, &data, a, 4);
             (a, eng.log_likelihood(&result.tree))
         };
         println!("+G alpha           {alpha:.4}");
@@ -1166,7 +1205,7 @@ fn infer(opts: &Opts) -> Result<(), CliError> {
         println!("running {bootstraps} bootstraps on {workers} worker processes (MGPS runtime)...");
         let mut analysis = ParallelAnalysis::cell(SchedulerKind::Mgps, workers);
         analysis.search = cfg;
-        let (reps, stats) = analysis.run_bootstraps(Jc69, &data, bootstraps, seed);
+        let (reps, stats) = analysis.run_bootstraps(model, &data, bootstraps, seed);
         let trees: Vec<Tree> = reps.iter().map(|r| r.tree.clone()).collect();
         let support = support_values(&result.tree, &trees);
         println!(
@@ -1198,20 +1237,6 @@ fn infer_protein(opts: &Opts) -> Result<(), CliError> {
     println!("best tree lnL      {:.4}", r.lnl);
     println!("{}", r.tree.to_newick(data.taxa()));
     Ok(())
-}
-
-fn run_search<M: SubstModel>(
-    model: &M,
-    data: &Arc<PatternAlignment>,
-    cfg: &SearchConfig,
-    kind: &str,
-    seed: u64,
-) -> Result<SearchResult, CliError> {
-    match kind {
-        "nni" => Ok(hill_climb(model, data, cfg, seed)),
-        "spr" => Ok(spr_hill_climb(model, data, cfg, 3, seed)),
-        other => Err(CliError::usage(format!("unknown search {other:?}"))),
-    }
 }
 
 fn predict(opts: &Opts) -> Result<(), CliError> {

@@ -85,7 +85,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use cellsim::event::{json_line, EventKind, SchedulerTag};
+use cellsim::event::{json_line, AlarmKind, EventKind, SchedulerTag};
 use mgps_analysis::{check_run_with, check_trace_sanity, CheckMode};
 use mgps_obs::{
     health_json, merge_health_events, prometheus_text, quantile_from_log2_buckets,
@@ -178,8 +178,8 @@ pub struct ServeOutcome {
     pub violations: usize,
     /// Trace-ring events lost to wrap-around.
     pub dropped_events: u64,
-    /// Slugs of every alarm that fired during the run.
-    pub alarms: Vec<String>,
+    /// Every alarm that fired during the run.
+    pub alarms: Vec<AlarmKind>,
     /// Off-loads completed.
     pub tasks_completed: u64,
     /// Execution attempts requeued after an unrecovered fault.
@@ -891,9 +891,8 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
             let mut source = SnapshotSource::new(Arc::clone(&metrics));
             let mut detector = HealthDetector::new(HealthConfig::for_spes(n_spes));
             let poll = Duration::from_millis(cfg.poll_ms.max(1));
-            // Per-ring cursors: rings are append-only until capacity
-            // and registration order is stable, so `events[cursor..]`
-            // is exactly what arrived since the previous tick.
+            // Per-ring read cursors: each tick copies only what arrived
+            // since the previous one.
             let mut cursors: Vec<usize> = Vec::new();
             let mut starve: BTreeMap<usize, (usize, u64)> = BTreeMap::new();
             let mut tick = move |shared: &Shared| {
@@ -1021,8 +1020,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
     }
 
     let tasks_completed = metrics.get(mgps_runtime::Counter::TasksCompleted);
-    let alarms: Vec<String> =
-        health.iter().map(|h| h.kind.slug().to_string()).collect();
+    let alarms: Vec<AlarmKind> = health.iter().map(|h| h.kind).collect();
     let violations = report.violations.len() + sanity.violations.len();
     let mut jobs_retried = 0u64;
     let mut jobs_shed = 0u64;
@@ -1179,14 +1177,10 @@ fn execute_job(
     JobRun::Completed
 }
 
-/// Kernel slugs the runtime's granularity controller currently keeps on
-/// the PPE, in [`KernelKind::ALL`] order.
-fn throttled_kernels(rt: &MgpsRuntime) -> Vec<String> {
-    KernelKind::ALL
-        .into_iter()
-        .filter(|k| rt.is_throttled(*k))
-        .map(|k| k.name().to_string())
-        .collect()
+/// Kernels the runtime's granularity controller currently keeps on the
+/// PPE, in [`KernelKind::ALL`] order.
+fn throttled_kernels(rt: &MgpsRuntime) -> Vec<KernelKind> {
+    KernelKind::ALL.into_iter().filter(|k| rt.is_throttled(*k)).collect()
 }
 
 /// One telemetry tick: snapshot delta, new trace events, health rules,
@@ -1202,35 +1196,29 @@ fn telemetry_tick(
 ) {
     let now_ns = tracer.now_ns();
     let delta = source.delta();
-    let trace = tracer.drain();
+    let trace = tracer.drain_since(cursors);
 
     let mut lines: Vec<String> = Vec::new();
     let mut fired: Vec<HealthEvent> = Vec::new();
-    if cursors.len() < trace.threads.len() {
-        cursors.resize(trace.threads.len(), 0);
-    }
-    for (ring, cursor) in trace.threads.iter().zip(cursors.iter_mut()) {
-        for ev in &ring.events[*cursor..] {
-            if let EventKind::DegreeDecision { degree, waiting, n_spes, window, window_fill, u } =
-                ev.kind
-            {
-                let d = LiveDecision {
-                    at_ns: ev.at_ns,
-                    u,
-                    t: waiting,
-                    degree,
-                    n_spes,
-                    window,
-                    window_fill,
-                };
-                lines.push(d.to_json_line());
-                if let Some(h) = detector.observe_decision(&d) {
-                    lines.push(h.to_json_line());
-                    fired.push(h);
-                }
+    for ev in trace.threads.iter().flat_map(|t| &t.events) {
+        if let EventKind::DegreeDecision { degree, waiting, n_spes, window, window_fill, u } =
+            ev.kind
+        {
+            let d = LiveDecision {
+                at_ns: ev.at_ns,
+                u,
+                t: waiting,
+                degree,
+                n_spes,
+                window,
+                window_fill,
+            };
+            lines.push(d.to_json_line());
+            if let Some(h) = detector.observe_decision(&d) {
+                lines.push(h.to_json_line());
+                fired.push(h);
             }
         }
-        *cursor = ring.events.len();
     }
     for h in detector.observe_delta(now_ns, &delta, trace.dropped_events()) {
         lines.push(h.to_json_line());

@@ -201,6 +201,49 @@ fn demo_then_infer_round_trip() {
 }
 
 #[test]
+fn infer_fits_gamma_and_bootstraps_under_the_chosen_model() {
+    use multigrain::prelude::*;
+    use std::sync::Arc;
+
+    let dir = std::env::temp_dir().join(format!("mg-infer-model-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fasta = dir.join("demo.fasta");
+    let aln = Alignment::synthetic(6, 80, &Jc69, 0.08, 3);
+    std::fs::write(&fasta, aln.to_fasta()).unwrap();
+    let (stdout, stderr, ok) = run_cli(&[
+        "infer", "--input", fasta.to_str().unwrap(), "--model", "gtr", "--gamma", "0.5",
+        "--bootstraps", "4", "--workers", "2", "--seed", "1",
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(ok, "stderr: {stderr}");
+
+    // The same analysis in-process, every step under GTR.
+    let data = Arc::new(PatternAlignment::compress(&aln));
+    let best = hill_climb(&Gtr::example(), &data, &SearchConfig::default(), 1);
+    let gamma = |lnl: f64| format!("+G lnL             {lnl:.4}");
+    let gtr = gamma(GammaEngine::new(&Gtr::example(), &data, 0.5, 4).log_likelihood(&best.tree));
+    let jc = gamma(GammaEngine::new(&Jc69, &data, 0.5, 4).log_likelihood(&best.tree));
+    assert_ne!(gtr, jc, "the fixture must tell the two models apart");
+    assert!(stdout.lines().any(|l| l == gtr), "no {gtr:?} in\n{stdout}");
+
+    fn support<M: SubstModel + Clone + 'static>(
+        model: M,
+        data: &Arc<PatternAlignment>,
+        best: &Tree,
+    ) -> String {
+        let (reps, _) = ParallelAnalysis::cell(SchedulerKind::Mgps, 2)
+            .run_bootstraps(model, data, 4, 1);
+        let trees: Vec<Tree> = reps.into_iter().map(|r| r.tree).collect();
+        let pct: Vec<u32> =
+            support_values(best, &trees).iter().map(|s| (s * 100.0).round() as u32).collect();
+        format!("support            {pct:?}")
+    }
+    let gtr = support(Gtr::example(), &data, &best.tree);
+    assert_ne!(gtr, support(Jc69, &data, &best.tree), "the fixture must tell the two models apart");
+    assert!(stdout.lines().any(|l| l == gtr), "no {gtr:?} in\n{stdout}");
+}
+
+#[test]
 fn infer_protein_runs() {
     let dir = std::env::temp_dir().join(format!("mg-cli-prot-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -258,6 +301,30 @@ fn usage_errors_exit_with_code_2() {
     // And no-args prints usage with the same code.
     let (_, _, code) = run_cli_code(&[]);
     assert_eq!(code, 2);
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_is_a_usage_error() {
+    // `--bootstrap` used to run the default 8 bootstraps and exit 0.
+    let (stdout, stderr, code) = run_cli_code(&["simulate", "--bootstrap", "4"]);
+    assert_eq!(code, 2, "an undeclared flag should be usage (2): {stderr}");
+    assert!(stderr.contains("simulate does not take --bootstrap"), "{stderr}");
+    assert!(stdout.is_empty(), "nothing may run: {stdout}");
+    // A flag another command reads is still foreign here.
+    let (_, stderr, code) = run_cli_code(&["demo", "--workers", "2"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("demo does not take --workers"), "{stderr}");
+}
+
+#[test]
+fn serve_accepts_the_flags_the_benchmark_harness_passes() {
+    // The serve_open workload boots `serve` with exactly these flags.
+    let (stdout, stderr, code) = run_cli_code(&[
+        "serve", "--workers", "2", "--tasks", "1", "--job-queue", "64", "--ring-capacity",
+        "65536", "--for-ms", "200", "--seed", "7",
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("0 violation(s)"), "{stdout}");
 }
 
 #[test]

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use cellsim::event::{EventKind, RunLog};
+use cellsim::event::{AlarmKind, EventKind, RunLog, Severity};
 use mgps_analysis::{check_run_with, CheckMode};
 use mgps_obs::{parse_prometheus, validate_families};
 use multigrain::serve::http_get;
@@ -333,10 +333,11 @@ fn undersized_rings_raise_the_ring_drop_alarm_and_exit_4() {
     assert!(
         log.events.iter().any(|e| matches!(
             &e.kind,
-            EventKind::Health { alarm, .. } if alarm == "ring_drop"
+            EventKind::Health { alarm: AlarmKind::RingDrop, severity: Severity::Critical, .. }
         )),
         "ring_drop health event should be merged into the run log"
     );
+    assert_eq!(log.to_json(), text, "the log with its health record re-encodes byte for byte");
 
     std::fs::remove_dir_all(&dir).ok();
 }
