@@ -63,14 +63,6 @@ pub fn interleaved_best(
     best
 }
 
-/// The runtime every overhead bench measures: EDTLP with no modelled
-/// context-switch cost, so a plane's cost is not buried under the gate's.
-fn edtlp() -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::cell(SchedulerKind::Edtlp);
-    cfg.switch_cost = Duration::ZERO;
-    cfg
-}
-
 /// The one driver behind the overhead benches: wall time of `offloads`
 /// sequential off-loads of an 8-iteration [`SpinBody`] spinning roughly
 /// `work` in all, on the runtime `cfg`, `sink` and `tracer` build. With a
@@ -130,7 +122,8 @@ fn offload_wall(
 /// is the tracing overhead the DESIGN budget bounds.
 pub fn native_offload_wall(with_tracing: bool, offloads: usize, work: Duration) -> Duration {
     let tracer = with_tracing.then(Tracer::with_default_capacity);
-    offload_wall(edtlp(), Arc::new(NopMetrics), tracer, None, offloads, work)
+    let cfg = RuntimeConfig::cell(SchedulerKind::Edtlp);
+    offload_wall(cfg, Arc::new(NopMetrics), tracer, None, offloads, work)
 }
 
 /// Wall time of `offloads` sequential EDTLP off-loads with the fault
@@ -144,7 +137,7 @@ pub fn native_offload_wall(with_tracing: bool, offloads: usize, work: Duration) 
 /// decision per off-load, which is the marginal bookkeeping cost chaos
 /// runs accept.
 pub fn fault_offload_wall(armed: bool, offloads: usize, work: Duration) -> Duration {
-    let mut cfg = edtlp();
+    let mut cfg = RuntimeConfig::cell(SchedulerKind::Edtlp);
     if armed {
         // A pinned fault on a task id the run never issues: every armed
         // code path executes, no fault ever fires.
@@ -173,12 +166,13 @@ pub fn snapshot_scrape_wall_at(
     offloads: usize,
     work: Duration,
 ) -> Duration {
+    let cfg = RuntimeConfig::cell(SchedulerKind::Edtlp);
     if !sink_atomic {
-        return offload_wall(edtlp(), Arc::new(NopMetrics), None, None, offloads, work);
+        return offload_wall(cfg, Arc::new(NopMetrics), None, None, offloads, work);
     }
     let atomic = Arc::new(AtomicMetrics::new());
     let scraper = cadence.map(|gap| (SnapshotSource::new(Arc::clone(&atomic)), gap));
-    offload_wall(edtlp(), atomic, None, scraper, offloads, work)
+    offload_wall(cfg, atomic, None, scraper, offloads, work)
 }
 
 /// The budgeted configuration: `scraped` drains every millisecond —

@@ -23,12 +23,27 @@
 //! by an engine, or is recorded but silently bypasses part of the pipeline
 //! — exactly how a new variant added for a future roadmap item would
 //! otherwise dodge the checker.
+//!
+//! The [`SIM_ONLY`] variants name Cell hardware costs that only the
+//! simulator models. Their rule is the other way round in the native
+//! column: it must be *empty*, because a native reference could only
+//! fabricate one. Their sim, checker and obs cells are required like any
+//! other variant's.
 
 use crate::lexer::find_seq;
 use crate::{Finding, SourceFile};
 
 /// The four pipeline surfaces, in matrix column order.
 pub const COLUMNS: [&str; 4] = ["sim", "native", "checker", "obs"];
+
+/// Index of the native column in [`COLUMNS`].
+const NATIVE: usize = 1;
+
+/// Variants no native site may record: an MFC transfer and its
+/// completion, a local-store allocation and its release, and a code-image
+/// reload are costs of the Cell hardware, which the simulator models and a
+/// host thread does not have.
+pub const SIM_ONLY: [&str; 5] = ["Dma", "DmaComplete", "LsAlloc", "LsFree", "CodeReload"];
 
 /// Coverage of one variant across the four columns.
 #[derive(Debug, Clone)]
@@ -37,16 +52,20 @@ pub struct VariantCoverage {
     pub variant: String,
     /// Per-column hit counts, indexed like [`COLUMNS`].
     pub counts: [usize; 4],
+    /// The variant is in [`SIM_ONLY`]: its native cell must be empty.
+    pub sim_only: bool,
 }
 
 impl VariantCoverage {
-    /// Columns with zero references.
+    /// Required columns with zero references (a sim-only variant's native
+    /// column is not required).
     pub fn holes(&self) -> Vec<&'static str> {
         COLUMNS
             .iter()
             .zip(self.counts.iter())
-            .filter(|(_, c)| **c == 0)
-            .map(|(n, _)| *n)
+            .enumerate()
+            .filter(|(i, (_, c))| **c == 0 && !(self.sim_only && *i == NATIVE))
+            .map(|(_, (n, _))| *n)
             .collect()
     }
 }
@@ -148,12 +167,14 @@ fn count_refs(variant: &str, files: &[&SourceFile]) -> usize {
     n
 }
 
-/// Build the coverage matrix and the findings for its holes.
+/// Build the coverage matrix and the findings for its holes, and for any
+/// native reference to a `sim_only` variant.
 ///
 /// `surfaces` holds the four file sets in [`COLUMNS`] order.
 pub fn analyze(
     variants: &[String],
     surfaces: &[Vec<&SourceFile>; 4],
+    sim_only: &[&str],
     why: &str,
     event_file_rel: &str,
 ) -> (CoverageMatrix, Vec<Finding>) {
@@ -166,22 +187,34 @@ pub fn analyze(
             count_refs(v, &surfaces[2]),
             count_refs(v, &surfaces[3]),
         ];
-        let row = VariantCoverage { variant: v.clone(), counts };
+        let row = VariantCoverage {
+            variant: v.clone(),
+            counts,
+            sim_only: sim_only.contains(&v.as_str()),
+        };
         let holes = row.holes();
+        let mut notes = Vec::new();
         if !holes.is_empty() {
-            findings.push(Finding {
-                rule: "event-coverage".into(),
-                file: event_file_rel.to_string(),
-                line: 0,
-                col: 0,
-                excerpt: String::new(),
-                why: why.to_string(),
-                note: format!(
-                    "EventKind::{v} has no non-test reference on surface(s): {}",
-                    holes.join(", ")
-                ),
-            });
+            notes.push(format!(
+                "EventKind::{v} has no non-test reference on surface(s): {}",
+                holes.join(", ")
+            ));
         }
+        if row.sim_only && counts[NATIVE] > 0 {
+            notes.push(format!(
+                "EventKind::{v} is sim-only but has {} native reference(s)",
+                counts[NATIVE]
+            ));
+        }
+        findings.extend(notes.into_iter().map(|note| Finding {
+            rule: "event-coverage".into(),
+            file: event_file_rel.to_string(),
+            line: 0,
+            col: 0,
+            excerpt: String::new(),
+            why: why.to_string(),
+            note,
+        }));
         matrix.rows.push(row);
     }
     (matrix, findings)
@@ -196,24 +229,21 @@ pub fn render(matrix: &CoverageMatrix) -> String {
         "variant", "sim", "native", "checker", "obs"
     ));
     for r in &matrix.rows {
+        let cell = |i: usize| match r.counts[i] {
+            0 if r.sim_only && i == NATIVE => "-".to_string(),
+            0 => "HOLE".to_string(),
+            n => n.to_string(),
+        };
         out.push_str(&format!(
             "  {:name_w$}  {:>5}  {:>6}  {:>7}  {:>5}\n",
             r.variant,
-            cell(r.counts[0]),
-            cell(r.counts[1]),
-            cell(r.counts[2]),
-            cell(r.counts[3]),
+            cell(0),
+            cell(1),
+            cell(2),
+            cell(3),
         ));
     }
     out
-}
-
-fn cell(n: usize) -> String {
-    if n == 0 {
-        "HOLE".into()
-    } else {
-        n.to_string()
-    }
 }
 
 #[cfg(test)]
@@ -256,7 +286,7 @@ mod tests {
         let obs = file("o.rs", "match k { EventKind::A => 1, EventKind::B => 2 }\n");
         let variants = parse_variants(&ev);
         let surfaces = [vec![&sim], vec![&native], vec![&checker], vec![&obs]];
-        let (matrix, findings) = analyze(&variants, &surfaces, "why", "event.rs");
+        let (matrix, findings) = analyze(&variants, &surfaces, &[], "why", "event.rs");
         assert_eq!(matrix.hole_count(), 1);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].note.contains("EventKind::B"));
@@ -269,8 +299,41 @@ mod tests {
         let sim = file("m.rs", "#[cfg(test)]\nmod t {\n    fn f() { emit(EventKind::A); }\n}\n");
         let surfaces: [Vec<&SourceFile>; 4] =
             [vec![&sim], vec![&sim], vec![&sim], vec![&sim]];
-        let (matrix, findings) = analyze(&parse_variants(&ev), &surfaces, "why", "event.rs");
+        let (matrix, findings) =
+            analyze(&parse_variants(&ev), &surfaces, &[], "why", "event.rs");
         assert_eq!(matrix.hole_count(), 4);
         assert_eq!(findings.len(), 1);
+    }
+
+    #[test]
+    fn a_sim_only_variant_must_stay_out_of_the_native_column() {
+        let ev = file("event.rs", "pub enum EventKind { A, B }\n");
+        let everywhere = file("x.rs", "match k { EventKind::A => 1, EventKind::B => 2 }\n");
+        let only_a = file("n.rs", "emit(EventKind::A);\n");
+        let variants = parse_variants(&ev);
+
+        // Sim-only B with an empty native cell: clean, and the matrix
+        // shows the cell as not applicable rather than as a hole.
+        let surfaces = [vec![&everywhere], vec![&only_a], vec![&everywhere], vec![&everywhere]];
+        let (matrix, findings) = analyze(&variants, &surfaces, &["B"], "why", "event.rs");
+        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(matrix.hole_count(), 0);
+        let rendered = render(&matrix);
+        let b_row = rendered.lines().find(|l| l.trim_start().starts_with('B')).unwrap();
+        assert_eq!(b_row.split_whitespace().collect::<Vec<_>>(), ["B", "1", "-", "1", "1"]);
+
+        // A native reference to it is the finding.
+        let surfaces =
+            [vec![&everywhere], vec![&everywhere], vec![&everywhere], vec![&everywhere]];
+        let (_, findings) = analyze(&variants, &surfaces, &["B"], "why", "event.rs");
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].note, "EventKind::B is sim-only but has 1 native reference(s)");
+
+        // Its sim cell is still required.
+        let surfaces = [vec![&only_a], vec![&only_a], vec![&everywhere], vec![&everywhere]];
+        let (matrix, findings) = analyze(&variants, &surfaces, &["B"], "why", "event.rs");
+        assert_eq!(matrix.hole_count(), 1);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].note, "EventKind::B has no non-test reference on surface(s): sim");
     }
 }

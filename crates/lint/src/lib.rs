@@ -195,6 +195,7 @@ impl Report {
                                 ("native", r.counts[1].into()),
                                 ("checker", r.counts[2].into()),
                                 ("obs", r.counts[3].into()),
+                                ("sim_only", r.sim_only.into()),
                             ])
                         })
                         .collect(),
@@ -496,7 +497,8 @@ pub fn audit(root: &Path) -> Report {
         surface_files[2].iter().filter_map(|r| cache.get(r)).collect(),
         surface_files[3].iter().filter_map(|r| cache.get(r)).collect(),
     ];
-    let (matrix, cov_findings) = coverage::analyze(&variants, &surfaces, cov_meta.why, event_rel);
+    let (matrix, cov_findings) =
+        coverage::analyze(&variants, &surfaces, &coverage::SIM_ONLY, cov_meta.why, event_rel);
     raw.extend(cov_findings);
     report.coverage = matrix;
 

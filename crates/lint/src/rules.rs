@@ -95,8 +95,9 @@ pub const CATALOG: &[RuleMeta] = &[
         name: "event-coverage",
         roots: &["crates/mgps-runtime/src/events.rs"],
         why: "every EventKind variant must be emitted by the sim machine and recorded at a \
-              native site, matched by a checker arm, and consumed by an obs fold — a hole \
-              means an event class the audit pipeline silently ignores",
+              native site (none, for a sim-only Cell hardware cost), matched by a checker \
+              arm, and consumed by an obs fold — a hole means an event class the audit \
+              pipeline silently ignores",
         exemption_budget: 0,
         skips_tests: true,
     },

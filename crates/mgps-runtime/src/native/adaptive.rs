@@ -38,12 +38,6 @@ pub struct RuntimeConfig {
     pub ppe_contexts: usize,
     /// Scheduling scheme.
     pub scheduler: SchedulerKind,
-    /// Voluntary context-switch cost (paper: 1.5 µs).
-    pub switch_cost: Duration,
-    /// Simulated code-image reload stall (zero disables).
-    pub code_load_cost: Duration,
-    /// Simulated worker argument-fetch latency in teams (zero disables).
-    pub worker_startup: Duration,
     /// Enable §5.2 dynamic granularity control (PPE fallback for kernels
     /// that fail the off-load profitability test). Re-probe period in
     /// requests; `None` makes [`ProcessCtx::offload_adaptive`] a plain
@@ -56,16 +50,14 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// A Cell-shaped runtime (8 SPEs, 2 PPE contexts, paper's overheads)
-    /// under the given scheduler.
+    /// A Cell-shaped runtime (8 virtual SPEs, 2 PPE contexts) under the
+    /// given scheduler. It pays what the host's threads pay, none of the
+    /// Cell's hardware costs: those are the simulator's inputs.
     pub fn cell(scheduler: SchedulerKind) -> RuntimeConfig {
         RuntimeConfig {
             n_spes: 8,
             ppe_contexts: 2,
             scheduler,
-            switch_cost: Duration::from_nanos(1_500),
-            code_load_cost: Duration::ZERO,
-            worker_startup: Duration::ZERO,
             granularity_retry: None,
             faults: FaultPlan::inert(),
         }
@@ -146,7 +138,7 @@ impl MgpsRuntime {
 
     /// Build a runtime that additionally records span traces into `tracer`
     /// (see [`crate::tracing`]): every off-load, task start/end, chunk,
-    /// context switch, code reload, worker DMA, and MGPS degree decision
+    /// context switch, granularity verdict, fault, and MGPS degree decision
     /// lands on a per-thread ring, drainable into the simulator's RunLog
     /// vocabulary for the checker / timeline / Chrome-trace pipeline.
     pub fn with_observability(
@@ -156,11 +148,10 @@ impl MgpsRuntime {
     ) -> MgpsRuntime {
         let pool = Arc::new(SpePool::with_observability(
             config.n_spes,
-            config.code_load_cost,
             Arc::clone(&metrics),
             tracer.as_deref(),
         ));
-        let runner = TeamRunner::new(Arc::clone(&pool), config.worker_startup);
+        let runner = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
         let (gate_mode, degree_policy, initial_degree) = match config.scheduler {
             SchedulerKind::Edtlp => (GateMode::YieldOnOffload, DegreePolicy::Fixed, 1),
             SchedulerKind::LinuxLike => (GateMode::HoldDuringOffload, DegreePolicy::Fixed, 1),
@@ -179,12 +170,7 @@ impl MgpsRuntime {
                 1,
             ),
         };
-        let gate = PpeGate::with_metrics(
-            config.ppe_contexts,
-            gate_mode,
-            config.switch_cost,
-            Arc::clone(&metrics),
-        );
+        let gate = PpeGate::with_metrics(config.ppe_contexts, gate_mode, Arc::clone(&metrics));
         let granularity = config
             .granularity_retry
             .map(|retry| Mutex::new(GranularityController::new(retry)));
@@ -590,9 +576,8 @@ impl ProcessCtx<'_> {
     /// while it holds its PPE context (no SPE, no team). The sentinel SPE
     /// id lets kernels with distinct PPE/SPE code paths pick theirs.
     fn ppe_context(&mut self) -> &mut super::context::SpeContext {
-        self.ppe_scratch.get_or_insert_with(|| {
-            Box::new(super::context::SpeContext::new(SpeId(usize::MAX), Duration::ZERO))
-        })
+        self.ppe_scratch
+            .get_or_insert_with(|| Box::new(super::context::SpeContext::new(SpeId(usize::MAX))))
     }
 
     /// Off-load a kernel of the named `kind` under dynamic granularity
@@ -758,8 +743,7 @@ mod tests {
 
     #[test]
     fn mgps_adapts_degree_for_single_worker() {
-        let mut cfg = RuntimeConfig::cell(SchedulerKind::Mgps);
-        cfg.switch_cost = Duration::ZERO;
+        let cfg = RuntimeConfig::cell(SchedulerKind::Mgps);
         let rt = MgpsRuntime::new(cfg);
         // One worker with long tasks: TLP leaves SPEs idle, so after a
         // window of 8 completions MGPS should activate LLP.
@@ -819,8 +803,7 @@ mod tests {
     #[test]
     fn mgps_stays_tlp_under_high_task_parallelism() {
         const ROUNDS: usize = 16;
-        let mut cfg = RuntimeConfig::cell(SchedulerKind::Mgps);
-        cfg.switch_cost = Duration::ZERO;
+        let cfg = RuntimeConfig::cell(SchedulerKind::Mgps);
         let rt = MgpsRuntime::new(cfg);
         let phase = Arc::new(AtomicUsize::new(0));
         let returned = Arc::new(AtomicUsize::new(0));
@@ -1227,8 +1210,7 @@ mod tests {
     #[test]
     fn tracer_records_the_full_span_vocabulary() {
         let tracer = Tracer::with_default_capacity();
-        let mut cfg = RuntimeConfig::cell(SchedulerKind::Mgps);
-        cfg.switch_cost = Duration::ZERO;
+        let cfg = RuntimeConfig::cell(SchedulerKind::Mgps);
         let rt = MgpsRuntime::with_observability(
             cfg,
             Arc::new(NopMetrics),

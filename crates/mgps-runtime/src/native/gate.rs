@@ -9,9 +9,11 @@
 //! Natively, a "PPE context" is a slot in this gate: a process must hold a
 //! slot to execute PPE-side code. [`PpeToken::offload`] implements the two
 //! disciplines: under [`GateMode::YieldOnOffload`] the slot is released for
-//! the duration of the off-load and re-acquired afterwards (paying the
-//! 1.5 µs voluntary-switch cost); under [`GateMode::HoldDuringOffload`] the
-//! slot is kept, so at most `contexts` processes can have tasks in flight.
+//! the duration of the off-load and re-acquired afterwards; under
+//! [`GateMode::HoldDuringOffload`] the slot is kept, so at most `contexts`
+//! processes can have tasks in flight. A switch costs what the release and
+//! the re-acquire cost on the host: the Cell's 1.5 µs voluntary switch is a
+//! simulator input (`policy::ppe`), not something this gate pays.
 //!
 //! # Sharded slots
 //!
@@ -65,27 +67,25 @@ pub struct PpeGate {
     waiters: Mutex<usize>,
     freed: Condvar,
     mode: GateMode,
-    switch_cost: Duration,
     switches: AtomicU64,
     wait_ns: AtomicU64,
     metrics: Arc<dyn MetricsSink>,
 }
 
 impl PpeGate {
-    /// A gate with `contexts` slots (2 on a Cell PPE), the given mode, and
-    /// voluntary context-switch cost (1.5 µs measured in the paper).
-    pub fn new(contexts: usize, mode: GateMode, switch_cost: Duration) -> PpeGate {
-        PpeGate::with_metrics(contexts, mode, switch_cost, Arc::new(NopMetrics))
+    /// A gate with `contexts` slots (2 on a Cell PPE) and the given mode.
+    ///
+    /// The `Duration` is ignored: it names the Cell's voluntary-switch
+    /// cost, which a host thread does not pay and the simulator models.
+    /// The parameter is there because the frozen benchmark harness calls
+    /// this signature.
+    pub fn new(contexts: usize, mode: GateMode, _: Duration) -> PpeGate {
+        PpeGate::with_metrics(contexts, mode, Arc::new(NopMetrics))
     }
 
     /// Like [`Self::new`], recording context switches and hold times into
     /// `metrics`.
-    pub fn with_metrics(
-        contexts: usize,
-        mode: GateMode,
-        switch_cost: Duration,
-        metrics: Arc<dyn MetricsSink>,
-    ) -> PpeGate {
+    pub fn with_metrics(contexts: usize, mode: GateMode, metrics: Arc<dyn MetricsSink>) -> PpeGate {
         assert!(contexts > 0, "a PPE has at least one context");
         PpeGate {
             slots: (0..contexts).map(|_| SlotWord(AtomicU32::new(SLOT_FREE))).collect(),
@@ -93,7 +93,6 @@ impl PpeGate {
             waiters: Mutex::new(0),
             freed: Condvar::new(),
             mode,
-            switch_cost,
             switches: AtomicU64::new(0),
             wait_ns: AtomicU64::new(0),
             metrics,
@@ -228,9 +227,6 @@ impl PpeToken<'_> {
                 let out = self.block_outside(f);
                 self.gate.switches.fetch_add(1, Ordering::Relaxed);
                 self.gate.metrics.incr(Counter::CtxSwitchOffload);
-                if !self.gate.switch_cost.is_zero() {
-                    spin_for(self.gate.switch_cost);
-                }
                 if let Some((t, proc)) = trace {
                     t.record(EventKind::CtxSwitch {
                         proc,
@@ -248,7 +244,7 @@ impl PpeToken<'_> {
     /// a process blocked in the OS occupies no hardware context under
     /// either discipline. The context is released for the duration and
     /// re-acquired (possibly a different one) before returning. Not an
-    /// off-load switch: `switches` and the switch cost are untouched.
+    /// off-load switch: `switches` is untouched.
     pub fn block_outside<T>(&mut self, f: impl FnOnce() -> T) -> T {
         self.observe_hold();
         self.gate.release_slot(self.slot);
@@ -279,13 +275,6 @@ impl Drop for PpeToken<'_> {
             self.observe_hold();
             self.gate.release_slot(self.slot);
         }
-    }
-}
-
-fn spin_for(d: Duration) {
-    let end = Instant::now() + d;
-    while Instant::now() < end {
-        std::hint::spin_loop();
     }
 }
 
@@ -467,12 +456,18 @@ mod tests {
     }
 
     #[test]
-    fn switch_cost_is_paid_on_reacquire() {
-        let gate = PpeGate::new(1, GateMode::YieldOnOffload, Duration::from_micros(500));
+    fn the_constructors_duration_argument_is_inert() {
+        // Ten off-loads against a 50 ms "switch cost" take nowhere near
+        // 50 ms in all: the argument is inert, every re-acquire is only
+        // the host's CAS.
+        let gate = PpeGate::new(1, GateMode::YieldOnOffload, Duration::from_millis(50));
         let mut t = gate.enter();
         let start = Instant::now();
-        t.offload(|| {});
-        assert!(start.elapsed() >= Duration::from_micros(500));
+        for _ in 0..10 {
+            t.offload(|| {});
+        }
+        assert!(start.elapsed() < Duration::from_millis(25), "took {:?}", start.elapsed());
+        assert_eq!(gate.switches(), 10);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The native execution engine: the paper's runtime system realized on
 //! host threads.
 //!
-//! * [`context`] — per-SPE state: bounded local store, resident code image;
+//! * [`context`] — per-SPE state: the SPE's id, job count and tracing ring;
 //! * [`pool`] — the virtual-SPE pool with immediate/FIFO off-load dispatch
 //!   and panic containment;
 //! * [`team`] — loop work-sharing: the off-loading thread as the team's
@@ -12,7 +12,8 @@
 //! * [`adaptive`] — [`adaptive::MgpsRuntime`], tying pool, teams, gate, and
 //!   the MGPS policy together behind one application-facing API;
 //! * [`sync`] — the mutex/condvar layer all of the above lock through,
-//!   switchable to `loom` for model checking (`RUSTFLAGS="--cfg loom"`).
+//!   switchable to `loom` for randomized schedule testing
+//!   (`RUSTFLAGS="--cfg loom"`).
 
 pub mod adaptive;
 pub mod context;
@@ -22,7 +23,7 @@ pub mod sync;
 pub mod team;
 
 pub use adaptive::{MgpsRuntime, ProcessCtx, RuntimeConfig};
-pub use context::{ImageId, LocalStore, LocalStoreExhausted, SpeContext, LOCAL_STORE_BYTES};
+pub use context::{SpeContext, LOCAL_STORE_BYTES};
 pub use gate::{GateMode, PpeGate, PpeToken};
 pub use pool::{OffloadError, OffloadHandle, SpePool, SpeStats};
-pub use team::{LoopBody, LoopSite, TeamRunner, TraceTask, ARG_FETCH_BYTES};
+pub use team::{LoopBody, LoopSite, TeamRunner, TraceTask};

@@ -24,10 +24,9 @@
 //! per-SPE slot that the SPE's current *owner* locks for the length of one
 //! job. The owner is the SPE's thread while it runs a woken worker's job,
 //! and the reserving thread while it runs one with `run_here` — same
-//! mailbox events, local-store accounting, counters and panic containment
-//! (`run_job` is the one copy of that protocol) — so the reserving thread
-//! pays no thread wake-up and no reply hand-over, and the SPE's thread
-//! stays parked.
+//! mailbox events, counters and panic containment (`run_job` is the one
+//! copy of that protocol) — so the reserving thread pays no thread
+//! wake-up and no reply hand-over, and the SPE's thread stays parked.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,20 +118,15 @@ impl PoolState {
     }
 }
 
-/// One virtual SPE's execution state. It lives in [`Shared`] rather than
-/// on the SPE thread's stack so that whoever currently *owns* the SPE —
-/// its thread, or the thread that reserved it ([`SpePool::run_here`]) —
-/// can drive it. Only the owner ever locks the slot, so the lock is never
-/// contended; it is there to hand the context from one owner to the next.
-struct SpeSlot {
-    ctx: SpeContext,
-    /// Code reloads already reported to the metrics sink.
-    reloads_seen: u64,
-}
-
 struct Shared {
     state: Mutex<PoolState>,
-    spes: Vec<Mutex<SpeSlot>>,
+    /// One context per virtual SPE. It lives here rather than on the SPE
+    /// thread's stack so that whoever currently *owns* the SPE — its
+    /// thread, or the thread that reserved it ([`SpePool::run_here`]) — can
+    /// drive it. Only the owner ever locks it, so the lock is never
+    /// contended; it is there to hand the context from one owner to the
+    /// next.
+    spes: Vec<Mutex<SpeContext>>,
     idle_changed: Condvar,
     panics: AtomicU64,
     completed: AtomicU64,
@@ -151,10 +145,6 @@ pub struct SpeStats {
     pub id: SpeId,
     /// Jobs executed.
     pub tasks_run: u64,
-    /// Code-image reloads paid.
-    pub code_reloads: u64,
-    /// Peak local-store occupancy in bytes.
-    pub local_store_high_water: usize,
 }
 
 /// A pool of virtual SPEs.
@@ -164,49 +154,47 @@ pub struct SpePool {
 }
 
 impl SpePool {
-    /// Spawn `n_spes` virtual SPEs with the given simulated code-reload
-    /// stall (pass [`Duration::ZERO`] to disable).
+    /// Spawn `n_spes` virtual SPEs.
+    ///
+    /// The `Duration` is ignored: it names the Cell's code-image reload
+    /// stall, and a host thread has no code image to reload. The parameter
+    /// is there because the frozen benchmark harness calls this
+    /// signature.
     ///
     /// # Panics
     /// Panics if `n_spes == 0`.
-    pub fn new(n_spes: usize, code_load_cost: Duration) -> SpePool {
-        SpePool::with_metrics(n_spes, code_load_cost, Arc::new(NopMetrics))
+    pub fn new(n_spes: usize, _: Duration) -> SpePool {
+        SpePool::with_metrics(n_spes, Arc::new(NopMetrics))
     }
 
-    /// Like [`Self::new`], recording pool activity (completions, code
-    /// reloads, reservations that had to wait) into `metrics`.
+    /// Like [`Self::new`], recording pool activity (completions,
+    /// reservations that had to wait) into `metrics`.
     ///
     /// # Panics
     /// Panics if `n_spes == 0`.
-    pub fn with_metrics(
-        n_spes: usize,
-        code_load_cost: Duration,
-        metrics: Arc<dyn MetricsSink>,
-    ) -> SpePool {
-        SpePool::with_observability(n_spes, code_load_cost, metrics, None)
+    pub fn with_metrics(n_spes: usize, metrics: Arc<dyn MetricsSink>) -> SpePool {
+        SpePool::with_observability(n_spes, metrics, None)
     }
 
     /// Like [`Self::with_metrics`], additionally giving every virtual SPE a
-    /// per-thread span-tracing ring from `tracer` (code reloads and the
-    /// team layer's chunk/DMA spans are recorded there; see
-    /// [`crate::tracing`]).
+    /// per-thread span-tracing ring from `tracer` (the team layer's chunk
+    /// spans are recorded there; see [`crate::tracing`]).
     ///
     /// # Panics
     /// Panics if `n_spes == 0`.
     pub fn with_observability(
         n_spes: usize,
-        code_load_cost: Duration,
         metrics: Arc<dyn MetricsSink>,
         tracer: Option<&Tracer>,
     ) -> SpePool {
         assert!(n_spes > 0, "a pool needs at least one SPE");
         let spes = (0..n_spes)
             .map(|i| {
-                let mut ctx = SpeContext::new(SpeId(i), code_load_cost);
+                let mut ctx = SpeContext::new(SpeId(i));
                 if let Some(t) = tracer {
                     ctx.set_trace(t.handle());
                 }
-                Mutex::new(SpeSlot { ctx, reloads_seen: 0 })
+                Mutex::new(ctx)
             })
             .collect();
         let shared = Arc::new(Shared {
@@ -420,16 +408,15 @@ impl Shared {
     }
 }
 
-/// Run one job on `slot`'s SPE and book it: the per-job protocol, the same
+/// Run one job on `ctx`'s SPE and book it: the per-job protocol, the same
 /// whether the SPE's own thread or [`SpePool::run_here`]'s caller drives
 /// the context. A panic in `job` is contained, counted and returned as
 /// [`OffloadError::TaskPanicked`].
 fn run_job<R>(
     shared: &Shared,
-    slot: &mut SpeSlot,
+    ctx: &mut SpeContext,
     job: impl FnOnce(&mut SpeContext) -> R,
 ) -> Result<R, OffloadError> {
-    let SpeSlot { ctx, reloads_seen } = slot;
     let id = ctx.id;
     // Model the start signal: the PPE posts the job into this SPE's
     // inbound mailbox and the SPE drains it. Recorded back-to-back on the
@@ -449,27 +436,8 @@ fn run_job<R>(
     }
     ctx.begin_task();
     let result = catch_unwind(AssertUnwindSafe(|| job(ctx)));
-    // Account the job's local-store scratch as an alloc/free pair: the
-    // data region is bump-allocated during the job and released at task
-    // teardown (`begin_task` resets it lazily).
-    let scratch = ctx.local_store.used();
-    if scratch > 0 {
-        if let Some(h) = ctx.trace() {
-            h.record(EventKind::LsAlloc {
-                spe: id.0,
-                bytes: scratch,
-                in_use: scratch,
-            });
-            h.record(EventKind::LsFree { spe: id.0, bytes: scratch, in_use: 0 });
-        }
-    }
     shared.completed.fetch_add(1, Ordering::Relaxed);
     shared.metrics.incr(Counter::TasksCompleted);
-    let reloads_now = ctx.code_reloads();
-    if reloads_now > *reloads_seen {
-        shared.metrics.add(Counter::CodeReloads, reloads_now - *reloads_seen);
-        *reloads_seen = reloads_now;
-    }
     result.map_err(|_| {
         shared.panics.fetch_add(1, Ordering::Relaxed);
         OffloadError::TaskPanicked
@@ -486,13 +454,7 @@ fn worker_loop(id: SpeId, rx: Receiver<WorkerMsg>, shared: Arc<Shared>) -> SpeSt
         let _ = run_job(&shared, &mut shared.spes[id.0].lock(), job);
         shared.retire(id);
     }
-    let slot = shared.spes[id.0].lock();
-    SpeStats {
-        id,
-        tasks_run: slot.ctx.tasks_run(),
-        code_reloads: slot.ctx.code_reloads(),
-        local_store_high_water: slot.ctx.local_store.high_water(),
-    }
+    SpeStats { id, tasks_run: shared.spes[id.0].lock().tasks_run() }
 }
 
 #[cfg(test)]
@@ -523,7 +485,7 @@ mod tests {
     #[test]
     fn offload_blocks_while_every_spe_is_reserved_and_proceeds_when_one_is_returned() {
         let metrics = Arc::new(AtomicMetrics::new());
-        let pool = SpePool::with_metrics(2, Duration::ZERO, Arc::<AtomicMetrics>::clone(&metrics));
+        let pool = SpePool::with_metrics(2, Arc::<AtomicMetrics>::clone(&metrics));
         let team = pool.reserve(2);
         assert_eq!(metrics.get(Counter::OffloadQueueStalls), 0, "that one did not wait");
         std::thread::scope(|scope| {
@@ -563,14 +525,10 @@ mod tests {
     #[test]
     fn jobs_observe_spe_context() {
         let pool = SpePool::new(3, Duration::ZERO);
-        let h = pool.offload(|ctx| {
-            let scratch = ctx.local_store.alloc(1024).unwrap();
-            scratch[0] = 7;
-            (ctx.id.0, scratch[0])
-        });
-        let (id, byte) = h.wait().unwrap();
+        let h = pool.offload(|ctx| (ctx.id.0, ctx.tasks_run()));
+        let (id, run) = h.wait().unwrap();
         assert!(id < 3);
-        assert_eq!(byte, 7);
+        assert_eq!(run, 1, "the context counts the job it is running");
     }
 
     #[test]
@@ -607,10 +565,7 @@ mod tests {
         let pool = SpePool::new(2, Duration::ZERO);
         let here = std::thread::current().id();
         let spe = pool.reserve(1)[0];
-        let got = pool.run_here(spe, |ctx| {
-            ctx.local_store.alloc(512).unwrap();
-            (ctx.id, std::thread::current().id())
-        });
+        let got = pool.run_here(spe, |ctx| (ctx.id, std::thread::current().id()));
         assert_eq!(got, Ok((spe, here)));
         // Booked and idle again by the time it returns.
         assert_eq!((pool.completed(), pool.idle_count()), (1, 2));
@@ -623,25 +578,19 @@ mod tests {
 
         let stats = pool.shutdown();
         assert_eq!(stats.iter().map(|s| s.tasks_run).sum::<u64>(), 2);
-        assert_eq!(stats.iter().map(|s| s.local_store_high_water).max(), Some(512));
     }
 
     #[test]
     fn shutdown_reports_stats() {
         let pool = SpePool::new(2, Duration::ZERO);
         for _ in 0..10 {
-            pool.offload(|ctx| {
-                ctx.local_store.alloc(2048).unwrap();
-            })
-            .wait()
-            .unwrap();
+            pool.offload(|_| ()).wait().unwrap();
         }
         let mut stats = pool.shutdown();
         stats.sort_by_key(|s| s.id);
         assert_eq!(stats.len(), 2);
         let total: u64 = stats.iter().map(|s| s.tasks_run).sum();
         assert_eq!(total, 10);
-        assert!(stats.iter().any(|s| s.local_store_high_water >= 2048));
     }
 
     #[test]

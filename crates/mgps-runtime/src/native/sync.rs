@@ -2,9 +2,11 @@
 //!
 //! Compiled normally these are exactly the `parking_lot` primitives. Under
 //! `RUSTFLAGS="--cfg loom"` they become wrappers over `loom::sync`, so the
-//! gate/pool/team machinery can be model-checked: loom intercepts every
-//! lock acquisition and explores interleavings the OS scheduler may never
-//! produce. The wrappers keep parking_lot's API shape (non-poisoning
+//! gate/pool/team machinery runs under the vendored loom's randomized
+//! scheduler: it intercepts every lock acquisition and drives schedules
+//! the OS scheduler may rarely produce. It samples schedules rather than
+//! enumerating them, so a loom run can refute a protocol, not prove it.
+//! The wrappers keep parking_lot's API shape (non-poisoning
 //! `lock()`, `Condvar::wait(&mut guard)`), so the runtime code is identical
 //! under both compilations.
 //!
@@ -26,7 +28,7 @@ pub use parking_lot::{Condvar, Mutex, MutexGuard};
 #[cfg(loom)]
 pub use self::loom_shim::{Condvar, Mutex, MutexGuard};
 
-/// Atomics, routed through loom when model-checking. The sharded PPE gate
+/// Atomics, routed through loom under `--cfg loom`. The sharded PPE gate
 /// builds its per-context slot words, and the team layer its chunk claim
 /// flags and countdown, from these so the same code is exercised by the
 /// loom models and the real runtime.

@@ -76,14 +76,9 @@ use crate::policy::chunk::partition;
 use crate::policy::SpeId;
 use crate::tracing::TraceHandle;
 
-/// Notional size of a worker's loop-argument DMA fetch, bytes. Real Cell
-/// code fetches a control block + argument arrays; 2 KB (16-byte aligned,
-/// under the 16 KB MFC element limit) stands in for it in traces.
-pub const ARG_FETCH_BYTES: usize = 2048;
-
 /// Identifies the off-load a traced team invocation belongs to, so the
-/// team layer can attribute its spans (task start/end, per-member chunks,
-/// worker argument DMA) to the right task in the drained trace.
+/// team layer can attribute its spans (task start/end, per-member chunks)
+/// to the right task in the drained trace.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceTask<'a> {
     /// The calling process's ring (task start/end land here).
@@ -131,20 +126,17 @@ pub trait LoopBody: Send + Sync + 'static {
 }
 
 /// The one place a body's rounds are driven from: run `round` — told how
-/// many came before it — ask the body, and repeat until it says stop. A
-/// later round finds `ctx`'s data region as empty as the first did.
+/// many came before it — ask the body, and repeat until it says stop.
 fn rounds<B: LoopBody, E>(
     body: &B,
-    ctx: &mut SpeContext,
-    mut round: impl FnMut(usize, &mut SpeContext) -> Result<B::Acc, E>,
+    mut round: impl FnMut(usize) -> Result<B::Acc, E>,
 ) -> Result<B::Acc, E> {
     let mut before = 0;
     loop {
-        let mut merged = round(before, ctx)?;
+        let mut merged = round(before)?;
         if !body.again(&mut merged) {
             return Ok(merged);
         }
-        ctx.local_store.reset();
         before += 1;
     }
 }
@@ -152,7 +144,7 @@ fn rounds<B: LoopBody, E>(
 /// Every round of `body` as one chunk on `ctx`: a kernel's PPE copy.
 pub(super) fn run_whole<B: LoopBody>(body: &B, ctx: &mut SpeContext) -> B::Acc {
     let n = body.len();
-    let Ok(acc) = rounds(body, ctx, |_, ctx| Ok::<_, Infallible>(body.run_chunk(0..n, ctx)));
+    let Ok(acc) = rounds(body, |_| Ok::<_, Infallible>(body.run_chunk(0..n, ctx)));
     acc
 }
 
@@ -269,37 +261,11 @@ impl<B: LoopBody> Round<B> {
     }
 
     /// Worker `i`'s job: its own chunk, unless the master got there first.
-    fn worker_share(&self, i: usize, startup: Duration, ctx: &mut SpeContext) {
+    fn worker_share(&self, i: usize, ctx: &mut SpeContext) {
         if !self.claim(i) {
             return;
         }
         let _counted = CountDown(self);
-        // fetch_data(): workers stage the argument block through local
-        // store and pay the fetch latency before their first iteration.
-        if !startup.is_zero() {
-            let staged = ctx.local_store.alloc(ARG_FETCH_BYTES).is_ok();
-            if let (Some(_), Some(h)) = (self.task, ctx.trace()) {
-                // The issue event models the argument fetch as a
-                // single-element list transfer into the start of the data
-                // region.
-                if staged {
-                    h.record(EventKind::Dma {
-                        spe: ctx.id.0,
-                        element_bytes: vec![ARG_FETCH_BYTES],
-                        local_addr: 0,
-                        main_addr: 0,
-                    });
-                }
-                // Timestamp = transfer start; the latency is the span
-                // length (mirrors the simulator's DMA span).
-                h.record(EventKind::DmaComplete {
-                    spe: ctx.id.0,
-                    bytes: ARG_FETCH_BYTES,
-                    latency_ns: startup.as_nanos() as u64,
-                });
-            }
-            spin_for(startup);
-        }
         let acc = self.run(i, ctx);
         *self.chunks[i].partial.lock() = Some((acc, Instant::now()));
     }
@@ -318,9 +284,6 @@ impl<B: LoopBody> Round<B> {
         let chunk0_ns = started.elapsed().as_nanos() as u64;
         for (i, slot) in taken.iter_mut().enumerate().skip(1) {
             if self.claim(i) {
-                // A chunk finds the data region as empty as it would have
-                // on its own SPE.
-                ctx.local_store.reset();
                 *slot = Some(self.run(i, ctx));
             }
         }
@@ -417,22 +380,13 @@ impl<B: LoopBody> Round<B> {
 
     /// Held worker `i`'s job, started in round `round`: its share of every
     /// round from there on, parked in between, until the team is closed.
-    /// The argument fetch is paid once, like any job's.
-    fn worker_rounds(
-        &self,
-        i: usize,
-        mut round: usize,
-        mut startup: Duration,
-        ctx: &mut SpeContext,
-    ) {
+    fn worker_rounds(&self, i: usize, mut round: usize, ctx: &mut SpeContext) {
         loop {
-            self.worker_share(i, startup, ctx);
+            self.worker_share(i, ctx);
             match self.await_round(round) {
                 Some(next) => round = next,
                 None => return,
             }
-            startup = Duration::ZERO;
-            ctx.local_store.reset();
         }
     }
 }
@@ -447,9 +401,6 @@ pub struct LoopSite(pub u64);
 pub struct TeamRunner {
     pool: Arc<SpePool>,
     balancers: Mutex<HashMap<LoopSite, LoadBalancer>>,
-    /// Simulated worker startup latency (the DMA fetch of loop arguments
-    /// in `fetch_data()`); zero disables the stall.
-    worker_startup: Duration,
     invocations: AtomicU64,
     /// Overrides every site's wake verdict while set ([`Self::pin`]).
     #[cfg(any(test, loom))]
@@ -457,12 +408,17 @@ pub struct TeamRunner {
 }
 
 impl TeamRunner {
-    /// A runner over `pool` with the given simulated worker-startup stall.
-    pub fn new(pool: Arc<SpePool>, worker_startup: Duration) -> TeamRunner {
+    /// A runner over `pool`.
+    ///
+    /// The `Duration` is ignored: it names a Cell worker's start-up stall
+    /// (the DMA fetch of its loop arguments), which a woken host thread
+    /// does not pay — its chunk is already in memory it shares with the
+    /// master. The parameter is there because the frozen benchmark harness
+    /// calls this signature.
+    pub fn new(pool: Arc<SpePool>, _: Duration) -> TeamRunner {
         TeamRunner {
             pool,
             balancers: Mutex::new(HashMap::new()),
-            worker_startup,
             invocations: AtomicU64::new(0),
             #[cfg(any(test, loom))]
             pinned: Mutex::new(None),
@@ -514,11 +470,11 @@ impl TeamRunner {
         self.parallel_reduce_traced(site, degree, body, None)
     }
 
-    /// As [`Self::parallel_reduce`], recording task/chunk/DMA spans for the
+    /// As [`Self::parallel_reduce`], recording task and chunk spans for the
     /// off-load identified by `trace` (see [`crate::tracing`]). Task start
-    /// and end land on the caller's ring; a chunk (and a worker's
-    /// argument-fetch DMA) lands on the ring of the SPE whose context ran
-    /// it — the master SPE's for every chunk the master ran.
+    /// and end land on the caller's ring; a chunk lands on the ring of the
+    /// SPE whose context ran it — the master SPE's for every chunk the
+    /// master ran.
     pub fn parallel_reduce_traced<B: LoopBody>(
         &self,
         site: LoopSite,
@@ -612,12 +568,11 @@ impl TeamRunner {
     fn wake<B: LoopBody>(&self, team: &[SpeId], round: &Arc<Round<B>>, held: Option<usize>) {
         for (i, w) in team.iter().enumerate().skip(1) {
             let round = Arc::clone(round);
-            let startup = self.worker_startup;
             self.pool.run_on(
                 *w,
                 Box::new(move |ctx: &mut SpeContext| match held {
-                    None => round.worker_share(i, startup, ctx),
-                    Some(opened) => round.worker_rounds(i, opened, startup, ctx),
+                    None => round.worker_share(i, ctx),
+                    Some(opened) => round.worker_rounds(i, opened, ctx),
                 }),
             );
         }
@@ -653,7 +608,7 @@ impl TeamRunner {
         let degree = round.chunks.len();
         let mut chunk0_ns = 0;
         let last = self.pool.run_here(master, |ctx| {
-            rounds(&*round.body, ctx, |before, ctx| {
+            rounds(&*round.body, |before| {
                 if before > 0 {
                     round.reopen();
                 }
@@ -707,15 +662,6 @@ fn compute_timing(
         (total / worker_finishes.len() as u128) as u64
     };
     LoopObservation { master_idle_ns, mean_worker_idle_ns, loop_ns }
-}
-
-/// Busy-wait for `d` (models an SPE stall; sleeping would deschedule the
-/// thread and distort fine-grained timings).
-fn spin_for(d: Duration) {
-    let end = Instant::now() + d;
-    while Instant::now() < end {
-        std::hint::spin_loop();
-    }
 }
 
 /// The retired team path — the master's share shipped to the reserved
@@ -1066,8 +1012,7 @@ mod tests {
         fn identity(&self) -> u64 {
             0
         }
-        fn run_chunk(&self, range: Range<usize>, ctx: &mut SpeContext) -> u64 {
-            ctx.local_store.alloc(128).unwrap();
+        fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> u64 {
             if self.bomb.is_some_and(|b| range.contains(&b)) {
                 panic!("failure injection");
             }
@@ -1203,7 +1148,7 @@ mod tests {
     #[test]
     fn a_master_that_ran_every_chunk_reports_no_idle_time() {
         let round = Round::new(Arc::new(SumLoop { n: 64 }), partition(64, 4, 0.0), None);
-        let ctx = |spe| SpeContext::new(SpeId(spe), Duration::ZERO);
+        let ctx = |spe| SpeContext::new(SpeId(spe));
         let started = Instant::now();
         let mut taken: Vec<Option<f64>> = vec![None; 4];
         let (first, _, master_finished) = round.master_share(&mut taken, &mut ctx(0));
@@ -1211,7 +1156,7 @@ mod tests {
         // The workers wake late, find their chunks gone and return at
         // once, without counting anything down.
         for i in 1..4 {
-            round.worker_share(i, Duration::from_micros(50), &mut ctx(i));
+            round.worker_share(i, &mut ctx(i));
         }
         assert_eq!(round.unfinished.load(Ordering::SeqCst), 4);
         round.wait_for_workers(4);
@@ -1226,9 +1171,9 @@ mod tests {
     #[test]
     fn workers_that_got_there_first_keep_their_chunks() {
         let round = Round::new(Arc::new(SumLoop { n: 64 }), partition(64, 4, 0.0), None);
-        let ctx = |spe| SpeContext::new(SpeId(spe), Duration::ZERO);
-        round.worker_share(1, Duration::ZERO, &mut ctx(1));
-        round.worker_share(3, Duration::ZERO, &mut ctx(3));
+        let ctx = |spe| SpeContext::new(SpeId(spe));
+        round.worker_share(1, &mut ctx(1));
+        round.worker_share(3, &mut ctx(3));
         let mut taken: Vec<Option<f64>> = vec![None; 4];
         let (first, _, master_finished) = round.master_share(&mut taken, &mut ctx(0));
         assert!(taken[1].is_none() && taken[2].is_some() && taken[3].is_none());
@@ -1314,12 +1259,12 @@ mod tests {
     #[test]
     fn a_reopened_round_hands_every_chunk_out_once_more() {
         let round = Round::new(Arc::new(SumLoop { n: 64 }), partition(64, 4, 0.0), None);
-        let ctx = |spe| SpeContext::new(SpeId(spe), Duration::ZERO);
+        let ctx = |spe| SpeContext::new(SpeId(spe));
         for opened in 0..3 {
             assert_eq!(round.unfinished.load(Ordering::SeqCst), 4);
-            round.worker_share(2, Duration::ZERO, &mut ctx(2));
+            round.worker_share(2, &mut ctx(2));
             // A second wake-up for a chunk of this round finds it gone.
-            round.worker_share(2, Duration::ZERO, &mut ctx(2));
+            round.worker_share(2, &mut ctx(2));
             let mut taken: Vec<Option<f64>> = vec![None; 4];
             let (first, _, _) = round.master_share(&mut taken, &mut ctx(0));
             assert!(taken[1].is_some() && taken[2].is_none() && taken[3].is_some());
@@ -1383,8 +1328,7 @@ mod tests {
             let counters = (pool.completed(), pool.panics());
             let stats = Arc::try_unwrap(pool).ok().expect("the runner is gone").shutdown();
             let tasks_run: u64 = stats.iter().map(|s| s.tasks_run).sum();
-            let high_water = stats.iter().map(|s| s.local_store_high_water).max();
-            assert_eq!((counters.0, tasks_run, high_water), (booked, booked, Some(128)));
+            assert_eq!((counters.0, tasks_run), (booked, booked));
             (results, counters)
         };
         let reduce: Reduce = |tr, site, degree, body| tr.parallel_reduce(site, degree, body);

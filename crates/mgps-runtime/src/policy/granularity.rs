@@ -14,8 +14,9 @@
 //!
 //! Natively the two extra terms have no separate measurement: the `t_spe`
 //! recorded is the wall time of the whole off-load, from the request to the
-//! result back on the PPE, so the hand-over both ways and any code reload
-//! are already in it. The test run is therefore `t_spe < t_ppe`.
+//! result back on the PPE, so the hand-over both ways is already in it (a
+//! host thread reloads no code image). The test run is therefore
+//! `t_spe < t_ppe`.
 //!
 //! Task lengths are unknown a priori, so the scheduler *optimistically
 //! off-loads* any annotated task, measures it, and throttles off-loading of

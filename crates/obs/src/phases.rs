@@ -12,9 +12,11 @@
 //!   reload in parallel, so the task-level stall is the maximum);
 //! * `t_comm` — DMA latency of the task's input/output transfer, summed
 //!   over the whole team (the simulator's lead SPE issues the task
-//!   buffers; native workers fetch their arguments themselves). The
-//!   optimized kernels double-buffer, so this overlaps `t_spe` unless the
-//!   bus fell back to a stalled transfer.
+//!   buffers). The optimized kernels double-buffer, so this overlaps
+//!   `t_spe` unless the bus fell back to a stalled transfer.
+//!
+//! `t_code` and `t_comm` are Cell hardware costs: a native run records no
+//! code reload and no DMA, so both are zero there.
 
 use std::collections::HashMap;
 

@@ -9,7 +9,10 @@
 //! transfers surface as longer `dma_latency_ns` observations instead) —
 //! are *absent*, not zero: the summary carries a [`RunSource`] tag and
 //! [`ObsSummary::counter`] returns `None` for them on simulated runs, so
-//! reports render "n/a" rather than a falsely confident 0. A serve log's
+//! reports render "n/a" rather than a falsely confident 0. The mirror
+//! holds for native runs: a host thread has no code image to reload and
+//! issues no DMA, so `code_reloads` and `dma_issues` are absent there. A
+//! serve log's
 //! job events fold into the per-tenant job states `/metrics` exports.
 //!
 //! [`RunLog`]: cellsim::event::RunLog
@@ -39,6 +42,10 @@ pub enum RunSource {
 /// Counters a [`RunSource::Simulated`] log structurally cannot observe.
 const SIM_UNOBSERVABLE: [Counter; 3] =
     [Counter::MailboxStalls, Counter::OffloadQueueStalls, Counter::DmaFallbacks];
+
+/// Counters a [`RunSource::Native`] log structurally cannot observe: Cell
+/// hardware costs that only the simulator models.
+const NATIVE_UNOBSERVABLE: [Counter; 2] = [Counter::CodeReloads, Counter::DmaIssues];
 
 /// Everything a report needs to know about one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,13 +170,14 @@ impl ObsSummary {
 
     /// The value of counter `c`, or `None` when this run's source cannot
     /// observe it (a simulator log has no mailbox back-pressure, off-load
-    /// queue stalls, or DMA fallback path to count).
+    /// queue stalls, or DMA fallback path to count; a native log has no
+    /// code reload or DMA).
     pub fn counter(&self, c: Counter) -> Option<u64> {
-        if self.source == RunSource::Simulated && SIM_UNOBSERVABLE.contains(&c) {
-            None
-        } else {
-            Some(self.metrics.get(c))
-        }
+        let unobservable = match self.source {
+            RunSource::Simulated => &SIM_UNOBSERVABLE[..],
+            RunSource::Native => &NATIVE_UNOBSERVABLE[..],
+        };
+        (!unobservable.contains(&c)).then(|| self.metrics.get(c))
     }
 
     /// A deterministic JSON value tree of the summary. Unobservable
@@ -281,11 +289,15 @@ impl ObsSummary {
             t.t_ppe_ns, t.t_wait_ns, t.t_spe_ns, t.t_code_ns, t.t_comm_ns
         ));
         s.push_str("counters:\n");
+        let unobservable = match self.source {
+            RunSource::Simulated => "in simulation",
+            RunSource::Native => "natively",
+        };
         for &c in &Counter::ALL {
             match self.counter(c) {
                 Some(v) if v > 0 => s.push_str(&format!("  {}: {v}\n", c.name())),
                 Some(_) => {}
-                None => s.push_str(&format!("  {}: n/a (not observable in simulation)\n", c.name())),
+                None => s.push_str(&format!("  {}: n/a (not observable {unobservable})\n", c.name())),
             }
         }
         for (t, [a, r, sh, f]) in &self.tenant_jobs {
@@ -502,11 +514,20 @@ mod tests {
         assert!(sim.to_value().to_json().contains("\"mailbox_stalls\":null"));
         assert!(sim.render_text().contains("mailbox_stalls: n/a"));
 
-        // The same log tagged native reports the counters (genuinely zero).
+        // The same log tagged native reports the counters (genuinely zero),
+        // and leaves out the Cell hardware costs a host thread never pays.
         let native = ObsSummary::from_log_with_source(&log, RunSource::Native);
         assert_eq!(native.counter(Counter::MailboxStalls), Some(0));
         assert!(native.to_value().to_json().contains("\"mailbox_stalls\":0"));
-        assert!(!native.render_text().contains("n/a"));
+        for c in [Counter::CodeReloads, Counter::DmaIssues] {
+            assert_eq!(native.counter(c), None, "{c:?} must be n/a natively");
+        }
+        assert!(native.to_value().to_json().contains("\"code_reloads\":null"));
+        let rendered = native.render_text();
+        assert!(rendered.contains("code_reloads: n/a (not observable natively)"));
+        assert!(rendered.contains("dma_issues: n/a"));
+        assert!(!rendered.contains("mailbox_stalls: n/a"));
+        assert!(!rendered.contains("in simulation"));
     }
 
     #[test]

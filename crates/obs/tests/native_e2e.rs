@@ -54,9 +54,7 @@ impl LoopBody for Spin {
 /// Run a two-process MGPS workload under the tracer and drain it.
 fn traced_mgps_run() -> (TraceLog, usize) {
     let tracer = Tracer::with_default_capacity();
-    let mut cfg = RuntimeConfig::cell(SchedulerKind::Mgps);
-    cfg.switch_cost = Duration::ZERO;
-    cfg.worker_startup = Duration::from_micros(5);
+    let cfg = RuntimeConfig::cell(SchedulerKind::Mgps);
     let n_spes = cfg.n_spes;
     let rt =
         MgpsRuntime::with_observability(cfg, Arc::new(NopMetrics), Some(Arc::clone(&tracer)));
@@ -130,7 +128,6 @@ fn armed_native_run_stays_checker_valid() {
     let plan = FaultPlan::parse("seed=5,stall=0.2,pin=dma_error@0").expect("spec parses");
     let tracer = Tracer::with_default_capacity();
     let mut cfg = RuntimeConfig::cell(SchedulerKind::Edtlp);
-    cfg.switch_cost = Duration::ZERO;
     cfg.faults = plan;
     let n_spes = cfg.n_spes;
     let rt =
@@ -182,7 +179,6 @@ fn edtlp_teams_of_one_stay_checker_valid_when_callers_wait_for_an_spe() {
     const TASKS_EACH: u64 = 12;
     let tracer = Tracer::with_default_capacity();
     let mut cfg = RuntimeConfig::cell(SchedulerKind::Edtlp);
-    cfg.switch_cost = Duration::ZERO;
     cfg.n_spes = 2;
     cfg.ppe_contexts = PROCS as usize;
     let rt =
@@ -222,19 +218,15 @@ fn edtlp_teams_of_one_stay_checker_valid_when_callers_wait_for_an_spe() {
 
 /// Golden structure of [`PhaseBreakdown`] over a native LLP team run:
 /// the master/worker reduction recorded by `parallel_reduce_traced`
-/// yields one off-load whose span covers dispatch through reduction,
-/// whose chunks tile the loop, and whose worker argument fetches land in
-/// `t_comm`.
+/// yields one off-load whose span covers dispatch through reduction and
+/// whose chunks tile the loop. A woken worker reads its chunk from memory
+/// it shares with the master, so the native run records no DMA and its
+/// `t_comm` is zero.
 #[test]
 fn llp_team_run_phases_include_the_reduction_span() {
     let tracer = Tracer::with_default_capacity();
-    let pool = Arc::new(SpePool::with_observability(
-        4,
-        Duration::ZERO,
-        Arc::new(NopMetrics),
-        Some(&*tracer),
-    ));
-    let runner = TeamRunner::new(Arc::clone(&pool), Duration::from_micros(20));
+    let pool = Arc::new(SpePool::with_observability(4, Arc::new(NopMetrics), Some(&*tracer)));
+    let runner = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
     let handle = tracer.handle();
     let body = Arc::new(Spin { n: 63, spin: Duration::from_micros(30) });
     let degree = 4;
@@ -262,15 +254,10 @@ fn llp_team_run_phases_include_the_reduction_span() {
     // minimum spin each, so the span cannot be shorter than that.
     assert_eq!(ph.t_spe_ns, ph.end_ns - ph.start_ns);
     assert!(ph.t_spe_ns >= 15 * 30_000, "span covers the master chunk");
-    // Worker argument fetches are team DMA with the configured startup
-    // latency, 20 us for each chunk a worker ran. The master — the first
-    // team member — fetches nothing, and it takes over the chunk of any
-    // worker that has not woken by the time its own is done.
+    // Neither the master nor a woken worker fetches anything: no DMA.
+    assert_eq!(ph.t_comm_ns, 0);
     let chunks = chunks_of(&log, 0);
-    let master = team_of(&log, 0)[0];
-    let worker_run = chunks.iter().filter(|(_, _, worker)| *worker != master).count();
-    assert!(worker_run <= 3);
-    assert_eq!(ph.t_comm_ns, worker_run as u64 * 20_000);
+    assert!(chunks.iter().all(|(_, _, worker)| team_of(&log, 0).contains(worker)));
     // The chunks recorded tile the 63-iteration loop across the team.
     assert_eq!(chunks.iter().map(|(_, len, _)| len).sum::<usize>(), 63);
 }
@@ -311,13 +298,8 @@ fn team_runs_stay_checker_clean_whoever_runs_the_chunks() {
     const INVOCATIONS: u64 = 50;
     for degree in [2usize, 4, 8] {
         let tracer = Tracer::with_default_capacity();
-        let pool = Arc::new(SpePool::with_observability(
-            8,
-            Duration::ZERO,
-            Arc::new(NopMetrics),
-            Some(&*tracer),
-        ));
-        let runner = TeamRunner::new(Arc::clone(&pool), Duration::from_micros(5));
+        let pool = Arc::new(SpePool::with_observability(8, Arc::new(NopMetrics), Some(&*tracer)));
+        let runner = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
         let handle = tracer.handle();
         for task in 0..INVOCATIONS {
             handle.record(EventKind::Offload { proc: 0, task });
@@ -413,13 +395,8 @@ fn a_three_round_task_is_one_task_whose_chunks_tile_its_loop_once() {
     const INVOCATIONS: u64 = 50;
     for degree in [1usize, 4] {
         let tracer = Tracer::with_default_capacity();
-        let pool = Arc::new(SpePool::with_observability(
-            8,
-            Duration::ZERO,
-            Arc::new(NopMetrics),
-            Some(&*tracer),
-        ));
-        let runner = TeamRunner::new(Arc::clone(&pool), Duration::from_micros(5));
+        let pool = Arc::new(SpePool::with_observability(8, Arc::new(NopMetrics), Some(&*tracer)));
+        let runner = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
         let handle = tracer.handle();
         for task in 0..INVOCATIONS {
             handle.record(EventKind::Offload { proc: 0, task });

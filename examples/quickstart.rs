@@ -7,7 +7,6 @@
 
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Duration;
 
 use multigrain::prelude::*;
 
@@ -93,7 +92,7 @@ fn main() {
     let body = Integrate { steps: 200_000 };
     let mut seq = 0.0;
     for _ in 0..48 {
-        let mut scratch = SpeContext::new(mgps_runtime::policy::SpeId(0), Duration::ZERO);
+        let mut scratch = SpeContext::new(mgps_runtime::policy::SpeId(0));
         seq += body.run_chunk(0..body.len(), &mut scratch);
     }
     println!("{:<38} {:>8.1?}", "sequential reference", start.elapsed());

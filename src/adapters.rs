@@ -475,8 +475,6 @@ impl<M: SubstModel + Clone + 'static> ScoringEngine for OffloadedEngine<'_, '_, 
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
-
     use super::*;
     use mgps_runtime::native::{MgpsRuntime, RuntimeConfig};
     use mgps_runtime::policy::{SchedulerKind, SpeId};
@@ -593,7 +591,7 @@ mod tests {
             arena: Arc::clone(&arena),
             edge: Mutex::default(),
         };
-        let mut spe = SpeContext::new(SpeId(usize::MAX), Duration::ZERO);
+        let mut spe = SpeContext::new(SpeId(usize::MAX));
         let mut round = || {
             (0..4)
                 .map(|c| body.run_chunk(n * c / 4..n * (c + 1) / 4, &mut spe))

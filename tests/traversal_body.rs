@@ -77,7 +77,7 @@ fn body_at(
 /// One round of `body` over `ranges` as a team runs it: every chunk,
 /// partials merged in chunk order.
 fn round(body: &TraversalBody<Jc69>, ranges: &[Range<usize>]) -> Partial {
-    let mut ctx = SpeContext::new(SpeId(usize::MAX), Duration::ZERO);
+    let mut ctx = SpeContext::new(SpeId(usize::MAX));
     ranges
         .iter()
         .map(|r| body.run_chunk(r.clone(), &mut ctx))

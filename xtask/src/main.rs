@@ -25,12 +25,15 @@ mod ledger;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// The tree to audit. xtask lives at `<repo>/xtask`, so the root is its
+/// manifest dir's parent. Cargo sets `CARGO_MANIFEST_DIR` for `cargo run`,
+/// and that run-time value wins: a copy of the repo whose `xtask` binary
+/// cargo still counts as fresh carries the compile-time path of the tree
+/// it was built in, and would audit that tree instead.
 fn repo_root() -> PathBuf {
-    // xtask lives at <repo>/xtask; the manifest dir's parent is the root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("xtask sits inside the repo")
-        .to_path_buf()
+    let manifest_dir = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
+    manifest_dir.parent().expect("xtask sits inside the repo").to_path_buf()
 }
 
 fn main() -> ExitCode {
@@ -59,9 +62,13 @@ fn main() -> ExitCode {
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from);
 
-    let report = mgps_lint::audit(&repo_root());
-    let rendered =
-        if json { report.to_value().to_json_pretty() + "\n" } else { report.render_text() };
+    let root = repo_root();
+    let report = mgps_lint::audit(&root);
+    let rendered = if json {
+        report.to_value().to_json_pretty() + "\n"
+    } else {
+        format!("mgps-lint: auditing {}\n{}", root.display(), report.render_text())
+    };
     match &out_path {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &rendered) {
