@@ -364,7 +364,7 @@ pub fn micro(scale: usize) -> Experiment {
     let cfg = SimConfig::cell_42sc(SchedulerKind::Edtlp, 8, scale);
     let r = run(cfg);
     e.rows.push(Row::with_paper(
-        "PPE context switch (us)",
+        "PPE context switch (simulator input, us)",
         cfg.params.ctx_switch.as_micros_f64(),
         1.5,
     ));

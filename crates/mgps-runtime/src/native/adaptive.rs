@@ -457,9 +457,8 @@ impl MgpsRuntime {
 pub struct ProcessCtx<'rt> {
     token: PpeToken<'rt>,
     rt: &'rt MgpsRuntime,
-    /// Reusable scratch context for PPE-fallback kernel execution (lazily
-    /// created; re-allocating its local store per call would distort the
-    /// granularity controller's PPE timings).
+    /// The context a kernel's PPE copy runs in (sentinel SPE id), created
+    /// on first use and kept for the process's life.
     ppe_scratch: Option<Box<super::context::SpeContext>>,
     /// Stable process id (0, 1, ... in `enter_process` order), used to
     /// attribute traced events to this worker process.

@@ -3,11 +3,12 @@
 //! RAxML drives its three kernels (`newview`, `evaluate`, `makenewz`,
 //! §5.1) from a single walk over the tree. [`Kernels`] is what an engine
 //! supplies — the kernels over its own CLV type — and the functions here
-//! are that walk: the post-order recursion, the score at an edge, the
-//! every-edge optimization pass and the convergence loop around it. The
-//! direct DNA engine, the Γ mixture, the protein engine and the workspace's
-//! off-loading engine all run through them, so the floating-point order of
-//! a tree evaluation is decided in this file only.
+//! are that walk: the post-order recursion, the score at an edge, and
+//! [`BranchPasses`], the every-edge optimization pass and the convergence
+//! loop around it as a cursor any driver can resume. The direct DNA
+//! engine, the Γ mixture, the protein engine and each chunk of the
+//! workspace's off-loaded search requests all run through them, so the
+//! floating-point order of a tree evaluation is decided in this file only.
 
 use crate::tree::{EdgeId, Tree};
 
@@ -20,9 +21,9 @@ use crate::tree::{EdgeId, Tree};
 /// straight from the alignment. The kernels consume their operands: a
 /// child is dead once its parent exists, and an edge's pair is dead once
 /// the edge is scored or optimized — which is where an engine that
-/// recycles CLV storage takes it back. Methods take `&mut self` because an
-/// off-loading engine counts and dispatches; the direct engines implement
-/// the trait on a shared borrow.
+/// recycles CLV storage takes it back. Methods take `&mut self` because a
+/// provider may count calls or hold storage, as an off-loaded chunk holds
+/// its pieces; the direct engines implement the trait on a shared borrow.
 pub trait Kernels {
     /// An operand as this engine hands it on: a tip or a conditional
     /// likelihood vector.
@@ -63,7 +64,7 @@ pub fn clv_toward<K: Kernels>(k: &mut K, tree: &Tree, node: usize, parent: usize
 }
 
 /// The CLVs at the two ends of `edge`, each looking away from the other.
-fn edge_pair<K: Kernels>(k: &mut K, tree: &Tree, edge: EdgeId) -> (K::Clv, K::Clv) {
+pub fn edge_pair<K: Kernels>(k: &mut K, tree: &Tree, edge: EdgeId) -> (K::Clv, K::Clv) {
     let (a, b) = tree.endpoints(edge);
     let cu = clv_toward(k, tree, a, b);
     let cv = clv_toward(k, tree, b, a);
@@ -82,6 +83,84 @@ pub fn score<K: Kernels>(k: &mut K, tree: &Tree) -> f64 {
     score_at(k, tree, EdgeId(0))
 }
 
+/// One step of [`optimize_branches`], as a [`BranchPasses`] cursor hands
+/// it out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Step {
+    /// Score the tree at this edge.
+    Score(EdgeId),
+    /// Optimize this edge's length, starting from the given one.
+    Optimize(EdgeId, f64),
+    /// Finished, with this log-likelihood.
+    Done(f64),
+}
+
+/// The schedule of [`optimize_branches`] as a resumable cursor: a score,
+/// then passes of every edge in id order each closed by a score, until the
+/// log-likelihood improves by less than `epsilon` between passes (at most
+/// `max_passes`). Whoever runs the kernels feeds each step's result back
+/// with [`Self::advance`] — the direct walk in a plain loop, an off-loaded
+/// search request from one round of its task to the next — so both take
+/// the same steps in the same order.
+#[derive(Debug, Clone)]
+pub struct BranchPasses {
+    step: Step,
+    passes_left: usize,
+    epsilon: f64,
+    last: f64,
+}
+
+impl BranchPasses {
+    /// The cursor at its first step, the initial score.
+    pub fn new(max_passes: usize, epsilon: f64) -> BranchPasses {
+        BranchPasses {
+            step: Step::Score(EdgeId(0)),
+            passes_left: max_passes,
+            epsilon,
+            last: f64::NEG_INFINITY,
+        }
+    }
+
+    /// The step to run now.
+    pub fn step(&self) -> Step {
+        self.step
+    }
+
+    /// Feed the current step's result — a score's log-likelihood, or the
+    /// optimized length of an edge, which is written into `tree` — and
+    /// move to the next step.
+    ///
+    /// # Panics
+    /// Panics once the cursor is [`Step::Done`].
+    pub fn advance(&mut self, tree: &mut Tree, result: f64) -> Step {
+        let converged = (result - self.last).abs() < self.epsilon;
+        self.step = match self.step {
+            Step::Score(_) if self.passes_left == 0 || converged => Step::Done(result),
+            Step::Score(_) => {
+                self.passes_left -= 1;
+                self.last = result;
+                optimize_from(tree, 0)
+            }
+            Step::Optimize(e, _) => {
+                tree.set_length(e, result);
+                optimize_from(tree, e.0 + 1)
+            }
+            Step::Done(_) => panic!("a finished optimization has no next step"),
+        };
+        self.step
+    }
+}
+
+/// The pass's step at edge `first`, or its closing score past the last.
+fn optimize_from(tree: &Tree, first: usize) -> Step {
+    let e = EdgeId(first);
+    if first < tree.n_edges() {
+        Step::Optimize(e, tree.length(e))
+    } else {
+        Step::Score(EdgeId(0))
+    }
+}
+
 /// Optimize branch lengths — passes of [`Kernels::optimize_edge`] over
 /// every edge in id order — until the log-likelihood improves by less than
 /// `epsilon` between passes (at most `max_passes`). Returns the final
@@ -92,19 +171,16 @@ pub fn optimize_branches<K: Kernels>(
     max_passes: usize,
     epsilon: f64,
 ) -> f64 {
-    let mut last = f64::NEG_INFINITY;
-    let mut lnl = score(k, tree);
-    for _ in 0..max_passes {
-        if (lnl - last).abs() < epsilon {
-            break;
-        }
-        last = lnl;
-        for e in tree.edge_ids().collect::<Vec<_>>() {
-            let (cu, cv) = edge_pair(k, tree, e);
-            let t = k.optimize_edge(cu, cv, tree.length(e));
-            tree.set_length(e, t);
-        }
-        lnl = score(k, tree);
+    let mut passes = BranchPasses::new(max_passes, epsilon);
+    loop {
+        let result = match passes.step() {
+            Step::Score(e) => score_at(k, tree, e),
+            Step::Optimize(e, t0) => {
+                let (cu, cv) = edge_pair(k, tree, e);
+                k.optimize_edge(cu, cv, t0)
+            }
+            Step::Done(lnl) => return lnl,
+        };
+        passes.advance(tree, result);
     }
-    lnl
 }

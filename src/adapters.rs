@@ -4,21 +4,22 @@
 //! The paper ships `newview`, `evaluate` and `makenewz` as **one** SPE
 //! module so that nothing nested inside the other two crosses the PPE↔SPE
 //! boundary (§5.1). Here that is [`TraversalBody`], the one [`LoopBody`] of
-//! this module: a post-order plan of tip and `newview` ops ending in a
-//! terminal — the Figure-3 `evaluate` sum, or the whole Newton iteration of
-//! `makenewz` over the edge's [`EdgeTable`] — which every chunk runs on its
-//! own range of site patterns, so one off-load carries a traversal and
-//! everything done at its edge, not a kernel call.
+//! this module: a whole search request — a score, or a branch-length
+//! optimization with every pass, edge and Newton step of it — run as the
+//! rounds of one task. Each round, every chunk orients the tree on its own
+//! range of site patterns and runs the request's current step there; the
+//! step's sums are reduced across chunks, and [`LoopBody::again`] feeds
+//! them to the schedule (`phylo::traversal::BranchPasses`) and to the
+//! Newton iteration. So one off-load carries a request, not a kernel call.
 //!
-//! [`OffloadedEngine`] records that plan from the one tree walk
-//! (`phylo::traversal`) and ships it when the terminal arrives. It is a
+//! [`OffloadedEngine`] ships each request as that one off-load. It is a
 //! [`phylo::search::ScoringEngine`], so the *same* hill-climbing search
-//! that runs directly on the host can run with every traversal off-loaded
-//! to virtual SPEs and work-shared at whatever loop degree the scheduler
+//! that runs directly on the host can run with every request off-loaded to
+//! virtual SPEs and work-shared at whatever loop degree the scheduler
 //! (EDTLP / static hybrid / MGPS) currently dictates.
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use mgps_runtime::native::{LoopBody, LoopSite, ProcessCtx, SpeContext};
 use mgps_runtime::policy::KernelKind;
@@ -26,49 +27,28 @@ use phylo::alignment::PatternAlignment;
 use phylo::likelihood::{Clv, ClvArena, EdgeTable, LikelihoodEngine, Newton, Operand};
 use phylo::model::SubstModel;
 use phylo::search::ScoringEngine;
-use phylo::traversal::{self, Kernels};
+use phylo::traversal::{self, BranchPasses, Kernels, Step};
 use phylo::tree::Tree;
 
-/// Loop-site id of traversals ending in `evaluate()`.
+/// Loop-site id of score requests, which end in `evaluate()`.
 pub const SITE_EVALUATE: LoopSite = LoopSite(1);
-/// Loop-site id of traversals ending in `makenewz()`.
+/// Loop-site id of branch-length optimizations, whose rounds are mostly
+/// `makenewz()` steps.
 pub const SITE_DERIV: LoopSite = LoopSite(3);
 
-/// One step of a traversal plan. A plan is in post-order: an op's operands
-/// are indices of earlier ops, and each op is the operand of at most one
-/// later op or of the terminal.
-#[derive(Debug, Clone)]
-pub enum TraversalOp {
-    /// The tip of `taxon`, read from the alignment by the kernels that
-    /// consume it; it takes no piece.
-    Tip {
-        /// Taxon index in the alignment.
-        taxon: usize,
-    },
-    /// Felsenstein pruning of two earlier ops across their branches.
-    Newview {
-        /// Index of the left child's op.
-        left: usize,
-        /// Left branch length.
-        t_left: f64,
-        /// Index of the right child's op.
-        right: usize,
-        /// Right branch length.
-        t_right: f64,
-    },
-}
-
-/// A chunk's working set of range-sized pieces: taken from the shared
-/// arena under one lock when the chunk starts, recycled locally as the
-/// walk retires child pieces, handed back under one lock when it ends.
+/// A chunk's working set of range-sized pieces: drawn from the shared
+/// arena as the walk first needs each, recycled locally as the walk
+/// retires child pieces, handed back under one lock when the chunk ends.
+/// The arena so hands out exactly the walk's peak.
 struct Stash<'a> {
     arena: &'a Mutex<ClvArena>,
+    patterns: usize,
     free: Vec<Clv>,
 }
 
 impl Stash<'_> {
     fn take(&mut self) -> Clv {
-        self.free.pop().expect("the stash was filled with every piece the walk holds at once")
+        self.free.pop().unwrap_or_else(|| lock(self.arena).take(self.patterns))
     }
 
     /// Take back whatever pieces `ops` hold.
@@ -93,243 +73,242 @@ impl Drop for Stash<'_> {
     }
 }
 
-fn lock<T>(shared: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock<T>(shared: &Mutex<T>) -> MutexGuard<'_, T> {
     shared.lock().expect("no thread panics while holding an adapter lock")
 }
 
-/// What one chunk of a [`TraversalBody`] returns, and — merged — what the
-/// off-load does.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Partial {
-    /// The terminal's sums over the chunk's range: `(lnL, 0)` of an
-    /// `evaluate`, `(d1, d2)` of one Newton round at the current length.
-    pub sums: (f64, f64),
-    /// Where the Newton iteration of a `MakeNewz` traversal stopped, as
-    /// `(length, steps)`: set on the merged value of its last round.
-    pub stopped: Option<(f64, u64)>,
+/// The direct kernels on one chunk's pattern range, which is what a chunk
+/// walks the tree with. A tip stays a tip, which the kernels read from
+/// the alignment. A `newview` goes into a range-sized piece from the
+/// chunk's stash, and its children's pieces go back to the stash at once.
+struct Ranged<'a, 'e, M: SubstModel> {
+    engine: &'e LikelihoodEngine<'e, M>,
+    range: Range<usize>,
+    stash: Stash<'a>,
 }
 
-/// What a `MakeNewz` traversal keeps from one round of its task to the
-/// next: the Newton iteration on the edge, and each chunk's piece of the
-/// edge's [`EdgeTable`], keyed by the chunk's first pattern — whichever
-/// thread runs that chunk next round finds it, and no chunk orients the
-/// tree twice.
-#[derive(Debug, Default)]
-pub struct EdgeLoop {
-    newton: Option<Newton>,
-    tables: Vec<(usize, EdgeTable)>,
-}
+impl<M: SubstModel> Kernels for Ranged<'_, '_, M> {
+    type Clv = Operand<Clv>;
 
-impl EdgeLoop {
-    /// The table pieces kept so far, as `(first pattern, piece)` in no
-    /// particular order; none once the iteration has stopped.
-    pub fn tables(&self) -> &[(usize, EdgeTable)] {
-        &self.tables
+    fn tip(&mut self, taxon: usize) -> Operand<Clv> {
+        Operand::Tip(taxon)
     }
 
-    /// The iteration, started from `t0` by whoever asks first.
-    fn newton(&mut self, t0: f64) -> &mut Newton {
-        self.newton.get_or_insert_with(|| Newton::new(t0))
+    fn newview(&mut self, left: Self::Clv, t_l: f64, right: Self::Clv, t_r: f64) -> Self::Clv {
+        let mut piece = self.stash.take();
+        let range = self.range.clone();
+        self.engine.newview_range_into(left.as_ref(), t_l, right.as_ref(), t_r, range, &mut piece);
+        self.stash.recycle([left, right]);
+        Operand::Clv(piece)
+    }
+
+    fn evaluate(&mut self, u: Operand<Clv>, v: Operand<Clv>, t: f64) -> f64 {
+        let lnl = self.engine.evaluate_range(u.as_ref(), v.as_ref(), t, self.range.clone());
+        self.stash.recycle([u, v]);
+        lnl
+    }
+
+    /// Not a chunk's to run: each Newton step sums over every chunk, so
+    /// it is a round of the whole task.
+    fn optimize_edge(&mut self, _: Operand<Clv>, _: Operand<Clv>, _: f64) -> f64 {
+        unreachable!("a chunk sums one Newton step; the task's rounds iterate")
     }
 }
 
-/// A tree traversal as an off-loadable work-sharing body: the tip and
-/// `newview` ops that orient the tree toward an edge, then the terminal at
-/// that edge. Alignment columns are independent across the whole walk, so
-/// a chunk runs *every* op on its own pattern range, into range-sized
-/// pieces, and only the terminal's sums are reduced across chunks.
+/// Where a request stands between rounds: written only by
+/// [`LoopBody::again`], read by every chunk of a round.
+struct Walk {
+    /// The request's own tree: the topology and the task's branch-length
+    /// table, a length written once its edge's Newton iteration stops.
+    tree: Tree,
+    passes: BranchPasses,
+    /// The iteration on the edge being optimized.
+    newton: Newton,
+    /// Kernel invocations of the steps finished so far.
+    kernels: u64,
+}
+
+/// A search request as an off-loadable work-sharing body: the steps of
+/// [`BranchPasses`] on the request's own tree, one round per score and
+/// one per Newton step. Alignment columns are independent across the
+/// whole walk, so a chunk runs every kernel of a step on its own pattern
+/// range, into range-sized pieces, and only the step's sums are reduced
+/// across chunks.
 ///
-/// With a [`KernelKind::MakeNewz`] terminal the body runs one round per
-/// Newton step ([`LoopBody::again`]): the first orients the tree, puts the
-/// chunk's two edge operands into the eigen basis as its piece of the
-/// [`EdgeTable`] — handing their pieces back to the arena at once — and sums the
-/// derivatives at the starting length; each later one only sums them at
-/// the length the step before it chose, over the table pieces the chunks
-/// kept.
+/// A score round orients the tree toward the edge and sums the chunk's
+/// `evaluate`. An edge's first round orients the tree toward the edge and
+/// puts the chunk's two edge operands into the eigen basis as its piece of
+/// the [`EdgeTable`], handing their pieces back at once; it keeps that
+/// piece in the body, keyed by the chunk's first pattern, so whichever
+/// thread runs the chunk next round finds it. Every round of the edge sums
+/// the derivatives at the length the Newton iteration asks for. When the
+/// iteration stops, `again` writes the length into the tree, so the next
+/// edge's `newview`s read it, and puts every kept table back.
 ///
-/// A tip op takes no piece: the kernels read it from the alignment as an
-/// [`Operand::Tip`]. Pieces for `newview` ops and tables come from a
-/// shared [`ClvArena`] rather than fresh allocations, and a child piece is
-/// recycled as soon as its parent exists, so a chunk holds at most about a
-/// tree depth of them — two at a pendant edge of four taxa — and a warm
-/// edge allocates nothing. The arena holds *host-heap* buffers — the
-/// simulated local-store staging accounted by `LsAlloc`/`LsFree` trace
-/// events is untouched, so those events stay truthful.
+/// Pieces come from a shared [`ClvArena`] rather than fresh allocations,
+/// and a child piece is recycled as soon as its parent exists, so a chunk
+/// holds at most about a tree depth of them — two at four taxa — and a
+/// warm request allocates nothing.
 pub struct TraversalBody<M> {
-    /// Substitution model (cheap to copy; JC69/K80 are parameter structs).
-    pub model: M,
-    /// Pattern-compressed alignment.
-    pub data: Arc<PatternAlignment>,
-    /// The plan, in post-order. Ops the terminal's operands do not reach
-    /// are never run.
-    pub ops: Vec<TraversalOp>,
-    /// Index of the op at one end of the terminal's edge.
-    pub u: usize,
-    /// Index of the op at the other end.
-    pub v: usize,
-    /// The terminal: [`KernelKind::Evaluate`] is the paper's Figure-3 sum,
-    /// [`KernelKind::MakeNewz`] the Newton iteration on the edge's length.
-    /// It is also the kind the off-load is requested as (§5.2's test is
-    /// applied to what is shipped).
-    pub terminal: KernelKind,
-    /// Length of the terminal's edge; where `MakeNewz` starts from.
-    pub t: f64,
-    /// Recycled piece storage, shared with the owning engine.
-    pub arena: Arc<Mutex<ClvArena>>,
-    /// The `MakeNewz` state between rounds; starts out empty.
-    pub edge: Mutex<EdgeLoop>,
+    model: M,
+    data: Arc<PatternAlignment>,
+    arena: Arc<Mutex<ClvArena>>,
+    /// `newview`s orienting the tree toward any one edge: one per
+    /// internal node.
+    newviews: u64,
+    walk: RwLock<Walk>,
+    /// Each chunk's piece of the table of the edge being optimized.
+    tables: Mutex<Vec<(usize, EdgeTable)>>,
 }
 
 impl<M: SubstModel> TraversalBody<M> {
-    /// Most pieces a chunk holds at once while computing op `slot`: none
-    /// for a tip, and a `newview` is left holding one of them.
-    fn live(&self, slot: usize) -> usize {
-        match &self.ops[slot] {
-            TraversalOp::Tip { .. } => 0,
-            TraversalOp::Newview { left, right, .. } => {
-                let (l, r) = (self.live(*left), self.live(*right));
-                // The left piece, if any, is held while the right subtree
-                // runs, then both children's while the parent is computed.
-                l.max(l.min(1) + r).max(l.min(1) + r.min(1) + 1)
-            }
+    /// The request to optimize the branch lengths of `tree` on `data`, as
+    /// [`BranchPasses::new`]`(max_passes, epsilon)` schedules it; with no
+    /// passes, to score it. Pieces come from and go back to `arena`.
+    pub fn new(
+        model: M,
+        data: Arc<PatternAlignment>,
+        arena: Arc<Mutex<ClvArena>>,
+        tree: Tree,
+        max_passes: usize,
+        epsilon: f64,
+    ) -> Self {
+        TraversalBody {
+            model,
+            data,
+            arena,
+            newviews: (tree.n_nodes() - tree.n_taxa()) as u64,
+            walk: RwLock::new(Walk {
+                tree,
+                passes: BranchPasses::new(max_passes, epsilon),
+                // Replaced where an edge's optimization starts.
+                newton: Newton::new(0.0),
+                kernels: 0,
+            }),
+            tables: Mutex::default(),
         }
     }
 
-    /// Op `slot` over `range` as a kernel operand: a tip as is, a `newview`
-    /// computed into a piece from the ops under it, children first.
-    fn operand_of(
-        &self,
-        engine: &LikelihoodEngine<'_, M>,
-        slot: usize,
-        range: &Range<usize>,
-        stash: &mut Stash<'_>,
-    ) -> Operand<Clv> {
-        match &self.ops[slot] {
-            TraversalOp::Tip { taxon } => Operand::Tip(*taxon),
-            TraversalOp::Newview { left, t_left, right, t_right } => {
-                let l = self.operand_of(engine, *left, range, stash);
-                let r = self.operand_of(engine, *right, range, stash);
-                let mut piece = stash.take();
-                let (l_at, r_at) = (l.as_ref(), r.as_ref());
-                engine.newview_range_into(l_at, *t_left, r_at, *t_right, range.clone(), &mut piece);
-                stash.recycle([l, r]);
-                Operand::Clv(piece)
-            }
-        }
+    fn walk(&self) -> RwLockReadGuard<'_, Walk> {
+        self.walk.read().expect("no thread panics while holding the walk")
     }
 
-    /// The edge's two end operands on `range` — the tree oriented toward
-    /// the edge — and the stash their pieces came from, which takes them
-    /// back when the caller is done with them.
-    fn orient(
-        &self,
-        engine: &LikelihoodEngine<'_, M>,
-        range: &Range<usize>,
-    ) -> ([Operand<Clv>; 2], Stash<'_>) {
-        // Every piece the walk will hold at once, under one lock; `u`'s, if
-        // any, is held while `v`'s subtree runs.
-        let at_u = self.live(self.u);
-        let most = at_u.max(at_u.min(1) + self.live(self.v));
-        let mut stash = Stash { arena: &self.arena, free: Vec::with_capacity(most) };
-        {
-            let mut arena = lock(&self.arena);
-            stash.free.extend((0..most).map(|_| arena.take(range.len())));
-        }
-        let u = self.operand_of(engine, self.u, range, &mut stash);
-        let v = self.operand_of(engine, self.v, range, &mut stash);
-        ([u, v], stash)
+    /// The step the next round runs.
+    pub fn step(&self) -> Step {
+        self.walk().passes.step()
+    }
+
+    /// The request's tree, with every length optimized so far.
+    pub fn tree(&self) -> Tree {
+        self.walk().tree.clone()
+    }
+
+    /// Kernel invocations of the steps finished so far: every `newview`,
+    /// `evaluate` and Newton step.
+    pub fn kernels(&self) -> u64 {
+        self.walk().kernels
+    }
+
+    /// The table pieces kept for the edge being optimized, as `(first
+    /// pattern, piece)` in no particular order; none between edges. The
+    /// body's chunks wait while the guard is held.
+    pub fn tables(&self) -> MutexGuard<'_, Vec<(usize, EdgeTable)>> {
+        lock(&self.tables)
     }
 }
 
 impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
-    type Acc = Partial;
+    /// A round's sums over a chunk's range: `(lnL, 0)` of a score, `(d1,
+    /// d2)` of a Newton step. Merged after the last round, `(lnL, 0)` of
+    /// the whole request.
+    type Acc = (f64, f64);
 
     fn len(&self) -> usize {
         self.data.n_patterns()
     }
 
-    fn identity(&self) -> Partial {
-        Partial::default()
+    fn identity(&self) -> (f64, f64) {
+        (0.0, 0.0)
     }
 
-    fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> Partial {
+    fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> (f64, f64) {
         if range.is_empty() {
             return self.identity();
         }
         let engine = LikelihoodEngine::new(&self.model, &self.data);
-        let sums = match self.terminal {
-            KernelKind::Evaluate => {
-                let ([u, v], mut stash) = self.orient(&engine, &range);
-                let lnl = engine.evaluate_range(u.as_ref(), v.as_ref(), self.t, range);
-                stash.recycle([u, v]);
-                (lnl, 0.0)
-            }
-            KernelKind::MakeNewz => {
-                let (t, kept) = {
-                    let mut edge = lock(&self.edge);
-                    let at = edge.tables.iter().position(|&(start, _)| start == range.start);
-                    (edge.newton(self.t).t(), at.map(|at| edge.tables.swap_remove(at).1))
+        let stash = Stash { arena: &self.arena, patterns: range.len(), free: Vec::new() };
+        let mut chunk = Ranged { engine: &engine, range: range.clone(), stash };
+        let walk = self.walk();
+        match walk.passes.step() {
+            Step::Score(e) => (traversal::score_at(&mut chunk, &walk.tree, e), 0.0),
+            Step::Optimize(e, _) => {
+                let kept = {
+                    let mut tables = lock(&self.tables);
+                    let at = tables.iter().position(|&(start, _)| start == range.start);
+                    at.map(|at| tables.swap_remove(at).1)
                 };
                 let table = kept.unwrap_or_else(|| {
-                    let ([u, v], mut stash) = self.orient(&engine, &range);
+                    let (u, v) = traversal::edge_pair(&mut chunk, &walk.tree, e);
                     let mut table = lock(&self.arena).take_table(range.len());
                     engine.edge_table_range(u.as_ref(), v.as_ref(), range.clone(), &mut table);
-                    stash.recycle([u, v]);
+                    chunk.stash.recycle([u, v]);
                     table
                 });
-                let sums = engine.table_derivatives(&table, t, range.clone());
-                lock(&self.edge).tables.push((range.start, table));
+                let sums = engine.table_derivatives(&table, walk.newton.t(), range.clone());
+                lock(&self.tables).push((range.start, table));
                 sums
             }
-            KernelKind::NewView => panic!("a traversal ends in an evaluate or a makenewz"),
+            Step::Done(_) => unreachable!("a finished request runs no round"),
+        }
+    }
+
+    fn merge(&self, a: (f64, f64), b: (f64, f64)) -> (f64, f64) {
+        (a.0 + b.0, a.1 + b.1)
+    }
+
+    /// The round's sums into the step it ran: a score's lnL, or a Newton
+    /// step, which stops or asks for another round on the edge. A step
+    /// that finishes moves the schedule on; its last step leaves the
+    /// request's lnL in `merged`.
+    fn again(&self, merged: &mut (f64, f64)) -> bool {
+        let mut walk = self.walk.write().expect("no thread panics while holding the walk");
+        let walk = &mut *walk;
+        let result = match walk.passes.step() {
+            Step::Score(_) => {
+                walk.kernels += self.newviews + 1;
+                merged.0
+            }
+            Step::Optimize(..) => {
+                if walk.newton.feed(merged.0, merged.1).is_some() {
+                    return true;
+                }
+                walk.kernels += self.newviews + walk.newton.steps() as u64;
+                lock(&self.arena).extend(lock(&self.tables).drain(..).map(|(_, table)| table));
+                walk.newton.t()
+            }
+            Step::Done(_) => unreachable!("a finished request runs no round"),
         };
-        Partial { sums, stopped: None }
-    }
-
-    fn merge(&self, a: Partial, b: Partial) -> Partial {
-        Partial { sums: (a.sums.0 + b.sums.0, a.sums.1 + b.sums.1), stopped: None }
-    }
-
-    /// One Newton step on the round's derivative sums: another round at the
-    /// length it chose, or — the iteration has stopped — the answer into
-    /// `merged` and every kept table back to the arena.
-    fn again(&self, merged: &mut Partial) -> bool {
-        if self.terminal != KernelKind::MakeNewz {
-            return false;
+        match walk.passes.advance(&mut walk.tree, result) {
+            Step::Done(lnl) => {
+                *merged = (lnl, 0.0);
+                false
+            }
+            Step::Optimize(_, t0) => {
+                walk.newton = Newton::new(t0);
+                true
+            }
+            Step::Score(_) => true,
         }
-        let mut edge = lock(&self.edge);
-        let (d1, d2) = merged.sums;
-        let newton = edge.newton(self.t);
-        if newton.feed(d1, d2).is_some() {
-            return true;
-        }
-        merged.stopped = Some((newton.t(), newton.steps() as u64));
-        lock(&self.arena).extend(edge.tables.drain(..).map(|(_, table)| table));
-        false
     }
 }
 
-/// The off-loading engine's handle on a CLV it has recorded but not yet
-/// computed: one op of the plan under construction.
-#[derive(Debug)]
-pub struct ClvSlot {
-    /// Ops recorded by this engine before this one, over all its plans.
-    id: u64,
-    /// `newview` ops at or under this one.
-    newviews: u64,
-}
-
-/// A [`ScoringEngine`] that off-loads the likelihood kernels through a
+/// A [`ScoringEngine`] that off-loads each search request through a
 /// worker process's [`ProcessCtx`] — the Rust analogue of an MPI process
 /// whose `newview`/`evaluate`/`makenewz` run on SPEs.
 pub struct OffloadedEngine<'a, 'rt, M> {
     ctx: &'a mut ProcessCtx<'rt>,
     model: M,
     data: Arc<PatternAlignment>,
-    /// The plan being recorded; taken (so emptied) by each terminal.
-    plan: Vec<TraversalOp>,
-    /// Ops recorded into plans already taken: the id of `plan[0]`.
-    retired: u64,
     offloads: u64,
     shipped: u64,
     /// Per-worker-process CLV and edge-table recycler, shared with the
@@ -345,8 +324,6 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
             ctx,
             model,
             data,
-            plan: Vec::new(),
-            retired: 0,
             offloads: 0,
             shipped: 0,
             arena: Arc::new(Mutex::new(ClvArena::new())),
@@ -360,9 +337,9 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
         self.offloads
     }
 
-    /// Off-loads requested of the runtime so far: one per `evaluate` and
-    /// one per optimized edge, each carrying the `newview`s that orient the
-    /// tree for it and, for an edge, every Newton step taken on it.
+    /// Off-loads requested of the runtime so far: one per search request,
+    /// a score or a branch-length optimization, each carrying every kernel
+    /// the request needed.
     pub fn shipped(&self) -> u64 {
         self.shipped
     }
@@ -375,91 +352,36 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
 
     /// Off-loaded log-likelihood of `tree`.
     pub fn log_likelihood(&mut self, tree: &Tree) -> f64 {
-        traversal::score(self, tree)
+        self.ship(SITE_EVALUATE, KernelKind::Evaluate, tree, 0, 0.0).0
     }
 
-    fn record(&mut self, op: TraversalOp, newviews: u64) -> ClvSlot {
-        self.plan.push(op);
-        ClvSlot { id: self.retired + self.plan.len() as u64 - 1, newviews }
-    }
-
-    /// Where `slot`'s op sits in the plan being recorded.
-    ///
-    /// # Panics
-    /// Panics if `slot` was recorded before the last terminal: its plan is
-    /// gone.
-    fn index_of(&self, slot: &ClvSlot) -> usize {
-        slot.id
-            .checked_sub(self.retired)
-            .map(|i| i as usize)
-            .filter(|&i| i < self.plan.len())
-            .expect("CLV handle outlived the traversal it was recorded in")
-    }
-
-    /// The one off-load: ship the plan with `terminal` at the edge of
-    /// length `t` between `u` and `v`, and start the next plan empty — a
-    /// handle dropped unconsumed neither runs nor rides along again. The
-    /// `newview`s are counted here, the terminal's kernels by the caller.
-    fn ship(&mut self, terminal: KernelKind, u: ClvSlot, v: ClvSlot, t: f64) -> Partial {
-        let site = match terminal {
-            KernelKind::Evaluate => SITE_EVALUATE,
-            _ => SITE_DERIV,
-        };
-        let body = Arc::new(TraversalBody {
-            model: self.model.clone(),
-            data: Arc::clone(&self.data),
-            u: self.index_of(&u),
-            v: self.index_of(&v),
-            terminal,
-            t,
-            arena: Arc::clone(&self.arena),
-            ops: std::mem::take(&mut self.plan),
-            edge: Mutex::default(),
-        });
-        self.retired += body.ops.len() as u64;
-        self.offloads += u.newviews + v.newviews;
+    /// The one off-load: the request to run `max_passes` and `epsilon` on
+    /// a copy of `tree`, requested as `kind` (§5.2's test is applied to
+    /// what is shipped). Returns its lnL and the body, which holds the
+    /// copy as the request left it.
+    fn ship(
+        &mut self,
+        site: LoopSite,
+        kind: KernelKind,
+        tree: &Tree,
+        max_passes: usize,
+        epsilon: f64,
+    ) -> (f64, Arc<TraversalBody<M>>) {
+        let body = Arc::new(TraversalBody::new(
+            self.model.clone(),
+            Arc::clone(&self.data),
+            Arc::clone(&self.arena),
+            tree.clone(),
+            max_passes,
+            epsilon,
+        ));
+        let (lnl, _) = self
+            .ctx
+            .offload_adaptive(site, kind, Arc::clone(&body))
+            .expect("off-loaded search request failed");
+        self.offloads += body.kernels();
         self.shipped += 1;
-        self.ctx
-            .offload_adaptive(site, terminal, body)
-            .expect("off-loaded likelihood traversal failed")
-    }
-}
-
-/// The three kernels, recorded rather than run: `tip` and `newview` append
-/// to the plan — so the plan is `traversal::clv_toward`'s own recursion,
-/// written down — and the `evaluate` or `makenewz` that consumes an edge's
-/// pair ships it as one off-load.
-impl<M: SubstModel + Clone + 'static> Kernels for OffloadedEngine<'_, '_, M> {
-    type Clv = ClvSlot;
-
-    fn tip(&mut self, taxon: usize) -> ClvSlot {
-        self.record(TraversalOp::Tip { taxon }, 0)
-    }
-
-    fn newview(&mut self, left: ClvSlot, t_left: f64, right: ClvSlot, t_right: f64) -> ClvSlot {
-        let op = TraversalOp::Newview {
-            left: self.index_of(&left),
-            t_left,
-            right: self.index_of(&right),
-            t_right,
-        };
-        self.record(op, left.newviews + right.newviews + 1)
-    }
-
-    fn evaluate(&mut self, u: ClvSlot, v: ClvSlot, t: f64) -> f64 {
-        self.offloads += 1;
-        self.ship(KernelKind::Evaluate, u, v, t).sums.0
-    }
-
-    /// Off-loaded `makenewz`: the traversal and the whole Newton–Raphson
-    /// iteration on the edge, one off-load.
-    fn optimize_edge(&mut self, u: ClvSlot, v: ClvSlot, t0: f64) -> f64 {
-        let (t, steps) = self
-            .ship(KernelKind::MakeNewz, u, v, t0)
-            .stopped
-            .expect("a makenewz traversal returns where its Newton iteration stopped");
-        self.offloads += steps;
-        t
+        (lnl, body)
     }
 }
 
@@ -468,23 +390,230 @@ impl<M: SubstModel + Clone + 'static> ScoringEngine for OffloadedEngine<'_, '_, 
         self.log_likelihood(tree)
     }
 
+    /// Off-loaded branch-length optimization: every pass, edge and Newton
+    /// step of it, one off-load.
     fn optimize_branches(&mut self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64 {
-        traversal::optimize_branches(self, tree, max_passes, epsilon)
+        let (lnl, body) = self.ship(SITE_DERIV, KernelKind::MakeNewz, tree, max_passes, epsilon);
+        *tree = body.tree();
+        lnl
+    }
+}
+
+/// The per-edge packaging this module shipped before a search request was
+/// one task: the walk recorded as a post-order plan and shipped at each
+/// `evaluate` and each optimized edge, that edge's Newton steps the rounds
+/// of its task. Kept as the oracle [`TraversalBody`] is checked against;
+/// it runs each plan over a given partition, chunk by chunk, as a team
+/// would.
+#[cfg(test)]
+mod classic {
+    use super::*;
+    use mgps_runtime::policy::SpeId;
+
+    /// One op of a plan, in post-order: an op's operands are earlier ops.
+    enum Op {
+        Tip(usize),
+        Newview { left: usize, t_left: f64, right: usize, t_right: f64 },
+    }
+
+    /// A plan with its terminal at the edge of length `t` between ops `u`
+    /// and `v`: an `evaluate`, or `makenewz` one round per Newton step.
+    struct PlanBody<M> {
+        model: M,
+        data: Arc<PatternAlignment>,
+        arena: Arc<Mutex<ClvArena>>,
+        ops: Vec<Op>,
+        u: usize,
+        v: usize,
+        terminal: KernelKind,
+        newton: Mutex<Newton>,
+        t: f64,
+        tables: Mutex<Vec<(usize, EdgeTable)>>,
+    }
+
+    impl<M: SubstModel> PlanBody<M> {
+        /// Op `slot` over `range`, children first.
+        fn operand_of(
+            &self,
+            engine: &LikelihoodEngine<'_, M>,
+            slot: usize,
+            range: &Range<usize>,
+            stash: &mut Stash<'_>,
+        ) -> Operand<Clv> {
+            match self.ops[slot] {
+                Op::Tip(taxon) => Operand::Tip(taxon),
+                Op::Newview { left, t_left, right, t_right } => {
+                    let l = self.operand_of(engine, left, range, stash);
+                    let r = self.operand_of(engine, right, range, stash);
+                    let (mut piece, range) = (stash.take(), range.clone());
+                    let (l_at, r_at) = (l.as_ref(), r.as_ref());
+                    engine.newview_range_into(l_at, t_left, r_at, t_right, range, &mut piece);
+                    stash.recycle([l, r]);
+                    Operand::Clv(piece)
+                }
+            }
+        }
+    }
+
+    impl<M: SubstModel + Clone + 'static> LoopBody for PlanBody<M> {
+        type Acc = (f64, f64);
+
+        fn len(&self) -> usize {
+            self.data.n_patterns()
+        }
+
+        fn identity(&self) -> (f64, f64) {
+            (0.0, 0.0)
+        }
+
+        fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> (f64, f64) {
+            if range.is_empty() {
+                return self.identity();
+            }
+            let engine = LikelihoodEngine::new(&self.model, &self.data);
+            let mut stash = Stash { arena: &self.arena, patterns: range.len(), free: Vec::new() };
+            let orient = |stash: &mut Stash<'_>| {
+                let u = self.operand_of(&engine, self.u, &range, stash);
+                [u, self.operand_of(&engine, self.v, &range, stash)]
+            };
+            if self.terminal == KernelKind::Evaluate {
+                let [u, v] = orient(&mut stash);
+                let lnl = engine.evaluate_range(u.as_ref(), v.as_ref(), self.t, range.clone());
+                stash.recycle([u, v]);
+                return (lnl, 0.0);
+            }
+            let kept = {
+                let mut tables = lock(&self.tables);
+                let at = tables.iter().position(|&(start, _)| start == range.start);
+                at.map(|at| tables.swap_remove(at).1)
+            };
+            let table = kept.unwrap_or_else(|| {
+                let [u, v] = orient(&mut stash);
+                let mut table = lock(&self.arena).take_table(range.len());
+                engine.edge_table_range(u.as_ref(), v.as_ref(), range.clone(), &mut table);
+                stash.recycle([u, v]);
+                table
+            });
+            let sums = engine.table_derivatives(&table, lock(&self.newton).t(), range.clone());
+            lock(&self.tables).push((range.start, table));
+            sums
+        }
+
+        fn merge(&self, a: (f64, f64), b: (f64, f64)) -> (f64, f64) {
+            (a.0 + b.0, a.1 + b.1)
+        }
+
+        fn again(&self, merged: &mut (f64, f64)) -> bool {
+            if self.terminal == KernelKind::Evaluate {
+                return false;
+            }
+            if lock(&self.newton).feed(merged.0, merged.1).is_some() {
+                return true;
+            }
+            lock(&self.arena).extend(lock(&self.tables).drain(..).map(|(_, table)| table));
+            false
+        }
+    }
+
+    /// Every round of `body` over `ranges`, partials merged in chunk
+    /// order: what a team running that tiling returns.
+    pub fn run<B: LoopBody>(body: &B, ranges: &[Range<usize>]) -> B::Acc {
+        let mut ctx = SpeContext::new(SpeId(usize::MAX));
+        loop {
+            let mut merged = ranges
+                .iter()
+                .map(|r| body.run_chunk(r.clone(), &mut ctx))
+                .reduce(|a, b| body.merge(a, b))
+                .expect("at least one range");
+            if !body.again(&mut merged) {
+                return merged;
+            }
+        }
+    }
+
+    /// Records the walk's `tip`s and `newview`s into a plan, and runs it
+    /// over `ranges` at the `evaluate` or `makenewz` that consumes it.
+    pub struct Engine<'r, M> {
+        model: M,
+        data: Arc<PatternAlignment>,
+        pub arena: Arc<Mutex<ClvArena>>,
+        ranges: &'r [Range<usize>],
+        plan: Vec<Op>,
+        /// Kernel invocations, as `OffloadedEngine` counts them.
+        pub kernels: u64,
+    }
+
+    impl<'r, M: SubstModel + Clone + 'static> Engine<'r, M> {
+        pub fn new(model: M, data: Arc<PatternAlignment>, ranges: &'r [Range<usize>]) -> Self {
+            let arena = Arc::new(Mutex::new(ClvArena::new()));
+            Engine { model, data, arena, ranges, plan: Vec::new(), kernels: 0 }
+        }
+
+        fn ship(&mut self, terminal: KernelKind, u: usize, v: usize, t: f64) -> PlanBody<M> {
+            PlanBody {
+                model: self.model.clone(),
+                data: Arc::clone(&self.data),
+                arena: Arc::clone(&self.arena),
+                ops: std::mem::take(&mut self.plan),
+                u,
+                v,
+                terminal,
+                newton: Mutex::new(Newton::new(t)),
+                t,
+                tables: Mutex::default(),
+            }
+        }
+    }
+
+    /// A handle is `(op index, newviews at or under it)`.
+    impl<M: SubstModel + Clone + 'static> Kernels for Engine<'_, M> {
+        type Clv = (usize, u64);
+
+        fn tip(&mut self, taxon: usize) -> (usize, u64) {
+            self.plan.push(Op::Tip(taxon));
+            (self.plan.len() - 1, 0)
+        }
+
+        fn newview(&mut self, l: Self::Clv, t_left: f64, r: Self::Clv, t_right: f64) -> Self::Clv {
+            self.plan.push(Op::Newview { left: l.0, t_left, right: r.0, t_right });
+            (self.plan.len() - 1, l.1 + r.1 + 1)
+        }
+
+        fn evaluate(&mut self, u: (usize, u64), v: (usize, u64), t: f64) -> f64 {
+            self.kernels += u.1 + v.1 + 1;
+            let body = self.ship(KernelKind::Evaluate, u.0, v.0, t);
+            run(&body, self.ranges).0
+        }
+
+        fn optimize_edge(&mut self, u: (usize, u64), v: (usize, u64), t0: f64) -> f64 {
+            let body = self.ship(KernelKind::MakeNewz, u.0, v.0, t0);
+            run(&body, self.ranges);
+            let newton = *lock(&body.newton);
+            self.kernels += u.1 + v.1 + newton.steps() as u64;
+            newton.t()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgps_runtime::faults::FaultPlan;
+    use mgps_runtime::metrics::{AtomicMetrics, Counter};
     use mgps_runtime::native::{MgpsRuntime, RuntimeConfig};
-    use mgps_runtime::policy::{SchedulerKind, SpeId};
+    use mgps_runtime::policy::SchedulerKind;
     use phylo::alignment::Alignment;
     use phylo::model::Jc69;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn data() -> Arc<PatternAlignment> {
         Arc::new(PatternAlignment::compress(&Alignment::synthetic(8, 120, &Jc69, 0.1, 11)))
+    }
+
+    fn length_bits(tree: &Tree) -> Vec<u64> {
+        tree.edge_ids().map(|e| tree.length(e).to_bits()).collect()
     }
 
     #[test]
@@ -569,29 +698,16 @@ mod tests {
 
     #[test]
     fn an_optimized_edge_leaves_no_piece_out_of_the_arena() {
-        // Round one by hand, over four chunks: each puts its two edge
+        // One pass by hand, over four chunks: the score round hands every
+        // piece back; an edge's first round puts each chunk's two edge
         // pieces into its table piece and hands both straight back, so
-        // between rounds the edge holds its tables and no CLV piece.
+        // between rounds the request holds its tables and no CLV piece.
         let data = data();
         let n = data.n_patterns();
         let arena = Arc::new(Mutex::new(ClvArena::new()));
-        let body = TraversalBody {
-            model: Jc69,
-            data: Arc::clone(&data),
-            ops: vec![
-                TraversalOp::Tip { taxon: 0 },
-                TraversalOp::Tip { taxon: 1 },
-                TraversalOp::Tip { taxon: 2 },
-                TraversalOp::Newview { left: 1, t_left: 0.1, right: 2, t_right: 0.2 },
-            ],
-            u: 0,
-            v: 3,
-            terminal: KernelKind::MakeNewz,
-            t: 0.1,
-            arena: Arc::clone(&arena),
-            edge: Mutex::default(),
-        };
-        let mut spe = SpeContext::new(SpeId(usize::MAX));
+        let tree = Tree::random(8, 0.3, &mut SmallRng::seed_from_u64(9));
+        let body = TraversalBody::new(Jc69, Arc::clone(&data), Arc::clone(&arena), tree, 1, 0.0);
+        let mut spe = SpeContext::new(mgps_runtime::policy::SpeId(usize::MAX));
         let mut round = || {
             (0..4)
                 .map(|c| body.run_chunk(n * c / 4..n * (c + 1) / 4, &mut spe))
@@ -599,19 +715,26 @@ mod tests {
                 .expect("four chunks")
         };
         let mut merged = round();
-        assert_eq!(lock(&arena).outstanding(), (0, 4), "round one keeps four tables, no piece");
+        assert_eq!(lock(&arena).outstanding(), (0, 0), "a score keeps nothing");
+        let mut edges = 0;
         while body.again(&mut merged) {
+            let first = matches!(body.step(), Step::Optimize(..)) && body.tables().is_empty();
             merged = round();
+            if first {
+                edges += 1;
+                assert_eq!(lock(&arena).outstanding(), (0, 4), "four tables, no piece");
+            }
         }
-        assert!(merged.stopped.is_some());
+        assert_eq!(edges, 13);
+        assert!(body.tables().is_empty());
         assert_eq!(lock(&arena).outstanding(), (0, 0));
 
         // Degree 4 through the engine: a chunk's table stays in the body
         // from one Newton round to the next, for whichever team member runs
-        // the chunk then, and all go back when the iteration stops. Were
-        // they dropped instead, every edge would allocate its four afresh;
-        // recycled, allocations stop once the arena holds the few sizes the
-        // balancer's tilings ask for.
+        // the chunk then, and all go back when the edge's iteration stops.
+        // Were they dropped instead, every edge would allocate its four
+        // afresh; recycled, allocations stop once the arena holds the few
+        // sizes the balancer's tilings ask for.
         let mut tree = Tree::random(8, 0.3, &mut SmallRng::seed_from_u64(9));
         let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::StaticHybrid {
             spes_per_loop: 4,
@@ -622,7 +745,7 @@ mod tests {
             ScoringEngine::optimize_branches(&mut eng, &mut tree, 1, 0.0);
         }
         let edges = 6 * tree.n_edges() as u64;
-        assert!(eng.shipped() >= edges && eng.offloads() > 4 * edges);
+        assert!(eng.shipped() == 6 && eng.offloads() > 4 * edges);
         let (hits, misses) = eng.arena_stats();
         assert!(misses < 2 * edges, "{misses} allocations over {edges} edges: pieces are leaking");
         assert!(hits > 10 * misses, "{hits} hits vs {misses} misses");
@@ -666,5 +789,86 @@ mod tests {
 
         assert!((direct.lnl - off.lnl).abs() < 1e-6, "{} vs {}", direct.lnl, off.lnl);
         assert_eq!(direct.tree.bipartitions(), off.tree.bipartitions());
+    }
+
+    /// Fractional cut points as a partition of `0..n`; equal cuts leave
+    /// empty ranges in, as a short loop leaves a team.
+    fn partition(n: usize, cuts: &[f64]) -> Vec<Range<usize>> {
+        let mut bounds: Vec<usize> = cuts.iter().map(|f| (f * n as f64) as usize).collect();
+        bounds.extend([0, n]);
+        bounds.sort_unstable();
+        bounds.windows(2).map(|w| w[0]..w[1]).collect()
+    }
+
+    proptest! {
+        /// Over the same tiling, the whole request takes the per-edge
+        /// packaging's steps with the same sums in the same order: the same
+        /// bits, the same kernels, every piece and table back.
+        #[test]
+        fn the_whole_request_is_the_per_edge_oracle_over_any_partition(
+            seed in 0u64..u64::MAX,
+            taxa in 4usize..=10,
+            max_passes in 0usize..=3,
+            epsilon in (0usize..3).prop_map(|i| [0.0, 1e-4, 1e9][i]),
+            cuts in prop::collection::vec(0.0f64..1.0, 0..6),
+        ) {
+            let aln = Alignment::synthetic(taxa, 90, &Jc69, 0.3, seed ^ 0x5A5A);
+            let data = Arc::new(PatternAlignment::compress(&aln));
+            let tree = Tree::random(taxa, 0.3, &mut SmallRng::seed_from_u64(seed));
+            let ranges = partition(data.n_patterns(), &cuts);
+
+            let mut oracle = classic::Engine::new(Jc69, Arc::clone(&data), &ranges);
+            let mut want = tree.clone();
+            let want_lnl = traversal::optimize_branches(&mut oracle, &mut want, max_passes, epsilon);
+
+            let arena = Arc::new(Mutex::new(ClvArena::new()));
+            let body = TraversalBody::new(Jc69, data, Arc::clone(&arena), tree, max_passes, epsilon);
+            let (lnl, zero) = classic::run(&body, &ranges);
+            prop_assert_eq!((lnl.to_bits(), zero), (want_lnl.to_bits(), 0.0));
+            prop_assert_eq!(body.step(), Step::Done(lnl));
+            prop_assert_eq!(length_bits(&body.tree()), length_bits(&want));
+            prop_assert_eq!(body.kernels(), oracle.kernels);
+            prop_assert!(body.tables().is_empty());
+            prop_assert_eq!(lock(&arena).outstanding(), (0, 0));
+            prop_assert_eq!(lock(&oracle.arena).outstanding(), (0, 0));
+        }
+    }
+
+    #[test]
+    fn a_faulted_request_returns_the_unfaulted_bits_and_every_piece() {
+        // Task 1 is the branch-length optimization between two scores. Its
+        // first attempt is faulted before it starts; the retry runs it on
+        // an SPE, or — no retries left — its PPE copy runs it whole. At
+        // degree 1 both are the unfaulted off-load's arithmetic, so nothing
+        // a faulted attempt could have advanced may show in the bits.
+        let data = data();
+        let tree0 = Tree::random(8, 0.3, &mut SmallRng::seed_from_u64(9));
+        let search = |spec: &str| {
+            let metrics = Arc::new(AtomicMetrics::new());
+            let plan = FaultPlan::parse(spec).expect("a valid fault spec");
+            let config = RuntimeConfig::cell(SchedulerKind::Edtlp).with_faults(plan);
+            let rt = MgpsRuntime::with_metrics(config, Arc::<AtomicMetrics>::clone(&metrics));
+            let mut ctx = rt.enter_process();
+            let mut eng = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
+            let mut tree = tree0.clone();
+            let before = eng.log_likelihood(&tree);
+            let lnl = ScoringEngine::optimize_branches(&mut eng, &mut tree, 2, 1e-6);
+            let after = eng.log_likelihood(&tree);
+            assert_eq!(lock(&eng.arena).outstanding(), (0, 0), "{spec}");
+            let counts = [Counter::FaultsInjected, Counter::OffloadRetries, Counter::PpeFallbacks];
+            let bits = (before.to_bits(), lnl.to_bits(), after.to_bits(), length_bits(&tree));
+            (bits, eng.offloads(), eng.shipped(), counts.map(|c| metrics.get(c)))
+        };
+        let (want, kernels, shipped, quiet) = search("");
+        assert_eq!((shipped, quiet), (3, [0, 0, 0]));
+        for kind in ["crash", "stall", "dma", "mbox"] {
+            for (retries, counts) in [(2, [1, 1, 0]), (0, [1, 0, 1])] {
+                let spec = format!("pin={kind}@1,retries={retries}");
+                let (got, got_kernels, got_shipped, got_counts) = search(&spec);
+                assert_eq!(got_counts, counts, "{spec}: faults, retries, PPE copies");
+                assert_eq!((got_kernels, got_shipped), (kernels, shipped), "{spec}");
+                assert_eq!(got, want, "{spec}");
+            }
+        }
     }
 }

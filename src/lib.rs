@@ -38,9 +38,9 @@
 //! let mut proc0 = rt.enter_process();
 //! let mut engine = OffloadedEngine::new(&mut proc0, Jc69, Arc::clone(&data));
 //!
-//! // Every `evaluate` and every `makenewz` of this search is one off-load
-//! // to virtual SPEs, with the `newview`s that orient the tree for it
-//! // inside, work-shared at whatever degree MGPS currently dictates.
+//! // Every score and every branch-length optimization of this search is
+//! // one off-load to virtual SPEs, with every kernel it needs inside,
+//! // work-shared at whatever degree MGPS currently dictates.
 //! let result = hill_climb_with(&mut engine, data.n_taxa(), &SearchConfig::default(), 1);
 //! assert!(result.lnl.is_finite());
 //! ```

@@ -77,11 +77,15 @@ fn linux_like_driver_still_computes_correctly() {
 #[test]
 fn mgps_driver_adapts_under_low_task_parallelism() {
     let data = data();
-    let mut analysis = ParallelAnalysis::cell(SchedulerKind::Mgps, 1);
-    analysis.search = quick_search();
+    // MGPS alone, without §5.2's granularity control: a search request
+    // runs no faster on a host-thread "SPE" than on the PPE, so that
+    // control may throttle every request after its warm-up, and MGPS only
+    // counts what is off-loaded.
+    let runtime = RuntimeConfig::cell(SchedulerKind::Mgps);
+    let analysis = ParallelAnalysis { runtime, workers: 1, search: quick_search() };
     let (_results, stats) = analysis.run_bootstraps(Jc69, &data, 2, 13);
     let (evals, acts, _) = stats.mgps.expect("MGPS stats available");
-    assert!(evals > 0, "a single worker streams enough kernels to close windows");
+    assert!(evals > 0, "a single worker streams enough requests to close windows");
     assert!(acts > 0, "one worker leaves SPEs idle: LLP must activate");
     assert!(stats.final_degree > 1);
 }
@@ -219,16 +223,20 @@ fn every_shipped_offload_lands_in_exactly_one_spes_count() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(2);
         let mut tree = Tree::random(data.n_taxa(), 0.1, &mut rng);
+        // Two scores and an optimization: three search requests.
+        engine.log_likelihood(&tree);
         let _ = ScoringEngine::optimize_branches(&mut engine, &mut tree, 1, 0.0);
+        engine.log_likelihood(&tree);
         (engine.shipped(), engine.offloads())
     };
+    assert_eq!(shipped, 3, "one off-load per search request");
     let stats = rt.shutdown();
     let total: u64 = stats.iter().map(|s| s.tasks_run).sum();
     assert_eq!(
         total, shipped,
         "every off-load must appear in exactly one SPE's task count"
     );
-    // An off-load is a traversal: the `newview`s rode inside it.
+    // An off-load is a request: every kernel it needed rode inside it.
     assert!(kernels > shipped, "{kernels} kernels in {shipped} off-loads");
 }
 

@@ -1,13 +1,15 @@
 //! Pins on the one tree traversal (`phylo::traversal`) every likelihood
 //! engine runs through: the kernel census the benchmark anchors as
-//! `kernel_calls`, and the agreement of the off-loading engine with the
-//! direct one, to the bit where the arithmetic is the same.
+//! `kernel_calls`, one off-load per search request, and the agreement of
+//! the off-loading engine with the direct one, to the bit where the
+//! arithmetic is the same.
 
 use std::sync::Arc;
 
 use multigrain::prelude::*;
 use phylo::likelihood::{newton_branch_length, Operand, NEWTON_MAX_ITERS};
 use phylo::traversal::{self, Kernels};
+use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -18,7 +20,8 @@ fn data(n_taxa: usize) -> Arc<PatternAlignment> {
 /// The direct kernels with a counter on each: what the shared walk asks of
 /// a provider, kernel by kernel. `derivs` counts Newton iterations, the
 /// unit the off-loading engine counts `makenewz` in; `edges` the
-/// `makenewz` calls, the unit it ships them in.
+/// `makenewz` calls. `requests` counts what the search asks of it, scores
+/// and branch-length optimizations, the unit the off-loading engine ships.
 struct Counting<'e> {
     inner: &'e LikelihoodEngine<'e, Jc69>,
     tips: u64,
@@ -26,11 +29,17 @@ struct Counting<'e> {
     evaluates: u64,
     edges: u64,
     derivs: u64,
+    requests: u64,
 }
 
 impl<'e> Counting<'e> {
     fn new(inner: &'e LikelihoodEngine<'e, Jc69>) -> Self {
-        Counting { inner, tips: 0, newviews: 0, evaluates: 0, edges: 0, derivs: 0 }
+        Counting { inner, tips: 0, newviews: 0, evaluates: 0, edges: 0, derivs: 0, requests: 0 }
+    }
+
+    /// Kernel invocations, as the off-loading engine counts them.
+    fn kernels(&self) -> u64 {
+        self.newviews + self.evaluates + self.derivs
     }
 }
 
@@ -91,9 +100,8 @@ fn the_walk_calls_the_kernels_the_anchored_number_of_times() {
         assert!((edges..=edges * NEWTON_MAX_ITERS as u64).contains(&k.derivs), "n={n}");
 
         // The direct engine is that walk, and the off-loading engine counts
-        // exactly those kernels — while shipping only the evaluates and the
-        // optimized edges, each with its orienting newviews and, for an
-        // edge, all of its Newton steps inside.
+        // exactly those kernels — while shipping the whole optimization,
+        // every score, edge and Newton step of it, as one off-load.
         let mut optimized = tree.clone();
         assert_eq!(direct.optimize_branches(&mut optimized, 1, 0.0).to_bits(), lnl.to_bits());
         let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
@@ -101,24 +109,26 @@ fn the_walk_calls_the_kernels_the_anchored_number_of_times() {
         let mut off = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
         let mut offloaded = tree.clone();
         ScoringEngine::optimize_branches(&mut off, &mut offloaded, 1, 0.0);
-        assert_eq!(off.offloads(), k.newviews + k.evaluates + k.derivs, "n={n}");
-        assert_eq!(off.shipped(), k.evaluates + k.edges, "n={n}");
+        assert_eq!(off.offloads(), k.kernels(), "n={n}");
+        assert_eq!(off.shipped(), 1, "n={n}");
     }
 }
 
 /// The search's view of [`Counting`].
 impl ScoringEngine for Counting<'_> {
     fn score(&mut self, tree: &Tree) -> f64 {
+        self.requests += 1;
         traversal::score(self, tree)
     }
 
     fn optimize_branches(&mut self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64 {
+        self.requests += 1;
         traversal::optimize_branches(self, tree, max_passes, epsilon)
     }
 }
 
 #[test]
-fn a_default_search_ships_a_seventh_of_its_kernels() {
+fn a_default_search_ships_one_offload_per_request() {
     // The benchmark's shape: 6 taxa, 120 sites, the default search.
     let data = Arc::new(PatternAlignment::compress(&Alignment::synthetic(6, 120, &Jc69, 0.1, 11)));
     let direct = LikelihoodEngine::new(&Jc69, &data);
@@ -131,14 +141,48 @@ fn a_default_search_ships_a_seventh_of_its_kernels() {
     let mut off = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
     let got = phylo::search::hill_climb_with(&mut off, 6, &cfg, 7);
     assert_eq!(got.lnl.to_bits(), want.lnl.to_bits());
-    assert_eq!(off.offloads(), k.newviews + k.evaluates + k.derivs);
-    assert_eq!(off.shipped(), k.evaluates + k.edges);
+    assert_eq!(off.offloads(), k.kernels());
+    assert_eq!(off.shipped(), k.requests);
     assert!(
-        off.shipped() as f64 <= 0.15 * off.offloads() as f64,
+        off.shipped() as f64 <= 0.01 * off.offloads() as f64,
         "{} off-loads for {} kernels",
         off.shipped(),
         off.offloads()
     );
+}
+
+proptest! {
+    /// A branch-length optimization is one off-load whatever its size: the
+    /// direct engine's bits on the lnL and on every length (degree 1), and
+    /// every kernel of the walk counted.
+    #[test]
+    fn one_offload_per_optimization_counts_every_kernel(
+        seed in 0u64..u64::MAX,
+        taxa in 4usize..=10,
+        max_passes in 0usize..=3,
+        epsilon in (0usize..3).prop_map(|i| [0.0, 1e-4, 1e9][i]),
+    ) {
+        let data = Arc::new(PatternAlignment::compress(&Alignment::synthetic(
+            taxa, 90, &Jc69, 0.3, seed ^ 0x5A5A,
+        )));
+        let direct = LikelihoodEngine::new(&Jc69, &data);
+        let tree = Tree::random(taxa, 0.3, &mut SmallRng::seed_from_u64(seed));
+        let mut k = Counting::new(&direct);
+        let mut want = tree.clone();
+        let want_lnl = ScoringEngine::optimize_branches(&mut k, &mut want, max_passes, epsilon);
+
+        let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
+        let mut ctx = rt.enter_process();
+        let mut off = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
+        let mut got = tree.clone();
+        let lnl = ScoringEngine::optimize_branches(&mut off, &mut got, max_passes, epsilon);
+        prop_assert_eq!(lnl.to_bits(), want_lnl.to_bits());
+        for e in tree.edge_ids() {
+            prop_assert_eq!(got.length(e).to_bits(), want.length(e).to_bits(), "branch {:?}", e);
+        }
+        prop_assert_eq!(off.offloads(), k.kernels());
+        prop_assert_eq!(off.shipped(), 1);
+    }
 }
 
 #[test]
@@ -159,41 +203,6 @@ fn an_internal_node_without_exactly_two_children_is_refused_by_every_engine() {
     let aa = ProteinData::from_strings(&[("a", "AR"), ("b", "AR"), ("c", "AK")]).unwrap();
     let protein = ProteinEngine::new(PoissonAa, &aa);
     assert!(refused(&mut || drop(traversal::clv_toward(&mut &protein, &tree, centre, outside))));
-    let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
-    let mut ctx = rt.enter_process();
-    let mut off = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
-    assert!(refused(&mut || {
-        traversal::clv_toward(&mut off, &tree, centre, outside);
-    }));
-}
-
-#[test]
-fn a_clv_recorded_and_never_consumed_neither_runs_nor_rides_along() {
-    let data = data(8);
-    let direct = LikelihoodEngine::new(&Jc69, &data);
-    let tree = Tree::random(8, 0.3, &mut SmallRng::seed_from_u64(9));
-    let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
-    let mut ctx = rt.enter_process();
-    let mut off = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
-
-    // A bare walk records ops and hands back a handle; nothing runs.
-    let (a, b) = tree.endpoints(phylo::tree::EdgeId(0));
-    let stale = traversal::clv_toward(&mut off, &tree, a, b);
-    assert_eq!((off.offloads(), off.shipped()), (0, 0));
-
-    // The next score ships its own ops only: n - 2 newviews, one evaluate.
-    for pass in 1..=2 {
-        let lnl = off.log_likelihood(&tree);
-        assert_eq!(lnl.to_bits(), direct.log_likelihood(&tree).to_bits());
-        assert_eq!((off.offloads(), off.shipped()), (pass * 7, pass), "pass {pass}");
-    }
-
-    // And the handle is dead: its plan went with the first terminal.
-    let fresh = traversal::clv_toward(&mut off, &tree, b, a);
-    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        off.evaluate(stale, fresh, 0.1)
-    }));
-    assert!(refused.is_err(), "a handle from an earlier plan must be refused");
 }
 
 #[test]

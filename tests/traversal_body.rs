@@ -1,82 +1,41 @@
-//! The fused chunk: a [`TraversalBody`] runs a whole traversal on one
-//! pattern range — and, at a `makenewz` edge, the whole Newton iteration,
-//! one round per step over the chunk's piece of the edge table. Whatever
-//! way `0..n` is cut into ranges, the table pieces must be the direct
-//! engine's edge table to the bit (built from pieces that are the direct
-//! CLVs to the bit, values *and* scale counts — the scale carry at chunk
-//! boundaries is the historical bug class), the terminal's sums the direct
-//! kernels' up to re-association of the partials, and the optimized length
-//! the direct `makenewz`'s after the same number of steps.
+//! The fused request: a [`TraversalBody`] runs a whole search request — a
+//! score, or a branch-length optimization with every pass, edge and
+//! Newton step of it — as the rounds of one task, each chunk on its own
+//! pattern range. Whatever way `0..n` is cut into ranges, every edge's
+//! table pieces must be the direct engine's edge table to the bit (built
+//! from pieces that are the direct CLVs to the bit, values *and* scale
+//! counts — the scale carry at chunk boundaries is the historical bug
+//! class), the sums the direct kernels' up to re-association of the
+//! partials, and over one range the whole request the direct
+//! `optimize_branches`, bit for bit.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use multigrain::adapters::{Partial, TraversalOp};
 use multigrain::mgps_runtime::policy::granularity::{MIN_SPE_SAMPLES, TEAM_PROBE_PERIOD};
 use multigrain::mgps_runtime::policy::SpeId;
 use multigrain::prelude::*;
-use phylo::likelihood::{newton_branch_length, ClvArena, Newton};
-use phylo::traversal::{self, Kernels};
-use phylo::tree::EdgeId;
+use phylo::likelihood::{ClvArena, Newton};
+use phylo::traversal::Step;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-/// The walk written down as a plan: what `OffloadedEngine` records, from
-/// the same `traversal::clv_toward`, with op indices for handles.
-struct Plan(Vec<TraversalOp>);
-
-impl Kernels for Plan {
-    type Clv = usize;
-
-    fn tip(&mut self, taxon: usize) -> usize {
-        self.0.push(TraversalOp::Tip { taxon });
-        self.0.len() - 1
-    }
-
-    fn newview(&mut self, left: usize, t_left: f64, right: usize, t_right: f64) -> usize {
-        self.0.push(TraversalOp::Newview { left, t_left, right, t_right });
-        self.0.len() - 1
-    }
-
-    fn evaluate(&mut self, _: usize, _: usize, _: f64) -> f64 {
-        unreachable!("the plan stops at the edge")
-    }
-
-    fn optimize_edge(&mut self, _: usize, _: usize, _: f64) -> f64 {
-        unreachable!("the plan stops at the edge")
-    }
-}
-
-/// The body that orients `tree` toward `edge` and runs `terminal` there.
-fn body_at(
+/// The request to run `max_passes` and `epsilon` on `tree`.
+fn request(
     data: &Arc<PatternAlignment>,
     tree: &Tree,
-    edge: EdgeId,
-    terminal: KernelKind,
+    max_passes: usize,
+    epsilon: f64,
     arena: &Arc<Mutex<ClvArena>>,
 ) -> TraversalBody<Jc69> {
-    let (a, b) = tree.endpoints(edge);
-    let mut plan = Plan(Vec::new());
-    let u = traversal::clv_toward(&mut plan, tree, a, b);
-    let v = traversal::clv_toward(&mut plan, tree, b, a);
-    TraversalBody {
-        model: Jc69,
-        data: Arc::clone(data),
-        ops: plan.0,
-        u,
-        v,
-        terminal,
-        t: tree.length(edge),
-        arena: Arc::clone(arena),
-        edge: Mutex::default(),
-    }
+    TraversalBody::new(Jc69, Arc::clone(data), Arc::clone(arena), tree.clone(), max_passes, epsilon)
 }
 
 /// One round of `body` over `ranges` as a team runs it: every chunk,
 /// partials merged in chunk order.
-fn round(body: &TraversalBody<Jc69>, ranges: &[Range<usize>]) -> Partial {
+fn round(body: &TraversalBody<Jc69>, ranges: &[Range<usize>]) -> (f64, f64) {
     let mut ctx = SpeContext::new(SpeId(usize::MAX));
     ranges
         .iter()
@@ -85,16 +44,26 @@ fn round(body: &TraversalBody<Jc69>, ranges: &[Range<usize>]) -> Partial {
         .expect("at least one range")
 }
 
-/// Every round of `body` over `ranges`, given the first one's value.
-fn finish(body: &TraversalBody<Jc69>, ranges: &[Range<usize>], mut merged: Partial) -> Partial {
-    while body.again(&mut merged) {
-        merged = round(body, ranges);
+/// Every round of `body` over `ranges`, calling `seen` before each with
+/// the step it runs and whether the request holds no table yet (before an
+/// edge's first round); the request's lnL.
+fn run_seeing(
+    body: &TraversalBody<Jc69>,
+    ranges: &[Range<usize>],
+    mut seen: impl FnMut(Step, bool),
+) -> f64 {
+    loop {
+        let fresh = body.tables().is_empty();
+        seen(body.step(), fresh);
+        let mut merged = round(body, ranges);
+        if !body.again(&mut merged) {
+            return merged.0;
+        }
     }
-    merged
 }
 
-fn run(body: &TraversalBody<Jc69>, ranges: &[Range<usize>]) -> Partial {
-    finish(body, ranges, round(body, ranges))
+fn run(body: &TraversalBody<Jc69>, ranges: &[Range<usize>]) -> f64 {
+    run_seeing(body, ranges, |_, _| {})
 }
 
 /// Fractional cut points as a partition of `0..n` into `cuts.len() + 1`
@@ -110,89 +79,87 @@ fn bits(vals: &[f64]) -> Vec<u64> {
     vals.iter().map(|v| v.to_bits()).collect()
 }
 
+fn length_bits(tree: &Tree) -> Vec<u64> {
+    tree.edge_ids().map(|e| tree.length(e).to_bits()).collect()
+}
+
 proptest! {
     #[test]
     fn a_traversal_over_any_partition_is_the_direct_engines(
         seed in 0u64..u64::MAX,
-        taxa in 4usize..=12,
+        taxa in 4usize..=10,
         sites in 8usize..160,
+        max_passes in 0usize..=3,
+        epsilon in (0usize..3).prop_map(|i| [0.0, 1e-4, 1e9][i]),
         cuts in prop::collection::vec(0.0f64..1.0, 0..8),
     ) {
         let aln = Alignment::synthetic(taxa, sites, &Jc69, 0.3, seed ^ 0xA5A5);
         let data = Arc::new(PatternAlignment::compress(&aln));
         let n = data.n_patterns();
         let direct = LikelihoodEngine::new(&Jc69, &data);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let tree = Tree::random(taxa, 0.3, &mut rng);
-        let edge = EdgeId(rng.gen_range(0..tree.n_edges()));
-        let (a, b) = tree.endpoints(edge);
-        let (cu, cv) = (direct.clv_toward(&tree, a, b), direct.clv_toward(&tree, b, a));
-        let t = tree.length(edge);
-        let want_lnl = direct.evaluate(&cu, &cv, t);
-        let table = direct.edge_table(&cu, &cv);
-        let (want_d1, want_d2) = direct.table_derivatives(&table, t, 0..n);
+        let tree = Tree::random(taxa, 0.3, &mut SmallRng::seed_from_u64(seed));
         let arena = Arc::new(Mutex::new(ClvArena::new()));
         let ranges = partition(n, &cuts);
 
-        // The direct `makenewz`, with its steps counted.
-        let mut want_steps = 0;
-        let want_t = newton_branch_length(t, |t| {
-            want_steps += 1;
-            direct.table_derivatives(&table, t, 0..n)
-        });
-
-        // Round one of a `makenewz` sums the derivatives at the starting
-        // length and keeps each chunk's piece of the edge table, every CLV
-        // piece back in the arena: the tables tile 0..n and are the direct
-        // table to the bit.
-        let newton = body_at(&data, &tree, edge, KernelKind::MakeNewz, &arena);
-        let first = round(&newton, &ranges);
-        let (d1, d2) = first.sums;
-        prop_assert!((d1 - want_d1).abs() < 1e-9 * (1.0 + want_d1.abs()), "d1: {d1} vs {want_d1}");
-        prop_assert!((d2 - want_d2).abs() < 1e-9 * (1.0 + want_d2.abs()), "d2: {d2} vs {want_d2}");
-        {
-            let kept = newton.edge.lock().unwrap();
-            let mut tables: Vec<_> = kept.tables().iter().collect();
-            tables.sort_by_key(|(start, _)| *start);
-            prop_assert_eq!(tables.len(), ranges.iter().filter(|r| !r.is_empty()).count());
-            let mut got = Vec::new();
-            for (start, piece) in tables {
-                prop_assert_eq!(*start * 4, got.len(), "gap or overlap in {:?}", &ranges);
-                got.extend(bits(piece.as_raw()));
+        // Over the partition: at each edge's first round, the tables the
+        // chunks keep tile 0..n and are the direct table of the request's
+        // tree as it stands — every length optimized before read — to the
+        // bit, with every CLV piece back in the arena; the first sums are
+        // the direct derivatives at the starting length.
+        let body = request(&data, &tree, max_passes, epsilon, &arena);
+        let mut edges = 0;
+        let mut failed = None;
+        let lnl = run_seeing(&body, &ranges, |step, first| {
+            let Step::Optimize(e, t0) = step else { return };
+            if !first || failed.is_some() {
+                return;
             }
-            prop_assert_eq!(got, bits(table.as_raw()));
-            prop_assert_eq!(arena.lock().unwrap().outstanding(), (0, kept.tables().len() as u64));
-        }
-
-        // The later rounds re-use those tables, and the loop stops where
-        // the direct one does, after as many steps, with every table
-        // recycled.
-        let (got_t, steps) = finish(&newton, &ranges, first).stopped.expect("the loop has stopped");
-        prop_assert!((got_t - want_t).abs() < 1e-9, "t: {got_t} vs {want_t}");
-        prop_assert_eq!(steps, want_steps);
-        prop_assert!(newton.edge.lock().unwrap().tables().is_empty());
+            edges += 1;
+            let now = body.tree();
+            let (a, b) = now.endpoints(e);
+            let (cu, cv) = (direct.clv_toward(&now, a, b), direct.clv_toward(&now, b, a));
+            let want = direct.edge_table(&cu, &cv);
+            let (want_d1, want_d2) = direct.table_derivatives(&want, t0, 0..n);
+            let (d1, d2) = round(&body, &ranges);
+            let mut tables: Vec<_> = body.tables().drain(..).collect();
+            tables.sort_by_key(|(start, _)| *start);
+            let tiled: Vec<u64> = tables.iter().flat_map(|(_, piece)| bits(piece.as_raw())).collect();
+            let starts: Vec<usize> = tables.iter().map(|(start, _)| *start).collect();
+            let want_starts: Vec<usize> =
+                ranges.iter().filter(|r| !r.is_empty()).map(|r| r.start).collect();
+            let close = |got: f64, want: f64| (got - want).abs() < 1e-9 * (1.0 + want.abs());
+            if tiled != bits(want.as_raw()) || starts != want_starts {
+                failed = Some(format!("edge {e:?}: tables differ over {ranges:?}"));
+            } else if arena.lock().unwrap().outstanding() != (0, tables.len() as u64) {
+                failed = Some(format!("edge {e:?}: a CLV piece is out"));
+            } else if !close(d1, want_d1) || !close(d2, want_d2) {
+                failed = Some(format!("edge {e:?}: ({d1}, {d2}) vs ({want_d1}, {want_d2})"));
+            }
+            // The round ran outside the request: put its tables back where
+            // the request's own first round will not find them.
+            arena.lock().unwrap().extend(tables.into_iter().map(|(_, piece)| piece));
+        });
+        prop_assert!(failed.is_none(), "{}", failed.unwrap_or_default());
+        prop_assert_eq!(edges > 0, max_passes > 0);
+        prop_assert_eq!(body.step(), Step::Done(lnl));
+        prop_assert!(body.tables().is_empty());
         prop_assert_eq!(arena.lock().unwrap().outstanding(), (0, 0));
 
-        // An evaluate keeps nothing and sums to the direct lnL.
-        let evaluate = body_at(&data, &tree, edge, KernelKind::Evaluate, &arena);
-        let Partial { sums: (lnl, zero), stopped } = run(&evaluate, &ranges);
-        prop_assert!(stopped.is_none() && zero == 0.0);
-        prop_assert!(evaluate.edge.lock().unwrap().tables().is_empty());
-        prop_assert!((lnl - want_lnl).abs() < 1e-9 * (1.0 + want_lnl.abs()), "{lnl} vs {want_lnl}");
+        // The lnL it returns is its final tree's score over the same
+        // ranges, to the bit, and the direct score up to re-association.
+        let done = body.tree();
+        prop_assert_eq!(run(&request(&data, &done, 0, 0.0, &arena), &ranges).to_bits(), lnl.to_bits());
+        let want = direct.log_likelihood(&done);
+        prop_assert!((lnl - want).abs() < 1e-9 * (1.0 + want.abs()), "{lnl} vs {want}");
 
-        // One range is the direct kernel run elsewhere: the same bits, from
-        // the first sums to the optimized length.
-        let whole = partition(n, &[]);
-        let (lnl, _) = run(&evaluate, &whole).sums;
-        prop_assert_eq!(lnl.to_bits(), want_lnl.to_bits());
-        let newton = body_at(&data, &tree, edge, KernelKind::MakeNewz, &arena);
-        let first = round(&newton, &whole);
-        prop_assert_eq!(
-            (first.sums.0.to_bits(), first.sums.1.to_bits()),
-            (want_d1.to_bits(), want_d2.to_bits())
-        );
-        let (got_t, steps) = finish(&newton, &whole, first).stopped.expect("the loop has stopped");
-        prop_assert_eq!((got_t.to_bits(), steps), (want_t.to_bits(), want_steps));
+        // One range is the direct engine run elsewhere: the same bits, on
+        // the lnL and on every length.
+        let mut want_tree = tree.clone();
+        let want_lnl = direct.optimize_branches(&mut want_tree, max_passes, epsilon);
+        let whole = request(&data, &tree, max_passes, epsilon, &arena);
+        prop_assert_eq!(run(&whole, &partition(n, &[])).to_bits(), want_lnl.to_bits());
+        prop_assert_eq!(length_bits(&whole.tree()), length_bits(&want_tree));
+        prop_assert_eq!(arena.lock().unwrap().outstanding(), (0, 0));
     }
 }
 
@@ -229,8 +196,12 @@ fn an_edge_the_data_say_nothing_about_stops_at_once() {
 
     let arena = Arc::new(Mutex::new(ClvArena::new()));
     for ranges in [partition(n, &[]), partition(n, &[0.5])] {
-        let body = body_at(&data, &tree, edge, KernelKind::MakeNewz, &arena);
-        assert_eq!(run(&body, &ranges).stopped, Some((t0, 1)), "{ranges:?}");
+        let body = request(&data, &tree, 1, 0.0, &arena);
+        let mut rounds = 0;
+        run_seeing(&body, &ranges, |step, _| {
+            rounds += u32::from(matches!(step, Step::Optimize(e, _) if e == edge));
+        });
+        assert_eq!((rounds, body.tree().length(edge)), (1, t0), "{ranges:?}");
     }
 }
 
@@ -252,12 +223,15 @@ impl LoopBody for Lopsided {
     fn merge(&self, _: (), _: ()) {}
 }
 
-/// Invocations of `body()` on a four-way loop site whose measurements
-/// favour its master: the master alone each time, until the site's
-/// periodic probe wakes the team. The site's master bias does not move in
-/// between, so every invocation cuts the same tiling. Returns each result
-/// and whether the team was woken for it.
-fn until_the_team_probe(body: impl Fn() -> TraversalBody<Jc69>) -> Vec<(Partial, bool)> {
+/// The bits of a request's result: its lnL and every length it left.
+type ResultBits = (u64, Vec<u64>);
+
+/// Requests `body()` on a four-way loop site whose measurements favour its
+/// master: the master alone each time, until the site's periodic probe
+/// wakes the team. The site's master bias does not move in between, so
+/// every invocation cuts the same tiling. Returns each result and whether
+/// the team was woken for it.
+fn until_the_team_probe(body: impl Fn() -> TraversalBody<Jc69>) -> Vec<(ResultBits, bool)> {
     let pool = Arc::new(SpePool::new(4, Duration::ZERO));
     let runner = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
     let settle = || {
@@ -268,22 +242,18 @@ fn until_the_team_probe(body: impl Fn() -> TraversalBody<Jc69>) -> Vec<(Partial,
     for _ in 0..MIN_SPE_SAMPLES {
         runner.parallel_reduce(LoopSite(1), 4, Arc::new(Lopsided)).unwrap();
     }
-    let mut seen: Vec<(Partial, bool)> = Vec::new();
-    while seen.last().is_none_or(|&(_, woken)| !woken) {
+    let mut seen: Vec<(ResultBits, bool)> = Vec::new();
+    while seen.last().is_none_or(|(_, woken)| !woken) {
         assert!(seen.len() < TEAM_PROBE_PERIOD as usize, "no team probe in a period");
         settle();
         let before = pool.completed();
-        let got = runner.parallel_reduce(LoopSite(1), 4, Arc::new(body())).unwrap();
+        let body = Arc::new(body());
+        let (lnl, _) = runner.parallel_reduce(LoopSite(1), 4, Arc::clone(&body)).unwrap();
         settle();
         // The master alone books one job; a woken team one per member.
-        seen.push((got, pool.completed() - before > 1));
+        seen.push(((lnl.to_bits(), length_bits(&body.tree())), pool.completed() - before > 1));
     }
     seen
-}
-
-/// The bits of a traversal's result.
-fn result_bits(p: &Partial) -> (u64, u64, Option<(u64, u64)>) {
-    (p.sums.0.to_bits(), p.sums.1.to_bits(), p.stopped.map(|(t, steps)| (t.to_bits(), steps)))
 }
 
 #[test]
@@ -292,21 +262,21 @@ fn the_master_alone_and_its_woken_team_return_the_same_bits() {
     let data = Arc::new(PatternAlignment::compress(&aln));
     let tree = Tree::random(10, 0.3, &mut SmallRng::seed_from_u64(11));
     let arena = Arc::new(Mutex::new(ClvArena::new()));
-    for terminal in [KernelKind::Evaluate, KernelKind::MakeNewz] {
-        let seen = until_the_team_probe(|| body_at(&data, &tree, EdgeId(3), terminal, &arena));
-        assert!(seen.len() > 1 && !seen[0].1, "{terminal:?}: the master ran alone first");
-        let want = result_bits(&seen[0].0);
+    for passes in [0, 1] {
+        let seen = until_the_team_probe(|| request(&data, &tree, passes, 0.0, &arena));
+        assert!(seen.len() > 1 && !seen[0].1, "{passes} passes: the master ran alone first");
+        let want = &seen[0].0;
         for (got, woken) in &seen {
-            assert_eq!(result_bits(got), want, "{terminal:?}, woken: {woken}");
+            assert_eq!(got, want, "{passes} passes, woken: {woken}");
         }
-        let newton = terminal == KernelKind::MakeNewz;
-        assert_eq!(seen[0].0.stopped.is_some(), newton, "{terminal:?}");
+        let optimized = length_bits(&tree) != want.1;
+        assert_eq!(optimized, passes > 0, "{passes} passes");
     }
 }
 
 /// A chunk holds about a tree depth of pieces, not one per node: at 40 taxa
-/// (78 CLVs per edge pair) everything a traversal takes fits back on the
-/// free list, so the second traversal allocates nothing.
+/// (78 CLVs per edge pair) everything a request takes fits back on the
+/// free list, so the second request allocates nothing.
 #[test]
 fn the_arena_stays_bounded_and_warm_at_forty_taxa() {
     const TAXA: usize = 40;
@@ -322,12 +292,11 @@ fn the_arena_stays_bounded_and_warm_at_forty_taxa() {
 
     let mut misses_after_first = None;
     for pass in 0..3 {
-        // By hand over four ranges, on an arena this test can see …
-        for edge in tree.edge_ids() {
-            let body = body_at(&data, &tree, edge, KernelKind::MakeNewz, &arena);
-            // … whose last round hands every kept piece back.
-            assert!(run(&body, &partition(n, &[0.25, 0.5, 0.75])).stopped.is_some());
-        }
+        // By hand over four ranges, on an arena this test can see, whose
+        // last round hands every kept piece back …
+        let body = request(&data, &tree, 1, 0.0, &arena);
+        run(&body, &partition(n, &[0.25, 0.5, 0.75]));
+        assert_eq!(arena.lock().unwrap().outstanding(), (0, 0));
         // … and through the engine, whose arena reports its misses.
         ScoringEngine::optimize_branches(&mut off, &mut optimized, 1, 0.0);
         let misses = (arena.lock().unwrap().stats().1, off.arena_stats().1);
@@ -336,24 +305,23 @@ fn the_arena_stays_bounded_and_warm_at_forty_taxa() {
     }
 }
 
-/// A tip takes no piece: at a 4-taxon pendant edge the far end is a
-/// `newview` of a tip and a cherry, so a chunk holds the cherry's piece and
-/// its parent's at once and never more — the arena hands out exactly two.
-/// (When every tip held a piece, the stash drew five.)
+/// A tip takes no piece: a score is taken at edge 0, the pendant edge of
+/// taxon 0, and at four taxa its far end is a `newview` of a tip and a
+/// cherry, so a chunk holds the cherry's piece and its parent's at once
+/// and never more — the arena hands out exactly two. (When every tip held
+/// a piece, the stash drew five.)
 #[test]
 fn a_pendant_edge_draws_exactly_the_walks_peak() {
     let data = Arc::new(PatternAlignment::compress(&Alignment::synthetic(4, 60, &Jc69, 0.2, 4)));
     let n = data.n_patterns();
     let tree = Tree::random(4, 0.2, &mut SmallRng::seed_from_u64(4));
-    let edge = tree.neighbors(0)[0].1;
+    assert_eq!(tree.endpoints(phylo::tree::EdgeId(0)).0, 0, "edge 0 hangs taxon 0");
     let arena = Arc::new(Mutex::new(ClvArena::new()));
-    let body = body_at(&data, &tree, edge, KernelKind::Evaluate, &arena);
-    let newviews = body.ops.iter().filter(|op| matches!(op, TraversalOp::Newview { .. })).count();
-    assert_eq!((body.ops.len(), newviews), (6, 2), "four tips and two newviews");
-    run(&body, &partition(n, &[]));
+    let score = || request(&data, &tree, 0, 0.0, &arena);
+    run(&score(), &partition(n, &[]));
     assert_eq!(arena.lock().unwrap().stats(), (0, 2));
     assert_eq!(arena.lock().unwrap().outstanding(), (0, 0));
-    // The next chunk draws the same two from the free list.
-    run(&body, &partition(n, &[]));
+    // The next request draws the same two from the free list.
+    run(&score(), &partition(n, &[]));
     assert_eq!(arena.lock().unwrap().stats(), (2, 2));
 }
