@@ -422,33 +422,48 @@ impl MgpsRuntime {
     }
 
     fn record_departure(&self, task: TaskId, started_ns: u64, trace: Option<&TraceHandle>) {
-        if let DegreePolicy::Adaptive(sched) = &self.degree_policy {
-            let waiting = self.inflight.load(Ordering::Relaxed).max(1);
-            let mut s = sched.lock();
-            let directive = s.on_departure(task, started_ns, self.ns(), waiting);
-            if let Some(d) = directive {
-                self.metrics.incr(Counter::MgpsEvaluations);
-                let degree = match d {
-                    Directive::ActivateLlp(ld) => ld.0,
-                    Directive::DeactivateLlp => 1,
-                };
-                if let Some(t) = trace {
-                    t.record(EventKind::DegreeDecision {
-                        degree,
-                        u: s.last_u(),
-                        waiting,
-                        n_spes: self.config.n_spes,
-                        window: s.config().window,
-                        window_fill: s.window_fill(),
-                    });
-                }
-                let prev = self.current_degree.swap(degree, Ordering::Relaxed);
-                if prev == 1 && degree > 1 {
-                    self.metrics.incr(Counter::LlpActivations);
-                } else if prev > 1 && degree == 1 {
-                    self.metrics.incr(Counter::LlpDeactivations);
-                }
-            }
+        self.evaluate_mgps(trace, |s, waiting| s.on_departure(task, started_ns, self.ns(), waiting));
+    }
+
+    /// A request §5.2 ran on the PPE: the MGPS timer's clock. The SPEs
+    /// busy at this instant are those of the off-loads in flight.
+    fn record_ppe_request(&self, trace: Option<&TraceHandle>) {
+        let busy = self.inflight.load(Ordering::Relaxed);
+        self.evaluate_mgps(trace, |s, waiting| s.on_ppe_request(busy, waiting));
+    }
+
+    /// Under MGPS, put one event to the scheduler — `event` is told the
+    /// tasks waiting for an off-load — and put into force the degree of
+    /// any evaluation it triggers.
+    fn evaluate_mgps(
+        &self,
+        trace: Option<&TraceHandle>,
+        event: impl FnOnce(&mut MgpsScheduler, usize) -> Option<Directive>,
+    ) {
+        let DegreePolicy::Adaptive(sched) = &self.degree_policy else { return };
+        let waiting = self.inflight.load(Ordering::Relaxed).max(1);
+        let mut s = sched.lock();
+        let Some(d) = event(&mut s, waiting) else { return };
+        self.metrics.incr(Counter::MgpsEvaluations);
+        let degree = match d {
+            Directive::ActivateLlp(ld) => ld.0,
+            Directive::DeactivateLlp => 1,
+        };
+        if let Some(t) = trace {
+            t.record(EventKind::DegreeDecision {
+                degree,
+                u: s.last_u(),
+                waiting,
+                n_spes: self.config.n_spes,
+                window: s.config().window,
+                window_fill: s.window_fill(),
+            });
+        }
+        let prev = self.current_degree.swap(degree, Ordering::Relaxed);
+        if prev == 1 && degree > 1 {
+            self.metrics.incr(Counter::LlpActivations);
+        } else if prev > 1 && degree == 1 {
+            self.metrics.incr(Counter::LlpDeactivations);
         }
     }
 }
@@ -588,11 +603,13 @@ impl ProcessCtx<'_> {
     /// context, exactly like the paper's PPE fallback copies of each
     /// function. Without granularity control this is [`Self::offload_loop`].
     /// The test is applied to what is shipped: `kind` names the whole
-    /// request (for a likelihood traversal, the kernel it ends in), and
-    /// both timings cover all of `body` — every round of it, if it runs
-    /// more than one ([`LoopBody::again`]). `t_spe` is the wall time of the
-    /// whole off-load, so it already holds what `t_code` and `t_comm` model
-    /// (see [`crate::policy::granularity`]).
+    /// request, and both timings cover all of `body` — every round of it,
+    /// if it runs more than one ([`LoopBody::again`]) — per unit of its
+    /// [`LoopBody::work`], so that requests of one kind but different
+    /// sizes compare. `t_spe` is the wall time of the whole off-load, so it
+    /// already holds what `t_code` and `t_comm` model (see
+    /// [`crate::policy::granularity`]). A request kept on the PPE is a
+    /// tick of the MGPS timer ([`MgpsScheduler::on_ppe_request`]).
     ///
     /// # Errors
     /// As [`Self::offload_loop`].
@@ -628,8 +645,8 @@ impl ProcessCtx<'_> {
                     });
                 }
                 let start = Instant::now();
-                let out = self.offload_loop(site, body)?;
-                controller.lock().record_spe(kind, start.elapsed().as_nanos() as u64);
+                let out = self.offload_loop(site, Arc::clone(&body))?;
+                controller.lock().record_spe(kind, per_unit(start, &*body));
                 Ok(out)
             }
             GranularityDecision::RunOnPpe => {
@@ -645,11 +662,17 @@ impl ProcessCtx<'_> {
                 let scratch = self.ppe_context();
                 let start = Instant::now();
                 let out = run_whole(&*body, scratch);
-                controller.lock().record_ppe(kind, start.elapsed().as_nanos() as u64);
+                controller.lock().record_ppe(kind, per_unit(start, &*body));
+                rt.record_ppe_request(self.trace.as_ref());
                 Ok(out)
             }
         }
     }
+}
+
+/// Nanoseconds since `start` per unit of the work `body` did.
+fn per_unit<B: LoopBody>(start: Instant, body: &B) -> u64 {
+    start.elapsed().as_nanos() as u64 / body.work().max(1)
 }
 
 #[cfg(test)]
@@ -893,6 +916,9 @@ mod tests {
         fn merge(&self, a: u64, b: u64) -> u64 {
             a + b
         }
+        fn work(&self) -> u64 {
+            self.n as u64
+        }
     }
 
     #[test]
@@ -911,6 +937,44 @@ mod tests {
             !rt.is_throttled(KernelKind::NewView),
             "kernels whose SPE version wins must stay off-loaded"
         );
+    }
+
+    #[test]
+    fn a_kinds_large_and_small_requests_compare_per_unit_of_work() {
+        // The warm-up off-loads three large requests and then times the
+        // PPE copy on three small ones. Whole, the small PPE runs would
+        // beat the large off-loads; per iteration the SPE version is three
+        // times faster, and the kind must stay off-loaded.
+        let cfg = RuntimeConfig::cell(SchedulerKind::Edtlp).with_granularity_control(10_000);
+        let rt = MgpsRuntime::new(cfg);
+        let mut ctx = rt.enter_process();
+        for n in [100, 100, 100, 10, 10, 10, 10] {
+            let body = Arc::new(DualVersion { n, spin: Duration::from_micros(5) });
+            let v = ctx.offload_adaptive(LoopSite(10), KernelKind::MakeNewz, body).unwrap();
+            assert_eq!(v, n as u64);
+        }
+        let t = rt.granularity.as_ref().unwrap().lock().timings(KernelKind::MakeNewz).unwrap();
+        assert!(t.offload_profitable(), "{t:?}");
+        assert!(!rt.is_throttled(KernelKind::MakeNewz));
+    }
+
+    #[test]
+    fn requests_kept_on_the_ppe_tick_the_mgps_timer() {
+        // Every request of a tiny kind runs on the PPE once the warm-up is
+        // over, so no window of off-loads closes; a window's worth of PPE
+        // runs evaluates occupancy instead, and one process on an idle
+        // chip gets every SPE.
+        let cfg = RuntimeConfig::cell(SchedulerKind::Mgps).with_granularity_control(10_000);
+        let rt = MgpsRuntime::new(cfg);
+        let mut ctx = rt.enter_process();
+        for _ in 0..64 {
+            let body = Arc::new(SpinSum { n: 1, spin: Duration::ZERO });
+            ctx.offload_adaptive(LoopSite(9), KernelKind::Evaluate, body).unwrap();
+        }
+        assert!(rt.is_throttled(KernelKind::Evaluate));
+        let (evaluations, activations, _) = rt.mgps_stats().expect("an MGPS runtime");
+        assert!(evaluations > 0 && activations == 1, "{evaluations} evaluations");
+        assert_eq!(rt.current_degree(), 8);
     }
 
     #[test]

@@ -123,6 +123,15 @@ pub trait LoopBody: Send + Sync + 'static {
     fn again(&self, _merged: &mut Self::Acc) -> bool {
         false
     }
+
+    /// How much work the body has done, in units its kind of request
+    /// shares; asked once it has run. Granularity control times a request
+    /// per unit of it, so a kind's small and large requests compare
+    /// ([`super::ProcessCtx::offload_adaptive`]). The default
+    /// counts every request as one unit.
+    fn work(&self) -> u64 {
+        1
+    }
 }
 
 /// The one place a body's rounds are driven from: run `round` — told how

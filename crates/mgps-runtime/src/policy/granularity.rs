@@ -90,12 +90,12 @@ impl FunctionTimings {
 
 /// Per-function decision state for dynamic granularity control.
 ///
-/// A function's requests need not all take the same time (natively a
-/// `makenewz` request orients the tree and then takes as many Newton steps
-/// as the edge needs). Both estimators are minima, so the test compares
-/// the function's cheapest request on the SPE with its cheapest on the PPE
-/// — an edge that converged in one step with an edge that did: like with
-/// like.
+/// A function's requests need not all be the same size (natively a
+/// branch-length optimization takes as many passes, edges and Newton
+/// steps as it needs), so the runtime records each time per unit of the
+/// request's work. Both estimators are minima, so the test compares the
+/// function's cheapest unit on the SPE with its cheapest on the PPE: like
+/// with like, whichever requests the warm-up happened to sample.
 ///
 /// The first request for a function is always off-loaded (optimism); after
 /// both sides have been measured, the test decides. Whichever way it went,
@@ -146,7 +146,8 @@ impl GranularityController {
         GranularityController { profiles: HashMap::new(), retry_period }
     }
 
-    /// Record a completed off-load of `kind`: its wall time, ns.
+    /// Record a completed off-load of `kind`: its wall time, ns (natively
+    /// per unit of the request's work).
     pub fn record_spe(&mut self, kind: KernelKind, elapsed_ns: u64) {
         self.profiles.entry(kind).or_default().spe.add(elapsed_ns);
     }

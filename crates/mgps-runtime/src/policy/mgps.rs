@@ -19,7 +19,9 @@
 //!     previously on.
 //! * Applications that do not off-load often enough to trigger adaptation
 //!   are handled by a timer interrupt that evaluates instantaneous SPE
-//!   occupancy instead.
+//!   occupancy instead. Natively its clock is the requests the granularity
+//!   test (§5.2) keeps on the PPE: every `window` of them since the last
+//!   evaluation is a tick ([`MgpsScheduler::on_ppe_request`]).
 
 use std::collections::VecDeque;
 
@@ -71,6 +73,8 @@ pub struct MgpsScheduler {
     deactivations: u64,
     /// `U` of the most recent evaluation (0 before the first).
     last_u: usize,
+    /// Requests run on the PPE since the most recent evaluation.
+    ppe_requests: u64,
     /// SPEs currently in service (`n_spes` minus quarantined). LLP degree
     /// is computed as `⌊healthy / T⌋`, so quarantine throttles loop-level
     /// parallelism exactly as utilization does.
@@ -91,6 +95,7 @@ impl MgpsScheduler {
             activations: 0,
             deactivations: 0,
             last_u: 0,
+            ppe_requests: 0,
             healthy: cfg.n_spes,
         }
     }
@@ -192,8 +197,20 @@ impl MgpsScheduler {
         self.evaluate(busy_spes, waiting_tasks)
     }
 
+    /// Record a request that ran on the PPE instead of off-loading: it
+    /// neither arrives nor departs, so a process whose requests the
+    /// granularity test keeps on the PPE would close no window, and MGPS
+    /// would never see the SPEs it leaves idle. Every `window` such
+    /// requests with no evaluation in between are the timer interrupt
+    /// ([`Self::on_timer`]); `None` otherwise.
+    pub fn on_ppe_request(&mut self, busy_spes: usize, waiting_tasks: usize) -> Option<Directive> {
+        self.ppe_requests += 1;
+        (self.ppe_requests >= self.cfg.window as u64).then(|| self.on_timer(busy_spes, waiting_tasks))
+    }
+
     fn evaluate(&mut self, u: usize, waiting_tasks: usize) -> Directive {
         self.evaluations += 1;
+        self.ppe_requests = 0;
         self.last_u = u;
         if u <= self.cfg.u_threshold {
             let t = waiting_tasks.max(1);
@@ -327,6 +344,23 @@ mod tests {
         let mut s = sched();
         assert_eq!(s.on_timer(2, 2), Directive::ActivateLlp(LoopDegree(4)));
         assert_eq!(s.on_timer(7, 7), Directive::DeactivateLlp);
+    }
+
+    #[test]
+    fn a_window_of_ppe_requests_is_a_timer_tick() {
+        let mut s = sched();
+        for _ in 1..8 {
+            assert_eq!(s.on_ppe_request(0, 1), None);
+        }
+        // The eighth: nothing on the SPEs, one process => every SPE.
+        assert_eq!(s.on_ppe_request(0, 1), Some(Directive::ActivateLlp(LoopDegree(8))));
+        assert_eq!(s.evaluations(), 1);
+        // A window closed by off-loads restarts the count.
+        for _ in 1..8 {
+            assert_eq!(s.on_ppe_request(0, 1), None);
+        }
+        drive(&mut s, 8, 1, 1);
+        assert_eq!(s.on_ppe_request(0, 1), None);
     }
 
     #[test]

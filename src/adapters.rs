@@ -209,11 +209,12 @@ impl<M: SubstModel> TraversalBody<M> {
         self.walk().kernels
     }
 
-    /// The table pieces kept for the edge being optimized, as `(first
-    /// pattern, piece)` in no particular order; none between edges. The
-    /// body's chunks wait while the guard is held.
-    pub fn tables(&self) -> MutexGuard<'_, Vec<(usize, EdgeTable)>> {
-        lock(&self.tables)
+    /// A copy of the table pieces kept for the edge being optimized, as
+    /// `(first pattern, piece)` by first pattern; none between edges.
+    pub fn tables(&self) -> Vec<(usize, EdgeTable)> {
+        let mut kept = lock(&self.tables).clone();
+        kept.sort_by_key(|&(start, _)| start);
+        kept
     }
 }
 
@@ -299,6 +300,11 @@ impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
             }
             Step::Score(_) => true,
         }
+    }
+
+    /// Its kernel invocations ([`TraversalBody::kernels`]).
+    fn work(&self) -> u64 {
+        self.kernels()
     }
 }
 

@@ -31,13 +31,13 @@ pub struct ParallelAnalysis {
 impl ParallelAnalysis {
     /// A Cell-shaped analysis under `scheduler` with `workers` processes.
     ///
-    /// Dynamic granularity control (§5.2) is enabled: each kind of
-    /// request (a traversal ending in `evaluate`, or in `makenewz`) is
-    /// optimistically off-loaded and measured, and kinds that fail the
-    /// `t_spe + t_code + 2·t_comm < t_ppe` profitability test fall back to
-    /// their PPE copies until a periodic re-probe. On hosts where a
-    /// traversal's chunk time is smaller than the off-load signalling
-    /// cost, this is where most of the end-to-end time goes.
+    /// Dynamic granularity control (§5.2) is enabled: each kind of search
+    /// request (a score, or a branch-length optimization) is
+    /// optimistically off-loaded and measured per kernel it runs, and kinds
+    /// that fail the `t_spe + t_code + 2·t_comm < t_ppe` profitability test
+    /// fall back to their PPE copies until a periodic re-probe. Under MGPS,
+    /// requests kept on the PPE still drive its adaptation, as the ticks of
+    /// the paper's timer fallback.
     pub fn cell(scheduler: SchedulerKind, workers: usize) -> ParallelAnalysis {
         ParallelAnalysis {
             runtime: RuntimeConfig::cell(scheduler).with_granularity_control(64),
@@ -47,7 +47,8 @@ impl ParallelAnalysis {
     }
 
     /// Run `n_bootstraps` bootstrap searches, distributed over the worker
-    /// processes, every likelihood traversal off-loaded through the runtime.
+    /// processes, each search request — a score or a branch-length
+    /// optimization — put to the runtime as one off-load.
     /// Returns the results in bootstrap order plus the runtime's final
     /// statistics.
     pub fn run_bootstraps<M: SubstModel + Clone + 'static>(

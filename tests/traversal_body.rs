@@ -6,7 +6,8 @@
 //! from pieces that are the direct CLVs to the bit, values *and* scale
 //! counts — the scale carry at chunk boundaries is the historical bug
 //! class), the sums the direct kernels' up to re-association of the
-//! partials, and over one range the whole request the direct
+//! partials, every optimized length the direct `optimize_branches`'s after
+//! the same kernels, and over one range the whole request the direct
 //! `optimize_branches`, bit for bit.
 
 use std::ops::Range;
@@ -16,8 +17,8 @@ use std::time::Duration;
 use multigrain::mgps_runtime::policy::granularity::{MIN_SPE_SAMPLES, TEAM_PROBE_PERIOD};
 use multigrain::mgps_runtime::policy::SpeId;
 use multigrain::prelude::*;
-use phylo::likelihood::{ClvArena, Newton};
-use phylo::traversal::Step;
+use phylo::likelihood::{newton_branch_length, ClvArena, Newton, Operand};
+use phylo::traversal::{self, Kernels, Step};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -75,6 +76,40 @@ fn partition(n: usize, cuts: &[f64]) -> Vec<Range<usize>> {
     bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
+/// The direct kernels, counted as the off-loading engine counts them:
+/// every `newview`, `evaluate` and Newton step.
+struct Census<'e> {
+    inner: &'e LikelihoodEngine<'e, Jc69>,
+    kernels: u64,
+}
+
+impl Kernels for Census<'_> {
+    type Clv = Operand<Clv>;
+
+    fn tip(&mut self, taxon: usize) -> Operand<Clv> {
+        Kernels::tip(&mut self.inner, taxon)
+    }
+
+    fn newview(&mut self, left: Self::Clv, t_l: f64, right: Self::Clv, t_r: f64) -> Self::Clv {
+        self.kernels += 1;
+        Kernels::newview(&mut self.inner, left, t_l, right, t_r)
+    }
+
+    fn evaluate(&mut self, u: Operand<Clv>, v: Operand<Clv>, t: f64) -> f64 {
+        self.kernels += 1;
+        Kernels::evaluate(&mut self.inner, u, v, t)
+    }
+
+    fn optimize_edge(&mut self, u: Operand<Clv>, v: Operand<Clv>, t0: f64) -> f64 {
+        let table = self.inner.edge_table(u.as_ref(), v.as_ref());
+        let all = 0..self.inner.data().n_patterns();
+        newton_branch_length(t0, |t| {
+            self.kernels += 1;
+            self.inner.table_derivatives(&table, t, all.clone())
+        })
+    }
+}
+
 fn bits(vals: &[f64]) -> Vec<u64> {
     vals.iter().map(|v| v.to_bits()).collect()
 }
@@ -87,7 +122,7 @@ proptest! {
     #[test]
     fn a_traversal_over_any_partition_is_the_direct_engines(
         seed in 0u64..u64::MAX,
-        taxa in 4usize..=10,
+        taxa in 4usize..=12,
         sites in 8usize..160,
         max_passes in 0usize..=3,
         epsilon in (0usize..3).prop_map(|i| [0.0, 1e-4, 1e9][i]),
@@ -101,11 +136,20 @@ proptest! {
         let arena = Arc::new(Mutex::new(ClvArena::new()));
         let ranges = partition(n, &cuts);
 
+        // The direct optimization, with its kernels counted.
+        let mut want_tree = tree.clone();
+        let want_lnl = direct.optimize_branches(&mut want_tree, max_passes, epsilon);
+        let mut census = Census { inner: &direct, kernels: 0 };
+        let counted = traversal::optimize_branches(&mut census, &mut tree.clone(), max_passes, epsilon);
+        prop_assert_eq!(counted.to_bits(), want_lnl.to_bits());
+
         // Over the partition: at each edge's first round, the tables the
         // chunks keep tile 0..n and are the direct table of the request's
         // tree as it stands — every length optimized before read — to the
         // bit, with every CLV piece back in the arena; the first sums are
-        // the direct derivatives at the starting length.
+        // the direct derivatives at the starting length. (That round runs
+        // outside the request; the request's own first round then finds
+        // the same tables kept.)
         let body = request(&data, &tree, max_passes, epsilon, &arena);
         let mut edges = 0;
         let mut failed = None;
@@ -121,8 +165,7 @@ proptest! {
             let want = direct.edge_table(&cu, &cv);
             let (want_d1, want_d2) = direct.table_derivatives(&want, t0, 0..n);
             let (d1, d2) = round(&body, &ranges);
-            let mut tables: Vec<_> = body.tables().drain(..).collect();
-            tables.sort_by_key(|(start, _)| *start);
+            let tables = body.tables();
             let tiled: Vec<u64> = tables.iter().flat_map(|(_, piece)| bits(piece.as_raw())).collect();
             let starts: Vec<usize> = tables.iter().map(|(start, _)| *start).collect();
             let want_starts: Vec<usize> =
@@ -135,9 +178,6 @@ proptest! {
             } else if !close(d1, want_d1) || !close(d2, want_d2) {
                 failed = Some(format!("edge {e:?}: ({d1}, {d2}) vs ({want_d1}, {want_d2})"));
             }
-            // The round ran outside the request: put its tables back where
-            // the request's own first round will not find them.
-            arena.lock().unwrap().extend(tables.into_iter().map(|(_, piece)| piece));
         });
         prop_assert!(failed.is_none(), "{}", failed.unwrap_or_default());
         prop_assert_eq!(edges > 0, max_passes > 0);
@@ -145,20 +185,27 @@ proptest! {
         prop_assert!(body.tables().is_empty());
         prop_assert_eq!(arena.lock().unwrap().outstanding(), (0, 0));
 
+        // Every length it leaves is the direct one's, after as many
+        // kernels: the same passes, edges and Newton steps.
+        let done = body.tree();
+        for e in tree.edge_ids() {
+            let (got, want) = (done.length(e), want_tree.length(e));
+            prop_assert!((got - want).abs() < 1e-9, "branch {:?}: {} vs {}", e, got, want);
+        }
+        prop_assert_eq!(body.kernels(), census.kernels);
+
         // The lnL it returns is its final tree's score over the same
         // ranges, to the bit, and the direct score up to re-association.
-        let done = body.tree();
         prop_assert_eq!(run(&request(&data, &done, 0, 0.0, &arena), &ranges).to_bits(), lnl.to_bits());
         let want = direct.log_likelihood(&done);
         prop_assert!((lnl - want).abs() < 1e-9 * (1.0 + want.abs()), "{lnl} vs {want}");
 
         // One range is the direct engine run elsewhere: the same bits, on
         // the lnL and on every length.
-        let mut want_tree = tree.clone();
-        let want_lnl = direct.optimize_branches(&mut want_tree, max_passes, epsilon);
         let whole = request(&data, &tree, max_passes, epsilon, &arena);
         prop_assert_eq!(run(&whole, &partition(n, &[])).to_bits(), want_lnl.to_bits());
         prop_assert_eq!(length_bits(&whole.tree()), length_bits(&want_tree));
+        prop_assert_eq!(whole.kernels(), census.kernels);
         prop_assert_eq!(arena.lock().unwrap().outstanding(), (0, 0));
     }
 }
