@@ -18,11 +18,14 @@
 //! All three iterate over *site patterns* with per-pattern weights and no
 //! loop-carried dependencies — the loop-level parallelism the runtime
 //! work-shares across SPEs. `newview_range_into` / `evaluate_range` /
-//! `edge_table_range` / `table_derivatives` are the chunked forms the teams
-//! run, and the only loops. An [`Operand`] is a tip by taxon — never a CLV:
-//! RAxML's tip/inner split, a 16-entry product table per call — or a CLV,
-//! full-width or the chunk's own piece, so a chunk can run a whole
-//! traversal on its pattern range without a full-width CLV existing.
+//! `edge_table_range` / `table_derivatives` are the chunked forms, and
+//! their `_with` forms (below) the only loops. An [`Operand`] is a tip by taxon — never a CLV:
+//! RAxML's tip/inner split, read through a [`Transition`]'s product table
+//! — or a CLV, full-width or the chunk's own piece, so a chunk can run a
+//! whole traversal on its pattern range without a full-width CLV existing.
+//! A `_with` form takes its pattern-independent factors ready-made, so an
+//! off-loaded request prices them once for all its chunks; the per-call
+//! form builds them for its chunk alone.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math in dense kernels
 
@@ -421,15 +424,39 @@ impl<'c> From<&'c Clv> for Operand<&'c Clv> {
     }
 }
 
-/// One operand over a kernel's chunk, with the matrix `m` applied to it: a
-/// tip's masks and `m·x` for each tip vector `x` they name (the same
-/// [`matvec`] on the same inputs, so no bit moves), or a CLV's values and
-/// exponents for the chunk ([`first_held`]); kernels compile per pairing.
-#[derive(Default)]
+/// A matrix a kernel applies to an operand — `P(t)` of a branch or a
+/// factor of the eigen basis — with its products `m·x` for the tip vectors
+/// `x`, each the same `matvec` on the same inputs a CLV's pattern gets.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Transition {
+    m: Matrix,
+    products: [[f64; STATES]; 16],
+}
+
+impl Transition {
+    /// Every tip mask.
+    const ALL: u32 = 0xFFFF;
+
+    /// `m` with the products of only the masks in the bit set `held`.
+    fn new(m: Matrix, mut held: u32) -> Transition {
+        let mut products = [[0.0; STATES]; 16];
+        while held != 0 {
+            let b = held.trailing_zeros() as usize;
+            held &= held - 1;
+            products[b] = matvec(&m, &StateMask(b as u8).tip_clv());
+        }
+        Transition { m, products }
+    }
+}
+
+/// One operand over a kernel's chunk, under a [`Transition`]: a tip's
+/// masks and the transition's products, or a CLV's values and exponents
+/// for the chunk ([`first_held`]) and its matrix; kernels compile per
+/// pairing.
 struct Side<'s> {
     tip: bool,
     masks: &'s [StateMask],
-    products: [[f64; STATES]; 16],
+    products: &'s [[f64; STATES]; 16],
     vals: &'s [f64],
     scale: &'s [u32],
     m: Matrix,
@@ -557,30 +584,60 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         Clv { vals: masks.iter().flat_map(|m| m.tip_clv()).collect(), scale: vec![0; masks.len()] }
     }
 
-    /// `op` over the chunk `range`, under the matrix `m`.
-    fn side<'s>(&'s self, op: Operand<&'s Clv>, m: Matrix, range: &Range<usize>) -> Side<'s> {
-        assert!(range.end <= self.data.n_patterns(), "chunk range {range:?} outside the patterns");
-        let mut side = Side { m, ..Side::default() };
+    /// `op` over the chunk `range`, under `p`.
+    fn side<'s>(&'s self, op: Operand<&'s Clv>, p: &'s Transition, r: &Range<usize>) -> Side<'s> {
+        assert!(r.end <= self.data.n_patterns(), "chunk range {r:?} outside the patterns");
+        let (products, m) = (&p.products, p.m);
         match op {
             Operand::Tip(taxon) => {
-                side.tip = true;
-                side.masks = &self.data.masks(taxon)[range.clone()];
-                // Only the masks held: a short chunk has fewer than 16.
-                let mut held = side.masks.iter().fold(0u32, |held, x| held | 1 << (x.0 & 0xF));
-                while held != 0 {
-                    let b = held.trailing_zeros() as usize;
-                    held &= held - 1;
-                    side.products[b] = matvec(&m, &StateMask(b as u8).tip_clv());
-                }
+                let masks = &self.data.masks(taxon)[r.clone()];
+                Side { tip: true, masks, products, vals: &[], scale: &[], m }
             }
             Operand::Clv(clv) => {
-                let base = first_held(clv.n_patterns(), self.data.n_patterns(), range, "a CLV");
-                let (lo, hi) = (range.start - base, range.end - base);
-                side.vals = &clv.vals[lo * STATES..hi * STATES];
-                side.scale = &clv.scale[lo..hi];
+                let base = first_held(clv.n_patterns(), self.data.n_patterns(), r, "a CLV");
+                let (lo, hi) = (r.start - base, r.end - base);
+                let (vals, scale) = (&clv.vals[lo * STATES..hi * STATES], &clv.scale[lo..hi]);
+                Side { tip: false, masks: &[], products, vals, scale, m }
             }
         }
-        side
+    }
+
+    /// The tip masks `op` holds over `range` as a bit set, which is all a
+    /// call needs products of: a short chunk holds fewer than 16, a CLV
+    /// none.
+    fn held(&self, op: Operand<&Clv>, range: &Range<usize>) -> u32 {
+        let Operand::Tip(taxon) = op else { return 0 };
+        // A range outside the patterns is `side`'s to refuse.
+        let masks = self.data.masks(taxon).get(range.clone()).unwrap_or_default();
+        masks.iter().fold(0, |held, x| held | 1 << (x.0 & 0xF))
+    }
+
+    /// `P(t)` with every tip product, for any chunk.
+    pub fn transition(&self, t: f64) -> Transition {
+        Transition::new(self.model.prob_matrix(t), Transition::ALL)
+    }
+
+    /// The eigen basis an [`EdgeTable`] is built in — `(πL)ᵀ` for the
+    /// edge's `u` end, `R` for its `v` end — with every tip product.
+    pub fn eigen_basis(&self) -> [Transition; 2] {
+        self.basis([Transition::ALL; 2])
+    }
+
+    /// The eigen basis with the products of the masks `held` at each end.
+    fn basis(&self, held: [u32; 2]) -> [Transition; 2] {
+        let Spectrum { left, right, .. } = self.model.spectrum();
+        let pi = self.model.base_freqs();
+        // `(πL)ᵀ`, so both halves of a pattern's sums are one `matvec`.
+        let pi_left = std::array::from_fn(|k| std::array::from_fn(|x| pi[x] * left[x][k]));
+        [Transition::new(pi_left, held[0]), Transition::new(right, held[1])]
+    }
+
+    /// Newton's factors at length `t`: `[exp(λt), λ·exp(λt), λ²·exp(λt)]`.
+    pub fn newton_factors(&self, t: f64) -> [[f64; STATES]; 3] {
+        let spectrum = self.model.spectrum();
+        let (lam, e) = (spectrum.eigenvalues, spectrum.exps(t));
+        let de: [f64; STATES] = std::array::from_fn(|k| lam[k] * e[k]);
+        [e, de, std::array::from_fn(|k| lam[k] * de[k])]
     }
 
     /// Felsenstein pruning step over all patterns: the parent CLV from two
@@ -597,10 +654,10 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         out
     }
 
-    /// The one pruning body: patterns `range` of a `newview` into the
-    /// range-sized CLV `out` (any contents). Each child is a tip, a
-    /// full-width CLV or the chunk's own piece of one (holding exactly
-    /// `range`); chunks are independent, so a team can split them.
+    /// Patterns `range` of a `newview` into the range-sized CLV `out` (any
+    /// contents). Each child is a tip, a full-width CLV or the chunk's own
+    /// piece of one (holding exactly `range`); chunks are independent, so a
+    /// team can split them.
     ///
     /// # Panics
     /// Panics if CLV or output sizes disagree with the alignment/range.
@@ -613,9 +670,26 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         range: Range<usize>,
         out: &mut Clv,
     ) {
+        let (left, right) = (left.into(), right.into());
+        let p_left = Transition::new(self.model.prob_matrix(t_left), self.held(left, &range));
+        let p_right = Transition::new(self.model.prob_matrix(t_right), self.held(right, &range));
+        self.newview_range_with(left, &p_left, right, &p_right, range, out);
+    }
+
+    /// The one pruning body: [`Self::newview_range_into`] with each
+    /// child's `P(t)` given.
+    pub fn newview_range_with<'c>(
+        &self,
+        left: impl Into<Operand<&'c Clv>>,
+        p_left: &Transition,
+        right: impl Into<Operand<&'c Clv>>,
+        p_right: &Transition,
+        range: Range<usize>,
+        out: &mut Clv,
+    ) {
         assert_eq!(out.n_patterns(), range.len(), "chunk output CLV size mismatch");
-        let l = self.side(left.into(), self.model.prob_matrix(t_left), &range);
-        let r = self.side(right.into(), self.model.prob_matrix(t_right), &range);
+        let l = self.side(left.into(), p_left, &range);
+        let r = self.side(right.into(), p_right, &range);
         per_pairing!(l, r, prune(&l, &r, &mut out.vals, &mut out.scale));
     }
 
@@ -639,7 +713,21 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         t: f64,
         range: Range<usize>,
     ) -> f64 {
-        let (p, pi) = (self.model.prob_matrix(t), self.model.base_freqs());
+        // `u` is read as is: only `v`'s tip products are needed.
+        let v = v.into();
+        let p = Transition::new(self.model.prob_matrix(t), self.held(v, &range));
+        self.evaluate_range_with(u, v, &p, range)
+    }
+
+    /// [`Self::evaluate_range`] with the edge's `P(t)` given.
+    pub fn evaluate_range_with<'c>(
+        &self,
+        u: impl Into<Operand<&'c Clv>>,
+        v: impl Into<Operand<&'c Clv>>,
+        p: &Transition,
+        range: Range<usize>,
+    ) -> f64 {
+        let pi = self.model.base_freqs();
         let w = &self.data.weights()[range.clone()];
         let u = self.side(u.into(), p, &range);
         let v = self.side(v.into(), p, &range);
@@ -651,9 +739,9 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// Mixture models combine these across rate categories before taking
     /// logs.
     pub fn site_terms(&self, u: &Clv, v: &Clv, t: f64) -> Vec<(f64, u32)> {
-        let (p, all) = (self.model.prob_matrix(t), 0..self.data.n_patterns());
+        let (p, all) = (Transition::new(self.model.prob_matrix(t), 0), 0..self.data.n_patterns());
         let pi = self.model.base_freqs();
-        let (u, v) = (self.side(u.into(), p, &all), self.side(v.into(), p, &all));
+        let (u, v) = (self.side(u.into(), &p, &all), self.side(v.into(), &p, &all));
         all.map(|j| (term::<false, false>(&u, &v, &pi, j), u.scale[j] + v.scale[j])).collect()
     }
 
@@ -687,13 +775,23 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         range: Range<usize>,
         out: &mut EdgeTable,
     ) {
+        let (u, v) = (u.into(), v.into());
+        let basis = self.basis([self.held(u, &range), self.held(v, &range)]);
+        self.edge_table_range_with(u, v, &basis, range, out);
+    }
+
+    /// [`Self::edge_table_range`] in the given [`Self::eigen_basis`].
+    pub fn edge_table_range_with<'c>(
+        &self,
+        u: impl Into<Operand<&'c Clv>>,
+        v: impl Into<Operand<&'c Clv>>,
+        basis: &[Transition; 2],
+        range: Range<usize>,
+        out: &mut EdgeTable,
+    ) {
         assert_eq!(out.n_patterns(), range.len(), "edge table size mismatch");
-        let Spectrum { left, right, .. } = self.model.spectrum();
-        let pi = self.model.base_freqs();
-        // `(πL)ᵀ`, so both halves of a pattern's sums are one `matvec`.
-        let pi_left = std::array::from_fn(|k| std::array::from_fn(|x| pi[x] * left[x][k]));
-        let u = self.side(u.into(), pi_left, &range);
-        let v = self.side(v.into(), right, &range);
+        let u = self.side(u.into(), &basis[0], &range);
+        let v = self.side(v.into(), &basis[1], &range);
         per_pairing!(u, v, eigen_rows(&u, &v, &mut out.sums));
     }
 
@@ -704,13 +802,21 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// [`EdgeTable`] or the chunk's own piece of it (holding exactly
     /// `range`).
     pub fn table_derivatives(&self, table: &EdgeTable, t: f64, range: Range<usize>) -> (f64, f64) {
+        self.table_derivatives_with(table, &self.newton_factors(t), range)
+    }
+
+    /// [`Self::table_derivatives`] with the [`Self::newton_factors`] of
+    /// the length given.
+    pub fn table_derivatives_with(
+        &self,
+        table: &EdgeTable,
+        factors: &[[f64; STATES]; 3],
+        range: Range<usize>,
+    ) -> (f64, f64) {
         let n = self.data.n_patterns();
         let base = first_held(table.n_patterns(), n, &range, "edge table");
         let sums = &table.sums[(range.start - base) * STATES..(range.end - base) * STATES];
-        let spectrum = self.model.spectrum();
-        let (lam, e) = (spectrum.eigenvalues, spectrum.exps(t));
-        let de: [f64; STATES] = std::array::from_fn(|k| lam[k] * e[k]);
-        let dde: [f64; STATES] = std::array::from_fn(|k| lam[k] * de[k]);
+        let [e, de, dde] = factors;
         let w = &self.data.weights()[range];
         let mut d1 = 0.0;
         let mut d2 = 0.0;

@@ -51,13 +51,12 @@ pub fn clv_toward<K: Kernels>(k: &mut K, tree: &Tree, node: usize, parent: usize
     if tree.is_tip(node) {
         return k.tip(node);
     }
-    let mut children: Vec<_> =
-        tree.neighbors(node).iter().filter(|&&(n, _)| n != parent).copied().collect();
-    assert_eq!(children.len(), 2, "internal nodes have exactly two children seen from a parent");
-    // Deterministic order for reproducible FP results.
-    children.sort_by_key(|&(n, _)| n);
-    let (c1, e1) = children[0];
-    let (c2, e2) = children[1];
+    let mut children = tree.neighbors(node).iter().filter(|&&(n, _)| n != parent);
+    let (Some(&a), Some(&b), None) = (children.next(), children.next(), children.next()) else {
+        panic!("internal nodes have exactly two children seen from a parent");
+    };
+    // Deterministic order for reproducible FP results: the lower node first.
+    let ((c1, e1), (c2, e2)) = if b.0 < a.0 { (b, a) } else { (a, b) };
     let l1 = clv_toward(k, tree, c1, node);
     let l2 = clv_toward(k, tree, c2, node);
     k.newview(l1, tree.length(e1), l2, tree.length(e2))

@@ -6,11 +6,12 @@
 //! scale-carry at chunk boundaries is the historical bug class), for the
 //! `evaluate`/derivative sums up to FP reassociation of the partial sums.
 //! A child may be a tip operand, read from the alignment: its chunks are
-//! the materialized tip CLV's.
+//! the materialized tip CLV's. A kernel's `_with` form, its factors built
+//! once and shared by every chunk, is its per-call form to the bit.
 
 use phylo::alignment::{Alignment, PatternAlignment};
 use phylo::likelihood::{Clv, ClvArena, LikelihoodEngine, Operand};
-use phylo::model::Jc69;
+use phylo::model::{Gtr, Jc69};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -147,6 +148,63 @@ proptest! {
         prop_assert!((sum - whole).abs() < tol, "evaluate: {sum} vs {whole}");
         prop_assert!((d1 - wd1).abs() < 1e-9 * (1.0 + wd1.abs()), "d1: {d1} vs {wd1}");
         prop_assert!((d2 - wd2).abs() < 1e-9 * (1.0 + wd2.abs()), "d2: {d2} vs {wd2}");
+    }
+}
+
+/// The bits of `vals`.
+fn bits(vals: &[f64]) -> Vec<u64> {
+    vals.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    /// Each `_with` form is its per-call form to the bit, under every
+    /// tip/CLV pairing and over any partition: a transition, the eigen
+    /// basis and the Newton factors built once for the whole pattern space
+    /// hold the same products a call builds for its own chunk.
+    #[test]
+    fn the_with_forms_are_the_per_call_kernels_to_the_bit(
+        seed in 0u64..u64::MAX,
+        sites in 8usize..160,
+        cuts in prop::collection::vec(0.0f64..1.0, 0..6),
+        pairing in 0u8..4,
+    ) {
+        let aln = Alignment::synthetic(4, sites, &Jc69, 0.3, seed ^ 0x3C3C);
+        let data = PatternAlignment::compress(&aln);
+        let model = Gtr::example();
+        let engine = LikelihoodEngine::new(&model, &data);
+        let n = data.n_patterns();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let clvs = [random_rescaled_clv(n, &mut rng), random_rescaled_clv(n, &mut rng)];
+        let op = |s: usize| {
+            if pairing >> s & 1 == 1 { Operand::Tip(s) } else { Operand::Clv(&clvs[s]) }
+        };
+        let (l, r) = (op(0), op(1));
+        let (tl, tr) = (rng.gen_range(1e-4..2.0), rng.gen_range(1e-4..2.0));
+        let (p_l, p_r) = (engine.transition(tl), engine.transition(tr));
+        let (basis, factors) = (engine.eigen_basis(), engine.newton_factors(tl));
+
+        let mut arena = ClvArena::new();
+        for w in partition(n, &cuts).windows(2) {
+            let (range, len) = (w[0]..w[1], w[1] - w[0]);
+            let (mut want, mut got) = (arena.take(len), arena.take(len));
+            engine.newview_range_into(l, tl, r, tr, range.clone(), &mut want);
+            engine.newview_range_with(l, &p_l, r, &p_r, range.clone(), &mut got);
+            let ((wv, ws), (gv, gs)) = (want.as_raw(), got.as_raw());
+            prop_assert_eq!((bits(wv), ws), (bits(gv), gs), "newview over {:?}", range);
+
+            let want = engine.evaluate_range(l, r, tl, range.clone());
+            let got = engine.evaluate_range_with(l, r, &p_l, range.clone());
+            prop_assert_eq!(want.to_bits(), got.to_bits(), "evaluate over {:?}", range);
+
+            let (mut want, mut got) = (arena.take_table(len), arena.take_table(len));
+            engine.edge_table_range(l, r, range.clone(), &mut want);
+            engine.edge_table_range_with(l, r, &basis, range.clone(), &mut got);
+            prop_assert_eq!(bits(want.as_raw()), bits(got.as_raw()), "table over {:?}", range);
+
+            let (d1, d2) = engine.table_derivatives(&want, tl, range.clone());
+            let (g1, g2) = engine.table_derivatives_with(&want, &factors, range.clone());
+            prop_assert_eq!((d1.to_bits(), d2.to_bits()), (g1.to_bits(), g2.to_bits()));
+        }
     }
 }
 

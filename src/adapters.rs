@@ -24,7 +24,8 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use mgps_runtime::native::{LoopBody, LoopSite, ProcessCtx, SpeContext};
 use mgps_runtime::policy::KernelKind;
 use phylo::alignment::PatternAlignment;
-use phylo::likelihood::{Clv, ClvArena, EdgeTable, LikelihoodEngine, Newton, Operand};
+use phylo::dna::STATES;
+use phylo::likelihood::{Clv, ClvArena, EdgeTable, LikelihoodEngine, Newton, Operand, Transition};
 use phylo::model::SubstModel;
 use phylo::search::ScoringEngine;
 use phylo::traversal::{self, BranchPasses, Kernels, Step};
@@ -81,10 +82,21 @@ fn lock<T>(shared: &Mutex<T>) -> MutexGuard<'_, T> {
 /// walks the tree with. A tip stays a tip, which the kernels read from
 /// the alignment. A `newview` goes into a range-sized piece from the
 /// chunk's stash, and its children's pieces go back to the stash at once.
+/// Every branch's `P(t)` is the walk's.
 struct Ranged<'a, 'e, M: SubstModel> {
     engine: &'e LikelihoodEngine<'e, M>,
     range: Range<usize>,
     stash: Stash<'a>,
+    walk: &'a Walk,
+}
+
+impl<M: SubstModel> Ranged<'_, '_, M> {
+    /// The walk's transition of a branch of length `t`.
+    fn p(&self, t: f64) -> &Transition {
+        let tree = &self.walk.tree;
+        let e = tree.edge_ids().position(|e| tree.length(e).to_bits() == t.to_bits());
+        &self.walk.transitions[e.expect("every length the walk reads is an edge's")]
+    }
 }
 
 impl<M: SubstModel> Kernels for Ranged<'_, '_, M> {
@@ -96,14 +108,16 @@ impl<M: SubstModel> Kernels for Ranged<'_, '_, M> {
 
     fn newview(&mut self, left: Self::Clv, t_l: f64, right: Self::Clv, t_r: f64) -> Self::Clv {
         let mut piece = self.stash.take();
-        let range = self.range.clone();
-        self.engine.newview_range_into(left.as_ref(), t_l, right.as_ref(), t_r, range, &mut piece);
+        let (l, r) = (left.as_ref(), right.as_ref());
+        let (p_l, p_r, range) = (self.p(t_l), self.p(t_r), self.range.clone());
+        self.engine.newview_range_with(l, p_l, r, p_r, range, &mut piece);
         self.stash.recycle([left, right]);
         Operand::Clv(piece)
     }
 
     fn evaluate(&mut self, u: Operand<Clv>, v: Operand<Clv>, t: f64) -> f64 {
-        let lnl = self.engine.evaluate_range(u.as_ref(), v.as_ref(), t, self.range.clone());
+        let (p, range) = (self.p(t), self.range.clone());
+        let lnl = self.engine.evaluate_range_with(u.as_ref(), v.as_ref(), p, range);
         self.stash.recycle([u, v]);
         lnl
     }
@@ -124,6 +138,10 @@ struct Walk {
     passes: BranchPasses,
     /// The iteration on the edge being optimized.
     newton: Newton,
+    /// Its [`LikelihoodEngine::newton_factors`] at the length it asks for.
+    factors: [[f64; STATES]; 3],
+    /// [`LikelihoodEngine::transition`] of every edge's length, by id.
+    transitions: Vec<Transition>,
     /// Kernel invocations of the steps finished so far.
     kernels: u64,
 }
@@ -145,6 +163,11 @@ struct Walk {
 /// iteration stops, `again` writes the length into the tree, so the next
 /// edge's `newview`s read it, and puts every kept table back.
 ///
+/// What no pattern changes is priced once per request: a [`Transition`]
+/// per edge (`again` rebuilds the one whose length it writes), the eigen
+/// basis, and the Newton factors at each length. A chunk runs only its
+/// pattern loops, the kernels' `_with` forms.
+///
 /// Pieces come from a shared [`ClvArena`] rather than fresh allocations,
 /// and a child piece is recycled as soon as its parent exists, so a chunk
 /// holds at most about a tree depth of them — two at four taxa — and a
@@ -153,6 +176,8 @@ pub struct TraversalBody<M> {
     model: M,
     data: Arc<PatternAlignment>,
     arena: Arc<Mutex<ClvArena>>,
+    /// [`LikelihoodEngine::eigen_basis`].
+    basis: [Transition; 2],
     /// `newview`s orienting the tree toward any one edge: one per
     /// internal node.
     newviews: u64,
@@ -173,16 +198,22 @@ impl<M: SubstModel> TraversalBody<M> {
         max_passes: usize,
         epsilon: f64,
     ) -> Self {
+        let engine = LikelihoodEngine::new(&model, &data);
+        let transitions = tree.edge_ids().map(|e| engine.transition(tree.length(e))).collect();
+        let basis = engine.eigen_basis();
         TraversalBody {
             model,
             data,
             arena,
+            basis,
             newviews: (tree.n_nodes() - tree.n_taxa()) as u64,
             walk: RwLock::new(Walk {
                 tree,
                 passes: BranchPasses::new(max_passes, epsilon),
-                // Replaced where an edge's optimization starts.
+                // Both replaced where an edge's optimization starts.
                 newton: Newton::new(0.0),
+                factors: [[0.0; STATES]; 3],
+                transitions,
                 kernels: 0,
             }),
             tables: Mutex::default(),
@@ -237,9 +268,9 @@ impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
             return self.identity();
         }
         let engine = LikelihoodEngine::new(&self.model, &self.data);
-        let stash = Stash { arena: &self.arena, patterns: range.len(), free: Vec::new() };
-        let mut chunk = Ranged { engine: &engine, range: range.clone(), stash };
         let walk = self.walk();
+        let stash = Stash { arena: &self.arena, patterns: range.len(), free: Vec::new() };
+        let mut chunk = Ranged { engine: &engine, range: range.clone(), stash, walk: &walk };
         match walk.passes.step() {
             Step::Score(e) => (traversal::score_at(&mut chunk, &walk.tree, e), 0.0),
             Step::Optimize(e, _) => {
@@ -251,11 +282,12 @@ impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
                 let table = kept.unwrap_or_else(|| {
                     let (u, v) = traversal::edge_pair(&mut chunk, &walk.tree, e);
                     let mut table = lock(&self.arena).take_table(range.len());
-                    engine.edge_table_range(u.as_ref(), v.as_ref(), range.clone(), &mut table);
+                    let (u_at, v_at, basis) = (u.as_ref(), v.as_ref(), &self.basis);
+                    engine.edge_table_range_with(u_at, v_at, basis, range.clone(), &mut table);
                     chunk.stash.recycle([u, v]);
                     table
                 });
-                let sums = engine.table_derivatives(&table, walk.newton.t(), range.clone());
+                let sums = engine.table_derivatives_with(&table, &walk.factors, range.clone());
                 lock(&self.tables).push((range.start, table));
                 sums
             }
@@ -274,13 +306,16 @@ impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
     fn again(&self, merged: &mut (f64, f64)) -> bool {
         let mut walk = self.walk.write().expect("no thread panics while holding the walk");
         let walk = &mut *walk;
-        let result = match walk.passes.step() {
+        let engine = LikelihoodEngine::new(&self.model, &self.data);
+        let step = walk.passes.step();
+        let result = match step {
             Step::Score(_) => {
                 walk.kernels += self.newviews + 1;
                 merged.0
             }
             Step::Optimize(..) => {
-                if walk.newton.feed(merged.0, merged.1).is_some() {
+                if let Some(t) = walk.newton.feed(merged.0, merged.1) {
+                    walk.factors = engine.newton_factors(t);
                     return true;
                 }
                 walk.kernels += self.newviews + walk.newton.steps() as u64;
@@ -289,13 +324,18 @@ impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
             }
             Step::Done(_) => unreachable!("a finished request runs no round"),
         };
-        match walk.passes.advance(&mut walk.tree, result) {
+        let next = walk.passes.advance(&mut walk.tree, result);
+        if let Step::Optimize(e, _) = step {
+            walk.transitions[e.0] = engine.transition(walk.tree.length(e));
+        }
+        match next {
             Step::Done(lnl) => {
                 *merged = (lnl, 0.0);
                 false
             }
             Step::Optimize(_, t0) => {
                 walk.newton = Newton::new(t0);
+                walk.factors = engine.newton_factors(walk.newton.t());
                 true
             }
             Step::Score(_) => true,

@@ -210,6 +210,39 @@ proptest! {
     }
 }
 
+/// A request prices each branch once and the Newton factors once per
+/// length, and `again` refreshes them: an edge's transition once its
+/// length is written, the factors at every length Newton asks for. Over
+/// several passes every edge is optimized after its neighbours have moved,
+/// so at degree 1 — directly and through the runtime — a stale entry shows
+/// in the bits, or as a length whose transition the walk cannot find.
+#[test]
+fn several_passes_at_degree_one_are_the_direct_optimization_to_the_bit() {
+    let aln = Alignment::synthetic(8, 200, &Jc69, 0.3, 5);
+    let data = Arc::new(PatternAlignment::compress(&aln));
+    let tree = Tree::random(8, 0.3, &mut SmallRng::seed_from_u64(5));
+    let mut want = tree.clone();
+    let want_lnl = LikelihoodEngine::new(&Jc69, &data).optimize_branches(&mut want, 3, 0.0);
+
+    let arena = Arc::new(Mutex::new(ClvArena::new()));
+    let body = request(&data, &tree, 3, 0.0, &arena);
+    let mut scores = 0;
+    let lnl = run_seeing(&body, &partition(data.n_patterns(), &[]), |step, _| {
+        scores += u32::from(matches!(step, Step::Score(_)));
+    });
+    assert_eq!(scores, 4, "a score, then three passes each closed by one");
+    assert_eq!(lnl.to_bits(), want_lnl.to_bits());
+    assert_eq!(length_bits(&body.tree()), length_bits(&want));
+
+    let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp));
+    let mut ctx = rt.enter_process();
+    let mut engine = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
+    let mut got = tree.clone();
+    let lnl = ScoringEngine::optimize_branches(&mut engine, &mut got, 3, 0.0);
+    assert_eq!(lnl.to_bits(), want_lnl.to_bits());
+    assert_eq!(length_bits(&got), length_bits(&want));
+}
+
 /// An edge the data say nothing about — the pendant edge of an all-gap
 /// taxon — has a table whose derivatives are exactly zero at every length,
 /// so Newton stops after one step where it started, directly and
