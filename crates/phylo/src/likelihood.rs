@@ -23,9 +23,7 @@
 //! RAxML's tip/inner split, read through a [`Transition`]'s product table
 //! — or a CLV, full-width or the chunk's own piece, so a chunk can run a
 //! whole traversal on its pattern range without a full-width CLV existing.
-//! A `_with` form takes its pattern-independent factors ready-made, so an
-//! off-loaded request prices them once for all its chunks; the per-call
-//! form builds them for its chunk alone.
+//! A `_with` form takes its pattern-independent factors ready-made.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math in dense kernels
 
@@ -427,7 +425,7 @@ impl<'c> From<&'c Clv> for Operand<&'c Clv> {
 /// A matrix a kernel applies to an operand — `P(t)` of a branch or a
 /// factor of the eigen basis — with its products `m·x` for the tip vectors
 /// `x`, each the same `matvec` on the same inputs a CLV's pattern gets.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Transition {
     m: Matrix,
     products: [[f64; STATES]; 16],
@@ -602,9 +600,7 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         }
     }
 
-    /// The tip masks `op` holds over `range` as a bit set, which is all a
-    /// call needs products of: a short chunk holds fewer than 16, a CLV
-    /// none.
+    /// The tip masks `op` holds over `range`, as a bit set (none for a CLV).
     fn held(&self, op: Operand<&Clv>, range: &Range<usize>) -> u32 {
         let Operand::Tip(taxon) = op else { return 0 };
         // A range outside the patterns is `side`'s to refuse.
@@ -617,8 +613,7 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         Transition::new(self.model.prob_matrix(t), Transition::ALL)
     }
 
-    /// The eigen basis an [`EdgeTable`] is built in — `(πL)ᵀ` for the
-    /// edge's `u` end, `R` for its `v` end — with every tip product.
+    /// The eigen basis of an [`EdgeTable`], `[(πL)ᵀ, R]`, with every tip product.
     pub fn eigen_basis(&self) -> [Transition; 2] {
         self.basis([Transition::ALL; 2])
     }

@@ -82,7 +82,6 @@ fn lock<T>(shared: &Mutex<T>) -> MutexGuard<'_, T> {
 /// walks the tree with. A tip stays a tip, which the kernels read from
 /// the alignment. A `newview` goes into a range-sized piece from the
 /// chunk's stash, and its children's pieces go back to the stash at once.
-/// Every branch's `P(t)` is the walk's.
 struct Ranged<'a, 'e, M: SubstModel> {
     engine: &'e LikelihoodEngine<'e, M>,
     range: Range<usize>,
@@ -163,10 +162,9 @@ struct Walk {
 /// iteration stops, `again` writes the length into the tree, so the next
 /// edge's `newview`s read it, and puts every kept table back.
 ///
-/// What no pattern changes is priced once per request: a [`Transition`]
-/// per edge (`again` rebuilds the one whose length it writes), the eigen
-/// basis, and the Newton factors at each length. A chunk runs only its
-/// pattern loops, the kernels' `_with` forms.
+/// What no pattern changes is priced once per request — a [`Transition`]
+/// per edge, rebuilt when `again` writes its length, the eigen basis, the
+/// Newton factors — and a chunk runs only the kernels' `_with` forms.
 ///
 /// Pieces come from a shared [`ClvArena`] rather than fresh allocations,
 /// and a child piece is recycled as soon as its parent exists, so a chunk
