@@ -48,8 +48,8 @@ pub mod prelude {
     pub use crate::dna::{StateMask, STATES};
     pub use crate::io::{parse_newick, NewickError};
     pub use crate::likelihood::{Clv, ClvArena, LikelihoodEngine, Operand};
-    pub use crate::mixture::{estimate_alpha, GammaEngine};
-pub use crate::model::{Gtr, Jc69, Matrix, ScaledModel, SubstModel, K80};
+    pub use crate::mixture::{estimate_alpha, Gamma};
+pub use crate::model::{Gtr, Jc69, Matrix, SubstModel, K80};
     pub use crate::protein::{AaMask, PoissonAa, ProteinData, ProteinEngine, AA_STATES};
 pub use crate::special::discrete_gamma_rates;
     pub use crate::search::{

@@ -15,6 +15,12 @@
 //!   ([`EdgeTable`], RAxML's "sumtable"), so a Newton step needs only
 //!   `exp(λ_k t)` and a four-term dot product per pattern.
 //!
+//! One body serves single-rate and +Γ models, as in RAxML and PLL: a
+//! pattern of a [`Clv`] or [`EdgeTable`] holds four values per rate
+//! category ([`SubstModel::rates`]), rescaled when all are small;
+//! `evaluate` averages the categories before the log, and Newton
+//! differentiates `exp(λ_k r_c t)` per category.
+//!
 //! All three iterate over *site patterns* with per-pattern weights and no
 //! loop-carried dependencies — the loop-level parallelism the runtime
 //! work-shares across SPEs. `newview_range_into` / `evaluate_range` /
@@ -166,18 +172,19 @@ pub(crate) fn golden_section_max(
 
 /// Derivative-free branch-length optimization: the golden-section maximum
 /// of `lnl_at` over the legal interval, bracketed from the current length
-/// `t0` (the engines without analytic derivatives use this where the DNA
-/// engine uses Newton steps).
+/// `t0` (the protein engine, which has no analytic derivatives, uses this
+/// where the DNA engine uses Newton steps).
 pub(crate) fn golden_section_branch(t0: f64, lnl_at: impl FnMut(f64) -> f64) -> f64 {
     let hi = MAX_BRANCH.min((t0 * 32.0).max(1.0));
     golden_section_max(Tree::MIN_BRANCH, hi, 64, |lo, hi| (hi - lo) < 1e-7 * hi.max(1e-3), lnl_at)
 }
 
-/// A conditional likelihood vector for every site pattern, plus per-pattern
-/// scaling exponents (the `exp` field of RAxML's likelihood vectors).
+/// A conditional likelihood vector for every site pattern and rate
+/// category, plus per-pattern scaling exponents (the `exp` field of
+/// RAxML's likelihood vectors), which a pattern's categories share.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Clv {
-    /// `vals[pattern * 4 + state]`.
+    /// `vals[(pattern * K + category) * 4 + state]` for `K` categories.
     vals: Vec<f64>,
     /// Number of times each pattern was rescaled.
     scale: Vec<u32>,
@@ -189,9 +196,10 @@ impl Clv {
         self.scale.len()
     }
 
-    /// The 4-vector of `pattern`.
+    /// The values of `pattern`: a 4-vector per rate category.
     pub fn pattern(&self, pattern: usize) -> &[f64] {
-        &self.vals[pattern * STATES..(pattern + 1) * STATES]
+        let width = self.vals.len() / self.scale.len();
+        &self.vals[pattern * width..(pattern + 1) * width]
     }
 
     /// Total scaling events across all patterns (diagnostic).
@@ -203,9 +211,11 @@ impl Clv {
     /// producers that compute pattern ranges on different cores).
     ///
     /// # Panics
-    /// Panics unless `vals.len() == 4 * scale.len()`.
+    /// Panics unless `vals` holds as many 4-vectors for every pattern.
     pub fn from_raw(vals: Vec<f64>, scale: Vec<u32>) -> Clv {
-        assert_eq!(vals.len(), STATES * scale.len(), "CLV storage size mismatch");
+        let width = vals.len() / scale.len().max(1);
+        let whole = width.is_multiple_of(STATES) && width * scale.len() == vals.len();
+        assert!(whole, "CLV storage size mismatch");
         Clv { vals, scale }
     }
 
@@ -221,30 +231,35 @@ impl Clv {
 }
 
 /// An edge's CLV pair `u`, `v` in the eigen basis of the model's
-/// [`Spectrum`] `(λ, L, R)`: for every pattern `j` the four sums
-/// `S[j][k] = (Σ_x π_x·u[j][x]·L[x][k]) · (Σ_y R[k][y]·v[j][y])`, so the
-/// pattern's likelihood at any length `t` is `Σ_k S[j][k]·exp(λ_k t)`.
-/// Built once per edge by [`LikelihoodEngine::edge_table_range`], read by
-/// every Newton step through [`LikelihoodEngine::table_derivatives`].
+/// [`Spectrum`] `(λ, L, R)`: for every pattern `j` and rate category `c`
+/// the four sums
+/// `S[j][c][k] = (Σ_x π_x·u[j][c][x]·L[x][k]) · (Σ_y R[k][y]·v[j][c][y])`,
+/// so the pattern's likelihood at any length `t` is, up to the factor
+/// `1/K`, `Σ_c Σ_k S[j][c][k]·exp(λ_k r_c t)`. Built once per edge by
+/// [`LikelihoodEngine::edge_table_range`], read by every Newton step
+/// through [`LikelihoodEngine::table_derivatives`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EdgeTable {
-    /// `sums[pattern * 4 + k]`.
+    /// `sums[(pattern * K + category) * 4 + k]`.
     sums: Vec<f64>,
+    patterns: usize,
 }
 
 impl EdgeTable {
     /// Patterns covered.
     pub fn n_patterns(&self) -> usize {
-        self.sums.len() / STATES
+        self.patterns
     }
 
-    /// The raw sums, four per pattern.
+    /// The raw sums, four per pattern and rate category.
     pub fn as_raw(&self) -> &[f64] {
         &self.sums
     }
 }
 
 /// A free list of CLV and edge-table storage for the native hot path.
+/// Buffers are handed out one 4-vector per pattern; a kernel writing more
+/// rate categories than that widens its output.
 ///
 /// A chunk of an off-loaded traversal computes every CLV of the walk on
 /// its own pattern range, one range-sized piece per tree node; no
@@ -321,7 +336,7 @@ impl ClvArena {
             }
         };
         sums.resize(want, 0.0);
-        EdgeTable { sums }
+        EdgeTable { sums, patterns: n }
     }
 
     /// Recycle an edge table's storage.
@@ -447,37 +462,50 @@ impl Transition {
     }
 }
 
-/// One operand over a kernel's chunk, under a [`Transition`]: a tip's
-/// masks and the transition's products, or a CLV's values and exponents
-/// for the chunk ([`first_held`]) and its matrix; kernels compile per
-/// pairing.
+/// One value per rate category, the first inline: a single-rate model's
+/// kernels allocate nothing for it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerCategory<T> {
+    first: T,
+    rest: Vec<T>,
+}
+
+/// One operand over a kernel's chunk, under a [`Transition`] per rate
+/// category: a tip's masks and the products, or a CLV's values and
+/// exponents for the chunk ([`first_held`]) and the matrices.
 struct Side<'s> {
     tip: bool,
     masks: &'s [StateMask],
-    products: &'s [[f64; STATES]; 16],
     vals: &'s [f64],
     scale: &'s [u32],
+    /// Category 0's matrix, by value, and products.
     m: Matrix,
+    products: &'s [[f64; STATES]; 16],
+    /// Categories 1..K's transitions; none where category 0's serves all.
+    rest: &'s [Transition],
+    /// The model's rate categories K: a CLV pattern holds K 4-vectors.
+    k: usize,
 }
 
 impl Side<'_> {
-    /// The chunk's `j`-th vector `x`.
+    /// Category `c` of the chunk's `j`-th vector `x`.
     #[inline(always)]
-    fn vector<const TIP: bool>(&self, j: usize) -> [f64; STATES] {
-        if TIP {
-            self.masks[j].tip_clv()
-        } else {
-            *four(&self.vals[j * STATES..(j + 1) * STATES])
-        }
+    fn vector<const TIP: bool, const ONE: bool>(&self, j: usize, c: usize) -> [f64; STATES] {
+        let at = (if ONE { j } else { j * self.k + c }) * STATES;
+        if TIP { self.masks[j].tip_clv() } else { *four(&self.vals[at..at + STATES]) }
     }
 
-    /// `m·x` of the chunk's `j`-th vector.
+    /// `m·x` of category `c` of the chunk's `j`-th vector.
     #[inline(always)]
-    fn times<const TIP: bool>(&self, j: usize) -> [f64; STATES] {
+    fn times<const TIP: bool, const ONE: bool>(&self, j: usize, c: usize) -> [f64; STATES] {
+        let (m, products) = match self.rest.get(c.wrapping_sub(1)) {
+            Some(p) if !ONE => (&p.m, &p.products),
+            _ => (&self.m, self.products),
+        };
         if TIP {
-            self.products[usize::from(self.masks[j].0 & 0xF)]
+            products[usize::from(self.masks[j].0 & 0xF)]
         } else {
-            matvec(&self.m, four(&self.vals[j * STATES..(j + 1) * STATES]))
+            matvec(m, &self.vector::<false, ONE>(j, c))
         }
     }
 
@@ -488,74 +516,120 @@ impl Side<'_> {
     }
 }
 
-/// `$kernel(…)` instantiated for the tip/CLV pairing of the sides `$l`, `$r`.
+/// `$kernel(…)` instantiated for the tip/CLV pairing of the sides `$l`, `$r`
+/// and for one rate category (`ONE`) or any number.
 macro_rules! per_pairing {
     ($l:expr, $r:expr, $kernel:ident($($arg:expr),*)) => {
-        match ($l.tip, $r.tip) {
-            (true, true) => $kernel::<true, true>($($arg),*),
-            (true, false) => $kernel::<true, false>($($arg),*),
-            (false, true) => $kernel::<false, true>($($arg),*),
-            (false, false) => $kernel::<false, false>($($arg),*),
+        match ($l.tip, $r.tip, $l.k == 1) {
+            (true, true, true) => $kernel::<true, true, true>($($arg),*),
+            (true, false, true) => $kernel::<true, false, true>($($arg),*),
+            (false, true, true) => $kernel::<false, true, true>($($arg),*),
+            (false, false, true) => $kernel::<false, false, true>($($arg),*),
+            (true, true, false) => $kernel::<true, true, false>($($arg),*),
+            (true, false, false) => $kernel::<true, false, false>($($arg),*),
+            (false, true, false) => $kernel::<false, true, false>($($arg),*),
+            (false, false, false) => $kernel::<false, false, false>($($arg),*),
         }
     };
 }
 
 /// Patterns of the pruning step: the parent's vectors and scaling
-/// exponents from the children's sides.
-fn prune<const L: bool, const R: bool>(l: &Side, r: &Side, vals: &mut [f64], scale: &mut [u32]) {
-    for j in 0..scale.len() {
-        let (suml, sumr) = (l.times::<L>(j), r.times::<R>(j));
-        let o = &mut vals[j * STATES..(j + 1) * STATES];
+/// exponents from the children's sides, a pattern rescaled when every
+/// category's values are small.
+fn prune<const L: bool, const R: bool, const ONE: bool>(l: &Side, r: &Side, out: &mut Clv) {
+    let k = if ONE { 1 } else { l.k };
+    for j in 0..out.scale.len() {
+        let o = &mut out.vals[j * k * STATES..(j + 1) * k * STATES];
         let mut min_ok = false;
-        for x in 0..STATES {
-            let v = suml[x] * sumr[x];
-            o[x] = v;
-            if v > SCALE_THRESHOLD {
-                min_ok = true;
-            }
-        }
-        scale[j] = l.scale::<L>(j) + r.scale::<R>(j);
-        if !min_ok {
+        for c in 0..k {
+            let (suml, sumr) = (l.times::<L, ONE>(j, c), r.times::<R, ONE>(j, c));
             for x in 0..STATES {
-                o[x] *= SCALE_MULTIPLIER;
+                let v = suml[x] * sumr[x];
+                o[c * STATES + x] = v;
+                if v > SCALE_THRESHOLD {
+                    min_ok = true;
+                }
             }
-            scale[j] += 1;
+        }
+        out.scale[j] = l.scale::<L>(j) + r.scale::<R>(j);
+        if !min_ok {
+            o.iter_mut().for_each(|v| *v *= SCALE_MULTIPLIER);
+            out.scale[j] += 1;
         }
     }
 }
 
-/// The linear likelihood term of the chunk's `j`-th pattern at an edge:
-/// `u` read as is, `v` through `P(t)`.
-fn term<const U: bool, const V: bool>(u: &Side, v: &Side, pi: &[f64; STATES], j: usize) -> f64 {
-    let (lu, inner) = (u.vector::<U>(j), v.times::<V>(j));
-    let mut term = 0.0;
-    for x in 0..STATES {
-        term += pi[x] * lu[x] * inner[x];
-    }
-    term
-}
-
-/// The Figure-3 sum over a chunk of weights `w`.
-fn lnl_sum<const U: bool, const V: bool>(u: &Side, v: &Side, pi: &[f64; STATES], w: &[u32]) -> f64 {
+/// The Figure-3 sum over a chunk of weights `w`, a pattern's likelihood
+/// the average of its categories' terms: `u` read as is, `v` through
+/// `P(r_c t)`.
+fn lnl_sum<const U: bool, const V: bool, const ONE: bool>(
+    u: &Side,
+    v: &Side,
+    pi: &[f64; STATES],
+    w: &[u32],
+) -> f64 {
+    let k = if ONE { 1 } else { u.k };
+    let term = |j, c| {
+        let (lu, inner) = (u.vector::<U, ONE>(j, c), v.times::<V, ONE>(j, c));
+        let mut term = 0.0;
+        for x in 0..STATES {
+            term += pi[x] * lu[x] * inner[x];
+        }
+        term
+    };
     let ln_min = log_scale();
     let mut sum = 0.0;
     for j in 0..w.len() {
         let exp = u.scale::<U>(j) + v.scale::<V>(j);
+        let l = if ONE { term(j, 0) } else { (0..k).map(|c| term(j, c)).sum::<f64>() / k as f64 };
         // term = log(term) + exp * log(minlikelihood); sum += w * term
-        let ln = term::<U, V>(u, v, pi, j).max(f64::MIN_POSITIVE).ln() + exp as f64 * ln_min;
+        let ln = l.max(f64::MIN_POSITIVE).ln() + exp as f64 * ln_min;
         sum += w[j] as f64 * ln;
     }
     sum
 }
 
-/// Edge-table rows over a chunk: `u` through `(πL)ᵀ`, `v` through `R`.
-fn eigen_rows<const U: bool, const V: bool>(u: &Side, v: &Side, sums: &mut [f64]) {
-    for j in 0..sums.len() / STATES {
-        let (a, b) = (u.times::<U>(j), v.times::<V>(j));
-        for k in 0..STATES {
-            sums[j * STATES + k] = a[k] * b[k];
+/// Edge-table rows over a chunk: `u` through `(πL)ᵀ`, `v` through `R`,
+/// every category in the one basis.
+fn eigen_rows<const U: bool, const V: bool, const ONE: bool>(u: &Side, v: &Side, sums: &mut [f64]) {
+    let k = if ONE { 1 } else { u.k };
+    for row in 0..sums.len() / STATES {
+        let (j, c) = if ONE { (row, 0) } else { (row / k, row % k) };
+        let (a, b) = (u.times::<U, ONE>(j, c), v.times::<V, ONE>(j, c));
+        for x in 0..STATES {
+            sums[row * STATES + x] = a[x] * b[x];
         }
     }
+}
+
+/// `(d1, d2)` of `makenewz` over a chunk's table rows `sums` and weights
+/// `w`: a pattern's likelihood and derivatives sum its categories' (the
+/// `1/K` cancels in the ratios).
+fn derivatives<const ONE: bool>(
+    sums: &[f64],
+    factors: &PerCategory<[[f64; STATES]; 3]>,
+    w: &[u32],
+) -> (f64, f64) {
+    let k = if ONE { 1 } else { 1 + factors.rest.len() };
+    let mut d1 = 0.0;
+    let mut d2 = 0.0;
+    for j in 0..w.len() {
+        let (mut l, mut dl, mut ddl) = (0.0, 0.0, 0.0);
+        for c in 0..k {
+            let [e, de, dde] = if ONE || c == 0 { &factors.first } else { &factors.rest[c - 1] };
+            let s = four(&sums[(j * k + c) * STATES..(j * k + c + 1) * STATES]);
+            for x in 0..STATES {
+                l += s[x] * e[x];
+                dl += s[x] * de[x];
+                ddl += s[x] * dde[x];
+            }
+        }
+        let l = l.max(f64::MIN_POSITIVE);
+        let wi = w[j] as f64;
+        d1 += wi * dl / l;
+        d2 += wi * (ddl * l - dl * dl) / (l * l);
+    }
+    (d1, d2)
 }
 
 /// The likelihood engine: a substitution model bound to a pattern-compressed
@@ -576,26 +650,43 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         self.data
     }
 
-    /// The tip CLV of `taxon`; the kernels read an [`Operand::Tip`] instead.
-    pub fn tip_clv(&self, taxon: usize) -> Clv {
-        let masks = self.data.masks(taxon);
-        Clv { vals: masks.iter().flat_map(|m| m.tip_clv()).collect(), scale: vec![0; masks.len()] }
+    /// The model's rate categories.
+    fn categories(&self) -> usize {
+        self.model.rates().len()
     }
 
-    /// `op` over the chunk `range`, under `p`.
-    fn side<'s>(&'s self, op: Operand<&'s Clv>, p: &'s Transition, r: &Range<usize>) -> Side<'s> {
-        assert!(r.end <= self.data.n_patterns(), "chunk range {r:?} outside the patterns");
-        let (products, m) = (&p.products, p.m);
+    /// The tip CLV of `taxon`, its indicator vector in every rate category;
+    /// the kernels read an [`Operand::Tip`] instead.
+    pub fn tip_clv(&self, taxon: usize) -> Clv {
+        let (masks, k) = (self.data.masks(taxon), self.categories());
+        let vals = masks.iter().flat_map(|m| std::iter::repeat_n(m.tip_clv(), k)).flatten();
+        Clv { vals: vals.collect(), scale: vec![0; masks.len()] }
+    }
+
+    /// `op` over the chunk `range`, under category 0's transition `first`
+    /// and the others' `rest` (none: `first` serves every category).
+    fn side<'s>(
+        &'s self,
+        op: Operand<&'s Clv>,
+        (first, rest): (&'s Transition, &'s [Transition]),
+        r: &Range<usize>,
+    ) -> Side<'s> {
+        let n = self.data.n_patterns();
+        assert!(r.end <= n, "chunk range {r:?} outside the patterns");
+        let k = self.categories();
+        assert!(rest.is_empty() || rest.len() + 1 == k, "transitions for another category count");
+        let (products, m) = (&first.products, first.m);
+        let side = Side { tip: false, masks: &[], vals: &[], scale: &[], m, products, rest, k };
         match op {
             Operand::Tip(taxon) => {
-                let masks = &self.data.masks(taxon)[r.clone()];
-                Side { tip: true, masks, products, vals: &[], scale: &[], m }
+                Side { tip: true, masks: &self.data.masks(taxon)[r.clone()], ..side }
             }
             Operand::Clv(clv) => {
-                let base = first_held(clv.n_patterns(), self.data.n_patterns(), r, "a CLV");
+                let width = k * STATES;
+                assert_eq!(clv.vals.len(), clv.n_patterns() * width, "a CLV of another width");
+                let base = first_held(clv.n_patterns(), n, r, "a CLV");
                 let (lo, hi) = (r.start - base, r.end - base);
-                let (vals, scale) = (&clv.vals[lo * STATES..hi * STATES], &clv.scale[lo..hi]);
-                Side { tip: false, masks: &[], products, vals, scale, m }
+                Side { vals: &clv.vals[lo * width..hi * width], scale: &clv.scale[lo..hi], ..side }
             }
         }
     }
@@ -608,12 +699,21 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         masks.iter().fold(0, |held, x| held | 1 << (x.0 & 0xF))
     }
 
-    /// `P(t)` with every tip product, for any chunk.
-    pub fn transition(&self, t: f64) -> Transition {
-        Transition::new(self.model.prob_matrix(t), Transition::ALL)
+    /// `P(r_c t)` of every rate category `c`, with every tip product, for
+    /// any chunk.
+    pub fn transition(&self, t: f64) -> PerCategory<Transition> {
+        self.transition_holding(t, Transition::ALL)
     }
 
-    /// The eigen basis of an [`EdgeTable`], `[(πL)ᵀ, R]`, with every tip product.
+    /// [`Self::transition`] with the products of only the masks `held`.
+    fn transition_holding(&self, t: f64, held: u32) -> PerCategory<Transition> {
+        let rates = self.model.rates();
+        let p = |c: usize| Transition::new(self.model.prob_matrix(rates[c] * t), held);
+        PerCategory { first: p(0), rest: (1..rates.len()).map(p).collect() }
+    }
+
+    /// The eigen basis of an [`EdgeTable`], `[(πL)ᵀ, R]`, with every tip
+    /// product; every rate category shares it.
     pub fn eigen_basis(&self) -> [Transition; 2] {
         self.basis([Transition::ALL; 2])
     }
@@ -627,12 +727,17 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         [Transition::new(pi_left, held[0]), Transition::new(right, held[1])]
     }
 
-    /// Newton's factors at length `t`: `[exp(λt), λ·exp(λt), λ²·exp(λt)]`.
-    pub fn newton_factors(&self, t: f64) -> [[f64; STATES]; 3] {
-        let spectrum = self.model.spectrum();
-        let (lam, e) = (spectrum.eigenvalues, spectrum.exps(t));
-        let de: [f64; STATES] = std::array::from_fn(|k| lam[k] * e[k]);
-        [e, de, std::array::from_fn(|k| lam[k] * de[k])]
+    /// Newton's factors at length `t`, per rate category `c`:
+    /// `[exp(λr_c t), λr_c·exp(λr_c t), (λr_c)²·exp(λr_c t)]`.
+    pub fn newton_factors(&self, t: f64) -> PerCategory<[[f64; STATES]; 3]> {
+        let (lam, rates) = (self.model.spectrum().eigenvalues, self.model.rates());
+        let factors = |c: usize| {
+            let lam = lam.map(|lam| lam * rates[c]);
+            let e = lam.map(|lam| (lam * t).exp());
+            let de: [f64; STATES] = std::array::from_fn(|k| lam[k] * e[k]);
+            [e, de, std::array::from_fn(|k| lam[k] * de[k])]
+        };
+        PerCategory { first: factors(0), rest: (1..rates.len()).map(factors).collect() }
     }
 
     /// Felsenstein pruning step over all patterns: the parent CLV from two
@@ -644,15 +749,15 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// [`Self::newview`] of any two operands.
     fn newview_of(&self, left: Operand<&Clv>, t_l: f64, right: Operand<&Clv>, t_r: f64) -> Clv {
         let n = self.data.n_patterns();
-        let mut out = Clv { vals: vec![0.0; n * STATES], scale: vec![0; n] };
+        let mut out = Clv { vals: vec![0.0; n * self.categories() * STATES], scale: vec![0; n] };
         self.newview_range_into(left, t_l, right, t_r, 0..n, &mut out);
         out
     }
 
     /// Patterns `range` of a `newview` into the range-sized CLV `out` (any
-    /// contents). Each child is a tip, a full-width CLV or the chunk's own
-    /// piece of one (holding exactly `range`); chunks are independent, so a
-    /// team can split them.
+    /// contents, widened to the model's categories). Each child is a tip, a
+    /// full-width CLV or the chunk's own piece of one (holding exactly
+    /// `range`); chunks are independent, so a team can split them.
     ///
     /// # Panics
     /// Panics if CLV or output sizes disagree with the alignment/range.
@@ -666,26 +771,27 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         out: &mut Clv,
     ) {
         let (left, right) = (left.into(), right.into());
-        let p_left = Transition::new(self.model.prob_matrix(t_left), self.held(left, &range));
-        let p_right = Transition::new(self.model.prob_matrix(t_right), self.held(right, &range));
+        let p_left = self.transition_holding(t_left, self.held(left, &range));
+        let p_right = self.transition_holding(t_right, self.held(right, &range));
         self.newview_range_with(left, &p_left, right, &p_right, range, out);
     }
 
     /// The one pruning body: [`Self::newview_range_into`] with each
-    /// child's `P(t)` given.
+    /// child's [`Self::transition`] given.
     pub fn newview_range_with<'c>(
         &self,
         left: impl Into<Operand<&'c Clv>>,
-        p_left: &Transition,
+        p_left: &PerCategory<Transition>,
         right: impl Into<Operand<&'c Clv>>,
-        p_right: &Transition,
+        p_right: &PerCategory<Transition>,
         range: Range<usize>,
         out: &mut Clv,
     ) {
         assert_eq!(out.n_patterns(), range.len(), "chunk output CLV size mismatch");
-        let l = self.side(left.into(), p_left, &range);
-        let r = self.side(right.into(), p_right, &range);
-        per_pairing!(l, r, prune(&l, &r, &mut out.vals, &mut out.scale));
+        out.vals.resize(range.len() * self.categories() * STATES, 0.0);
+        let l = self.side(left.into(), (&p_left.first, &p_left.rest), &range);
+        let r = self.side(right.into(), (&p_right.first, &p_right.rest), &range);
+        per_pairing!(l, r, prune(&l, &r, out));
     }
 
     /// Log-likelihood of the tree state summarized by CLVs `u` and `v` at
@@ -710,34 +816,23 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     ) -> f64 {
         // `u` is read as is: only `v`'s tip products are needed.
         let v = v.into();
-        let p = Transition::new(self.model.prob_matrix(t), self.held(v, &range));
+        let p = self.transition_holding(t, self.held(v, &range));
         self.evaluate_range_with(u, v, &p, range)
     }
 
-    /// [`Self::evaluate_range`] with the edge's `P(t)` given.
+    /// [`Self::evaluate_range`] with the edge's [`Self::transition`] given.
     pub fn evaluate_range_with<'c>(
         &self,
         u: impl Into<Operand<&'c Clv>>,
         v: impl Into<Operand<&'c Clv>>,
-        p: &Transition,
+        p: &PerCategory<Transition>,
         range: Range<usize>,
     ) -> f64 {
         let pi = self.model.base_freqs();
         let w = &self.data.weights()[range.clone()];
-        let u = self.side(u.into(), p, &range);
-        let v = self.side(v.into(), p, &range);
+        let u = self.side(u.into(), (&p.first, &p.rest), &range);
+        let v = self.side(v.into(), (&p.first, &p.rest), &range);
         per_pairing!(u, v, lnl_sum(&u, &v, &pi, w))
-    }
-
-    /// Per-pattern *linear* likelihood terms at an edge: `(term, exp)`
-    /// where the true site likelihood is `term · SCALE_THRESHOLD^exp`.
-    /// Mixture models combine these across rate categories before taking
-    /// logs.
-    pub fn site_terms(&self, u: &Clv, v: &Clv, t: f64) -> Vec<(f64, u32)> {
-        let (p, all) = (Transition::new(self.model.prob_matrix(t), 0), 0..self.data.n_patterns());
-        let pi = self.model.base_freqs();
-        let (u, v) = (self.side(u.into(), &p, &all), self.side(v.into(), &p, &all));
-        all.map(|j| (term::<false, false>(&u, &v, &pi, j), u.scale[j] + v.scale[j])).collect()
     }
 
     /// The [`EdgeTable`] of the edge between `u` and `v`, over all
@@ -748,18 +843,18 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         v: impl Into<Operand<&'c Clv>>,
     ) -> EdgeTable {
         let n = self.data.n_patterns();
-        let mut table = EdgeTable { sums: vec![0.0; n * STATES] };
+        let mut table = EdgeTable { sums: vec![0.0; n * self.categories() * STATES], patterns: n };
         self.edge_table_range(u, v, 0..n, &mut table);
         table
     }
 
-    /// Fill the range-sized table `out` (any contents) with patterns
-    /// `range` of the [`EdgeTable`] of the edge between `u` and `v` — the
-    /// chunked form of [`Self::edge_table`]. `u` and `v` are each a tip, a
-    /// full-width CLV or the chunk's own piece of one (holding exactly
-    /// `range`). Scaling exponents are left out: they multiply a pattern's
-    /// likelihood and its derivatives alike, so the ratios `makenewz` sums
-    /// are free of them.
+    /// Fill the range-sized table `out` (any contents, widened to the
+    /// model's categories) with patterns `range` of the [`EdgeTable`] of
+    /// the edge between `u` and `v` — the chunked form of
+    /// [`Self::edge_table`]. `u` and `v` are each a tip, a full-width CLV
+    /// or the chunk's own piece of one (holding exactly `range`). Scaling
+    /// exponents are left out: they multiply a pattern's likelihood and its
+    /// derivatives alike, so the ratios `makenewz` sums are free of them.
     ///
     /// # Panics
     /// Panics if CLV or table sizes disagree with the alignment/range.
@@ -785,8 +880,9 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         out: &mut EdgeTable,
     ) {
         assert_eq!(out.n_patterns(), range.len(), "edge table size mismatch");
-        let u = self.side(u.into(), &basis[0], &range);
-        let v = self.side(v.into(), &basis[1], &range);
+        out.sums.resize(range.len() * self.categories() * STATES, 0.0);
+        let u = self.side(u.into(), (&basis[0], &[]), &range);
+        let v = self.side(v.into(), (&basis[1], &[]), &range);
         per_pairing!(u, v, eigen_rows(&u, &v, &mut out.sums));
     }
 
@@ -805,30 +901,18 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     pub fn table_derivatives_with(
         &self,
         table: &EdgeTable,
-        factors: &[[f64; STATES]; 3],
+        factors: &PerCategory<[[f64; STATES]; 3]>,
         range: Range<usize>,
     ) -> (f64, f64) {
-        let n = self.data.n_patterns();
+        let (n, k) = (self.data.n_patterns(), self.categories());
+        let width = k * STATES;
+        assert_eq!(table.sums.len(), table.patterns * width, "a table of another width");
+        assert_eq!(factors.rest.len() + 1, k, "factors of another category count");
         let base = first_held(table.n_patterns(), n, &range, "edge table");
-        let sums = &table.sums[(range.start - base) * STATES..(range.end - base) * STATES];
-        let [e, de, dde] = factors;
+        let sums = &table.sums[(range.start - base) * width..(range.end - base) * width];
         let w = &self.data.weights()[range];
-        let mut d1 = 0.0;
-        let mut d2 = 0.0;
-        for j in 0..w.len() {
-            let s = four(&sums[j * STATES..(j + 1) * STATES]);
-            let (mut l, mut dl, mut ddl) = (0.0, 0.0, 0.0);
-            for k in 0..STATES {
-                l += s[k] * e[k];
-                dl += s[k] * de[k];
-                ddl += s[k] * dde[k];
-            }
-            let l = l.max(f64::MIN_POSITIVE);
-            let wi = w[j] as f64;
-            d1 += wi * dl / l;
-            d2 += wi * (ddl * l - dl * dl) / (l * l);
-        }
-        (d1, d2)
+        let sum = if k == 1 { derivatives::<true> } else { derivatives::<false> };
+        sum(sums, factors, w)
     }
 
     /// Newton–Raphson branch-length optimization (`makenewz`): the length
@@ -1245,7 +1329,7 @@ mod tests {
             with_model(which, &mut |model| -> Result<(), TestCaseError> {
                 let engine = LikelihoodEngine::new(&model, &data);
                 let want = classic::lnl_derivatives_range(&engine, &u, &v, t, range.clone());
-                let mut piece = EdgeTable { sums: vec![0.0; range.len() * STATES] };
+                let mut piece = ClvArena::new().take_table(range.len());
                 engine.edge_table_range(&u, &v, range.clone(), &mut piece);
                 let got = engine.table_derivatives(&piece, t, range.clone());
                 let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + b.abs());

@@ -77,6 +77,13 @@ pub trait SubstModel: Send + Sync {
 
     /// Equilibrium base frequencies π.
     fn base_freqs(&self) -> [f64; STATES];
+
+    /// The rates of the model's equally weighted rate categories: a site's
+    /// likelihood averages the categories', each with every branch length
+    /// scaled by its rate. `prob_matrix` and `spectrum` are at rate 1.
+    fn rates(&self) -> &[f64] {
+        &[1.0]
+    }
 }
 
 impl<M: SubstModel + ?Sized> SubstModel for &M {
@@ -89,31 +96,8 @@ impl<M: SubstModel + ?Sized> SubstModel for &M {
     fn base_freqs(&self) -> [f64; STATES] {
         (**self).base_freqs()
     }
-}
-
-/// A model with all branch lengths scaled by a fixed `rate` — the building
-/// block of discrete-Γ mixtures: category `k` evaluates the tree under
-/// `ScaledModel { inner, rate: r_k }`.
-#[derive(Debug, Clone, Copy)]
-pub struct ScaledModel<M> {
-    /// The underlying substitution model.
-    pub inner: M,
-    /// The rate multiplier applied to every branch length.
-    pub rate: f64,
-}
-
-impl<M: SubstModel> SubstModel for ScaledModel<M> {
-    fn prob_matrix(&self, t: f64) -> Matrix {
-        self.inner.prob_matrix(self.rate * t)
-    }
-    fn spectrum(&self) -> Spectrum {
-        // P(r·t) = L · diag(exp(r·λ t)) · R.
-        let mut spectrum = self.inner.spectrum();
-        spectrum.eigenvalues = spectrum.eigenvalues.map(|lam| self.rate * lam);
-        spectrum
-    }
-    fn base_freqs(&self) -> [f64; STATES] {
-        self.inner.base_freqs()
+    fn rates(&self) -> &[f64] {
+        (**self).rates()
     }
 }
 
@@ -322,6 +306,34 @@ fn fill(same: f64, transition: f64, transversion: f64) -> Matrix {
     m[1][3] = transition; // C -> T
     m[3][1] = transition;
     m
+}
+
+#[cfg(test)]
+/// A model with all branch lengths scaled by a fixed `rate`: category `k`
+/// of the `mixture` tests' per-category oracle evaluates the tree under
+/// `ScaledModel { inner, rate: r_k }`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScaledModel<M> {
+    /// The underlying substitution model.
+    pub inner: M,
+    /// The rate multiplier applied to every branch length.
+    pub rate: f64,
+}
+
+#[cfg(test)]
+impl<M: SubstModel> SubstModel for ScaledModel<M> {
+    fn prob_matrix(&self, t: f64) -> Matrix {
+        self.inner.prob_matrix(self.rate * t)
+    }
+    fn spectrum(&self) -> Spectrum {
+        // P(r·t) = L · diag(exp(r·λ t)) · R.
+        let mut spectrum = self.inner.spectrum();
+        spectrum.eigenvalues = spectrum.eigenvalues.map(|lam| self.rate * lam);
+        spectrum
+    }
+    fn base_freqs(&self) -> [f64; STATES] {
+        self.inner.base_freqs()
+    }
 }
 
 #[cfg(test)]

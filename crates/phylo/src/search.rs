@@ -30,7 +30,8 @@ pub trait ScoringEngine {
 }
 
 /// Every engine whose shared borrow is a [`Kernels`] provider — the direct
-/// DNA, Γ-mixture and protein engines — scores through the one traversal.
+/// DNA engine (single-rate or +Γ) and the protein engine — scores through
+/// the one traversal.
 impl<E> ScoringEngine for E
 where
     for<'e> &'e E: Kernels,

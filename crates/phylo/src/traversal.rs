@@ -6,7 +6,7 @@
 //! are that walk: the post-order recursion, the score at an edge, and
 //! [`BranchPasses`], the every-edge optimization pass and the convergence
 //! loop around it as a cursor any driver can resume. The direct DNA
-//! engine, the Γ mixture, the protein engine and each chunk of the
+//! engine (single-rate or +Γ), the protein engine and each chunk of the
 //! workspace's off-loaded search requests all run through them, so the
 //! floating-point order of a tree evaluation is decided in this file only.
 

@@ -25,7 +25,8 @@ use mgps_runtime::native::{LoopBody, LoopSite, ProcessCtx, SpeContext};
 use mgps_runtime::policy::KernelKind;
 use phylo::alignment::PatternAlignment;
 use phylo::dna::STATES;
-use phylo::likelihood::{Clv, ClvArena, EdgeTable, LikelihoodEngine, Newton, Operand, Transition};
+use phylo::likelihood::{Clv, ClvArena, EdgeTable, LikelihoodEngine, Newton, Operand};
+use phylo::likelihood::{PerCategory, Transition};
 use phylo::model::SubstModel;
 use phylo::search::ScoringEngine;
 use phylo::traversal::{self, BranchPasses, Kernels, Step};
@@ -91,7 +92,7 @@ struct Ranged<'a, 'e, M: SubstModel> {
 
 impl<M: SubstModel> Ranged<'_, '_, M> {
     /// The walk's transition of a branch of length `t`.
-    fn p(&self, t: f64) -> &Transition {
+    fn p(&self, t: f64) -> &PerCategory<Transition> {
         let tree = &self.walk.tree;
         let e = tree.edge_ids().position(|e| tree.length(e).to_bits() == t.to_bits());
         &self.walk.transitions[e.expect("every length the walk reads is an edge's")]
@@ -138,9 +139,9 @@ struct Walk {
     /// The iteration on the edge being optimized.
     newton: Newton,
     /// Its [`LikelihoodEngine::newton_factors`] at the length it asks for.
-    factors: [[f64; STATES]; 3],
+    factors: PerCategory<[[f64; STATES]; 3]>,
     /// [`LikelihoodEngine::transition`] of every edge's length, by id.
-    transitions: Vec<Transition>,
+    transitions: Vec<PerCategory<Transition>>,
     /// Kernel invocations of the steps finished so far.
     kernels: u64,
 }
@@ -198,7 +199,7 @@ impl<M: SubstModel> TraversalBody<M> {
     ) -> Self {
         let engine = LikelihoodEngine::new(&model, &data);
         let transitions = tree.edge_ids().map(|e| engine.transition(tree.length(e))).collect();
-        let basis = engine.eigen_basis();
+        let (basis, factors) = (engine.eigen_basis(), engine.newton_factors(0.0));
         TraversalBody {
             model,
             data,
@@ -210,7 +211,7 @@ impl<M: SubstModel> TraversalBody<M> {
                 passes: BranchPasses::new(max_passes, epsilon),
                 // Both replaced where an edge's optimization starts.
                 newton: Newton::new(0.0),
-                factors: [[0.0; STATES]; 3],
+                factors,
                 transitions,
                 kernels: 0,
             }),
@@ -647,6 +648,7 @@ mod tests {
     use mgps_runtime::native::{MgpsRuntime, RuntimeConfig};
     use mgps_runtime::policy::SchedulerKind;
     use phylo::alignment::Alignment;
+    use phylo::mixture::Gamma;
     use phylo::model::Jc69;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
@@ -847,7 +849,8 @@ mod tests {
     proptest! {
         /// Over the same tiling, the whole request takes the per-edge
         /// packaging's steps with the same sums in the same order: the same
-        /// bits, the same kernels, every piece and table back.
+        /// bits, the same kernels, every piece and table back — single-rate
+        /// and +Γ.
         #[test]
         fn the_whole_request_is_the_per_edge_oracle_over_any_partition(
             seed in 0u64..u64::MAX,
@@ -855,18 +858,20 @@ mod tests {
             max_passes in 0usize..=3,
             epsilon in (0usize..3).prop_map(|i| [0.0, 1e-4, 1e9][i]),
             cuts in prop::collection::vec(0.0f64..1.0, 0..6),
+            categories in (0usize..2).prop_map(|i| [1, 4][i]),
         ) {
             let aln = Alignment::synthetic(taxa, 90, &Jc69, 0.3, seed ^ 0x5A5A);
             let data = Arc::new(PatternAlignment::compress(&aln));
             let tree = Tree::random(taxa, 0.3, &mut SmallRng::seed_from_u64(seed));
             let ranges = partition(data.n_patterns(), &cuts);
+            let model = Gamma::new(Jc69, 0.5, categories);
 
-            let mut oracle = classic::Engine::new(Jc69, Arc::clone(&data), &ranges);
+            let mut oracle = classic::Engine::new(model.clone(), Arc::clone(&data), &ranges);
             let mut want = tree.clone();
             let want_lnl = traversal::optimize_branches(&mut oracle, &mut want, max_passes, epsilon);
 
             let arena = Arc::new(Mutex::new(ClvArena::new()));
-            let body = TraversalBody::new(Jc69, data, Arc::clone(&arena), tree, max_passes, epsilon);
+            let body = TraversalBody::new(model, data, Arc::clone(&arena), tree, max_passes, epsilon);
             let (lnl, zero) = classic::run(&body, &ranges);
             prop_assert_eq!((lnl.to_bits(), zero), (want_lnl.to_bits(), 0.0));
             prop_assert_eq!(body.step(), Step::Done(lnl));

@@ -1168,6 +1168,19 @@ fn infer_with<M: SubstModel + Clone + 'static>(model: M, opts: &Opts) -> Result<
     let seed = seed(opts, 42u64)?;
     let bootstraps = get(opts, "bootstraps", 0usize)?;
     let workers = positive(opts, "workers", 4, "the runtime needs at least 1 worker process")?;
+    // `Some(None)`: estimate the shape.
+    let gamma = match opts.get("gamma").map(String::as_str) {
+        None => None,
+        Some("estimate") => Some(None),
+        Some(v) => match v.parse::<f64>() {
+            Ok(alpha) if alpha.is_finite() && alpha > 0.0 => Some(Some(alpha)),
+            _ => {
+                return Err(CliError::usage(format!(
+                    "--gamma: {v:?} is neither a finite positive shape nor `estimate`"
+                )))
+            }
+        },
+    };
     let aln = load_alignment(opts)?;
     let data = Arc::new(PatternAlignment::compress(&aln));
     let cfg = SearchConfig::default();
@@ -1187,15 +1200,13 @@ fn infer_with<M: SubstModel + Clone + 'static>(model: M, opts: &Opts) -> Result<
     println!("best tree lnL      {:.4}", result.lnl);
     println!("NNI/SPR accepted   {}", result.accepted_moves);
 
-    if let Some(gamma) = opts.get("gamma") {
-        let (alpha, lnl_g) = if gamma == "estimate" {
-            estimate_alpha(&model, &data, &result.tree, 4, 0.05, 50.0)
-        } else {
-            let a: f64 = gamma
-                .parse()
-                .map_err(|_| CliError::usage(format!("--gamma: bad value {gamma:?}")))?;
-            let eng = GammaEngine::new(&model, &data, a, 4);
-            (a, eng.log_likelihood(&result.tree))
+    if let Some(alpha) = gamma {
+        let (alpha, lnl_g) = match alpha {
+            None => estimate_alpha(&model, &data, &result.tree, 4, 0.05, 50.0),
+            Some(a) => {
+                let gamma = Gamma::new(&model, a, 4);
+                (a, LikelihoodEngine::new(&gamma, &data).log_likelihood(&result.tree))
+            }
         };
         println!("+G alpha           {alpha:.4}");
         println!("+G lnL             {lnl_g:.4}");

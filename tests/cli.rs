@@ -221,8 +221,10 @@ fn infer_fits_gamma_and_bootstraps_under_the_chosen_model() {
     let data = Arc::new(PatternAlignment::compress(&aln));
     let best = hill_climb(&Gtr::example(), &data, &SearchConfig::default(), 1);
     let gamma = |lnl: f64| format!("+G lnL             {lnl:.4}");
-    let gtr = gamma(GammaEngine::new(&Gtr::example(), &data, 0.5, 4).log_likelihood(&best.tree));
-    let jc = gamma(GammaEngine::new(&Jc69, &data, 0.5, 4).log_likelihood(&best.tree));
+    let lnl = |model: &dyn SubstModel| {
+        LikelihoodEngine::new(&Gamma::new(model, 0.5, 4), &data).log_likelihood(&best.tree)
+    };
+    let (gtr, jc) = (gamma(lnl(&Gtr::example())), gamma(lnl(&Jc69)));
     assert_ne!(gtr, jc, "the fixture must tell the two models apart");
     assert!(stdout.lines().any(|l| l == gtr), "no {gtr:?} in\n{stdout}");
 
@@ -301,6 +303,22 @@ fn usage_errors_exit_with_code_2() {
     // And no-args prints usage with the same code.
     let (_, _, code) = run_cli_code(&[]);
     assert_eq!(code, 2);
+
+    // A Γ shape that is not finite and positive is refused before the
+    // search, as an unparseable one is.
+    use multigrain::prelude::{Alignment, Jc69};
+    let dir = std::env::temp_dir().join(format!("mg-gamma-usage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fasta = dir.join("demo.fasta");
+    std::fs::write(&fasta, Alignment::synthetic(6, 80, &Jc69, 0.08, 3).to_fasta()).unwrap();
+    for alpha in ["abc", "0", "-1", "nan", "inf"] {
+        let args = ["infer", "--input", fasta.to_str().unwrap(), "--gamma", alpha];
+        let (stdout, stderr, code) = run_cli_code(&args);
+        assert_eq!(code, 2, "--gamma {alpha} should be usage (2): {stderr}");
+        assert!(stderr.contains("--gamma"), "--gamma {alpha}: {stderr}");
+        assert!(stdout.is_empty(), "--gamma {alpha} ran the search first:\n{stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

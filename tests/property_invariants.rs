@@ -155,18 +155,15 @@ proptest! {
         let got = LikelihoodEngine::new(&Jc69, &bootstrap_replicate(&data, seed))
             .log_likelihood(&tree);
 
+        // Each pattern's log-likelihood: its `evaluate` at weight 1.
         let w = bootstrap_weights(&data, seed);
-        let engine = LikelihoodEngine::new(&Jc69, &data);
+        let unit = data.with_weights(vec![1; data.n_patterns()]);
+        let engine = LikelihoodEngine::new(&Jc69, &unit);
         let e = phylo::tree::EdgeId(0);
         let (a, b) = tree.endpoints(e);
         let (u, v) = (engine.clv_toward(&tree, a, b), engine.clv_toward(&tree, b, a));
-        let want: f64 = engine
-            .site_terms(&u, &v, tree.length(e))
-            .into_iter()
-            .zip(&w)
-            .map(|((term, exp), &w)| {
-                w as f64 * (term.ln() + exp as f64 * phylo::likelihood::log_scale())
-            })
+        let want: f64 = (0..data.n_patterns())
+            .map(|i| w[i] as f64 * engine.evaluate_range(&u, &v, tree.length(e), i..i + 1))
             .sum();
         prop_assert!(
             (got - want).abs() <= 1e-9 * want.abs(),

@@ -125,38 +125,48 @@ proptest! {
         let data = PatternAlignment::compress(&aln);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 99);
         let tree = Tree::random(5, 0.15, &mut rng);
-        let gamma = GammaEngine::new(&Jc69, &data, 0.5, 4);
-        let mix = gamma.log_likelihood(&tree);
+        let gamma = Gamma::new(Jc69, 0.5, 4);
+        let engine = LikelihoodEngine::new(&gamma, &data);
+        let mix = engine.log_likelihood(&tree);
         prop_assert!(mix.is_finite());
 
         // Per-site per-category likelihoods (no rescaling on this tiny
-        // tree: all exps 0).
+        // tree: all exps 0), each site's mixture term its `evaluate` over
+        // the one pattern.
         let e0 = phylo::tree::EdgeId(0);
         let (a, b) = tree.endpoints(e0);
+        let (cu, cv) = (engine.clv_toward(&tree, a, b), engine.clv_toward(&tree, b, a));
+        prop_assert!(cu.as_raw().1.iter().chain(cv.as_raw().1).all(|&e| e == 0));
         let mut upper = 0.0f64;
         let mut lower = 0.0f64;
-        let mut site_max = vec![f64::NEG_INFINITY; data.n_patterns()];
-        let mut site_min = vec![f64::INFINITY; data.n_patterns()];
-        for &r in gamma.rates() {
-            let sm = ScaledModel { inner: &Jc69, rate: r };
-            let eng = LikelihoodEngine::new(&sm, &data);
-            let cu = eng.clv_toward(&tree, a, b);
-            let cv = eng.clv_toward(&tree, b, a);
-            for (i, (term, exp)) in
-                eng.site_terms(&cu, &cv, tree.length(e0)).into_iter().enumerate()
-            {
-                prop_assert_eq!(exp, 0);
-                site_max[i] = site_max[i].max(term);
-                site_min[i] = site_min[i].min(term);
-            }
-        }
         for (i, &w) in data.weights().iter().enumerate() {
-            upper += w as f64 * site_max[i].ln();
-            lower += w as f64 * site_min[i].ln();
+            let terms = category_terms(&gamma, &cu, &cv, tree.length(e0), i);
+            let mean = terms.iter().sum::<f64>() / terms.len() as f64;
+            let site = engine.evaluate_range(&cu, &cv, tree.length(e0), i..i + 1);
+            prop_assert!((site - w as f64 * mean.ln()).abs() < 1e-9, "site {}: {}", i, site);
+            upper += w as f64 * terms.iter().copied().fold(f64::NEG_INFINITY, f64::max).ln();
+            lower += w as f64 * terms.iter().copied().fold(f64::INFINITY, f64::min).ln();
         }
         prop_assert!(mix <= upper + 1e-9, "mixture {} above per-site max bound {}", mix, upper);
         prop_assert!(mix >= lower - 1e-9, "mixture {} below per-site min bound {}", mix, lower);
     }
+}
+
+/// The linear likelihood of pattern `i` in each rate category of `gamma`
+/// at the edge of length `t` between the CLVs `u` and `v`, read from the
+/// pattern's 4-vector per category.
+fn category_terms(gamma: &Gamma<Jc69>, u: &Clv, v: &Clv, t: f64, i: usize) -> Vec<f64> {
+    let pi = gamma.base_freqs();
+    let (lu, lv) = (u.pattern(i).chunks(STATES), v.pattern(i).chunks(STATES));
+    let rates = gamma.rates().iter();
+    rates
+        .zip(lu.zip(lv))
+        .map(|(&r, (lu, lv))| {
+            let p = gamma.prob_matrix(r * t);
+            let inner = |x: usize| (0..STATES).map(|y| p[x][y] * lv[y]).sum::<f64>();
+            (0..STATES).map(|x| pi[x] * lu[x] * inner(x)).sum()
+        })
+        .collect()
 }
 
 proptest! {
@@ -205,15 +215,15 @@ fn with_model<R>(which: usize, f: &mut dyn FnMut(&dyn SubstModel) -> R) -> R {
         0 => f(&Jc69),
         1 => f(&K80::new(2.5)),
         2 => f(&Gtr::example()),
-        _ => f(&ScaledModel { inner: Gtr::example(), rate: 2.5 }),
+        _ => f(&Gamma::new(Gtr::example(), 0.5, 4)),
     }
 }
 
-/// `n` patterns of CLV with magnitudes on both sides of the rescaling
-/// threshold and nonzero incoming scale exponents.
-fn random_clv(n: usize, rng: &mut rand::rngs::SmallRng) -> Clv {
+/// `n` patterns of CLV over `k` rate categories with magnitudes on both
+/// sides of the rescaling threshold and nonzero incoming scale exponents.
+fn random_clv(n: usize, k: usize, rng: &mut rand::rngs::SmallRng) -> Clv {
     use rand::Rng;
-    let vals = (0..n * STATES)
+    let vals = (0..n * k * STATES)
         .map(|_| if rng.gen_bool(0.3) { 1e-110 } else { 0.5 } * (0.5 + rng.gen::<f64>()))
         .collect();
     Clv::from_raw(vals, (0..n).map(|_| rng.gen_range(0..3)).collect())
@@ -222,7 +232,8 @@ fn random_clv(n: usize, rng: &mut rand::rngs::SmallRng) -> Clv {
 /// Patterns `range` of `clv` as a chunk's own piece.
 fn piece_of(clv: &Clv, range: std::ops::Range<usize>) -> Clv {
     let (vals, scale) = clv.as_raw();
-    Clv::from_raw(vals[range.start * STATES..range.end * STATES].to_vec(), scale[range].to_vec())
+    let width = vals.len() / scale.len();
+    Clv::from_raw(vals[range.start * width..range.end * width].to_vec(), scale[range].to_vec())
 }
 
 fn bits(vals: &[f64]) -> Vec<u64> {
@@ -261,13 +272,14 @@ proptest! {
         let n = data.n_patterns();
         let (lo, hi) = ((cut.0 * n as f64) as usize, (cut.1 * n as f64) as usize);
         let range = lo.min(hi)..lo.max(hi);
-        let (cu, cv) = (random_clv(n, &mut rng), random_clv(n, &mut rng));
-        let pieces = if pieces == 1 {
-            [piece_of(&cu, range.clone()), piece_of(&cv, range.clone())]
-        } else {
-            [cu.clone(), cv.clone()]
-        };
         with_model(which, &mut |model| -> Result<(), TestCaseError> {
+            let k = model.rates().len();
+            let (cu, cv) = (random_clv(n, k, &mut rng), random_clv(n, k, &mut rng));
+            let pieces = if pieces == 1 {
+                [piece_of(&cu, range.clone()), piece_of(&cv, range.clone())]
+            } else {
+                [cu.clone(), cv.clone()]
+            };
             let engine = LikelihoodEngine::new(&model, &data);
             let tips = [engine.tip_clv(0), engine.tip_clv(1)];
             // Side `s` as an operand, and as the CLV it stands for.

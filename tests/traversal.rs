@@ -198,8 +198,9 @@ fn an_internal_node_without_exactly_two_children_is_refused_by_every_engine() {
     };
     let direct = LikelihoodEngine::new(&Jc69, &data);
     assert!(refused(&mut || drop(direct.clv_toward(&tree, centre, outside))));
-    let gamma = GammaEngine::new(&Jc69, &data, 0.5, 4);
-    assert!(refused(&mut || drop(traversal::clv_toward(&mut &gamma, &tree, centre, outside))));
+    let gamma = Gamma::new(Jc69, 0.5, 4);
+    let gamma = LikelihoodEngine::new(&gamma, &data);
+    assert!(refused(&mut || drop(gamma.clv_toward(&tree, centre, outside))));
     let aa = ProteinData::from_strings(&[("a", "AR"), ("b", "AR"), ("c", "AK")]).unwrap();
     let protein = ProteinEngine::new(PoissonAa, &aa);
     assert!(refused(&mut || drop(traversal::clv_toward(&mut &protein, &tree, centre, outside))));
