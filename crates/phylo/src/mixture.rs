@@ -483,7 +483,7 @@ mod tests {
         fn the_one_body_is_the_per_category_oracle(
             seed in 0u64..u64::MAX,
             taxa in 4usize..=12,
-            alpha in 0.05f64..20.0,
+            alpha in (-3.0f64..3.0).prop_map(f64::exp),
             k in (0usize..2).prop_map(|i| [1, 4][i]),
             gtr in (0u8..2).prop_map(|i| i == 1),
             caterpillar in (0u8..4).prop_map(|i| i == 3),
