@@ -1,20 +1,54 @@
-//! Multiple sequence alignments: storage, site-pattern compression,
-//! PHYLIP-style text I/O, and a synthetic-data generator that evolves
-//! sequences down a random tree (our stand-in for the paper's `42_SC`
-//! input file: 42 organisms × 1167 nucleotides).
+//! Multiple sequence alignments of DNA or amino acids ("DNA or AA", §3):
+//! storage, site-pattern compression, PHYLIP-style text I/O, and a
+//! synthetic-data generator that evolves sequences down a random tree
+//! (our stand-in for the paper's `42_SC` input file: 42 organisms × 1167
+//! nucleotides).
+//!
+//! An alignment over `S` states stores each site as a small integer tip
+//! code of its alphabet: DNA (`S = 4`, the default; a code is a
+//! [`crate::dna::StateMask`]) or protein (`S = 20`; a code indexes
+//! [`crate::protein::AA_CODES`]).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dna::{StateMask, STATES};
+use crate::dna::STATES;
 use crate::model::SubstModel;
+use crate::protein::AA_STATES;
 
-/// A multiple sequence alignment over DNA.
+/// The tip codes of `S`-state data: how a one-letter code reads as a code,
+/// how a code prints, and which states each code allows. A DNA code is the
+/// 4-bit [`crate::dna::StateMask`] (16 codes); a protein code indexes the
+/// 24 residue classes of [`crate::protein::AA_CODES`].
+#[derive(Debug)]
+pub(crate) struct Alphabet {
+    /// The code of a one-letter code (any case), `None` outside the
+    /// alphabet.
+    pub code: fn(char) -> Option<u8>,
+    /// The letter a code prints as.
+    pub letter: fn(u8) -> char,
+    /// The states each code allows, as a bit set, by code.
+    pub states: &'static [u32],
+}
+
+/// The alphabet of `S`-state data: DNA at 4 states, protein at 20.
+///
+/// # Panics
+/// Panics for any other state count.
+pub(crate) fn alphabet<const S: usize>() -> &'static Alphabet {
+    match S {
+        STATES => &crate::dna::NUCLEOTIDES,
+        AA_STATES => &crate::protein::AMINO_ACIDS,
+        _ => panic!("no alphabet has {S} states"),
+    }
+}
+
+/// A multiple sequence alignment over `S` states, DNA by default.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Alignment {
+pub struct Alignment<const S: usize = STATES> {
     taxa: Vec<String>,
-    /// `seqs[taxon][site]`, as state masks.
-    seqs: Vec<Vec<StateMask>>,
+    /// `seqs[taxon][site]`, as tip codes.
+    seqs: Vec<Vec<u8>>,
 }
 
 /// Errors from alignment construction or parsing.
@@ -29,7 +63,7 @@ pub enum AlignmentError {
         /// The expected length.
         expected: usize,
     },
-    /// A character outside the IUPAC DNA alphabet.
+    /// A character outside the alphabet.
     BadCharacter {
         /// Name of the offending taxon.
         taxon: String,
@@ -40,7 +74,7 @@ pub enum AlignmentError {
     },
     /// Fewer than two taxa, or zero sites.
     TooSmall,
-    /// PHYLIP header malformed or inconsistent with the body.
+    /// A PHYLIP or FASTA header malformed or inconsistent with the body.
     BadHeader(String),
 }
 
@@ -54,19 +88,20 @@ impl std::fmt::Display for AlignmentError {
                 write!(f, "taxon {taxon}, site {site}: invalid character {ch:?}")
             }
             AlignmentError::TooSmall => f.write_str("alignment needs >= 2 taxa and >= 1 site"),
-            AlignmentError::BadHeader(msg) => write!(f, "bad PHYLIP header: {msg}"),
+            AlignmentError::BadHeader(msg) => write!(f, "bad header: {msg}"),
         }
     }
 }
 
 impl std::error::Error for AlignmentError {}
 
-impl Alignment {
-    /// Build an alignment from taxon names and IUPAC strings.
+impl<const S: usize> Alignment<S> {
+    /// Build an alignment from taxon names and strings of one-letter
+    /// codes.
     ///
     /// # Errors
     /// Rejects ragged rows, invalid characters, and degenerate sizes.
-    pub fn from_strings(rows: &[(&str, &str)]) -> Result<Alignment, AlignmentError> {
+    pub fn from_strings(rows: &[(&str, &str)]) -> Result<Self, AlignmentError> {
         if rows.len() < 2 {
             return Err(AlignmentError::TooSmall);
         }
@@ -74,27 +109,28 @@ impl Alignment {
         if expected == 0 {
             return Err(AlignmentError::TooSmall);
         }
+        let read = alphabet::<S>().code;
         let mut taxa = Vec::with_capacity(rows.len());
         let mut seqs = Vec::with_capacity(rows.len());
         for (name, seq) in rows {
-            let mut masks = Vec::with_capacity(expected);
+            let mut codes = Vec::with_capacity(expected);
             for (site, ch) in seq.chars().enumerate() {
-                let m = StateMask::from_char(ch).ok_or_else(|| AlignmentError::BadCharacter {
+                let code = read(ch).ok_or_else(|| AlignmentError::BadCharacter {
                     taxon: (*name).to_string(),
                     site,
                     ch,
                 })?;
-                masks.push(m);
+                codes.push(code);
             }
-            if masks.len() != expected {
+            if codes.len() != expected {
                 return Err(AlignmentError::RaggedRows {
                     taxon: (*name).to_string(),
-                    len: masks.len(),
+                    len: codes.len(),
                     expected,
                 });
             }
             taxa.push((*name).to_string());
-            seqs.push(masks);
+            seqs.push(codes);
         }
         Ok(Alignment { taxa, seqs })
     }
@@ -114,8 +150,8 @@ impl Alignment {
         &self.taxa
     }
 
-    /// The state mask of `taxon` at `site`.
-    pub fn mask(&self, taxon: usize, site: usize) -> StateMask {
+    /// The tip code of `taxon` at `site`.
+    pub fn code(&self, taxon: usize, site: usize) -> u8 {
         self.seqs[taxon][site]
     }
 
@@ -125,7 +161,7 @@ impl Alignment {
         for (name, seq) in self.taxa.iter().zip(&self.seqs) {
             out.push_str(name);
             out.push(' ');
-            out.extend(seq.iter().map(|m| m.to_char()));
+            out.extend(seq.iter().map(|&code| (alphabet::<S>().letter)(code)));
             out.push('\n');
         }
         out
@@ -136,7 +172,7 @@ impl Alignment {
     ///
     /// # Errors
     /// Rejects malformed headers, invalid characters, and size mismatches.
-    pub fn from_phylip(text: &str) -> Result<Alignment, AlignmentError> {
+    pub fn from_phylip(text: &str) -> Result<Self, AlignmentError> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header = lines.next().ok_or_else(|| AlignmentError::BadHeader("empty input".into()))?;
         let mut parts = header.split_whitespace();
@@ -166,7 +202,7 @@ impl Alignment {
         }
         let borrowed: Vec<(&str, &str)> =
             rows.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
-        let aln = Alignment::from_strings(&borrowed)?;
+        let aln = Self::from_strings(&borrowed)?;
         if aln.n_sites() != n_sites {
             return Err(AlignmentError::BadHeader(format!(
                 "header claims {n_sites} sites, found {}",
@@ -182,7 +218,7 @@ impl Alignment {
     /// # Errors
     /// Rejects empty input, sequences before the first header, duplicate
     /// names, invalid characters, and ragged lengths.
-    pub fn from_fasta(text: &str) -> Result<Alignment, AlignmentError> {
+    pub fn from_fasta(text: &str) -> Result<Self, AlignmentError> {
         let mut rows: Vec<(String, String)> = Vec::new();
         for line in text.lines() {
             let line = line.trim();
@@ -214,7 +250,7 @@ impl Alignment {
         }
         let borrowed: Vec<(&str, &str)> =
             rows.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
-        Alignment::from_strings(&borrowed)
+        Self::from_strings(&borrowed)
     }
 
     /// Serialize to FASTA, wrapping sequences at 70 columns.
@@ -225,7 +261,7 @@ impl Alignment {
             out.push_str(name);
             out.push('\n');
             for chunk in seq.chunks(70) {
-                out.extend(chunk.iter().map(|m| m.to_char()));
+                out.extend(chunk.iter().map(|&code| (alphabet::<S>().letter)(code)));
                 out.push('\n');
             }
         }
@@ -237,13 +273,13 @@ impl Alignment {
     ///
     /// `mean_branch` controls divergence (expected substitutions per site
     /// per branch); 0.05–0.2 gives RAxML-realistic signal.
-    pub fn synthetic<M: SubstModel>(
+    pub fn synthetic<M: SubstModel<S>>(
         n_taxa: usize,
         n_sites: usize,
         model: &M,
         mean_branch: f64,
         seed: u64,
-    ) -> Alignment {
+    ) -> Self {
         assert!(n_taxa >= 2 && n_sites >= 1, "degenerate alignment size");
         assert!(mean_branch > 0.0 && mean_branch.is_finite());
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -265,25 +301,27 @@ impl Alignment {
             }
         }
         let taxa: Vec<String> = (0..n_taxa).map(|i| format!("taxon{i:03}")).collect();
-        let seqs: Vec<Vec<StateMask>> = frontier
-            .into_iter()
-            .take(n_taxa)
-            .map(|states| states.into_iter().map(StateMask::from_state).collect())
-            .collect();
-        Alignment { taxa, seqs }
+        // The code allowing exactly state `s`, by `s`.
+        let sets = alphabet::<S>().states;
+        let code: [u8; S] = std::array::from_fn(|s| {
+            sets.iter().position(|&set| set == 1 << s).expect("a code per state") as u8
+        });
+        let seqs = frontier.into_iter().take(n_taxa);
+        let seqs = seqs.map(|states| states.into_iter().map(|s| code[s]).collect());
+        Alignment { taxa, seqs: seqs.collect() }
     }
 
     /// The paper's `42_SC` workload shape: 42 organisms, 1167 nucleotides.
-    pub fn synthetic_42_sc<M: SubstModel>(model: &M, seed: u64) -> Alignment {
-        Alignment::synthetic(42, 1167, model, 0.08, seed)
+    pub fn synthetic_42_sc<M: SubstModel<S>>(model: &M, seed: u64) -> Self {
+        Self::synthetic(42, 1167, model, 0.08, seed)
     }
 }
 
-fn sample_state(freqs: &[f64; STATES], rng: &mut SmallRng) -> usize {
+fn sample_state<const S: usize>(freqs: &[f64; S], rng: &mut SmallRng) -> usize {
     sample_transition(freqs, rng)
 }
 
-fn sample_transition(probs: &[f64; STATES], rng: &mut SmallRng) -> usize {
+fn sample_transition<const S: usize>(probs: &[f64; S], rng: &mut SmallRng) -> usize {
     let u: f64 = rng.gen();
     let mut acc = 0.0;
     for (s, &p) in probs.iter().enumerate() {
@@ -292,7 +330,7 @@ fn sample_transition(probs: &[f64; STATES], rng: &mut SmallRng) -> usize {
             return s;
         }
     }
-    STATES - 1
+    S - 1
 }
 
 fn sample_branch(mean: f64, rng: &mut SmallRng) -> f64 {
@@ -308,9 +346,9 @@ fn sample_branch(mean: f64, rng: &mut SmallRng) -> f64 {
 /// a bootstrap replicate (§3.1) is the compressed alignment of its
 /// re-sampled columns, so patterns it did not draw are absent from it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PatternAlignment {
-    /// `patterns[taxon][pattern]` state masks.
-    patterns: Vec<Vec<StateMask>>,
+pub struct PatternAlignment<const S: usize = STATES> {
+    /// `patterns[taxon][pattern]` tip codes.
+    patterns: Vec<Vec<u8>>,
     /// Multiplicity of each pattern: how many columns it stands for.
     weights: Vec<u32>,
     /// Column → pattern index (needed for bootstrapping).
@@ -318,22 +356,22 @@ pub struct PatternAlignment {
     n_taxa: usize,
 }
 
-impl PatternAlignment {
+impl<const S: usize> PatternAlignment<S> {
     /// Compress `aln` into site patterns.
-    pub fn compress(aln: &Alignment) -> PatternAlignment {
+    pub fn compress(aln: &Alignment<S>) -> Self {
         let n_taxa = aln.n_taxa();
         let n_sites = aln.n_sites();
         let mut index: std::collections::HashMap<Vec<u8>, usize> = std::collections::HashMap::new();
-        let mut patterns: Vec<Vec<StateMask>> = vec![Vec::new(); n_taxa];
+        let mut patterns: Vec<Vec<u8>> = vec![Vec::new(); n_taxa];
         let mut weights: Vec<u32> = Vec::new();
         let mut column_pattern = Vec::with_capacity(n_sites);
         for site in 0..n_sites {
-            let col: Vec<u8> = (0..n_taxa).map(|t| aln.mask(t, site).0).collect();
+            let col: Vec<u8> = (0..n_taxa).map(|t| aln.code(t, site)).collect();
             let next = weights.len();
             let pat = *index.entry(col).or_insert(next);
             if pat == weights.len() {
                 for (t, pcol) in patterns.iter_mut().enumerate() {
-                    pcol.push(aln.mask(t, site));
+                    pcol.push(aln.code(t, site));
                 }
                 weights.push(0);
             }
@@ -364,13 +402,13 @@ impl PatternAlignment {
         &self.weights
     }
 
-    /// The mask of `taxon` at `pattern`.
-    pub fn mask(&self, taxon: usize, pattern: usize) -> StateMask {
+    /// The tip code of `taxon` at `pattern`.
+    pub fn code(&self, taxon: usize, pattern: usize) -> u8 {
         self.patterns[taxon][pattern]
     }
 
-    /// The masks of `taxon`, one per pattern.
-    pub(crate) fn masks(&self, taxon: usize) -> &[StateMask] {
+    /// The tip codes of `taxon`, one per pattern.
+    pub(crate) fn codes(&self, taxon: usize) -> &[u8] {
         &self.patterns[taxon]
     }
 
@@ -383,7 +421,7 @@ impl PatternAlignment {
     /// `weights[p]` columns (used by the bootstrapper). Patterns of weight
     /// 0 are absent; the rest keep their relative order, each as
     /// `weights[p]` consecutive columns of [`Self::column_pattern`].
-    pub fn with_weights(&self, weights: Vec<u32>) -> PatternAlignment {
+    pub fn with_weights(&self, weights: Vec<u32>) -> Self {
         assert_eq!(weights.len(), self.weights.len(), "weight vector length mismatch");
         let kept: Vec<usize> = (0..weights.len()).filter(|&p| weights[p] > 0).collect();
         let weights: Vec<u32> = kept.iter().map(|&p| weights[p]).collect();
@@ -402,7 +440,12 @@ impl PatternAlignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dna::StateMask;
     use crate::model::Jc69;
+
+    /// The DNA alignment: the parse-error tests name no model to infer
+    /// the state count from.
+    type Dna = Alignment;
 
     fn toy() -> Alignment {
         Alignment::from_strings(&[
@@ -420,18 +463,18 @@ mod tests {
         assert_eq!(a.n_taxa(), 4);
         assert_eq!(a.n_sites(), 6);
         assert_eq!(a.taxa()[2], "tc");
-        assert_eq!(a.mask(3, 1), StateMask::from_char('A').unwrap());
+        assert_eq!(StateMask(a.code(3, 1)), StateMask::from_char('A').unwrap());
     }
 
     #[test]
     fn ragged_rows_rejected() {
-        let err = Alignment::from_strings(&[("a", "ACGT"), ("b", "ACG")]).unwrap_err();
+        let err = Dna::from_strings(&[("a", "ACGT"), ("b", "ACG")]).unwrap_err();
         assert!(matches!(err, AlignmentError::RaggedRows { .. }));
     }
 
     #[test]
     fn bad_character_rejected_with_location() {
-        let err = Alignment::from_strings(&[("a", "ACGT"), ("b", "ACZT")]).unwrap_err();
+        let err = Dna::from_strings(&[("a", "ACGT"), ("b", "ACZT")]).unwrap_err();
         assert_eq!(
             err,
             AlignmentError::BadCharacter { taxon: "b".into(), site: 2, ch: 'Z' }
@@ -441,7 +484,7 @@ mod tests {
     #[test]
     fn too_small_rejected() {
         assert_eq!(
-            Alignment::from_strings(&[("a", "ACGT")]).unwrap_err(),
+            Dna::from_strings(&[("a", "ACGT")]).unwrap_err(),
             AlignmentError::TooSmall
         );
     }
@@ -450,22 +493,22 @@ mod tests {
     fn phylip_round_trip() {
         let a = toy();
         let text = a.to_phylip();
-        let b = Alignment::from_phylip(&text).unwrap();
+        let b = Dna::from_phylip(&text).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn phylip_header_validation() {
         assert!(matches!(
-            Alignment::from_phylip("banana\n").unwrap_err(),
+            Dna::from_phylip("banana\n").unwrap_err(),
             AlignmentError::BadHeader(_)
         ));
         assert!(matches!(
-            Alignment::from_phylip("3 4\na ACGT\nb ACGT\n").unwrap_err(),
+            Dna::from_phylip("3 4\na ACGT\nb ACGT\n").unwrap_err(),
             AlignmentError::BadHeader(_)
         ));
         assert!(matches!(
-            Alignment::from_phylip("2 5\na ACGT\nb ACGT\n").unwrap_err(),
+            Dna::from_phylip("2 5\na ACGT\nb ACGT\n").unwrap_err(),
             AlignmentError::BadHeader(_)
         ));
     }
@@ -475,13 +518,13 @@ mod tests {
         let a = Alignment::synthetic(5, 173, &crate::model::Jc69, 0.1, 3);
         let text = a.to_fasta();
         assert!(text.starts_with('>'));
-        let b = Alignment::from_fasta(&text).unwrap();
+        let b = Dna::from_fasta(&text).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn fasta_accepts_multiline_and_descriptions() {
-        let a = Alignment::from_fasta(">a some description\nACG\nT\n>b\nACGT\n").unwrap();
+        let a = Dna::from_fasta(">a some description\nACG\nT\n>b\nACGT\n").unwrap();
         assert_eq!(a.n_taxa(), 2);
         assert_eq!(a.n_sites(), 4);
         assert_eq!(a.taxa()[0], "a");
@@ -489,21 +532,21 @@ mod tests {
 
     #[test]
     fn fasta_error_cases() {
-        assert!(matches!(Alignment::from_fasta(""), Err(AlignmentError::BadHeader(_))));
+        assert!(matches!(Dna::from_fasta(""), Err(AlignmentError::BadHeader(_))));
         assert!(matches!(
-            Alignment::from_fasta("ACGT\n>a\nACGT\n"),
+            Dna::from_fasta("ACGT\n>a\nACGT\n"),
             Err(AlignmentError::BadHeader(_))
         ));
         assert!(matches!(
-            Alignment::from_fasta(">a\nACGT\n>a\nACGT\n"),
+            Dna::from_fasta(">a\nACGT\n>a\nACGT\n"),
             Err(AlignmentError::BadHeader(_))
         ));
         assert!(matches!(
-            Alignment::from_fasta(">a\nACGT\n>b\nACG\n"),
+            Dna::from_fasta(">a\nACGT\n>b\nACG\n"),
             Err(AlignmentError::RaggedRows { .. })
         ));
         assert!(matches!(
-            Alignment::from_fasta(">\nACGT\n>b\nACGT\n"),
+            Dna::from_fasta(">\nACGT\n>b\nACGT\n"),
             Err(AlignmentError::BadHeader(_))
         ));
     }
@@ -533,7 +576,7 @@ mod tests {
         // baseline but less than 100%.
         for i in 0..a.n_taxa() {
             for j in (i + 1)..a.n_taxa() {
-                let same = (0..a.n_sites()).filter(|&s| a.mask(i, s) == a.mask(j, s)).count();
+                let same = (0..a.n_sites()).filter(|&s| a.code(i, s) == a.code(j, s)).count();
                 let frac = same as f64 / a.n_sites() as f64;
                 assert!(frac > 0.5, "taxa {i},{j} only {frac} identical — no signal");
                 assert!(frac < 1.0, "taxa {i},{j} identical — no divergence");
@@ -553,14 +596,14 @@ mod tests {
         // Every column maps to a pattern with matching masks.
         for (site, &pat) in p.column_pattern().iter().enumerate() {
             for t in 0..4 {
-                assert_eq!(p.mask(t, pat), a.mask(t, site));
+                assert_eq!(p.code(t, pat), a.code(t, site));
             }
         }
     }
 
     #[test]
     fn duplicate_columns_share_a_pattern() {
-        let a = Alignment::from_strings(&[("a", "AAAA"), ("b", "CCCC"), ("c", "GGGG")]).unwrap();
+        let a = Dna::from_strings(&[("a", "AAAA"), ("b", "CCCC"), ("c", "GGGG")]).unwrap();
         let p = PatternAlignment::compress(&a);
         assert_eq!(p.n_patterns(), 1);
         assert_eq!(p.weights(), &[4]);
@@ -586,7 +629,7 @@ mod tests {
         assert_eq!(q.n_sites(), 6);
         for (i, src) in [1, 3, 4].into_iter().enumerate() {
             for t in 0..p.n_taxa() {
-                assert_eq!(q.mask(t, i), p.mask(t, src));
+                assert_eq!(q.code(t, i), p.code(t, src));
             }
         }
     }

@@ -92,7 +92,7 @@ mod tests {
             assert_eq!(rep.n_patterns(), drawn.len());
             for (i, &p) in drawn.iter().enumerate() {
                 for t in 0..d.n_taxa() {
-                    assert_eq!(rep.mask(t, i), d.mask(t, p), "seed {seed}");
+                    assert_eq!(rep.code(t, i), d.code(t, p), "seed {seed}");
                 }
             }
             let kept: Vec<u32> = drawn.iter().map(|&p| w[p]).collect();

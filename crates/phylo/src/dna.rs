@@ -1,8 +1,19 @@
 //! DNA alphabet with IUPAC ambiguity codes.
 //!
 //! Sequences are stored as 4-bit state masks (bit 0 = A, 1 = C, 2 = G,
-//! 3 = T). A tip's conditional likelihood vector is 1.0 for every state the
-//! mask allows — exactly how RAxML treats ambiguous characters.
+//! 3 = T): a DNA tip code is its mask. A tip's conditional likelihood
+//! vector is 1.0 for every state the mask allows — exactly how RAxML treats
+//! ambiguous characters.
+
+use crate::alignment::Alphabet;
+
+/// The DNA alphabet: a tip code is a [`StateMask`]'s bits, so each of the
+/// 16 codes allows its own bits.
+pub(crate) const NUCLEOTIDES: Alphabet = Alphabet {
+    code: |c| StateMask::from_char(c).map(|m| m.0),
+    letter: |code| StateMask(code).to_char(),
+    states: &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+};
 
 /// Number of nucleotide states.
 pub const STATES: usize = 4;
@@ -69,26 +80,10 @@ impl StateMask {
         }
     }
 
-    /// The unambiguous mask for state index `s` (0..4).
-    pub fn from_state(s: usize) -> StateMask {
-        debug_assert!(s < STATES);
-        StateMask(1 << s)
-    }
-
     /// Whether state index `s` is allowed by this mask.
     #[inline]
     pub fn allows(self, s: usize) -> bool {
         self.0 & (1 << s) != 0
-    }
-
-    /// True for masks that allow exactly one state.
-    pub fn is_unambiguous(self) -> bool {
-        self.0.count_ones() == 1
-    }
-
-    /// The tip conditional-likelihood vector: 1.0 where allowed.
-    pub fn tip_clv(self) -> [f64; STATES] {
-        std::array::from_fn(|s| f64::from(self.0 >> s & 1))
     }
 }
 
@@ -100,13 +95,10 @@ mod tests {
     fn unambiguous_round_trip() {
         for (ch, s) in [('A', A), ('C', C), ('G', G), ('T', T)] {
             let m = StateMask::from_char(ch).unwrap();
-            assert_eq!(m, StateMask::from_state(s));
-            assert!(m.is_unambiguous());
+            assert_eq!(m, StateMask(1 << s));
             assert_eq!(m.to_char(), ch);
-            let clv = m.tip_clv();
-            for (i, &v) in clv.iter().enumerate() {
-                assert_eq!(v, if i == s { 1.0 } else { 0.0 });
-            }
+            assert_eq!((NUCLEOTIDES.code)(ch), Some(1 << s));
+            assert_eq!((NUCLEOTIDES.letter)(1 << s), ch);
         }
     }
 
@@ -124,7 +116,7 @@ mod tests {
         assert!(y.allows(C) && y.allows(T) && !y.allows(A) && !y.allows(G));
         let n = StateMask::from_char('N').unwrap();
         assert_eq!(n, StateMask::ANY);
-        assert_eq!(n.tip_clv(), [1.0; 4]);
+        assert_eq!(NUCLEOTIDES.states[usize::from(n.0)], 0b1111);
         assert_eq!(StateMask::from_char('-').unwrap(), StateMask::ANY);
     }
 

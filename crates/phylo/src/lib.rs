@@ -4,10 +4,12 @@
 //! RAxML-VI-HPC, the application the PPoPP 2007 multigrain-parallelization
 //! paper evaluates. It provides real (not mocked) versions of the three
 //! kernels the paper off-loads to SPEs — `newview`, `evaluate`, `makenewz`
-//! — plus everything around them: alignments with site-pattern compression,
-//! JC69/K80 substitution models, unrooted binary trees with NNI
-//! rearrangement, randomized hill-climbing search, and non-parametric
-//! bootstrapping.
+//! — plus everything around them: DNA and protein alignments with
+//! site-pattern compression, substitution models over 4 or 20 states
+//! (JC69, K80 and GTR for DNA, Poisson for protein, each optionally +Γ),
+//! unrooted binary trees with NNI and SPR rearrangement, randomized
+//! hill-climbing search, and non-parametric bootstrapping. One kernel body
+//! serves every model.
 //!
 //! The crate is deliberately independent of the scheduling runtime; the
 //! workspace root provides `LoopBody` adapters that feed these kernels to
@@ -50,7 +52,7 @@ pub mod prelude {
     pub use crate::likelihood::{Clv, ClvArena, LikelihoodEngine, Operand};
     pub use crate::mixture::{estimate_alpha, Gamma};
 pub use crate::model::{Gtr, Jc69, Matrix, SubstModel, K80};
-    pub use crate::protein::{AaMask, PoissonAa, ProteinData, ProteinEngine, AA_STATES};
+    pub use crate::protein::{PoissonAa, AA_STATES};
 pub use crate::special::discrete_gamma_rates;
     pub use crate::search::{
         hill_climb, hill_climb_with, spr_hill_climb, spr_hill_climb_with, ScoringEngine,

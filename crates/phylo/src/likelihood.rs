@@ -13,13 +13,15 @@
 //!   optimization using analytic first and second derivatives. As in
 //!   RAxML, the edge's CLV pair is put into the model's eigen basis once
 //!   ([`EdgeTable`], RAxML's "sumtable"), so a Newton step needs only
-//!   `exp(λ_k t)` and a four-term dot product per pattern.
+//!   `exp(λ_k t)` and an `S`-term dot product per pattern.
 //!
-//! One body serves single-rate and +Γ models, as in RAxML and PLL: a
-//! pattern of a [`Clv`] or [`EdgeTable`] holds four values per rate
-//! category ([`SubstModel::rates`]), rescaled when all are small;
-//! `evaluate` averages the categories before the log, and Newton
-//! differentiates `exp(λ_k r_c t)` per category.
+//! One body serves every model, as in RAxML and PLL: DNA and protein,
+//! single-rate and +Γ. The engine is generic over the state count `S` (4 by
+//! default, 20 for protein) and reads the rate categories `K` from
+//! [`SubstModel::rates`]; a pattern of a [`Clv`] or [`EdgeTable`] holds `S`
+//! values per rate category, rescaled when all are small; `evaluate`
+//! averages the categories before the log, and Newton differentiates
+//! `exp(λ_k r_c t)` per category.
 //!
 //! All three iterate over *site patterns* with per-pattern weights and no
 //! loop-carried dependencies — the loop-level parallelism the runtime
@@ -29,14 +31,16 @@
 //! RAxML's tip/inner split, read through a [`Transition`]'s product table
 //! — or a CLV, full-width or the chunk's own piece, so a chunk can run a
 //! whole traversal on its pattern range without a full-width CLV existing.
-//! A `_with` form takes its pattern-independent factors ready-made.
+//! A `_with` form takes its pattern-independent factors ready-made. A tip
+//! is a small integer code of the alignment's alphabet: a DNA mask or a
+//! protein residue class.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math in dense kernels
 
 use std::ops::Range;
 
-use crate::alignment::PatternAlignment;
-use crate::dna::{StateMask, STATES};
+use crate::alignment::{alphabet, PatternAlignment};
+use crate::dna::STATES;
 use crate::model::{Matrix, Spectrum, SubstModel};
 use crate::traversal::{self, Kernels};
 use crate::tree::{EdgeId, Tree};
@@ -170,21 +174,13 @@ pub(crate) fn golden_section_max(
     0.5 * (lo + hi)
 }
 
-/// Derivative-free branch-length optimization: the golden-section maximum
-/// of `lnl_at` over the legal interval, bracketed from the current length
-/// `t0` (the protein engine, which has no analytic derivatives, uses this
-/// where the DNA engine uses Newton steps).
-pub(crate) fn golden_section_branch(t0: f64, lnl_at: impl FnMut(f64) -> f64) -> f64 {
-    let hi = MAX_BRANCH.min((t0 * 32.0).max(1.0));
-    golden_section_max(Tree::MIN_BRANCH, hi, 64, |lo, hi| (hi - lo) < 1e-7 * hi.max(1e-3), lnl_at)
-}
-
 /// A conditional likelihood vector for every site pattern and rate
 /// category, plus per-pattern scaling exponents (the `exp` field of
 /// RAxML's likelihood vectors), which a pattern's categories share.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Clv {
-    /// `vals[(pattern * K + category) * 4 + state]` for `K` categories.
+    /// `vals[(pattern * K + category) * S + state]` for `K` categories
+    /// of `S` states.
     vals: Vec<f64>,
     /// Number of times each pattern was rescaled.
     scale: Vec<u32>,
@@ -196,7 +192,7 @@ impl Clv {
         self.scale.len()
     }
 
-    /// The values of `pattern`: a 4-vector per rate category.
+    /// The values of `pattern`: an `S`-vector per rate category.
     pub fn pattern(&self, pattern: usize) -> &[f64] {
         let width = self.vals.len() / self.scale.len();
         &self.vals[pattern * width..(pattern + 1) * width]
@@ -211,11 +207,10 @@ impl Clv {
     /// producers that compute pattern ranges on different cores).
     ///
     /// # Panics
-    /// Panics unless `vals` holds as many 4-vectors for every pattern.
+    /// Panics unless `vals` holds as many values for every pattern.
     pub fn from_raw(vals: Vec<f64>, scale: Vec<u32>) -> Clv {
         let width = vals.len() / scale.len().max(1);
-        let whole = width.is_multiple_of(STATES) && width * scale.len() == vals.len();
-        assert!(whole, "CLV storage size mismatch");
+        assert!(width * scale.len() == vals.len(), "CLV storage size mismatch");
         Clv { vals, scale }
     }
 
@@ -232,15 +227,15 @@ impl Clv {
 
 /// An edge's CLV pair `u`, `v` in the eigen basis of the model's
 /// [`Spectrum`] `(λ, L, R)`: for every pattern `j` and rate category `c`
-/// the four sums
-/// `S[j][c][k] = (Σ_x π_x·u[j][c][x]·L[x][k]) · (Σ_y R[k][y]·v[j][c][y])`,
+/// the sums, one per state `k`,
+/// `E[j][c][k] = (Σ_x π_x·u[j][c][x]·L[x][k]) · (Σ_y R[k][y]·v[j][c][y])`,
 /// so the pattern's likelihood at any length `t` is, up to the factor
-/// `1/K`, `Σ_c Σ_k S[j][c][k]·exp(λ_k r_c t)`. Built once per edge by
+/// `1/K`, `Σ_c Σ_k E[j][c][k]·exp(λ_k r_c t)`. Built once per edge by
 /// [`LikelihoodEngine::edge_table_range`], read by every Newton step
 /// through [`LikelihoodEngine::table_derivatives`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EdgeTable {
-    /// `sums[(pattern * K + category) * 4 + k]`.
+    /// `sums[(pattern * K + category) * S + k]`.
     sums: Vec<f64>,
     patterns: usize,
 }
@@ -251,7 +246,7 @@ impl EdgeTable {
         self.patterns
     }
 
-    /// The raw sums, four per pattern and rate category.
+    /// The raw sums, `S` per pattern and rate category.
     pub fn as_raw(&self) -> &[f64] {
         &self.sums
     }
@@ -259,7 +254,7 @@ impl EdgeTable {
 
 /// A free list of CLV and edge-table storage for the native hot path.
 /// Buffers are handed out one 4-vector per pattern; a kernel writing more
-/// rate categories than that widens its output.
+/// states or rate categories than that widens its output.
 ///
 /// A chunk of an off-loaded traversal computes every CLV of the walk on
 /// its own pattern range, one range-sized piece per tree node; no
@@ -374,26 +369,32 @@ impl Extend<EdgeTable> for ClvArena {
 
 /// View a pattern slice as the fixed-width array [`matvec`] operates on.
 #[inline(always)]
-fn four(s: &[f64]) -> &[f64; 4] {
-    const { assert!(STATES == 4) };
-    s.try_into().expect("pattern slice is 4 wide")
+fn vector<const S: usize>(s: &[f64]) -> &[f64; S] {
+    s.try_into().expect("pattern slice is S wide")
 }
 
-/// `[Σ_y m[x][y]·v[y]; x in 0..4]`: the one operation all three kernels
+/// `[Σ_y m[x][y]·v[y]; x in 0..S]`: the one operation all three kernels
 /// spend their time in. Row-major accumulation, one output state at a
 /// time — this floating-point order is frozen; the benchmark's `lnl_sum`
 /// anchors and the replay digests depend on it.
 #[inline(always)]
-fn matvec(m: &Matrix, v: &[f64; 4]) -> [f64; 4] {
-    let mut out = [0.0; 4];
-    for x in 0..4 {
+fn matvec<const S: usize>(m: &Matrix<S>, v: &[f64; S]) -> [f64; S] {
+    let mut out = [0.0; S];
+    for x in 0..S {
         let mut s = 0.0;
-        for y in 0..4 {
+        for y in 0..S {
             s += m[x][y] * v[y];
         }
         out[x] = s;
     }
     out
+}
+
+/// The tip vector of the tip code `code`: 1.0 for every state it allows.
+#[inline(always)]
+fn tip_vector<const S: usize>(code: u8) -> [f64; S] {
+    let set = alphabet::<S>().states[usize::from(code)];
+    std::array::from_fn(|s| f64::from(set >> s & 1))
 }
 
 /// Where an operand of `held` patterns starts, for a kernel running on the
@@ -437,26 +438,34 @@ impl<'c> From<&'c Clv> for Operand<&'c Clv> {
     }
 }
 
+/// Entries of a [`Transition`]'s product table: one per bit of a `u32`
+/// set of held tip codes, so any code indexes it unchecked (DNA uses 16,
+/// protein 24).
+const CODES: usize = 32;
+
 /// A matrix a kernel applies to an operand — `P(t)` of a branch or a
 /// factor of the eigen basis — with its products `m·x` for the tip vectors
-/// `x`, each the same `matvec` on the same inputs a CLV's pattern gets.
+/// `x`, by tip code, each the same `matvec` on the same inputs a CLV's
+/// pattern gets: RAxML's tip-vector table.
 #[derive(Debug, Clone)]
-pub struct Transition {
-    m: Matrix,
-    products: [[f64; STATES]; 16],
+pub struct Transition<const S: usize = STATES> {
+    m: Matrix<S>,
+    products: [[f64; S]; CODES],
 }
 
-impl Transition {
-    /// Every tip mask.
-    const ALL: u32 = 0xFFFF;
+impl<const S: usize> Transition<S> {
+    /// Every tip code of the alphabet.
+    fn all() -> u32 {
+        u32::MAX >> (CODES - alphabet::<S>().states.len())
+    }
 
-    /// `m` with the products of only the masks in the bit set `held`.
-    fn new(m: Matrix, mut held: u32) -> Transition {
-        let mut products = [[0.0; STATES]; 16];
+    /// `m` with the products of only the codes in the bit set `held`.
+    fn new(m: Matrix<S>, mut held: u32) -> Self {
+        let mut products = [[0.0; S]; CODES];
         while held != 0 {
             let b = held.trailing_zeros() as usize;
             held &= held - 1;
-            products[b] = matvec(&m, &StateMask(b as u8).tip_clv());
+            products[b] = matvec(&m, &tip_vector(b as u8));
         }
         Transition { m, products }
     }
@@ -471,39 +480,39 @@ pub struct PerCategory<T> {
 }
 
 /// One operand over a kernel's chunk, under a [`Transition`] per rate
-/// category: a tip's masks and the products, or a CLV's values and
+/// category: a tip's codes and the products, or a CLV's values and
 /// exponents for the chunk ([`first_held`]) and the matrices.
-struct Side<'s> {
+struct Side<'s, const S: usize> {
     tip: bool,
-    masks: &'s [StateMask],
+    codes: &'s [u8],
     vals: &'s [f64],
     scale: &'s [u32],
     /// Category 0's matrix, by value, and products.
-    m: Matrix,
-    products: &'s [[f64; STATES]; 16],
+    m: Matrix<S>,
+    products: &'s [[f64; S]; CODES],
     /// Categories 1..K's transitions; none where category 0's serves all.
-    rest: &'s [Transition],
-    /// The model's rate categories K: a CLV pattern holds K 4-vectors.
+    rest: &'s [Transition<S>],
+    /// The model's rate categories K: a CLV pattern holds K `S`-vectors.
     k: usize,
 }
 
-impl Side<'_> {
+impl<const S: usize> Side<'_, S> {
     /// Category `c` of the chunk's `j`-th vector `x`.
     #[inline(always)]
-    fn vector<const TIP: bool, const ONE: bool>(&self, j: usize, c: usize) -> [f64; STATES] {
-        let at = (if ONE { j } else { j * self.k + c }) * STATES;
-        if TIP { self.masks[j].tip_clv() } else { *four(&self.vals[at..at + STATES]) }
+    fn vector<const TIP: bool, const ONE: bool>(&self, j: usize, c: usize) -> [f64; S] {
+        let at = (if ONE { j } else { j * self.k + c }) * S;
+        if TIP { tip_vector(self.codes[j]) } else { *vector(&self.vals[at..at + S]) }
     }
 
     /// `m·x` of category `c` of the chunk's `j`-th vector.
     #[inline(always)]
-    fn times<const TIP: bool, const ONE: bool>(&self, j: usize, c: usize) -> [f64; STATES] {
+    fn times<const TIP: bool, const ONE: bool>(&self, j: usize, c: usize) -> [f64; S] {
         let (m, products) = match self.rest.get(c.wrapping_sub(1)) {
             Some(p) if !ONE => (&p.m, &p.products),
             _ => (&self.m, self.products),
         };
         if TIP {
-            products[usize::from(self.masks[j].0 & 0xF)]
+            products[usize::from(self.codes[j]) % CODES]
         } else {
             matvec(m, &self.vector::<false, ONE>(j, c))
         }
@@ -521,14 +530,14 @@ impl Side<'_> {
 macro_rules! per_pairing {
     ($l:expr, $r:expr, $kernel:ident($($arg:expr),*)) => {
         match ($l.tip, $r.tip, $l.k == 1) {
-            (true, true, true) => $kernel::<true, true, true>($($arg),*),
-            (true, false, true) => $kernel::<true, false, true>($($arg),*),
-            (false, true, true) => $kernel::<false, true, true>($($arg),*),
-            (false, false, true) => $kernel::<false, false, true>($($arg),*),
-            (true, true, false) => $kernel::<true, true, false>($($arg),*),
-            (true, false, false) => $kernel::<true, false, false>($($arg),*),
-            (false, true, false) => $kernel::<false, true, false>($($arg),*),
-            (false, false, false) => $kernel::<false, false, false>($($arg),*),
+            (true, true, true) => $kernel::<_, true, true, true>($($arg),*),
+            (true, false, true) => $kernel::<_, true, false, true>($($arg),*),
+            (false, true, true) => $kernel::<_, false, true, true>($($arg),*),
+            (false, false, true) => $kernel::<_, false, false, true>($($arg),*),
+            (true, true, false) => $kernel::<_, true, true, false>($($arg),*),
+            (true, false, false) => $kernel::<_, true, false, false>($($arg),*),
+            (false, true, false) => $kernel::<_, false, true, false>($($arg),*),
+            (false, false, false) => $kernel::<_, false, false, false>($($arg),*),
         }
     };
 }
@@ -536,16 +545,20 @@ macro_rules! per_pairing {
 /// Patterns of the pruning step: the parent's vectors and scaling
 /// exponents from the children's sides, a pattern rescaled when every
 /// category's values are small.
-fn prune<const L: bool, const R: bool, const ONE: bool>(l: &Side, r: &Side, out: &mut Clv) {
+fn prune<const S: usize, const L: bool, const R: bool, const ONE: bool>(
+    l: &Side<S>,
+    r: &Side<S>,
+    out: &mut Clv,
+) {
     let k = if ONE { 1 } else { l.k };
     for j in 0..out.scale.len() {
-        let o = &mut out.vals[j * k * STATES..(j + 1) * k * STATES];
+        let o = &mut out.vals[j * k * S..(j + 1) * k * S];
         let mut min_ok = false;
         for c in 0..k {
             let (suml, sumr) = (l.times::<L, ONE>(j, c), r.times::<R, ONE>(j, c));
-            for x in 0..STATES {
+            for x in 0..S {
                 let v = suml[x] * sumr[x];
-                o[c * STATES + x] = v;
+                o[c * S + x] = v;
                 if v > SCALE_THRESHOLD {
                     min_ok = true;
                 }
@@ -562,17 +575,17 @@ fn prune<const L: bool, const R: bool, const ONE: bool>(l: &Side, r: &Side, out:
 /// The Figure-3 sum over a chunk of weights `w`, a pattern's likelihood
 /// the average of its categories' terms: `u` read as is, `v` through
 /// `P(r_c t)`.
-fn lnl_sum<const U: bool, const V: bool, const ONE: bool>(
-    u: &Side,
-    v: &Side,
-    pi: &[f64; STATES],
+fn lnl_sum<const S: usize, const U: bool, const V: bool, const ONE: bool>(
+    u: &Side<S>,
+    v: &Side<S>,
+    pi: &[f64; S],
     w: &[u32],
 ) -> f64 {
     let k = if ONE { 1 } else { u.k };
     let term = |j, c| {
         let (lu, inner) = (u.vector::<U, ONE>(j, c), v.times::<V, ONE>(j, c));
         let mut term = 0.0;
-        for x in 0..STATES {
+        for x in 0..S {
             term += pi[x] * lu[x] * inner[x];
         }
         term
@@ -591,13 +604,17 @@ fn lnl_sum<const U: bool, const V: bool, const ONE: bool>(
 
 /// Edge-table rows over a chunk: `u` through `(πL)ᵀ`, `v` through `R`,
 /// every category in the one basis.
-fn eigen_rows<const U: bool, const V: bool, const ONE: bool>(u: &Side, v: &Side, sums: &mut [f64]) {
+fn eigen_rows<const S: usize, const U: bool, const V: bool, const ONE: bool>(
+    u: &Side<S>,
+    v: &Side<S>,
+    sums: &mut [f64],
+) {
     let k = if ONE { 1 } else { u.k };
-    for row in 0..sums.len() / STATES {
+    for row in 0..sums.len() / S {
         let (j, c) = if ONE { (row, 0) } else { (row / k, row % k) };
         let (a, b) = (u.times::<U, ONE>(j, c), v.times::<V, ONE>(j, c));
-        for x in 0..STATES {
-            sums[row * STATES + x] = a[x] * b[x];
+        for x in 0..S {
+            sums[row * S + x] = a[x] * b[x];
         }
     }
 }
@@ -605,9 +622,9 @@ fn eigen_rows<const U: bool, const V: bool, const ONE: bool>(u: &Side, v: &Side,
 /// `(d1, d2)` of `makenewz` over a chunk's table rows `sums` and weights
 /// `w`: a pattern's likelihood and derivatives sum its categories' (the
 /// `1/K` cancels in the ratios).
-fn derivatives<const ONE: bool>(
+fn derivatives<const S: usize, const ONE: bool>(
     sums: &[f64],
-    factors: &PerCategory<[[f64; STATES]; 3]>,
+    factors: &PerCategory<[[f64; S]; 3]>,
     w: &[u32],
 ) -> (f64, f64) {
     let k = if ONE { 1 } else { 1 + factors.rest.len() };
@@ -617,8 +634,8 @@ fn derivatives<const ONE: bool>(
         let (mut l, mut dl, mut ddl) = (0.0, 0.0, 0.0);
         for c in 0..k {
             let [e, de, dde] = if ONE || c == 0 { &factors.first } else { &factors.rest[c - 1] };
-            let s = four(&sums[(j * k + c) * STATES..(j * k + c + 1) * STATES]);
-            for x in 0..STATES {
+            let s = vector::<S>(&sums[(j * k + c) * S..(j * k + c + 1) * S]);
+            for x in 0..S {
                 l += s[x] * e[x];
                 dl += s[x] * de[x];
                 ddl += s[x] * dde[x];
@@ -632,21 +649,21 @@ fn derivatives<const ONE: bool>(
     (d1, d2)
 }
 
-/// The likelihood engine: a substitution model bound to a pattern-compressed
-/// alignment.
-pub struct LikelihoodEngine<'a, M: SubstModel> {
+/// The likelihood engine: a substitution model over `S` states (DNA by
+/// default) bound to a pattern-compressed alignment over the same states.
+pub struct LikelihoodEngine<'a, M, const S: usize = STATES> {
     model: &'a M,
-    data: &'a PatternAlignment,
+    data: &'a PatternAlignment<S>,
 }
 
-impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
+impl<'a, M: SubstModel<S>, const S: usize> LikelihoodEngine<'a, M, S> {
     /// Bind `model` to `data`.
-    pub fn new(model: &'a M, data: &'a PatternAlignment) -> Self {
+    pub fn new(model: &'a M, data: &'a PatternAlignment<S>) -> Self {
         LikelihoodEngine { model, data }
     }
 
     /// The pattern-compressed alignment.
-    pub fn data(&self) -> &PatternAlignment {
+    pub fn data(&self) -> &PatternAlignment<S> {
         self.data
     }
 
@@ -658,9 +675,9 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// The tip CLV of `taxon`, its indicator vector in every rate category;
     /// the kernels read an [`Operand::Tip`] instead.
     pub fn tip_clv(&self, taxon: usize) -> Clv {
-        let (masks, k) = (self.data.masks(taxon), self.categories());
-        let vals = masks.iter().flat_map(|m| std::iter::repeat_n(m.tip_clv(), k)).flatten();
-        Clv { vals: vals.collect(), scale: vec![0; masks.len()] }
+        let (codes, k) = (self.data.codes(taxon), self.categories());
+        let tips = codes.iter().flat_map(|&c| std::iter::repeat_n(tip_vector::<S>(c), k));
+        Clv { vals: tips.flatten().collect(), scale: vec![0; codes.len()] }
     }
 
     /// `op` over the chunk `range`, under category 0's transition `first`
@@ -668,21 +685,21 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     fn side<'s>(
         &'s self,
         op: Operand<&'s Clv>,
-        (first, rest): (&'s Transition, &'s [Transition]),
+        (first, rest): (&'s Transition<S>, &'s [Transition<S>]),
         r: &Range<usize>,
-    ) -> Side<'s> {
+    ) -> Side<'s, S> {
         let n = self.data.n_patterns();
         assert!(r.end <= n, "chunk range {r:?} outside the patterns");
         let k = self.categories();
         assert!(rest.is_empty() || rest.len() + 1 == k, "transitions for another category count");
         let (products, m) = (&first.products, first.m);
-        let side = Side { tip: false, masks: &[], vals: &[], scale: &[], m, products, rest, k };
+        let side = Side { tip: false, codes: &[], vals: &[], scale: &[], m, products, rest, k };
         match op {
             Operand::Tip(taxon) => {
-                Side { tip: true, masks: &self.data.masks(taxon)[r.clone()], ..side }
+                Side { tip: true, codes: &self.data.codes(taxon)[r.clone()], ..side }
             }
             Operand::Clv(clv) => {
-                let width = k * STATES;
+                let width = k * S;
                 assert_eq!(clv.vals.len(), clv.n_patterns() * width, "a CLV of another width");
                 let base = first_held(clv.n_patterns(), n, r, "a CLV");
                 let (lo, hi) = (r.start - base, r.end - base);
@@ -691,22 +708,23 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         }
     }
 
-    /// The tip masks `op` holds over `range`, as a bit set (none for a CLV).
+    /// The tip codes `op` holds over `range`, as a bit set (none for a
+    /// CLV).
     fn held(&self, op: Operand<&Clv>, range: &Range<usize>) -> u32 {
         let Operand::Tip(taxon) = op else { return 0 };
         // A range outside the patterns is `side`'s to refuse.
-        let masks = self.data.masks(taxon).get(range.clone()).unwrap_or_default();
-        masks.iter().fold(0, |held, x| held | 1 << (x.0 & 0xF))
+        let codes = self.data.codes(taxon).get(range.clone()).unwrap_or_default();
+        codes.iter().fold(0, |held, &code| held | 1 << (usize::from(code) % CODES))
     }
 
     /// `P(r_c t)` of every rate category `c`, with every tip product, for
     /// any chunk.
-    pub fn transition(&self, t: f64) -> PerCategory<Transition> {
-        self.transition_holding(t, Transition::ALL)
+    pub fn transition(&self, t: f64) -> PerCategory<Transition<S>> {
+        self.transition_holding(t, Transition::<S>::all())
     }
 
-    /// [`Self::transition`] with the products of only the masks `held`.
-    fn transition_holding(&self, t: f64, held: u32) -> PerCategory<Transition> {
+    /// [`Self::transition`] with the products of only the codes `held`.
+    fn transition_holding(&self, t: f64, held: u32) -> PerCategory<Transition<S>> {
         let rates = self.model.rates();
         let p = |c: usize| Transition::new(self.model.prob_matrix(rates[c] * t), held);
         PerCategory { first: p(0), rest: (1..rates.len()).map(p).collect() }
@@ -714,12 +732,12 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
 
     /// The eigen basis of an [`EdgeTable`], `[(πL)ᵀ, R]`, with every tip
     /// product; every rate category shares it.
-    pub fn eigen_basis(&self) -> [Transition; 2] {
-        self.basis([Transition::ALL; 2])
+    pub fn eigen_basis(&self) -> [Transition<S>; 2] {
+        self.basis([Transition::<S>::all(); 2])
     }
 
-    /// The eigen basis with the products of the masks `held` at each end.
-    fn basis(&self, held: [u32; 2]) -> [Transition; 2] {
+    /// The eigen basis with the products of the codes `held` at each end.
+    fn basis(&self, held: [u32; 2]) -> [Transition<S>; 2] {
         let Spectrum { left, right, .. } = self.model.spectrum();
         let pi = self.model.base_freqs();
         // `(πL)ᵀ`, so both halves of a pattern's sums are one `matvec`.
@@ -729,12 +747,12 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
 
     /// Newton's factors at length `t`, per rate category `c`:
     /// `[exp(λr_c t), λr_c·exp(λr_c t), (λr_c)²·exp(λr_c t)]`.
-    pub fn newton_factors(&self, t: f64) -> PerCategory<[[f64; STATES]; 3]> {
+    pub fn newton_factors(&self, t: f64) -> PerCategory<[[f64; S]; 3]> {
         let (lam, rates) = (self.model.spectrum().eigenvalues, self.model.rates());
         let factors = |c: usize| {
             let lam = lam.map(|lam| lam * rates[c]);
             let e = lam.map(|lam| (lam * t).exp());
-            let de: [f64; STATES] = std::array::from_fn(|k| lam[k] * e[k]);
+            let de: [f64; S] = std::array::from_fn(|k| lam[k] * e[k]);
             [e, de, std::array::from_fn(|k| lam[k] * de[k])]
         };
         PerCategory { first: factors(0), rest: (1..rates.len()).map(factors).collect() }
@@ -749,7 +767,7 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     /// [`Self::newview`] of any two operands.
     fn newview_of(&self, left: Operand<&Clv>, t_l: f64, right: Operand<&Clv>, t_r: f64) -> Clv {
         let n = self.data.n_patterns();
-        let mut out = Clv { vals: vec![0.0; n * self.categories() * STATES], scale: vec![0; n] };
+        let mut out = Clv { vals: vec![0.0; n * self.categories() * S], scale: vec![0; n] };
         self.newview_range_into(left, t_l, right, t_r, 0..n, &mut out);
         out
     }
@@ -781,14 +799,14 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     pub fn newview_range_with<'c>(
         &self,
         left: impl Into<Operand<&'c Clv>>,
-        p_left: &PerCategory<Transition>,
+        p_left: &PerCategory<Transition<S>>,
         right: impl Into<Operand<&'c Clv>>,
-        p_right: &PerCategory<Transition>,
+        p_right: &PerCategory<Transition<S>>,
         range: Range<usize>,
         out: &mut Clv,
     ) {
         assert_eq!(out.n_patterns(), range.len(), "chunk output CLV size mismatch");
-        out.vals.resize(range.len() * self.categories() * STATES, 0.0);
+        out.vals.resize(range.len() * self.categories() * S, 0.0);
         let l = self.side(left.into(), (&p_left.first, &p_left.rest), &range);
         let r = self.side(right.into(), (&p_right.first, &p_right.rest), &range);
         per_pairing!(l, r, prune(&l, &r, out));
@@ -825,7 +843,7 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         &self,
         u: impl Into<Operand<&'c Clv>>,
         v: impl Into<Operand<&'c Clv>>,
-        p: &PerCategory<Transition>,
+        p: &PerCategory<Transition<S>>,
         range: Range<usize>,
     ) -> f64 {
         let pi = self.model.base_freqs();
@@ -843,7 +861,7 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         v: impl Into<Operand<&'c Clv>>,
     ) -> EdgeTable {
         let n = self.data.n_patterns();
-        let mut table = EdgeTable { sums: vec![0.0; n * self.categories() * STATES], patterns: n };
+        let mut table = EdgeTable { sums: vec![0.0; n * self.categories() * S], patterns: n };
         self.edge_table_range(u, v, 0..n, &mut table);
         table
     }
@@ -875,12 +893,12 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
         &self,
         u: impl Into<Operand<&'c Clv>>,
         v: impl Into<Operand<&'c Clv>>,
-        basis: &[Transition; 2],
+        basis: &[Transition<S>; 2],
         range: Range<usize>,
         out: &mut EdgeTable,
     ) {
         assert_eq!(out.n_patterns(), range.len(), "edge table size mismatch");
-        out.sums.resize(range.len() * self.categories() * STATES, 0.0);
+        out.sums.resize(range.len() * self.categories() * S, 0.0);
         let u = self.side(u.into(), (&basis[0], &[]), &range);
         let v = self.side(v.into(), (&basis[1], &[]), &range);
         per_pairing!(u, v, eigen_rows(&u, &v, &mut out.sums));
@@ -901,17 +919,17 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
     pub fn table_derivatives_with(
         &self,
         table: &EdgeTable,
-        factors: &PerCategory<[[f64; STATES]; 3]>,
+        factors: &PerCategory<[[f64; S]; 3]>,
         range: Range<usize>,
     ) -> (f64, f64) {
         let (n, k) = (self.data.n_patterns(), self.categories());
-        let width = k * STATES;
+        let width = k * S;
         assert_eq!(table.sums.len(), table.patterns * width, "a table of another width");
         assert_eq!(factors.rest.len() + 1, k, "factors of another category count");
         let base = first_held(table.n_patterns(), n, &range, "edge table");
         let sums = &table.sums[(range.start - base) * width..(range.end - base) * width];
         let w = &self.data.weights()[range];
-        let sum = if k == 1 { derivatives::<true> } else { derivatives::<false> };
+        let sum = if k == 1 { derivatives::<S, true> } else { derivatives::<S, false> };
         sum(sums, factors, w)
     }
 
@@ -960,7 +978,7 @@ impl<'a, M: SubstModel> LikelihoodEngine<'a, M> {
 
 /// The direct engine's kernels on the calling thread, over [`Operand`]s. It
 /// keeps no state, so a shared borrow is the provider.
-impl<M: SubstModel> Kernels for &LikelihoodEngine<'_, M> {
+impl<M: SubstModel<S>, const S: usize> Kernels for &LikelihoodEngine<'_, M, S> {
     type Clv = Operand<Clv>;
 
     fn tip(&mut self, taxon: usize) -> Operand<Clv> {
@@ -982,11 +1000,22 @@ impl<M: SubstModel> Kernels for &LikelihoodEngine<'_, M> {
 
 /// The three-matrix derivative loop `makenewz` ran before edge tables:
 /// `P(t)`, `P′(t)` and `P″(t)` rebuilt at every step and three 4×4
-/// mat-vecs per pattern. Kept as the oracle [`EdgeTable`] derivatives are
-/// checked against.
+/// mat-vecs per pattern, kept as the oracle [`EdgeTable`] derivatives are
+/// checked against; and the golden-section edge optimizer the +Γ and
+/// protein engines ran before the one body gave them Newton steps, kept
+/// for their oracles (`mixture::classic`, `protein::classic`).
 #[cfg(test)]
-mod classic {
+pub(crate) mod classic {
     use super::*;
+
+    /// Derivative-free branch-length optimization: the golden-section
+    /// maximum of `lnl_at` over the legal interval, bracketed from the
+    /// current length `t0`.
+    pub fn golden_section_branch(t0: f64, lnl_at: impl FnMut(f64) -> f64) -> f64 {
+        let hi = MAX_BRANCH.min((t0 * 32.0).max(1.0));
+        let narrow = |lo: f64, hi: f64| (hi - lo) < 1e-7 * hi.max(1e-3);
+        golden_section_max(Tree::MIN_BRANCH, hi, 64, narrow, lnl_at)
+    }
 
     /// `(d1, d2)` of the edge between `u` and `v` at `t`, over `range`.
     pub fn lnl_derivatives_range<'c, M: SubstModel>(
@@ -1013,8 +1042,8 @@ mod classic {
         let mut d1 = 0.0;
         let mut d2 = 0.0;
         for j in 0..w.len() {
-            let lu = four(&uv[j * STATES..(j + 1) * STATES]);
-            let lv = four(&vv[j * STATES..(j + 1) * STATES]);
+            let lu = vector::<STATES>(&uv[j * STATES..(j + 1) * STATES]);
+            let lv = vector::<STATES>(&vv[j * STATES..(j + 1) * STATES]);
             let s = matvec(&p, lv);
             let ds = matvec(&d1m, lv);
             let dds = matvec(&d2m, lv);
@@ -1049,6 +1078,7 @@ mod classic {
 mod tests {
     use super::*;
     use crate::alignment::Alignment;
+    use crate::dna::StateMask;
     use crate::model::{Gtr, Jc69, ScaledModel, K80};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
@@ -1108,14 +1138,14 @@ mod tests {
                         (false, true) => {
                             let sa = state_of(a, 0);
                             (0..STATES)
-                                .filter(|&s| data.mask(b, pat).allows(s))
+                                .filter(|&s| StateMask(data.code(b, pat)).allows(s))
                                 .map(|s| m[sa][s])
                                 .sum()
                         }
                         (true, false) => {
                             let sb = state_of(b, 0);
                             (0..STATES)
-                                .filter(|&s| data.mask(a, pat).allows(s))
+                                .filter(|&s| StateMask(data.code(a, pat)).allows(s))
                                 .map(|s| m[s][sb])
                                 .sum()
                         }

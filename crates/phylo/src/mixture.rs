@@ -17,7 +17,6 @@
 use crate::alignment::PatternAlignment;
 use crate::likelihood::{golden_section_max, LikelihoodEngine};
 use crate::model::{Matrix, Spectrum, SubstModel};
-use crate::dna::STATES;
 use crate::special::discrete_gamma_rates;
 use crate::tree::Tree;
 
@@ -29,7 +28,7 @@ pub struct Gamma<M> {
     rates: Vec<f64>,
 }
 
-impl<M: SubstModel> Gamma<M> {
+impl<M> Gamma<M> {
     /// `model` with `categories` discrete-Γ categories of shape `alpha`.
     ///
     /// # Panics
@@ -40,14 +39,14 @@ impl<M: SubstModel> Gamma<M> {
 }
 
 /// The wrapped model at rate 1, with the categories' rates.
-impl<M: SubstModel> SubstModel for Gamma<M> {
-    fn prob_matrix(&self, t: f64) -> Matrix {
+impl<M: SubstModel<S>, const S: usize> SubstModel<S> for Gamma<M> {
+    fn prob_matrix(&self, t: f64) -> Matrix<S> {
         self.model.prob_matrix(t)
     }
-    fn spectrum(&self) -> Spectrum {
+    fn spectrum(&self) -> Spectrum<S> {
         self.model.spectrum()
     }
-    fn base_freqs(&self) -> [f64; STATES] {
+    fn base_freqs(&self) -> [f64; S] {
         self.model.base_freqs()
     }
     fn rates(&self) -> &[f64] {
@@ -61,9 +60,9 @@ impl<M: SubstModel> SubstModel for Gamma<M> {
 ///
 /// # Panics
 /// Panics unless `0 < lo < hi` and `categories >= 1`.
-pub fn estimate_alpha<M: SubstModel>(
+pub fn estimate_alpha<M: SubstModel<S>, const S: usize>(
     model: &M,
-    data: &PatternAlignment,
+    data: &PatternAlignment<S>,
     tree: &Tree,
     categories: usize,
     lo: f64,
@@ -87,7 +86,8 @@ pub fn estimate_alpha<M: SubstModel>(
 pub(crate) mod classic {
     use crate::alignment::PatternAlignment;
     use crate::dna::STATES;
-    use crate::likelihood::{golden_section_branch, log_scale, Clv, LikelihoodEngine};
+    use crate::likelihood::classic::golden_section_branch;
+    use crate::likelihood::{log_scale, Clv, LikelihoodEngine};
     use crate::model::{ScaledModel, SubstModel};
     use crate::special::discrete_gamma_rates;
     use crate::traversal::{self, Kernels};
@@ -223,6 +223,7 @@ mod tests {
     use super::classic::{site_terms, GammaEngine};
     use super::*;
     use crate::alignment::Alignment;
+    use crate::dna::StateMask;
     use crate::model::{Gtr, Jc69, ScaledModel};
     use crate::tree::EdgeId;
     use proptest::prelude::*;
@@ -334,10 +335,10 @@ mod tests {
                 let name = format!("t{t}");
                 let mut seq = String::new();
                 for s in 0..150 {
-                    seq.push(fast.mask(t, s).to_char());
+                    seq.push(StateMask(fast.code(t, s)).to_char());
                 }
                 for s in 0..150 {
-                    seq.push(slow.mask(t, s).to_char());
+                    seq.push(StateMask(slow.code(t, s)).to_char());
                 }
                 (name, seq)
             })
@@ -421,10 +422,10 @@ mod tests {
             .map(|t| {
                 let mut seq = String::new();
                 for s in 0..120 {
-                    seq.push(fast.mask(t, s).to_char());
+                    seq.push(StateMask(fast.code(t, s)).to_char());
                 }
                 for s in 0..120 {
-                    seq.push(slow.mask(t, s).to_char());
+                    seq.push(StateMask(slow.code(t, s)).to_char());
                 }
                 (format!("t{t}"), seq)
             })

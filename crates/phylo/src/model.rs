@@ -1,22 +1,23 @@
-//! Nucleotide substitution models.
+//! Substitution models over `S` states, nucleotide (`S = 4`) by default.
 //!
 //! A model supplies the transition-probability matrix `P(t)` over a branch
 //! of length `t` (expected substitutions per site), its [`Spectrum`] — the
 //! eigen-decomposition `P(t) = L · diag(exp(λ t)) · R` in which the
 //! Newton–Raphson branch-length optimizer `makenewz` takes its derivatives
-//! — and the equilibrium base frequencies.
+//! — and the equilibrium frequencies.
 //!
-//! Two classic closed-form models are provided: Jukes–Cantor (JC69) and
-//! Kimura two-parameter (K80). Both are normalized so that branch lengths
-//! measure expected substitutions per site.
+//! The nucleotide models here are Jukes–Cantor (JC69), Kimura
+//! two-parameter (K80) and GTR; the 20-state Poisson model is
+//! `protein::PoissonAa`. All are normalized so that branch lengths measure
+//! expected substitutions per site.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math in dense kernels
 
 use crate::dna::STATES;
 use crate::linalg::{sym_eigen, SymEigen};
 
-/// A 4×4 matrix over nucleotide states.
-pub type Matrix = [[f64; STATES]; STATES];
+/// An `S`×`S` matrix over states, 4×4 nucleotide by default.
+pub type Matrix<const S: usize = STATES> = [[f64; S]; S];
 
 /// The eigen-decomposition of a reversible model's `P(t)`:
 /// `P(t)[x][y] = Σ_k left[x][k] · exp(λ_k t) · right[k][y]`. Only the
@@ -24,22 +25,22 @@ pub type Matrix = [[f64; STATES]; STATES];
 /// pair into this basis once and each Newton step is a dot product per
 /// pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Spectrum {
+pub struct Spectrum<const S: usize = STATES> {
     /// The eigenvalues `λ` of the rate matrix (all ≤ 0).
-    pub eigenvalues: [f64; STATES],
+    pub eigenvalues: [f64; S],
     /// `L`: the left factor, one eigenvector per column.
-    pub left: Matrix,
+    pub left: Matrix<S>,
     /// `R`: the right factor, one eigenvector per row.
-    pub right: Matrix,
+    pub right: Matrix<S>,
 }
 
-impl Spectrum {
+impl<const S: usize> Spectrum<S> {
     /// `L · diag(f) · R`: `P(t)` for `f = exp(λ t)`, `P′(t)` for
     /// `f = λ·exp(λ t)`, `P″(t)` for `f = λ²·exp(λ t)`.
-    pub(crate) fn matrix(&self, f: [f64; STATES]) -> Matrix {
-        let mut out = [[0.0; STATES]; STATES];
-        for i in 0..STATES {
-            for j in 0..STATES {
+    pub(crate) fn matrix(&self, f: [f64; S]) -> Matrix<S> {
+        let mut out = [[0.0; S]; S];
+        for i in 0..S {
+            for j in 0..S {
                 let mut sum = 0.0;
                 for (k, &f) in f.iter().enumerate() {
                     sum += self.left[i][k] * f * self.right[k][j];
@@ -51,7 +52,7 @@ impl Spectrum {
     }
 
     /// `exp(λ_k t)` for every eigenvalue.
-    pub(crate) fn exps(&self, t: f64) -> [f64; STATES] {
+    pub(crate) fn exps(&self, t: f64) -> [f64; S] {
         self.eigenvalues.map(|lam| (lam * t).exp())
     }
 }
@@ -66,17 +67,18 @@ const HADAMARD: Matrix = [
     [0.5, -0.5, -0.5, 0.5],
 ];
 
-/// A time-reversible nucleotide substitution model.
-pub trait SubstModel: Send + Sync {
+/// A time-reversible substitution model over `S` states, nucleotide by
+/// default.
+pub trait SubstModel<const S: usize = STATES>: Send + Sync {
     /// Transition probabilities `P(t)[x][y] = Pr(y at end | x at start)`.
-    fn prob_matrix(&self, t: f64) -> Matrix;
+    fn prob_matrix(&self, t: f64) -> Matrix<S>;
 
     /// The eigen-decomposition of `P(t)`; reconstructs [`Self::prob_matrix`]
     /// up to rounding.
-    fn spectrum(&self) -> Spectrum;
+    fn spectrum(&self) -> Spectrum<S>;
 
-    /// Equilibrium base frequencies π.
-    fn base_freqs(&self) -> [f64; STATES];
+    /// Equilibrium state frequencies π.
+    fn base_freqs(&self) -> [f64; S];
 
     /// The rates of the model's equally weighted rate categories: a site's
     /// likelihood averages the categories', each with every branch length
@@ -86,14 +88,14 @@ pub trait SubstModel: Send + Sync {
     }
 }
 
-impl<M: SubstModel + ?Sized> SubstModel for &M {
-    fn prob_matrix(&self, t: f64) -> Matrix {
+impl<M: SubstModel<S> + ?Sized, const S: usize> SubstModel<S> for &M {
+    fn prob_matrix(&self, t: f64) -> Matrix<S> {
         (**self).prob_matrix(t)
     }
-    fn spectrum(&self) -> Spectrum {
+    fn spectrum(&self) -> Spectrum<S> {
         (**self).spectrum()
     }
-    fn base_freqs(&self) -> [f64; STATES] {
+    fn base_freqs(&self) -> [f64; S] {
         (**self).base_freqs()
     }
     fn rates(&self) -> &[f64] {

@@ -30,8 +30,8 @@ pub trait ScoringEngine {
 }
 
 /// Every engine whose shared borrow is a [`Kernels`] provider — the direct
-/// DNA engine (single-rate or +Γ) and the protein engine — scores through
-/// the one traversal.
+/// engine under any model, DNA or protein, single-rate or +Γ — scores
+/// through the one traversal.
 impl<E> ScoringEngine for E
 where
     for<'e> &'e E: Kernels,
@@ -88,9 +88,9 @@ pub struct SearchResult {
 
 /// Run one randomized hill-climbing search over `data` under `model`,
 /// deterministic in `seed`.
-pub fn hill_climb<M: SubstModel>(
+pub fn hill_climb<M: SubstModel<S>, const S: usize>(
     model: &M,
-    data: &PatternAlignment,
+    data: &PatternAlignment<S>,
     cfg: &SearchConfig,
     seed: u64,
 ) -> SearchResult {
@@ -227,9 +227,9 @@ fn climb<E: ScoringEngine>(
 }
 
 /// SPR hill climbing with the default (direct) likelihood engine.
-pub fn spr_hill_climb<M: SubstModel>(
+pub fn spr_hill_climb<M: SubstModel<S>, const S: usize>(
     model: &M,
-    data: &PatternAlignment,
+    data: &PatternAlignment<S>,
     cfg: &SearchConfig,
     radius: usize,
     seed: u64,

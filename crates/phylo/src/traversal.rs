@@ -5,10 +5,10 @@
 //! supplies — the kernels over its own CLV type — and the functions here
 //! are that walk: the post-order recursion, the score at an edge, and
 //! [`BranchPasses`], the every-edge optimization pass and the convergence
-//! loop around it as a cursor any driver can resume. The direct DNA
-//! engine (single-rate or +Γ), the protein engine and each chunk of the
-//! workspace's off-loaded search requests all run through them, so the
-//! floating-point order of a tree evaluation is decided in this file only.
+//! loop around it as a cursor any caller can resume. The direct engine
+//! (DNA or protein, single-rate or +Γ) and each chunk of the workspace's
+//! off-loaded search requests all run through them, so the floating-point
+//! order of a tree evaluation is decided in this file only.
 
 use crate::tree::{EdgeId, Tree};
 
@@ -16,9 +16,9 @@ use crate::tree::{EdgeId, Tree};
 /// representation.
 ///
 /// An operand is whatever the engine hands from one kernel to the next. A
-/// tip need not be a buffer: the DNA engines' operand is a tip by taxon or
-/// a computed CLV (`likelihood::Operand`), and their kernels read a tip
-/// straight from the alignment. The kernels consume their operands: a
+/// tip need not be a buffer: the likelihood engine's operand is a tip by
+/// taxon or a computed CLV (`likelihood::Operand`), and its kernels read a
+/// tip straight from the alignment. The kernels consume their operands: a
 /// child is dead once its parent exists, and an edge's pair is dead once
 /// the edge is scored or optimized — which is where an engine that
 /// recycles CLV storage takes it back. Methods take `&mut self` because a

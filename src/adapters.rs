@@ -83,23 +83,23 @@ fn lock<T>(shared: &Mutex<T>) -> MutexGuard<'_, T> {
 /// walks the tree with. A tip stays a tip, which the kernels read from
 /// the alignment. A `newview` goes into a range-sized piece from the
 /// chunk's stash, and its children's pieces go back to the stash at once.
-struct Ranged<'a, 'e, M: SubstModel> {
-    engine: &'e LikelihoodEngine<'e, M>,
+struct Ranged<'a, 'e, M, const S: usize> {
+    engine: &'e LikelihoodEngine<'e, M, S>,
     range: Range<usize>,
     stash: Stash<'a>,
-    walk: &'a Walk,
+    walk: &'a Walk<S>,
 }
 
-impl<M: SubstModel> Ranged<'_, '_, M> {
+impl<M: SubstModel<S>, const S: usize> Ranged<'_, '_, M, S> {
     /// The walk's transition of a branch of length `t`.
-    fn p(&self, t: f64) -> &PerCategory<Transition> {
+    fn p(&self, t: f64) -> &PerCategory<Transition<S>> {
         let tree = &self.walk.tree;
         let e = tree.edge_ids().position(|e| tree.length(e).to_bits() == t.to_bits());
         &self.walk.transitions[e.expect("every length the walk reads is an edge's")]
     }
 }
 
-impl<M: SubstModel> Kernels for Ranged<'_, '_, M> {
+impl<M: SubstModel<S>, const S: usize> Kernels for Ranged<'_, '_, M, S> {
     type Clv = Operand<Clv>;
 
     fn tip(&mut self, taxon: usize) -> Operand<Clv> {
@@ -131,7 +131,7 @@ impl<M: SubstModel> Kernels for Ranged<'_, '_, M> {
 
 /// Where a request stands between rounds: written only by
 /// [`LoopBody::again`], read by every chunk of a round.
-struct Walk {
+struct Walk<const S: usize> {
     /// The request's own tree: the topology and the task's branch-length
     /// table, a length written once its edge's Newton iteration stops.
     tree: Tree,
@@ -139,16 +139,17 @@ struct Walk {
     /// The iteration on the edge being optimized.
     newton: Newton,
     /// Its [`LikelihoodEngine::newton_factors`] at the length it asks for.
-    factors: PerCategory<[[f64; STATES]; 3]>,
+    factors: PerCategory<[[f64; S]; 3]>,
     /// [`LikelihoodEngine::transition`] of every edge's length, by id.
-    transitions: Vec<PerCategory<Transition>>,
+    transitions: Vec<PerCategory<Transition<S>>>,
     /// Kernel invocations of the steps finished so far.
     kernels: u64,
 }
 
 /// A search request as an off-loadable work-sharing body: the steps of
 /// [`BranchPasses`] on the request's own tree, one round per score and
-/// one per Newton step. Alignment columns are independent across the
+/// one per Newton step, under any model over `S` states (DNA by default,
+/// protein at 20). Alignment columns are independent across the
 /// whole walk, so a chunk runs every kernel of a step on its own pattern
 /// range, into range-sized pieces, and only the step's sums are reduced
 /// across chunks.
@@ -171,27 +172,27 @@ struct Walk {
 /// and a child piece is recycled as soon as its parent exists, so a chunk
 /// holds at most about a tree depth of them — two at four taxa — and a
 /// warm request allocates nothing.
-pub struct TraversalBody<M> {
+pub struct TraversalBody<M, const S: usize = STATES> {
     model: M,
-    data: Arc<PatternAlignment>,
+    data: Arc<PatternAlignment<S>>,
     arena: Arc<Mutex<ClvArena>>,
     /// [`LikelihoodEngine::eigen_basis`].
-    basis: [Transition; 2],
+    basis: [Transition<S>; 2],
     /// `newview`s orienting the tree toward any one edge: one per
     /// internal node.
     newviews: u64,
-    walk: RwLock<Walk>,
+    walk: RwLock<Walk<S>>,
     /// Each chunk's piece of the table of the edge being optimized.
     tables: Mutex<Vec<(usize, EdgeTable)>>,
 }
 
-impl<M: SubstModel> TraversalBody<M> {
+impl<M: SubstModel<S>, const S: usize> TraversalBody<M, S> {
     /// The request to optimize the branch lengths of `tree` on `data`, as
     /// [`BranchPasses::new`]`(max_passes, epsilon)` schedules it; with no
     /// passes, to score it. Pieces come from and go back to `arena`.
     pub fn new(
         model: M,
-        data: Arc<PatternAlignment>,
+        data: Arc<PatternAlignment<S>>,
         arena: Arc<Mutex<ClvArena>>,
         tree: Tree,
         max_passes: usize,
@@ -219,7 +220,7 @@ impl<M: SubstModel> TraversalBody<M> {
         }
     }
 
-    fn walk(&self) -> RwLockReadGuard<'_, Walk> {
+    fn walk(&self) -> RwLockReadGuard<'_, Walk<S>> {
         self.walk.read().expect("no thread panics while holding the walk")
     }
 
@@ -248,7 +249,7 @@ impl<M: SubstModel> TraversalBody<M> {
     }
 }
 
-impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
+impl<M: SubstModel<S> + Clone + 'static, const S: usize> LoopBody for TraversalBody<M, S> {
     /// A round's sums over a chunk's range: `(lnL, 0)` of a score, `(d1,
     /// d2)` of a Newton step. Merged after the last round, `(lnL, 0)` of
     /// the whole request.
@@ -350,10 +351,10 @@ impl<M: SubstModel + Clone + 'static> LoopBody for TraversalBody<M> {
 /// A [`ScoringEngine`] that off-loads each search request through a
 /// worker process's [`ProcessCtx`] — the Rust analogue of an MPI process
 /// whose `newview`/`evaluate`/`makenewz` run on SPEs.
-pub struct OffloadedEngine<'a, 'rt, M> {
+pub struct OffloadedEngine<'a, 'rt, M, const S: usize = STATES> {
     ctx: &'a mut ProcessCtx<'rt>,
     model: M,
-    data: Arc<PatternAlignment>,
+    data: Arc<PatternAlignment<S>>,
     offloads: u64,
     shipped: u64,
     /// Per-worker-process CLV and edge-table recycler, shared with the
@@ -362,9 +363,9 @@ pub struct OffloadedEngine<'a, 'rt, M> {
     arena: Arc<Mutex<ClvArena>>,
 }
 
-impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
+impl<'a, 'rt, M: SubstModel<S> + Clone + 'static, const S: usize> OffloadedEngine<'a, 'rt, M, S> {
     /// Bind a worker process to `model` and `data`.
-    pub fn new(ctx: &'a mut ProcessCtx<'rt>, model: M, data: Arc<PatternAlignment>) -> Self {
+    pub fn new(ctx: &'a mut ProcessCtx<'rt>, model: M, data: Arc<PatternAlignment<S>>) -> Self {
         OffloadedEngine {
             ctx,
             model,
@@ -411,7 +412,7 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
         tree: &Tree,
         max_passes: usize,
         epsilon: f64,
-    ) -> (f64, Arc<TraversalBody<M>>) {
+    ) -> (f64, Arc<TraversalBody<M, S>>) {
         let body = Arc::new(TraversalBody::new(
             self.model.clone(),
             Arc::clone(&self.data),
@@ -430,7 +431,9 @@ impl<'a, 'rt, M: SubstModel + Clone + 'static> OffloadedEngine<'a, 'rt, M> {
     }
 }
 
-impl<M: SubstModel + Clone + 'static> ScoringEngine for OffloadedEngine<'_, '_, M> {
+impl<M: SubstModel<S> + Clone + 'static, const S: usize> ScoringEngine
+    for OffloadedEngine<'_, '_, M, S>
+{
     fn score(&mut self, tree: &Tree) -> f64 {
         self.log_likelihood(tree)
     }

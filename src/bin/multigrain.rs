@@ -415,7 +415,8 @@ fn scheduler_of(opts: &Opts) -> Result<SchedulerKind, CliError> {
     })
 }
 
-fn load_alignment(opts: &Opts) -> Result<Alignment, CliError> {
+/// `--input` as an alignment over `S` states, FASTA or PHYLIP.
+fn load_alignment<const S: usize>(opts: &Opts) -> Result<Alignment<S>, CliError> {
     let path = opts.get("input").ok_or_else(|| CliError::usage("--input is required"))?;
     let text =
         std::fs::read_to_string(path).map_err(|e| CliError::io(format!("{path}: {e}")))?;
@@ -1231,10 +1232,8 @@ fn infer_with<M: SubstModel + Clone + 'static>(model: M, opts: &Opts) -> Result<
 }
 
 fn infer_protein(opts: &Opts) -> Result<(), CliError> {
-    let path = opts.get("input").ok_or_else(|| CliError::usage("--input is required"))?;
-    let text =
-        std::fs::read_to_string(path).map_err(|e| CliError::io(format!("{path}: {e}")))?;
-    let data = ProteinData::from_fasta(&text).map_err(|e| format!("{path}: {e}"))?;
+    let aln = load_alignment::<AA_STATES>(opts)?;
+    let data = PatternAlignment::compress(&aln);
     let seed = seed(opts, 42u64)?;
     println!(
         "protein alignment: {} taxa x {} sites ({} patterns)",
@@ -1242,11 +1241,9 @@ fn infer_protein(opts: &Opts) -> Result<(), CliError> {
         data.n_sites(),
         data.n_patterns()
     );
-    let mut engine = ProteinEngine::new(PoissonAa, &data);
-    let cfg = SearchConfig::default();
-    let r = hill_climb_with(&mut engine, data.n_taxa(), &cfg, seed);
+    let r = hill_climb(&PoissonAa, &data, &SearchConfig::default(), seed);
     println!("best tree lnL      {:.4}", r.lnl);
-    println!("{}", r.tree.to_newick(data.taxa()));
+    println!("{}", r.tree.to_newick(aln.taxa()));
     Ok(())
 }
 

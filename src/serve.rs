@@ -1108,9 +1108,12 @@ fn execute_job(
                 let n = 16 + (spec.sites + (lcg.next() as usize % 17).min(spec.sites)) / 8;
                 // Per-element rounds scale with the alignment width too,
                 // so job cost tracks the spec the way a real likelihood
-                // kernel would: a max-spec job runs for tens of
-                // milliseconds (a drainable backlog is observable), a
-                // small one stays sub-millisecond.
+                // kernel would: a max-spec replicate (256 taxa, 8 192
+                // sites: ≈ 1 040 elements × 134 k rounds) spins ≈ 0.26 s
+                // of one core in a release build, ≈ 2 s in a debug one,
+                // so a 16-replicate job runs for seconds (a drainable
+                // backlog is observable); a small one stays
+                // sub-millisecond.
                 let rounds = (16 + spec.taxa as u32 * 4) * (1 + spec.sites as u32 / 64);
                 (n, rounds)
             })

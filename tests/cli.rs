@@ -267,6 +267,19 @@ fn infer_protein_runs() {
 }
 
 #[test]
+fn infer_protein_refuses_a_duplicate_taxon() {
+    let dir = std::env::temp_dir().join(format!("mg-cli-prot-dup-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fasta = dir.join("dup.fasta");
+    std::fs::write(&fasta, ">a\nARND\n>b\nARNE\n>a\nARNK\n").unwrap();
+    let (stdout, stderr, code) = run_cli_code(&["infer-protein", "--input", fasta.to_str().unwrap()]);
+    assert_ne!(code, 0, "stdout: {stdout}");
+    assert!(stderr.contains("duplicate taxon a"), "{stderr}");
+    assert!(!stdout.contains("best tree"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn missing_input_is_a_clean_error() {
     let (_, stderr, ok) = run_cli(&["infer"]);
     assert!(!ok);

@@ -184,7 +184,7 @@ proptest! {
                 let name = base.taxa()[t].clone();
                 let seq: String = (0..base.n_sites())
                     .flat_map(|s| {
-                        let ch = base.mask(t, s).to_char();
+                        let ch = StateMask(base.code(t, s)).to_char();
                         [ch, ch]
                     })
                     .collect();

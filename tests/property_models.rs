@@ -170,8 +170,9 @@ fn category_terms(gamma: &Gamma<Jc69>, u: &Clv, v: &Clv, t: f64, i: usize) -> Ve
 }
 
 proptest! {
-    /// Protein likelihood is invariant to pattern order and to which tips
-    /// carry ambiguity; Poisson probabilities stay stochastic.
+    /// The one engine's protein likelihood is finite and the same at every
+    /// edge, whichever tips carry ambiguity; Poisson probabilities stay
+    /// stochastic.
     #[test]
     fn protein_engine_edge_invariance(seed in 0u64..60) {
         use rand::SeedableRng;
@@ -194,13 +195,16 @@ proptest! {
             .collect();
         let borrowed: Vec<(&str, &str)> =
             rows.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
-        let data = ProteinData::from_strings(&borrowed).unwrap();
+        let aln = Alignment::<AA_STATES>::from_strings(&borrowed).unwrap();
+        let data = PatternAlignment::compress(&aln);
         let tree = Tree::random(5, 0.2, &mut rng);
-        let engine = ProteinEngine::new(PoissonAa, &data);
+        let engine = LikelihoodEngine::new(&PoissonAa, &data);
         let lnl = engine.log_likelihood(&tree);
         prop_assert!(lnl.is_finite() && lnl < 0.0, "lnl {}", lnl);
-        // Longer branches can only blur signal on identical data... check
-        // stochasticity of the model instead:
+        for e in tree.edge_ids() {
+            let at = engine.log_likelihood_at(&tree, e);
+            prop_assert!((at - lnl).abs() < 1e-8, "edge {:?}: {} vs {}", e, at, lnl);
+        }
         for t in [0.0f64, 0.3, 3.0] {
             let (s, d) = PoissonAa.probs(t);
             prop_assert!((s + 19.0 * d - 1.0).abs() < 1e-12);
@@ -246,7 +250,7 @@ proptest! {
     /// mask and the gap, on any chunk range with the CLV sides full-width
     /// or the chunk's piece, `newview` (values and scaling exponents), the
     /// edge table and `evaluate` read the same bits from `Operand::Tip` as
-    /// from `tip_clv` — the 16-entry product table is a memo of the same
+    /// from `tip_clv` — the per-code product table is a memo of the same
     /// `matvec`, not a different sum.
     #[test]
     fn a_tip_operand_is_its_materialized_clv_to_the_bit(

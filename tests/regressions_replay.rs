@@ -142,10 +142,15 @@ fn replay_protein_engine() {
             .collect();
         let borrowed: Vec<(&str, &str)> =
             rows.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
-        let data = ProteinData::from_strings(&borrowed).unwrap();
+        let aln = Alignment::<AA_STATES>::from_strings(&borrowed).unwrap();
+        let data = PatternAlignment::compress(&aln);
         let tree = Tree::random(5, 0.2, &mut rng);
-        let engine = ProteinEngine::new(PoissonAa, &data);
+        let engine = LikelihoodEngine::new(&PoissonAa, &data);
         let lnl = engine.log_likelihood(&tree);
         assert!(lnl.is_finite() && lnl < 0.0, "seed {seed}: lnl {lnl}");
+        for e in tree.edge_ids() {
+            let at = engine.log_likelihood_at(&tree, e);
+            assert!((at - lnl).abs() < 1e-8, "seed {seed}, edge {e:?}: {at} vs {lnl}");
+        }
     }
 }

@@ -562,9 +562,12 @@ fn a_drain_whose_backlog_is_shed_rather_than_run_still_exits() {
     // One worker, busy with a heavy job when the interrupt lands; behind
     // it, jobs whose 1 ms deadline is long gone by the time the worker
     // looks again. That last look starts nothing — it only sheds — and
-    // the drain has to hear that the queue is empty from it.
+    // the drain has to hear that the queue is empty from it. The heavy job
+    // is one max-size replicate: about 2 s of one core in a debug build
+    // (0.26 s in release), far longer than the three submissions and the
+    // interrupt take, and far inside the limit.
     let (mut child, addr) = spawn_serve(&["--workers", "1", "--tasks", "1"]);
-    submit(&addr, "taxa=256&sites=8192&bootstraps=16");
+    submit(&addr, "taxa=256&sites=8192&bootstraps=1");
     for _ in 0..3 {
         submit(&addr, "taxa=8&sites=16&bootstraps=1&deadline_ms=1");
     }

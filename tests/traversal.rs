@@ -201,9 +201,10 @@ fn an_internal_node_without_exactly_two_children_is_refused_by_every_engine() {
     let gamma = Gamma::new(Jc69, 0.5, 4);
     let gamma = LikelihoodEngine::new(&gamma, &data);
     assert!(refused(&mut || drop(gamma.clv_toward(&tree, centre, outside))));
-    let aa = ProteinData::from_strings(&[("a", "AR"), ("b", "AR"), ("c", "AK")]).unwrap();
-    let protein = ProteinEngine::new(PoissonAa, &aa);
-    assert!(refused(&mut || drop(traversal::clv_toward(&mut &protein, &tree, centre, outside))));
+    let aa = Alignment::<AA_STATES>::from_strings(&[("a", "AR"), ("b", "AR"), ("c", "AK")]);
+    let aa = PatternAlignment::compress(&aa.unwrap());
+    let protein = LikelihoodEngine::new(&PoissonAa, &aa);
+    assert!(refused(&mut || drop(protein.clv_toward(&tree, centre, outside))));
 }
 
 #[test]

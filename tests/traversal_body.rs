@@ -36,7 +36,7 @@ fn request(
 
 /// One round of `body` over `ranges` as a team runs it: every chunk,
 /// partials merged in chunk order.
-fn round(body: &TraversalBody<Jc69>, ranges: &[Range<usize>]) -> (f64, f64) {
+fn round<B: LoopBody<Acc = (f64, f64)>>(body: &B, ranges: &[Range<usize>]) -> (f64, f64) {
     let mut ctx = SpeContext::new(SpeId(usize::MAX));
     ranges
         .iter()
@@ -48,8 +48,8 @@ fn round(body: &TraversalBody<Jc69>, ranges: &[Range<usize>]) -> (f64, f64) {
 /// Every round of `body` over `ranges`, calling `seen` before each with
 /// the step it runs and whether the request holds no table yet (before an
 /// edge's first round); the request's lnL.
-fn run_seeing(
-    body: &TraversalBody<Jc69>,
+fn run_seeing<M: SubstModel<S> + Clone + 'static, const S: usize>(
+    body: &TraversalBody<M, S>,
     ranges: &[Range<usize>],
     mut seen: impl FnMut(Step, bool),
 ) -> f64 {
@@ -63,7 +63,10 @@ fn run_seeing(
     }
 }
 
-fn run(body: &TraversalBody<Jc69>, ranges: &[Range<usize>]) -> f64 {
+fn run<M: SubstModel<S> + Clone + 'static, const S: usize>(
+    body: &TraversalBody<M, S>,
+    ranges: &[Range<usize>],
+) -> f64 {
     run_seeing(body, ranges, |_, _| {})
 }
 
@@ -78,12 +81,12 @@ fn partition(n: usize, cuts: &[f64]) -> Vec<Range<usize>> {
 
 /// The direct kernels, counted as the off-loading engine counts them:
 /// every `newview`, `evaluate` and Newton step.
-struct Census<'e> {
-    inner: &'e LikelihoodEngine<'e, Jc69>,
+struct Census<'e, M, const S: usize = 4> {
+    inner: &'e LikelihoodEngine<'e, M, S>,
     kernels: u64,
 }
 
-impl Kernels for Census<'_> {
+impl<M: SubstModel<S>, const S: usize> Kernels for Census<'_, M, S> {
     type Clv = Operand<Clv>;
 
     fn tip(&mut self, taxon: usize) -> Operand<Clv> {
@@ -207,6 +210,58 @@ proptest! {
         prop_assert_eq!(length_bits(&whole.tree()), length_bits(&want_tree));
         prop_assert_eq!(whole.kernels(), census.kernels);
         prop_assert_eq!(arena.lock().unwrap().outstanding(), (0, 0));
+    }
+}
+
+proptest! {
+    /// A protein request — the Poisson model's 20 states — is the direct
+    /// protein engine's over any partition: the lnL and every length within
+    /// 1e-9 after as many kernels, every piece back. Shipped through the
+    /// runtime it is one off-load counting those kernels.
+    #[test]
+    fn a_protein_request_over_any_partition_is_the_direct_engines(
+        seed in 0u64..u64::MAX,
+        taxa in 4usize..=8,
+        sites in 8usize..60,
+        max_passes in 0usize..=2,
+        cuts in prop::collection::vec(0.0f64..1.0, 0..6),
+    ) {
+        let aln = Alignment::<AA_STATES>::synthetic(taxa, sites, &PoissonAa, 0.3, seed ^ 0xA5A5);
+        let data = Arc::new(PatternAlignment::compress(&aln));
+        let direct = LikelihoodEngine::new(&PoissonAa, &*data);
+        let tree = Tree::random(taxa, 0.3, &mut SmallRng::seed_from_u64(seed));
+        let mut want = tree.clone();
+        let mut census = Census { inner: &direct, kernels: 0 };
+        let want_lnl = traversal::optimize_branches(&mut census, &mut want, max_passes, 1e-4);
+        let close = |got: f64, want: f64| (got - want).abs() < 1e-9 * (1.0 + want.abs());
+
+        let arena = Arc::new(Mutex::new(ClvArena::new()));
+        let (d, a) = (Arc::clone(&data), Arc::clone(&arena));
+        let body = TraversalBody::new(PoissonAa, d, a, tree.clone(), max_passes, 1e-4);
+        let lnl = run(&body, &partition(data.n_patterns(), &cuts));
+        prop_assert!(close(lnl, want_lnl), "{} vs {}", lnl, want_lnl);
+        let done = body.tree();
+        for e in tree.edge_ids() {
+            let (got, want) = (done.length(e), want.length(e));
+            prop_assert!((got - want).abs() < 1e-9, "branch {:?}: {} vs {}", e, got, want);
+        }
+        prop_assert_eq!(body.kernels(), census.kernels);
+        prop_assert!(body.tables().is_empty());
+        prop_assert_eq!(arena.lock().unwrap().outstanding(), (0, 0));
+
+        let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::StaticHybrid {
+            spes_per_loop: 4,
+        }));
+        let mut ctx = rt.enter_process();
+        let mut off = OffloadedEngine::new(&mut ctx, PoissonAa, Arc::clone(&data));
+        let mut got = tree.clone();
+        let lnl = ScoringEngine::optimize_branches(&mut off, &mut got, max_passes, 1e-4);
+        prop_assert!(close(lnl, want_lnl), "off-loaded {} vs {}", lnl, want_lnl);
+        for e in tree.edge_ids() {
+            let (got, want) = (got.length(e), want.length(e));
+            prop_assert!((got - want).abs() < 1e-9, "off-loaded {:?}: {} vs {}", e, got, want);
+        }
+        prop_assert_eq!((off.offloads(), off.shipped()), (census.kernels, 1));
     }
 }
 
