@@ -132,3 +132,87 @@ fn the_critical_path_of_a_50_000_task_chain_is_found_in_test_time() {
     assert_eq!(cp.blame.t_spe_ns, TASKS * EXEC_NS);
     assert_eq!(cp.blame.total(), cp.makespan_ns);
 }
+
+/// Recorded runs the anchors above never reach: a two-Cell blade (two PPE
+/// run queues under EDTLP and MGPS, four under Linux, 16 SPEs), and a
+/// faulted MGPS run that quarantines SPEs, re-admits them and completes
+/// tasks on the PPE fallback. Each row pins what the simulator's pricing
+/// and bookkeeping decide: digest, makespan, context switches and every
+/// bootstrap's finish time.
+struct Pin {
+    name: &'static str,
+    digest: &'static str,
+    makespan_ns: u64,
+    context_switches: u64,
+    proc_finish_ns: &'static [u64],
+}
+
+fn pinned_config(name: &str) -> SimConfig {
+    let (kind, bootstraps) = match name {
+        "blade2_linux" => (SchedulerKind::LinuxLike, 12),
+        "blade2_mgps" => (SchedulerKind::Mgps, 6),
+        "faulted_mgps" => (SchedulerKind::Mgps, 3),
+        other => panic!("no pinned configuration named {other}"),
+    };
+    let mut cfg = SimConfig::cell_42sc(kind, bootstraps, 2_000);
+    cfg.seed = 11;
+    cfg.record_events = true;
+    if name.starts_with("blade2") {
+        cfg.params = cellsim::params::CellParams::blade(2);
+    } else {
+        cfg.faults = mgps_runtime::faults::FaultPlan::parse("seed=7,stall=0.03,k=1,retries=1,readmit=6")
+            .expect("a valid fault spec");
+    }
+    cfg
+}
+
+/// Taken on the simulator before grants were priced from per-run tables
+/// and its counts were kept instead of rescanned.
+const PINS: [Pin; 3] = [
+    Pin {
+        name: "blade2_linux",
+        digest: "b9567a1598f2a1ce",
+        makespan_ns: 42_790_421,
+        context_switches: 164,
+        proc_finish_ns: &[
+            41_534_044, 41_814_480, 41_371_560, 41_912_555, 41_983_568, 42_155_830, 41_688_889,
+            42_248_784, 42_622_363, 42_497_657, 42_233_188, 42_790_421,
+        ],
+    },
+    Pin {
+        name: "blade2_mgps",
+        digest: "8b88b6d5ea7bfa4d",
+        makespan_ns: 11_216_973,
+        context_switches: 2,
+        proc_finish_ns: &[11_120_123, 11_216_973, 11_147_173, 11_175_024, 11_193_395, 11_163_198],
+    },
+    Pin {
+        name: "faulted_mgps",
+        digest: "aab382ad75473ca9",
+        makespan_ns: 15_299_600,
+        context_switches: 2,
+        proc_finish_ns: &[13_707_767, 15_238_912, 15_299_600],
+    },
+];
+
+#[test]
+fn blade_and_faulted_runs_keep_their_pinned_bytes() {
+    for pin in &PINS {
+        let r = run(pinned_config(pin.name));
+        let log = r.run_log.as_ref().expect("record_events was set");
+        let finish: Vec<u64> = r.proc_finish.iter().map(|d| d.as_nanos()).collect();
+        assert_eq!(digest_hex(log), pin.digest, "{}: the canonical bytes moved", pin.name);
+        assert_eq!(r.makespan.as_nanos(), pin.makespan_ns, "{}: makespan", pin.name);
+        assert_eq!(r.context_switches, pin.context_switches, "{}: context switches", pin.name);
+        assert_eq!(finish, pin.proc_finish_ns, "{}: proc_finish", pin.name);
+        // Each row must reach the path it is here for.
+        match pin.name {
+            "blade2_linux" => assert!(r.context_switches > 0),
+            "blade2_mgps" => assert!(r.llp_switches > 0, "MGPS must turn LLP on"),
+            _ => {
+                assert!(r.faults.quarantines > 0 && r.faults.readmissions > 0);
+                assert!(r.faults.ppe_fallbacks > 0 && !r.unrecovered);
+            }
+        }
+    }
+}

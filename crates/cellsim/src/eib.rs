@@ -97,7 +97,14 @@ impl Eib {
     }
 
     fn contended(&self, base: SimDuration) -> SimDuration {
-        base.mul_f64(self.contention_factor())
+        // An uncontended transfer keeps `base` exactly, as multiplying by
+        // 1.0 would, without the float round trip.
+        let factor = self.contention_factor();
+        if factor == 1.0 {
+            base
+        } else {
+            base.mul_f64(factor)
+        }
     }
 }
 

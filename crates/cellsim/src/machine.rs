@@ -37,7 +37,7 @@ use crate::event::{EventKind, EventRecord, MailboxKind, RunLog, SchedulerTag, Sw
 use crate::mailbox::SpuMailboxes;
 use crate::params::CellParams;
 use crate::spe::SpeState;
-use crate::workload::{KernelProfile, RaxmlWorkload};
+use crate::workload::{GrantCosts, KernelProfile, RaxmlWorkload};
 
 /// User-level scheduler overheads that are properties of the runtime, not
 /// the hardware (calibration knobs; see EXPERIMENTS.md).
@@ -204,6 +204,19 @@ pub struct CellMachine {
     next_task: u64,
     active_procs: usize,
     finish: Option<SimTime>,
+    /// Grant prices per degree and the task buffers' DMA base, built once.
+    costs: GrantCosts,
+    // Counts kept at the transitions that change them, instead of scans.
+    /// SPEs neither busy nor quarantined.
+    idle: usize,
+    /// SPEs not quarantined.
+    healthy: usize,
+    /// Per Cell: admitted processes that have not finished.
+    live: Vec<usize>,
+    /// Per Cell: processes in [`Phase::PpeWork`] (which always hold a
+    /// context: a process loses its context only by its own off-load,
+    /// quantum expiry or exit, none of which happens mid-section).
+    ppe_working: Vec<usize>,
     // statistics
     tasks_completed: u64,
     llp_switches: u64,
@@ -323,6 +336,11 @@ impl CellMachine {
             next_task: 0,
             active_procs: cfg.n_bootstraps,
             finish: None,
+            costs: GrantCosts::new(&cfg.workload, cfg.profile, n_spes, &cfg.params.dma),
+            idle: n_spes,
+            healthy: n_spes,
+            live: vec![0; cfg.params.n_cells],
+            ppe_working: vec![0; cfg.params.n_cells],
             tasks_completed: 0,
             llp_switches: 0,
             dma_fallbacks: 0,
@@ -338,16 +356,29 @@ impl CellMachine {
     /// Idle SPEs available for a grant (quarantined SPEs are out of
     /// service and never count).
     fn idle_spes(&self) -> usize {
-        self.spes
-            .iter()
-            .zip(&self.quarantined)
-            .filter(|(s, &q)| !s.is_busy() && !q)
-            .count()
+        debug_assert_eq!(
+            self.idle,
+            self.spes.iter().zip(&self.quarantined).filter(|(s, &q)| !s.is_busy() && !q).count()
+        );
+        self.idle
     }
 
     /// SPEs currently in service (not quarantined).
     fn healthy_spes(&self) -> usize {
-        self.quarantined.iter().filter(|&&q| !q).count()
+        debug_assert_eq!(self.healthy, self.quarantined.iter().filter(|&&q| !q).count());
+        self.healthy
+    }
+
+    /// Admitted, unfinished processes on `cell`.
+    fn live_procs(&self, cell: usize) -> usize {
+        debug_assert_eq!(
+            self.live[cell],
+            self.procs
+                .iter()
+                .filter(|pr| pr.cell == cell && pr.phase != Phase::Done && pr.admitted)
+                .count()
+        );
+        self.live[cell]
     }
 
     /// Append an event record, when structured logging is enabled.
@@ -385,16 +416,22 @@ impl CellMachine {
     /// Count of processes on `cell`'s PPE (either SMT context) currently in
     /// real PPE work, excluding `me` (for the SMT contention check).
     fn ppe_working_others(&self, cell: usize, me: usize) -> usize {
-        self.procs
-            .iter()
-            .enumerate()
-            .filter(|&(i, pr)| {
-                i != me
-                    && pr.cell == cell
-                    && pr.phase == Phase::PpeWork
-                    && self.ppes[pr.ppe].is_running(ProcId(i))
-            })
-            .count()
+        // `me` is never mid-section here: it is about to start one.
+        let others = self.ppe_working[cell];
+        debug_assert_eq!(
+            others,
+            self.procs
+                .iter()
+                .enumerate()
+                .filter(|&(i, pr)| {
+                    i != me
+                        && pr.cell == cell
+                        && pr.phase == Phase::PpeWork
+                        && self.ppes[pr.ppe].is_running(ProcId(i))
+                })
+                .count()
+        );
+        others
     }
 
 }
@@ -557,8 +594,12 @@ fn admit_next_proc(sim: &mut S) {
     if p >= sim.model().procs.len() {
         return;
     }
-    sim.model_mut().next_unstarted += 1;
-    sim.model_mut().procs[p].admitted = true;
+    {
+        let m = sim.model_mut();
+        m.next_unstarted += 1;
+        m.procs[p].admitted = true;
+        m.live[m.procs[p].cell] += 1;
+    }
     let ppe = sim.model().procs[p].ppe;
     let dispatched = sim.model_mut().ppes[ppe].admit(ProcId(p));
     if dispatched.is_some() {
@@ -590,10 +631,7 @@ fn continue_proc(sim: &mut S, p: usize) {
             // cost saturates at the SPE count: the scheduler only tracks as
             // many runnable candidates as there are SPEs to feed.
             sim.model()
-                .procs
-                .iter()
-                .filter(|pr| pr.cell == cell && pr.phase != Phase::Done && pr.admitted)
-                .count()
+                .live_procs(cell)
                 .saturating_sub(1)
                 .min(sim.model().cfg.params.spes_per_cell - 1)
         };
@@ -609,7 +647,9 @@ fn continue_proc(sim: &mut S, p: usize) {
         }
         gap
     };
-    sim.model_mut().procs[p].phase = Phase::PpeWork;
+    let m = sim.model_mut();
+    m.procs[p].phase = Phase::PpeWork;
+    m.ppe_working[cell] += 1;
     sim.schedule_in_with(gap, gap_done, p);
 }
 
@@ -624,6 +664,7 @@ fn gap_done(sim: &mut S, p: usize) {
         m.procs[p].attempt = 0;
         m.procs[p].task_started_ns = now_ns;
         m.procs[p].phase = Phase::WaitingSpe;
+        m.ppe_working[m.procs[p].cell] -= 1;
         if let Some(mgps) = m.mgps.as_mut() {
             mgps.on_offload(t, now_ns);
         }
@@ -737,6 +778,7 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
             }
         }
         assert_eq!(m.procs[p].team.len(), degree, "grant without enough idle healthy SPEs");
+        m.idle -= degree;
         let task = m.procs[p].current_task;
         let lead = m.procs[p].team[0];
         // Draw the kernel timing up front — in the simulator the drawn
@@ -747,13 +789,7 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
             let w = m.cfg.workload;
             (w.draw_jitter(&mut m.rng), w.draw_kind(&mut m.rng))
         };
-        let mut dur = m.cfg.workload.kernel_task_duration(
-            kind,
-            m.cfg.profile,
-            degree,
-            jitter,
-            m.cfg.workload.heterogeneous_kernels,
-        );
+        let mut dur = m.costs.duration(kind, degree, jitter);
         let drawn_ns = dur.as_nanos();
         m.min_task_ns = Some(m.min_task_ns.map_or(drawn_ns, |v| v.min(drawn_ns)));
         let attempt = m.procs[p].attempt;
@@ -772,7 +808,7 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
             let watchdog = SimDuration::from_nanos(m.cfg.faults.watchdog_ns(hint));
             Granted::Faulted { watchdog }
         } else {
-        let buffer_bytes = m.cfg.workload.input_bytes + m.cfg.workload.output_bytes;
+        let buffer_bytes = m.costs.buffer_bytes;
         // PPE -> SPU start command through the lead SPE's inbound mailbox
         // (4-entry; our one-in-flight protocol can never fill it).
         let task_lo = m.next_task as u32;
@@ -835,8 +871,7 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
         // and double-buffer transfers (§5.1), so the latency overlaps the
         // computation (it is already inside the measured 96 µs task time);
         // the transfer still occupies the bus for contention accounting.
-        let base = SimDuration::from_secs_f64(buffer_bytes as f64 / m.cfg.params.dma.spe_bandwidth)
-            + m.cfg.params.dma.startup;
+        let base = m.costs.dma_base;
         let dma_latency = match m.eib.begin_transfer(buffer_bytes, base) {
             Some(lat) => Some(lat),
             None => {
@@ -902,10 +937,13 @@ fn watchdog_fire(sim: &mut S, p: usize) {
         for &s in &m.procs[p].team {
             m.spes[s].finish_task(now);
         }
+        m.idle += m.procs[p].team.len();
         let lead = m.procs[p].team[0];
         let pol = m.cfg.faults.policy;
         if !m.quarantined[lead] && m.consec_faults[lead] >= pol.quarantine_k {
             m.quarantined[lead] = true;
+            m.idle -= 1;
+            m.healthy -= 1;
             m.quarantine_marks[lead] = m.tasks_completed;
             m.fault_stats.quarantines += 1;
             let faults = u64::from(m.consec_faults[lead]);
@@ -959,10 +997,7 @@ fn ppe_fallback_start(sim: &mut S, p: usize) {
             let w = m.cfg.workload;
             (w.draw_jitter(&mut m.rng), w.draw_kind(&mut m.rng))
         };
-        m.cfg
-            .workload
-            .kernel_task_duration(kind, m.cfg.profile, 1, jitter, m.cfg.workload.heterogeneous_kernels)
-            .mul_f64(PPE_FALLBACK_SLOWDOWN)
+        m.costs.duration(kind, 1, jitter).mul_f64(PPE_FALLBACK_SLOWDOWN)
     };
     sim.schedule_in_with(dur, ppe_fallback_complete, p);
 }
@@ -990,13 +1025,20 @@ fn ppe_fallback_complete(sim: &mut S, p: usize) {
 /// consecutive-fault counter left one below the threshold so a single
 /// further fault re-quarantines it immediately.
 fn maybe_readmit(m: &mut CellMachine, now_ns: u64) {
+    if m.healthy_spes() == m.spes.len() {
+        return;
+    }
     let period = u64::from(m.cfg.faults.policy.readmit_period.max(1));
     let mut changed = false;
     for spe in 0..m.quarantined.len() {
         if m.quarantined[spe]
             && m.tasks_completed.saturating_sub(m.quarantine_marks[spe]) >= period
         {
+            // A quarantined SPE is idle: it was benched as its team was
+            // reclaimed, and no grant picks it.
             m.quarantined[spe] = false;
+            m.idle += 1;
+            m.healthy += 1;
             m.consec_faults[spe] = m.cfg.faults.policy.quarantine_k.saturating_sub(1);
             m.fault_stats.readmissions += 1;
             m.emit(now_ns, EventKind::SpeReadmitted { spe });
@@ -1026,9 +1068,10 @@ fn task_complete(sim: &mut S, p: usize) {
         for &s in &m.procs[p].team {
             m.spes[s].finish_task(now);
         }
+        m.idle += m.procs[p].team.len();
         let task = m.procs[p].current_task;
         if m.cfg.record_events {
-            let buffer_bytes = m.cfg.workload.input_bytes + m.cfg.workload.output_bytes;
+            let buffer_bytes = m.costs.buffer_bytes;
             for i in 0..m.procs[p].team.len() {
                 let spe = m.procs[p].team[i];
                 m.ls_in_use[spe] -= buffer_bytes;
@@ -1083,13 +1126,11 @@ fn task_complete(sim: &mut S, p: usize) {
 /// MGPS adaptation on a task departure (shared by the SPE-completion and
 /// PPE-fallback paths).
 fn mgps_departure(m: &mut CellMachine, p: usize, now_ns: u64) {
+    if m.mgps.is_none() {
+        return;
+    }
     let started = m.procs[p].task_started_ns;
-    let waiting = m
-        .procs
-        .iter()
-        .filter(|pr| pr.admitted && pr.phase != Phase::Done)
-        .count()
-        .max(1);
+    let waiting = (0..m.live.len()).map(|cell| m.live_procs(cell)).sum::<usize>().max(1);
     let tid = TaskId(m.next_task); // id only used for bookkeeping
     let decision = m.mgps.as_mut().and_then(|mgps| {
         mgps.on_departure(tid, started, now_ns, waiting)
@@ -1230,6 +1271,7 @@ fn finish_proc(sim: &mut S, p: usize) {
         m.procs[p].phase = Phase::Done;
         m.procs[p].finished = Some(now);
         m.active_procs -= 1;
+        m.live[m.procs[p].cell] -= 1;
     }
     let next = sim.model_mut().ppes[ppe].remove(ProcId(p));
     dispatch(sim, next);

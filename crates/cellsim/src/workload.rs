@@ -32,6 +32,8 @@ use mgps_runtime::policy::KernelKind;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use crate::params::DmaParams;
+
 /// Which version of the off-loaded kernels runs (§5.1's ablation).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KernelProfile {
@@ -74,6 +76,67 @@ impl KernelProfile {
         ("aggregate DMA transfers", 1.08),
         ("SDK math approximations (log/exp)", 1.10),
     ];
+}
+
+/// A task's price at one loop degree, before jitter (see
+/// [`RaxmlWorkload::degree_price`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DegreePrice {
+    /// Serial part plus this degree's share of the loop, at factor 1.
+    pub(crate) compute: SimDuration,
+    /// Team signal, fetch and reduce costs (zero at degree 1).
+    pub(crate) overhead: SimDuration,
+}
+
+impl DegreePrice {
+    /// The compute base scaled by `profile_factor * mult`, plus the team
+    /// overhead.
+    #[inline]
+    pub(crate) fn duration(self, profile_factor: f64, mult: f64) -> SimDuration {
+        self.compute.mul_f64(profile_factor * mult) + self.overhead
+    }
+}
+
+/// One run's grant prices, built once: the [`DegreePrice`] of every degree
+/// the machine can grant, the profile factor, and the task buffers' DMA
+/// base latency. A grant then pays one multiply for its duration.
+#[derive(Debug, Clone)]
+pub(crate) struct GrantCosts {
+    prices: Vec<DegreePrice>,
+    profile_factor: f64,
+    mixed: bool,
+    /// Bytes DMA'd per task: input plus output buffers.
+    pub(crate) buffer_bytes: usize,
+    /// Uncontended latency of moving `buffer_bytes` at per-SPE bandwidth.
+    pub(crate) dma_base: SimDuration,
+}
+
+impl GrantCosts {
+    /// Prices for degrees `1..=max_degree` of `workload` under `profile`.
+    pub(crate) fn new(
+        workload: &RaxmlWorkload,
+        profile: KernelProfile,
+        max_degree: usize,
+        dma: &DmaParams,
+    ) -> GrantCosts {
+        let buffer_bytes = workload.input_bytes + workload.output_bytes;
+        GrantCosts {
+            prices: (1..=max_degree).map(|d| workload.degree_price(d)).collect(),
+            profile_factor: profile.factor(),
+            mixed: workload.heterogeneous_kernels,
+            buffer_bytes,
+            dma_base: SimDuration::from_secs_f64(buffer_bytes as f64 / dma.spe_bandwidth)
+                + dma.startup,
+        }
+    }
+
+    /// The duration of a `kind` task at `degree` with drawn `jitter`:
+    /// [`RaxmlWorkload::kernel_task_duration`] to the bit.
+    #[inline]
+    pub(crate) fn duration(&self, kind: KernelKind, degree: usize, jitter: f64) -> SimDuration {
+        let kernel_mult = if self.mixed { RaxmlWorkload::kernel_factor(kind) } else { 1.0 };
+        self.prices[degree - 1].duration(self.profile_factor, jitter * kernel_mult)
+    }
 }
 
 /// Calibrated workload parameters.
@@ -203,9 +266,25 @@ impl RaxmlWorkload {
         self.extrapolation
     }
 
-    /// Total time of the parallelizable loop portion at degree 1.
-    fn loop_time(&self) -> SimDuration {
-        self.task_mean.mul_f64(self.loop_fraction)
+    /// What a task costs at `degree` before jitter: the compute base
+    /// (serial part plus a `ceil(iters/degree)` share of the loop) and the
+    /// team overhead. Every duration is this price times one multiplier.
+    ///
+    /// # Panics
+    /// Panics if `degree` is 0.
+    pub(crate) fn degree_price(&self, degree: usize) -> DegreePrice {
+        assert!(degree >= 1, "degree must be at least 1");
+        let serial = self.task_mean.mul_f64(1.0 - self.loop_fraction);
+        let chunk = self.loop_iters.div_ceil(degree);
+        let loop_time = self.task_mean.mul_f64(self.loop_fraction);
+        let par = loop_time.mul_f64(chunk as f64 / self.loop_iters as f64);
+        let workers = (degree - 1) as u64;
+        DegreePrice {
+            compute: serial + par,
+            overhead: self.llp_signal * workers
+                + self.llp_fetch * workers
+                + self.llp_reduce * workers,
+        }
     }
 
     /// Duration of one off-loaded task executed with `degree`-way loop
@@ -234,28 +313,7 @@ impl RaxmlWorkload {
         mixed: bool,
     ) -> SimDuration {
         let kernel_mult = if mixed { Self::kernel_factor(kind) } else { 1.0 };
-        self.task_duration_inner(profile, degree, jitter_mult * kernel_mult)
-    }
-
-    fn task_duration_inner(
-        &self,
-        profile: KernelProfile,
-        degree: usize,
-        jitter_mult: f64,
-    ) -> SimDuration {
-        assert!(degree >= 1, "degree must be at least 1");
-        let serial = self.task_mean.mul_f64(1.0 - self.loop_fraction);
-        let chunk = self.loop_iters.div_ceil(degree);
-        let par = self.loop_time().mul_f64(chunk as f64 / self.loop_iters as f64);
-        let compute = (serial + par).mul_f64(profile.factor() * jitter_mult);
-        if degree == 1 {
-            compute
-        } else {
-            let workers = (degree - 1) as u64;
-            let overhead =
-                self.llp_signal * workers + self.llp_fetch * workers + self.llp_reduce * workers;
-            compute + overhead
-        }
+        self.degree_price(degree).duration(profile.factor(), jitter_mult * kernel_mult)
     }
 
     /// Draw a jitter multiplier in `[1 − jitter, 1 + jitter]`.
@@ -280,10 +338,83 @@ impl RaxmlWorkload {
     }
 }
 
+/// The per-grant duration formula the cost tables replaced, kept as the
+/// reference the tabled prices are held to.
+#[cfg(test)]
+mod classic {
+    use super::*;
+
+    pub fn kernel_task_duration(
+        w: &RaxmlWorkload,
+        kind: KernelKind,
+        profile: KernelProfile,
+        degree: usize,
+        jitter_mult: f64,
+        mixed: bool,
+    ) -> SimDuration {
+        let kernel_mult = if mixed { RaxmlWorkload::kernel_factor(kind) } else { 1.0 };
+        let jitter_mult = jitter_mult * kernel_mult;
+        let serial = w.task_mean.mul_f64(1.0 - w.loop_fraction);
+        let chunk = w.loop_iters.div_ceil(degree);
+        let par = w.task_mean.mul_f64(w.loop_fraction).mul_f64(chunk as f64 / w.loop_iters as f64);
+        let compute = (serial + par).mul_f64(profile.factor() * jitter_mult);
+        if degree == 1 {
+            compute
+        } else {
+            let workers = (degree - 1) as u64;
+            compute + w.llp_signal * workers + w.llp_fetch * workers + w.llp_reduce * workers
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// Every profile: the three named ones, and `Custom` at `custom`.
+    fn profile(which: usize, custom: f64) -> KernelProfile {
+        match which {
+            0 => KernelProfile::Optimized,
+            1 => KernelProfile::Naive,
+            2 => KernelProfile::PpeOnly,
+            _ => KernelProfile::Custom(custom),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn tabled_durations_equal_the_classic_formula_to_the_bit(
+            which in 0usize..4,
+            custom in 0.25f64..4.0,
+            degree in 1usize..=16,
+            jitter in 0.85f64..=1.15,
+            mixed in prop::bool::weighted(0.5),
+            input_bytes in 16usize..=65_536,
+        ) {
+            let profile = profile(which, custom);
+            let mut wl = RaxmlWorkload::paper_42sc();
+            wl.heterogeneous_kernels = mixed;
+            wl.input_bytes = input_bytes;
+            let dma = DmaParams::default();
+            let costs = GrantCosts::new(&wl, profile, 16, &dma);
+            for kind in KernelKind::ALL {
+                let want = classic::kernel_task_duration(&wl, kind, profile, degree, jitter, mixed);
+                prop_assert_eq!(costs.duration(kind, degree, jitter), want);
+                prop_assert_eq!(
+                    wl.kernel_task_duration(kind, profile, degree, jitter, mixed),
+                    want
+                );
+            }
+            let bytes = wl.input_bytes + wl.output_bytes;
+            prop_assert_eq!(costs.buffer_bytes, bytes);
+            prop_assert_eq!(
+                costs.dma_base,
+                SimDuration::from_secs_f64(bytes as f64 / dma.spe_bandwidth) + dma.startup
+            );
+        }
+    }
 
     fn w() -> RaxmlWorkload {
         RaxmlWorkload::paper_42sc()

@@ -31,10 +31,19 @@ struct Scheduled<M> {
     fire: Fire<M>,
 }
 
+impl<M> Scheduled<M> {
+    /// `(at, id)` as one integer, `at` in the high half: comparing keys is
+    /// one 128-bit compare and orders exactly as the pair does.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.at.0) << 64) | u128::from(self.id.0)
+    }
+}
+
 // Ordering for the max-heap: earliest time first, then lowest id (FIFO).
 impl<M> PartialEq for Scheduled<M> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.id == other.id
+        self.key() == other.key()
     }
 }
 impl<M> Eq for Scheduled<M> {}
@@ -44,9 +53,10 @@ impl<M> PartialOrd for Scheduled<M> {
     }
 }
 impl<M> Ord for Scheduled<M> {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, id) pops first.
-        (other.at, other.id).cmp(&(self.at, self.id))
+        // BinaryHeap is a max-heap; invert so the smallest key pops first.
+        other.key().cmp(&self.key())
     }
 }
 
@@ -312,6 +322,50 @@ mod tests {
         sim.run();
         assert_eq!(*count.borrow(), 5);
         assert_eq!(sim.now(), SimTime(40_000_000));
+    }
+
+    #[test]
+    fn one_key_order_holds_at_the_ends_of_time_with_ties_and_a_compaction() {
+        // Record each event's (time, scheduling index) as it fires.
+        fn fired(s: &mut Sim<Vec<(u64, usize)>>, i: usize) {
+            let t = s.now().0;
+            s.model_mut().push((t, i));
+        }
+        const TIMES: [u64; 12] = [
+            u64::MAX,
+            0,
+            u64::MAX - 1,
+            1 << 32,
+            u64::MAX,
+            (1 << 32) - 1,
+            0,
+            u64::MAX - 1,
+            1 << 63,
+            (1 << 63) - 1,
+            u64::MAX,
+            0,
+        ];
+        let mut sim = Sim::new(Vec::new());
+        let mut decoys = Vec::new();
+        for (i, &t) in TIMES.iter().enumerate() {
+            // Decoys at the same instant, cancelled below: the burst
+            // outweighs half the queue and forces a compaction.
+            decoys.push(sim.schedule_at_with(SimTime(t), |_, _| panic!("decoy fired"), i));
+            sim.schedule_at_with(SimTime(t), fired, i);
+            decoys.push(sim.schedule_at_with(SimTime(t), |_, _| panic!("decoy fired"), i));
+        }
+        assert_eq!(sim.heap.len(), 3 * TIMES.len());
+        for id in decoys {
+            assert!(sim.cancel(id));
+        }
+        // Only a compaction shrinks the heap before anything fires.
+        assert!(sim.heap.len() < 3 * TIMES.len(), "the burst must have compacted");
+        sim.run();
+        // Time order, and scheduling order (FIFO) among equal times.
+        let mut want: Vec<(u64, usize)> = TIMES.iter().copied().zip(0..).collect();
+        want.sort();
+        assert_eq!(*sim.model(), want);
+        assert_eq!(sim.now(), SimTime(u64::MAX));
     }
 
     #[test]
