@@ -416,6 +416,35 @@ mod tests {
         }
     }
 
+    /// A compute base near 2^50 ns is fine enough that one ulp of the
+    /// multiplier moves a duration by whole nanoseconds, where the 96 µs of
+    /// `paper_42sc` rounds it away: the multiplier must be formed as
+    /// `profile_factor * (jitter * kernel_mult)`, the order of the formula
+    /// the tables replaced, not `(profile_factor * jitter) * kernel_mult`.
+    #[test]
+    fn a_compute_base_near_2_pow_50_sees_the_multiplier_product_order() {
+        let mut wl = RaxmlWorkload::paper_42sc().with_kernel_mix();
+        wl.task_mean = SimDuration::from_nanos((1 << 50) + 12_345);
+        let dma = DmaParams::default();
+        for which in 0..4 {
+            let profile = profile(which, 1.7);
+            let costs = GrantCosts::new(&wl, profile, 4, &dma);
+            for step in 0..=300 {
+                let jitter = 0.85 + 0.001 * step as f64;
+                for kind in KernelKind::ALL {
+                    for degree in 1..=4 {
+                        let want =
+                            classic::kernel_task_duration(&wl, kind, profile, degree, jitter, true);
+                        let tabled = costs.duration(kind, degree, jitter);
+                        let direct = wl.kernel_task_duration(kind, profile, degree, jitter, true);
+                        let case = format!("{profile:?} {kind:?} degree {degree} jitter {jitter}");
+                        assert_eq!((tabled, direct), (want, want), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
     fn w() -> RaxmlWorkload {
         RaxmlWorkload::paper_42sc()
     }

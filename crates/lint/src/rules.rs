@@ -120,7 +120,7 @@ pub const CATALOG: &[RuleMeta] = &[
         roots: &["src/serve.rs"],
         why: "a thread::sleep in the serve plane makes a request wait for a timer instead of \
               the event it approximates; a sleep that is not a wait carries a named exemption",
-        exemption_budget: 5,
+        exemption_budget: 4,
         skips_tests: true,
     },
 ];

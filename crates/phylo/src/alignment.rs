@@ -284,20 +284,23 @@ impl<const S: usize> Alignment<S> {
         assert!(mean_branch > 0.0 && mean_branch.is_finite());
         let mut rng = SmallRng::seed_from_u64(seed);
         // Evolve down an implicit random binary tree built by splitting:
-        // maintain a frontier of (sequence, depth) and split until we have
-        // n_taxa leaves.
+        // maintain a frontier of sequences (states as bytes: S ≤ 20) and
+        // split until we have n_taxa leaves.
         let freqs = model.base_freqs();
-        let root: Vec<usize> = (0..n_sites).map(|_| sample_state(&freqs, &mut rng)).collect();
-        let mut frontier: Vec<Vec<usize>> = vec![root];
+        let root: Vec<u8> =
+            (0..n_sites).map(|_| sample_state(&freqs, &mut rng) as u8).collect();
+        let mut frontier: std::collections::VecDeque<Vec<u8>> = [root].into();
         while frontier.len() < n_taxa {
             // Split the first (oldest) lineage into two children.
-            let parent = frontier.remove(0);
+            let parent = frontier.pop_front().expect("the frontier is never empty");
             for _ in 0..2 {
                 let t = sample_branch(mean_branch, &mut rng);
-                let p = model.prob_matrix(t);
-                let child: Vec<usize> =
-                    parent.iter().map(|&s| sample_transition(&p[s], &mut rng)).collect();
-                frontier.push(child);
+                let cumulative = model.prob_matrix(t).map(|row| cumulative(&row));
+                let child: Vec<u8> = parent
+                    .iter()
+                    .map(|&s| draw(&cumulative[usize::from(s)], rng.gen()) as u8)
+                    .collect();
+                frontier.push_back(child);
             }
         }
         let taxa: Vec<String> = (0..n_taxa).map(|i| format!("taxon{i:03}")).collect();
@@ -306,9 +309,11 @@ impl<const S: usize> Alignment<S> {
         let code: [u8; S] = std::array::from_fn(|s| {
             sets.iter().position(|&set| set == 1 << s).expect("a code per state") as u8
         });
-        let seqs = frontier.into_iter().take(n_taxa);
-        let seqs = seqs.map(|states| states.into_iter().map(|s| code[s]).collect());
-        Alignment { taxa, seqs: seqs.collect() }
+        let mut seqs: Vec<Vec<u8>> = frontier.into_iter().take(n_taxa).collect();
+        for s in seqs.iter_mut().flatten() {
+            *s = code[usize::from(*s)];
+        }
+        Alignment { taxa, seqs }
     }
 
     /// The paper's `42_SC` workload shape: 42 organisms, 1167 nucleotides.
@@ -318,19 +323,30 @@ impl<const S: usize> Alignment<S> {
 }
 
 fn sample_state<const S: usize>(freqs: &[f64; S], rng: &mut SmallRng) -> usize {
-    sample_transition(freqs, rng)
+    draw(&cumulative(freqs), rng.gen())
 }
 
-fn sample_transition<const S: usize>(probs: &[f64; S], rng: &mut SmallRng) -> usize {
-    let u: f64 = rng.gen();
+/// The running sums of `probs`, summed in order.
+fn cumulative<const S: usize>(probs: &[f64; S]) -> [f64; S] {
     let mut acc = 0.0;
-    for (s, &p) in probs.iter().enumerate() {
+    probs.map(|p| {
         acc += p;
-        if u < acc {
-            return s;
+        acc
+    })
+}
+
+/// The first state whose running sum exceeds `u`, or the last state: a
+/// draw from the distribution `cumulative` sums. Written without an early
+/// exit, whose unpredictable branch was most of [`Alignment::synthetic`]'s
+/// time.
+fn draw<const S: usize>(cumulative: &[f64; S], u: f64) -> usize {
+    let mut state = S - 1;
+    for s in (0..S - 1).rev() {
+        if u < cumulative[s] {
+            state = s;
         }
     }
-    S - 1
+    state
 }
 
 fn sample_branch(mean: f64, rng: &mut SmallRng) -> f64 {
@@ -361,17 +377,23 @@ impl<const S: usize> PatternAlignment<S> {
     pub fn compress(aln: &Alignment<S>) -> Self {
         let n_taxa = aln.n_taxa();
         let n_sites = aln.n_sites();
-        let mut index: std::collections::HashMap<Vec<u8>, usize> = std::collections::HashMap::new();
+        // Column-major copy, so that a column is one slice to look up.
+        let mut columns = vec![0u8; n_taxa * n_sites];
+        for (t, seq) in aln.seqs.iter().enumerate() {
+            for (site, &c) in seq.iter().enumerate() {
+                columns[site * n_taxa + t] = c;
+            }
+        }
+        let mut index: std::collections::HashMap<&[u8], usize> = std::collections::HashMap::new();
         let mut patterns: Vec<Vec<u8>> = vec![Vec::new(); n_taxa];
         let mut weights: Vec<u32> = Vec::new();
         let mut column_pattern = Vec::with_capacity(n_sites);
-        for site in 0..n_sites {
-            let col: Vec<u8> = (0..n_taxa).map(|t| aln.code(t, site)).collect();
+        for col in columns.chunks_exact(n_taxa) {
             let next = weights.len();
             let pat = *index.entry(col).or_insert(next);
             if pat == weights.len() {
-                for (t, pcol) in patterns.iter_mut().enumerate() {
-                    pcol.push(aln.code(t, site));
+                for (pcol, &c) in patterns.iter_mut().zip(col) {
+                    pcol.push(c);
                 }
                 weights.push(0);
             }
@@ -437,11 +459,77 @@ impl<const S: usize> PatternAlignment<S> {
     }
 }
 
+/// The early-exit draw and the per-column keyed compression that
+/// [`draw`] and [`PatternAlignment::compress`] replaced, kept as their
+/// reference.
+#[cfg(test)]
+mod classic {
+    use super::*;
+
+    pub fn sample_transition<const S: usize>(probs: &[f64; S], u: f64) -> usize {
+        let mut acc = 0.0;
+        for (s, &p) in probs.iter().enumerate() {
+            acc += p;
+            if u < acc {
+                return s;
+            }
+        }
+        S - 1
+    }
+
+    pub fn compress<const S: usize>(aln: &Alignment<S>) -> PatternAlignment<S> {
+        let n_taxa = aln.n_taxa();
+        let mut index: std::collections::HashMap<Vec<u8>, usize> = std::collections::HashMap::new();
+        let mut patterns: Vec<Vec<u8>> = vec![Vec::new(); n_taxa];
+        let (mut weights, mut column_pattern) = (Vec::new(), Vec::new());
+        for site in 0..aln.n_sites() {
+            let col: Vec<u8> = (0..n_taxa).map(|t| aln.code(t, site)).collect();
+            let pat = *index.entry(col.clone()).or_insert(weights.len());
+            if pat == weights.len() {
+                patterns.iter_mut().zip(&col).for_each(|(pcol, &c)| pcol.push(c));
+                weights.push(0);
+            }
+            weights[pat] += 1;
+            column_pattern.push(pat);
+        }
+        PatternAlignment { patterns, weights, column_pattern, n_taxa }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dna::StateMask;
     use crate::model::Jc69;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The branch-free draw picks the early-exit loop's state for any
+        /// row, including rows with tiny negative entries and sums short
+        /// of 1, and any `u`.
+        #[test]
+        fn draw_is_the_early_exit_loop(
+            row in prop::collection::vec(-1e-12f64..0.6, 4),
+            u in 0.0f64..1.0,
+        ) {
+            let row: [f64; 4] = [row[0], row[1], row[2], row[3]];
+            prop_assert_eq!(draw(&cumulative(&row), u), classic::sample_transition(&row, u));
+        }
+
+        /// Slice-keyed compression gives the per-column keyed one's
+        /// patterns, weights and column map, DNA and protein.
+        #[test]
+        fn compress_is_the_per_column_oracle(
+            taxa in 2usize..12,
+            sites in 1usize..300,
+            seed in 0u64..u64::MAX,
+        ) {
+            let dna = Alignment::synthetic(taxa, sites, &Jc69, 0.3, seed);
+            prop_assert_eq!(PatternAlignment::compress(&dna), classic::compress(&dna));
+            let aa = Alignment::synthetic(taxa, sites, &crate::protein::PoissonAa, 0.3, seed);
+            prop_assert_eq!(PatternAlignment::compress(&aa), classic::compress(&aa));
+        }
+    }
 
     /// The DNA alignment: the parse-error tests name no model to infer
     /// the state count from.

@@ -21,7 +21,7 @@
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
-use mgps_runtime::native::{LoopBody, LoopSite, ProcessCtx, SpeContext};
+use mgps_runtime::native::{LoopBody, LoopSite, OffloadError, ProcessCtx, SpeContext};
 use mgps_runtime::policy::KernelKind;
 use phylo::alignment::PatternAlignment;
 use phylo::dna::STATES;
@@ -398,13 +398,18 @@ impl<'a, 'rt, M: SubstModel<S> + Clone + 'static, const S: usize> OffloadedEngin
 
     /// Off-loaded log-likelihood of `tree`.
     pub fn log_likelihood(&mut self, tree: &Tree) -> f64 {
-        self.ship(SITE_EVALUATE, KernelKind::Evaluate, tree, 0, 0.0).0
+        self.try_log_likelihood(tree).expect("off-loaded score request failed")
+    }
+
+    /// Off-loaded log-likelihood of `tree`, or how its off-load failed.
+    pub fn try_log_likelihood(&mut self, tree: &Tree) -> Result<f64, OffloadError> {
+        self.ship(SITE_EVALUATE, KernelKind::Evaluate, tree, 0, 0.0).map(|(lnl, _)| lnl)
     }
 
     /// The one off-load: the request to run `max_passes` and `epsilon` on
     /// a copy of `tree`, requested as `kind` (§5.2's test is applied to
     /// what is shipped). Returns its lnL and the body, which holds the
-    /// copy as the request left it.
+    /// copy as the request left it, or how the off-load failed.
     fn ship(
         &mut self,
         site: LoopSite,
@@ -412,7 +417,7 @@ impl<'a, 'rt, M: SubstModel<S> + Clone + 'static, const S: usize> OffloadedEngin
         tree: &Tree,
         max_passes: usize,
         epsilon: f64,
-    ) -> (f64, Arc<TraversalBody<M, S>>) {
+    ) -> Result<(f64, Arc<TraversalBody<M, S>>), OffloadError> {
         let body = Arc::new(TraversalBody::new(
             self.model.clone(),
             Arc::clone(&self.data),
@@ -421,13 +426,10 @@ impl<'a, 'rt, M: SubstModel<S> + Clone + 'static, const S: usize> OffloadedEngin
             max_passes,
             epsilon,
         ));
-        let (lnl, _) = self
-            .ctx
-            .offload_adaptive(site, kind, Arc::clone(&body))
-            .expect("off-loaded search request failed");
+        let outcome = self.ctx.offload_adaptive(site, kind, Arc::clone(&body));
         self.offloads += body.kernels();
         self.shipped += 1;
-        (lnl, body)
+        outcome.map(|(lnl, _)| (lnl, body))
     }
 }
 
@@ -441,7 +443,9 @@ impl<M: SubstModel<S> + Clone + 'static, const S: usize> ScoringEngine
     /// Off-loaded branch-length optimization: every pass, edge and Newton
     /// step of it, one off-load.
     fn optimize_branches(&mut self, tree: &mut Tree, max_passes: usize, epsilon: f64) -> f64 {
-        let (lnl, body) = self.ship(SITE_DERIV, KernelKind::MakeNewz, tree, max_passes, epsilon);
+        let (lnl, body) = self
+            .ship(SITE_DERIV, KernelKind::MakeNewz, tree, max_passes, epsilon)
+            .expect("off-loaded branch-length request failed");
         *tree = body.tree();
         lnl
     }
@@ -884,6 +888,22 @@ mod tests {
             prop_assert_eq!(lock(&arena).outstanding(), (0, 0));
             prop_assert_eq!(lock(&oracle.arena).outstanding(), (0, 0));
         }
+    }
+
+    #[test]
+    fn an_unrecovered_request_is_an_error_and_the_next_request_scores() {
+        let data = data();
+        let tree = Tree::random(8, 0.12, &mut SmallRng::seed_from_u64(5));
+        let want = LikelihoodEngine::new(&Jc69, &data).log_likelihood(&tree);
+        let plan = FaultPlan::parse("pin=crash@0,retries=0,fallback=off").expect("a valid spec");
+        let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::Edtlp).with_faults(plan));
+        let mut ctx = rt.enter_process();
+        let mut eng = OffloadedEngine::new(&mut ctx, Jc69, Arc::clone(&data));
+        assert_eq!(eng.try_log_likelihood(&tree), Err(OffloadError::Unrecovered));
+        let got = eng.try_log_likelihood(&tree).expect("task 1 is not pinned");
+        assert!((got - want).abs() < 1e-9, "{got} vs direct {want}");
+        assert_eq!(eng.shipped(), 2);
+        assert_eq!(lock(&eng.arena).outstanding(), (0, 0));
     }
 
     #[test]

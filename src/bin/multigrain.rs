@@ -9,7 +9,7 @@
 //!                      [--search nni|spr] [--bootstraps N] [--seed S]
 //! multigrain predict   --input data.fasta [--bootstraps N] [--scale 500]
 //! multigrain demo      [--taxa 16] [--sites 400]
-//! multigrain serve     [--port P] [--workers N] [--tasks N] [--job-queue N] [--for-ms MS] [--out run.json]
+//! multigrain serve     [--port P] [--workers N] [--job-queue N] [--for-ms MS] [--out run.json]
 //! multigrain loadgen   [--rate R] [--duration MS] [--seed S] [--tenants N] [--url HOST:PORT]
 //! multigrain top       --url HOST:PORT [--frames N] [--interval-ms MS] [--plain on]
 //! ```
@@ -230,7 +230,9 @@ USAGE:
                       [--tenant-weights W,W,...] [--shed-watermark N]
                       [--tenant-queue N]
                       (live telemetry plane: keep the native MGPS pool resident,
-                       admit off-load work and POST /jobs phylo jobs through
+                       admit POST /jobs phylo jobs (each scores the bootstrap
+                       replicates of a seeded alignment, one off-load per
+                       replicate; GET /jobs/<id> returns the lnLs) through
                        per-tenant queues under a deficit-round-robin dispatcher
                        (--tenant-weights; 429s carry Retry-After, queued jobs
                        past their deadline_ms are shed, depths past
@@ -242,7 +244,8 @@ USAGE:
                        off-load retries with bounded deterministic backoff and
                        is quarantined as poison after the jobr budget (exit 4);
                        SIGINT or --for-ms drains admitted jobs, refuses new ones,
-                       and writes a checker-valid run log)
+                       and writes a checker-valid run log; --tasks is accepted
+                       and does nothing)
   multigrain loadgen  [--rate JOBS_PER_S] [--duration MS] [--seed N] [--tenants N]
                       [--workers N] [--job-queue N] [--tenant-weights W,W,...]
                       [--url HOST:PORT] [--out FILE.json] [--html FILE.html]
@@ -950,8 +953,9 @@ fn chaos(opts: &Opts) -> Result<(), CliError> {
 
 /// `multigrain serve` — the live telemetry plane (see `multigrain::serve`).
 ///
-/// Keeps a native MGPS runtime resident with a seeded synthetic off-load
-/// workload and serves `/metrics`, `/health`, and `/events` on loopback.
+/// Keeps a native MGPS runtime resident, runs the phylo jobs `POST /jobs`
+/// admits, and serves `/metrics`, `/health`, `/events` and `/jobs/<id>` on
+/// loopback.
 /// Shuts down gracefully on SIGINT or after `--for-ms`, draining the trace
 /// rings into a checker-verified run log; a violation (including ring
 /// drops from an undersized `--ring-capacity`) exits with code 4.
@@ -959,15 +963,11 @@ fn serve_cmd(opts: &Opts) -> Result<(), CliError> {
     use multigrain::serve::{serve, ServeConfig, ServeError};
 
     let defaults = ServeConfig::default();
+    // Accepted so existing command lines keep working; it has no effect.
+    positive(opts, "tasks", 1, "--tasks must be at least 1")?;
     let cfg = ServeConfig {
         port: get(opts, "port", 0u16)?,
         workers: positive(opts, "workers", defaults.workers, "the service needs at least 1 worker")?,
-        tasks_per_worker: positive(
-            opts,
-            "tasks",
-            defaults.tasks_per_worker,
-            "each worker needs at least 1 off-load",
-        )?,
         seed: seed(opts, defaults.seed)?,
         poll_ms: positive(opts, "poll-ms", defaults.poll_ms as usize, "the telemetry cadence must be at least 1 ms")?
             as u64,

@@ -1,8 +1,9 @@
 //! `multigrain serve` — the live telemetry plane over the native runtime.
 //!
-//! Service mode keeps a native [`MgpsRuntime`] resident, admits off-load
-//! work continuously from seeded worker processes, and exposes the run's
-//! observability state over a plain `std::net` HTTP listener:
+//! Service mode keeps a native [`MgpsRuntime`] resident, runs admitted
+//! phylo jobs on its worker processes — each job the bootstrap replicates
+//! of a seeded alignment, scored through [`OffloadedEngine`] — and exposes
+//! the run's observability state over a plain `std::net` HTTP listener:
 //!
 //! * `GET /metrics` — Prometheus text format: every counter in the shared
 //!   schema as a `_total`, every histogram as cumulative buckets, per-SPE
@@ -24,6 +25,9 @@
 //!   the trace's job lifecycle replays exactly: occupancy, per-tenant
 //!   FIFO order, and the queue bound are all checkable from the final
 //!   RunLog (`job-lifecycle` rule).
+//! * `GET /jobs/<id>` — where an admitted job stands (`queued`,
+//!   `running`, `completed`, `shed` or `poisoned`) and, once completed,
+//!   its replicate lnLs in bootstrap order; `404` for any other id.
 //!
 //! # Surviving overload
 //!
@@ -49,8 +53,10 @@
 //! checker's `job-retry` and `tenant-fairness` rules replay all of
 //! this from the log alone.
 //!
-//! Admitted jobs run on the same worker processes as the ambient
-//! workload (jobs outrank it), and decompose into the span terms
+//! A worker process pops an admitted job, or waits for one outside the
+//! PPE gate. A job is the paper's task-level unit, bootstrap replicates
+//! off-loading their likelihood kernels (see `execute_job`), and decomposes
+//! into the span terms
 //! `t_queue` / `t_dispatch` / `t_kernel` / `t_reduce` — the granularity
 //! vocabulary lifted one level up — and the
 //! terms telescope by construction, so the checker's exact-partition rule
@@ -75,6 +81,7 @@
 //! checker-valid log with balanced job lifecycle events.
 //!
 //! [`EventKind::Health`]: cellsim::event::EventKind::Health
+//! [`OffloadedEngine`]: crate::adapters::OffloadedEngine
 
 use std::collections::BTreeMap;
 use std::io::{BufWriter, Read, Write};
@@ -93,15 +100,16 @@ use mgps_obs::{
     NativeRunMeta,
 };
 use mgps_runtime::metrics::{hist_bucket, HistKind, MetricsSink, HIST_BUCKETS};
-use mgps_runtime::native::{
-    LoopBody, LoopSite, MgpsRuntime, OffloadError, ProcessCtx, RuntimeConfig, SpeContext,
-};
+use mgps_runtime::native::{MgpsRuntime, OffloadError, ProcessCtx, RuntimeConfig};
 use mgps_runtime::FaultPlan;
 use mgps_runtime::policy::{Drr, KernelKind, SchedulerKind};
 use mgps_runtime::tracing::TraceHandle;
 use mgps_runtime::{AtomicMetrics, SnapshotSource, Tracer};
 use minijson::Value;
+use phylo::prelude::{bootstrap_replicate, Alignment, Jc69, PatternAlignment, Tree};
+use rand::{rngs::SmallRng, SeedableRng};
 
+use crate::adapters::OffloadedEngine;
 use crate::loadgen::Lcg;
 
 /// Construction parameters for service mode.
@@ -110,13 +118,10 @@ pub struct ServeConfig {
     /// TCP port to listen on (`0` asks the OS for an ephemeral port; the
     /// bound address is printed on stdout either way).
     pub port: u16,
-    /// Worker processes admitting off-load work.
+    /// Worker processes running admitted jobs.
     pub workers: usize,
-    /// Off-loads each worker admits before going idle. Bounded so a
-    /// default-capacity ring never wraps: the final RunLog stays complete
-    /// and checker-valid no matter how long the service stays up.
-    pub tasks_per_worker: usize,
-    /// Seed for the synthetic workload's task-size stream.
+    /// Seed of the job-id stream; a job's id seeds its alignment, tree and
+    /// replicates.
     pub seed: u64,
     /// Telemetry cadence: snapshot + ring drain + health evaluation.
     pub poll_ms: u64,
@@ -154,7 +159,6 @@ impl Default for ServeConfig {
         ServeConfig {
             port: 0,
             workers: 2,
-            tasks_per_worker: 256,
             seed: 7,
             poll_ms: 100,
             ring_capacity: mgps_runtime::tracing::DEFAULT_RING_CAPACITY,
@@ -205,37 +209,6 @@ impl ServeError {
         match self {
             ServeError::Io(m) | ServeError::Other(m) => m,
         }
-    }
-}
-
-/// A pure-arithmetic loop body: no clocks, so the SPE-side work is
-/// identical on every platform and the lint rules stay trivially true.
-struct SpinBody {
-    n: usize,
-    rounds: u32,
-}
-
-impl LoopBody for SpinBody {
-    type Acc = u64;
-    fn len(&self) -> usize {
-        self.n
-    }
-    fn identity(&self) -> u64 {
-        0
-    }
-    fn run_chunk(&self, range: Range<usize>, _ctx: &mut SpeContext) -> u64 {
-        let mut s = 0u64;
-        for i in range {
-            let mut x = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            for _ in 0..self.rounds {
-                x = x.rotate_left(13).wrapping_mul(0x2545_f491_4f6c_dd1d);
-            }
-            s = s.wrapping_add(std::hint::black_box(x));
-        }
-        s
-    }
-    fn merge(&self, a: u64, b: u64) -> u64 {
-        a.wrapping_add(b)
     }
 }
 
@@ -344,6 +317,28 @@ impl PendingJob {
     }
 }
 
+/// Where an admitted job stands, as `GET /jobs/<id>` reports it.
+enum JobState {
+    Queued,
+    Running,
+    /// The lnL of each replicate scored, in bootstrap order.
+    Completed(Box<[f64]>),
+    Shed,
+    Poisoned,
+}
+
+impl JobState {
+    fn name(&self) -> &'static str {
+        match self {
+            JobState::Queued => "queued",
+            JobState::Running => "running",
+            JobState::Completed(_) => "completed",
+            JobState::Shed => "shed",
+            JobState::Poisoned => "poisoned",
+        }
+    }
+}
+
 /// Cumulative per-tenant admission accounting: the `/metrics`
 /// `multigrain_tenant_jobs` gauges and the starvation detector's
 /// dispatch progress signal both read from here.
@@ -381,6 +376,9 @@ struct JobQueue {
     drr: Drr<PendingJob>,
     /// Per-tenant accounting; tenants are never forgotten once seen.
     stats: BTreeMap<usize, TenantStats>,
+    /// Every admitted job's state, by id: one small entry per admission,
+    /// the rate the journal grows at.
+    states: BTreeMap<u64, JobState>,
     admit: TraceHandle,
     id: Lcg,
     issued: u64,
@@ -428,6 +426,7 @@ impl JobQueue {
             }
             let Some(job) = self.drr.shed_front(tenant) else { break };
             self.stats.entry(tenant).or_default().shed += 1;
+            self.states.insert(job.job, JobState::Shed);
             let at = self.stamp(now_ns);
             let shed =
                 EventKind::JobShed { job: job.job, tenant, deadline_ns: job.spec.deadline_ns };
@@ -525,6 +524,7 @@ impl Shared {
                     cfg.tenant_queue,
                 ),
                 stats: BTreeMap::new(),
+                states: BTreeMap::new(),
                 admit: tracer.handle(),
                 id: Lcg(cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1),
                 issued: 0,
@@ -602,6 +602,7 @@ impl Shared {
                     acc_kernel_ns: 0,
                 });
                 q.stats.entry(spec.tenant).or_default().admitted += 1;
+                q.states.insert(job, JobState::Queued);
                 let (depth, cap) = (q.drr.len(), q.drr.cap());
                 let submitted = EventKind::JobSubmitted {
                     job,
@@ -639,6 +640,7 @@ impl Shared {
                     let st = q.stats.entry(tenant).or_default();
                     st.inflight += 1;
                     st.dispatched += 1;
+                    q.states.insert(job.job, JobState::Running);
                     // This attempt's queue wait ends here; accumulate it
                     // so the final partition telescopes over retries.
                     job.acc_queue_ns += at.saturating_sub(job.enqueued_ns);
@@ -743,6 +745,7 @@ impl Shared {
             let line = {
                 let mut q = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
                 let at = q.stamp(self.tracer.now_ns());
+                q.states.insert(job.job, JobState::Poisoned);
                 let kind = EventKind::JobPoisoned { job: job.job, tenant, attempts: next_attempt };
                 record_job(&q.admit, at, kind)
             };
@@ -765,6 +768,7 @@ impl Shared {
             // The next queue wait starts at the failure instant, so the
             // backoff sleep is accounted as queue time.
             job.enqueued_ns = fail_ns;
+            q.states.insert(job.job, JobState::Queued);
             q.drr.push(tenant, job);
             journal_line
         };
@@ -812,21 +816,17 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
     let shared = Arc::new(Shared::new(cfg, &tracer));
 
     std::thread::scope(|s| {
-        // Workload + jobs, one pool: each worker is one "process" that
-        // interleaves the ambient seeded off-load stream with admitted
-        // jobs, and jobs outrank the ambient work. A process holds a PPE
-        // context only while it has something to run on it: it yields the
-        // context for each off-load, and with nothing left to do it waits
-        // for work *outside* the gate — so however many workers there are
-        // per context, the one whose off-load just finished always gets
-        // its context back.
-        for w in 0..cfg.workers.max(1) {
+        // Workers: each is one "process" that pops an admitted job or waits
+        // for one. A process holds a PPE context only while it has
+        // something to run on it: it yields the context for each off-load,
+        // and with no job queued it waits *outside* the gate — so however
+        // many workers there are per context, the one whose off-load just
+        // finished always gets its context back.
+        for _ in 0..cfg.workers.max(1) {
             let shared = Arc::clone(&shared);
             let rt = &rt;
             let metrics = Arc::clone(&metrics);
             let tracer = Arc::clone(&tracer);
-            let mut lcg = Lcg(cfg.seed.wrapping_add(w as u64).wrapping_mul(0x9e37) | 1);
-            let mut ambient_left = if w < cfg.workers { cfg.tasks_per_worker } else { 0 };
             s.spawn(move || {
                 let mut ctx = rt.enter_process();
                 // This worker's own ring: `JobCompleted` stamps are
@@ -850,32 +850,9 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
                                     shared.retry_or_poison(job, fail_ns);
                                 }
                             }
-                            continue;
                         }
+                        Popped::Idle => ctx.block_outside(|| shared.wait_for_work()),
                         Popped::Drained => break,
-                        Popped::Idle => {}
-                    }
-                    if ambient_left > 0 {
-                        ambient_left -= 1;
-                        let n = 32 + (lcg.next() % 97) as usize;
-                        let rounds = 64 + (lcg.next() % 512) as u32;
-                        let body = Arc::new(SpinBody { n, rounds });
-                        if ctx.offload_loop(LoopSite(w as u64), body).is_err() {
-                            // An ambient off-load lost to an armed fault is
-                            // disposable background noise — stop generating
-                            // it, but keep this worker serving jobs.
-                            ambient_left = 0;
-                            continue;
-                        }
-                        // A little PPE-side think time between off-loads
-                        // keeps task parallelism (the paper's U) genuinely
-                        // variable.
-                        ctx.ppe_compute(|| {
-                            // xtask-allow: request-sleep — the ambient workload's seeded PPE think time, not a wait for anything
-                            std::thread::sleep(Duration::from_micros(200 + lcg.next() % 800))
-                        });
-                    } else {
-                        ctx.block_outside(|| shared.wait_for_work());
                     }
                 }
             });
@@ -1067,7 +1044,8 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
 
 /// What became of one execution attempt.
 enum JobRun {
-    /// The job completed and its terminal record is stamped.
+    /// The job completed: its result is recorded, its terminal record
+    /// stamped.
     Completed,
     /// An off-loaded kernel died on [`OffloadError::Unrecovered`]. The
     /// caller owns the verdict (retry or poison); the boundary stamps let
@@ -1078,16 +1056,25 @@ enum JobRun {
 
 /// Run one admitted job and record its completion.
 ///
-/// The job decomposes into the span terms the paper's granularity
-/// vocabulary lifts to job level: `t_dispatch` (argument marshalling on
-/// the PPE), `t_kernel` (one off-loaded loop per bootstrap replicate),
-/// and `t_reduce` (result folding on the PPE). Phase boundaries chain
-/// with `max`, so the terms telescope: the accumulated terms across all
-/// attempts plus this attempt's tail equal `completed - submitted`
-/// *exactly*, which the checker's job-lifecycle rule asserts on every
-/// log. A panicked-but-recovered off-load still completes the job (with
-/// whatever work was done); only [`OffloadError::Unrecovered`] hands the
-/// job back for retry or quarantine.
+/// Job `id` seeds everything it runs. The span terms the paper's
+/// granularity vocabulary lifts to job level: `t_dispatch` generates the
+/// JC69 alignment `Alignment::synthetic(taxa, sites, &Jc69, 0.1, id)`,
+/// compressed once, and the tree `Tree::random(taxa, 0.1,
+/// SmallRng::seed_from_u64(id))` on the PPE; `t_kernel` draws replicate
+/// `b` as `bootstrap_replicate(&data, id + b)` and scores it on that tree,
+/// one off-load per replicate; `t_reduce` folds the lnLs into the job's
+/// result. Phase boundaries chain with `max`, so the terms telescope: the
+/// accumulated terms across all attempts plus this attempt's tail equal
+/// `completed - submitted` *exactly*, which the checker's job-lifecycle
+/// rule asserts on every log. A panicked-but-recovered off-load still
+/// completes the job with the replicates scored before it; only
+/// [`OffloadError::Unrecovered`] hands the job back for retry or
+/// quarantine.
+///
+/// Measured per one-replicate job (release, 2-vCPU x86-64 host): at 8 taxa
+/// × 79 sites (the benchmark's median job) ≈ 50 µs in a hot loop, half of
+/// it generating data, and ≈ 200 µs cold in a live service; ≈ 50 ms at
+/// 64 × 8 192; ≈ 80–100 ms at 256 × 8 192.
 fn execute_job(
     ctx: &mut ProcessCtx<'_>,
     job: &PendingJob,
@@ -1100,51 +1087,33 @@ fn execute_job(
     let tracer = &shared.tracer;
     let spec = job.spec;
 
-    // Dispatch: marshal the spec into per-replicate work shapes.
-    let shapes: Vec<(usize, u32)> = ctx.ppe_compute(|| {
-        let mut lcg = Lcg(job.job | 1);
-        (0..spec.bootstraps)
-            .map(|_| {
-                let n = 16 + (spec.sites + (lcg.next() as usize % 17).min(spec.sites)) / 8;
-                // Per-element rounds scale with the alignment width too,
-                // so job cost tracks the spec the way a real likelihood
-                // kernel would: a max-spec replicate (256 taxa, 8 192
-                // sites: ≈ 1 040 elements × 134 k rounds) spins ≈ 0.26 s
-                // of one core in a release build, ≈ 2 s in a debug one,
-                // so a 16-replicate job runs for seconds (a drainable
-                // backlog is observable); a small one stays
-                // sub-millisecond.
-                let rounds = (16 + spec.taxa as u32 * 4) * (1 + spec.sites as u32 / 64);
-                (n, rounds)
-            })
-            .collect()
+    // Dispatch: the job's seeded alignment and tree.
+    let (data, tree) = ctx.ppe_compute(|| {
+        let aln = Alignment::synthetic(spec.taxa, spec.sites, &Jc69, 0.1, job.job);
+        let tree = Tree::random(spec.taxa, 0.1, &mut SmallRng::seed_from_u64(job.job));
+        (PatternAlignment::compress(&aln), tree)
     });
     let dispatch_end = tracer.now_ns().max(started_ns);
 
-    // Kernel: one off-loaded loop per bootstrap replicate.
-    for (n, rounds) in shapes {
-        let body = Arc::new(SpinBody { n, rounds });
-        match ctx.offload_loop(LoopSite(0x10_000 + spec.tenant as u64), body) {
-            Ok(_) => {}
+    // Kernel: one off-loaded score per bootstrap replicate.
+    let mut lnls = Vec::with_capacity(spec.bootstraps);
+    for b in 0..spec.bootstraps as u64 {
+        let replicate = Arc::new(bootstrap_replicate(&data, job.job.wrapping_add(b)));
+        match OffloadedEngine::new(ctx, Jc69, replicate).try_log_likelihood(&tree) {
+            Ok(lnl) => lnls.push(lnl),
             Err(OffloadError::Unrecovered) => {
                 let fail_ns = tracer.now_ns().max(dispatch_end);
                 return JobRun::Faulted { dispatch_end, fail_ns };
             }
-            // A contained panic degraded this replicate but the SPE is
-            // back in service: finish the job with the work that ran.
+            // A contained panic lost this replicate but the SPE is back
+            // in service: finish the job with the replicates scored.
             Err(OffloadError::TaskPanicked) => break,
         }
     }
     let kernel_end = tracer.now_ns().max(dispatch_end);
 
-    // Reduce: fold the replicate results on the PPE.
-    ctx.ppe_compute(|| {
-        let mut acc = 0u64;
-        for i in 0..spec.taxa {
-            acc = acc.rotate_left(7).wrapping_add(std::hint::black_box(i as u64));
-        }
-        std::hint::black_box(acc)
-    });
+    // Reduce: fold the replicate lnLs into the job's result.
+    let result = JobState::Completed(ctx.ppe_compute(|| lnls.into_boxed_slice()));
     // Strictly after the kernel boundary AND after this worker's previous
     // completion, so the worker's ring keeps causal time even when two
     // jobs finish within the stamp-bump noise.
@@ -1170,6 +1139,9 @@ fn execute_job(
     metrics.observe(HistKind::JobQueueNs, t_queue_ns);
     metrics.observe(HistKind::JobServiceNs, completed_ns - started_ns);
     metrics.observe(HistKind::JobTotalNs, completed_ns - job.submitted_ns);
+    // Recorded before its completion line is journaled: a client that has
+    // seen the line finds the result.
+    shared.jobs.lock().unwrap_or_else(|e| e.into_inner()).states.insert(job.job, result);
     shared.journal_push(line);
     // Fold this service time into the Retry-After estimate (integer
     // EWMA, alpha = 1/8; first sample seeds it).
@@ -1412,8 +1384,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
         Err(None) => return,
     };
     let body = String::from_utf8_lossy(&buf[request.body.clone()]);
+    let id = request.path.strip_prefix("/jobs/");
 
-    match (request.method.as_str(), request.path.as_str()) {
+    match (request.method.as_str(), if id.is_some() { "/jobs/<id>" } else { &request.path }) {
         ("GET", "/metrics") => {
             let status = shared.status.lock().unwrap_or_else(|e| e.into_inner()).clone();
             match status {
@@ -1439,9 +1412,10 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
         }
         ("GET", "/events") => stream_events(stream, shared),
         ("POST", "/jobs") => handle_job_post(&mut stream, shared, &body),
+        ("GET", "/jobs/<id>") => handle_job_get(&mut stream, shared, id.unwrap_or_default()),
         // Known path, wrong verb: say which verb works instead of
         // pretending the path does not exist.
-        (_, "/metrics" | "/health" | "/events") => respond_with(
+        (_, "/metrics" | "/health" | "/events" | "/jobs/<id>") => respond_with(
             &mut stream,
             "405 Method Not Allowed",
             "text/plain",
@@ -1455,7 +1429,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             &[("Allow", "POST")],
             "method not allowed; submit jobs with POST\n",
         ),
-        _ => respond(&mut stream, "404 Not Found", "text/plain", "try /metrics, /health, /events, /jobs\n"),
+        _ => respond(&mut stream, "404 Not Found", "text/plain", "try /metrics, /health, /events, /jobs, /jobs/<id>\n"),
     }
 }
 
@@ -1502,6 +1476,25 @@ fn handle_job_post(stream: &mut TcpStream, shared: &Shared, body: &str) {
             body.push('\n');
             respond(stream, "503 Service Unavailable", "application/json", &body);
         }
+    }
+}
+
+/// `GET /jobs/<id>`: the job's state and, once it completed, the lnL of
+/// each replicate scored, in bootstrap order. `404` for an id no admitted
+/// job holds.
+fn handle_job_get(stream: &mut TcpStream, shared: &Shared, id: &str) {
+    let body = id.parse::<u64>().ok().and_then(|job| {
+        let q = shared.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        let state = q.states.get(&job)?;
+        let mut members = vec![("job", job.into()), ("state", state.name().into())];
+        if let JobState::Completed(lnls) = state {
+            members.push(("lnl", Value::Array(lnls.iter().map(|&lnl| lnl.into()).collect())));
+        }
+        Some(Value::object(members).to_json() + "\n")
+    });
+    match body {
+        Some(body) => respond(stream, "200 OK", "application/json", &body),
+        None => respond(stream, "404 Not Found", "text/plain", "no such job\n"),
     }
 }
 

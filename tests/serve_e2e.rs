@@ -1,8 +1,8 @@
-//! End-to-end tests of `multigrain serve`: scrape all three endpoints of
-//! a live service, interrupt it, and verify the graceful-shutdown
-//! contract — the interrupted run still writes a checker-valid RunLog —
-//! plus the ring-drop alarm path (undersized rings ⇒ `ring_drop` health
-//! event ⇒ exit code 4).
+//! End-to-end tests of `multigrain serve`: scrape all three telemetry
+//! endpoints of a live service, read job results back, interrupt it, and
+//! verify the graceful-shutdown contract — the interrupted run still
+//! writes a checker-valid RunLog — plus the ring-drop alarm path
+//! (undersized rings ⇒ `ring_drop` health event ⇒ exit code 4).
 
 #![cfg(unix)]
 
@@ -15,6 +15,13 @@ use cellsim::event::{AlarmKind, EventKind, RunLog, Severity};
 use mgps_analysis::{check_run_with, CheckMode};
 use mgps_obs::{parse_prometheus, validate_families};
 use multigrain::serve::http_get;
+use phylo::alignment::{Alignment, PatternAlignment};
+use phylo::bootstrap::bootstrap_replicate;
+use phylo::likelihood::LikelihoodEngine;
+use phylo::model::Jc69;
+use phylo::tree::Tree;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 fn bin() -> PathBuf {
     let mut p = std::env::current_exe().expect("test executable path");
@@ -181,8 +188,12 @@ fn serve_exposes_metrics_health_and_events_then_survives_sigint() {
     std::fs::create_dir_all(&dir).unwrap();
     let log_path = dir.join("serve-run.json");
 
-    let (mut child, addr) =
-        spawn_serve(&["--tasks", "400", "--out", log_path.to_str().unwrap()]);
+    let (mut child, addr) = spawn_serve(&["--out", log_path.to_str().unwrap()]);
+    // 32 replicate off-loads: four MGPS windows of departures, so four
+    // decisions at least.
+    for _ in 0..2 {
+        submit(&addr, "taxa=8&sites=64&bootstraps=16");
+    }
 
     // /metrics parses as strict Prometheus text and the histogram
     // families validate (cumulative buckets, +Inf == _count).
@@ -237,14 +248,10 @@ fn events_client_disconnect_mid_stream_does_not_kill_the_service() {
     std::fs::create_dir_all(&dir).unwrap();
     let log_path = dir.join("epipe-run.json");
 
-    let (mut child, addr) = spawn_serve(&[
-        "--tasks",
-        "400",
-        "--for-ms",
-        "2500",
-        "--out",
-        log_path.to_str().unwrap(),
-    ]);
+    let (mut child, addr) =
+        spawn_serve(&["--for-ms", "2500", "--out", log_path.to_str().unwrap()]);
+    // Its admission is a journal line to stream.
+    submit(&addr, "taxa=8&sites=64&bootstraps=16");
 
     // Open /events, read until at least one journal line has actually been
     // streamed (so the server is mid-conversation, not idle), then drop
@@ -303,8 +310,6 @@ fn undersized_rings_raise_the_ring_drop_alarm_and_exit_4() {
     let log_path = dir.join("drop-run.json");
 
     let (mut child, addr) = spawn_serve(&[
-        "--tasks",
-        "300",
         "--ring-capacity",
         "32",
         "--for-ms",
@@ -312,6 +317,11 @@ fn undersized_rings_raise_the_ring_drop_alarm_and_exit_4() {
         "--out",
         log_path.to_str().unwrap(),
     ]);
+    // 64 replicate off-loads, each several records on its worker's ring:
+    // far more than 32 slots hold.
+    for _ in 0..4 {
+        submit(&addr, "taxa=8&sites=64&bootstraps=16");
+    }
 
     // The alarm reaches the /events stream while the service is live.
     let alarm = events_line_matching(
@@ -348,30 +358,19 @@ fn an_armed_mid_kernel_fault_retries_the_job_to_exactly_one_completion() {
     std::fs::create_dir_all(&dir).unwrap();
     let log_path = dir.join("retry-run.json");
 
-    // One worker, one ambient task: the ambient off-load is TaskId 0, so
-    // the first job's single kernel off-load (bootstraps=1) is TaskId 1 —
-    // pinned to crash with SPE retries and PPE fallback both off, the only
-    // path left is the job plane's own retry ladder. The retry attempt
-    // re-offloads as TaskId 2, which no pin touches, and completes.
+    // Nothing off-loads but jobs, so the first job's single replicate
+    // (bootstraps=1) is TaskId 0 — pinned to crash with SPE retries and
+    // PPE fallback both off, the only path left is the job plane's own
+    // retry ladder. The retry attempt re-offloads as TaskId 1, which no
+    // pin touches, and completes.
     let (mut child, addr) = spawn_serve(&[
-        "--tasks",
-        "1",
         "--workers",
         "1",
         "--faults",
-        "seed=11,pin=crash@1,retries=0,fallback=off,jobr=2,backoff=1000",
+        "seed=11,pin=crash@0,retries=0,fallback=off,jobr=2,backoff=1000",
         "--out",
         log_path.to_str().unwrap(),
     ]);
-    // Jobs outrank the ambient work, so the pin lands on the job's kernel
-    // only once the ambient off-load (TaskId 0) is behind the worker.
-    let start = Instant::now();
-    while !parse_prometheus(&scrape(&addr, "/metrics")).expect("metrics parse").iter().any(|f| {
-        f.name == "multigrain_offloads_total" && f.samples.iter().any(|s| s.value >= 1.0)
-    }) {
-        assert!(start.elapsed() < Duration::from_secs(10), "the ambient off-load never ran");
-        std::thread::sleep(Duration::from_millis(20));
-    }
 
     let (status, head, payload) =
         raw_request(&addr, "POST", "/jobs", "taxa=8&sites=64&bootstraps=1&tenant=0");
@@ -472,11 +471,11 @@ fn raw_request(addr: &str, method: &str, path: &str, body: &str) -> (u16, String
 
 #[test]
 fn known_paths_answer_405_with_an_allow_header_per_verb() {
-    let (mut child, addr) = spawn_serve(&["--tasks", "200", "--for-ms", "8000"]);
+    let (mut child, addr) = spawn_serve(&["--for-ms", "8000"]);
     scrape(&addr, "/health"); // wait until the plane is up
 
-    // The read-only telemetry endpoints accept GET and nothing else.
-    for path in ["/metrics", "/health", "/events"] {
+    // The read-only endpoints accept GET and nothing else.
+    for path in ["/metrics", "/health", "/events", "/jobs/1"] {
         for verb in ["POST", "PUT", "DELETE", "PATCH", "HEAD"] {
             let (status, head, _) = raw_request(&addr, verb, path, "");
             assert_eq!(status, 405, "{verb} {path}: {head}");
@@ -505,7 +504,7 @@ fn more_workers_than_ppe_contexts_strand_no_job() {
     // drain released the idlers: every job must complete while the
     // service is still up.
     let (mut child, addr) =
-        spawn_serve(&["--workers", "4", "--tasks", "1", "--job-queue", "32"]);
+        spawn_serve(&["--workers", "4", "--job-queue", "32"]);
     let mut tail = EventsTail::open(&addr);
     let mut pending: std::collections::BTreeSet<u64> =
         (0..30).map(|_| submit(&addr, "taxa=8&sites=256&bootstraps=2")).collect();
@@ -525,7 +524,7 @@ fn more_workers_than_ppe_contexts_strand_no_job() {
 
 #[test]
 fn a_completion_reaches_an_open_events_tail_before_the_next_job_is_sent() {
-    let (mut child, addr) = spawn_serve(&["--tasks", "1"]);
+    let (mut child, addr) = spawn_serve(&[]);
     let mut tail = EventsTail::open(&addr);
     // One job at a time: after the first, the tail has nothing left to
     // replay and is parked when the job is sent, so each completion line
@@ -547,10 +546,10 @@ fn a_completion_reaches_an_open_events_tail_before_the_next_job_is_sent() {
 fn an_idle_service_nobody_connected_to_still_stops() {
     // The acceptor blocks in `accept`; with no client ever connecting,
     // only the service's own shutdown wake gets it out.
-    let (mut timed, _) = spawn_serve(&["--tasks", "1", "--for-ms", "200"]);
+    let (mut timed, _) = spawn_serve(&["--for-ms", "200"]);
     assert_eq!(wait_with_timeout(&mut timed, Duration::from_secs(20)), 0, "--for-ms expiry");
 
-    let (mut interrupted, _) = spawn_serve(&["--tasks", "1"]);
+    let (mut interrupted, _) = spawn_serve(&[]);
     unsafe {
         libc_kill(interrupted.id() as i32, 2);
     }
@@ -563,10 +562,10 @@ fn a_drain_whose_backlog_is_shed_rather_than_run_still_exits() {
     // it, jobs whose 1 ms deadline is long gone by the time the worker
     // looks again. That last look starts nothing — it only sheds — and
     // the drain has to hear that the queue is empty from it. The heavy job
-    // is one max-size replicate: about 2 s of one core in a debug build
-    // (0.26 s in release), far longer than the three submissions and the
+    // is one max-size replicate: about 1.2 s of one core in a debug build
+    // (0.1 s in release), far longer than the three submissions and the
     // interrupt take, and far inside the limit.
-    let (mut child, addr) = spawn_serve(&["--workers", "1", "--tasks", "1"]);
+    let (mut child, addr) = spawn_serve(&["--workers", "1"]);
     submit(&addr, "taxa=256&sites=8192&bootstraps=1");
     for _ in 0..3 {
         submit(&addr, "taxa=8&sites=16&bootstraps=1&deadline_ms=1");
@@ -580,7 +579,7 @@ fn a_drain_whose_backlog_is_shed_rather_than_run_still_exits() {
 #[test]
 fn unreadable_requests_are_answered_not_hung_up_on() {
     use std::io::{Read, Write};
-    let (mut child, addr) = spawn_serve(&["--tasks", "1"]);
+    let (mut child, addr) = spawn_serve(&[]);
     // Send `bytes`, stop sending (but keep the read side open), and
     // return the status code of whatever comes back.
     let answer = |bytes: &[u8]| -> u16 {
@@ -620,8 +619,6 @@ fn sigint_mid_load_drains_admitted_jobs_and_refuses_new_ones() {
     let log_path = dir.join("jobs-run.json");
 
     let (mut child, addr) = spawn_serve(&[
-        "--tasks",
-        "200",
         "--workers",
         "1",
         "--job-queue",
@@ -632,7 +629,9 @@ fn sigint_mid_load_drains_admitted_jobs_and_refuses_new_ones() {
     scrape(&addr, "/health");
 
     // Flood the single worker with heavy jobs so a backlog is guaranteed
-    // to still be draining when the interrupt lands.
+    // to still be draining when the interrupt lands: each is 16 replicates
+    // of 64 taxa × 8 192 sites, about 2.3 s in a debug build (0.14 s in
+    // release).
     let (mut admitted, mut rejected) = (0usize, 0usize);
     for i in 0..10 {
         let body = format!("taxa=64&sites=8192&bootstraps=16&tenant={}", i % 3);
@@ -700,4 +699,89 @@ fn sigint_mid_load_drains_admitted_jobs_and_refuses_new_ones() {
     assert_eq!(refused, rejected, "one JobRejected per 429");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `GET /jobs/<id>` as `(status, state, lnls)`; the state and lnLs are
+/// empty unless the answer is a `200`.
+fn job_result(addr: &str, job: &str) -> (u16, String, Vec<f64>) {
+    let (status, head, payload) = raw_request(addr, "GET", &format!("/jobs/{job}"), "");
+    if status != 200 {
+        return (status, String::new(), Vec::new());
+    }
+    let v = minijson::parse(&payload).unwrap_or_else(|e| panic!("{head} {payload}: {e:?}"));
+    let state = v.get("state").and_then(minijson::Value::as_str).expect("a state").to_string();
+    let lnls = v
+        .get("lnl")
+        .and_then(minijson::Value::as_array)
+        .map(|a| a.iter().map(|x| x.as_f64().expect("an lnL is a number")).collect())
+        .unwrap_or_default();
+    (status, state, lnls)
+}
+
+#[test]
+fn a_job_result_is_the_direct_score_of_its_seeded_replicates() {
+    let (mut child, addr) = spawn_serve(&[]);
+    let mut tail = EventsTail::open(&addr);
+    let (taxa, sites, bootstraps) = (12, 300, 5u64);
+    let job = submit(&addr, &format!("taxa={taxa}&sites={sites}&bootstraps={bootstraps}"));
+    let id = format!("\"job\":{job},");
+    tail.next_matching("the job to complete", |l| {
+        l.contains("\"type\":\"job_completed\"") && l.contains(&id)
+    });
+    let (status, state, lnls) = job_result(&addr, &job.to_string());
+    assert_eq!((status, state.as_str()), (200, "completed"));
+
+    // The job id seeds the alignment, the tree and each replicate.
+    let data = PatternAlignment::compress(&Alignment::synthetic(taxa, sites, &Jc69, 0.1, job));
+    let tree = Tree::random(taxa, 0.1, &mut SmallRng::seed_from_u64(job));
+    let want: Vec<f64> = (0..bootstraps)
+        .map(|b| {
+            let replicate = bootstrap_replicate(&data, job.wrapping_add(b));
+            LikelihoodEngine::new(&Jc69, &replicate).log_likelihood(&tree)
+        })
+        .collect();
+    assert_eq!(lnls.len(), want.len(), "one lnL per replicate: {lnls:?}");
+    for (b, (got, want)) in lnls.iter().zip(&want).enumerate() {
+        assert!((got - want).abs() < 1e-9, "replicate {b}: served {got}, direct {want}");
+    }
+
+    unsafe {
+        libc_kill(child.id() as i32, 2);
+    }
+    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+}
+
+#[test]
+fn get_jobs_reports_unknown_completed_and_shed_states() {
+    let (mut child, addr) = spawn_serve(&["--workers", "1"]);
+    let mut tail = EventsTail::open(&addr);
+    for unknown in ["18446744073709551615", "0x10", "", "1/2"] {
+        assert_eq!(job_result(&addr, unknown).0, 404, "/jobs/{unknown}");
+    }
+
+    let light = submit(&addr, "taxa=8&sites=64&bootstraps=2");
+    let id = format!("\"job\":{light},");
+    tail.next_matching("the light job to complete", |l| {
+        l.contains("\"type\":\"job_completed\"") && l.contains(&id)
+    });
+    let (status, state, lnls) = job_result(&addr, &light.to_string());
+    assert_eq!((status, state.as_str(), lnls.len()), (200, "completed", 2));
+
+    // One worker, busy with a max-size replicate for far longer than the
+    // 1 ms deadline of the job queued behind it.
+    let heavy = submit(&addr, "taxa=256&sites=8192&bootstraps=1");
+    let late = submit(&addr, "taxa=8&sites=16&bootstraps=1&deadline_ms=1");
+    let (_, state, lnls) = job_result(&addr, &heavy.to_string());
+    assert!(matches!(state.as_str(), "queued" | "running") && lnls.is_empty(), "{state}");
+    let id = format!("\"job\":{late},");
+    tail.next_matching("the late job to be shed", |l| {
+        l.contains("\"type\":\"job_shed\"") && l.contains(&id)
+    });
+    let (status, state, lnls) = job_result(&addr, &late.to_string());
+    assert_eq!((status, state.as_str(), lnls.len()), (200, "shed", 0));
+
+    unsafe {
+        libc_kill(child.id() as i32, 2);
+    }
+    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
 }
