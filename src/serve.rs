@@ -27,7 +27,8 @@
 //!   RunLog (`job-lifecycle` rule).
 //! * `GET /jobs/<id>` — where an admitted job stands (`queued`,
 //!   `running`, `completed`, `shed` or `poisoned`) and, once completed,
-//!   its replicate lnLs in bootstrap order; `404` for any other id.
+//!   its replicate lnLs in bootstrap order, fewer than `bootstraps` after
+//!   a contained off-load panic; `404` for any other id.
 //!
 //! # Surviving overload
 //!
@@ -1056,25 +1057,23 @@ enum JobRun {
 
 /// Run one admitted job and record its completion.
 ///
-/// Job `id` seeds everything it runs. The span terms the paper's
-/// granularity vocabulary lifts to job level: `t_dispatch` generates the
-/// JC69 alignment `Alignment::synthetic(taxa, sites, &Jc69, 0.1, id)`,
+/// Job `id` seeds everything it runs: `t_dispatch` generates the JC69
+/// alignment `Alignment::synthetic(taxa, sites, &Jc69, 0.1, id)`,
 /// compressed once, and the tree `Tree::random(taxa, 0.1,
-/// SmallRng::seed_from_u64(id))` on the PPE; `t_kernel` draws replicate
-/// `b` as `bootstrap_replicate(&data, id + b)` and scores it on that tree,
-/// one off-load per replicate; `t_reduce` folds the lnLs into the job's
-/// result. Phase boundaries chain with `max`, so the terms telescope: the
-/// accumulated terms across all attempts plus this attempt's tail equal
-/// `completed - submitted` *exactly*, which the checker's job-lifecycle
-/// rule asserts on every log. A panicked-but-recovered off-load still
-/// completes the job with the replicates scored before it; only
-/// [`OffloadError::Unrecovered`] hands the job back for retry or
-/// quarantine.
+/// SmallRng::seed_from_u64(id))` on the PPE; `t_kernel` scores replicate
+/// `b = bootstrap_replicate(&data, id + b)` on that tree, one off-load per
+/// replicate; `t_reduce` folds the lnLs into the job's result. Phase
+/// boundaries chain with `max`, so the terms telescope: the accumulated
+/// terms across all attempts plus this attempt's tail equal `completed -
+/// submitted` *exactly*, which the checker's job-lifecycle rule asserts on
+/// every log. A panicked-but-recovered off-load still completes the job
+/// with the replicates scored before it; only [`OffloadError::Unrecovered`]
+/// hands the job back for retry or quarantine.
 ///
-/// Measured per one-replicate job (release, 2-vCPU x86-64 host): at 8 taxa
-/// × 79 sites (the benchmark's median job) ≈ 50 µs in a hot loop, half of
-/// it generating data, and ≈ 200 µs cold in a live service; ≈ 50 ms at
-/// 64 × 8 192; ≈ 80–100 ms at 256 × 8 192.
+/// Cost in a live one-worker service (2-vCPU x86-64; release, debug in
+/// brackets), `t_dispatch` once + `t_kernel` per replicate: 8 × 79, the
+/// benchmark's median job, 0.10 + 0.07 ms (≈ 3× a hot loop); 64 × 8 192
+/// 14 + 3.7 ms [0.16 + 0.12 s]; 256 × 8 192 65 + 15 ms [0.7 + 0.47 s].
 fn execute_job(
     ctx: &mut ProcessCtx<'_>,
     job: &PendingJob,
@@ -1480,8 +1479,8 @@ fn handle_job_post(stream: &mut TcpStream, shared: &Shared, body: &str) {
 }
 
 /// `GET /jobs/<id>`: the job's state and, once it completed, the lnL of
-/// each replicate scored, in bootstrap order. `404` for an id no admitted
-/// job holds.
+/// each replicate scored, in bootstrap order (a prefix of the replicates
+/// if an off-load panicked). `404` for an id no admitted job holds.
 fn handle_job_get(stream: &mut TcpStream, shared: &Shared, id: &str) {
     let body = id.parse::<u64>().ok().and_then(|job| {
         let q = shared.jobs.lock().unwrap_or_else(|e| e.into_inner());

@@ -286,11 +286,21 @@ fn events_client_disconnect_mid_stream_does_not_kill_the_service() {
         raw.split_once("\r\n\r\n").is_some_and(|(_, body)| body.contains('\n')),
         "never saw a streamed line before disconnecting: {raw:?}"
     );
-    // Abort the connection: subsequent server writes hit EPIPE/ECONNRESET.
+    // Abort the connection, then give the tail something to write: each
+    // job's admission grows the journal, so the tail wakes and writes to
+    // the dead socket. The first write draws the peer's reset; the ones
+    // after it hit EPIPE/ECONNRESET.
     drop(stream);
+    let after: Vec<u64> = (0..5)
+        .map(|_| {
+            let job = submit(&addr, "taxa=8&sites=64&bootstraps=1");
+            std::thread::sleep(Duration::from_millis(20));
+            job
+        })
+        .collect();
 
-    // The telemetry thread must shrug it off: the timed run still drains,
-    // exits 0, and writes a checker-valid log.
+    // The tail's thread must shrug it off: the timed run still serves and
+    // drains, exits 0, and writes a checker-valid log.
     let code = wait_with_timeout(&mut child, Duration::from_secs(30));
     assert_eq!(code, 0, "a client hangup must not take down the service");
 
@@ -299,6 +309,14 @@ fn events_client_disconnect_mid_stream_does_not_kill_the_service() {
         .expect("log deserializes");
     let report = check_run_with(&log, CheckMode::Native);
     assert!(report.is_clean(), "post-hangup log must be checker-valid:\n{}", report.render());
+    for job in after {
+        assert!(
+            log.events
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::JobCompleted { job: j, .. } if j == job)),
+            "job {job}, posted after the hangup, never completed"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -562,9 +580,9 @@ fn a_drain_whose_backlog_is_shed_rather_than_run_still_exits() {
     // it, jobs whose 1 ms deadline is long gone by the time the worker
     // looks again. That last look starts nothing — it only sheds — and
     // the drain has to hear that the queue is empty from it. The heavy job
-    // is one max-size replicate: about 1.2 s of one core in a debug build
-    // (0.1 s in release), far longer than the three submissions and the
-    // interrupt take, and far inside the limit.
+    // is one max-size replicate: about 1.2 s in a debug build (80 ms in
+    // release), far longer than the three submissions and the interrupt
+    // take, and far inside the limit.
     let (mut child, addr) = spawn_serve(&["--workers", "1"]);
     submit(&addr, "taxa=256&sites=8192&bootstraps=1");
     for _ in 0..3 {
@@ -630,7 +648,7 @@ fn sigint_mid_load_drains_admitted_jobs_and_refuses_new_ones() {
 
     // Flood the single worker with heavy jobs so a backlog is guaranteed
     // to still be draining when the interrupt lands: each is 16 replicates
-    // of 64 taxa × 8 192 sites, about 2.3 s in a debug build (0.14 s in
+    // of 64 taxa × 8 192 sites, about 2 s in a debug build (75 ms in
     // release).
     let (mut admitted, mut rejected) = (0usize, 0usize);
     for i in 0..10 {
