@@ -17,7 +17,7 @@ use crate::tree::Tree;
 
 /// Produce the re-sampled weight vector of one bootstrap replicate,
 /// deterministic in `seed`.
-pub fn bootstrap_weights(data: &PatternAlignment, seed: u64) -> Vec<u32> {
+pub fn bootstrap_weights<const S: usize>(data: &PatternAlignment<S>, seed: u64) -> Vec<u32> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let n_sites = data.n_sites();
     let col2pat = data.column_pattern();
@@ -32,7 +32,10 @@ pub fn bootstrap_weights(data: &PatternAlignment, seed: u64) -> Vec<u32> {
 /// A bootstrap replicate: the compressed alignment of the re-sampled
 /// columns — the patterns drawn at least once, in their original order,
 /// weighted by [`bootstrap_weights`].
-pub fn bootstrap_replicate(data: &PatternAlignment, seed: u64) -> PatternAlignment {
+pub fn bootstrap_replicate<const S: usize>(
+    data: &PatternAlignment<S>,
+    seed: u64,
+) -> PatternAlignment<S> {
     data.with_weights(bootstrap_weights(data, seed))
 }
 

@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod alignment;
-pub mod analysis;
 pub mod bootstrap;
 pub mod dna;
 pub mod io;
@@ -45,7 +44,6 @@ pub mod tree;
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::alignment::{Alignment, AlignmentError, PatternAlignment};
-    pub use crate::analysis::{run_analysis, run_bootstrap, run_inference, AnalysisResult};
     pub use crate::bootstrap::{bootstrap_replicate, bootstrap_weights, support_values};
     pub use crate::dna::{StateMask, STATES};
     pub use crate::io::{parse_newick, NewickError};

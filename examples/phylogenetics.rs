@@ -1,10 +1,12 @@
-//! The paper's application end to end: a (scaled-down) RAxML-style
-//! phylogenetic analysis with every likelihood kernel off-loaded through
-//! the multigrain runtime.
+//! The paper's task-level work: (scaled-down) RAxML-style bootstrap
+//! searches with every likelihood kernel off-loaded through the multigrain
+//! runtime.
 //!
-//! Runs multiple bootstrap searches on a synthetic DNA alignment under the
-//! EDTLP and MGPS schedulers, then reports the best tree, the bootstrap
-//! support of its clades, and the runtime's adaptation statistics.
+//! Runs the same bootstrap searches on a synthetic DNA alignment under the
+//! EDTLP and MGPS schedulers and reports the replicates' scores and the
+//! runtime's adaptation statistics. The whole analysis — ML search,
+//! bootstraps and support values under one model — is `multigrain infer
+//! --bootstraps N`.
 //!
 //! ```sh
 //! cargo run --release --example phylogenetics
@@ -19,7 +21,7 @@ fn main() {
     let aln = Alignment::synthetic(16, 400, &Jc69, 0.08, 2024);
     let data = Arc::new(PatternAlignment::compress(&aln));
     println!(
-        "alignment: {} taxa x {} sites ({} distinct patterns)\n",
+        "alignment: {} taxa x {} sites ({} distinct patterns)",
         data.n_taxa(),
         data.n_sites(),
         data.n_patterns()
@@ -28,23 +30,12 @@ fn main() {
     let search = SearchConfig { max_rounds: 3, branch_passes: 1, epsilon: 1e-3, initial_branch: 0.1, restarts: 1 };
     const BOOTSTRAPS: usize = 8;
 
-    // Best-known tree from two independent inferences (run directly).
-    let best = (0..2)
-        .map(|seed| hill_climb(&Jc69, &data, &search, seed))
-        .max_by(|a, b| a.lnl.total_cmp(&b.lnl))
-        .expect("at least one inference");
-    println!("best-known ML tree: lnL = {:.3} ({} NNI moves accepted)", best.lnl, best.accepted_moves);
-
     for scheduler in [SchedulerKind::Edtlp, SchedulerKind::Mgps] {
         let mut analysis = ParallelAnalysis::cell(scheduler, 4);
         analysis.search = search;
         let start = std::time::Instant::now();
         let (replicates, stats) = analysis.run_bootstraps(Jc69, &data, BOOTSTRAPS, 99);
         let elapsed = start.elapsed();
-
-        let trees: Vec<Tree> = replicates.iter().map(|r| r.tree.clone()).collect();
-        let support = support_values(&best.tree, &trees);
-        let mean_support = support.iter().sum::<f64>() / support.len() as f64;
 
         println!(
             "\n{}: {BOOTSTRAPS} bootstraps on 4 worker processes in {elapsed:.1?}",
@@ -53,7 +44,6 @@ fn main() {
         println!("  replicate lnL range: {:.2} ..= {:.2}",
             replicates.iter().map(|r| r.lnl).fold(f64::INFINITY, f64::min),
             replicates.iter().map(|r| r.lnl).fold(f64::NEG_INFINITY, f64::max));
-        println!("  mean clade support of the best tree: {mean_support:.2}");
         println!("  context switches: {}", stats.context_switches);
         if let Some((evals, acts, deacts)) = stats.mgps {
             println!(
@@ -62,8 +52,4 @@ fn main() {
             );
         }
     }
-
-    println!("\nbest tree (Newick):");
-    let names: Vec<String> = (0..data.n_taxa()).map(|i| format!("taxon{i:03}")).collect();
-    println!("{}", best.tree.to_newick(&names));
 }

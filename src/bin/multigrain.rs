@@ -5,7 +5,7 @@
 //! multigrain trace     --scheduler mgps --bootstraps 8 [--seed S] [--out trace.json]
 //! multigrain profile   --scheduler mgps --bootstraps 8 [--seed S] [--out report.html]
 //! multigrain atlas     [--grid mini] [--seed S] [--shard 0/4] [--out atlas.json]
-//! multigrain infer     --input data.fasta [--model jc|k80|gtr] [--gamma <alpha>|estimate]
+//! multigrain infer     --input data.fasta [--model jc|k80|gtr|poisson] [--gamma <alpha>|estimate]
 //!                      [--search nni|spr] [--bootstraps N] [--seed S]
 //! multigrain predict   --input data.fasta [--bootstraps N] [--scale 500]
 //! multigrain demo      [--taxa 16] [--sites 400]
@@ -17,10 +17,11 @@
 //! `simulate` drives the Cell BE model; `trace` replays a run with event
 //! recording and exports a Chrome trace plus a metrics summary; `profile`
 //! adds critical-path/what-if analysis and writes a self-contained HTML
-//! report plus flamegraph-style folded stacks; `infer` runs a real
-//! phylogenetic analysis through the native multigrain runtime; `predict`
-//! derives a Cell workload from your alignment and forecasts scheduler
-//! performance; `demo` generates a synthetic alignment to play with;
+//! report plus flamegraph-style folded stacks; `infer` runs a real DNA or
+//! protein analysis — search, bootstraps and support under one model —
+//! through the native multigrain runtime; `predict` derives a Cell
+//! workload from your alignment and forecasts scheduler performance;
+//! `demo` generates a synthetic alignment to play with;
 //! `serve` keeps a native pool resident, admits phylo jobs over
 //! `POST /jobs`, and exposes live telemetry over HTTP (`/metrics`,
 //! `/health`, `/events`); `loadgen` is the seeded open-loop load-test
@@ -33,7 +34,6 @@ use std::sync::Arc;
 
 use multigrain::bridge::workload_for;
 use multigrain::prelude::*;
-use multigrain::ParallelAnalysis;
 
 /// A classified CLI failure. Every command reports *why* it failed through
 /// the process exit code, so scripts and CI can branch without scraping
@@ -142,7 +142,7 @@ fn main() -> ExitCode {
 /// flag is a usage error, not a silently ignored typo.
 type Command = (&'static str, fn(&Opts) -> Result<(), CliError>, &'static [&'static str]);
 
-const COMMANDS: [Command; 14] = [
+const COMMANDS: [Command; 13] = [
     ("simulate", simulate, &["scheduler", "bootstraps", "cells", "scale", "profile", "faults"]),
     (
         "trace",
@@ -172,7 +172,6 @@ const COMMANDS: [Command; 14] = [
     ),
     ("top", top_cmd, &["url", "frames", "interval-ms", "plain"]),
     ("infer", infer, &["input", "model", "gamma", "search", "bootstraps", "workers", "seed"]),
-    ("infer-protein", infer_protein, &["input", "seed"]),
     ("predict", predict, &["input", "bootstraps", "scale"]),
     ("demo", demo, &["taxa", "sites", "seed", "format"]),
 ];
@@ -261,10 +260,10 @@ USAGE:
   multigrain top      [--url HOST:PORT] [--frames N] [--interval-ms N] [--plain on|off]
                       (live terminal dashboard over a running `serve`: per-SPE
                        utilization bars, LLP degree, stall counters, alarms)
-  multigrain infer    --input FILE(.fasta|.phy) [--model jc|k80|gtr]
+  multigrain infer    --input FILE(.fasta|.phy) [--model jc|k80|gtr|poisson]
                       [--gamma ALPHA|estimate] [--search nni|spr]
                       [--bootstraps N] [--workers N] [--seed N]
-  multigrain infer-protein --input FILE.fasta [--seed N]   (Poisson AA model)
+                      (search, bootstraps and support under one model and its +G)
   multigrain predict  --input FILE [--bootstraps N] [--scale N]
   multigrain demo     [--taxa N] [--sites N] [--seed N] [--format fasta|phylip]
 
@@ -428,7 +427,12 @@ fn load_alignment<const S: usize>(opts: &Opts) -> Result<Alignment<S>, CliError>
     } else {
         Alignment::from_phylip(&text)
     };
-    parsed.map_err(|e| format!("{path}: {e}").into())
+    parsed.map_err(|e| {
+        // Amino acids read as DNA fail on their first non-nucleotide letter.
+        let protein = S == STATES && matches!(e, AlignmentError::BadCharacter { .. });
+        let hint = if protein { " (amino-acid data? `infer --model poisson` reads protein)" } else { "" };
+        format!("{path}: {e}{hint}").into()
+    })
 }
 
 fn simulate(opts: &Opts) -> Result<(), CliError> {
@@ -1157,18 +1161,27 @@ fn infer(opts: &Opts) -> Result<(), CliError> {
         "jc" => infer_with(Jc69, opts),
         "k80" => infer_with(K80::new(2.0), opts),
         "gtr" => infer_with(Gtr::example(), opts),
+        "poisson" => infer_with(PoissonAa, opts),
         other => Err(CliError::usage(format!(
-            "unknown model {other:?} (use `infer-protein` for AA data)"
+            "unknown model {other:?} (expected jc|k80|gtr|poisson)"
         ))),
     }
 }
 
-/// `multigrain infer` under one substitution model: the search, the +Γ
-/// fit and the bootstrap replicates all use `model`.
-fn infer_with<M: SubstModel + Clone + 'static>(model: M, opts: &Opts) -> Result<(), CliError> {
+/// `multigrain infer` under `model`, or under `model`+Γ with `--gamma`: an
+/// estimated shape is fitted on the plain-model ML tree, then held fixed.
+fn infer_with<M: SubstModel<S> + Clone + 'static, const S: usize>(
+    model: M,
+    opts: &Opts,
+) -> Result<(), CliError> {
     let seed = seed(opts, 42u64)?;
     let bootstraps = get(opts, "bootstraps", 0usize)?;
     let workers = positive(opts, "workers", 4, "the runtime needs at least 1 worker process")?;
+    let spr = match opts.get("search").map(String::as_str).unwrap_or("nni") {
+        "nni" => false,
+        "spr" => true,
+        other => return Err(CliError::usage(format!("unknown search {other:?}"))),
+    };
     // `Some(None)`: estimate the shape.
     let gamma = match opts.get("gamma").map(String::as_str) {
         None => None,
@@ -1182,9 +1195,8 @@ fn infer_with<M: SubstModel + Clone + 'static>(model: M, opts: &Opts) -> Result<
             }
         },
     };
-    let aln = load_alignment(opts)?;
+    let aln = load_alignment::<S>(opts)?;
     let data = Arc::new(PatternAlignment::compress(&aln));
-    let cfg = SearchConfig::default();
 
     println!(
         "alignment: {} taxa x {} sites ({} patterns)",
@@ -1193,32 +1205,52 @@ fn infer_with<M: SubstModel + Clone + 'static>(model: M, opts: &Opts) -> Result<
         data.n_patterns()
     );
 
-    let result = match opts.get("search").map(String::as_str).unwrap_or("nni") {
-        "nni" => hill_climb(&model, &data, &cfg, seed),
-        "spr" => spr_hill_climb(&model, &data, &cfg, 3, seed),
-        other => return Err(CliError::usage(format!("unknown search {other:?}"))),
+    let run = (spr, seed, bootstraps, workers);
+    let tree = match gamma {
+        None => search_and_bootstrap(model, &data, run),
+        Some(alpha) => {
+            let alpha = alpha.unwrap_or_else(|| {
+                let plain = ml_search(&model, &data, spr, seed);
+                estimate_alpha(&model, &data, &plain.tree, 4, 0.05, 50.0).0
+            });
+            println!("+G alpha           {alpha:.4}");
+            search_and_bootstrap(Gamma::new(model, alpha, 4), &data, run)
+        }
     };
+    println!("{}", tree.to_newick(aln.taxa()));
+    Ok(())
+}
+
+/// The ML search `--search` names, deterministic in `seed`.
+fn ml_search<M: SubstModel<S>, const S: usize>(
+    model: &M,
+    data: &PatternAlignment<S>,
+    spr: bool,
+    seed: u64,
+) -> SearchResult {
+    if spr {
+        spr_hill_climb(model, data, &SearchConfig::default(), 3, seed)
+    } else {
+        hill_climb(model, data, &SearchConfig::default(), seed)
+    }
+}
+
+/// The one inference pipeline: the ML search, then the bootstraps on the
+/// MGPS runtime and the support of the ML tree's bipartitions, all under
+/// `model`. Prints each result and returns the ML tree.
+fn search_and_bootstrap<M: SubstModel<S> + Clone + 'static, const S: usize>(
+    model: M,
+    data: &Arc<PatternAlignment<S>>,
+    (spr, seed, bootstraps, workers): (bool, u64, usize, usize),
+) -> Tree {
+    let result = ml_search(&model, data, spr, seed);
     println!("best tree lnL      {:.4}", result.lnl);
     println!("NNI/SPR accepted   {}", result.accepted_moves);
-
-    if let Some(alpha) = gamma {
-        let (alpha, lnl_g) = match alpha {
-            None => estimate_alpha(&model, &data, &result.tree, 4, 0.05, 50.0),
-            Some(a) => {
-                let gamma = Gamma::new(&model, a, 4);
-                (a, LikelihoodEngine::new(&gamma, &data).log_likelihood(&result.tree))
-            }
-        };
-        println!("+G alpha           {alpha:.4}");
-        println!("+G lnL             {lnl_g:.4}");
-    }
-
     if bootstraps > 0 {
         println!("running {bootstraps} bootstraps on {workers} worker processes (MGPS runtime)...");
-        let mut analysis = ParallelAnalysis::cell(SchedulerKind::Mgps, workers);
-        analysis.search = cfg;
-        let (reps, stats) = analysis.run_bootstraps(model, &data, bootstraps, seed);
-        let trees: Vec<Tree> = reps.iter().map(|r| r.tree.clone()).collect();
+        let analysis = ParallelAnalysis::cell(SchedulerKind::Mgps, workers);
+        let (reps, stats) = analysis.run_bootstraps(model, data, bootstraps, seed);
+        let trees: Vec<Tree> = reps.into_iter().map(|r| r.tree).collect();
         let support = support_values(&result.tree, &trees);
         println!(
             "support            {:?}",
@@ -1226,25 +1258,7 @@ fn infer_with<M: SubstModel + Clone + 'static>(model: M, opts: &Opts) -> Result<
         );
         println!("context switches   {}", stats.context_switches);
     }
-
-    println!("{}", result.tree.to_newick(aln.taxa()));
-    Ok(())
-}
-
-fn infer_protein(opts: &Opts) -> Result<(), CliError> {
-    let aln = load_alignment::<AA_STATES>(opts)?;
-    let data = PatternAlignment::compress(&aln);
-    let seed = seed(opts, 42u64)?;
-    println!(
-        "protein alignment: {} taxa x {} sites ({} patterns)",
-        data.n_taxa(),
-        data.n_sites(),
-        data.n_patterns()
-    );
-    let r = hill_climb(&PoissonAa, &data, &SearchConfig::default(), seed);
-    println!("best tree lnL      {:.4}", r.lnl);
-    println!("{}", r.tree.to_newick(aln.taxa()));
-    Ok(())
+    result.tree
 }
 
 fn predict(opts: &Opts) -> Result<(), CliError> {

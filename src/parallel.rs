@@ -46,15 +46,17 @@ impl ParallelAnalysis {
         }
     }
 
-    /// Run `n_bootstraps` bootstrap searches, distributed over the worker
-    /// processes, each search request — a score or a branch-length
-    /// optimization — put to the runtime as one off-load.
+    /// Run `n_bootstraps` bootstrap searches under `model` (DNA or
+    /// protein, +Γ or not), distributed over the worker processes, each
+    /// search request — a score or a branch-length optimization — put to
+    /// the runtime as one off-load. Bootstrap `b` searches
+    /// `bootstrap_replicate(data, seed + b)`.
     /// Returns the results in bootstrap order plus the runtime's final
     /// statistics.
-    pub fn run_bootstraps<M: SubstModel + Clone + 'static>(
+    pub fn run_bootstraps<M: SubstModel<S> + Clone + 'static, const S: usize>(
         &self,
         model: M,
-        data: &Arc<PatternAlignment>,
+        data: &Arc<PatternAlignment<S>>,
         n_bootstraps: usize,
         seed: u64,
     ) -> (Vec<SearchResult>, AnalysisStats) {

@@ -159,22 +159,26 @@ fn demo_then_infer_round_trip() {
                  (taxon004:0.107325,taxon005:0.000001):0.082792):0.185130,taxon001:0.207589);",
             ],
         ),
+        // Under +Γ the search itself runs under the shape; an estimated
+        // shape is fitted on the plain-model tree above, then held.
         (
             &["--gamma", "0.5"],
             &[
-                "NNI/SPR accepted   4",
                 "+G alpha           0.5000",
-                "+G lnL             -346.0088",
-                NNI_TREE,
+                "best tree lnL      -344.9274",
+                "NNI/SPR accepted   6",
+                "(taxon000:0.031610,(taxon002:0.000001,(taxon003:0.107464,\
+                 (taxon004:0.109350,taxon005:0.000001):0.107350):0.022292):0.288617,taxon001:0.261596);",
             ],
         ),
         (
             &["--gamma", "estimate"],
             &[
-                "NNI/SPR accepted   4",
                 "+G alpha           7.7645",
-                "+G lnL             -340.5448",
-                NNI_TREE,
+                "best tree lnL      -340.5363",
+                "NNI/SPR accepted   4",
+                "(taxon000:0.042234,((taxon002:0.005749,taxon003:0.120365):0.031503,\
+                 (taxon004:0.108120,taxon005:0.000001):0.084762):0.190811,taxon001:0.211979);",
             ],
         ),
     ];
@@ -217,32 +221,26 @@ fn infer_fits_gamma_and_bootstraps_under_the_chosen_model() {
     std::fs::remove_dir_all(&dir).ok();
     assert!(ok, "stderr: {stderr}");
 
-    // The same analysis in-process, every step under GTR.
+    // The same analysis in-process: the search, the bootstraps and the
+    // support all under GTR+Γ.
     let data = Arc::new(PatternAlignment::compress(&aln));
-    let best = hill_climb(&Gtr::example(), &data, &SearchConfig::default(), 1);
-    let gamma = |lnl: f64| format!("+G lnL             {lnl:.4}");
-    let lnl = |model: &dyn SubstModel| {
-        LikelihoodEngine::new(&Gamma::new(model, 0.5, 4), &data).log_likelihood(&best.tree)
-    };
-    let (gtr, jc) = (gamma(lnl(&Gtr::example())), gamma(lnl(&Jc69)));
-    assert_ne!(gtr, jc, "the fixture must tell the two models apart");
-    assert!(stdout.lines().any(|l| l == gtr), "no {gtr:?} in\n{stdout}");
-
-    fn support<M: SubstModel + Clone + 'static>(
-        model: M,
-        data: &Arc<PatternAlignment>,
-        best: &Tree,
-    ) -> String {
-        let (reps, _) = ParallelAnalysis::cell(SchedulerKind::Mgps, 2)
-            .run_bootstraps(model, data, 4, 1);
+    fn pipeline<M: SubstModel + Clone + 'static>(model: M, data: &Arc<PatternAlignment>) -> Vec<String> {
+        let best = hill_climb(&model, data, &SearchConfig::default(), 1);
+        let (reps, _) = ParallelAnalysis::cell(SchedulerKind::Mgps, 2).run_bootstraps(model, data, 4, 1);
         let trees: Vec<Tree> = reps.into_iter().map(|r| r.tree).collect();
         let pct: Vec<u32> =
-            support_values(best, &trees).iter().map(|s| (s * 100.0).round() as u32).collect();
-        format!("support            {pct:?}")
+            support_values(&best.tree, &trees).iter().map(|s| (s * 100.0).round() as u32).collect();
+        vec![format!("best tree lnL      {:.4}", best.lnl), format!("support            {pct:?}")]
     }
-    let gtr = support(Gtr::example(), &data, &best.tree);
-    assert_ne!(gtr, support(Jc69, &data, &best.tree), "the fixture must tell the two models apart");
-    assert!(stdout.lines().any(|l| l == gtr), "no {gtr:?} in\n{stdout}");
+    let want = pipeline(Gamma::new(Gtr::example(), 0.5, 4), &data);
+    for other in [pipeline(Gtr::example(), &data), pipeline(Gamma::new(Jc69, 0.5, 4), &data)] {
+        for (w, o) in want.iter().zip(&other) {
+            assert_ne!(w, o, "the fixture must tell the models apart");
+        }
+    }
+    for line in &want {
+        assert!(stdout.lines().any(|l| l == line), "no {line:?} in\n{stdout}");
+    }
 }
 
 #[test]
@@ -255,14 +253,34 @@ fn infer_protein_runs() {
         ">a\nARNDCQEGHIKLMF\n>b\nARNDCQEGHIKLMF\n>c\nVYWTSPFMLKIHGE\n>d\nVYWTSPFMLKIHGE\n",
     )
     .unwrap();
-    let (stdout, stderr, ok) = run_cli(&["infer-protein", "--input", fasta.to_str().unwrap()]);
+    let input = fasta.to_str().unwrap();
+    let (stdout, stderr, ok) = run_cli(&["infer", "--input", input, "--model", "poisson"]);
     assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("protein alignment: 4 taxa"));
+    assert!(stdout.contains("alignment: 4 taxa"));
     assert!(stdout.contains("best tree lnL      -83.8809"), "{stdout}");
     assert!(
         stdout.contains("(a:0.000001,(c:0.000001,d:0.000001):10.000000,b:0.000001);"),
         "{stdout}"
     );
+    // Protein +Γ bootstraps on the runtime, and their support.
+    let (stdout, stderr, ok) = run_cli(&[
+        "infer", "--input", input, "--model", "poisson", "--gamma", "0.5", "--bootstraps", "2",
+        "--workers", "2",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.lines().any(|l| l.starts_with("support            [")), "{stdout}");
+
+    // The same residues under a DNA model fail at the first non-nucleotide
+    // letter, pointing at the protein model; an unknown model names them.
+    let (_, stderr, code) = run_cli_code(&["infer", "--input", input]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(
+        stderr.contains("invalid character 'Q' (amino-acid data? `infer --model poisson` reads protein)"),
+        "{stderr}"
+    );
+    let (_, stderr, code) = run_cli_code(&["infer", "--input", input, "--model", "lg"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown model \"lg\" (expected jc|k80|gtr|poisson)"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -272,7 +290,8 @@ fn infer_protein_refuses_a_duplicate_taxon() {
     std::fs::create_dir_all(&dir).unwrap();
     let fasta = dir.join("dup.fasta");
     std::fs::write(&fasta, ">a\nARND\n>b\nARNE\n>a\nARNK\n").unwrap();
-    let (stdout, stderr, code) = run_cli_code(&["infer-protein", "--input", fasta.to_str().unwrap()]);
+    let (stdout, stderr, code) =
+        run_cli_code(&["infer", "--input", fasta.to_str().unwrap(), "--model", "poisson"]);
     assert_ne!(code, 0, "stdout: {stdout}");
     assert!(stderr.contains("duplicate taxon a"), "{stderr}");
     assert!(!stdout.contains("best tree"), "{stdout}");
@@ -304,6 +323,7 @@ fn usage_errors_exit_with_code_2() {
     // zero count all classify as usage trouble.
     for args in [
         vec!["bogus"],
+        vec!["infer-protein"],
         vec!["simulate", "--scheduler", "fifo"],
         vec!["trace", "--bootstraps", "many"],
         vec!["simulate", "notaflag"],

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use multigrain::prelude::*;
 use multigrain::ParallelAnalysis;
 use phylo::bootstrap::bootstrap_replicate;
+use proptest::prelude::*;
 
 fn data() -> Arc<PatternAlignment> {
     Arc::new(PatternAlignment::compress(&Alignment::synthetic(10, 160, &Jc69, 0.1, 77)))
@@ -86,6 +87,59 @@ fn mgps_driver_adapts_under_low_task_parallelism() {
     assert!(evals > 0, "a single worker streams enough requests to evaluate");
     assert!(acts > 0, "one worker leaves SPEs idle: LLP must activate");
     assert!(stats.final_degree > 1);
+}
+
+#[test]
+fn bootstrap_support_has_one_value_per_internal_edge() {
+    let data = data();
+    let best = hill_climb(&Jc69, &data, &quick_search(), 3);
+    let mut analysis = ParallelAnalysis::cell(SchedulerKind::Mgps, 2);
+    analysis.search = quick_search();
+    let (reps, _) = analysis.run_bootstraps(Jc69, &data, 4, 3);
+    for r in &reps {
+        r.tree.validate().unwrap();
+        assert_ne!(r.lnl, best.lnl, "resampled data must change the score");
+    }
+    let trees: Vec<Tree> = reps.into_iter().map(|r| r.tree).collect();
+    let support = support_values(&best.tree, &trees);
+    assert_eq!(support.len(), data.n_taxa() - 3);
+    assert!(support.iter().all(|s| (0.0..=1.0).contains(s)), "{support:?}");
+}
+
+/// Each bootstrap `run_bootstraps` returns under `model` scores as the
+/// direct engine does over that model, on its replicate at its tree.
+fn replicates_match_the_direct_engine<M: SubstModel<S> + Clone + 'static, const S: usize>(
+    model: M,
+    data: &Arc<PatternAlignment<S>>,
+    seed: u64,
+) -> TestCaseResult {
+    let mut analysis = ParallelAnalysis::cell(SchedulerKind::Mgps, 2);
+    analysis.search = quick_search();
+    let (reps, _) = analysis.run_bootstraps(model.clone(), data, 2, seed);
+    prop_assert_eq!(reps.len(), 2);
+    for (b, r) in reps.iter().enumerate() {
+        let replicate = bootstrap_replicate(data, seed.wrapping_add(b as u64));
+        let want = LikelihoodEngine::new(&model, &replicate).log_likelihood(&r.tree);
+        prop_assert!((r.lnl - want).abs() < 1e-9, "bootstrap {}: {} vs direct {}", b, r.lnl, want);
+    }
+    Ok(())
+}
+
+proptest! {
+    /// +Γ bootstraps on the runtime, DNA and protein, are the direct
+    /// engine's over the same model within 1e-9.
+    #[test]
+    fn gamma_and_protein_bootstraps_match_the_direct_engine(
+        alpha in 0.1f64..10.0,
+        seed in 0u64..u64::MAX,
+    ) {
+        let dna = Alignment::synthetic(5, 24, &Jc69, 0.1, seed);
+        let dna = Arc::new(PatternAlignment::compress(&dna));
+        replicates_match_the_direct_engine(Gamma::new(Jc69, alpha, 4), &dna, seed)?;
+        let aa = Alignment::<AA_STATES>::synthetic(4, 12, &PoissonAa, 0.3, seed);
+        let aa = Arc::new(PatternAlignment::compress(&aa));
+        replicates_match_the_direct_engine(Gamma::new(PoissonAa, alpha, 4), &aa, seed)?;
+    }
 }
 
 #[test]

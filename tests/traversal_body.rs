@@ -213,11 +213,60 @@ proptest! {
     }
 }
 
+/// A protein request under `model` is the direct protein engine's over
+/// the partition `cuts` makes: the lnL and every length within 1e-9 after
+/// as many kernels, every piece back. Shipped through the runtime it is one
+/// off-load counting those kernels.
+fn protein_request_is_the_direct_engines<M: SubstModel<AA_STATES> + Clone + 'static>(
+    model: M,
+    seed: u64,
+    taxa: usize,
+    sites: usize,
+    max_passes: usize,
+    cuts: &[f64],
+) -> TestCaseResult {
+    let aln = Alignment::<AA_STATES>::synthetic(taxa, sites, &PoissonAa, 0.3, seed ^ 0xA5A5);
+    let data = Arc::new(PatternAlignment::compress(&aln));
+    let direct = LikelihoodEngine::new(&model, &*data);
+    let tree = Tree::random(taxa, 0.3, &mut SmallRng::seed_from_u64(seed));
+    let mut want = tree.clone();
+    let mut census = Census { inner: &direct, kernels: 0 };
+    let want_lnl = traversal::optimize_branches(&mut census, &mut want, max_passes, 1e-4);
+    let close = |got: f64, want: f64| (got - want).abs() < 1e-9 * (1.0 + want.abs());
+
+    let arena = Arc::new(Mutex::new(ClvArena::new()));
+    let (d, a) = (Arc::clone(&data), Arc::clone(&arena));
+    let body = TraversalBody::new(model.clone(), d, a, tree.clone(), max_passes, 1e-4);
+    let lnl = run(&body, &partition(data.n_patterns(), cuts));
+    prop_assert!(close(lnl, want_lnl), "{} vs {}", lnl, want_lnl);
+    let done = body.tree();
+    for e in tree.edge_ids() {
+        let (got, want) = (done.length(e), want.length(e));
+        prop_assert!((got - want).abs() < 1e-9, "branch {:?}: {} vs {}", e, got, want);
+    }
+    prop_assert_eq!(body.kernels(), census.kernels);
+    prop_assert!(body.tables().is_empty());
+    prop_assert_eq!(arena.lock().unwrap().outstanding(), (0, 0));
+
+    let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::StaticHybrid {
+        spes_per_loop: 4,
+    }));
+    let mut ctx = rt.enter_process();
+    let mut off = OffloadedEngine::new(&mut ctx, model.clone(), Arc::clone(&data));
+    let mut got = tree.clone();
+    let lnl = ScoringEngine::optimize_branches(&mut off, &mut got, max_passes, 1e-4);
+    prop_assert!(close(lnl, want_lnl), "off-loaded {} vs {}", lnl, want_lnl);
+    for e in tree.edge_ids() {
+        let (got, want) = (got.length(e), want.length(e));
+        prop_assert!((got - want).abs() < 1e-9, "off-loaded {:?}: {} vs {}", e, got, want);
+    }
+    prop_assert_eq!((off.offloads(), off.shipped()), (census.kernels, 1));
+    Ok(())
+}
+
 proptest! {
-    /// A protein request — the Poisson model's 20 states — is the direct
-    /// protein engine's over any partition: the lnL and every length within
-    /// 1e-9 after as many kernels, every piece back. Shipped through the
-    /// runtime it is one off-load counting those kernels.
+    /// A protein request — the Poisson model's 20 states, single-rate and
+    /// +Γ — is the direct protein engine's over any partition.
     #[test]
     fn a_protein_request_over_any_partition_is_the_direct_engines(
         seed in 0u64..u64::MAX,
@@ -225,43 +274,11 @@ proptest! {
         sites in 8usize..60,
         max_passes in 0usize..=2,
         cuts in prop::collection::vec(0.0f64..1.0, 0..6),
+        alpha in 0.1f64..10.0,
     ) {
-        let aln = Alignment::<AA_STATES>::synthetic(taxa, sites, &PoissonAa, 0.3, seed ^ 0xA5A5);
-        let data = Arc::new(PatternAlignment::compress(&aln));
-        let direct = LikelihoodEngine::new(&PoissonAa, &*data);
-        let tree = Tree::random(taxa, 0.3, &mut SmallRng::seed_from_u64(seed));
-        let mut want = tree.clone();
-        let mut census = Census { inner: &direct, kernels: 0 };
-        let want_lnl = traversal::optimize_branches(&mut census, &mut want, max_passes, 1e-4);
-        let close = |got: f64, want: f64| (got - want).abs() < 1e-9 * (1.0 + want.abs());
-
-        let arena = Arc::new(Mutex::new(ClvArena::new()));
-        let (d, a) = (Arc::clone(&data), Arc::clone(&arena));
-        let body = TraversalBody::new(PoissonAa, d, a, tree.clone(), max_passes, 1e-4);
-        let lnl = run(&body, &partition(data.n_patterns(), &cuts));
-        prop_assert!(close(lnl, want_lnl), "{} vs {}", lnl, want_lnl);
-        let done = body.tree();
-        for e in tree.edge_ids() {
-            let (got, want) = (done.length(e), want.length(e));
-            prop_assert!((got - want).abs() < 1e-9, "branch {:?}: {} vs {}", e, got, want);
-        }
-        prop_assert_eq!(body.kernels(), census.kernels);
-        prop_assert!(body.tables().is_empty());
-        prop_assert_eq!(arena.lock().unwrap().outstanding(), (0, 0));
-
-        let rt = MgpsRuntime::new(RuntimeConfig::cell(SchedulerKind::StaticHybrid {
-            spes_per_loop: 4,
-        }));
-        let mut ctx = rt.enter_process();
-        let mut off = OffloadedEngine::new(&mut ctx, PoissonAa, Arc::clone(&data));
-        let mut got = tree.clone();
-        let lnl = ScoringEngine::optimize_branches(&mut off, &mut got, max_passes, 1e-4);
-        prop_assert!(close(lnl, want_lnl), "off-loaded {} vs {}", lnl, want_lnl);
-        for e in tree.edge_ids() {
-            let (got, want) = (got.length(e), want.length(e));
-            prop_assert!((got - want).abs() < 1e-9, "off-loaded {:?}: {} vs {}", e, got, want);
-        }
-        prop_assert_eq!((off.offloads(), off.shipped()), (census.kernels, 1));
+        protein_request_is_the_direct_engines(PoissonAa, seed, taxa, sites, max_passes, &cuts)?;
+        let gamma = Gamma::new(PoissonAa, alpha, 4);
+        protein_request_is_the_direct_engines(gamma, seed, taxa, sites, max_passes, &cuts)?;
     }
 }
 
