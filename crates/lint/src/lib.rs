@@ -29,7 +29,7 @@
 //! rises past its budget the audit fails, so exemptions cannot creep in
 //! without a budget change review.
 //!
-//! Drivers: `cargo xtask lint [--json]` and `multigrain audit`.
+//! Driver: `cargo xtask lint [--json]`.
 
 #![warn(missing_docs)]
 
@@ -694,5 +694,13 @@ mod tests {
         // The JSON must round-trip through the strict parser.
         let text = v.to_json_pretty();
         assert_eq!(minijson::parse(&text).unwrap(), v);
+
+        // A violating tree's report is unclean and names the rule.
+        let dir = synth(&[("crates/des/src/bad.rs", "fn f() { let t = Instant::now(); }\n")]);
+        let v = audit(&dir).to_value();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(v.get("clean").and_then(|c| c.as_bool()), Some(false));
+        let findings = v.get("findings").and_then(|f| f.as_array()).unwrap();
+        assert_eq!(findings[0].get("rule").and_then(|r| r.as_str()), Some("wall-clock"));
     }
 }

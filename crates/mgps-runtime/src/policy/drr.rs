@@ -2,7 +2,7 @@
 //!
 //! One pure type holds the whole job-plane discipline — the per-tenant
 //! FIFO lines, the activation ring of tenants with queued work, the
-//! head's deficit, the weights, and the weighted admission bound.
+//! head's deficit, the weights, and the admission bound.
 //! `multigrain serve` runs it under its queue lock; the checker's
 //! `job-lifecycle` and `tenant-fairness` rules replay the *same* type
 //! from a RunLog's job events, so the dispatcher and its judge cannot
@@ -32,17 +32,10 @@ pub struct Drr<T> {
     deficit: u64,
     /// Dispatch weights, indexed by tenant (1 beyond the end).
     weights: Vec<u64>,
-    /// Largest configured weight (≥ 1), the shedding scale's top end.
-    max_weight: u64,
     /// Items queued across all tenants.
     len: usize,
     /// Admission bound on `len`.
     cap: usize,
-    /// `len` at which weight-scaled shedding begins; `== cap` means
-    /// shedding is off and every tenant sees the full cap.
-    watermark: usize,
-    /// Admission bound on one tenant's line.
-    tenant_cap: usize,
 }
 
 impl<T> Drr<T> {
@@ -53,28 +46,16 @@ impl<T> Drr<T> {
             lines: BTreeMap::new(),
             ring: VecDeque::new(),
             deficit: 0,
-            max_weight: weights.iter().copied().max().unwrap_or(1).max(1),
             weights,
             len: 0,
             cap: usize::MAX,
-            watermark: usize::MAX,
-            tenant_cap: usize::MAX,
         }
     }
 
-    /// Bound admission ([`Drr::admits`]): at most `cap` items in all (at
-    /// least 1), at most `tenant_cap` (default and floor: `cap`, 1) in one
-    /// tenant's line, and above `watermark` items (default `cap`, i.e. no
-    /// shedding) a cap that shrinks with the tenant's weight.
-    pub fn bounded(
-        mut self,
-        cap: usize,
-        watermark: Option<usize>,
-        tenant_cap: Option<usize>,
-    ) -> Drr<T> {
+    /// Bound admission ([`Drr::admits`]) to at most `cap` items in all (at
+    /// least 1), whatever their tenants.
+    pub fn bounded(mut self, cap: usize) -> Drr<T> {
         self.cap = cap.max(1);
-        self.watermark = watermark.unwrap_or(self.cap).min(self.cap);
-        self.tenant_cap = tenant_cap.unwrap_or(self.cap).max(1);
         self
     }
 
@@ -100,6 +81,7 @@ impl<T> Drr<T> {
     }
 
     /// Items queued for `tenant`.
+    #[cfg(test)]
     fn tenant_len(&self, tenant: usize) -> usize {
         self.lines.get(&tenant).map_or(0, VecDeque::len)
     }
@@ -110,19 +92,9 @@ impl<T> Drr<T> {
         self.lines.iter().map(|(&t, line)| (t, line.len()))
     }
 
-    /// `tenant`'s admission cap under the shedding watermark: the full cap
-    /// at the maximum weight, linearly less for lighter tenants — so once
-    /// the queue crosses the watermark, the lowest-weight tenants are
-    /// refused first. With the watermark at the cap every tenant sees the
-    /// full cap.
-    fn effective_cap(&self, tenant: usize) -> usize {
-        let span = (self.cap - self.watermark) as u64;
-        self.watermark + ((span * self.weight(tenant)) / self.max_weight) as usize
-    }
-
-    /// Whether one more item of `tenant` fits under the admission bound.
-    pub fn admits(&self, tenant: usize) -> bool {
-        self.len < self.effective_cap(tenant) && self.tenant_len(tenant) < self.tenant_cap
+    /// Whether one more item fits under the admission bound.
+    pub fn admits(&self) -> bool {
+        self.len < self.cap
     }
 
     /// Queue `item` at the back of `tenant`'s line — an admission, or a
@@ -367,45 +339,13 @@ mod tests {
     }
 
     #[test]
-    fn the_default_watermark_is_the_cap_for_every_weight() {
+    fn the_queue_is_unbounded_until_bounded_and_the_cap_floors_at_one_slot() {
         let q: Drr<u64> = Drr::new(vec![4, 1]);
-        assert!(q.admits(1) && q.effective_cap(1) == usize::MAX, "unbounded until bounded");
-        let q: Drr<u64> = Drr::new(vec![4, 1]).bounded(8, None, None);
-        assert_eq!([q.effective_cap(0), q.effective_cap(1), q.effective_cap(5)], [8, 8, 8]);
-        let q: Drr<u64> = Drr::new(vec![]).bounded(0, Some(3), Some(0));
-        assert_eq!((q.cap(), q.effective_cap(0)), (1, 1), "caps floor at one slot");
-    }
-
-    #[test]
-    fn above_the_watermark_the_lightest_tenants_are_refused_first() {
-        // cap 8, shedding from 4: weight 4 keeps the full cap, weight 1
-        // (tenant 1, and tenant 2 beyond the list) gets 4 + 4·1/4 = 5.
-        let mut q = Drr::new(vec![4, 1]).bounded(8, Some(4), None);
-        assert_eq!([q.effective_cap(0), q.effective_cap(1), q.effective_cap(2)], [8, 5, 5]);
-        for job in 0..5 {
-            assert!(q.admits(1), "below its cap tenant 1 is admitted");
-            q.push(1, job);
-        }
-        assert!(!q.admits(1) && !q.admits(2), "at depth 5 the light tenants are refused");
-        for job in 5..8 {
-            assert!(q.admits(0), "the heavy tenant keeps admitting to the cap");
-            q.push(0, job);
-        }
-        assert!(!q.admits(0), "and stops at it");
-        // A watermark above the cap is clamped to it: shedding is off.
-        let q: Drr<u64> = Drr::new(vec![4, 1]).bounded(8, Some(20), None);
-        assert_eq!(q.effective_cap(1), 8);
-    }
-
-    #[test]
-    fn a_tenant_cap_bounds_one_line_not_the_others() {
-        let mut q = Drr::new(vec![]).bounded(8, None, Some(2));
+        assert!(q.admits() && q.cap() == usize::MAX, "unbounded until bounded");
+        let mut q: Drr<u64> = Drr::new(vec![]).bounded(0);
+        assert_eq!(q.cap(), 1, "the cap floors at one slot");
         q.push(0, 1);
-        q.push(0, 2);
-        assert!(!q.admits(0), "tenant 0 is at its own cap");
-        assert!(q.admits(1), "tenant 1's line is empty");
-        q.pop();
-        assert!(q.admits(0), "a dispatch frees a slot in the line");
+        assert!(!q.admits());
     }
 
     proptest! {

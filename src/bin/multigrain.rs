@@ -142,7 +142,7 @@ fn main() -> ExitCode {
 /// flag is a usage error, not a silently ignored typo.
 type Command = (&'static str, fn(&Opts) -> Result<(), CliError>, &'static [&'static str]);
 
-const COMMANDS: [Command; 13] = [
+const COMMANDS: [Command; 12] = [
     ("simulate", simulate, &["scheduler", "bootstraps", "cells", "scale", "profile", "faults"]),
     (
         "trace",
@@ -152,14 +152,13 @@ const COMMANDS: [Command; 13] = [
     ("profile", profile, &["scheduler", "bootstraps", "cells", "scale", "seed", "out"]),
     ("atlas", atlas_cmd, &["grid", "seed", "scale", "bootstraps", "shard", "out", "faults"]),
     ("analyze", analyze, &["scale", "bootstraps", "seed", "experiments"]),
-    ("audit", audit_cmd, &["root", "json", "out"]),
     ("chaos", chaos, &["scheduler", "bootstraps", "scale", "seed", "rates", "faults"]),
     (
         "serve",
         serve_cmd,
         &[
             "port", "workers", "tasks", "seed", "poll-ms", "ring-capacity", "job-queue", "for-ms",
-            "out", "snapshot-out", "faults", "tenant-weights", "shed-watermark", "tenant-queue",
+            "out", "faults", "tenant-weights",
         ],
     ),
     (
@@ -215,27 +214,17 @@ USAGE:
                       (replay every scheduler with event recording, statically
                        verify all schedule invariants, prove digest determinism,
                        and sweep every table/figure regenerator through the checker)
-  multigrain audit    [--root PATH] [--json on|off] [--out FILE]
-                      (static determinism & concurrency audit of the source
-                       tree: lexes every crate and runs the nine-rule
-                       catalog — wall-clock, unbounded-channel, trace-clock,
-                       unordered-iter, rng-discipline, lock-order,
-                       event-coverage, panic-path, request-sleep; exit 4 on any FORBIDDEN
-                       finding, exemption-budget breach, coverage hole, or
-                       lock-order cycle)
   multigrain serve    [--port N] [--workers N] [--tasks N] [--seed N] [--poll-ms N]
                       [--ring-capacity N] [--job-queue N] [--for-ms N] [--out FILE]
-                      [--snapshot-out FILE] [--faults SPEC]
-                      [--tenant-weights W,W,...] [--shed-watermark N]
-                      [--tenant-queue N]
+                      [--faults SPEC] [--tenant-weights W,W,...]
                       (live telemetry plane: keep the native MGPS pool resident,
                        admit POST /jobs phylo jobs (each scores the bootstrap
                        replicates of a seeded alignment, one off-load per
                        replicate; GET /jobs/<id> returns the lnLs) through
                        per-tenant queues under a deficit-round-robin dispatcher
-                       (--tenant-weights; 429s carry Retry-After, queued jobs
-                       past their deadline_ms are shed, depths past
-                       --shed-watermark refuse lowest-weight tenants first),
+                       (--tenant-weights; a POST that finds --job-queue jobs
+                       queued gets 429 with Retry-After; queued jobs past
+                       their deadline_ms are shed),
                        and serve /metrics (Prometheus text, with job latency
                        quantiles and per-tenant gauges), /health (JSON), and
                        /events (NDJSON decision+alarm+job stream) on 127.0.0.1;
@@ -336,44 +325,6 @@ fn positive(opts: &Opts, key: &str, default: usize, what: &str) -> Result<usize,
         return Err(CliError::usage(format!("--{key}: {what}")));
     }
     Ok(v)
-}
-
-/// `multigrain audit`: run the `mgps-lint` static analysis over the source
-/// tree at `--root` (default: the current directory).
-fn audit_cmd(opts: &Opts) -> Result<(), CliError> {
-    let root = std::path::PathBuf::from(
-        opts.get("root").map(String::as_str).unwrap_or("."),
-    );
-    if !root.join("Cargo.toml").is_file() {
-        return Err(CliError::io(format!(
-            "--root: {} does not look like a workspace (no Cargo.toml)",
-            root.display()
-        )));
-    }
-    let json = match opts.get("json").map(String::as_str) {
-        None | Some("off") => false,
-        Some("on") => true,
-        Some(other) => {
-            return Err(CliError::usage(format!("--json wants on|off, got {other:?}")))
-        }
-    };
-    let report = mgps_lint::audit(&root);
-    let rendered =
-        if json { report.to_value().to_json_pretty() + "\n" } else { report.render_text() };
-    match opts.get("out") {
-        Some(path) => std::fs::write(path, &rendered)
-            .map_err(|e| CliError::io(format!("cannot write {path}: {e}")))?,
-        None => print!("{rendered}"),
-    }
-    if report.clean() {
-        Ok(())
-    } else {
-        Err(CliError::violation(format!(
-            "audit found {} forbidden finding(s) across {} file(s)",
-            report.findings.len(),
-            report.files_scanned
-        )))
-    }
 }
 
 /// Parse `--faults` into a [`FaultPlan`] (inert when the flag is absent).
@@ -964,7 +915,7 @@ fn chaos(opts: &Opts) -> Result<(), CliError> {
 /// rings into a checker-verified run log; a violation (including ring
 /// drops from an undersized `--ring-capacity`) exits with code 4.
 fn serve_cmd(opts: &Opts) -> Result<(), CliError> {
-    use multigrain::serve::{serve, ServeConfig, ServeError};
+    use multigrain::serve::{serve, ServeConfig};
 
     let defaults = ServeConfig::default();
     // Accepted so existing command lines keep working; it has no effect.
@@ -992,35 +943,13 @@ fn serve_cmd(opts: &Opts) -> Result<(), CliError> {
             "the admission queue needs at least 1 slot",
         )?,
         out: opts.get("out").map(std::path::PathBuf::from),
-        snapshot_out: opts.get("snapshot-out").map(std::path::PathBuf::from),
         faults: match opts.get("faults") {
             None => None,
             Some(_) => Some(faults_of(opts)?),
         },
         tenant_weights: tenant_weights_of(opts)?,
-        shed_watermark: match opts.get("shed-watermark") {
-            None => None,
-            Some(_) => Some(positive(
-                opts,
-                "shed-watermark",
-                0,
-                "the shedding watermark needs at least 1 slot",
-            )?),
-        },
-        tenant_queue: match opts.get("tenant-queue") {
-            None => None,
-            Some(_) => Some(positive(
-                opts,
-                "tenant-queue",
-                0,
-                "each tenant's queue needs at least 1 slot",
-            )?),
-        },
     };
-    let outcome = serve(&cfg).map_err(|e| match e {
-        ServeError::Io(m) => CliError::Io(m),
-        ServeError::Other(m) => CliError::Other(m),
-    })?;
+    let outcome = serve(&cfg).map_err(|e| CliError::io(e.to_string()))?;
     if outcome.violations > 0 {
         return Err(CliError::violation(format!(
             "{} schedule-invariant violation(s) in the service run log",

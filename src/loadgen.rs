@@ -11,11 +11,10 @@
 //! multipliers (0.25×/0.5×/1×/2×/4×) through a deterministic model of the
 //! serve plane's job queue and writes two artifacts. The model's queue *is*
 //! serve's: a [`Drr`] built exactly as serve builds it — dispatch weights
-//! `tenant_weights`, bound `queue_cap` (`--job-queue`), serve's default
-//! shedding watermark and per-tenant cap — with W servers popping it in
-//! the order they come free. An arrival is refused when [`Drr::admits`]
-//! says no, so admission, dispatch order and per-tenant shares follow
-//! serve's rules. The artifacts:
+//! `tenant_weights`, bound `queue_cap` (`--job-queue`) — with W servers
+//! popping it in the order they come free. An arrival is refused when
+//! [`Drr::admits`] says no, so admission, dispatch order and per-tenant
+//! shares follow serve's rules. The artifacts:
 //!
 //! * the `mgps-loadtest/v1` JSON document, and
 //! * a self-contained HTML report (per-tenant latency CDFs, a
@@ -254,14 +253,14 @@ pub fn exact_quantile(sorted: &[u64], q: f64) -> Option<f64> {
 /// popping a [`Drr`] built as `serve` builds its job queue.
 fn simulate(cfg: &LoadgenConfig, index: usize) -> RateRun {
     let offered = offered_jobs(cfg, index);
-    let mut drr = Drr::new(cfg.tenant_weights.clone()).bounded(cfg.queue_cap, None, None);
+    let mut drr = Drr::new(cfg.tenant_weights.clone()).bounded(cfg.queue_cap);
     let mut free = vec![0u64; cfg.workers.max(1)];
     let mut jobs = Vec::new();
     let mut rejected = 0usize;
     let mut max_depth = 0usize;
     for o in &offered {
         drain(&mut drr, &mut free, &mut jobs, o.arrival_ns);
-        if !drr.admits(o.tenant) {
+        if !drr.admits() {
             rejected += 1;
             continue;
         }

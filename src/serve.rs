@@ -17,14 +17,14 @@
 //!   first, then the connection stays open and tails the journal.
 //! * `POST /jobs` — job admission: a phylo job spec
 //!   (`taxa=..&sites=..&bootstraps=..&tenant=..&deadline_ms=..`) is
-//!   assigned a seeded job id and either admitted to its tenant's
-//!   bounded queue (`202`), refused with a computed `Retry-After`
-//!   because the tenant's share of the queue is full (`429`), or
-//!   refused because the service is draining after a shutdown signal
-//!   (`503`). Every admission decision is stamped under one lock, so
-//!   the trace's job lifecycle replays exactly: occupancy, per-tenant
-//!   FIFO order, and the queue bound are all checkable from the final
-//!   RunLog (`job-lifecycle` rule).
+//!   assigned a seeded job id and either admitted to its tenant's line
+//!   of the bounded job queue (`202`), refused with a computed
+//!   `Retry-After` because the queue is full (`429`), or refused
+//!   because the service is draining after a shutdown signal (`503`).
+//!   Every admission decision is stamped under one lock, so the trace's
+//!   job lifecycle replays exactly: occupancy, per-tenant FIFO order,
+//!   and the queue bound are all checkable from the final RunLog
+//!   (`job-lifecycle` rule).
 //! * `GET /jobs/<id>` — where an admitted job stands (`queued`,
 //!   `running`, `completed`, `shed` or `poisoned`) and, once completed,
 //!   its replicate lnLs in bootstrap order, fewer than `bootstraps` after
@@ -38,12 +38,10 @@
 //! deficit refill equal to its weight and dispatches one job per deficit
 //! unit, so a tenant's long-run dispatch share tracks its weight and no
 //! nonempty tenant waits forever (the `tenant-starvation` alarm fires
-//! if one does). Above the load-shedding watermark
-//! (`--shed-watermark`), lighter tenants see a proportionally smaller
-//! effective cap, so overload rejects the lowest-weight tenants first.
-//! Jobs may carry a relative deadline (`deadline_ms`); a job whose
-//! deadline expires while queued is *shed* — removed with an explicit
-//! `JobShed` record, never silently dropped. When an execution attempt
+//! if one does). One bound, `--job-queue`, caps the jobs queued across
+//! all tenants. Jobs may carry a relative deadline (`deadline_ms`); a
+//! job whose deadline expires while queued is *shed* — removed with an
+//! explicit `JobShed` record, never silently dropped. When an execution attempt
 //! dies on an unrecovered off-load fault (`--faults` arms the same
 //! seeded [`FaultPlan`] the chaos harness uses), the job is requeued
 //! with deterministic bounded backoff and an attempt counter
@@ -93,7 +91,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use cellsim::event::{json_line, AlarmKind, EventKind, SchedulerTag};
+use cellsim::event::{json_line, EventKind, SchedulerTag};
 use mgps_analysis::{check_run_with, check_trace_sanity, CheckMode};
 use mgps_obs::{
     health_json, merge_health_events, prometheus_text, quantile_from_log2_buckets,
@@ -134,8 +132,6 @@ pub struct ServeConfig {
     pub duration_ms: Option<u64>,
     /// Where to write the final merged RunLog (JSON).
     pub out: Option<PathBuf>,
-    /// Where to write the final epoch-stamped metrics snapshot (JSON).
-    pub snapshot_out: Option<PathBuf>,
     /// Bound of the job admission queue: a `POST /jobs` arriving with
     /// this many jobs already queued is refused with `429`.
     pub job_queue: usize,
@@ -146,13 +142,6 @@ pub struct ServeConfig {
     /// scheduler: tenant `t` gets `tenant_weights[t]`, weight 1 beyond
     /// the list's end. Empty means every tenant weighs 1.
     pub tenant_weights: Vec<u64>,
-    /// Total queue depth at which load shedding begins: above it, a
-    /// tenant's effective admission cap scales with its weight, so the
-    /// lowest-weight tenants are rejected first. `None` disables
-    /// shedding (the watermark sits at the cap).
-    pub shed_watermark: Option<usize>,
-    /// Per-tenant queue-depth cap; `None` means the total cap.
-    pub tenant_queue: Option<usize>,
 }
 
 impl Default for ServeConfig {
@@ -165,12 +154,9 @@ impl Default for ServeConfig {
             ring_capacity: mgps_runtime::tracing::DEFAULT_RING_CAPACITY,
             duration_ms: None,
             out: None,
-            snapshot_out: None,
             job_queue: 8,
             faults: None,
             tenant_weights: Vec::new(),
-            shed_watermark: None,
-            tenant_queue: None,
         }
     }
 }
@@ -181,36 +167,8 @@ pub struct ServeOutcome {
     /// Invariant violations the native-mode checker found in the final
     /// merged log (plus one per trace-sanity issue).
     pub violations: usize,
-    /// Trace-ring events lost to wrap-around.
-    pub dropped_events: u64,
-    /// Every alarm that fired during the run.
-    pub alarms: Vec<AlarmKind>,
-    /// Off-loads completed.
-    pub tasks_completed: u64,
-    /// Execution attempts requeued after an unrecovered fault.
-    pub jobs_retried: u64,
-    /// Jobs shed in queue on an expired deadline.
-    pub jobs_shed: u64,
     /// Jobs quarantined as poison after exhausting the retry budget.
     pub jobs_poisoned: u64,
-}
-
-/// How service mode failed, split along the CLI's exit-code seams.
-#[derive(Debug)]
-pub enum ServeError {
-    /// Socket or filesystem trouble.
-    Io(String),
-    /// Anything else.
-    Other(String),
-}
-
-impl ServeError {
-    /// The human-readable message.
-    pub fn message(&self) -> &str {
-        match self {
-            ServeError::Io(m) | ServeError::Other(m) => m,
-        }
-    }
 }
 
 /// SIGINT plumbing: the handler only flips an atomic, which is
@@ -519,11 +477,7 @@ impl Shared {
         Shared {
             stop: AtomicBool::new(false),
             jobs: Mutex::new(JobQueue {
-                drr: Drr::new(cfg.tenant_weights.clone()).bounded(
-                    cfg.job_queue,
-                    cfg.shed_watermark,
-                    cfg.tenant_queue,
-                ),
+                drr: Drr::new(cfg.tenant_weights.clone()).bounded(cfg.job_queue),
                 stats: BTreeMap::new(),
                 states: BTreeMap::new(),
                 admit: tracer.handle(),
@@ -563,12 +517,10 @@ impl Shared {
         self.journal_extend(vec![line]);
     }
 
-    /// Decide one `POST /jobs`: admit, refuse (over this tenant's cap), or
-    /// refuse (draining), stamping the decision under the queue lock — see
-    /// [`JobQueue`]. The bound is [`Drr::admits`]: a tenant's cap shrinks
-    /// with its weight once the queue crosses the shedding watermark, so
-    /// the lowest-weight tenants are turned away first under pressure. An
-    /// admission wakes one idle worker.
+    /// Decide one `POST /jobs`: admit, refuse (the queue is full, see
+    /// [`Drr::admits`]), or refuse (draining), stamping the decision under
+    /// the queue lock — see [`JobQueue`]. An admission wakes one idle
+    /// worker.
     fn admit(&self, spec: JobSpec) -> Verdict {
         let verdict = {
             let mut q = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
@@ -576,7 +528,7 @@ impl Shared {
                 // Draining refusals record nothing: the final log describes
                 // the run's admitted work, and a drain admits none.
                 Verdict::Draining
-            } else if !q.drr.admits(spec.tenant) {
+            } else if !q.drr.admits() {
                 let at = q.stamp(self.tracer.now_ns());
                 let job = q.next_id();
                 let (depth, cap) = (q.drr.len(), q.drr.cap());
@@ -792,12 +744,13 @@ impl Shared {
 }
 
 /// Run service mode to completion. Blocks until SIGINT or `duration_ms`.
-pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
+/// It fails only on I/O: binding the listener or writing the run log.
+pub fn serve(cfg: &ServeConfig) -> std::io::Result<ServeOutcome> {
     sigint::install();
 
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))
-        .map_err(|e| ServeError::Io(format!("bind 127.0.0.1:{}: {e}", cfg.port)))?;
-    let addr = listener.local_addr().map_err(|e| ServeError::Io(format!("local_addr: {e}")))?;
+        .map_err(|e| io_context(e, format!("bind 127.0.0.1:{}", cfg.port)))?;
+    let addr = listener.local_addr().map_err(|e| io_context(e, "local_addr".into()))?;
     println!("multigrain serve: listening on http://{addr}");
     std::io::stdout().flush().ok();
 
@@ -935,8 +888,6 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
 
     // Workers, telemetry, and handlers have joined; tear the pool down so
     // every SPE ring is complete, then drain once more for the record.
-    // Throttle state is read first: shutdown consumes the runtime.
-    let final_throttled = throttled_kernels(&rt);
     rt.shutdown();
     let trace = tracer.drain();
     let dropped = trace.dropped_events();
@@ -964,41 +915,10 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
 
     if let Some(path) = &cfg.out {
         std::fs::write(path, log.to_json())
-            .map_err(|e| ServeError::Io(format!("write {}: {e}", path.display())))?;
+            .map_err(|e| io_context(e, format!("write {}", path.display())))?;
         println!("multigrain serve: wrote run log to {}", path.display());
     }
-    if let Some(path) = &cfg.snapshot_out {
-        let mut source = SnapshotSource::new(Arc::clone(&metrics));
-        let snap = source.snapshot();
-        let status = shared.status.lock().unwrap_or_else(|e| e.into_inner());
-        let alarms = status.as_ref().map(|st| st.active_alarms.clone()).unwrap_or_default();
-        let tenant_jobs = {
-            let q = shared.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            q.stats
-                .iter()
-                .map(|(&t, st)| (t, [st.admitted, st.rejected, st.shed, st.inflight]))
-                .collect()
-        };
-        let last = LiveStatus {
-            epoch: snap.epoch,
-            uptime_ns: tracer.now_ns(),
-            metrics: snap.metrics,
-            spe_busy: vec![false; n_spes],
-            healthy_spes: n_spes,
-            degree: 0,
-            pending_offloads: 0,
-            gate_contention_ns: 0,
-            dropped_events: dropped,
-            throttled_kernels: final_throttled,
-            active_alarms: alarms,
-            tenant_jobs,
-        };
-        std::fs::write(path, health_json(&last).to_json())
-            .map_err(|e| ServeError::Io(format!("write {}: {e}", path.display())))?;
-    }
-
     let tasks_completed = metrics.get(mgps_runtime::Counter::TasksCompleted);
-    let alarms: Vec<AlarmKind> = health.iter().map(|h| h.kind).collect();
     let violations = report.violations.len() + sanity.violations.len();
     let mut jobs_retried = 0u64;
     let mut jobs_shed = 0u64;
@@ -1022,7 +942,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
         tasks_completed,
         log.events.len(),
         dropped,
-        alarms.len(),
+        health.len(),
         violations,
     );
     if jobs_retried + jobs_shed + jobs_poisoned > 0 {
@@ -1032,15 +952,12 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
         );
     }
 
-    Ok(ServeOutcome {
-        violations,
-        dropped_events: dropped,
-        alarms,
-        tasks_completed,
-        jobs_retried,
-        jobs_shed,
-        jobs_poisoned,
-    })
+    Ok(ServeOutcome { violations, jobs_poisoned })
+}
+
+/// `e` with what was being done when it struck, keeping its kind.
+fn io_context(e: std::io::Error, what: String) -> std::io::Error {
+    std::io::Error::new(e.kind(), format!("{what}: {e}"))
 }
 
 /// What became of one execution attempt.

@@ -324,6 +324,7 @@ fn usage_errors_exit_with_code_2() {
     for args in [
         vec!["bogus"],
         vec!["infer-protein"],
+        vec!["audit"],
         vec!["simulate", "--scheduler", "fifo"],
         vec!["trace", "--bootstraps", "many"],
         vec!["simulate", "notaflag"],
@@ -365,6 +366,15 @@ fn a_flag_the_command_does_not_read_is_a_usage_error() {
     let (_, stderr, code) = run_cli_code(&["demo", "--workers", "2"]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("demo does not take --workers"), "{stderr}");
+    // Options serve no longer has are refused, not ignored.
+    for (flag, value) in
+        [("shed-watermark", "4"), ("tenant-queue", "2"), ("snapshot-out", "x.json")]
+    {
+        let (stdout, stderr, code) = run_cli_code(&["serve", &format!("--{flag}"), value]);
+        assert_eq!(code, 2, "serve --{flag} should be usage (2): {stderr}");
+        assert!(stderr.contains(&format!("serve does not take --{flag}")), "{stderr}");
+        assert!(stdout.is_empty(), "nothing may run: {stdout}");
+    }
 }
 
 #[test]
@@ -417,40 +427,6 @@ fn io_errors_exit_with_code_3() {
 
     let (_, stderr, code) = run_cli_code(&["infer", "--input", "/definitely/not/here.fasta"]);
     assert_eq!(code, 3, "unreadable --input should be I/O (3): {stderr}");
-}
-
-#[test]
-fn audit_exit_codes_classify_clean_and_violating_trees() {
-    // The repo itself must audit clean (exit 0). CARGO_MANIFEST_DIR is the
-    // workspace root for the top-level crate.
-    let root = env!("CARGO_MANIFEST_DIR");
-    let (stdout, stderr, code) = run_cli_code(&["audit", "--root", root]);
-    assert_eq!(code, 0, "repo must audit clean: {stdout}{stderr}");
-    assert!(stdout.contains("mgps-lint: clean"), "{stdout}");
-    assert!(stdout.contains("event-vocabulary coverage"), "{stdout}");
-
-    // A violating tree classifies as a checker violation (exit 4), and the
-    // JSON report carries the finding.
-    let dir = std::env::temp_dir().join(format!("multigrain-audit-{}", std::process::id()));
-    std::fs::create_dir_all(dir.join("crates/des/src")).unwrap();
-    std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").unwrap();
-    std::fs::write(
-        dir.join("crates/des/src/bad.rs"),
-        "fn f() { let t = std::time::Instant::now(); }\n",
-    )
-    .unwrap();
-    let (stdout, stderr, code) =
-        run_cli_code(&["audit", "--root", dir.to_str().unwrap(), "--json", "on"]);
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(code, 4, "forbidden clock should be a violation (4): {stderr}");
-    assert!(stdout.contains("\"wall-clock\""), "{stdout}");
-
-    // A root without a workspace manifest is an I/O failure (exit 3), and
-    // a bad --json value is usage (exit 2).
-    let (_, _, code) = run_cli_code(&["audit", "--root", "/definitely/not/here"]);
-    assert_eq!(code, 3);
-    let (_, _, code) = run_cli_code(&["audit", "--root", root, "--json", "maybe"]);
-    assert_eq!(code, 2);
 }
 
 #[test]

@@ -99,11 +99,10 @@ mod tests {
     #[test]
     fn repo_passes_lint() {
         let report = mgps_lint::audit(&repo_root());
-        assert!(
-            report.clean(),
-            "repo must pass its own audit:\n{}",
-            report.render_text()
-        );
+        let text = report.render_text();
+        assert!(report.clean(), "repo must pass its own audit:\n{text}");
+        assert!(text.contains("event-vocabulary coverage"), "{text}");
+        assert!(text.contains("mgps-lint: clean"), "{text}");
     }
 
     #[test]
