@@ -89,7 +89,7 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cellsim::event::{json_line, EventKind, SchedulerTag};
 use mgps_analysis::{check_run_with, check_trace_sanity, CheckMode};
@@ -418,8 +418,13 @@ impl JobQueue {
 /// * an **`/events` tail** waits on `journal_grew` until the journal is
 ///   longer than what it has sent; every append notifies under `journal`,
 ///   and so does the stop flip.
-/// * the **acceptor** blocks in `accept`; `serve` wakes it after the stop
-///   flip with one loopback connection to its own listener.
+/// * each of the [`ACCEPTORS`] **acceptors** blocks in `accept` on the
+///   one listener and serves inline what it accepts, waiting in `read`
+///   for a request at most [`FIRST_WAIT`] before it hands the connection
+///   to a thread of its own; an `/events` tail gets a thread of its own
+///   too. `serve` wakes the acceptors after the stop flip with one
+///   loopback connection per acceptor to their listener; each leaves on
+///   the first connection it accepts after the flip.
 struct Shared {
     /// Shutdown requested. Stored only under the `jobs` lock (it is part
     /// of the idle-worker predicate); read anywhere.
@@ -813,7 +818,7 @@ pub fn serve(cfg: &ServeConfig) -> std::io::Result<ServeOutcome> {
         }
 
         // Telemetry: the only thread that drains snapshots and rings. The
-        // first tick runs here, before the acceptor exists, so no request
+        // first tick runs here, before any acceptor exists, so no request
         // is ever served without a published status.
         {
             let shared = Arc::clone(&shared);
@@ -842,25 +847,11 @@ pub fn serve(cfg: &ServeConfig) -> std::io::Result<ServeOutcome> {
             });
         }
 
-        // HTTP acceptor: blocks in `accept`. After the stop flip the
-        // lifetime thread below connects once to wake it; whatever it
-        // accepted then — that connection or a client's — gets no handler.
-        {
-            let shared = Arc::clone(&shared);
-            s.spawn(move || loop {
-                let conn = listener.accept();
-                if shared.stopped() {
-                    break;
-                }
-                match conn {
-                    Ok((stream, _)) => {
-                        let shared = Arc::clone(&shared);
-                        s.spawn(move || handle_connection(stream, &shared));
-                    }
-                    // xtask-allow: request-sleep — back-off on a failing accept (fd exhaustion), so a persistent error cannot spin
-                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                }
-            });
+        // HTTP acceptors: each blocks in `accept` on the one listener and
+        // serves what it accepts (see `accept_loop`).
+        for _ in 0..ACCEPTORS {
+            let (listener, shared) = (&listener, &*shared);
+            s.spawn(move || accept_loop(s, listener, shared));
         }
 
         // Lifetime control: SIGINT or the --for-ms timer starts the
@@ -882,12 +873,17 @@ pub fn serve(cfg: &ServeConfig) -> std::io::Result<ServeOutcome> {
             std::thread::sleep(Duration::from_millis(20));
         }
         shared.drain_then_stop();
-        // Wake the acceptor. A refused connection means it already left.
-        let _ = TcpStream::connect(addr);
+        // Wake the acceptors: each leaves on the first connection it
+        // accepts after the stop flip, so one connect per acceptor wakes
+        // them all. A refused connection means they already left.
+        for _ in 0..ACCEPTORS {
+            let _ = TcpStream::connect(addr);
+        }
     });
 
-    // Workers, telemetry, and handlers have joined; tear the pool down so
-    // every SPE ring is complete, then drain once more for the record.
+    // Workers, telemetry, acceptors and connection threads have joined;
+    // tear the pool down so every SPE ring is complete, then drain once
+    // more for the record.
     rt.shutdown();
     let trace = tracer.drain();
     let dropped = trace.dropped_events();
@@ -1173,8 +1169,22 @@ fn telemetry_tick(
 /// must fit in it together.
 const REQUEST_BUF: usize = 4096;
 
-/// How long one `read` waits for a client that has gone quiet.
+/// How long a client has, from its accept, to send its whole request;
+/// past it the request is answered `408`.
 const READ_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Threads accepting connections, each serving inline the requests it
+/// accepts. Spawning a thread per connection cost several times the tens
+/// of µs a `202` takes. Four is twice the two cores the service is tuned
+/// on: two acceptors can serve while two more sit in a [`FIRST_WAIT`] on
+/// clients still sending, and an idle acceptor is only a parked thread.
+pub const ACCEPTORS: usize = 4;
+
+/// How long an acceptor waits for a request to arrive in full before it
+/// hands the connection to a thread of its own. A loopback client's
+/// request is all there within µs even when it is sent in several
+/// writes; a silent or slow client holds an acceptor no longer than this.
+pub const FIRST_WAIT: Duration = Duration::from_millis(5);
 
 /// An HTTP status code with its reason phrase, as the status line spells it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1239,65 +1249,138 @@ fn parse_request(buf: &[u8]) -> Result<Request, Status> {
     Ok(Request { method: method.to_string(), path: path.to_string(), body: start..end })
 }
 
-/// One `read`, with its failures sorted: a read timeout is the client's
-/// fault and gets `408`; any other error means the peer is gone and there
-/// is nobody to answer (`None`).
-fn read_more(stream: &mut TcpStream, dst: &mut [u8]) -> Result<usize, Option<Status>> {
+/// One `read` into `dst` that gives up at `until`, with its failures
+/// sorted: a timeout is the client's fault and gets `408`; any other error
+/// means the peer is gone and there is nobody to answer (`None`).
+fn read_by(
+    stream: &mut TcpStream,
+    dst: &mut [u8],
+    until: Instant,
+) -> Result<usize, Option<Status>> {
     use std::io::ErrorKind::{TimedOut, WouldBlock};
+    let left = until.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(Some(Status::TIMEOUT));
+    }
+    stream.set_read_timeout(Some(left)).map_err(|_| None)?;
     stream
         .read(dst)
         .map_err(|e| matches!(e.kind(), TimedOut | WouldBlock).then_some(Status::TIMEOUT))
 }
 
-/// Read one request into `buf`: the head up to the blank line, then the
-/// body `Content-Length` announces.
-fn read_request(
-    stream: &mut TcpStream,
-    buf: &mut [u8; REQUEST_BUF],
-) -> Result<Request, Option<Status>> {
-    let mut len = 0;
-    while len < buf.len() && blank_line(&buf[..len]).is_none() {
-        match read_more(stream, &mut buf[len..])? {
-            0 => break,
-            n => len += n,
+/// Accept connections until the stop flip, serving each request on this
+/// thread. Only two kinds of connection get a thread of their own: an
+/// `/events` tail, which lives as long as its connection, and a request
+/// not in full within [`FIRST_WAIT`], whose thread finishes the read from
+/// the bytes already read. The connection accepted after the stop flip —
+/// the lifetime thread's wake-up or a client's — gets no answer.
+fn accept_loop<'scope, 'env>(
+    s: &'scope std::thread::Scope<'scope, 'env>,
+    listener: &'env TcpListener,
+    shared: &'env Shared,
+) {
+    loop {
+        let accepted = listener.accept();
+        if shared.stopped() {
+            break;
+        }
+        let mut conn = match accepted {
+            Ok((stream, _)) => Conn::new(stream),
+            Err(_) => {
+                // xtask-allow: request-sleep — back-off on a failing accept (fd exhaustion), so a persistent error cannot spin
+                std::thread::sleep(Duration::from_millis(10));
+                continue;
+            }
+        };
+        match conn.read_request() {
+            Err(Some(Status::TIMEOUT)) => {
+                s.spawn(move || {
+                    conn.until = conn.accepted + READ_TIMEOUT;
+                    let read = conn.read_request();
+                    if let Some(tail) = handle_connection(conn, read, shared) {
+                        stream_events(tail, shared);
+                    }
+                });
+            }
+            read => {
+                if let Some(tail) = handle_connection(conn, read, shared) {
+                    s.spawn(move || stream_events(tail, shared));
+                }
+            }
         }
     }
-    let request = parse_request(&buf[..len]).map_err(Some)?;
-    while len < request.body.end {
-        match read_more(stream, &mut buf[len..request.body.end])? {
-            // The peer closed short of its own Content-Length.
-            0 => return Err(Some(Status::BAD_REQUEST)),
-            n => len += n,
-        }
-    }
-    Ok(request)
 }
 
-/// Serve one HTTP connection. Request parsing is deliberately minimal:
-/// the first line's method and path decide everything; only `POST /jobs`
-/// uses the body. A request that cannot be read is answered with the 4xx
-/// that says why, not hung up on.
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
-    let mut buf = [0u8; REQUEST_BUF];
-    let request = match read_request(&mut stream, &mut buf) {
+/// One accepted connection and what has been read of its request so far.
+/// A handoff moves it whole, so no byte the acceptor read is lost.
+struct Conn {
+    stream: TcpStream,
+    accepted: Instant,
+    /// When reading gives up: [`FIRST_WAIT`] after `accepted` on an
+    /// acceptor, [`READ_TIMEOUT`] after it once handed off.
+    until: Instant,
+    buf: [u8; REQUEST_BUF],
+    len: usize,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        let accepted = Instant::now();
+        Conn { stream, accepted, until: accepted + FIRST_WAIT, buf: [0; REQUEST_BUF], len: 0 }
+    }
+
+    /// Read the rest of the request: the head up to the blank line, then
+    /// the body `Content-Length` announces. After a timeout it can be
+    /// called again with a later `until` and goes on where it stopped.
+    fn read_request(&mut self) -> Result<Request, Option<Status>> {
+        while self.len < REQUEST_BUF && blank_line(&self.buf[..self.len]).is_none() {
+            match read_by(&mut self.stream, &mut self.buf[self.len..], self.until)? {
+                0 => break,
+                n => self.len += n,
+            }
+        }
+        let request = parse_request(&self.buf[..self.len]).map_err(Some)?;
+        while self.len < request.body.end {
+            let rest = &mut self.buf[self.len..request.body.end];
+            match read_by(&mut self.stream, rest, self.until)? {
+                // The peer closed short of its own Content-Length.
+                0 => return Err(Some(Status::BAD_REQUEST)),
+                n => self.len += n,
+            }
+        }
+        Ok(request)
+    }
+}
+
+/// Answer what [`Conn::read_request`] made of `conn`. Request parsing is
+/// deliberately minimal: the first line's method and path decide
+/// everything; only `POST /jobs` uses the body. A request that cannot be
+/// read is answered with the 4xx that says why, not hung up on. An
+/// `/events` request is not answered here: its stream comes back for the
+/// caller to tail.
+fn handle_connection(
+    conn: Conn,
+    read: Result<Request, Option<Status>>,
+    shared: &Shared,
+) -> Option<TcpStream> {
+    let Conn { mut stream, mut buf, until, .. } = conn;
+    let request = match read {
         Ok(request) => request,
         Err(Some(status)) => {
             respond(&mut stream, status.0, "text/plain", "request not understood\n");
             // Whatever else the client sent is still unread, and closing
             // on unread input resets the connection, which can take the
             // answer with it: finish sending, then read the rest off —
-            // for one more read timeout at most, however slowly it drips,
-            // and not past shutdown (the scope joins this thread).
+            // until the read deadline, so a bad request holds an acceptor
+            // no longer than a good one, and not past shutdown (the scope
+            // joins this thread).
             let _ = stream.shutdown(std::net::Shutdown::Write);
-            let until = std::time::Instant::now() + READ_TIMEOUT;
-            while std::time::Instant::now() < until
-                && !shared.stopped()
-                && matches!(stream.read(&mut buf), Ok(n) if n > 0)
+            while !shared.stopped()
+                && matches!(read_by(&mut stream, &mut buf, until), Ok(n) if n > 0)
             {}
-            return;
+            return None;
         }
-        Err(None) => return,
+        Err(None) => return None,
     };
     let body = String::from_utf8_lossy(&buf[request.body.clone()]);
     let id = request.path.strip_prefix("/jobs/");
@@ -1326,7 +1409,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 None => respond(&mut stream, "503 Service Unavailable", "text/plain", "warming up\n"),
             }
         }
-        ("GET", "/events") => stream_events(stream, shared),
+        ("GET", "/events") => return Some(stream),
         ("POST", "/jobs") => handle_job_post(&mut stream, shared, &body),
         ("GET", "/jobs/<id>") => handle_job_get(&mut stream, shared, id.unwrap_or_default()),
         // Known path, wrong verb: say which verb works instead of
@@ -1347,6 +1430,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
         ),
         _ => respond(&mut stream, "404 Not Found", "text/plain", "try /metrics, /health, /events, /jobs, /jobs/<id>\n"),
     }
+    None
 }
 
 /// `POST /jobs`: put the parsed spec to [`Shared::admit`] and render the

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use cellsim::event::{AlarmKind, EventKind, RunLog, Severity};
 use mgps_analysis::{check_run_with, CheckMode};
 use mgps_obs::{parse_prometheus, validate_families};
-use multigrain::serve::http_get;
+use multigrain::serve::{http_get, ACCEPTORS, FIRST_WAIT};
 use phylo::alignment::{Alignment, PatternAlignment};
 use phylo::bootstrap::bootstrap_replicate;
 use phylo::likelihood::LikelihoodEngine;
@@ -466,6 +466,8 @@ fn try_post(addr: &str, body: &str) -> Option<(u16, String)> {
 fn raw_request(addr: &str, method: &str, path: &str, body: &str) -> (u16, String, String) {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    // A request nobody serves fails the test instead of hanging it.
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     stream
         .write_all(
             format!(
@@ -798,6 +800,98 @@ fn get_jobs_reports_unknown_completed_and_shed_states() {
     let (status, state, lnls) = job_result(&addr, &late.to_string());
     assert_eq!((status, state.as_str(), lnls.len()), (200, "shed", 0));
 
+    unsafe {
+        libc_kill(child.id() as i32, 2);
+    }
+    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+}
+
+/// The status code on the first line of a raw response.
+fn status_code(raw: &str) -> u16 {
+    raw.strip_prefix("HTTP/1.1 ")
+        .and_then(|r| r.get(..3))
+        .and_then(|c| c.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {raw:?}"))
+}
+
+#[test]
+fn a_request_split_across_the_first_wait_keeps_its_first_part() {
+    use std::io::{Read, Write};
+    let (mut child, addr) = spawn_serve(&[]);
+    let body = "taxa=8&sites=64&bootstraps=1";
+    let request = format!(
+        "POST /jobs HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    // Split after the head (the handoff finishes the body) and inside it
+    // (the handoff finishes the head): either way the acceptor gives up
+    // its wait before the rest arrives, and the bytes it read must reach
+    // the thread that takes over.
+    let head_end = request.find("\r\n\r\n").unwrap() + 4;
+    for split in [head_end, 10] {
+        let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(&request.as_bytes()[..split]).expect("send first part");
+        std::thread::sleep(FIRST_WAIT * 10);
+        stream.write_all(&request.as_bytes()[split..]).expect("send the rest");
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("an answer");
+        assert_eq!(status_code(&raw), 202, "split at byte {split}: {raw}");
+    }
+
+    unsafe {
+        libc_kill(child.id() as i32, 2);
+    }
+    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+}
+
+#[test]
+fn silent_clients_hold_no_acceptor_past_the_first_wait() {
+    use std::io::Read;
+    let (mut child, addr) = spawn_serve(&[]);
+    scrape(&addr, "/health"); // wait until the plane is up
+    // One more silent client than there are acceptors, each connected
+    // and saying nothing: accepted ahead of the POST, every one of them
+    // would keep an acceptor for the whole read timeout (500 ms) if
+    // nothing handed it off.
+    let silent: Vec<std::net::TcpStream> = (0..ACCEPTORS + 1)
+        .map(|_| {
+            let s = std::net::TcpStream::connect(&addr).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s
+        })
+        .collect();
+    let sent = Instant::now();
+    submit(&addr, "taxa=8&sites=64&bootstraps=1");
+    let waited = sent.elapsed();
+    assert!(waited < Duration::from_millis(250), "POST behind silent clients took {waited:?}");
+    // And each silent client still gets its answer once its time is up.
+    for (i, mut s) in silent.into_iter().enumerate() {
+        let mut raw = String::new();
+        s.read_to_string(&mut raw).expect("an answer, not a reset");
+        assert_eq!(status_code(&raw), 408, "silent client {i}: {raw}");
+    }
+
+    unsafe {
+        libc_kill(child.id() as i32, 2);
+    }
+    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+}
+
+#[test]
+fn events_tails_beyond_the_acceptor_count_each_see_a_completion() {
+    let (mut child, addr) = spawn_serve(&[]);
+    // More tails than acceptors: a tail that kept its acceptor would
+    // leave none for the POST below.
+    let mut tails: Vec<EventsTail> = (0..ACCEPTORS + 1).map(|_| EventsTail::open(&addr)).collect();
+    let job = submit(&addr, "taxa=8&sites=64&bootstraps=1");
+    let id = format!("\"job\":{job},");
+    for (i, tail) in tails.iter_mut().enumerate() {
+        tail.next_matching(&format!("tail {i} to see job {job} complete"), |l| {
+            l.contains("\"type\":\"job_completed\"") && l.contains(&id)
+        });
+    }
+    // Shutdown wakes every acceptor and ends every tail.
     unsafe {
         libc_kill(child.id() as i32, 2);
     }
