@@ -31,18 +31,61 @@ fn bin() -> PathBuf {
     p
 }
 
+/// A running `multigrain serve`. Dropping it kills and reaps the child
+/// unless a wait already saw it exit, so a test that fails before its
+/// SIGINT leaves no service behind.
+struct Serve(Child);
+
+impl Serve {
+    /// Interrupt the service: the graceful-shutdown signal.
+    fn sigint(&self) {
+        extern "C" {
+            #[link_name = "kill"]
+            fn libc_kill(pid: i32, sig: i32) -> i32;
+        }
+        // SAFETY: `kill(2)` takes two integers and touches no memory of this
+        // process; the pid is this test's own child, not yet reaped.
+        unsafe {
+            libc_kill(self.0.id() as i32, 2);
+        }
+    }
+
+    /// Wait for the service to exit, with a hard timeout.
+    fn wait_with_timeout(&mut self, limit: Duration) -> i32 {
+        let start = Instant::now();
+        loop {
+            if let Some(status) = self.0.try_wait().expect("try_wait") {
+                return status.code().expect("exited normally");
+            }
+            assert!(start.elapsed() < limit, "serve did not exit within {limit:?}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+}
+
+impl Drop for Serve {
+    fn drop(&mut self) {
+        if let Ok(None) = self.0.try_wait() {
+            self.0.kill().ok();
+            self.0.wait().ok();
+        }
+    }
+}
+
 /// Spawn `multigrain serve` with `extra` flags and wait for its stdout to
-/// announce the bound address. Returns the child and `host:port`.
-fn spawn_serve(extra: &[&str]) -> (Child, String) {
-    let mut child = Command::new(bin())
-        .arg("serve")
-        .args(["--port", "0", "--poll-ms", "50"])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("serve spawns");
-    let stdout = child.stdout.take().expect("stdout piped");
+/// announce the bound address. Returns the service and `host:port`.
+fn spawn_serve(extra: &[&str]) -> (Serve, String) {
+    let mut serve = Serve(
+        Command::new(bin())
+            .arg("serve")
+            .args(["--port", "0", "--poll-ms", "50"])
+            .args(extra)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("serve spawns"),
+    );
+    let stdout = serve.0.stdout.take().expect("stdout piped");
     let mut lines = BufReader::new(stdout).lines();
     let first = lines
         .next()
@@ -58,19 +101,7 @@ fn spawn_serve(extra: &[&str]) -> (Child, String) {
     // Keep draining stdout in the background so the child never blocks on
     // a full pipe.
     std::thread::spawn(move || while let Some(Ok(_)) = lines.next() {});
-    (child, addr)
-}
-
-/// Wait for the child to exit, with a hard timeout.
-fn wait_with_timeout(child: &mut Child, limit: Duration) -> i32 {
-    let start = Instant::now();
-    loop {
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            return status.code().expect("exited normally");
-        }
-        assert!(start.elapsed() < limit, "serve did not exit within {limit:?}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    (serve, addr)
 }
 
 /// Tail the `/events` NDJSON stream until `pred` matches a complete line
@@ -224,10 +255,8 @@ fn serve_exposes_metrics_health_and_events_then_survives_sigint() {
 
     // SIGINT: graceful shutdown, exit 0, and the interrupted run's log
     // passes the native-mode invariant checker.
-    unsafe {
-        libc_kill(child.id() as i32, 2);
-    }
-    let code = wait_with_timeout(&mut child, Duration::from_secs(30));
+    child.sigint();
+    let code = child.wait_with_timeout(Duration::from_secs(30));
     assert_eq!(code, 0, "interrupted serve should still exit cleanly");
 
     let text = std::fs::read_to_string(&log_path).expect("run log written");
@@ -301,7 +330,7 @@ fn events_client_disconnect_mid_stream_does_not_kill_the_service() {
 
     // The tail's thread must shrug it off: the timed run still serves and
     // drains, exits 0, and writes a checker-valid log.
-    let code = wait_with_timeout(&mut child, Duration::from_secs(30));
+    let code = child.wait_with_timeout(Duration::from_secs(30));
     assert_eq!(code, 0, "a client hangup must not take down the service");
 
     let text = std::fs::read_to_string(&log_path).expect("run log written");
@@ -351,7 +380,7 @@ fn undersized_rings_raise_the_ring_drop_alarm_and_exit_4() {
 
     // Dropped events mean an incomplete log: the checker objects and the
     // CLI reports it as a violation exit.
-    let code = wait_with_timeout(&mut child, Duration::from_secs(30));
+    let code = child.wait_with_timeout(Duration::from_secs(30));
     assert_eq!(code, 4, "ring drops should classify as a checker violation");
 
     // The alarm is also merged into the written RunLog as a health event.
@@ -405,10 +434,8 @@ fn an_armed_mid_kernel_fault_retries_the_job_to_exactly_one_completion() {
 
     // SIGINT: the drain waits for the retried job, so exactly-once
     // completion is part of the graceful-shutdown contract.
-    unsafe {
-        libc_kill(child.id() as i32, 2);
-    }
-    let code = wait_with_timeout(&mut child, Duration::from_secs(30));
+    child.sigint();
+    let code = child.wait_with_timeout(Duration::from_secs(30));
     assert_eq!(code, 0, "a recovered fault must not change the exit code");
 
     let text = std::fs::read_to_string(&log_path).expect("run log written");
@@ -433,11 +460,6 @@ fn an_armed_mid_kernel_fault_retries_the_job_to_exactly_one_completion() {
     assert_eq!(attempts, vec![0, 1], "one start per attempt, in order");
 
     std::fs::remove_dir_all(&dir).ok();
-}
-
-extern "C" {
-    #[link_name = "kill"]
-    fn libc_kill(pid: i32, sig: i32) -> i32;
 }
 
 /// A best-effort `POST /jobs` that reports `None` once the listener is
@@ -512,7 +534,7 @@ fn known_paths_answer_405_with_an_allow_header_per_verb() {
     let (status, _, _) = raw_request(&addr, "POST", "/nope", "");
     assert_eq!(status, 404);
 
-    let code = wait_with_timeout(&mut child, Duration::from_secs(30));
+    let code = child.wait_with_timeout(Duration::from_secs(30));
     assert_eq!(code, 0);
 }
 
@@ -536,10 +558,8 @@ fn more_workers_than_ppe_contexts_strand_no_job() {
         assert!(pending.remove(&done), "job {done} completed twice or was never admitted");
     }
 
-    unsafe {
-        libc_kill(child.id() as i32, 2);
-    }
-    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+    child.sigint();
+    assert_eq!(child.wait_with_timeout(Duration::from_secs(30)), 0);
 }
 
 #[test]
@@ -556,10 +576,8 @@ fn a_completion_reaches_an_open_events_tail_before_the_next_job_is_sent() {
             l.contains("\"type\":\"job_completed\"") && l.contains(&id)
         });
     }
-    unsafe {
-        libc_kill(child.id() as i32, 2);
-    }
-    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+    child.sigint();
+    assert_eq!(child.wait_with_timeout(Duration::from_secs(30)), 0);
 }
 
 #[test]
@@ -567,13 +585,11 @@ fn an_idle_service_nobody_connected_to_still_stops() {
     // The acceptor blocks in `accept`; with no client ever connecting,
     // only the service's own shutdown wake gets it out.
     let (mut timed, _) = spawn_serve(&["--for-ms", "200"]);
-    assert_eq!(wait_with_timeout(&mut timed, Duration::from_secs(20)), 0, "--for-ms expiry");
+    assert_eq!(timed.wait_with_timeout(Duration::from_secs(20)), 0, "--for-ms expiry");
 
     let (mut interrupted, _) = spawn_serve(&[]);
-    unsafe {
-        libc_kill(interrupted.id() as i32, 2);
-    }
-    assert_eq!(wait_with_timeout(&mut interrupted, Duration::from_secs(20)), 0, "SIGINT");
+    interrupted.sigint();
+    assert_eq!(interrupted.wait_with_timeout(Duration::from_secs(20)), 0, "SIGINT");
 }
 
 #[test]
@@ -590,10 +606,8 @@ fn a_drain_whose_backlog_is_shed_rather_than_run_still_exits() {
     for _ in 0..3 {
         submit(&addr, "taxa=8&sites=16&bootstraps=1&deadline_ms=1");
     }
-    unsafe {
-        libc_kill(child.id() as i32, 2);
-    }
-    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+    child.sigint();
+    assert_eq!(child.wait_with_timeout(Duration::from_secs(30)), 0);
 }
 
 #[test]
@@ -626,10 +640,8 @@ fn unreadable_requests_are_answered_not_hung_up_on() {
     // And the service is none the worse for it.
     submit(&addr, "taxa=8&sites=64&bootstraps=1");
 
-    unsafe {
-        libc_kill(child.id() as i32, 2);
-    }
-    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+    child.sigint();
+    assert_eq!(child.wait_with_timeout(Duration::from_secs(30)), 0);
 }
 
 #[test]
@@ -665,9 +677,7 @@ fn sigint_mid_load_drains_admitted_jobs_and_refuses_new_ones() {
     assert!(admitted >= 1, "at least one job must be admitted");
 
     // SIGINT mid-load: the service flips to draining...
-    unsafe {
-        libc_kill(child.id() as i32, 2);
-    }
+    child.sigint();
     // ...and new submissions are refused with a status distinct from the
     // queue-full 429 while the backlog is worked off.
     let mut saw_draining = false;
@@ -696,7 +706,7 @@ fn sigint_mid_load_drains_admitted_jobs_and_refuses_new_ones() {
     }
     assert!(saw_draining, "a draining service must answer POST /jobs with 503");
 
-    let code = wait_with_timeout(&mut child, Duration::from_secs(60));
+    let code = child.wait_with_timeout(Duration::from_secs(60));
     assert_eq!(code, 0, "an interrupted loaded service still exits cleanly");
 
     // The log is checker-valid and the job lifecycle is balanced: every
@@ -765,10 +775,8 @@ fn a_job_result_is_the_direct_score_of_its_seeded_replicates() {
         assert!((got - want).abs() < 1e-9, "replicate {b}: served {got}, direct {want}");
     }
 
-    unsafe {
-        libc_kill(child.id() as i32, 2);
-    }
-    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+    child.sigint();
+    assert_eq!(child.wait_with_timeout(Duration::from_secs(30)), 0);
 }
 
 #[test]
@@ -800,10 +808,8 @@ fn get_jobs_reports_unknown_completed_and_shed_states() {
     let (status, state, lnls) = job_result(&addr, &late.to_string());
     assert_eq!((status, state.as_str(), lnls.len()), (200, "shed", 0));
 
-    unsafe {
-        libc_kill(child.id() as i32, 2);
-    }
-    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+    child.sigint();
+    assert_eq!(child.wait_with_timeout(Duration::from_secs(30)), 0);
 }
 
 /// The status code on the first line of a raw response.
@@ -839,10 +845,8 @@ fn a_request_split_across_the_first_wait_keeps_its_first_part() {
         assert_eq!(status_code(&raw), 202, "split at byte {split}: {raw}");
     }
 
-    unsafe {
-        libc_kill(child.id() as i32, 2);
-    }
-    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+    child.sigint();
+    assert_eq!(child.wait_with_timeout(Duration::from_secs(30)), 0);
 }
 
 #[test]
@@ -872,10 +876,8 @@ fn silent_clients_hold_no_acceptor_past_the_first_wait() {
         assert_eq!(status_code(&raw), 408, "silent client {i}: {raw}");
     }
 
-    unsafe {
-        libc_kill(child.id() as i32, 2);
-    }
-    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+    child.sigint();
+    assert_eq!(child.wait_with_timeout(Duration::from_secs(30)), 0);
 }
 
 #[test]
@@ -892,8 +894,6 @@ fn events_tails_beyond_the_acceptor_count_each_see_a_completion() {
         });
     }
     // Shutdown wakes every acceptor and ends every tail.
-    unsafe {
-        libc_kill(child.id() as i32, 2);
-    }
-    assert_eq!(wait_with_timeout(&mut child, Duration::from_secs(30)), 0);
+    child.sigint();
+    assert_eq!(child.wait_with_timeout(Duration::from_secs(30)), 0);
 }
