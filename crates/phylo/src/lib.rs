@@ -35,6 +35,8 @@ pub mod linalg;
 pub mod mixture;
 pub mod model;
 pub mod protein;
+#[cfg(test)]
+mod reference;
 pub mod search;
 pub mod special;
 pub mod spr;

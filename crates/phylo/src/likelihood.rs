@@ -998,88 +998,12 @@ impl<M: SubstModel<S>, const S: usize> Kernels for &LikelihoodEngine<'_, M, S> {
     }
 }
 
-/// The three-matrix derivative loop `makenewz` ran before edge tables:
-/// `P(t)`, `P′(t)` and `P″(t)` rebuilt at every step and three 4×4
-/// mat-vecs per pattern, kept as the oracle [`EdgeTable`] derivatives are
-/// checked against; and the golden-section edge optimizer the +Γ and
-/// protein engines ran before the one body gave them Newton steps, kept
-/// for their oracles (`mixture::classic`, `protein::classic`).
-#[cfg(test)]
-pub(crate) mod classic {
-    use super::*;
-
-    /// Derivative-free branch-length optimization: the golden-section
-    /// maximum of `lnl_at` over the legal interval, bracketed from the
-    /// current length `t0`.
-    pub fn golden_section_branch(t0: f64, lnl_at: impl FnMut(f64) -> f64) -> f64 {
-        let hi = MAX_BRANCH.min((t0 * 32.0).max(1.0));
-        let narrow = |lo: f64, hi: f64| (hi - lo) < 1e-7 * hi.max(1e-3);
-        golden_section_max(Tree::MIN_BRANCH, hi, 64, narrow, lnl_at)
-    }
-
-    /// `(d1, d2)` of the edge between `u` and `v` at `t`, over `range`.
-    pub fn lnl_derivatives_range<'c, M: SubstModel>(
-        engine: &LikelihoodEngine<'_, M>,
-        u: &'c Clv,
-        v: &'c Clv,
-        t: f64,
-        range: Range<usize>,
-    ) -> (f64, f64) {
-        let n = engine.data.n_patterns();
-        let window = |clv: &'c Clv| {
-            let base = first_held(clv.n_patterns(), n, &range, "CLV");
-            &clv.vals[(range.start - base) * STATES..(range.end - base) * STATES]
-        };
-        let (uv, vv) = (window(u), window(v));
-        let spectrum = engine.model.spectrum();
-        let lam = spectrum.eigenvalues;
-        let e = spectrum.exps(t);
-        let p = engine.model.prob_matrix(t);
-        let d1m = spectrum.matrix(std::array::from_fn(|k| lam[k] * e[k]));
-        let d2m = spectrum.matrix(std::array::from_fn(|k| lam[k] * lam[k] * e[k]));
-        let pi = engine.model.base_freqs();
-        let w = &engine.data.weights()[range];
-        let mut d1 = 0.0;
-        let mut d2 = 0.0;
-        for j in 0..w.len() {
-            let lu = vector::<STATES>(&uv[j * STATES..(j + 1) * STATES]);
-            let lv = vector::<STATES>(&vv[j * STATES..(j + 1) * STATES]);
-            let s = matvec(&p, lv);
-            let ds = matvec(&d1m, lv);
-            let dds = matvec(&d2m, lv);
-            let (mut l, mut dl, mut ddl) = (0.0, 0.0, 0.0);
-            for x in 0..STATES {
-                let f = pi[x] * lu[x];
-                l += f * s[x];
-                dl += f * ds[x];
-                ddl += f * dds[x];
-            }
-            let l = l.max(f64::MIN_POSITIVE);
-            let wi = w[j] as f64;
-            d1 += wi * dl / l;
-            d2 += wi * (ddl * l - dl * dl) / (l * l);
-        }
-        (d1, d2)
-    }
-
-    /// `makenewz` on the classic loop.
-    pub fn makenewz<M: SubstModel>(
-        engine: &LikelihoodEngine<'_, M>,
-        u: &Clv,
-        v: &Clv,
-        t0: f64,
-    ) -> f64 {
-        let all = 0..engine.data.n_patterns();
-        newton_branch_length(t0, |t| lnl_derivatives_range(engine, u, v, t, all.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alignment::Alignment;
-    use crate::dna::StateMask;
     use crate::model::{Gtr, Jc69, ScaledModel, K80};
+    use crate::reference::{brute_force, Partial, Reference};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1103,63 +1027,6 @@ mod tests {
         assert_eq!(arena.free.len(), ClvArena::MAX_FREE);
     }
 
-    /// Brute-force likelihood: sum over all internal-state assignments.
-    fn brute_force_lnl(tree: &Tree, data: &PatternAlignment, model: &impl SubstModel) -> f64 {
-        let n_internal = tree.n_nodes() - tree.n_taxa();
-        let pi = model.base_freqs();
-        let mats: Vec<(usize, usize, Matrix)> = tree
-            .edge_ids()
-            .map(|e| {
-                let (a, b) = tree.endpoints(e);
-                (a, b, model.prob_matrix(tree.length(e)))
-            })
-            .collect();
-        let mut lnl = 0.0;
-        for pat in 0..data.n_patterns() {
-            let mut site_l = 0.0;
-            // Enumerate internal assignments; tips sum over their allowed
-            // states (ambiguity support).
-            let combos = STATES.pow(n_internal as u32);
-            for combo in 0..combos {
-                let state_of = |node: usize, tip_state: usize| -> usize {
-                    if node < tree.n_taxa() {
-                        tip_state
-                    } else {
-                        (combo / STATES.pow((node - tree.n_taxa()) as u32)) % STATES
-                    }
-                };
-                // For tips we must sum over allowed states; do that by
-                // treating each edge factor as a sum when the endpoint is a
-                // tip. Root the likelihood at internal node n_taxa.
-                let mut prod = pi[state_of(tree.n_taxa(), 0)];
-                for &(a, b, ref m) in &mats {
-                    let factor = match (a < tree.n_taxa(), b < tree.n_taxa()) {
-                        (false, false) => m[state_of(a, 0)][state_of(b, 0)],
-                        (false, true) => {
-                            let sa = state_of(a, 0);
-                            (0..STATES)
-                                .filter(|&s| StateMask(data.code(b, pat)).allows(s))
-                                .map(|s| m[sa][s])
-                                .sum()
-                        }
-                        (true, false) => {
-                            let sb = state_of(b, 0);
-                            (0..STATES)
-                                .filter(|&s| StateMask(data.code(a, pat)).allows(s))
-                                .map(|s| m[s][sb])
-                                .sum()
-                        }
-                        (true, true) => unreachable!("tip-tip edge in n>=3 tree"),
-                    };
-                    prod *= factor;
-                }
-                site_l += prod;
-            }
-            lnl += data.weights()[pat] as f64 * site_l.ln();
-        }
-        lnl
-    }
-
     #[test]
     fn engine_matches_brute_force_on_four_taxa() {
         let data = toy();
@@ -1167,7 +1034,7 @@ mod tests {
         let tree = Tree::random(4, 0.12, &mut rng);
         let engine = LikelihoodEngine::new(&Jc69, &data);
         let fast = engine.log_likelihood(&tree);
-        let brute = brute_force_lnl(&tree, &data, &Jc69);
+        let brute = brute_force(&Jc69, &data, &tree);
         assert!(
             (fast - brute).abs() < 1e-9,
             "pruning {fast} vs brute force {brute}"
@@ -1336,12 +1203,12 @@ mod tests {
     }
 
     proptest! {
-        /// The edge table is the classic three-matrix loop re-associated:
-        /// for random CLVs, ranges and lengths its derivatives agree with
-        /// the classic ones to 1e-9 relative, and the spectrum they rest on
-        /// is the model's `P(t)`.
+        /// The edge table's derivatives are the reference's, from `P(t)`
+        /// and the spectrum's `P′`, `P″`: for random CLVs, ranges and
+        /// lengths they agree to 1e-9 relative, and the spectrum they rest
+        /// on is the model's `P(t)`.
         #[test]
-        fn edge_table_derivatives_agree_with_the_classic_loop(
+        fn edge_table_derivatives_agree_with_the_reference(
             which in 0usize..4,
             seed in 0u64..u64::MAX,
             n in 1usize..120,
@@ -1352,20 +1219,30 @@ mod tests {
             let aln = Alignment::synthetic(4, n, &Jc69, 0.3, seed);
             let data = PatternAlignment::compress(&aln);
             let n = data.n_patterns();
-            let data = data.with_weights((0..n).map(|_| rng.gen_range(1..5)).collect());
+            let weights: Vec<u32> = (0..n).map(|_| rng.gen_range(1..5)).collect();
             let (u, v) = (random_clv(n, &mut rng), random_clv(n, &mut rng));
             let (lo, hi) = ((cut.0 * n as f64) as usize, (cut.1 * n as f64) as usize);
             let range = lo.min(hi)..lo.max(hi);
+            // The reference holds the range's patterns only.
+            let in_range = (0..n).map(|j| if range.contains(&j) { weights[j] } else { 0 });
+            let in_range = in_range.collect();
+            let (window, data) = (data.with_weights(in_range), data.with_weights(weights));
+            let piece = |clv: &Clv| -> Partial<STATES> {
+                let (vals, scale) = clv.as_raw();
+                let vals = vals[range.start * STATES..range.end * STATES].to_vec();
+                Partial::from(&Clv::from_raw(vals, scale[range.clone()].to_vec()))
+            };
+            let (pu, pv) = (piece(&u), piece(&v));
             with_model(which, &mut |model| -> Result<(), TestCaseError> {
                 let engine = LikelihoodEngine::new(&model, &data);
-                let want = classic::lnl_derivatives_range(&engine, &u, &v, t, range.clone());
-                let mut piece = ClvArena::new().take_table(range.len());
-                engine.edge_table_range(&u, &v, range.clone(), &mut piece);
-                let got = engine.table_derivatives(&piece, t, range.clone());
+                let want = Reference::new(&model, &window).derivatives(&pu, &pv, t);
+                let mut table = ClvArena::new().take_table(range.len());
+                engine.edge_table_range(&u, &v, range.clone(), &mut table);
+                let got = engine.table_derivatives(&table, t, range.clone());
                 let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + b.abs());
-                let ((d1, d2), (c1, c2)) = (got, want);
-                prop_assert!(close(d1, c1), "model {which}: d1 {d1} vs classic {c1}");
-                prop_assert!(close(d2, c2), "model {which}: d2 {d2} vs classic {c2}");
+                let ((d1, d2), (r1, r2)) = (got, want);
+                prop_assert!(close(d1, r1), "model {which}: d1 {d1} vs reference {r1}");
+                prop_assert!(close(d2, r2), "model {which}: d2 {d2} vs reference {r2}");
 
                 let spectrum = model.spectrum();
                 let (q, p) = (spectrum.matrix(spectrum.exps(t)), model.prob_matrix(t));
@@ -1398,10 +1275,12 @@ mod tests {
         let cv = engine.clv_toward(&tree, b, a);
         let t = engine.makenewz(&cu, &cv, 0.05);
         assert_eq!(t, f64::from_bits(0x3fde_87ff_b722_e0c2), "makenewz");
-        // The edge table re-associates the classic loop's sums: the two
-        // lengths differ by rounding only.
-        let t_classic = classic::makenewz(&engine, &cu, &cv, 0.05);
-        assert!((t - t_classic).abs() < 1e-12, "table {t} vs classic {t_classic}");
+        // Newton over the reference's derivatives, on its own partials:
+        // the two lengths differ by rounding only.
+        let reference = Reference::new(&Jc69, &data);
+        let (pu, pv) = traversal::edge_pair(&mut &reference, &tree, EdgeId(0));
+        let t_reference = newton_branch_length(0.05, |t| reference.derivatives(&pu, &pv, t));
+        assert!((t - t_reference).abs() < 1e-12, "table {t} vs reference {t_reference}");
     }
 
     #[test]

@@ -79,153 +79,12 @@ pub fn estimate_alpha<M: SubstModel<S>, const S: usize>(
 }
 
 #[cfg(test)]
-/// The Γ engine the kernels replaced: a fresh single-rate engine per
-/// category per kernel call, one [`Clv`] per category, per-site terms
-/// aligned on their scaling exponents, and golden section on each edge.
-/// Kept as the oracle the one kernel body's +Γ is checked against.
-pub(crate) mod classic {
-    use crate::alignment::PatternAlignment;
-    use crate::dna::STATES;
-    use crate::likelihood::classic::golden_section_branch;
-    use crate::likelihood::{log_scale, Clv, LikelihoodEngine};
-    use crate::model::{ScaledModel, SubstModel};
-    use crate::special::discrete_gamma_rates;
-    use crate::traversal::{self, Kernels};
-    use crate::tree::Tree;
-
-    /// The Γ-mixture likelihood engine.
-    pub struct GammaEngine<'a, M: SubstModel> {
-        model: &'a M,
-        data: &'a PatternAlignment,
-        rates: Vec<f64>,
-    }
-
-    impl<'a, M: SubstModel> GammaEngine<'a, M> {
-        /// A `K`-category discrete-Γ engine with shape `alpha` over `data`.
-        pub fn new(model: &'a M, data: &'a PatternAlignment, alpha: f64, k: usize) -> Self {
-            GammaEngine { model, data, rates: discrete_gamma_rates(alpha, k) }
-        }
-
-        /// The category rates in use (ascending, mean 1).
-        pub fn rates(&self) -> &[f64] {
-            &self.rates
-        }
-
-        /// One value per category, computed by the single-rate engine whose
-        /// branch lengths are all scaled by that category's rate.
-        fn per_category<T>(
-            &self,
-            f: impl Fn(usize, &LikelihoodEngine<'_, ScaledModel<&M>>) -> T,
-        ) -> Vec<T> {
-            self.rates
-                .iter()
-                .enumerate()
-                .map(|(c, &rate)| {
-                    let sm = ScaledModel { inner: self.model, rate };
-                    f(c, &LikelihoodEngine::new(&sm, self.data))
-                })
-                .collect()
-        }
-
-        /// Mixture log-likelihood at an edge given per-category CLV pairs.
-        fn edge_lnl(&self, us: &[Clv], vs: &[Clv], t: f64) -> f64 {
-            let k = self.rates.len();
-            let w = self.data.weights();
-            let ln_min = log_scale();
-
-            // Per-category per-site (term, exp) pairs.
-            let terms: Vec<Vec<(f64, u32)>> = self
-                .rates
-                .iter()
-                .enumerate()
-                .map(|(c, &rate)| {
-                    let sm = ScaledModel { inner: self.model, rate };
-                    site_terms(&sm, &us[c], &vs[c], t)
-                })
-                .collect();
-
-            let mut lnl = 0.0;
-            for i in 0..self.data.n_patterns() {
-                // Align the categories on the smallest scaling exponent: the
-                // true value of category c is term_c · S^{exp_c} with
-                // S = 1e-100, so categories more than two exponents above the
-                // minimum contribute nothing representable.
-                let min_exp = terms.iter().map(|t| t[i].1).min().expect("k >= 1");
-                let mut sum = 0.0;
-                for t in &terms {
-                    let (term, exp) = t[i];
-                    let shift = exp - min_exp;
-                    if shift <= 2 {
-                        sum += term * 1e-100f64.powi(shift as i32);
-                    }
-                }
-                let site = (sum / k as f64).max(f64::MIN_POSITIVE).ln() + min_exp as f64 * ln_min;
-                lnl += w[i] as f64 * site;
-            }
-            lnl
-        }
-
-        /// Mixture log-likelihood of `tree`.
-        pub fn log_likelihood(&self, tree: &Tree) -> f64 {
-            traversal::score(&mut &*self, tree)
-        }
-    }
-
-    /// Per-pattern *linear* likelihood terms of one category at an edge:
-    /// `(term, exp)` where the site likelihood is
-    /// `term · SCALE_THRESHOLD^exp`, in the single-rate `evaluate`'s float
-    /// order.
-    pub fn site_terms(model: &impl SubstModel, u: &Clv, v: &Clv, t: f64) -> Vec<(f64, u32)> {
-        let (p, pi) = (model.prob_matrix(t), model.base_freqs());
-        let (scale_u, scale_v) = (u.as_raw().1, v.as_raw().1);
-        (0..u.n_patterns())
-            .map(|j| {
-                let (lu, lv) = (u.pattern(j), v.pattern(j));
-                let mut term = 0.0;
-                for x in 0..STATES {
-                    let mut inner = 0.0;
-                    for y in 0..STATES {
-                        inner += p[x][y] * lv[y];
-                    }
-                    term += pi[x] * lu[x] * inner;
-                }
-                (term, scale_u[j] + scale_v[j])
-            })
-            .collect()
-    }
-
-    /// The mixture's kernels: one [`Clv`] per rate category, each pruned by
-    /// that category's single-rate engine.
-    impl<M: SubstModel> Kernels for &GammaEngine<'_, M> {
-        type Clv = Vec<Clv>;
-
-        fn tip(&mut self, taxon: usize) -> Vec<Clv> {
-            self.per_category(|_, eng| eng.tip_clv(taxon))
-        }
-
-        fn newview(&mut self, left: Vec<Clv>, t_l: f64, right: Vec<Clv>, t_r: f64) -> Vec<Clv> {
-            self.per_category(|c, eng| eng.newview(&left[c], t_l, &right[c], t_r))
-        }
-
-        fn evaluate(&mut self, us: Vec<Clv>, vs: Vec<Clv>, t: f64) -> f64 {
-            self.edge_lnl(&us, &vs, t)
-        }
-
-        /// Golden section over the mixture likelihood.
-        fn optimize_edge(&mut self, us: Vec<Clv>, vs: Vec<Clv>, t0: f64) -> f64 {
-            golden_section_branch(t0, |t| self.edge_lnl(&us, &vs, t))
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::classic::{site_terms, GammaEngine};
     use super::*;
     use crate::alignment::Alignment;
     use crate::dna::StateMask;
-    use crate::model::{Gtr, Jc69, ScaledModel};
-    use crate::tree::EdgeId;
+    use crate::model::{Gtr, Jc69};
+    use crate::reference::{brute_force, Reference};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -239,9 +98,20 @@ mod tests {
         LikelihoodEngine::new(&Gamma::new(model, alpha, k), d).log_likelihood(tree)
     }
 
+    /// The lnL of `tree` under `model` by the one engine and by the
+    /// reference.
+    fn engine_and_reference<M: SubstModel>(
+        model: &M,
+        d: &PatternAlignment,
+        tree: &Tree,
+    ) -> (f64, f64) {
+        let engine = LikelihoodEngine::new(model, d).log_likelihood(tree);
+        (engine, Reference::new(model, d).log_likelihood(tree))
+    }
+
     /// Branch lengths of `tree` optimized by the one engine's Newton steps
-    /// and by the oracle's golden section, from the same start: `(Newton
-    /// lnL, golden-section lnL, largest |Δt|, the Newton tree)`.
+    /// and by the reference's golden section, from the same start:
+    /// `(Newton lnL, golden-section lnL, largest |Δt|, the Newton tree)`.
     fn newton_and_golden_section<M: SubstModel>(
         model: &M,
         d: &PatternAlignment,
@@ -251,8 +121,8 @@ mod tests {
         let (mut newton, mut golden) = (tree.clone(), tree.clone());
         let gamma = Gamma::new(model, alpha, 4);
         let lnl = LikelihoodEngine::new(&gamma, d).optimize_branches(&mut newton, 3, 1e-4);
-        let oracle = GammaEngine::new(model, d, alpha, 4);
-        let want = crate::traversal::optimize_branches(&mut &oracle, &mut golden, 3, 1e-4);
+        let reference = Reference::new(&gamma, d);
+        let want = crate::traversal::optimize_branches(&mut &reference, &mut golden, 3, 1e-4);
         let dt = tree.edge_ids().map(|e| (newton.length(e) - golden.length(e)).abs());
         (lnl, want, dt.fold(0.0, f64::max), newton)
     }
@@ -264,11 +134,11 @@ mod tests {
         let tree = Tree::random(6, 0.1, &mut rng);
         let a = lnl(Jc69, &d, 0.7, 1, &tree);
         let b = LikelihoodEngine::new(&Jc69, &d).log_likelihood(&tree);
-        // One category is the single-rate instance of the body, and the
-        // oracle's one scaled engine at rate 1.
+        // One category is the single-rate instance of the body.
         assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        assert_eq!(a.to_bits(), GammaEngine::new(&Jc69, &d, 0.7, 1).log_likelihood(&tree).to_bits());
         assert_eq!(a.to_bits(), 0xc087_b0bc_2e31_f742);
+        let want = Reference::new(&Gamma::new(Jc69, 0.7, 1), &d).log_likelihood(&tree);
+        assert!((a - want).abs() <= 1e-9 * want.abs(), "{a} vs reference {want}");
     }
 
     #[test]
@@ -283,8 +153,8 @@ mod tests {
 
     #[test]
     fn mixture_matches_manual_category_average_on_small_data() {
-        // Manual check: compute each category's per-site likelihood with a
-        // separately scaled engine and average by hand.
+        // Manual check: enumerate each category's internal states and
+        // average the categories by hand.
         let aln = Alignment::from_strings(&[
             ("a", "ACGTAC"),
             ("b", "ACGTTC"),
@@ -296,30 +166,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let tree = Tree::random(4, 0.2, &mut rng);
 
-        let k = 4;
-        let gamma = Gamma::new(Jc69, 0.5, k);
+        let gamma = Gamma::new(Jc69, 0.5, 4);
         let got = LikelihoodEngine::new(&gamma, &d).log_likelihood(&tree);
-
-        // Manual: per category, per site linear likelihoods (no deep
-        // scaling on this tiny tree: all exps are 0).
-        let e = EdgeId(0);
-        let (a, b) = tree.endpoints(e);
-        let mut per_site = vec![0.0f64; d.n_patterns()];
-        for &r in gamma.rates() {
-            let sm = ScaledModel { inner: &Jc69, rate: r };
-            let eng = LikelihoodEngine::new(&sm, &d);
-            let cu = eng.clv_toward(&tree, a, b);
-            let cv = eng.clv_toward(&tree, b, a);
-            for (i, (term, exp)) in site_terms(&sm, &cu, &cv, tree.length(e)).into_iter().enumerate() {
-                assert_eq!(exp, 0, "tiny tree must not rescale");
-                per_site[i] += term / k as f64;
-            }
-        }
-        let want: f64 = per_site
-            .iter()
-            .zip(d.weights())
-            .map(|(&l, &w)| w as f64 * l.ln())
-            .sum();
+        let want = brute_force(&gamma, &d, &tree);
         assert!((got - want).abs() < 1e-10, "{got} vs manual {want}");
         assert_eq!(got.to_bits(), 0xc035_8750_c64c_9728);
     }
@@ -476,12 +325,11 @@ mod tests {
     }
 
     proptest! {
-        /// The one kernel body's +Γ is the per-category oracle's mixture:
-        /// on random trees, shapes and models, at one category and at
-        /// four, and on a 200-taxon caterpillar deep enough that the
-        /// categories rescale jointly in one and apart in the other.
+        /// The one kernel body's +Γ is the reference's mixture: on random
+        /// trees, shapes and models, at one category and at four, and on a
+        /// 200-taxon caterpillar deep enough to rescale.
         #[test]
-        fn the_one_body_is_the_per_category_oracle(
+        fn the_one_body_is_the_reference_mixture(
             seed in 0u64..u64::MAX,
             taxa in 4usize..=12,
             alpha in (-3.0f64..3.0).prop_map(f64::exp),
@@ -498,12 +346,12 @@ mod tests {
                 Tree::random(taxa, 0.2, &mut SmallRng::seed_from_u64(seed))
             };
             let (got, want) = if gtr {
-                let m = Gtr::example();
-                (lnl(&m, &d, alpha, k, &tree), GammaEngine::new(&m, &d, alpha, k).log_likelihood(&tree))
+                engine_and_reference(&Gamma::new(Gtr::example(), alpha, k), &d, &tree)
             } else {
-                (lnl(Jc69, &d, alpha, k, &tree), GammaEngine::new(&Jc69, &d, alpha, k).log_likelihood(&tree))
+                engine_and_reference(&Gamma::new(Jc69, alpha, k), &d, &tree)
             };
-            prop_assert!((got - want).abs() <= 1e-9, "one body {} vs oracle {}", got, want);
+            let off = (got - want).abs() / want.abs();
+            prop_assert!(off <= 1e-9, "one body {got} vs reference {want}");
             if caterpillar {
                 let gamma = Gamma::new(Jc69, alpha, k);
                 let (spine, _) = tree.neighbors(0)[0];

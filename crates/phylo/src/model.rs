@@ -311,9 +311,8 @@ fn fill(same: f64, transition: f64, transversion: f64) -> Matrix {
 }
 
 #[cfg(test)]
-/// A model with all branch lengths scaled by a fixed `rate`: category `k`
-/// of the `mixture` tests' per-category oracle evaluates the tree under
-/// `ScaledModel { inner, rate: r_k }`.
+/// A model with all branch lengths scaled by a fixed `rate`: the
+/// `likelihood` tests check Newton's derivatives under a rate-scaled GTR.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScaledModel<M> {
     /// The underlying substitution model.

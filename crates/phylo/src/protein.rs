@@ -102,142 +102,11 @@ impl SubstModel<AA_STATES> for PoissonAa {
 }
 
 #[cfg(test)]
-/// The protein engine the one kernel body replaced: its own 20-state CLV,
-/// the Poisson model's O(S) pruning shortcut, and golden section on each
-/// edge. Kept as the oracle the body's protein likelihood is checked
-/// against.
-pub(crate) mod classic {
-    use super::*;
-    use crate::alignment::PatternAlignment;
-    use crate::likelihood::classic::golden_section_branch;
-    use crate::likelihood::{SCALE_MULTIPLIER, SCALE_THRESHOLD};
-    use crate::traversal::{self, Kernels};
-    use crate::tree::Tree;
-
-    /// A per-pattern 20-state conditional likelihood vector with scaling
-    /// exponents.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct AaClv {
-        vals: Vec<f64>, // n_patterns * 20
-        scale: Vec<u32>,
-    }
-
-    /// The protein likelihood engine (Poisson model).
-    pub struct ProteinEngine<'a> {
-        model: PoissonAa,
-        data: &'a PatternAlignment<AA_STATES>,
-    }
-
-    impl<'a> ProteinEngine<'a> {
-        /// Bind the Poisson model to `data`.
-        pub fn new(model: PoissonAa, data: &'a PatternAlignment<AA_STATES>) -> Self {
-            ProteinEngine { model, data }
-        }
-
-        fn tip_clv(&self, taxon: usize) -> AaClv {
-            let n = self.data.n_patterns();
-            let mut vals = vec![0.0; n * AA_STATES];
-            for p in 0..n {
-                let allowed = AMINO_ACIDS.states[usize::from(self.data.code(taxon, p))];
-                for s in 0..AA_STATES {
-                    if allowed & 1 << s != 0 {
-                        vals[p * AA_STATES + s] = 1.0;
-                    }
-                }
-            }
-            AaClv { vals, scale: vec![0; n] }
-        }
-
-        /// Felsenstein pruning step. With the Poisson model,
-        /// `Σ_y P[x][y]·L[y] = P_diff·S + (P_same − P_diff)·L[x]` where
-        /// `S = Σ_y L[y]` — an O(states) kernel instead of O(states²).
-        fn newview(&self, left: &AaClv, t_left: f64, right: &AaClv, t_right: f64) -> AaClv {
-            let n = self.data.n_patterns();
-            let (same_l, diff_l) = self.model.probs(t_left);
-            let (same_r, diff_r) = self.model.probs(t_right);
-            let mut out = AaClv { vals: vec![0.0; n * AA_STATES], scale: vec![0; n] };
-            for i in 0..n {
-                let l = &left.vals[i * AA_STATES..(i + 1) * AA_STATES];
-                let r = &right.vals[i * AA_STATES..(i + 1) * AA_STATES];
-                let sum_l: f64 = l.iter().sum();
-                let sum_r: f64 = r.iter().sum();
-                let mut any_big = false;
-                for x in 0..AA_STATES {
-                    let a = diff_l * sum_l + (same_l - diff_l) * l[x];
-                    let b = diff_r * sum_r + (same_r - diff_r) * r[x];
-                    let v = a * b;
-                    out.vals[i * AA_STATES + x] = v;
-                    if v > SCALE_THRESHOLD {
-                        any_big = true;
-                    }
-                }
-                let mut scale = left.scale[i] + right.scale[i];
-                if !any_big {
-                    for x in 0..AA_STATES {
-                        out.vals[i * AA_STATES + x] *= SCALE_MULTIPLIER;
-                    }
-                    scale += 1;
-                }
-                out.scale[i] = scale;
-            }
-            out
-        }
-
-        /// Log-likelihood of `tree` under the Poisson model.
-        pub fn log_likelihood(&self, tree: &Tree) -> f64 {
-            traversal::score(&mut &*self, tree)
-        }
-
-        fn evaluate(&self, u: &AaClv, v: &AaClv, t: f64) -> f64 {
-            let (same, diff) = self.model.probs(t);
-            let pi = 1.0 / AA_STATES as f64;
-            let ln_min = SCALE_THRESHOLD.ln();
-            let mut lnl = 0.0;
-            for i in 0..self.data.n_patterns() {
-                let lu = &u.vals[i * AA_STATES..(i + 1) * AA_STATES];
-                let lv = &v.vals[i * AA_STATES..(i + 1) * AA_STATES];
-                let sum_v: f64 = lv.iter().sum();
-                let mut term = 0.0;
-                for x in 0..AA_STATES {
-                    let inner = diff * sum_v + (same - diff) * lv[x];
-                    term += pi * lu[x] * inner;
-                }
-                let ln = term.max(f64::MIN_POSITIVE).ln()
-                    + (u.scale[i] + v.scale[i]) as f64 * ln_min;
-                lnl += self.data.weights()[i] as f64 * ln;
-            }
-            lnl
-        }
-    }
-
-    impl Kernels for &ProteinEngine<'_> {
-        type Clv = AaClv;
-
-        fn tip(&mut self, taxon: usize) -> AaClv {
-            self.tip_clv(taxon)
-        }
-
-        fn newview(&mut self, left: AaClv, t_left: f64, right: AaClv, t_right: f64) -> AaClv {
-            ProteinEngine::newview(self, &left, t_left, &right, t_right)
-        }
-
-        fn evaluate(&mut self, u: AaClv, v: AaClv, t: f64) -> f64 {
-            ProteinEngine::evaluate(self, &u, &v, t)
-        }
-
-        /// Golden section (derivative-free).
-        fn optimize_edge(&mut self, u: AaClv, v: AaClv, t0: f64) -> f64 {
-            golden_section_branch(t0, |t| ProteinEngine::evaluate(self, &u, &v, t))
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::classic::ProteinEngine;
     use super::*;
     use crate::alignment::{Alignment, AlignmentError, PatternAlignment};
     use crate::likelihood::LikelihoodEngine;
+    use crate::reference::{brute_force, Reference};
     use crate::traversal::{self, Kernels};
     use crate::tree::{EdgeId, Tree};
     use proptest::prelude::*;
@@ -336,53 +205,16 @@ mod tests {
         assert!(strings(&[("a", "A!"), ("b", "AR")]).is_err());
     }
 
-    /// Brute force over internal states for a 4-taxon tree (2 internal
-    /// nodes → 400 combinations) validates the pruning implementation.
+    /// Enumeration over the 400 assignments of states to the two
+    /// internal nodes of a 4-taxon tree validates the pruning.
     #[test]
     fn engine_matches_brute_force() {
         let d = toy();
         let mut rng = SmallRng::seed_from_u64(3);
         let tree = Tree::random(4, 0.2, &mut rng);
         let fast = LikelihoodEngine::new(&PoissonAa, &d).log_likelihood(&tree);
-
-        let p = |t: f64| PoissonAa.prob_matrix(t);
-        let allows = |taxon: usize, pat: usize, s: usize| {
-            AMINO_ACIDS.states[usize::from(d.code(taxon, pat))] & 1 << s != 0
-        };
-        let mut brute = 0.0;
-        for pat in 0..d.n_patterns() {
-            let mut site = 0.0;
-            for s1 in 0..AA_STATES {
-                for s2 in 0..AA_STATES {
-                    let state_of = |node: usize| if node == 4 { s1 } else { s2 };
-                    let mut prod = 1.0 / AA_STATES as f64;
-                    for e in tree.edge_ids() {
-                        let (a, b) = tree.endpoints(e);
-                        let m = p(tree.length(e));
-                        let f = match (tree.is_tip(a), tree.is_tip(b)) {
-                            (false, false) => m[state_of(a)][state_of(b)],
-                            (false, true) => (0..AA_STATES)
-                                .filter(|&s| allows(b, pat, s))
-                                .map(|s| m[state_of(a)][s])
-                                .sum(),
-                            (true, false) => (0..AA_STATES)
-                                .filter(|&s| allows(a, pat, s))
-                                .map(|s| m[s][state_of(b)])
-                                .sum(),
-                            (true, true) => unreachable!(),
-                        };
-                        prod *= f;
-                    }
-                    site += prod;
-                }
-            }
-            brute += d.weights()[pat] as f64 * site.ln();
-        }
+        let brute = brute_force(&PoissonAa, &d, &tree);
         assert!((fast - brute).abs() < 1e-9, "pruning {fast} vs brute {brute}");
-        // The oracle still reads the bits it was pinned to before the fold.
-        let oracle = ProteinEngine::new(PoissonAa, &d).log_likelihood(&tree);
-        assert_eq!(oracle.to_bits(), 0xc04b_ac00_25ab_f3ac);
-        assert!((fast - oracle).abs() < 1e-9, "one body {fast} vs oracle {oracle}");
     }
 
     #[test]
@@ -398,24 +230,22 @@ mod tests {
         }
     }
 
-    /// Edge by edge, from the same CLVs and starting length, Newton's
-    /// optimum is golden section's within the latter's tolerance, and
-    /// scores no lower; over whole passes, Newton's lnL is never below
-    /// golden section's.
+    /// Edge by edge, from the same starting length, Newton's optimum is
+    /// the reference's golden section's, and scores no lower; over whole
+    /// passes, Newton's lnL is never below golden section's.
     #[test]
     fn newton_finds_golden_sections_branch_lengths() {
         let aln = Alignment::<AA_STATES>::synthetic(8, 150, &PoissonAa, 0.2, 3);
         let d = PatternAlignment::compress(&aln);
-        // Long enough starts that golden section's bracket, at most 32
-        // times the start, holds every optimum.
         let tree = Tree::random(8, 0.5, &mut SmallRng::seed_from_u64(4));
-        let (engine, oracle) = (LikelihoodEngine::new(&PoissonAa, &d), ProteinEngine::new(PoissonAa, &d));
+        let engine = LikelihoodEngine::new(&PoissonAa, &d);
+        let reference = Reference::new(&PoissonAa, &d);
         for e in tree.edge_ids() {
             let t0 = tree.length(e);
             let (u, v) = traversal::edge_pair(&mut &engine, &tree, e);
             let newton = Kernels::optimize_edge(&mut &engine, u, v, t0);
-            let (u, v) = traversal::edge_pair(&mut &oracle, &tree, e);
-            let golden = Kernels::optimize_edge(&mut &oracle, u, v, t0);
+            let (u, v) = traversal::edge_pair(&mut &reference, &tree, e);
+            let golden = Kernels::optimize_edge(&mut &reference, u, v, t0);
             let lnl_at = |t| {
                 let mut tree = tree.clone();
                 tree.set_length(e, t);
@@ -426,7 +256,7 @@ mod tests {
         }
         let (mut newton, mut golden) = (tree.clone(), tree.clone());
         let lnl = engine.optimize_branches(&mut newton, 3, 1e-4);
-        let want = traversal::optimize_branches(&mut &oracle, &mut golden, 3, 1e-4);
+        let want = traversal::optimize_branches(&mut &reference, &mut golden, 3, 1e-4);
         assert!(lnl >= want - 1e-6, "Newton {lnl} below golden section {want}");
     }
 
@@ -441,32 +271,17 @@ mod tests {
             ("e", "WWWWWWWWWWVVVVVVVVVV"),
         ]);
         let cfg = crate::search::SearchConfig::default();
-        // The oracle's search (golden-section passes included), pinned
-        // before the fold.
-        let mut oracle = ProteinEngine::new(PoissonAa, &d);
-        let old = crate::search::hill_climb_with(&mut oracle, d.n_taxa(), &cfg, 3);
-        assert_eq!(old.lnl.to_bits(), 0xc064_6464_0593_cbac);
-        let lengths: Vec<u64> = old.tree.edge_ids().map(|e| old.tree.length(e).to_bits()).collect();
-        assert_eq!(
-            lengths,
-            [
-                0x3eb0_c72a_c49b_f23e,
-                0x3eb0_c72a_c49b_f23e,
-                0x3eb0_c72a_c49b_f23e,
-                0x3fe2_994d_7a7d_7e67,
-                0x3eb0_c72a_c49b_f23e,
-                0x4023_ffff_f2d7_f02f,
-                0x3fc0_77a3_2acd_72ce,
-            ]
-        );
-        // The one engine's Newton search finds the same tree. Its lengths
-        // need not be the oracle's: with (a,b) 10.0 away, the data pin only
-        // the path from (c,d) to e, the sum of its two edges, so the optima
-        // lie on a flat ridge.
+        // The one engine's Newton search finds the reference's
+        // golden-section search's tree. Its lengths need not be the
+        // reference's: with (a,b) 10.0 away, the data pin only the path
+        // from (c,d) to e, the sum of its two edges, so the optima lie on
+        // a flat ridge.
+        let mut reference = Reference::new(&PoissonAa, &d);
+        let want = crate::search::hill_climb_with(&mut reference, d.n_taxa(), &cfg, 3);
         let r = crate::search::hill_climb(&PoissonAa, &d, &cfg, 3);
         r.tree.validate().unwrap();
-        assert_eq!(r.tree.bipartitions(), old.tree.bipartitions());
-        assert!((r.lnl - old.lnl).abs() < 1e-4, "{} vs {}", r.lnl, old.lnl);
+        assert_eq!(r.tree.bipartitions(), want.tree.bipartitions());
+        assert!((r.lnl - want.lnl).abs() < 1e-4, "{} vs {}", r.lnl, want.lnl);
         // (a,b) must form a clade.
         let found = r.tree.bipartitions().iter().any(|side| {
             let members: Vec<usize> =
@@ -493,17 +308,17 @@ mod tests {
         assert!(lnl.is_finite() && lnl < 0.0, "{lnl}");
         let (spine, _) = tree.neighbors(0)[0];
         assert!(engine.clv_toward(&tree, spine, 0).total_scalings() > 0, "no rescaling");
-        let oracle = ProteinEngine::new(PoissonAa, &d).log_likelihood(&tree);
-        assert!((lnl - oracle).abs() < 1e-9, "one body {lnl} vs oracle {oracle}");
+        let want = Reference::new(&PoissonAa, &d).log_likelihood(&tree);
+        assert!((lnl - want).abs() <= 1e-9 * want.abs(), "one body {lnl} vs reference {want}");
     }
 
     proptest! {
-        /// The one kernel body's protein likelihood is the classic engine's:
-        /// on random residues, the ambiguity classes and gaps among them,
-        /// on random trees, at every edge, and on a caterpillar deep enough
+        /// The one kernel body's protein likelihood at every edge is the
+        /// reference's: on random residues, the ambiguity classes and gaps
+        /// among them, on random trees, and on a caterpillar deep enough
         /// to rescale.
         #[test]
-        fn the_one_body_is_the_classic_protein_engine(
+        fn the_one_body_is_the_reference_protein_likelihood(
             seed in 0u64..u64::MAX,
             taxa in 4usize..=12,
             sites in 1usize..60,
@@ -529,12 +344,12 @@ mod tests {
                 Tree::random(taxa, rng.gen_range(0.01..1.0), &mut rng)
             };
             let engine = LikelihoodEngine::new(&PoissonAa, &d);
-            let oracle = ProteinEngine::new(PoissonAa, &d);
+            let want = Reference::new(&PoissonAa, &d).log_likelihood(&tree);
             let edges = if caterpillar { vec![EdgeId(0)] } else { tree.edge_ids().collect() };
             for e in edges {
                 let got = engine.log_likelihood_at(&tree, e);
-                let want = traversal::score_at(&mut &oracle, &tree, e);
-                prop_assert!((got - want).abs() <= 1e-9, "edge {:?}: one body {} vs oracle {}", e, got, want);
+                let off = (got - want).abs() / want.abs();
+                prop_assert!(off <= 1e-9, "edge {:?}: one body {} vs reference {}", e, got, want);
             }
             let got = engine.log_likelihood_at(&tree, EdgeId(0));
             prop_assert!(got.is_finite() && got < 0.0, "{}", got);
