@@ -73,6 +73,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use cellsim::event::{EventKind, MailboxKind, RunLog, SchedulerTag, SwitchReason};
+use cellsim::params::{DMA_ALIGNMENT, DMA_MAX_LIST_LEN, DMA_MAX_TRANSFER_BYTES};
 use mgps_runtime::faults::FaultPlan;
 use mgps_runtime::policy::Drr;
 use mgps_runtime::tracing::TraceLog;
@@ -86,13 +87,6 @@ pub enum CheckMode {
     /// A native-runtime span trace merged into [`RunLog`] form.
     Native,
 }
-
-/// Hardware cap on a single DMA transfer (16 KB).
-const DMA_MAX_TRANSFER: usize = 16 * 1024;
-/// Hardware cap on DMA list length.
-const DMA_MAX_LIST: usize = 2048;
-/// Required DMA address alignment (128 bits).
-const DMA_ALIGNMENT: usize = 16;
 
 /// One broken invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1506,23 +1500,23 @@ fn check_dma(
             message: "empty DMA list".to_string(),
         });
     }
-    if element_bytes.len() > DMA_MAX_LIST {
+    if element_bytes.len() > DMA_MAX_LIST_LEN {
         v.push(Violation {
             rule: "dma-legality",
             seq: Some(seq),
             message: format!(
-                "DMA list of {} elements exceeds the {DMA_MAX_LIST}-element cap",
+                "DMA list of {} elements exceeds the {DMA_MAX_LIST_LEN}-element cap",
                 element_bytes.len()
             ),
         });
     }
     for (i, &bytes) in element_bytes.iter().enumerate() {
-        if bytes > DMA_MAX_TRANSFER {
+        if bytes > DMA_MAX_TRANSFER_BYTES {
             v.push(Violation {
                 rule: "dma-legality",
                 seq: Some(seq),
                 message: format!(
-                    "DMA element {i} moves {bytes} bytes, over the {DMA_MAX_TRANSFER}-byte cap"
+                    "DMA element {i} moves {bytes} bytes, over the {DMA_MAX_TRANSFER_BYTES}-byte cap"
                 ),
             });
         } else if !(matches!(bytes, 1 | 2 | 4 | 8) || (bytes > 0 && bytes % 16 == 0)) {

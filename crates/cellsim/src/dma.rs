@@ -8,7 +8,9 @@
 
 use des::time::SimDuration;
 
-use crate::params::DmaParams;
+use crate::params::{
+    DMA_ALIGNMENT, DMA_MAX_LIST_LEN, DMA_MAX_TRANSFER_BYTES, DMA_STARTUP, SPE_DMA_BANDWIDTH,
+};
 
 /// Why a DMA request was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,35 +53,30 @@ impl DmaRequest {
     ///
     /// # Errors
     /// Any violation of the MFC's size/alignment rules.
-    pub fn new(
-        params: &DmaParams,
-        bytes: usize,
-        local_addr: usize,
-        main_addr: usize,
-    ) -> Result<DmaRequest, DmaError> {
+    pub fn new(bytes: usize, local_addr: usize, main_addr: usize) -> Result<DmaRequest, DmaError> {
         if bytes == 0 {
             return Err(DmaError::Empty);
         }
-        if bytes > params.max_transfer_bytes {
+        if bytes > DMA_MAX_TRANSFER_BYTES {
             return Err(DmaError::TooLarge(bytes));
         }
         let size_ok = matches!(bytes, 1 | 2 | 4 | 8) || bytes.is_multiple_of(16);
         if !size_ok {
             return Err(DmaError::BadSize(bytes));
         }
-        if !local_addr.is_multiple_of(params.alignment) {
+        if !local_addr.is_multiple_of(DMA_ALIGNMENT) {
             return Err(DmaError::Misaligned(local_addr));
         }
-        if !main_addr.is_multiple_of(params.alignment) {
+        if !main_addr.is_multiple_of(DMA_ALIGNMENT) {
             return Err(DmaError::Misaligned(main_addr));
         }
         Ok(DmaRequest { bytes })
     }
 
-    /// Uncontended transfer latency under `params`.
-    pub fn base_latency(&self, params: &DmaParams) -> SimDuration {
-        let xfer = self.bytes as f64 / params.spe_bandwidth;
-        params.startup + SimDuration::from_secs_f64(xfer)
+    /// Uncontended transfer latency.
+    pub fn base_latency(&self) -> SimDuration {
+        let xfer = self.bytes as f64 / SPE_DMA_BANDWIDTH;
+        DMA_STARTUP + SimDuration::from_secs_f64(xfer)
     }
 }
 
@@ -99,7 +96,6 @@ impl DmaList {
     /// Fails if the resulting list would exceed 2,048 elements or the
     /// transfer is empty/misaligned.
     pub fn for_bytes(
-        params: &DmaParams,
         total_bytes: usize,
         local_addr: usize,
         main_addr: usize,
@@ -108,20 +104,20 @@ impl DmaList {
             return Err(DmaError::Empty);
         }
         let padded = total_bytes.div_ceil(16) * 16;
-        let n_full = padded / params.max_transfer_bytes;
-        let tail = padded % params.max_transfer_bytes;
+        let n_full = padded / DMA_MAX_TRANSFER_BYTES;
+        let tail = padded % DMA_MAX_TRANSFER_BYTES;
         let n = n_full + usize::from(tail > 0);
-        if n > params.max_list_len {
+        if n > DMA_MAX_LIST_LEN {
             return Err(DmaError::ListTooLong(n));
         }
         let mut elements = Vec::with_capacity(n);
         let mut off = 0usize;
         for _ in 0..n_full {
-            elements.push(DmaRequest::new(params, params.max_transfer_bytes, local_addr + off, main_addr + off)?);
-            off += params.max_transfer_bytes;
+            elements.push(DmaRequest::new(DMA_MAX_TRANSFER_BYTES, local_addr + off, main_addr + off)?);
+            off += DMA_MAX_TRANSFER_BYTES;
         }
         if tail > 0 {
-            elements.push(DmaRequest::new(params, tail, local_addr + off, main_addr + off)?);
+            elements.push(DmaRequest::new(tail, local_addr + off, main_addr + off)?);
         }
         Ok(DmaList { elements })
     }
@@ -137,9 +133,9 @@ impl DmaList {
     }
 
     /// Uncontended latency: startup once, elements pipelined at bandwidth.
-    pub fn base_latency(&self, params: &DmaParams) -> SimDuration {
-        let xfer = self.total_bytes() as f64 / params.spe_bandwidth;
-        params.startup + SimDuration::from_secs_f64(xfer)
+    pub fn base_latency(&self) -> SimDuration {
+        let xfer = self.total_bytes() as f64 / SPE_DMA_BANDWIDTH;
+        DMA_STARTUP + SimDuration::from_secs_f64(xfer)
     }
 }
 
@@ -147,40 +143,36 @@ impl DmaList {
 mod tests {
     use super::*;
 
-    fn p() -> DmaParams {
-        DmaParams::default()
-    }
-
     #[test]
     fn legal_sizes_accepted() {
         for bytes in [1, 2, 4, 8, 16, 32, 128, 4096, 16 * 1024] {
-            DmaRequest::new(&p(), bytes, 0, 0).unwrap_or_else(|e| panic!("{bytes}: {e}"));
+            DmaRequest::new(bytes, 0, 0).unwrap_or_else(|e| panic!("{bytes}: {e}"));
         }
     }
 
     #[test]
     fn illegal_sizes_rejected() {
         for bytes in [3, 5, 6, 7, 9, 15, 17, 100] {
-            assert_eq!(DmaRequest::new(&p(), bytes, 0, 0), Err(DmaError::BadSize(bytes)), "{bytes}");
+            assert_eq!(DmaRequest::new(bytes, 0, 0), Err(DmaError::BadSize(bytes)), "{bytes}");
         }
         assert_eq!(
-            DmaRequest::new(&p(), 16 * 1024 + 16, 0, 0),
+            DmaRequest::new(16 * 1024 + 16, 0, 0),
             Err(DmaError::TooLarge(16 * 1024 + 16))
         );
-        assert_eq!(DmaRequest::new(&p(), 0, 0, 0), Err(DmaError::Empty));
+        assert_eq!(DmaRequest::new(0, 0, 0), Err(DmaError::Empty));
     }
 
     #[test]
     fn misalignment_rejected() {
-        assert_eq!(DmaRequest::new(&p(), 16, 8, 0), Err(DmaError::Misaligned(8)));
-        assert_eq!(DmaRequest::new(&p(), 16, 0, 24), Err(DmaError::Misaligned(24)));
-        assert!(DmaRequest::new(&p(), 16, 32, 48).is_ok());
+        assert_eq!(DmaRequest::new(16, 8, 0), Err(DmaError::Misaligned(8)));
+        assert_eq!(DmaRequest::new(16, 0, 24), Err(DmaError::Misaligned(24)));
+        assert!(DmaRequest::new(16, 32, 48).is_ok());
     }
 
     #[test]
     fn latency_scales_with_size() {
-        let small = DmaRequest::new(&p(), 16, 0, 0).unwrap().base_latency(&p());
-        let large = DmaRequest::new(&p(), 16 * 1024, 0, 0).unwrap().base_latency(&p());
+        let small = DmaRequest::new(16, 0, 0).unwrap().base_latency();
+        let large = DmaRequest::new(16 * 1024, 0, 0).unwrap().base_latency();
         assert!(large > small);
         // 16 KB at 25.6 GB/s = 640 ns, plus 300 ns startup.
         assert_eq!(large.as_nanos(), 300 + 640);
@@ -188,7 +180,7 @@ mod tests {
 
     #[test]
     fn list_splits_large_transfers() {
-        let list = DmaList::for_bytes(&p(), 100 * 1024, 0, 0).unwrap();
+        let list = DmaList::for_bytes(100 * 1024, 0, 0).unwrap();
         assert_eq!(list.elements().len(), 7); // 6×16KB + 4KB tail
         assert_eq!(list.total_bytes(), 100 * 1024);
         assert_eq!(list.elements()[6].bytes, 4 * 1024);
@@ -196,7 +188,7 @@ mod tests {
 
     #[test]
     fn list_pads_odd_sizes_to_sixteen() {
-        let list = DmaList::for_bytes(&p(), 100, 0, 0).unwrap();
+        let list = DmaList::for_bytes(100, 0, 0).unwrap();
         assert_eq!(list.total_bytes(), 112);
         assert_eq!(list.elements().len(), 1);
     }
@@ -205,8 +197,8 @@ mod tests {
     fn list_length_cap_enforced() {
         // 2048 × 16 KB = 32 MB is the largest legal list.
         let max_bytes = 2048 * 16 * 1024;
-        assert!(DmaList::for_bytes(&p(), max_bytes, 0, 0).is_ok());
-        match DmaList::for_bytes(&p(), max_bytes + 16, 0, 0) {
+        assert!(DmaList::for_bytes(max_bytes, 0, 0).is_ok());
+        match DmaList::for_bytes(max_bytes + 16, 0, 0) {
             Err(DmaError::ListTooLong(2049)) => {}
             other => panic!("expected ListTooLong(2049), got {other:?}"),
         }

@@ -11,13 +11,12 @@
 
 use des::time::SimDuration;
 
-use crate::params::DmaParams;
+use crate::params::{EIB_BANDWIDTH, EIB_MAX_OUTSTANDING, SPE_DMA_BANDWIDTH};
 
 /// Bus occupancy tracker. Pure state; the machine model calls
 /// [`Eib::begin_transfer`] / [`Eib::end_transfer`] from its events.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Eib {
-    params: DmaParams,
     outstanding: usize,
     peak_outstanding: usize,
     total_bytes: u64,
@@ -26,18 +25,6 @@ pub struct Eib {
 }
 
 impl Eib {
-    /// A bus with the given parameters.
-    pub fn new(params: DmaParams) -> Eib {
-        Eib {
-            params,
-            outstanding: 0,
-            peak_outstanding: 0,
-            total_bytes: 0,
-            total_transfers: 0,
-            rejected: 0,
-        }
-    }
-
     /// Requests currently in flight.
     pub fn outstanding(&self) -> usize {
         self.outstanding
@@ -68,7 +55,7 @@ impl Eib {
     /// Returns the contention-adjusted latency, or `None` when the bus is
     /// at its outstanding-request cap (caller must retry later).
     pub fn begin_transfer(&mut self, bytes: usize, base: SimDuration) -> Option<SimDuration> {
-        if self.outstanding >= self.params.max_outstanding {
+        if self.outstanding >= EIB_MAX_OUTSTANDING {
             self.rejected += 1;
             return None;
         }
@@ -92,8 +79,8 @@ impl Eib {
     /// bandwidth is `outstanding` requesters at full per-SPE rate; when
     /// that exceeds the aggregate EIB rate, everyone slows proportionally.
     pub fn contention_factor(&self) -> f64 {
-        let demanded = self.outstanding as f64 * self.params.spe_bandwidth;
-        (demanded / self.params.eib_bandwidth).max(1.0)
+        let demanded = self.outstanding as f64 * SPE_DMA_BANDWIDTH;
+        (demanded / EIB_BANDWIDTH).max(1.0)
     }
 
     fn contended(&self, base: SimDuration) -> SimDuration {
@@ -113,7 +100,7 @@ mod tests {
     use super::*;
 
     fn eib() -> Eib {
-        Eib::new(DmaParams::default())
+        Eib::default()
     }
 
     #[test]

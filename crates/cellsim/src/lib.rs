@@ -39,6 +39,6 @@ pub mod spe;
 pub mod workload;
 
 pub use event::{EventKind, EventRecord, MailboxKind, RunLog, SchedulerTag, SwitchReason};
-pub use machine::{run, RunReport, SchedOverheads, SimConfig};
-pub use params::{CellParams, DmaParams};
+pub use machine::{run, RunReport, SimConfig};
+pub use params::CellParams;
 pub use workload::{KernelProfile, RaxmlWorkload};

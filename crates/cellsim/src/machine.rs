@@ -35,30 +35,12 @@ use crate::dma::DmaList;
 use crate::eib::Eib;
 use crate::event::{EventKind, EventRecord, MailboxKind, RunLog, SchedulerTag, SwitchReason};
 use crate::mailbox::SpuMailboxes;
-use crate::params::CellParams;
+use crate::params::{
+    CellParams, CODE_LOAD_COST, CTX_SWITCH, LINUX_QUANTUM, LOCAL_STORE_BYTES, POLL_PER_PROC,
+    PPE_CONTEXTS_PER_CELL, SMT_SLOWDOWN, SWITCH_POLLUTION,
+};
 use crate::spe::SpeState;
 use crate::workload::{GrantCosts, KernelProfile, RaxmlWorkload};
-
-/// User-level scheduler overheads that are properties of the runtime, not
-/// the hardware (calibration knobs; see EXPERIMENTS.md).
-#[derive(Debug, Clone, Copy)]
-pub struct SchedOverheads {
-    /// Cache/TLB pollution cost added to the first PPE work section after a
-    /// context switch across address spaces (§5.2 names this explicitly).
-    pub pollution: SimDuration,
-    /// Per-resident-process polling cost the user-level scheduler pays on
-    /// every off-load (scanning MPI process queues).
-    pub poll_per_proc: SimDuration,
-}
-
-impl Default for SchedOverheads {
-    fn default() -> Self {
-        SchedOverheads {
-            pollution: SimDuration::from_micros(6),
-            poll_per_proc: SimDuration::from_nanos(1_900),
-        }
-    }
-}
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Copy)]
@@ -75,8 +57,6 @@ pub struct SimConfig {
     pub n_bootstraps: usize,
     /// RNG seed (runs are bit-deterministic in this).
     pub seed: u64,
-    /// Runtime overhead knobs.
-    pub overheads: SchedOverheads,
     /// Override the MGPS policy parameters (window length, U threshold).
     /// `None` uses the paper's defaults for the machine's SPE count. Only
     /// meaningful with [`SchedulerKind::Mgps`].
@@ -110,7 +90,6 @@ impl SimConfig {
             profile: KernelProfile::Optimized,
             n_bootstraps,
             seed: 0x5eed,
-            overheads: SchedOverheads::default(),
             mgps_config: None,
             record_events: false,
             faults: FaultPlan::inert(),
@@ -246,7 +225,7 @@ impl CellMachine {
         // the quantum as long as cycle ≪ quantum ≪ bootstrap (a context
         // with k processes takes k·T whether it interleaves or not), so
         // clamp to keep rotation overhead negligible.
-        let quantum_ns = ((cfg.params.linux_quantum.as_nanos() as f64
+        let quantum_ns = ((LINUX_QUANTUM.as_nanos() as f64
             / cfg.workload.scale_factor()) as u64)
             .max(SimDuration::from_millis(1).as_nanos());
         let ppe_kind = match cfg.scheduler {
@@ -256,18 +235,12 @@ impl CellMachine {
         let is_linux = matches!(cfg.scheduler, SchedulerKind::LinuxLike);
         let ppes: Vec<PpeScheduler> = if is_linux {
             // One run queue per hardware context (no sibling migration).
-            (0..cfg.params.n_cells * cfg.params.ppe_contexts_per_cell)
-                .map(|_| PpeScheduler::new(ppe_kind, 1, cfg.params.ctx_switch.as_nanos()))
+            (0..cfg.params.ppe_contexts())
+                .map(|_| PpeScheduler::new(ppe_kind, 1, CTX_SWITCH.as_nanos()))
                 .collect()
         } else {
             (0..cfg.params.n_cells)
-                .map(|_| {
-                    PpeScheduler::new(
-                        ppe_kind,
-                        cfg.params.ppe_contexts_per_cell,
-                        cfg.params.ctx_switch.as_nanos(),
-                    )
-                })
+                .map(|_| PpeScheduler::new(ppe_kind, PPE_CONTEXTS_PER_CELL, CTX_SWITCH.as_nanos()))
                 .collect()
         };
         let (mgps, degree) = match cfg.scheduler {
@@ -306,8 +279,7 @@ impl CellMachine {
                         // wakeups evenly; they then stick).
                         let cell = i % cfg.params.n_cells;
                         let k = i / cfg.params.n_cells;
-                        cell * cfg.params.ppe_contexts_per_cell
-                            + k % cfg.params.ppe_contexts_per_cell
+                        cell * PPE_CONTEXTS_PER_CELL + k % PPE_CONTEXTS_PER_CELL
                     } else {
                         i % cfg.params.n_cells
                     },
@@ -328,7 +300,7 @@ impl CellMachine {
             mgps,
             current_degree: degree,
             image_epoch: 1,
-            eib: Eib::new(cfg.params.dma),
+            eib: Eib::default(),
             mailboxes: (0..n_spes).map(|_| SpuMailboxes::default()).collect(),
             events: Vec::new(),
             ls_in_use: vec![0; n_spes],
@@ -336,7 +308,7 @@ impl CellMachine {
             next_task: 0,
             active_procs: cfg.n_bootstraps,
             finish: None,
-            costs: GrantCosts::new(&cfg.workload, cfg.profile, n_spes, &cfg.params.dma),
+            costs: GrantCosts::new(&cfg.workload, cfg.profile, n_spes),
             idle: n_spes,
             healthy: n_spes,
             live: vec![0; cfg.params.n_cells],
@@ -555,7 +527,7 @@ pub fn run(cfg: SimConfig) -> RunReport {
                 n_spes: m.spes.len(),
                 quantum_ns: m.quantum_ns,
                 seed: m.cfg.seed,
-                local_store_bytes: m.cfg.params.local_store_bytes,
+                local_store_bytes: LOCAL_STORE_BYTES,
                 loop_iters: m.cfg.workload.loop_iters,
                 mgps_window: m.mgps.as_ref().map(|s| s.config().window),
                 fault_policy: if m.cfg.faults.armed() {
@@ -638,11 +610,11 @@ fn continue_proc(sim: &mut S, p: usize) {
         let m = sim.model_mut();
         let mut gap = m.cfg.workload.draw_ppe_gap(&mut m.rng);
         if smt_busy {
-            gap = gap.mul_f64(m.cfg.params.smt_slowdown);
+            gap = gap.mul_f64(SMT_SLOWDOWN);
         }
-        gap += m.cfg.overheads.poll_per_proc * polled as u64;
+        gap += POLL_PER_PROC * polled as u64;
         if m.procs[p].polluted {
-            gap += m.cfg.overheads.pollution;
+            gap += SWITCH_POLLUTION;
             m.procs[p].polluted = false;
         }
         gap
@@ -761,7 +733,7 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
         let now_ns = now.as_nanos();
         // Team members reload in parallel; each pays the full stall, the
         // task-level delay is one code_load_cost (added below).
-        let stall_ns = m.cfg.params.code_load_cost.as_nanos();
+        let stall_ns = CODE_LOAD_COST.as_nanos();
         let mut reload = false;
         m.procs[p].team.clear();
         for spe in 0..m.spes.len() {
@@ -838,9 +810,8 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
             // The input/output transfer as the MFC list the lead SPE issues.
             let local_addr = m.ls_in_use[lead] - buffer_bytes;
             let main_addr = 0x1000_0000 + (task as usize) * 0x8000;
-            let list =
-                DmaList::for_bytes(&m.cfg.params.dma, buffer_bytes, local_addr, main_addr)
-                    .expect("task buffers must form a legal DMA list");
+            let list = DmaList::for_bytes(buffer_bytes, local_addr, main_addr)
+                .expect("task buffers must form a legal DMA list");
             m.emit(
                 now_ns,
                 EventKind::Dma {
@@ -904,7 +875,7 @@ fn grant_task(sim: &mut S, p: usize, degree: usize) {
             );
         }
         if reload {
-            dur += m.cfg.params.code_load_cost;
+            dur += CODE_LOAD_COST;
         }
         m.procs[p].phase = Phase::OnSpe;
         Granted::Run { duration: dur, dma_latency }
@@ -1184,10 +1155,9 @@ fn reacquire_ppe(sim: &mut S, p: usize) {
     } else {
         let dispatched = sim.model_mut().ppes[ppe].admit(ProcId(p));
         if dispatched.is_some() {
-            let switch = sim.model().cfg.params.ctx_switch;
             let now_ns2 = sim.now().as_nanos();
             sim.model_mut().procs[p].ctx_acquired_ns = now_ns2;
-            sim.schedule_in_with(switch, continue_proc, p);
+            sim.schedule_in_with(CTX_SWITCH, continue_proc, p);
         } else {
             sim.model_mut().procs[p].phase = Phase::Ready;
         }
@@ -1229,8 +1199,7 @@ fn maybe_rotate_linux(sim: &mut S, p: usize, ppe: usize) -> bool {
 /// Schedule the continuation of a process that just received a context.
 fn dispatch(sim: &mut S, next: Option<ProcId>) {
     let Some(ProcId(q)) = next else { return };
-    let switch = sim.model().cfg.params.ctx_switch;
-    sim.schedule_in_with(switch, proc_dispatched, q);
+    sim.schedule_in_with(CTX_SWITCH, proc_dispatched, q);
 }
 
 /// `q` acquired a PPE context after a switch.

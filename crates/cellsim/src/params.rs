@@ -1,94 +1,99 @@
 //! Machine parameters of the Cell Broadband Engine, as reported in the
 //! paper (§4, §5.2) and in Kistler et al.'s interconnect study.
+//!
+//! The paper models one machine, so each of its figures is a constant
+//! here; only the blade's shape ([`CellParams`]) varies between runs.
+//!
+//! | constant | value | source |
+//! |---|---|---|
+//! | [`PPE_CONTEXTS_PER_CELL`] | 2 | §4: one two-way SMT PPE per Cell |
+//! | [`CTX_SWITCH`] | 1.5 µs | §5.2, measured voluntary switch |
+//! | [`LINUX_QUANTUM`] | 10 ms | §5.2, "a multiple of 10 ms" |
+//! | [`LOCAL_STORE_BYTES`] | 256 KB | §4 |
+//! | [`SMT_SLOWDOWN`] | 1.9× | fitted to Table 1 EDTLP at 2–3 workers |
+//! | [`CODE_LOAD_COST`] | 20 µs | a 117 KB module (§5.1) at local-store bandwidth; §5.4 "not noticeable" |
+//! | [`DMA_MAX_TRANSFER_BYTES`] | 16 KB | §4 |
+//! | [`DMA_MAX_LIST_LEN`] | 2 048 | §4 |
+//! | [`DMA_ALIGNMENT`] | 16 B | §4, 128-bit alignment |
+//! | [`DMA_STARTUP`] | 300 ns | Kistler et al.: a few hundred ns |
+//! | [`SPE_DMA_BANDWIDTH`] | 25.6 GB/s | Kistler et al., per SPE |
+//! | [`EIB_BANDWIDTH`] | 204.8 GB/s | §4, 96 B/cycle at 3.2 GHz |
+//! | [`EIB_MAX_OUTSTANDING`] | 128 | §4, "more than 100" requests |
+//! | [`SWITCH_POLLUTION`] | 6 µs | fitted to Table 1 EDTLP growth |
+//! | [`POLL_PER_PROC`] | 1.9 µs | fitted to Table 1 EDTLP at 8 workers |
 
 use des::time::SimDuration;
 
-/// Parameters of one Cell blade configuration.
+/// SMT hardware contexts per PPE.
+pub const PPE_CONTEXTS_PER_CELL: usize = 2;
+
+/// Voluntary PPE context-switch cost (measured 1.5 µs, §5.2).
+pub const CTX_SWITCH: SimDuration = SimDuration::from_nanos(1_500);
+
+/// Linux scheduler quantum ("a multiple of 10 ms", §5.2).
+pub const LINUX_QUANTUM: SimDuration = SimDuration::from_millis(10);
+
+/// SPE local-store capacity in bytes. A native RunLog header records the
+/// same figure, so that it reads like a simulated one.
+pub const LOCAL_STORE_BYTES: usize = 256 * 1024;
+
+/// Throughput penalty when both SMT contexts of a PPE execute
+/// simultaneously: each thread runs this factor slower than alone.
+/// (The PPE is one dual-issue core; SMT yields ~25–35 % aggregate
+/// speedup, i.e. each thread at ~1.5–1.6× its solo latency.)
+pub const SMT_SLOWDOWN: f64 = 1.9;
+
+/// Cost of (re)loading a code image into an SPE's local store: the
+/// 117 KB RAxML module (§5.1) by DMA plus program (re)start. §5.4 reports
+/// it "not noticeable"; ~20 µs of DMA at local-store bandwidth.
+pub const CODE_LOAD_COST: SimDuration = SimDuration::from_micros(20);
+
+/// Maximum bytes in one DMA transfer (16 KB, §4).
+pub const DMA_MAX_TRANSFER_BYTES: usize = 16 * 1024;
+
+/// Maximum elements in a DMA list (2,048, §4).
+pub const DMA_MAX_LIST_LEN: usize = 2048;
+
+/// Required DMA address/size alignment (128-bit = 16 bytes, §4).
+pub const DMA_ALIGNMENT: usize = 16;
+
+/// Per-request DMA startup latency (local store ↔ main memory, from the
+/// Kistler et al. microbenchmarks: a few hundred ns).
+pub const DMA_STARTUP: SimDuration = SimDuration::from_nanos(300);
+
+/// Sustained per-SPE DMA bandwidth, bytes per second.
+pub const SPE_DMA_BANDWIDTH: f64 = 25.6e9;
+
+/// Aggregate EIB bandwidth, bytes per second (204.8 GB/s, §4).
+pub const EIB_BANDWIDTH: f64 = 204.8e9;
+
+/// Maximum outstanding EIB requests ("more than 100", §4).
+pub const EIB_MAX_OUTSTANDING: usize = 128;
+
+/// Cache/TLB pollution cost added to the first PPE work section after a
+/// context switch across address spaces (§5.2 names this explicitly). A
+/// property of the user-level runtime, not the hardware; fitted.
+pub const SWITCH_POLLUTION: SimDuration = SimDuration::from_micros(6);
+
+/// Per-resident-process polling cost the user-level scheduler pays on
+/// every off-load (scanning MPI process queues). Fitted, like
+/// [`SWITCH_POLLUTION`].
+pub const POLL_PER_PROC: SimDuration = SimDuration::from_nanos(1_900);
+
+/// The shape of one Cell blade: the only machine figures a run may vary.
 #[derive(Debug, Clone, Copy)]
 pub struct CellParams {
     /// Cell processors on the blade (1 or 2 in the paper).
     pub n_cells: usize,
     /// SPEs per Cell.
     pub spes_per_cell: usize,
-    /// SMT hardware contexts per PPE.
-    pub ppe_contexts_per_cell: usize,
-    /// Core clock (3.2 GHz).
-    pub clock_ghz: f64,
-    /// Voluntary PPE context-switch cost (measured 1.5 µs, §5.2).
-    pub ctx_switch: SimDuration,
-    /// Linux scheduler quantum ("a multiple of 10 ms", §5.2).
-    pub linux_quantum: SimDuration,
-    /// SPE local-store capacity in bytes.
-    pub local_store_bytes: usize,
-    /// Size of the off-loaded RAxML code module (117 KB, §5.1).
-    pub code_module_bytes: usize,
-    /// Throughput penalty when both SMT contexts of a PPE execute
-    /// simultaneously: each thread runs this factor slower than alone.
-    /// (The PPE is one dual-issue core; SMT yields ~25–35 % aggregate
-    /// speedup, i.e. each thread at ~1.5–1.6× its solo latency.)
-    pub smt_slowdown: f64,
-    /// One-way PPE↔SPE mailbox/signal latency.
-    pub signal_latency: SimDuration,
-    /// Cost of (re)loading a code image into an SPE's local store: a
-    /// 117 KB DMA plus program (re)start. §5.4 reports it "not noticeable";
-    /// ~20 µs of DMA at local-store bandwidth.
-    pub code_load_cost: SimDuration,
-    /// DMA and interconnect parameters.
-    pub dma: DmaParams,
-}
-
-/// DMA engine and EIB parameters (§4).
-#[derive(Debug, Clone, Copy)]
-pub struct DmaParams {
-    /// Maximum bytes in one DMA transfer (16 KB).
-    pub max_transfer_bytes: usize,
-    /// Maximum elements in a DMA list (2,048).
-    pub max_list_len: usize,
-    /// Required address/size alignment (128-bit = 16 bytes).
-    pub alignment: usize,
-    /// Per-request startup latency (local store ↔ main memory, from the
-    /// Kistler et al. microbenchmarks: a few hundred ns).
-    pub startup: SimDuration,
-    /// Sustained per-SPE DMA bandwidth, bytes per second.
-    pub spe_bandwidth: f64,
-    /// Aggregate EIB bandwidth, bytes per second (204.8 GB/s).
-    pub eib_bandwidth: f64,
-    /// Maximum outstanding EIB requests ("more than 100").
-    pub max_outstanding: usize,
-}
-
-impl Default for DmaParams {
-    fn default() -> Self {
-        DmaParams {
-            max_transfer_bytes: 16 * 1024,
-            max_list_len: 2048,
-            alignment: 16,
-            startup: SimDuration::from_nanos(300),
-            spe_bandwidth: 25.6e9,
-            eib_bandwidth: 204.8e9,
-            max_outstanding: 128,
-        }
-    }
 }
 
 impl CellParams {
     /// A blade with `n_cells` Cell processors at the paper's settings.
     pub fn blade(n_cells: usize) -> CellParams {
         assert!(n_cells >= 1, "a blade has at least one Cell");
-        CellParams {
-            n_cells,
-            spes_per_cell: 8,
-            ppe_contexts_per_cell: 2,
-            clock_ghz: 3.2,
-            ctx_switch: SimDuration::from_nanos(1_500),
-            linux_quantum: SimDuration::from_millis(10),
-            local_store_bytes: 256 * 1024,
-            code_module_bytes: 117 * 1024,
-            smt_slowdown: 1.9,
-            signal_latency: SimDuration::from_nanos(500),
-            code_load_cost: SimDuration::from_micros(20),
-            dma: DmaParams::default(),
-        }
+        CellParams { n_cells, spes_per_cell: 8 }
     }
 
     /// The single-Cell configuration used in §5.2–5.4.
@@ -103,7 +108,7 @@ impl CellParams {
 
     /// Total PPE hardware contexts on the blade.
     pub fn ppe_contexts(&self) -> usize {
-        self.n_cells * self.ppe_contexts_per_cell
+        self.n_cells * PPE_CONTEXTS_PER_CELL
     }
 }
 
@@ -116,12 +121,11 @@ mod tests {
         let p = CellParams::single();
         assert_eq!(p.n_spes(), 8);
         assert_eq!(p.ppe_contexts(), 2);
-        assert_eq!(p.ctx_switch, SimDuration::from_micros(1).mul_f64(1.5));
-        assert_eq!(p.linux_quantum, SimDuration::from_millis(10));
-        assert_eq!(p.local_store_bytes, 262_144);
-        assert_eq!(p.code_module_bytes, 119_808);
-        assert_eq!(p.dma.max_transfer_bytes, 16_384);
-        assert_eq!(p.dma.max_list_len, 2048);
+        assert_eq!(CTX_SWITCH, SimDuration::from_micros(1).mul_f64(1.5));
+        assert_eq!(LINUX_QUANTUM, SimDuration::from_millis(10));
+        assert_eq!(LOCAL_STORE_BYTES, 262_144);
+        assert_eq!(DMA_MAX_TRANSFER_BYTES, 16_384);
+        assert_eq!(DMA_MAX_LIST_LEN, 2048);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use mgps_runtime::policy::KernelKind;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::params::DmaParams;
+use crate::params::{DMA_STARTUP, SPE_DMA_BANDWIDTH};
 
 /// Which version of the off-loaded kernels runs (§5.1's ablation).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,7 +117,6 @@ impl GrantCosts {
         workload: &RaxmlWorkload,
         profile: KernelProfile,
         max_degree: usize,
-        dma: &DmaParams,
     ) -> GrantCosts {
         let buffer_bytes = workload.input_bytes + workload.output_bytes;
         GrantCosts {
@@ -125,8 +124,8 @@ impl GrantCosts {
             profile_factor: profile.factor(),
             mixed: workload.heterogeneous_kernels,
             buffer_bytes,
-            dma_base: SimDuration::from_secs_f64(buffer_bytes as f64 / dma.spe_bandwidth)
-                + dma.startup,
+            dma_base: SimDuration::from_secs_f64(buffer_bytes as f64 / SPE_DMA_BANDWIDTH)
+                + DMA_STARTUP,
         }
     }
 
@@ -397,8 +396,7 @@ mod tests {
             let mut wl = RaxmlWorkload::paper_42sc();
             wl.heterogeneous_kernels = mixed;
             wl.input_bytes = input_bytes;
-            let dma = DmaParams::default();
-            let costs = GrantCosts::new(&wl, profile, 16, &dma);
+            let costs = GrantCosts::new(&wl, profile, 16);
             for kind in KernelKind::ALL {
                 let want = classic::kernel_task_duration(&wl, kind, profile, degree, jitter, mixed);
                 prop_assert_eq!(costs.duration(kind, degree, jitter), want);
@@ -411,7 +409,7 @@ mod tests {
             prop_assert_eq!(costs.buffer_bytes, bytes);
             prop_assert_eq!(
                 costs.dma_base,
-                SimDuration::from_secs_f64(bytes as f64 / dma.spe_bandwidth) + dma.startup
+                SimDuration::from_secs_f64(bytes as f64 / SPE_DMA_BANDWIDTH) + DMA_STARTUP
             );
         }
     }
@@ -425,10 +423,9 @@ mod tests {
     fn a_compute_base_near_2_pow_50_sees_the_multiplier_product_order() {
         let mut wl = RaxmlWorkload::paper_42sc().with_kernel_mix();
         wl.task_mean = SimDuration::from_nanos((1 << 50) + 12_345);
-        let dma = DmaParams::default();
         for which in 0..4 {
             let profile = profile(which, 1.7);
-            let costs = GrantCosts::new(&wl, profile, 4, &dma);
+            let costs = GrantCosts::new(&wl, profile, 4);
             for step in 0..=300 {
                 let jitter = 0.85 + 0.001 * step as f64;
                 for kind in KernelKind::ALL {

@@ -365,7 +365,7 @@ pub fn micro(scale: usize) -> Experiment {
     let r = run(cfg);
     e.rows.push(Row::with_paper(
         "PPE context switch (simulator input, us)",
-        cfg.params.ctx_switch.as_micros_f64(),
+        cellsim::params::CTX_SWITCH.as_micros_f64(),
         1.5,
     ));
     e.rows.push(Row::with_paper(

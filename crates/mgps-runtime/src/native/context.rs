@@ -10,11 +10,6 @@
 use crate::policy::SpeId;
 use crate::tracing::TraceHandle;
 
-/// Local-store capacity of a Cell SPE, in bytes. The native runtime has no
-/// local store; a native RunLog header records this figure so that it
-/// reads like a simulated one.
-pub const LOCAL_STORE_BYTES: usize = 256 * 1024;
-
 /// Mutable state handed to every job executing on a virtual SPE.
 #[derive(Debug)]
 pub struct SpeContext {

@@ -23,7 +23,7 @@ pub mod sync;
 pub mod team;
 
 pub use adaptive::{MgpsRuntime, ProcessCtx, RuntimeConfig};
-pub use context::{SpeContext, LOCAL_STORE_BYTES};
+pub use context::SpeContext;
 pub use gate::{GateMode, PpeGate, PpeToken};
 pub use pool::{OffloadError, OffloadHandle, SpePool, SpeStats};
 pub use team::{LoopBody, LoopSite, TeamRunner, TraceTask};

@@ -129,7 +129,6 @@ struct Shared {
     spes: Vec<Mutex<SpeContext>>,
     idle_changed: Condvar,
     panics: AtomicU64,
-    completed: AtomicU64,
     metrics: Arc<dyn MetricsSink>,
 }
 
@@ -206,7 +205,6 @@ impl SpePool {
             spes,
             idle_changed: Condvar::new(),
             panics: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
             metrics,
         });
         let workers = (0..n_spes)
@@ -298,11 +296,6 @@ impl SpePool {
             self.shared.idle_changed.notify_all();
         }
         true
-    }
-
-    /// Jobs completed over the pool's lifetime.
-    pub fn completed(&self) -> u64 {
-        self.shared.completed.load(Ordering::Relaxed)
     }
 
     /// Jobs that panicked (and were contained).
@@ -436,7 +429,6 @@ fn run_job<R>(
     }
     ctx.begin_task();
     let result = catch_unwind(AssertUnwindSafe(|| job(ctx)));
-    shared.completed.fetch_add(1, Ordering::Relaxed);
     shared.metrics.incr(Counter::TasksCompleted);
     result.map_err(|_| {
         shared.panics.fetch_add(1, Ordering::Relaxed);
@@ -463,6 +455,17 @@ mod tests {
     use crate::metrics::AtomicMetrics;
     use std::sync::atomic::AtomicUsize;
 
+    /// A pool of `n_spes` SPEs booking into a sink the test can read.
+    fn counted(n_spes: usize) -> (SpePool, Arc<AtomicMetrics>) {
+        let metrics = Arc::new(AtomicMetrics::new());
+        (SpePool::with_metrics(n_spes, Arc::<AtomicMetrics>::clone(&metrics)), metrics)
+    }
+
+    /// Jobs the pool has completed, as its sink counts them.
+    fn completed(metrics: &AtomicMetrics) -> u64 {
+        metrics.get(Counter::TasksCompleted)
+    }
+
     /// Yield until `done` holds.
     fn yield_until(done: impl Fn() -> bool) {
         while !done() {
@@ -472,26 +475,25 @@ mod tests {
 
     #[test]
     fn offload_runs_on_the_caller_and_returns_with_the_spe_idle_and_counted() {
-        let pool = SpePool::new(3, Duration::ZERO);
+        let (pool, metrics) = counted(3);
         let here = std::thread::current().id();
         for i in 1..=100u64 {
             let got = pool.offload(move |ctx| (i, ctx.id, std::thread::current().id())).wait();
             // The LIFO pop: SPE 0, back on top of the idle stack every time.
             assert_eq!(got, Ok((i, SpeId(0), here)));
-            assert_eq!((pool.idle_count(), pool.completed()), (3, i), "after off-load {i}");
+            assert_eq!((pool.idle_count(), completed(&metrics)), (3, i), "after off-load {i}");
         }
     }
 
     #[test]
     fn offload_blocks_while_every_spe_is_reserved_and_proceeds_when_one_is_returned() {
-        let metrics = Arc::new(AtomicMetrics::new());
-        let pool = SpePool::with_metrics(2, Arc::<AtomicMetrics>::clone(&metrics));
+        let (pool, metrics) = counted(2);
         let team = pool.reserve(2);
         assert_eq!(metrics.get(Counter::OffloadQueueStalls), 0, "that one did not wait");
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| pool.offload(|ctx| ctx.id).wait());
             yield_until(|| pool.reserve_waiters() == 1);
-            assert_eq!((pool.idle_count(), pool.completed()), (0, 0));
+            assert_eq!((pool.idle_count(), completed(&metrics)), (0, 0));
             assert_eq!(metrics.get(Counter::OffloadQueueStalls), 1);
             // Returning one reserved SPE lets the waiting off-load run on it.
             pool.run_here(team[1], |_| ()).unwrap();
@@ -499,7 +501,7 @@ mod tests {
         });
         assert_eq!(pool.reserve_waiters(), 0);
         pool.run_here(team[0], |_| ()).unwrap();
-        assert_eq!((pool.idle_count(), pool.completed()), (2, 3));
+        assert_eq!((pool.idle_count(), completed(&metrics)), (2, 3));
         assert_eq!(metrics.get(Counter::OffloadQueueStalls), 1);
     }
 
@@ -512,14 +514,14 @@ mod tests {
 
     #[test]
     fn many_offloads_all_complete() {
-        let pool = SpePool::new(4, Duration::ZERO);
+        let (pool, metrics) = counted(4);
         let handles: Vec<_> = (0..64).map(|i| pool.offload(move |_| i * 2)).collect();
         let mut sum = 0;
         for h in handles {
             sum += h.wait().unwrap();
         }
         assert_eq!(sum, (0..64).map(|i| i * 2).sum::<i32>());
-        assert_eq!(pool.completed(), 64);
+        assert_eq!(completed(&metrics), 64);
     }
 
     #[test]
@@ -533,12 +535,12 @@ mod tests {
 
     #[test]
     fn panic_is_contained_and_spe_survives() {
-        let pool = SpePool::new(1, Duration::ZERO);
+        let (pool, metrics) = counted(1);
         let h = pool.offload::<(), _>(|_| panic!("injected failure"));
         assert_eq!(h.wait(), Err(OffloadError::TaskPanicked));
         // Booked before the off-load returned.
         assert_eq!(pool.panics(), 1);
-        assert_eq!((pool.completed(), pool.idle_count()), (1, 1));
+        assert_eq!((completed(&metrics), pool.idle_count()), (1, 1));
         // The same (only) SPE still serves work.
         let h2 = pool.offload(|_| "alive");
         assert_eq!(h2.wait().unwrap(), "alive");
@@ -562,19 +564,19 @@ mod tests {
 
     #[test]
     fn run_here_drives_a_reserved_spe_like_its_own_thread() {
-        let pool = SpePool::new(2, Duration::ZERO);
+        let (pool, metrics) = counted(2);
         let here = std::thread::current().id();
         let spe = pool.reserve(1)[0];
         let got = pool.run_here(spe, |ctx| (ctx.id, std::thread::current().id()));
         assert_eq!(got, Ok((spe, here)));
         // Booked and idle again by the time it returns.
-        assert_eq!((pool.completed(), pool.idle_count()), (1, 2));
+        assert_eq!((completed(&metrics), pool.idle_count()), (1, 2));
 
         // A panic is contained on the calling thread, the SPE survives.
         let spe = pool.reserve(1)[0];
         let got = pool.run_here(spe, |_| -> u32 { panic!("injected failure") });
         assert_eq!(got, Err(OffloadError::TaskPanicked));
-        assert_eq!((pool.completed(), pool.panics(), pool.idle_count()), (2, 1, 2));
+        assert_eq!((completed(&metrics), pool.panics(), pool.idle_count()), (2, 1, 2));
 
         let stats = pool.shutdown();
         assert_eq!(stats.iter().map(|s| s.tasks_run).sum::<u64>(), 2);
@@ -631,13 +633,13 @@ mod tests {
 
     #[test]
     fn readmission_releases_an_offload_waiting_for_an_spe() {
-        let pool = SpePool::new(1, Duration::ZERO);
+        let (pool, metrics) = counted(1);
         assert!(pool.quarantine(0));
         std::thread::scope(|scope| {
             // With the only SPE benched, the off-load waits for one.
             let waiter = scope.spawn(|| pool.offload(|_| 77).wait());
             yield_until(|| pool.reserve_waiters() == 1);
-            assert_eq!(pool.completed(), 0);
+            assert_eq!(completed(&metrics), 0);
             // Re-admission makes it idle, and the waiter takes it.
             assert!(pool.readmit(0));
             assert_eq!(waiter.join().unwrap(), Ok(77));

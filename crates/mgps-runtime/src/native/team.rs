@@ -822,6 +822,7 @@ pub(super) mod relay {
 mod tests {
     use super::relay::Relay;
     use super::*;
+    use crate::metrics::{AtomicMetrics, Counter};
     use crate::native::gate::{GateMode, PpeGate};
 
     /// Sum of f(i) over 0..n — the shape of the paper's `evaluate()` loop.
@@ -849,17 +850,25 @@ mod tests {
         (0..n).map(|i| (i as f64).sqrt()).sum()
     }
 
-    fn runner(n_spes: usize) -> (Arc<SpePool>, TeamRunner) {
-        let pool = Arc::new(SpePool::new(n_spes, Duration::ZERO));
+    /// A runner over a pool of `n_spes`, and the sink the pool books
+    /// into: its `TasksCompleted` counts the pool's jobs.
+    fn runner(n_spes: usize) -> (Arc<SpePool>, TeamRunner, Arc<AtomicMetrics>) {
+        let metrics = Arc::new(AtomicMetrics::new());
+        let pool = Arc::new(SpePool::with_metrics(n_spes, Arc::<AtomicMetrics>::clone(&metrics)));
         let tr = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
-        (pool, tr)
+        (pool, tr, metrics)
     }
 
     /// [`runner`] with every site's wake verdict pinned to `wake`.
-    fn pinned(n_spes: usize, wake: bool) -> (Arc<SpePool>, TeamRunner) {
-        let (pool, tr) = runner(n_spes);
+    fn pinned(n_spes: usize, wake: bool) -> (Arc<SpePool>, TeamRunner, Arc<AtomicMetrics>) {
+        let (pool, tr, metrics) = runner(n_spes);
         tr.pin(Some(wake));
-        (pool, tr)
+        (pool, tr, metrics)
+    }
+
+    /// Jobs the pool has completed, as its sink counts them.
+    fn completed(metrics: &AtomicMetrics) -> u64 {
+        metrics.get(Counter::TasksCompleted)
     }
 
     /// Pool jobs one invocation at `degree` books: one per member woken.
@@ -881,14 +890,14 @@ mod tests {
 
     #[test]
     fn degree_one_matches_sequential() {
-        let (_pool, tr) = runner(4);
+        let (_pool, tr, _) = runner(4);
         let acc = tr.parallel_reduce(LoopSite(1), 1, Arc::new(SumLoop { n: 228 })).unwrap();
         assert!((acc - expected_sum(228)).abs() < 1e-9);
     }
 
     #[test]
     fn all_degrees_produce_the_same_reduction() {
-        let (_pool, tr) = runner(8);
+        let (_pool, tr, _) = runner(8);
         let want = expected_sum(228);
         for degree in 1..=8 {
             let body = Arc::new(SumLoop { n: 228 });
@@ -902,14 +911,14 @@ mod tests {
 
     #[test]
     fn degree_is_clamped_to_loop_length() {
-        let (_pool, tr) = runner(8);
+        let (_pool, tr, _) = runner(8);
         let acc = tr.parallel_reduce(LoopSite(3), 8, Arc::new(SumLoop { n: 3 })).unwrap();
         assert!((acc - expected_sum(3)).abs() < 1e-12);
     }
 
     #[test]
     fn empty_loop_returns_identity() {
-        let (_pool, tr) = runner(2);
+        let (_pool, tr, _) = runner(2);
         let acc = tr.parallel_reduce(LoopSite(4), 4, Arc::new(SumLoop { n: 0 })).unwrap();
         assert_eq!(acc, 0.0);
     }
@@ -917,12 +926,12 @@ mod tests {
     #[test]
     fn spes_return_to_pool_after_team_work() {
         for wake in [true, false] {
-            let (pool, tr) = pinned(4, wake);
+            let (pool, tr, metrics) = pinned(4, wake);
             for i in 1..=5 {
                 tr.parallel_reduce(LoopSite(5), 4, Arc::new(SumLoop { n: 64 })).unwrap();
                 settle(&pool);
                 // One job per member woken, whoever ran the chunks.
-                assert_eq!(pool.completed(), jobs(4, wake) * i);
+                assert_eq!(completed(&metrics), jobs(4, wake) * i);
             }
         }
     }
@@ -934,7 +943,7 @@ mod tests {
         for n in [5, 64, 228, 1001] {
             for degree in [2, 3, 4, 8] {
                 let [woken, solo] = [true, false].map(|wake| {
-                    let (_pool, tr) = pinned(8, wake);
+                    let (_pool, tr, _) = pinned(8, wake);
                     let body = Arc::new(SumLoop { n });
                     tr.parallel_reduce(LoopSite(14), degree, body).unwrap().to_bits()
                 });
@@ -949,13 +958,13 @@ mod tests {
         // loop, so once both costs are measured the master runs alone —
         // one job per invocation — but for one team probe a period.
         use crate::policy::granularity::{MIN_SPE_SAMPLES, TEAM_PROBE_PERIOD};
-        let (pool, tr) = runner(4);
+        let (pool, tr, metrics) = runner(4);
         let woke: Vec<bool> = (0..2 * TEAM_PROBE_PERIOD)
             .map(|_| {
-                let before = pool.completed();
+                let before = completed(&metrics);
                 tr.parallel_reduce(LoopSite(15), 4, Arc::new(SumLoop { n: 8 })).unwrap();
                 settle(&pool);
-                pool.completed() - before == 4
+                completed(&metrics) - before == 4
             })
             .collect();
         let settled = MIN_SPE_SAMPLES as usize;
@@ -993,7 +1002,7 @@ mod tests {
 
     #[test]
     fn partials_merge_in_chunk_order() {
-        let (_pool, tr) = runner(8);
+        let (_pool, tr, _) = runner(8);
         for invocation in 0..200 {
             let degree = 2 + invocation % 7;
             let body = Arc::new(ChunkStarts { n: 96 });
@@ -1034,7 +1043,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_as_error() {
-        let (pool, tr) = runner(4);
+        let (pool, tr, _) = runner(4);
         let err = tr.parallel_reduce(LoopSite(6), 4, Arc::new(Bomb { n: 16, bomb: Some(15) }));
         assert_eq!(err.unwrap_err(), OffloadError::TaskPanicked);
         // Pool remains serviceable.
@@ -1045,7 +1054,7 @@ mod tests {
     #[test]
     fn master_share_panic_is_contained_on_the_calling_thread() {
         for wake in [true, false] {
-            let (pool, tr) = pinned(4, wake);
+            let (pool, tr, metrics) = pinned(4, wake);
             let gate = PpeGate::new(1, GateMode::YieldOnOffload, Duration::ZERO);
             let mut token = gate.enter();
             // Iteration 0 is in chunk 0, which only ever runs on this thread.
@@ -1056,7 +1065,7 @@ mod tests {
             assert_eq!(pool.panics(), 1);
             assert!(token.holds_context(), "the PPE context came back");
             settle(&pool);
-            assert_eq!((pool.completed(), pool.panics()), (jobs(4, wake), 1));
+            assert_eq!((completed(&metrics), pool.panics()), (jobs(4, wake), 1));
             let body = Arc::new(SumLoop { n: 64 });
             let sum = token.offload(|| tr.parallel_reduce(LoopSite(7), 4, body));
             assert!((sum.unwrap() - expected_sum(64)).abs() < 1e-9);
@@ -1120,19 +1129,19 @@ mod tests {
         // drop guard must count each chunk down and the last one wake it.
         // (The schedule needs its workers: a master alone would spin in
         // chunk 0 for ever.)
-        let (pool, tr) = pinned(4, true);
+        let (pool, tr, metrics) = pinned(4, true);
         for round in 1..=50 {
             let got = tr.parallel_reduce(LoopSite(8), 4, master_first(&pool, true));
             assert_eq!(got, Err(OffloadError::TaskPanicked));
             settle(&pool);
-            assert_eq!((pool.panics(), pool.completed()), (3 * round, 4 * round));
+            assert_eq!((pool.panics(), completed(&metrics)), (3 * round, 4 * round));
         }
         assert_eq!(tr.parallel_reduce(LoopSite(8), 4, master_first(&pool, false)), Ok(4));
     }
 
     #[test]
     fn balancer_is_fed_the_master_idle_time_when_workers_finish_last() {
-        let (pool, tr) = pinned(4, true);
+        let (pool, tr, _) = pinned(4, true);
         let site = LoopSite(9);
         assert_eq!(tr.parallel_reduce(site, 4, master_first(&pool, false)), Ok(4));
         // Every worker stamped its finish after the master's: the one
@@ -1198,7 +1207,7 @@ mod tests {
         for (n_spes, degrees, wake) in
             [(8, [1, 2, 4, 8], true), (6, [1, 2, 3, 6], true), (8, [1, 2, 4, 8], false)]
         {
-            let (pool, tr) = pinned(n_spes, wake);
+            let (pool, tr, _) = pinned(n_spes, wake);
             for invocation in 0..100 {
                 let varied = 1 + invocation % 5;
                 for degree in degrees {
@@ -1220,9 +1229,9 @@ mod tests {
     #[test]
     fn a_team_is_formed_once_for_all_the_later_rounds() {
         for wake in [true, false] {
-            let (pool, tr) = pinned(4, wake);
+            let (pool, tr, metrics) = pinned(4, wake);
             for (rounds, teams) in [(1, 1), (2, 2), (5, 2)] {
-                let before = pool.completed();
+                let before = completed(&metrics);
                 let body = Arc::new(Relay::new(64, rounds));
                 let got = tr.parallel_reduce(LoopSite(12), 4, Arc::clone(&body));
                 assert_eq!(got, Ok(body.sequential()));
@@ -1231,7 +1240,7 @@ mod tests {
                 // member of the team held for every round after it; with
                 // nobody woken, one job on the master for every round.
                 let want = if wake { teams * 4 } else { 1 };
-                assert_eq!(pool.completed() - before, want, "{rounds} rounds");
+                assert_eq!(completed(&metrics) - before, want, "{rounds} rounds");
             }
             assert_eq!(tr.invocations(), 3);
         }
@@ -1240,7 +1249,7 @@ mod tests {
     #[test]
     fn a_panic_in_a_later_round_fails_the_task_and_strands_nobody() {
         for wake in [true, false] {
-            let (pool, tr) = pinned(4, wake);
+            let (pool, tr, _) = pinned(4, wake);
             let mut tasks = 0;
             for _ in 0..50 {
                 // Round two's chunk 0 is the master's; its last chunk is a
@@ -1320,7 +1329,7 @@ mod tests {
 
         type Reduce = fn(&TeamRunner, LoopSite, usize, Arc<Bomb>) -> Result<u64, OffloadError>;
         let drive = |reduce: Reduce, wake: bool| {
-            let (pool, tr) = pinned(8, wake);
+            let (pool, tr, metrics) = pinned(8, wake);
             let mut booked = 0;
             let results: Vec<_> = script
                 .iter()
@@ -1334,7 +1343,7 @@ mod tests {
                 .collect();
             assert_eq!(tr.invocations(), script.len() as u64);
             drop(tr);
-            let counters = (pool.completed(), pool.panics());
+            let counters = (completed(&metrics), pool.panics());
             let stats = Arc::try_unwrap(pool).ok().expect("the runner is gone").shutdown();
             let tasks_run: u64 = stats.iter().map(|s| s.tasks_run).sum();
             assert_eq!((counters.0, tasks_run), (booked, booked));

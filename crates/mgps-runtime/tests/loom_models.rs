@@ -35,6 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use mgps_runtime::metrics::{AtomicMetrics, Counter};
 use mgps_runtime::native::{
     GateMode, LoopBody, LoopSite, OffloadError, PpeGate, SpeContext, SpePool, TeamRunner,
 };
@@ -239,6 +240,13 @@ impl LoopBody for RacedLoop {
     }
 }
 
+/// A pool of `n_spes` and the sink it books into: its `TasksCompleted`
+/// counts the pool's jobs.
+fn counted(n_spes: usize) -> (Arc<SpePool>, Arc<AtomicMetrics>) {
+    let metrics = Arc::new(AtomicMetrics::new());
+    (Arc::new(SpePool::with_metrics(n_spes, Arc::<AtomicMetrics>::clone(&metrics))), metrics)
+}
+
 /// Worker jobs book themselves after their chunk is counted down.
 fn settle(pool: &SpePool) {
     while pool.idle_count() < pool.n_spes() {
@@ -251,7 +259,7 @@ fn chunk_claim_is_exactly_once_under_a_racing_master_and_worker() {
     loom::model(|| {
         // Degree 2: the master, done with chunk 0, goes for chunk 1 while
         // the woken worker does. Whoever loses must leave it alone.
-        let pool = Arc::new(SpePool::new(2, Duration::ZERO));
+        let (pool, metrics) = counted(2);
         let team = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
         team.pin(Some(true));
         for _ in 0..4 {
@@ -261,7 +269,11 @@ fn chunk_claim_is_exactly_once_under_a_racing_master_and_worker() {
             body.assert_every_iteration_ran_once();
         }
         settle(&pool);
-        assert_eq!(pool.completed(), 8, "one job per team member, whoever ran the chunks");
+        assert_eq!(
+            metrics.get(Counter::TasksCompleted),
+            8,
+            "one job per team member, whoever ran the chunks"
+        );
     });
 }
 
@@ -285,7 +297,7 @@ fn last_countdown_racing_the_masters_park_loses_no_wakeup() {
 #[test]
 fn panicking_worker_racing_the_park_still_releases_the_master() {
     loom::model(|| {
-        let pool = Arc::new(SpePool::new(3, Duration::ZERO));
+        let (pool, metrics) = counted(3);
         let team = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
         team.pin(Some(true));
         let mut panics = 0;
@@ -304,7 +316,7 @@ fn panicking_worker_racing_the_park_still_releases_the_master() {
             panics += blown as u64;
         }
         settle(&pool);
-        assert_eq!((pool.panics(), pool.completed()), (panics, 12));
+        assert_eq!((pool.panics(), metrics.get(Counter::TasksCompleted)), (panics, 12));
     });
 }
 
@@ -378,7 +390,7 @@ fn a_worker_late_out_of_one_round_cannot_disturb_the_next() {
         // may still be leaving the one before, be parked, or not have
         // started. The third SPE lets the held team form while the first
         // round's worker has yet to wake: it then claims in a later round.
-        let pool = Arc::new(SpePool::new(3, Duration::ZERO));
+        let (pool, metrics) = counted(3);
         let team = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
         team.pin(Some(true));
         for _ in 0..2 {
@@ -386,7 +398,11 @@ fn a_worker_late_out_of_one_round_cannot_disturb_the_next() {
         }
         // Closing the team released the held worker: every SPE is back.
         settle(&pool);
-        assert_eq!(pool.completed(), 8, "a first team and a held one, two members each, twice");
+        assert_eq!(
+            metrics.get(Counter::TasksCompleted),
+            8,
+            "a first team and a held one, two members each, twice"
+        );
     });
 }
 
@@ -397,7 +413,7 @@ fn a_site_that_flips_to_waking_strands_no_worker() {
         // alone for both rounds, then a woken team held into the second
         // round, then the master alone again while that team's workers
         // may still be on their way out. Nothing settles in between.
-        let pool = Arc::new(SpePool::new(3, Duration::ZERO));
+        let (pool, metrics) = counted(3);
         let team = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
         for wake in [false, true, false] {
             team.pin(Some(wake));
@@ -406,7 +422,7 @@ fn a_site_that_flips_to_waking_strands_no_worker() {
         settle(&pool);
         // One job on the master for each solo invocation; two members for
         // the woken round and two for the held one.
-        assert_eq!(pool.completed(), 1 + 4 + 1);
+        assert_eq!(metrics.get(Counter::TasksCompleted), 1 + 4 + 1);
     });
 }
 
@@ -417,7 +433,7 @@ fn a_reservation_waiting_for_the_only_spe_is_never_stranded() {
         // reserved waits in `reserve`, and the other's `go_idle` reads the
         // waiter count in both orders around the registration. A lost
         // wake-up hangs the model.
-        let pool = Arc::new(SpePool::new(1, Duration::ZERO));
+        let (pool, metrics) = counted(1);
         let callers: Vec<_> = (0..2u64)
             .map(|c| {
                 let pool = Arc::clone(&pool);
@@ -438,6 +454,6 @@ fn a_reservation_waiting_for_the_only_spe_is_never_stranded() {
             t.join().unwrap();
         }
         // Every off-load returned with its SPE idle and counted.
-        assert_eq!((pool.completed(), pool.idle_count()), (4, 1));
+        assert_eq!((metrics.get(Counter::TasksCompleted), pool.idle_count()), (4, 1));
     });
 }

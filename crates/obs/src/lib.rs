@@ -55,7 +55,7 @@ pub use htmlkit::Page;
 pub use jobs::{quantile_from_log2_buckets, JOB_QUANTILES};
 pub use live::{
     health_json, merge_health_events, parse_prometheus, prometheus_text,
-    replay_health, validate_families, HealthConfig, HealthDetector, HealthEvent,
+    replay_health, validate_families, HealthDetector, HealthEvent,
     LiveDecision, LiveStatus, PromFamily, PromSample,
 };
 pub use mgps_runtime::events::AlarmKind;

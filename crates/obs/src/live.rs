@@ -38,6 +38,7 @@ use mgps_runtime::metrics::{
     Counter, HistKind, MetricsSnapshot, SnapshotDelta, HIST_BUCKETS,
 };
 use mgps_runtime::events::{AlarmKind, KernelKind};
+use mgps_runtime::policy::MgpsConfig;
 use minijson::Value;
 
 /// Exported metric-name prefix.
@@ -109,60 +110,6 @@ impl HealthEvent {
     }
 }
 
-/// Thresholds for the online detector.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthConfig {
-    /// `U` at or below this is "low" (MGPS uses `n_spes / 2`).
-    pub u_threshold: usize,
-    /// Consecutive low-`U`, degree-1 windows before utilization-collapse
-    /// fires.
-    pub k_windows: usize,
-    /// A stall delta must exceed `baseline * stall_spike_factor` to spike.
-    pub stall_spike_factor: f64,
-    /// ... and must be at least this many stalls (guards tiny baselines).
-    pub stall_min_events: u64,
-    /// EWMA weight of the newest interval in the rolling stall baseline.
-    pub baseline_alpha: f64,
-    /// Quarantines within one snapshot interval at or above this fire
-    /// quarantine-storm.
-    pub quarantine_storm_spes: u64,
-    /// Job p99 latency SLO, ns: a window whose estimated p99 exceeds this
-    /// (and the EWMA baseline, once one exists) is *burning*.
-    pub latency_slo_ns: u64,
-    /// Consecutive burning windows before latency-SLO-burn fires.
-    pub latency_burn_windows: usize,
-    /// Windows with fewer completed jobs than this carry no p99 signal;
-    /// they end any burn episode instead of extending it.
-    pub latency_min_jobs: u64,
-    /// Consecutive telemetry windows a tenant may hold queued jobs
-    /// without a single dispatch before tenant-starvation fires.
-    pub starvation_windows: usize,
-}
-
-impl HealthConfig {
-    /// Defaults for a machine with `n_spes` SPEs: threshold `n_spes / 2`
-    /// (the paper's), 3 windows of patience, 4x spike factor.
-    pub fn for_spes(n_spes: usize) -> HealthConfig {
-        HealthConfig {
-            u_threshold: n_spes / 2,
-            k_windows: 3,
-            stall_spike_factor: 4.0,
-            stall_min_events: 16,
-            baseline_alpha: 0.3,
-            // A quarter of the machine benched in one interval is a storm;
-            // a single flaky SPE is the recovery plane doing its job.
-            quarantine_storm_spes: (n_spes as u64 / 4).max(2),
-            // Loopback phylo jobs finish in micro- to milliseconds; a
-            // full second of p99 is a burn on any spec this serve plane
-            // admits.
-            latency_slo_ns: 1_000_000_000,
-            latency_burn_windows: 3,
-            latency_min_jobs: 8,
-            starvation_windows: 3,
-        }
-    }
-}
-
 /// The online health detector: feed it decisions and snapshot deltas, get
 /// edge-triggered [`HealthEvent`]s back.
 ///
@@ -174,7 +121,11 @@ impl HealthConfig {
 /// estimate a p99 at all).
 #[derive(Debug)]
 pub struct HealthDetector {
-    cfg: HealthConfig,
+    /// `U` at or below this is "low": the MGPS policy's own threshold.
+    u_threshold: usize,
+    /// Quarantines within one snapshot interval at or above this fire
+    /// quarantine-storm.
+    quarantine_storm_spes: u64,
     consecutive_low: usize,
     util_latched: bool,
     stall_baseline: Option<f64>,
@@ -192,10 +143,42 @@ pub struct HealthDetector {
 }
 
 impl HealthDetector {
-    /// A detector with the given thresholds and no history.
-    pub fn new(cfg: HealthConfig) -> HealthDetector {
+    /// Consecutive low-`U`, degree-1 windows before utilization-collapse
+    /// fires.
+    pub const COLLAPSE_WINDOWS: usize = 3;
+    /// A stall delta must exceed its baseline by this factor to spike; a
+    /// window's job p99 must beat its baseline by the same factor to burn.
+    pub const SPIKE_FACTOR: f64 = 4.0;
+    /// ... and a spike must be at least this many stalls (guards tiny
+    /// baselines).
+    pub const STALL_MIN_EVENTS: u64 = 16;
+    /// EWMA weight of the newest interval in the rolling stall and
+    /// latency baselines.
+    pub const BASELINE_ALPHA: f64 = 0.3;
+    /// Job p99 latency SLO, ns: a window whose estimated p99 exceeds this
+    /// (and the EWMA baseline, once one exists) is *burning*. Loopback
+    /// phylo jobs finish in micro- to milliseconds; a full second of p99
+    /// is a burn on any spec the serve plane admits.
+    pub const LATENCY_SLO_NS: u64 = 1_000_000_000;
+    /// Consecutive burning windows before latency-SLO-burn fires.
+    pub const LATENCY_BURN_WINDOWS: usize = 3;
+    /// Windows with fewer completed jobs than this carry no p99 signal;
+    /// they end any burn episode instead of extending it.
+    pub const LATENCY_MIN_JOBS: u64 = 8;
+    /// Consecutive telemetry windows a tenant may hold queued jobs
+    /// without a single dispatch before tenant-starvation fires.
+    pub const STARVATION_WINDOWS: usize = 3;
+
+    /// A detector for a machine with `n_spes` SPEs, with no history.
+    ///
+    /// # Panics
+    /// Panics if `n_spes == 0`.
+    pub fn new(n_spes: usize) -> HealthDetector {
         HealthDetector {
-            cfg,
+            u_threshold: MgpsConfig::for_spes(n_spes).u_threshold,
+            // A quarter of the machine benched in one interval is a storm;
+            // a single flaky SPE is the recovery plane doing its job.
+            quarantine_storm_spes: (n_spes as u64 / 4).max(2),
             consecutive_low: 0,
             util_latched: false,
             stall_baseline: None,
@@ -230,17 +213,17 @@ impl HealthDetector {
     /// Feed one MGPS window decision. Returns an alarm if this decision
     /// confirms a utilization collapse.
     pub fn observe_decision(&mut self, d: &LiveDecision) -> Option<HealthEvent> {
-        let low = d.u <= self.cfg.u_threshold && d.degree <= 1;
+        let low = d.u <= self.u_threshold && d.degree <= 1;
         if low {
             self.consecutive_low += 1;
-            if self.consecutive_low >= self.cfg.k_windows && !self.util_latched {
+            if self.consecutive_low >= Self::COLLAPSE_WINDOWS && !self.util_latched {
                 self.util_latched = true;
                 return Some(self.raise(
                     AlarmKind::UtilizationCollapse,
                     d.at_ns,
                     format!(
                         "U={} <= {} with degree 1 for {} consecutive windows (T={})",
-                        d.u, self.cfg.u_threshold, self.consecutive_low, d.t
+                        d.u, self.u_threshold, self.consecutive_low, d.t
                     ),
                 ));
             }
@@ -260,8 +243,8 @@ impl HealthDetector {
         let stalls = delta.get(Counter::MailboxStalls) + delta.get(Counter::OffloadQueueStalls);
         match self.stall_baseline {
             Some(base) => {
-                let spiking = stalls >= self.cfg.stall_min_events
-                    && (stalls as f64) > base * self.cfg.stall_spike_factor;
+                let spiking = stalls >= Self::STALL_MIN_EVENTS
+                    && (stalls as f64) > base * Self::SPIKE_FACTOR;
                 if spiking && !self.stall_latched {
                     self.stall_latched = true;
                     out.push(self.raise(
@@ -278,7 +261,7 @@ impl HealthDetector {
                 // Spiking intervals are excluded from the baseline so a
                 // sustained storm keeps reading as anomalous.
                 if !spiking {
-                    let a = self.cfg.baseline_alpha;
+                    let a = Self::BASELINE_ALPHA;
                     self.stall_baseline = Some(base * (1.0 - a) + stalls as f64 * a);
                 }
             }
@@ -296,7 +279,7 @@ impl HealthDetector {
         }
 
         let quarantines = delta.get(Counter::SpeQuarantines);
-        if quarantines >= self.cfg.quarantine_storm_spes {
+        if quarantines >= self.quarantine_storm_spes {
             if !self.storm_latched {
                 self.storm_latched = true;
                 out.push(self.raise(
@@ -304,7 +287,7 @@ impl HealthDetector {
                     at_ns,
                     format!(
                         "{quarantines} SPE(s) quarantined in one interval (threshold {}); compute capacity is collapsing",
-                        self.cfg.quarantine_storm_spes
+                        self.quarantine_storm_spes
                     ),
                 ));
             }
@@ -315,7 +298,7 @@ impl HealthDetector {
 
         let job_buckets = &delta.hists[HistKind::JobTotalNs as usize];
         let jobs: u64 = job_buckets.iter().sum();
-        if jobs >= self.cfg.latency_min_jobs {
+        if jobs >= Self::LATENCY_MIN_JOBS {
             let p99 = quantile_from_log2_buckets(job_buckets, 0.99)
                 .expect("non-empty window has a p99");
             match self.latency_baseline {
@@ -325,10 +308,10 @@ impl HealthDetector {
                     // service legitimately running near its SLO does not
                     // page on every window.
                     let burning = p99
-                        > (self.cfg.latency_slo_ns as f64).max(base * self.cfg.stall_spike_factor);
+                        > (Self::LATENCY_SLO_NS as f64).max(base * Self::SPIKE_FACTOR);
                     if burning {
                         self.latency_burning += 1;
-                        if self.latency_burning >= self.cfg.latency_burn_windows
+                        if self.latency_burning >= Self::LATENCY_BURN_WINDOWS
                             && !self.latency_latched
                         {
                             self.latency_latched = true;
@@ -337,7 +320,7 @@ impl HealthDetector {
                                 at_ns,
                                 format!(
                                     "job p99 ~{p99:.0} ns over the {} ns SLO for {} consecutive windows ({jobs} jobs this window)",
-                                    self.cfg.latency_slo_ns, self.latency_burning
+                                    Self::LATENCY_SLO_NS, self.latency_burning
                                 ),
                             ));
                         }
@@ -347,7 +330,7 @@ impl HealthDetector {
                         self.clear(AlarmKind::LatencySloBurn);
                         // Burning windows are excluded from the baseline
                         // so a sustained burn keeps reading as anomalous.
-                        let a = self.cfg.baseline_alpha;
+                        let a = Self::BASELINE_ALPHA;
                         self.latency_baseline = Some(base * (1.0 - a) + p99 * a);
                     }
                 }
@@ -368,7 +351,7 @@ impl HealthDetector {
     /// every tenant that held queued jobs across the whole window while
     /// the dispatcher started none of them (ascending tenant order).
     /// Fires once per episode when any tenant has starved for
-    /// [`HealthConfig::starvation_windows`] consecutive windows; a
+    /// [`Self::STARVATION_WINDOWS`] consecutive windows; a
     /// window in which no tenant crosses the threshold clears and
     /// re-arms the alarm.
     pub fn observe_tenant_starvation(
@@ -389,7 +372,7 @@ impl HealthDetector {
             .starving
             .iter()
             .copied()
-            .filter(|&(_, n)| n >= self.cfg.starvation_windows)
+            .filter(|&(_, n)| n >= Self::STARVATION_WINDOWS)
             .collect();
         confirmed.sort_unstable();
         if confirmed.is_empty() {
@@ -419,8 +402,8 @@ impl HealthDetector {
 /// twin of the live path, used by golden tests and reports). Only the
 /// decision-driven rule can fire offline: stall counters are unobservable
 /// in simulated logs and ring drops never reach a merged log.
-pub fn replay_health(log: &RunLog, cfg: HealthConfig) -> Vec<HealthEvent> {
-    let mut det = HealthDetector::new(cfg);
+pub fn replay_health(log: &RunLog) -> Vec<HealthEvent> {
+    let mut det = HealthDetector::new(log.n_spes);
     crate::decisions::decisions(log)
         .iter()
         .filter_map(|d| {
@@ -928,7 +911,7 @@ mod tests {
 
     #[test]
     fn utilization_collapse_fires_once_after_k_windows_and_rearms() {
-        let mut det = HealthDetector::new(HealthConfig::for_spes(8));
+        let mut det = HealthDetector::new(8);
         let low = |at| LiveDecision { at_ns: at, u: 1, t: 6, degree: 1, n_spes: 8, window: 8, window_fill: 8 };
         let healthy = |at| LiveDecision { at_ns: at, u: 6, t: 2, degree: 1, n_spes: 8, window: 8, window_fill: 8 };
 
@@ -949,7 +932,7 @@ mod tests {
 
     #[test]
     fn high_u_or_wide_degree_never_collapses() {
-        let mut det = HealthDetector::new(HealthConfig::for_spes(8));
+        let mut det = HealthDetector::new(8);
         for at in 0..50 {
             // Wide degree: low U is the controller *working* (LLP active).
             let d = LiveDecision { at_ns: at, u: 2, t: 2, degree: 4, n_spes: 8, window: 8, window_fill: 8 };
@@ -972,7 +955,7 @@ mod tests {
 
     #[test]
     fn stall_spike_needs_a_baseline_and_a_real_jump() {
-        let mut det = HealthDetector::new(HealthConfig::for_spes(8));
+        let mut det = HealthDetector::new(8);
         // Seeding interval: never fires, whatever the count.
         assert!(det.observe_delta(10, &delta_with_stalls(1, 500), 0).is_empty());
         // Steady state near the baseline: silent.
@@ -991,7 +974,7 @@ mod tests {
 
     #[test]
     fn small_absolute_stall_counts_never_spike() {
-        let mut det = HealthDetector::new(HealthConfig::for_spes(8));
+        let mut det = HealthDetector::new(8);
         assert!(det.observe_delta(1, &delta_with_stalls(1, 0), 0).is_empty());
         // 8 stalls is far above a 0 baseline but below stall_min_events.
         for e in 2..20 {
@@ -1007,7 +990,7 @@ mod tests {
 
     #[test]
     fn quarantine_storm_fires_on_mass_benching_and_rearms() {
-        let mut det = HealthDetector::new(HealthConfig::for_spes(8));
+        let mut det = HealthDetector::new(8);
         // One flaky SPE benched: the recovery plane working, not a storm.
         assert!(det.observe_delta(10, &delta_with_quarantines(1, 1), 0).is_empty());
         // Four of eight benched in one interval: storm.
@@ -1030,7 +1013,7 @@ mod tests {
 
     #[test]
     fn ring_drop_fires_once_and_stays_latched() {
-        let mut det = HealthDetector::new(HealthConfig::for_spes(8));
+        let mut det = HealthDetector::new(8);
         assert!(det.observe_delta(1, &delta_with_stalls(1, 0), 0).is_empty());
         let fired = det.observe_delta(2, &delta_with_stalls(2, 0), 17);
         assert_eq!(fired.len(), 1);
@@ -1055,10 +1038,9 @@ mod tests {
 
     #[test]
     fn latency_slo_burn_fires_once_after_k_burning_windows_and_rearms() {
-        let cfg = HealthConfig::for_spes(8);
-        let mut det = HealthDetector::new(cfg);
-        let over = 4 * cfg.latency_slo_ns; // well past the SLO bucket
-        let under = cfg.latency_slo_ns / 100;
+        let mut det = HealthDetector::new(8);
+        let over = 4 * HealthDetector::LATENCY_SLO_NS; // well past the SLO bucket
+        let under = HealthDetector::LATENCY_SLO_NS / 100;
 
         // A healthy window seeds the EWMA baseline; no alarm possible yet.
         assert!(det.observe_delta(5, &delta_with_jobs(0, 16, under), 0).is_empty());
@@ -1087,42 +1069,40 @@ mod tests {
 
     #[test]
     fn slow_but_sparse_windows_never_burn() {
-        let cfg = HealthConfig::for_spes(8);
-        let mut det = HealthDetector::new(cfg);
-        let over = 4 * cfg.latency_slo_ns;
+        let mut det = HealthDetector::new(8);
+        let over = 4 * HealthDetector::LATENCY_SLO_NS;
         // Every window is over the SLO but below the min-jobs floor: one
         // slow straggler per window is not a burn signal.
         for e in 1..20 {
-            assert!(det.observe_delta(e * 10, &delta_with_jobs(e, cfg.latency_min_jobs - 1, over), 0).is_empty());
+            assert!(det.observe_delta(e * 10, &delta_with_jobs(e, HealthDetector::LATENCY_MIN_JOBS - 1, over), 0).is_empty());
         }
         assert!(det.active_alarms().is_empty());
     }
 
     #[test]
     fn latency_baseline_suppresses_windows_under_the_spike_factor() {
-        let mut cfg = HealthConfig::for_spes(8);
-        cfg.latency_slo_ns = 1_000; // SLO far below actual service times
-        let mut det = HealthDetector::new(cfg);
-        // Healthy traffic seeds an EWMA baseline around 1 ms.
+        let slo = HealthDetector::LATENCY_SLO_NS;
+        let mut det = HealthDetector::new(8);
+        // Traffic at the SLO seeds an EWMA baseline around it.
         for e in 1..6 {
-            assert!(det.observe_delta(e * 10, &delta_with_jobs(e, 16, 1_000_000), 0).is_empty());
+            assert!(det.observe_delta(e * 10, &delta_with_jobs(e, 16, slo), 0).is_empty());
         }
         // 2x the baseline is over the SLO but under the 4x spike factor:
         // the baseline keeps a chronically-over-SLO service from paging
         // on every window.
         for e in 6..12 {
-            assert!(det.observe_delta(e * 10, &delta_with_jobs(e, 16, 2_000_000), 0).is_empty());
+            assert!(det.observe_delta(e * 10, &delta_with_jobs(e, 16, 2 * slo), 0).is_empty());
         }
         assert!(det.active_alarms().is_empty());
         // 16x the baseline burns.
-        assert!(det.observe_delta(200, &delta_with_jobs(20, 16, 16_000_000), 0).is_empty());
-        assert!(det.observe_delta(210, &delta_with_jobs(21, 16, 16_000_000), 0).is_empty());
-        assert_eq!(det.observe_delta(220, &delta_with_jobs(22, 16, 16_000_000), 0).len(), 1);
+        assert!(det.observe_delta(200, &delta_with_jobs(20, 16, 16 * slo), 0).is_empty());
+        assert!(det.observe_delta(210, &delta_with_jobs(21, 16, 16 * slo), 0).is_empty());
+        assert_eq!(det.observe_delta(220, &delta_with_jobs(22, 16, 16 * slo), 0).len(), 1);
     }
 
     #[test]
     fn tenant_starvation_fires_after_k_windows_and_rearms() {
-        let mut det = HealthDetector::new(HealthConfig::for_spes(8));
+        let mut det = HealthDetector::new(8);
         // Two starved windows: pattern not yet confirmed.
         assert!(det.observe_tenant_starvation(10, &[3]).is_none());
         assert!(det.observe_tenant_starvation(20, &[3]).is_none());
@@ -1144,7 +1124,7 @@ mod tests {
 
     #[test]
     fn tenant_starvation_streaks_are_per_tenant() {
-        let mut det = HealthDetector::new(HealthConfig::for_spes(8));
+        let mut det = HealthDetector::new(8);
         // Tenant 1 starves twice, then recovers; tenant 2 starts late.
         assert!(det.observe_tenant_starvation(10, &[1]).is_none());
         assert!(det.observe_tenant_starvation(20, &[1, 2]).is_none());

@@ -23,7 +23,7 @@
 //! [`EventKind::rank`]: cellsim::event::EventKind::rank
 
 use cellsim::event::{EventRecord, RunLog, SchedulerTag};
-use mgps_runtime::native::LOCAL_STORE_BYTES;
+use cellsim::params::LOCAL_STORE_BYTES;
 use mgps_runtime::tracing::{TraceEvent, TraceLog};
 
 /// Run-level metadata the rings do not carry (the trace records *what

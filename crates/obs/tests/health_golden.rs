@@ -8,7 +8,7 @@
 
 use cellsim::event::{EventKind, EventRecord, RunLog, SchedulerTag};
 use cellsim::machine::{run, SimConfig};
-use mgps_obs::{replay_health, AlarmKind, HealthConfig, HealthDetector};
+use mgps_obs::{replay_health, AlarmKind, HealthDetector};
 use mgps_runtime::metrics::{hist_bucket, Counter, HistKind, SnapshotDelta, HIST_BUCKETS};
 use mgps_runtime::policy::SchedulerKind;
 
@@ -29,8 +29,7 @@ fn clean_seeded_runs_stay_silent_under_every_scheduler() {
         SchedulerKind::Mgps,
     ] {
         let log = recorded(scheduler);
-        let cfg = HealthConfig::for_spes(log.n_spes);
-        let events = replay_health(&log, cfg);
+        let events = replay_health(&log);
         assert!(
             events.is_empty(),
             "{scheduler:?}: clean run raised {:?}",
@@ -73,24 +72,22 @@ fn starved_gate_fixture(low_windows: usize) -> RunLog {
 
 #[test]
 fn a_starved_gate_fires_exactly_one_utilization_collapse() {
-    let cfg = HealthConfig::for_spes(8);
-    let log = starved_gate_fixture(cfg.k_windows + 3);
-    let events = replay_health(&log, cfg);
+    let log = starved_gate_fixture(HealthDetector::COLLAPSE_WINDOWS + 3);
+    let events = replay_health(&log);
     assert_eq!(
         events.iter().map(|e| e.kind).collect::<Vec<_>>(),
         vec![AlarmKind::UtilizationCollapse],
         "expected exactly one latched utilization-collapse alarm"
     );
     // It fires at the k-th consecutive low window, not before.
-    assert_eq!(events[0].at_ns, cfg.k_windows as u64 * 1_000_000);
+    assert_eq!(events[0].at_ns, HealthDetector::COLLAPSE_WINDOWS as u64 * 1_000_000);
 }
 
 #[test]
 fn a_gate_that_recovers_before_k_windows_stays_silent() {
-    let cfg = HealthConfig::for_spes(8);
     // One window short of the trip threshold.
-    let log = starved_gate_fixture(cfg.k_windows - 1);
-    assert!(replay_health(&log, cfg).is_empty());
+    let log = starved_gate_fixture(HealthDetector::COLLAPSE_WINDOWS - 1);
+    assert!(replay_health(&log).is_empty());
 }
 
 /// One telemetry window's job-latency signal: `lats` completed-job wall
@@ -126,8 +123,7 @@ fn seeded_latencies(seed: u64, n: usize, scale: u64) -> Vec<u64> {
 
 #[test]
 fn a_seeded_overload_trace_fires_exactly_one_latency_slo_burn() {
-    let cfg = HealthConfig::for_spes(8);
-    let mut det = HealthDetector::new(cfg);
+    let mut det = HealthDetector::new(8);
     let mut fired = Vec::new();
     // Healthy warmup establishes the EWMA baseline...
     for w in 0..4u64 {
@@ -144,7 +140,7 @@ fn a_seeded_overload_trace_fires_exactly_one_latency_slo_burn() {
         "a sustained overload fires the burn alarm exactly once, latched"
     );
     // It fires on the k-th consecutive burning window, not before.
-    assert_eq!(fired[0].at_ns, (4 + cfg.latency_burn_windows as u64 - 1) * 100);
+    assert_eq!(fired[0].at_ns, (4 + HealthDetector::LATENCY_BURN_WINDOWS as u64 - 1) * 100);
 }
 
 #[test]
@@ -159,8 +155,7 @@ fn clean_seeded_job_traffic_stays_silent_under_every_scheduler() {
     .into_iter()
     .enumerate()
     {
-        let cfg = HealthConfig::for_spes(8);
-        let mut det = HealthDetector::new(cfg);
+        let mut det = HealthDetector::new(8);
         for w in 0..32u64 {
             let lats = seeded_latencies(0x5eed + i as u64 * 101 + w, 24, 1);
             let fired = det.observe_delta(w * 100, &job_window(w, &lats), 0);

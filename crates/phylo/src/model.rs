@@ -490,6 +490,47 @@ mod tests {
         }
     }
 
+    /// The spectrum `P(t)` is built from must be the rate matrix's own:
+    /// `L·diag(λ)·R` is `Q`, rebuilt here from the exchangeabilities and
+    /// frequencies alone and normalized to mean rate 1 as `Gtr::new` does.
+    #[test]
+    fn gtr_spectrum_reassembles_its_rate_matrix() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x6e7);
+        let random = (0..8).map(|_| {
+            let rates: [f64; 6] = std::array::from_fn(|_| rng.gen_range(0.05..8.0));
+            let w: [f64; STATES] = std::array::from_fn(|_| rng.gen_range(0.05..1.0));
+            let total: f64 = w.iter().sum();
+            Gtr::new(rates, w.map(|x| x / total))
+        });
+        for g in std::iter::once(Gtr::example()).chain(random) {
+            let [ac, ag, at, cg, ct, gt] = g.rates();
+            let s = [[0.0, ac, ag, at], [ac, 0.0, cg, ct], [ag, cg, 0.0, gt], [at, ct, gt, 0.0]];
+            let pi = g.base_freqs();
+            let mut q = [[0.0; STATES]; STATES];
+            for i in 0..STATES {
+                for j in 0..STATES {
+                    if i != j {
+                        q[i][j] = s[i][j] * pi[j];
+                        q[i][i] -= q[i][j];
+                    }
+                }
+            }
+            let mean_rate: f64 = (0..STATES).map(|i| -pi[i] * q[i][i]).sum();
+            let spectrum = g.spectrum();
+            let got = spectrum.matrix(spectrum.eigenvalues);
+            for i in 0..STATES {
+                for j in 0..STATES {
+                    let want = q[i][j] / mean_rate;
+                    let err = (got[i][j] - want).abs();
+                    assert!(err < 1e-12, "{:?} Q[{i}][{j}] off by {err}", g.rates());
+                }
+                let row: f64 = got[i].iter().sum();
+                assert!(row.abs() < 1e-12, "{:?} row {i} sums to {row}", g.rates());
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "sum to 1")]
     fn gtr_rejects_bad_frequencies() {

@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use multigrain::mgps_runtime::metrics::{AtomicMetrics, Counter};
 use multigrain::prelude::*;
 
 /// Iterations of each stage.
@@ -75,11 +76,12 @@ fn main() {
         .iter()
         .enumerate()
         .fold(0.0, |carry, (stage, &n)| stage_chunk(stage, carry, 0..n));
-    let pool = Arc::new(SpePool::new(8, Duration::ZERO));
+    let metrics = Arc::new(AtomicMetrics::new());
+    let pool = Arc::new(SpePool::with_metrics(8, Arc::<AtomicMetrics>::clone(&metrics)));
     let runner = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
 
     for degree in [1usize, 2, 4, 8] {
-        let before = pool.completed();
+        let before = metrics.get(Counter::TasksCompleted);
         let start = Instant::now();
         let body = Arc::new(Pipeline { stage: AtomicUsize::new(0), carry: AtomicU64::new(0) });
         let value = runner.parallel_reduce(LoopSite(0), degree, body).expect("chain ok");
@@ -88,7 +90,7 @@ fn main() {
         while pool.idle_count() < pool.n_spes() {
             std::thread::yield_now();
         }
-        let jobs = pool.completed() - before;
+        let jobs = metrics.get(Counter::TasksCompleted) - before;
         assert!(
             (value - sequential).abs() < 1e-9,
             "degree {degree}: {value} vs sequential {sequential}"

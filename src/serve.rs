@@ -95,7 +95,7 @@ use cellsim::event::{json_line, EventKind, SchedulerTag};
 use mgps_analysis::{check_run_with, check_trace_sanity, CheckMode};
 use mgps_obs::{
     health_json, merge_health_events, prometheus_text, quantile_from_log2_buckets,
-    runlog_from_trace, HealthConfig, HealthDetector, HealthEvent, LiveDecision, LiveStatus,
+    runlog_from_trace, HealthDetector, HealthEvent, LiveDecision, LiveStatus,
     NativeRunMeta,
 };
 use mgps_runtime::metrics::{hist_bucket, HistKind, MetricsSink, HIST_BUCKETS};
@@ -825,7 +825,7 @@ pub fn serve(cfg: &ServeConfig) -> std::io::Result<ServeOutcome> {
             let rt = &rt;
             let tracer = Arc::clone(&tracer);
             let mut source = SnapshotSource::new(Arc::clone(&metrics));
-            let mut detector = HealthDetector::new(HealthConfig::for_spes(n_spes));
+            let mut detector = HealthDetector::new(n_spes);
             let poll = Duration::from_millis(cfg.poll_ms.max(1));
             // Per-ring read cursors: each tick copies only what arrived
             // since the previous one.

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use cellsim::dma::{DmaError, DmaList, DmaRequest};
-use cellsim::params::DmaParams;
+use cellsim::params::{DMA_MAX_LIST_LEN, DMA_MAX_TRANSFER_BYTES};
 use des::prelude::*;
 use mgps_runtime::policy::chunk::partition;
 use mgps_runtime::policy::mgps::{Directive, MgpsConfig, MgpsScheduler};
@@ -72,8 +72,7 @@ proptest! {
     /// The MFC accepts exactly the architected transfer sizes.
     #[test]
     fn dma_size_rules(bytes in 0usize..40_000) {
-        let p = DmaParams::default();
-        let r = DmaRequest::new(&p, bytes, 0, 0);
+        let r = DmaRequest::new(bytes, 0, 0);
         let legal = bytes > 0
             && bytes <= 16 * 1024
             && (matches!(bytes, 1 | 2 | 4 | 8) || bytes % 16 == 0);
@@ -84,8 +83,7 @@ proptest! {
     /// (for a legal size).
     #[test]
     fn dma_alignment_rules(local in 0usize..4096, main in 0usize..4096) {
-        let p = DmaParams::default();
-        let r = DmaRequest::new(&p, 256, local, main);
+        let r = DmaRequest::new(256, local, main);
         if local % 16 == 0 && main % 16 == 0 {
             prop_assert!(r.is_ok());
         } else {
@@ -96,12 +94,11 @@ proptest! {
     /// DMA lists preserve total (padded) bytes and respect element caps.
     #[test]
     fn dma_list_structure(total in 1usize..2_000_000) {
-        let p = DmaParams::default();
-        let list = DmaList::for_bytes(&p, total, 0, 0).unwrap();
+        let list = DmaList::for_bytes(total, 0, 0).unwrap();
         let padded = total.div_ceil(16) * 16;
         prop_assert_eq!(list.total_bytes(), padded);
-        prop_assert!(list.elements().len() <= p.max_list_len);
-        prop_assert!(list.elements().iter().all(|e| e.bytes <= p.max_transfer_bytes));
+        prop_assert!(list.elements().len() <= DMA_MAX_LIST_LEN);
+        prop_assert!(list.elements().iter().all(|e| e.bytes <= DMA_MAX_TRANSFER_BYTES));
     }
 
     /// The event queue fires in (time, insertion) order regardless of the

@@ -14,6 +14,7 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use multigrain::mgps_runtime::metrics::{AtomicMetrics, Counter};
 use multigrain::mgps_runtime::policy::granularity::{MIN_SPE_SAMPLES, TEAM_PROBE_PERIOD};
 use multigrain::mgps_runtime::policy::SpeId;
 use multigrain::prelude::*;
@@ -384,8 +385,10 @@ type ResultBits = (u64, Vec<u64>);
 /// every invocation cuts the same tiling. Returns each result and whether
 /// the team was woken for it.
 fn until_the_team_probe(body: impl Fn() -> TraversalBody<Jc69>) -> Vec<(ResultBits, bool)> {
-    let pool = Arc::new(SpePool::new(4, Duration::ZERO));
+    let metrics = Arc::new(AtomicMetrics::new());
+    let pool = Arc::new(SpePool::with_metrics(4, Arc::<AtomicMetrics>::clone(&metrics)));
     let runner = TeamRunner::new(Arc::clone(&pool), Duration::ZERO);
+    let completed = || metrics.get(Counter::TasksCompleted);
     let settle = || {
         while pool.idle_count() < pool.n_spes() {
             std::thread::yield_now();
@@ -398,12 +401,12 @@ fn until_the_team_probe(body: impl Fn() -> TraversalBody<Jc69>) -> Vec<(ResultBi
     while seen.last().is_none_or(|(_, woken)| !woken) {
         assert!(seen.len() < TEAM_PROBE_PERIOD as usize, "no team probe in a period");
         settle();
-        let before = pool.completed();
+        let before = completed();
         let body = Arc::new(body());
         let (lnl, _) = runner.parallel_reduce(LoopSite(1), 4, Arc::clone(&body)).unwrap();
         settle();
         // The master alone books one job; a woken team one per member.
-        seen.push(((lnl.to_bits(), length_bits(&body.tree())), pool.completed() - before > 1));
+        seen.push(((lnl.to_bits(), length_bits(&body.tree())), completed() - before > 1));
     }
     seen
 }
